@@ -66,9 +66,10 @@ impl Layer for FixedChannelMask {
         self.inner.forward(&[x, &gates], mode)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
-        let mut grads = self.inner.backward(grad_out);
-        grads.truncate(1); // the gate is constant, not an input
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
+        // The gate is constant, not an input: its gradient is never wanted.
+        let mut grads = self.inner.backward(grad_out, &[demand[0], false]);
+        grads.truncate(1);
         grads
     }
 

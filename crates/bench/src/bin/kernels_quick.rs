@@ -1,6 +1,7 @@
 //! Quick kernel-regression smoke: times the blocked GEMM against the seed's
 //! naive `ikj` kernel, compares the micro-kernel dispatch tiers, times the
-//! batched attention-shaped products against the serial per-head loop, and
+//! batched attention-shaped products against the serial per-head loop and
+//! the im2col/col2im slice kernels against their naive definitions, and
 //! emits a `BENCH_kernels.json` baseline.
 //!
 //! ```text
@@ -12,13 +13,15 @@
 //! 256³ shape, if the small-shape fast path regresses, if any variant
 //! diverges from the reference numerically, if the SIMD micro-kernel is not
 //! *bitwise* identical to the portable one, if the batched GEMM is not
-//! bitwise identical to the serial per-head loop, or if batching fails to
-//! beat the serial loop on a machine with ≥ 4 hardware threads.
+//! bitwise identical to the serial per-head loop, if batching fails to
+//! beat the serial loop on a machine with ≥ 4 hardware threads, or if the
+//! conv glue kernels differ from the naive definitions by one bit or are not
+//! ≥ 2x faster than them at LeNet's shapes.
 
 use amalgam_bench::{
     attention_pv_serial_per_head, attention_qk_serial_per_head, matmul_ikj_reference as matmul_ikj,
 };
-use amalgam_tensor::kernels::{self, matmul_batch_nt_scaled_into};
+use amalgam_tensor::kernels::{self, matmul_batch_nt_scaled_into, reference, Conv2dGeom};
 use amalgam_tensor::simd::{self, Tier};
 use amalgam_tensor::{parallel, scratch, Rng, Tensor};
 use std::fmt::Write as _;
@@ -184,6 +187,57 @@ fn main() {
             ("speedup", conv_ikj / conv_gemm),
         ],
     });
+
+    // Conv glue at LeNet-5's two convolutions (5×5, padding 2) on a batch of
+    // 16 at 20 px — the e2e benchmark's middle job: unfold the input and fold
+    // a column gradient back, slice kernels against the naive definitions.
+    let (mut naive_ms, mut slice_ms) = (0.0, 0.0);
+    for (channels, hw) in [(1usize, 20usize), (6, 10)] {
+        let geom = Conv2dGeom {
+            in_channels: channels,
+            in_h: hw,
+            in_w: hw,
+            kernel: 5,
+            stride: 1,
+            padding: 2,
+        };
+        let n = 16;
+        let x = Tensor::randn(&[n, channels, hw, hw], &mut rng);
+        let dcols = Tensor::randn(&[geom.col_rows(), n * hw * hw], &mut rng);
+        if kernels::im2col(&x, &geom).data() != reference::im2col(&x, &geom).data() {
+            failures.push(format!(
+                "im2col differs from its naive definition at {geom:?}"
+            ));
+        }
+        let folded = kernels::col2im(&dcols, &geom, n);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        if bits(&folded) != bits(&reference::col2im(&dcols, &geom, n)) {
+            failures.push(format!(
+                "col2im differs from its naive definition at {geom:?}"
+            ));
+        }
+        naive_ms += time_ms(50, || {
+            reference::im2col(&x, &geom).data()[0] + reference::col2im(&dcols, &geom, n).data()[0]
+        });
+        slice_ms += time_ms(50, || {
+            kernels::im2col(&x, &geom).data()[0] + kernels::col2im(&dcols, &geom, n).data()[0]
+        });
+    }
+    let glue_speedup = naive_ms / slice_ms;
+    entries.push(Entry {
+        name: "conv_glue",
+        fields: vec![
+            ("naive_ms", naive_ms),
+            ("slice_ms", slice_ms),
+            ("speedup", glue_speedup),
+        ],
+    });
+    if glue_speedup < 2.0 {
+        failures.push(format!(
+            "im2col + col2im slice kernels only {glue_speedup:.2}x faster than the naive loops at \
+             LeNet's conv shapes (want ≥ 2x)"
+        ));
+    }
 
     // Batched attention-shaped products: B·H = 64 heads of Q·Kᵀ over
     // [T, dh] = [128, 64] (B = 8, H = 8, the acceptance shape). The serial

@@ -480,14 +480,21 @@ impl Reactor {
                 std::thread::sleep(Duration::from_millis(1));
             }
             self.shared.metrics.reactor_events(events.len());
-            // Read stop *after* wait: the shutdown kick interrupts the wait,
-            // and this ordering guarantees the same iteration that drains
-            // the kick also observes the flag and applies it.
+            // Drain the waker before reading anything it guards: a wake that
+            // lands while this wake-up is being served is coalesced into it
+            // (no new byte), so what it published — the stop flag here, the
+            // inbox and the ready list below — must be read after the drain.
+            // The same iteration that drains the shutdown kick therefore
+            // also observes the flag and applies it.
+            if events.iter().any(|ev| ev.token == WAKER_TOKEN) {
+                self.wake_rx.drain();
+            }
             let stopped = self.shared.stop.load(Ordering::SeqCst);
             for ev in &events {
                 if ev.token == WAKER_TOKEN {
-                    self.wake_rx.drain();
-                } else if ev.token == EXPORTER_TOKEN {
+                    continue;
+                }
+                if ev.token == EXPORTER_TOKEN {
                     self.accept_http(stopped);
                 } else if self.http_conns.contains_key(&ev.token) {
                     self.handle_http_io(ev.token, ev.readable, ev.writable);

@@ -4,7 +4,11 @@
 //! central-difference approximation of `d⟨forward(x), w⟩/dx` (and `/dθ`) for a
 //! random cotangent `w`. Stochastic layers (dropout) are excluded — their
 //! forward is not a pure function of the inputs.
+//!
+//! [`backward_all_demanded`] is the graph-level counterpart: the reference
+//! that [`GraphModel::backward`]'s demand pruning is held to.
 
+use crate::graph::GraphModel;
 use crate::layer::{Layer, Mode};
 use amalgam_tensor::{Rng, Tensor};
 
@@ -45,7 +49,8 @@ pub fn check_layer_gradients(
     }
     let refs: Vec<&Tensor> = inputs.iter().collect();
     let _ = layer.forward(&refs, Mode::Train);
-    let analytic_inputs = layer.backward(&w);
+    // Every input gradient is probed below, so every one is demanded.
+    let analytic_inputs = layer.backward(&w, &vec![true; inputs.len()]);
     let analytic_params: Vec<Tensor> = layer.params().iter().map(|p| p.grad.clone()).collect();
 
     let eps = 1e-3f32;
@@ -63,7 +68,8 @@ pub fn check_layer_gradients(
             let f_minus = objective(layer.as_mut(), &inputs, &w);
             inputs[i].data_mut()[idx] = orig;
             let numeric = (f_plus - f_minus) / (2.0 * eps);
-            let analytic = analytic_inputs[i].data()[idx];
+            // A missing slot is a gradient that is identically zero.
+            let analytic = analytic_inputs[i].as_ref().map_or(0.0, |g| g.data()[idx]);
             assert!(
                 close(analytic, numeric),
                 "{}: input {i} grad mismatch at {idx}: analytic {analytic} vs numeric {numeric}",
@@ -91,6 +97,49 @@ pub fn check_layer_gradients(
                 "{}: param {k} grad mismatch at {idx}: analytic {analytic} vs numeric {numeric}",
                 layer.kind()
             );
+        }
+    }
+}
+
+/// Back-propagates `seeds` through `model` with every input gradient
+/// demanded of every layer — nothing pruned, nothing skipped but the
+/// external inputs. Must follow a matching [`GraphModel::forward`].
+///
+/// This is the reference [`GraphModel::backward`] is tested against: it goes
+/// through the same [`Layer::backward`] entry point, so the parameter
+/// gradients the two leave behind must agree bit for bit — pruning may only
+/// ever drop gradients nobody reads.
+///
+/// # Panics
+///
+/// Panics if the seed count differs from the output count — this is a test
+/// utility.
+pub fn backward_all_demanded(model: &mut GraphModel, seeds: &[Tensor]) {
+    assert_eq!(seeds.len(), model.outputs().len(), "seed arity mismatch");
+    let ids: Vec<_> = model.node_ids().collect();
+    let mut grads: Vec<Option<Tensor>> = vec![None; ids.len()];
+    let accumulate = |slot: &mut Option<Tensor>, g: Tensor| match slot {
+        Some(acc) => acc.add_assign(&g),
+        None => *slot = Some(g),
+    };
+    for (seed, id) in seeds.iter().zip(model.outputs()) {
+        accumulate(&mut grads[id.index()], seed.clone());
+    }
+    for &id in ids.iter().rev() {
+        let inputs = model.node(id).inputs().to_vec();
+        let Some(g) = grads[id.index()].take() else {
+            continue;
+        };
+        if inputs.is_empty() {
+            continue; // an external input: nothing upstream
+        }
+        let layer = model.node_mut(id).layer_mut();
+        let input_grads = layer.backward(&g, &vec![true; inputs.len()]);
+        assert_eq!(input_grads.len(), inputs.len(), "backward arity mismatch");
+        for (gi, input) in input_grads.into_iter().zip(inputs) {
+            if let Some(gi) = gi {
+                accumulate(&mut grads[input.index()], gi);
+            }
         }
     }
 }
@@ -128,9 +177,9 @@ mod tests {
             self.dims = Some(inputs[0].dims().to_vec());
             inputs[0].map(|v| v * v)
         }
-        fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+        fn backward(&mut self, grad_out: &Tensor, _demand: &[bool]) -> Vec<Option<Tensor>> {
             let _ = self.dims.take();
-            vec![grad_out.clone()] // wrong: should be 2x·g
+            vec![Some(grad_out.clone())] // wrong: should be 2x·g
         }
         fn spec(&self) -> crate::spec::LayerSpec {
             crate::spec::LayerSpec::Identity

@@ -14,7 +14,7 @@ use crate::layer::{Layer, Mode, Param};
 use crate::spec::LayerSpec;
 use crate::NnError;
 use amalgam_tensor::wire::{Reader, Writer};
-use amalgam_tensor::Tensor;
+use amalgam_tensor::{scratch, Tensor};
 use std::collections::HashMap;
 
 /// Identifier of a node within one [`GraphModel`].
@@ -232,31 +232,38 @@ impl GraphModel {
         );
         assert!(!self.outputs.is_empty(), "no outputs declared");
         let mut values: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let input_map: HashMap<usize, usize> = self
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(k, id)| (id.0, k))
-            .collect();
         for i in 0..self.nodes.len() {
-            let out = if let Some(&k) = input_map.get(&i) {
-                self.nodes[i].layer.forward(&[externals[k]], mode)
-            } else {
-                let in_ids = self.nodes[i].inputs.clone();
-                // Temporarily move input tensors out to satisfy the borrow
-                // checker, then restore them.
-                let ins: Vec<Tensor> = in_ids
-                    .iter()
-                    .map(|id| values[id.0].clone().expect("topo order violated"))
-                    .collect();
-                let refs: Vec<&Tensor> = ins.iter().collect();
-                self.nodes[i].layer.forward(&refs, mode)
+            let node = &mut self.nodes[i];
+            let out = match self.inputs.iter().position(|id| id.0 == i) {
+                Some(k) => node.layer.forward(&[externals[k]], mode),
+                None => {
+                    // Earlier activations are borrowed in place: `values` is
+                    // only written once the layer has returned.
+                    let refs: Vec<&Tensor> = node
+                        .inputs
+                        .iter()
+                        .map(|id| values[id.0].as_ref().expect("topo order violated"))
+                        .collect();
+                    node.layer.forward(&refs, mode)
+                }
             };
             values[i] = Some(out);
         }
-        self.outputs
+        // Every consumer has run, so outputs are moved out; a node declared
+        // as an output more than once is copied for all but its last slot.
+        let outputs = &self.outputs;
+        outputs
             .iter()
-            .map(|id| values[id.0].clone().expect("output not computed"))
+            .enumerate()
+            .map(|(k, id)| {
+                let value = &mut values[id.0];
+                let out = if outputs[k + 1..].contains(id) {
+                    value.clone()
+                } else {
+                    value.take()
+                };
+                out.expect("output not computed")
+            })
             .collect()
     }
 
@@ -279,42 +286,65 @@ impl GraphModel {
         self.forward(&[x], mode).remove(0)
     }
 
+    /// Which nodes back-propagation must reach: `wants[i]` is true when node
+    /// `i` owns a parameter, or passes gradients on (it does not
+    /// [cut](Layer::cuts_gradient) them) to an input that wants one. One pass
+    /// in topological order; an external input owns nothing and has no
+    /// inputs, so it never wants a gradient.
+    fn gradient_demand(&self) -> Vec<bool> {
+        let mut wants = vec![false; self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate() {
+            wants[i] = !node.layer.params().is_empty()
+                || (!node.layer.cuts_gradient() && node.inputs.iter().any(|id| wants[id.0]));
+        }
+        wants
+    }
+
     /// Back-propagates one seed gradient per declared output, accumulating
     /// parameter gradients. Must follow a matching [`forward`](Self::forward).
+    ///
+    /// Backward is demand-driven: a gradient is computed only where it can
+    /// still reach a parameter. Each layer is told which of its inputs want
+    /// one (see [`Layer::backward`]), and a node that no parameter lies
+    /// behind — an external input, a [`Detach`](crate::layers::Detach) tap and
+    /// whatever feeds only those — is not run at all.
     ///
     /// # Panics
     ///
     /// Panics if the seed count differs from the output count.
     pub fn backward(&mut self, seeds: &[Tensor]) {
         assert_eq!(seeds.len(), self.outputs.len(), "seed arity mismatch");
+        let wants = self.gradient_demand();
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        let accumulate = |slot: &mut Option<Tensor>, g: Tensor| match slot {
+            Some(acc) => acc.add_assign(&g),
+            None => *slot = Some(g),
+        };
         for (seed, id) in seeds.iter().zip(&self.outputs) {
-            match &mut grads[id.0] {
-                Some(g) => g.add_assign(seed),
-                slot => *slot = Some(seed.clone()),
+            if wants[id.0] {
+                accumulate(&mut grads[id.0], seed.clone());
             }
         }
         for i in (0..self.nodes.len()).rev() {
+            let node = &mut self.nodes[i];
             let Some(g) = grads[i].take() else {
-                self.nodes[i].layer.clear_cache();
+                node.layer.clear_cache();
                 continue;
             };
-            if self.nodes[i].inputs.is_empty() {
-                // Source node (external input): nothing upstream to seed.
-                self.nodes[i].layer.clear_cache();
-                continue;
-            }
-            let input_grads = self.nodes[i].layer.backward(&g);
-            let in_ids = self.nodes[i].inputs.clone();
+            let demand: Vec<bool> = node.inputs.iter().map(|id| wants[id.0]).collect();
+            let input_grads = node.layer.backward(&g, &demand);
+            // A consumed gradient is the size of an activation: recycled, it
+            // serves the next step's scratch takes (caches, norm outputs).
+            scratch::give_tensor(g);
             assert_eq!(
                 input_grads.len(),
-                in_ids.len(),
+                demand.len(),
                 "backward arity mismatch at node {i}"
             );
-            for (gi, id) in input_grads.into_iter().zip(in_ids) {
-                match &mut grads[id.0] {
-                    Some(acc) => acc.add_assign(&gi),
-                    slot => *slot = Some(gi),
+            for ((gi, id), demanded) in input_grads.into_iter().zip(&node.inputs).zip(demand) {
+                if let Some(gi) = gi {
+                    debug_assert!(demanded, "node {i} returned a gradient nobody asked for");
+                    accumulate(&mut grads[id.0], gi);
                 }
             }
         }

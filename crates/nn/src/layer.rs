@@ -45,10 +45,10 @@ impl Param {
 /// A differentiable computation node.
 ///
 /// Layers are *stateful*: `forward` caches whatever `backward` needs, and
-/// `backward` both returns the gradients with respect to each input **and**
-/// accumulates parameter gradients into [`Param::grad`]. The graph executor
-/// ([`crate::graph::GraphModel`]) guarantees backward is called at most once
-/// per forward, with the accumulated output gradient.
+/// `backward` both returns the gradients with respect to the inputs somebody
+/// asked for **and** accumulates parameter gradients into [`Param::grad`].
+/// The graph executor ([`crate::graph::GraphModel`]) guarantees backward is
+/// called at most once per forward, with the accumulated output gradient.
 pub trait Layer: std::fmt::Debug + Send {
     /// Short type name, e.g. `"Conv2d"` (used in state-dict paths and dumps).
     fn kind(&self) -> &'static str;
@@ -62,13 +62,32 @@ pub trait Layer: std::fmt::Debug + Send {
     /// condition.
     fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor;
 
-    /// Propagates `grad_out` to each input (in the same order as `forward`
-    /// received them), accumulating parameter gradients as a side effect.
+    /// Propagates `grad_out` to the inputs that need it, accumulating
+    /// parameter gradients as a side effect.
+    ///
+    /// `demand` has one flag per input, in `forward`'s order, and the result
+    /// has one slot per input. The demand rule:
+    ///
+    /// * `demand[i] == false` means no parameter lies upstream of input `i`,
+    ///   so its gradient would be dropped: the layer skips that work and
+    ///   returns `None` in slot `i`. Parameter gradients and the release of
+    ///   the forward cache must not depend on `demand`.
+    /// * `demand[i] == true` yields `Some(gradient)`, or `None` when that
+    ///   gradient is identically zero (a [`Detach`](crate::layers::Detach),
+    ///   token ids) — the caller treats a missing slot as "adds nothing".
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward` (no cache).
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor>;
+    /// Panics if called before `forward` (no cache) or if `demand` does not
+    /// have one flag per input.
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>>;
+
+    /// Whether gradients stop here: nothing upstream of this layer is
+    /// reachable by back-propagation, whatever its inputs are. The executor's
+    /// demand analysis cuts the path to a parameter at such a node.
+    fn cuts_gradient(&self) -> bool {
+        false
+    }
 
     /// Immutable views of the trainable parameters (possibly empty).
     fn params(&self) -> Vec<&Param> {

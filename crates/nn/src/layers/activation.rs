@@ -13,6 +13,13 @@ fn cache_copy(src: &Tensor) -> Tensor {
     out
 }
 
+/// `grad · f′`, with `f′` given in terms of the cached output. Generic over
+/// the derivative so it is inlined into the element loop — through a
+/// function pointer the loop makes a call per element and does not vectorise.
+fn scale_by_derivative(grad: &Tensor, y: &Tensor, derivative: impl Fn(f32) -> f32) -> Tensor {
+    grad.zip_map(y, |g, yv| g * derivative(yv))
+}
+
 macro_rules! unary_activation {
     ($(#[$doc:meta])* $name:ident, $tag:ident, fwd = $fwd:expr, bwd = $bwd:expr) => {
         $(#[$doc])*
@@ -38,16 +45,14 @@ macro_rules! unary_activation {
                 if let Some(stale) = self.cache.take() {
                     scratch::give_tensor(stale);
                 }
-                let fwd: fn(f32) -> f32 = $fwd;
-                let y = inputs[0].map(fwd);
+                let y = inputs[0].map($fwd);
                 self.cache = Some(cache_copy(&y));
                 y
             }
 
-            fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+            fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
                 let y = self.cache.take().expect(concat!(stringify!($name), " backward before forward"));
-                let bwd: fn(f32) -> f32 = $bwd;
-                let dx = grad_out.zip_map(&y, |g, yv| g * bwd(yv));
+                let dx = demand[0].then(|| scale_by_derivative(grad_out, &y, $bwd));
                 scratch::give_tensor(y);
                 vec![dx]
             }
@@ -127,15 +132,17 @@ impl Layer for Gelu {
         inputs[0].map(|x| x * Self::phi(x))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let x = self.cache.take().expect("Gelu backward before forward");
-        let dx = grad_out.zip_map(&x, |g, xv| {
-            const C: f32 = 0.797_884_6;
-            let inner = C * (xv + 0.044_715 * xv * xv * xv);
-            let t = inner.tanh();
-            let sech2 = 1.0 - t * t;
-            let dphi = 0.5 * sech2 * C * (1.0 + 3.0 * 0.044_715 * xv * xv);
-            g * (0.5 * (1.0 + t) + xv * dphi)
+        let dx = demand[0].then(|| {
+            grad_out.zip_map(&x, |g, xv| {
+                const C: f32 = 0.797_884_6;
+                let inner = C * (xv + 0.044_715 * xv * xv * xv);
+                let t = inner.tanh();
+                let sech2 = 1.0 - t * t;
+                let dphi = 0.5 * sech2 * C * (1.0 + 3.0 * 0.044_715 * xv * xv);
+                g * (0.5 * (1.0 + t) + xv * dphi)
+            })
         });
         scratch::give_tensor(x);
         vec![dx]

@@ -248,7 +248,7 @@ impl Layer for MultiHeadSelfAttention {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let AttnCache {
             x2d,
             qh,
@@ -342,16 +342,20 @@ impl Layer for MultiHeadSelfAttention {
         scratch::give_tensor(dw);
         scratch::give_tensor(x2d);
 
-        let mut dx = dq.matmul_nt(&self.wq.value);
-        let mut tmp = scratch::take_tensor_raw(&[b * t, d]);
-        kernels::matmul_nt_into(&dk, &self.wk.value, &mut tmp);
-        dx.add_assign(&tmp);
-        kernels::matmul_nt_into(&dv, &self.wv.value, &mut tmp);
-        dx.add_assign(&tmp);
-        for staging in [tmp, dv, dk, dq] {
+        let dx = demand[0].then(|| {
+            let mut dx = dq.matmul_nt(&self.wq.value);
+            let mut tmp = scratch::take_tensor_raw(&[b * t, d]);
+            kernels::matmul_nt_into(&dk, &self.wk.value, &mut tmp);
+            dx.add_assign(&tmp);
+            kernels::matmul_nt_into(&dv, &self.wv.value, &mut tmp);
+            dx.add_assign(&tmp);
+            scratch::give_tensor(tmp);
+            dx.reshape_in_place(&[b, t, d]);
+            dx
+        });
+        for staging in [dv, dk, dq] {
             scratch::give_tensor(staging);
         }
-        dx.reshape_in_place(&[b, t, d]);
         vec![dx]
     }
 
@@ -463,7 +467,7 @@ mod tests {
                 true,
             );
             let y = a.forward(&[&x], Mode::Train);
-            let dx = a.backward(&gy).remove(0);
+            let dx = a.backward(&gy, &[true]).remove(0).unwrap();
             let grads: Vec<Vec<f32>> = a.params().iter().map(|p| p.grad.data().to_vec()).collect();
             parallel::set_threads(0);
             (y.data().to_vec(), dx.data().to_vec(), grads)

@@ -143,29 +143,26 @@ impl Layer for Conv2d {
         kernels::matmul_into(&wmat, &cols, &mut ymat); // [oc, N*oh*ow]
         scratch::give_tensor(wmat);
         // Fused pass: permute [oc, N*oh*ow] -> [N, oc, oh, ow] and add the
-        // bias while each (o, n) block is being written, instead of a second
-        // full-tensor sweep.
-        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+        // bias while each (n, o) block is appended, instead of a zero fill
+        // and a second full-tensor sweep.
+        let mut out = Vec::with_capacity(n * oc * ohw);
         {
             let src = ymat.data();
-            let dst = out.data_mut();
             let bias = self.bias.as_ref().map(|b| b.value.data());
             for ni in 0..n {
                 for o in 0..oc {
                     let s = &src[o * n * ohw + ni * ohw..o * n * ohw + (ni + 1) * ohw];
-                    let d = &mut dst[ni * oc * ohw + o * ohw..ni * oc * ohw + (o + 1) * ohw];
                     match bias {
                         Some(bd) => {
                             let bv = bd[o];
-                            for (dv, &sv) in d.iter_mut().zip(s) {
-                                *dv = sv + bv;
-                            }
+                            out.extend(s.iter().map(|&sv| sv + bv));
                         }
-                        None => d.copy_from_slice(s),
+                        None => out.extend_from_slice(s),
                     }
                 }
             }
         }
+        let out = Tensor::from_vec(out, &[n, oc, oh, ow]);
         scratch::give_tensor(ymat);
         self.cache = Some(ConvCache {
             cols,
@@ -175,7 +172,7 @@ impl Layer for Conv2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let ConvCache {
             cols,
             geom,
@@ -200,27 +197,31 @@ impl Layer for Conv2d {
         // as the [oc, ic, k, k] gradient).
         let mut dw = scratch::take_tensor_raw(&[oc, geom.col_rows()]);
         kernels::matmul_nt_into(&gmat, &cols, &mut dw);
+        scratch::give_tensor(cols);
         debug_assert_eq!(self.weight.grad.numel(), dw.numel());
         for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(dw.data()) {
             *g += d;
         }
         scratch::give_tensor(dw);
         if let Some(b) = &mut self.bias {
-            let mut db = Tensor::zeros(&[oc]);
-            for o in 0..oc {
-                db.data_mut()[o] = gmat.data()[o * n * ohw..(o + 1) * n * ohw].iter().sum();
+            for (o, g) in b.grad.data_mut().iter_mut().enumerate() {
+                *g += gmat.data()[o * n * ohw..(o + 1) * n * ohw]
+                    .iter()
+                    .sum::<f32>();
             }
-            b.grad.add_assign(&db);
         }
-        // dcols = Wᵀ @ g, then fold back to input space.
-        let wmat = self.weight.value.reshape(&[oc, geom.col_rows()]);
-        let mut dcols = scratch::take_tensor_raw(&[geom.col_rows(), n * ohw]);
-        kernels::matmul_tn_into(&wmat, &gmat, &mut dcols);
-        scratch::give_tensor(wmat);
+        // dcols = Wᵀ @ g, folded back to input space — the larger half of
+        // this function, and only worth it when a parameter lies upstream.
+        let dx = demand[0].then(|| {
+            let wmat = self.weight.value.reshape(&[oc, geom.col_rows()]);
+            let mut dcols = scratch::take_tensor_raw(&[geom.col_rows(), n * ohw]);
+            kernels::matmul_tn_into(&wmat, &gmat, &mut dcols);
+            scratch::give_tensor(wmat);
+            let dx = kernels::col2im(&dcols, &geom, n);
+            scratch::give_tensor(dcols);
+            dx
+        });
         scratch::give_tensor(gmat);
-        let dx = kernels::col2im(&dcols, &geom, n);
-        scratch::give_tensor(dcols);
-        scratch::give_tensor(cols);
         vec![dx]
     }
 

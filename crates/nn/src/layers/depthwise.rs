@@ -139,7 +139,7 @@ impl Layer for DepthwiseConv2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let x = self
             .cache
             .take()
@@ -149,7 +149,7 @@ impl Layer for DepthwiseConv2d {
         let god = grad_out.dims();
         let (oh, ow) = (god[2], god[3]);
         let k = self.kernel;
-        let mut dx = Tensor::zeros(d);
+        let mut dx = demand[0].then(|| Tensor::zeros(d));
         // Scratch-backed copy of the weights so `self.weight.grad` can be
         // borrowed mutably inside the loop.
         let mut wd = scratch::take_raw(self.weight.value.numel());
@@ -178,7 +178,9 @@ impl Layer for DepthwiseConv2d {
                                 let src_idx = base + iy as usize * w + ix as usize;
                                 self.weight.grad.data_mut()[wbase + ky * k + kx] +=
                                     g * x.data()[src_idx];
-                                dx.data_mut()[src_idx] += g * wd[wbase + ky * k + kx];
+                                if let Some(dx) = &mut dx {
+                                    dx.data_mut()[src_idx] += g * wd[wbase + ky * k + kx];
+                                }
                             }
                         }
                     }
@@ -262,21 +264,25 @@ impl Layer for BroadcastMulSpatial {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let (x, g) = self
             .cache
             .take()
             .expect("BroadcastMulSpatial backward before forward");
         let d = x.dims();
         let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
-        let mut dx = grad_out.clone();
-        let mut dg = Tensor::zeros(g.dims());
+        let mut dx = demand[0].then(|| grad_out.clone());
+        let mut dg = demand[1].then(|| Tensor::zeros(g.dims()));
         for ni in 0..n {
             for ci in 0..c {
                 for p in 0..hw {
                     let go = grad_out.data()[ni * c * hw + ci * hw + p];
-                    dx.data_mut()[ni * c * hw + ci * hw + p] = go * g.data()[ni * hw + p];
-                    dg.data_mut()[ni * hw + p] += go * x.data()[ni * c * hw + ci * hw + p];
+                    if let Some(dx) = &mut dx {
+                        dx.data_mut()[ni * c * hw + ci * hw + p] = go * g.data()[ni * hw + p];
+                    }
+                    if let Some(dg) = &mut dg {
+                        dg.data_mut()[ni * hw + p] += go * x.data()[ni * c * hw + ci * hw + p];
+                    }
                 }
             }
         }

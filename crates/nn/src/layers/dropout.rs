@@ -69,11 +69,12 @@ impl Layer for Dropout {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
-        match self.cache_mask.take() {
-            Some(mask) => vec![grad_out.mul(&mask)],
-            None => vec![grad_out.clone()], // eval-mode forward
-        }
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
+        let mask = self.cache_mask.take();
+        vec![demand[0].then(|| match mask {
+            Some(mask) => grad_out.mul(&mask),
+            None => grad_out.clone(), // eval-mode forward
+        })]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -120,9 +121,12 @@ mod tests {
         let mut d = Dropout::new(0.5, 7);
         let x = Tensor::ones(&[100]);
         let y = d.forward(&[&x], Mode::Train);
-        let g = d.backward(&Tensor::ones(&[100]));
+        let g = d
+            .backward(&Tensor::ones(&[100]), &[true])
+            .remove(0)
+            .unwrap();
         // Gradient passes exactly where the output was non-zero.
-        for (yv, gv) in y.data().iter().zip(g[0].data()) {
+        for (yv, gv) in y.data().iter().zip(g.data()) {
             assert_eq!(*yv == 0.0, *gv == 0.0);
         }
     }

@@ -9,7 +9,6 @@ use amalgam_tensor::{Rng, Tensor};
 pub struct Embedding {
     weight: Param, // [vocab, dim]
     cache_indices: Option<Vec<usize>>,
-    cache_bt: Option<(usize, usize)>,
 }
 
 impl Embedding {
@@ -19,7 +18,6 @@ impl Embedding {
         Embedding {
             weight: Param::new(Tensor::randn(&[vocab, dim], rng).scale(scale)),
             cache_indices: None,
-            cache_bt: None,
         }
     }
 
@@ -37,7 +35,6 @@ impl Embedding {
         Embedding {
             weight: Param::new(weight),
             cache_indices: None,
-            cache_bt: None,
         }
     }
 
@@ -78,17 +75,12 @@ impl Layer for Embedding {
                 .copy_from_slice(&self.weight.value.data()[token * dim..(token + 1) * dim]);
         }
         self.cache_indices = Some(idx);
-        self.cache_bt = Some((b, t));
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, _demand: &[bool]) -> Vec<Option<Tensor>> {
         let idx = self
             .cache_indices
-            .take()
-            .expect("Embedding backward before forward");
-        let (b, t) = self
-            .cache_bt
             .take()
             .expect("Embedding backward before forward");
         let dim = self.dim();
@@ -98,9 +90,9 @@ impl Layer for Embedding {
                 self.weight.grad.data_mut()[token * dim + j] += gv;
             }
         }
-        // Token ids are not differentiable; return a zero gradient of the
-        // input's shape so the graph executor's bookkeeping stays uniform.
-        vec![Tensor::zeros(&[b, t])]
+        // Token ids are not differentiable: their gradient is identically
+        // zero, which a missing slot says without building the tensor.
+        vec![None]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -123,7 +115,6 @@ impl Layer for Embedding {
 
     fn clear_cache(&mut self) {
         self.cache_indices = None;
-        self.cache_bt = None;
     }
 }
 
@@ -187,8 +178,8 @@ impl Layer for PositionalEncoding {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
-        vec![grad_out.clone()]
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
+        vec![demand[0].then(|| grad_out.clone())]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -226,7 +217,7 @@ mod tests {
         let mut e = Embedding::from_params(w);
         let ids = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
         e.forward(&[&ids], Mode::Train);
-        e.backward(&Tensor::ones(&[1, 2, 2]));
+        e.backward(&Tensor::ones(&[1, 2, 2]), &[false]);
         // Token 1 used twice → gradient 2 per component.
         assert_eq!(e.weight.grad.data(), &[0.0, 0.0, 2.0, 2.0, 0.0, 0.0]);
     }
@@ -253,7 +244,7 @@ mod tests {
     fn positional_encoding_gradient_is_identity() {
         let mut pe = PositionalEncoding::new(4, 2);
         pe.forward(&[&Tensor::zeros(&[1, 2, 2])], Mode::Train);
-        let g = pe.backward(&Tensor::ones(&[1, 2, 2]));
-        assert_eq!(g[0].sum(), 4.0);
+        let g = pe.backward(&Tensor::ones(&[1, 2, 2]), &[true]);
+        assert_eq!(g[0].as_ref().unwrap().sum(), 4.0);
     }
 }

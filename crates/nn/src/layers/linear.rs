@@ -112,27 +112,29 @@ impl Layer for Linear {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let x2d = self
             .cache_x2d
             .take()
             .expect("Linear backward before forward");
         let rows = x2d.dims()[0];
         let g2d = grad_out.reshape(&[rows, self.out_features]);
-        // dW += gᵀ x ; db += Σ g ; dx = g W
         let mut dw = scratch::take_tensor_raw(&[self.out_features, self.in_features]);
         kernels::matmul_tn_into(&g2d, &x2d, &mut dw);
         self.weight.grad.add_assign(&dw);
         scratch::give_tensor(dw);
+        scratch::give_tensor(x2d);
         if let Some(b) = &mut self.bias {
             b.grad.add_assign(&g2d.sum_axis0());
         }
-        let mut dx = g2d.matmul(&self.weight.value); // [rows, in]
-        scratch::give_tensor(x2d);
+        let dx = demand[0].then(|| {
+            let mut dx = g2d.matmul(&self.weight.value); // [rows, in]
+            let mut dims = self.cache_lead.clone();
+            dims.push(self.in_features);
+            dx.reshape_in_place(&dims);
+            dx
+        });
         scratch::give_tensor(g2d);
-        let mut dims = self.cache_lead.clone();
-        dims.push(self.in_features);
-        dx.reshape_in_place(&dims);
         vec![dx]
     }
 

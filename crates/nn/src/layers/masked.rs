@@ -70,20 +70,17 @@ impl MaskedConv2d {
     }
 
     /// Gathers the kept positions of `x: [N, C, H', W']` into `[N, C, h, w]`.
+    ///
+    /// The caller has checked every kept position against the plane size.
     fn gather(&self, x: &Tensor) -> Tensor {
         let d = x.dims();
         let (n, c) = (d[0], d[1]);
         let plane = d[2] * d[3];
-        let hw = self.keep.len();
-        let mut out = Tensor::zeros(&[n, c, self.out_h, self.out_w]);
-        for nc in 0..n * c {
-            let src = &x.data()[nc * plane..(nc + 1) * plane];
-            let dst = &mut out.data_mut()[nc * hw..(nc + 1) * hw];
-            for (k, &pos) in self.keep.iter().enumerate() {
-                dst[k] = src[pos];
-            }
+        let mut out = Vec::with_capacity(n * c * self.keep.len());
+        for src in x.data().chunks_exact(plane) {
+            out.extend(self.keep.iter().map(|&pos| src[pos]));
         }
-        out
+        Tensor::from_vec(out, &[n, c, self.out_h, self.out_w])
     }
 }
 
@@ -109,22 +106,25 @@ impl Layer for MaskedConv2d {
         self.inner.forward(&[&gathered], mode)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let in_dims = self
             .cache_in_dims
             .take()
             .expect("MaskedConv2d backward before forward");
-        let dg = self.inner.backward(grad_out).remove(0); // [N, C, h, w]
-        let (n, c) = (in_dims[0], in_dims[1]);
-        let plane = in_dims[2] * in_dims[3];
-        let hw = self.keep.len();
-        let mut dx = Tensor::zeros(&in_dims);
-        for nc in 0..n * c {
-            let src = &dg.data()[nc * hw..(nc + 1) * hw];
-            for (k, &pos) in self.keep.iter().enumerate() {
-                dx.data_mut()[nc * plane + pos] += src[k];
+        // The inner convolution sees the same demand: as a model's first
+        // layer this one feeds on the raw input, and then neither `Wᵀ·g`,
+        // `col2im` nor the scatter below is run.
+        let dx = self.inner.backward(grad_out, demand).remove(0).map(|dg| {
+            let plane = in_dims[2] * in_dims[3];
+            let mut dx = Tensor::zeros(&in_dims); // positions outside `keep` stay zero
+            let planes = dx.data_mut().chunks_exact_mut(plane);
+            for (dst, src) in planes.zip(dg.data().chunks_exact(self.keep.len())) {
+                for (&pos, &g) in self.keep.iter().zip(src) {
+                    dst[pos] += g;
+                }
             }
-        }
+            dx
+        });
         vec![dx]
     }
 
@@ -174,17 +174,12 @@ impl Layer for MaskedConv2d {
 pub struct MaskedEmbedding {
     keep: Vec<usize>, // positions into T'
     inner: Embedding,
-    cache_in_dims: Option<Vec<usize>>,
 }
 
 impl MaskedEmbedding {
     /// Wraps `inner` so it embeds only `keep` positions of the sequence.
     pub fn new(keep: Vec<usize>, inner: Embedding) -> Self {
-        MaskedEmbedding {
-            keep,
-            inner,
-            cache_in_dims: None,
-        }
+        MaskedEmbedding { keep, inner }
     }
 
     /// The kept sequence positions.
@@ -218,7 +213,6 @@ impl Layer for MaskedEmbedding {
             self.keep.iter().all(|&p| p < t_aug),
             "keep position out of bounds"
         );
-        self.cache_in_dims = Some(d.to_vec());
         let t = self.keep.len();
         let mut gathered = Tensor::zeros(&[b, t]);
         for bi in 0..b {
@@ -229,13 +223,9 @@ impl Layer for MaskedEmbedding {
         self.inner.forward(&[&gathered], mode)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
-        let in_dims = self
-            .cache_in_dims
-            .take()
-            .expect("MaskedEmbedding backward before forward");
-        let _ = self.inner.backward(grad_out); // accumulates table grads; ids get no gradient
-        vec![Tensor::zeros(&in_dims)]
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
+        // Accumulates table grads; token ids get no gradient.
+        self.inner.backward(grad_out, demand)
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -261,7 +251,6 @@ impl Layer for MaskedEmbedding {
     }
 
     fn clear_cache(&mut self) {
-        self.cache_in_dims = None;
         self.inner.clear_cache();
     }
 }
@@ -323,7 +312,7 @@ mod tests {
         let mut me = MaskedEmbedding::new(vec![1], inner);
         let ids = Tensor::from_vec(vec![3.0, 2.0, 0.0], &[1, 3]);
         me.forward(&[&ids], Mode::Train);
-        me.backward(&Tensor::ones(&[1, 1, 2]));
+        me.backward(&Tensor::ones(&[1, 1, 2]), &[false]);
         let g = &me.inner().params()[0].grad;
         // Only token 2 (at kept position 1) receives gradient.
         assert_eq!(g.data(), &[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]);

@@ -162,7 +162,7 @@ impl Layer for BatchNorm2d {
     }
 
     #[allow(clippy::needless_range_loop)]
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let BnCache {
             xhat,
             inv_std,
@@ -174,7 +174,7 @@ impl Layer for BatchNorm2d {
         let d = xhat.dims().to_vec();
         let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
         let m = (n * hw) as f32;
-        let mut dx = scratch::take_tensor_raw(&d);
+        let mut dx = demand[0].then(|| scratch::take_tensor_raw(&d));
 
         for ci in 0..c {
             let mut dgamma = 0.0f32;
@@ -189,6 +189,7 @@ impl Layer for BatchNorm2d {
             self.gamma.grad.data_mut()[ci] += dgamma;
             self.beta.grad.data_mut()[ci] += dbeta;
 
+            let Some(dx) = &mut dx else { continue };
             let g = self.gamma.value.data()[ci];
             let istd = inv_std[ci];
             for ni in 0..n {
@@ -325,14 +326,14 @@ impl Layer for LayerNorm {
     }
 
     #[allow(clippy::needless_range_loop)]
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let (xhat, inv_std) = self
             .cache
             .take()
             .expect("LayerNorm backward before forward");
         let dim = self.dim();
         let rows = xhat.numel() / dim;
-        let mut dx = scratch::take_tensor_raw(xhat.dims());
+        let mut dx = demand[0].then(|| scratch::take_tensor_raw(xhat.dims()));
         for r in 0..rows {
             let xh = &xhat.data()[r * dim..(r + 1) * dim];
             let dy = &grad_out.data()[r * dim..(r + 1) * dim];
@@ -345,6 +346,7 @@ impl Layer for LayerNorm {
                 self.gamma.grad.data_mut()[i] += dy[i] * xh[i];
                 self.beta.grad.data_mut()[i] += dy[i];
             }
+            let Some(dx) = &mut dx else { continue };
             let istd = inv_std[r];
             for i in 0..dim {
                 let dyg = dy[i] * self.gamma.value.data()[i];

@@ -71,14 +71,17 @@ impl Layer for MaxPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let (dims, arg) = self
             .cache
             .take()
             .expect("MaxPool2d backward before forward");
+        if !demand[0] {
+            return vec![None];
+        }
         let mut dx = Tensor::zeros(&dims);
         dx.scatter_add_flat(&arg, grad_out.data());
-        vec![dx]
+        vec![Some(dx)]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -98,6 +101,59 @@ impl Layer for MaxPool2d {
 
     fn clear_cache(&mut self) {
         self.cache = None;
+    }
+}
+
+/// Average-pools `h × w` planes of `src` into the zeroed `dst`. One output
+/// row at a time, one input row at a time: each output adds its window's `k`
+/// contiguous cells, so it still sums the window in `(ky, kx)` order from
+/// zero.
+///
+/// Inlined into its call sites so that the 2×2 / stride-2 pooling every model
+/// here uses runs with both loop bounds known at compile time (an order of
+/// magnitude faster than the same loops on runtime bounds); other geometries
+/// run the same code on their runtime values.
+#[inline(always)]
+fn avg_pool_rows(src: &[f32], dst: &mut [f32], h: usize, w: usize, k: usize, stride: usize) {
+    let (oh, ow) = (pool_out(h, k, stride), pool_out(w, k, stride));
+    let inv = 1.0 / (k * k) as f32;
+    for (plane, out_plane) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(oh * ow)) {
+        for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
+            for ky in 0..k {
+                let in_row = &plane[(oy * stride + ky) * w..][..w];
+                for (ox, acc) in out_row.iter_mut().enumerate() {
+                    for &v in &in_row[ox * stride..ox * stride + k] {
+                        *acc += v;
+                    }
+                }
+            }
+            for acc in out_row.iter_mut() {
+                *acc *= inv;
+            }
+        }
+    }
+}
+
+/// The adjoint of [`avg_pool_rows`]: spreads each output gradient over its
+/// window of the zeroed `h × w` planes of `dst`, `k` contiguous cells of `k`
+/// input rows at a time, so an input cell collects its windows in `(oy, ox)`
+/// order. Inlined for the same reason.
+#[inline(always)]
+fn avg_unpool_rows(grad: &[f32], dst: &mut [f32], h: usize, w: usize, k: usize, stride: usize) {
+    let (oh, ow) = (pool_out(h, k, stride), pool_out(w, k, stride));
+    let inv = 1.0 / (k * k) as f32;
+    for (g_plane, plane) in grad.chunks_exact(oh * ow).zip(dst.chunks_exact_mut(h * w)) {
+        for (oy, g_row) in g_plane.chunks_exact(ow).enumerate() {
+            for ky in 0..k {
+                let dx_row = &mut plane[(oy * stride + ky) * w..][..w];
+                for (ox, &g) in g_row.iter().enumerate() {
+                    let share = g * inv;
+                    for cell in &mut dx_row[ox * stride..ox * stride + k] {
+                        *cell += share;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -135,54 +191,30 @@ impl Layer for AvgPool2d {
             pool_out(h, self.kernel, self.stride),
             pool_out(w, self.kernel, self.stride),
         );
-        let inv = 1.0 / (self.kernel * self.kernel) as f32;
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let src = x.data();
-        let dst = out.data_mut();
-        for nc in 0..n * c {
-            let base = nc * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ky in 0..self.kernel {
-                        for kx in 0..self.kernel {
-                            acc += src[base + (oy * self.stride + ky) * w + ox * self.stride + kx];
-                        }
-                    }
-                    dst[nc * oh * ow + oy * ow + ox] = acc * inv;
-                }
-            }
+        match (self.kernel, self.stride) {
+            (2, 2) => avg_pool_rows(x.data(), out.data_mut(), h, w, 2, 2),
+            (k, stride) => avg_pool_rows(x.data(), out.data_mut(), h, w, k, stride),
         }
         self.cache_dims = Some(d.to_vec());
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let dims = self
             .cache_dims
             .take()
             .expect("AvgPool2d backward before forward");
-        let (h, w) = (dims[2], dims[3]);
-        let god = grad_out.dims();
-        let (oh, ow) = (god[2], god[3]);
-        let inv = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut dx = Tensor::zeros(&dims);
-        let dst = dx.data_mut();
-        let src = grad_out.data();
-        for nc in 0..dims[0] * dims[1] {
-            let base = nc * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = src[nc * oh * ow + oy * ow + ox] * inv;
-                    for ky in 0..self.kernel {
-                        for kx in 0..self.kernel {
-                            dst[base + (oy * self.stride + ky) * w + ox * self.stride + kx] += g;
-                        }
-                    }
-                }
-            }
+        if !demand[0] {
+            return vec![None];
         }
-        vec![dx]
+        let (h, w) = (dims[2], dims[3]);
+        let mut dx = Tensor::zeros(&dims);
+        match (self.kernel, self.stride) {
+            (2, 2) => avg_unpool_rows(grad_out.data(), dx.data_mut(), h, w, 2, 2),
+            (k, stride) => avg_unpool_rows(grad_out.data(), dx.data_mut(), h, w, k, stride),
+        }
+        vec![Some(dx)]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -238,11 +270,14 @@ impl Layer for GlobalAvgPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let dims = self
             .cache_dims
             .take()
             .expect("GlobalAvgPool2d backward before forward");
+        if !demand[0] {
+            return vec![None];
+        }
         let hw = dims[2] * dims[3];
         let inv = 1.0 / hw as f32;
         let mut dx = Tensor::zeros(&dims);
@@ -252,7 +287,7 @@ impl Layer for GlobalAvgPool2d {
                 .iter_mut()
                 .for_each(|v| *v = g);
         }
-        vec![dx]
+        vec![Some(dx)]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -314,14 +349,17 @@ impl Layer for GlobalMaxPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let (dims, arg) = self
             .cache
             .take()
             .expect("GlobalMaxPool2d backward before forward");
+        if !demand[0] {
+            return vec![None];
+        }
         let mut dx = Tensor::zeros(&dims);
         dx.scatter_add_flat(&arg, grad_out.data());
-        vec![dx]
+        vec![Some(dx)]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -392,11 +430,14 @@ impl Layer for ChannelStats {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let (dims, arg) = self
             .cache
             .take()
             .expect("ChannelStats backward before forward");
+        if !demand[0] {
+            return vec![None];
+        }
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let hw = h * w;
         let inv_c = 1.0 / c as f32;
@@ -411,7 +452,7 @@ impl Layer for ChannelStats {
                 dx.data_mut()[arg[ni * hw + p]] += g_max;
             }
         }
-        vec![dx]
+        vec![Some(dx)]
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -35,8 +35,8 @@ impl Layer for Input {
         inputs[0].clone()
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
-        vec![grad_out.clone()]
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
+        vec![demand[0].then(|| grad_out.clone())]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -73,8 +73,8 @@ impl Layer for Identity {
         inputs[0].clone()
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
-        vec![grad_out.clone()]
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
+        vec![demand[0].then(|| grad_out.clone())]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -90,16 +90,18 @@ impl Layer for Identity {
     }
 }
 
-/// Identity forward, **zero** backward: a stop-gradient barrier.
+/// Identity forward, **no** backward: a stop-gradient barrier.
+///
+/// It [cuts](Layer::cuts_gradient) the demand analysis, so inside a graph its
+/// `backward` is never reached; called directly it reports a zero gradient
+/// the cheap way, as a missing slot.
 #[derive(Debug, Clone, Default)]
-pub struct Detach {
-    cache_dims: Option<Vec<usize>>,
-}
+pub struct Detach;
 
 impl Detach {
     /// A new stop-gradient layer.
     pub fn new() -> Self {
-        Detach { cache_dims: None }
+        Detach
     }
 }
 
@@ -110,16 +112,15 @@ impl Layer for Detach {
 
     fn forward(&mut self, inputs: &[&Tensor], _mode: Mode) -> Tensor {
         assert_eq!(inputs.len(), 1, "Detach takes one input");
-        self.cache_dims = Some(inputs[0].dims().to_vec());
         inputs[0].clone()
     }
 
-    fn backward(&mut self, _grad_out: &Tensor) -> Vec<Tensor> {
-        let dims = self
-            .cache_dims
-            .take()
-            .expect("Detach backward before forward");
-        vec![Tensor::zeros(&dims)]
+    fn backward(&mut self, _grad_out: &Tensor, _demand: &[bool]) -> Vec<Option<Tensor>> {
+        vec![None]
+    }
+
+    fn cuts_gradient(&self) -> bool {
+        true
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -132,10 +133,6 @@ impl Layer for Detach {
 
     fn boxed_clone(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
-    }
-
-    fn clear_cache(&mut self) {
-        self.cache_dims = None;
     }
 }
 
@@ -167,9 +164,13 @@ impl Layer for Add {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let arity = self.arity.take().expect("Add backward before forward");
-        vec![grad_out.clone(); arity]
+        assert_eq!(demand.len(), arity, "Add demand arity mismatch");
+        demand
+            .iter()
+            .map(|&d| d.then(|| grad_out.clone()))
+            .collect()
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -210,9 +211,12 @@ impl Layer for Mul {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let (a, b) = self.cache.take().expect("Mul backward before forward");
-        vec![grad_out.mul(&b), grad_out.mul(&a)]
+        vec![
+            demand[0].then(|| grad_out.mul(&b)),
+            demand[1].then(|| grad_out.mul(&a)),
+        ]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -290,23 +294,37 @@ impl Layer for Concat {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let dims_list = self.cache.take().expect("Concat backward before forward");
+        assert_eq!(
+            demand.len(),
+            dims_list.len(),
+            "Concat demand arity mismatch"
+        );
         let n = dims_list[0][0];
         let rest: usize = dims_list[0][2..].iter().product();
         let total_c: usize = dims_list.iter().map(|d| d[1]).sum();
-        let mut grads: Vec<Tensor> = dims_list.iter().map(|d| Tensor::zeros(d)).collect();
-        for ni in 0..n {
-            let mut c_off = 0usize;
-            for (g, d) in grads.iter_mut().zip(&dims_list) {
+        let src = grad_out.data();
+        let mut c_off = 0usize;
+        dims_list
+            .iter()
+            .zip(demand)
+            .map(|(d, &demanded)| {
                 let ci = d[1];
-                let src = &grad_out.data()
-                    [ni * total_c * rest + c_off * rest..ni * total_c * rest + (c_off + ci) * rest];
-                g.data_mut()[ni * ci * rest..(ni + 1) * ci * rest].copy_from_slice(src);
+                let start = c_off * rest;
                 c_off += ci;
-            }
-        }
-        grads
+                demanded.then(|| {
+                    // Input `k` is the channel band [c_off, c_off + ci) of
+                    // every batch item, copied band by band in batch order.
+                    let mut g = Vec::with_capacity(n * ci * rest);
+                    for ni in 0..n {
+                        let base = ni * total_c * rest + start;
+                        g.extend_from_slice(&src[base..base + ci * rest]);
+                    }
+                    Tensor::from_vec(g, d)
+                })
+            })
+            .collect()
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -353,12 +371,12 @@ impl Layer for Flatten {
         x.reshape(&[d[0], d[1..].iter().product()])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let dims = self
             .cache_dims
             .take()
             .expect("Flatten backward before forward");
-        vec![grad_out.reshape(&dims)]
+        vec![demand[0].then(|| grad_out.reshape(&dims))]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -415,24 +433,28 @@ impl Layer for BroadcastMulChannel {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let (x, g) = self
             .cache
             .take()
             .expect("BroadcastMulChannel backward before forward");
         let d = x.dims();
         let hw = d[2] * d[3];
-        let mut dx = grad_out.clone();
-        let mut dg = Tensor::zeros(g.dims());
+        let mut dx = demand[0].then(|| grad_out.clone());
+        let mut dg = demand[1].then(|| Tensor::zeros(g.dims()));
         for nc in 0..d[0] * d[1] {
             let gv = g.data()[nc];
             let mut acc = 0.0f32;
             for p in 0..hw {
                 let go = grad_out.data()[nc * hw + p];
                 acc += go * x.data()[nc * hw + p];
-                dx.data_mut()[nc * hw + p] = go * gv;
+                if let Some(dx) = &mut dx {
+                    dx.data_mut()[nc * hw + p] = go * gv;
+                }
             }
-            dg.data_mut()[nc] = acc;
+            if let Some(dg) = &mut dg {
+                dg.data_mut()[nc] = acc;
+            }
         }
         vec![dx, dg]
     }
@@ -492,11 +514,14 @@ impl Layer for MeanPoolSeq {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Vec<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let dims = self
             .cache_dims
             .take()
             .expect("MeanPoolSeq backward before forward");
+        if !demand[0] {
+            return vec![None];
+        }
         let (b, t, dim) = (dims[0], dims[1], dims[2]);
         let inv = 1.0 / t as f32;
         let mut dx = Tensor::zeros(&dims);
@@ -508,7 +533,7 @@ impl Layer for MeanPoolSeq {
                 }
             }
         }
-        vec![dx]
+        vec![Some(dx)]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -540,8 +565,9 @@ mod tests {
         let x = Tensor::ones(&[2, 2]);
         let y = d.forward(&[&x], Mode::Train);
         assert_eq!(y.data(), x.data());
-        let g = d.backward(&Tensor::ones(&[2, 2]));
-        assert_eq!(g[0].sum(), 0.0);
+        assert!(d.cuts_gradient());
+        let g = d.backward(&Tensor::ones(&[2, 2]), &[true]);
+        assert_eq!(g, vec![None]);
     }
 
     #[test]
@@ -550,8 +576,9 @@ mod tests {
         let x = Tensor::ones(&[2]);
         let y = a.forward(&[&x, &x, &x], Mode::Train);
         assert_eq!(y.data(), &[3.0, 3.0]);
-        let g = a.backward(&Tensor::ones(&[2]));
+        let g = a.backward(&Tensor::ones(&[2]), &[true, false, true]);
         assert_eq!(g.len(), 3);
+        assert!(g[0].is_some() && g[1].is_none() && g[2].is_some());
     }
 
     #[test]
@@ -562,9 +589,9 @@ mod tests {
         let y = c.forward(&[&a, &b], Mode::Train);
         assert_eq!(y.dims(), &[1, 3, 1, 2]);
         assert_eq!(y.data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let g = c.backward(&y);
-        assert_eq!(g[0].data(), a.data());
-        assert_eq!(g[1].data(), b.data());
+        let g = c.backward(&y, &[true, true]);
+        assert_eq!(g[0].as_ref().unwrap().data(), a.data());
+        assert_eq!(g[1].as_ref().unwrap().data(), b.data());
     }
 
     #[test]
@@ -606,7 +633,7 @@ mod tests {
         let x = Tensor::zeros(&[2, 3, 4]);
         let y = f.forward(&[&x], Mode::Train);
         assert_eq!(y.dims(), &[2, 12]);
-        let g = f.backward(&y);
-        assert_eq!(g[0].dims(), &[2, 3, 4]);
+        let g = f.backward(&y, &[true]);
+        assert_eq!(g[0].as_ref().unwrap().dims(), &[2, 3, 4]);
     }
 }

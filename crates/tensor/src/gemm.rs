@@ -26,7 +26,9 @@
 //!
 //! Shapes with `m·n·k` at or below [`SMALL_FLOPS`] skip packing *and* the
 //! pool entirely and run a direct loop on the calling thread, so tiny
-//! matmuls (≤ 32³) pay no blocking or dispatch overhead.
+//! matmuls (≤ 32³) pay no blocking or dispatch overhead. Larger shapes are
+//! packed but still run inline unless every pool task would carry at least
+//! `MIN_TASK_FLOPS` — below that the hand-off costs more than it moves.
 //!
 //! [`gemm_batch`] extends the same machinery to N independent products that
 //! share one `(m, n, k)` shape — the pattern attention lowers to, with one
@@ -58,6 +60,23 @@ pub const SMALL_FLOPS: usize = 32 * 32 * 32;
 /// Minimum C rows per parallel task (one MR tile).
 const ROWS_MIN_CHUNK: usize = MR;
 
+/// Least work a parallel task must carry, in FLOPs (2·m·n·k of its share of
+/// the region). Handing rows to a pool worker costs a futex wake and, on a
+/// shared host, the wait for a descheduled vCPU — tens of microseconds — so
+/// a region is split only into tasks at least this large and anything
+/// smaller runs inline on the caller. Measured on the 2-vCPU reference box
+/// (AVX2 tier, ≈ 30 GFLOP/s per core): a LeNet conv block, `[16×150]·[150×512]`
+/// (2.5 MFLOP, 64 µs inline) ran at 0.6x when split in two, and two tasks
+/// broke even at 8 MFLOP each.
+const MIN_TASK_FLOPS: usize = 1 << 23;
+
+/// Rows a task needs to reach [`MIN_TASK_FLOPS`] at `row_flops` per C row,
+/// never below `tile_rows`. Only decides *whether and where* a region is
+/// split, which never affects results.
+fn min_task_rows(row_flops: usize, tile_rows: usize) -> usize {
+    MIN_TASK_FLOPS.div_ceil(row_flops.max(1)).max(tile_rows)
+}
+
 /// `C += A·B` for `A: m×k`, `B: k×n` given as stride views, `C` row-major.
 ///
 /// Callers pass a zeroed `c` for a plain product. Accumulation over `k` is
@@ -84,7 +103,8 @@ pub fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut 
             let mut pb_buf = scratch::take_raw(nc.div_ceil(NR) * NR * kc);
             pack_b(b, pc, jc, kc, nc, &mut pb_buf);
             let pb = &pb_buf;
-            parallel::parallel_rows_mut(c, m, n, ROWS_MIN_CHUNK, |r0, r1, rows| {
+            let task_rows = min_task_rows(2 * nc * kc, ROWS_MIN_CHUNK);
+            parallel::parallel_rows_mut(c, m, n, task_rows, |r0, r1, rows| {
                 let mut pa = scratch::take_raw((r1 - r0).min(MC).div_ceil(MR) * MR * kc);
                 for ic in (r0..r1).step_by(MC) {
                     let mc = (r1 - ic).min(MC);
@@ -207,7 +227,8 @@ pub fn gemm_batch(
         None
     };
 
-    parallel::parallel_rows_mut(c, batch * m, n, ROWS_MIN_CHUNK.min(m), |r0, r1, rows| {
+    let task_rows = min_task_rows(2 * n * k, ROWS_MIN_CHUNK.min(m));
+    parallel::parallel_rows_mut(c, batch * m, n, task_rows, |r0, r1, rows| {
         let mut row = r0;
         while row < r1 {
             let bi = row / m;
@@ -502,6 +523,20 @@ mod tests {
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
+    }
+
+    #[test]
+    fn work_gate_keeps_small_regions_inline_and_splits_large_ones() {
+        // `parallel_rows_mut` uses `rows / task_rows` tasks at most.
+        // LeNet conv2 as an im2col product: 16 rows per (NC, k) block.
+        assert_eq!(16 / min_task_rows(2 * NC * 150, ROWS_MIN_CHUNK), 0);
+        // Attention scores of a small LM: 16 items of 24 rows.
+        assert_eq!(16 * 24 / min_task_rows(2 * 24 * 16, ROWS_MIN_CHUNK), 0);
+        // 256³ still feeds four threads.
+        assert!(256 / min_task_rows(2 * 256 * 256, ROWS_MIN_CHUNK) >= 4);
+        // Degenerate rows never divide by zero or go below one tile.
+        assert_eq!(min_task_rows(0, 8), MIN_TASK_FLOPS);
+        assert_eq!(min_task_rows(usize::MAX, 8), 8);
     }
 
     #[test]

@@ -318,6 +318,21 @@ impl Conv2dGeom {
     }
 }
 
+/// The output positions `o` in `0..out` whose tap `o * stride + offset - pad`
+/// lands inside `0..len`, as a half-open span. Computed once per kernel
+/// offset, it replaces a bounds test per element: inside the span every tap
+/// is valid, outside it none is.
+fn valid_span(out: usize, len: usize, offset: usize, stride: usize, pad: usize) -> (usize, usize) {
+    // o * stride + offset >= pad
+    let lo = pad.saturating_sub(offset).div_ceil(stride);
+    // o * stride + offset - pad <= len - 1
+    let hi = (len + pad)
+        .checked_sub(offset + 1)
+        .map_or(0, |last| last / stride + 1)
+        .min(out);
+    (lo.min(hi), hi)
+}
+
 /// Unfolds a batch input `[N, C, H, W]` into an im2col matrix
 /// `[C*k*k, N*out_h*out_w]`, so convolution becomes one matmul.
 ///
@@ -333,8 +348,14 @@ pub fn im2col(input: &Tensor, g: &Conv2dGeom) -> Tensor {
     out
 }
 
-/// [`im2col`] writing into `out` (shape-checked), so the conv layers can
-/// reuse one column buffer across training steps.
+/// [`im2col`] writing into `out` (shape-checked, previous contents ignored),
+/// so the conv layers can reuse one column buffer across training steps.
+///
+/// Span once, move slices: a matrix row is one kernel offset `(ci, ky, kx)`,
+/// whose valid output rows and columns are two spans fixed for the whole
+/// row. Inside them each output row is one contiguous run of an input row
+/// (a strided run when `stride > 1`), copied as a slice; outside them it is
+/// padding, filled as a slice.
 ///
 /// # Panics
 ///
@@ -358,27 +379,41 @@ pub fn im2col_into(input: &Tensor, g: &Conv2dGeom, out: &mut Tensor) {
     // Parallelise over the row dimension (channel × kernel offset).
     parallel::parallel_rows_mut(out.data_mut(), rows, cols, 4, |r0, r1, slice| {
         for r in r0..r1 {
-            let ci = r / (k * k);
-            let ky = (r / k) % k;
-            let kx = r % k;
+            let (ci, ky, kx) = (r / (k * k), (r / k) % k, r % k);
+            let (oy0, oy1) = valid_span(oh, h, ky, stride, pad);
+            let (ox0, ox1) = valid_span(ow, w, kx, stride, pad);
             let dst = &mut slice[(r - r0) * cols..(r - r0 + 1) * cols];
-            for ni in 0..n {
-                let base = ni * c * h * w + ci * h * w;
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    let dst_row = &mut dst[ni * oh * ow + oy * ow..ni * oh * ow + (oy + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
-                        dst_row.iter_mut().for_each(|v| *v = 0.0);
-                        continue;
+            if oy0 == oy1 || ox0 == ox1 {
+                dst.fill(0.0);
+                continue;
+            }
+            let ix0 = ox0 * stride + kx - pad;
+            let iy0 = oy0 * stride + ky - pad;
+            for (ni, dst_img) in dst.chunks_exact_mut(oh * ow).enumerate() {
+                let plane = &src[(ni * c + ci) * h * w..][..h * w];
+                dst_img[..oy0 * ow].fill(0.0);
+                dst_img[oy1 * ow..].fill(0.0);
+                let valid = &mut dst_img[oy0 * ow..oy1 * ow];
+                if stride == 1 && ow == w {
+                    // Rows of equal width at unit stride: the whole valid
+                    // block is one run of the plane, shifted by the kernel
+                    // offset. What wrapped around a row end is padding and is
+                    // overwritten just below.
+                    let end = valid.len() - (ow - ox1);
+                    let block = &mut valid[ox0..end];
+                    block.copy_from_slice(&plane[iy0 * w + ix0..][..block.len()]);
+                } else {
+                    for (row, dst_row) in valid.chunks_exact_mut(ow).enumerate() {
+                        let taps = plane[(iy0 + row * stride) * w + ix0..].iter();
+                        for (d, &v) in dst_row[ox0..ox1].iter_mut().zip(taps.step_by(stride)) {
+                            *d = v;
+                        }
                     }
-                    let src_row = &src[base + iy as usize * w..base + (iy as usize + 1) * w];
-                    for (ox, d) in dst_row.iter_mut().enumerate() {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        *d = if ix < 0 || ix >= w as isize {
-                            0.0
-                        } else {
-                            src_row[ix as usize]
-                        };
+                }
+                if ox0 > 0 || ox1 < ow {
+                    for dst_row in valid.chunks_exact_mut(ow) {
+                        dst_row[..ox0].fill(0.0);
+                        dst_row[ox1..].fill(0.0);
                     }
                 }
             }
@@ -388,6 +423,12 @@ pub fn im2col_into(input: &Tensor, g: &Conv2dGeom, out: &mut Tensor) {
 
 /// Folds an im2col-shaped gradient `[C*k*k, N*out_h*out_w]` back into the
 /// input gradient `[N, C, H, W]` (the adjoint of [`im2col`]).
+///
+/// The same spans as [`im2col_into`], run backwards: each valid output row
+/// of a matrix row is added onto one run of an input-gradient row as a
+/// slice. Matrix rows are visited in ascending order and a row touches an
+/// input cell at most once, so every cell sums its contributions in
+/// ascending row order whatever the geometry.
 ///
 /// Parallelised over the batch dimension: each worker owns the disjoint
 /// `[ni, :, :, :]` output slice for its batch range, so no synchronisation
@@ -413,30 +454,99 @@ pub fn col2im(cols_mat: &Tensor, g: &Conv2dGeom, n: usize) -> Tensor {
 
     parallel::parallel_rows_mut(out.data_mut(), n, chw, 1, |n0, n1, dst| {
         for r in 0..g.col_rows() {
-            let ci = r / (k * k);
-            let ky = (r / k) % k;
-            let kx = r % k;
+            let (ci, ky, kx) = (r / (k * k), (r / k) % k, r % k);
+            let (oy0, oy1) = valid_span(oh, h, ky, stride, pad);
+            let (ox0, ox1) = valid_span(ow, w, kx, stride, pad);
+            if oy0 == oy1 || ox0 == ox1 {
+                continue;
+            }
+            let ix0 = ox0 * stride + kx - pad;
             let row = &src[r * ncols..(r + 1) * ncols];
             for ni in n0..n1 {
-                let base = (ni - n0) * chw + ci * h * w;
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                let plane = &mut dst[(ni - n0) * chw + ci * h * w..][..h * w];
+                for oy in oy0..oy1 {
+                    let run = &row[(ni * oh + oy) * ow..][ox0..ox1];
+                    let dst_row = &mut plane[(oy * stride + ky - pad) * w..][..w];
+                    if stride == 1 {
+                        for (d, &v) in dst_row[ix0..ix0 + run.len()].iter_mut().zip(run) {
+                            *d += v;
                         }
-                        dst[base + iy as usize * w + ix as usize] +=
-                            row[ni * oh * ow + oy * ow + ox];
+                    } else {
+                        let cells = dst_row[ix0..].iter_mut().step_by(stride);
+                        for (d, &v) in cells.zip(run) {
+                            *d += v;
+                        }
                     }
                 }
             }
         }
     });
     out
+}
+
+/// The naive definitions of the glue kernels: one bounds test per element,
+/// nothing hoisted. They are what [`im2col_into`] and [`col2im`] were before
+/// the slice kernels and remain the reference those are held to, bit for bit
+/// — by the property tests and by the `kernels-quick` gate, which also
+/// times them. Not for use on a hot path.
+pub mod reference {
+    use super::Conv2dGeom;
+    use crate::tensor::Tensor;
+
+    /// [`im2col`](super::im2col), element by element.
+    pub fn im2col(input: &Tensor, g: &Conv2dGeom) -> Tensor {
+        let n = input.dims()[0];
+        let (c, h, w) = (g.in_channels, g.in_h, g.in_w);
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let (k, stride, pad) = (g.kernel, g.stride, g.padding);
+        let cols = n * oh * ow;
+        let mut out = Tensor::zeros(&[g.col_rows(), cols]);
+        let (src, dst) = (input.data(), out.data_mut());
+        for r in 0..g.col_rows() {
+            let (ci, ky, kx) = (r / (k * k), (r / k) % k, r % k);
+            for ni in 0..n {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        let ix = (ox * stride + kx) as isize - pad as isize;
+                        if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        dst[r * cols + (ni * oh + oy) * ow + ox] =
+                            src[((ni * c + ci) * h + iy as usize) * w + ix as usize];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// [`col2im`](super::col2im), element by element, matrix rows ascending.
+    pub fn col2im(cols_mat: &Tensor, g: &Conv2dGeom, n: usize) -> Tensor {
+        let (c, h, w) = (g.in_channels, g.in_h, g.in_w);
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let (k, stride, pad) = (g.kernel, g.stride, g.padding);
+        let cols = n * oh * ow;
+        let mut out = Tensor::zeros(&[n, c, h, w]);
+        let (src, dst) = (cols_mat.data(), out.data_mut());
+        for r in 0..g.col_rows() {
+            let (ci, ky, kx) = (r / (k * k), (r / k) % k, r % k);
+            for ni in 0..n {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        let ix = (ox * stride + kx) as isize - pad as isize;
+                        if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        dst[((ni * c + ci) * h + iy as usize) * w + ix as usize] +=
+                            src[r * cols + (ni * oh + oy) * ow + ox];
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -196,7 +196,10 @@ proptest! {
 #[test]
 fn gemm_batch_is_bitwise_deterministic_across_thread_counts() {
     let _guard = THREADS_LOCK.lock().unwrap();
-    let (batch, m, n, k) = (8usize, 33usize, 17usize, 65usize);
+    // Large enough that the pool really splits it (every task clears the
+    // GEMM's work-per-task gate), with chunk boundaries that fall mid-item
+    // and mid-tile: 9 · 131 rows over 4 tasks.
+    let (batch, m, n, k) = (9usize, 131usize, 96usize, 200usize);
     let a = rand_tensor(&[batch, m, k], 11);
     let bt = rand_tensor(&[batch, n, k], 12);
 
@@ -237,10 +240,12 @@ fn boundary_straddling_shapes_match_naive() {
 #[test]
 fn pool_respects_set_threads_determinism() {
     let _guard = THREADS_LOCK.lock().unwrap();
-    let a = rand_tensor(&[130, 120], 7);
-    let b = rand_tensor(&[120, 90], 8);
-    let at = rand_tensor(&[120, 130], 9);
-    let bt = rand_tensor(&[90, 120], 10);
+    // Large enough that the pool really splits it: four tasks, each over
+    // the GEMM's work-per-task gate, none aligned to a cache block.
+    let a = rand_tensor(&[261, 255], 7);
+    let b = rand_tensor(&[255, 301], 8);
+    let at = rand_tensor(&[255, 261], 9);
+    let bt = rand_tensor(&[301, 255], 10);
 
     parallel::set_threads(1);
     let serial = matmul(&a, &b);

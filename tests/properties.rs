@@ -121,3 +121,59 @@ fn kept_positions_carry_originals() {
         }
     }
 }
+
+/// Demand-driven backward is invisible to parameters — a fixed-seed slice of
+/// `crates/nn/tests/layer_properties.rs`, so tier-1 guards it: on the
+/// augmented LeNet-5 (masked entry convolutions on the raw input, `Detach`
+/// taps, three heads) and the augmented transformer LM, the parameter
+/// gradients `GraphModel::backward` leaves equal, bit for bit, those of
+/// back-propagation with every input gradient demanded of every layer.
+#[test]
+fn demand_pruning_is_invisible_to_parameters() {
+    use amalgam::data::LmCorpusSpec;
+    use amalgam::models::{lenet5, transformer_lm, TransformerLmConfig};
+    use amalgam::nn::gradcheck::backward_all_demanded;
+
+    let mut rng = Rng::seed_from(41);
+    let data = amalgam::data::SyntheticImageSpec::mnist_like()
+        .with_counts(16, 4)
+        .with_hw(12)
+        .with_classes(4)
+        .generate(&mut rng);
+    let cfg = ObfuscationConfig::new(0.5).with_seed(42).with_subnets(2);
+    let lenet = Amalgam::obfuscate(&lenet5(1, 12, 4, &mut rng), &data, &cfg).expect("obfuscation");
+    let images = lenet.augmented_train.batch_at(&[0, 1, 2, 3]).0;
+
+    let corpus = LmCorpusSpec::wikitext2_like()
+        .with_vocab(30)
+        .with_tokens(200)
+        .generate(&mut rng);
+    let lm_model = transformer_lm(&TransformerLmConfig::tiny(30, 16), &mut rng);
+    let lm = Amalgam::obfuscate_lm(&lm_model, &corpus.batchify(4, 8), &cfg).expect("obfuscation");
+    let window = lm.augmented_train.windows[0].clone();
+
+    for (name, model, x) in [
+        ("augmented LeNet-5", lenet.augmented_model, images),
+        ("augmented transformer LM", lm.augmented_model, window),
+    ] {
+        let (mut pruned, mut full) = (model.clone(), model);
+        let outs = pruned.forward(&[&x], Mode::Train);
+        full.forward(&[&x], Mode::Train);
+        let seeds: Vec<Tensor> = outs
+            .iter()
+            .map(|o| Tensor::randn(o.dims(), &mut rng))
+            .collect();
+        pruned.zero_grad();
+        pruned.backward(&seeds);
+        full.zero_grad();
+        backward_all_demanded(&mut full, &seeds);
+        for (p, f) in pruned.params_mut().iter().zip(full.params_mut()) {
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&p.grad),
+                bits(&f.grad),
+                "{name}: pruning changed a gradient"
+            );
+        }
+    }
+}
