@@ -1,8 +1,12 @@
 //! Quick kernel-regression smoke: times the blocked GEMM against the seed's
 //! naive `ikj` kernel, compares the micro-kernel dispatch tiers, times the
-//! batched attention-shaped products against the serial per-head loop and
-//! the im2col/col2im slice kernels against their naive definitions, and
-//! emits a `BENCH_kernels.json` baseline.
+//! no-pack route and the block-moving packers against the packed walk with
+//! element-wise packs, the batched attention-shaped products against the
+//! serial per-head loop and the im2col/col2im slice kernels against their
+//! naive definitions, and emits a `BENCH_kernels.json` baseline. Every GEMM
+//! entry carries its `gflops` next to `peak_gflops`, what a register-only
+//! loop of unfused multiply-adds reaches on this core — the roofline the
+//! kernels are read against; the file opens with the machine it came from.
 //!
 //! ```text
 //! kernels-quick [--out DIR] [--check]
@@ -14,17 +18,23 @@
 //! diverges from the reference numerically, if the SIMD micro-kernel is not
 //! *bitwise* identical to the portable one, if the batched GEMM is not
 //! bitwise identical to the serial per-head loop, if batching fails to
-//! beat the serial loop on a machine with ≥ 4 hardware threads, or if the
-//! conv glue kernels differ from the naive definitions by one bit or are not
-//! ≥ 2x faster than them at LeNet's shapes.
+//! beat the serial loop on a machine with ≥ 4 hardware threads (on a smaller
+//! one that gate is reported as skipped, not passed), if the conv glue
+//! kernels differ from the naive definitions by one bit or are not ≥ 2x
+//! faster than them at LeNet's shapes, or if the no-pack route or the block
+//! packers differ from the element-wise packed walk by one bit or are not
+//! ≥ 1.5x faster than it at LeNet's entry-convolution shapes.
 
 use amalgam_bench::{
     attention_pv_serial_per_head, attention_qk_serial_per_head, matmul_ikj_reference as matmul_ikj,
 };
+use amalgam_tensor::gemm::{self, KC};
 use amalgam_tensor::kernels::{self, matmul_batch_nt_scaled_into, reference, Conv2dGeom};
+use amalgam_tensor::pack::{self, MatRef};
 use amalgam_tensor::simd::{self, Tier};
 use amalgam_tensor::{parallel, scratch, Rng, Tensor};
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Best-of-`reps` wall time in milliseconds.
@@ -56,9 +66,129 @@ fn time_staged_ms(reps: usize, dims: &[usize], mut f: impl FnMut(&mut Tensor)) -
     })
 }
 
+/// Independent accumulator chains of the peak loop: with the two operands,
+/// all that fit AVX2's sixteen vector registers.
+const PEAK_CHAINS: usize = 14;
+
+/// Runs `steps` rounds of `acc = acc · a + b` on [`PEAK_CHAINS`] vector
+/// accumulators that never leave the registers — the multiply feeds the add,
+/// so neither can be hoisted, and they are separate instructions, as in every
+/// GEMM kernel — and returns `(lanes per vector, a value keeping it alive)`.
+/// `None` where this file has no intrinsic loop for the CPU.
+#[cfg(target_arch = "x86_64")]
+fn peak_chains(steps: usize) -> Option<(usize, f32)> {
+    use std::arch::x86_64::*;
+
+    #[target_feature(enable = "avx2")]
+    unsafe fn run(steps: usize, a: f32, b: f32) -> f32 {
+        let (a, b) = (_mm256_set1_ps(a), _mm256_set1_ps(b));
+        let mut acc = [_mm256_set1_ps(1.0); PEAK_CHAINS];
+        for _ in 0..steps {
+            for x in &mut acc {
+                *x = _mm256_add_ps(_mm256_mul_ps(*x, a), b);
+            }
+        }
+        let mut total = acc[0];
+        for &x in &acc[1..] {
+            total = _mm256_add_ps(total, x);
+        }
+        _mm_cvtss_f32(_mm256_castps256_ps128(total))
+    }
+
+    if !is_x86_feature_detected!("avx2") {
+        return None;
+    }
+    // SAFETY: AVX2 was detected on the line above; `run` touches no memory.
+    Some((8, unsafe {
+        run(steps, black_box(0.999_999), black_box(1e-3))
+    }))
+}
+
+/// See the x86_64 twin.
+#[cfg(target_arch = "aarch64")]
+fn peak_chains(steps: usize) -> Option<(usize, f32)> {
+    use std::arch::aarch64::*;
+
+    #[target_feature(enable = "neon")]
+    unsafe fn run(steps: usize, a: f32, b: f32) -> f32 {
+        let (a, b) = (vdupq_n_f32(a), vdupq_n_f32(b));
+        let mut acc = [vdupq_n_f32(1.0); PEAK_CHAINS];
+        for _ in 0..steps {
+            for x in &mut acc {
+                *x = vaddq_f32(vmulq_f32(*x, a), b);
+            }
+        }
+        let mut total = acc[0];
+        for &x in &acc[1..] {
+            total = vaddq_f32(total, x);
+        }
+        vgetq_lane_f32::<0>(total)
+    }
+
+    // SAFETY: NEON is baseline on aarch64; `run` touches no memory.
+    Some((4, unsafe {
+        run(steps, black_box(0.999_999), black_box(1e-3))
+    }))
+}
+
+/// See the x86_64 twin.
+#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+fn peak_chains(_steps: usize) -> Option<(usize, f32)> {
+    None
+}
+
+/// What one core reaches on unfused multiply-adds that never leave the
+/// registers, in GFLOP/s: the ceiling every GEMM entry's `gflops` is read
+/// against.
+fn peak_unfused_gflops() -> Option<f64> {
+    const STEPS: usize = 200_000;
+    let lanes = peak_chains(1)?.0;
+    let ms = time_ms(5, || peak_chains(STEPS).map_or(0.0, |(_, sink)| sink));
+    Some((2 * PEAK_CHAINS * lanes * STEPS) as f64 / (ms * 1e6))
+}
+
+/// One JSON object of the report; values are stored already rendered.
 struct Entry {
     name: &'static str,
-    fields: Vec<(&'static str, f64)>,
+    fields: Vec<(&'static str, String)>,
+}
+
+impl Entry {
+    fn new(name: &'static str) -> Entry {
+        Entry {
+            name,
+            fields: Vec::new(),
+        }
+    }
+
+    fn num(mut self, key: &'static str, value: f64) -> Entry {
+        self.fields.push((key, format!("{value:.4}")));
+        self
+    }
+
+    fn text(mut self, key: &'static str, value: &str) -> Entry {
+        self.fields.push((key, format!("\"{value}\"")));
+        self
+    }
+
+    fn flag(mut self, key: &'static str, value: bool) -> Entry {
+        self.fields.push((key, value.to_string()));
+        self
+    }
+
+    /// The roofline pair of a GEMM entry: what `mnk` multiply-adds in `ms`
+    /// come to, next to the core's measured ceiling (where one was measured).
+    fn gflops(self, mnk: usize, ms: f64, peak: Option<f64>) -> Entry {
+        let entry = self.num("gflops", 2.0 * mnk as f64 / (ms * 1e6));
+        match peak {
+            Some(peak) => entry.num("peak_gflops", peak),
+            None => entry,
+        }
+    }
+}
+
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn main() {
@@ -78,8 +208,17 @@ fn main() {
     // CI runners have unpredictable core counts.
     parallel::set_threads(1);
     let mut rng = Rng::seed_from(42);
+    let hw_threads = std::thread::available_parallelism()
+        .map(std::num::NonZero::get)
+        .unwrap_or(1);
+    let peak = peak_unfused_gflops();
 
-    let mut entries = Vec::new();
+    let mut entries = vec![Entry::new("machine")
+        .num("hw_threads", hw_threads as f64)
+        .text(
+            "kernel_tier",
+            &format!("{:?}", simd::active_tier()).to_lowercase(),
+        )];
     let mut failures = Vec::new();
 
     // 256³ — the headline shape.
@@ -93,14 +232,14 @@ fn main() {
     let ikj_ms = time_ms(5, || matmul_ikj(&a, &b).data()[0]);
     let gemm_ms = time_ms(5, || kernels::matmul(&a, &b).data()[0]);
     let speedup = ikj_ms / gemm_ms;
-    entries.push(Entry {
-        name: "matmul_256",
-        fields: vec![
-            ("ikj_ms", ikj_ms),
-            ("gemm_ms", gemm_ms),
-            ("speedup", speedup),
-        ],
-    });
+    let cube = 256 * 256 * 256;
+    entries.push(
+        Entry::new("matmul_256")
+            .num("ikj_ms", ikj_ms)
+            .num("gemm_ms", gemm_ms)
+            .num("speedup", speedup)
+            .gflops(cube, gemm_ms, peak),
+    );
     // Loose threshold: locally the blocked kernel is ≥ 2x; noisy shared CI
     // runners get headroom, but a real regression (blocked ≈ naive) still
     // fails loudly.
@@ -125,19 +264,19 @@ fn main() {
         if portable_out.data() != simd_out.data() {
             failures.push("SIMD micro-kernel is not bitwise identical to portable".to_string());
         }
-        entries.push(Entry {
-            name: "microkernel_256",
-            fields: vec![
-                ("portable_ms", portable_ms),
-                ("simd_ms", simd_ms),
-                ("speedup", portable_ms / simd_ms),
-            ],
-        });
+        entries.push(
+            Entry::new("microkernel_256")
+                .num("portable_ms", portable_ms)
+                .num("simd_ms", simd_ms)
+                .num("speedup", portable_ms / simd_ms)
+                .gflops(cube, simd_ms, peak),
+        );
     } else {
-        entries.push(Entry {
-            name: "microkernel_256",
-            fields: vec![("portable_ms", portable_ms)],
-        });
+        entries.push(
+            Entry::new("microkernel_256")
+                .num("portable_ms", portable_ms)
+                .gflops(cube, portable_ms, peak),
+        );
     }
 
     // 32³ — must not regress (this shape skips packing and the pool).
@@ -145,14 +284,13 @@ fn main() {
     let b32 = Tensor::randn(&[32, 32], &mut rng);
     let ikj32 = time_ms(200, || matmul_ikj(&a32, &b32).data()[0]);
     let gemm32 = time_ms(200, || kernels::matmul(&a32, &b32).data()[0]);
-    entries.push(Entry {
-        name: "matmul_32",
-        fields: vec![
-            ("ikj_ms", ikj32),
-            ("gemm_ms", gemm32),
-            ("speedup", ikj32 / gemm32),
-        ],
-    });
+    entries.push(
+        Entry::new("matmul_32")
+            .num("ikj_ms", ikj32)
+            .num("gemm_ms", gemm32)
+            .num("speedup", ikj32 / gemm32)
+            .gflops(32 * 32 * 32, gemm32, peak),
+    );
     // Loose bound (parity locally): only a gross regression — e.g. the small
     // path accidentally routing through packing or the pool — trips it.
     if gemm32 > ikj32 * 2.5 {
@@ -163,15 +301,17 @@ fn main() {
 
     // Transposed variants at 256³ (correctness + timing only).
     let t_tn = time_ms(5, || kernels::matmul_tn(&a, &b).data()[0]);
-    entries.push(Entry {
-        name: "matmul_tn_256",
-        fields: vec![("gemm_ms", t_tn)],
-    });
+    entries.push(
+        Entry::new("matmul_tn_256")
+            .num("gemm_ms", t_tn)
+            .gflops(cube, t_tn, peak),
+    );
     let t_nt = time_ms(5, || kernels::matmul_nt(&a, &b).data()[0]);
-    entries.push(Entry {
-        name: "matmul_nt_256",
-        fields: vec![("gemm_ms", t_nt)],
-    });
+    entries.push(
+        Entry::new("matmul_nt_256")
+            .num("gemm_ms", t_nt)
+            .gflops(cube, t_nt, peak),
+    );
 
     // Conv-shaped skinny product: [64, 576] @ [576, 3136]
     // (an 8-image 32×32 conv layer with 64 output channels).
@@ -179,14 +319,120 @@ fn main() {
     let cols = Tensor::randn(&[576, 3136], &mut rng);
     let conv_ikj = time_ms(5, || matmul_ikj(&wmat, &cols).data()[0]);
     let conv_gemm = time_ms(5, || kernels::matmul(&wmat, &cols).data()[0]);
-    entries.push(Entry {
-        name: "matmul_conv_64x576x3136",
-        fields: vec![
-            ("ikj_ms", conv_ikj),
-            ("gemm_ms", conv_gemm),
-            ("speedup", conv_ikj / conv_gemm),
-        ],
+    entries.push(
+        Entry::new("matmul_conv_64x576x3136")
+            .num("ikj_ms", conv_ikj)
+            .num("gemm_ms", conv_gemm)
+            .num("speedup", conv_ikj / conv_gemm)
+            .gflops(64 * 576 * 3136, conv_gemm, peak),
+    );
+
+    // LeNet's 6-filter entry convolution on a batch of 16 at 20 px, as the
+    // GEMM sees it. Forward `[6×25]·[25×6400]` takes the no-pack route;
+    // the weight gradient `[6×6400]·[25×6400]ᵀ` stays on the packed walk
+    // (B's rows are strided) and lives off the block-moving packers. Both
+    // against the packed walk with element-wise packs, which is how every
+    // shape ran before: same bits required, and ≥ 1.5x.
+    let wmat = Tensor::randn(&[6, 25], &mut rng);
+    let cols = Tensor::randn(&[25, 6400], &mut rng);
+    let gmat = Tensor::randn(&[6, 6400], &mut rng);
+    type Operands<'a> = (usize, usize, usize, MatRef<'a>, MatRef<'a>);
+    let skinny_cases: [(&'static str, Operands); 2] = [
+        (
+            "gemm_skinny_fwd_6x25x6400",
+            (
+                6,
+                6400,
+                25,
+                MatRef::row_major(wmat.data(), 25),
+                MatRef::row_major(cols.data(), 6400),
+            ),
+        ),
+        (
+            "gemm_skinny_dw_6x6400x25",
+            (
+                6,
+                25,
+                6400,
+                MatRef::row_major(gmat.data(), 6400),
+                MatRef::transposed(cols.data(), 6400),
+            ),
+        ),
+    ];
+    for (name, (m, n, k, a, b)) in skinny_cases {
+        let mut want = vec![0.0f32; m * n];
+        gemm::reference::gemm(m, n, k, a, b, &mut want);
+        let mut got = vec![0.0f32; m * n];
+        gemm::gemm(m, n, k, a, b, &mut got);
+        let bitwise = same_bits(&got, &want);
+        let packed_ms = time_ms(50, || {
+            want.fill(0.0);
+            gemm::reference::gemm(m, n, k, a, b, &mut want);
+            want[0]
+        });
+        let gemm_ms = time_ms(50, || {
+            got.fill(0.0);
+            gemm::gemm(m, n, k, a, b, &mut got);
+            got[0]
+        });
+        let speedup = packed_ms / gemm_ms;
+        entries.push(
+            Entry::new(name)
+                .text(
+                    "route",
+                    &format!("{:?}", gemm::route(m, n, k, b.cs)).to_lowercase(),
+                )
+                .num("packed_elementwise_ms", packed_ms)
+                .num("gemm_ms", gemm_ms)
+                .num("speedup", speedup)
+                .flag("bitwise", bitwise)
+                .gflops(m * n * k, gemm_ms, peak),
+        );
+        if !bitwise {
+            failures.push(format!("{name}: differs from the element-wise packed walk"));
+        }
+        if speedup < 1.5 {
+            failures.push(format!(
+                "{name}: only {speedup:.2}x over the element-wise packed walk (want ≥ 1.5x)"
+            ));
+        }
+    }
+
+    // The block-moving packer on a transposed source: one K block of conv2's
+    // weight-gradient B operand, `colsᵀ` of `[150, 1600]` — 150 columns, each
+    // contiguous along K, against one strided gather per element.
+    let cols2 = Tensor::randn(&[150, 1600], &mut rng);
+    let colst = MatRef::transposed(cols2.data(), 1600);
+    let mut panel = vec![f32::NAN; 150usize.div_ceil(8) * 8 * KC];
+    let mut want_panel = panel.clone();
+    pack::pack_b(colst, KC, 0, KC, 150, &mut panel);
+    pack::reference::pack_b(colst, KC, 0, KC, 150, &mut want_panel);
+    let bitwise = same_bits(&panel, &want_panel);
+    let elementwise_ms = time_ms(200, || {
+        pack::reference::pack_b(colst, KC, 0, KC, 150, &mut want_panel);
+        want_panel[0]
     });
+    let block_ms = time_ms(200, || {
+        pack::pack_b(colst, KC, 0, KC, 150, &mut panel);
+        panel[0]
+    });
+    let pack_speedup = elementwise_ms / block_ms;
+    entries.push(
+        Entry::new("pack_transposed_256x150")
+            .num("elementwise_ms", elementwise_ms)
+            .num("block_ms", block_ms)
+            .num("speedup", pack_speedup)
+            .flag("bitwise", bitwise),
+    );
+    if !bitwise {
+        failures.push("block-moving pack_b differs from its element-wise definition".to_string());
+    }
+    if pack_speedup < 1.5 {
+        failures.push(format!(
+            "block-moving pack_b only {pack_speedup:.2}x over the element-wise gather on a \
+             transposed 256×150 block (want ≥ 1.5x)"
+        ));
+    }
 
     // Conv glue at LeNet-5's two convolutions (5×5, padding 2) on a batch of
     // 16 at 20 px — the e2e benchmark's middle job: unfold the input and fold
@@ -210,8 +456,7 @@ fn main() {
             ));
         }
         let folded = kernels::col2im(&dcols, &geom, n);
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        if bits(&folded) != bits(&reference::col2im(&dcols, &geom, n)) {
+        if !same_bits(folded.data(), reference::col2im(&dcols, &geom, n).data()) {
             failures.push(format!(
                 "col2im differs from its naive definition at {geom:?}"
             ));
@@ -224,14 +469,12 @@ fn main() {
         });
     }
     let glue_speedup = naive_ms / slice_ms;
-    entries.push(Entry {
-        name: "conv_glue",
-        fields: vec![
-            ("naive_ms", naive_ms),
-            ("slice_ms", slice_ms),
-            ("speedup", glue_speedup),
-        ],
-    });
+    entries.push(
+        Entry::new("conv_glue")
+            .num("naive_ms", naive_ms)
+            .num("slice_ms", slice_ms)
+            .num("speedup", glue_speedup),
+    );
     if glue_speedup < 2.0 {
         failures.push(format!(
             "im2col + col2im slice kernels only {glue_speedup:.2}x faster than the naive loops at \
@@ -264,22 +507,20 @@ fn main() {
     let qk_batch_1t = time_staged_ms(5, &[heads, t, t], |out| {
         matmul_batch_nt_scaled_into(&qh, &kh, alpha, out);
     });
-    entries.push(Entry {
-        name: "attn_qk_batch_64x128x64_1thread",
-        fields: vec![
-            ("serial_ms", qk_serial_1t),
-            ("batch_ms", qk_batch_1t),
-            ("speedup", qk_serial_1t / qk_batch_1t),
-        ],
-    });
+    let qk_flop = heads * t * t * dh;
+    entries.push(
+        Entry::new("attn_qk_batch_64x128x64_1thread")
+            .num("serial_ms", qk_serial_1t)
+            .num("batch_ms", qk_batch_1t)
+            .num("speedup", qk_serial_1t / qk_batch_1t)
+            .gflops(qk_flop, qk_batch_1t, peak),
+    );
 
     // The multi-thread comparison the acceptance criterion names: 4 worker
     // threads. On machines with < 4 hardware threads the pool oversubscribes
-    // one core and the speedup collapses to ~1x, so the gate only demands a
-    // win where ≥ 4 hardware threads exist.
-    let hw_threads = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1);
+    // the cores and the speedup collapses towards 1x, so the ≥ 1.5x gate can
+    // only be judged where ≥ 4 hardware threads exist; elsewhere it is
+    // recorded as skipped (and only a gross regression fails).
     parallel::set_threads(4);
     let qk_serial_4t = time_staged_ms(5, &[heads, t, t], |out| {
         attention_qk_serial_per_head(&qh, &kh, alpha, out);
@@ -288,15 +529,19 @@ fn main() {
         matmul_batch_nt_scaled_into(&qh, &kh, alpha, out);
     });
     let qk_speedup_4t = qk_serial_4t / qk_batch_4t;
-    entries.push(Entry {
-        name: "attn_qk_batch_64x128x64_4threads",
-        fields: vec![
-            ("serial_ms", qk_serial_4t),
-            ("batch_ms", qk_batch_4t),
-            ("speedup", qk_speedup_4t),
-            ("hw_threads", hw_threads as f64),
-        ],
-    });
+    let gate = match (hw_threads >= 4, qk_speedup_4t >= 1.5) {
+        (false, _) => "skipped",
+        (true, true) => "passed",
+        (true, false) => "failed",
+    };
+    entries.push(
+        Entry::new("attn_qk_batch_64x128x64_4threads")
+            .num("serial_ms", qk_serial_4t)
+            .num("batch_ms", qk_batch_4t)
+            .num("speedup", qk_speedup_4t)
+            .text("gate", gate)
+            .gflops(qk_flop, qk_batch_4t, peak),
+    );
 
     // P·V: 64 heads of [128, 128] @ [128, 64], same comparison.
     let probs = Tensor::randn(&[heads, t, t], &mut rng);
@@ -314,25 +559,21 @@ fn main() {
     let pv_batch_4t = time_staged_ms(5, &[heads, t, dh], |out| {
         kernels::matmul_batch_into(&probs, &vh, out);
     });
-    entries.push(Entry {
-        name: "attn_pv_batch_64x128x64_4threads",
-        fields: vec![
-            ("serial_ms", pv_serial_4t),
-            ("batch_ms", pv_batch_4t),
-            ("speedup", pv_serial_4t / pv_batch_4t),
-            ("hw_threads", hw_threads as f64),
-        ],
-    });
+    entries.push(
+        Entry::new("attn_pv_batch_64x128x64_4threads")
+            .num("serial_ms", pv_serial_4t)
+            .num("batch_ms", pv_batch_4t)
+            .num("speedup", pv_serial_4t / pv_batch_4t)
+            .gflops(heads * t * t * dh, pv_batch_4t, peak),
+    );
 
-    if hw_threads >= 4 {
+    if gate == "failed" {
         // ≥ 2x locally; CI noise gets headroom down to 1.5x.
-        if qk_speedup_4t < 1.5 {
-            failures.push(format!(
-                "batched Q·Kᵀ only {qk_speedup_4t:.2}x over the serial per-head loop on 4 threads \
-                 (want ≥ 1.5x in CI, ≥ 2x locally)"
-            ));
-        }
-    } else if qk_speedup_4t < 0.6 {
+        failures.push(format!(
+            "batched Q·Kᵀ only {qk_speedup_4t:.2}x over the serial per-head loop on 4 threads \
+             (want ≥ 1.5x in CI, ≥ 2x locally)"
+        ));
+    } else if gate == "skipped" && qk_speedup_4t < 0.6 {
         // Oversubscribed single-core machines cannot show a parallel win,
         // but batching must never make the loop grossly slower either.
         failures.push(format!(
@@ -347,7 +588,7 @@ fn main() {
     for (i, e) in entries.iter().enumerate() {
         let _ = write!(json, "  \"{}\": {{", e.name);
         for (j, (key, value)) in e.fields.iter().enumerate() {
-            let _ = write!(json, "\"{key}\": {value:.4}");
+            let _ = write!(json, "\"{key}\": {value}");
             if j + 1 < e.fields.len() {
                 json.push_str(", ");
             }
@@ -366,6 +607,9 @@ fn main() {
     println!(
         "wrote {path} (256³ speedup: {speedup:.2}x, batched Q·Kᵀ on 4 threads: {qk_speedup_4t:.2}x)"
     );
+    if gate == "skipped" {
+        println!("batched-GEMM ≥ 1.5x gate: SKIPPED ({hw_threads} hw threads, needs 4)");
+    }
 
     if check && !failures.is_empty() {
         for f in &failures {

@@ -244,27 +244,30 @@ pub fn lm_head_loss(logits: &Tensor, window: &Tensor, keep: &[usize]) -> (f32, T
     assert_eq!(window.dims()[0], b, "window batch mismatch");
     assert!(t >= 2, "need at least two positions for next-token loss");
 
-    // Gather logits for positions 0..T-1 and their targets.
-    let mut sliced = Tensor::zeros(&[b, t - 1, v]);
-    let mut targets = Vec::with_capacity(b * (t - 1));
+    // Row by row, straight from the logits into the gradient: log-softmax,
+    // the loss term, then `(p − y) / rows`. Rows are visited in the order the
+    // gathered `[B·(T-1), V]` matrix held them, so the loss sum and every
+    // gradient element are what `cross_entropy_seq` on that matrix gave.
+    let inv_rows = 1.0 / (b * (t - 1)) as f32;
+    let mut grad = Tensor::zeros(&[b, t, v]); // last position of each sequence stays zero
+    let mut loss = 0.0f32;
     for bi in 0..b {
         for k in 0..t - 1 {
-            let src = &logits.data()[bi * t * v + k * v..bi * t * v + (k + 1) * v];
-            sliced.data_mut()[bi * (t - 1) * v + k * v..bi * (t - 1) * v + (k + 1) * v]
-                .copy_from_slice(src);
-            targets.push(window.data()[bi * ta + keep[k + 1]] as usize);
+            let at = (bi * t + k) * v;
+            let row = &mut grad.data_mut()[at..at + v];
+            row.copy_from_slice(&logits.data()[at..at + v]);
+            let target = window.data()[bi * ta + keep[k + 1]] as usize;
+            assert!(target < v, "target {target} out of range for {v} classes");
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let lse = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
+            row.iter_mut().for_each(|x| *x -= lse);
+            loss -= row[target];
+            row.iter_mut().for_each(|x| *x = x.exp());
+            row[target] -= 1.0;
+            row.iter_mut().for_each(|x| *x *= inv_rows);
         }
     }
-    let (loss, grad_sliced) = amalgam_nn::loss::cross_entropy_seq(&sliced, &targets);
-    // Pad the gradient back to [B, T, V] with zeros at the last position.
-    let mut grad = Tensor::zeros(&[b, t, v]);
-    for bi in 0..b {
-        for k in 0..t - 1 {
-            let src = &grad_sliced.data()[bi * (t - 1) * v + k * v..bi * (t - 1) * v + (k + 1) * v];
-            grad.data_mut()[bi * t * v + k * v..bi * t * v + (k + 1) * v].copy_from_slice(src);
-        }
-    }
-    (loss, grad)
+    (loss * inv_rows, grad)
 }
 
 /// Trains a (possibly augmented) language model on token windows.
@@ -416,6 +419,35 @@ mod tests {
         for bi in 0..2 {
             let last = &grad.data()[bi * 35 + 28..bi * 35 + 35];
             assert!(last.iter().all(|&v| v == 0.0));
+        }
+    }
+
+    #[test]
+    fn lm_head_loss_is_cross_entropy_over_the_gathered_rows() {
+        // Augmented geometry: 5 of 8 window positions kept, out of order.
+        let mut rng = Rng::seed_from(6);
+        let (b, t, v) = (3, 5, 11);
+        let logits = Tensor::randn(&[b, t, v], &mut rng).scale(4.0);
+        let window = Tensor::from_fn(&[b, 8], |i| ((i * 7 + 3) % v) as f32);
+        let keep = [6usize, 0, 3, 7, 2];
+        let (loss, grad) = lm_head_loss(&logits, &window, &keep);
+
+        let mut rows = Vec::new();
+        let mut targets = Vec::new();
+        for bi in 0..b {
+            for k in 0..t - 1 {
+                rows.extend_from_slice(&logits.data()[(bi * t + k) * v..(bi * t + k + 1) * v]);
+                targets.push(window.data()[bi * 8 + keep[k + 1]] as usize);
+            }
+        }
+        let gathered = Tensor::from_vec(rows, &[b, t - 1, v]);
+        let (want_loss, want) = amalgam_nn::loss::cross_entropy_seq(&gathered, &targets);
+        assert_eq!(loss.to_bits(), want_loss.to_bits());
+        for bi in 0..b {
+            let got = &grad.data()[bi * t * v..(bi * t + t - 1) * v];
+            let want = &want.data()[bi * (t - 1) * v..(bi + 1) * (t - 1) * v];
+            let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want), "sequence {bi}");
         }
     }
 

@@ -1,8 +1,11 @@
 //! 2-D convolution via im2col.
 
 use crate::layer::{Layer, Mode, Param};
+use crate::layers::reduce::fold_rows;
 use crate::spec::LayerSpec;
+use amalgam_tensor::gemm::gemm;
 use amalgam_tensor::kernels::{self, Conv2dGeom};
+use amalgam_tensor::pack::MatRef;
 use amalgam_tensor::{scratch, Rng, Tensor};
 
 /// 2-D convolution over `[N, C, H, W]` inputs with a square kernel.
@@ -138,10 +141,13 @@ impl Layer for Conv2d {
         // scratch arena, so repeated steps reuse the same allocations.
         let mut cols = scratch::take_tensor_raw(&[geom.col_rows(), n * ohw]);
         kernels::im2col_into(x, &geom, &mut cols);
-        let wmat = self.weight.value.reshape(&[oc, geom.col_rows()]);
-        let mut ymat = scratch::take_tensor_raw(&[oc, n * ohw]);
-        kernels::matmul_into(&wmat, &cols, &mut ymat); // [oc, N*oh*ow]
-        scratch::give_tensor(wmat);
+        // W·cols: the [oc, ic, k, k] weight already is a row-major
+        // [oc, ic·k·k] matrix, so the GEMM views it in place.
+        let taps = geom.col_rows();
+        let wmat = MatRef::row_major(self.weight.value.data(), taps);
+        let mut ymat = scratch::take_tensor(&[oc, n * ohw]);
+        let colmat = MatRef::row_major(cols.data(), n * ohw);
+        gemm(oc, n * ohw, taps, wmat, colmat, ymat.data_mut());
         // Fused pass: permute [oc, N*oh*ow] -> [N, oc, oh, ow] and add the
         // bias while each (n, o) block is appended, instead of a zero fill
         // and a second full-tensor sweep.
@@ -204,19 +210,22 @@ impl Layer for Conv2d {
         }
         scratch::give_tensor(dw);
         if let Some(b) = &mut self.bias {
-            for (o, g) in b.grad.data_mut().iter_mut().enumerate() {
-                *g += gmat.data()[o * n * ohw..(o + 1) * n * ohw]
-                    .iter()
-                    .sum::<f32>();
+            // One chain per filter over its row of `gmat`, the filters
+            // advanced together; -0.0 is what `Iterator::sum` starts from.
+            let mut sums = vec![-0.0f32; oc];
+            fold_rows(&mut sums, [gmat.data()], n * ohw, |_, sum, [g]| sum + g);
+            for (g, &sum) in b.grad.data_mut().iter_mut().zip(&sums) {
+                *g += sum;
             }
         }
         // dcols = Wᵀ @ g, folded back to input space — the larger half of
         // this function, and only worth it when a parameter lies upstream.
         let dx = demand[0].then(|| {
-            let wmat = self.weight.value.reshape(&[oc, geom.col_rows()]);
-            let mut dcols = scratch::take_tensor_raw(&[geom.col_rows(), n * ohw]);
-            kernels::matmul_tn_into(&wmat, &gmat, &mut dcols);
-            scratch::give_tensor(wmat);
+            let taps = geom.col_rows();
+            let wt = MatRef::transposed(self.weight.value.data(), taps);
+            let mut dcols = scratch::take_tensor(&[taps, n * ohw]);
+            let gm = MatRef::row_major(gmat.data(), n * ohw);
+            gemm(taps, n * ohw, oc, wt, gm, dcols.data_mut());
             let dx = kernels::col2im(&dcols, &geom, n);
             scratch::give_tensor(dcols);
             dx

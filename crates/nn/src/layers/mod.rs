@@ -14,6 +14,7 @@ mod linear;
 mod masked;
 mod norm;
 mod pool;
+mod reduce;
 mod structural;
 
 pub use activation::{Gelu, Relu, Sigmoid, Tanh};

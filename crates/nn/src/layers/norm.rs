@@ -1,6 +1,7 @@
 //! Normalization layers.
 
 use crate::layer::{Layer, Mode, Param};
+use crate::layers::reduce::fold_rows;
 use crate::spec::LayerSpec;
 use amalgam_tensor::{scratch, Tensor};
 
@@ -96,7 +97,6 @@ impl Layer for BatchNorm2d {
         "BatchNorm2d"
     }
 
-    #[allow(clippy::needless_range_loop)]
     fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
         assert_eq!(inputs.len(), 1, "BatchNorm2d takes one input");
         let x = inputs[0];
@@ -108,49 +108,63 @@ impl Layer for BatchNorm2d {
         if let Some(stale) = self.cache.take() {
             stale.reclaim();
         }
+        let train = mode == Mode::Train;
+        let images = || x.data().chunks_exact(c * hw);
 
-        // Every element of `out`/`xhat` and every `inv_std` slot is written
-        // below, so the raw (non-zeroing) arena variants are safe.
+        // Per-channel statistics. A channel's mean adds up one partial sum
+        // per image and its variance is one chain over every element, both
+        // in storage order; the channels go through `fold_rows` together.
+        let mut mean = vec![0.0f32; c];
+        let mut var = vec![0.0f32; c];
+        if train {
+            let mut partial = vec![0.0f32; c];
+            for image in images() {
+                partial.fill(-0.0); // what `Iterator::sum` starts from
+                fold_rows(&mut partial, [image], hw, |_, sum, [v]| sum + v);
+                for (total, &part) in mean.iter_mut().zip(&partial) {
+                    *total += part;
+                }
+            }
+            mean.iter_mut().for_each(|total| *total /= m);
+            for image in images() {
+                fold_rows(&mut var, [image], hw, |ci, sum, [v]| {
+                    sum + (v - mean[ci]) * (v - mean[ci])
+                });
+            }
+            var.iter_mut().for_each(|total| *total /= m);
+            let momentum = self.momentum;
+            let running = self.running_mean.data_mut().iter_mut();
+            for (rm, &mu) in running.zip(&mean) {
+                *rm = (1.0 - momentum) * *rm + momentum * mu;
+            }
+            let running = self.running_var.data_mut().iter_mut();
+            for (rv, &v) in running.zip(&var) {
+                *rv = (1.0 - momentum) * *rv + momentum * v;
+            }
+        } else {
+            mean.copy_from_slice(self.running_mean.data());
+            var.copy_from_slice(self.running_var.data());
+        }
+        let mut inv_std = var;
+        for v in inv_std.iter_mut() {
+            *v = 1.0 / (*v + self.eps).sqrt();
+        }
+
+        // Every element of `out`/`xhat` is written below, so the raw
+        // (non-zeroing) arena variants are safe.
         let mut out = scratch::take_tensor_raw(d);
         let mut xhat = scratch::take_tensor_raw(d);
-        let mut inv_std = scratch::take_raw(c);
-        let train = mode == Mode::Train;
-
-        for ci in 0..c {
-            let (mu, var) = if train {
-                let mut sum = 0.0f32;
-                for ni in 0..n {
-                    sum += x.data()[ni * c * hw + ci * hw..ni * c * hw + (ci + 1) * hw]
-                        .iter()
-                        .sum::<f32>();
-                }
-                let mu = sum / m;
-                let mut varsum = 0.0f32;
-                for ni in 0..n {
-                    for &v in &x.data()[ni * c * hw + ci * hw..ni * c * hw + (ci + 1) * hw] {
-                        varsum += (v - mu) * (v - mu);
-                    }
-                }
-                let var = varsum / m;
-                // Update running stats.
-                let rm = &mut self.running_mean.data_mut()[ci];
-                *rm = (1.0 - self.momentum) * *rm + self.momentum * mu;
-                let rv = &mut self.running_var.data_mut()[ci];
-                *rv = (1.0 - self.momentum) * *rv + self.momentum * var;
-                (mu, var)
-            } else {
-                (self.running_mean.data()[ci], self.running_var.data()[ci])
-            };
-            let istd = 1.0 / (var + self.eps).sqrt();
-            inv_std[ci] = istd;
-            let (g, b) = (self.gamma.value.data()[ci], self.beta.value.data()[ci]);
-            for ni in 0..n {
-                let base = ni * c * hw + ci * hw;
-                for p in 0..hw {
-                    let xh = (x.data()[base + p] - mu) * istd;
-                    xhat.data_mut()[base + p] = xh;
-                    out.data_mut()[base + p] = g * xh + b;
-                }
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        let planes = x.data().chunks_exact(hw);
+        let targets = out.data_mut().chunks_exact_mut(hw);
+        let hats = xhat.data_mut().chunks_exact_mut(hw);
+        for (plane, ((src, dst), hat)) in planes.zip(targets).zip(hats).enumerate() {
+            let ci = plane % c;
+            let (mu, istd, g, b) = (mean[ci], inv_std[ci], gamma[ci], beta[ci]);
+            for ((&v, o), h) in src.iter().zip(dst).zip(hat) {
+                let xh = (v - mu) * istd;
+                *h = xh;
+                *o = g * xh + b;
             }
         }
         self.cache = Some(BnCache {
@@ -161,7 +175,6 @@ impl Layer for BatchNorm2d {
         out
     }
 
-    #[allow(clippy::needless_range_loop)]
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let BnCache {
             xhat,
@@ -174,36 +187,45 @@ impl Layer for BatchNorm2d {
         let d = xhat.dims().to_vec();
         let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
         let m = (n * hw) as f32;
-        let mut dx = demand[0].then(|| scratch::take_tensor_raw(&d));
 
-        for ci in 0..c {
-            let mut dgamma = 0.0f32;
-            let mut dbeta = 0.0f32;
-            for ni in 0..n {
-                let base = ni * c * hw + ci * hw;
-                for p in 0..hw {
-                    dgamma += grad_out.data()[base + p] * xhat.data()[base + p];
-                    dbeta += grad_out.data()[base + p];
-                }
-            }
-            self.gamma.grad.data_mut()[ci] += dgamma;
-            self.beta.grad.data_mut()[ci] += dbeta;
-
-            let Some(dx) = &mut dx else { continue };
-            let g = self.gamma.value.data()[ci];
-            let istd = inv_std[ci];
-            for ni in 0..n {
-                let base = ni * c * hw + ci * hw;
-                for p in 0..hw {
-                    let dy = grad_out.data()[base + p];
-                    dx.data_mut()[base + p] = if train {
-                        g * istd * (dy - dbeta / m - xhat.data()[base + p] * dgamma / m)
-                    } else {
-                        g * istd * dy
-                    };
-                }
-            }
+        // (dγ, dβ) of this batch: one chain each per channel over every
+        // element in storage order, the channels advanced together.
+        let mut sums = vec![(0.0f32, 0.0f32); c];
+        let grads = grad_out.data().chunks_exact(c * hw);
+        for (dy, xh) in grads.zip(xhat.data().chunks_exact(c * hw)) {
+            fold_rows(&mut sums, [dy, xh], hw, |_, (dgamma, dbeta), [dy, xh]| {
+                (dgamma + dy * xh, dbeta + dy)
+            });
         }
+        let accumulated = self.gamma.grad.data_mut().iter_mut();
+        for ((dg, db), &(dgamma, dbeta)) in accumulated.zip(self.beta.grad.data_mut()).zip(&sums) {
+            *dg += dgamma;
+            *db += dbeta;
+        }
+
+        let dx = demand[0].then(|| {
+            let mut dx = scratch::take_tensor_raw(&d);
+            let gamma = self.gamma.value.data();
+            let planes = grad_out.data().chunks_exact(hw);
+            let hats = xhat.data().chunks_exact(hw);
+            let targets = dx.data_mut().chunks_exact_mut(hw);
+            for (plane, ((dy, xh), dst)) in planes.zip(hats).zip(targets).enumerate() {
+                let ci = plane % c;
+                let scale = gamma[ci] * inv_std[ci];
+                let (dgamma, dbeta) = sums[ci];
+                if train {
+                    let shift = dbeta / m;
+                    for ((&dy, &xh), o) in dy.iter().zip(xh).zip(dst) {
+                        *o = scale * (dy - shift - xh * dgamma / m);
+                    }
+                } else {
+                    for (&dy, o) in dy.iter().zip(dst) {
+                        *o = scale * dy;
+                    }
+                }
+            }
+            dx
+        });
         scratch::give_tensor(xhat);
         scratch::give(inv_std);
         vec![dx]

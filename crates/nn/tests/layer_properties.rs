@@ -1,7 +1,8 @@
 //! Property-based gradient checks: random layer hyper-parameters and input
-//! shapes, all validated against finite differences; the glue layers against
-//! their naive definitions, bit for bit; and the executor's demand pruning
-//! against back-propagation with every input gradient demanded.
+//! shapes, all validated against finite differences; the glue layers and the
+//! per-channel reductions against their straight-line definitions, bit for
+//! bit; and the executor's demand pruning against back-propagation with
+//! every input gradient demanded.
 
 use amalgam_core::{augment_cv, augment_nlp, AugmentConfig, ImagePlan, NlpTask, TextPlan};
 use amalgam_models::{
@@ -10,8 +11,8 @@ use amalgam_models::{
 use amalgam_nn::gradcheck::{backward_all_demanded, check_layer_gradients};
 use amalgam_nn::graph::{GraphModel, NodeId};
 use amalgam_nn::layers::{
-    Add, AvgPool2d, Concat, Conv2d, DepthwiseConv2d, Detach, Identity, LayerNorm, Linear,
-    MaskedConv2d, MaxPool2d, Mul, MultiHeadSelfAttention, Relu,
+    Add, AvgPool2d, BatchNorm2d, Concat, Conv2d, DepthwiseConv2d, Detach, Identity, LayerNorm,
+    Linear, MaskedConv2d, MaxPool2d, Mul, MultiHeadSelfAttention, Relu,
 };
 use amalgam_nn::{Layer, Mode};
 use amalgam_tensor::{Rng, Tensor};
@@ -121,8 +122,163 @@ fn naive_avg_unpool(g: &Tensor, in_dims: &[usize], k: usize, stride: usize) -> T
     dx
 }
 
+/// What [`BatchNorm2d`] computes, one channel at a time and one element
+/// after the other: the order of every sum the layer's interleaved
+/// reductions have to reproduce.
+struct NaiveBatchNorm {
+    out: Tensor,
+    xhat: Tensor,
+    inv_std: Vec<f32>,
+    running_mean: Vec<f32>,
+    running_var: Vec<f32>,
+}
+
+fn naive_batchnorm(x: &Tensor, params: [&Tensor; 4], train: bool) -> NaiveBatchNorm {
+    let [gamma, beta, running_mean, running_var] = params.map(|t| t.data().to_vec());
+    let (n, c, hw) = (x.dims()[0], x.dims()[1], x.dims()[2] * x.dims()[3]);
+    let m = (n * hw) as f32;
+    let plane = |ni: usize, ci: usize| (ni * c + ci) * hw..(ni * c + ci + 1) * hw;
+    let mut naive = NaiveBatchNorm {
+        out: Tensor::zeros(x.dims()),
+        xhat: Tensor::zeros(x.dims()),
+        inv_std: vec![0.0; c],
+        running_mean,
+        running_var,
+    };
+    for ci in 0..c {
+        let (mu, var) = if train {
+            let mut sum = 0.0f32;
+            for ni in 0..n {
+                sum += x.data()[plane(ni, ci)].iter().sum::<f32>();
+            }
+            let mu = sum / m;
+            let mut varsum = 0.0f32;
+            for ni in 0..n {
+                for &v in &x.data()[plane(ni, ci)] {
+                    varsum += (v - mu) * (v - mu);
+                }
+            }
+            let var = varsum / m;
+            naive.running_mean[ci] = (1.0 - 0.1) * naive.running_mean[ci] + 0.1 * mu;
+            naive.running_var[ci] = (1.0 - 0.1) * naive.running_var[ci] + 0.1 * var;
+            (mu, var)
+        } else {
+            (naive.running_mean[ci], naive.running_var[ci])
+        };
+        let istd = 1.0 / (var + 1e-5).sqrt();
+        naive.inv_std[ci] = istd;
+        for ni in 0..n {
+            for i in plane(ni, ci) {
+                let xh = (x.data()[i] - mu) * istd;
+                naive.xhat.data_mut()[i] = xh;
+                naive.out.data_mut()[i] = gamma[ci] * xh + beta[ci];
+            }
+        }
+    }
+    naive
+}
+
+/// `(dγ, dβ, dx)` of [`naive_batchnorm`], again one channel at a time.
+fn naive_batchnorm_backward(
+    g: &Tensor,
+    fwd: &NaiveBatchNorm,
+    gamma: &Tensor,
+    train: bool,
+) -> (Vec<f32>, Vec<f32>, Tensor) {
+    let (n, c, hw) = (g.dims()[0], g.dims()[1], g.dims()[2] * g.dims()[3]);
+    let m = (n * hw) as f32;
+    let (mut dgammas, mut dbetas) = (vec![0.0f32; c], vec![0.0f32; c]);
+    let mut dx = Tensor::zeros(g.dims());
+    for ci in 0..c {
+        let (mut dgamma, mut dbeta) = (0.0f32, 0.0f32);
+        for ni in 0..n {
+            for i in (ni * c + ci) * hw..(ni * c + ci + 1) * hw {
+                dgamma += g.data()[i] * fwd.xhat.data()[i];
+                dbeta += g.data()[i];
+            }
+        }
+        dgammas[ci] += dgamma;
+        dbetas[ci] += dbeta;
+        let (gm, istd) = (gamma.data()[ci], fwd.inv_std[ci]);
+        for ni in 0..n {
+            for i in (ni * c + ci) * hw..(ni * c + ci + 1) * hw {
+                let dy = g.data()[i];
+                dx.data_mut()[i] = if train {
+                    gm * istd * (dy - dbeta / m - fwd.xhat.data()[i] * dgamma / m)
+                } else {
+                    gm * istd * dy
+                };
+            }
+        }
+    }
+    (dgammas, dbetas, dx)
+}
+
+fn f32_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// BatchNorm2d equals its channel-at-a-time definition bit for bit, in
+    /// both modes: output, running statistics, `dγ`/`dβ` and `dx` — for
+    /// channel counts on both sides of the reduction's lane groups, batch 1,
+    /// 1×1 planes — and an undemanded `dx` changes no parameter gradient.
+    #[test]
+    fn batchnorm_matches_channel_at_a_time_definition(n in 1usize..4, c in 1usize..20, h in 1usize..6,
+                                                      w in 1usize..6, train in any::<bool>(), seed in 0u64..1000) {
+        let mut rng = Rng::seed_from(seed);
+        let mode = if train { Mode::Train } else { Mode::Eval };
+        let x = Tensor::randn(&[n, c, h, w], &mut rng).scale(2.0).add_scalar(0.5);
+        let gamma = Tensor::rand_uniform(&[c], 0.5, 1.5, &mut rng);
+        let beta = Tensor::randn(&[c], &mut rng);
+        let mean = Tensor::randn(&[c], &mut rng);
+        let var = Tensor::rand_uniform(&[c], 0.5, 2.0, &mut rng);
+        let mut bn = BatchNorm2d::from_params(gamma.clone(), beta.clone(), mean.clone(), var.clone());
+        let mut undemanded = bn.clone();
+
+        let y = bn.forward(&[&x], mode);
+        let want = naive_batchnorm(&x, [&gamma, &beta, &mean, &var], train);
+        prop_assert_eq!(bits(&y), bits(&want.out), "forward, train={}", train);
+        prop_assert_eq!(f32_bits(bn.running_mean().data()), f32_bits(&want.running_mean));
+        prop_assert_eq!(f32_bits(bn.running_var().data()), f32_bits(&want.running_var));
+
+        let g = Tensor::randn(x.dims(), &mut rng);
+        let dx = bn.backward(&g, &[true]).remove(0).expect("demanded");
+        let (dgamma, dbeta, want_dx) = naive_batchnorm_backward(&g, &want, &gamma, train);
+        prop_assert_eq!(bits(&dx), bits(&want_dx), "dx, train={}", train);
+        prop_assert_eq!(f32_bits(bn.params()[0].grad.data()), f32_bits(&dgamma), "dgamma");
+        prop_assert_eq!(f32_bits(bn.params()[1].grad.data()), f32_bits(&dbeta), "dbeta");
+
+        undemanded.forward(&[&x], mode);
+        prop_assert!(undemanded.backward(&g, &[false]) == vec![None]);
+        for (p, q) in undemanded.params().iter().zip(bn.params()) {
+            prop_assert_eq!(bits(&p.grad), bits(&q.grad));
+        }
+    }
+
+    /// The convolution's bias gradient is, per filter, one sum over that
+    /// filter's output gradients in (image, row, column) order, added to what
+    /// the gradient held — bit for bit, for filter counts on both sides of
+    /// the reduction's lane groups and with or without `dx` demanded.
+    #[test]
+    fn conv_bias_gradient_matches_one_sum_per_filter(n in 1usize..4, oc in 1usize..20, hw in 1usize..6,
+                                                     demanded in any::<bool>(), seed in 0u64..1000) {
+        let mut rng = Rng::seed_from(seed);
+        let mut conv = Conv2d::new(2, oc, 3, 1, 1, true, &mut rng);
+        let x = Tensor::randn(&[n, 2, hw, hw], &mut rng);
+        let y = conv.forward(&[&x], Mode::Train);
+        let g = Tensor::randn(y.dims(), &mut rng);
+        let held = Tensor::randn(&[oc], &mut rng);
+        conv.params_mut()[1].grad = held.clone();
+        conv.backward(&g, &[demanded]);
+        let want: Vec<f32> = (0..oc).map(|o| {
+            let per_image = (0..n).flat_map(|ni| &g.data()[(ni * oc + o) * hw * hw..(ni * oc + o + 1) * hw * hw]);
+            held.data()[o] + per_image.sum::<f32>()
+        }).collect();
+        prop_assert_eq!(f32_bits(conv.params()[1].grad.data()), f32_bits(&want));
+    }
 
     #[test]
     fn linear_gradients_any_shape(inf in 1usize..8, outf in 1usize..8, batch in 1usize..4,

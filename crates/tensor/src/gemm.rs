@@ -24,10 +24,23 @@
 //! regardless of the thread count or block partition, so results are bitwise
 //! reproducible for any `set_threads` value.
 //!
-//! Shapes with `m·n·k` at or below [`SMALL_FLOPS`] skip packing *and* the
-//! pool entirely and run a direct loop on the calling thread, so tiny
-//! matmuls (≤ 32³) pay no blocking or dispatch overhead. Larger shapes are
-//! packed but still run inline unless every pool task would carry at least
+//! Packing pays only where a packed panel is reused, so two kinds of shape
+//! do not take the walk above ([`route`] decides, from the shape and B's
+//! strides alone):
+//!
+//! * `m·n·k` at or below [`SMALL_FLOPS`] skips packing *and* the pool and
+//!   runs a direct loop on the calling thread, so tiny matmuls (≤ 32³) pay
+//!   no blocking or dispatch overhead;
+//! * a *skinny* A — at most [`SKINNY_MAX_M`] rows — against a B with
+//!   contiguous rows reuses each packed B element only `m` times, fewer than
+//!   the copy costs: a register-tiled kernel reads B in place and broadcasts
+//!   A instead (the 6-filter entry convolutions of LeNet lower to this).
+//!
+//! Every route accumulates each output element the same way — a zeroed
+//! accumulator per [`KC`] block, ascending `k` inside it, then `C += acc` —
+//! so which one ran never shows in the bits (the direct loop agrees with the
+//! other two whenever `k ≤ KC`, and its shapes never reach them). Packed
+//! shapes still run inline unless every pool task would carry at least
 //! `MIN_TASK_FLOPS` — below that the hand-off costs more than it moves.
 //!
 //! [`gemm_batch`] extends the same machinery to N independent products that
@@ -38,8 +51,9 @@
 //! shared B operand (batch stride 0) is packed once for every item.
 
 use crate::pack::{pack_a, pack_b, MatRef};
-use crate::simd::{self, MicroKernelFn};
+use crate::simd::{self, MicroKernelFn, SkinnyKernelFn, SKINNY_MR};
 use crate::{parallel, scratch};
+use std::cell::Cell;
 
 /// Micro-tile rows: C tile height held in registers.
 pub const MR: usize = 8;
@@ -56,6 +70,62 @@ pub const NC: usize = 512;
 
 /// Largest `m·n·k` routed to the direct (non-packing, non-pool) path.
 pub const SMALL_FLOPS: usize = 32 * 32 * 32;
+
+/// Most A rows routed to the no-pack kernel (B's rows must be contiguous):
+/// three passes of its [`SKINNY_MR`]-row register tile.
+///
+/// Packing B costs one copy per element and is repaid by the `m` rows that
+/// reuse it; the no-pack kernel copies nothing, runs a wider register tile
+/// (6×16 against the micro-kernel's 8×8) and re-reads each B block once per
+/// `SKINNY_MR` rows instead. Measured on the 2-vCPU reference box (AVX2
+/// tier, 2 MiB L2 per core, pool 1), packed time over no-pack time across B
+/// from `[25×6400]` to `[1024×4096]`: 2.3–2.5x at `m = 6`, 1.2–1.8x at 8,
+/// 1.4–2.0x at 12, 1.09–1.53x at 16, 1.6–2.0x at 18 (a third, nearly empty
+/// A panel), 1.08–1.47x at 24, 1.03–1.56x at 32, 0.99–1.41x at 64 and 0.86x
+/// at 128 on the largest B: the curves cross between 64 and 128 rows. The
+/// limit is held far below that because every pass re-reads a B block of up
+/// to `KC × NC` floats (512 KiB) that this box keeps in L2 and a smaller
+/// cache would not; at three passes the copy saved still outweighs them.
+pub const SKINNY_MAX_M: usize = 3 * SKINNY_MR;
+
+/// How one product is computed; see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// Direct loops, no packing, no pool.
+    Small,
+    /// B read in place by the no-pack kernel, A broadcast.
+    Skinny,
+    /// The blocked walk over packed panels.
+    Packed,
+}
+
+thread_local! {
+    /// Test hook behind [`force_route`].
+    static FORCED_ROUTE: Cell<Option<Route>> = const { Cell::new(None) };
+}
+
+/// Test hook, not an option: makes [`route`] answer `forced` on the calling
+/// thread for every shape the route can compute (`Skinny` still needs B's
+/// rows contiguous), so the property tests and `kernels-quick` can run one
+/// shape down two routes and compare bits. `None` restores the rule.
+#[doc(hidden)]
+pub fn force_route(forced: Option<Route>) {
+    FORCED_ROUTE.set(forced);
+}
+
+/// The route of an `m × n × k` product whose B has column stride `b_cs` — a
+/// pure function of the shape and that stride: no setting, tier or thread
+/// count enters, and [`gemm_batch`] asks once for the whole batch.
+pub fn route(m: usize, n: usize, k: usize, b_cs: usize) -> Route {
+    let skinny_ok = b_cs == 1;
+    match FORCED_ROUTE.get() {
+        Some(Route::Skinny) if !skinny_ok => Route::Packed,
+        Some(forced) => forced,
+        None if m * n * k <= SMALL_FLOPS => Route::Small,
+        None if m <= SKINNY_MAX_M && skinny_ok => Route::Skinny,
+        None => Route::Packed,
+    }
+}
 
 /// Minimum C rows per parallel task (one MR tile).
 const ROWS_MIN_CHUNK: usize = MR;
@@ -91,9 +161,10 @@ pub fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut 
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if m * n * k <= SMALL_FLOPS {
-        small_gemm(m, n, k, a, b, c);
-        return;
+    match route(m, n, k, b.cs) {
+        Route::Small => return small_gemm(m, n, k, a, b, c),
+        Route::Skinny => return skinny_rows(m, n, k, a, b, c, simd::skinny_kernel()),
+        Route::Packed => {}
     }
     let ukr = simd::microkernel();
     for jc in (0..n).step_by(NC) {
@@ -214,12 +285,13 @@ pub fn gemm_batch(
         c.fill(0.0);
         return;
     }
-    let small = m * n * k <= SMALL_FLOPS;
-    let ukr = simd::microkernel();
+    let route = route(m, n, k, b.cs);
+    let (ukr, skinny) = (simd::microkernel(), simd::skinny_kernel());
     // A shared B that fits one (KC, NC) block is packed once, outside the
     // parallel region; larger or per-item Bs are packed by each worker.
     let mut shared_pb_buf = Vec::new();
-    let shared_pb: Option<&[f32]> = if !small && b.stride == 0 && k <= KC && n <= NC {
+    let packs_shared_b = route == Route::Packed && b.stride == 0 && k <= KC && n <= NC;
+    let shared_pb: Option<&[f32]> = if packs_shared_b {
         shared_pb_buf = scratch::take_raw(n.div_ceil(NR) * NR * k);
         pack_b(b.item(0), 0, 0, k, n, &mut shared_pb_buf);
         Some(&shared_pb_buf)
@@ -237,12 +309,12 @@ pub fn gemm_batch(
             let nrows = item_end - row;
             let cslice = &mut rows[(row - r0) * n..(item_end - r0) * n];
             cslice.fill(0.0);
-            let av = a.item(bi).sub_rows(local0);
+            let av = a.item(bi).sub(local0, 0);
             let bv = b.item(bi);
-            if small {
-                small_gemm(nrows, n, k, av, bv, cslice);
-            } else {
-                blocked_rows(nrows, n, k, av, bv, cslice, shared_pb, ukr);
+            match route {
+                Route::Small => small_gemm(nrows, n, k, av, bv, cslice),
+                Route::Skinny => skinny_rows(nrows, n, k, av, bv, cslice, skinny),
+                Route::Packed => blocked_rows(nrows, n, k, av, bv, cslice, shared_pb, ukr),
             }
             if alpha != 1.0 {
                 for v in cslice.iter_mut() {
@@ -293,6 +365,33 @@ fn blocked_rows(
             }
             scratch::give(pa);
             scratch::give(pb_buf);
+        }
+    }
+}
+
+/// The no-pack route over `m` rows of one product, on the calling thread:
+/// [`SKINNY_MR`] rows of C at a time against B's rows as they lie. The
+/// [`KC`] blocks keep the packed walk's association; the [`NC`] blocks keep
+/// the part of B that every row group re-reads within L2. Nothing is
+/// copied, so there is no scratch to take either.
+fn skinny_rows(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: &mut [f32],
+    kernel: SkinnyKernelFn,
+) {
+    for jc in (0..n).step_by(NC) {
+        let nc = (n - jc).min(NC);
+        for pc in (0..k).step_by(KC) {
+            let kc = (k - pc).min(KC);
+            for i0 in (0..m).step_by(SKINNY_MR) {
+                let rows = (m - i0).min(SKINNY_MR);
+                let (av, bv) = (a.sub(i0, pc), b.sub(pc, jc));
+                kernel(rows, nc, kc, av, bv, &mut c[i0 * n + jc..], n);
+            }
         }
     }
 }
@@ -373,6 +472,42 @@ fn small_gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mu
                     acc += a.at(i, p) * b.at(p, j);
                 }
                 c[i * n + j] += acc;
+            }
+        }
+    }
+}
+
+/// The packed walk as it ran before the no-pack route and the block packs:
+/// every shape blocked and packed, every panel slot filled by the
+/// element-wise packers, on the calling thread. Kept as the oracle the
+/// routes are tested against and the baseline `kernels-quick` times them
+/// against.
+pub mod reference {
+    use super::{macro_kernel, KC, MC, MR, NC, NR};
+    use crate::pack::{reference as packers, MatRef};
+    use crate::simd;
+
+    /// `C += A·B`, bitwise what [`super::gemm`] gives for any shape whose
+    /// route is not `Small`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c.len() != m * n`.
+    pub fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
+        assert_eq!(c.len(), m * n, "gemm output buffer mismatch");
+        let ukr = simd::microkernel();
+        let mut pb = vec![0.0f32; n.min(NC).div_ceil(NR) * NR * k.min(KC)];
+        let mut pa = vec![0.0f32; m.min(MC).div_ceil(MR) * MR * k.min(KC)];
+        for jc in (0..n).step_by(NC) {
+            let nc = (n - jc).min(NC);
+            for pc in (0..k).step_by(KC) {
+                let kc = (k - pc).min(KC);
+                packers::pack_b(b, pc, jc, kc, nc, &mut pb);
+                for ic in (0..m).step_by(MC) {
+                    let mc = (m - ic).min(MC);
+                    packers::pack_a(a, ic, pc, mc, kc, &mut pa);
+                    macro_kernel(&pa, &pb, mc, nc, kc, &mut c[ic * n + jc..], n, ukr);
+                }
             }
         }
     }
@@ -537,6 +672,62 @@ mod tests {
         // Degenerate rows never divide by zero or go below one tile.
         assert_eq!(min_task_rows(0, 8), MIN_TASK_FLOPS);
         assert_eq!(min_task_rows(usize::MAX, 8), 8);
+    }
+
+    #[test]
+    fn route_is_a_function_of_shape_and_b_stride() {
+        // LeNet's 6-filter entry convolution and its weight gradient.
+        assert_eq!(route(6, 6400, 25, 1), Route::Skinny);
+        assert_eq!(route(6, 25, 6400, 6400), Route::Packed);
+        assert_eq!(route(SKINNY_MAX_M, 1600, 150, 1), Route::Skinny);
+        assert_eq!(route(SKINNY_MAX_M + 1, 1600, 150, 1), Route::Packed);
+        // Tiny products stay on the direct loop whatever their shape.
+        assert_eq!(route(1, 32, 32, 1), Route::Small);
+        assert_eq!(route(32, 32, 32, 32), Route::Small);
+        // The hook overrides the rule on this thread only, and cannot send a
+        // strided-row B down the no-pack route.
+        force_route(Some(Route::Packed));
+        assert_eq!(route(6, 6400, 25, 1), Route::Packed);
+        assert_eq!(route(1, 32, 32, 1), Route::Packed);
+        std::thread::spawn(|| assert_eq!(route(6, 6400, 25, 1), Route::Skinny))
+            .join()
+            .unwrap();
+        force_route(Some(Route::Skinny));
+        assert_eq!(route(64, 64, 64, 1), Route::Skinny);
+        assert_eq!(route(64, 64, 64, 64), Route::Packed);
+        force_route(None);
+        assert_eq!(route(64, 64, 64, 1), Route::Packed);
+    }
+
+    #[test]
+    fn every_route_gives_the_reference_bits() {
+        // m straddles SKINNY_MR groups, n the 16-wide and masked column tiles, k
+        // the KC block; A both row-major and transposed.
+        for &(m, n, k) in &[
+            (1usize, 1usize, 300usize),
+            (6, 41, 25),
+            (7, 16, 257),
+            (15, 530, 70),
+        ] {
+            let ad = ramp(m * k);
+            let bd = ramp(k * n);
+            let b = MatRef::row_major(&bd, n);
+            for a in [MatRef::row_major(&ad, k), MatRef::transposed(&ad, m)] {
+                let mut want = vec![0.0f32; m * n];
+                reference::gemm(m, n, k, a, b, &mut want);
+                for forced in [Route::Skinny, Route::Packed] {
+                    force_route(Some(forced));
+                    let mut got = vec![0.0f32; m * n];
+                    gemm(m, n, k, a, b, &mut got);
+                    force_route(None);
+                    assert_eq!(
+                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "{forced:?} diverged at ({m},{n},{k})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

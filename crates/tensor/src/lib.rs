@@ -37,7 +37,8 @@
 //!   panels (`buf[p*NR + j]`), both K-major and zero-padded at ragged edges.
 //!   Operands are read through stride views ([`pack::MatRef`]), so the
 //!   `Aᵀ`/`Bᵀ` product variants are packing-order choices, not separate
-//!   kernels.
+//!   kernels; a source that is contiguous along K moves as 8×8 block
+//!   transposes, one that is contiguous across the panel as bulk copies.
 //! * **Register tiling**: an `MR × NR = 8 × 8` C tile is accumulated
 //!   entirely in registers across the K block by the selected micro-kernel.
 //! * **Micro-kernel dispatch** ([`simd`]): the micro-kernel is chosen once
@@ -51,9 +52,14 @@
 //! * **Cache blocking**: `KC = 256`, `MC = 128`, `NC = 512` keep one B
 //!   micro-panel in L1, the packed A panel in L2 and the packed B panel in
 //!   L3 across the macro-kernel sweep.
-//! * **Shape routing** — *direct → blocked → batched*: products with
-//!   `m·n·k ≤ 32³` take a direct loop that skips packing and threading;
-//!   larger single products run the blocked path above; N same-shape
+//! * **Shape routing** — *direct → no-pack → blocked → batched*
+//!   ([`gemm::route`], a function of the shape and B's strides only):
+//!   products with `m·n·k ≤ 32³` take a direct loop that skips packing and
+//!   threading; an A of at most [`gemm::SKINNY_MAX_M`] rows against a B
+//!   with contiguous rows is computed by a 6×16 register-tiled kernel that
+//!   reads B in place — too few rows would reuse a packed B; larger single
+//!   products run the blocked path above; every route accumulates each
+//!   element in the same order, so they are bitwise interchangeable; N same-shape
 //!   independent products go through [`gemm::gemm_batch`] /
 //!   `kernels::matmul_batch_*`, which fans the *whole batch* out to the
 //!   pool as one parallel-for over (item, row block), packs a shared B

@@ -18,6 +18,7 @@
 //! kernel: `A`, `Aᵀ`, `B` and `Bᵀ` differ only in `(rs, cs)`.
 
 use crate::gemm::{MR, NR};
+use crate::simd;
 
 /// A borrowed matrix view: element `(i, j)` lives at `data[i*rs + j*cs]`.
 ///
@@ -59,13 +60,14 @@ impl<'a> MatRef<'a> {
         self.data[i * self.rs + j * self.cs]
     }
 
-    /// The same matrix with the first `r0` rows dropped: element `(i, j)` of
-    /// the view is element `(r0 + i, j)` of `self`. Used by the batched GEMM
-    /// to hand row sub-ranges of one batch item to different workers.
+    /// The same matrix from element `(i0, j0)` on: element `(i, j)` of the
+    /// view is element `(i0 + i, j0 + j)` of `self`. How the GEMM hands row
+    /// ranges of a batch item to different workers and K blocks to the
+    /// no-pack kernel.
     #[inline(always)]
-    pub fn sub_rows(&self, r0: usize) -> MatRef<'a> {
+    pub fn sub(&self, i0: usize, j0: usize) -> MatRef<'a> {
         MatRef {
-            data: &self.data[r0 * self.rs..],
+            data: &self.data[i0 * self.rs + j0 * self.cs..],
             rs: self.rs,
             cs: self.cs,
         }
@@ -77,30 +79,7 @@ impl<'a> MatRef<'a> {
 ///
 /// `buf` must hold at least `ceil(mc / MR) * kc * MR` elements.
 pub fn pack_a(a: MatRef, i0: usize, p0: usize, mc: usize, kc: usize, buf: &mut [f32]) {
-    let panels = mc.div_ceil(MR);
-    debug_assert!(buf.len() >= panels * kc * MR);
-    for ip in 0..panels {
-        let i_base = i0 + ip * MR;
-        let rows = (mc - ip * MR).min(MR);
-        let panel = &mut buf[ip * kc * MR..(ip + 1) * kc * MR];
-        if rows == MR {
-            for p in 0..kc {
-                let col = p0 + p;
-                let dst = &mut panel[p * MR..(p + 1) * MR];
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = a.at(i_base + i, col);
-                }
-            }
-        } else {
-            for p in 0..kc {
-                let col = p0 + p;
-                let dst = &mut panel[p * MR..(p + 1) * MR];
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = if i < rows { a.at(i_base + i, col) } else { 0.0 };
-                }
-            }
-        }
-    }
+    pack_lines(a.data, a.rs, a.cs, i0, p0, mc, kc, buf);
 }
 
 /// Packs the `kc × nc` block of `b` starting at `(p0, j0)` into NR-column
@@ -108,33 +87,98 @@ pub fn pack_a(a: MatRef, i0: usize, p0: usize, mc: usize, kc: usize, buf: &mut [
 ///
 /// `buf` must hold at least `kc * ceil(nc / NR) * NR` elements.
 pub fn pack_b(b: MatRef, p0: usize, j0: usize, kc: usize, nc: usize, buf: &mut [f32]) {
-    let panels = nc.div_ceil(NR);
-    debug_assert!(buf.len() >= panels * kc * NR);
-    for jp in 0..panels {
-        let j_base = j0 + jp * NR;
-        let cols = (nc - jp * NR).min(NR);
-        let panel = &mut buf[jp * kc * NR..(jp + 1) * kc * NR];
-        if cols == NR && b.cs == 1 {
-            // Contiguous source rows: bulk copy (the matmul/matmul_tn case).
-            for p in 0..kc {
-                let row = p0 + p;
-                let src = &b.data[row * b.rs + j_base..row * b.rs + j_base + NR];
-                panel[p * NR..(p + 1) * NR].copy_from_slice(src);
-            }
-        } else if cols == NR {
-            for p in 0..kc {
-                let row = p0 + p;
-                let dst = &mut panel[p * NR..(p + 1) * NR];
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = b.at(row, j_base + j);
-                }
+    pack_lines(b.data, b.cs, b.rs, j0, p0, nc, kc, buf);
+}
+
+/// Both packers at once. A *line* is what a panel holds 8 of side by side —
+/// a row of A, a column of B — and runs along K: element `q` of line `l` is
+/// `data[l*ls + q*ks]`. Lines `l0..l0 + count` at depths `q0..q0 + kc` become
+/// `ceil(count / 8)` K-major panels (`panel[q*8 + l]`), zero-padded past the
+/// last line.
+///
+/// Which stride is 1 decides how a panel is filled, never what it holds:
+///
+/// * `ks == 1` (row-major A, column-major B — the `matmul`, `matmul_nt`
+///   operands): lines are contiguous along K, so the panel is the transpose
+///   of an `8 × kc` strip and moves as 8×8 blocks ([`simd::transpose_kernel`]);
+///   one gather per element would walk down a stride-`ls` column instead.
+/// * `ls == 1` (`Aᵀ` views, row-major B): the 8 values of one depth are
+///   adjacent in the source — a bulk copy per panel row.
+/// * anything else, and the ragged last panel of the copy case: the
+///   element-wise definition.
+#[allow(clippy::too_many_arguments)]
+fn pack_lines(
+    data: &[f32],
+    ls: usize,
+    ks: usize,
+    l0: usize,
+    q0: usize,
+    count: usize,
+    kc: usize,
+    buf: &mut [f32],
+) {
+    const TILE: usize = MR; // == NR, asserted in `simd`
+    if kc == 0 {
+        return;
+    }
+    let panels = count.div_ceil(TILE);
+    debug_assert!(buf.len() >= panels * kc * TILE);
+    let transpose = simd::transpose_kernel();
+    for (ip, panel) in buf.chunks_exact_mut(kc * TILE).take(panels).enumerate() {
+        let lines = (count - ip * TILE).min(TILE);
+        let src = &data[(l0 + ip * TILE) * ls + q0 * ks..];
+        if ks == 1 {
+            transpose(src, ls, lines, kc, panel);
+        } else if ls == 1 && lines == TILE {
+            for (q, dst) in panel.chunks_exact_mut(TILE).enumerate() {
+                dst.copy_from_slice(&src[q * ks..q * ks + TILE]);
             }
         } else {
+            for (q, dst) in panel.chunks_exact_mut(TILE).enumerate() {
+                for (l, d) in dst.iter_mut().enumerate() {
+                    *d = if l < lines { src[l * ls + q * ks] } else { 0.0 };
+                }
+            }
+        }
+    }
+}
+
+/// The packers' element-wise definitions — one [`MatRef::at`] per panel
+/// slot, which is also how every source was packed before the strided cases
+/// got block moves. Kept as the oracle for the property tests and the
+/// baseline `kernels-quick` times the block moves against.
+pub mod reference {
+    use super::{MatRef, MR, NR};
+
+    /// [`super::pack_a`], element by element.
+    pub fn pack_a(a: MatRef, i0: usize, p0: usize, mc: usize, kc: usize, buf: &mut [f32]) {
+        for ip in 0..mc.div_ceil(MR) {
             for p in 0..kc {
-                let row = p0 + p;
-                let dst = &mut panel[p * NR..(p + 1) * NR];
+                let dst = &mut buf[(ip * kc + p) * MR..(ip * kc + p + 1) * MR];
+                for (i, d) in dst.iter_mut().enumerate() {
+                    let row = ip * MR + i;
+                    *d = if row < mc {
+                        a.at(i0 + row, p0 + p)
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+    }
+
+    /// [`super::pack_b`], element by element.
+    pub fn pack_b(b: MatRef, p0: usize, j0: usize, kc: usize, nc: usize, buf: &mut [f32]) {
+        for jp in 0..nc.div_ceil(NR) {
+            for p in 0..kc {
+                let dst = &mut buf[(jp * kc + p) * NR..(jp * kc + p + 1) * NR];
                 for (j, d) in dst.iter_mut().enumerate() {
-                    *d = if j < cols { b.at(row, j_base + j) } else { 0.0 };
+                    let col = jp * NR + j;
+                    *d = if col < nc {
+                        b.at(p0 + p, j0 + col)
+                    } else {
+                        0.0
+                    };
                 }
             }
         }
@@ -159,12 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn sub_rows_offsets_both_layouts() {
+    fn sub_offsets_both_layouts() {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let m = MatRef::row_major(&data, 3); // [2, 3]
-        assert_eq!(m.sub_rows(1).at(0, 2), m.at(1, 2));
+        assert_eq!(m.sub(1, 1).at(0, 1), m.at(1, 2));
         let t = MatRef::transposed(&data, 3); // [3, 2]
-        assert_eq!(t.sub_rows(2).at(0, 1), t.at(2, 1));
+        assert_eq!(t.sub(2, 1).at(0, 0), t.at(2, 1));
     }
 
     #[test]

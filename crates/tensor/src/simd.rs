@@ -1,7 +1,12 @@
-//! Runtime-dispatched SIMD micro-kernels for the blocked GEMM.
+//! Runtime-dispatched SIMD kernels for the GEMM.
 //!
-//! [`gemm`](crate::gemm) computes every `MR × NR` C tile through a single
-//! function-pointer obtained from `microkernel`, selected once per process:
+//! [`gemm`](crate::gemm) reaches its three inner kernels through function
+//! pointers selected per call from the active tier: the packed walk's
+//! `MR × NR` micro-kernel (`microkernel`), the no-pack kernel of the skinny
+//! route (`skinny_kernel`, up to [`SKINNY_MR`] C rows against B read in
+//! place) and the 8×8 block transpose the packers use for sources whose
+//! contiguous axis is the one a panel strides over (`transpose_kernel`).
+//! The tiers, described for the micro-kernel:
 //!
 //! * **portable** ([`portable_microkernel`]) — the scalar 8×8 tile loop.
 //!   Always available, autovectorizes under `target-cpu=native`, and serves
@@ -15,7 +20,10 @@
 //! ascending-`k` order, so every tier produces bitwise-identical results —
 //! switching tiers (or running on a machine without AVX2) never changes
 //! training numerics, which is what keeps the cloud-vs-local and TEE
-//! equivalence checks sound.
+//! equivalence checks sound. The skinny kernels keep the micro-kernel's
+//! association too (a zeroed accumulator per K block, `acc += a·b` for
+//! ascending `p`, then `C += acc`), so the route a shape takes never shows
+//! in the result either; the transposes only move values.
 //!
 //! # Forcing a tier
 //!
@@ -30,12 +38,37 @@
 //! CPU lacks the feature, so the override is always safe to set.
 
 use crate::gemm::{MR, NR};
+use crate::pack::MatRef;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
+
+// The transpose kernels and the panels they fill are written for 8-wide tiles.
+const _: () = assert!(MR == 8 && NR == 8);
 
 /// Signature shared by every micro-kernel: rank-`kc` update of one
 /// `MR × NR` C tile held in `acc`, from K-major packed panels.
 pub type MicroKernelFn = fn(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]);
+
+/// C rows the no-pack kernel holds in registers at once: with two 8-lane
+/// accumulators per row, 6 rows fill 12 of AVX2's 16 vector registers and
+/// leave room for the two B vectors and the broadcast A value.
+pub const SKINNY_MR: usize = 6;
+/// C columns per register tile of the no-pack kernel (two 8-lane vectors).
+const SKINNY_NR: usize = 16;
+
+/// Signature of the no-pack kernels: for `rows ≤ SKINNY_MR` rows and `n`
+/// columns, `acc = Σ_{p < kc} a(r, p) · b(p, j)` from a zeroed accumulator in
+/// ascending `p`, then `c[r·ldc + j] += acc`. `b` must have contiguous rows
+/// (`cs == 1`); all three views start at the block's first element.
+pub type SkinnyKernelFn =
+    fn(rows: usize, n: usize, kc: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], ldc: usize);
+
+/// Signature of the panel transposes: `panel[q·8 + r] = src[r·stride + q]`
+/// for `r < lines ≤ 8` and `q < len`; lanes `lines..8` of every `q` are
+/// zeroed. This is `pack_a` for a row-major source and `pack_b` for a
+/// column-major one: 8 source lines, contiguous along K, become one K-major
+/// micro-panel.
+pub type TransposeFn = fn(src: &[f32], stride: usize, lines: usize, len: usize, panel: &mut [f32]);
 
 /// Micro-kernel implementation tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,6 +172,87 @@ fn simd_microkernel() -> MicroKernelFn {
     portable_microkernel
 }
 
+/// The no-pack kernel for [`active_tier`].
+#[allow(unreachable_code)]
+pub(crate) fn skinny_kernel() -> SkinnyKernelFn {
+    if active_tier() == Tier::Simd {
+        #[cfg(target_arch = "x86_64")]
+        {
+            return avx2_skinny_kernel;
+        }
+        #[cfg(target_arch = "aarch64")]
+        {
+            return neon_skinny_kernel;
+        }
+    }
+    portable_skinny_kernel
+}
+
+/// The panel transpose for [`active_tier`].
+#[allow(unreachable_code)]
+pub(crate) fn transpose_kernel() -> TransposeFn {
+    if active_tier() == Tier::Simd {
+        #[cfg(target_arch = "x86_64")]
+        {
+            return avx2_transpose;
+        }
+        #[cfg(target_arch = "aarch64")]
+        {
+            return neon_transpose;
+        }
+    }
+    portable_transpose
+}
+
+/// Calls `$kernel::<ROWS>($args)` with the const row count matching `$rows`.
+macro_rules! with_const_rows {
+    ($rows:expr, $($kernel:ident)::+, ($($arg:expr),*)) => {
+        match $rows {
+            1 => $($kernel)::+::<1>($($arg),*),
+            2 => $($kernel)::+::<2>($($arg),*),
+            3 => $($kernel)::+::<3>($($arg),*),
+            4 => $($kernel)::+::<4>($($arg),*),
+            5 => $($kernel)::+::<5>($($arg),*),
+            6 => $($kernel)::+::<6>($($arg),*),
+            rows => panic!("no-pack kernel takes 1..={SKINNY_MR} rows, got {rows}"),
+        }
+    };
+}
+
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+/// What the `unsafe` no-pack kernels rely on: every `a(r, p)`, every B row
+/// segment `b(p, 0..n)` and every C row lies inside its slice.
+fn assert_skinny_bounds(
+    rows: usize,
+    n: usize,
+    kc: usize,
+    a: MatRef,
+    b: MatRef,
+    c: &[f32],
+    ldc: usize,
+) {
+    assert!(rows >= 1 && n >= 1 && kc >= 1, "empty no-pack product");
+    assert_eq!(b.cs, 1, "no-pack kernel needs contiguous B rows");
+    assert!(
+        (rows - 1) * a.rs + (kc - 1) * a.cs < a.data.len(),
+        "A view too short"
+    );
+    assert!((kc - 1) * b.rs + n <= b.data.len(), "B view too short");
+    assert!((rows - 1) * ldc + n <= c.len(), "C rows too short");
+}
+
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+/// What the `unsafe` transposes rely on: all `lines` source lines hold `len`
+/// elements and the panel holds `len` rows of 8.
+fn assert_transpose_bounds(src: &[f32], stride: usize, lines: usize, len: usize, panel: &[f32]) {
+    assert!((1..=8).contains(&lines), "a panel has 1..=8 lines");
+    assert!(
+        len >= 1 && (lines - 1) * stride + len <= src.len(),
+        "source too short"
+    );
+    assert!(len * 8 <= panel.len(), "panel too short");
+}
+
 /// Scalar rank-`kc` update of one `MR × NR` tile, fully held in `acc`.
 ///
 /// Both panels are K-major and zero-padded to the tile size, so there are no
@@ -156,6 +270,150 @@ pub fn portable_microkernel(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; M
             }
         }
     }
+}
+
+/// Portable no-pack kernel: the same tile walk and association as the SIMD
+/// ones, with the `R × 16` accumulator tile in a fixed-size array the
+/// compiler keeps in registers.
+pub fn portable_skinny_kernel(
+    rows: usize,
+    n: usize,
+    kc: usize,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    assert_eq!(b.cs, 1, "no-pack kernel needs contiguous B rows");
+    with_const_rows!(rows, portable_skinny, (n, kc, a, b, c, ldc));
+}
+
+fn portable_skinny<const R: usize>(
+    n: usize,
+    kc: usize,
+    a: MatRef,
+    b: MatRef,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    for j in (0..n).step_by(SKINNY_NR) {
+        let width = (n - j).min(SKINNY_NR);
+        let acc = portable_skinny_tile::<R>(kc, a, &b.data[j..], b.rs, width);
+        for (r, row) in acc.iter().enumerate() {
+            for (cv, &x) in c[r * ldc + j..r * ldc + j + width].iter_mut().zip(row) {
+                *cv += x;
+            }
+        }
+    }
+}
+
+/// One `R × 16` tile of the portable no-pack kernel over a K block. A ragged
+/// tile (`width < 16`) reads its B rows through a zero-padded copy; its
+/// extra lanes are computed and dropped.
+#[inline(never)]
+fn portable_skinny_tile<const R: usize>(
+    kc: usize,
+    a: MatRef,
+    b: &[f32],
+    ldb: usize,
+    width: usize,
+) -> [[f32; SKINNY_NR]; R] {
+    #[inline(always)]
+    fn step<const R: usize>(
+        acc: &mut [[f32; SKINNY_NR]; R],
+        a: MatRef,
+        p: usize,
+        brow: &[f32; SKINNY_NR],
+    ) {
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = a.at(r, p);
+            for l in 0..SKINNY_NR {
+                row[l] += av * brow[l];
+            }
+        }
+    }
+    let mut acc = [[0.0f32; SKINNY_NR]; R];
+    if width == SKINNY_NR {
+        for p in 0..kc {
+            step(
+                &mut acc,
+                a,
+                p,
+                b[p * ldb..].first_chunk().expect("full B tile"),
+            );
+        }
+    } else {
+        for p in 0..kc {
+            let mut brow = [0.0f32; SKINNY_NR];
+            brow[..width].copy_from_slice(&b[p * ldb..p * ldb + width]);
+            step(&mut acc, a, p, &brow);
+        }
+    }
+    acc
+}
+
+/// Portable panel transpose: an 8×8 block is read as (up to) 8 contiguous
+/// runs into a local tile and written back as 64 contiguous floats, so both
+/// sides of the move stay within a few cache lines; the last `len % 8`
+/// depths are moved one element at a time.
+pub fn portable_transpose(src: &[f32], stride: usize, lines: usize, len: usize, panel: &mut [f32]) {
+    assert!(lines <= 8, "a panel has at most 8 lines");
+    let (blocks, tail) = panel[..len * 8].split_at_mut(len / 8 * 64);
+    for (blk, block) in blocks.chunks_exact_mut(64).enumerate() {
+        let mut tile = [[0.0f32; 8]; 8];
+        for (r, row) in tile.iter_mut().enumerate().take(lines) {
+            *row = *src[r * stride + blk * 8..]
+                .first_chunk()
+                .expect("full block");
+        }
+        for (q, out) in block.chunks_exact_mut(8).enumerate() {
+            for (r, o) in out.iter_mut().enumerate() {
+                *o = tile[r][q];
+            }
+        }
+    }
+    for (q, out) in tail.chunks_exact_mut(8).enumerate() {
+        for (r, o) in out.iter_mut().enumerate() {
+            *o = if r < lines {
+                src[r * stride + len / 8 * 8 + q]
+            } else {
+                0.0
+            };
+        }
+    }
+}
+
+/// AVX2 no-pack kernel wrapper (plain `fn` so it fits the dispatch table).
+#[cfg(target_arch = "x86_64")]
+fn avx2_skinny_kernel(
+    rows: usize,
+    n: usize,
+    kc: usize,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    assert_skinny_bounds(rows, n, kc, a, b, c, ldc);
+    let (ap, bp, cp) = (a.data.as_ptr(), b.data.as_ptr(), c.as_mut_ptr());
+    // SAFETY: bounds asserted above; AVX2 presence was verified by
+    // `simd_available` before this kernel was selected.
+    unsafe {
+        with_const_rows!(
+            rows,
+            avx2::skinny,
+            (n, kc, ap, a.rs, a.cs, bp, b.rs, cp, ldc)
+        )
+    }
+}
+
+/// AVX2 panel transpose wrapper (plain `fn` so it fits the dispatch table).
+#[cfg(target_arch = "x86_64")]
+fn avx2_transpose(src: &[f32], stride: usize, lines: usize, len: usize, panel: &mut [f32]) {
+    assert_transpose_bounds(src, stride, lines, len, panel);
+    // SAFETY: bounds asserted above; AVX2 presence was verified by
+    // `simd_available` before this kernel was selected.
+    unsafe { avx2::transpose(src.as_ptr(), stride, lines, len, panel.as_mut_ptr()) }
 }
 
 /// AVX2 micro-kernel wrapper (plain `fn` so it fits the dispatch table).
@@ -220,6 +478,143 @@ mod avx2 {
         _mm256_storeu_ps(out.add(6 * NR), c6);
         _mm256_storeu_ps(out.add(7 * NR), c7);
     }
+
+    /// `R` rows of C against B read in place: per 16-column tile, two
+    /// accumulators per row; per `p`, two B loads shared by all rows and one
+    /// broadcast of `a(r, p)` per row. Unfused mul then add per lane, like
+    /// the micro-kernel. One-vector tiles under a lane mask finish the row.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and that `a + r·ars + p·acs`,
+    /// `b + p·ldb + j` and `c + r·ldc + j` are valid for all `r < R`, `p < kc`,
+    /// `j < n` (C for writes too).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn skinny<const R: usize>(
+        n: usize,
+        kc: usize,
+        a: *const f32,
+        ars: usize,
+        acs: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
+    ) {
+        let mut j = 0;
+        while j + 16 <= n {
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            for p in 0..kc {
+                let b0 = _mm256_loadu_ps(b.add(p * ldb + j));
+                let b1 = _mm256_loadu_ps(b.add(p * ldb + j + 8));
+                for (r, [lo, hi]) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*a.add(r * ars + p * acs));
+                    *lo = _mm256_add_ps(*lo, _mm256_mul_ps(av, b0));
+                    *hi = _mm256_add_ps(*hi, _mm256_mul_ps(av, b1));
+                }
+            }
+            for (r, [lo, hi]) in acc.iter().enumerate() {
+                let cr = c.add(r * ldc + j);
+                _mm256_storeu_ps(cr, _mm256_add_ps(_mm256_loadu_ps(cr), *lo));
+                _mm256_storeu_ps(cr.add(8), _mm256_add_ps(_mm256_loadu_ps(cr.add(8)), *hi));
+            }
+            j += 16;
+        }
+        // The last 1..=15 columns: the same tile, one vector wide, under a
+        // lane mask (masked-off lanes are neither read nor written).
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        while j < n {
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j).min(8) as i32), lanes);
+            let mut acc = [_mm256_setzero_ps(); R];
+            for p in 0..kc {
+                let b0 = _mm256_maskload_ps(b.add(p * ldb + j), mask);
+                for (r, x) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*a.add(r * ars + p * acs));
+                    *x = _mm256_add_ps(*x, _mm256_mul_ps(av, b0));
+                }
+            }
+            for (r, x) in acc.iter().enumerate() {
+                let cr = c.add(r * ldc + j);
+                let sum = _mm256_add_ps(_mm256_maskload_ps(cr, mask), *x);
+                _mm256_maskstore_ps(cr, mask, sum);
+            }
+            j += 8;
+        }
+    }
+
+    /// Transposes one 8×8 block held as 8 row registers and stores it as 64
+    /// contiguous floats (`dst[q·8 + r] = rows[r][q]`).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and `dst` is valid for 64 writes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_transposed(rows: [__m256; 8], dst: *mut f32) {
+        // Interleave row pairs: t0 = r0[0] r1[0] r0[1] r1[1] | r0[4] r1[4] r0[5] r1[5].
+        let t0 = _mm256_unpacklo_ps(rows[0], rows[1]);
+        let t1 = _mm256_unpackhi_ps(rows[0], rows[1]);
+        let t2 = _mm256_unpacklo_ps(rows[2], rows[3]);
+        let t3 = _mm256_unpackhi_ps(rows[2], rows[3]);
+        let t4 = _mm256_unpacklo_ps(rows[4], rows[5]);
+        let t5 = _mm256_unpackhi_ps(rows[4], rows[5]);
+        let t6 = _mm256_unpacklo_ps(rows[6], rows[7]);
+        let t7 = _mm256_unpackhi_ps(rows[6], rows[7]);
+        // Join pairs of pairs: u0 = column 0 of rows 0-3 | column 4 of rows 0-3.
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        // Swap 128-bit halves so each register is one full column.
+        _mm256_storeu_ps(dst, _mm256_permute2f128_ps::<0x20>(u0, u4));
+        _mm256_storeu_ps(dst.add(8), _mm256_permute2f128_ps::<0x20>(u1, u5));
+        _mm256_storeu_ps(dst.add(16), _mm256_permute2f128_ps::<0x20>(u2, u6));
+        _mm256_storeu_ps(dst.add(24), _mm256_permute2f128_ps::<0x20>(u3, u7));
+        _mm256_storeu_ps(dst.add(32), _mm256_permute2f128_ps::<0x31>(u0, u4));
+        _mm256_storeu_ps(dst.add(40), _mm256_permute2f128_ps::<0x31>(u1, u5));
+        _mm256_storeu_ps(dst.add(48), _mm256_permute2f128_ps::<0x31>(u2, u6));
+        _mm256_storeu_ps(dst.add(56), _mm256_permute2f128_ps::<0x31>(u3, u7));
+    }
+
+    /// Panel transpose, 8×8 blocks in registers; missing lines are zero
+    /// registers, the last `len % 8` columns are moved one by one.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available, `1 ≤ lines ≤ 8`, `src + r·stride
+    /// + q` is readable for `r < lines`, `q < len`, and `panel` is valid for
+    /// `len · 8` writes.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn transpose(
+        src: *const f32,
+        stride: usize,
+        lines: usize,
+        len: usize,
+        panel: *mut f32,
+    ) {
+        let full = len / 8 * 8;
+        for q in (0..full).step_by(8) {
+            let mut rows = [_mm256_setzero_ps(); 8];
+            for (r, row) in rows.iter_mut().enumerate().take(lines) {
+                *row = _mm256_loadu_ps(src.add(r * stride + q));
+            }
+            store_transposed(rows, panel.add(q * 8));
+        }
+        for q in full..len {
+            for r in 0..8 {
+                *panel.add(q * 8 + r) = if r < lines {
+                    *src.add(r * stride + q)
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
 }
 
 /// NEON micro-kernel wrapper (plain `fn` so it fits the dispatch table).
@@ -229,6 +624,37 @@ fn neon_microkernel(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR])
     assert!(pb.len() >= kc * NR, "packed B panel too short");
     // SAFETY: bounds asserted above; NEON is baseline on aarch64.
     unsafe { neon::microkernel(kc, pa.as_ptr(), pb.as_ptr(), acc) }
+}
+
+/// NEON no-pack kernel wrapper (plain `fn` so it fits the dispatch table).
+#[cfg(target_arch = "aarch64")]
+fn neon_skinny_kernel(
+    rows: usize,
+    n: usize,
+    kc: usize,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    assert_skinny_bounds(rows, n, kc, a, b, c, ldc);
+    let (ap, bp, cp) = (a.data.as_ptr(), b.data.as_ptr(), c.as_mut_ptr());
+    // SAFETY: bounds asserted above; NEON is baseline on aarch64.
+    unsafe {
+        with_const_rows!(
+            rows,
+            neon::skinny,
+            (n, kc, ap, a.rs, a.cs, bp, b.rs, cp, ldc)
+        )
+    }
+}
+
+/// NEON panel transpose wrapper (plain `fn` so it fits the dispatch table).
+#[cfg(target_arch = "aarch64")]
+fn neon_transpose(src: &[f32], stride: usize, lines: usize, len: usize, panel: &mut [f32]) {
+    assert_transpose_bounds(src, stride, lines, len, panel);
+    // SAFETY: bounds asserted above; NEON is baseline on aarch64.
+    unsafe { neon::transpose(src.as_ptr(), stride, lines, len, panel.as_mut_ptr()) }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -268,6 +694,150 @@ mod neon {
         for (i, row) in c.iter().enumerate() {
             vst1q_f32(out.add(i * NR), row[0]);
             vst1q_f32(out.add(i * NR + 4), row[1]);
+        }
+    }
+
+    /// `R` rows of C against B read in place, 16 columns (four 4-lane
+    /// accumulators per row) at a time, then 4, then the last 1..=3 in
+    /// scalars; `vmulq`/`vaddq` stay separate and the association is the
+    /// same at every width.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure `a + r·ars + p·acs`, `b + p·ldb + j` and
+    /// `c + r·ldc + j` are valid for all `r < R`, `p < kc`, `j < n` (C for
+    /// writes too).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn skinny<const R: usize>(
+        n: usize,
+        kc: usize,
+        a: *const f32,
+        ars: usize,
+        acs: usize,
+        b: *const f32,
+        ldb: usize,
+        c: *mut f32,
+        ldc: usize,
+    ) {
+        let mut j = 0;
+        while j + 16 <= n {
+            let mut acc = [[vdupq_n_f32(0.0); 4]; R];
+            for p in 0..kc {
+                let bp = b.add(p * ldb + j);
+                let bv = [
+                    vld1q_f32(bp),
+                    vld1q_f32(bp.add(4)),
+                    vld1q_f32(bp.add(8)),
+                    vld1q_f32(bp.add(12)),
+                ];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = vdupq_n_f32(*a.add(r * ars + p * acs));
+                    for (x, &bq) in row.iter_mut().zip(&bv) {
+                        *x = vaddq_f32(*x, vmulq_f32(av, bq));
+                    }
+                }
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (q, &x) in row.iter().enumerate() {
+                    let cr = c.add(r * ldc + j + q * 4);
+                    vst1q_f32(cr, vaddq_f32(vld1q_f32(cr), x));
+                }
+            }
+            j += 16;
+        }
+        while j + 4 <= n {
+            let mut acc = [vdupq_n_f32(0.0); R];
+            for p in 0..kc {
+                let bq = vld1q_f32(b.add(p * ldb + j));
+                for (r, x) in acc.iter_mut().enumerate() {
+                    let av = vdupq_n_f32(*a.add(r * ars + p * acs));
+                    *x = vaddq_f32(*x, vmulq_f32(av, bq));
+                }
+            }
+            for (r, &x) in acc.iter().enumerate() {
+                let cr = c.add(r * ldc + j);
+                vst1q_f32(cr, vaddq_f32(vld1q_f32(cr), x));
+            }
+            j += 4;
+        }
+        while j < n {
+            for r in 0..R {
+                let mut acc = 0.0f32;
+                for p in 0..kc {
+                    acc += *a.add(r * ars + p * acs) * *b.add(p * ldb + j);
+                }
+                *c.add(r * ldc + j) += acc;
+            }
+            j += 1;
+        }
+    }
+
+    /// Transposes the 4×4 block whose rows are `rows` and stores column `q`
+    /// at `dst + q·8` (half of a panel row).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure `dst + q·8` is valid for 4 writes, `q < 4`.
+    #[inline]
+    #[target_feature(enable = "neon")]
+    unsafe fn store_transposed4(rows: [float32x4_t; 4], dst: *mut f32) {
+        // t0 = r0[0] r1[0] r0[2] r1[2], t1 = r0[1] r1[1] r0[3] r1[3].
+        let t0 = vtrn1q_f32(rows[0], rows[1]);
+        let t1 = vtrn2q_f32(rows[0], rows[1]);
+        let t2 = vtrn1q_f32(rows[2], rows[3]);
+        let t3 = vtrn2q_f32(rows[2], rows[3]);
+        vst1q_f32(dst, vcombine_f32(vget_low_f32(t0), vget_low_f32(t2)));
+        vst1q_f32(dst.add(8), vcombine_f32(vget_low_f32(t1), vget_low_f32(t3)));
+        vst1q_f32(
+            dst.add(16),
+            vcombine_f32(vget_high_f32(t0), vget_high_f32(t2)),
+        );
+        vst1q_f32(
+            dst.add(24),
+            vcombine_f32(vget_high_f32(t1), vget_high_f32(t3)),
+        );
+    }
+
+    /// Panel transpose as four 4×4 register transposes per 8×8 block;
+    /// missing lines are zero registers, the last `len % 8` columns are
+    /// moved one by one.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure `1 ≤ lines ≤ 8`, `src + r·stride + q` is readable
+    /// for `r < lines`, `q < len`, and `panel` is valid for `len · 8` writes.
+    #[target_feature(enable = "neon")]
+    pub(super) unsafe fn transpose(
+        src: *const f32,
+        stride: usize,
+        lines: usize,
+        len: usize,
+        panel: *mut f32,
+    ) {
+        let full = len / 8 * 8;
+        for q in (0..full).step_by(8) {
+            // Source columns q..q+4 (`lo`) and q+4..q+8 (`hi`) of every line.
+            let mut lo = [vdupq_n_f32(0.0); 8];
+            let mut hi = [vdupq_n_f32(0.0); 8];
+            for r in 0..lines {
+                lo[r] = vld1q_f32(src.add(r * stride + q));
+                hi[r] = vld1q_f32(src.add(r * stride + q + 4));
+            }
+            let dst = panel.add(q * 8);
+            store_transposed4([lo[0], lo[1], lo[2], lo[3]], dst);
+            store_transposed4([lo[4], lo[5], lo[6], lo[7]], dst.add(4));
+            store_transposed4([hi[0], hi[1], hi[2], hi[3]], dst.add(32));
+            store_transposed4([hi[4], hi[5], hi[6], hi[7]], dst.add(36));
+        }
+        for q in full..len {
+            for r in 0..8 {
+                *panel.add(q * 8 + r) = if r < lines {
+                    *src.add(r * stride + q)
+                } else {
+                    0.0
+                };
+            }
         }
     }
 }

@@ -5,15 +5,20 @@
 //! and values one off the MR/NR/MC/KC tile boundaries, so edge-tile packing
 //! and write-back are exercised for every transpose variant.
 
+use amalgam_tensor::gemm::{self, force_route, gemm_batch, BatchMat, Route};
 use amalgam_tensor::kernels::{
     matmul, matmul_batch_into, matmul_batch_nt_scaled_into, matmul_batch_tn_into, matmul_nt,
     matmul_tn,
 };
+use amalgam_tensor::pack::{self, MatRef};
+use amalgam_tensor::simd::{self, Tier};
 use amalgam_tensor::{parallel, Rng, Tensor};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// Serialises tests that flip the global `set_threads` knob.
+/// Serialises tests that flip the global `set_threads` and `force_tier`
+/// knobs. (Tests that flip neither may run beside them: every tier and
+/// thread count gives the same bits, which is what this file checks.)
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Adversarial M/N sizes: 1, primes, tile-boundary ± 1 around MR/NR = 8
@@ -296,4 +301,211 @@ fn no_per_call_thread_spawns() {
         after_warmup >= 3,
         "a 4-way dispatch should have populated the pool (got {after_warmup})"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Routes and packers: same bits whichever way a product is computed
+// ---------------------------------------------------------------------------
+
+/// Column counts around the no-pack kernel's 16-, 8- and masked-lane tiles
+/// and one past the NC = 512 block.
+const RAGGED_N: &[usize] = &[1, 7, 8, 9, 15, 16, 17, 24, 31, 33, 100, 530];
+
+/// Depths on both sides of KC = 256, including two- and three-block sums.
+const STRADDLE_K: &[usize] = &[1, 2, 25, 255, 256, 257, 300, 513];
+
+fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
+    let mut rng = Rng::seed_from(seed);
+    (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect()
+}
+
+/// Runs `f` with the route hook set on this thread, then restores the rule.
+fn on_route<T>(route: Route, f: impl FnOnce() -> T) -> T {
+    force_route(Some(route));
+    let out = f();
+    force_route(None);
+    out
+}
+
+/// The micro-kernel tiers this CPU can run.
+fn tiers() -> Vec<Tier> {
+    let mut tiers = vec![Tier::Portable];
+    if simd::simd_available() {
+        tiers.push(Tier::Simd);
+    }
+    tiers
+}
+
+/// A as a `[m, k]` view over `data`, stored row-major or as its transpose.
+fn a_view(data: &[f32], m: usize, k: usize, transposed: bool) -> MatRef<'_> {
+    if transposed {
+        MatRef::transposed(data, m)
+    } else {
+        MatRef::row_major(data, k)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The no-pack route, the packed walk and the element-wise reference
+    /// walk agree bit for bit — on every row count around the route's limit,
+    /// ragged widths, depths straddling KC, A stored either way, B's rows
+    /// dense or padded, on top of whatever C held, on every tier.
+    #[test]
+    fn no_pack_route_is_bitwise_the_packed_walk(
+        m in 1usize..21,
+        ni in 0usize..RAGGED_N.len(),
+        ki in 0usize..STRADDLE_K.len(),
+        a_transposed in 0usize..2,
+        b_padding in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        let _guard = THREADS_LOCK.lock().unwrap();
+        let (n, k) = (RAGGED_N[ni], STRADDLE_K[ki]);
+        let ldb = n + b_padding * 5;
+        let ad = rand_vec(m * k, seed);
+        let bd = rand_vec(k * ldb, seed ^ 0x9e37);
+        let c0 = rand_vec(m * n, seed ^ 0x51ed);
+        let a = a_view(&ad, m, k, a_transposed == 1);
+        let b = MatRef { data: &bd, rs: ldb, cs: 1 };
+        let mut want = c0.clone();
+        gemm::reference::gemm(m, n, k, a, b, &mut want);
+        for tier in tiers() {
+            simd::force_tier(Some(tier));
+            for route in [Route::Skinny, Route::Packed] {
+                let mut got = c0.clone();
+                on_route(route, || gemm::gemm(m, n, k, a, b, &mut got));
+                prop_assert_eq!(
+                    bits(&got), bits(&want),
+                    "{:?} on {:?} at ({},{},{}), ldb {}", route, tier, m, n, k, ldb
+                );
+            }
+            simd::force_tier(None);
+        }
+    }
+
+    /// The same through `gemm_batch`: per-item and shared B, a NaN-poisoned
+    /// output, and every pool size (small batches stay inline; the fixed
+    /// case below is the one the pool really splits).
+    #[test]
+    fn batched_no_pack_route_is_bitwise_the_packed_walk(
+        batch in 1usize..5,
+        m in 1usize..21,
+        ni in 0usize..RAGGED_N.len(),
+        ki in 0usize..STRADDLE_K.len(),
+        shared_b in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        let _guard = THREADS_LOCK.lock().unwrap();
+        let (n, k) = (RAGGED_N[ni], STRADDLE_K[ki]);
+        let ad = rand_vec(batch * m * k, seed);
+        let bd = rand_vec(batch * k * n, seed ^ 0x2545);
+        let check = batched_routes_agree(batch, m, n, k, &ad, &bd, shared_b == 1);
+        parallel::set_threads(0);
+        simd::force_tier(None);
+        prop_assert!(check.is_ok(), "{}", check.unwrap_err());
+    }
+
+    /// The block-moving packers fill exactly the panels the element-wise
+    /// definitions do: ragged last panels, K blocks that are not multiples
+    /// of 8, offsets into the source, every stride combination (row-major,
+    /// transposed, neither stride 1), a NaN-poisoned target, every tier.
+    #[test]
+    fn packers_match_their_elementwise_definition(
+        lines in 1usize..21,
+        kc in 1usize..41,
+        l0 in 0usize..4,
+        q0 in 0usize..4,
+        layout in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let _guard = THREADS_LOCK.lock().unwrap();
+        let (rows, depth) = (l0 + lines, q0 + kc);
+        // The same storage read as A's `[rows, depth]` and B's `[depth, rows]`.
+        let data = rand_vec(rows * depth * 6, seed);
+        let (a, b) = match layout {
+            0 => (MatRef::row_major(&data, depth), MatRef::transposed(&data, depth)),
+            1 => (MatRef::transposed(&data, rows), MatRef::row_major(&data, rows)),
+            _ => (
+                MatRef { data: &data, rs: 2 * depth, cs: 2 },
+                MatRef { data: &data, rs: 3, cs: 3 * depth },
+            ),
+        };
+        let len = lines.div_ceil(8) * 8 * kc;
+        for tier in tiers() {
+            simd::force_tier(Some(tier));
+            let (mut got, mut want) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+            pack::pack_a(a, l0, q0, lines, kc, &mut got);
+            pack::reference::pack_a(a, l0, q0, lines, kc, &mut want);
+            let a_ok = bits(&got) == bits(&want);
+            got.fill(f32::NAN);
+            want.fill(f32::NAN);
+            pack::pack_b(b, q0, l0, kc, lines, &mut got);
+            pack::reference::pack_b(b, q0, l0, kc, lines, &mut want);
+            let b_ok = bits(&got) == bits(&want);
+            simd::force_tier(None);
+            prop_assert!(a_ok, "pack_a on {:?}: {} lines, kc {}, layout {}", tier, lines, kc, layout);
+            prop_assert!(b_ok, "pack_b on {:?}: {} lines, kc {}, layout {}", tier, lines, kc, layout);
+        }
+    }
+}
+
+/// `gemm_batch` down both routes at pool sizes 1/2/4 on every tier, from a
+/// NaN-poisoned output; all must equal the reference walk item by item.
+/// Leaves the thread and tier knobs wherever the last iteration put them.
+fn batched_routes_agree(
+    batch: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    ad: &[f32],
+    bd: &[f32],
+    shared_b: bool,
+) -> Result<(), String> {
+    let b = if shared_b {
+        BatchMat::shared(MatRef::row_major(bd, n))
+    } else {
+        BatchMat::row_major(bd, k, n)
+    };
+    let a = BatchMat::row_major(ad, m, k);
+    let mut want = vec![0.0f32; batch * m * n];
+    for (bi, item) in want.chunks_mut(m * n).enumerate() {
+        gemm::reference::gemm(m, n, k, a.item(bi), b.item(bi), item);
+        item.iter_mut().for_each(|v| *v *= 0.5);
+    }
+    for threads in [1usize, 2, 4] {
+        parallel::set_threads(threads);
+        for tier in tiers() {
+            simd::force_tier(Some(tier));
+            for route in [Route::Skinny, Route::Packed] {
+                let mut got = vec![f32::NAN; batch * m * n];
+                on_route(route, || gemm_batch(batch, m, n, k, a, b, 0.5, &mut got));
+                if bits(&got) != bits(&want) {
+                    return Err(format!(
+                        "{route:?} on {tier:?}, {threads} threads, shared B {shared_b}, \
+                         at ({batch},{m},{n},{k})"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A batch big enough that the pool really splits it (three tasks clear the
+/// work gate), with task boundaries inside items: rows of one item computed
+/// by different workers must still come out the same on both routes.
+#[test]
+fn batched_routes_agree_when_the_pool_splits_items() {
+    let _guard = THREADS_LOCK.lock().unwrap();
+    let (batch, m, n, k) = (24usize, 7usize, 330usize, 260usize);
+    let ad = rand_vec(batch * m * k, 21);
+    for shared_b in [false, true] {
+        let bd = rand_vec(batch * k * n, 22);
+        let check = batched_routes_agree(batch, m, n, k, &ad, &bd, shared_b);
+        parallel::set_threads(0);
+        simd::force_tier(None);
+        check.unwrap();
+    }
 }

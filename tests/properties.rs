@@ -177,3 +177,129 @@ fn demand_pruning_is_invisible_to_parameters() {
         }
     }
 }
+
+fn f32_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every GEMM route gives the same bits — a fixed-seed slice of
+/// `crates/tensor/tests/gemm_properties.rs`, so tier-1 guards it: LeNet's
+/// entry-convolution product, a ragged shape that crosses KC and a batch with
+/// a shared B, down the no-pack route and the packed walk, at pool sizes
+/// 1/2/4 on every kernel tier, all equal to the element-wise reference walk.
+#[test]
+fn gemm_routes_agree_bit_for_bit() {
+    use amalgam::tensor::gemm::{self, force_route, gemm_batch, BatchMat, Route};
+    use amalgam::tensor::pack::MatRef;
+    use amalgam::tensor::parallel;
+    use amalgam::tensor::simd::{self, Tier};
+
+    let mut rng = Rng::seed_from(43);
+    let mut rand = |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect() };
+    let mut tiers = vec![Tier::Portable];
+    if simd::simd_available() {
+        tiers.push(Tier::Simd);
+    }
+    for (batch, m, n, k) in [
+        (1usize, 6usize, 1600usize, 25usize),
+        (1, 17, 41, 300),
+        (5, 7, 90, 260),
+    ] {
+        let (ad, bd) = (rand(batch * m * k), rand(k * n));
+        let a = BatchMat::row_major(&ad, m, k);
+        let b = BatchMat::shared(MatRef::row_major(&bd, n));
+        let mut want = vec![0.0f32; batch * m * n];
+        for (bi, item) in want.chunks_mut(m * n).enumerate() {
+            gemm::reference::gemm(m, n, k, a.item(bi), b.item(bi), item);
+        }
+        for threads in [1usize, 2, 4] {
+            parallel::set_threads(threads);
+            for &tier in &tiers {
+                simd::force_tier(Some(tier));
+                for route in [Route::Skinny, Route::Packed] {
+                    force_route(Some(route));
+                    let mut batched = vec![f32::NAN; batch * m * n];
+                    gemm_batch(batch, m, n, k, a, b, 1.0, &mut batched);
+                    let mut single = vec![0.0f32; m * n];
+                    gemm::gemm(m, n, k, a.item(0), b.item(0), &mut single);
+                    force_route(None);
+                    let case =
+                        format!("{route:?} on {tier:?}, {threads} threads, ({batch},{m},{n},{k})");
+                    assert_eq!(f32_bits(&batched), f32_bits(&want), "gemm_batch, {case}");
+                    assert_eq!(f32_bits(&single), f32_bits(&want[..m * n]), "gemm, {case}");
+                }
+            }
+        }
+    }
+    simd::force_tier(None);
+    parallel::set_threads(0);
+}
+
+/// Interleaved per-channel reductions keep every channel's own order — a
+/// fixed-seed slice of `crates/nn/tests/layer_properties.rs`: a training-mode
+/// `BatchNorm2d` step (11 channels: one full lane group and a ragged one) and
+/// a convolution's bias gradient against sums taken one channel at a time.
+#[test]
+fn per_channel_reductions_match_one_channel_at_a_time() {
+    use amalgam::nn::layers::{BatchNorm2d, Conv2d};
+    use amalgam::nn::Layer;
+
+    let mut rng = Rng::seed_from(44);
+    let (n, c, hw) = (3usize, 11usize, 20usize);
+    let x = Tensor::randn(&[n, c, 4, 5], &mut rng).add_scalar(0.3);
+    let g = Tensor::randn(&[n, c, 4, 5], &mut rng);
+    let mut bn = BatchNorm2d::new(c);
+    let y = bn.forward(&[&x], Mode::Train);
+    let dx = bn.backward(&g, &[true]).remove(0).expect("demanded");
+    let m = (n * hw) as f32;
+    for ci in 0..c {
+        let planes = || (0..n).map(move |ni| (ni * c + ci) * hw..(ni * c + ci + 1) * hw);
+        let mut sum = 0.0f32;
+        for plane in planes() {
+            sum += x.data()[plane].iter().sum::<f32>();
+        }
+        let mu = sum / m;
+        let mut varsum = 0.0f32;
+        for i in planes().flatten() {
+            varsum += (x.data()[i] - mu) * (x.data()[i] - mu);
+        }
+        let istd = 1.0 / (varsum / m + 1e-5).sqrt();
+        let (mut dgamma, mut dbeta) = (0.0f32, 0.0f32);
+        for i in planes().flatten() {
+            dgamma += g.data()[i] * ((x.data()[i] - mu) * istd);
+            dbeta += g.data()[i];
+        }
+        assert_eq!(
+            bn.params()[0].grad.data()[ci].to_bits(),
+            dgamma.to_bits(),
+            "dgamma {ci}"
+        );
+        assert_eq!(
+            bn.params()[1].grad.data()[ci].to_bits(),
+            dbeta.to_bits(),
+            "dbeta {ci}"
+        );
+        for i in planes().flatten() {
+            let xh = (x.data()[i] - mu) * istd;
+            // γ = 1, β = 0 in a fresh layer.
+            assert_eq!(y.data()[i].to_bits(), (1.0 * xh + 0.0).to_bits(), "y[{i}]");
+            let want = 1.0 * istd * (g.data()[i] - dbeta / m - xh * dgamma / m);
+            assert_eq!(dx.data()[i].to_bits(), want.to_bits(), "dx[{i}]");
+        }
+    }
+
+    let oc = 11;
+    let mut conv = Conv2d::new(2, oc, 3, 1, 1, true, &mut rng);
+    let x = Tensor::randn(&[n, 2, 4, 5], &mut rng);
+    let g = Tensor::randn(conv.forward(&[&x], Mode::Train).dims(), &mut rng);
+    conv.backward(&g, &[false]);
+    for o in 0..oc {
+        let per_image = (0..n).flat_map(|ni| &g.data()[(ni * oc + o) * hw..(ni * oc + o + 1) * hw]);
+        let want = 0.0 + per_image.sum::<f32>();
+        assert_eq!(
+            conv.params()[1].grad.data()[o].to_bits(),
+            want.to_bits(),
+            "bias {o}"
+        );
+    }
+}
