@@ -2,8 +2,10 @@
 //! naive `ikj` kernel, compares the micro-kernel dispatch tiers, times the
 //! no-pack route and the block-moving packers against the packed walk with
 //! element-wise packs, the batched attention-shaped products against the
-//! serial per-head loop and the im2col/col2im slice kernels against their
-//! naive definitions, and emits a `BENCH_kernels.json` baseline. Every GEMM
+//! serial per-head loop, the im2col/col2im slice kernels against their
+//! naive definitions and the column-free convolutions against im2col + GEMM +
+//! permute, counts the bytes one augmented LeNet-5 training step allocates,
+//! and emits a `BENCH_kernels.json` baseline. Every GEMM
 //! entry carries its `gflops` next to `peak_gflops`, what a register-only
 //! loop of unfused multiply-adds reaches on this core — the roofline the
 //! kernels are read against; the file opens with the machine it came from.
@@ -21,21 +23,82 @@
 //! beat the serial loop on a machine with ≥ 4 hardware threads (on a smaller
 //! one that gate is reported as skipped, not passed), if the conv glue
 //! kernels differ from the naive definitions by one bit or are not ≥ 2x
-//! faster than them at LeNet's shapes, or if the no-pack route or the block
+//! faster than them at LeNet's shapes, if the no-pack route or the block
 //! packers differ from the element-wise packed walk by one bit or are not
-//! ≥ 1.5x faster than it at LeNet's entry-convolution shapes.
+//! ≥ 1.5x faster than it at LeNet's entry-convolution shapes, if a
+//! column-free convolution (5×5 entry layer, 1×1 tap) differs from its
+//! column-matrix lowering by one bit or is not ≥ 1.3x faster than it, or if
+//! an augmented training step allocates more than [`STEP_BYTES_GATE`] of what
+//! it did before activations were shared.
 
 use amalgam_bench::{
     attention_pv_serial_per_head, attention_qk_serial_per_head, matmul_ikj_reference as matmul_ikj,
 };
+use amalgam_core::{Amalgam, ObfuscationConfig};
+use amalgam_data::SyntheticImageSpec;
+use amalgam_nn::loss::cross_entropy;
+use amalgam_nn::optim::Sgd;
+use amalgam_nn::Mode;
 use amalgam_tensor::gemm::{self, KC};
 use amalgam_tensor::kernels::{self, matmul_batch_nt_scaled_into, reference, Conv2dGeom};
 use amalgam_tensor::pack::{self, MatRef};
 use amalgam_tensor::simd::{self, Tier};
 use amalgam_tensor::{parallel, scratch, Rng, Tensor};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// Bytes requested from the allocator so far (`alloc`, `alloc_zeroed`, and
+/// the new size of every `realloc`): what `graph_step_copies_lenet20` reads
+/// before and after a training step.
+static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting.
+struct CountingAllocator;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's contract is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's contract is `System.alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract is `System.dealloc`'s.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        // SAFETY: the caller's contract is `System.realloc`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Bytes one training step of the augmented 20 px LeNet-5 (batch 16, two
+/// synthetic sub-networks, both taps) allocated at 19477e7, the commit
+/// before activations were shared: every `Detach`, `Flatten`, activation
+/// cache and `Add` was a copy, and three entry layers cached 640 KB of
+/// columns each.
+const STEP_BYTES_BEFORE: f64 = 4.75e6;
+/// The share of [`STEP_BYTES_BEFORE`] a step may still allocate. What is
+/// left is forward outputs nobody caches (the executor drops them; only a
+/// buffer plan per graph would recycle those — ROADMAP 1a), which is a little
+/// over half of what there was.
+const STEP_BYTES_GATE: f64 = 0.55;
 
 /// Best-of-`reps` wall time in milliseconds.
 fn time_ms<F: FnMut() -> f32>(reps: usize, mut f: F) -> f64 {
@@ -479,6 +542,128 @@ fn main() {
         failures.push(format!(
             "im2col + col2im slice kernels only {glue_speedup:.2}x faster than the naive loops at \
              LeNet's conv shapes (want ≥ 2x)"
+        ));
+    }
+
+    // The column-free convolutions at the two layers the augmenter adds most
+    // of: the 5×5 one-channel entry layer and the 1×1 six-channel tap, batch
+    // 16 at 20 px, forward. Baseline: the column matrix, one GEMM, the
+    // permute to `[N, oc, oh·ow]` — how both ran before. Same bits required,
+    // and ≥ 1.3x.
+    let n = 16;
+    for (name, channels, kernel, padding) in [
+        ("conv_entry_fwd_16x1x20x20_k5", 1usize, 5usize, 2usize),
+        ("conv_1x1_fwd_16x6x20x20", 6, 1, 0),
+    ] {
+        let geom = Conv2dGeom {
+            in_channels: channels,
+            in_h: 20,
+            in_w: 20,
+            kernel,
+            stride: 1,
+            padding,
+        };
+        let (oc, taps, ohw) = (6usize, geom.col_rows(), 400usize);
+        let x = Tensor::randn(&[n, channels, 20, 20], &mut rng);
+        let w = Tensor::randn(&[oc, taps], &mut rng);
+        let by_columns = |out: &mut Tensor| {
+            let mut cols = scratch::take_tensor_raw(&[taps, n * ohw]);
+            kernels::im2col_into(&x, &geom, &mut cols);
+            let mut ymat = scratch::take_tensor(&[oc, n * ohw]);
+            gemm::gemm(
+                oc,
+                n * ohw,
+                taps,
+                MatRef::row_major(w.data(), taps),
+                MatRef::row_major(cols.data(), n * ohw),
+                ymat.data_mut(),
+            );
+            for (block, dst) in out.data_mut().chunks_exact_mut(ohw).enumerate() {
+                let (ni, o) = (block / oc, block % oc);
+                dst.copy_from_slice(&ymat.data()[o * n * ohw + ni * ohw..][..ohw]);
+            }
+            scratch::give_tensor(ymat);
+            scratch::give_tensor(cols);
+        };
+        let column_free = |out: &mut Tensor| {
+            if kernel == 1 {
+                // Unpadded, the input is its own planes.
+                kernels::conv_window_forward(&x, &geom, w.data(), out.data_mut());
+            } else {
+                let planes = kernels::padded_planes(&x, &geom, None);
+                kernels::conv_window_forward(&planes, &geom, w.data(), out.data_mut());
+                scratch::give_tensor(planes);
+            }
+        };
+        let dims = [n, oc, 20, 20];
+        let (mut want, mut got) = (Tensor::full(&dims, f32::NAN), Tensor::full(&dims, f32::NAN));
+        by_columns(&mut want);
+        column_free(&mut got);
+        let bitwise = same_bits(got.data(), want.data());
+        let columns_ms = time_staged_ms(200, &dims, by_columns);
+        let column_free_ms = time_staged_ms(200, &dims, column_free);
+        let speedup = columns_ms / column_free_ms;
+        entries.push(
+            Entry::new(name)
+                .num("im2col_gemm_permute_ms", columns_ms)
+                .num("column_free_ms", column_free_ms)
+                .num("speedup", speedup)
+                .flag("bitwise", bitwise)
+                .gflops(oc * taps * n * ohw, column_free_ms, peak),
+        );
+        if !bitwise {
+            failures.push(format!("{name}: differs from im2col + GEMM + permute"));
+        }
+        if speedup < 1.3 {
+            failures.push(format!(
+                "{name}: only {speedup:.2}x over im2col + GEMM + permute (want ≥ 1.3x)"
+            ));
+        }
+    }
+
+    // What one training step of the augmented LeNet-5 still allocates: the
+    // e2e benchmark's middle job (20 px, batch 16, α = 0.5, two synthetic
+    // sub-networks — this seed draws both taps), steady state.
+    let step_bytes = {
+        let mut job_rng = Rng::seed_from(3);
+        let pair = SyntheticImageSpec::mnist_like()
+            .with_counts(224, 2)
+            .with_hw(20)
+            .with_classes(10)
+            .generate(&mut job_rng);
+        let model = amalgam_models::lenet5(1, 20, 10, &mut job_rng);
+        let cfg = ObfuscationConfig::new(0.5).with_seed(3).with_subnets(2);
+        let bundle = Amalgam::obfuscate(&model, &pair, &cfg).expect("obfuscation");
+        let mut model = bundle.augmented_model;
+        let (x, labels) = bundle
+            .augmented_train
+            .batch_at(&(0..16).collect::<Vec<_>>());
+        let mut opt = Sgd::new(0.05).with_momentum(0.9);
+        let mut step = || {
+            let outs = model.forward(&[&x], Mode::Train);
+            let seeds: Vec<Tensor> = outs.iter().map(|o| cross_entropy(o, &labels).1).collect();
+            model.zero_grad();
+            model.backward(&seeds);
+            opt.step(&mut model.params_mut());
+        };
+        (0..20).for_each(|_| step());
+        const STEPS: usize = 10;
+        let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+        (0..STEPS).for_each(|_| step());
+        (ALLOCATED_BYTES.load(Ordering::Relaxed) - before) as f64 / STEPS as f64
+    };
+    entries.push(
+        Entry::new("graph_step_copies_lenet20")
+            .num("bytes_per_step_before", STEP_BYTES_BEFORE)
+            .num("bytes_per_step", step_bytes)
+            .num("share", step_bytes / STEP_BYTES_BEFORE),
+    );
+    if step_bytes > STEP_BYTES_GATE * STEP_BYTES_BEFORE {
+        failures.push(format!(
+            "an augmented LeNet-5 step allocates {:.2} MB, over {STEP_BYTES_GATE} of the {:.2} MB \
+             it did with every activation copied",
+            step_bytes / 1e6,
+            STEP_BYTES_BEFORE / 1e6
         ));
     }
 

@@ -46,17 +46,20 @@ pub fn augment_images(
     let noise_pos = plan.noise_positions();
 
     let mut out = Tensor::zeros(&[n, c, ah, aw]);
-    let plane = ah * aw;
-    let orig_plane = h * w;
-    for nc in 0..n * c {
-        let src = &data.images().data()[nc * orig_plane..(nc + 1) * orig_plane];
+    let planes = out.data_mut().chunks_exact_mut((ah * aw).max(1));
+    for (src, dst) in data
+        .images()
+        .data()
+        .chunks_exact((h * w).max(1))
+        .zip(planes)
+    {
         // Scatter original pixels to their kept positions…
-        for (k, &pos) in plan.keep().iter().enumerate() {
-            out.data_mut()[nc * plane + pos] = src[k];
+        for (&pos, &v) in plan.keep().iter().zip(src) {
+            dst[pos] = v;
         }
         // …and fill the noise positions.
         for &pos in &noise_pos {
-            out.data_mut()[nc * plane + pos] = kind.sample(&stats, rng);
+            dst[pos] = kind.sample(&stats, rng);
         }
     }
     let dataset = ImageDataset::new(out, data.labels().to_vec(), data.num_classes());
@@ -109,12 +112,13 @@ pub fn augment_lm(
     for i in 0..batches.num_batches() {
         let (input, _) = batches.window(i);
         let mut aug = Tensor::zeros(&[b, ta]);
-        for bi in 0..b {
-            for (k, &pos) in plan.keep().iter().enumerate() {
-                aug.data_mut()[bi * ta + pos] = input.data()[bi * t + k];
+        let rows = aug.data_mut().chunks_exact_mut(ta.max(1));
+        for (src, dst) in input.data().chunks_exact(t.max(1)).zip(rows) {
+            for (&pos, &token) in plan.keep().iter().zip(src) {
+                dst[pos] = token;
             }
             for &pos in &noise_pos {
-                aug.data_mut()[bi * ta + pos] = kind.sample_token(vocab, rng) as f32;
+                dst[pos] = kind.sample_token(vocab, rng) as f32;
             }
         }
         windows.push(aug);
@@ -185,14 +189,11 @@ pub fn deaugment_images(aug: &ImageDataset, plan: &ImagePlan) -> ImageDataset {
     assert_eq!((ah, aw), plan.aug_hw(), "plan geometry mismatch");
     let (h, w) = plan.orig_hw();
     let n = aug.len();
-    let plane = ah * aw;
-    let orig_plane = h * w;
-    let mut out = Tensor::zeros(&[n, c, h, w]);
-    for nc in 0..n * c {
-        for (k, &pos) in plan.keep().iter().enumerate() {
-            out.data_mut()[nc * orig_plane + k] = aug.images().data()[nc * plane + pos];
-        }
+    let mut out = Vec::with_capacity(n * c * h * w);
+    for src in aug.images().data().chunks_exact((ah * aw).max(1)) {
+        out.extend(plan.keep().iter().map(|&pos| src[pos]));
     }
+    let out = Tensor::from_vec(out, &[n, c, h, w]);
     ImageDataset::new(out, aug.labels().to_vec(), aug.num_classes())
 }
 

@@ -234,6 +234,7 @@ impl SyntheticImageSpec {
     ) -> ImageDataset {
         let (c, hw) = (self.channels, self.hw);
         let mut images = Tensor::zeros(&[count, c, hw, hw]);
+        let pixels = images.data_mut();
         let mut labels = Vec::with_capacity(count);
         for n in 0..count {
             let label = rng.below(self.num_classes);
@@ -260,7 +261,7 @@ impl SyntheticImageSpec {
                             + 0.25 * wave * p.channel_gain[ci]
                             + 0.35 * blob
                             + self.noise_level * rng.normal(0.0, 1.0);
-                        images.data_mut()[base + y * hw + x] = v.clamp(0.0, 1.0);
+                        pixels[base + y * hw + x] = v.clamp(0.0, 1.0);
                     }
                 }
             }

@@ -110,15 +110,13 @@ impl LmBatches {
     pub fn window(&self, i: usize) -> (Tensor, Vec<usize>) {
         assert!(i < self.num_batches(), "window {i} out of range");
         let (b, t) = (self.streams.len(), self.seq_len);
-        let mut input = Tensor::zeros(&[b, t]);
+        let mut input = Vec::with_capacity(b * t);
         let mut targets = Vec::with_capacity(b * t);
-        for (bi, stream) in self.streams.iter().enumerate() {
-            for k in 0..t {
-                input.data_mut()[bi * t + k] = stream[i * t + k] as f32;
-                targets.push(stream[i * t + k + 1]);
-            }
+        for stream in &self.streams {
+            input.extend(stream[i * t..(i + 1) * t].iter().map(|&tok| tok as f32));
+            targets.extend_from_slice(&stream[i * t + 1..(i + 1) * t + 1]);
         }
-        (input, targets)
+        (Tensor::from_vec(input, &[b, t]), targets)
     }
 }
 
@@ -283,15 +281,13 @@ impl TextClassDataset {
     pub fn batch_at(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
         let b = indices.len();
         let t = self.doc_len;
-        let mut input = Tensor::zeros(&[b, t]);
+        let mut input = Vec::with_capacity(b * t);
         let mut labels = Vec::with_capacity(b);
-        for (bi, &i) in indices.iter().enumerate() {
-            for (k, &tok) in self.docs[i].iter().enumerate() {
-                input.data_mut()[bi * t + k] = tok as f32;
-            }
+        for &i in indices {
+            input.extend(self.docs[i].iter().map(|&tok| tok as f32));
             labels.push(self.labels[i]);
         }
-        (input, labels)
+        (Tensor::from_vec(input, &[b, t]), labels)
     }
 }
 

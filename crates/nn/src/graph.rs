@@ -249,8 +249,10 @@ impl GraphModel {
             };
             values[i] = Some(out);
         }
-        // Every consumer has run, so outputs are moved out; a node declared
-        // as an output more than once is copied for all but its last slot.
+        // Every consumer has run, so outputs are moved out (a node declared
+        // as an output more than once is shared between its slots). The
+        // activations left behind are dropped here: a layer that needs one
+        // for backward holds a handle of its own on the same storage.
         let outputs = &self.outputs;
         outputs
             .iter()
@@ -325,23 +327,26 @@ impl GraphModel {
                 accumulate(&mut grads[id.0], seed.clone());
             }
         }
+        let mut demand = Vec::new();
         for i in (0..self.nodes.len()).rev() {
             let node = &mut self.nodes[i];
             let Some(g) = grads[i].take() else {
                 node.layer.clear_cache();
                 continue;
             };
-            let demand: Vec<bool> = node.inputs.iter().map(|id| wants[id.0]).collect();
+            demand.clear();
+            demand.extend(node.inputs.iter().map(|id| wants[id.0]));
             let input_grads = node.layer.backward(&g, &demand);
             // A consumed gradient is the size of an activation: recycled, it
-            // serves the next step's scratch takes (caches, norm outputs).
+            // serves the next step's scratch takes (unless it is shared — a
+            // seed the caller still holds, one arm of an `Add`'s fan-out).
             scratch::give_tensor(g);
             assert_eq!(
                 input_grads.len(),
                 demand.len(),
                 "backward arity mismatch at node {i}"
             );
-            for ((gi, id), demanded) in input_grads.into_iter().zip(&node.inputs).zip(demand) {
+            for ((gi, id), &demanded) in input_grads.into_iter().zip(&node.inputs).zip(&demand) {
                 if let Some(gi) = gi {
                     debug_assert!(demanded, "node {i} returned a gradient nobody asked for");
                     accumulate(&mut grads[id.0], gi);
@@ -484,7 +489,9 @@ impl GraphModel {
 
     /// Serializes to a fresh byte buffer (see [`encode`](Self::encode)).
     pub fn to_bytes(&self) -> bytes::Bytes {
-        let mut w = Writer::new();
+        // Parameters are nearly all of the encoding; names, edges and
+        // hyper-parameters fit the per-node allowance.
+        let mut w = Writer::with_capacity(4 * self.param_count() + 256 * self.nodes.len());
         self.encode(&mut w);
         w.finish()
     }

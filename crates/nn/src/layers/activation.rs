@@ -4,20 +4,19 @@ use crate::layer::{Layer, Mode, Param};
 use crate::spec::LayerSpec;
 use amalgam_tensor::{scratch, Tensor};
 
-/// A scratch-arena copy of `src` (the activation caches are same-sized every
-/// step, so the copy's storage round-trips through the arena instead of the
-/// allocator).
-fn cache_copy(src: &Tensor) -> Tensor {
-    let mut out = scratch::take_tensor_raw(src.dims());
-    out.data_mut().copy_from_slice(src.data());
-    out
+/// Hands a dropped cache's storage to the arena (a no-op while the tensor it
+/// was cached from is still alive somewhere: the cache only shares it).
+fn recycle(cache: &mut Option<Tensor>) {
+    if let Some(stale) = cache.take() {
+        scratch::give_tensor(stale);
+    }
 }
 
 /// `grad · f′`, with `f′` given in terms of the cached output. Generic over
 /// the derivative so it is inlined into the element loop — through a
 /// function pointer the loop makes a call per element and does not vectorise.
 fn scale_by_derivative(grad: &Tensor, y: &Tensor, derivative: impl Fn(f32) -> f32) -> Tensor {
-    grad.zip_map(y, |g, yv| g * derivative(yv))
+    scratch::zip_map_tensor(grad, y, |g, yv| g * derivative(yv))
 }
 
 macro_rules! unary_activation {
@@ -42,11 +41,9 @@ macro_rules! unary_activation {
 
             fn forward(&mut self, inputs: &[&Tensor], _mode: Mode) -> Tensor {
                 assert_eq!(inputs.len(), 1, concat!(stringify!($name), " takes one input"));
-                if let Some(stale) = self.cache.take() {
-                    scratch::give_tensor(stale);
-                }
-                let y = inputs[0].map($fwd);
-                self.cache = Some(cache_copy(&y));
+                recycle(&mut self.cache);
+                let y = scratch::map_tensor(inputs[0], $fwd);
+                self.cache = Some(y.clone());
                 y
             }
 
@@ -70,7 +67,7 @@ macro_rules! unary_activation {
             }
 
             fn clear_cache(&mut self) {
-                self.cache = None;
+                recycle(&mut self.cache);
             }
         }
     };
@@ -125,17 +122,15 @@ impl Layer for Gelu {
 
     fn forward(&mut self, inputs: &[&Tensor], _mode: Mode) -> Tensor {
         assert_eq!(inputs.len(), 1, "Gelu takes one input");
-        if let Some(stale) = self.cache.take() {
-            scratch::give_tensor(stale);
-        }
-        self.cache = Some(cache_copy(inputs[0]));
-        inputs[0].map(|x| x * Self::phi(x))
+        recycle(&mut self.cache);
+        self.cache = Some(inputs[0].clone());
+        scratch::map_tensor(inputs[0], |x| x * Self::phi(x))
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let x = self.cache.take().expect("Gelu backward before forward");
         let dx = demand[0].then(|| {
-            grad_out.zip_map(&x, |g, xv| {
+            scratch::zip_map_tensor(grad_out, &x, |g, xv| {
                 const C: f32 = 0.797_884_6;
                 let inner = C * (xv + 0.044_715 * xv * xv * xv);
                 let t = inner.tanh();
@@ -157,7 +152,7 @@ impl Layer for Gelu {
     }
 
     fn clear_cache(&mut self) {
-        self.cache = None;
+        recycle(&mut self.cache);
     }
 }
 

@@ -383,7 +383,7 @@ impl Layer for MultiHeadSelfAttention {
     }
 
     fn clear_cache(&mut self) {
-        self.cache = None;
+        self.reclaim_cache();
     }
 }
 

@@ -150,10 +150,9 @@ impl Layer for DepthwiseConv2d {
         let (oh, ow) = (god[2], god[3]);
         let k = self.kernel;
         let mut dx = demand[0].then(|| Tensor::zeros(d));
-        // Scratch-backed copy of the weights so `self.weight.grad` can be
-        // borrowed mutably inside the loop.
-        let mut wd = scratch::take_raw(self.weight.value.numel());
-        wd.copy_from_slice(self.weight.value.data());
+        let mut dx_cells = dx.as_mut().map(Tensor::data_mut);
+        let (wd, dw) = (self.weight.value.data(), self.weight.grad.data_mut());
+        let mut db = self.bias.as_mut().map(|b| b.grad.data_mut());
         for ni in 0..n {
             for ci in 0..c {
                 let base = ni * c * h * w + ci * h * w;
@@ -162,8 +161,8 @@ impl Layer for DepthwiseConv2d {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let g = grad_out.data()[obase + oy * ow + ox];
-                        if let Some(b) = &mut self.bias {
-                            b.grad.data_mut()[ci] += g;
+                        if let Some(db) = &mut db {
+                            db[ci] += g;
                         }
                         for ky in 0..k {
                             let iy = (oy * self.stride + ky) as isize - self.padding as isize;
@@ -176,10 +175,9 @@ impl Layer for DepthwiseConv2d {
                                     continue;
                                 }
                                 let src_idx = base + iy as usize * w + ix as usize;
-                                self.weight.grad.data_mut()[wbase + ky * k + kx] +=
-                                    g * x.data()[src_idx];
-                                if let Some(dx) = &mut dx {
-                                    dx.data_mut()[src_idx] += g * wd[wbase + ky * k + kx];
+                                dw[wbase + ky * k + kx] += g * x.data()[src_idx];
+                                if let Some(cells) = &mut dx_cells {
+                                    cells[src_idx] += g * wd[wbase + ky * k + kx];
                                 }
                             }
                         }
@@ -187,7 +185,6 @@ impl Layer for DepthwiseConv2d {
                 }
             }
         }
-        scratch::give(wd);
         scratch::give_tensor(x);
         vec![dx]
     }
@@ -222,7 +219,9 @@ impl Layer for DepthwiseConv2d {
     }
 
     fn clear_cache(&mut self) {
-        self.cache = None;
+        if let Some(x) = self.cache.take() {
+            scratch::give_tensor(x);
+        }
     }
 }
 
@@ -252,16 +251,17 @@ impl Layer for BroadcastMulSpatial {
         assert_eq!(d.len(), 4, "map must be [N,C,H,W]");
         assert_eq!(g.dims(), &[d[0], 1, d[2], d[3]], "gate must be [N,1,H,W]");
         let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
-        let mut out = x.clone();
-        for ni in 0..n {
-            for ci in 0..c {
-                for p in 0..hw {
-                    out.data_mut()[ni * c * hw + ci * hw + p] *= g.data()[ni * hw + p];
-                }
+        let mut out = Vec::with_capacity(x.numel());
+        for (image, gate) in
+            (x.data().chunks_exact((c * hw).max(1))).zip(g.data().chunks_exact(hw.max(1)))
+        {
+            for plane in image.chunks_exact(hw.max(1)) {
+                out.extend(plane.iter().zip(gate).map(|(&v, &gv)| v * gv));
             }
         }
+        debug_assert_eq!(out.len(), n * c * hw);
         self.cache = Some((x.clone(), g.clone()));
-        out
+        Tensor::from_vec(out, d)
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
@@ -271,17 +271,19 @@ impl Layer for BroadcastMulSpatial {
             .expect("BroadcastMulSpatial backward before forward");
         let d = x.dims();
         let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
-        let mut dx = demand[0].then(|| grad_out.clone());
+        let mut dx = demand[0].then(|| Tensor::zeros(d));
         let mut dg = demand[1].then(|| Tensor::zeros(g.dims()));
+        let mut dx_cells = dx.as_mut().map(Tensor::data_mut);
+        let mut dg_cells = dg.as_mut().map(Tensor::data_mut);
         for ni in 0..n {
             for ci in 0..c {
                 for p in 0..hw {
                     let go = grad_out.data()[ni * c * hw + ci * hw + p];
-                    if let Some(dx) = &mut dx {
-                        dx.data_mut()[ni * c * hw + ci * hw + p] = go * g.data()[ni * hw + p];
+                    if let Some(cells) = &mut dx_cells {
+                        cells[ni * c * hw + ci * hw + p] = go * g.data()[ni * hw + p];
                     }
-                    if let Some(dg) = &mut dg {
-                        dg.data_mut()[ni * hw + p] += go * x.data()[ni * c * hw + ci * hw + p];
+                    if let Some(cells) = &mut dg_cells {
+                        cells[ni * hw + p] += go * x.data()[ni * c * hw + ci * hw + p];
                     }
                 }
             }

@@ -62,20 +62,20 @@ impl Layer for Embedding {
         let (b, t) = (d[0], d[1]);
         let dim = self.dim();
         let vocab = self.vocab();
-        let mut out = Tensor::zeros(&[b, t, dim]);
+        let table = self.weight.value.data();
+        let mut out = Vec::with_capacity(b * t * dim);
         let mut idx = Vec::with_capacity(b * t);
-        for (k, &raw) in ids.data().iter().enumerate() {
+        for &raw in ids.data() {
             let token = raw as usize;
             assert!(
                 token < vocab,
                 "token id {token} out of vocabulary ({vocab})"
             );
             idx.push(token);
-            out.data_mut()[k * dim..(k + 1) * dim]
-                .copy_from_slice(&self.weight.value.data()[token * dim..(token + 1) * dim]);
+            out.extend_from_slice(&table[token * dim..(token + 1) * dim]);
         }
         self.cache_indices = Some(idx);
-        out
+        Tensor::from_vec(out, &[b, t, dim])
     }
 
     fn backward(&mut self, grad_out: &Tensor, _demand: &[bool]) -> Vec<Option<Tensor>> {
@@ -84,10 +84,10 @@ impl Layer for Embedding {
             .take()
             .expect("Embedding backward before forward");
         let dim = self.dim();
-        for (k, &token) in idx.iter().enumerate() {
-            let g = &grad_out.data()[k * dim..(k + 1) * dim];
-            for (j, &gv) in g.iter().enumerate() {
-                self.weight.grad.data_mut()[token * dim + j] += gv;
+        let table_grad = self.weight.grad.data_mut();
+        for (&token, g) in idx.iter().zip(grad_out.data().chunks_exact(dim)) {
+            for (acc, &gv) in table_grad[token * dim..(token + 1) * dim].iter_mut().zip(g) {
+                *acc += gv;
             }
         }
         // Token ids are not differentiable: their gradient is identically
@@ -127,14 +127,15 @@ pub struct PositionalEncoding {
 impl PositionalEncoding {
     /// A new sinusoidal table for sequences up to `max_len`.
     pub fn new(max_len: usize, dim: usize) -> Self {
-        let mut table = Tensor::zeros(&[max_len, dim]);
-        for pos in 0..max_len {
-            for i in 0..dim {
-                let angle = pos as f32 / 10_000f32.powf((2 * (i / 2)) as f32 / dim as f32);
-                table.data_mut()[pos * dim + i] =
-                    if i % 2 == 0 { angle.sin() } else { angle.cos() };
+        let table = Tensor::from_fn(&[max_len, dim], |flat| {
+            let (pos, i) = (flat / dim, flat % dim);
+            let angle = pos as f32 / 10_000f32.powf((2 * (i / 2)) as f32 / dim as f32);
+            if i % 2 == 0 {
+                angle.sin()
+            } else {
+                angle.cos()
             }
-        }
+        });
         PositionalEncoding { table }
     }
 
@@ -166,16 +167,12 @@ impl Layer for PositionalEncoding {
             self.max_len()
         );
         assert_eq!(dim, self.table.dims()[1], "PositionalEncoding dim mismatch");
-        let mut out = x.clone();
-        for bi in 0..b {
-            for ti in 0..t {
-                for di in 0..dim {
-                    out.data_mut()[bi * t * dim + ti * dim + di] +=
-                        self.table.data()[ti * dim + di];
-                }
-            }
+        let table = &self.table.data()[..t * dim];
+        let mut out = Vec::with_capacity(b * t * dim);
+        for seq in x.data().chunks_exact((t * dim).max(1)) {
+            out.extend(seq.iter().zip(table).map(|(&v, &pos)| v + pos));
         }
-        out
+        Tensor::from_vec(out, d)
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {

@@ -99,8 +99,9 @@ impl Layer for Linear {
         );
         let lead: Vec<usize> = dims[..dims.len() - 1].to_vec();
         let rows: usize = lead.iter().product::<usize>().max(1);
-        let x2d = x.reshape(&[rows, self.in_features]);
-        let mut y = x2d.matmul_nt(&self.weight.value); // [rows, out]
+        let x2d = x.reshape(&[rows, self.in_features]); // shares `x`
+        let mut y = scratch::take_tensor_raw(&[rows, self.out_features]);
+        kernels::matmul_nt_into(&x2d, &self.weight.value, &mut y);
         if let Some(b) = &self.bias {
             y.add_bias_row_assign(&b.value);
         }
@@ -128,7 +129,8 @@ impl Layer for Linear {
             b.grad.add_assign(&g2d.sum_axis0());
         }
         let dx = demand[0].then(|| {
-            let mut dx = g2d.matmul(&self.weight.value); // [rows, in]
+            let mut dx = scratch::take_tensor_raw(&[rows, self.in_features]);
+            kernels::matmul_into(&g2d, &self.weight.value, &mut dx);
             let mut dims = self.cache_lead.clone();
             dims.push(self.in_features);
             dx.reshape_in_place(&dims);
@@ -166,7 +168,9 @@ impl Layer for Linear {
     }
 
     fn clear_cache(&mut self) {
-        self.cache_x2d = None;
+        if let Some(x2d) = self.cache_x2d.take() {
+            scratch::give_tensor(x2d);
+        }
         self.cache_lead.clear();
     }
 }

@@ -13,16 +13,18 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::layers::{Conv2d, Embedding};
 use crate::spec::LayerSpec;
-use amalgam_tensor::Tensor;
+use amalgam_tensor::{scratch, Tensor};
 
 /// Convolution that skips a set of augmented pixel coordinates (Eq. 1).
 ///
 /// Implemented as *gather-then-convolve*: the kept flat positions (within
-/// each channel's `H'×W'` plane) are gathered into a dense `h×w` image which
-/// the inner [`Conv2d`] processes. This is mathematically identical to
-/// running the paper's skip-sum convolution over the augmented plane, and it
-/// executes the inner convolution on exactly the same values as the original
-/// model would see — the property Amalgam's training-equivalence relies on.
+/// each channel's `H'×W'` plane) form a dense `h×w` image which the inner
+/// [`Conv2d`] processes — gathered straight into that layer's padded planes
+/// where it convolves without a column matrix, as an image of its own
+/// otherwise. This is mathematically identical to running the paper's
+/// skip-sum convolution over the augmented plane, and it executes the inner
+/// convolution on exactly the same values as the original model would see —
+/// the property Amalgam's training-equivalence relies on.
 #[derive(Debug, Clone)]
 pub struct MaskedConv2d {
     keep: Vec<usize>, // flat indices into H'*W', in original raster order
@@ -68,20 +70,6 @@ impl MaskedConv2d {
     pub fn inner_mut(&mut self) -> &mut Conv2d {
         &mut self.inner
     }
-
-    /// Gathers the kept positions of `x: [N, C, H', W']` into `[N, C, h, w]`.
-    ///
-    /// The caller has checked every kept position against the plane size.
-    fn gather(&self, x: &Tensor) -> Tensor {
-        let d = x.dims();
-        let (n, c) = (d[0], d[1]);
-        let plane = d[2] * d[3];
-        let mut out = Vec::with_capacity(n * c * self.keep.len());
-        for src in x.data().chunks_exact(plane) {
-            out.extend(self.keep.iter().map(|&pos| src[pos]));
-        }
-        Tensor::from_vec(out, &[n, c, self.out_h, self.out_w])
-    }
 }
 
 impl Layer for MaskedConv2d {
@@ -89,21 +77,14 @@ impl Layer for MaskedConv2d {
         "MaskedConv2d"
     }
 
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
+    fn forward(&mut self, inputs: &[&Tensor], _mode: Mode) -> Tensor {
         assert_eq!(inputs.len(), 1, "MaskedConv2d takes one input");
         let x = inputs[0];
         let d = x.dims();
         assert_eq!(d.len(), 4, "MaskedConv2d input must be [N,C,H',W']");
-        let plane = d[2] * d[3];
-        assert!(
-            self.keep.iter().all(|&p| p < plane),
-            "keep index out of bounds for {}×{} plane",
-            d[2],
-            d[3]
-        );
         self.cache_in_dims = Some(d.to_vec());
-        let gathered = self.gather(x);
-        self.inner.forward(&[&gathered], mode)
+        let keep = (self.keep.as_slice(), self.out_h, self.out_w);
+        self.inner.forward_gathered(x, Some(keep))
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
@@ -116,13 +97,14 @@ impl Layer for MaskedConv2d {
         // `col2im` nor the scatter below is run.
         let dx = self.inner.backward(grad_out, demand).remove(0).map(|dg| {
             let plane = in_dims[2] * in_dims[3];
-            let mut dx = Tensor::zeros(&in_dims); // positions outside `keep` stay zero
+            let mut dx = scratch::take_tensor(&in_dims); // positions outside `keep` stay zero
             let planes = dx.data_mut().chunks_exact_mut(plane);
             for (dst, src) in planes.zip(dg.data().chunks_exact(self.keep.len())) {
                 for (&pos, &g) in self.keep.iter().zip(src) {
                     dst[pos] += g;
                 }
             }
+            scratch::give_tensor(dg);
             dx
         });
         vec![dx]
@@ -213,13 +195,11 @@ impl Layer for MaskedEmbedding {
             self.keep.iter().all(|&p| p < t_aug),
             "keep position out of bounds"
         );
-        let t = self.keep.len();
-        let mut gathered = Tensor::zeros(&[b, t]);
-        for bi in 0..b {
-            for (k, &pos) in self.keep.iter().enumerate() {
-                gathered.data_mut()[bi * t + k] = x.data()[bi * t_aug + pos];
-            }
+        let mut gathered = Vec::with_capacity(b * self.keep.len());
+        for seq in x.data().chunks_exact(t_aug.max(1)) {
+            gathered.extend(self.keep.iter().map(|&pos| seq[pos]));
         }
+        let gathered = Tensor::from_vec(gathered, &[b, self.keep.len()]);
         self.inner.forward(&[&gathered], mode)
     }
 

@@ -20,9 +20,14 @@ pub struct BatchNorm2d {
     cache: Option<BnCache>,
 }
 
+/// What backward needs of the forward pass. The normalised activations are
+/// not among it: `x̂ = (x − μ)·σ⁻¹` is recomputed from the input — which is
+/// shared with whoever produced it, not copied — to the same bits, so the
+/// forward pass writes one tensor instead of two.
 #[derive(Debug, Clone)]
 struct BnCache {
-    xhat: Tensor,
+    x: Tensor,
+    mean: Vec<f32>,
     inv_std: Vec<f32>,
     train: bool,
 }
@@ -30,7 +35,8 @@ struct BnCache {
 impl BnCache {
     /// Recycles the cache's buffers into the scratch arena.
     fn reclaim(self) {
-        scratch::give_tensor(self.xhat);
+        scratch::give_tensor(self.x);
+        scratch::give(self.mean);
         scratch::give(self.inv_std);
     }
 }
@@ -150,25 +156,22 @@ impl Layer for BatchNorm2d {
             *v = 1.0 / (*v + self.eps).sqrt();
         }
 
-        // Every element of `out`/`xhat` is written below, so the raw
-        // (non-zeroing) arena variants are safe.
+        // Every element of `out` is written below, so the raw (non-zeroing)
+        // arena variant is safe.
         let mut out = scratch::take_tensor_raw(d);
-        let mut xhat = scratch::take_tensor_raw(d);
         let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
         let planes = x.data().chunks_exact(hw);
         let targets = out.data_mut().chunks_exact_mut(hw);
-        let hats = xhat.data_mut().chunks_exact_mut(hw);
-        for (plane, ((src, dst), hat)) in planes.zip(targets).zip(hats).enumerate() {
+        for (plane, (src, dst)) in planes.zip(targets).enumerate() {
             let ci = plane % c;
             let (mu, istd, g, b) = (mean[ci], inv_std[ci], gamma[ci], beta[ci]);
-            for ((&v, o), h) in src.iter().zip(dst).zip(hat) {
-                let xh = (v - mu) * istd;
-                *h = xh;
-                *o = g * xh + b;
+            for (&v, o) in src.iter().zip(dst) {
+                *o = g * ((v - mu) * istd) + b;
             }
         }
         self.cache = Some(BnCache {
-            xhat,
+            x: x.clone(),
+            mean,
             inv_std,
             train,
         });
@@ -176,15 +179,17 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
-        let BnCache {
-            xhat,
-            inv_std,
-            train,
-        } = self
+        let cache = self
             .cache
             .take()
             .expect("BatchNorm2d backward before forward");
-        let d = xhat.dims().to_vec();
+        let BnCache {
+            x,
+            mean,
+            inv_std,
+            train,
+        } = &cache;
+        let d = x.dims();
         let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
         let m = (n * hw) as f32;
 
@@ -192,8 +197,9 @@ impl Layer for BatchNorm2d {
         // element in storage order, the channels advanced together.
         let mut sums = vec![(0.0f32, 0.0f32); c];
         let grads = grad_out.data().chunks_exact(c * hw);
-        for (dy, xh) in grads.zip(xhat.data().chunks_exact(c * hw)) {
-            fold_rows(&mut sums, [dy, xh], hw, |_, (dgamma, dbeta), [dy, xh]| {
+        for (dy, x) in grads.zip(x.data().chunks_exact(c * hw)) {
+            fold_rows(&mut sums, [dy, x], hw, |ci, (dgamma, dbeta), [dy, v]| {
+                let xh = (v - mean[ci]) * inv_std[ci];
                 (dgamma + dy * xh, dbeta + dy)
             });
         }
@@ -204,18 +210,20 @@ impl Layer for BatchNorm2d {
         }
 
         let dx = demand[0].then(|| {
-            let mut dx = scratch::take_tensor_raw(&d);
+            let mut dx = scratch::take_tensor_raw(d);
             let gamma = self.gamma.value.data();
             let planes = grad_out.data().chunks_exact(hw);
-            let hats = xhat.data().chunks_exact(hw);
+            let inputs = x.data().chunks_exact(hw);
             let targets = dx.data_mut().chunks_exact_mut(hw);
-            for (plane, ((dy, xh), dst)) in planes.zip(hats).zip(targets).enumerate() {
+            for (plane, ((dy, src), dst)) in planes.zip(inputs).zip(targets).enumerate() {
                 let ci = plane % c;
-                let scale = gamma[ci] * inv_std[ci];
+                let (mu, istd) = (mean[ci], inv_std[ci]);
+                let scale = gamma[ci] * istd;
                 let (dgamma, dbeta) = sums[ci];
-                if train {
+                if *train {
                     let shift = dbeta / m;
-                    for ((&dy, &xh), o) in dy.iter().zip(xh).zip(dst) {
+                    for ((&dy, &v), o) in dy.iter().zip(src).zip(dst) {
+                        let xh = (v - mu) * istd;
                         *o = scale * (dy - shift - xh * dgamma / m);
                     }
                 } else {
@@ -226,8 +234,7 @@ impl Layer for BatchNorm2d {
             }
             dx
         });
-        scratch::give_tensor(xhat);
-        scratch::give(inv_std);
+        cache.reclaim();
         vec![dx]
     }
 
@@ -261,7 +268,9 @@ impl Layer for BatchNorm2d {
     }
 
     fn clear_cache(&mut self) {
-        self.cache = None;
+        if let Some(stale) = self.cache.take() {
+            stale.reclaim();
+        }
     }
 }
 
@@ -330,6 +339,8 @@ impl Layer for LayerNorm {
         let mut out = scratch::take_tensor_raw(x.dims());
         let mut xhat = scratch::take_tensor_raw(x.dims());
         let mut inv_std = scratch::take_raw(rows);
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        let (xhat_rows, out_rows) = (xhat.data_mut(), out.data_mut());
         for r in 0..rows {
             let row = &x.data()[r * dim..(r + 1) * dim];
             let mu = row.iter().sum::<f32>() / dim as f32;
@@ -338,9 +349,8 @@ impl Layer for LayerNorm {
             inv_std[r] = istd;
             for i in 0..dim {
                 let xh = (row[i] - mu) * istd;
-                xhat.data_mut()[r * dim + i] = xh;
-                out.data_mut()[r * dim + i] =
-                    self.gamma.value.data()[i] * xh + self.beta.value.data()[i];
+                xhat_rows[r * dim + i] = xh;
+                out_rows[r * dim + i] = gamma[i] * xh + beta[i];
             }
         }
         self.cache = Some((xhat, inv_std));
@@ -356,23 +366,28 @@ impl Layer for LayerNorm {
         let dim = self.dim();
         let rows = xhat.numel() / dim;
         let mut dx = demand[0].then(|| scratch::take_tensor_raw(xhat.dims()));
+        let mut dx_rows = dx.as_mut().map(Tensor::data_mut);
+        let gamma = self.gamma.value.data();
+        let (dgamma, dbeta) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
         for r in 0..rows {
             let xh = &xhat.data()[r * dim..(r + 1) * dim];
             let dy = &grad_out.data()[r * dim..(r + 1) * dim];
             let mut sum_dyg = 0.0f32;
             let mut sum_dyg_xh = 0.0f32;
             for i in 0..dim {
-                let dyg = dy[i] * self.gamma.value.data()[i];
+                let dyg = dy[i] * gamma[i];
                 sum_dyg += dyg;
                 sum_dyg_xh += dyg * xh[i];
-                self.gamma.grad.data_mut()[i] += dy[i] * xh[i];
-                self.beta.grad.data_mut()[i] += dy[i];
+                dgamma[i] += dy[i] * xh[i];
+                dbeta[i] += dy[i];
             }
-            let Some(dx) = &mut dx else { continue };
+            let Some(dx_rows) = &mut dx_rows else {
+                continue;
+            };
             let istd = inv_std[r];
             for i in 0..dim {
-                let dyg = dy[i] * self.gamma.value.data()[i];
-                dx.data_mut()[r * dim + i] =
+                let dyg = dy[i] * gamma[i];
+                dx_rows[r * dim + i] =
                     istd * (dyg - sum_dyg / dim as f32 - xh[i] * sum_dyg_xh / dim as f32);
             }
         }
@@ -401,7 +416,10 @@ impl Layer for LayerNorm {
     }
 
     fn clear_cache(&mut self) {
-        self.cache = None;
+        if let Some((xhat, inv_std)) = self.cache.take() {
+            scratch::give_tensor(xhat);
+            scratch::give(inv_std);
+        }
     }
 }
 

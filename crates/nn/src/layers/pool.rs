@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, Mode, Param};
 use crate::spec::LayerSpec;
-use amalgam_tensor::Tensor;
+use amalgam_tensor::{scratch, Tensor};
 
 fn pool_out(h: usize, k: usize, s: usize) -> usize {
     (h - k) / s + 1
@@ -135,21 +135,34 @@ fn avg_pool_rows(src: &[f32], dst: &mut [f32], h: usize, w: usize, k: usize, str
 }
 
 /// The adjoint of [`avg_pool_rows`]: spreads each output gradient over its
-/// window of the zeroed `h × w` planes of `dst`, `k` contiguous cells of `k`
-/// input rows at a time, so an input cell collects its windows in `(oy, ox)`
-/// order. Inlined for the same reason.
+/// window of the `h × w` planes of `dst` (whose previous contents are
+/// ignored), `k` contiguous cells of `k` input rows at a time, so an input
+/// cell collects its windows in `(oy, ox)` order from zero. Inlined for the
+/// same reason.
+///
+/// Windows that tile the plane exactly (`stride == k`, no remainder — every
+/// pooling in this workspace) own their cells: each cell is *written* once,
+/// as `0 + share`, and the plane is never zero-filled or read. Any other
+/// geometry zeroes the plane and adds, as the definition says.
 #[inline(always)]
 fn avg_unpool_rows(grad: &[f32], dst: &mut [f32], h: usize, w: usize, k: usize, stride: usize) {
     let (oh, ow) = (pool_out(h, k, stride), pool_out(w, k, stride));
     let inv = 1.0 / (k * k) as f32;
+    let tiled = stride == k && oh * k == h && ow * k == w;
     for (g_plane, plane) in grad.chunks_exact(oh * ow).zip(dst.chunks_exact_mut(h * w)) {
+        if !tiled {
+            plane.fill(0.0);
+        }
         for (oy, g_row) in g_plane.chunks_exact(ow).enumerate() {
             for ky in 0..k {
                 let dx_row = &mut plane[(oy * stride + ky) * w..][..w];
                 for (ox, &g) in g_row.iter().enumerate() {
                     let share = g * inv;
                     for cell in &mut dx_row[ox * stride..ox * stride + k] {
-                        *cell += share;
+                        // `0.0 + share`, not `share`: the sum from zero turns
+                        // a `-0.0` share into `+0.0`.
+                        let so_far = if tiled { 0.0 } else { *cell };
+                        *cell = so_far + share;
                     }
                 }
             }
@@ -191,7 +204,7 @@ impl Layer for AvgPool2d {
             pool_out(h, self.kernel, self.stride),
             pool_out(w, self.kernel, self.stride),
         );
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
+        let mut out = scratch::take_tensor(&[n, c, oh, ow]);
         match (self.kernel, self.stride) {
             (2, 2) => avg_pool_rows(x.data(), out.data_mut(), h, w, 2, 2),
             (k, stride) => avg_pool_rows(x.data(), out.data_mut(), h, w, k, stride),
@@ -209,7 +222,7 @@ impl Layer for AvgPool2d {
             return vec![None];
         }
         let (h, w) = (dims[2], dims[3]);
-        let mut dx = Tensor::zeros(&dims);
+        let mut dx = scratch::take_tensor_raw(&dims);
         match (self.kernel, self.stride) {
             (2, 2) => avg_unpool_rows(grad_out.data(), dx.data_mut(), h, w, 2, 2),
             (k, stride) => avg_unpool_rows(grad_out.data(), dx.data_mut(), h, w, k, stride),
@@ -262,12 +275,13 @@ impl Layer for GlobalAvgPool2d {
         assert_eq!(d.len(), 4, "GlobalAvgPool2d input must be [N,C,H,W]");
         let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
         let inv = 1.0 / hw as f32;
-        let mut out = Tensor::zeros(&[n, c]);
-        for nc in 0..n * c {
-            out.data_mut()[nc] = x.data()[nc * hw..(nc + 1) * hw].iter().sum::<f32>() * inv;
-        }
+        let means = x
+            .data()
+            .chunks_exact(hw.max(1))
+            .map(|plane| plane.iter().sum::<f32>() * inv)
+            .collect();
         self.cache_dims = Some(d.to_vec());
-        out
+        Tensor::from_vec(means, &[n, c])
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
@@ -280,14 +294,11 @@ impl Layer for GlobalAvgPool2d {
         }
         let hw = dims[2] * dims[3];
         let inv = 1.0 / hw as f32;
-        let mut dx = Tensor::zeros(&dims);
-        for nc in 0..dims[0] * dims[1] {
-            let g = grad_out.data()[nc] * inv;
-            dx.data_mut()[nc * hw..(nc + 1) * hw]
-                .iter_mut()
-                .for_each(|v| *v = g);
+        let mut dx = Vec::with_capacity(dims.iter().product());
+        for &g in grad_out.data() {
+            dx.resize(dx.len() + hw, g * inv);
         }
-        vec![Some(dx)]
+        vec![Some(Tensor::from_vec(dx, &dims))]
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -332,7 +343,7 @@ impl Layer for GlobalMaxPool2d {
         let d = x.dims();
         assert_eq!(d.len(), 4, "GlobalMaxPool2d input must be [N,C,H,W]");
         let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
-        let mut out = Tensor::zeros(&[n, c]);
+        let mut out = vec![0.0f32; n * c];
         let mut arg = vec![0usize; n * c];
         for nc in 0..n * c {
             let row = &x.data()[nc * hw..(nc + 1) * hw];
@@ -342,11 +353,11 @@ impl Layer for GlobalMaxPool2d {
                     best = i;
                 }
             }
-            out.data_mut()[nc] = row[best];
+            out[nc] = row[best];
             arg[nc] = nc * hw + best;
         }
         self.cache = Some((d.to_vec(), arg));
-        out
+        Tensor::from_vec(out, &[n, c])
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
@@ -407,6 +418,7 @@ impl Layer for ChannelStats {
         let hw = h * w;
         let inv_c = 1.0 / c as f32;
         let mut out = Tensor::zeros(&[n, 2, h, w]);
+        let stats = out.data_mut();
         let mut arg = vec![0usize; n * hw];
         for ni in 0..n {
             for p in 0..hw {
@@ -421,8 +433,8 @@ impl Layer for ChannelStats {
                         best = ci;
                     }
                 }
-                out.data_mut()[ni * 2 * hw + p] = sum * inv_c;
-                out.data_mut()[ni * 2 * hw + hw + p] = best_v;
+                stats[ni * 2 * hw + p] = sum * inv_c;
+                stats[ni * 2 * hw + hw + p] = best_v;
                 arg[ni * hw + p] = ni * c * hw + best * hw + p;
             }
         }
@@ -442,14 +454,15 @@ impl Layer for ChannelStats {
         let hw = h * w;
         let inv_c = 1.0 / c as f32;
         let mut dx = Tensor::zeros(&dims);
+        let cells = dx.data_mut();
         for ni in 0..n {
             for p in 0..hw {
                 let g_mean = grad_out.data()[ni * 2 * hw + p] * inv_c;
                 for ci in 0..c {
-                    dx.data_mut()[ni * c * hw + ci * hw + p] += g_mean;
+                    cells[ni * c * hw + ci * hw + p] += g_mean;
                 }
                 let g_max = grad_out.data()[ni * 2 * hw + hw + p];
-                dx.data_mut()[arg[ni * hw + p]] += g_max;
+                cells[arg[ni * hw + p]] += g_max;
             }
         }
         vec![Some(dx)]

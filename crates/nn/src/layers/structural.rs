@@ -8,7 +8,7 @@
 
 use crate::layer::{Layer, Mode, Param};
 use crate::spec::LayerSpec;
-use amalgam_tensor::Tensor;
+use amalgam_tensor::{scratch, Tensor};
 
 /// Graph input placeholder: returns the externally supplied tensor.
 #[derive(Debug, Clone, Default)]
@@ -156,11 +156,16 @@ impl Layer for Add {
 
     fn forward(&mut self, inputs: &[&Tensor], _mode: Mode) -> Tensor {
         assert!(!inputs.is_empty(), "Add needs at least one input");
-        let mut out = inputs[0].clone();
-        for x in &inputs[1..] {
+        self.arity = Some(inputs.len());
+        let Some(second) = inputs.get(1) else {
+            return inputs[0].clone();
+        };
+        // The first sum is written straight into the output; a copy of
+        // `inputs[0]` to add onto would be a whole pass that computes nothing.
+        let mut out = scratch::zip_map_tensor(inputs[0], second, |a, b| a + b);
+        for x in &inputs[2..] {
             out.add_assign(x);
         }
-        self.arity = Some(inputs.len());
         out
     }
 
@@ -422,15 +427,12 @@ impl Layer for BroadcastMulChannel {
         assert_eq!(d.len(), 4, "map must be [N,C,H,W]");
         assert_eq!(g.dims(), &[d[0], d[1]], "gates must be [N,C]");
         let hw = d[2] * d[3];
-        let mut out = x.clone();
-        for nc in 0..d[0] * d[1] {
-            let gv = g.data()[nc];
-            out.data_mut()[nc * hw..(nc + 1) * hw]
-                .iter_mut()
-                .for_each(|v| *v *= gv);
+        let mut out = Vec::with_capacity(x.numel());
+        for (plane, &gv) in x.data().chunks_exact(hw.max(1)).zip(g.data()) {
+            out.extend(plane.iter().map(|&v| v * gv));
         }
         self.cache = Some((x.clone(), g.clone()));
-        out
+        Tensor::from_vec(out, d)
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
@@ -440,20 +442,22 @@ impl Layer for BroadcastMulChannel {
             .expect("BroadcastMulChannel backward before forward");
         let d = x.dims();
         let hw = d[2] * d[3];
-        let mut dx = demand[0].then(|| grad_out.clone());
+        let mut dx = demand[0].then(|| Tensor::zeros(d));
         let mut dg = demand[1].then(|| Tensor::zeros(g.dims()));
+        let mut dx_cells = dx.as_mut().map(Tensor::data_mut);
+        let mut dg_cells = dg.as_mut().map(Tensor::data_mut);
         for nc in 0..d[0] * d[1] {
             let gv = g.data()[nc];
             let mut acc = 0.0f32;
             for p in 0..hw {
                 let go = grad_out.data()[nc * hw + p];
                 acc += go * x.data()[nc * hw + p];
-                if let Some(dx) = &mut dx {
-                    dx.data_mut()[nc * hw + p] = go * gv;
+                if let Some(cells) = &mut dx_cells {
+                    cells[nc * hw + p] = go * gv;
                 }
             }
-            if let Some(dg) = &mut dg {
-                dg.data_mut()[nc] = acc;
+            if let Some(cells) = &mut dg_cells {
+                cells[nc] = acc;
             }
         }
         vec![dx, dg]
@@ -503,10 +507,11 @@ impl Layer for MeanPoolSeq {
         let (b, t, dim) = (d[0], d[1], d[2]);
         let inv = 1.0 / t as f32;
         let mut out = Tensor::zeros(&[b, dim]);
+        let means = out.data_mut();
         for bi in 0..b {
             for ti in 0..t {
                 for di in 0..dim {
-                    out.data_mut()[bi * dim + di] += x.data()[bi * t * dim + ti * dim + di] * inv;
+                    means[bi * dim + di] += x.data()[bi * t * dim + ti * dim + di] * inv;
                 }
             }
         }
@@ -525,11 +530,11 @@ impl Layer for MeanPoolSeq {
         let (b, t, dim) = (dims[0], dims[1], dims[2]);
         let inv = 1.0 / t as f32;
         let mut dx = Tensor::zeros(&dims);
+        let cells = dx.data_mut();
         for bi in 0..b {
             for ti in 0..t {
                 for di in 0..dim {
-                    dx.data_mut()[bi * t * dim + ti * dim + di] =
-                        grad_out.data()[bi * dim + di] * inv;
+                    cells[bi * t * dim + ti * dim + di] = grad_out.data()[bi * dim + di] * inv;
                 }
             }
         }

@@ -27,10 +27,11 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
     let mut loss = 0.0f32;
     let mut grad = log_p.map(f32::exp); // softmax probabilities
     let inv_b = 1.0 / b as f32;
+    let probs = grad.data_mut();
     for (i, &t) in targets.iter().enumerate() {
         assert!(t < c, "target {t} out of range for {c} classes");
         loss -= log_p.data()[i * c + t];
-        grad.data_mut()[i * c + t] -= 1.0;
+        probs[i * c + t] -= 1.0;
     }
     grad.scale_in_place(inv_b);
     (loss * inv_b, grad)

@@ -11,11 +11,14 @@ use amalgam_models::{
 use amalgam_nn::gradcheck::{backward_all_demanded, check_layer_gradients};
 use amalgam_nn::graph::{GraphModel, NodeId};
 use amalgam_nn::layers::{
-    Add, AvgPool2d, BatchNorm2d, Concat, Conv2d, DepthwiseConv2d, Detach, Identity, LayerNorm,
-    Linear, MaskedConv2d, MaxPool2d, Mul, MultiHeadSelfAttention, Relu,
+    Add, AvgPool2d, BatchNorm2d, Concat, Conv2d, DepthwiseConv2d, Detach, Flatten, Identity,
+    LayerNorm, Linear, MaskedConv2d, MaxPool2d, Mul, MultiHeadSelfAttention, Relu,
 };
+use amalgam_nn::optim::Sgd;
 use amalgam_nn::{Layer, Mode};
-use amalgam_tensor::{Rng, Tensor};
+use amalgam_tensor::kernels::{self, Conv2dGeom};
+use amalgam_tensor::pack::MatRef;
+use amalgam_tensor::{gemm, Rng, Tensor};
 use proptest::prelude::*;
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -484,4 +487,439 @@ fn demand_pruning_preserves_parameter_gradients_on_every_nlp_model() {
             "augmented {name}: pruning changed a parameter gradient"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Column-free convolutions, shared activations
+// ---------------------------------------------------------------------------
+
+/// A copy of `t` that shares nothing with it.
+fn deep(t: &Tensor) -> Tensor {
+    Tensor::from_vec(t.data().to_vec(), t.dims())
+}
+
+/// `(y, dW, db, dx)` of a convolution from the reference definitions: the
+/// naive im2col matrix, the reference packed walk for all three products,
+/// the naive col2im, one chain per filter for the bias gradient.
+fn conv_from_definitions(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    g: &Conv2dGeom,
+    grad: &Tensor,
+) -> (Tensor, Vec<f32>, Vec<f32>, Tensor) {
+    let (n, oc, taps) = (x.dims()[0], weight.dims()[0], g.col_rows());
+    let (oh, ow) = (g.out_h(), g.out_w());
+    let ohw = oh * ow;
+    let cols = kernels::reference::im2col(x, g);
+    let w = MatRef::row_major(weight.data(), taps);
+    let mut ymat = vec![0.0f32; oc * n * ohw];
+    gemm::reference::gemm(
+        oc,
+        n * ohw,
+        taps,
+        w,
+        MatRef::row_major(cols.data(), n * ohw),
+        &mut ymat,
+    );
+    let (mut y, mut gmat) = (vec![0.0f32; n * oc * ohw], vec![0.0f32; oc * n * ohw]);
+    for ni in 0..n {
+        for o in 0..oc {
+            let (image, matrix) = ((ni * oc + o) * ohw, o * n * ohw + ni * ohw);
+            let bv = bias.map(|b| b.data()[o]);
+            for s in 0..ohw {
+                y[image + s] = bv.map_or(ymat[matrix + s], |bv| ymat[matrix + s] + bv);
+                gmat[matrix + s] = grad.data()[image + s];
+            }
+        }
+    }
+    let gm = MatRef::row_major(&gmat, n * ohw);
+    let mut dw = vec![0.0f32; oc * taps];
+    gemm::reference::gemm(
+        oc,
+        taps,
+        n * ohw,
+        gm,
+        MatRef::transposed(cols.data(), n * ohw),
+        &mut dw,
+    );
+    let db = gmat
+        .chunks_exact(n * ohw)
+        .map(|row| row.iter().sum::<f32>())
+        .collect();
+    let mut dcols = Tensor::zeros(&[taps, n * ohw]);
+    let wt = MatRef::transposed(weight.data(), taps);
+    gemm::reference::gemm(taps, n * ohw, oc, wt, gm, dcols.data_mut());
+    let dx = kernels::reference::col2im(&dcols, g, n);
+    (Tensor::from_vec(y, &[n, oc, oh, ow]), dw, db, dx)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On the column-free paths — windowed for few-tap kernels, pointwise
+    /// for 1×1 — `Conv2d` and `MaskedConv2d` give the reference definitions'
+    /// forward output, `dW`, `db` and demanded `dx` bit for bit, with and
+    /// without a bias, for keep lists that are random (repeats included) or
+    /// the raster subset an original sub-network gets; and an undemanded
+    /// `dx` changes no parameter gradient.
+    #[test]
+    fn column_free_convolutions_match_the_reference_definitions(
+        pointwise in any::<bool>(),
+        n in 3usize..5,
+        channels in 1usize..4,
+        ki in 0usize..2,
+        padding in 0usize..3,
+        hw in 16usize..23,
+        oc in 5usize..10,
+        bias in any::<bool>(),
+        masked in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let (channels, kernel, padding, hw) = if pointwise {
+            (channels + 4, 1, 0, hw + 8)
+        } else {
+            (channels, [3usize, 5][ki], padding, hw)
+        };
+        let conv = Conv2d::new(channels, oc, kernel, 1, padding, bias, &mut rng);
+        prop_assume!(conv.lowering(&[n, channels, hw, hw]) != "Im2col");
+        let want_path = if pointwise { "Pointwise" } else { "Windowed" };
+        prop_assert_eq!(conv.lowering(&[n, channels, hw, hw]), want_path);
+
+        // The layer's input: the image itself, or an augmented plane it is
+        // gathered from.
+        let (side, keep) = match masked {
+            0 => (hw, None),
+            1 => (hw + 3, Some((0..hw * hw).map(|_| rng.below((hw + 3) * (hw + 3))).collect::<Vec<_>>())),
+            _ => (hw + 3, Some((0..hw * hw).map(|i| (i / hw) * (hw + 3) + i % hw).collect())),
+        };
+        let x = Tensor::randn(&[n, channels, side, side], &mut rng);
+        let image = match &keep {
+            None => deep(&x),
+            Some(keep) => {
+                let planes = x.data().chunks_exact(side * side);
+                let picked = planes.flat_map(|p| keep.iter().map(|&pos| p[pos])).collect();
+                Tensor::from_vec(picked, &[n, channels, hw, hw])
+            }
+        };
+        let mut layer: Box<dyn Layer> = match &keep {
+            None => Box::new(conv.clone()),
+            Some(keep) => Box::new(MaskedConv2d::new(keep.clone(), hw, hw, conv.clone())),
+        };
+        let mut undemanded = layer.boxed_clone();
+
+        let geom = Conv2dGeom { in_channels: channels, in_h: hw, in_w: hw, kernel, stride: 1, padding };
+        let y = layer.forward(&[&x], Mode::Train);
+        let grad = Tensor::randn(y.dims(), &mut rng);
+        let params = conv.params();
+        let (want_y, want_dw, want_db, want_dx) =
+            conv_from_definitions(&image, &params[0].value, params.get(1).map(|b| &b.value), &geom, &grad);
+        prop_assert_eq!(bits(&y), bits(&want_y), "forward");
+
+        let dx = layer.backward(&grad, &[true]).remove(0).expect("demanded");
+        prop_assert_eq!(f32_bits(layer.params()[0].grad.data()), f32_bits(&want_dw), "dW");
+        if bias {
+            prop_assert_eq!(f32_bits(layer.params()[1].grad.data()), f32_bits(&want_db), "db");
+        }
+        let want_dx = match &keep {
+            None => want_dx,
+            Some(keep) => {
+                let mut scattered = Tensor::zeros(x.dims());
+                let planes = scattered.data_mut().chunks_exact_mut(side * side);
+                for (dst, src) in planes.zip(want_dx.data().chunks_exact(hw * hw)) {
+                    for (&pos, &v) in keep.iter().zip(src) {
+                        dst[pos] += v;
+                    }
+                }
+                scattered
+            }
+        };
+        prop_assert_eq!(bits(&dx), bits(&want_dx), "dx");
+
+        undemanded.forward(&[&x], Mode::Train);
+        prop_assert!(undemanded.backward(&grad, &[false]) == vec![None]);
+        for (p, q) in undemanded.params().iter().zip(layer.params()) {
+            prop_assert_eq!(bits(&p.grad), bits(&q.grad));
+        }
+    }
+
+    /// `Add` is the left-to-right sum of its inputs and fans its gradient
+    /// out unchanged; `Linear` is `x·Wᵀ + b` with `dW = gᵀ·x`, `db` the
+    /// column sums and `dx = g·W`, each exactly what the plain tensor
+    /// operations give on copies that share nothing.
+    #[test]
+    fn add_and_linear_match_their_straight_line_definitions(
+        arity in 1usize..4, rows in 1usize..6, inf in 1usize..40, outf in 1usize..30,
+        bias in any::<bool>(), rank3 in any::<bool>(), seed in 0u64..1000,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let xs: Vec<Tensor> = (0..arity).map(|_| Tensor::randn(&[rows, inf], &mut rng)).collect();
+        let refs: Vec<&Tensor> = xs.iter().collect();
+        let mut add = Add::new();
+        let sum = add.forward(&refs, Mode::Train);
+        let mut want = deep(&xs[0]);
+        for x in &xs[1..] {
+            want.add_assign(x);
+        }
+        prop_assert_eq!(bits(&sum), bits(&want));
+        let g = Tensor::randn(sum.dims(), &mut rng);
+        let demand: Vec<bool> = (0..arity).map(|i| i % 2 == 0).collect();
+        for (slot, &demanded) in add.backward(&g, &demand).iter().zip(&demand) {
+            prop_assert_eq!(slot.is_some(), demanded);
+            if let Some(gi) = slot {
+                prop_assert_eq!(bits(gi), bits(&g));
+            }
+        }
+
+        let mut linear = Linear::new(inf, outf, bias, &mut rng);
+        let dims: Vec<usize> = if rank3 { vec![rows, 2, inf] } else { vec![rows, inf] };
+        let x = Tensor::randn(&dims, &mut rng);
+        let y = linear.forward(&[&x], Mode::Train);
+        let x2d = deep(&x.reshape(&[x.numel() / inf, inf]));
+        let (w, b) = (deep(&linear.params()[0].value), linear.params().get(1).map(|b| deep(&b.value)));
+        let mut want_y = x2d.matmul_nt(&w);
+        if let Some(b) = &b {
+            want_y = want_y.add_bias_row(b);
+        }
+        prop_assert_eq!(bits(&y), bits(&want_y));
+        let g = Tensor::randn(y.dims(), &mut rng);
+        let g2d = deep(&g.reshape(&[x2d.dims()[0], outf]));
+        let dx = linear.backward(&g, &[true]).remove(0).expect("demanded");
+        prop_assert_eq!(bits(&linear.params()[0].grad), bits(&g2d.matmul_tn(&x2d)));
+        if bias {
+            prop_assert_eq!(bits(&linear.params()[1].grad), bits(&g2d.sum_axis0()));
+        }
+        prop_assert_eq!(dx.dims(), x.dims());
+        prop_assert_eq!(bits(&dx), bits(&g2d.matmul(&w)));
+    }
+}
+
+/// Layers that only pass a tensor on hand out the storage they were given,
+/// and what the consumer then does to its handle never reaches the producer.
+#[test]
+fn pass_through_layers_share_and_writes_stay_private() {
+    let mut rng = Rng::seed_from(3);
+    let x = Tensor::randn(&[2, 3, 4, 4], &mut rng);
+    let before = x.data().to_vec();
+    let layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(Detach::new()),
+        Box::new(Identity::new()),
+        Box::new(Flatten::new()),
+    ];
+    for mut layer in layers {
+        let mut y = layer.forward(&[&x], Mode::Train);
+        assert!(y.shares_storage_with(&x), "{} copied", layer.kind());
+        y.data_mut()[0] += 1.0;
+        y.scale_in_place(2.0);
+        assert_eq!(x.data(), &before[..], "{} leaked a write", layer.kind());
+    }
+    // An activation's cache is its output, not a copy of it; the output the
+    // caller mutates afterwards leaves the cached one — and so the gradient —
+    // alone.
+    let mut relu = Relu::new();
+    let mut y = relu.forward(&[&x], Mode::Train);
+    let want = deep(&y);
+    y.fill_zero();
+    let g = Tensor::ones(x.dims());
+    let dx = relu.backward(&g, &[true]).remove(0).expect("demanded");
+    let want_dx = g.zip_map(&want, |g, y| g * if y > 0.0 { 1.0 } else { 0.0 });
+    assert_eq!(bits(&dx), bits(&want_dx));
+}
+
+/// `spec()`, `state_dict()` and `clone()` share the parameters they
+/// describe — and are snapshots all the same: a later optimizer step moves
+/// the live model only.
+#[test]
+fn snapshots_share_parameters_until_the_next_step() {
+    let mut rng = Rng::seed_from(4);
+    let mut model = GraphModel::new();
+    let x = model.input("x");
+    let h = model.add_layer("fc", Linear::new(3, 2, true, &mut rng), &[x]);
+    model.set_output(h);
+    let fc = model.node_by_name("fc").unwrap();
+
+    let spec = model.node(fc).layer().spec();
+    let snapshot = model.state_dict();
+    let copy = model.clone();
+    let live = &model.node(fc).layer().params()[0].value;
+    assert!(snapshot[0].1.shares_storage_with(live));
+    assert!(copy.node(fc).layer().params()[0]
+        .value
+        .shares_storage_with(live));
+    let before = live.data().to_vec();
+
+    let input = Tensor::randn(&[4, 3], &mut rng);
+    let y = model.forward(&[&input], Mode::Train);
+    model.zero_grad();
+    model.backward(&[Tensor::ones(y[0].dims())]);
+    Sgd::new(0.1).step(&mut model.params_mut());
+
+    let live = &model.node(fc).layer().params()[0].value;
+    assert_ne!(
+        live.data(),
+        &before[..],
+        "the step did not move the weights"
+    );
+    assert_eq!(snapshot[0].1.data(), &before[..]);
+    assert_eq!(copy.node(fc).layer().params()[0].value.data(), &before[..]);
+    assert_eq!(spec.build().params()[0].value.data(), &before[..]);
+    // The clone's gradients were shared with the model's too; zeroing and
+    // accumulating into one never shows in the other.
+    assert_eq!(copy.node(fc).layer().params()[0].grad.sum(), 0.0);
+}
+
+/// The augmented topology — two heads, a `Detach` tap from one branch
+/// through a 1×1 convolution into an `Add` on the other — leaves exactly
+/// the parameter gradients of the same layers run one after the other on
+/// tensors that share nothing.
+#[test]
+fn shared_activations_leave_straight_line_gradients() {
+    let mut rng = Rng::seed_from(5);
+    let (n, hw) = (4usize, 16usize);
+    let conv_a = Conv2d::new(1, 6, 5, 1, 2, true, &mut rng);
+    let conv_b = Conv2d::new(1, 6, 5, 1, 2, false, &mut rng);
+    let tap = Conv2d::new(6, 6, 1, 1, 0, false, &mut rng);
+    let fc_a = Linear::new(6 * 8 * 8, 3, true, &mut rng);
+    let fc_b = Linear::new(6 * 8 * 8, 3, true, &mut rng);
+    assert_eq!(conv_a.lowering(&[n, 1, hw, hw]), "Windowed");
+    assert_eq!(tap.lowering(&[n, 6, hw, hw]), "Pointwise");
+
+    let mut g = GraphModel::new();
+    let x = g.input("x");
+    let a = g.add_layer("conv_a", conv_a.clone(), &[x]);
+    let a_relu = g.add_layer("relu_a", Relu::new(), &[a]);
+    let a_pool = g.add_layer("pool_a", AvgPool2d::new(2, 2), &[a_relu]);
+    let a_flat = g.add_layer("flat_a", Flatten::new(), &[a_pool]);
+    let head_a = g.add_layer("fc_a", fc_a.clone(), &[a_flat]);
+    let b = g.add_layer("conv_b", conv_b.clone(), &[x]);
+    let b_bn = g.add_layer("bn_b", BatchNorm2d::new(6), &[b]);
+    let b_relu = g.add_layer("relu_b", Relu::new(), &[b_bn]);
+    let stop = g.add_layer("stop", Detach::new(), &[a]);
+    let adapt = g.add_layer("tap", tap.clone(), &[stop]);
+    let joined = g.add_layer("join", Add::new(), &[b_relu, adapt]);
+    let b_pool = g.add_layer("pool_b", AvgPool2d::new(2, 2), &[joined]);
+    let b_flat = g.add_layer("flat_b", Flatten::new(), &[b_pool]);
+    let head_b = g.add_layer("fc_b", fc_b.clone(), &[b_flat]);
+    g.set_outputs(&[head_a, head_b]);
+
+    let input = Tensor::randn(&[n, 1, hw, hw], &mut rng);
+    let outs = g.forward(&[&input], Mode::Train);
+    let seeds: Vec<Tensor> = outs
+        .iter()
+        .map(|o| Tensor::randn(o.dims(), &mut rng))
+        .collect();
+    g.zero_grad();
+    g.backward(&seeds);
+
+    // The same computation, layer by layer, on private copies.
+    let mut layers: Vec<(&str, Box<dyn Layer>)> = vec![
+        ("conv_a", Box::new(conv_a)),
+        ("relu_a", Box::new(Relu::new())),
+        ("pool_a", Box::new(AvgPool2d::new(2, 2))),
+        ("flat_a", Box::new(Flatten::new())),
+        ("fc_a", Box::new(fc_a)),
+        ("conv_b", Box::new(conv_b)),
+        ("bn_b", Box::new(BatchNorm2d::new(6))),
+        ("relu_b", Box::new(Relu::new())),
+        ("tap", Box::new(tap)),
+        ("join", Box::new(Add::new())),
+        ("pool_b", Box::new(AvgPool2d::new(2, 2))),
+        ("flat_b", Box::new(Flatten::new())),
+        ("fc_b", Box::new(fc_b)),
+    ];
+    let mut run = |name: &str, inputs: &[&Tensor]| -> Tensor {
+        let layer = &mut layers.iter_mut().find(|(n, _)| *n == name).unwrap().1;
+        let copies: Vec<Tensor> = inputs.iter().map(|t| deep(t)).collect();
+        deep(&layer.forward(&copies.iter().collect::<Vec<_>>(), Mode::Train))
+    };
+    let ya = run("conv_a", &[&input]);
+    let ya_relu = run("relu_a", &[&ya]);
+    let ya_pool = run("pool_a", &[&ya_relu]);
+    let ya_flat = run("flat_a", &[&ya_pool]);
+    let _ = run("fc_a", &[&ya_flat]);
+    let yb = run("conv_b", &[&input]);
+    let yb_bn = run("bn_b", &[&yb]);
+    let yb_relu = run("relu_b", &[&yb_bn]);
+    let y_tap = run("tap", &[&ya]);
+    let y_join = run("join", &[&yb_relu, &y_tap]);
+    let yb_pool = run("pool_b", &[&y_join]);
+    let yb_flat = run("flat_b", &[&yb_pool]);
+    let _ = run("fc_b", &[&yb_flat]);
+    let mut back = |name: &str, grad: &Tensor, demand: &[bool]| -> Vec<Option<Tensor>> {
+        let layer = &mut layers.iter_mut().find(|(n, _)| *n == name).unwrap().1;
+        let grads = layer.backward(&deep(grad), demand);
+        grads.iter().map(|g| g.as_ref().map(deep)).collect()
+    };
+    let mut ga = back("fc_a", &seeds[0], &[true]).remove(0).unwrap();
+    for name in ["flat_a", "pool_a", "relu_a"] {
+        ga = back(name, &ga, &[true]).remove(0).unwrap();
+    }
+    back("conv_a", &ga, &[false]);
+    let mut gb = back("fc_b", &seeds[1], &[true]).remove(0).unwrap();
+    for name in ["flat_b", "pool_b"] {
+        gb = back(name, &gb, &[true]).remove(0).unwrap();
+    }
+    let fanned = back("join", &gb, &[true, true]);
+    back("tap", fanned[1].as_ref().unwrap(), &[false]);
+    let mut gb = fanned[0].clone().unwrap();
+    for name in ["relu_b", "bn_b"] {
+        gb = back(name, &gb, &[true]).remove(0).unwrap();
+    }
+    back("conv_b", &gb, &[false]);
+
+    for (name, layer) in &layers {
+        let id = g.node_by_name(name).unwrap();
+        for (k, (got, want)) in g
+            .node(id)
+            .layer()
+            .params()
+            .iter()
+            .zip(layer.params())
+            .enumerate()
+        {
+            assert_eq!(bits(&got.grad), bits(&want.grad), "{name}.p{k}");
+        }
+    }
+}
+
+/// `clear_caches` hands the scratch-backed caches (column matrices, padded
+/// planes, activation outputs nobody else holds any more) back to the arena
+/// instead of freeing them, so an evaluation loop — forward, drop the
+/// outputs, clear — finds them again on its next batch: the arena grows on
+/// the first batch and holds steady from then on.
+#[test]
+fn clear_caches_recycles_what_an_eval_batch_cached() {
+    std::thread::spawn(|| {
+        let mut rng = Rng::seed_from(6);
+        let mut g = GraphModel::new();
+        let x = g.input("x");
+        let h = g.add_layer("conv1", Conv2d::new(1, 6, 5, 1, 2, true, &mut rng), &[x]);
+        let h = g.add_layer("bn1", BatchNorm2d::new(6), &[h]);
+        let h = g.add_layer("relu1", Relu::new(), &[h]);
+        let h = g.add_layer("pool1", AvgPool2d::new(2, 2), &[h]);
+        let h = g.add_layer("conv2", Conv2d::new(6, 16, 5, 1, 2, true, &mut rng), &[h]);
+        let h = g.add_layer("relu2", Relu::new(), &[h]);
+        let h = g.add_layer("flat", Flatten::new(), &[h]);
+        let y = g.add_layer("fc", Linear::new(16 * 8 * 8, 4, true, &mut rng), &[h]);
+        g.set_output(y);
+        let batch = Tensor::randn(&[8, 1, 16, 16], &mut rng);
+
+        amalgam_tensor::scratch::clear();
+        drop(g.forward(&[&batch], Mode::Eval));
+        let held = amalgam_tensor::scratch::retained();
+        g.clear_caches();
+        let recycled = amalgam_tensor::scratch::retained();
+        // conv1's planes, bn1's input, relu1's and relu2's outputs, conv2's
+        // columns, fc's flattened input.
+        assert!(recycled >= held + 5, "{held} -> {recycled} buffers");
+        let columns = 6 * 25 * 8 * 8 * 8;
+        assert!(amalgam_tensor::scratch::total_retained_elems() >= columns);
+        // The next batch takes those buffers and gives them back.
+        drop(g.forward(&[&batch], Mode::Eval));
+        g.clear_caches();
+        assert_eq!(amalgam_tensor::scratch::retained(), recycled);
+    })
+    .join()
+    .unwrap();
 }

@@ -50,7 +50,7 @@
 //! transformer layer pays one pool handoff instead of `B·H` of them, and a
 //! shared B operand (batch stride 0) is packed once for every item.
 
-use crate::pack::{pack_a, pack_b, MatRef};
+use crate::pack::{pack_a, pack_b, pack_image_lines, MatRef};
 use crate::simd::{self, MicroKernelFn, SkinnyKernelFn, SKINNY_MR};
 use crate::{parallel, scratch};
 use std::cell::Cell;
@@ -143,7 +143,7 @@ const MIN_TASK_FLOPS: usize = 1 << 23;
 /// Rows a task needs to reach [`MIN_TASK_FLOPS`] at `row_flops` per C row,
 /// never below `tile_rows`. Only decides *whether and where* a region is
 /// split, which never affects results.
-fn min_task_rows(row_flops: usize, tile_rows: usize) -> usize {
+pub(crate) fn min_task_rows(row_flops: usize, tile_rows: usize) -> usize {
     MIN_TASK_FLOPS.div_ceil(row_flops.max(1)).max(tile_rows)
 }
 
@@ -162,24 +162,44 @@ pub fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut 
         return;
     }
     match route(m, n, k, b.cs) {
-        Route::Small => return small_gemm(m, n, k, a, b, c),
-        Route::Skinny => return skinny_rows(m, n, k, a, b, c, simd::skinny_kernel()),
-        Route::Packed => {}
+        Route::Small => small_gemm(m, n, k, a, b, c),
+        Route::Skinny => skinny_rows(m, n, k, a, b, c, simd::skinny_kernel()),
+        Route::Packed => packed_walk(
+            m,
+            n,
+            k,
+            |i0, p0, mc, kc, buf: &mut [f32]| pack_a(a, i0, p0, mc, kc, buf),
+            |p0, j0, kc, nc, buf: &mut [f32]| pack_b(b, p0, j0, kc, nc, buf),
+            c,
+        ),
     }
+}
+
+/// The blocked walk over packed panels, row blocks farmed out to the pool.
+/// `pack_a(i0, p0, mc, kc, buf)` and `pack_b(p0, j0, kc, nc, buf)` fill the
+/// panels of one block; where the operands live is their business.
+fn packed_walk(
+    m: usize,
+    n: usize,
+    k: usize,
+    pack_a: impl Fn(usize, usize, usize, usize, &mut [f32]) + Sync,
+    pack_b: impl Fn(usize, usize, usize, usize, &mut [f32]),
+    c: &mut [f32],
+) {
     let ukr = simd::microkernel();
     for jc in (0..n).step_by(NC) {
         let nc = (n - jc).min(NC);
         for pc in (0..k).step_by(KC) {
             let kc = (k - pc).min(KC);
             let mut pb_buf = scratch::take_raw(nc.div_ceil(NR) * NR * kc);
-            pack_b(b, pc, jc, kc, nc, &mut pb_buf);
+            pack_b(pc, jc, kc, nc, &mut pb_buf);
             let pb = &pb_buf;
             let task_rows = min_task_rows(2 * nc * kc, ROWS_MIN_CHUNK);
             parallel::parallel_rows_mut(c, m, n, task_rows, |r0, r1, rows| {
                 let mut pa = scratch::take_raw((r1 - r0).min(MC).div_ceil(MR) * MR * kc);
                 for ic in (r0..r1).step_by(MC) {
                     let mc = (r1 - ic).min(MC);
-                    pack_a(a, ic, pc, mc, kc, &mut pa);
+                    pack_a(ic, pc, mc, kc, &mut pa);
                     macro_kernel(&pa, pb, mc, nc, kc, &mut rows[(ic - r0) * n + jc..], n, ukr);
                 }
                 scratch::give(pa);
@@ -187,6 +207,60 @@ pub fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut 
             scratch::give(pb_buf);
         }
     }
+}
+
+/// `C += Σ_i A_i · B_iᵀ` for operands stored image by image — `a` is
+/// `[images, m, len]`, `b` is `[images, n, len]`, `C` is row-major `m × n` —
+/// which is `gemm` on the `m × images·len` and `n × images·len` matrices whose
+/// rows string the images together, bit for bit, without building either
+/// one: the weight gradient of a 1×1 convolution straight from its
+/// `[N, C, H·W]` output gradient and input.
+///
+/// # Panics
+///
+/// Panics if a buffer does not match its shape.
+pub fn gemm_nt_images(
+    m: usize,
+    n: usize,
+    images: usize,
+    len: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    assert_eq!(a.len(), images * m * len, "gemm_nt_images lhs mismatch");
+    assert_eq!(b.len(), images * n * len, "gemm_nt_images rhs mismatch");
+    assert_eq!(c.len(), m * n, "gemm_nt_images output buffer mismatch");
+    let k = images * len;
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    // B's "columns" run along K, so the no-pack route is never a candidate.
+    if route(m, n, k, k) == Route::Small {
+        // `small_gemm`'s A·Bᵀ loop: one chain per element over the whole K.
+        for (i, crow) in c.chunks_exact_mut(n).enumerate() {
+            for (j, cv) in crow.iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for image in 0..images {
+                    let arow = &a[(image * m + i) * len..][..len];
+                    let brow = &b[(image * n + j) * len..][..len];
+                    for (&av, &bv) in arow.iter().zip(brow) {
+                        acc += av * bv;
+                    }
+                }
+                *cv += acc;
+            }
+        }
+        return;
+    }
+    packed_walk(
+        m,
+        n,
+        k,
+        |i0, p0, mc, kc, buf: &mut [f32]| pack_image_lines(a, m, len, i0, p0, mc, kc, buf),
+        |p0, j0, kc, nc, buf: &mut [f32]| pack_image_lines(b, n, len, j0, p0, nc, kc, buf),
+        c,
+    );
 }
 
 /// One matrix per batch item, all sharing element strides: item `i` is a

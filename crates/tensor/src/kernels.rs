@@ -11,11 +11,20 @@
 //! `[N, ·, ·]` rank-3 tensor per operand, or a rank-2 B shared by every
 //! item) as a *single* pool dispatch via [`gemm::gemm_batch`] — the shape
 //! attention's per-(batch, head) products lower to.
+//!
+//! A stride-1 convolution does not need its im2col matrix to exist: row
+//! `(ci, ky, kx)` of that matrix is the zero-padded input plane read from
+//! offset `ci·Hp·Wp + ky·Wp + kx` on, one output row at a time.
+//! [`padded_planes`] builds the planes, [`conv_window_forward`] and
+//! [`conv_window_dw`] run the no-pack kernel over those windows through an
+//! offset table ([`simd::KOffsets`]) — the same products as im2col + GEMM,
+//! element for element and bit for bit, with 1/k² of the bytes written.
 
-use crate::gemm::{self, BatchMat};
+use crate::gemm::{self, BatchMat, Route, KC};
 use crate::pack::MatRef;
-use crate::parallel;
+use crate::simd::{self, KOffsets, SKINNY_MR};
 use crate::tensor::Tensor;
+use crate::{parallel, scratch};
 
 /// `C = A @ B` for `A: [M,K]`, `B: [K,N]`.
 ///
@@ -482,6 +491,215 @@ pub fn col2im(cols_mat: &Tensor, g: &Conv2dGeom, n: usize) -> Tensor {
         }
     });
     out
+}
+
+impl Conv2dGeom {
+    /// Height and width of one zero-padded input plane.
+    pub fn padded_hw(&self) -> (usize, usize) {
+        (self.in_h + 2 * self.padding, self.in_w + 2 * self.padding)
+    }
+}
+
+/// The input of a convolution as zero-padded planes `[N, C, Hp, Wp]`, taken
+/// from the scratch arena. Pixel `(y, x)` of a `g.in_h × g.in_w` plane is
+/// element `keep[y·in_w + x]` of the corresponding plane of `input` when a
+/// `keep` list is given (the gather of a masked entry layer, written straight
+/// into place) and element `y·in_w + x` otherwise.
+///
+/// # Panics
+///
+/// Panics if `input` is not `[N, C, ·, ·]` with `C == g.in_channels`, or if
+/// its planes do not hold what the geometry (or `keep`) reads.
+pub fn padded_planes(input: &Tensor, g: &Conv2dGeom, keep: Option<&[usize]>) -> Tensor {
+    let dims = input.dims();
+    assert_eq!(dims.len(), 4, "padded_planes input must be [N,C,H,W]");
+    let (n, c, src_plane) = (dims[0], dims[1], dims[2] * dims[3]);
+    assert_eq!(c, g.in_channels, "padded_planes channel mismatch");
+    let (h, w, pad) = (g.in_h, g.in_w, g.padding);
+    match keep {
+        Some(keep) => {
+            assert_eq!(keep.len(), h * w, "keep must list every pixel");
+            assert!(
+                keep.iter().all(|&pos| pos < src_plane),
+                "keep index out of bounds for the input plane"
+            );
+        }
+        None => assert_eq!((dims[2], dims[3]), (h, w), "padded_planes size mismatch"),
+    }
+    let (hp, wp) = g.padded_hw();
+    let mut planes = scratch::take_tensor(&[n, c, hp, wp]);
+    let targets = planes.data_mut().chunks_exact_mut((hp * wp).max(1));
+    for (src, dst) in input.data().chunks_exact(src_plane.max(1)).zip(targets) {
+        for y in 0..h {
+            let row = &mut dst[(y + pad) * wp + pad..][..w];
+            match keep {
+                Some(keep) => {
+                    for (d, &pos) in row.iter_mut().zip(&keep[y * w..(y + 1) * w]) {
+                        *d = src[pos];
+                    }
+                }
+                None => row.copy_from_slice(&src[y * w..(y + 1) * w]),
+            }
+        }
+    }
+    planes
+}
+
+/// Offset of every im2col row `(ci, ky, kx)` in one image's padded planes.
+fn tap_offsets(g: &Conv2dGeom) -> Vec<usize> {
+    let k = g.kernel;
+    let (hp, wp) = g.padded_hw();
+    (0..g.col_rows())
+        .map(|r| (r / (k * k)) * hp * wp + ((r / k) % k) * wp + r % k)
+        .collect()
+}
+
+fn assert_window_geometry(planes: &Tensor, g: &Conv2dGeom) -> usize {
+    assert_eq!(g.stride, 1, "the windowed convolution is stride-1 only");
+    let (hp, wp) = g.padded_hw();
+    let d = planes.dims();
+    assert!(
+        d.len() == 4 && d[1..] == [g.in_channels, hp, wp],
+        "planes do not match the geometry"
+    );
+    d[0]
+}
+
+/// `out = W ⋆ planes`: the forward convolution `[N, oc, oh, ow]` of the
+/// [`padded_planes`] of a stride-1 geometry with `weight` (`[oc, C·k·k]`
+/// row-major), written in its final layout (previous contents ignored).
+///
+/// Bit for bit the `[oc, C·k·k] · im2col` product permuted to `[N, oc, ·]`:
+/// every output element is the same chain over the taps in the same blocks.
+/// Each output row is one call of the no-pack kernel whose B "rows" are the
+/// `C·k·k` windows of that row's stretch of the planes; under a 1×1 kernel
+/// consecutive rows abut, and a whole image is one call. An unpadded 1×1
+/// convolution's planes are its input as it lies.
+///
+/// # Panics
+///
+/// Panics if the geometry is strided or a buffer does not match it.
+pub fn conv_window_forward(planes: &Tensor, g: &Conv2dGeom, weight: &[f32], out: &mut [f32]) {
+    let n = assert_window_geometry(planes, g);
+    let (taps, (oh, ow)) = (g.col_rows(), (g.out_h(), g.out_w()));
+    assert!(
+        taps > 0 && weight.len().is_multiple_of(taps),
+        "weight shape mismatch"
+    );
+    let oc = weight.len() / taps;
+    assert_eq!(out.len(), n * oc * oh * ow, "conv output buffer mismatch");
+    if out.is_empty() {
+        return;
+    }
+    let (hp, wp) = g.padded_hw();
+    let image = g.in_channels * hp * wp;
+    let offsets = tap_offsets(g);
+    // The K blocks of the product this replaces (the direct loop has one).
+    let block = match gemm::route(oc, n * oh * ow, taps, 1) {
+        Route::Small => taps,
+        _ => KC,
+    };
+    let weight_steps: Vec<usize> = (0..block.min(taps)).collect();
+    // Windows of one call: an output row, or every row where they abut.
+    let (calls, width) = if g.kernel == 1 {
+        (1, oh * ow)
+    } else {
+        (oh, ow)
+    };
+    let kernel = simd::window_kernel();
+    let task_images = gemm::min_task_rows(2 * oc * taps * oh * ow, 1);
+    let planes = planes.data();
+    parallel::parallel_rows_mut(out, n, oc * oh * ow, task_images, |n0, n1, out| {
+        for (ni, out_image) in (n0..n1).zip(out.chunks_exact_mut(oc * oh * ow)) {
+            let plane = &planes[ni * image..(ni + 1) * image];
+            out_image.fill(0.0);
+            for pc in (0..taps).step_by(block) {
+                let kc = (taps - pc).min(block);
+                let a_k = KOffsets::new(&weight_steps[..kc]);
+                let b_k = KOffsets::new(&offsets[pc..pc + kc]);
+                for i0 in (0..oc).step_by(SKINNY_MR) {
+                    let rows = (oc - i0).min(SKINNY_MR);
+                    let a = &weight[i0 * taps + pc..];
+                    for call in 0..calls {
+                        let c = &mut out_image[i0 * oh * ow + call * ow..];
+                        let b = &plane[call * wp..];
+                        kernel(rows, width, a, taps, a_k, b, b_k, c, oh * ow);
+                    }
+                }
+            }
+        }
+    });
+}
+
+/// `dw = g · im2colᵀ` without the im2col matrix: the weight gradient
+/// `[oc, C·k·k]` (previous contents ignored) of a stride-1 convolution from
+/// its output gradient `grad_out` (`[N, oc, oh, ow]`, read where it lies)
+/// and the [`padded_planes`] its forward pass read.
+///
+/// The sum over output positions runs in the order and the [`KC`] blocks of
+/// the `[oc, N·oh·ow] · [C·k·k, N·oh·ow]ᵀ` product it replaces, so the bits
+/// are that product's. One kernel row `(ci, ky)` at a time: its `k` taps are
+/// adjacent in the planes, so they are the lanes of the no-pack kernel and
+/// an output position is a K step, located in both operands by table.
+///
+/// # Panics
+///
+/// Panics if the geometry is strided or a buffer does not match it.
+pub fn conv_window_dw(planes: &Tensor, g: &Conv2dGeom, grad_out: &[f32], dw: &mut [f32]) {
+    let n = assert_window_geometry(planes, g);
+    let (taps, k, (oh, ow)) = (g.col_rows(), g.kernel, (g.out_h(), g.out_w()));
+    assert!(
+        taps > 0 && dw.len().is_multiple_of(taps),
+        "dw shape mismatch"
+    );
+    let oc = dw.len() / taps;
+    let ohw = oh * ow;
+    assert_eq!(
+        grad_out.len(),
+        n * oc * ohw,
+        "conv gradient buffer mismatch"
+    );
+    dw.fill(0.0);
+    let positions = n * ohw;
+    if positions == 0 || oc == 0 {
+        return;
+    }
+    let (hp, wp) = g.padded_hw();
+    let image = g.in_channels * hp * wp;
+    let block = match gemm::route(oc, taps, positions, positions) {
+        Route::Small => positions,
+        _ => KC,
+    };
+    let kernel = simd::window_kernel();
+    let planes = planes.data();
+    let (mut g_steps, mut plane_steps) = (Vec::new(), Vec::new());
+    for pc in (0..positions).step_by(block) {
+        let kc = (positions - pc).min(block);
+        g_steps.clear();
+        plane_steps.clear();
+        // One stretch of an output row at a time: consecutive positions are
+        // consecutive elements of both operands.
+        let mut p = pc;
+        while p < pc + kc {
+            let (ni, at) = (p / ohw, p % ohw);
+            let (oy, ox) = (at / ow, at % ow);
+            let run = (ow - ox).min(pc + kc - p);
+            let (g0, plane0) = (ni * oc * ohw + at, ni * image + oy * wp + ox);
+            g_steps.extend(g0..g0 + run);
+            plane_steps.extend(plane0..plane0 + run);
+            p += run;
+        }
+        let (a_k, b_k) = (KOffsets::new(&g_steps), KOffsets::new(&plane_steps));
+        for row in 0..g.in_channels * k {
+            let (ci, ky) = (row / k, row % k);
+            let b = &planes[ci * hp * wp + ky * wp..];
+            for i0 in (0..oc).step_by(SKINNY_MR) {
+                let rows = (oc - i0).min(SKINNY_MR);
+                let c = &mut dw[i0 * taps + row * k..];
+                kernel(rows, k, &grad_out[i0 * ohw..], ohw, a_k, b, b_k, c, taps);
+            }
+        }
+    }
 }
 
 /// The naive definitions of the glue kernels: one bounds test per element,

@@ -143,6 +143,46 @@ fn pack_lines(
     }
 }
 
+/// [`pack_a`]/[`pack_b`] for an operand stored image by image: `data` is
+/// `[images, lines, len]` and is read as the `lines × images·len` matrix
+/// whose line `l` strings together row `l` of every image — a convolution's
+/// `[N, C, H·W]` activation or gradient seen as `[C, N·H·W]`, without the
+/// permute that would make it one. Lines `l0..l0 + count` at depths
+/// `q0..q0 + kc` become the same K-major panels `pack_lines` builds; each
+/// stretch of a line inside one image is contiguous along K and moves as
+/// block transposes.
+#[allow(clippy::too_many_arguments)]
+pub fn pack_image_lines(
+    data: &[f32],
+    lines: usize,
+    len: usize,
+    l0: usize,
+    q0: usize,
+    count: usize,
+    kc: usize,
+    buf: &mut [f32],
+) {
+    const TILE: usize = MR;
+    if kc == 0 {
+        return;
+    }
+    let panels = count.div_ceil(TILE);
+    debug_assert!(buf.len() >= panels * kc * TILE);
+    let transpose = simd::transpose_kernel();
+    for (ip, panel) in buf.chunks_exact_mut(kc * TILE).take(panels).enumerate() {
+        let in_panel = (count - ip * TILE).min(TILE);
+        let first = l0 + ip * TILE;
+        let mut q = q0;
+        while q < q0 + kc {
+            let (image, at) = (q / len, q % len);
+            let run = (len - at).min(q0 + kc - q);
+            let src = &data[(image * lines + first) * len + at..];
+            transpose(src, len, in_panel, run, &mut panel[(q - q0) * TILE..]);
+            q += run;
+        }
+    }
+}
+
 /// The packers' element-wise definitions — one [`MatRef::at`] per panel
 /// slot, which is also how every source was packed before the strided cases
 /// got block moves. Kept as the oracle for the property tests and the

@@ -12,7 +12,7 @@
 //!
 //! Buffers are plain `Vec<f32>`s: anything can be `give`n back, including
 //! allocations that did not originate here (e.g. a `Tensor` temporary via
-//! [`give_tensor`]). The arena retains at most `MAX_RETAINED` buffers per
+//! [`give_tensor`], which recycles only storage no other tensor shares). The arena retains at most `MAX_RETAINED` buffers per
 //! thread, evicting the smallest first, so memory use stays bounded by the
 //! largest working set actually seen.
 //!
@@ -146,9 +146,42 @@ pub fn take_tensor_raw(dims: &[usize]) -> Tensor {
     Tensor::from_vec(take_raw(numel), dims)
 }
 
-/// Recycles a tensor's storage into the arena.
+/// [`Tensor::map`] into arena storage: for element-wise results that live
+/// for a training step and come back through [`give_tensor`].
+pub fn map_tensor(x: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+    let mut out = take_tensor_raw(x.dims());
+    for (o, &v) in out.data_mut().iter_mut().zip(x.data()) {
+        *o = f(v);
+    }
+    out
+}
+
+/// [`Tensor::zip_map`] into arena storage (see [`map_tensor`]).
+///
+/// # Panics
+///
+/// Panics if the shapes differ.
+pub fn zip_map_tensor(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    assert!(
+        a.shape().same_as(b.shape()),
+        "zip_map shape mismatch: {} vs {}",
+        a.shape(),
+        b.shape()
+    );
+    let mut out = take_tensor_raw(a.dims());
+    for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
+        *o = f(x, y);
+    }
+    out
+}
+
+/// Recycles a tensor's storage into the arena — unless another tensor still
+/// shares it, in which case only this handle is dropped: the arena must
+/// never hand out a buffer somebody can still read.
 pub fn give_tensor(tensor: Tensor) {
-    give(tensor.into_vec());
+    if let Some(buf) = tensor.into_unshared_vec() {
+        give(buf);
+    }
 }
 
 /// Number of buffers currently retained by this thread's arena (for tests).

@@ -6,6 +6,12 @@
 //! route (`skinny_kernel`, up to [`SKINNY_MR`] C rows against B read in
 //! place) and the 8×8 block transpose the packers use for sources whose
 //! contiguous axis is the one a panel strides over (`transpose_kernel`).
+//! `window_kernel` is the no-pack kernel once more, with the start of each K
+//! step's operands looked up in an offset table ([`KOffsets`]) instead of
+//! multiplied out from a stride: a B "row" can then be any window of a
+//! buffer, which is how the column-free convolutions
+//! ([`kernels::conv_window_forward`](crate::kernels::conv_window_forward))
+//! read padded image planes in place of an im2col matrix.
 //! The tiers, described for the micro-kernel:
 //!
 //! * **portable** ([`portable_microkernel`]) — the scalar 8×8 tile loop.
@@ -62,6 +68,57 @@ const SKINNY_NR: usize = 16;
 /// (`cs == 1`); all three views start at the block's first element.
 pub type SkinnyKernelFn =
     fn(rows: usize, n: usize, kc: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], ldc: usize);
+
+/// Validated offset table of a [`WindowKernelFn`] operand: K step `p` of the
+/// operand starts `offsets[p]` elements into its buffer. Holding the largest
+/// offset lets the kernel wrappers bounds-check a whole call in O(1).
+#[derive(Debug, Clone, Copy)]
+pub struct KOffsets<'a> {
+    offsets: &'a [usize],
+    max: usize,
+}
+
+impl<'a> KOffsets<'a> {
+    /// Wraps `offsets` (one per K step, at least one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` is empty.
+    pub fn new(offsets: &'a [usize]) -> Self {
+        let max = *offsets
+            .iter()
+            .max()
+            .expect("a K block has at least one step");
+        KOffsets { offsets, max }
+    }
+
+    /// Number of K steps described.
+    pub fn len(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// Whether the table is empty (never: [`new`](Self::new) refuses one).
+    pub fn is_empty(&self) -> bool {
+        self.offsets.is_empty()
+    }
+}
+
+/// Signature of the windowed no-pack kernels: [`SkinnyKernelFn`] with both
+/// operands' K steps located by table. For `rows ≤ SKINNY_MR` and `n` columns,
+/// `acc = Σ_p a[r·a_rs + a_k[p]] · b[b_k[p] + j]` from a zeroed accumulator in
+/// ascending `p` over the tables' common length, then `c[r·ldc + j] += acc` —
+/// the association of every other GEMM kernel.
+pub type WindowKernelFn = fn(
+    rows: usize,
+    n: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_k: KOffsets<'_>,
+    b: &[f32],
+    b_k: KOffsets<'_>,
+    c: &mut [f32],
+    ldc: usize,
+);
 
 /// Signature of the panel transposes: `panel[q·8 + r] = src[r·stride + q]`
 /// for `r < lines ≤ 8` and `q < len`; lanes `lines..8` of every `q` are
@@ -188,6 +245,22 @@ pub(crate) fn skinny_kernel() -> SkinnyKernelFn {
     portable_skinny_kernel
 }
 
+/// The windowed no-pack kernel for [`active_tier`].
+#[allow(unreachable_code)]
+pub(crate) fn window_kernel() -> WindowKernelFn {
+    if active_tier() == Tier::Simd {
+        #[cfg(target_arch = "x86_64")]
+        {
+            return avx2_window_kernel;
+        }
+        #[cfg(target_arch = "aarch64")]
+        {
+            return neon_window_kernel;
+        }
+    }
+    portable_window_kernel
+}
+
 /// The panel transpose for [`active_tier`].
 #[allow(unreachable_code)]
 pub(crate) fn transpose_kernel() -> TransposeFn {
@@ -241,6 +314,29 @@ fn assert_skinny_bounds(
     assert!((rows - 1) * ldc + n <= c.len(), "C rows too short");
 }
 
+/// What the windowed kernels rely on (the portable one for a clear message,
+/// the `unsafe` ones for soundness): the tables agree on the K extent and
+/// every `a[r·a_rs + a_k[p]]`, every B window `b[b_k[p]..][..n]` and every C
+/// row lies inside its slice.
+#[allow(clippy::too_many_arguments)]
+fn assert_window_bounds(
+    rows: usize,
+    n: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_k: KOffsets,
+    b: &[f32],
+    b_k: KOffsets,
+    c: &[f32],
+    ldc: usize,
+) {
+    assert!(rows >= 1 && n >= 1, "empty no-pack product");
+    assert_eq!(a_k.len(), b_k.len(), "operands disagree on the K extent");
+    assert!((rows - 1) * a_rs + a_k.max < a.len(), "A view too short");
+    assert!(b_k.max + n <= b.len(), "B view too short");
+    assert!((rows - 1) * ldc + n <= c.len(), "C rows too short");
+}
+
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 /// What the `unsafe` transposes rely on: all `lines` source lines hold `len`
 /// elements and the panel holds `len` rows of 8.
@@ -285,20 +381,49 @@ pub fn portable_skinny_kernel(
     ldc: usize,
 ) {
     assert_eq!(b.cs, 1, "no-pack kernel needs contiguous B rows");
-    with_const_rows!(rows, portable_skinny, (n, kc, a, b, c, ldc));
+    let (a_k, b_k) = (|p: usize| p * a.cs, |p: usize| p * b.rs);
+    with_const_rows!(
+        rows,
+        portable_skinny,
+        (n, kc, a.data, a.rs, a_k, b.data, b_k, c, ldc)
+    );
 }
 
+/// Portable windowed kernel: [`portable_skinny_kernel`] reading its K steps
+/// through the offset tables.
+#[allow(clippy::too_many_arguments)]
+pub fn portable_window_kernel(
+    rows: usize,
+    n: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_k: KOffsets<'_>,
+    b: &[f32],
+    b_k: KOffsets<'_>,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    assert_window_bounds(rows, n, a, a_rs, a_k, b, b_k, c, ldc);
+    let kc = a_k.len();
+    let (a_k, b_k) = (|p: usize| a_k.offsets[p], |p: usize| b_k.offsets[p]);
+    with_const_rows!(rows, portable_skinny, (n, kc, a, a_rs, a_k, b, b_k, c, ldc));
+}
+
+#[allow(clippy::too_many_arguments)]
 fn portable_skinny<const R: usize>(
     n: usize,
     kc: usize,
-    a: MatRef,
-    b: MatRef,
+    a: &[f32],
+    a_rs: usize,
+    a_k: impl Fn(usize) -> usize + Copy,
+    b: &[f32],
+    b_k: impl Fn(usize) -> usize + Copy,
     c: &mut [f32],
     ldc: usize,
 ) {
     for j in (0..n).step_by(SKINNY_NR) {
         let width = (n - j).min(SKINNY_NR);
-        let acc = portable_skinny_tile::<R>(kc, a, &b.data[j..], b.rs, width);
+        let acc = portable_skinny_tile::<R>(kc, a, a_rs, a_k, &b[j..], b_k, width);
         for (r, row) in acc.iter().enumerate() {
             for (cv, &x) in c[r * ldc + j..r * ldc + j + width].iter_mut().zip(row) {
                 *cv += x;
@@ -307,26 +432,29 @@ fn portable_skinny<const R: usize>(
     }
 }
 
-/// One `R × 16` tile of the portable no-pack kernel over a K block. A ragged
-/// tile (`width < 16`) reads its B rows through a zero-padded copy; its
-/// extra lanes are computed and dropped.
+/// One `R × 16` tile of the portable no-pack kernel over a K block; `a_k`
+/// and `b_k` give the offset of each K step in their operand. A ragged tile
+/// (`width < 16`) reads its B rows through a zero-padded copy; its extra
+/// lanes are computed and dropped.
 #[inline(never)]
 fn portable_skinny_tile<const R: usize>(
     kc: usize,
-    a: MatRef,
+    a: &[f32],
+    a_rs: usize,
+    a_k: impl Fn(usize) -> usize,
     b: &[f32],
-    ldb: usize,
+    b_k: impl Fn(usize) -> usize,
     width: usize,
 ) -> [[f32; SKINNY_NR]; R] {
     #[inline(always)]
     fn step<const R: usize>(
         acc: &mut [[f32; SKINNY_NR]; R],
-        a: MatRef,
-        p: usize,
+        a: &[f32],
+        a_rs: usize,
         brow: &[f32; SKINNY_NR],
     ) {
         for (r, row) in acc.iter_mut().enumerate() {
-            let av = a.at(r, p);
+            let av = a[r * a_rs];
             for l in 0..SKINNY_NR {
                 row[l] += av * brow[l];
             }
@@ -335,18 +463,14 @@ fn portable_skinny_tile<const R: usize>(
     let mut acc = [[0.0f32; SKINNY_NR]; R];
     if width == SKINNY_NR {
         for p in 0..kc {
-            step(
-                &mut acc,
-                a,
-                p,
-                b[p * ldb..].first_chunk().expect("full B tile"),
-            );
+            let brow = b[b_k(p)..].first_chunk().expect("full B tile");
+            step(&mut acc, &a[a_k(p)..], a_rs, brow);
         }
     } else {
         for p in 0..kc {
             let mut brow = [0.0f32; SKINNY_NR];
-            brow[..width].copy_from_slice(&b[p * ldb..p * ldb + width]);
-            step(&mut acc, a, p, &brow);
+            brow[..width].copy_from_slice(&b[b_k(p)..][..width]);
+            step(&mut acc, &a[a_k(p)..], a_rs, &brow);
         }
     }
     acc
@@ -402,9 +526,33 @@ fn avx2_skinny_kernel(
         with_const_rows!(
             rows,
             avx2::skinny,
-            (n, kc, ap, a.rs, a.cs, bp, b.rs, cp, ldc)
+            (n, kc, ap, a.rs, |p| p * a.cs, bp, |p| p * b.rs, cp, ldc)
         )
     }
+}
+
+/// AVX2 windowed kernel wrapper (plain `fn` so it fits the dispatch table).
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn avx2_window_kernel(
+    rows: usize,
+    n: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_k: KOffsets<'_>,
+    b: &[f32],
+    b_k: KOffsets<'_>,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    assert_window_bounds(rows, n, a, a_rs, a_k, b, b_k, c, ldc);
+    let kc = a_k.len();
+    let (a_k, b_k) = (|p: usize| a_k.offsets[p], |p: usize| b_k.offsets[p]);
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    // SAFETY: bounds asserted above (both tables hold `kc` offsets no larger
+    // than their recorded maxima); AVX2 presence was verified by
+    // `simd_available` before this kernel was selected.
+    unsafe { with_const_rows!(rows, avx2::skinny, (n, kc, ap, a_rs, a_k, bp, b_k, cp, ldc)) }
 }
 
 /// AVX2 panel transpose wrapper (plain `fn` so it fits the dispatch table).
@@ -483,12 +631,13 @@ mod avx2 {
     /// accumulators per row; per `p`, two B loads shared by all rows and one
     /// broadcast of `a(r, p)` per row. Unfused mul then add per lane, like
     /// the micro-kernel. One-vector tiles under a lane mask finish the row.
+    /// `ak`/`bk` say where K step `p` starts in A's row and in B.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 is available and that `a + r·ars + p·acs`,
-    /// `b + p·ldb + j` and `c + r·ldc + j` are valid for all `r < R`, `p < kc`,
-    /// `j < n` (C for writes too).
+    /// Caller must ensure AVX2 is available and that `a + r·ars + ak(p)`, `b + bk(p) + j`
+    /// and `c + r·ldc + j` are valid for all `r < R`, `p < kc`, `j < n` (C for
+    /// writes too).
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn skinny<const R: usize>(
@@ -496,9 +645,9 @@ mod avx2 {
         kc: usize,
         a: *const f32,
         ars: usize,
-        acs: usize,
+        ak: impl Fn(usize) -> usize + Copy,
         b: *const f32,
-        ldb: usize,
+        bk: impl Fn(usize) -> usize + Copy,
         c: *mut f32,
         ldc: usize,
     ) {
@@ -506,10 +655,11 @@ mod avx2 {
         while j + 16 <= n {
             let mut acc = [[_mm256_setzero_ps(); 2]; R];
             for p in 0..kc {
-                let b0 = _mm256_loadu_ps(b.add(p * ldb + j));
-                let b1 = _mm256_loadu_ps(b.add(p * ldb + j + 8));
+                let (ap, bp) = (a.add(ak(p)), b.add(bk(p) + j));
+                let b0 = _mm256_loadu_ps(bp);
+                let b1 = _mm256_loadu_ps(bp.add(8));
                 for (r, [lo, hi]) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*a.add(r * ars + p * acs));
+                    let av = _mm256_set1_ps(*ap.add(r * ars));
                     *lo = _mm256_add_ps(*lo, _mm256_mul_ps(av, b0));
                     *hi = _mm256_add_ps(*hi, _mm256_mul_ps(av, b1));
                 }
@@ -528,9 +678,10 @@ mod avx2 {
             let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j).min(8) as i32), lanes);
             let mut acc = [_mm256_setzero_ps(); R];
             for p in 0..kc {
-                let b0 = _mm256_maskload_ps(b.add(p * ldb + j), mask);
+                let ap = a.add(ak(p));
+                let b0 = _mm256_maskload_ps(b.add(bk(p) + j), mask);
                 for (r, x) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*a.add(r * ars + p * acs));
+                    let av = _mm256_set1_ps(*ap.add(r * ars));
                     *x = _mm256_add_ps(*x, _mm256_mul_ps(av, b0));
                 }
             }
@@ -644,9 +795,32 @@ fn neon_skinny_kernel(
         with_const_rows!(
             rows,
             neon::skinny,
-            (n, kc, ap, a.rs, a.cs, bp, b.rs, cp, ldc)
+            (n, kc, ap, a.rs, |p| p * a.cs, bp, |p| p * b.rs, cp, ldc)
         )
     }
+}
+
+/// NEON windowed kernel wrapper (plain `fn` so it fits the dispatch table).
+#[cfg(target_arch = "aarch64")]
+#[allow(clippy::too_many_arguments)]
+fn neon_window_kernel(
+    rows: usize,
+    n: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_k: KOffsets<'_>,
+    b: &[f32],
+    b_k: KOffsets<'_>,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    assert_window_bounds(rows, n, a, a_rs, a_k, b, b_k, c, ldc);
+    let kc = a_k.len();
+    let (a_k, b_k) = (|p: usize| a_k.offsets[p], |p: usize| b_k.offsets[p]);
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    // SAFETY: bounds asserted above (both tables hold `kc` offsets no larger
+    // than their recorded maxima); NEON is baseline on aarch64.
+    unsafe { with_const_rows!(rows, neon::skinny, (n, kc, ap, a_rs, a_k, bp, b_k, cp, ldc)) }
 }
 
 /// NEON panel transpose wrapper (plain `fn` so it fits the dispatch table).
@@ -702,9 +876,11 @@ mod neon {
     /// scalars; `vmulq`/`vaddq` stay separate and the association is the
     /// same at every width.
     ///
+    /// `ak`/`bk` say where K step `p` starts in A's row and in B.
+    ///
     /// # Safety
     ///
-    /// Caller must ensure `a + r·ars + p·acs`, `b + p·ldb + j` and
+    /// Caller must ensure that `a + r·ars + ak(p)`, `b + bk(p) + j` and
     /// `c + r·ldc + j` are valid for all `r < R`, `p < kc`, `j < n` (C for
     /// writes too).
     #[allow(clippy::too_many_arguments)]
@@ -714,9 +890,9 @@ mod neon {
         kc: usize,
         a: *const f32,
         ars: usize,
-        acs: usize,
+        ak: impl Fn(usize) -> usize + Copy,
         b: *const f32,
-        ldb: usize,
+        bk: impl Fn(usize) -> usize + Copy,
         c: *mut f32,
         ldc: usize,
     ) {
@@ -724,7 +900,7 @@ mod neon {
         while j + 16 <= n {
             let mut acc = [[vdupq_n_f32(0.0); 4]; R];
             for p in 0..kc {
-                let bp = b.add(p * ldb + j);
+                let bp = b.add(bk(p) + j);
                 let bv = [
                     vld1q_f32(bp),
                     vld1q_f32(bp.add(4)),
@@ -732,7 +908,7 @@ mod neon {
                     vld1q_f32(bp.add(12)),
                 ];
                 for (r, row) in acc.iter_mut().enumerate() {
-                    let av = vdupq_n_f32(*a.add(r * ars + p * acs));
+                    let av = vdupq_n_f32(*a.add(r * ars + ak(p)));
                     for (x, &bq) in row.iter_mut().zip(&bv) {
                         *x = vaddq_f32(*x, vmulq_f32(av, bq));
                     }
@@ -749,9 +925,9 @@ mod neon {
         while j + 4 <= n {
             let mut acc = [vdupq_n_f32(0.0); R];
             for p in 0..kc {
-                let bq = vld1q_f32(b.add(p * ldb + j));
+                let bq = vld1q_f32(b.add(bk(p) + j));
                 for (r, x) in acc.iter_mut().enumerate() {
-                    let av = vdupq_n_f32(*a.add(r * ars + p * acs));
+                    let av = vdupq_n_f32(*a.add(r * ars + ak(p)));
                     *x = vaddq_f32(*x, vmulq_f32(av, bq));
                 }
             }
@@ -765,7 +941,7 @@ mod neon {
             for r in 0..R {
                 let mut acc = 0.0f32;
                 for p in 0..kc {
-                    acc += *a.add(r * ars + p * acs) * *b.add(p * ldb + j);
+                    acc += *a.add(r * ars + ak(p)) * *b.add(bk(p) + j);
                 }
                 *c.add(r * ldc + j) += acc;
             }

@@ -5,14 +5,22 @@ use crate::rng::Rng;
 use crate::shape::Shape;
 use crate::TensorError;
 use std::fmt;
+use std::sync::Arc;
 
 /// A contiguous, row-major, n-dimensional array of `f32`.
 ///
 /// This is the single numeric currency of the whole workspace: datasets,
 /// activations, parameters and gradients are all `Tensor`s. The type is
-/// deliberately simple (owned `Vec<f32>` + [`Shape`]) so that every operation
+/// deliberately simple (a `Vec<f32>` + [`Shape`]) so that every operation
 /// is easy to audit — determinism of the original sub-network's training
 /// trajectory is a correctness property of Amalgam (see `DESIGN.md`, D2).
+///
+/// Storage is reference-counted and copied on write: [`Clone`],
+/// [`reshape`](Self::reshape) and [`flatten`](Self::flatten) hand out another
+/// handle on the same elements in O(1), reads never copy, and the first
+/// write through a handle that is not the only one ([`data_mut`](Self::data_mut)
+/// and everything built on it) first gives that handle a private copy — so a
+/// write is never visible through any other tensor.
 ///
 /// # Example
 ///
@@ -25,7 +33,7 @@ use std::fmt;
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
     shape: Shape,
 }
 
@@ -58,13 +66,18 @@ impl Tensor {
     // Constructors
     // ------------------------------------------------------------------
 
+    /// A tensor that is the only handle on `data`.
+    fn owned(data: Vec<f32>, shape: Shape) -> Self {
+        Tensor {
+            data: Arc::new(data),
+            shape,
+        }
+    }
+
     /// A tensor of zeros with the given shape.
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
-        Tensor {
-            data: vec![0.0; shape.numel()],
-            shape,
-        }
+        Tensor::owned(vec![0.0; shape.numel()], shape)
     }
 
     /// A tensor of ones with the given shape.
@@ -75,27 +88,21 @@ impl Tensor {
     /// A tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
-        Tensor {
-            data: vec![value; shape.numel()],
-            shape,
-        }
+        Tensor::owned(vec![value; shape.numel()], shape)
     }
 
     /// A 0-dimensional tensor holding a single value.
     pub fn scalar(value: f32) -> Self {
-        Tensor {
-            data: vec![value],
-            shape: Shape::scalar(),
-        }
+        Tensor::owned(vec![value], Shape::scalar())
     }
 
     /// The `n`×`n` identity matrix.
     pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(&[n, n]);
+        let mut data = vec![0.0; n * n];
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            data[i * n + i] = 1.0;
         }
-        t
+        Tensor::owned(data, Shape::new(&[n, n]))
     }
 
     /// Builds a tensor from existing data.
@@ -122,14 +129,14 @@ impl Tensor {
                 actual: data.len(),
             });
         }
-        Ok(Tensor { data, shape })
+        Ok(Tensor::owned(data, shape))
     }
 
     /// Builds a tensor by evaluating `f` at every flat index.
     pub fn from_fn(dims: &[usize], mut f: impl FnMut(usize) -> f32) -> Self {
         let shape = Shape::new(dims);
         let data = (0..shape.numel()).map(&mut f).collect();
-        Tensor { data, shape }
+        Tensor::owned(data, shape)
     }
 
     /// Standard-normal random tensor drawn from `rng`.
@@ -151,14 +158,30 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable access to the underlying data.
+    /// Mutable access to the underlying data. If another tensor shares the
+    /// storage, this one is first given a private copy of it (see the type
+    /// docs); the uniqueness test is an atomic operation, so a loop should
+    /// take the slice once rather than call this per element.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its data vector.
+    /// Consumes the tensor, returning its data vector (a copy of it when the
+    /// storage is shared).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| Vec::clone(&shared))
+    }
+
+    /// Consumes the tensor, returning its data vector only if no other
+    /// tensor shares it: what may be recycled without taking anything from
+    /// another handle.
+    pub fn into_unshared_vec(self) -> Option<Vec<f32>> {
+        Arc::try_unwrap(self.data).ok()
+    }
+
+    /// Whether `self` and `other` are handles on the same storage.
+    pub fn shares_storage_with(&self, other: &Tensor) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// The tensor's shape.
@@ -192,7 +215,7 @@ impl Tensor {
     /// Panics if the index is out of bounds or has the wrong rank.
     pub fn set(&mut self, idx: &[usize], value: f32) {
         let flat = self.shape.flat_index(idx);
-        self.data[flat] = value;
+        self.data_mut()[flat] = value;
     }
 
     /// The single value of a 1-element tensor.
@@ -209,7 +232,8 @@ impl Tensor {
     // Shape manipulation
     // ------------------------------------------------------------------
 
-    /// Returns a tensor with the same data and a new shape.
+    /// Returns a tensor with the same data (shared, not copied) and a new
+    /// shape.
     ///
     /// # Panics
     ///
@@ -240,7 +264,7 @@ impl Tensor {
         self.shape = shape;
     }
 
-    /// Flattens to a 1-D tensor.
+    /// Flattens to a 1-D tensor (sharing the data).
     pub fn flatten(&self) -> Tensor {
         Tensor {
             data: self.data.clone(),
@@ -256,13 +280,13 @@ impl Tensor {
     pub fn transpose2d(&self) -> Tensor {
         assert_eq!(self.shape.rank(), 2, "transpose2d requires a matrix");
         let (m, n) = (self.shape.dim(0), self.shape.dim(1));
-        let mut out = Tensor::zeros(&[n, m]);
+        let mut out = vec![0.0; n * m];
         for i in 0..m {
             for j in 0..n {
-                out.data[j * m + i] = self.data[i * n + j];
+                out[j * m + i] = self.data[i * n + j];
             }
         }
-        out
+        Tensor::owned(out, Shape::new(&[n, m]))
     }
 
     // ------------------------------------------------------------------
@@ -271,15 +295,15 @@ impl Tensor {
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            data: self.data.iter().map(|&v| f(v)).collect(),
-            shape: self.shape.clone(),
-        }
+        Tensor::owned(
+            self.data.iter().map(|&v| f(v)).collect(),
+            self.shape.clone(),
+        )
     }
 
     /// Applies `f` to every element in place.
     pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
+        for v in self.data_mut() {
             *v = f(*v);
         }
     }
@@ -299,13 +323,10 @@ impl Tensor {
         let data = self
             .data
             .iter()
-            .zip(&other.data)
+            .zip(other.data())
             .map(|(&a, &b)| f(a, b))
             .collect();
-        Tensor {
-            data,
-            shape: self.shape.clone(),
-        }
+        Tensor::owned(data, self.shape.clone())
     }
 
     /// Element-wise sum.
@@ -338,7 +359,7 @@ impl Tensor {
             self.shape.same_as(&other.shape),
             "add_assign shape mismatch"
         );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += b;
         }
     }
@@ -350,7 +371,7 @@ impl Tensor {
     /// Panics if the shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert!(self.shape.same_as(&other.shape), "axpy shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += alpha * b;
         }
     }
@@ -367,14 +388,18 @@ impl Tensor {
 
     /// Multiplies every element by a scalar, in place.
     pub fn scale_in_place(&mut self, s: f32) {
-        for v in &mut self.data {
+        for v in self.data_mut() {
             *v *= s;
         }
     }
 
-    /// Sets every element to zero.
+    /// Sets every element to zero (in fresh storage when the current one is
+    /// shared: there is nothing worth copying).
     pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
+        match Arc::get_mut(&mut self.data) {
+            Some(data) => data.fill(0.0),
+            None => self.data = Arc::new(vec![0.0; self.data.len()]),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -419,7 +444,7 @@ impl Tensor {
         assert_eq!(self.numel(), other.numel(), "dot length mismatch");
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data())
             .map(|(&a, &b)| a * b)
             .sum()
     }
@@ -432,13 +457,13 @@ impl Tensor {
     pub fn sum_axis0(&self) -> Tensor {
         assert_eq!(self.shape.rank(), 2, "sum_axis0 requires a matrix");
         let (m, n) = (self.shape.dim(0), self.shape.dim(1));
-        let mut out = Tensor::zeros(&[n]);
-        for i in 0..m {
-            for j in 0..n {
-                out.data[j] += self.data[i * n + j];
+        let mut out = vec![0.0; n];
+        for row in self.data.chunks_exact(n.max(1)).take(m) {
+            for (o, &v) in out.iter_mut().zip(row) {
+                *o += v;
             }
         }
-        out
+        Tensor::owned(out, Shape::new(&[n]))
     }
 
     /// Per-row index of the maximum of a 2-D tensor.
@@ -501,15 +526,8 @@ impl Tensor {
     ///
     /// Panics if shapes are incompatible.
     pub fn add_bias_row(&self, bias: &Tensor) -> Tensor {
-        assert_eq!(self.shape.rank(), 2, "add_bias_row requires a matrix");
-        let (m, n) = (self.shape.dim(0), self.shape.dim(1));
-        assert_eq!(bias.numel(), n, "bias length must equal column count");
         let mut out = self.clone();
-        for i in 0..m {
-            for j in 0..n {
-                out.data[i * n + j] += bias.data[j];
-            }
-        }
+        out.add_bias_row_assign(bias);
         out
     }
 
@@ -521,11 +539,10 @@ impl Tensor {
     /// Panics if shapes are incompatible.
     pub fn add_bias_row_assign(&mut self, bias: &Tensor) {
         assert_eq!(self.shape.rank(), 2, "add_bias_row requires a matrix");
-        let (m, n) = (self.shape.dim(0), self.shape.dim(1));
+        let n = self.shape.dim(1);
         assert_eq!(bias.numel(), n, "bias length must equal column count");
-        for i in 0..m {
-            let row = &mut self.data[i * n..(i + 1) * n];
-            for (v, &bv) in row.iter_mut().zip(&bias.data) {
+        for row in self.data_mut().chunks_exact_mut(n.max(1)) {
+            for (v, &bv) in row.iter_mut().zip(bias.data()) {
                 *v += bv;
             }
         }
@@ -602,8 +619,9 @@ impl Tensor {
     /// Panics if lengths differ or any index is out of bounds.
     pub fn scatter_add_flat(&mut self, indices: &[usize], values: &[f32]) {
         assert_eq!(indices.len(), values.len(), "scatter length mismatch");
+        let data = self.data_mut();
         for (&i, &v) in indices.iter().zip(values) {
-            self.data[i] += v;
+            data[i] += v;
         }
     }
 
@@ -649,17 +667,14 @@ impl Tensor {
             assert_eq!(p.dims()[0], m, "concat_axis1 row count mismatch");
             total_cols += p.dims()[1];
         }
-        let mut out = Tensor::zeros(&[m, total_cols]);
+        let mut out = Vec::with_capacity(m * total_cols);
         for i in 0..m {
-            let mut col = 0usize;
             for p in parts {
                 let n = p.dims()[1];
-                out.data[i * total_cols + col..i * total_cols + col + n]
-                    .copy_from_slice(&p.data()[i * n..(i + 1) * n]);
-                col += n;
+                out.extend_from_slice(&p.data()[i * n..(i + 1) * n]);
             }
         }
-        out
+        Tensor::owned(out, Shape::new(&[m, total_cols]))
     }
 
     // ------------------------------------------------------------------
@@ -674,7 +689,7 @@ impl Tensor {
     pub fn softmax_rows(&self) -> Tensor {
         assert_eq!(self.shape.rank(), 2, "softmax_rows requires a matrix");
         let mut out = self.clone();
-        softmax_rows_in_place(&mut out.data, self.shape.dim(1));
+        softmax_rows_in_place(out.data_mut(), self.shape.dim(1));
         out
     }
 
@@ -687,8 +702,9 @@ impl Tensor {
         assert_eq!(self.shape.rank(), 2, "log_softmax_rows requires a matrix");
         let (m, n) = (self.shape.dim(0), self.shape.dim(1));
         let mut out = self.clone();
+        let data = out.data_mut();
         for i in 0..m {
-            let row = &mut out.data[i * n..(i + 1) * n];
+            let row = &mut data[i * n..(i + 1) * n];
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let lse = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
             for v in row.iter_mut() {
@@ -711,7 +727,7 @@ impl Tensor {
         assert_eq!(self.numel(), other.numel(), "max_abs_diff length mismatch");
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data())
             .map(|(&a, &b)| (a - b).abs())
             .fold(0.0f32, f32::max)
     }

@@ -23,6 +23,29 @@ impl Writer {
         }
     }
 
+    /// A fresh writer with room for `bytes` bytes: an encoder that knows
+    /// roughly what it will write (a model's parameters) appends into one
+    /// allocation instead of growing through a dozen copies.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            buf: BytesMut::with_capacity(bytes),
+        }
+    }
+
+    /// Appends `xs` as little-endian `f32`s, converted a block at a time on
+    /// the stack: no staging allocation the size of the payload.
+    fn put_f32_payload(&mut self, xs: &[f32]) {
+        const BLOCK: usize = 256;
+        let mut raw = [0u8; BLOCK * 4];
+        for block in xs.chunks(BLOCK) {
+            let bytes = &mut raw[..block.len() * 4];
+            for (dst, &v) in bytes.chunks_exact_mut(4).zip(block) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+            self.buf.put_slice(bytes);
+        }
+    }
+
     /// Guards every `u32` length prefix: a length that does not fit would
     /// otherwise be silently truncated by `as u32`, encoding a frame whose
     /// prefix disagrees with its payload — corruption the reader could not
@@ -99,24 +122,14 @@ impl Writer {
     /// Panics if the list holds more than `u32::MAX` entries.
     pub fn put_f32_list(&mut self, xs: &[f32]) {
         self.put_u32(Self::check_len(xs.len(), "f32 list"));
-        let mut raw = vec![0u8; xs.len() * 4];
-        for (dst, &v) in raw.chunks_exact_mut(4).zip(xs) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
-        self.buf.put_slice(&raw);
+        self.put_f32_payload(xs);
     }
 
-    /// Appends a tensor: rank, dims, then raw f32 payload (staged into one
-    /// exact-size buffer so the payload lands with a single bulk append).
+    /// Appends a tensor: rank, dims, then raw f32 payload.
     pub fn put_tensor(&mut self, t: &Tensor) {
         self.put_usize_list(t.dims());
         self.put_u64(t.numel() as u64);
-        let data = t.data();
-        let mut raw = vec![0u8; data.len() * 4];
-        for (dst, &v) in raw.chunks_exact_mut(4).zip(data) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
-        self.buf.put_slice(&raw);
+        self.put_f32_payload(t.data());
     }
 
     /// Finishes, returning the immutable byte buffer.
@@ -267,11 +280,16 @@ impl Reader {
             context: "f32 list length overflow",
         })?;
         self.need(byte_len, "f32 list payload")?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.buf.get_f32_le());
-        }
-        Ok(out)
+        Ok(self.get_f32_payload(byte_len))
+    }
+
+    /// Reads `byte_len` bytes (checked by the caller to be present and a
+    /// multiple of four) as little-endian `f32`s, in one sized collect.
+    fn get_f32_payload(&mut self, byte_len: usize) -> Vec<f32> {
+        let raw = self.buf.copy_to_bytes(byte_len);
+        raw.chunks_exact(4)
+            .map(|chunk| f32::from_le_bytes(chunk.try_into().expect("4-byte chunk")))
+            .collect()
     }
 
     /// Reads a tensor written by [`Writer::put_tensor`].
@@ -303,11 +321,7 @@ impl Reader {
             context: "tensor element count overflow",
         })?;
         self.need(byte_len, "tensor payload")?;
-        let raw = self.buf.copy_to_bytes(byte_len);
-        let mut data = Vec::with_capacity(n);
-        for chunk in raw.chunks_exact(4) {
-            data.push(f32::from_le_bytes(chunk.try_into().expect("4-byte chunk")));
-        }
+        let data = self.get_f32_payload(byte_len);
         Tensor::try_from_vec(data, &dims).map_err(|_| TensorError::MalformedWire {
             context: "tensor shape mismatch",
         })

@@ -509,3 +509,211 @@ fn batched_routes_agree_when_the_pool_splits_items() {
         check.unwrap();
     }
 }
+
+// ---------------------------------------------------------------------------
+// Convolution without the column matrix
+// ---------------------------------------------------------------------------
+
+use amalgam_tensor::kernels::{self, Conv2dGeom};
+
+/// What the column-free kernels must reproduce bit for bit: the naive im2col
+/// matrix, `gemm` (its own route for the shape) and the permutes around it.
+/// Returns `(forward [N, oc, oh, ow], dW [oc, taps])`.
+fn conv_by_columns(x: &Tensor, w: &[f32], grad: &[f32], g: &Conv2dGeom) -> (Vec<f32>, Vec<f32>) {
+    let (n, taps, ohw) = (x.dims()[0], g.col_rows(), g.out_h() * g.out_w());
+    let oc = w.len() / taps;
+    let cols = kernels::reference::im2col(x, g);
+    let mut ymat = vec![0.0f32; oc * n * ohw];
+    gemm::gemm(
+        oc,
+        n * ohw,
+        taps,
+        MatRef::row_major(w, taps),
+        MatRef::row_major(cols.data(), n * ohw),
+        &mut ymat,
+    );
+    let (mut out, mut gmat) = (vec![0.0f32; n * oc * ohw], vec![0.0f32; oc * n * ohw]);
+    for ni in 0..n {
+        for o in 0..oc {
+            let (image, matrix) = ((ni * oc + o) * ohw, o * n * ohw + ni * ohw);
+            out[image..image + ohw].copy_from_slice(&ymat[matrix..matrix + ohw]);
+            gmat[matrix..matrix + ohw].copy_from_slice(&grad[image..image + ohw]);
+        }
+    }
+    let mut dw = vec![0.0f32; oc * taps];
+    gemm::gemm(
+        oc,
+        taps,
+        n * ohw,
+        MatRef::row_major(&gmat, n * ohw),
+        MatRef::transposed(cols.data(), n * ohw),
+        &mut dw,
+    );
+    (out, dw)
+}
+
+/// The windowed forward and weight-gradient kernels against
+/// [`conv_by_columns`] at pool sizes 1/2/4 on every tier, from NaN-poisoned
+/// outputs. Leaves the thread and tier knobs wherever the last iteration put
+/// them.
+fn windowed_conv_agrees(n: usize, oc: usize, g: &Conv2dGeom, seed: u64) -> Result<(), String> {
+    let x = Tensor::from_vec(
+        rand_vec(n * g.in_channels * g.in_h * g.in_w, seed),
+        &[n, g.in_channels, g.in_h, g.in_w],
+    );
+    let w = rand_vec(oc * g.col_rows(), seed ^ 0x9e37);
+    let grad = rand_vec(n * oc * g.out_h() * g.out_w(), seed ^ 0x51ed);
+    let (want_out, want_dw) = conv_by_columns(&x, &w, &grad, g);
+    for threads in [1usize, 2, 4] {
+        parallel::set_threads(threads);
+        for tier in tiers() {
+            simd::force_tier(Some(tier));
+            let planes = kernels::padded_planes(&x, g, None);
+            let mut out = vec![f32::NAN; want_out.len()];
+            kernels::conv_window_forward(&planes, g, &w, &mut out);
+            let mut dw = vec![f32::NAN; want_dw.len()];
+            kernels::conv_window_dw(&planes, g, &grad, &mut dw);
+            for (what, got, want) in [("forward", &out, &want_out), ("dW", &dw, &want_dw)] {
+                if bits(got) != bits(want) {
+                    return Err(format!(
+                        "{what} on {tier:?}, {threads} threads: {n} images, {oc} filters, {g:?}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Widths around the 16-column tile and its masked remainders.
+const RAGGED_W: &[usize] = &[3, 5, 7, 8, 9, 15, 16, 17, 20, 24, 33];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Reading im2col rows as windows of the padded planes changes no bit of
+    /// the forward product or of the weight gradient: 1–3 channels, 1×1 to
+    /// 5×5 kernels, padding 0–2, ragged widths, 1–9 filters (two passes of
+    /// the 6-row tile), shapes on both sides of the direct-loop rule.
+    #[test]
+    fn windowed_convolution_is_bitwise_im2col_plus_gemm(
+        n in 1usize..4,
+        in_channels in 1usize..4,
+        ki in 0usize..3,
+        padding in 0usize..3,
+        in_h in 5usize..12,
+        wi in 0usize..RAGGED_W.len(),
+        oc in 1usize..10,
+        seed in 0u64..1000,
+    ) {
+        let _guard = THREADS_LOCK.lock().unwrap();
+        let kernel = [1usize, 3, 5][ki];
+        let in_w = RAGGED_W[wi].max(kernel.saturating_sub(2 * padding));
+        let g = Conv2dGeom { in_channels, in_h, in_w, kernel, stride: 1, padding };
+        let check = windowed_conv_agrees(n, oc, &g, seed);
+        parallel::set_threads(0);
+        simd::force_tier(None);
+        prop_assert!(check.is_ok(), "{}", check.unwrap_err());
+    }
+
+    /// `gemm_nt_images` is `gemm` on the matrices whose rows string the
+    /// images together — through the direct loop and through the packed walk
+    /// (runs shorter than, equal to and longer than a K block), from an
+    /// output that already holds something, on every tier.
+    #[test]
+    fn image_split_product_is_bitwise_the_joined_product(
+        m in 1usize..20,
+        n in 1usize..20,
+        images in 1usize..5,
+        li in 0usize..5,
+        seed in 0u64..1000,
+    ) {
+        let _guard = THREADS_LOCK.lock().unwrap();
+        let len = [1usize, 7, 64, 256, 300][li];
+        let k = images * len;
+        let a = rand_vec(images * m * len, seed);
+        let b = rand_vec(images * n * len, seed ^ 0x2545);
+        let c0 = rand_vec(m * n, seed ^ 0x51ed);
+        // Row `r` of the joined matrix: row `r` of every image, in order.
+        let join = |data: &[f32], rows: usize| -> Vec<f32> {
+            let mut joined = Vec::with_capacity(data.len());
+            for r in 0..rows {
+                for image in 0..images {
+                    joined.extend_from_slice(&data[(image * rows + r) * len..][..len]);
+                }
+            }
+            joined
+        };
+        let (aj, bj) = (join(&a, m), join(&b, n));
+        for tier in tiers() {
+            simd::force_tier(Some(tier));
+            let mut want = c0.clone();
+            gemm::gemm(m, n, k, MatRef::row_major(&aj, k), MatRef::transposed(&bj, k), &mut want);
+            let mut got = c0.clone();
+            gemm::gemm_nt_images(m, n, images, len, &a, &b, &mut got);
+            simd::force_tier(None);
+            prop_assert_eq!(bits(&got), bits(&want), "{:?} at ({},{},{}x{})", tier, m, n, images, len);
+        }
+    }
+}
+
+/// Tap counts on both sides of a K block — through the blocked kernel and,
+/// for a product small enough, through the direct loop's single chain — and
+/// a batch the pool really splits across images.
+#[test]
+fn windowed_convolution_agrees_across_k_blocks_and_pool_splits() {
+    let _guard = THREADS_LOCK.lock().unwrap();
+    let geom = |in_channels, in_h, in_w, kernel, padding| Conv2dGeom {
+        in_channels,
+        in_h,
+        in_w,
+        kernel,
+        stride: 1,
+        padding,
+    };
+    let cases = [
+        (2usize, 7usize, geom(11, 9, 10, 5, 2)), // 275 taps, blocked
+        (1, 1, geom(30, 4, 4, 3, 1)),            // 270 taps, direct loop
+        (3, 6, geom(29, 6, 7, 3, 0)),            // 261 taps, no padding
+        (24, 6, geom(1, 64, 64, 5, 2)),          // three pool tasks of 7+ images
+    ];
+    for (n, oc, g) in cases {
+        let check = windowed_conv_agrees(n, oc, &g, 77);
+        parallel::set_threads(0);
+        simd::force_tier(None);
+        check.unwrap();
+    }
+}
+
+/// `padded_planes` through a `keep` list is the gather followed by the plain
+/// padding, and never reads or writes outside what it was given.
+#[test]
+fn padded_planes_gather_in_place() {
+    let g = Conv2dGeom {
+        in_channels: 2,
+        in_h: 3,
+        in_w: 4,
+        kernel: 5,
+        stride: 1,
+        padding: 2,
+    };
+    let x = Tensor::from_vec(rand_vec(3 * 2 * 30, 5), &[3, 2, 5, 6]);
+    let keep: Vec<usize> = (0..12).map(|i| (i * 7 + 3) % 30).collect();
+    let gathered: Vec<f32> = x
+        .data()
+        .chunks_exact(30)
+        .flat_map(|plane| keep.iter().map(|&pos| plane[pos]))
+        .collect();
+    let gathered = Tensor::from_vec(gathered, &[3, 2, 3, 4]);
+    let want = kernels::padded_planes(&gathered, &g, None);
+    let got = kernels::padded_planes(&x, &g, Some(&keep));
+    assert_eq!(got.dims(), &[3, 2, 7, 8]);
+    assert_eq!(bits(got.data()), bits(want.data()));
+    // The border is zero, the interior is the image.
+    assert_eq!(want.at(&[1, 1, 2, 2]), gathered.at(&[1, 1, 0, 0]));
+    assert!(want
+        .data()
+        .chunks_exact(8)
+        .step_by(7)
+        .all(|row| row.iter().all(|&v| v == 0.0)));
+}

@@ -132,3 +132,95 @@ proptest! {
         prop_assert!(mid + 1e-9 >= a);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Shared storage, copy on write
+// ---------------------------------------------------------------------------
+
+use amalgam_tensor::scratch;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A clone, a reshape and a flatten are handles on the source's storage
+    /// until one side writes; after any write — through any of the mutating
+    /// entry points — the other side reads what it read before.
+    #[test]
+    fn writes_never_show_through_another_handle(rows in 1usize..6, cols in 1usize..6, op in 0usize..7, seed in 0u64..500) {
+        let source = rand_tensor(&[rows, cols], seed);
+        let before = source.data().to_vec();
+        let mut handles = [source.clone(), source.reshape(&[cols * rows]), source.flatten()];
+        for handle in &mut handles {
+            prop_assert!(handle.shares_storage_with(&source));
+            match op {
+                0 => handle.data_mut()[0] = 42.0,
+                1 => handle.map_in_place(|v| v + 1.0),
+                2 => handle.scale_in_place(3.0),
+                3 => handle.fill_zero(),
+                4 => handle.add_assign(&Tensor::ones(handle.dims())),
+                5 => handle.axpy(0.5, &Tensor::ones(handle.dims())),
+                _ => handle.set(&vec![0; handle.dims().len()], -7.0),
+            }
+            prop_assert!(!handle.shares_storage_with(&source));
+            prop_assert_eq!(source.data(), &before[..]);
+        }
+        // And the other way round: writing the source leaves its clones alone.
+        let mut source = source;
+        let clone = source.clone();
+        source.data_mut()[0] = 99.0;
+        prop_assert_eq!(clone.data(), &before[..]);
+    }
+}
+
+/// A unique tensor is written in place: no copy, same allocation.
+#[test]
+fn unique_tensors_are_written_in_place() {
+    let mut t = Tensor::zeros(&[4, 4]);
+    let at = t.data().as_ptr();
+    t.data_mut()[3] = 1.0;
+    t.scale_in_place(2.0);
+    assert_eq!(t.data().as_ptr(), at);
+    // A dropped clone gives the storage back to its one owner.
+    let clone = t.clone();
+    drop(clone);
+    t.data_mut()[0] = 5.0;
+    assert_eq!(t.data().as_ptr(), at);
+}
+
+/// `into_vec` moves unique storage out and copies shared storage;
+/// `into_unshared_vec` refuses the latter.
+#[test]
+fn storage_leaves_a_tensor_only_when_nobody_else_reads_it() {
+    let t = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
+    let at = t.data().as_ptr();
+    let keeper = t.clone();
+    assert!(t.clone().into_unshared_vec().is_none());
+    let copy = t.into_vec();
+    assert_ne!(copy.as_ptr(), at);
+    assert_eq!(copy, keeper.data());
+    // `keeper` is the only handle left: its storage moves.
+    let moved = keeper.into_unshared_vec().expect("unique");
+    assert_eq!(moved.as_ptr(), at);
+}
+
+/// Recycling a shared tensor must be a no-op, not a theft: the arena keeps
+/// nothing, and the other handle still reads its data after the arena has
+/// handed out (and scribbled over) every buffer it does hold.
+#[test]
+fn give_tensor_of_a_shared_tensor_recycles_nothing() {
+    std::thread::spawn(|| {
+        let keeper = rand_tensor(&[8, 8], 3);
+        let before = keeper.data().to_vec();
+        scratch::give_tensor(keeper.clone());
+        scratch::give_tensor(keeper.reshape(&[64]));
+        assert_eq!(scratch::retained(), 0);
+        // A unique tensor of the same size *is* recycled.
+        scratch::give_tensor(rand_tensor(&[8, 8], 4));
+        assert_eq!(scratch::retained(), 1);
+        let mut taken = scratch::take_tensor_raw(&[8, 8]);
+        taken.data_mut().fill(f32::NAN);
+        assert_eq!(keeper.data(), &before[..]);
+    })
+    .join()
+    .unwrap();
+}

@@ -303,3 +303,217 @@ fn per_channel_reductions_match_one_channel_at_a_time() {
         );
     }
 }
+
+/// Convolutions without their column matrix change no bit — a fixed-seed
+/// slice of `crates/tensor/tests/gemm_properties.rs` and
+/// `crates/nn/tests/layer_properties.rs`, so tier-1 guards it. The windowed
+/// kernels (LeNet's 5×5 entry geometry at batch 4, and a 275-tap one that
+/// crosses a K block) and the image-split product against im2col + `gemm`,
+/// at pool sizes 1/2/4 on every kernel tier from NaN-poisoned outputs; then
+/// the layers on those paths — a masked entry convolution and a 1×1 tap —
+/// against the layers on the column matrix (the same layers, one image at a
+/// time: a one-image product is small enough to keep the old lowering).
+#[test]
+fn column_free_convolutions_agree_bit_for_bit() {
+    use amalgam::nn::layers::{Conv2d, MaskedConv2d};
+    use amalgam::nn::Layer;
+    use amalgam::tensor::gemm;
+    use amalgam::tensor::kernels::{self, Conv2dGeom};
+    use amalgam::tensor::pack::MatRef;
+    use amalgam::tensor::parallel;
+    use amalgam::tensor::simd::{self, Tier};
+
+    let mut rng = Rng::seed_from(45);
+    let mut rand = |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-2.0, 2.0)).collect() };
+    let mut tiers = vec![Tier::Portable];
+    if simd::simd_available() {
+        tiers.push(Tier::Simd);
+    }
+    for (n, oc, in_channels, in_h, in_w, kernel, padding) in [
+        (4usize, 6usize, 1usize, 20usize, 20usize, 5usize, 2usize),
+        (2, 7, 11, 9, 10, 5, 2),
+    ] {
+        let g = Conv2dGeom {
+            in_channels,
+            in_h,
+            in_w,
+            kernel,
+            stride: 1,
+            padding,
+        };
+        let (taps, ohw) = (g.col_rows(), g.out_h() * g.out_w());
+        let x = Tensor::from_vec(
+            rand(n * in_channels * in_h * in_w),
+            &[n, in_channels, in_h, in_w],
+        );
+        let (w, grad) = (rand(oc * taps), rand(n * oc * ohw));
+        // im2col + gemm, permuted to and from [N, oc, oh·ow].
+        let cols = kernels::reference::im2col(&x, &g);
+        let mut ymat = vec![0.0f32; oc * n * ohw];
+        let colmat = MatRef::row_major(cols.data(), n * ohw);
+        gemm::gemm(
+            oc,
+            n * ohw,
+            taps,
+            MatRef::row_major(&w, taps),
+            colmat,
+            &mut ymat,
+        );
+        let (mut want_y, mut gmat) = (vec![0.0f32; n * oc * ohw], vec![0.0f32; oc * n * ohw]);
+        for ni in 0..n {
+            for o in 0..oc {
+                let (image, matrix) = ((ni * oc + o) * ohw, o * n * ohw + ni * ohw);
+                want_y[image..image + ohw].copy_from_slice(&ymat[matrix..matrix + ohw]);
+                gmat[matrix..matrix + ohw].copy_from_slice(&grad[image..image + ohw]);
+            }
+        }
+        let mut want_dw = vec![0.0f32; oc * taps];
+        let colt = MatRef::transposed(cols.data(), n * ohw);
+        gemm::gemm(
+            oc,
+            taps,
+            n * ohw,
+            MatRef::row_major(&gmat, n * ohw),
+            colt,
+            &mut want_dw,
+        );
+        for threads in [1usize, 2, 4] {
+            parallel::set_threads(threads);
+            for &tier in &tiers {
+                simd::force_tier(Some(tier));
+                let planes = kernels::padded_planes(&x, &g, None);
+                let mut y = vec![f32::NAN; want_y.len()];
+                kernels::conv_window_forward(&planes, &g, &w, &mut y);
+                let mut dw = vec![f32::NAN; want_dw.len()];
+                kernels::conv_window_dw(&planes, &g, &grad, &mut dw);
+                let case = format!("{tier:?}, {threads} threads, {g:?}");
+                assert_eq!(f32_bits(&y), f32_bits(&want_y), "forward, {case}");
+                assert_eq!(f32_bits(&dw), f32_bits(&want_dw), "dW, {case}");
+                // The same weight gradient with the columns as a second
+                // image-split operand (what a 1×1 convolution's input is).
+                let mut split_cols = vec![0.0f32; n * taps * ohw];
+                for (ni, image) in split_cols.chunks_exact_mut(taps * ohw).enumerate() {
+                    for (r, row) in image.chunks_exact_mut(ohw).enumerate() {
+                        row.copy_from_slice(&cols.data()[r * n * ohw + ni * ohw..][..ohw]);
+                    }
+                }
+                let mut split = vec![0.0f32; want_dw.len()];
+                gemm::gemm_nt_images(oc, taps, n, ohw, &grad, &split_cols, &mut split);
+                assert_eq!(f32_bits(&split), f32_bits(&want_dw), "split dW, {case}");
+            }
+        }
+    }
+    simd::force_tier(None);
+    parallel::set_threads(0);
+
+    // Layers: batch of 4 on the new paths, the same images one at a time on
+    // the column matrix. Forward rows are per-image; with one image the
+    // gradients are too.
+    let keep: Vec<usize> = (0..196).map(|i| (i * 37 + 11) % 400).collect();
+    let entry = MaskedConv2d::new(keep, 14, 14, Conv2d::new(1, 6, 5, 1, 2, true, &mut rng));
+    let tap = Conv2d::new(6, 6, 1, 1, 0, false, &mut rng);
+    assert_eq!(entry.inner().lowering(&[4, 1, 14, 14]), "Windowed");
+    assert_eq!(entry.inner().lowering(&[1, 1, 14, 14]), "Im2col");
+    assert_eq!(tap.lowering(&[4, 6, 16, 16]), "Pointwise");
+    assert_eq!(tap.lowering(&[1, 6, 16, 16]), "Im2col");
+    let cases: [(Box<dyn Layer>, Tensor); 2] = [
+        (Box::new(entry), Tensor::randn(&[4, 1, 20, 20], &mut rng)),
+        (Box::new(tap), Tensor::randn(&[4, 6, 16, 16], &mut rng)),
+    ];
+    for (layer, x) in cases {
+        let mut batched = layer.boxed_clone();
+        let y = batched.forward(&[&x], Mode::Train);
+        let per_image = y.numel() / 4;
+        for ni in 0..4 {
+            let mut single = layer.boxed_clone();
+            let xi = x.slice_axis0(ni, ni + 1);
+            let yi = single.forward(&[&xi], Mode::Train);
+            assert_eq!(
+                f32_bits(yi.data()),
+                f32_bits(&y.data()[ni * per_image..(ni + 1) * per_image]),
+                "{} forward, image {ni}",
+                layer.kind()
+            );
+        }
+        // One image, both lowerings of the backward pass: the column-free
+        // one is reached by padding the batch with zero images, which add
+        // nothing to any gradient but make the product big enough. (One
+        // image's positions fit a K block, where the direct loop and the
+        // blocked kernels accumulate alike.)
+        let x1 = x.slice_axis0(0, 1);
+        let mut padded = Tensor::zeros(x.dims());
+        padded.data_mut()[..x1.numel()].copy_from_slice(x1.data());
+        let mut column_free = layer.boxed_clone();
+        let y_padded = column_free.forward(&[&padded], Mode::Train);
+        let mut grad = Tensor::zeros(y_padded.dims());
+        let g1 = Tensor::randn(&[1, y.dims()[1], y.dims()[2], y.dims()[3]], &mut rng);
+        grad.data_mut()[..g1.numel()].copy_from_slice(g1.data());
+        let dx = column_free.backward(&grad, &[true]).remove(0).expect("dx");
+        let mut columns = layer.boxed_clone();
+        columns.forward(&[&x1], Mode::Train);
+        let want_dx = columns.backward(&g1, &[true]).remove(0).expect("dx");
+        assert_eq!(
+            f32_bits(&dx.data()[..want_dx.numel()]),
+            f32_bits(want_dx.data()),
+            "{} dx",
+            layer.kind()
+        );
+        for (got, want) in column_free.params().iter().zip(columns.params()) {
+            assert_eq!(f32_bits(got.grad.data()), f32_bits(want.grad.data()));
+        }
+    }
+}
+
+/// Activations are shared, writes are private — a fixed-seed slice of the
+/// sharing tests in `crates/tensor/tests/properties.rs` and
+/// `crates/nn/tests/layer_properties.rs`: the augmented LeNet-5 trains to
+/// the same bits whether or not a clone of it (sharing every parameter) and
+/// the batches it was fed are kept alive and mutated behind its back.
+#[test]
+fn shared_storage_never_leaks_a_write() {
+    use amalgam::nn::loss::cross_entropy;
+    use amalgam::nn::optim::Sgd;
+
+    let mut rng = Rng::seed_from(46);
+    let data = amalgam::data::SyntheticImageSpec::mnist_like()
+        .with_counts(32, 4)
+        .with_hw(16)
+        .with_classes(4)
+        .generate(&mut rng);
+    let cfg = ObfuscationConfig::new(0.5).with_seed(47).with_subnets(2);
+    let bundle = Amalgam::obfuscate(&amalgam::models::lenet5(1, 16, 4, &mut rng), &data, &cfg)
+        .expect("obfuscation");
+    let train = |meddle: bool| -> Vec<Vec<u32>> {
+        let mut model = bundle.augmented_model.clone();
+        let mut opt = Sgd::new(0.05).with_momentum(0.9);
+        let mut kept = Vec::new();
+        for step in 0..3 {
+            let idx: Vec<usize> = (step * 8..(step + 1) * 8).collect();
+            let (x, labels) = bundle.augmented_train.batch_at(&idx);
+            let outs = model.forward(&[&x], Mode::Train);
+            let seeds: Vec<Tensor> = outs.iter().map(|o| cross_entropy(o, &labels).1).collect();
+            if meddle {
+                // Handles on what the model may still be holding.
+                let mut snapshot = model.clone();
+                snapshot.params_mut().iter_mut().for_each(|p| {
+                    p.value.scale_in_place(0.0);
+                    p.grad.data_mut().fill(7.0);
+                });
+                let (mut x2, mut outs2, mut seeds2) = (x.clone(), outs.clone(), seeds.clone());
+                x2.fill_zero();
+                outs2.iter_mut().for_each(|t| t.scale_in_place(-1.0));
+                seeds2.iter_mut().for_each(|t| t.data_mut().fill(f32::NAN));
+                kept.push((snapshot, x2, outs2, seeds2));
+            }
+            model.zero_grad();
+            model.backward(&seeds);
+            opt.step(&mut model.params_mut());
+        }
+        model
+            .state_dict()
+            .iter()
+            .map(|(_, t)| f32_bits(t.data()))
+            .collect()
+    };
+    assert_eq!(train(false), train(true));
+}
