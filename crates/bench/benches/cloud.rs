@@ -101,9 +101,10 @@ fn bench_frame_throughput(c: &mut Criterion) {
 }
 
 /// The server's inbound hot path, isolated: decoding a stream of frames
-/// with a fresh body `Vec` per frame (what the old blocking reader did)
-/// versus the reactor's [`FrameDecoder`], which accumulates into one
-/// reusable per-connection scratch buffer and parses bodies in place.
+/// with a fresh zeroed body `Vec` per frame, filled by a copy (what the
+/// first blocking reader did), versus the reactor's [`FrameDecoder`]: small
+/// frames through one reusable per-connection scratch, bulk frames received
+/// into the buffer that becomes their `Bytes`.
 fn bench_decode_scratch_reuse(c: &mut Criterion) {
     let mut rng = Rng::seed_from(5);
     const FRAMES: u64 = 16;
@@ -127,7 +128,7 @@ fn bench_decode_scratch_reuse(c: &mut Criterion) {
         pings.extend_from_slice(&body);
     }
 
-    // The old blocking reader, faithfully: one zeroed `Vec` allocated per
+    // The first blocking reader, faithfully: one zeroed `Vec` allocated per
     // frame, filled read_exact-style, then handed to the canonical decoder.
     fn fresh_vec_per_frame(wire: &[u8]) -> u64 {
         let mut rest = wire;
@@ -143,8 +144,8 @@ fn bench_decode_scratch_reuse(c: &mut Criterion) {
         decoded
     }
 
-    // The reactor's path: socket-sized chunks appended to one long-lived
-    // scratch buffer, complete frames drained after every chunk.
+    // The reactor's path: socket-sized reads, complete frames drained
+    // after every one.
     fn scratch_reuse(dec: &mut FrameDecoder, wire: &[u8]) -> u64 {
         let mut decoded = 0u64;
         for chunk in wire.chunks(64 * 1024) {

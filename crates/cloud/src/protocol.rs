@@ -45,9 +45,39 @@ pub struct CloudJob {
 }
 
 impl CloudJob {
+    /// Exactly how many bytes [`to_bytes`](Self::to_bytes) writes, so it
+    /// writes them into one allocation.
+    fn encoded_len(&self) -> usize {
+        let list = |len: usize, elem: usize| 4 + elem * len;
+        let tensor = |t: &Tensor| list(t.dims().len(), 8) + 8 + 4 * t.numel();
+        let task = match &self.task {
+            TaskPayload::Classification {
+                inputs,
+                labels,
+                val_inputs,
+                val_labels,
+            } => {
+                let val = val_inputs
+                    .as_ref()
+                    .map_or(0, |v| tensor(v) + list(val_labels.len(), 8));
+                tensor(inputs) + list(labels.len(), 8) + 1 + val
+            }
+            TaskPayload::LanguageModel {
+                windows,
+                val_windows,
+                head_keeps,
+            } => {
+                let tensors = |ts: &[Tensor]| 4 + ts.iter().map(tensor).sum::<usize>();
+                let keeps = head_keeps.iter().map(|k| list(k.len(), 8)).sum::<usize>();
+                tensors(windows) + tensors(val_windows) + 4 + keeps
+            }
+        };
+        list(self.model.len(), 1) + 8 + 8 + 4 + 4 + 8 + 1 + task
+    }
+
     /// Serializes the whole job into one buffer (what "upload" means here).
     pub fn to_bytes(&self) -> Bytes {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.encoded_len());
         w.put_bytes(&self.model);
         w.put_u64(self.train.epochs as u64);
         w.put_u64(self.train.batch_size as u64);
@@ -304,20 +334,49 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// The result's encoding in three parts — what precedes the trained
+    /// model, the model's own bytes (shared, not copied), what follows —
+    /// whose concatenation is [`to_bytes`](Self::to_bytes). The transport
+    /// sends the three as they are, so a reply's model crosses a tier
+    /// without being copied into a frame buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model is longer than `u32::MAX` bytes (its prefix
+    /// width), as [`to_bytes`](Self::to_bytes) always did.
+    pub fn encode_parts(&self) -> [Bytes; 3] {
+        let h = &self.history;
+        let lists = [
+            &h.train_loss,
+            &h.train_acc,
+            &h.val_loss,
+            &h.val_acc,
+            &h.epoch_secs,
+        ];
+        let mut before = Writer::with_capacity(12);
+        before.put_u64(self.job_id);
+        before.put_u32(
+            u32::try_from(self.trained_model.len()).expect("trained model exceeds u32 prefix"),
+        );
+        let floats: usize = lists.iter().map(|l| l.len()).sum();
+        let mut after = Writer::with_capacity(4 * lists.len() + 4 * floats + 24);
+        for list in lists {
+            after.put_f32_list(list);
+        }
+        after.put_u64(self.bytes_received as u64);
+        after.put_u64(self.bytes_sent as u64);
+        after.put_f64(self.train_seconds);
+        [before.finish(), self.trained_model.clone(), after.finish()]
+    }
+
     /// Serializes the result for the return leg of the wire (the transport's
     /// `Reply` frame body).
     pub fn to_bytes(&self) -> Bytes {
-        let mut w = Writer::new();
-        w.put_u64(self.job_id);
-        w.put_bytes(&self.trained_model);
-        w.put_f32_list(&self.history.train_loss);
-        w.put_f32_list(&self.history.train_acc);
-        w.put_f32_list(&self.history.val_loss);
-        w.put_f32_list(&self.history.val_acc);
-        w.put_f32_list(&self.history.epoch_secs);
-        w.put_u64(self.bytes_received as u64);
-        w.put_u64(self.bytes_sent as u64);
-        w.put_f64(self.train_seconds);
+        let parts = self.encode_parts();
+        let mut w = Writer::with_capacity(parts.iter().map(Bytes::len).sum());
+        for part in &parts {
+            w.put_slice(part);
+        }
         w.finish()
     }
 
@@ -376,6 +435,7 @@ mod tests {
             },
             train: TrainConfig::new(3, 2, 0.1).with_seed(9),
         };
+        assert_eq!(job.to_bytes().len(), job.encoded_len());
         let back = CloudJob::from_bytes(job.to_bytes()).unwrap();
         assert_eq!(back.model, job.model);
         assert_eq!(back.train.epochs, 3);
@@ -403,6 +463,7 @@ mod tests {
             },
             train: TrainConfig::new(1, 2, 0.1),
         };
+        assert_eq!(job.to_bytes().len(), job.encoded_len());
         let back = CloudJob::from_bytes(job.to_bytes()).unwrap();
         match back.task {
             TaskPayload::LanguageModel {
@@ -435,6 +496,9 @@ mod tests {
         };
         let back = JobResult::from_bytes(result.to_bytes()).unwrap();
         assert_eq!(back, result);
+        // The model part is the result's own buffer, not a copy of it.
+        let [_, model, _] = result.encode_parts();
+        assert_eq!(model.as_ptr(), result.trained_model.as_ptr());
     }
 
     #[test]

@@ -280,48 +280,71 @@ impl ClientShared {
         });
     }
 
-    /// Writes one pending job's Submit frame to `conn`. Returns `false`
+    /// Writes job `id`'s Submit frame to `conn`, the payload straight from
+    /// the caller's buffer. The wire cap is the smaller of the server's
+    /// advertised limit and what a `u32` length prefix can carry at all:
+    /// an oversized job is refused here, nothing written, rather than left
+    /// to kill the shared connection.
+    fn write_submit(&self, conn: &Conn, id: u64, payload: &Bytes, trace: TraceId) -> SubmitWrite {
+        let frame = Frame::Submit {
+            request_id: id,
+            payload: payload.clone(),
+            // The trace rides the frame only toward a v2 server.
+            trace: (self.version >= 2 && !trace.is_none()).then_some(trace),
+        };
+        let chunks = match frame.wire_chunks() {
+            Ok(chunks) => chunks,
+            Err(e) => return SubmitWrite::Refused(CloudError::Transport(e.to_string())),
+        };
+        let body_len = chunks.iter().map(Bytes::len).sum::<usize>() - 4;
+        if body_len > conn.max_frame_len {
+            return SubmitWrite::Refused(CloudError::Transport(format!(
+                "job frame of {body_len} bytes exceeds the connection's cap of {} bytes",
+                conn.max_frame_len
+            )));
+        }
+        match frame::write_chunks(&mut *conn.writer.lock(), &chunks) {
+            Ok(_) => {
+                *conn.last_write.lock() = Instant::now();
+                SubmitWrite::Sent
+            }
+            Err(e) => SubmitWrite::LinkBroke(e),
+        }
+    }
+
+    /// Rewrites one pending job's Submit frame to `conn`. Returns `false`
     /// when the link broke (and reports it), `true` otherwise — including
     /// the job-local failure of an oversized payload, which is answered on
     /// its own handle without condemning the link.
-    /// The Submit frame's trace-extension bytes, or `None` when the trace
-    /// must stay off the wire (v1 server, or no trace minted).
-    fn trace_tail(&self, trace: TraceId) -> Option<[u8; frame::TRACE_EXT_LEN]> {
-        (self.version >= 2 && !trace.is_none()).then(|| frame::trace_tail(trace))
-    }
-
     fn write_pending(&self, conn: &Conn, id: u64, payload: &Bytes, trace: TraceId) -> bool {
-        let head = frame::submit_head(id, payload.len());
-        let tail = self.trace_tail(trace);
-        let tail: &[u8] = tail.as_ref().map_or(&[], |t| &t[..]);
-        let cap = conn.max_frame_len.min(u32::MAX as usize);
-        if head.len() + payload.len() + tail.len() > cap {
-            if let Some(job) = self.pending.lock().remove(&id) {
-                let _ = job.tx.send(Err(CloudError::Transport(format!(
-                    "job frame of {} bytes exceeds the connection's cap of {cap} bytes",
-                    head.len() + payload.len() + tail.len()
-                ))));
-            }
-            return true;
-        }
-        let written = {
-            let mut w = conn.writer.lock();
-            frame::write_split(&mut *w, &head, payload, tail)
-        };
-        match written {
-            Ok(_) => {
-                *conn.last_write.lock() = Instant::now();
+        match self.write_submit(conn, id, payload, trace) {
+            SubmitWrite::Sent => {
                 if let Some(job) = self.pending.lock().get_mut(&id) {
                     job.sent_at = Instant::now();
                 }
                 true
             }
-            Err(_) => {
+            SubmitWrite::Refused(e) => {
+                if let Some(job) = self.pending.lock().remove(&id) {
+                    let _ = job.tx.send(Err(e));
+                }
+                true
+            }
+            SubmitWrite::LinkBroke(_) => {
                 self.link_down(conn.generation);
                 false
             }
         }
     }
+}
+
+/// How writing one Submit frame ended.
+enum SubmitWrite {
+    Sent,
+    /// This connection cannot carry the job (over its frame cap); nothing
+    /// was written and the link is fine.
+    Refused(CloudError),
+    LinkBroke(std::io::Error),
 }
 
 impl Drop for ClientShared {
@@ -603,43 +626,21 @@ impl RemoteCloudClient {
         );
         let conn = shared.conn.lock().clone();
         match conn {
-            Some(conn) => {
-                // Zero-copy upload: the payload goes straight from the
-                // caller's buffer to the socket, after only the small frame
-                // head is built.
-                let head = frame::submit_head(id, payload.len());
-                let tail = shared.trace_tail(trace);
-                let tail: &[u8] = tail.as_ref().map_or(&[], |t| &t[..]);
-                let body_len = head.len() + payload.len() + tail.len();
-                // The wire cap is the smaller of the server's advertised
-                // limit and what a u32 length prefix can carry at all;
-                // refusing here keeps an oversized job from killing the
-                // shared connection.
-                let cap = conn.max_frame_len.min(u32::MAX as usize);
-                if body_len > cap {
+            Some(conn) => match shared.write_submit(&conn, id, &payload, trace) {
+                SubmitWrite::Sent => {}
+                SubmitWrite::Refused(e) => {
                     shared.pending.lock().remove(&id);
-                    return Err(CloudError::Transport(format!(
-                        "job frame of {body_len} bytes exceeds the connection's cap of {cap} bytes"
-                    )));
+                    return Err(e);
                 }
-                let written = {
-                    let mut w = conn.writer.lock();
-                    frame::write_split(&mut *w, &head, &payload, tail)
-                };
-                if let Err(e) = written {
-                    if reconnecting {
-                        // The job stays pending; the supervisor resubmits
-                        // it once the link is back.
-                        shared.link_down(conn.generation);
-                    } else {
-                        shared.pending.lock().remove(&id);
-                        shared.fail_pending();
-                        return Err(CloudError::Transport(format!("submit write failed: {e}")));
-                    }
-                } else {
-                    *conn.last_write.lock() = Instant::now();
+                // The job stays pending; the supervisor resubmits it once
+                // the link is back.
+                SubmitWrite::LinkBroke(_) if reconnecting => shared.link_down(conn.generation),
+                SubmitWrite::LinkBroke(e) => {
+                    shared.pending.lock().remove(&id);
+                    shared.fail_pending();
+                    return Err(CloudError::Transport(format!("submit write failed: {e}")));
                 }
-            }
+            },
             // Link down right now. Self-healing clients park the job for
             // the reconnect's resubmission sweep; fail-fast clients can
             // only get here racing `close()`, which answers the entry.

@@ -44,7 +44,7 @@
 //! the socket is torn down and remaining replies are drained without
 //! writing, so in-flight accounting still reaches zero and drain completes.
 
-use super::frame::{self, Frame, FrameDecoder};
+use super::frame::{Frame, FrameDecoder};
 use super::server::ServerShared;
 use super::timer::{Fired, TimerKind, TimerWheel};
 use super::{MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
@@ -256,9 +256,10 @@ enum FlushOutcome {
     Broken,
 }
 
-/// One queued chunk of outbound bytes. A frame is one chunk (control
-/// frames, error replies) or two (successful replies: prefixed head +
-/// uncopied result payload); the last chunk carries the frame accounting.
+/// One queued chunk of outbound bytes. A frame is up to three chunks (see
+/// [`Frame::wire_chunks`]: a reply's trained model is queued as the
+/// worker's own buffer, never copied); the last carries the frame
+/// accounting.
 struct Pending {
     buf: Bytes,
     pos: usize,
@@ -280,9 +281,15 @@ impl WriteQueue {
         self.q.is_empty()
     }
 
-    fn push(&mut self, buf: Bytes, end_of_frame: Option<(usize, bool)>, metrics: &ServiceMetrics) {
-        self.bytes += buf.len();
-        metrics.write_queue_grew(buf.len());
+    /// Queues one frame. Returns `false` — nothing queued — only for a
+    /// frame too big for the `u32` length prefix, which no control frame is.
+    fn push_frame(&mut self, frame: &Frame, is_reply: bool, metrics: &ServiceMetrics) -> bool {
+        let Ok(chunks) = frame.wire_chunks() else {
+            return false;
+        };
+        let wire: usize = chunks.iter().map(Bytes::len).sum();
+        self.bytes += wire;
+        metrics.write_queue_grew(wire);
         // The frame counters move at *commit* time, not flush time: once a
         // frame is queued its delivery is ordered before any observer can
         // see the peer react to it, so a client that received a reply is
@@ -292,65 +299,30 @@ impl WriteQueue {
         // gets to increment.) Frames discarded unsent are uncounted again.
         // Non-reply frames are protocol overhead (Welcome, Pong, Reject,
         // Stats): counted in the totals *and* the control sub-counter.
-        if let Some((wire, is_reply)) = end_of_frame {
-            if is_reply {
-                metrics.frame_sent(wire);
-            } else {
-                metrics.control_frame_sent(wire);
-            }
+        if is_reply {
+            metrics.frame_sent(wire);
+        } else {
+            metrics.control_frame_sent(wire);
         }
-        self.q.push_back(Pending {
-            buf,
-            pos: 0,
-            end_of_frame,
-        });
-    }
-
-    /// Queues a whole frame as one prefixed chunk.
-    fn push_frame(&mut self, frame: &Frame, is_reply: bool, metrics: &ServiceMetrics) {
-        let body = frame.encode();
-        let mut v = Vec::with_capacity(4 + body.len());
-        v.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        v.extend_from_slice(&body);
-        let wire = v.len();
-        self.push(Bytes::from(v), Some((wire, is_reply)), metrics);
-    }
-
-    /// Queues a successful reply without copying the serialized result into
-    /// a frame-body buffer (the wire bytes match `Frame::Reply` exactly,
-    /// including the optional protocol-v2 trace extension as a third chunk).
-    /// Returns `false` if the frame would overflow the u32 length prefix.
-    fn push_reply_ok(
-        &mut self,
-        request_id: u64,
-        result: Bytes,
-        trace: Option<TraceId>,
-        metrics: &ServiceMetrics,
-    ) -> bool {
-        let tail = trace.map(frame::trace_tail);
-        let tail_len = tail.map_or(0, |t| t.len());
-        let head = frame::reply_ok_head(request_id, result.len());
-        let total = head.len() + result.len() + tail_len;
-        if total > u32::MAX as usize {
-            return false;
+        for buf in chunks.into_iter().filter(|c| !c.is_empty()) {
+            self.q.push_back(Pending {
+                buf,
+                pos: 0,
+                end_of_frame: None,
+            });
         }
-        let mut v = Vec::with_capacity(4 + head.len());
-        v.extend_from_slice(&(total as u32).to_le_bytes());
-        v.extend_from_slice(&head);
-        self.push(Bytes::from(v), None, metrics);
-        match tail {
-            Some(t) => {
-                self.push(result, None, metrics);
-                self.push(Bytes::from(t.to_vec()), Some((4 + total, true)), metrics);
-            }
-            None => self.push(result, Some((4 + total, true)), metrics),
-        }
+        let last = self.q.back_mut().expect("a frame's head is never empty");
+        last.end_of_frame = Some((wire, is_reply));
         true
     }
 
     /// Writes as much as the socket will take. Returns completed reply
     /// frames (their in-flight slots free up) and how the attempt ended.
-    fn flush(&mut self, stream: &mut TcpStream, metrics: &ServiceMetrics) -> (usize, FlushOutcome) {
+    fn flush(
+        &mut self,
+        stream: &mut impl Write,
+        metrics: &ServiceMetrics,
+    ) -> (usize, FlushOutcome) {
         let mut replies = 0;
         loop {
             // Pop chunks that are already fully written (including any
@@ -1161,26 +1133,17 @@ fn queue_reply(
         // caller's handle carries (its wire request id), not the server
         // pool's internal one.
         r.job_id = request_id;
-        let bytes = r.to_bytes();
-        if !conn
-            .writes
-            .push_reply_ok(request_id, bytes, trace, &shared.metrics)
-        {
-            // Un-encodable (>4 GiB) reply: the framing cannot carry it.
-            conn.sink_broken = true;
-            conn.in_flight = conn.in_flight.saturating_sub(1);
-        }
-        return;
     }
-    conn.writes.push_frame(
-        &Frame::Reply {
-            request_id,
-            result,
-            trace,
-        },
-        true,
-        &shared.metrics,
-    );
+    let reply = Frame::Reply {
+        request_id,
+        result,
+        trace,
+    };
+    if !conn.writes.push_frame(&reply, true, &shared.metrics) {
+        // Un-encodable (>4 GiB) reply: the framing cannot carry it.
+        conn.sink_broken = true;
+        conn.in_flight = conn.in_flight.saturating_sub(1);
+    }
 }
 
 /// Moves completions from the reply channel onto the wire.
@@ -1380,6 +1343,7 @@ fn update_interest(conn: &mut Conn, poller: &mut Poller) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::frame;
     use super::*;
     use crate::metrics::ServiceMetrics;
     use std::io::Read;
@@ -1394,21 +1358,31 @@ mod tests {
         (a, b)
     }
 
+    fn ok_reply(request_id: u64, model: Bytes) -> Frame {
+        Frame::Reply {
+            request_id,
+            result: Ok(JobResult {
+                job_id: request_id,
+                trained_model: model,
+                history: amalgam_nn::metrics::History::new(),
+                bytes_received: 1,
+                bytes_sent: 2,
+                train_seconds: 0.1,
+            }),
+            trace: Some(TraceId::from_words(1, 2)),
+        }
+    }
+
     #[test]
     fn write_queue_flushes_split_replies_bitwise_like_whole_frames() {
-        use amalgam_nn::metrics::History;
         let metrics = ServiceMetrics::new();
         let (mut server_side, mut client_side) = loopback_pair();
-        let result = JobResult {
-            job_id: 3,
-            trained_model: Bytes::from(vec![9u8; 1000]),
-            history: History::new(),
-            bytes_received: 1,
-            bytes_sent: 2,
-            train_seconds: 0.1,
-        };
+        let model = Bytes::from(vec![9u8; 1000]);
+        let reply = ok_reply(3, model.clone());
         let mut q = WriteQueue::default();
-        assert!(q.push_reply_ok(3, result.to_bytes(), None, &metrics));
+        assert!(q.push_frame(&reply, true, &metrics));
+        // The model is queued as the worker's buffer, not a copy of it.
+        assert!(q.q.iter().any(|p| p.buf.as_ptr() == model.as_ptr()));
         loop {
             let (_, outcome) = q.flush(&mut server_side, &metrics);
             match outcome {
@@ -1420,15 +1394,7 @@ mod tests {
         assert_eq!(q.bytes, 0);
 
         let mut expect = Vec::new();
-        frame::write_frame(
-            &mut expect,
-            &Frame::Reply {
-                request_id: 3,
-                result: Ok(result),
-                trace: None,
-            },
-        )
-        .unwrap();
+        frame::write_frame(&mut expect, &reply).unwrap();
         let mut got = vec![0u8; expect.len()];
         client_side.read_exact(&mut got).unwrap();
         assert_eq!(got, expect);
@@ -1437,7 +1403,8 @@ mod tests {
     #[test]
     fn write_queue_survives_one_byte_at_a_time_sinks() {
         // Stuttering sink: accepts one byte, then WouldBlocks, alternating —
-        // the slow-loris of the write side. Every boundary must be safe.
+        // the slow-loris of the write side. Every boundary must be safe,
+        // the chunk boundaries inside a split reply included.
         struct Stutter {
             out: Vec<u8>,
             ready: bool,
@@ -1458,59 +1425,46 @@ mod tests {
             }
         }
 
+        let frames = [
+            (Frame::Pong { nonce: 7 }, false),
+            (ok_reply(1, Bytes::from(vec![4u8; 300])), true),
+            (
+                Frame::Reply {
+                    request_id: 2,
+                    result: Err(CloudError::ServiceUnavailable),
+                    trace: None,
+                },
+                true,
+            ),
+        ];
         let metrics = ServiceMetrics::new();
         let mut q = WriteQueue::default();
-        q.push_frame(&Frame::Pong { nonce: 7 }, false, &metrics);
-        q.push_frame(
-            &Frame::Reply {
-                request_id: 1,
-                result: Err(CloudError::ServiceUnavailable),
-                trace: None,
-            },
-            true,
-            &metrics,
-        );
+        let mut expect = Vec::new();
+        for (f, is_reply) in &frames {
+            assert!(q.push_frame(f, *is_reply, &metrics));
+            frame::write_frame(&mut expect, f).unwrap();
+        }
 
         let mut sink = Stutter {
             out: Vec::new(),
             ready: false,
         };
         let mut reply_frames = 0;
-        // Emulate flush() against a generic Write (flush() itself wants a
-        // TcpStream, so drive the queue's chunks directly).
-        while let Some(front) = q.q.front_mut() {
-            if front.pos < front.buf.len() {
-                match sink.write(&front.buf[front.pos..]) {
-                    Ok(n) => {
-                        front.pos += n;
-                        q.bytes -= n;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
-                    Err(e) => panic!("unexpected: {e}"),
-                }
-            }
-            if front.pos == front.buf.len() {
-                if matches!(front.end_of_frame, Some((_, true))) {
-                    reply_frames += 1;
-                }
-                q.q.pop_front();
+        loop {
+            let (replies, outcome) = q.flush(&mut sink, &metrics);
+            reply_frames += replies;
+            match outcome {
+                FlushOutcome::Drained => break,
+                FlushOutcome::Blocked => {}
+                FlushOutcome::Broken => panic!("stutter is not an error"),
             }
         }
-        assert_eq!(reply_frames, 1);
+        assert_eq!(reply_frames, 2);
         assert_eq!(q.bytes, 0);
-
-        let mut expect = Vec::new();
-        frame::write_frame(&mut expect, &Frame::Pong { nonce: 7 }).unwrap();
-        frame::write_frame(
-            &mut expect,
-            &Frame::Reply {
-                request_id: 1,
-                result: Err(CloudError::ServiceUnavailable),
-                trace: None,
-            },
-        )
-        .unwrap();
         assert_eq!(sink.out, expect);
+        let stats = metrics.snapshot();
+        assert_eq!(stats.reactor_write_queue_bytes, 0);
+        assert_eq!(stats.frames_sent, 3);
     }
 
     #[test]
@@ -1518,7 +1472,7 @@ mod tests {
         let metrics = ServiceMetrics::new();
         let mut q = WriteQueue::default();
         q.push_frame(&Frame::Pong { nonce: 1 }, false, &metrics);
-        q.push_reply_ok(2, Bytes::from_static(b"not a real result"), None, &metrics);
+        q.push_frame(&ok_reply(2, Bytes::from_static(b"weights")), true, &metrics);
         q.push_frame(
             &Frame::Reply {
                 request_id: 3,
@@ -1532,6 +1486,7 @@ mod tests {
         let replies = q.discard(&metrics);
         assert_eq!(replies, 2);
         assert_eq!(metrics.snapshot().reactor_write_queue_bytes, 0);
+        assert_eq!(metrics.snapshot().frames_sent, 0);
         assert!(q.is_empty());
     }
 }

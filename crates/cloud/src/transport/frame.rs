@@ -5,6 +5,25 @@
 //! `wire::Writer`/`wire::Reader` encodings, so everything that crosses the
 //! socket is the same dumb little-endian format the adversary model
 //! already assumes.
+//!
+//! # One buffer per frame per hop
+//!
+//! The two *bulk* frames — a `Submit` carrying a job, a successful `Reply`
+//! carrying a trained model — are nearly all of the wire, so both
+//! directions are built around not copying them:
+//!
+//! * **Reading.** A length prefix of at least one read chunk
+//!   (`SPLIT_THRESHOLD`) gives the body a buffer of its own, sized for that
+//!   frame; the socket is read straight into its spare capacity (never past
+//!   the frame's end) and the finished buffer *becomes* the [`Bytes`] that
+//!   [`Frame::decode`] slices the payload out of. [`FrameDecoder`] and
+//!   [`read_frame_blocking`] share that reader (`fill_body`); the decoder's
+//!   scratch only ever holds small frames and one read chunk.
+//! * **Writing.** [`Frame::wire_chunks`] is the frame's wire image as
+//!   head, shared bulk [`Bytes`], tail. [`write_frame`] and the reactor's
+//!   write queue hand those chunks to one vectored write, so a payload
+//!   leaves from the buffer it arrived in (proxy) or was produced in
+//!   (client, worker). [`Frame::encode`] is the same chunks concatenated.
 
 use crate::protocol::{JobResult, ProgressUpdate};
 use crate::telemetry::TraceId;
@@ -12,7 +31,7 @@ use crate::CloudError;
 use amalgam_tensor::wire::{Reader, Writer};
 use amalgam_tensor::TensorError;
 use bytes::Bytes;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 const TAG_HELLO: u8 = 1;
 const TAG_SUBMIT: u8 = 2;
@@ -83,7 +102,7 @@ pub(crate) fn skippable_tag(tag: u8, origin: FrameOrigin) -> bool {
 /// Wire size of the optional trailing trace-id extension on `Submit` and
 /// `Reply` bodies: two raw `u64` words, no length prefix. Peers that
 /// negotiated protocol v1 never send or expect it.
-pub(crate) const TRACE_EXT_LEN: usize = 16;
+const TRACE_EXT_LEN: usize = 16;
 
 /// One framed transport message (either direction).
 #[derive(Debug, Clone, PartialEq)]
@@ -205,19 +224,51 @@ fn decode_trace_tail(r: &mut Reader) -> Result<Option<TraceId>, CloudError> {
     Ok(Some(TraceId::from_words(hi, lo)))
 }
 
-/// The trace extension's raw wire bytes, for the zero-copy split writers.
-pub(crate) fn trace_tail(trace: TraceId) -> [u8; TRACE_EXT_LEN] {
-    let (hi, lo) = trace.to_words();
-    let mut buf = [0u8; TRACE_EXT_LEN];
-    buf[..8].copy_from_slice(&hi.to_le_bytes());
-    buf[8..].copy_from_slice(&lo.to_le_bytes());
-    buf
-}
-
 impl Frame {
-    /// Serializes the frame *body* (tag + fields, no length prefix).
+    /// Serializes the frame *body* (tag + fields, no length prefix): the
+    /// concatenation of [`wire_chunks`](Self::wire_chunks) minus the prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a length inside the body does not fit its `u32` prefix.
     pub fn encode(&self) -> Bytes {
-        let mut w = Writer::new();
+        let [head, bulk, tail] = self
+            .body_chunks()
+            .expect("frame body exceeds the u32 length prefix");
+        if bulk.is_empty() && tail.is_empty() {
+            return head;
+        }
+        let mut w = Writer::with_capacity(head.len() + bulk.len() + tail.len());
+        for part in [&head, &bulk, &tail] {
+            w.put_slice(part);
+        }
+        w.finish()
+    }
+
+    /// The frame as it crosses the wire — length prefix, then body — in at
+    /// most three chunks: a head, the frame's bulk payload (a `Submit`'s
+    /// job, a successful `Reply`'s trained model) shared rather than
+    /// copied, and a tail. Chunks a frame has no use for are empty; their
+    /// concatenation is byte for byte the prefix followed by
+    /// [`encode`](Self::encode).
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` if the body (or a length inside it) does not fit the
+    /// `u32` prefix.
+    pub fn wire_chunks(&self) -> std::io::Result<[Bytes; 3]> {
+        let [head, bulk, tail] = self.body_chunks()?;
+        let mut prefixed = Writer::with_capacity(4 + head.len());
+        prefixed.put_u32(len32(head.len() + bulk.len() + tail.len())?);
+        prefixed.put_slice(&head);
+        Ok([prefixed.finish(), bulk, tail])
+    }
+
+    /// The body as head, bulk, tail — the one place the layout is written.
+    fn body_chunks(&self) -> std::io::Result<[Bytes; 3]> {
+        let mut w = Writer::with_capacity(32);
+        let mut bulk = Bytes::new();
+        let mut tail = Writer::new();
         match self {
             Frame::Hello {
                 min_version,
@@ -256,8 +307,9 @@ impl Frame {
             } => {
                 w.put_u8(TAG_SUBMIT);
                 w.put_u64(*request_id);
-                w.put_bytes(payload);
-                encode_trace_tail(&mut w, *trace);
+                w.put_u32(len32(payload.len())?);
+                bulk = payload.clone();
+                encode_trace_tail(&mut tail, *trace);
             }
             Frame::Reply {
                 request_id,
@@ -268,15 +320,22 @@ impl Frame {
                 w.put_u64(*request_id);
                 match result {
                     Ok(r) => {
+                        // `encode_parts` panics on a model its own u32
+                        // prefix cannot carry; here that is an error.
+                        len32(r.trained_model.len())?;
+                        let [before, model, after] = r.encode_parts();
                         w.put_u8(1);
-                        w.put_bytes(&r.to_bytes());
+                        w.put_u32(len32(before.len() + model.len() + after.len())?);
+                        w.put_slice(&before);
+                        bulk = model;
+                        tail.put_slice(&after);
                     }
                     Err(e) => {
                         w.put_u8(0);
                         e.encode_into(&mut w);
                     }
                 }
-                encode_trace_tail(&mut w, *trace);
+                encode_trace_tail(&mut tail, *trace);
             }
             Frame::GetStats { request_id } => {
                 w.put_u8(TAG_GETSTATS);
@@ -315,7 +374,7 @@ impl Frame {
             }
             Frame::Goodbye => w.put_u8(TAG_GOODBYE),
         }
-        w.finish()
+        Ok([w.finish(), bulk, tail.finish()])
     }
 
     /// Decodes a frame body produced by [`encode`](Self::encode).
@@ -411,7 +470,17 @@ impl Frame {
     }
 }
 
-/// Writes one length-prefixed frame, returning the wire bytes written.
+/// A length as the `u32` the wire's prefixes carry. An error, not a wrapped
+/// cast: a truncated prefix would put an undecodable frame on the wire in
+/// release builds too.
+fn len32(len: usize) -> std::io::Result<u32> {
+    u32::try_from(len)
+        .map_err(|_| std::io::Error::new(ErrorKind::InvalidInput, "frame body over 4 GiB"))
+}
+
+/// Writes one length-prefixed frame, returning the wire bytes written. A
+/// bulk payload is written from the frame's own [`Bytes`], never copied
+/// into a body buffer first (see [`Frame::wire_chunks`]).
 ///
 /// Public so transport intermediaries (the `amalgam-proxy` front door, its
 /// health probes and fault-injection harness) can speak the wire format
@@ -421,7 +490,7 @@ impl Frame {
 ///
 /// Propagates the sink's I/O errors.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<usize> {
-    write_encoded(w, &frame.encode())
+    write_chunks(w, &frame.wire_chunks()?)
 }
 
 /// Writes an already-encoded frame body with its length prefix, returning
@@ -431,62 +500,33 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<usize> 
 ///
 /// Propagates the sink's I/O errors.
 pub fn write_encoded(w: &mut impl Write, body: &Bytes) -> std::io::Result<usize> {
-    if body.len() > u32::MAX as usize {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidInput,
-            "frame body over 4 GiB",
-        ));
-    }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()?;
-    Ok(4 + body.len())
+    let prefix = len32(body.len())?.to_le_bytes();
+    write_all_vectored(w, &[&prefix, body])
 }
 
-/// Writes a frame whose body is `head`, then `payload`, then `tail`,
-/// without ever copying `payload` into a body buffer — the zero-copy path
-/// for the two bulk frames (`Submit` uploads, successful `Reply`
-/// downloads), whose payloads dominate the wire. `head` must already end
-/// with the `u32` length prefix of `payload` (see [`submit_head`] /
-/// [`reply_ok_head`]); `tail` is the raw trace extension (or empty), so
-/// the bytes on the wire are identical to [`write_frame`] of the
-/// equivalent [`Frame`].
-///
-/// # Errors
-///
-/// Propagates the sink's I/O errors.
-pub(crate) fn write_split(
-    w: &mut impl Write,
-    head: &[u8],
-    payload: &[u8],
-    tail: &[u8],
-) -> std::io::Result<usize> {
-    let total = head.len() + payload.len() + tail.len();
-    // A hard error, not a debug_assert: a wrapped u32 length prefix would
-    // put an undecodable frame on the wire in release builds too.
-    if total > u32::MAX as usize {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidInput,
-            "frame body over 4 GiB",
-        ));
-    }
-    // One vectored write for the whole frame: on a raw socket the prefix,
-    // head, payload and trace tail leave as a single syscall instead of one
-    // small segment each — the peer's reactor sees the frame arrive whole
-    // and never burns an extra wakeup waiting for a straggling 16-byte tail.
-    let len = (total as u32).to_le_bytes();
-    let parts: [&[u8]; 4] = [&len, head, payload, tail];
+/// Writes a frame's [`wire_chunks`](Frame::wire_chunks).
+pub(crate) fn write_chunks(w: &mut impl Write, chunks: &[Bytes; 3]) -> std::io::Result<usize> {
+    write_all_vectored(w, &[&chunks[0], &chunks[1], &chunks[2]])
+}
+
+/// Writes `parts` (at most three) back to back and flushes. One vectored
+/// write for the whole frame: on a raw socket the prefix, head, payload and
+/// trace tail leave as a single syscall instead of one small segment each —
+/// the peer's reactor sees the frame arrive whole and never burns an extra
+/// wakeup waiting for a straggling 16-byte tail.
+fn write_all_vectored(w: &mut impl Write, parts: &[&[u8]]) -> std::io::Result<usize> {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
     let mut done = 0usize;
-    while done < 4 + total {
+    while done < total {
         let mut skip = done;
-        let mut iov = [std::io::IoSlice::new(&[]); 4];
+        let mut iov = [IoSlice::new(&[]); 3];
         let mut n_iov = 0;
         for part in parts {
             if skip >= part.len() {
                 skip -= part.len();
                 continue;
             }
-            iov[n_iov] = std::io::IoSlice::new(&part[skip..]);
+            iov[n_iov] = IoSlice::new(&part[skip..]);
             skip = 0;
             n_iov += 1;
         }
@@ -503,50 +543,70 @@ pub(crate) fn write_split(
         }
     }
     w.flush()?;
-    Ok(4 + total)
+    Ok(total)
 }
 
-/// The fixed head of a [`Frame::Submit`] body, for [`write_split`].
-pub(crate) fn submit_head(request_id: u64, payload_len: usize) -> Bytes {
-    let mut w = Writer::new();
-    w.put_u8(TAG_SUBMIT);
-    w.put_u64(request_id);
-    w.put_u32(payload_len as u32);
-    w.finish()
+/// One kernel read per readiness event asks for this much.
+const READ_CHUNK: usize = 64 * 1024;
+/// A frame whose body is at least this long is *bulk*: its body is read into
+/// a buffer of its own that becomes the frame's [`Bytes`]. One read chunk is
+/// the break-even point: a frame this size spans several reads, so what the
+/// scratch holds of it when its prefix is seen (moved over once) is at most
+/// one chunk, while the copy avoided is the whole body. Below it, copying
+/// the body out of the scratch is cheaper than an allocation per frame's
+/// worth of reads.
+const SPLIT_THRESHOLD: usize = READ_CHUNK;
+
+/// Capacity a body's buffer is given once `received` of its `len` bytes are
+/// in: the whole frame when it is no more than four read chunks, or four
+/// times what has arrived — a length prefix alone reserves a constant, and
+/// a frame up to the cap (256 MiB by default) is only ever backed in
+/// proportion to the bytes its sender has actually parted with.
+fn body_capacity(len: usize, received: usize) -> usize {
+    len.min(4 * received.max(READ_CHUNK))
 }
 
-/// The fixed head of a successful [`Frame::Reply`] body, for
-/// [`write_split`]; `result_len` is the length of the serialized
-/// [`JobResult`] that follows.
-pub(crate) fn reply_ok_head(request_id: u64, result_len: usize) -> Bytes {
-    let mut w = Writer::new();
-    w.put_u8(TAG_REPLY);
-    w.put_u64(request_id);
-    w.put_u8(1);
-    w.put_u32(result_len as u32);
-    w.finish()
+/// Reads from `r` straight into `body`'s spare capacity — no zero-fill, no
+/// staging copy, never past the frame's `len` bytes — until the frame is
+/// whole, the reserved capacity is full, or `r` has nothing more for now.
+/// Returns the bytes added; `Ok(0)` is EOF. Bytes that arrive before a
+/// nonblocking source (or one with a read timeout) runs dry are progress,
+/// not an error: the caller meets the dry source again on its next call.
+fn fill_body(r: &mut impl Read, body: &mut Vec<u8>, len: usize) -> std::io::Result<usize> {
+    let before = body.len();
+    debug_assert!(before < len);
+    body.reserve_exact(body_capacity(len, before) - before);
+    let room = body.capacity().min(len) - before;
+    match Read::take(&mut *r, room as u64).read_to_end(body) {
+        Err(e)
+            if body.len() == before
+                || !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+        {
+            Err(e)
+        }
+        _ => Ok(body.len() - before),
+    }
 }
 
-/// Reads exactly `buf.len()` bytes from a blocking stream.
-///
-/// Returns `Ok(false)` on a clean EOF *before the first byte* when
-/// `at_boundary`; EOF anywhere else is a truncated frame.
-fn read_full(r: &mut impl Read, buf: &mut [u8], at_boundary: bool) -> Result<bool, CloudError> {
+/// Reads one length prefix from a blocking stream; `Ok(None)` is a clean
+/// EOF before its first byte, EOF anywhere else a truncated frame.
+fn read_prefix(r: &mut impl Read) -> Result<Option<usize>, CloudError> {
+    let mut prefix = [0u8; 4];
     let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                if got == 0 && at_boundary {
-                    return Ok(false);
-                }
-                return Err(CloudError::Transport("connection closed mid-frame".into()));
-            }
+    while got < prefix.len() {
+        match r.read(&mut prefix[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(CloudError::Transport("connection closed mid-frame".into())),
             Ok(n) => got += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(CloudError::Transport(format!("read failed: {e}"))),
         }
     }
-    Ok(true)
+    Ok(Some(u32::from_le_bytes(prefix) as usize))
+}
+
+fn over_cap(len: usize, max_frame_len: usize) -> CloudError {
+    CloudError::Transport(format!("frame length {len} exceeds cap {max_frame_len}"))
 }
 
 /// Reads one frame from a blocking stream.
@@ -570,18 +630,20 @@ pub fn read_frame_blocking(
     origin: FrameOrigin,
 ) -> Result<Option<(Frame, usize)>, CloudError> {
     loop {
-        let mut header = [0u8; 4];
-        if !read_full(r, &mut header, true)? {
+        let Some(len) = read_prefix(r)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(header) as usize;
+        };
         if len > max_frame_len {
-            return Err(CloudError::Transport(format!(
-                "frame length {len} exceeds cap {max_frame_len}"
-            )));
+            return Err(over_cap(len, max_frame_len));
         }
-        let mut body = vec![0u8; len];
-        read_full(r, &mut body, false)?;
+        let mut body = Vec::new();
+        while body.len() < len {
+            match fill_body(r, &mut body, len) {
+                Ok(0) => return Err(CloudError::Transport("connection closed mid-frame".into())),
+                Ok(_) => {}
+                Err(e) => return Err(CloudError::Transport(format!("read failed: {e}"))),
+            }
+        }
         if body.first().is_some_and(|&t| skippable_tag(t, origin)) {
             continue;
         }
@@ -589,34 +651,20 @@ pub fn read_frame_blocking(
     }
 }
 
-/// One kernel read per readiness event asks for this much.
-const READ_CHUNK: usize = 64 * 1024;
-/// Scratch capacity a connection keeps once its buffer drains; a one-off
-/// oversized frame hands its memory back instead of pinning it forever.
-const RETAIN_CAP: usize = 256 * 1024;
-/// A `Submit` payload at least this big is handed out zero-copy: the whole
-/// scratch becomes the payload's backing [`Bytes`] and a fresh scratch
-/// takes over the undecoded tail. One read chunk is the break-even point:
-/// a frame this size spans multiple reads, so the tail left behind when it
-/// completes is at most one chunk and usually far less, while the copy
-/// avoided is the whole payload. Below it, copying the payload out is
-/// cheaper than retiring the scratch allocation.
-const SPLIT_THRESHOLD: usize = READ_CHUNK;
-
-/// Incremental frame decoder over a reusable per-connection scratch buffer.
+/// Incremental frame decoder for nonblocking (or timeout-polled) sockets.
 ///
-/// The reactor's read path: every readiness event appends whatever bytes the
-/// kernel has ([`FrameDecoder::read_from`]) into one growable buffer, then
-/// drains complete frames with [`FrameDecoder::next_frame`]. Unlike the old
-/// blocking reader — which allocated a fresh zeroed `Vec` per inbound frame —
-/// the scratch is reused across frames: control frames (`Ping`, `Pong`,
-/// `Goodbye`) and `Submit` heads decode straight out of the buffer with no
-/// allocation. A small `Submit`'s payload is copied out (it has to outlive
-/// the buffer and cross a thread); a large one is handed out zero-copy by
-/// retiring the scratch into the payload's backing [`Bytes`]. Partial frames
-/// are fine at any byte offset; the decoder just waits for more input.
+/// Every readiness event hands the decoder one read
+/// ([`FrameDecoder::read_from`]); complete frames are drained with
+/// [`FrameDecoder::next_frame`] before the next read. Small frames
+/// accumulate in a reusable per-connection scratch and are decoded from a
+/// copy of their body. A bulk frame (body of at least one read chunk) is
+/// received into a buffer of its own, which then *is* the decoded frame's
+/// storage: its payload is a slice of the bytes the socket wrote, whatever
+/// the frame's kind or origin. Partial frames are fine at any byte offset;
+/// the decoder just waits for more input.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Small frames and at most one read chunk of undecoded input.
     buf: Vec<u8>,
     /// Bytes before `start` are consumed; `start..end` is undecoded input.
     start: usize,
@@ -624,6 +672,9 @@ pub struct FrameDecoder {
     /// Which peer's frames this decoder reads — fixes the skippable
     /// extension range (see [`FrameOrigin`]).
     origin: FrameOrigin,
+    /// The bulk frame being received: its body length and what has arrived.
+    /// Wire order puts it before everything in the scratch.
+    bulk: Option<(usize, Vec<u8>)>,
 }
 
 impl FrameDecoder {
@@ -642,20 +693,26 @@ impl FrameDecoder {
         }
     }
 
-    /// Undecoded bytes currently buffered.
+    /// Undecoded wire bytes currently held.
     pub fn buffered(&self) -> usize {
-        self.end - self.start
+        let bulk = self.bulk.as_ref().map_or(0, |(_, body)| 4 + body.len());
+        bulk + self.end - self.start
     }
 
-    /// Appends raw bytes (test/bench entry point; the server reads straight
-    /// from the socket via [`FrameDecoder::read_from`]).
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.make_room(bytes.len());
-        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
-        self.end += bytes.len();
+    /// Appends raw bytes exactly as reads from a socket would deliver them
+    /// (test/bench entry point; transports call
+    /// [`FrameDecoder::read_from`]). Bytes fed without draining
+    /// [`FrameDecoder::next_frame`] in between pile up in the scratch.
+    pub fn extend(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            self.read_from(&mut bytes)
+                .expect("reading from a slice cannot fail");
+        }
     }
 
-    /// Performs one read from `r` into the scratch buffer.
+    /// Performs one read from `r`: into the bulk frame being received while
+    /// there is one (as much of it as `r` has, never past its end), into
+    /// the scratch otherwise.
     ///
     /// Returns `Ok(0)` on EOF. `WouldBlock` propagates to the caller (the
     /// reactor re-arms read interest); `Interrupted` is retried internally.
@@ -664,6 +721,11 @@ impl FrameDecoder {
     ///
     /// Propagates the source's I/O errors.
     pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        if let Some((len, body)) = &mut self.bulk {
+            if body.len() < *len {
+                return fill_body(r, body, *len);
+            }
+        }
         self.make_room(READ_CHUNK);
         loop {
             match r.read(&mut self.buf[self.end..]) {
@@ -678,8 +740,8 @@ impl FrameDecoder {
     }
 
     /// Ensures at least `spare` writable bytes after `end`, compacting the
-    /// consumed prefix first so the buffer only grows for genuinely large
-    /// frames.
+    /// consumed prefix first: drained between reads, the scratch stays at
+    /// one read chunk plus the unfinished small frame before it.
     fn make_room(&mut self, spare: usize) {
         if self.buf.len() - self.end >= spare {
             return;
@@ -710,6 +772,16 @@ impl FrameDecoder {
         max_frame_len: usize,
     ) -> Result<Option<(Frame, usize)>, CloudError> {
         loop {
+            if let Some((len, body)) = &self.bulk {
+                if body.len() < *len {
+                    return Ok(None);
+                }
+                let (len, body) = self.bulk.take().expect("checked just above");
+                if skippable_tag(body[0], self.origin) {
+                    continue;
+                }
+                return Ok(Some((Frame::decode(Bytes::from(body))?, 4 + len)));
+            }
             let avail = self.end - self.start;
             if avail < 4 {
                 return Ok(None);
@@ -720,129 +792,41 @@ impl FrameDecoder {
                     .expect("4-byte slice"),
             ) as usize;
             if len > max_frame_len {
-                return Err(CloudError::Transport(format!(
-                    "frame length {len} exceeds cap {max_frame_len}"
-                )));
+                return Err(over_cap(len, max_frame_len));
+            }
+            if len >= SPLIT_THRESHOLD {
+                // Bulk: what the scratch holds of the body moves over once,
+                // the rest is read where it will stay.
+                let have = (avail - 4).min(len);
+                let mut body = Vec::with_capacity(body_capacity(len, have));
+                body.extend_from_slice(&self.buf[self.start + 4..self.start + 4 + have]);
+                self.consume(4 + have);
+                self.bulk = Some((len, body));
+                continue;
             }
             if avail < 4 + len {
                 return Ok(None);
             }
-            if len > 0 && skippable_tag(self.buf[self.start + 4], self.origin) {
+            let body = &self.buf[self.start + 4..self.start + 4 + len];
+            if body.first().is_some_and(|&t| skippable_tag(t, self.origin)) {
                 self.consume(4 + len);
                 continue;
             }
-            if let Some(frame) = self.try_split_large_submit(len) {
-                return Ok(Some((frame, 4 + len)));
-            }
-            let body = &self.buf[self.start + 4..self.start + 4 + len];
-            let frame = decode_body(body);
+            let frame = Frame::decode(Bytes::from(body));
             self.consume(4 + len);
             return Ok(Some((frame?, 4 + len)));
         }
     }
 
-    /// Advances past `n` decoded (or skipped) bytes, recycling the scratch
+    /// Advances past `n` decoded (or skipped) bytes, rewinding the scratch
     /// when it fully drains.
     fn consume(&mut self, n: usize) {
         self.start += n;
         if self.start == self.end {
             self.start = 0;
             self.end = 0;
-            if self.buf.len() > RETAIN_CAP {
-                self.buf.truncate(RETAIN_CAP);
-                self.buf.shrink_to_fit();
-            }
         }
     }
-
-    /// Zero-copy fast path for the dominant inbound frame: a well-formed
-    /// `Submit` whose payload clears [`SPLIT_THRESHOLD`]. The scratch `Vec`
-    /// is converted (not copied) into the payload's backing [`Bytes`]; the
-    /// undecoded tail moves into a fresh scratch. Returns `None` — meaning
-    /// "decode normally" — for every other shape.
-    fn try_split_large_submit(&mut self, len: usize) -> Option<Frame> {
-        let body_start = self.start + 4;
-        let body = &self.buf[body_start..body_start + len];
-        if len < 13 + SPLIT_THRESHOLD || body[0] != TAG_SUBMIT {
-            return None;
-        }
-        let payload_len =
-            u32::from_le_bytes(body[9..13].try_into().expect("4-byte slice")) as usize;
-        // Two well-formed shapes: v1 (payload ends the body) and v2 with
-        // the 16-byte trace extension after the payload.
-        let trace = if payload_len == len - 13 {
-            None
-        } else if payload_len == len - 13 - TRACE_EXT_LEN {
-            let t = &body[13 + payload_len..];
-            Some(TraceId::from_words(
-                u64::from_le_bytes(t[..8].try_into().expect("8-byte slice")),
-                u64::from_le_bytes(t[8..].try_into().expect("8-byte slice")),
-            ))
-        } else {
-            return None; // malformed: let the canonical decoder report it
-        };
-        let request_id = u64::from_le_bytes(body[1..9].try_into().expect("8-byte slice"));
-        let frame_end = body_start + len;
-        let tail_len = self.end - frame_end;
-        let mut fresh = Vec::with_capacity(READ_CHUNK.max(tail_len));
-        fresh.extend_from_slice(&self.buf[frame_end..self.end]);
-        let retired = std::mem::replace(&mut self.buf, fresh);
-        let backing = Bytes::from(retired);
-        let payload = backing.slice(body_start + 13..body_start + 13 + payload_len);
-        self.start = 0;
-        self.end = tail_len;
-        Some(Frame::Submit {
-            request_id,
-            payload,
-            trace,
-        })
-    }
-}
-
-/// Decodes a frame body from a borrowed slice. The hot frames (`Submit`,
-/// `Ping`, `Pong`, `Goodbye`) parse in place with no intermediate body
-/// allocation; anything else — and any malformed hot frame — falls back to
-/// the canonical [`Frame::decode`], which also produces the canonical error.
-fn decode_body(body: &[u8]) -> Result<Frame, CloudError> {
-    match body.first() {
-        Some(&TAG_SUBMIT) if body.len() >= 13 => {
-            let payload_len =
-                u32::from_le_bytes(body[9..13].try_into().expect("4-byte slice")) as usize;
-            let trace = if body.len() - 13 == payload_len {
-                Some(None)
-            } else if body.len() >= 13 + TRACE_EXT_LEN
-                && body.len() - 13 - TRACE_EXT_LEN == payload_len
-            {
-                let t = &body[13 + payload_len..];
-                Some(Some(TraceId::from_words(
-                    u64::from_le_bytes(t[..8].try_into().expect("8-byte slice")),
-                    u64::from_le_bytes(t[8..].try_into().expect("8-byte slice")),
-                )))
-            } else {
-                None // malformed: canonical decoder reports it
-            };
-            if let Some(trace) = trace {
-                return Ok(Frame::Submit {
-                    request_id: u64::from_le_bytes(body[1..9].try_into().expect("8-byte slice")),
-                    payload: Bytes::from(body[13..13 + payload_len].to_vec()),
-                    trace,
-                });
-            }
-        }
-        Some(&TAG_PING) if body.len() == 9 => {
-            return Ok(Frame::Ping {
-                nonce: u64::from_le_bytes(body[1..9].try_into().expect("8-byte slice")),
-            });
-        }
-        Some(&TAG_PONG) if body.len() == 9 => {
-            return Ok(Frame::Pong {
-                nonce: u64::from_le_bytes(body[1..9].try_into().expect("8-byte slice")),
-            });
-        }
-        Some(&TAG_GOODBYE) if body.len() == 1 => return Ok(Frame::Goodbye),
-        _ => {}
-    }
-    Frame::decode(Bytes::from(body.to_vec()))
 }
 
 #[cfg(test)]
@@ -1063,49 +1047,25 @@ mod tests {
         }
     }
 
+    /// A sink that takes one byte per call, whatever it is offered.
+    struct OneByte(Vec<u8>);
+
+    impl Write for OneByte {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.extend_from_slice(&buf[..1]);
+            Ok(1)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn split_writes_are_bitwise_identical_to_whole_frame_writes() {
-        // The zero-copy bulk path must put exactly the same bytes on the
-        // wire as encoding the whole frame.
-        let payload = Bytes::from_static(b"serialized job payload");
-        let mut whole = Vec::new();
-        write_frame(
-            &mut whole,
-            &Frame::Submit {
-                request_id: 42,
-                payload: payload.clone(),
-                trace: None,
-            },
-        )
-        .unwrap();
-        let mut split = Vec::new();
-        let n = write_split(&mut split, &submit_head(42, payload.len()), &payload, &[]).unwrap();
-        assert_eq!(split, whole);
-        assert_eq!(n, whole.len());
-
-        // ...including when the trace extension rides the tail.
+        // The chunked writer must put exactly `len ++ encode()` on the
+        // wire — bulk payload by reference, every chunk boundary crossed
+        // one byte at a time — with and without the trace extension.
         let id = TraceId::from_words(7, 0x0102_0304_0506_0708);
-        let mut whole = Vec::new();
-        write_frame(
-            &mut whole,
-            &Frame::Submit {
-                request_id: 42,
-                payload: payload.clone(),
-                trace: Some(id),
-            },
-        )
-        .unwrap();
-        let mut split = Vec::new();
-        let n = write_split(
-            &mut split,
-            &submit_head(42, payload.len()),
-            &payload,
-            &trace_tail(id),
-        )
-        .unwrap();
-        assert_eq!(split, whole);
-        assert_eq!(n, whole.len());
-
         let result = JobResult {
             job_id: 7,
             trained_model: Bytes::from_static(b"weights"),
@@ -1114,42 +1074,46 @@ mod tests {
             bytes_sent: 9,
             train_seconds: 0.5,
         };
-        let body = result.to_bytes();
-        let mut whole = Vec::new();
-        write_frame(
-            &mut whole,
-            &Frame::Reply {
-                request_id: 7,
-                result: Ok(result.clone()),
-                trace: None,
-            },
-        )
-        .unwrap();
-        let mut split = Vec::new();
-        let n = write_split(&mut split, &reply_ok_head(7, body.len()), &body, &[]).unwrap();
-        assert_eq!(split, whole);
-        assert_eq!(n, whole.len());
-
-        let mut whole = Vec::new();
-        write_frame(
-            &mut whole,
-            &Frame::Reply {
-                request_id: 7,
-                result: Ok(result),
-                trace: Some(id),
-            },
-        )
-        .unwrap();
-        let mut split = Vec::new();
-        let n = write_split(
-            &mut split,
-            &reply_ok_head(7, body.len()),
-            &body,
-            &trace_tail(id),
-        )
-        .unwrap();
-        assert_eq!(split, whole);
-        assert_eq!(n, whole.len());
+        for trace in [None, Some(id)] {
+            let payload = Bytes::from_static(b"serialized job payload");
+            for frame in [
+                Frame::Submit {
+                    request_id: 42,
+                    payload: payload.clone(),
+                    trace,
+                },
+                Frame::Reply {
+                    request_id: 7,
+                    result: Ok(result.clone()),
+                    trace,
+                },
+                Frame::Reply {
+                    request_id: 8,
+                    result: Err(CloudError::ServiceUnavailable),
+                    trace,
+                },
+            ] {
+                let body = frame.encode();
+                let mut whole = (body.len() as u32).to_le_bytes().to_vec();
+                whole.extend_from_slice(&body);
+                let mut sink = OneByte(Vec::new());
+                let n = write_frame(&mut sink, &frame).unwrap();
+                assert_eq!(sink.0, whole);
+                assert_eq!(n, whole.len());
+                let mut encoded = Vec::new();
+                assert_eq!(write_encoded(&mut encoded, &body).unwrap(), whole.len());
+                assert_eq!(encoded, whole);
+            }
+            // The bulk chunk is the caller's buffer, not a copy of it.
+            let [_, bulk, _] = Frame::Submit {
+                request_id: 42,
+                payload: payload.clone(),
+                trace,
+            }
+            .wire_chunks()
+            .unwrap();
+            assert_eq!(bulk.as_ptr(), payload.as_ptr());
+        }
     }
 
     #[test]
@@ -1277,42 +1241,199 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_split_path_preserves_trace_extension() {
-        // Large enough to take try_split_large_submit, with the trace tail.
+    fn bulk_frames_decode_in_the_buffer_they_were_read_into() {
+        // Bulk bodies of either kind and origin, trace tail included, each
+        // followed by a small frame that must survive the hand-over.
         let id = TraceId::from_words(0xaaaa, 0xbbbb);
-        let frame = Frame::Submit {
+        let submit = Frame::Submit {
             request_id: 21,
             payload: Bytes::from(vec![3u8; SPLIT_THRESHOLD + 64]),
             trace: Some(id),
         };
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &frame).unwrap();
-        // Trailing extra frame proves the tail handoff keeps undecoded bytes.
-        write_frame(&mut wire, &Frame::Ping { nonce: 9 }).unwrap();
-        let mut dec = FrameDecoder::new();
-        dec.extend(&wire);
-        let (got, _) = dec.next_frame(1 << 30).unwrap().unwrap();
-        assert_eq!(got, frame);
-        let (ping, _) = dec.next_frame(1 << 30).unwrap().unwrap();
-        assert_eq!(ping, Frame::Ping { nonce: 9 });
-        assert_eq!(dec.buffered(), 0);
+        let reply = Frame::Reply {
+            request_id: 22,
+            result: Ok(JobResult {
+                job_id: 22,
+                trained_model: Bytes::from(vec![5u8; 3 * READ_CHUNK]),
+                history: History::new(),
+                bytes_received: 1,
+                bytes_sent: 2,
+                train_seconds: 0.0,
+            }),
+            trace: Some(id),
+        };
+        for (frame, origin) in [
+            (&submit, FrameOrigin::Client),
+            (&reply, FrameOrigin::Server),
+        ] {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, frame).unwrap();
+            write_frame(&mut wire, &Frame::Ping { nonce: 9 }).unwrap();
+            let mut dec = FrameDecoder::for_peer(origin);
+            let mut src = &wire[..];
+            // The first read lands in the scratch; the prefix it reveals
+            // moves the body to a buffer of its own...
+            dec.read_from(&mut src).unwrap();
+            assert!(dec.next_frame(1 << 30).unwrap().is_none());
+            let body_addr = dec.bulk.as_ref().unwrap().1.as_ptr();
+            // ...which later reads fill, never past the frame's end...
+            while dec
+                .bulk
+                .as_ref()
+                .is_some_and(|(len, body)| body.len() < *len)
+            {
+                assert!(dec.read_from(&mut src).unwrap() > 0);
+            }
+            assert_eq!(dec.end, 0, "the scratch took no byte of a bulk body");
+            assert_eq!(src.len(), 4 + 9, "the next frame is still unread");
+            // ...and which is the storage the decoded payload points into.
+            let (got, wire_len) = dec.next_frame(1 << 30).unwrap().unwrap();
+            assert_eq!(&got, frame);
+            assert_eq!(wire_len, wire.len() - 13);
+            let bulk = match &got {
+                Frame::Submit { payload, .. } => payload,
+                Frame::Reply { result, .. } => &result.as_ref().unwrap().trained_model,
+                _ => unreachable!(),
+            };
+            let offset = bulk.as_ptr() as usize - body_addr as usize;
+            assert!(offset < 64, "payload was copied out of its read buffer");
+            dec.extend(src);
+            let (ping, _) = dec.next_frame(1 << 30).unwrap().unwrap();
+            assert_eq!(ping, Frame::Ping { nonce: 9 });
+            assert_eq!(dec.buffered(), 0);
+        }
     }
 
     #[test]
-    fn decoder_scratch_is_reused_and_shrinks_after_huge_frames() {
+    fn a_partial_bulk_frame_reserves_in_proportion_to_what_arrived() {
+        // A prefix claiming the whole cap, then silence: a constant.
+        let cap = 256 << 20;
         let mut dec = FrameDecoder::new();
-        // A frame bigger than the retain cap...
-        let big = Frame::Submit {
+        dec.extend(&(cap as u32).to_le_bytes());
+        assert!(dec.next_frame(cap).unwrap().is_none());
+        let reserved = |dec: &FrameDecoder| dec.bulk.as_ref().unwrap().1.capacity();
+        assert!(reserved(&dec) <= 4 * READ_CHUNK);
+        // Then a trickle: never more than four times what has arrived.
+        let chunk = vec![1u8; 100_000];
+        for fed in 1..=30 {
+            dec.extend(&chunk);
+            assert!(dec.next_frame(cap).unwrap().is_none());
+            assert!(reserved(&dec) <= 4 * (fed * chunk.len()).max(READ_CHUNK));
+            assert_eq!(dec.buffered(), 4 + fed * chunk.len());
+        }
+    }
+
+    #[test]
+    fn progress_before_a_dry_source_is_progress_and_eof_mid_body_is_an_error() {
+        /// Yields its data in `step`-byte reads with a `WouldBlock` (or a
+        /// read timeout) between any two, then EOF.
+        struct Dribble<'a>(&'a [u8], usize, bool);
+        impl Read for Dribble<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.2 = !self.2;
+                if self.2 {
+                    let kind = [ErrorKind::WouldBlock, ErrorKind::TimedOut][self.0.len() % 2];
+                    return Err(std::io::Error::from(kind));
+                }
+                let n = self.1.min(self.0.len()).min(buf.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let frame = Frame::Submit {
             request_id: 1,
-            payload: Bytes::from(vec![7u8; RETAIN_CAP * 2]),
+            payload: Bytes::from(vec![8u8; 2 * READ_CHUNK]),
             trace: None,
         };
         let mut wire = Vec::new();
-        write_frame(&mut wire, &big).unwrap();
-        dec.extend(&wire);
-        assert!(dec.next_frame(1 << 30).unwrap().is_some());
-        // ...must not pin its memory once drained.
-        assert!(dec.buf.len() <= RETAIN_CAP);
+        write_frame(&mut wire, &frame).unwrap();
+        let mut dec = FrameDecoder::new();
+        let mut src = Dribble(&wire, 4099, false);
+        let mut got = None;
+        loop {
+            match dec.read_from(&mut src) {
+                Ok(0) => break,
+                Ok(_) => {
+                    if let Some((f, _)) = dec.next_frame(1 << 30).unwrap() {
+                        got = Some(f);
+                    }
+                }
+                Err(e) => assert!(
+                    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "{e}"
+                ),
+            }
+        }
+        assert_eq!(got, Some(frame));
+
+        // The same frame cut short: the blocking reader reports truncation.
+        let mut cut = &wire[..wire.len() - 1];
+        assert!(matches!(
+            read_frame_blocking(&mut cut, 1 << 30, FrameOrigin::Client),
+            Err(CloudError::Transport(_))
+        ));
+    }
+
+    #[test]
+    fn bulk_sized_extension_frames_are_skipped_without_desync() {
+        for (tag, origin) in [(7u8, FrameOrigin::Client), (200, FrameOrigin::Server)] {
+            let mut body = vec![0xAB; SPLIT_THRESHOLD + 1];
+            body[0] = tag;
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &Frame::Ping { nonce: 1 }).unwrap();
+            write_encoded(&mut wire, &Bytes::from(body)).unwrap();
+            write_frame(&mut wire, &Frame::Pong { nonce: 2 }).unwrap();
+            let mut dec = FrameDecoder::for_peer(origin);
+            let mut out = Vec::new();
+            for piece in wire.chunks(1000) {
+                dec.extend(piece);
+                while let Some((f, _)) = dec.next_frame(1 << 20).unwrap() {
+                    out.push(f);
+                }
+            }
+            assert_eq!(
+                out,
+                vec![Frame::Ping { nonce: 1 }, Frame::Pong { nonce: 2 }]
+            );
+            assert_eq!(dec.buffered(), 0);
+        }
+    }
+
+    #[test]
+    fn scratch_never_exceeds_one_read_chunk_plus_a_small_frame_remainder() {
+        // Whatever is decoded — bulk frames several chunks long, small
+        // frames straddling reads — a decoder drained between reads keeps
+        // its scratch at one read chunk plus an unfinished small frame.
+        let mut wire = Vec::new();
+        for i in 0..4u64 {
+            let frames = [
+                Frame::Submit {
+                    request_id: i,
+                    payload: Bytes::from(vec![7u8; 5 * READ_CHUNK + 17]),
+                    trace: None,
+                },
+                Frame::Submit {
+                    request_id: i,
+                    payload: Bytes::from(vec![9u8; SPLIT_THRESHOLD - 100]),
+                    trace: None,
+                },
+                Frame::Ping { nonce: i },
+            ];
+            for f in &frames {
+                write_frame(&mut wire, f).unwrap();
+            }
+        }
+        let mut dec = FrameDecoder::new();
+        let mut src = &wire[..];
+        let mut frames = 0;
+        while dec.read_from(&mut src).unwrap() > 0 {
+            while dec.next_frame(1 << 30).unwrap().is_some() {
+                frames += 1;
+            }
+            assert!(dec.buf.len() <= READ_CHUNK + SPLIT_THRESHOLD + 4);
+        }
+        assert_eq!(frames, 12);
         assert_eq!(dec.buffered(), 0);
     }
 }

@@ -21,7 +21,15 @@
 //! ```
 //!
 //! `len` is capped by [`TransportConfig::max_frame_len`] **before** any
-//! allocation, so an adversarial length prefix cannot OOM either peer.
+//! allocation, so an adversarial length prefix cannot OOM either peer, and
+//! under the cap a partial frame is only ever backed in proportion to the
+//! bytes its sender has delivered. A frame's bytes are owned once per hop:
+//! a body of one read chunk (64 KiB) or more is read into the buffer that
+//! becomes the decoded frame's [`bytes::Bytes`], and written from there by
+//! reference — the three tiers (client, proxy, reactor) share one bulk
+//! reader and one chunked writer, both in the private `frame` module (see
+//! [`Frame::wire_chunks`] and `docs/ARCHITECTURE.md`, "Who owns a frame's
+//! bytes").
 //! Frame bodies, client → server:
 //!
 //! | tag | frame | fields |

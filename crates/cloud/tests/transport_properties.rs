@@ -8,6 +8,9 @@ use amalgam_nn::metrics::History;
 use bytes::Bytes;
 use proptest::prelude::*;
 
+#[path = "support/differential.rs"]
+mod differential;
+
 /// Builds one of every frame kind from sampled raw material.
 #[allow(clippy::too_many_arguments)]
 fn build_frame(
@@ -107,6 +110,14 @@ fn build_frame(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The incremental decoder under hostile segmentation, the blocking
+    /// reader and the chunked writer agree on random frame sequences (see
+    /// `support/differential.rs`).
+    #[test]
+    fn readers_and_writer_agree_under_random_segmentation(seed in any::<u64>()) {
+        differential::check(seed);
+    }
 
     /// encode → decode is the identity for every frame kind.
     #[test]

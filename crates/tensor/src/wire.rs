@@ -103,6 +103,13 @@ impl Writer {
         self.buf.put_slice(bytes);
     }
 
+    /// Appends raw bytes with no length prefix: for a caller whose own
+    /// framing already says how many follow (an encoding assembled from
+    /// parts that were each encoded separately).
+    pub fn put_slice(&mut self, raw: &[u8]) {
+        self.buf.put_slice(raw);
+    }
+
     /// Appends a length-prefixed list of `usize` (as u64).
     ///
     /// # Panics
@@ -227,10 +234,14 @@ impl Reader {
     pub fn get_str(&mut self) -> Result<String, TensorError> {
         let len = self.get_u32()? as usize;
         self.need(len, "string payload")?;
-        let bytes = self.buf.copy_to_bytes(len);
-        String::from_utf8(bytes.to_vec()).map_err(|_| TensorError::MalformedWire {
-            context: "string is not valid UTF-8",
-        })
+        // Validate on the wire bytes, then copy once into the `String`.
+        let text = std::str::from_utf8(&self.buf.chunk()[..len])
+            .map_err(|_| TensorError::MalformedWire {
+                context: "string is not valid UTF-8",
+            })?
+            .to_owned();
+        self.buf.advance(len);
+        Ok(text)
     }
 
     /// Reads a blob written by [`Writer::put_bytes`] without copying (the

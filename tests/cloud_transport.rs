@@ -234,6 +234,74 @@ fn malformed_frames_are_rejected_and_contained() {
     server.shutdown();
 }
 
+/// A bulk frame cut short by EOF — after a complete submit, so a job is in
+/// flight when the peer vanishes — must not strand its half-received body
+/// or the job's slot: the reactor drains, the in-flight count reaches
+/// zero, and the connection closes on its own.
+#[test]
+fn bulk_frame_cut_by_eof_drains_the_connection() {
+    let service = CloudService::builder().workers(1).build();
+    let server = CloudServer::bind(service, "127.0.0.1:0").expect("bind loopback");
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    write_raw_frame(
+        &mut stream,
+        &Frame::Hello {
+            min_version: 1,
+            max_version: 2,
+            api_key: None,
+        },
+    );
+    assert!(matches!(
+        read_raw_frame(&mut stream),
+        Some(Frame::Welcome { .. })
+    ));
+    write_raw_frame(
+        &mut stream,
+        &Frame::Submit {
+            request_id: 1,
+            payload: tiny_job(5).to_bytes(),
+            trace: None,
+        },
+    );
+    // Three read chunks claimed, one and a bit delivered, then EOF.
+    let body = Frame::Submit {
+        request_id: 2,
+        payload: vec![7u8; 3 * 64 * 1024].into(),
+        trace: None,
+    }
+    .encode();
+    stream
+        .write_all(&(body.len() as u32).to_le_bytes())
+        .unwrap();
+    stream.write_all(&body[..70_000]).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+
+    // The server settles what it owes (request 1's reply, or nothing if
+    // the orphaned job cancelled itself) and closes: we read to EOF.
+    let mut sink = Vec::new();
+    stream
+        .read_to_end(&mut sink)
+        .expect("server must close the connection, not hold it");
+    assert!(
+        wait_until(Duration::from_secs(20), || {
+            let s = server.stats();
+            s.connections_active == 0 && s.reactor_write_queue_bytes == 0
+        }),
+        "cut-off bulk frame left the connection open: {:?}",
+        server.stats().connections_active
+    );
+    // Only the complete submit ever counted as a job frame.
+    let stats = server.stats();
+    assert_eq!(stats.frames_received - stats.control_frames_received, 1);
+    // And a well-behaved client is still served.
+    let client = RemoteCloudClient::connect(server.local_addr()).expect("connect after");
+    client.train(&tiny_job(6)).expect("train after");
+    server.shutdown();
+}
+
 /// Version negotiation: a client advertising a range the server cannot
 /// meet is refused with a Reject frame, not silently dropped.
 #[test]

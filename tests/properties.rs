@@ -5,6 +5,20 @@ use amalgam::data::ImageDataset;
 use amalgam::prelude::*;
 use proptest::prelude::*;
 
+#[path = "../crates/cloud/tests/support/differential.rs"]
+mod transport_differential;
+
+/// Tier-1's fixed-seed slice of the transport's differential property (the
+/// full sweep is `amalgam-cloud`'s `transport_properties.rs`): random frame
+/// sequences through the chunked writer, the blocking reader and the
+/// incremental decoder under hostile segmentation all agree.
+#[test]
+fn transport_readers_and_writer_agree_on_fixed_seeds() {
+    for seed in 0..48 {
+        transport_differential::check(seed);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
