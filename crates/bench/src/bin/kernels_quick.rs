@@ -667,6 +667,85 @@ fn main() {
         ));
     }
 
+    // The per-head products the LM benchmark job actually runs: 16 items
+    // (8 sequences × 2 heads, head width 16) at its three sequence lengths,
+    // in attention's three operand layouts — P·V and dS·K (NN), Q·Kᵀ and
+    // dO·Vᵀ (NT), Pᵀ·dO and dSᵀ·Q (TN). Every item is below the blocking
+    // threshold. Baseline: `gemm` item by item, which runs the direct loop —
+    // where `gemm_batch` ran these too before its items moved to the register
+    // tile. Same bits required, and ≥ 2.5x.
+    for t in [12usize, 16, 20] {
+        let (items, dh) = (16usize, 16usize);
+        let square = Tensor::randn(&[items, t, t], &mut rng);
+        let heads_a = Tensor::randn(&[items, t, dh], &mut rng);
+        let heads_b = Tensor::randn(&[items, t, dh], &mut rng);
+        type Layout<'a> = (&'static str, usize, usize, gemm::BatchMat<'a>, gemm::BatchMat<'a>);
+        let layouts: [Layout; 3] = [
+            (
+                "nn",
+                dh,
+                t,
+                gemm::BatchMat::row_major(square.data(), t, t),
+                gemm::BatchMat::row_major(heads_b.data(), t, dh),
+            ),
+            (
+                "nt",
+                t,
+                dh,
+                gemm::BatchMat::row_major(heads_a.data(), t, dh),
+                gemm::BatchMat::transposed(heads_b.data(), t, dh),
+            ),
+            (
+                "tn",
+                dh,
+                t,
+                gemm::BatchMat::transposed(square.data(), t, t),
+                gemm::BatchMat::row_major(heads_b.data(), t, dh),
+            ),
+        ];
+        for (layout, n, k, a, b) in layouts {
+            let m = t;
+            let name: &'static str = format!("attn_heads_batch_16x{t}x16_{layout}").leak();
+            let alpha = 0.25f32;
+            let item_by_item = |out: &mut [f32]| {
+                out.fill(0.0);
+                for (i, c) in out.chunks_exact_mut(m * n).enumerate() {
+                    gemm::gemm(m, n, k, a.item(i), b.item(i), c);
+                    c.iter_mut().for_each(|v| *v *= alpha);
+                }
+            };
+            let (mut want, mut got) = (vec![f32::NAN; items * m * n], vec![f32::NAN; items * m * n]);
+            item_by_item(&mut want);
+            gemm::gemm_batch(items, m, n, k, a, b, alpha, &mut got);
+            let bitwise = same_bits(&got, &want);
+            let direct_ms = time_ms(2000, || {
+                item_by_item(&mut want);
+                want[0]
+            });
+            let batch_ms = time_ms(2000, || {
+                gemm::gemm_batch(items, m, n, k, a, b, alpha, &mut got);
+                got[0]
+            });
+            let speedup = direct_ms / batch_ms;
+            entries.push(
+                Entry::new(name)
+                    .num("direct_loop_ms", direct_ms)
+                    .num("batch_ms", batch_ms)
+                    .num("speedup", speedup)
+                    .flag("bitwise", bitwise)
+                    .gflops(items * m * n * k, batch_ms, peak),
+            );
+            if !bitwise {
+                failures.push(format!("{name}: differs from the direct loop item by item"));
+            }
+            if speedup < 2.5 {
+                failures.push(format!(
+                    "{name}: only {speedup:.2}x over the direct loop item by item (want ≥ 2.5x)"
+                ));
+            }
+        }
+    }
+
     // Batched attention-shaped products: B·H = 64 heads of Q·Kᵀ over
     // [T, dh] = [128, 64] (B = 8, H = 8, the acceptance shape). The serial
     // loop issues one kernel dispatch per head — what attention did before
