@@ -16,7 +16,7 @@
 
 use amalgam_data::{BatchIter, ImageDataset, TextClassDataset};
 use amalgam_nn::graph::GraphModel;
-use amalgam_nn::loss::cross_entropy;
+use amalgam_nn::loss::{cross_entropy, cross_entropy_row};
 use amalgam_nn::metrics::{accuracy, History, RunningMean};
 use amalgam_nn::optim::Sgd;
 use amalgam_nn::Mode;
@@ -244,10 +244,10 @@ pub fn lm_head_loss(logits: &Tensor, window: &Tensor, keep: &[usize]) -> (f32, T
     assert_eq!(window.dims()[0], b, "window batch mismatch");
     assert!(t >= 2, "need at least two positions for next-token loss");
 
-    // Row by row, straight from the logits into the gradient: log-softmax,
-    // the loss term, then `(p − y) / rows`. Rows are visited in the order the
-    // gathered `[B·(T-1), V]` matrix held them, so the loss sum and every
-    // gradient element are what `cross_entropy_seq` on that matrix gave.
+    // Row by row, straight from the logits into the gradient. Rows are
+    // visited in the order the gathered `[B·(T-1), V]` matrix would hold them,
+    // so the loss sum and every gradient element are what `cross_entropy_seq`
+    // on that matrix gives.
     let inv_rows = 1.0 / (b * (t - 1)) as f32;
     let mut grad = Tensor::zeros(&[b, t, v]); // last position of each sequence stays zero
     let mut loss = 0.0f32;
@@ -257,14 +257,7 @@ pub fn lm_head_loss(logits: &Tensor, window: &Tensor, keep: &[usize]) -> (f32, T
             let row = &mut grad.data_mut()[at..at + v];
             row.copy_from_slice(&logits.data()[at..at + v]);
             let target = window.data()[bi * ta + keep[k + 1]] as usize;
-            assert!(target < v, "target {target} out of range for {v} classes");
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
-            row.iter_mut().for_each(|x| *x -= lse);
-            loss -= row[target];
-            row.iter_mut().for_each(|x| *x = x.exp());
-            row[target] -= 1.0;
-            row.iter_mut().for_each(|x| *x *= inv_rows);
+            loss += cross_entropy_row(row, target, inv_rows);
         }
     }
     (loss * inv_rows, grad)

@@ -5,7 +5,38 @@
 //! fused softmax/cross-entropy gradient (`p − y`) is both faster and more
 //! stable than composing layers.
 
+use amalgam_tensor::tensor::exp_row_in_place;
 use amalgam_tensor::Tensor;
+
+/// Softmax cross-entropy of one row, in place: `row` holds the logits on
+/// entry and `(softmax(row) − onehot(target)) · scale` on return; the value
+/// returned is the row's loss `−ln p_target = ln Σe − (x_target − max)`.
+///
+/// One exponential per logit ([`exp_row_in_place`]); `ln` enters the reported
+/// loss only, never the gradient. Every cross-entropy in the workspace —
+/// [`cross_entropy`], [`cross_entropy_seq`], the language-model head loss —
+/// is this function row by row.
+///
+/// # Panics
+///
+/// Panics if `target` is out of range.
+pub fn cross_entropy_row(row: &mut [f32], target: usize, scale: f32) -> f32 {
+    let classes = row.len();
+    assert!(
+        target < classes,
+        "target {target} out of range for {classes} classes"
+    );
+    let logit = row[target];
+    let (max, sum) = exp_row_in_place(row);
+    for e in row.iter_mut() {
+        *e /= sum;
+    }
+    row[target] -= 1.0;
+    for p in row.iter_mut() {
+        *p *= scale;
+    }
+    sum.ln() - (logit - max)
+}
 
 /// Mean cross-entropy between `logits: [B, C]` and integer `targets`.
 ///
@@ -23,17 +54,12 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
     );
     let (b, c) = (logits.dims()[0], logits.dims()[1]);
     assert_eq!(targets.len(), b, "target count must equal batch size");
-    let log_p = logits.log_softmax_rows();
-    let mut loss = 0.0f32;
-    let mut grad = log_p.map(f32::exp); // softmax probabilities
     let inv_b = 1.0 / b as f32;
-    let probs = grad.data_mut();
-    for (i, &t) in targets.iter().enumerate() {
-        assert!(t < c, "target {t} out of range for {c} classes");
-        loss -= log_p.data()[i * c + t];
-        probs[i * c + t] -= 1.0;
+    let mut grad = logits.clone();
+    let mut loss = 0.0f32;
+    for (row, &t) in grad.data_mut().chunks_mut(c.max(1)).zip(targets) {
+        loss += cross_entropy_row(row, t, inv_b);
     }
-    grad.scale_in_place(inv_b);
     (loss * inv_b, grad)
 }
 

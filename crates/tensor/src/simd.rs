@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD kernels for the GEMM.
+//! Runtime-dispatched SIMD kernels for the GEMM and the softmax exponential.
 //!
 //! [`gemm`](crate::gemm) reaches its three inner kernels through function
 //! pointers selected per call from the active tier: the packed walk's
@@ -30,6 +30,15 @@
 //! association too (a zeroed accumulator per K block, `acc += a·b` for
 //! ascending `p`, then `C += acc`), so the route a shape takes never shows
 //! in the result either; the transposes only move values.
+//!
+//! # Transcendentals
+//!
+//! The same rule covers the one transcendental on the training path: [`exp`]
+//! is defined here from IEEE multiplies, adds and integer operations, and the
+//! row kernel behind every softmax and cross-entropy (`exp_row_kernel`:
+//! `exp(x − shift)` in place plus the row's sum in a fixed lane order) runs
+//! it on 8 lanes per tier with the scalar function's bits. libm's `expf`
+//! promises no such thing across hosts.
 //!
 //! # Forcing a tier
 //!
@@ -126,6 +135,102 @@ pub type WindowKernelFn = fn(
 /// column-major one: 8 source lines, contiguous along K, become one K-major
 /// micro-panel.
 pub type TransposeFn = fn(src: &[f32], stride: usize, lines: usize, len: usize, panel: &mut [f32]);
+
+/// Signature of the row exponentials: `row[i] = exp(row[i] − shift)` in
+/// place ([`exp`] on every lane), returning `Σ row[i]` summed in the lane
+/// order of [`lane_sum`], which depends on the row's length alone.
+pub type ExpRowFn = fn(row: &mut [f32], shift: f32) -> f32;
+
+/// Lanes of the row exponential's running sum: element `i` is added to lane
+/// `i % EXP_LANES` in ascending `i`.
+const EXP_LANES: usize = 8;
+
+// Constants of [`exp`], shared by the scalar definition and the SIMD lanes.
+/// Arguments below this give exactly `0.0` (`ln` of the smallest normal
+/// `f32` is −87.34, so no result is ever subnormal).
+const EXP_CUT: f32 = -87.3;
+/// Arguments are clamped to this; `e^89` already overflows to `+∞`.
+const EXP_CLAMP: f32 = 89.0;
+const EXP_LOG2E: f32 = std::f32::consts::LOG2_E;
+/// `1.5 · 2²³`: adding and subtracting it rounds to the nearest integer, and
+/// the integer sits in the low mantissa bits of the sum.
+const EXP_ROUND: f32 = 12_582_912.0;
+/// `ln 2` in two parts (Cody–Waite): `n · EXP_LN2_HI` is exact for `|n| ≤ 2¹¹`.
+const EXP_LN2_HI: f32 = 0.693_359_375;
+const EXP_LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes' degree-5 minimax coefficients of `(e^r − 1 − r) / r²` on
+/// `|r| ≤ ln 2 / 2`, highest power first.
+const EXP_POLY: [f32; 6] = [
+    1.987_569_15e-4,
+    1.398_199_95e-3,
+    8.333_451_9e-3,
+    4.166_579_6e-2,
+    1.666_666_55e-1,
+    5.000_000_1e-1,
+];
+
+/// `e^x` — the exponential under every softmax and cross-entropy in the
+/// workspace, in place of libm's `expf`, whose bits depend on the host (glibc
+/// picks an FMA or a non-FMA build at run time).
+///
+/// Cephes-style: `n = round(x · log₂e)`, `r = x − n·ln 2` in two steps, a
+/// degree-5 polynomial in `r`, then a scale by `2ⁿ` in two exact halves so
+/// that neither leaves the exponent range. Every step is one IEEE multiply,
+/// add, compare-select or integer operation — no fused multiply-add, no
+/// table — so this scalar definition, the portable 8-lane loop built from it
+/// and the AVX2 lanes give identical bits. Under 1 ulp from the true value
+/// for every `f32` in `[−87.3, 89]` (checked exhaustively); exactly `0.0`
+/// below [`EXP_CUT`] (including `−∞`), `+∞` above 88.73, `exp(0) = 1`, NaN in
+/// gives NaN out.
+#[inline(always)]
+pub fn exp(x: f32) -> f32 {
+    let xc = if EXP_CLAMP < x { EXP_CLAMP } else { x };
+    let t = xc * EXP_LOG2E + EXP_ROUND;
+    let n = t - EXP_ROUND;
+    let r = xc - n * EXP_LN2_HI;
+    let r = r - n * EXP_LN2_LO;
+    let mut p = EXP_POLY[0];
+    for &coeff in &EXP_POLY[1..] {
+        p = p * r + coeff;
+    }
+    let y = p * (r * r) + r + 1.0;
+    // `t`'s low mantissa bits hold `n`; 2ⁿ is built as 2^⌊n/2⌋ · 2^⌈n/2⌉.
+    let n = (t.to_bits() as i32).wrapping_sub(EXP_ROUND.to_bits() as i32);
+    let half = n >> 1;
+    let pow2 = |e: i32| f32::from_bits((e.wrapping_add(127) << 23) as u32);
+    let v = y * pow2(half) * pow2(n.wrapping_sub(half));
+    if x < EXP_CUT {
+        0.0
+    } else {
+        v
+    }
+}
+
+/// The fixed order in which the lanes of a row sum are combined.
+#[inline(always)]
+fn lane_sum(l: [f32; EXP_LANES]) -> f32 {
+    ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
+}
+
+/// Portable row exponential: [`exp`] over 8-lane chunks (the loop
+/// autovectorizes), then over the last `len % 8` elements, which join the
+/// lanes they would occupy in a full chunk — so a row sums to the same bits
+/// whether its tail is absent or present and exactly zero.
+pub fn portable_exp_row(row: &mut [f32], shift: f32) -> f32 {
+    let mut lanes = [0.0f32; EXP_LANES];
+    let mut chunks = row.chunks_exact_mut(EXP_LANES);
+    for chunk in &mut chunks {
+        for (v, lane) in chunk.iter_mut().zip(&mut lanes) {
+            *v = exp(*v - shift);
+            *lane += *v;
+        }
+    }
+    for (v, lane) in chunks.into_remainder().iter_mut().zip(&mut lanes) {
+        *v = exp(*v - shift);
+        *lane += *v;
+    }
+    lane_sum(lanes)
+}
 
 /// Micro-kernel implementation tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,6 +380,16 @@ pub(crate) fn transpose_kernel() -> TransposeFn {
         }
     }
     portable_transpose
+}
+
+/// The row exponential for [`active_tier`]. `aarch64` has no hand-written
+/// one: NEON is baseline there, so the portable loop already compiles to it.
+pub(crate) fn exp_row_kernel() -> ExpRowFn {
+    #[cfg(target_arch = "x86_64")]
+    if active_tier() == Tier::Simd {
+        return avx2_exp_row;
+    }
+    portable_exp_row
 }
 
 /// Calls `$kernel::<ROWS>($args)` with the const row count matching `$rows`.
@@ -574,10 +689,93 @@ fn avx2_microkernel(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR])
     unsafe { avx2::microkernel(kc, pa.as_ptr(), pb.as_ptr(), acc) }
 }
 
+/// AVX2 row exponential wrapper (plain `fn` so it fits the dispatch table).
+#[cfg(target_arch = "x86_64")]
+fn avx2_exp_row(row: &mut [f32], shift: f32) -> f32 {
+    // SAFETY: the pointer and length are one live `&mut [f32]`; AVX2 presence
+    // was verified by `simd_available` before this kernel was selected.
+    lane_sum(unsafe { avx2::exp_row(row.as_mut_ptr(), row.len(), shift) })
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{MR, NR};
+    use super::{
+        EXP_CLAMP, EXP_CUT, EXP_LANES, EXP_LN2_HI, EXP_LN2_LO, EXP_LOG2E, EXP_POLY, EXP_ROUND, MR,
+        NR,
+    };
     use std::arch::x86_64::*;
+
+    /// [`super::exp`] on eight lanes: the same operations in the same order,
+    /// one intrinsic each (multiplies and adds stay separate), so every lane
+    /// holds the scalar function's bits.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exp8(x: __m256) -> __m256 {
+        // `min_ps(a, b)` is `a < b ? a : b`, and `b` when either is NaN.
+        let xc = _mm256_min_ps(_mm256_set1_ps(EXP_CLAMP), x);
+        let round = _mm256_set1_ps(EXP_ROUND);
+        let t = _mm256_add_ps(_mm256_mul_ps(xc, _mm256_set1_ps(EXP_LOG2E)), round);
+        let n = _mm256_sub_ps(t, round);
+        let r = _mm256_sub_ps(xc, _mm256_mul_ps(n, _mm256_set1_ps(EXP_LN2_HI)));
+        let r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(EXP_LN2_LO)));
+        let mut p = _mm256_set1_ps(EXP_POLY[0]);
+        for &coeff in &EXP_POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(coeff));
+        }
+        let y = _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r);
+        let y = _mm256_add_ps(y, _mm256_set1_ps(1.0));
+        let n = _mm256_sub_epi32(
+            _mm256_castps_si256(t),
+            _mm256_set1_epi32(EXP_ROUND.to_bits() as i32),
+        );
+        let half = _mm256_srai_epi32::<1>(n);
+        let bias = _mm256_set1_epi32(127);
+        let lo = _mm256_slli_epi32::<23>(_mm256_add_epi32(half, bias));
+        let hi = _mm256_slli_epi32::<23>(_mm256_add_epi32(_mm256_sub_epi32(n, half), bias));
+        let v = _mm256_mul_ps(
+            _mm256_mul_ps(y, _mm256_castsi256_ps(lo)),
+            _mm256_castsi256_ps(hi),
+        );
+        let below = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(EXP_CUT));
+        _mm256_andnot_ps(below, v)
+    }
+
+    /// `row[i] = exp(row[i] − shift)` for `i < len`, returning the eight
+    /// running lane sums (element `i` in lane `i % 8`). The last `len % 8`
+    /// elements move under a lane mask; masked-off lanes are neither read nor
+    /// written and add `0.0`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and `row` is valid for `len`
+    /// reads and writes.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn exp_row(row: *mut f32, len: usize, shift: f32) -> [f32; EXP_LANES] {
+        let shift = _mm256_set1_ps(shift);
+        let mut sums = _mm256_setzero_ps();
+        let mut i = 0;
+        while i + EXP_LANES <= len {
+            let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(row.add(i)), shift));
+            _mm256_storeu_ps(row.add(i), e);
+            sums = _mm256_add_ps(sums, e);
+            i += EXP_LANES;
+        }
+        if i < len {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((len - i) as i32), lanes);
+            let x = _mm256_maskload_ps(row.add(i), mask);
+            let e = _mm256_and_ps(exp8(_mm256_sub_ps(x, shift)), _mm256_castsi256_ps(mask));
+            _mm256_maskstore_ps(row.add(i), mask, e);
+            sums = _mm256_add_ps(sums, e);
+        }
+        let mut out = [0.0f32; EXP_LANES];
+        _mm256_storeu_ps(out.as_mut_ptr(), sums);
+        out
+    }
 
     /// One `__m256` accumulator per C row; per k step: broadcast `a[i]`,
     /// multiply by the B row vector, add. Mul and add stay separate

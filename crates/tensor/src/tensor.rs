@@ -3,6 +3,7 @@
 use crate::kernels;
 use crate::rng::Rng;
 use crate::shape::Shape;
+use crate::simd;
 use crate::TensorError;
 use std::fmt;
 use std::sync::Arc;
@@ -700,13 +701,13 @@ impl Tensor {
     /// Panics if the tensor is not 2-D.
     pub fn log_softmax_rows(&self) -> Tensor {
         assert_eq!(self.shape.rank(), 2, "log_softmax_rows requires a matrix");
-        let (m, n) = (self.shape.dim(0), self.shape.dim(1));
+        let n = self.shape.dim(1);
         let mut out = self.clone();
-        let data = out.data_mut();
-        for i in 0..m {
-            let row = &mut data[i * n..(i + 1) * n];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
+        let mut exps = vec![0.0f32; n];
+        for row in out.data_mut().chunks_mut(n.max(1)) {
+            exps.copy_from_slice(row);
+            let (max, sum) = exp_row_in_place(&mut exps);
+            let lse = sum.ln() + max;
             for v in row.iter_mut() {
                 *v -= lse;
             }
@@ -738,21 +739,52 @@ impl Tensor {
     }
 }
 
+/// The largest element of `row` (`−∞` for an empty one), from eight running
+/// maxima so the loop vectorizes; a maximum is exact, so the order is free.
+fn row_max(row: &[f32]) -> f32 {
+    let keep_larger = |m: &mut f32, v: f32| {
+        if v > *m {
+            *m = v;
+        }
+    };
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    let mut chunks = row.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            keep_larger(m, v);
+        }
+    }
+    for (m, &v) in lanes.iter_mut().zip(chunks.remainder()) {
+        keep_larger(m, v);
+    }
+    let mut max = f32::NEG_INFINITY;
+    lanes.iter().for_each(|&v| keep_larger(&mut max, v));
+    max
+}
+
+/// `row[i] ← exp(row[i] − max)` in place, `max` the row's largest element;
+/// returns `(max, Σ row)`. This is the one exponential pass under every
+/// softmax and cross-entropy in the workspace: the in-tree lane-exact
+/// [`simd::exp`], summed in a lane order fixed by the row's length, so the
+/// result does not depend on the kernel tier, the host's libm, or where the
+/// row lies in memory. `ln Σ exp(x)` is `max + sum.ln()`.
+pub fn exp_row_in_place(row: &mut [f32]) -> (f32, f32) {
+    let max = row_max(row);
+    (max, simd::exp_row_kernel()(row, max))
+}
+
 /// Numerically-stable softmax applied in place over each `width`-sized row
-/// of `data` — the single softmax implementation shared by
-/// [`Tensor::softmax_rows`] and the attention layer's flattened `[B·H·T, T]`
-/// score rows (no rank restriction, no allocation).
+/// of `data` (`p = e / Σe` after [`exp_row_in_place`]'s pass) — the single
+/// softmax implementation shared by [`Tensor::softmax_rows`] and the
+/// attention layer's flattened `[B·H·T, T]` score rows (no rank restriction,
+/// no allocation).
 pub fn softmax_rows_in_place(data: &mut [f32], width: usize) {
     if width == 0 {
         return;
     }
+    let exp_row = simd::exp_row_kernel();
     for row in data.chunks_mut(width) {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
+        let sum = exp_row(row, row_max(row));
         for v in row.iter_mut() {
             *v /= sum;
         }
