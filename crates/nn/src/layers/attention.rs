@@ -6,16 +6,23 @@
 //! dispatch per product instead of `B·H` serial kernel calls, and the
 //! `1/√dh` score scale is folded into the batched Q·Kᵀ epilogue. Heads are
 //! staged head-major (`[B·H, T, dh]`) in scratch-arena tensors so the
-//! batched kernels see contiguous row-major items.
+//! batched kernels see contiguous row-major items; a head too small for the
+//! blocked GEMM (every head of the benchmark's LM) runs on the no-pack
+//! register tile there, not on the direct loop a single product of its
+//! shape would take — same bits either way.
 //!
 //! The softmax over score rows (and its backward) is row-parallel on the
 //! same worker pool: chunk boundaries fall on whole `[T]` rows and the
 //! per-row arithmetic is untouched, so results stay bitwise identical for
-//! any thread count.
+//! any thread count. It is the workspace's one softmax
+//! (`tensor::softmax_rows_in_place`, on the in-tree lane-exact `exp`); with
+//! `causal = true` row `i` is normalised over its first `i + 1` scores only
+//! and the masked tail is written as exact zeros — the bits a `−∞` mask
+//! would give, without exponentiating it.
 
 use crate::layer::{Layer, Mode, Param};
 use crate::spec::LayerSpec;
-use amalgam_tensor::tensor::softmax_rows_in_place;
+use amalgam_tensor::tensor::{softmax_causal_rows_in_place, softmax_rows_in_place};
 use amalgam_tensor::{kernels, parallel, scratch, Rng, Tensor};
 
 /// Minimum score rows per softmax chunk: below this the pool dispatch costs
@@ -210,23 +217,23 @@ impl Layer for MultiHeadSelfAttention {
         // All B·H score products in one batched dispatch, scale folded in.
         let mut probs = scratch::take_tensor_raw(&[b * h, t, t]);
         kernels::matmul_batch_nt_scaled_into(&qh, &kh, alpha, &mut probs);
-        if self.causal {
-            for item in probs.data_mut().chunks_mut(t * t) {
-                for i in 0..t {
-                    for s in item[i * t + i + 1..(i + 1) * t].iter_mut() {
-                        *s = -1e30;
-                    }
-                }
-            }
-        }
         // Row-parallel softmax: each worker normalises whole disjoint rows
         // with the shared serial kernel, so the math per row is unchanged.
+        // Under the causal mask a row is its first `i + 1` scores; the rest
+        // become exact zeros without being exponentiated.
+        let causal = self.causal;
         parallel::parallel_rows_mut(
             probs.data_mut(),
             b * h * t,
             t,
             SOFTMAX_MIN_ROWS,
-            |_, _, rows| softmax_rows_in_place(rows, t),
+            |r0, _, rows| {
+                if causal {
+                    softmax_causal_rows_in_place(rows, t, r0);
+                } else {
+                    softmax_rows_in_place(rows, t);
+                }
+            },
         );
 
         let mut oh = scratch::take_tensor_raw(&[b * h, t, dh]);
