@@ -11,7 +11,7 @@ use crate::protocol::{CloudJob, JobResult, ProgressUpdate, TaskPayload};
 use crate::queue::FairDispatcher;
 use crate::telemetry::{Stage, Telemetry, TraceId};
 use crate::CloudError;
-use amalgam_core::trainer::{epoch_rng, lm_head_loss};
+use amalgam_core::trainer::{epoch_rng, evaluate_lm, lm_head_loss};
 use amalgam_data::BatchIter;
 use amalgam_nn::graph::GraphModel;
 use amalgam_nn::loss::cross_entropy;
@@ -1000,14 +1000,9 @@ fn train_lm(
         history.train_loss.push(loss_mean.mean());
         history.epoch_secs.push(t0.elapsed().as_secs_f32());
         if !val_windows.is_empty() {
-            let mut vm = RunningMean::new();
-            for window in val_windows {
-                let outs = model.forward(&[window], Mode::Eval);
-                let (loss, _) = lm_head_loss(&outs[0], window, &head_keeps[0]);
-                vm.add(loss, window.dims()[0]);
-                model.clear_caches();
-            }
-            history.val_loss.push(vm.mean());
+            history
+                .val_loss
+                .push(evaluate_lm(model, val_windows, &head_keeps[0], 0));
         }
         listening = finish_epoch(ctx, epoch + 1, cfg.epochs, model, &opt, &history);
     }

@@ -16,7 +16,7 @@
 
 use amalgam_data::{BatchIter, ImageDataset, TextClassDataset};
 use amalgam_nn::graph::GraphModel;
-use amalgam_nn::loss::{cross_entropy, cross_entropy_row};
+use amalgam_nn::loss::{cross_entropy, cross_entropy_row, cross_entropy_row_loss};
 use amalgam_nn::metrics::{accuracy, History, RunningMean};
 use amalgam_nn::optim::Sgd;
 use amalgam_nn::Mode;
@@ -236,6 +236,48 @@ pub fn evaluate_image_classifier(
 ///
 /// Panics on shape inconsistencies.
 pub fn lm_head_loss(logits: &Tensor, window: &Tensor, keep: &[usize]) -> (f32, Tensor) {
+    let rows = lm_scored_rows(logits, window, keep);
+    let (t, v) = (logits.dims()[1], logits.dims()[2]);
+    let inv_rows = 1.0 / rows.len() as f32;
+    // Row by row, in place in a copy of the logits, in the order the gathered
+    // `[B·(T-1), V]` matrix would hold the rows: the loss sum and every
+    // gradient element are what `cross_entropy_seq` on that matrix gives.
+    let mut grad = logits.clone();
+    let data = grad.data_mut();
+    let mut loss = 0.0f32;
+    for (at, target) in rows {
+        loss += cross_entropy_row(&mut data[at..at + v], target, inv_rows);
+    }
+    // The last position of each sequence has no target: no gradient.
+    for last in data.chunks_exact_mut(v).skip(t - 1).step_by(t) {
+        last.fill(0.0);
+    }
+    (loss * inv_rows, grad)
+}
+
+/// The loss of [`lm_head_loss`] alone, bit for bit, for validation: no
+/// `[B, T, V]` gradient is built, one `V`-wide row of scratch is.
+///
+/// # Panics
+///
+/// Panics on shape inconsistencies.
+pub fn lm_head_loss_value(logits: &Tensor, window: &Tensor, keep: &[usize]) -> f32 {
+    let rows = lm_scored_rows(logits, window, keep);
+    let inv_rows = 1.0 / rows.len() as f32;
+    let v = logits.dims()[2];
+    let mut row = vec![0.0f32; v];
+    let mut loss = 0.0f32;
+    for (at, target) in rows {
+        row.copy_from_slice(&logits.data()[at..at + v]);
+        loss += cross_entropy_row_loss(&mut row, target);
+    }
+    loss * inv_rows
+}
+
+/// Checks one head's `[B, T, V]` logits against its window and lists the
+/// scored rows — every position but the last of each sequence — as `(offset
+/// of the row in the logits, target token)`, sequence by sequence.
+fn lm_scored_rows(logits: &Tensor, window: &Tensor, keep: &[usize]) -> Vec<(usize, usize)> {
     let ld = logits.dims();
     assert_eq!(ld.len(), 3, "logits must be [B, T, V]");
     let (b, t, v) = (ld[0], ld[1], ld[2]);
@@ -243,24 +285,14 @@ pub fn lm_head_loss(logits: &Tensor, window: &Tensor, keep: &[usize]) -> (f32, T
     let ta = window.dims()[1];
     assert_eq!(window.dims()[0], b, "window batch mismatch");
     assert!(t >= 2, "need at least two positions for next-token loss");
-
-    // Row by row, straight from the logits into the gradient. Rows are
-    // visited in the order the gathered `[B·(T-1), V]` matrix would hold them,
-    // so the loss sum and every gradient element are what `cross_entropy_seq`
-    // on that matrix gives.
-    let inv_rows = 1.0 / (b * (t - 1)) as f32;
-    let mut grad = Tensor::zeros(&[b, t, v]); // last position of each sequence stays zero
-    let mut loss = 0.0f32;
+    let mut rows = Vec::with_capacity(b * (t - 1));
     for bi in 0..b {
         for k in 0..t - 1 {
-            let at = (bi * t + k) * v;
-            let row = &mut grad.data_mut()[at..at + v];
-            row.copy_from_slice(&logits.data()[at..at + v]);
             let target = window.data()[bi * ta + keep[k + 1]] as usize;
-            loss += cross_entropy_row(row, target, inv_rows);
+            rows.push(((bi * t + k) * v, target));
         }
     }
-    (loss * inv_rows, grad)
+    rows
 }
 
 /// Trains a (possibly augmented) language model on token windows.
@@ -325,7 +357,7 @@ pub fn evaluate_lm(
     let mut loss_mean = RunningMean::new();
     for window in windows {
         let outs = model.forward(&[window], Mode::Eval);
-        let (loss, _) = lm_head_loss(&outs[primary], window, keep);
+        let loss = lm_head_loss_value(&outs[primary], window, keep);
         loss_mean.add(loss, window.dims()[0]);
         model.clear_caches();
     }
@@ -436,6 +468,8 @@ mod tests {
         let gathered = Tensor::from_vec(rows, &[b, t - 1, v]);
         let (want_loss, want) = amalgam_nn::loss::cross_entropy_seq(&gathered, &targets);
         assert_eq!(loss.to_bits(), want_loss.to_bits());
+        let value = lm_head_loss_value(&logits, &window, &keep);
+        assert_eq!(value.to_bits(), loss.to_bits(), "loss-only entry");
         for bi in 0..b {
             let got = &grad.data()[bi * t * v..(bi * t + t - 1) * v];
             let want = &want.data()[bi * (t - 1) * v..(bi + 1) * (t - 1) * v];

@@ -21,13 +21,7 @@ use amalgam_tensor::Tensor;
 ///
 /// Panics if `target` is out of range.
 pub fn cross_entropy_row(row: &mut [f32], target: usize, scale: f32) -> f32 {
-    let classes = row.len();
-    assert!(
-        target < classes,
-        "target {target} out of range for {classes} classes"
-    );
-    let logit = row[target];
-    let (max, sum) = exp_row_in_place(row);
+    let (loss, sum) = exp_row_loss(row, target);
     for e in row.iter_mut() {
         *e /= sum;
     }
@@ -35,7 +29,31 @@ pub fn cross_entropy_row(row: &mut [f32], target: usize, scale: f32) -> f32 {
     for p in row.iter_mut() {
         *p *= scale;
     }
-    sum.ln() - (logit - max)
+    loss
+}
+
+/// The loss of [`cross_entropy_row`] without its gradient, for validation
+/// loops that would drop it: same value bit for bit, `row` left holding
+/// scratch values.
+///
+/// # Panics
+///
+/// Panics if `target` is out of range.
+pub fn cross_entropy_row_loss(row: &mut [f32], target: usize) -> f32 {
+    exp_row_loss(row, target).0
+}
+
+/// Turns the logits in `row` into `e = exp(x − max)` and returns
+/// `(−ln p_target, Σe)`.
+fn exp_row_loss(row: &mut [f32], target: usize) -> (f32, f32) {
+    let classes = row.len();
+    assert!(
+        target < classes,
+        "target {target} out of range for {classes} classes"
+    );
+    let logit = row[target];
+    let (max, sum) = exp_row_in_place(row);
+    (sum.ln() - (logit - max), sum)
 }
 
 /// Mean cross-entropy between `logits: [B, C]` and integer `targets`.
