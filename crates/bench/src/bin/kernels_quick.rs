@@ -27,9 +27,14 @@
 //! packers differ from the element-wise packed walk by one bit or are not
 //! ≥ 1.5x faster than it at LeNet's entry-convolution shapes, if a
 //! column-free convolution (5×5 entry layer, 1×1 tap) differs from its
-//! column-matrix lowering by one bit or is not ≥ 1.3x faster than it, or if
+//! column-matrix lowering by one bit or is not ≥ 1.3x faster than it, if
 //! an augmented training step allocates more than [`STEP_BYTES_GATE`] of what
-//! it did before activations were shared.
+//! it did before activations were shared, if a batch of the LM job's
+//! per-head products (`attn_heads_batch_*`: 16 items of T×T×16 in attention's
+//! NN, NT and TN layouts) differs from the direct loop item by item by one
+//! bit or is not ≥ 2.5x faster than it, or if the in-tree `exp` over the LM
+//! head's rows (`exp_rows_120x200`) differs between tiers, strays more than
+//! 2 ulp from the true value or is not ≥ 1.5x faster than libm's `expf`.
 
 use amalgam_bench::{
     attention_pv_serial_per_head, attention_qk_serial_per_head, matmul_ikj_reference as matmul_ikj,
@@ -679,7 +684,13 @@ fn main() {
         let square = Tensor::randn(&[items, t, t], &mut rng);
         let heads_a = Tensor::randn(&[items, t, dh], &mut rng);
         let heads_b = Tensor::randn(&[items, t, dh], &mut rng);
-        type Layout<'a> = (&'static str, usize, usize, gemm::BatchMat<'a>, gemm::BatchMat<'a>);
+        type Layout<'a> = (
+            &'static str,
+            usize,
+            usize,
+            gemm::BatchMat<'a>,
+            gemm::BatchMat<'a>,
+        );
         let layouts: [Layout; 3] = [
             (
                 "nn",
@@ -714,7 +725,8 @@ fn main() {
                     c.iter_mut().for_each(|v| *v *= alpha);
                 }
             };
-            let (mut want, mut got) = (vec![f32::NAN; items * m * n], vec![f32::NAN; items * m * n]);
+            let (mut want, mut got) =
+                (vec![f32::NAN; items * m * n], vec![f32::NAN; items * m * n]);
             item_by_item(&mut want);
             gemm::gemm_batch(items, m, n, k, a, b, alpha, &mut got);
             let bitwise = same_bits(&got, &want);
@@ -743,6 +755,85 @@ fn main() {
                     "{name}: only {speedup:.2}x over the direct loop item by item (want ≥ 2.5x)"
                 ));
             }
+        }
+    }
+
+    // The exponential pass of the LM head's loss: 120 rows (8 sequences × 15
+    // scored positions) of 200 logits, `exp(x − max)` in place plus the row
+    // sum. In-tree lane-exact `exp` on the active tier against libm's `expf`
+    // in the loop every softmax ran before; the two tiers must agree bit for
+    // bit and stay within 2 ulp of the true value.
+    {
+        let (rows, width) = (120usize, 200usize);
+        let logits = Tensor::randn(&[rows, width], &mut rng).scale(3.0);
+        let mut work = logits.data().to_vec();
+        let in_tree_ms = time_ms(500, || {
+            work.copy_from_slice(logits.data());
+            work.chunks_mut(width)
+                .map(|row| amalgam_tensor::tensor::exp_row_in_place(row).1)
+                .sum()
+        });
+        let libm_ms = time_ms(500, || {
+            work.copy_from_slice(logits.data());
+            work.chunks_mut(width)
+                .map(|row| {
+                    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    row.iter_mut()
+                        .map(|v| {
+                            *v = (*v - max).exp();
+                            *v
+                        })
+                        .sum::<f32>()
+                })
+                .sum()
+        });
+        let by_tier = |tier: Tier| {
+            simd::force_tier(Some(tier));
+            let mut out = logits.data().to_vec();
+            for row in out.chunks_mut(width) {
+                amalgam_tensor::tensor::exp_row_in_place(row);
+            }
+            simd::force_tier(None);
+            out
+        };
+        let (portable, active) = (by_tier(Tier::Portable), by_tier(simd::active_tier()));
+        let lane_exact = same_bits(&portable, &active);
+        let max_ulp = logits
+            .data()
+            .chunks(width)
+            .zip(active.chunks(width))
+            .flat_map(|(xs, es)| {
+                let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                xs.iter().zip(es).map(move |(&x, &e)| {
+                    let exact = f64::from(x - max).exp();
+                    let ulp = f64::from(f32::from_bits((exact as f32).to_bits() + 1))
+                        - f64::from(exact as f32);
+                    (f64::from(e) - exact).abs() / ulp
+                })
+            })
+            .fold(0.0f64, f64::max);
+        let per_elem = 1e6 / (rows * width) as f64;
+        let speedup = libm_ms / in_tree_ms;
+        entries.push(
+            Entry::new("exp_rows_120x200")
+                .num("in_tree_ns_per_elem", in_tree_ms * per_elem)
+                .num("libm_ns_per_elem", libm_ms * per_elem)
+                .num("speedup", speedup)
+                .num("max_ulp", max_ulp)
+                .flag("lane_exact", lane_exact),
+        );
+        if !lane_exact {
+            failures.push("exp rows: the portable and SIMD lanes differ".to_string());
+        }
+        if max_ulp > 2.0 {
+            failures.push(format!(
+                "exp rows: {max_ulp:.2} ulp off the true value (want ≤ 2)"
+            ));
+        }
+        if speedup < 1.5 {
+            failures.push(format!(
+                "exp rows: in-tree exp only {speedup:.2}x over libm's expf (want ≥ 1.5x)"
+            ));
         }
     }
 

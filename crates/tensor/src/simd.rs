@@ -155,18 +155,19 @@ const EXP_LOG2E: f32 = std::f32::consts::LOG2_E;
 /// `1.5 · 2²³`: adding and subtracting it rounds to the nearest integer, and
 /// the integer sits in the low mantissa bits of the sum.
 const EXP_ROUND: f32 = 12_582_912.0;
-/// `ln 2` in two parts (Cody–Waite): `n · EXP_LN2_HI` is exact for `|n| ≤ 2¹¹`.
-const EXP_LN2_HI: f32 = 0.693_359_375;
+/// `ln 2` in two parts (Cody–Waite): `n · EXP_LN2_HI` is exact for every
+/// `n` that occurs.
+const EXP_LN2_HI: f32 = 0.693_359_4; // 355/512
 const EXP_LN2_LO: f32 = -2.121_944_4e-4;
 /// Cephes' degree-5 minimax coefficients of `(e^r − 1 − r) / r²` on
 /// `|r| ≤ ln 2 / 2`, highest power first.
 const EXP_POLY: [f32; 6] = [
-    1.987_569_15e-4,
-    1.398_199_95e-3,
-    8.333_451_9e-3,
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
     4.166_579_6e-2,
-    1.666_666_55e-1,
-    5.000_000_1e-1,
+    1.666_666_6e-1,
+    5e-1,
 ];
 
 /// `e^x` — the exponential under every softmax and cross-entropy in the
@@ -384,7 +385,7 @@ pub(crate) fn transpose_kernel() -> TransposeFn {
 
 /// The row exponential for [`active_tier`]. `aarch64` has no hand-written
 /// one: NEON is baseline there, so the portable loop already compiles to it.
-pub(crate) fn exp_row_kernel() -> ExpRowFn {
+pub fn exp_row_kernel() -> ExpRowFn {
     #[cfg(target_arch = "x86_64")]
     if active_tier() == Tier::Simd {
         return avx2_exp_row;
