@@ -335,7 +335,7 @@ impl<'a> BatchMat<'a> {
 ///
 /// [`route`] is asked once for the batch, and one answer is read differently
 /// here: an item it calls `Small` that has at least [`NR`] columns runs on the
-/// no-pack register tile ([`tile_rows`]) instead of the direct loop, because a
+/// no-pack register tile (`tile_rows`) instead of the direct loop, because a
 /// batch repeats the shape often enough for the tile to pay — attention's
 /// 16 heads of `16×16×16` go from 5–8 GFLOP/s to 25–40. Per item the result
 /// is still bitwise identical to `gemm` on that item followed by a

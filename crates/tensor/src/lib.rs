@@ -64,7 +64,14 @@
 //!   `kernels::matmul_batch_*`, which fans the *whole batch* out to the
 //!   pool as one parallel-for over (item, row block), packs a shared B
 //!   operand once, and applies an optional epilogue scale — this is how
-//!   attention's per-(batch, head) products amortize one dispatch.
+//!   attention's per-(batch, head) products amortize one dispatch. Its
+//!   items below the direct-loop threshold with at least 8 columns run on
+//!   the no-pack register tile instead, same bits.
+//! * **Transcendentals** ([`simd::exp`]): the exponential under every
+//!   softmax and cross-entropy is in-tree, built from IEEE multiplies, adds
+//!   and integer operations, so a scalar call, the portable 8-lane loop and
+//!   the AVX2 lanes agree bit for bit and nothing depends on the host's
+//!   libm; [`tensor::exp_row_in_place`] is the one row pass they all share.
 //! * **Worker pool** ([`parallel`]): row blocks are dispatched to a
 //!   lazily-created persistent thread pool (parked workers, channel + latch
 //!   handoff) instead of spawning threads per call; `set_threads(1)` runs

@@ -138,7 +138,7 @@ pub type TransposeFn = fn(src: &[f32], stride: usize, lines: usize, len: usize, 
 
 /// Signature of the row exponentials: `row[i] = exp(row[i] − shift)` in
 /// place ([`exp`] on every lane), returning `Σ row[i]` summed in the lane
-/// order of [`lane_sum`], which depends on the row's length alone.
+/// order of `lane_sum`, which depends on the row's length alone.
 pub type ExpRowFn = fn(row: &mut [f32], shift: f32) -> f32;
 
 /// Lanes of the row exponential's running sum: element `i` is added to lane
@@ -181,7 +181,7 @@ const EXP_POLY: [f32; 6] = [
 /// table — so this scalar definition, the portable 8-lane loop built from it
 /// and the AVX2 lanes give identical bits. Under 1 ulp from the true value
 /// for every `f32` in `[−87.3, 89]` (checked exhaustively); exactly `0.0`
-/// below [`EXP_CUT`] (including `−∞`), `+∞` above 88.73, `exp(0) = 1`, NaN in
+/// below −87.3 (including `−∞`), `+∞` above 88.73, `exp(0) = 1`, NaN in
 /// gives NaN out.
 #[inline(always)]
 pub fn exp(x: f32) -> f32 {
