@@ -48,6 +48,7 @@ use amalgam_tensor::gemm::{self, KC};
 use amalgam_tensor::kernels::{self, matmul_batch_nt_scaled_into, reference, Conv2dGeom};
 use amalgam_tensor::pack::{self, MatRef};
 use amalgam_tensor::simd::{self, Tier};
+use amalgam_tensor::tensor::exp_row_in_place;
 use amalgam_tensor::{parallel, scratch, Rng, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -217,14 +218,14 @@ fn peak_unfused_gflops() -> Option<f64> {
 
 /// One JSON object of the report; values are stored already rendered.
 struct Entry {
-    name: &'static str,
+    name: String,
     fields: Vec<(&'static str, String)>,
 }
 
 impl Entry {
-    fn new(name: &'static str) -> Entry {
+    fn new(name: impl Into<String>) -> Entry {
         Entry {
-            name,
+            name: name.into(),
             fields: Vec::new(),
         }
     }
@@ -716,7 +717,7 @@ fn main() {
         ];
         for (layout, n, k, a, b) in layouts {
             let m = t;
-            let name: &'static str = format!("attn_heads_batch_16x{t}x16_{layout}").leak();
+            let name = format!("attn_heads_batch_16x{t}x16_{layout}");
             let alpha = 0.25f32;
             let item_by_item = |out: &mut [f32]| {
                 out.fill(0.0);
@@ -740,7 +741,7 @@ fn main() {
             });
             let speedup = direct_ms / batch_ms;
             entries.push(
-                Entry::new(name)
+                Entry::new(name.as_str())
                     .num("direct_loop_ms", direct_ms)
                     .num("batch_ms", batch_ms)
                     .num("speedup", speedup)
@@ -770,7 +771,7 @@ fn main() {
         let in_tree_ms = time_ms(500, || {
             work.copy_from_slice(logits.data());
             work.chunks_mut(width)
-                .map(|row| amalgam_tensor::tensor::exp_row_in_place(row).1)
+                .map(|row| exp_row_in_place(row).1)
                 .sum()
         });
         let libm_ms = time_ms(500, || {
@@ -791,7 +792,7 @@ fn main() {
             simd::force_tier(Some(tier));
             let mut out = logits.data().to_vec();
             for row in out.chunks_mut(width) {
-                amalgam_tensor::tensor::exp_row_in_place(row);
+                exp_row_in_place(row);
             }
             simd::force_tier(None);
             out

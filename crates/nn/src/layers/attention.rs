@@ -221,14 +221,13 @@ impl Layer for MultiHeadSelfAttention {
         // with the shared serial kernel, so the math per row is unchanged.
         // Under the causal mask a row is its first `i + 1` scores; the rest
         // become exact zeros without being exponentiated.
-        let causal = self.causal;
         parallel::parallel_rows_mut(
             probs.data_mut(),
             b * h * t,
             t,
             SOFTMAX_MIN_ROWS,
             |r0, _, rows| {
-                if causal {
+                if self.causal {
                     softmax_causal_rows_in_place(rows, t, r0);
                 } else {
                     softmax_rows_in_place(rows, t);

@@ -450,7 +450,7 @@ fn tile_rows(
             &pb_buf
         }
     };
-    for (jp, panel) in pb.chunks_exact(k * NR).take(n.div_ceil(NR)).enumerate() {
+    for (jp, panel) in pb.chunks_exact(k * NR).enumerate() {
         sweep(MatRef::row_major(panel, NR), jp * NR, (n - jp * NR).min(NR));
     }
     scratch::give(pb_buf);

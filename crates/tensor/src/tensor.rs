@@ -782,9 +782,8 @@ pub fn softmax_rows_in_place(data: &mut [f32], width: usize) {
     if width == 0 {
         return;
     }
-    let exp_row = simd::exp_row_kernel();
     for row in data.chunks_mut(width) {
-        let sum = exp_row(row, row_max(row));
+        let (_, sum) = exp_row_in_place(row);
         for v in row.iter_mut() {
             *v /= sum;
         }
