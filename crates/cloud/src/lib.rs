@@ -82,16 +82,23 @@
 //!   same per-session buckets. See the [`cache`] module docs.
 //! * Custom layers sit between admission and **decode**, so they see the
 //!   raw serialized payload — the exact bytes that crossed the wire.
-//! * **validate** holds the `BadJob` checks, out of the trainer's path.
+//! * **validate** holds the `BadJob` checks, out of the trainer's path —
+//!   including the training loop's own preconditions (a positive batch
+//!   size, keep lists that fit their head and every window), so bytes from
+//!   the wire that would trip one of its asserts are the submitter's
+//!   error, not a worker's panic.
 //! * **observer** feeds everything the cloud legitimately sees to a
 //!   registered [`CloudObserver`] — the vantage point from which
 //!   `amalgam-attacks` mounts its attacks. The layer is installed only
 //!   when an observer is attached, so unobserved pools pay nothing for
 //!   it. Notably absent from anything that crosses the wire: provenance
 //!   tags, sub-network identities, and the client's insertion plan.
-//! * **train** is numerically identical to the local trainer, preserving
-//!   the bitwise cloud-vs-local equivalence guarantee; middleware wraps it
-//!   without touching tensors.
+//! * **train** *is* the local trainer: [`TrainService`] calls
+//!   `amalgam_core::trainer::train_with`, the one Algorithm 1 in the
+//!   workspace, and plugs cancellation, progress, checkpoints and the
+//!   observer's tap into it as that loop's hooks. Cloud and local training
+//!   agree bit for bit, weights and history, because there is no second
+//!   loop; middleware wraps it without touching tensors.
 //!
 //! * **auth** is installed by [`CloudServiceBuilder::api_keys`]: it checks
 //!   the session-scoped API key (negotiated at the transport handshake, or
@@ -135,7 +142,7 @@ pub use middleware::{
     AdmissionLayer, ApiKeyLayer, CloudLayer, DecodeLayer, JobContext, JobService, MetricsLayer,
     ObserverLayer, PanicLayer, ServiceBuilder, SessionKey, TimedLayer, ValidateLayer,
 };
-pub use observer::{CloudObserver, NullObserver, RecordingObserver};
+pub use observer::{CloudObserver, RecordingObserver};
 pub use protocol::{CloudJob, JobResult, ProgressUpdate, TaskPayload};
 pub use ratelimit::{RateLimitLayer, TokenBucket};
 pub use service::{CloudClient, CloudService, JobHandle, TrainService};

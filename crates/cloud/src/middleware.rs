@@ -11,7 +11,8 @@ use crate::observer::CloudObserver;
 use crate::protocol::{CloudJob, JobResult, TaskPayload};
 use crate::telemetry::{JobTrace, SpanRecord, Stage, TraceId};
 use crate::CloudError;
-use amalgam_nn::graph::GraphModel;
+use amalgam_nn::graph::{GraphModel, NodeId};
+use amalgam_nn::LayerSpec;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -315,6 +316,10 @@ impl JobService for ValidateSvc {
         if model.outputs().is_empty() {
             return Err(CloudError::BadJob("model declares no outputs".into()));
         }
+        // From here on, the preconditions of Algorithm 1
+        // (`amalgam_core::trainer::train_with` asserts them): on bytes from
+        // the wire they are the submitter's error, not a worker's panic.
+        let bad = |why: &str| Err(CloudError::BadJob(why.into()));
         match &job.task {
             TaskPayload::Classification {
                 inputs,
@@ -322,32 +327,67 @@ impl JobService for ValidateSvc {
                 val_inputs,
                 val_labels,
             } => {
+                if job.train.batch_size == 0 {
+                    return bad("batch size must be positive");
+                }
                 let Some(&batch) = inputs.dims().first() else {
-                    return Err(CloudError::BadJob(
-                        "classification inputs must be batched".into(),
-                    ));
+                    return bad("classification inputs must be batched");
                 };
                 if batch != labels.len() {
-                    return Err(CloudError::BadJob("label count mismatch".into()));
+                    return bad("label count mismatch");
                 }
                 if let Some(v) = val_inputs {
                     let Some(&val_batch) = v.dims().first() else {
-                        return Err(CloudError::BadJob(
-                            "validation inputs must be batched".into(),
-                        ));
+                        return bad("validation inputs must be batched");
                     };
                     if val_batch != val_labels.len() {
-                        return Err(CloudError::BadJob("validation label count mismatch".into()));
+                        return bad("validation label count mismatch");
                     }
                 }
             }
-            TaskPayload::LanguageModel { head_keeps, .. } => {
+            TaskPayload::LanguageModel {
+                windows,
+                val_windows,
+                head_keeps,
+            } => {
                 if head_keeps.len() != model.outputs().len() {
-                    return Err(CloudError::BadJob("one keep list per head required".into()));
+                    return bad("one keep list per head required");
+                }
+                for (keep, &head) in head_keeps.iter().zip(model.outputs()) {
+                    if keep.len() < 2 {
+                        return bad("a head needs two kept positions for a next-token loss");
+                    }
+                    for window in windows.iter().chain(val_windows) {
+                        let &[_, width] = window.dims() else {
+                            return bad("token windows must be [B, T]");
+                        };
+                        if keep.iter().any(|&pos| pos >= width) {
+                            return bad("kept position outside the window");
+                        }
+                        if head_positions(model, head, width).is_some_and(|t| t != keep.len()) {
+                            return bad("keep list length differs from the head's positions");
+                        }
+                    }
                 }
             }
         }
         self.inner.call(ctx, payload)
+    }
+}
+
+/// How many sequence positions `head` emits for `width`-token windows, where
+/// the graph tells: as many as the embedding its first-input chain starts at
+/// keeps (a plain embedding keeps the whole window).
+fn head_positions(model: &GraphModel, head: NodeId, width: usize) -> Option<usize> {
+    // Inputs only ever name earlier nodes, so the walk ends at a graph input.
+    let (mut entry, mut id) = (head, head);
+    while let Some(&up) = model.node(id).inputs().first() {
+        (entry, id) = (id, up);
+    }
+    match model.node(entry).layer().spec() {
+        LayerSpec::MaskedEmbedding { keep, .. } => Some(keep.len()),
+        LayerSpec::Embedding { .. } => Some(width),
+        _ => None,
     }
 }
 

@@ -21,9 +21,10 @@ pub trait CloudObserver: Send {
         let _ = (inputs, labels);
     }
 
-    /// Called after each optimizer step; `model` carries fresh parameter
-    /// values *and* the gradients of the last backward pass — the raw
-    /// material of gradient-leakage attacks.
+    /// Called once per batch, after the backward pass and *before* the
+    /// optimizer step: `model` carries the batch's gradients beside the
+    /// parameter values they were taken at — the pairing gradient-leakage
+    /// attacks need.
     fn on_step(&mut self, model: &mut GraphModel) {
         let _ = model;
     }
@@ -33,14 +34,6 @@ pub trait CloudObserver: Send {
     fn on_result(&mut self, result: &JobResult) {
         let _ = result;
     }
-}
-
-/// An observer that ignores everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl CloudObserver for NullObserver {
-    fn on_model(&mut self, _model: &GraphModel) {}
 }
 
 /// An observer that records summary statistics of what it saw.

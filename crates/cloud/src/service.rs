@@ -2,27 +2,25 @@
 
 use crate::builder::CloudServiceBuilder;
 use crate::cache::{DedupReply, DedupShared, SubmitDecision};
-use crate::checkpoint::{Checkpoint, CheckpointConfig};
+use crate::checkpoint::{load_for_resume, Checkpoint, CheckpointConfig};
 use crate::hash::ContentAddress;
 use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::middleware::{duration_us, JobContext, JobService, SessionKey, TimedLayer};
-use crate::observer::{CloudObserver, NullObserver};
+use crate::observer::CloudObserver;
 use crate::protocol::{CloudJob, JobResult, ProgressUpdate, TaskPayload};
 use crate::queue::FairDispatcher;
 use crate::telemetry::{Stage, Telemetry, TraceId};
 use crate::CloudError;
-use amalgam_core::trainer::{epoch_rng, evaluate_lm, lm_head_loss};
-use amalgam_data::BatchIter;
+use amalgam_core::trainer::{train_with, EvalSource, Task, TrainHooks};
 use amalgam_nn::graph::GraphModel;
-use amalgam_nn::loss::cross_entropy;
-use amalgam_nn::metrics::{accuracy, History, RunningMean};
+use amalgam_nn::metrics::History;
 use amalgam_nn::optim::Sgd;
-use amalgam_nn::Mode;
 use amalgam_tensor::Tensor;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -720,10 +718,9 @@ impl JobHandle {
     }
 }
 
-/// The innermost service: Algorithm 1 on the decoded job. Numerically
-/// identical to `amalgam_core::trainer::train_image_classifier` (same
-/// shuffle source, same loss, same update), so client-side equivalence
-/// guarantees carry over — middleware above it never touches tensors.
+/// The innermost service: decodes what no layer above decoded, runs the local
+/// trainer's own Algorithm 1 ([`train_with`]) under this job's hooks, encodes
+/// the trained model. Middleware above it never touches tensors.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrainService;
 
@@ -741,10 +738,12 @@ impl JobService for TrainService {
             None => GraphModel::from_bytes(job.model.clone())
                 .map_err(|e| CloudError::Decode(e.to_string()))?,
         };
-        let observer = ctx
-            .observer
-            .clone()
-            .unwrap_or_else(|| Arc::new(Mutex::new(NullObserver)) as Arc<Mutex<dyn CloudObserver>>);
+        let ctx = &*ctx;
+        let mut hooks = JobHooks {
+            ctx,
+            total_epochs: job.train.epochs,
+            listening: true,
+        };
 
         let t0 = std::time::Instant::now();
         let history = match &job.task {
@@ -753,29 +752,35 @@ impl JobService for TrainService {
                 labels,
                 val_inputs,
                 val_labels,
-            } => train_classification(
-                &mut model,
-                inputs,
-                labels,
-                val_inputs.as_ref().map(|v| (v, val_labels.as_slice())),
-                &job.train,
-                &observer,
-                ctx,
-            )?,
+            } => {
+                let val = val_inputs.as_ref().map(|v| (v, val_labels.as_slice()));
+                let task = Task::Classification {
+                    n: labels.len(),
+                    batch_fn: &|idx| {
+                        let batch_labels = idx.iter().map(|&i| labels[i]).collect();
+                        (inputs.index_select_axis0(idx), batch_labels)
+                    },
+                    val: val.as_ref().map(|v| v as &dyn EvalSource),
+                };
+                train_with(&mut model, &task, 0, &job.train, &mut hooks)
+            }
             TaskPayload::LanguageModel {
                 windows,
                 val_windows,
                 head_keeps,
-            } => train_lm(
-                &mut model,
-                windows,
-                val_windows,
-                head_keeps,
-                &job.train,
-                &observer,
-                ctx,
-            )?,
+            } => {
+                let task = Task::LanguageModel {
+                    train: windows,
+                    val: val_windows,
+                    head_keeps,
+                };
+                train_with(&mut model, &task, 0, &job.train, &mut hooks)
+            }
         };
+        // A run its hooks stopped at an epoch boundary comes back short.
+        if history.epochs() < job.train.epochs {
+            return Err(CloudError::Cancelled);
+        }
         // The job is done: its checkpoint has served its purpose. (Failed
         // and cancelled jobs keep theirs, so a retry resumes.)
         if let (Some(ck), Some(addr)) = (&ctx.checkpoint, ctx.content_address) {
@@ -795,218 +800,114 @@ impl JobService for TrainService {
     }
 }
 
-/// Restores this job's checkpoint, if durability is configured and a valid
-/// resumable snapshot exists under the job's content address. Returns the
-/// number of already-completed epochs (0 = fresh run). Any snapshot that
-/// fails validation — bad checksum, truncation, undecodable model bytes,
-/// impossible epoch — is scrubbed from the store and the job recomputes
-/// from epoch 0: corruption is loud in the stats but never poisons the
-/// store or the result.
-fn try_resume(
-    ctx: &JobContext,
-    model: &mut GraphModel,
-    opt: &mut Sgd,
-    history: &mut History,
+/// Everything the cloud adds around Algorithm 1, as the loop's hooks: the
+/// observer's tap, cancellation, per-epoch progress and checkpoints.
+struct JobHooks<'a> {
+    ctx: &'a JobContext,
     total_epochs: usize,
-) -> usize {
-    let (Some(ck), Some(addr)) = (&ctx.checkpoint, ctx.content_address) else {
-        return 0;
-    };
-    let t0 = Instant::now();
-    let (cp, rejected) = crate::checkpoint::load_for_resume(&*ck.store, addr, total_epochs as u64);
-    if rejected {
-        if let Some(m) = &ctx.metrics {
-            m.checkpoint_rejected();
-        }
-    }
-    let Some(cp) = cp else { return 0 };
-    match GraphModel::from_bytes(cp.model.clone()) {
-        Ok(restored) => *model = restored,
-        Err(_) => {
-            // Bytes that pass the checksum but no longer decode (a model
-            // format bump, say): same policy as corruption.
-            ck.store.remove(addr);
+    /// Whether anyone could still receive this job's result when the last
+    /// epoch ended (see [`JobContext::emit_progress`]).
+    listening: bool,
+}
+
+impl TrainHooks for JobHooks<'_> {
+    /// Restores this job's checkpoint, if durability is configured and a
+    /// valid resumable snapshot exists under the job's content address. Any
+    /// snapshot that fails validation — bad checksum, truncation,
+    /// undecodable model bytes, impossible epoch — is scrubbed from the
+    /// store and the job recomputes from epoch 0: corruption is loud in the
+    /// stats but never poisons the store or the result.
+    fn resume(&mut self, model: &mut GraphModel, opt: &mut Sgd, history: &mut History) -> usize {
+        let ctx = self.ctx;
+        let (Some(ck), Some(addr)) = (&ctx.checkpoint, ctx.content_address) else {
+            return 0;
+        };
+        let t0 = Instant::now();
+        let (cp, rejected) = load_for_resume(&*ck.store, addr, self.total_epochs as u64);
+        if rejected {
             if let Some(m) = &ctx.metrics {
                 m.checkpoint_rejected();
             }
-            return 0;
         }
-    }
-    opt.set_velocity(cp.velocity);
-    *history = cp.history;
-    if let Some(m) = &ctx.metrics {
-        m.job_resumed();
-        m.telemetry().record(Stage::CheckpointRestore, t0.elapsed());
-    }
-    cp.epoch as usize
-}
-
-/// Per-epoch lifecycle epilogue shared by both training loops: counts the
-/// epoch, emits one progress frame, and snapshots a checkpoint at the
-/// configured cadence. `completed` is 1-based. The final epoch never
-/// snapshots — the job is about to finish and delete its entry.
-///
-/// Returns whether anyone can still receive this job's result (see
-/// [`JobContext::emit_progress`]); the loops abandon the run at the next
-/// epoch boundary when nobody can.
-fn finish_epoch(
-    ctx: &JobContext,
-    completed: usize,
-    total: usize,
-    model: &GraphModel,
-    opt: &Sgd,
-    history: &History,
-) -> bool {
-    if let Some(m) = &ctx.metrics {
-        m.epoch_trained();
-    }
-    let listening = ctx.emit_progress(ProgressUpdate {
-        epoch: completed as u64,
-        total_epochs: total as u64,
-        train_loss: history.train_loss.last().copied().unwrap_or(f32::NAN),
-        train_acc: history.train_acc.last().copied().unwrap_or(0.0),
-    });
-    let (Some(ck), Some(addr)) = (&ctx.checkpoint, ctx.content_address) else {
-        return listening;
-    };
-    if ck.every == 0 || !completed.is_multiple_of(ck.every as usize) || completed >= total {
-        return listening;
-    }
-    let t0 = Instant::now();
-    let cp = Checkpoint {
-        epoch: completed as u64,
-        model: model.to_bytes(),
-        velocity: opt.velocity().to_vec(),
-        history: history.clone(),
-    };
-    ck.store.store(addr, cp.to_bytes());
-    if let Some(m) = &ctx.metrics {
-        m.checkpoint_written();
-        m.telemetry().record(Stage::CheckpointWrite, t0.elapsed());
-    }
-    listening
-}
-
-/// Algorithm 1 with observer hooks, classification tasks.
-///
-/// # Errors
-///
-/// Returns [`CloudError::Cancelled`] when the submitter's cancellation
-/// flag — or the abandonment of every consumer — is observed at an epoch
-/// boundary.
-fn train_classification(
-    model: &mut GraphModel,
-    inputs: &Tensor,
-    labels: &[usize],
-    val: Option<(&Tensor, &[usize])>,
-    cfg: &amalgam_core::TrainConfig,
-    observer: &Arc<Mutex<dyn CloudObserver>>,
-    ctx: &JobContext,
-) -> Result<History, CloudError> {
-    let n = labels.len();
-    let mut opt = Sgd::new(cfg.lr).with_momentum(cfg.momentum);
-    let mut history = History::new();
-    // Every epoch's shuffle RNG is a pure function of (seed, epoch), so
-    // re-entering the loop at a checkpoint's boundary replays the exact
-    // remaining epochs an uninterrupted run would have executed.
-    let start = try_resume(ctx, model, &mut opt, &mut history, cfg.epochs);
-    let mut listening = true;
-    for epoch in start..cfg.epochs {
-        if ctx.cancelled() || !listening {
-            return Err(CloudError::Cancelled);
-        }
-        let t0 = std::time::Instant::now();
-        let mut rng = epoch_rng(cfg, epoch);
-        let mut loss_mean = RunningMean::new();
-        let mut acc_mean = RunningMean::new();
-        for idx in BatchIter::new(n, cfg.batch_size, &mut rng) {
-            let x = inputs.index_select_axis0(&idx);
-            let batch_labels: Vec<usize> = idx.iter().map(|&i| labels[i]).collect();
-            observer.lock().on_batch(&x, &batch_labels);
-            let outs = model.forward(&[&x], Mode::Train);
-            let mut seeds = Vec::with_capacity(outs.len());
-            for (h, out) in outs.iter().enumerate() {
-                let (loss, grad) = cross_entropy(out, &batch_labels);
-                if h == 0 {
-                    loss_mean.add(loss, batch_labels.len());
-                    acc_mean.add(accuracy(out, &batch_labels), batch_labels.len());
+        let Some(cp) = cp else { return 0 };
+        match GraphModel::from_bytes(cp.model.clone()) {
+            Ok(restored) => *model = restored,
+            Err(_) => {
+                // Bytes that pass the checksum but no longer decode (a model
+                // format bump, say): same policy as corruption.
+                ck.store.remove(addr);
+                if let Some(m) = &ctx.metrics {
+                    m.checkpoint_rejected();
                 }
-                seeds.push(grad);
+                return 0;
             }
-            model.zero_grad();
-            model.backward(&seeds);
-            observer.lock().on_step(model);
-            opt.step(&mut model.params_mut());
         }
-        history.train_loss.push(loss_mean.mean());
-        history.train_acc.push(acc_mean.mean());
-        history.epoch_secs.push(t0.elapsed().as_secs_f32());
-        if let Some((vx, vl)) = val {
-            let outs = model.forward(&[vx], Mode::Eval);
-            let (loss, _) = cross_entropy(&outs[0], vl);
-            history.val_loss.push(loss);
-            history.val_acc.push(accuracy(&outs[0], vl));
-            model.clear_caches();
+        opt.set_velocity(cp.velocity);
+        *history = cp.history;
+        if let Some(m) = &ctx.metrics {
+            m.job_resumed();
+            m.telemetry().record(Stage::CheckpointRestore, t0.elapsed());
         }
-        listening = finish_epoch(ctx, epoch + 1, cfg.epochs, model, &opt, &history);
+        cp.epoch as usize
     }
-    Ok(history)
-}
 
-/// Algorithm 1 with observer hooks, language-model tasks.
-///
-/// # Errors
-///
-/// Returns [`CloudError::Cancelled`] when the submitter's cancellation
-/// flag — or the abandonment of every consumer — is observed at an epoch
-/// boundary.
-fn train_lm(
-    model: &mut GraphModel,
-    windows: &[Tensor],
-    val_windows: &[Tensor],
-    head_keeps: &[Vec<usize>],
-    cfg: &amalgam_core::TrainConfig,
-    observer: &Arc<Mutex<dyn CloudObserver>>,
-    ctx: &JobContext,
-) -> Result<History, CloudError> {
-    let mut opt = Sgd::new(cfg.lr).with_momentum(cfg.momentum);
-    let mut history = History::new();
-    // The LM loop iterates its windows in order (no shuffle RNG at all),
-    // so a resumed run replays the remaining epochs exactly.
-    let start = try_resume(ctx, model, &mut opt, &mut history, cfg.epochs);
-    let mut listening = true;
-    for epoch in start..cfg.epochs {
-        if ctx.cancelled() || !listening {
-            return Err(CloudError::Cancelled);
+    /// Stops on the submitter's cancellation flag, or once every consumer
+    /// of the result is gone — at epoch boundaries only, and the service
+    /// answers [`CloudError::Cancelled`].
+    fn epoch_start(&mut self, _epoch: usize) -> ControlFlow<()> {
+        if self.ctx.cancelled() || !self.listening {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
-        let t0 = std::time::Instant::now();
-        let mut loss_mean = RunningMean::new();
-        for window in windows {
-            observer.lock().on_batch(window, &[]);
-            let outs = model.forward(&[window], Mode::Train);
-            let mut seeds = Vec::with_capacity(outs.len());
-            for (h, out) in outs.iter().enumerate() {
-                let (loss, grad) = lm_head_loss(out, window, &head_keeps[h]);
-                if h == 0 {
-                    loss_mean.add(loss, window.dims()[0]);
-                }
-                seeds.push(grad);
-            }
-            model.zero_grad();
-            model.backward(&seeds);
-            observer.lock().on_step(model);
-            opt.step(&mut model.params_mut());
-        }
-        history.train_loss.push(loss_mean.mean());
-        history.epoch_secs.push(t0.elapsed().as_secs_f32());
-        if !val_windows.is_empty() {
-            history
-                .val_loss
-                .push(evaluate_lm(model, val_windows, &head_keeps[0], 0));
-        }
-        listening = finish_epoch(ctx, epoch + 1, cfg.epochs, model, &opt, &history);
     }
-    Ok(history)
+
+    fn on_batch(&mut self, inputs: &Tensor, labels: &[usize]) {
+        if let Some(observer) = &self.ctx.observer {
+            observer.lock().on_batch(inputs, labels);
+        }
+    }
+
+    fn on_step(&mut self, model: &mut GraphModel) {
+        if let Some(observer) = &self.ctx.observer {
+            observer.lock().on_step(model);
+        }
+    }
+
+    /// Counts the epoch, emits one progress frame, and snapshots a
+    /// checkpoint at the configured cadence. The final epoch never
+    /// snapshots — the job is about to finish and delete its entry.
+    fn epoch_end(&mut self, completed: usize, model: &GraphModel, opt: &Sgd, history: &History) {
+        let ctx = self.ctx;
+        if let Some(m) = &ctx.metrics {
+            m.epoch_trained();
+        }
+        self.listening = ctx.emit_progress(ProgressUpdate {
+            epoch: completed as u64,
+            total_epochs: self.total_epochs as u64,
+            train_loss: history.train_loss.last().copied().unwrap_or(f32::NAN),
+            train_acc: history.train_acc.last().copied().unwrap_or(0.0),
+        });
+        let (Some(ck), Some(addr)) = (&ctx.checkpoint, ctx.content_address) else {
+            return;
+        };
+        let every = ck.every as usize;
+        if every == 0 || !completed.is_multiple_of(every) || completed >= self.total_epochs {
+            return;
+        }
+        let t0 = Instant::now();
+        let cp = Checkpoint {
+            epoch: completed as u64,
+            model: model.to_bytes(),
+            velocity: opt.velocity().to_vec(),
+            history: history.clone(),
+        };
+        ck.store.store(addr, cp.to_bytes());
+        if let Some(m) = &ctx.metrics {
+            m.checkpoint_written();
+            m.telemetry().record(Stage::CheckpointWrite, t0.elapsed());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1098,25 +999,9 @@ mod tests {
         assert!(rec.first_batch.is_some());
     }
 
-    #[test]
-    fn cloud_training_matches_local_training_bitwise() {
-        // The cloud's loop must be numerically identical to the local
-        // trainer, through the whole default middleware stack.
-        let mut rng = Rng::seed_from(2);
-        let (job, model) = tiny_job(&mut rng);
-        let service = CloudService::start();
-        let result = service.client().train(&job).unwrap();
-        service.shutdown();
-        let cloud_trained = GraphModel::from_bytes(result.trained_model).unwrap();
-
-        let mut local = model.clone();
-        let (inputs, labels) = match &job.task {
-            TaskPayload::Classification { inputs, labels, .. } => (inputs.clone(), labels.clone()),
-            _ => unreachable!(),
-        };
-        let data = amalgam_data::ImageDataset::new(inputs, labels, 2);
-        amalgam_core::trainer::train_image_classifier(&mut local, &data, None, 0, &job.train);
-
+    /// Weights bit for bit, and every history series but the wall clock.
+    fn assert_same_training(cloud: &JobResult, local: &GraphModel, local_history: &History) {
+        let cloud_trained = GraphModel::from_bytes(cloud.trained_model.clone()).unwrap();
         for ((n1, t1), (n2, t2)) in local
             .state_dict()
             .iter()
@@ -1129,6 +1014,84 @@ mod tests {
                 "cloud and local training diverged at {n1}"
             );
         }
+        let bits = |series: &[f32]| series.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (c, l) = (&cloud.history, local_history);
+        assert_eq!(bits(&c.train_loss), bits(&l.train_loss), "train_loss");
+        assert_eq!(bits(&c.train_acc), bits(&l.train_acc), "train_acc");
+        assert_eq!(bits(&c.val_loss), bits(&l.val_loss), "val_loss");
+        assert_eq!(bits(&c.val_acc), bits(&l.val_acc), "val_acc");
+        assert_eq!(c.epoch_secs.len(), l.epoch_secs.len());
+    }
+
+    #[test]
+    fn cloud_training_matches_local_training_bitwise() {
+        // The cloud runs the local trainer's own loop, so through the whole
+        // default middleware stack a job comes back with the weights *and*
+        // the history local training gives — validation included.
+        let mut rng = Rng::seed_from(2);
+        let (mut job, model) = tiny_job(&mut rng);
+        let val = amalgam_data::ImageDataset::new(
+            Tensor::randn(&[12, 1, 8, 8], &mut rng),
+            (0..12).map(|i| i % 2).collect(),
+            2,
+        );
+        let TaskPayload::Classification {
+            inputs,
+            labels,
+            val_inputs,
+            val_labels,
+        } = &mut job.task
+        else {
+            unreachable!()
+        };
+        *val_inputs = Some(val.images().clone());
+        *val_labels = val.labels().to_vec();
+        let train = amalgam_data::ImageDataset::new(inputs.clone(), labels.clone(), 2);
+
+        let service = CloudService::start();
+        let result = service.client().train(&job).unwrap();
+        let mut local = model.clone();
+        let history = amalgam_core::trainer::train_image_classifier(
+            &mut local,
+            &train,
+            Some(&val),
+            0,
+            &job.train,
+        );
+        assert_eq!(history.val_loss.len(), 2, "one validation pass per epoch");
+        assert_same_training(&result, &local, &history);
+
+        // The same for a language-model job with validation windows.
+        let model = amalgam_models::transformer_lm(
+            &amalgam_models::TransformerLmConfig::tiny(20, 16),
+            &mut rng,
+        );
+        let window = |k: usize| Tensor::from_fn(&[2, 8], move |i| ((i * 7 + k) % 20) as f32);
+        let windows: Vec<Tensor> = (0..3).map(window).collect();
+        let val_windows: Vec<Tensor> = (3..5).map(window).collect();
+        let head_keeps = vec![(0..8).collect::<Vec<usize>>()];
+        let job = CloudJob {
+            model: model.to_bytes(),
+            task: TaskPayload::LanguageModel {
+                windows: windows.clone(),
+                val_windows: val_windows.clone(),
+                head_keeps: head_keeps.clone(),
+            },
+            train: TrainConfig::new(2, 2, 0.05).with_momentum(0.9),
+        };
+        let result = service.client().train(&job).unwrap();
+        service.shutdown();
+        let mut local = model.clone();
+        let history = amalgam_core::trainer::train_lm(
+            &mut local,
+            &windows,
+            &val_windows,
+            &head_keeps,
+            0,
+            &job.train,
+        );
+        assert_eq!(history.val_loss.len(), 2);
+        assert_same_training(&result, &local, &history);
     }
 
     #[test]
@@ -1180,6 +1143,62 @@ mod tests {
         let err = service.client().train(&job).unwrap_err();
         service.shutdown();
         assert!(matches!(err, CloudError::BadJob(_)));
+    }
+
+    /// Submits through the default stack and expects `BadJob` — from the
+    /// validate layer, not from a panic caught on the way to the trainer.
+    fn assert_rejected_unpanicked(job: &CloudJob) {
+        let service = CloudService::start();
+        let err = service.client().train(job).unwrap_err();
+        let stats = service.stats();
+        service.shutdown();
+        assert!(matches!(err, CloudError::BadJob(_)), "{err:?}");
+        assert_eq!(stats.jobs_panicked, 0);
+    }
+
+    /// A well-formed one-window LM job on 8-token windows, for the tests
+    /// below to break one precondition of.
+    fn lm_job_with_keep(keep: Vec<usize>) -> CloudJob {
+        let model = amalgam_models::transformer_lm(
+            &amalgam_models::TransformerLmConfig::tiny(20, 16),
+            &mut Rng::seed_from(11),
+        );
+        CloudJob {
+            model: model.to_bytes(),
+            task: TaskPayload::LanguageModel {
+                windows: vec![Tensor::from_fn(&[2, 8], |i| ((i * 7) % 20) as f32)],
+                val_windows: vec![],
+                head_keeps: vec![keep],
+            },
+            train: TrainConfig::new(1, 2, 0.05),
+        }
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected_not_panicked() {
+        let (mut job, _) = tiny_job(&mut Rng::seed_from(12));
+        job.train.batch_size = 0;
+        assert_rejected_unpanicked(&job);
+    }
+
+    #[test]
+    fn keep_list_of_the_wrong_length_is_rejected_not_panicked() {
+        // Control: with all eight positions the same job trains.
+        let service = CloudService::start();
+        let ok = service.client().train(&lm_job_with_keep((0..8).collect()));
+        service.shutdown();
+        ok.unwrap();
+        assert_rejected_unpanicked(&lm_job_with_keep((0..5).collect()));
+    }
+
+    #[test]
+    fn keep_list_with_one_position_is_rejected_not_panicked() {
+        assert_rejected_unpanicked(&lm_job_with_keep(vec![3]));
+    }
+
+    #[test]
+    fn keep_list_past_the_window_is_rejected_not_panicked() {
+        assert_rejected_unpanicked(&lm_job_with_keep(vec![0, 1, 2, 3, 4, 5, 6, 8]));
     }
 
     #[test]

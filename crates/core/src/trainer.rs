@@ -7,6 +7,23 @@
 //! exactly `∇_{θˢ} L(θˢ)` — the cross-sub-network taps are detached — and SGD
 //! applies the paper's update `θᵗ⁺¹ₛ ← θᵗₛ − η gᵗₛ`.
 //!
+//! # One loop, and hooks
+//!
+//! The algorithm is written once, in [`train_with`]. Per epoch: ask the hooks
+//! whether to go on → visit the batches → push the primary head's training
+//! metrics and `epoch_secs` → validate → tell the hooks the epoch is over. Per
+//! batch: forward → one loss and one gradient seed per head → `zero_grad` →
+//! `backward` → update. [`train_image_classifier`], [`train_text_classifier`]
+//! and [`train_lm`] call it with no hooks (`()`), the cloud service with hooks
+//! of its own, so "cloud training is local training, bit for bit" — weights
+//! and history — holds by construction.
+//!
+//! [`TrainHooks`] is the policy a caller plugs into that mechanism:
+//! cancellation, progress reports, checkpoints and an observer's tap are
+//! implementations of its five calls, and the loop knows none of them. What
+//! differs per [`Task`] — where a batch comes from, how a head is scored,
+//! whether accuracy is kept, validation — is matched on where it differs.
+//!
 //! Because batch order depends only on the seed, training the *original*
 //! model with the same [`TrainConfig`] reproduces the exact weight
 //! trajectory of the original sub-network inside the augmented model — the
@@ -21,6 +38,7 @@ use amalgam_nn::metrics::{accuracy, History, RunningMean};
 use amalgam_nn::optim::Sgd;
 use amalgam_nn::Mode;
 use amalgam_tensor::{Rng, Tensor};
+use std::ops::ControlFlow;
 
 /// Hyper-parameters of one training run.
 #[derive(Debug, Clone, Copy)]
@@ -74,6 +92,163 @@ pub fn epoch_rng(cfg: &TrainConfig, epoch: usize) -> Rng {
     )
 }
 
+/// The call points Algorithm 1 offers its caller. Every method defaults to
+/// doing nothing and the loop is monomorphised over the implementation, so
+/// hooks that do nothing (`()`) leave nothing behind in it.
+pub trait TrainHooks {
+    /// Called once before the first epoch, with the freshly built optimizer
+    /// and an empty history. May replace all three with a saved state;
+    /// returns the first epoch to run (0 = a fresh run).
+    fn resume(&mut self, _model: &mut GraphModel, _opt: &mut Sgd, _history: &mut History) -> usize {
+        0
+    }
+
+    /// Called at the top of every epoch. `Break` stops the run before the
+    /// epoch does any work: training returns the epochs completed so far,
+    /// the model as the last of them left it.
+    fn epoch_start(&mut self, _epoch: usize) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+
+    /// Called with each training batch before its forward pass; `labels` is
+    /// empty for language-model windows (the targets are in the window).
+    fn on_batch(&mut self, _inputs: &Tensor, _labels: &[usize]) {}
+
+    /// Called after `backward` and *before* the update: `model` holds the
+    /// batch's gradients beside the parameter values they were taken at.
+    fn on_step(&mut self, _model: &mut GraphModel) {}
+
+    /// Called once an epoch — training metrics, `epoch_secs`, validation —
+    /// is in `history`; `done` counts epochs from 1.
+    fn epoch_end(&mut self, _done: usize, _model: &GraphModel, _opt: &Sgd, _history: &History) {}
+}
+
+/// The hooks of plain local training: none.
+impl TrainHooks for () {}
+
+/// One batch: the inputs and their labels.
+pub type Batch = (Tensor, Vec<usize>);
+
+/// What [`train_with`] trains on. The variants are all that differs between
+/// the tasks: where an epoch's batches come from, how a head is scored, which
+/// metrics are kept, and the validation data.
+pub enum Task<'a> {
+    /// Every epoch visits a seeded shuffle ([`epoch_rng`]) of `0..n` in
+    /// chunks of `batch_size`; every head is scored by [`cross_entropy`]
+    /// against the same labels; loss and accuracy are kept.
+    Classification {
+        /// Number of training samples.
+        n: usize,
+        /// Gathers the inputs and labels of a chunk of sample indices.
+        batch_fn: &'a dyn Fn(&[usize]) -> Batch,
+        /// Evaluated after every epoch, in batches of `batch_size`.
+        val: Option<&'a dyn EvalSource>,
+    },
+    /// Every epoch visits the token windows in order (standard LM practice);
+    /// head `h` is scored by [`lm_head_loss`] on its own kept positions
+    /// `head_keeps[h]` (a plain model has one `0..T` list); loss only.
+    LanguageModel {
+        /// Training windows `[B, T']`.
+        train: &'a [Tensor],
+        /// Validation windows, scored by [`evaluate_lm`]; may be empty.
+        val: &'a [Tensor],
+        /// One kept-position list per output head.
+        head_keeps: &'a [Vec<usize>],
+    },
+}
+
+/// Algorithm 1 (see the module docs) under the caller's hooks: the one place
+/// in the workspace that calls `backward` and updates parameters. Metrics
+/// come from head `primary`.
+///
+/// # Panics
+///
+/// Panics if `primary` names no head, a classification `cfg.batch_size` is
+/// 0, a language-model task has not one keep list per head, or a batch is
+/// inconsistent with the model (see [`lm_head_loss`]).
+pub fn train_with(
+    model: &mut GraphModel,
+    task: &Task<'_>,
+    primary: usize,
+    cfg: &TrainConfig,
+    hooks: &mut impl TrainHooks,
+) -> History {
+    let heads = model.outputs().len();
+    assert!(primary < heads, "primary head out of range");
+    if let Task::LanguageModel { head_keeps, .. } = task {
+        assert_eq!(head_keeps.len(), heads, "one keep list per head");
+    }
+    let classifying = matches!(task, Task::Classification { .. });
+    let mut opt = Sgd::new(cfg.lr).with_momentum(cfg.momentum);
+    let mut history = History::new();
+    // An epoch's batches are a pure function of (task, seed, epoch), so
+    // entering the loop at a restored epoch boundary replays exactly the
+    // remaining epochs of an uninterrupted run.
+    let first = hooks.resume(model, &mut opt, &mut history);
+    for epoch in first..cfg.epochs {
+        if hooks.epoch_start(epoch).is_break() {
+            break;
+        }
+        let t0 = std::time::Instant::now();
+        let mut loss_mean = RunningMean::new();
+        let mut acc_mean = RunningMean::new();
+        let mut step = |x: &Tensor, labels: &[usize]| {
+            hooks.on_batch(x, labels);
+            let rows = x.dims()[0];
+            let outs = model.forward(&[x], Mode::Train);
+            let mut seeds = Vec::with_capacity(outs.len());
+            for (h, out) in outs.iter().enumerate() {
+                let (loss, grad) = match task {
+                    Task::Classification { .. } => cross_entropy(out, labels),
+                    Task::LanguageModel { head_keeps, .. } => lm_head_loss(out, x, &head_keeps[h]),
+                };
+                if h == primary {
+                    loss_mean.add(loss, rows);
+                    if classifying {
+                        acc_mean.add(accuracy(out, labels), rows);
+                    }
+                }
+                seeds.push(grad);
+            }
+            model.zero_grad();
+            model.backward(&seeds);
+            hooks.on_step(model);
+            opt.step(&mut model.params_mut());
+        };
+        match task {
+            Task::Classification { n, batch_fn, .. } => {
+                let mut rng = epoch_rng(cfg, epoch);
+                for idx in BatchIter::new(*n, cfg.batch_size, &mut rng) {
+                    let (x, labels) = batch_fn(&idx);
+                    step(&x, &labels);
+                }
+            }
+            Task::LanguageModel { train, .. } => train.iter().for_each(|w| step(w, &[])),
+        }
+        history.train_loss.push(loss_mean.mean());
+        if classifying {
+            history.train_acc.push(acc_mean.mean());
+        }
+        history.epoch_secs.push(t0.elapsed().as_secs_f32());
+        match task {
+            Task::Classification { val: Some(val), .. } => {
+                let (loss, acc) = val.evaluate(model, primary, cfg.batch_size);
+                history.val_loss.push(loss);
+                history.val_acc.push(acc);
+            }
+            Task::LanguageModel {
+                val, head_keeps, ..
+            } if !val.is_empty() => {
+                let loss = evaluate_lm(model, val, &head_keeps[primary], primary);
+                history.val_loss.push(loss);
+            }
+            _ => {}
+        }
+        hooks.epoch_end(epoch + 1, model, &opt, &history);
+    }
+    history
+}
+
 /// Trains a (possibly augmented) classifier; every head is scored against
 /// the same labels, metrics come from head `primary`.
 ///
@@ -85,14 +260,12 @@ pub fn train_image_classifier(
     primary: usize,
     cfg: &TrainConfig,
 ) -> History {
-    train_classifier_impl(
-        model,
-        primary,
-        cfg,
-        test,
-        |idx| train.batch_at(idx),
-        train.len(),
-    )
+    let task = Task::Classification {
+        n: train.len(),
+        batch_fn: &|idx| train.batch_at(idx),
+        val: test.map(|t| t as &dyn EvalSource),
+    };
+    train_with(model, &task, primary, cfg, &mut ())
 }
 
 /// Trains a (possibly augmented) text classifier over token-id documents.
@@ -103,64 +276,12 @@ pub fn train_text_classifier(
     primary: usize,
     cfg: &TrainConfig,
 ) -> History {
-    train_classifier_impl(
-        model,
-        primary,
-        cfg,
-        test,
-        |idx| train.batch_at(idx),
-        train.len(),
-    )
-}
-
-/// Shared classification training loop. `test` types differ between callers,
-/// so evaluation is dispatched through [`EvalSource`].
-fn train_classifier_impl<B, T>(
-    model: &mut GraphModel,
-    primary: usize,
-    cfg: &TrainConfig,
-    test: Option<&T>,
-    batch_fn: B,
-    n: usize,
-) -> History
-where
-    B: Fn(&[usize]) -> (Tensor, Vec<usize>),
-    T: EvalSource + ?Sized,
-{
-    assert!(primary < model.outputs().len(), "primary head out of range");
-    let mut opt = Sgd::new(cfg.lr).with_momentum(cfg.momentum);
-    let mut history = History::new();
-    for epoch in 0..cfg.epochs {
-        let t0 = std::time::Instant::now();
-        let mut rng = epoch_rng(cfg, epoch);
-        let mut loss_mean = RunningMean::new();
-        let mut acc_mean = RunningMean::new();
-        for idx in BatchIter::new(n, cfg.batch_size, &mut rng) {
-            let (x, labels) = batch_fn(&idx);
-            let outs = model.forward(&[&x], Mode::Train);
-            let mut seeds = Vec::with_capacity(outs.len());
-            for (h, out) in outs.iter().enumerate() {
-                let (loss, grad) = cross_entropy(out, &labels);
-                if h == primary {
-                    loss_mean.add(loss, labels.len());
-                    acc_mean.add(accuracy(out, &labels), labels.len());
-                }
-                seeds.push(grad);
-            }
-            model.zero_grad();
-            model.backward(&seeds);
-            opt.step(&mut model.params_mut());
-        }
-        history.train_loss.push(loss_mean.mean());
-        history.train_acc.push(acc_mean.mean());
-        history.epoch_secs.push(t0.elapsed().as_secs_f32());
-        if let Some(t) = test {
-            let (vl, va) = t.evaluate(model, primary, cfg.batch_size);
-            history.val_loss.push(vl);
-            history.val_acc.push(va);
-        }
-    }
-    history
+    let task = Task::Classification {
+        n: train.len(),
+        batch_fn: &|idx| train.batch_at(idx),
+        val: test.map(|t| t as &dyn EvalSource),
+    };
+    train_with(model, &task, primary, cfg, &mut ())
 }
 
 /// Something a classifier can be evaluated on.
@@ -171,9 +292,7 @@ pub trait EvalSource {
 
 impl EvalSource for ImageDataset {
     fn evaluate(&self, model: &mut GraphModel, primary: usize, batch_size: usize) -> (f32, f32) {
-        evaluate_impl(model, primary, batch_size, self.len(), |idx| {
-            self.batch_at(idx)
-        })
+        (self.images(), self.labels()).evaluate(model, primary, batch_size)
     }
 }
 
@@ -185,16 +304,24 @@ impl EvalSource for TextClassDataset {
     }
 }
 
-fn evaluate_impl<B>(
+/// A bare `[N, ..]` input tensor with its `N` labels.
+impl EvalSource for (&Tensor, &[usize]) {
+    fn evaluate(&self, model: &mut GraphModel, primary: usize, batch_size: usize) -> (f32, f32) {
+        let (inputs, labels) = *self;
+        evaluate_impl(model, primary, batch_size, labels.len(), |idx| {
+            let labels = idx.iter().map(|&i| labels[i]).collect();
+            (inputs.index_select_axis0(idx), labels)
+        })
+    }
+}
+
+fn evaluate_impl(
     model: &mut GraphModel,
     primary: usize,
     batch_size: usize,
     n: usize,
-    batch_fn: B,
-) -> (f32, f32)
-where
-    B: Fn(&[usize]) -> (Tensor, Vec<usize>),
-{
+    batch_fn: impl Fn(&[usize]) -> Batch,
+) -> (f32, f32) {
     let mut loss_mean = RunningMean::new();
     let mut acc_mean = RunningMean::new();
     for idx in BatchIter::sequential(n, batch_size) {
@@ -308,43 +435,12 @@ pub fn train_lm(
     primary: usize,
     cfg: &TrainConfig,
 ) -> History {
-    assert_eq!(
-        head_keeps.len(),
-        model.outputs().len(),
-        "one keep list per head"
-    );
-    assert!(primary < head_keeps.len(), "primary head out of range");
-    let mut opt = Sgd::new(cfg.lr).with_momentum(cfg.momentum);
-    let mut history = History::new();
-    for _epoch in 0..cfg.epochs {
-        let t0 = std::time::Instant::now();
-        let mut loss_mean = RunningMean::new();
-        for window in train_windows {
-            let outs = model.forward(&[window], Mode::Train);
-            let mut seeds = Vec::with_capacity(outs.len());
-            for (h, out) in outs.iter().enumerate() {
-                let (loss, grad) = lm_head_loss(out, window, &head_keeps[h]);
-                if h == primary {
-                    loss_mean.add(loss, window.dims()[0]);
-                }
-                seeds.push(grad);
-            }
-            model.zero_grad();
-            model.backward(&seeds);
-            opt.step(&mut model.params_mut());
-        }
-        history.train_loss.push(loss_mean.mean());
-        history.epoch_secs.push(t0.elapsed().as_secs_f32());
-        if !val_windows.is_empty() {
-            history.val_loss.push(evaluate_lm(
-                model,
-                val_windows,
-                &head_keeps[primary],
-                primary,
-            ));
-        }
-    }
-    history
+    let task = Task::LanguageModel {
+        train: train_windows,
+        val: val_windows,
+        head_keeps,
+    };
+    train_with(model, &task, primary, cfg, &mut ())
 }
 
 /// Mean validation loss of one LM head over windows.
@@ -475,6 +571,122 @@ mod tests {
             let want = &want.data()[bi * (t - 1) * v..(bi + 1) * (t - 1) * v];
             let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(want), "sequence {bi}");
+        }
+    }
+
+    /// Hooks that write down every call, check what each is promised, and
+    /// stop the run at the top of epoch `stop_at`.
+    #[derive(Default)]
+    struct Recorder {
+        calls: Vec<String>,
+        stop_at: Option<usize>,
+        /// Parameter values at the last epoch boundary, until a step moves
+        /// them.
+        weights: Option<Vec<Vec<f32>>>,
+    }
+
+    fn weights_of(model: &mut GraphModel) -> Vec<Vec<f32>> {
+        let params = model.params_mut();
+        params.iter().map(|p| p.value.data().to_vec()).collect()
+    }
+
+    impl TrainHooks for Recorder {
+        fn resume(&mut self, model: &mut GraphModel, _: &mut Sgd, history: &mut History) -> usize {
+            assert_eq!(history.epochs(), 0);
+            self.weights = Some(weights_of(model));
+            self.calls.push("resume".into());
+            0
+        }
+
+        fn epoch_start(&mut self, epoch: usize) -> ControlFlow<()> {
+            self.calls.push(format!("start {epoch}"));
+            if self.stop_at == Some(epoch) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        }
+
+        fn on_batch(&mut self, inputs: &Tensor, labels: &[usize]) {
+            assert_eq!(inputs.dims()[0], labels.len());
+            self.calls.push("batch".into());
+        }
+
+        fn on_step(&mut self, model: &mut GraphModel) {
+            // Between `backward` and the update: the batch's gradients are
+            // in, and an epoch's first batch has not moved a weight yet.
+            if let Some(boundary) = self.weights.take() {
+                assert_eq!(weights_of(model), boundary, "on_step came after the update");
+            }
+            let params = model.params_mut();
+            assert!(params
+                .iter()
+                .any(|p| p.grad.data().iter().any(|&g| g != 0.0)));
+            self.calls.push("step".into());
+        }
+
+        fn epoch_end(&mut self, done: usize, model: &GraphModel, _: &Sgd, history: &History) {
+            assert_eq!(history.epochs(), done);
+            assert_eq!(history.val_loss.len(), done, "validation comes first");
+            self.weights = Some(weights_of(&mut model.clone()));
+            self.calls.push(format!("end {done}"));
+        }
+    }
+
+    #[test]
+    fn hooks_are_called_in_order_and_a_stop_leaves_the_completed_epochs() {
+        let mut rng = Rng::seed_from(8);
+        let pair = SyntheticImageSpec::mnist_like()
+            .with_counts(32, 8)
+            .with_hw(8)
+            .with_classes(2)
+            .generate(&mut rng);
+        let model = lenet5(1, 8, 2, &mut rng);
+        let task = Task::Classification {
+            n: pair.train.len(),
+            batch_fn: &|idx| pair.train.batch_at(idx),
+            val: Some(&pair.test),
+        };
+        let cfg = TrainConfig::new(3, 16, 0.1).with_momentum(0.9).with_seed(5);
+
+        let mut hooked = model.clone();
+        let mut recorder = Recorder::default();
+        let history = train_with(&mut hooked, &task, 0, &cfg, &mut recorder);
+        let epoch = |e: usize| {
+            let end = e + 1;
+            let mut calls = vec![format!("start {e}")];
+            calls.extend(["batch", "step", "batch", "step"].map(String::from));
+            calls.push(format!("end {end}"));
+            calls
+        };
+        let want: Vec<String> = std::iter::once("resume".to_string())
+            .chain((0..3).flat_map(epoch))
+            .collect();
+        assert_eq!(recorder.calls, want);
+        // Hooks that only watch change nothing: the plain entry point agrees.
+        let mut plain = model.clone();
+        let plain_history =
+            train_image_classifier(&mut plain, &pair.train, Some(&pair.test), 0, &cfg);
+        assert_eq!(weights_of(&mut hooked), weights_of(&mut plain));
+        assert_eq!(history.train_loss, plain_history.train_loss);
+        assert_eq!(history.val_acc, plain_history.val_acc);
+
+        // Stopped at the top of epoch k: k epochs in the history, and the
+        // model exactly as k epochs of training leave it.
+        for k in 0..3 {
+            let mut stopped = model.clone();
+            let mut recorder = Recorder {
+                stop_at: Some(k),
+                ..Recorder::default()
+            };
+            let history = train_with(&mut stopped, &task, 0, &cfg, &mut recorder);
+            assert_eq!(history.epochs(), k);
+            assert_eq!(history.val_loss.len(), k);
+            assert_eq!(recorder.calls.last().unwrap(), &format!("start {k}"));
+            let mut reference = model.clone();
+            let short = TrainConfig { epochs: k, ..cfg };
+            train_image_classifier(&mut reference, &pair.train, Some(&pair.test), 0, &short);
+            assert_eq!(weights_of(&mut stopped), weights_of(&mut reference));
         }
     }
 

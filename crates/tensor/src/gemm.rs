@@ -12,7 +12,7 @@
 //! Inside a block, a micro-kernel computes an `MR × NR` tile of `C` with the
 //! full tile held in an explicitly-unrolled register accumulator. The kernel
 //! itself is runtime-dispatched through [`simd`]: a hand-written
-//! AVX2/NEON implementation where the CPU has one, the portable scalar tile
+//! AVX2 implementation where the CPU has one, the portable scalar tile
 //! loop everywhere else — all tiers bitwise identical. Operands are read
 //! through [`MatRef`] stride views, so the `Aᵀ`/`Bᵀ`
 //! variants are packing-order choices, not separate kernels.

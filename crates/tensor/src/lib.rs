@@ -44,8 +44,8 @@
 //! * **Micro-kernel dispatch** ([`simd`]): the micro-kernel is chosen once
 //!   at startup through a function-pointer table — **portable** (scalar tile
 //!   loop, always available, the test oracle) or **simd** (hand-written
-//!   AVX2 on `x86_64` / NEON on `aarch64`, selected via
-//!   `is_x86_feature_detected!`). Every tier multiplies then adds without
+//!   AVX2 on `x86_64`, selected via `is_x86_feature_detected!`; every other
+//!   architecture runs portable). Every tier multiplies then adds without
 //!   fusing, in the same `k` order, so all tiers are bitwise identical;
 //!   `simd::force_tier` or `AMALGAM_KERNEL_TIER=portable|simd` pins a tier
 //!   for debugging and A/B timing.

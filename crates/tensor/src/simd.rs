@@ -17,10 +17,10 @@
 //! * **portable** ([`portable_microkernel`]) — the scalar 8×8 tile loop.
 //!   Always available, autovectorizes under `target-cpu=native`, and serves
 //!   as the oracle the SIMD kernels are tested against.
-//! * **simd** — a hand-written `std::arch` kernel: AVX2 on `x86_64`
-//!   (one 8-lane register per C row, 8 accumulators), NEON on `aarch64`
-//!   (two 4-lane registers per row). Chosen at startup via
-//!   `is_x86_feature_detected!` (NEON is baseline on `aarch64`).
+//! * **simd** — a hand-written `std::arch` kernel: AVX2 on `x86_64` (one
+//!   8-lane register per C row, 8 accumulators), chosen at startup via
+//!   `is_x86_feature_detected!`. Every other architecture runs the portable
+//!   tier, which is the one the bitwise tests can check there.
 //!
 //! All kernels perform an *unfused* multiply then add per lane, in the same
 //! ascending-`k` order, so every tier produces bitwise-identical results —
@@ -238,7 +238,7 @@ pub fn portable_exp_row(row: &mut [f32], shift: f32) -> f32 {
 pub enum Tier {
     /// Scalar 8×8 tile loop (always available; the test oracle).
     Portable,
-    /// Hand-written `std::arch` kernel (AVX2 on x86_64, NEON on aarch64).
+    /// Hand-written `std::arch` kernel (AVX2 on x86_64).
     Simd,
 }
 
@@ -251,11 +251,7 @@ pub fn simd_available() -> bool {
     {
         is_x86_feature_detected!("avx2")
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        true // NEON is part of the aarch64 baseline.
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -328,10 +324,6 @@ fn simd_microkernel() -> MicroKernelFn {
     {
         return avx2_microkernel;
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return neon_microkernel;
-    }
     portable_microkernel
 }
 
@@ -342,10 +334,6 @@ pub(crate) fn skinny_kernel() -> SkinnyKernelFn {
         #[cfg(target_arch = "x86_64")]
         {
             return avx2_skinny_kernel;
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            return neon_skinny_kernel;
         }
     }
     portable_skinny_kernel
@@ -359,10 +347,6 @@ pub(crate) fn window_kernel() -> WindowKernelFn {
         {
             return avx2_window_kernel;
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            return neon_window_kernel;
-        }
     }
     portable_window_kernel
 }
@@ -375,16 +359,11 @@ pub(crate) fn transpose_kernel() -> TransposeFn {
         {
             return avx2_transpose;
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            return neon_transpose;
-        }
     }
     portable_transpose
 }
 
-/// The row exponential for [`active_tier`]. `aarch64` has no hand-written
-/// one: NEON is baseline there, so the portable loop already compiles to it.
+/// The row exponential for [`active_tier`].
 pub fn exp_row_kernel() -> ExpRowFn {
     #[cfg(target_arch = "x86_64")]
     if active_tier() == Tier::Simd {
@@ -408,7 +387,7 @@ macro_rules! with_const_rows {
     };
 }
 
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 /// What the `unsafe` no-pack kernels rely on: every `a(r, p)`, every B row
 /// segment `b(p, 0..n)` and every C row lies inside its slice.
 fn assert_skinny_bounds(
@@ -453,7 +432,7 @@ fn assert_window_bounds(
     assert!((rows - 1) * ldc + n <= c.len(), "C rows too short");
 }
 
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 /// What the `unsafe` transposes rely on: all `lines` source lines hold `len`
 /// elements and the panel holds `len` rows of 8.
 fn assert_transpose_bounds(src: &[f32], stride: usize, lines: usize, len: usize, panel: &[f32]) {
@@ -954,256 +933,6 @@ mod avx2 {
                 *row = _mm256_loadu_ps(src.add(r * stride + q));
             }
             store_transposed(rows, panel.add(q * 8));
-        }
-        for q in full..len {
-            for r in 0..8 {
-                *panel.add(q * 8 + r) = if r < lines {
-                    *src.add(r * stride + q)
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-}
-
-/// NEON micro-kernel wrapper (plain `fn` so it fits the dispatch table).
-#[cfg(target_arch = "aarch64")]
-fn neon_microkernel(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
-    assert!(pa.len() >= kc * MR, "packed A panel too short");
-    assert!(pb.len() >= kc * NR, "packed B panel too short");
-    // SAFETY: bounds asserted above; NEON is baseline on aarch64.
-    unsafe { neon::microkernel(kc, pa.as_ptr(), pb.as_ptr(), acc) }
-}
-
-/// NEON no-pack kernel wrapper (plain `fn` so it fits the dispatch table).
-#[cfg(target_arch = "aarch64")]
-fn neon_skinny_kernel(
-    rows: usize,
-    n: usize,
-    kc: usize,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    assert_skinny_bounds(rows, n, kc, a, b, c, ldc);
-    let (ap, bp, cp) = (a.data.as_ptr(), b.data.as_ptr(), c.as_mut_ptr());
-    // SAFETY: bounds asserted above; NEON is baseline on aarch64.
-    unsafe {
-        with_const_rows!(
-            rows,
-            neon::skinny,
-            (n, kc, ap, a.rs, |p| p * a.cs, bp, |p| p * b.rs, cp, ldc)
-        )
-    }
-}
-
-/// NEON windowed kernel wrapper (plain `fn` so it fits the dispatch table).
-#[cfg(target_arch = "aarch64")]
-#[allow(clippy::too_many_arguments)]
-fn neon_window_kernel(
-    rows: usize,
-    n: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_k: KOffsets<'_>,
-    b: &[f32],
-    b_k: KOffsets<'_>,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    assert_window_bounds(rows, n, a, a_rs, a_k, b, b_k, c, ldc);
-    let kc = a_k.len();
-    let (a_k, b_k) = (|p: usize| a_k.offsets[p], |p: usize| b_k.offsets[p]);
-    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-    // SAFETY: bounds asserted above (both tables hold `kc` offsets no larger
-    // than their recorded maxima); NEON is baseline on aarch64.
-    unsafe { with_const_rows!(rows, neon::skinny, (n, kc, ap, a_rs, a_k, bp, b_k, cp, ldc)) }
-}
-
-/// NEON panel transpose wrapper (plain `fn` so it fits the dispatch table).
-#[cfg(target_arch = "aarch64")]
-fn neon_transpose(src: &[f32], stride: usize, lines: usize, len: usize, panel: &mut [f32]) {
-    assert_transpose_bounds(src, stride, lines, len, panel);
-    // SAFETY: bounds asserted above; NEON is baseline on aarch64.
-    unsafe { neon::transpose(src.as_ptr(), stride, lines, len, panel.as_mut_ptr()) }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{MR, NR};
-    use std::arch::aarch64::*;
-
-    /// Two `float32x4_t` accumulators per C row. `vmulq`/`vaddq` stay
-    /// separate (no `vfmaq`), matching the portable kernel's two roundings
-    /// per lane — bitwise identical output.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `pa`/`pb` point at `kc * MR` / `kc * NR` readable
-    /// `f32`s.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn microkernel(
-        kc: usize,
-        mut pa: *const f32,
-        mut pb: *const f32,
-        acc: &mut [f32; MR * NR],
-    ) {
-        let zero = vdupq_n_f32(0.0);
-        let mut c: [[float32x4_t; 2]; MR] = [[zero; 2]; MR];
-        for _ in 0..kc {
-            let b0 = vld1q_f32(pb);
-            let b1 = vld1q_f32(pb.add(4));
-            for (i, row) in c.iter_mut().enumerate() {
-                let a = vdupq_n_f32(*pa.add(i));
-                row[0] = vaddq_f32(row[0], vmulq_f32(a, b0));
-                row[1] = vaddq_f32(row[1], vmulq_f32(a, b1));
-            }
-            pa = pa.add(MR);
-            pb = pb.add(NR);
-        }
-        let out = acc.as_mut_ptr();
-        for (i, row) in c.iter().enumerate() {
-            vst1q_f32(out.add(i * NR), row[0]);
-            vst1q_f32(out.add(i * NR + 4), row[1]);
-        }
-    }
-
-    /// `R` rows of C against B read in place, 16 columns (four 4-lane
-    /// accumulators per row) at a time, then 4, then the last 1..=3 in
-    /// scalars; `vmulq`/`vaddq` stay separate and the association is the
-    /// same at every width.
-    ///
-    /// `ak`/`bk` say where K step `p` starts in A's row and in B.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure that `a + r·ars + ak(p)`, `b + bk(p) + j` and
-    /// `c + r·ldc + j` are valid for all `r < R`, `p < kc`, `j < n` (C for
-    /// writes too).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn skinny<const R: usize>(
-        n: usize,
-        kc: usize,
-        a: *const f32,
-        ars: usize,
-        ak: impl Fn(usize) -> usize + Copy,
-        b: *const f32,
-        bk: impl Fn(usize) -> usize + Copy,
-        c: *mut f32,
-        ldc: usize,
-    ) {
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut acc = [[vdupq_n_f32(0.0); 4]; R];
-            for p in 0..kc {
-                let bp = b.add(bk(p) + j);
-                let bv = [
-                    vld1q_f32(bp),
-                    vld1q_f32(bp.add(4)),
-                    vld1q_f32(bp.add(8)),
-                    vld1q_f32(bp.add(12)),
-                ];
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let av = vdupq_n_f32(*a.add(r * ars + ak(p)));
-                    for (x, &bq) in row.iter_mut().zip(&bv) {
-                        *x = vaddq_f32(*x, vmulq_f32(av, bq));
-                    }
-                }
-            }
-            for (r, row) in acc.iter().enumerate() {
-                for (q, &x) in row.iter().enumerate() {
-                    let cr = c.add(r * ldc + j + q * 4);
-                    vst1q_f32(cr, vaddq_f32(vld1q_f32(cr), x));
-                }
-            }
-            j += 16;
-        }
-        while j + 4 <= n {
-            let mut acc = [vdupq_n_f32(0.0); R];
-            for p in 0..kc {
-                let bq = vld1q_f32(b.add(bk(p) + j));
-                for (r, x) in acc.iter_mut().enumerate() {
-                    let av = vdupq_n_f32(*a.add(r * ars + ak(p)));
-                    *x = vaddq_f32(*x, vmulq_f32(av, bq));
-                }
-            }
-            for (r, &x) in acc.iter().enumerate() {
-                let cr = c.add(r * ldc + j);
-                vst1q_f32(cr, vaddq_f32(vld1q_f32(cr), x));
-            }
-            j += 4;
-        }
-        while j < n {
-            for r in 0..R {
-                let mut acc = 0.0f32;
-                for p in 0..kc {
-                    acc += *a.add(r * ars + ak(p)) * *b.add(bk(p) + j);
-                }
-                *c.add(r * ldc + j) += acc;
-            }
-            j += 1;
-        }
-    }
-
-    /// Transposes the 4×4 block whose rows are `rows` and stores column `q`
-    /// at `dst + q·8` (half of a panel row).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `dst + q·8` is valid for 4 writes, `q < 4`.
-    #[inline]
-    #[target_feature(enable = "neon")]
-    unsafe fn store_transposed4(rows: [float32x4_t; 4], dst: *mut f32) {
-        // t0 = r0[0] r1[0] r0[2] r1[2], t1 = r0[1] r1[1] r0[3] r1[3].
-        let t0 = vtrn1q_f32(rows[0], rows[1]);
-        let t1 = vtrn2q_f32(rows[0], rows[1]);
-        let t2 = vtrn1q_f32(rows[2], rows[3]);
-        let t3 = vtrn2q_f32(rows[2], rows[3]);
-        vst1q_f32(dst, vcombine_f32(vget_low_f32(t0), vget_low_f32(t2)));
-        vst1q_f32(dst.add(8), vcombine_f32(vget_low_f32(t1), vget_low_f32(t3)));
-        vst1q_f32(
-            dst.add(16),
-            vcombine_f32(vget_high_f32(t0), vget_high_f32(t2)),
-        );
-        vst1q_f32(
-            dst.add(24),
-            vcombine_f32(vget_high_f32(t1), vget_high_f32(t3)),
-        );
-    }
-
-    /// Panel transpose as four 4×4 register transposes per 8×8 block;
-    /// missing lines are zero registers, the last `len % 8` columns are
-    /// moved one by one.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure `1 ≤ lines ≤ 8`, `src + r·stride + q` is readable
-    /// for `r < lines`, `q < len`, and `panel` is valid for `len · 8` writes.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn transpose(
-        src: *const f32,
-        stride: usize,
-        lines: usize,
-        len: usize,
-        panel: *mut f32,
-    ) {
-        let full = len / 8 * 8;
-        for q in (0..full).step_by(8) {
-            // Source columns q..q+4 (`lo`) and q+4..q+8 (`hi`) of every line.
-            let mut lo = [vdupq_n_f32(0.0); 8];
-            let mut hi = [vdupq_n_f32(0.0); 8];
-            for r in 0..lines {
-                lo[r] = vld1q_f32(src.add(r * stride + q));
-                hi[r] = vld1q_f32(src.add(r * stride + q + 4));
-            }
-            let dst = panel.add(q * 8);
-            store_transposed4([lo[0], lo[1], lo[2], lo[3]], dst);
-            store_transposed4([lo[4], lo[5], lo[6], lo[7]], dst.add(4));
-            store_transposed4([hi[0], hi[1], hi[2], hi[3]], dst.add(32));
-            store_transposed4([hi[4], hi[5], hi[6], hi[7]], dst.add(36));
         }
         for q in full..len {
             for r in 0..8 {

@@ -1,6 +1,6 @@
 //! Bitwise-equivalence tests for the runtime-dispatched micro-kernel tiers.
 //!
-//! The SIMD kernels (AVX2/NEON) perform unfused lane-wise mul+add in the
+//! The SIMD kernels (AVX2) perform unfused lane-wise mul+add in the
 //! same `k` order as the portable kernel, so *every* GEMM result must be
 //! bit-for-bit identical across tiers — the property that makes runtime
 //! dispatch invisible to the TEE baseline and the cloud-vs-local
