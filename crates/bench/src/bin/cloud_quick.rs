@@ -19,8 +19,11 @@
 //! uninterrupted run or recomputes all of its epochs instead of just the
 //! tail (the `cloud_resume` entry), if the telemetry plane adds more
 //! than 5% to the remote submit-to-reply median (the
-//! `cloud_trace_overhead` entry), or if the Prometheus endpoint fails to
-//! serve the per-stage quantile series.
+//! `cloud_trace_overhead` entry), if the Prometheus endpoint fails to
+//! serve the per-stage quantile series, or if the bulk digest behind every
+//! content address is not ≥ 2x the single `siphash128` chain it replaced
+//! on a 128 KB job encoding (the `cloud_address` entry; judged on the
+//! `simd` kernel tier, reported as skipped on the portable one).
 //!
 //! Like PR 3's kernel gates, everything is pinned to one worker and one
 //! tensor-pool thread: the criteria are per-core ratios, and CI runners
@@ -28,6 +31,7 @@
 //! it is a hash plus a cache lookup — so the ratio is thread-insensitive
 //! anyway; the pin just keeps cold timings comparable across runs.)
 
+use amalgam_cloud::hash::{digest128, siphash128};
 use amalgam_cloud::transport::TransportConfig;
 use amalgam_cloud::{
     CheckpointStore, CloudJob, CloudServer, CloudService, ContentAddress, MemoryCheckpointStore,
@@ -35,9 +39,11 @@ use amalgam_cloud::{
 };
 use amalgam_core::TrainConfig;
 use amalgam_models::lenet5;
+use amalgam_tensor::simd::{self, Tier};
 use amalgam_tensor::{parallel, Rng, Tensor};
 use bytes::Bytes;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -52,12 +58,30 @@ fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// Throughput in GB/s of `hash` over `payload`: best of 9 timed batches of
+/// 32 calls (a batch is ≈ 1 ms, well above the clock's resolution).
+fn hash_gbps(payload: &[u8], hash: fn(u64, u64, &[u8]) -> u128) -> f64 {
+    const CALLS: usize = 32;
+    let ms = time_ms(9, || {
+        for _ in 0..CALLS {
+            black_box(hash(1, 2, black_box(payload)));
+        }
+    });
+    (CALLS * payload.len()) as f64 / (ms * 1e6)
+}
+
 /// Small but representative: 2 epochs over 16 images keep cold dispatch
 /// in real-training territory (~ms) while the whole gate stays quick.
 fn tiny_job(seed: u64) -> CloudJob {
+    lenet_job(seed, 8)
+}
+
+/// [`tiny_job`] at `hw` × `hw` pixels; 12 px encodes to 128 KB, the size
+/// of the benchmark's `dispatch_*` submissions.
+fn lenet_job(seed: u64, hw: usize) -> CloudJob {
     let mut rng = Rng::seed_from(21 + seed);
-    let model = lenet5(1, 8, 2, &mut rng);
-    let inputs = Tensor::randn(&[16, 1, 8, 8], &mut rng);
+    let model = lenet5(1, hw, 2, &mut rng);
+    let inputs = Tensor::randn(&[16, 1, hw, hw], &mut rng);
     let labels: Vec<usize> = (0..16).map(|i| i % 2).collect();
     CloudJob {
         model: model.to_bytes(),
@@ -129,6 +153,35 @@ fn main() {
     let job = tiny_job(0);
     let mut entries = Vec::new();
     let mut failures = Vec::new();
+
+    // Content address: the bulk digest against the one SipHash chain it
+    // replaced, over a 128 KB job encoding. Runs before any service exists
+    // because timing the portable loop means forcing the process-wide
+    // kernel tier for a moment.
+    let tier = simd::active_tier();
+    let payload = lenet_job(0, 12).to_bytes();
+    let siphash128_gbps = hash_gbps(&payload, siphash128);
+    simd::force_tier(Some(Tier::Portable));
+    let digest_portable_gbps = hash_gbps(&payload, digest128);
+    simd::force_tier(None);
+    let digest_gbps = hash_gbps(&payload, digest128);
+    let address_speedup = digest_gbps / siphash128_gbps;
+    entries.push(Entry {
+        name: "cloud_address",
+        fields: vec![
+            ("bytes", payload.len() as f64),
+            ("siphash128_gbps", siphash128_gbps),
+            ("digest_portable_gbps", digest_portable_gbps),
+            ("digest_gbps", digest_gbps),
+            ("speedup", address_speedup),
+        ],
+    });
+    if tier == Tier::Simd && address_speedup < 2.0 {
+        failures.push(format!(
+            "content address digests {digest_gbps:.2} GB/s, only {address_speedup:.2}x the \
+             siphash128 chain's {siphash128_gbps:.2} (want ≥ 2x on the simd tier)"
+        ));
+    }
 
     // Uncached ground truth: every dispatch trains.
     let cold = CloudService::builder().workers(1).build();
@@ -609,6 +662,9 @@ fn main() {
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     print!("{json}");
     println!("wrote {path} (cache hit: {hit_speedup:.0}x over cold dispatch)");
+    if tier == Tier::Portable {
+        println!("content-address ≥ 2x gate: SKIPPED (portable kernel tier)");
+    }
 
     if check && !failures.is_empty() {
         for f in &failures {

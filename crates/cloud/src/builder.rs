@@ -200,7 +200,8 @@ impl CloudServiceBuilder {
     /// history into `store` at epoch boundaries (cadence set by
     /// [`checkpoint_every`](Self::checkpoint_every), default every epoch),
     /// keyed by the job payload's content address — the same canonical
-    /// SipHash the result cache uses, computed even when dedup is off.
+    /// digest ([`crate::hash::digest128`]) the result cache uses, computed
+    /// even when dedup is off.
     ///
     /// A (re)submitted job whose address holds a valid snapshot **resumes**
     /// from the last epoch boundary instead of recomputing from epoch 0;

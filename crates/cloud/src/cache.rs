@@ -4,8 +4,8 @@
 //! deterministic, so byte-identical job payloads provably produce
 //! byte-identical [`JobResult`]s. This module turns that determinism into
 //! throughput, in two cooperating pieces keyed by the same
-//! [`ContentAddress`] (a fixed-key SipHash over the job's canonical wire
-//! encoding — see [`crate::hash`]):
+//! [`ContentAddress`] (a fixed-key SipHash digest of the job's canonical
+//! wire encoding — see [`crate::hash`]):
 //!
 //! * **In-flight coalescing.** The first submission of an address executes
 //!   normally; every concurrent duplicate attaches as a *waiter* to the
@@ -52,6 +52,10 @@ use std::time::{Duration, Instant};
 /// flood of near-empty results from evading the byte bound.
 const ENTRY_OVERHEAD: usize = 160;
 
+/// Stale recency slots tolerated beyond one per live entry before the
+/// queue is compacted (see [`ResultCache::compact`]).
+const LRU_SLACK: usize = 16;
+
 /// Approximate heap bytes retained by caching `result`.
 ///
 /// Counts the serialized model plus the history vectors (the only
@@ -84,7 +88,9 @@ struct CacheEntry {
 ///
 /// Recency is tracked lazily: each touch pushes a freshly stamped slot
 /// onto the back of a queue and only the newest stamp per address is live,
-/// so `get` stays O(1) and eviction amortizes the stale slots away.
+/// so `get` stays O(1); eviction skips the stale slots it meets, and the
+/// queue is compacted whenever they outnumber the live ones, so it stays
+/// within a constant factor of the entry count however hot the hits.
 pub struct ResultCache {
     capacity_bytes: usize,
     ttl: Duration,
@@ -137,6 +143,20 @@ impl ResultCache {
         }
     }
 
+    /// Drops the stale recency slots once the queue exceeds
+    /// `2 × entries + LRU_SLACK`. Eviction alone only sheds them while the
+    /// cache is over its byte bound — a hot set that fits never evicts, and
+    /// every hit queues a slot. Called with every entry's stamp naming its
+    /// newest slot, so exactly one slot per entry survives, in order; at
+    /// least `entries + LRU_SLACK` touches pay for each O(queue) pass.
+    fn compact(&mut self) {
+        if self.lru.len() > 2 * self.entries.len() + LRU_SLACK {
+            let entries = &self.entries;
+            self.lru
+                .retain(|(stamp, addr)| entries.get(addr).is_some_and(|e| e.stamp == *stamp));
+        }
+    }
+
     /// A clone of the entry at `addr`, if present and not expired as of
     /// `now`; a hit refreshes the entry's LRU recency (but not its TTL —
     /// a popular stale result must still re-execute).
@@ -152,7 +172,9 @@ impl ResultCache {
         let stamp = self.touch(*addr);
         let entry = self.entries.get_mut(addr).expect("entry checked above");
         entry.stamp = stamp;
-        Some(entry.result.clone())
+        let result = entry.result.clone();
+        self.compact();
+        Some(result)
     }
 
     /// Inserts (or replaces) `addr`'s entry as of `now`, then sweeps
@@ -187,6 +209,7 @@ impl ResultCache {
                 _ => {}
             }
         }
+        self.compact();
     }
 
     fn sweep_expired(&mut self, now: Instant) {
@@ -574,6 +597,26 @@ mod tests {
         assert!(cache.get_at(&addr(1), t0).is_some());
         assert!(cache.get_at(&addr(2), t0).is_none());
         assert!(cache.get_at(&addr(3), t0).is_some());
+    }
+
+    #[test]
+    fn hits_on_a_set_that_fits_do_not_grow_the_recency_queue() {
+        let t0 = Instant::now();
+        let cost = entry_cost(&result_of(100));
+        let mut cache = ResultCache::new(cost * 2, Duration::from_secs(60));
+        cache.insert_at(addr(1), result_of(100), t0);
+        cache.insert_at(addr(2), result_of(100), t0);
+        // Nothing is ever over the byte bound here, so eviction never runs.
+        for i in 0..100_000u32 {
+            assert!(cache.get_at(&addr(1 + (i % 2) as u8), t0).is_some());
+            assert!(cache.lru.len() <= 2 * cache.len() + LRU_SLACK);
+        }
+        // Recency survived the compactions: 2 was hit last, so 1 goes.
+        cache.insert_at(addr(3), result_of(100), t0);
+        assert!(cache.get_at(&addr(1), t0).is_none());
+        assert!(cache.get_at(&addr(2), t0).is_some());
+        assert!(cache.get_at(&addr(3), t0).is_some());
+        assert!(cache.lru.len() <= 2 * cache.len() + LRU_SLACK);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! # Keying and stores
 //!
 //! Checkpoints are keyed by the job's [`ContentAddress`] — the same
-//! canonical hash the dedup cache uses — so a resubmitted job finds its
+//! canonical digest the dedup cache uses — so a resubmitted job finds its
 //! own checkpoint no matter which client, connection or (with a shared
 //! store) which *backend* retries it: proxy failover resumes work instead
 //! of recomputing it. A [`CheckpointStore`] is deliberately tiny and
@@ -41,7 +41,7 @@
 //! submissions. Correctness never depends on a checkpoint being present —
 //! only the amount of recomputation does.
 
-use crate::hash::{siphash128, ContentAddress};
+use crate::hash::{digest128, ContentAddress};
 use crate::CloudError;
 use amalgam_nn::metrics::History;
 use amalgam_tensor::wire::{Reader, Writer};
@@ -52,8 +52,10 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Format version byte leading every encoded checkpoint.
-const CHECKPOINT_VERSION: u8 = 1;
+/// Format version byte leading every encoded checkpoint. Version 2 moved
+/// the checksum from one `siphash128` chain to [`digest128`]; a version-1
+/// snapshot fails the checksum and is scrubbed like any corrupt entry.
+const CHECKPOINT_VERSION: u8 = 2;
 /// Fixed SipHash key halves for the integrity checksum (`b"amalgam."`,
 /// `b"ckpt..v1"`): like content addressing, the checksum must be a pure
 /// function of the bytes so every process verifies identically.
@@ -79,7 +81,7 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Serializes the checkpoint: version, fields, then a trailing 64-bit
-    /// SipHash checksum over everything before it.
+    /// checksum — the low half of [`digest128`] — over everything before it.
     pub fn to_bytes(&self) -> Bytes {
         let mut w = Writer::new();
         w.put_u8(CHECKPOINT_VERSION);
@@ -95,7 +97,7 @@ impl Checkpoint {
         w.put_f32_list(&self.history.val_acc);
         w.put_f32_list(&self.history.epoch_secs);
         let body = w.finish();
-        let sum = siphash128(CK_KEY0, CK_KEY1, &body) as u64;
+        let sum = digest128(CK_KEY0, CK_KEY1, &body) as u64;
         let mut out = Vec::with_capacity(body.len() + 8);
         out.extend_from_slice(&body);
         out.extend_from_slice(&sum.to_le_bytes());
@@ -119,7 +121,7 @@ impl Checkpoint {
         }
         let (body, tail) = buf.split_at(buf.len() - 8);
         let claimed = u64::from_le_bytes(tail.try_into().expect("8-byte slice"));
-        let actual = siphash128(CK_KEY0, CK_KEY1, body) as u64;
+        let actual = digest128(CK_KEY0, CK_KEY1, body) as u64;
         if claimed != actual {
             return Err(CloudError::Decode(format!(
                 "checkpoint checksum mismatch: stored {claimed:016x}, computed {actual:016x}"
@@ -344,6 +346,82 @@ mod tests {
             Checkpoint::from_bytes(Bytes::from(bytes)),
             Err(CloudError::Decode(_))
         ));
+    }
+
+    /// `cp` as the previous format wrote it: version byte 1, checksum from
+    /// one `siphash128` chain over the body.
+    fn version_1_bytes(cp: &Checkpoint) -> Bytes {
+        let v2 = cp.to_bytes();
+        let mut out = v2[..v2.len() - 8].to_vec();
+        out[0] = 1;
+        let sum = crate::hash::siphash128(CK_KEY0, CK_KEY1, &out) as u64;
+        out.extend_from_slice(&sum.to_le_bytes());
+        Bytes::from(out)
+    }
+
+    #[test]
+    fn version_1_snapshot_is_rejected_scrubbed_and_recomputed() {
+        use crate::{CloudJob, CloudService, TaskPayload};
+        use amalgam_core::TrainConfig;
+
+        let mut rng = Rng::seed_from(11);
+        let model = amalgam_models::lenet5(1, 8, 2, &mut rng);
+        let job = CloudJob {
+            model: model.to_bytes(),
+            task: TaskPayload::Classification {
+                inputs: Tensor::randn(&[8, 1, 8, 8], &mut rng),
+                labels: (0..8).map(|i| i % 2).collect(),
+                val_inputs: None,
+                val_labels: vec![],
+            },
+            train: TrainConfig::new(3, 4, 0.05).with_seed(5),
+        };
+        let clean = CloudService::builder().workers(1).build();
+        let truth = clean.client().train(&job).expect("clean run");
+        clean.shutdown();
+
+        // A snapshot this job could resume from, were its format current.
+        let resumable = Checkpoint {
+            epoch: 1,
+            model: job.model.clone(),
+            velocity: vec![],
+            history: History {
+                train_loss: vec![0.7],
+                train_acc: vec![0.5],
+                val_loss: vec![],
+                val_acc: vec![],
+                epoch_secs: vec![0.01],
+            },
+        };
+        assert!(Checkpoint::from_bytes(resumable.to_bytes()).is_ok());
+        let old = version_1_bytes(&resumable);
+        assert!(matches!(
+            Checkpoint::from_bytes(old.clone()),
+            Err(CloudError::Decode(_))
+        ));
+        // Nor does the old version byte pass under the new checksum.
+        let mut relabelled = old[..old.len() - 8].to_vec();
+        let sum = digest128(CK_KEY0, CK_KEY1, &relabelled) as u64;
+        relabelled.extend_from_slice(&sum.to_le_bytes());
+        assert!(Checkpoint::from_bytes(Bytes::from(relabelled)).is_err());
+
+        let addr = ContentAddress::of(&job.to_bytes());
+        let store = Arc::new(MemoryCheckpointStore::new());
+        store.store(addr, old);
+        let service = CloudService::builder()
+            .workers(1)
+            .checkpoint_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
+            .checkpoint_every(1)
+            .build();
+        let result = service.client().train(&job).expect("fallback run");
+        let stats = service.stats();
+        service.shutdown();
+        assert_eq!(result.trained_model, truth.trained_model);
+        assert_eq!(result.history.train_loss, truth.history.train_loss);
+        assert_eq!(stats.checkpoints_rejected, 1);
+        assert_eq!(stats.jobs_resumed, 0);
+        assert_eq!(stats.epochs_trained, 3);
+        assert!(store.is_empty(), "the version-1 entry must be scrubbed");
     }
 
     #[test]
