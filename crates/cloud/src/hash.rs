@@ -57,22 +57,32 @@
 //! rounds and the same 128 bits; there is no reduced-round or non-SipHash
 //! path.
 //!
-//! The whole-stripe loop is the only part with a second implementation:
-//! an AVX2 kernel (two 256-bit registers per state word) chosen by
-//! [`amalgam_tensor::simd::active_tier`], like every other kernel in the
-//! tree. The portable loop is the fallback and the oracle the tests hold
-//! the kernel to, bit for bit, on every length; tail, length stripe,
-//! finalisation and root are shared scalar code.
+//! There is one implementation, in plain Rust. The lanes' states are kept
+//! word-major (one state word of all eight lanes is 64 contiguous bytes),
+//! so the stripe loop is eight independent chains that the compiler may
+//! run in vector registers; nothing about the result depends on whether it
+//! does, only the speed.
 //!
-//! Measured on the reference box (2 vCPUs, Xeon @ 2.1 GHz with AVX-512;
-//! `cloud-quick`'s `cloud_address` entry, a 131 293-byte job encoding,
-//! best of nine batches, several runs): `siphash128` 2.1–2.8 GB/s, the
-//! digest on the AVX2 kernel 8.1–9.5 GB/s. The portable loop reads
-//! 3.6–3.8 GB/s compiled for baseline x86-64 and 7.8–9.0 GB/s under the
-//! workspace's `target-cpu=native`, where the compiler vectorises the
-//! eight-lane loop itself — the hand-written kernel is what keeps the
-//! figure in a build that was not tuned to the machine it runs on. Below
-//! ≈ 500 bytes the single chain is the faster of the two.
+//! Measured on one machine, the reference box (2 vCPUs, Xeon @ 2.1 GHz
+//! with AVX-512; `cloud-quick`'s `cloud_address` entry, a 131 293-byte job
+//! encoding, best of nine batches, several runs), `siphash128` reading
+//! 2.1–2.8 GB/s throughout:
+//!
+//! | build | digest | against the chain |
+//! |---|---|---|
+//! | the workspace's `target-cpu=native` (AVX-512 here) | 7.8–9.4 GB/s | 3.7–4.3x |
+//! | `-C target-cpu=haswell` (AVX2, no AVX-512), same chip | 2.0–3.3 GB/s | 1.0–1.2x |
+//! | baseline x86-64 | 3.6–3.8 GB/s | 1.3–1.8x |
+//!
+//! With AVX-512 the compiler turns the loop into 512-bit adds, xors and
+//! native 64-bit rotates (`vprolq`). AVX2 has no vector rotate, and there
+//! LLVM keeps all eight lanes scalar (`rorx`): still correct, about the
+//! chain's speed. A hand-written AVX2 stripe loop (two 256-bit registers
+//! per state word, rotates as shift-or) read 6–8.5 GB/s in a scratch
+//! build; it is not in the tree because nothing here builds or runs for an
+//! AVX2-only host yet — ROADMAP lists what would justify it. No real
+//! AVX2-only machine was timed. Below ≈ 500 bytes the single chain is the
+//! faster of the two in every build.
 //!
 //! [`siphash128`] remains the primitive — the lanes' round function, the
 //! root, and the right tool for short inputs (`proxy::ring`'s routing keys
@@ -81,7 +91,6 @@
 //! against 1.14 GB/s at 40 bytes).
 //! No bulk payload goes through it any more.
 
-use amalgam_tensor::simd::{self, Tier};
 use std::fmt;
 
 /// First half of the fixed SipHash key (`b"amalgam.".LE`).
@@ -206,9 +215,6 @@ const STRIPE: usize = 8 * LANES;
 /// lane `i`, so one state word of all lanes is 64 contiguous bytes.
 type LaneState = [[u64; LANES]; 4];
 
-/// Compresses whole stripes (`whole.len()` a multiple of [`STRIPE`]).
-type StripesFn = fn(&mut LaneState, &[u8]);
-
 /// Lane `i`'s four state words.
 #[inline(always)]
 fn lane(v: &LaneState, i: usize) -> [u64; 4] {
@@ -232,9 +238,8 @@ fn lanes_compress(v: &mut LaneState, m: &[u64; LANES]) {
     }
 }
 
-/// The whole-stripe loop in plain Rust: the fallback on every target and
-/// the oracle the AVX2 kernel is tested against.
-fn portable_stripes(v: &mut LaneState, whole: &[u8]) {
+/// Compresses whole stripes (`whole.len()` a multiple of [`STRIPE`]).
+fn compress_stripes(v: &mut LaneState, whole: &[u8]) {
     debug_assert_eq!(whole.len() % STRIPE, 0);
     for stripe in whole.chunks_exact(STRIPE) {
         let mut m = [0u64; LANES];
@@ -245,46 +250,21 @@ fn portable_stripes(v: &mut LaneState, whole: &[u8]) {
     }
 }
 
-/// AVX2 whole-stripe loop (plain `fn` so it fits [`StripesFn`]).
-#[cfg(target_arch = "x86_64")]
-fn avx2_stripes(v: &mut LaneState, whole: &[u8]) {
-    debug_assert_eq!(whole.len() % STRIPE, 0);
-    // SAFETY: AVX2 presence was verified by `simd::active_tier` before this
-    // kernel was selected.
-    unsafe { avx2::stripes(v, whole) }
-}
-
-/// The whole-stripe loop for [`simd::active_tier`].
-fn stripe_kernel() -> StripesFn {
-    #[cfg(target_arch = "x86_64")]
-    if simd::active_tier() == Tier::Simd {
-        return avx2_stripes;
-    }
-    portable_stripes
-}
-
 /// The bulk digest: eight SipHash-2-4-128 lanes over 64-byte stripes of
 /// `bytes` under one SipHash-2-4-128 root, keyed by `(k0, k1)` — see the
 /// [module docs](self) for the construction and what a collision would
 /// take. Packed like [`siphash128`]'s output.
-///
-/// A pure function of `(k0, k1, bytes)`: the kernel tier changes how fast
-/// the stripes are compressed, never the result.
 pub fn digest128(k0: u64, k1: u64, bytes: &[u8]) -> u128 {
-    digest128_with(stripe_kernel(), k0, k1, bytes)
-}
-
-fn digest128_with(stripes: StripesFn, k0: u64, k1: u64, bytes: &[u8]) -> u128 {
     let mut v: LaneState = [[0; LANES]; 4];
     for i in 0..LANES {
         set_lane(&mut v, i, sip_init(k0 ^ ((i as u64 + 1) << 56), k1));
     }
     let (whole, tail) = bytes.split_at(bytes.len() - bytes.len() % STRIPE);
-    stripes(&mut v, whole);
+    compress_stripes(&mut v, whole);
     if !tail.is_empty() {
         let mut last = [0u8; STRIPE];
         last[..tail.len()].copy_from_slice(tail);
-        portable_stripes(&mut v, &last);
+        compress_stripes(&mut v, &last);
     }
     let len = bytes.len() as u64;
     lanes_compress(&mut v, &[len; LANES]);
@@ -295,91 +275,6 @@ fn digest128_with(stripes: StripesFn, k0: u64, k1: u64, bytes: &[u8]) -> u128 {
     }
     root[16 * LANES..].copy_from_slice(&len.to_le_bytes());
     siphash128(k0, k1, &root)
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{LaneState, LANES, STRIPE};
-    use std::arch::x86_64::*;
-
-    // Two registers of four 64-bit lanes hold one state word of all lanes.
-    const _: () = assert!(LANES == 8);
-
-    /// `rotate_left` of every 64-bit lane as shift-or.
-    macro_rules! rotl {
-        ($x:expr, $n:literal) => {
-            _mm256_or_si256(
-                _mm256_slli_epi64::<$n>($x),
-                _mm256_srli_epi64::<{ 64 - $n }>($x),
-            )
-        };
-    }
-
-    /// `rotate_left(32)` of every 64-bit lane: swap its two dwords.
-    macro_rules! rotl32 {
-        ($x:expr) => {
-            _mm256_shuffle_epi32::<0b10_11_00_01>($x)
-        };
-    }
-
-    /// [`super::sipround`] on four lanes: the same operations in the same
-    /// order, one intrinsic each.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sipround(v: &mut [__m256i; 4]) {
-        v[0] = _mm256_add_epi64(v[0], v[1]);
-        v[1] = rotl!(v[1], 13);
-        v[1] = _mm256_xor_si256(v[1], v[0]);
-        v[0] = rotl32!(v[0]);
-        v[2] = _mm256_add_epi64(v[2], v[3]);
-        v[3] = rotl!(v[3], 16);
-        v[3] = _mm256_xor_si256(v[3], v[2]);
-        v[0] = _mm256_add_epi64(v[0], v[3]);
-        v[3] = rotl!(v[3], 21);
-        v[3] = _mm256_xor_si256(v[3], v[0]);
-        v[2] = _mm256_add_epi64(v[2], v[1]);
-        v[1] = rotl!(v[1], 17);
-        v[1] = _mm256_xor_si256(v[1], v[2]);
-        v[2] = rotl32!(v[2]);
-    }
-
-    /// [`super::portable_stripes`] with lanes 0–3 in one register per state
-    /// word and lanes 4–7 in another: a stripe is two unaligned loads, and
-    /// the two halves' rounds are independent chains the core overlaps.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available. Every load is of one whole
-    /// 64-byte chunk of `whole` or of one state word of `v`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn stripes(v: &mut LaneState, whole: &[u8]) {
-        let mut lo = [_mm256_setzero_si256(); 4];
-        let mut hi = [_mm256_setzero_si256(); 4];
-        for w in 0..4 {
-            lo[w] = _mm256_loadu_si256(v[w].as_ptr() as *const __m256i);
-            hi[w] = _mm256_loadu_si256(v[w].as_ptr().add(4) as *const __m256i);
-        }
-        for stripe in whole.chunks_exact(STRIPE) {
-            let p = stripe.as_ptr() as *const __m256i;
-            let (m_lo, m_hi) = (_mm256_loadu_si256(p), _mm256_loadu_si256(p.add(1)));
-            lo[3] = _mm256_xor_si256(lo[3], m_lo);
-            hi[3] = _mm256_xor_si256(hi[3], m_hi);
-            sipround(&mut lo);
-            sipround(&mut hi);
-            sipround(&mut lo);
-            sipround(&mut hi);
-            lo[0] = _mm256_xor_si256(lo[0], m_lo);
-            hi[0] = _mm256_xor_si256(hi[0], m_hi);
-        }
-        for w in 0..4 {
-            _mm256_storeu_si256(v[w].as_mut_ptr() as *mut __m256i, lo[w]);
-            _mm256_storeu_si256(v[w].as_mut_ptr().add(4) as *mut __m256i, hi[w]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -443,21 +338,43 @@ mod tests {
         out
     }
 
-    fn portable(bytes: &[u8]) -> u128 {
-        digest128_with(portable_stripes, RK0, RK1, bytes)
+    fn digest(bytes: &[u8]) -> u128 {
+        digest128(RK0, RK1, bytes)
     }
 
-    /// The job payload of the `dispatch_*` workloads, to the byte.
+    /// The module docs' five steps taken literally, one lane at a time:
+    /// pad, deal the words out, append the length, run each lane's chain
+    /// from start to finish, hash the digests.
+    fn lane_by_lane(bytes: &[u8]) -> u128 {
+        let mut padded = bytes.to_vec();
+        padded.resize(bytes.len().div_ceil(STRIPE) * STRIPE, 0);
+        let len = bytes.len() as u64;
+        let mut root = Vec::new();
+        for i in 0..LANES {
+            let mut v = sip_init(RK0 ^ ((i as u64 + 1) << 56), RK1);
+            for stripe in padded.chunks_exact(STRIPE) {
+                let word = stripe[8 * i..8 * i + 8].try_into().expect("8 bytes");
+                sip_compress(&mut v, u64::from_le_bytes(word));
+            }
+            sip_compress(&mut v, len);
+            root.extend_from_slice(&sip_finish128(v).to_le_bytes());
+        }
+        root.extend_from_slice(&len.to_le_bytes());
+        siphash128(RK0, RK1, &root)
+    }
+
+    /// The job payload of the benchmark's `dispatch_*` workloads, to the
+    /// byte (`cloud.protocol.upload_bytes` per submission).
     const PAYLOAD_LEN: usize = 127_828;
 
     #[test]
-    fn dispatching_digest_is_the_portable_digest_on_every_length() {
+    fn digest_is_the_lane_by_lane_definition_on_every_length() {
         let data = seeded(200_000, 1);
         let mut seen = std::collections::HashSet::new();
         let lens = (0..=4096).chain([65_535, 65_536, PAYLOAD_LEN, 200_000]);
         for len in lens {
-            let want = portable(&data[..len]);
-            assert_eq!(digest128(RK0, RK1, &data[..len]), want, "length {len}");
+            let want = lane_by_lane(&data[..len]);
+            assert_eq!(digest(&data[..len]), want, "length {len}");
             assert!(seen.insert(want), "length {len} collides with a prefix");
         }
     }
@@ -465,11 +382,8 @@ mod tests {
     #[test]
     fn structure_cannot_alias() {
         let base = seeded(5 * STRIPE + 37, 2);
-        let digest = portable(&base);
-        let differs = |what: &str, other: &[u8]| {
-            assert_ne!(portable(other), digest, "{what}");
-            assert_eq!(portable(other), digest128(RK0, RK1, other), "{what}");
-        };
+        let whole_digest = digest(&base);
+        let differs = |what: &str, other: &[u8]| assert_ne!(digest(other), whole_digest, "{what}");
 
         let mut swapped = base.clone();
         let (a, b) = swapped.split_at_mut(2 * STRIPE);
@@ -481,15 +395,15 @@ mod tests {
         one[STRIPE + 8 * 3] = 1;
         let mut neighbour = vec![0u8; 2 * STRIPE];
         neighbour[STRIPE + 8 * 4] = 1;
-        assert_ne!(portable(&one), portable(&neighbour));
+        assert_ne!(digest(&one), digest(&neighbour));
 
         // A zero tail is not padding: neither appending zeros nor cutting
         // them back to the stripe boundary is free.
         let mut zero_tail = base[..5 * STRIPE].to_vec();
-        let whole = portable(&zero_tail);
+        let whole = digest(&zero_tail);
         for extra in [1, 7, 8, STRIPE - 1, STRIPE] {
             zero_tail.resize(5 * STRIPE + extra, 0);
-            assert_ne!(portable(&zero_tail), whole, "{extra} zero bytes appended");
+            assert_ne!(digest(&zero_tail), whole, "{extra} zero bytes appended");
         }
         differs("truncated to a stripe boundary", &base[..5 * STRIPE]);
         differs("one byte shorter", &base[..base.len() - 1]);
@@ -523,7 +437,7 @@ mod tests {
             ),
         ];
         for (input, want) in pinned {
-            let got = digest128(RK0, RK1, &input);
+            let got = digest(&input);
             assert_eq!(got, want, "{} bytes: got {got:#034x}", input.len());
         }
     }
