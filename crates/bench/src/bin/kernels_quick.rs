@@ -3,8 +3,8 @@
 //! no-pack route and the block-moving packers against the packed walk with
 //! element-wise packs, the batched attention-shaped products against the
 //! serial per-head loop, the im2col/col2im slice kernels against their
-//! naive definitions and the column-free convolutions against im2col + GEMM +
-//! permute, counts the bytes one augmented LeNet-5 training step allocates,
+//! naive definitions, the column-free convolutions against im2col + GEMM +
+//! permute and a fused segment against its layers, counts the bytes one augmented LeNet-5 training step allocates,
 //! and emits a `BENCH_kernels.json` baseline. Every GEMM
 //! entry carries its `gflops` next to `peak_gflops`, what a register-only
 //! loop of unfused multiply-adds reaches on this core — the roofline the
@@ -12,7 +12,13 @@
 //!
 //! ```text
 //! kernels-quick [--out DIR] [--check]
+//! kernels-quick --profile <lenet20|lm16> [--check]
 //! ```
+//!
+//! `--profile` prints the per-node table of one training step instead (see
+//! [`amalgam_bench::profile`]): forward + backward µs per layer kind and
+//! shape, the plain model beside the augmented one, a fused segment as one
+//! row; with `--check` it fails unless the rows account for 95 % of the step.
 //!
 //! `--check` turns the run into a pass/fail gate (used by CI): it fails if
 //! the blocked GEMM is not clearly faster than the `ikj` reference on the
@@ -27,9 +33,14 @@
 //! packers differ from the element-wise packed walk by one bit or are not
 //! ≥ 1.5x faster than it at LeNet's entry-convolution shapes, if a
 //! column-free convolution (5×5 entry layer, 1×1 tap) differs from its
-//! column-matrix lowering by one bit or is not ≥ 1.3x faster than it, if
-//! an augmented training step allocates more than [`STEP_BYTES_GATE`] of what
-//! it did before activations were shared, if a batch of the LM job's
+//! column-matrix lowering by one bit or is not ≥ 1.3x faster than it, if the
+//! entry layer's windowed weight gradient (`conv_entry_dw_*`) differs from
+//! that lowering's GEMM by one bit or is not ≥ 1.25x faster than it, if the
+//! executor's fused entry chain (`segment_bn_relu_add_pool_*`) differs from
+//! its four layers run one by one by one bit or is not ≥ 1.2x faster than
+//! them, if an augmented training step allocates more than
+//! [`STEP_BYTES_GATE`] of what it did before activations were shared, if a
+//! batch of the LM job's
 //! per-head products (`attn_heads_batch_*`: 16 items of T×T×16 in attention's
 //! NN, NT and TN layouts) differs from the direct loop item by item by one
 //! bit or is not ≥ 2.5x faster than it, or if the in-tree `exp` over the LM
@@ -38,6 +49,7 @@
 
 use amalgam_bench::{
     attention_pv_serial_per_head, attention_qk_serial_per_head, matmul_ikj_reference as matmul_ikj,
+    profile,
 };
 use amalgam_core::{Amalgam, ObfuscationConfig};
 use amalgam_data::SyntheticImageSpec;
@@ -260,17 +272,54 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// `--profile`: the per-node table of `job`'s training step, on a worker
+/// thread's stack like the service's trainer. Returns whether the rows
+/// reconcile with the step on both sides.
+fn print_profile(job: &str) -> bool {
+    let (mut plain, mut augmented) = match job {
+        "lenet20" => profile::lenet20(),
+        "lm16" => profile::lm16(),
+        other => panic!("unknown profile {other} (lenet20 or lm16)"),
+    };
+    parallel::set_threads(1);
+    let [plain, augmented] = profile::measure([&mut plain, &mut augmented]);
+    print!("{}", profile::table(&plain, &augmented));
+    let mut reconciled = true;
+    for (name, side) in [("plain", &plain), ("augmented", &augmented)] {
+        let share = 1.0 - side.executor_us() / side.step_us;
+        println!(
+            "{name}: layers + loss + optimizer are {:.1} % of the step",
+            share * 100.0
+        );
+        reconciled &= share >= profile::RECONCILE;
+    }
+    reconciled
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_dir = String::from(".");
     let mut check = false;
+    let mut profiled = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => out_dir = it.next().expect("--out requires a directory").clone(),
             "--check" => check = true,
-            other => panic!("unknown option {other} (usage: kernels-quick [--out DIR] [--check])"),
+            "--profile" => profiled = Some(it.next().expect("--profile requires a job").clone()),
+            other => panic!(
+                "unknown option {other} (usage: kernels-quick [--out DIR] [--check] | \
+                 --profile <lenet20|lm16> [--check])"
+            ),
         }
+    }
+    if let Some(job) = profiled {
+        let reconciled = print_profile(&job);
+        if check && !reconciled {
+            eprintln!("FAIL: the rows account for less than 95 % of a step");
+            std::process::exit(1);
+        }
+        return;
     }
 
     // Single-threaded: the per-kernel criteria are per-core speedups, and
@@ -623,6 +672,148 @@ fn main() {
         if speedup < 1.3 {
             failures.push(format!(
                 "{name}: only {speedup:.2}x over im2col + GEMM + permute (want ≥ 1.3x)"
+            ));
+        }
+    }
+
+    // The entry layer's weight gradient, `[6 × 25] = g · im2colᵀ` over 16
+    // images of 20 × 20 positions: the windowed kernel on the padded planes
+    // its forward pass kept, against the column lowering's gradient matrix
+    // (`[N, oc, ·] → [oc, N·]`) and one GEMM on the columns its forward pass
+    // would have kept. Same bits required, and ≥ 1.25x.
+    {
+        let geom = Conv2dGeom {
+            in_channels: 1,
+            in_h: 20,
+            in_w: 20,
+            kernel: 5,
+            stride: 1,
+            padding: 2,
+        };
+        let (n, oc, taps, ohw) = (16usize, 6usize, 25usize, 400usize);
+        let x = Tensor::randn(&[n, 1, 20, 20], &mut rng);
+        let grad = Tensor::randn(&[n, oc, 20, 20], &mut rng);
+        let cols = kernels::im2col(&x, &geom);
+        let planes = kernels::padded_planes(&x, &geom, None);
+        let by_columns = |dw: &mut Tensor| {
+            let mut gmat = scratch::take_tensor_raw(&[oc, n * ohw]);
+            for (block, src) in grad.data().chunks_exact(ohw).enumerate() {
+                let (ni, o) = (block / oc, block % oc);
+                gmat.data_mut()[o * n * ohw + ni * ohw..][..ohw].copy_from_slice(src);
+            }
+            kernels::matmul_nt_into(&gmat, &cols, dw);
+            scratch::give_tensor(gmat);
+        };
+        // As the layer runs it: the geometry's tables are built once.
+        let mut window = kernels::ConvWindow::new(&geom);
+        let mut windowed = |dw: &mut Tensor| window.dw(&planes, grad.data(), dw.data_mut());
+        let dims = [oc, taps];
+        let (mut want, mut got) = (Tensor::full(&dims, f32::NAN), Tensor::full(&dims, f32::NAN));
+        by_columns(&mut want);
+        windowed(&mut got);
+        let bitwise = same_bits(got.data(), want.data());
+        let columns_ms = time_staged_ms(300, &dims, by_columns);
+        let windowed_ms = time_staged_ms(300, &dims, &mut windowed);
+        let speedup = columns_ms / windowed_ms;
+        entries.push(
+            Entry::new("conv_entry_dw_6x25_16x20x20")
+                .num("unpermute_gemm_ms", columns_ms)
+                .num("windowed_ms", windowed_ms)
+                .num("speedup", speedup)
+                .flag("bitwise", bitwise)
+                .gflops(oc * taps * n * ohw, windowed_ms, peak),
+        );
+        if !bitwise {
+            failures.push("conv_entry_dw: differs from the column lowering's GEMM".to_string());
+        }
+        if speedup < 1.25 {
+            failures.push(format!(
+                "conv_entry_dw: only {speedup:.2}x over the column lowering's GEMM (want ≥ 1.25x)"
+            ));
+        }
+    }
+
+    // The synthetic sub-networks' entry chain as the executor runs it: one
+    // fused segment (`BatchNorm2d → Relu → Add → AvgPool2d` on `[16, 6, 20,
+    // 20]`, forward + backward, input and tap gradients demanded) against the
+    // four layers run one after the other, both read off the graph's own
+    // per-node clocks. Same bits required — outputs and every parameter
+    // gradient — and ≥ 1.2x (1.3x on a quiet box).
+    {
+        use amalgam_nn::graph::GraphModel;
+        use amalgam_nn::layers::{Add, AvgPool2d, BatchNorm2d, Conv2d, Flatten, Relu};
+        let mut g = GraphModel::new();
+        let x = g.input("x");
+        let entry = g.add_layer("entry", Conv2d::new(1, 6, 1, 1, 0, false, &mut rng), &[x]);
+        let tap = g.add_layer("tap", Conv2d::new(1, 6, 1, 1, 0, false, &mut rng), &[x]);
+        let bn = g.add_layer("bn", BatchNorm2d::new(6), &[entry]);
+        let relu = g.add_layer("relu", Relu::new(), &[bn]);
+        let add = g.add_layer("add", Add::new(), &[relu, tap]);
+        let pool = g.add_layer("pool", AvgPool2d::new(2, 2), &[add]);
+        let out = g.add_layer("out", Flatten::new(), &[pool]);
+        g.set_output(out);
+        let chain = [bn, relu, add, pool];
+        let x = Tensor::randn(&[16, 1, 20, 20], &mut rng);
+        let seed = Tensor::randn(&[16, 600], &mut rng);
+        // One training step, leaving its output and gradients.
+        let step = |g: &mut GraphModel| {
+            let y = g.forward_one(&x, Mode::Train);
+            g.zero_grad();
+            g.backward(std::slice::from_ref(&seed));
+            y
+        };
+        let bits = |g: &mut GraphModel| {
+            let y = step(g);
+            let grads = g.params_mut().into_iter().map(|p| p.grad.clone());
+            let tensors: Vec<Tensor> = std::iter::once(y).chain(grads).collect();
+            let values = tensors.iter().flat_map(|t| t.data().iter());
+            values.map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        let mut sides = [false, true].map(|fused| {
+            let mut g = g.clone();
+            g.set_fusion_for_tests(fused);
+            (g, Vec::new())
+        });
+        let [want, got] = [0, 1].map(|side| bits(&mut sides[side].0));
+        // The box's speed drifts within a second: the two sides take turns
+        // in bursts of a few steps, and each is read at its median burst.
+        const BURSTS: usize = 80;
+        const BURST_STEPS: usize = 8;
+        for burst in 0..BURSTS {
+            for side in [burst % 2, 1 - burst % 2] {
+                let (g, bursts) = &mut sides[side];
+                g.set_profiling(true);
+                for _ in 0..BURST_STEPS {
+                    black_box(step(g));
+                }
+                let rows = g.profile().into_iter();
+                let spent: f64 = rows
+                    .filter(|row| row.nodes.iter().any(|id| chain.contains(id)))
+                    .map(|row| (row.forward + row.backward).as_secs_f64())
+                    .sum();
+                bursts.push(spent * 1e3 / BURST_STEPS as f64);
+            }
+        }
+        let [layers_ms, fused_ms] = sides.map(|(_, mut bursts)| {
+            bursts.sort_by(f64::total_cmp);
+            bursts[BURSTS / 2]
+        });
+        let (bitwise, speedup) = (got == want, layers_ms / fused_ms);
+        entries.push(
+            Entry::new("segment_bn_relu_add_pool_16x6x20x20")
+                .num("layers_ms", layers_ms)
+                .num("fused_ms", fused_ms)
+                .num("speedup", speedup)
+                .flag("bitwise", bitwise),
+        );
+        if !bitwise {
+            failures.push("fused segment: differs from the layers run one by one".to_string());
+        }
+        // ≥ 1.3x on a quiet box; a shared runner gets headroom.
+        if speedup < 1.2 {
+            failures.push(format!(
+                "fused segment: only {speedup:.2}x over the layers run one by one \
+                 (want ≥ 1.2x in CI, ≥ 1.3x locally)"
             ));
         }
     }

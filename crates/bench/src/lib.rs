@@ -9,6 +9,7 @@
 pub mod figures_cv;
 pub mod figures_nlp;
 pub mod figures_sec;
+pub mod profile;
 pub mod tables;
 
 use std::fmt::Write as _;

@@ -113,7 +113,7 @@ pub use frame::{
     read_frame_blocking, write_encoded, write_frame, Frame, FrameDecoder, FrameOrigin,
 };
 pub use reconnect::{ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue};
-pub use server::CloudServer;
+pub use server::{wake_acceptor, CloudServer};
 
 use std::time::Duration;
 

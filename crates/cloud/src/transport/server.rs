@@ -27,15 +27,23 @@ use super::frame::{write_frame, Frame};
 use super::TransportConfig;
 use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::service::{CloudClient, CloudService};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Write bound for pre-handshake refusals issued by the acceptor itself,
 /// where no session config has been negotiated yet (established sessions
 /// use [`TransportConfig::write_timeout`] via the reactor's stall timer).
 const REJECT_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long the acceptor rests after a failed `accept` (descriptor
+/// exhaustion does not clear by asking again at once).
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Bound on one wake-up connection of [`wake_acceptor`].
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// A [`CloudService`] behind a real TCP listener.
 ///
@@ -51,8 +59,8 @@ const REJECT_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 #[derive(Debug)]
 pub struct CloudServer {
     shared: Arc<ServerShared>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    reactors: Vec<std::thread::JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
+    reactors: Vec<JoinHandle<()>>,
     service: Option<CloudService>,
     local_addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
@@ -117,8 +125,9 @@ impl CloudServer {
         addr: impl ToSocketAddrs,
         config: TransportConfig,
     ) -> std::io::Result<CloudServer> {
+        // The acceptor blocks in `accept`; shutdown wakes it (see
+        // [`wake_acceptor`]).
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         // The Prometheus exporter is served by reactor 0's poller — a second
         // nonblocking listener, not a second thread.
@@ -224,6 +233,7 @@ impl CloudServer {
         };
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
+            wake_acceptor(self.local_addr, &acceptor);
             let _ = acceptor.join();
         }
         // No new connections; wake every reactor so it observes the stop
@@ -253,13 +263,37 @@ impl Drop for CloudServer {
     }
 }
 
+/// Unblocks `acceptor`, a thread parked in `accept` on the listener bound at
+/// `addr` whose stop flag the caller has set: a loopback connection is what
+/// `accept` returns next, and the loop then sees the flag. (A connection that
+/// cannot be made means the listener's backlog is full — `accept` is not
+/// parked — or is made again.)
+pub fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) {
+    let loopback: IpAddr = match addr {
+        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+    };
+    let ip = if addr.ip().is_unspecified() {
+        loopback
+    } else {
+        addr.ip()
+    };
+    while !acceptor.is_finished() {
+        let _ = TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), WAKE_TIMEOUT);
+        std::thread::yield_now();
+    }
+}
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     let mut next_reactor = 0usize;
     loop {
+        let accepted = listener.accept();
         if shared.stop.load(Ordering::SeqCst) {
+            // Whoever this was — most likely the wake-up — finds the door
+            // closed.
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 if shared.sessions.load(Ordering::SeqCst) >= shared.config.max_connections {
                     shared.metrics.conn_rejected();
@@ -272,10 +306,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                     .enqueue_conn(stream, &shared.metrics);
                 next_reactor = next_reactor.wrapping_add(1);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5))
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            // Out of descriptors, or a connection reset while it queued:
+            // nothing to hand on, and nothing to wait for but the next one.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -304,5 +337,26 @@ mod tests {
         assert_ne!(server.local_addr().port(), 0);
         assert_eq!(server.session_count(), 0);
         server.shutdown();
+    }
+
+    /// The acceptor is parked in `accept`, a peer has connected and said
+    /// nothing yet: shutdown wakes the one, drops the other and returns —
+    /// also through the wildcard address, which cannot be dialled as it is.
+    #[test]
+    fn shutdown_returns_with_a_client_mid_handshake() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let service = CloudService::builder().workers(1).build();
+            let server = CloudServer::bind(service, bind).unwrap();
+            let port = server.local_addr().port();
+            let mut silent = TcpStream::connect(("127.0.0.1", port)).unwrap();
+            server.shutdown();
+            // The session was closed under the silent peer.
+            let mut buf = [0u8; 16];
+            let closed = std::io::Read::read(&mut silent, &mut buf);
+            assert!(
+                matches!(closed, Ok(0) | Err(_)),
+                "peer still served: {closed:?}"
+            );
+        }
     }
 }

@@ -115,33 +115,7 @@ pub fn check_layer_gradients(
 /// Panics if the seed count differs from the output count — this is a test
 /// utility.
 pub fn backward_all_demanded(model: &mut GraphModel, seeds: &[Tensor]) {
-    assert_eq!(seeds.len(), model.outputs().len(), "seed arity mismatch");
-    let ids: Vec<_> = model.node_ids().collect();
-    let mut grads: Vec<Option<Tensor>> = vec![None; ids.len()];
-    let accumulate = |slot: &mut Option<Tensor>, g: Tensor| match slot {
-        Some(acc) => acc.add_assign(&g),
-        None => *slot = Some(g),
-    };
-    for (seed, id) in seeds.iter().zip(model.outputs()) {
-        accumulate(&mut grads[id.index()], seed.clone());
-    }
-    for &id in ids.iter().rev() {
-        let inputs = model.node(id).inputs().to_vec();
-        let Some(g) = grads[id.index()].take() else {
-            continue;
-        };
-        if inputs.is_empty() {
-            continue; // an external input: nothing upstream
-        }
-        let layer = model.node_mut(id).layer_mut();
-        let input_grads = layer.backward(&g, &vec![true; inputs.len()]);
-        assert_eq!(input_grads.len(), inputs.len(), "backward arity mismatch");
-        for (gi, input) in input_grads.into_iter().zip(inputs) {
-            if let Some(gi) = gi {
-                accumulate(&mut grads[input.index()], gi);
-            }
-        }
-    }
+    model.backward_all_demanded(seeds);
 }
 
 fn pick_probes(n: usize, rng: &mut Rng) -> Vec<usize> {

@@ -10,12 +10,24 @@
 //! client-side secret** — [`GraphModel::encode`] does not serialize it, so
 //! the cloud-visible representation gives no hint of which branch is real.
 
+//!
+//! # Fused segments
+//!
+//! Training passes do not run every node on its own: chains of element-wise
+//! nodes (`BatchNorm2d → Relu → Add → AvgPool2d` and its sub-chains) are found
+//! once per graph and executed as one pass each — see [`segment`] for the
+//! rule, what falls back to the layers and why no bit can move.
+
+mod segment;
+
 use crate::layer::{Layer, Mode, Param};
 use crate::spec::LayerSpec;
 use crate::NnError;
 use amalgam_tensor::wire::{Reader, Writer};
 use amalgam_tensor::{scratch, Tensor};
+use segment::{Plan, Role};
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// Identifier of a node within one [`GraphModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,12 +99,53 @@ impl Node {
     }
 }
 
+/// What the executor spent on one node, or on one fused segment, since
+/// profiling was switched on (see [`GraphModel::set_profiling`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NodeTiming {
+    /// The node — or, for a segment that ran fused, its members in order.
+    pub nodes: Vec<NodeId>,
+    /// The dimensions of the (last) node's latest output.
+    pub out_dims: Vec<usize>,
+    /// Time inside `forward` calls.
+    pub forward: Duration,
+    /// Time inside `backward` calls.
+    pub backward: Duration,
+}
+
+/// Per-node clocks; index = the node the time was spent at (a fused
+/// segment's last member).
+#[derive(Debug, Clone, Default)]
+struct Profile {
+    rows: Vec<NodeTiming>,
+}
+
 /// A directed acyclic graph of layers with named nodes.
 #[derive(Debug, Clone, Default)]
 pub struct GraphModel {
     nodes: Vec<Node>,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
+    /// The fused segments; found at the first pass after the graph changed.
+    plan: Option<Plan>,
+    /// Test hook: run every node on its own.
+    unfused: bool,
+    profile: Option<Profile>,
+}
+
+impl Profile {
+    /// The row of what ran at node `at`: the fused `members`, or the node.
+    fn row(&mut self, at: usize, members: Option<&[usize]>) -> &mut NodeTiming {
+        if self.rows.len() <= at {
+            self.rows.resize(at + 1, NodeTiming::default());
+        }
+        let row = &mut self.rows[at];
+        let members = members.unwrap_or(std::slice::from_ref(&at));
+        if row.nodes.len() != members.len() {
+            row.nodes = members.iter().map(|&i| NodeId(i)).collect();
+        }
+        row
+    }
 }
 
 impl GraphModel {
@@ -139,6 +192,7 @@ impl GraphModel {
                 id.0
             );
         }
+        self.plan = None;
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             name: name.to_owned(),
@@ -152,11 +206,12 @@ impl GraphModel {
 
     /// Declares the single model output.
     pub fn set_output(&mut self, id: NodeId) {
-        self.outputs = vec![id];
+        self.set_outputs(&[id]);
     }
 
     /// Declares multiple model outputs (one per sub-network head).
     pub fn set_outputs(&mut self, ids: &[NodeId]) {
+        self.plan = None;
         self.outputs = ids.to_vec();
     }
 
@@ -232,22 +287,58 @@ impl GraphModel {
         );
         assert!(!self.outputs.is_empty(), "no outputs declared");
         let mut values: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        let plan = self.plan.get_or_insert_with(|| match self.unfused {
+            true => Plan::unfused(self.nodes.len()),
+            false => segment::find(&mut self.nodes, &self.outputs),
+        });
+        // The segments that run fused in this pass, decided at their first
+        // member (the input's dimensions are known by then).
+        let mut fused = vec![false; plan.segments.len()];
         for i in 0..self.nodes.len() {
-            let node = &mut self.nodes[i];
-            let out = match self.inputs.iter().position(|id| id.0 == i) {
-                Some(k) => node.layer.forward(&[externals[k]], mode),
-                None => {
-                    // Earlier activations are borrowed in place: `values` is
-                    // only written once the layer has returned.
-                    let refs: Vec<&Tensor> = node
-                        .inputs
-                        .iter()
-                        .map(|id| values[id.0].as_ref().expect("topo order violated"))
-                        .collect();
-                    node.layer.forward(&refs, mode)
+            let start = self.profile.as_ref().map(|_| Instant::now());
+            let role = plan.roles[i];
+            if let Role::First(s) = role {
+                let segment = &mut plan.segments[s];
+                segment.clear_cache();
+                let input = values[segment.input()].as_ref();
+                let dims = input.expect("topo order violated").dims();
+                fused[s] = mode == Mode::Train && segment.fuses(dims);
+            }
+            // A fused segment runs where its last member stands; its other
+            // members leave no value, and nobody but the next member reads
+            // them.
+            let (value, members) = match role {
+                Role::Last(s) if fused[s] => {
+                    let segment = &mut plan.segments[s];
+                    let out = segment.forward(&mut self.nodes, &values);
+                    (Some(out), Some(segment.nodes()))
+                }
+                Role::First(s) | Role::Inner(s) if fused[s] => (None, None),
+                _ => {
+                    let node = &mut self.nodes[i];
+                    let out = match self.inputs.iter().position(|id| id.0 == i) {
+                        Some(k) => node.layer.forward(&[externals[k]], mode),
+                        None => {
+                            // Earlier activations are borrowed in place:
+                            // `values` is only written once the layer has
+                            // returned.
+                            let refs: Vec<&Tensor> = node
+                                .inputs
+                                .iter()
+                                .map(|id| values[id.0].as_ref().expect("topo order violated"))
+                                .collect();
+                            node.layer.forward(&refs, mode)
+                        }
+                    };
+                    (Some(out), None)
                 }
             };
-            values[i] = Some(out);
+            if let (Some(profile), Some(start), Some(out)) = (&mut self.profile, start, &value) {
+                let row = profile.row(i, members);
+                row.forward += start.elapsed();
+                row.out_dims = out.dims().to_vec();
+            }
+            values[i] = value;
         }
         // Every consumer has run, so outputs are moved out (a node declared
         // as an output more than once is shared between its slots). The
@@ -315,8 +406,21 @@ impl GraphModel {
     ///
     /// Panics if the seed count differs from the output count.
     pub fn backward(&mut self, seeds: &[Tensor]) {
-        assert_eq!(seeds.len(), self.outputs.len(), "seed arity mismatch");
         let wants = self.gradient_demand();
+        self.backward_where(seeds, &wants);
+    }
+
+    /// [`backward`](Self::backward) with the demand analysis switched off —
+    /// every layer is asked for every input gradient, and every node a
+    /// gradient reaches is run (see `gradcheck::backward_all_demanded`).
+    pub(crate) fn backward_all_demanded(&mut self, seeds: &[Tensor]) {
+        let wants = vec![true; self.nodes.len()];
+        self.backward_where(seeds, &wants);
+    }
+
+    /// Back-propagation reaching the nodes `wants` marks.
+    fn backward_where(&mut self, seeds: &[Tensor], wants: &[bool]) {
+        assert_eq!(seeds.len(), self.outputs.len(), "seed arity mismatch");
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         let accumulate = |slot: &mut Option<Tensor>, g: Tensor| match slot {
             Some(acc) => acc.add_assign(&g),
@@ -327,10 +431,38 @@ impl GraphModel {
                 accumulate(&mut grads[id.0], seed.clone());
             }
         }
+        // A fused segment computes its members' input gradients where its
+        // last member stands, and each is added where the member that owes it
+        // stands: a node fed by several consumers sums them in the order it
+        // always did.
+        let mut owed: Vec<Option<(usize, Tensor)>> = vec![None; self.nodes.len()];
         let mut demand = Vec::new();
         for i in (0..self.nodes.len()).rev() {
+            let start = self.profile.as_ref().map(|_| Instant::now());
+            let pending = self.plan.as_mut().and_then(|plan| match plan.roles[i] {
+                Role::Last(s) => Some(&mut plan.segments[s]).filter(|s| s.is_pending()),
+                _ => None,
+            });
+            if let Some(segment) = pending {
+                match grads[i].take() {
+                    Some(g) => {
+                        for (member, node, gi) in segment.backward(&mut self.nodes, &g, wants) {
+                            owed[member] = Some((node, gi));
+                        }
+                        scratch::give_tensor(g);
+                    }
+                    None => segment.clear_cache(),
+                }
+                if let (Some(profile), Some(start)) = (&mut self.profile, start) {
+                    profile.row(i, Some(segment.nodes())).backward += start.elapsed();
+                }
+            }
+            if let Some((node, gi)) = owed[i].take() {
+                accumulate(&mut grads[node], gi);
+            }
             let node = &mut self.nodes[i];
-            let Some(g) = grads[i].take() else {
+            // (An external input has nothing upstream, whoever demanded it.)
+            let Some(g) = grads[i].take().filter(|_| !node.inputs.is_empty()) else {
                 node.layer.clear_cache();
                 continue;
             };
@@ -352,13 +484,43 @@ impl GraphModel {
                     accumulate(&mut grads[id.0], gi);
                 }
             }
+            if let (Some(profile), Some(start)) = (&mut self.profile, start) {
+                profile.row(i, None).backward += start.elapsed();
+            }
         }
+    }
+
+    /// Test hook, not an option: with `false`, every node runs on its own —
+    /// the execution the fused segments are held to, bit for bit.
+    #[doc(hidden)]
+    pub fn set_fusion_for_tests(&mut self, on: bool) {
+        self.clear_caches();
+        self.unfused = !on;
+        self.plan = None;
+    }
+
+    /// Switches the per-node clocks on (discarding earlier readings) or off.
+    /// Off — the default — costs one branch per node and pass; on, two clock
+    /// reads per layer call.
+    pub fn set_profiling(&mut self, on: bool) {
+        self.profile = on.then(Profile::default);
+    }
+
+    /// What every node that ran since [`set_profiling`](Self::set_profiling)
+    /// cost, in topological order. A segment that ran fused is one row naming
+    /// its members.
+    pub fn profile(&self) -> Vec<NodeTiming> {
+        let rows = self.profile.iter().flat_map(|p| &p.rows);
+        rows.filter(|row| !row.nodes.is_empty()).cloned().collect()
     }
 
     /// Drops all cached activations.
     pub fn clear_caches(&mut self) {
         for n in &mut self.nodes {
             n.layer.clear_cache();
+        }
+        for segment in self.plan.iter_mut().flat_map(|plan| &mut plan.segments) {
+            segment.clear_cache();
         }
     }
 

@@ -1,5 +1,6 @@
 //! The [`Layer`] trait and trainable [`Param`]s.
 
+use crate::layers::BatchNorm2d;
 use crate::spec::LayerSpec;
 use amalgam_tensor::Tensor;
 
@@ -40,6 +41,27 @@ impl Param {
     pub fn zero_grad(&mut self) {
         self.grad.fill_zero();
     }
+}
+
+/// What a layer is to the executor's fused segments (see
+/// [`GraphModel`](crate::graph::GraphModel), "Fused segments"): the four
+/// element-wise kinds a run may be made of, with what the fused pass needs
+/// of each.
+pub enum SegmentOp<'a> {
+    /// Per-channel normalisation; the pass takes its statistics, scale and
+    /// shift from the layer and hands it the parameter gradients.
+    BatchNorm(&'a mut BatchNorm2d),
+    /// `max(0, x)`.
+    Relu,
+    /// A sum of inputs.
+    Add,
+    /// Average pooling with a square window.
+    AvgPool {
+        /// Window side.
+        kernel: usize,
+        /// Step between windows.
+        stride: usize,
+    },
 }
 
 /// A differentiable computation node.
@@ -123,6 +145,12 @@ pub trait Layer: std::fmt::Debug + Send {
 
     /// Drops any cached activations (frees memory between epochs).
     fn clear_cache(&mut self) {}
+
+    /// How this layer takes part in a fused segment; `None` (the default)
+    /// for a layer the executor always runs on its own.
+    fn segment_op(&mut self) -> Option<SegmentOp<'_>> {
+        None
+    }
 }
 
 impl Clone for Box<dyn Layer> {

@@ -1,6 +1,6 @@
 //! Element-wise activation layers.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{Layer, Mode, Param, SegmentOp};
 use crate::spec::LayerSpec;
 use amalgam_tensor::{scratch, Tensor};
 
@@ -19,8 +19,24 @@ fn scale_by_derivative(grad: &Tensor, y: &Tensor, derivative: impl Fn(f32) -> f3
     scratch::zip_map_tensor(grad, y, |g, yv| g * derivative(yv))
 }
 
+/// `max(0, x)`.
+#[inline(always)]
+pub(crate) fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+/// The derivative of [`relu`] where its output was `y`.
+#[inline(always)]
+pub(crate) fn relu_slope(y: f32) -> f32 {
+    if y > 0.0 {
+        1.0
+    } else {
+        0.0
+    }
+}
+
 macro_rules! unary_activation {
-    ($(#[$doc:meta])* $name:ident, $tag:ident, fwd = $fwd:expr, bwd = $bwd:expr) => {
+    ($(#[$doc:meta])* $name:ident, $tag:ident, fwd = $fwd:expr, bwd = $bwd:expr, segment = $segment:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Default)]
         pub struct $name {
@@ -69,6 +85,10 @@ macro_rules! unary_activation {
             fn clear_cache(&mut self) {
                 recycle(&mut self.cache);
             }
+
+            fn segment_op(&mut self) -> Option<SegmentOp<'_>> {
+                $segment
+            }
         }
     };
 }
@@ -76,22 +96,25 @@ macro_rules! unary_activation {
 unary_activation!(
     /// Rectified linear unit, `max(0, x)`.
     Relu, Relu,
-    fwd = |x| x.max(0.0),
-    bwd = |y| if y > 0.0 { 1.0 } else { 0.0 }
+    fwd = relu,
+    bwd = relu_slope,
+    segment = Some(SegmentOp::Relu)
 );
 
 unary_activation!(
     /// Logistic sigmoid, `1 / (1 + e^{-x})`.
     Sigmoid, Sigmoid,
     fwd = |x| 1.0 / (1.0 + (-x).exp()),
-    bwd = |y| y * (1.0 - y)
+    bwd = |y| y * (1.0 - y),
+    segment = None
 );
 
 unary_activation!(
     /// Hyperbolic tangent.
     Tanh, Tanh,
     fwd = f32::tanh,
-    bwd = |y| 1.0 - y * y
+    bwd = |y| 1.0 - y * y,
+    segment = None
 );
 
 /// Gaussian error linear unit (tanh approximation, as used by transformers).

@@ -7,7 +7,7 @@ use crate::spec::LayerSpec;
 use amalgam_tensor::gemm::{
     gemm, gemm_batch, gemm_nt_images, BatchMat, KC, SKINNY_MAX_M, SMALL_FLOPS,
 };
-use amalgam_tensor::kernels::{self, Conv2dGeom};
+use amalgam_tensor::kernels::{self, Conv2dGeom, ConvWindow};
 use amalgam_tensor::pack::MatRef;
 use amalgam_tensor::{scratch, Rng, Tensor};
 
@@ -28,6 +28,8 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     cache: Option<ConvCache>,
+    /// The column-free paths' tables for the geometry last run.
+    window: Option<ConvWindow>,
 }
 
 /// How a convolution is lowered; a pure function of its geometry, filter
@@ -125,6 +127,7 @@ impl Conv2d {
             stride,
             padding,
             cache: None,
+            window: None,
         }
     }
 
@@ -157,6 +160,7 @@ impl Conv2d {
             stride,
             padding,
             cache: None,
+            window: None,
         }
     }
 
@@ -184,6 +188,15 @@ impl Conv2d {
             stride: self.stride,
             padding: self.padding,
         }
+    }
+
+    /// The column-free paths' tables for `geom`, built when the geometry is
+    /// new to this layer.
+    fn window<'a>(kept: &'a mut Option<ConvWindow>, geom: &Conv2dGeom) -> &'a mut ConvWindow {
+        if kept.as_ref().is_none_or(|w| w.geom() != geom) {
+            *kept = Some(ConvWindow::new(geom));
+        }
+        kept.as_mut().expect("just built")
     }
 
     /// Test hook, not an option: the name of the lowering an `[N, C, H, W]`
@@ -242,7 +255,7 @@ impl Conv2d {
                 };
                 let mut out = scratch::take_tensor_raw(&[n, oc, oh, ow]);
                 let w = self.weight.value.data();
-                kernels::conv_window_forward(&planes, &geom, w, out.data_mut());
+                Self::window(&mut self.window, &geom).forward(&planes, w, out.data_mut());
                 (out, planes)
             }
             ConvPath::Im2col => {
@@ -351,7 +364,8 @@ impl Layer for Conv2d {
                 gemm_nt_images(oc, taps, n, ohw, g, x, dw.data_mut());
             }
             ConvPath::Windowed => {
-                kernels::conv_window_dw(&operand, &geom, grad_out.data(), dw.data_mut());
+                let window = Self::window(&mut self.window, &geom);
+                window.dw(&operand, grad_out.data(), dw.data_mut());
             }
             ConvPath::Im2col => {
                 let g = gmat.insert(unpermute(grad_out, n, oc, ohw));

@@ -14,9 +14,10 @@ mod linear;
 mod masked;
 mod norm;
 mod pool;
-mod reduce;
+pub(crate) mod reduce;
 mod structural;
 
+pub(crate) use activation::{relu, relu_slope};
 pub use activation::{Gelu, Relu, Sigmoid, Tanh};
 pub use attention::MultiHeadSelfAttention;
 pub use conv::Conv2d;
@@ -25,7 +26,9 @@ pub use dropout::Dropout;
 pub use embedding::{Embedding, PositionalEncoding};
 pub use linear::Linear;
 pub use masked::{MaskedConv2d, MaskedEmbedding};
+pub(crate) use norm::{normalise, DxChannel};
 pub use norm::{BatchNorm2d, LayerNorm};
+pub(crate) use pool::{avg_pool_2x2, avg_unpool_2x2, tiles_2x2};
 pub use pool::{AvgPool2d, ChannelStats, GlobalAvgPool2d, GlobalMaxPool2d, MaxPool2d};
 pub use structural::{
     Add, BroadcastMulChannel, Concat, Detach, Flatten, Identity, Input, MeanPoolSeq, Mul,

@@ -1,6 +1,6 @@
 //! Normalization layers.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{Layer, Mode, Param, SegmentOp};
 use crate::layers::reduce::fold_rows;
 use crate::spec::LayerSpec;
 use amalgam_tensor::{scratch, Tensor};
@@ -96,30 +96,25 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> &Tensor {
         &self.running_var
     }
-}
 
-impl Layer for BatchNorm2d {
-    fn kind(&self) -> &'static str {
-        "BatchNorm2d"
-    }
-
-    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
-        assert_eq!(inputs.len(), 1, "BatchNorm2d takes one input");
-        let x = inputs[0];
+    /// The per-channel `(μ, σ⁻¹)` that normalise `x: [N, C, H, W]`: the batch's
+    /// own in training — which also moves the running statistics towards
+    /// them — and the running ones in evaluation.
+    ///
+    /// A channel's mean adds up one partial sum per image and its variance is
+    /// one chain over every element, both in storage order; the channels go
+    /// through `fold_rows` together.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `[N, C, H, W]` with this layer's channel count.
+    pub(crate) fn statistics(&mut self, x: &Tensor, train: bool) -> (Vec<f32>, Vec<f32>) {
         let d = x.dims();
         assert_eq!(d.len(), 4, "BatchNorm2d input must be [N,C,H,W]");
         let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
         assert_eq!(c, self.channels(), "BatchNorm2d channel mismatch");
         let m = (n * hw) as f32;
-        if let Some(stale) = self.cache.take() {
-            stale.reclaim();
-        }
-        let train = mode == Mode::Train;
         let images = || x.data().chunks_exact(c * hw);
-
-        // Per-channel statistics. A channel's mean adds up one partial sum
-        // per image and its variance is one chain over every element, both
-        // in storage order; the channels go through `fold_rows` together.
         let mut mean = vec![0.0f32; c];
         let mut var = vec![0.0f32; c];
         if train {
@@ -155,18 +150,91 @@ impl Layer for BatchNorm2d {
         for v in inv_std.iter_mut() {
             *v = 1.0 / (*v + self.eps).sqrt();
         }
+        (mean, inv_std)
+    }
+
+    /// `(γ, β)`, one value per channel.
+    pub(crate) fn affine(&self) -> (&[f32], &[f32]) {
+        (self.gamma.value.data(), self.beta.value.data())
+    }
+
+    /// Adds one batch's `(dγ, dβ)` sums, channel by channel, onto the
+    /// accumulated gradients.
+    pub(crate) fn accumulate_grads(&mut self, sums: impl IntoIterator<Item = (f32, f32)>) {
+        let accumulated = self.gamma.grad.data_mut().iter_mut();
+        for ((dg, db), (dgamma, dbeta)) in accumulated.zip(self.beta.grad.data_mut()).zip(sums) {
+            *dg += dgamma;
+            *db += dbeta;
+        }
+    }
+}
+
+/// `γ·x̂ + β` of one element.
+#[inline(always)]
+pub(crate) fn normalise(v: f32, mu: f32, istd: f32, gamma: f32, beta: f32) -> f32 {
+    gamma * ((v - mu) * istd) + beta
+}
+
+/// Everything of a training-mode input gradient that is fixed for a channel.
+#[derive(Clone, Copy)]
+pub(crate) struct DxChannel {
+    mu: f32,
+    istd: f32,
+    scale: f32,
+    shift: f32,
+    dgamma: f32,
+    m: f32,
+}
+
+impl DxChannel {
+    /// For a channel with statistics `(mu, istd)`, scale `gamma` and batch
+    /// sums `(dgamma, dbeta)` over `m` elements.
+    pub(crate) fn new(mu: f32, istd: f32, gamma: f32, sums: (f32, f32), m: f32) -> Self {
+        DxChannel {
+            mu,
+            istd,
+            scale: gamma * istd,
+            shift: sums.1 / m,
+            dgamma: sums.0,
+            m,
+        }
+    }
+
+    /// `dx` of the element whose input was `v` and output gradient `dy`.
+    #[inline(always)]
+    pub(crate) fn dx(&self, dy: f32, v: f32) -> f32 {
+        let xh = (v - self.mu) * self.istd;
+        self.scale * (dy - self.shift - xh * self.dgamma / self.m)
+    }
+}
+
+impl Layer for BatchNorm2d {
+    fn kind(&self) -> &'static str {
+        "BatchNorm2d"
+    }
+
+    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
+        assert_eq!(inputs.len(), 1, "BatchNorm2d takes one input");
+        let x = inputs[0];
+        if let Some(stale) = self.cache.take() {
+            stale.reclaim();
+        }
+        let train = mode == Mode::Train;
+        let (mean, inv_std) = self.statistics(x, train);
+        let d = x.dims();
+        let (c, hw) = (d[1], d[2] * d[3]);
 
         // Every element of `out` is written below, so the raw (non-zeroing)
         // arena variant is safe.
         let mut out = scratch::take_tensor_raw(d);
-        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        let (gamma, beta) = self.affine();
         let planes = x.data().chunks_exact(hw);
         let targets = out.data_mut().chunks_exact_mut(hw);
         for (plane, (src, dst)) in planes.zip(targets).enumerate() {
             let ci = plane % c;
             let (mu, istd, g, b) = (mean[ci], inv_std[ci], gamma[ci], beta[ci]);
             for (&v, o) in src.iter().zip(dst) {
-                *o = g * ((v - mu) * istd) + b;
+                *o = normalise(v, mu, istd, g, b);
             }
         }
         self.cache = Some(BnCache {
@@ -203,11 +271,7 @@ impl Layer for BatchNorm2d {
                 (dgamma + dy * xh, dbeta + dy)
             });
         }
-        let accumulated = self.gamma.grad.data_mut().iter_mut();
-        for ((dg, db), &(dgamma, dbeta)) in accumulated.zip(self.beta.grad.data_mut()).zip(&sums) {
-            *dg += dgamma;
-            *db += dbeta;
-        }
+        self.accumulate_grads(sums.iter().copied());
 
         let dx = demand[0].then(|| {
             let mut dx = scratch::take_tensor_raw(d);
@@ -217,16 +281,13 @@ impl Layer for BatchNorm2d {
             let targets = dx.data_mut().chunks_exact_mut(hw);
             for (plane, ((dy, src), dst)) in planes.zip(inputs).zip(targets).enumerate() {
                 let ci = plane % c;
-                let (mu, istd) = (mean[ci], inv_std[ci]);
-                let scale = gamma[ci] * istd;
-                let (dgamma, dbeta) = sums[ci];
                 if *train {
-                    let shift = dbeta / m;
+                    let channel = DxChannel::new(mean[ci], inv_std[ci], gamma[ci], sums[ci], m);
                     for ((&dy, &v), o) in dy.iter().zip(src).zip(dst) {
-                        let xh = (v - mu) * istd;
-                        *o = scale * (dy - shift - xh * dgamma / m);
+                        *o = channel.dx(dy, v);
                     }
                 } else {
+                    let scale = gamma[ci] * inv_std[ci];
                     for (&dy, o) in dy.iter().zip(dst) {
                         *o = scale * dy;
                     }
@@ -271,6 +332,10 @@ impl Layer for BatchNorm2d {
         if let Some(stale) = self.cache.take() {
             stale.reclaim();
         }
+    }
+
+    fn segment_op(&mut self) -> Option<SegmentOp<'_>> {
+        Some(SegmentOp::BatchNorm(self))
     }
 }
 

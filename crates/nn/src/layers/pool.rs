@@ -1,6 +1,6 @@
 //! Pooling layers over `[N, C, H, W]` feature maps.
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{Layer, Mode, Param, SegmentOp};
 use crate::spec::LayerSpec;
 use amalgam_tensor::{scratch, Tensor};
 
@@ -106,14 +106,7 @@ impl Layer for MaxPool2d {
 
 /// Average-pools `h × w` planes of `src` into the zeroed `dst`. One output
 /// row at a time, one input row at a time: each output adds its window's `k`
-/// contiguous cells, so it still sums the window in `(ky, kx)` order from
-/// zero.
-///
-/// Inlined into its call sites so that the 2×2 / stride-2 pooling every model
-/// here uses runs with both loop bounds known at compile time (an order of
-/// magnitude faster than the same loops on runtime bounds); other geometries
-/// run the same code on their runtime values.
-#[inline(always)]
+/// contiguous cells, so it sums the window in `(ky, kx)` order from zero.
 fn avg_pool_rows(src: &[f32], dst: &mut [f32], h: usize, w: usize, k: usize, stride: usize) {
     let (oh, ow) = (pool_out(h, k, stride), pool_out(w, k, stride));
     let inv = 1.0 / (k * k) as f32;
@@ -134,17 +127,38 @@ fn avg_pool_rows(src: &[f32], dst: &mut [f32], h: usize, w: usize, k: usize, str
     }
 }
 
+/// Whether 2×2 windows at stride 2 tile an `h × w` plane exactly — every
+/// pooling in this workspace. Such a pool owns its cells: forward writes each
+/// output once and backward writes each input once, neither zero-fills.
+pub(crate) fn tiles_2x2(kernel: usize, stride: usize, h: usize, w: usize) -> bool {
+    kernel == 2 && stride == 2 && h.is_multiple_of(2) && w.is_multiple_of(2)
+}
+
+/// [`avg_pool_rows`] for 2×2 windows that [tile](tiles_2x2) their planes,
+/// into a `dst` whose previous contents are ignored: a cell is written once,
+/// as the sum from zero of its window in `(ky, kx)` order times ¼ — the bits
+/// of the accumulating loop.
+#[inline(always)]
+pub(crate) fn avg_pool_2x2(src: &[f32], dst: &mut [f32], w: usize) {
+    let rows = src.chunks_exact(2 * w).zip(dst.chunks_exact_mut(w / 2));
+    for (pair, out_row) in rows {
+        let (top, bottom) = pair.split_at(w);
+        let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+        for (o, (t, b)) in out_row.iter_mut().zip(windows) {
+            *o = ((((0.0 + t[0]) + t[1]) + b[0]) + b[1]) * 0.25;
+        }
+    }
+}
+
 /// The adjoint of [`avg_pool_rows`]: spreads each output gradient over its
 /// window of the `h × w` planes of `dst` (whose previous contents are
 /// ignored), `k` contiguous cells of `k` input rows at a time, so an input
-/// cell collects its windows in `(oy, ox)` order from zero. Inlined for the
-/// same reason.
+/// cell collects its windows in `(oy, ox)` order from zero.
 ///
-/// Windows that tile the plane exactly (`stride == k`, no remainder — every
-/// pooling in this workspace) own their cells: each cell is *written* once,
-/// as `0 + share`, and the plane is never zero-filled or read. Any other
-/// geometry zeroes the plane and adds, as the definition says.
-#[inline(always)]
+/// Windows that tile the plane exactly (`stride == k`, no remainder) own
+/// their cells: each cell is *written* once, as `0 + share`, and the plane is
+/// never zero-filled or read. Any other geometry zeroes the plane and adds,
+/// as the definition says.
 fn avg_unpool_rows(grad: &[f32], dst: &mut [f32], h: usize, w: usize, k: usize, stride: usize) {
     let (oh, ow) = (pool_out(h, k, stride), pool_out(w, k, stride));
     let inv = 1.0 / (k * k) as f32;
@@ -166,6 +180,38 @@ fn avg_unpool_rows(grad: &[f32], dst: &mut [f32], h: usize, w: usize, k: usize, 
                     }
                 }
             }
+        }
+    }
+}
+
+/// [`avg_unpool_rows`] for 2×2 windows that [tile](tiles_2x2) their planes:
+/// every cell of a window is written once, as `0 + g·¼`. Eight windows of a
+/// row pair at a time through a fixed-size block — which the compiler turns
+/// into two shuffles and four stores whatever the row width, where the
+/// cell-by-cell loop is scalar on the short rows of a 20 px plane.
+#[inline(always)]
+pub(crate) fn avg_unpool_2x2(grad: &[f32], dst: &mut [f32], w: usize) {
+    for (g_row, pair) in grad.chunks_exact(w / 2).zip(dst.chunks_exact_mut(2 * w)) {
+        let (top, bottom) = pair.split_at_mut(w);
+        let blocks = g_row.chunks_exact(8);
+        let rest = blocks.remainder();
+        let cells = top.chunks_exact_mut(16).zip(bottom.chunks_exact_mut(16));
+        for (g8, (top16, bottom16)) in blocks.zip(cells) {
+            let mut shares = [0.0f32; 16];
+            for i in 0..8 {
+                let share = 0.0 + g8[i] * 0.25;
+                (shares[2 * i], shares[2 * i + 1]) = (share, share);
+            }
+            top16.copy_from_slice(&shares);
+            bottom16.copy_from_slice(&shares);
+        }
+        let done = 2 * (g_row.len() - rest.len());
+        let cells = top[done..]
+            .chunks_exact_mut(2)
+            .zip(bottom[done..].chunks_exact_mut(2));
+        for (&g, (top2, bottom2)) in rest.iter().zip(cells) {
+            let share = 0.0 + g * 0.25;
+            (top2[0], top2[1], bottom2[0], bottom2[1]) = (share, share, share, share);
         }
     }
 }
@@ -204,11 +250,15 @@ impl Layer for AvgPool2d {
             pool_out(h, self.kernel, self.stride),
             pool_out(w, self.kernel, self.stride),
         );
-        let mut out = scratch::take_tensor(&[n, c, oh, ow]);
-        match (self.kernel, self.stride) {
-            (2, 2) => avg_pool_rows(x.data(), out.data_mut(), h, w, 2, 2),
-            (k, stride) => avg_pool_rows(x.data(), out.data_mut(), h, w, k, stride),
-        }
+        let out = if tiles_2x2(self.kernel, self.stride, h, w) {
+            let mut out = scratch::take_tensor_raw(&[n, c, oh, ow]);
+            avg_pool_2x2(x.data(), out.data_mut(), w);
+            out
+        } else {
+            let mut out = scratch::take_tensor(&[n, c, oh, ow]);
+            avg_pool_rows(x.data(), out.data_mut(), h, w, self.kernel, self.stride);
+            out
+        };
         self.cache_dims = Some(d.to_vec());
         out
     }
@@ -223,9 +273,11 @@ impl Layer for AvgPool2d {
         }
         let (h, w) = (dims[2], dims[3]);
         let mut dx = scratch::take_tensor_raw(&dims);
-        match (self.kernel, self.stride) {
-            (2, 2) => avg_unpool_rows(grad_out.data(), dx.data_mut(), h, w, 2, 2),
-            (k, stride) => avg_unpool_rows(grad_out.data(), dx.data_mut(), h, w, k, stride),
+        if tiles_2x2(self.kernel, self.stride, h, w) {
+            avg_unpool_2x2(grad_out.data(), dx.data_mut(), w);
+        } else {
+            let (k, stride) = (self.kernel, self.stride);
+            avg_unpool_rows(grad_out.data(), dx.data_mut(), h, w, k, stride);
         }
         vec![Some(dx)]
     }
@@ -247,6 +299,13 @@ impl Layer for AvgPool2d {
 
     fn clear_cache(&mut self) {
         self.cache_dims = None;
+    }
+
+    fn segment_op(&mut self) -> Option<SegmentOp<'_>> {
+        Some(SegmentOp::AvgPool {
+            kernel: self.kernel,
+            stride: self.stride,
+        })
     }
 }
 

@@ -66,9 +66,74 @@ fn fold_group<S: Copy, const N: usize, const L: usize>(
     group.copy_from_slice(&state);
 }
 
+/// [`fold_rows`] for two sums per row whose addends lie side by side: `rows`
+/// is a flat `[acc.len(), len]` matrix of pairs, and row `r`'s two chains
+/// `acc[r][0] += rows[r][p][0]`, `acc[r][1] += rows[r][p][1]` (`p` ascending)
+/// advance as one two-lane vector add — half the additions of two scalar
+/// chains, the same sums. Written out rather than built on [`fold_rows`]: the
+/// compiler pairs the lanes of this loop, not of the generic one.
+///
+/// # Panics
+///
+/// Panics if `rows` holds fewer than `acc.len() * len` pairs.
+pub(crate) fn fold_pairs(acc: &mut [[f32; 2]], rows: &[[f32; 2]], len: usize) {
+    for (g, group) in acc.chunks_mut(LANES).enumerate() {
+        let rows = &rows[g * LANES * len..(g * LANES + group.len()) * len];
+        match group.len() {
+            1 => fold_pair_group::<1>(group, rows, len),
+            2 => fold_pair_group::<2>(group, rows, len),
+            3 => fold_pair_group::<3>(group, rows, len),
+            4 => fold_pair_group::<4>(group, rows, len),
+            5 => fold_pair_group::<5>(group, rows, len),
+            6 => fold_pair_group::<6>(group, rows, len),
+            7 => fold_pair_group::<7>(group, rows, len),
+            _ => fold_pair_group::<LANES>(group, rows, len),
+        }
+    }
+}
+
+/// `L` rows of pairs in lock step.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // the lanes advance together at `p`
+fn fold_pair_group<const L: usize>(group: &mut [[f32; 2]], rows: &[[f32; 2]], len: usize) {
+    let lanes: [&[[f32; 2]]; L] = std::array::from_fn(|l| &rows[l * len..(l + 1) * len]);
+    let mut state: [[f32; 2]; L] = std::array::from_fn(|l| group[l]);
+    for p in 0..len {
+        for l in 0..L {
+            let pair = lanes[l][p];
+            state[l] = [state[l][0] + pair[0], state[l][1] + pair[1]];
+        }
+    }
+    group.copy_from_slice(&state);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pairs_are_folded_like_two_scalar_chains() {
+        for rows in 1..=19usize {
+            let len = 41;
+            let pairs: Vec<[f32; 2]> = (0..rows * len)
+                .map(|i| {
+                    [
+                        ((i * 31 + 7) % 23) as f32 * 0.37 - 4.0,
+                        (i % 17) as f32 * 0.11,
+                    ]
+                })
+                .collect();
+            let mut got = vec![[0.0f32, -0.0f32]; rows];
+            fold_pairs(&mut got, &pairs, len);
+            for (r, got) in got.iter().enumerate() {
+                let mut want = [0.0f32, -0.0f32];
+                for pair in &pairs[r * len..(r + 1) * len] {
+                    want = [want[0] + pair[0], want[1] + pair[1]];
+                }
+                assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits));
+            }
+        }
+    }
 
     #[test]
     fn every_row_is_folded_in_its_own_order() {

@@ -6,7 +6,7 @@
 //! original parameters' gradients (paper Algorithm 1 updates each θˢ only
 //! with ∇L(θˢ); see DESIGN.md D2).
 
-use crate::layer::{Layer, Mode, Param};
+use crate::layer::{Layer, Mode, Param, SegmentOp};
 use crate::spec::LayerSpec;
 use amalgam_tensor::{scratch, Tensor};
 
@@ -188,6 +188,10 @@ impl Layer for Add {
 
     fn boxed_clone(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
+    }
+
+    fn segment_op(&mut self) -> Option<SegmentOp<'_>> {
+        Some(SegmentOp::Add)
     }
 }
 

@@ -34,8 +34,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use amalgam_cloud::transport::{
-    read_frame_blocking, write_frame, Frame, FrameDecoder, FrameOrigin, TransportConfig,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    read_frame_blocking, wake_acceptor, write_frame, Frame, FrameDecoder, FrameOrigin,
+    TransportConfig, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use amalgam_cloud::{
     CloudError, JobTrace, ServiceMetrics, ServiceStats, SpanRecord, Stage, TraceId,
@@ -192,8 +192,8 @@ impl AmalgamProxy {
         backends: &[String],
         config: ProxyConfig,
     ) -> std::io::Result<AmalgamProxy> {
+        // The acceptor blocks in `accept`; `stop` wakes it.
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let metrics = Arc::new(ServiceMetrics::new());
         for b in backends {
@@ -254,6 +254,7 @@ impl AmalgamProxy {
             let _ = s.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.acceptor.take() {
+            wake_acceptor(self.addr, &handle);
             let _ = handle.join();
         }
         if let Some(handle) = self.prober.take() {
@@ -274,10 +275,13 @@ impl Drop for AmalgamProxy {
 
 fn accept_loop(listener: TcpListener, shared: Arc<ProxyShared>) {
     loop {
+        let accepted = listener.accept();
         if shared.stop.load(Ordering::SeqCst) {
+            // Whoever this was — most likely the wake-up — finds the door
+            // closed.
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 if shared.active_sessions.load(Ordering::SeqCst)
                     >= shared.config.transport.max_connections
@@ -299,7 +303,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<ProxyShared>) {
                     .expect("spawn proxy session");
                 shared.session_threads.lock().push(handle);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(TICK / 10),
+            // Out of descriptors, or a connection reset while it queued:
+            // nothing to hand on, and nothing to wait for but the next one.
             Err(_) => std::thread::sleep(TICK / 10),
         }
     }

@@ -230,6 +230,29 @@ fn killed_backend_mid_flight_loses_nothing() {
     }
 }
 
+/// The acceptor is parked in `accept`: shutdown wakes it and returns, with
+/// nobody connected and with a peer that connected and has said nothing yet.
+#[test]
+fn shutdown_returns_with_no_client_and_with_one_mid_handshake() {
+    let (backends, addrs) = fleet(1);
+    let idle = AmalgamProxy::bind("127.0.0.1:0", &addrs, ProxyConfig::default()).expect("bind");
+    idle.shutdown();
+
+    let proxy = AmalgamProxy::bind("127.0.0.1:0", &addrs, ProxyConfig::default()).expect("bind");
+    let mut silent = std::net::TcpStream::connect(proxy.addr()).expect("connect");
+    proxy.shutdown();
+    let mut buf = [0u8; 16];
+    let closed = std::io::Read::read(&mut silent, &mut buf);
+    assert!(
+        matches!(closed, Ok(0) | Err(_)),
+        "peer still served: {closed:?}"
+    );
+    for b in backends {
+        b.injector.shutdown();
+        b.server.shutdown();
+    }
+}
+
 /// Stickiness: the same API key, across separate connections, always lands
 /// on the same backend — the invariant per-session QoS and dedup rely on.
 #[test]

@@ -16,13 +16,14 @@
 //! `(ci, ky, kx)` of that matrix is the zero-padded input plane read from
 //! offset `ci·Hp·Wp + ky·Wp + kx` on, one output row at a time.
 //! [`padded_planes`] builds the planes, [`conv_window_forward`] and
-//! [`conv_window_dw`] run the no-pack kernel over those windows through an
-//! offset table ([`simd::KOffsets`]) — the same products as im2col + GEMM,
-//! element for element and bit for bit, with 1/k² of the bytes written.
+//! [`conv_window_dw`] run the no-pack kernels over those windows through
+//! offset tables ([`simd::KOffsets`], [`simd::LaneTile`]; a layer keeps them
+//! in a [`ConvWindow`]) — the same products as im2col + GEMM, element for
+//! element and bit for bit, with 1/k² of the bytes written.
 
 use crate::gemm::{self, BatchMat, Route, KC};
 use crate::pack::MatRef;
-use crate::simd::{self, KOffsets, SKINNY_MR};
+use crate::simd::{self, KOffsets, LaneSegment, LaneTile, SKINNY_MR};
 use crate::tensor::Tensor;
 use crate::{parallel, scratch};
 
@@ -545,17 +546,7 @@ pub fn padded_planes(input: &Tensor, g: &Conv2dGeom, keep: Option<&[usize]>) -> 
     planes
 }
 
-/// Offset of every im2col row `(ci, ky, kx)` in one image's padded planes.
-fn tap_offsets(g: &Conv2dGeom) -> Vec<usize> {
-    let k = g.kernel;
-    let (hp, wp) = g.padded_hw();
-    (0..g.col_rows())
-        .map(|r| (r / (k * k)) * hp * wp + ((r / k) % k) * wp + r % k)
-        .collect()
-}
-
 fn assert_window_geometry(planes: &Tensor, g: &Conv2dGeom) -> usize {
-    assert_eq!(g.stride, 1, "the windowed convolution is stride-1 only");
     let (hp, wp) = g.padded_hw();
     let d = planes.dims();
     assert!(
@@ -563,6 +554,265 @@ fn assert_window_geometry(planes: &Tensor, g: &Conv2dGeom) -> usize {
         "planes do not match the geometry"
     );
     d[0]
+}
+
+/// What the windowed convolution of one stride-1 geometry reads through:
+/// tables that depend on the geometry alone (and, for the weight gradient,
+/// on the batch it last saw), built once and kept by the layer that runs it.
+#[derive(Debug, Clone)]
+pub struct ConvWindow {
+    geom: Conv2dGeom,
+    /// Offset of every im2col row `(ci, ky, kx)` in one image's padded planes.
+    tap_offsets: Vec<usize>,
+    /// `0..taps`: where each K step of the forward product sits in a weight
+    /// row.
+    weight_steps: Vec<usize>,
+    /// The weight gradient's lanes: as many whole kernel rows as fit 16
+    /// lanes at a time, as (first tap, their windows).
+    tap_tiles: Vec<(usize, LaneTile)>,
+    /// Forward: the last `.0` columns (four at most) of two consecutive
+    /// output rows as one 8-lane tile — the upper row's in lanes `0..`, the
+    /// lower row's in lanes `4..`.
+    row_tails: Option<(usize, LaneTile)>,
+    /// The weight gradient's K steps for the batch last seen.
+    positions: Option<Positions>,
+}
+
+/// The output positions of a batch as the weight gradient's K steps: where
+/// position `p` lies in the output gradient (of `filters` filters) and where
+/// its window starts in the planes.
+#[derive(Debug, Clone)]
+struct Positions {
+    batch: usize,
+    filters: usize,
+    grad_steps: Vec<usize>,
+    plane_steps: Vec<usize>,
+}
+
+impl ConvWindow {
+    /// The tables of `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is strided or has no taps.
+    pub fn new(g: &Conv2dGeom) -> Self {
+        assert_eq!(g.stride, 1, "the windowed convolution is stride-1 only");
+        let (k, taps) = (g.kernel, g.col_rows());
+        assert!(taps > 0, "a convolution has taps");
+        let (hp, wp) = g.padded_hw();
+        let row_offset = |row: usize| (row / k) * hp * wp + (row % k) * wp;
+        let tap_offsets = (0..taps).map(|t| row_offset(t / k) + t % k).collect();
+        // Kernel row `row` owns taps `row·k..row·k + k`, adjacent in the
+        // planes from `row_offset(row)`. A tile takes whole rows — two
+        // windows per 8-lane vector under a 5×5 kernel — or, of a row wider
+        // than the tile, 16 taps at a time.
+        let (kernel_rows, per_tile) = (g.in_channels * k, (16 / k).max(1));
+        let mut tap_tiles = Vec::new();
+        for first_row in (0..kernel_rows).step_by(per_tile) {
+            let rows = first_row..kernel_rows.min(first_row + per_tile);
+            for first in (rows.start * k..rows.end * k).step_by(16) {
+                let segments = rows.clone().filter_map(|row| {
+                    let taps = (row * k).max(first)..(row * k + k).min(first + 16);
+                    (taps.start < taps.end).then(|| LaneSegment {
+                        shift: row_offset(row) + first - row * k,
+                        lanes: taps.start - first..taps.end - first,
+                    })
+                });
+                tap_tiles.push((first, LaneTile::new(segments.collect())));
+            }
+        }
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let tail = ow % 8;
+        let body = ow - tail;
+        let row_tails =
+            (k > 1 && oh >= 2 && (1..=4).contains(&tail) && wp + body >= 4).then(|| {
+                let upper = LaneSegment {
+                    shift: body,
+                    lanes: 0..tail,
+                };
+                let lower = LaneSegment {
+                    shift: wp + body - 4,
+                    lanes: 4..4 + tail,
+                };
+                (tail, LaneTile::new(vec![upper, lower]))
+            });
+        ConvWindow {
+            geom: *g,
+            tap_offsets,
+            weight_steps: (0..taps).collect(),
+            tap_tiles,
+            row_tails,
+            positions: None,
+        }
+    }
+
+    /// The geometry the tables are of.
+    pub fn geom(&self) -> &Conv2dGeom {
+        &self.geom
+    }
+
+    /// `out = W ⋆ planes`: see [`conv_window_forward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer does not match the geometry.
+    pub fn forward(&self, planes: &Tensor, weight: &[f32], out: &mut [f32]) {
+        let g = &self.geom;
+        let n = assert_window_geometry(planes, g);
+        let (taps, (oh, ow)) = (g.col_rows(), (g.out_h(), g.out_w()));
+        assert!(weight.len().is_multiple_of(taps), "weight shape mismatch");
+        let oc = weight.len() / taps;
+        assert_eq!(out.len(), n * oc * oh * ow, "conv output buffer mismatch");
+        if out.is_empty() {
+            return;
+        }
+        let (hp, wp) = g.padded_hw();
+        let image = g.in_channels * hp * wp;
+        // The K blocks of the product this replaces (the direct loop has one).
+        let block = match gemm::route(oc, n * oh * ow, taps, 1) {
+            Route::Small => taps,
+            _ => KC,
+        };
+        // Windows of one call: an output row, or every row where they abut.
+        let (calls, width) = if g.kernel == 1 {
+            (1, oh * ow)
+        } else {
+            (oh, ow)
+        };
+        // Rows two by two where their last columns share a vector: the
+        // window kernel does the columns before, the lane kernel those.
+        let (paired, body) = match &self.row_tails {
+            Some((tail, _)) => (calls / 2 * 2, width - tail),
+            None => (0, width),
+        };
+        let (kernel, lane_kernel) = (simd::window_kernel(), simd::lane_kernel());
+        let task_images = gemm::min_task_rows(2 * oc * taps * oh * ow, 1);
+        let planes = planes.data();
+        parallel::parallel_rows_mut(out, n, oc * oh * ow, task_images, |n0, n1, out| {
+            let mut acc = [[0.0f32; 16]; SKINNY_MR];
+            for (ni, out_image) in (n0..n1).zip(out.chunks_exact_mut(oc * oh * ow)) {
+                let plane = &planes[ni * image..(ni + 1) * image];
+                out_image.fill(0.0);
+                for pc in (0..taps).step_by(block) {
+                    let kc = (taps - pc).min(block);
+                    let a_k = KOffsets::new(&self.weight_steps[..kc]);
+                    let b_k = KOffsets::new(&self.tap_offsets[pc..pc + kc]);
+                    for i0 in (0..oc).step_by(SKINNY_MR) {
+                        let rows = (oc - i0).min(SKINNY_MR);
+                        let a = &weight[i0 * taps + pc..];
+                        for call in 0..calls {
+                            let columns = if call < paired { body } else { width };
+                            if columns > 0 {
+                                let c = &mut out_image[i0 * oh * ow + call * ow..];
+                                let b = &plane[call * wp..];
+                                kernel(rows, columns, a, taps, a_k, b, b_k, c, oh * ow);
+                            }
+                        }
+                        let Some((tail, tile)) = &self.row_tails else {
+                            continue;
+                        };
+                        for upper in (0..paired).step_by(2) {
+                            let b = &plane[upper * wp..];
+                            lane_kernel(rows, a, taps, a_k, b, b_k, tile, &mut acc);
+                            for (r, lanes) in acc.iter().enumerate().take(rows) {
+                                let at = (i0 + r) * oh * ow + upper * ow + body;
+                                for (row, lanes) in
+                                    [(0, &lanes[..*tail]), (ow, &lanes[4..4 + tail])]
+                                {
+                                    let c = &mut out_image[at + row..][..*tail];
+                                    c.iter_mut().zip(lanes).for_each(|(c, &x)| *c += x);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// `dw = g · im2colᵀ`: see [`conv_window_dw`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer does not match the geometry.
+    pub fn dw(&mut self, planes: &Tensor, grad_out: &[f32], dw: &mut [f32]) {
+        let g = self.geom;
+        let n = assert_window_geometry(planes, &g);
+        let (taps, (oh, ow)) = (g.col_rows(), (g.out_h(), g.out_w()));
+        assert!(dw.len().is_multiple_of(taps), "dw shape mismatch");
+        let oc = dw.len() / taps;
+        let ohw = oh * ow;
+        assert_eq!(
+            grad_out.len(),
+            n * oc * ohw,
+            "conv gradient buffer mismatch"
+        );
+        dw.fill(0.0);
+        let positions = n * ohw;
+        if positions == 0 || oc == 0 {
+            return;
+        }
+        let block = match gemm::route(oc, taps, positions, positions) {
+            Route::Small => positions,
+            _ => KC,
+        };
+        self.update_positions(n, oc);
+        let steps = self.positions.as_ref().expect("just updated");
+        let kernel = simd::lane_kernel();
+        let planes = planes.data();
+        let mut acc = [[0.0f32; 16]; SKINNY_MR];
+        for pc in (0..positions).step_by(block) {
+            let span = pc..positions.min(pc + block);
+            let a_k = KOffsets::new(&steps.grad_steps[span.clone()]);
+            let b_k = KOffsets::new(&steps.plane_steps[span]);
+            for (first, lanes) in &self.tap_tiles {
+                for i0 in (0..oc).step_by(SKINNY_MR) {
+                    let rows = (oc - i0).min(SKINNY_MR);
+                    kernel(
+                        rows,
+                        &grad_out[i0 * ohw..],
+                        ohw,
+                        a_k,
+                        planes,
+                        b_k,
+                        lanes,
+                        &mut acc,
+                    );
+                    for (r, sums) in acc.iter().enumerate().take(rows) {
+                        let c = &mut dw[(i0 + r) * taps + first..][..lanes.width()];
+                        c.iter_mut().zip(sums).for_each(|(c, &x)| *c += x);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Makes `positions` the K steps of `batch` images under `filters` filters.
+    fn update_positions(&mut self, batch: usize, filters: usize) {
+        let current = |p: &Positions| p.batch == batch && p.filters == filters;
+        if !self.positions.as_ref().is_some_and(current) {
+            let g = &self.geom;
+            let (hp, wp) = g.padded_hw();
+            let (image, (oh, ow)) = (g.in_channels * hp * wp, (g.out_h(), g.out_w()));
+            let mut grad_steps = Vec::with_capacity(batch * oh * ow);
+            let mut plane_steps = Vec::with_capacity(batch * oh * ow);
+            // A stretch of an output row at a time: consecutive positions are
+            // consecutive elements of both operands.
+            for ni in 0..batch {
+                for oy in 0..oh {
+                    let (at, window) = (ni * filters * oh * ow + oy * ow, ni * image + oy * wp);
+                    grad_steps.extend(at..at + ow);
+                    plane_steps.extend(window..window + ow);
+                }
+            }
+            self.positions = Some(Positions {
+                batch,
+                filters,
+                grad_steps,
+                plane_steps,
+            });
+        }
+    }
 }
 
 /// `out = W ⋆ planes`: the forward convolution `[N, oc, oh, ow]` of the
@@ -573,62 +823,18 @@ fn assert_window_geometry(planes: &Tensor, g: &Conv2dGeom) -> usize {
 /// every output element is the same chain over the taps in the same blocks.
 /// Each output row is one call of the no-pack kernel whose B "rows" are the
 /// `C·k·k` windows of that row's stretch of the planes; under a 1×1 kernel
-/// consecutive rows abut, and a whole image is one call. An unpadded 1×1
+/// consecutive rows abut, and a whole image is one call. A row whose width
+/// leaves one to four columns over the 8-lane vectors shares that last
+/// vector with the row below it ([`simd::LaneTile`]). An unpadded 1×1
 /// convolution's planes are its input as it lies.
+///
+/// A layer keeps the [`ConvWindow`] and calls it; this builds one per call.
 ///
 /// # Panics
 ///
 /// Panics if the geometry is strided or a buffer does not match it.
 pub fn conv_window_forward(planes: &Tensor, g: &Conv2dGeom, weight: &[f32], out: &mut [f32]) {
-    let n = assert_window_geometry(planes, g);
-    let (taps, (oh, ow)) = (g.col_rows(), (g.out_h(), g.out_w()));
-    assert!(
-        taps > 0 && weight.len().is_multiple_of(taps),
-        "weight shape mismatch"
-    );
-    let oc = weight.len() / taps;
-    assert_eq!(out.len(), n * oc * oh * ow, "conv output buffer mismatch");
-    if out.is_empty() {
-        return;
-    }
-    let (hp, wp) = g.padded_hw();
-    let image = g.in_channels * hp * wp;
-    let offsets = tap_offsets(g);
-    // The K blocks of the product this replaces (the direct loop has one).
-    let block = match gemm::route(oc, n * oh * ow, taps, 1) {
-        Route::Small => taps,
-        _ => KC,
-    };
-    let weight_steps: Vec<usize> = (0..block.min(taps)).collect();
-    // Windows of one call: an output row, or every row where they abut.
-    let (calls, width) = if g.kernel == 1 {
-        (1, oh * ow)
-    } else {
-        (oh, ow)
-    };
-    let kernel = simd::window_kernel();
-    let task_images = gemm::min_task_rows(2 * oc * taps * oh * ow, 1);
-    let planes = planes.data();
-    parallel::parallel_rows_mut(out, n, oc * oh * ow, task_images, |n0, n1, out| {
-        for (ni, out_image) in (n0..n1).zip(out.chunks_exact_mut(oc * oh * ow)) {
-            let plane = &planes[ni * image..(ni + 1) * image];
-            out_image.fill(0.0);
-            for pc in (0..taps).step_by(block) {
-                let kc = (taps - pc).min(block);
-                let a_k = KOffsets::new(&weight_steps[..kc]);
-                let b_k = KOffsets::new(&offsets[pc..pc + kc]);
-                for i0 in (0..oc).step_by(SKINNY_MR) {
-                    let rows = (oc - i0).min(SKINNY_MR);
-                    let a = &weight[i0 * taps + pc..];
-                    for call in 0..calls {
-                        let c = &mut out_image[i0 * oh * ow + call * ow..];
-                        let b = &plane[call * wp..];
-                        kernel(rows, width, a, taps, a_k, b, b_k, c, oh * ow);
-                    }
-                }
-            }
-        }
-    });
+    ConvWindow::new(g).forward(planes, weight, out);
 }
 
 /// `dw = g · im2colᵀ` without the im2col matrix: the weight gradient
@@ -638,68 +844,18 @@ pub fn conv_window_forward(planes: &Tensor, g: &Conv2dGeom, weight: &[f32], out:
 ///
 /// The sum over output positions runs in the order and the [`KC`] blocks of
 /// the `[oc, N·oh·ow] · [C·k·k, N·oh·ow]ᵀ` product it replaces, so the bits
-/// are that product's. One kernel row `(ci, ky)` at a time: its `k` taps are
-/// adjacent in the planes, so they are the lanes of the no-pack kernel and
-/// an output position is a K step, located in both operands by table.
+/// are that product's. The taps are the lanes — sixteen at a time, whatever
+/// kernel rows they are stretches of ([`simd::LaneTile`]: a 5-tap row fills 5
+/// lanes and the next row the rest) — and an output position is a K step,
+/// located in both operands by table.
+///
+/// A layer keeps the [`ConvWindow`] and calls it; this builds one per call.
 ///
 /// # Panics
 ///
 /// Panics if the geometry is strided or a buffer does not match it.
 pub fn conv_window_dw(planes: &Tensor, g: &Conv2dGeom, grad_out: &[f32], dw: &mut [f32]) {
-    let n = assert_window_geometry(planes, g);
-    let (taps, k, (oh, ow)) = (g.col_rows(), g.kernel, (g.out_h(), g.out_w()));
-    assert!(
-        taps > 0 && dw.len().is_multiple_of(taps),
-        "dw shape mismatch"
-    );
-    let oc = dw.len() / taps;
-    let ohw = oh * ow;
-    assert_eq!(
-        grad_out.len(),
-        n * oc * ohw,
-        "conv gradient buffer mismatch"
-    );
-    dw.fill(0.0);
-    let positions = n * ohw;
-    if positions == 0 || oc == 0 {
-        return;
-    }
-    let (hp, wp) = g.padded_hw();
-    let image = g.in_channels * hp * wp;
-    let block = match gemm::route(oc, taps, positions, positions) {
-        Route::Small => positions,
-        _ => KC,
-    };
-    let kernel = simd::window_kernel();
-    let planes = planes.data();
-    let (mut g_steps, mut plane_steps) = (Vec::new(), Vec::new());
-    for pc in (0..positions).step_by(block) {
-        let kc = (positions - pc).min(block);
-        g_steps.clear();
-        plane_steps.clear();
-        // One stretch of an output row at a time: consecutive positions are
-        // consecutive elements of both operands.
-        let mut p = pc;
-        while p < pc + kc {
-            let (ni, at) = (p / ohw, p % ohw);
-            let (oy, ox) = (at / ow, at % ow);
-            let run = (ow - ox).min(pc + kc - p);
-            let (g0, plane0) = (ni * oc * ohw + at, ni * image + oy * wp + ox);
-            g_steps.extend(g0..g0 + run);
-            plane_steps.extend(plane0..plane0 + run);
-            p += run;
-        }
-        let (a_k, b_k) = (KOffsets::new(&g_steps), KOffsets::new(&plane_steps));
-        for row in 0..g.in_channels * k {
-            let (ci, ky) = (row / k, row % k);
-            let b = &planes[ci * hp * wp + ky * wp..];
-            for i0 in (0..oc).step_by(SKINNY_MR) {
-                let rows = (oc - i0).min(SKINNY_MR);
-                let c = &mut dw[i0 * taps + row * k..];
-                kernel(rows, k, &grad_out[i0 * ohw..], ohw, a_k, b, b_k, c, taps);
-            }
-        }
-    }
+    ConvWindow::new(g).dw(planes, grad_out, dw);
 }
 
 /// The naive definitions of the glue kernels: one bounds test per element,

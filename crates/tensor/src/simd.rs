@@ -11,7 +11,11 @@
 //! multiplied out from a stride: a B "row" can then be any window of a
 //! buffer, which is how the column-free convolutions
 //! ([`kernels::conv_window_forward`](crate::kernels::conv_window_forward))
-//! read padded image planes in place of an im2col matrix.
+//! read padded image planes in place of an im2col matrix. `lane_kernel` goes
+//! one step further: the 16 lanes of a B "row" are themselves stretches of
+//! several windows ([`LaneSegment`]), so that lanes a single window would
+//! leave empty — the 5 taps of a kernel row, the last 4 columns of a 20-wide
+//! output row — are filled from the next one.
 //! The tiers, described for the micro-kernel:
 //!
 //! * **portable** ([`portable_microkernel`]) — the scalar 8×8 tile loop.
@@ -127,6 +131,113 @@ pub type WindowKernelFn = fn(
     b_k: KOffsets<'_>,
     c: &mut [f32],
     ldc: usize,
+);
+
+/// Where a stretch of the 16 lanes of a [`LaneKernelFn`] tile reads its B
+/// values: lane `l` of `lanes` takes `b[b_k[p] + shift + l]` at K step `p` —
+/// a window of B that starts `shift` elements past the step's offset *and is
+/// aligned to lane 0*, so one (masked) vector load fills the stretch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneSegment {
+    /// Offset of the window's lane 0 from the K step's offset.
+    pub shift: usize,
+    /// The lanes of the tile the window fills, within `0..16`.
+    pub lanes: std::ops::Range<usize>,
+}
+
+/// Checked segments of one [`LaneKernelFn`] tile: pairwise disjoint lane
+/// stretches inside `0..16`, with the farthest element any of them reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneTile {
+    segments: Vec<LaneSegment>,
+    /// One past the highest lane any segment fills.
+    width: usize,
+    /// `max(shift + lanes.end)` over the segments.
+    reach: usize,
+    /// The segments as the SIMD kernels load them: per 8-lane vector of the
+    /// tile, the windows that fill it — (offset of the vector's lane 0 from
+    /// the K step's, all-ones words on the lanes filled); unused slots keep
+    /// an empty mask.
+    windows: [[(usize, [i32; 8]); 8]; 2],
+    /// The most windows either vector has.
+    most_windows: usize,
+}
+
+impl LaneTile {
+    /// Wraps `segments`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is none, or if two overlap or one leaves `0..16`.
+    pub fn new(segments: Vec<LaneSegment>) -> Self {
+        let mut taken = [false; SKINNY_NR];
+        for segment in &segments {
+            assert!(
+                segment.lanes.start < segment.lanes.end && segment.lanes.end <= SKINNY_NR,
+                "a lane segment lies inside 0..{SKINNY_NR}"
+            );
+            for lane in segment.lanes.clone() {
+                assert!(
+                    !std::mem::replace(&mut taken[lane], true),
+                    "lane {lane} is filled twice"
+                );
+            }
+        }
+        let width = segments.iter().map(|s| s.lanes.end).max();
+        let reach = segments.iter().map(|s| s.shift + s.lanes.end).max();
+        let mut windows = [[(0usize, [0i32; 8]); 8]; 2];
+        let mut most_windows = 0;
+        for (v, windows) in windows.iter_mut().enumerate() {
+            let mut count = 0;
+            for s in &segments {
+                let lanes =
+                    s.lanes.start.saturating_sub(8 * v)..s.lanes.end.saturating_sub(8 * v).min(8);
+                if lanes.start < lanes.end {
+                    windows[count].0 = s.shift + 8 * v;
+                    windows[count].1[lanes].fill(-1);
+                    count += 1;
+                }
+            }
+            most_windows = most_windows.max(count);
+        }
+        LaneTile {
+            width: width.expect("a tile has at least one segment"),
+            reach: reach.expect("a tile has at least one segment"),
+            segments,
+            windows,
+            most_windows,
+        }
+    }
+
+    /// One past the highest lane filled.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The segments, as given.
+    pub fn segments(&self) -> &[LaneSegment] {
+        &self.segments
+    }
+}
+
+/// The accumulators a [`LaneKernelFn`] returns: row `r`, lane `l`.
+pub type LaneAcc = [[f32; SKINNY_NR]; SKINNY_MR];
+
+/// Signature of the lane-gathering no-pack kernels: for `rows ≤ SKINNY_MR`,
+/// `acc[r][l] = Σ_p a[r·a_rs + a_k[p]] · b[b_k[p] + shift(l) + l]` from zero
+/// in ascending `p` over the tables' common length, for every lane `l` a
+/// segment of `tile` fills (`shift(l)` being that segment's); other lanes
+/// and rows of `acc` come back zero. The caller adds `acc` onto C, which
+/// completes the association of every other GEMM kernel.
+pub type LaneKernelFn = fn(
+    rows: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_k: KOffsets<'_>,
+    b: &[f32],
+    b_k: KOffsets<'_>,
+    tile: &LaneTile,
+    acc: &mut LaneAcc,
 );
 
 /// Signature of the panel transposes: `panel[q·8 + r] = src[r·stride + q]`
@@ -351,6 +462,18 @@ pub(crate) fn window_kernel() -> WindowKernelFn {
     portable_window_kernel
 }
 
+/// The lane-gathering no-pack kernel for [`active_tier`].
+#[allow(unreachable_code)]
+pub(crate) fn lane_kernel() -> LaneKernelFn {
+    if active_tier() == Tier::Simd {
+        #[cfg(target_arch = "x86_64")]
+        {
+            return avx2_lane_kernel;
+        }
+    }
+    portable_lane_kernel
+}
+
 /// The panel transpose for [`active_tier`].
 #[allow(unreachable_code)]
 pub(crate) fn transpose_kernel() -> TransposeFn {
@@ -504,6 +627,59 @@ pub fn portable_window_kernel(
     with_const_rows!(rows, portable_skinny, (n, kc, a, a_rs, a_k, b, b_k, c, ldc));
 }
 
+/// What the lane-gathering kernels rely on (the portable one for a clear
+/// message, the `unsafe` one for soundness): the tables agree on the K
+/// extent, every `a[r·a_rs + a_k[p]]` lies inside `a`, and every lane any
+/// segment fills reads inside `b`.
+fn assert_lane_bounds(
+    rows: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_k: KOffsets,
+    b: &[f32],
+    b_k: KOffsets,
+    tile: &LaneTile,
+) {
+    assert!(
+        (1..=SKINNY_MR).contains(&rows),
+        "no-pack kernel takes 1..={SKINNY_MR} rows"
+    );
+    assert_eq!(a_k.len(), b_k.len(), "operands disagree on the K extent");
+    assert!((rows - 1) * a_rs + a_k.max < a.len(), "A view too short");
+    assert!(b_k.max + tile.reach <= b.len(), "B view too short");
+}
+
+/// Portable lane-gathering kernel: each K step's 16 lanes are copied
+/// together from their segments, then the tile advances like
+/// [`portable_skinny_tile`]'s.
+#[allow(clippy::too_many_arguments)]
+pub fn portable_lane_kernel(
+    rows: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_k: KOffsets<'_>,
+    b: &[f32],
+    b_k: KOffsets<'_>,
+    tile: &LaneTile,
+    acc: &mut LaneAcc,
+) {
+    assert_lane_bounds(rows, a, a_rs, a_k, b, b_k, tile);
+    *acc = [[0.0; SKINNY_NR]; SKINNY_MR];
+    for (&a_at, &b_at) in a_k.offsets.iter().zip(b_k.offsets) {
+        let mut brow = [0.0f32; SKINNY_NR];
+        for segment in &tile.segments {
+            let window = &b[b_at + segment.shift..];
+            brow[segment.lanes.clone()].copy_from_slice(&window[segment.lanes.clone()]);
+        }
+        for (r, row) in acc.iter_mut().enumerate().take(rows) {
+            let av = a[r * a_rs + a_at];
+            for l in 0..SKINNY_NR {
+                row[l] += av * brow[l];
+            }
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn portable_skinny<const R: usize>(
     n: usize,
@@ -648,6 +824,31 @@ fn avx2_window_kernel(
     // than their recorded maxima); AVX2 presence was verified by
     // `simd_available` before this kernel was selected.
     unsafe { with_const_rows!(rows, avx2::skinny, (n, kc, ap, a_rs, a_k, bp, b_k, cp, ldc)) }
+}
+
+/// AVX2 lane-gathering kernel wrapper (plain `fn` so it fits the dispatch
+/// table).
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn avx2_lane_kernel(
+    rows: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_k: KOffsets<'_>,
+    b: &[f32],
+    b_k: KOffsets<'_>,
+    tile: &LaneTile,
+    acc: &mut LaneAcc,
+) {
+    assert_lane_bounds(rows, a, a_rs, a_k, b, b_k, tile);
+    *acc = [[0.0; SKINNY_NR]; SKINNY_MR];
+    let (a_k, b_k) = (a_k.offsets, b_k.offsets);
+    let (ap, bp) = (a.as_ptr(), b.as_ptr());
+    // SAFETY: bounds asserted above — every A element, and every B lane a
+    // segment's mask leaves on, lies inside its slice (masked-off lanes are
+    // not accessed). AVX2 presence was verified by `simd_available` before
+    // this kernel was selected.
+    unsafe { with_const_rows!(rows, avx2::lanes, (ap, a_rs, a_k, bp, b_k, tile, acc)) }
 }
 
 /// AVX2 panel transpose wrapper (plain `fn` so it fits the dispatch table).
@@ -869,6 +1070,104 @@ mod avx2 {
                 _mm256_maskstore_ps(cr, mask, sum);
             }
             j += 8;
+        }
+    }
+
+    /// `R` rows of one [`LaneTile`](super::LaneTile): per `p`, each of the
+    /// tile's two B vectors is the OR of its segments' masked loads, then
+    /// every row broadcasts `a(r, p)`, multiplies and adds — unfused, like
+    /// [`skinny`]. A tile at most 8 lanes wide runs on one accumulator per
+    /// row.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available, `a + r·ars + ak[p]` is readable
+    /// for `r < R` and every `p`, and `b + bk[p] + shift + l` is readable for
+    /// every lane `l` of every segment (`shift` being that segment's).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn lanes<const R: usize>(
+        a: *const f32,
+        ars: usize,
+        ak: &[usize],
+        b: *const f32,
+        bk: &[usize],
+        tile: &super::LaneTile,
+        acc: &mut super::LaneAcc,
+    ) {
+        let [low, high] = &tile.windows;
+        let most = tile.most_windows;
+        match (most, tile.width <= 8) {
+            (..=2, true) => lanes_of::<R, 2, false>(a, ars, ak, b, bk, low, high, acc),
+            (..=2, false) => lanes_of::<R, 2, true>(a, ars, ak, b, bk, low, high, acc),
+            (..=4, true) => lanes_of::<R, 4, false>(a, ars, ak, b, bk, low, high, acc),
+            (..=4, false) => lanes_of::<R, 4, true>(a, ars, ak, b, bk, low, high, acc),
+            (_, true) => lanes_of::<R, 8, false>(a, ars, ak, b, bk, low, high, acc),
+            (_, false) => lanes_of::<R, 8, true>(a, ars, ak, b, bk, low, high, acc),
+        }
+    }
+
+    /// [`lanes`] with the first `W` windows of each vector (the rest are
+    /// empty), and with the high vector only if the tile is `WIDE`: constant
+    /// trip counts, so the masks stay in registers and the loops unroll.
+    ///
+    /// # Safety
+    ///
+    /// As for [`lanes`]: every lane a window's mask leaves on is readable.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lanes_of<const R: usize, const W: usize, const WIDE: bool>(
+        a: *const f32,
+        ars: usize,
+        ak: &[usize],
+        b: *const f32,
+        bk: &[usize],
+        low: &[(usize, [i32; 8]); 8],
+        high: &[(usize, [i32; 8]); 8],
+        acc: &mut super::LaneAcc,
+    ) {
+        // A window's lane 0 may lie before or after `b`'s elements as long as
+        // the lanes its mask leaves on do not: the address is not
+        // dereferenced there, hence `wrapping_add`.
+        #[inline(always)]
+        unsafe fn gather<const W: usize>(
+            b: *const f32,
+            at: usize,
+            windows: &[(usize, __m256i); W],
+        ) -> __m256 {
+            let mut v = _mm256_setzero_ps();
+            for &(offset, mask) in windows {
+                v = _mm256_or_ps(v, _mm256_maskload_ps(b.wrapping_add(at + offset), mask));
+            }
+            v
+        }
+        let masks = |windows: &[(usize, [i32; 8]); 8]| -> [(usize, __m256i); W] {
+            std::array::from_fn(|i| {
+                let (offset, mask) = &windows[i];
+                (*offset, _mm256_loadu_si256(mask.as_ptr().cast()))
+            })
+        };
+        let (low, high) = (masks(low), masks(high));
+        let mut sums = [[_mm256_setzero_ps(); 2]; R];
+        for (&a_at, &b_at) in ak.iter().zip(bk) {
+            let b0 = gather::<W>(b, b_at, &low);
+            let b1 = if WIDE {
+                gather::<W>(b, b_at, &high)
+            } else {
+                _mm256_setzero_ps()
+            };
+            let ap = a.add(a_at);
+            for (r, [lo, hi]) in sums.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*ap.add(r * ars));
+                *lo = _mm256_add_ps(*lo, _mm256_mul_ps(av, b0));
+                if WIDE {
+                    *hi = _mm256_add_ps(*hi, _mm256_mul_ps(av, b1));
+                }
+            }
+        }
+        for (row, [lo, hi]) in acc.iter_mut().zip(&sums) {
+            _mm256_storeu_ps(row.as_mut_ptr(), *lo);
+            _mm256_storeu_ps(row.as_mut_ptr().add(8), *hi);
         }
     }
 

@@ -552,11 +552,22 @@ fn conv_by_columns(x: &Tensor, w: &[f32], grad: &[f32], g: &Conv2dGeom) -> (Vec<
     (out, dw)
 }
 
-/// The windowed forward and weight-gradient kernels against
-/// [`conv_by_columns`] at pool sizes 1/2/4 on every tier, from NaN-poisoned
-/// outputs. Leaves the thread and tier knobs wherever the last iteration put
-/// them.
+/// [`windowed_conv_agrees_at`] at pool sizes 1/2/4.
 fn windowed_conv_agrees(n: usize, oc: usize, g: &Conv2dGeom, seed: u64) -> Result<(), String> {
+    windowed_conv_agrees_at(&[1, 2, 4], n, oc, g, seed)
+}
+
+/// The windowed forward and weight-gradient kernels against
+/// [`conv_by_columns`] at the given pool sizes on every tier, from
+/// NaN-poisoned outputs. Leaves the thread and tier knobs wherever the last
+/// iteration put them.
+fn windowed_conv_agrees_at(
+    pools: &[usize],
+    n: usize,
+    oc: usize,
+    g: &Conv2dGeom,
+    seed: u64,
+) -> Result<(), String> {
     let x = Tensor::from_vec(
         rand_vec(n * g.in_channels * g.in_h * g.in_w, seed),
         &[n, g.in_channels, g.in_h, g.in_w],
@@ -564,7 +575,7 @@ fn windowed_conv_agrees(n: usize, oc: usize, g: &Conv2dGeom, seed: u64) -> Resul
     let w = rand_vec(oc * g.col_rows(), seed ^ 0x9e37);
     let grad = rand_vec(n * oc * g.out_h() * g.out_w(), seed ^ 0x51ed);
     let (want_out, want_dw) = conv_by_columns(&x, &w, &grad, g);
-    for threads in [1usize, 2, 4] {
+    for &threads in pools {
         parallel::set_threads(threads);
         for tier in tiers() {
             simd::force_tier(Some(tier));
@@ -682,6 +693,35 @@ fn windowed_convolution_agrees_across_k_blocks_and_pool_splits() {
         parallel::set_threads(0);
         simd::force_tier(None);
         check.unwrap();
+    }
+}
+
+/// Every way an output row can end and a filter block can be cut: output
+/// widths 1..=40 (whole vectors, rows whose last one to four columns share a
+/// vector with the row below — three rows, so one is left over — and longer
+/// remainders), 3×3 and 5×5 kernels (whose rows fill the weight gradient's
+/// lanes five and three to a tile), 1..=18 filters (up to three passes of
+/// the 6-row tile), on every tier.
+#[test]
+fn windowed_convolution_agrees_at_every_width_kernel_and_filter_count() {
+    let _guard = THREADS_LOCK.lock().unwrap();
+    for kernel in [3usize, 5] {
+        for ow in 1usize..=40 {
+            for oc in 1usize..=18 {
+                let g = Conv2dGeom {
+                    in_channels: 1 + oc % 2,
+                    in_h: 3,
+                    in_w: ow,
+                    kernel,
+                    stride: 1,
+                    padding: kernel / 2,
+                };
+                let check = windowed_conv_agrees_at(&[1], 2, oc, &g, (ow * 31 + oc) as u64);
+                parallel::set_threads(0);
+                simd::force_tier(None);
+                check.unwrap();
+            }
+        }
     }
 }
 

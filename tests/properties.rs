@@ -111,6 +111,147 @@ proptest! {
     }
 }
 
+/// One of the graphs `fused_segments_train_like_the_layers` trains: a
+/// convolution feeding `[BatchNorm2d →] Relu → {0, 1, 2} Add → [AvgPool2d]`
+/// and a linear head, the taps drawn from a sibling convolution (one of them
+/// behind a `Detach`, so its gradient is not demanded).
+#[derive(Debug, Clone, Copy)]
+struct ChainCase {
+    dims: [usize; 4],
+    batch_norm: bool,
+    adds: usize,
+    pool: bool,
+    /// The taps are their `Add`'s first operand.
+    tap_first: bool,
+    /// The last node of the chain is declared an output as well.
+    chain_is_output: bool,
+    /// The `Relu` feeds a second head too.
+    fan_out: bool,
+}
+
+fn chain_graph(case: ChainCase, rng: &mut Rng) -> amalgam::nn::graph::GraphModel {
+    use amalgam::nn::graph::GraphModel;
+    use amalgam::nn::layers::{
+        Add, AvgPool2d, BatchNorm2d, Conv2d, Detach, Flatten, GlobalAvgPool2d, Linear, Relu,
+    };
+    let [_, c, h, w] = case.dims;
+    let mut g = GraphModel::new();
+    let x = g.input("x");
+    let conv = g.add_layer("conv", Conv2d::new(2, c, 3, 1, 1, true, rng), &[x]);
+    let side = g.add_layer("side", Conv2d::new(2, c, 1, 1, 0, false, rng), &[x]);
+    let mut node = conv;
+    if case.batch_norm {
+        node = g.add_layer("bn", BatchNorm2d::new(c), &[node]);
+    }
+    node = g.add_layer("relu", Relu::new(), &[node]);
+    let relu = node;
+    for k in 0..case.adds {
+        let tap = match k {
+            0 => side,
+            _ => g.add_layer("cut", Detach::new(), &[side]),
+        };
+        let operands = if case.tap_first {
+            [tap, node]
+        } else {
+            [node, tap]
+        };
+        node = g.add_layer(&format!("add{k}"), Add::new(), &operands);
+    }
+    let (mut fh, mut fw) = (h, w);
+    if case.pool {
+        node = g.add_layer("pool", AvgPool2d::new(2, 2), &[node]);
+        (fh, fw) = ((h - 2) / 2 + 1, (w - 2) / 2 + 1);
+    }
+    let flat = g.add_layer("flat", Flatten::new(), &[node]);
+    let head = g.add_layer("head", Linear::new(c * fh * fw, 3, true, rng), &[flat]);
+    let mut outputs = vec![head];
+    if case.chain_is_output {
+        outputs.push(node);
+    }
+    if case.fan_out {
+        let pooled = g.add_layer("gap", GlobalAvgPool2d::new(), &[relu]);
+        outputs.push(g.add_layer("head2", Linear::new(c, 2, true, rng), &[pooled]));
+    }
+    g.set_outputs(&outputs);
+    g
+}
+
+/// Everything three steps of `model` leave behind, as bits: the outputs of
+/// every pass (training and evaluation), every parameter gradient — the
+/// upstream convolution's is the chain's `dx`, the sibling's the taps' — then
+/// the parameters and the running statistics.
+fn chain_trace(
+    mut model: amalgam::nn::graph::GraphModel,
+    case: ChainCase,
+    fused: bool,
+) -> Vec<Vec<u32>> {
+    use amalgam::nn::optim::Sgd;
+    model.set_fusion_for_tests(fused);
+    let mut rng = Rng::seed_from(7);
+    let mut opt = Sgd::new(0.05).with_momentum(0.9);
+    let mut trace = Vec::new();
+    let [n, _, h, w] = case.dims;
+    for step in 0..3 {
+        let x = Tensor::randn(&[n, 2, h, w], &mut rng);
+        // The second step is an evaluation pass: layers as they are, and
+        // their backward behind it.
+        let mode = if step == 1 { Mode::Eval } else { Mode::Train };
+        let outs = model.forward(&[&x], mode);
+        let seeds: Vec<Tensor> = outs
+            .iter()
+            .map(|o| Tensor::randn(o.dims(), &mut rng))
+            .collect();
+        trace.extend(outs.iter().map(|o| f32_bits(o.data())));
+        model.zero_grad();
+        model.backward(&seeds);
+        trace.extend(model.params_mut().iter().map(|p| f32_bits(p.grad.data())));
+        opt.step(&mut model.params_mut());
+    }
+    trace.extend(model.state_dict().iter().map(|(_, t)| f32_bits(t.data())));
+    for id in model.node_ids() {
+        trace.extend(
+            model
+                .node(id)
+                .layer()
+                .buffers()
+                .iter()
+                .map(|t| f32_bits(t.data())),
+        );
+    }
+    trace
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A graph whose chains run as fused segments trains bit for bit like the
+    /// same graph with every node run on its own: outputs, `dx`, tap
+    /// gradients, `dγ`/`dβ`, running statistics — over odd and even planes
+    /// (an odd one falls back at the pool), zero to two `Add`s in either
+    /// operand order, with and without the `BatchNorm2d` and the pool,
+    /// training and evaluation passes, a chain that is itself an output and a
+    /// chain that fans out in the middle.
+    #[test]
+    fn fused_segments_train_like_the_layers(
+        n in 1usize..5, c in 1usize..10, h in 2usize..12, w in 2usize..12,
+        adds in 0usize..3, shape in 0u8..64, seed in 0u64..1000,
+    ) {
+        let case = ChainCase {
+            dims: [n, c, h, w],
+            batch_norm: shape & 1 != 0,
+            adds,
+            pool: shape & 2 != 0,
+            tap_first: shape & 4 != 0,
+            // The rarer shapes get a quarter of the cases each.
+            chain_is_output: shape & 24 == 24,
+            fan_out: shape & 32 != 0 && shape & 8 != 0,
+        };
+        let model = chain_graph(case, &mut Rng::seed_from(seed));
+        let (fused, layers) = (chain_trace(model.clone(), case, true), chain_trace(model, case, false));
+        prop_assert!(fused == layers, "{case:?}");
+    }
+}
+
 /// Augmented datasets always embed the original values verbatim at the
 /// plan's kept positions (non-proptest spot check across amounts).
 #[test]
