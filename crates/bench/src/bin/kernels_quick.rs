@@ -37,8 +37,9 @@
 //! entry layer's windowed weight gradient (`conv_entry_dw_*`) differs from
 //! that lowering's GEMM by one bit or is not ≥ 1.25x faster than it, if the
 //! executor's fused entry chain (`segment_bn_relu_add_pool_*`) differs from
-//! its four layers run one by one by one bit or is not ≥ 1.2x faster than
-//! them, if an augmented training step allocates more than
+//! its four layers run one by one by one bit or is not ≥ 1.3x faster than
+//! them (alternating burst pairs, at their upper quartile), if an
+//! augmented training step allocates more than
 //! [`STEP_BYTES_GATE`] of what it did before activations were shared, if a
 //! batch of the LM job's
 //! per-head products (`attn_heads_batch_*`: 16 items of T×T×16 in attention's
@@ -640,13 +641,15 @@ fn main() {
             scratch::give_tensor(ymat);
             scratch::give_tensor(cols);
         };
+        // As the layer runs it: the geometry's tables are built once.
+        let window = kernels::ConvWindow::new(&geom);
         let column_free = |out: &mut Tensor| {
             if kernel == 1 {
                 // Unpadded, the input is its own planes.
-                kernels::conv_window_forward(&x, &geom, w.data(), out.data_mut());
+                window.forward(&x, w.data(), out.data_mut());
             } else {
                 let planes = kernels::padded_planes(&x, &geom, None);
-                kernels::conv_window_forward(&planes, &geom, w.data(), out.data_mut());
+                window.forward(&planes, w.data(), out.data_mut());
                 scratch::give_tensor(planes);
             }
         };
@@ -738,7 +741,8 @@ fn main() {
     // 20]`, forward + backward, input and tap gradients demanded) against the
     // four layers run one after the other, both read off the graph's own
     // per-node clocks. Same bits required — outputs and every parameter
-    // gradient — and ≥ 1.2x (1.3x on a quiet box).
+    // gradient — and ≥ 1.3x over the alternating burst pairs (at their
+    // upper quartile; the median is reported).
     {
         use amalgam_nn::graph::GraphModel;
         use amalgam_nn::layers::{Add, AvgPool2d, BatchNorm2d, Conv2d, Flatten, Relu};
@@ -794,26 +798,36 @@ fn main() {
                 bursts.push(spent * 1e3 / BURST_STEPS as f64);
             }
         }
+        // Burst `i` of one side ran next to burst `i` of the other: the ratio
+        // of the two is one sample of the speedup, whatever the box was doing.
+        let [(_, layers), (_, fused)] = &sides;
+        let mut ratios: Vec<f64> = layers.iter().zip(fused).map(|(l, f)| l / f).collect();
+        ratios.sort_by(f64::total_cmp);
+        let (speedup, speedup_q3) = (ratios[BURSTS / 2], ratios[3 * BURSTS / 4]);
         let [layers_ms, fused_ms] = sides.map(|(_, mut bursts)| {
             bursts.sort_by(f64::total_cmp);
             bursts[BURSTS / 2]
         });
-        let (bitwise, speedup) = (got == want, layers_ms / fused_ms);
+        let bitwise = got == want;
         entries.push(
             Entry::new("segment_bn_relu_add_pool_16x6x20x20")
                 .num("layers_ms", layers_ms)
                 .num("fused_ms", fused_ms)
                 .num("speedup", speedup)
+                .num("speedup_q3", speedup_q3)
                 .flag("bitwise", bitwise),
         );
         if !bitwise {
             failures.push("fused segment: differs from the layers run one by one".to_string());
         }
-        // ≥ 1.3x on a quiet box; a shared runner gets headroom.
-        if speedup < 1.2 {
+        // The gate is 1.3x and the median pair reads 1.33–1.40x with an
+        // inter-quartile range of 0.08–0.15: it is the upper quartile that
+        // must reach 1.3, so a busy minute does not trip it and a chain that
+        // lost its gain (quartiles around 1.0) does.
+        if speedup_q3 < 1.3 {
             failures.push(format!(
-                "fused segment: only {speedup:.2}x over the layers run one by one \
-                 (want ≥ 1.2x in CI, ≥ 1.3x locally)"
+                "fused segment: only {speedup:.2}x (upper quartile {speedup_q3:.2}x) over the \
+                 layers run one by one (want ≥ 1.3x)"
             ));
         }
     }

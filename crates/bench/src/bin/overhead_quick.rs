@@ -24,7 +24,7 @@
 //! cells (no inserted pixels, minimal synthetic heads: the fixed cost of the
 //! masked entry layers and the extra sub-networks) are recorded; the
 //! 2-sub-network one — the benchmark's count — is also held under
-//! [`FIXED_COST_GATE`].
+//! [`FIXED_COST_GATE`] at the lower quartile of its pairs.
 
 use amalgam_core::trainer::train_image_classifier;
 use amalgam_core::{Amalgam, ObfuscationConfig, TrainConfig};
@@ -45,10 +45,12 @@ const PAIRS: usize = 9;
 const REPORTED_STEP_RATIO: f64 = 1.55;
 /// Most the α = 0 / 2-sub-network cell may cost: what two synthetic
 /// sub-networks cost when they carry no parameters to speak of. 1.54 before
-/// their entry chains ran as one pass, 1.44–1.47 since, with an
-/// inter-quartile range of 0.05 when a neighbour is busy — hence 1.5, not
-/// the 1.48 first asked for.
-const FIXED_COST_GATE: f64 = 1.5;
+/// their entry chains ran as one pass, 1.41–1.53 since (fifteen runs of one
+/// afternoon, median 1.48): a cell is nine pairs of 20–30 ms epochs and its
+/// inter-quartile range is 0.05–0.12, so the median cannot hold a gate this
+/// close. The cell fails when its *lower quartile* is over this — it reads
+/// 1.38–1.47 now and read 1.53 before the change.
+const FIXED_COST_GATE: f64 = 1.48;
 /// How far from [`REPORTED_STEP_RATIO`] that cell may drift.
 const REPORTED_TOLERANCE: f64 = 0.1;
 /// Slack on "non-decreasing in α" beyond the cells' own inter-quartile
@@ -214,15 +216,16 @@ fn main() {
             c.subnets,
             c.ratio,
             if gated {
-                format!("gated at {FIXED_COST_GATE}")
+                format!("lower quartile {:.3}, gated at {FIXED_COST_GATE}", c.q1)
             } else {
                 "recorded, not gated".to_string()
             }
         );
-        if gated && c.ratio > FIXED_COST_GATE {
+        if gated && c.q1 > FIXED_COST_GATE {
             failures.push(format!(
-                "α = 0 / 2 sub-networks trains at {:.3}x the original, over the                  {FIXED_COST_GATE} the fused entry chains brought it under",
-                c.ratio
+                "α = 0 / 2 sub-networks trains at {:.3}x the original (lower quartile {:.3}), \
+                 over the {FIXED_COST_GATE} the fused entry chains brought it under",
+                c.ratio, c.q1
             ));
         }
     }

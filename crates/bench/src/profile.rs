@@ -206,8 +206,8 @@ impl Side {
     }
 }
 
-/// Trains both sides for [`WARM_EPOCHS`] epochs, then profiles
-/// [`TIMED_EPOCHS`] more — an epoch of one side, an epoch of the other, so
+/// Trains both sides for `WARM_EPOCHS` epochs, then profiles
+/// `TIMED_EPOCHS` more — an epoch of one side, an epoch of the other, so
 /// that the box's drift (10 % within a second is usual) lands on both.
 pub fn measure(mut sides: [&mut Side; 2]) -> [StepProfile; 2] {
     let mut spent = [Spent::default(), Spent::default()];

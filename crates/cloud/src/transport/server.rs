@@ -31,7 +31,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, T
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Write bound for pre-handshake refusals issued by the acceptor itself,
 /// where no session config has been negotiated yet (established sessions
@@ -44,6 +44,13 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Bound on one wake-up connection of [`wake_acceptor`].
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How many wake-up connections [`wake_acceptor`] makes before it gives up.
+const WAKE_ATTEMPTS: usize = 5;
+
+/// How long a woken acceptor is given to return, per wake-up (it needs
+/// microseconds; a thread that is still parked after this was not reached).
+const WAKE_GRACE: Duration = Duration::from_millis(20);
 
 /// A [`CloudService`] behind a real TCP listener.
 ///
@@ -233,8 +240,9 @@ impl CloudServer {
         };
         self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
-            wake_acceptor(self.local_addr, &acceptor);
-            let _ = acceptor.join();
+            if wake_acceptor(self.local_addr, &acceptor) {
+                let _ = acceptor.join();
+            }
         }
         // No new connections; wake every reactor so it observes the stop
         // flag, kills handshakes and moves established sessions to
@@ -265,10 +273,17 @@ impl Drop for CloudServer {
 
 /// Unblocks `acceptor`, a thread parked in `accept` on the listener bound at
 /// `addr` whose stop flag the caller has set: a loopback connection is what
-/// `accept` returns next, and the loop then sees the flag. (A connection that
-/// cannot be made means the listener's backlog is full — `accept` is not
-/// parked — or is made again.)
-pub fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) {
+/// `accept` returns next, and the loop then sees the flag. Returns whether
+/// the thread has exited, i.e. whether joining it returns.
+///
+/// The wake-up is dialled five times at most, the thread given 20 ms after
+/// each to leave (`WAKE_ATTEMPTS`, `WAKE_GRACE`). When the listener cannot be reached
+/// from here (its address gone from the interface, loopback filtered) the
+/// answer is `false` and the caller lets the thread go instead of joining
+/// it: it holds the listener and nothing else, and returns at the first
+/// connection that does arrive.
+#[must_use = "joining an acceptor that was not woken blocks"]
+pub fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) -> bool {
     let loopback: IpAddr = match addr {
         SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
         SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
@@ -278,10 +293,17 @@ pub fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) {
     } else {
         addr.ip()
     };
-    while !acceptor.is_finished() {
+    for _ in 0..WAKE_ATTEMPTS {
+        if acceptor.is_finished() {
+            break;
+        }
         let _ = TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), WAKE_TIMEOUT);
-        std::thread::yield_now();
+        let dialled = Instant::now();
+        while !acceptor.is_finished() && dialled.elapsed() < WAKE_GRACE {
+            std::thread::sleep(WAKE_GRACE / 100);
+        }
     }
+    acceptor.is_finished()
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
@@ -358,5 +380,27 @@ mod tests {
                 "peer still served: {closed:?}"
             );
         }
+    }
+
+    /// A listener the wake-up cannot reach (here: the dial goes to a port
+    /// nobody listens on, so every attempt is refused at once): the wake-up
+    /// gives up after its bounded attempts and says so, instead of dialling
+    /// for ever; the acceptor is still parked, and leaves at the first
+    /// connection that does reach it.
+    #[test]
+    fn an_acceptor_the_wake_up_cannot_reach_is_reported_not_awaited() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let reachable = listener.local_addr().unwrap();
+        let dead = {
+            let closed = TcpListener::bind("127.0.0.1:0").unwrap();
+            closed.local_addr().unwrap()
+        };
+        let acceptor = std::thread::spawn(move || {
+            let _ = listener.accept();
+        });
+        assert!(!wake_acceptor(dead, &acceptor));
+        assert!(!acceptor.is_finished());
+        assert!(wake_acceptor(reachable, &acceptor));
+        acceptor.join().unwrap();
     }
 }

@@ -9,14 +9,13 @@
 //! carries a [`Provenance`] tag plus a sub-network id. **Provenance is a
 //! client-side secret** — [`GraphModel::encode`] does not serialize it, so
 //! the cloud-visible representation gives no hint of which branch is real.
-
 //!
 //! # Fused segments
 //!
 //! Training passes do not run every node on its own: chains of element-wise
 //! nodes (`BatchNorm2d → Relu → Add → AvgPool2d` and its sub-chains) are found
-//! once per graph and executed as one pass each — see [`segment`] for the
-//! rule, what falls back to the layers and why no bit can move.
+//! once per graph and executed as one pass each — see `graph/segment.rs` for
+//! the rule, what falls back to the layers and why no bit can move.
 
 mod segment;
 
@@ -289,7 +288,7 @@ impl GraphModel {
         let mut values: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         let plan = self.plan.get_or_insert_with(|| match self.unfused {
             true => Plan::unfused(self.nodes.len()),
-            false => segment::find(&mut self.nodes, &self.outputs),
+            false => segment::find(&self.nodes, &self.outputs),
         });
         // The segments that run fused in this pass, decided at their first
         // member (the input's dimensions are known by then).

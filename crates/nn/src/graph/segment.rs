@@ -50,12 +50,13 @@
 //! layers cached.
 
 use super::{Node, NodeId};
-use crate::layer::SegmentOp;
+use crate::layer::SegmentKind;
 use crate::layers::reduce::fold_pairs;
 use crate::layers::{
     avg_pool_2x2, avg_unpool_2x2, normalise, relu, relu_slope, tiles_2x2, BatchNorm2d, DxChannel,
 };
 use amalgam_tensor::{scratch, Tensor};
+use std::any::Any;
 
 /// What an eligible node is to a segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +145,7 @@ impl Plan {
 }
 
 /// The segment plan of `nodes` with declared `outputs`.
-pub(super) fn find(nodes: &mut [Node], outputs: &[NodeId]) -> Plan {
+pub(super) fn find(nodes: &[Node], outputs: &[NodeId]) -> Plan {
     let n = nodes.len();
     // The consumer of each node, for the nodes that have exactly one.
     let mut consumers = vec![0usize; n];
@@ -156,18 +157,18 @@ pub(super) fn find(nodes: &mut [Node], outputs: &[NodeId]) -> Plan {
         }
     }
     let kinds: Vec<Option<Kind>> = nodes
-        .iter_mut()
+        .iter()
         .enumerate()
         .map(|(i, node)| {
             if consumers[i] != 1 || outputs.iter().any(|id| id.0 == i) {
                 return None;
             }
-            match (node.layer.segment_op()?, node.inputs.len()) {
-                (SegmentOp::BatchNorm(_), 1) => Some(Kind::BatchNorm),
-                (SegmentOp::Relu, 1) => Some(Kind::Relu),
-                (SegmentOp::Add, 2) => Some(Kind::Add),
+            match (node.layer.segment_kind()?, node.inputs.len()) {
+                (SegmentKind::BatchNorm, 1) => Some(Kind::BatchNorm),
+                (SegmentKind::Relu, 1) => Some(Kind::Relu),
+                (SegmentKind::Add, 2) => Some(Kind::Add),
                 (
-                    SegmentOp::AvgPool {
+                    SegmentKind::AvgPool {
                         kernel: 2,
                         stride: 2,
                     },
@@ -291,11 +292,10 @@ impl Segment {
         }
     }
 
+    /// The `BatchNorm2d` the segment begins with, if it does.
     fn batch_norm<'a>(&self, nodes: &'a mut [Node]) -> Option<&'a mut BatchNorm2d> {
-        match nodes[self.nodes[0]].layer.segment_op() {
-            Some(SegmentOp::BatchNorm(bn)) if self.batch_norm => Some(bn),
-            _ => None,
-        }
+        let first: &mut dyn Any = &mut *nodes[self.nodes[0]].layer;
+        first.downcast_mut().filter(|_| self.batch_norm)
     }
 
     /// `relu(bn(x)) + tap` of one plane — `relu(x)` without a `BatchNorm2d`,

@@ -1,6 +1,5 @@
 //! The [`Layer`] trait and trainable [`Param`]s.
 
-use crate::layers::BatchNorm2d;
 use crate::spec::LayerSpec;
 use amalgam_tensor::Tensor;
 
@@ -45,12 +44,13 @@ impl Param {
 
 /// What a layer is to the executor's fused segments (see
 /// [`GraphModel`](crate::graph::GraphModel), "Fused segments"): the four
-/// element-wise kinds a run may be made of, with what the fused pass needs
-/// of each.
-pub enum SegmentOp<'a> {
-    /// Per-channel normalisation; the pass takes its statistics, scale and
-    /// shift from the layer and hands it the parameter gradients.
-    BatchNorm(&'a mut BatchNorm2d),
+/// element-wise kinds a run may be made of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentKind {
+    /// Per-channel normalisation ([`BatchNorm2d`](crate::layers::BatchNorm2d),
+    /// which the fused pass reaches through `Any` for its statistics, scale
+    /// and shift, and to hand it the parameter gradients).
+    BatchNorm,
     /// `max(0, x)`.
     Relu,
     /// A sum of inputs.
@@ -71,7 +71,7 @@ pub enum SegmentOp<'a> {
 /// asked for **and** accumulates parameter gradients into [`Param::grad`].
 /// The graph executor ([`crate::graph::GraphModel`]) guarantees backward is
 /// called at most once per forward, with the accumulated output gradient.
-pub trait Layer: std::fmt::Debug + Send {
+pub trait Layer: std::fmt::Debug + Send + std::any::Any {
     /// Short type name, e.g. `"Conv2d"` (used in state-dict paths and dumps).
     fn kind(&self) -> &'static str;
 
@@ -148,7 +148,7 @@ pub trait Layer: std::fmt::Debug + Send {
 
     /// How this layer takes part in a fused segment; `None` (the default)
     /// for a layer the executor always runs on its own.
-    fn segment_op(&mut self) -> Option<SegmentOp<'_>> {
+    fn segment_kind(&self) -> Option<SegmentKind> {
         None
     }
 }

@@ -1,6 +1,6 @@
 //! Element-wise activation layers.
 
-use crate::layer::{Layer, Mode, Param, SegmentOp};
+use crate::layer::{Layer, Mode, Param, SegmentKind};
 use crate::spec::LayerSpec;
 use amalgam_tensor::{scratch, Tensor};
 
@@ -86,7 +86,7 @@ macro_rules! unary_activation {
                 recycle(&mut self.cache);
             }
 
-            fn segment_op(&mut self) -> Option<SegmentOp<'_>> {
+            fn segment_kind(&self) -> Option<SegmentKind> {
                 $segment
             }
         }
@@ -98,7 +98,7 @@ unary_activation!(
     Relu, Relu,
     fwd = relu,
     bwd = relu_slope,
-    segment = Some(SegmentOp::Relu)
+    segment = Some(SegmentKind::Relu)
 );
 
 unary_activation!(

@@ -1,6 +1,6 @@
 //! Normalization layers.
 
-use crate::layer::{Layer, Mode, Param, SegmentOp};
+use crate::layer::{Layer, Mode, Param, SegmentKind};
 use crate::layers::reduce::fold_rows;
 use crate::spec::LayerSpec;
 use amalgam_tensor::{scratch, Tensor};
@@ -334,8 +334,8 @@ impl Layer for BatchNorm2d {
         }
     }
 
-    fn segment_op(&mut self) -> Option<SegmentOp<'_>> {
-        Some(SegmentOp::BatchNorm(self))
+    fn segment_kind(&self) -> Option<SegmentKind> {
+        Some(SegmentKind::BatchNorm)
     }
 }
 

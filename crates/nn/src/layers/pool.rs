@@ -1,6 +1,6 @@
 //! Pooling layers over `[N, C, H, W]` feature maps.
 
-use crate::layer::{Layer, Mode, Param, SegmentOp};
+use crate::layer::{Layer, Mode, Param, SegmentKind};
 use crate::spec::LayerSpec;
 use amalgam_tensor::{scratch, Tensor};
 
@@ -301,8 +301,8 @@ impl Layer for AvgPool2d {
         self.cache_dims = None;
     }
 
-    fn segment_op(&mut self) -> Option<SegmentOp<'_>> {
-        Some(SegmentOp::AvgPool {
+    fn segment_kind(&self) -> Option<SegmentKind> {
+        Some(SegmentKind::AvgPool {
             kernel: self.kernel,
             stride: self.stride,
         })

@@ -6,7 +6,7 @@
 //! original parameters' gradients (paper Algorithm 1 updates each θˢ only
 //! with ∇L(θˢ); see DESIGN.md D2).
 
-use crate::layer::{Layer, Mode, Param, SegmentOp};
+use crate::layer::{Layer, Mode, Param, SegmentKind};
 use crate::spec::LayerSpec;
 use amalgam_tensor::{scratch, Tensor};
 
@@ -190,8 +190,8 @@ impl Layer for Add {
         Box::new(self.clone())
     }
 
-    fn segment_op(&mut self) -> Option<SegmentOp<'_>> {
-        Some(SegmentOp::Add)
+    fn segment_kind(&self) -> Option<SegmentKind> {
+        Some(SegmentKind::Add)
     }
 }
 

@@ -254,8 +254,9 @@ impl AmalgamProxy {
             let _ = s.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.acceptor.take() {
-            wake_acceptor(self.addr, &handle);
-            let _ = handle.join();
+            if wake_acceptor(self.addr, &handle) {
+                let _ = handle.join();
+            }
         }
         if let Some(handle) = self.prober.take() {
             let _ = handle.join();

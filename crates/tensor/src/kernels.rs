@@ -15,11 +15,11 @@
 //! A stride-1 convolution does not need its im2col matrix to exist: row
 //! `(ci, ky, kx)` of that matrix is the zero-padded input plane read from
 //! offset `ci·Hp·Wp + ky·Wp + kx` on, one output row at a time.
-//! [`padded_planes`] builds the planes, [`conv_window_forward`] and
-//! [`conv_window_dw`] run the no-pack kernels over those windows through
-//! offset tables ([`simd::KOffsets`], [`simd::LaneTile`]; a layer keeps them
-//! in a [`ConvWindow`]) — the same products as im2col + GEMM, element for
-//! element and bit for bit, with 1/k² of the bytes written.
+//! [`padded_planes`] builds the planes, [`ConvWindow::forward`] and
+//! [`ConvWindow::dw`] run the no-pack kernels over those windows through
+//! offset tables ([`simd::KOffsets`], [`simd::LaneTile`]) that the layer
+//! builds once per geometry — the same products as im2col + GEMM, element
+//! for element and bit for bit, with 1/k² of the bytes written.
 
 use crate::gemm::{self, BatchMat, Route, KC};
 use crate::pack::MatRef;
@@ -570,10 +570,6 @@ pub struct ConvWindow {
     /// The weight gradient's lanes: as many whole kernel rows as fit 16
     /// lanes at a time, as (first tap, their windows).
     tap_tiles: Vec<(usize, LaneTile)>,
-    /// Forward: the last `.0` columns (four at most) of two consecutive
-    /// output rows as one 8-lane tile — the upper row's in lanes `0..`, the
-    /// lower row's in lanes `4..`.
-    row_tails: Option<(usize, LaneTile)>,
     /// The weight gradient's K steps for the batch last seen.
     positions: Option<Positions>,
 }
@@ -621,27 +617,11 @@ impl ConvWindow {
                 tap_tiles.push((first, LaneTile::new(segments.collect())));
             }
         }
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let tail = ow % 8;
-        let body = ow - tail;
-        let row_tails =
-            (k > 1 && oh >= 2 && (1..=4).contains(&tail) && wp + body >= 4).then(|| {
-                let upper = LaneSegment {
-                    shift: body,
-                    lanes: 0..tail,
-                };
-                let lower = LaneSegment {
-                    shift: wp + body - 4,
-                    lanes: 4..4 + tail,
-                };
-                (tail, LaneTile::new(vec![upper, lower]))
-            });
         ConvWindow {
             geom: *g,
             tap_offsets,
             weight_steps: (0..taps).collect(),
             tap_tiles,
-            row_tails,
             positions: None,
         }
     }
@@ -651,7 +631,17 @@ impl ConvWindow {
         &self.geom
     }
 
-    /// `out = W ⋆ planes`: see [`conv_window_forward`].
+    /// `out = W ⋆ planes`: the forward convolution `[N, oc, oh, ow]` of the
+    /// [`padded_planes`] of the geometry with `weight` (`[oc, C·k·k]`
+    /// row-major), written in its final layout (previous contents ignored).
+    ///
+    /// Bit for bit the `[oc, C·k·k] · im2col` product permuted to
+    /// `[N, oc, ·]`: every output element is the same chain over the taps in
+    /// the same blocks. Each output row is one call of the no-pack kernel
+    /// whose B "rows" are the `C·k·k` windows of that row's stretch of the
+    /// planes; under a 1×1 kernel consecutive rows abut, and a whole image is
+    /// one call. An unpadded 1×1 convolution's planes are its input as it
+    /// lies.
     ///
     /// # Panics
     ///
@@ -679,17 +669,10 @@ impl ConvWindow {
         } else {
             (oh, ow)
         };
-        // Rows two by two where their last columns share a vector: the
-        // window kernel does the columns before, the lane kernel those.
-        let (paired, body) = match &self.row_tails {
-            Some((tail, _)) => (calls / 2 * 2, width - tail),
-            None => (0, width),
-        };
-        let (kernel, lane_kernel) = (simd::window_kernel(), simd::lane_kernel());
+        let kernel = simd::window_kernel();
         let task_images = gemm::min_task_rows(2 * oc * taps * oh * ow, 1);
         let planes = planes.data();
         parallel::parallel_rows_mut(out, n, oc * oh * ow, task_images, |n0, n1, out| {
-            let mut acc = [[0.0f32; 16]; SKINNY_MR];
             for (ni, out_image) in (n0..n1).zip(out.chunks_exact_mut(oc * oh * ow)) {
                 let plane = &planes[ni * image..(ni + 1) * image];
                 out_image.fill(0.0);
@@ -701,28 +684,9 @@ impl ConvWindow {
                         let rows = (oc - i0).min(SKINNY_MR);
                         let a = &weight[i0 * taps + pc..];
                         for call in 0..calls {
-                            let columns = if call < paired { body } else { width };
-                            if columns > 0 {
-                                let c = &mut out_image[i0 * oh * ow + call * ow..];
-                                let b = &plane[call * wp..];
-                                kernel(rows, columns, a, taps, a_k, b, b_k, c, oh * ow);
-                            }
-                        }
-                        let Some((tail, tile)) = &self.row_tails else {
-                            continue;
-                        };
-                        for upper in (0..paired).step_by(2) {
-                            let b = &plane[upper * wp..];
-                            lane_kernel(rows, a, taps, a_k, b, b_k, tile, &mut acc);
-                            for (r, lanes) in acc.iter().enumerate().take(rows) {
-                                let at = (i0 + r) * oh * ow + upper * ow + body;
-                                for (row, lanes) in
-                                    [(0, &lanes[..*tail]), (ow, &lanes[4..4 + tail])]
-                                {
-                                    let c = &mut out_image[at + row..][..*tail];
-                                    c.iter_mut().zip(lanes).for_each(|(c, &x)| *c += x);
-                                }
-                            }
+                            let c = &mut out_image[i0 * oh * ow + call * ow..];
+                            let b = &plane[call * wp..];
+                            kernel(rows, width, a, taps, a_k, b, b_k, c, oh * ow);
                         }
                     }
                 }
@@ -730,7 +694,18 @@ impl ConvWindow {
         });
     }
 
-    /// `dw = g · im2colᵀ`: see [`conv_window_dw`].
+    /// `dw = g · im2colᵀ` without the im2col matrix: the weight gradient
+    /// `[oc, C·k·k]` (previous contents ignored) from the output gradient
+    /// `grad_out` (`[N, oc, oh, ow]`, read where it lies) and the
+    /// [`padded_planes`] the forward pass read.
+    ///
+    /// The sum over output positions runs in the order and the [`KC`] blocks
+    /// of the `[oc, N·oh·ow] · [C·k·k, N·oh·ow]ᵀ` product it replaces, so the
+    /// bits are that product's. The taps are the lanes — sixteen at a time,
+    /// whatever kernel rows they are stretches of ([`simd::LaneTile`]: a
+    /// 5-tap row fills 5 lanes and the next row the rest) — and an output
+    /// position is a K step, located in both operands by a table kept for
+    /// the batch size and filter count last seen.
     ///
     /// # Panics
     ///
@@ -813,49 +788,6 @@ impl ConvWindow {
             });
         }
     }
-}
-
-/// `out = W ⋆ planes`: the forward convolution `[N, oc, oh, ow]` of the
-/// [`padded_planes`] of a stride-1 geometry with `weight` (`[oc, C·k·k]`
-/// row-major), written in its final layout (previous contents ignored).
-///
-/// Bit for bit the `[oc, C·k·k] · im2col` product permuted to `[N, oc, ·]`:
-/// every output element is the same chain over the taps in the same blocks.
-/// Each output row is one call of the no-pack kernel whose B "rows" are the
-/// `C·k·k` windows of that row's stretch of the planes; under a 1×1 kernel
-/// consecutive rows abut, and a whole image is one call. A row whose width
-/// leaves one to four columns over the 8-lane vectors shares that last
-/// vector with the row below it ([`simd::LaneTile`]). An unpadded 1×1
-/// convolution's planes are its input as it lies.
-///
-/// A layer keeps the [`ConvWindow`] and calls it; this builds one per call.
-///
-/// # Panics
-///
-/// Panics if the geometry is strided or a buffer does not match it.
-pub fn conv_window_forward(planes: &Tensor, g: &Conv2dGeom, weight: &[f32], out: &mut [f32]) {
-    ConvWindow::new(g).forward(planes, weight, out);
-}
-
-/// `dw = g · im2colᵀ` without the im2col matrix: the weight gradient
-/// `[oc, C·k·k]` (previous contents ignored) of a stride-1 convolution from
-/// its output gradient `grad_out` (`[N, oc, oh, ow]`, read where it lies)
-/// and the [`padded_planes`] its forward pass read.
-///
-/// The sum over output positions runs in the order and the [`KC`] blocks of
-/// the `[oc, N·oh·ow] · [C·k·k, N·oh·ow]ᵀ` product it replaces, so the bits
-/// are that product's. The taps are the lanes — sixteen at a time, whatever
-/// kernel rows they are stretches of ([`simd::LaneTile`]: a 5-tap row fills 5
-/// lanes and the next row the rest) — and an output position is a K step,
-/// located in both operands by table.
-///
-/// A layer keeps the [`ConvWindow`] and calls it; this builds one per call.
-///
-/// # Panics
-///
-/// Panics if the geometry is strided or a buffer does not match it.
-pub fn conv_window_dw(planes: &Tensor, g: &Conv2dGeom, grad_out: &[f32], dw: &mut [f32]) {
-    ConvWindow::new(g).dw(planes, grad_out, dw);
 }
 
 /// The naive definitions of the glue kernels: one bounds test per element,

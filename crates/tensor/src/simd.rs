@@ -10,12 +10,12 @@
 //! step's operands looked up in an offset table ([`KOffsets`]) instead of
 //! multiplied out from a stride: a B "row" can then be any window of a
 //! buffer, which is how the column-free convolutions
-//! ([`kernels::conv_window_forward`](crate::kernels::conv_window_forward))
+//! ([`kernels::ConvWindow`](crate::kernels::ConvWindow))
 //! read padded image planes in place of an im2col matrix. `lane_kernel` goes
 //! one step further: the 16 lanes of a B "row" are themselves stretches of
-//! several windows ([`LaneSegment`]), so that lanes a single window would
-//! leave empty — the 5 taps of a kernel row, the last 4 columns of a 20-wide
-//! output row — are filled from the next one.
+//! several windows ([`LaneSegment`]), so that the lanes a single window would
+//! leave empty — all but the 5 taps of a kernel row in the weight gradient —
+//! are filled from the next one.
 //! The tiers, described for the micro-kernel:
 //!
 //! * **portable** ([`portable_microkernel`]) — the scalar 8×8 tile loop.
@@ -651,7 +651,7 @@ fn assert_lane_bounds(
 
 /// Portable lane-gathering kernel: each K step's 16 lanes are copied
 /// together from their segments, then the tile advances like
-/// [`portable_skinny_tile`]'s.
+/// `portable_skinny_tile`'s.
 #[allow(clippy::too_many_arguments)]
 pub fn portable_lane_kernel(
     rows: usize,

@@ -552,43 +552,49 @@ fn conv_by_columns(x: &Tensor, w: &[f32], grad: &[f32], g: &Conv2dGeom) -> (Vec<
     (out, dw)
 }
 
-/// [`windowed_conv_agrees_at`] at pool sizes 1/2/4.
+/// [`windowed_conv_agrees_at`] at pool sizes 1/2/4 — on one more image and
+/// one more filter too, so the window the layer would keep sees its batch
+/// and its filter count change and come back.
 fn windowed_conv_agrees(n: usize, oc: usize, g: &Conv2dGeom, seed: u64) -> Result<(), String> {
-    windowed_conv_agrees_at(&[1, 2, 4], n, oc, g, seed)
+    let batches = [(n, oc), (n + 1, oc), (n, oc + 1), (n, oc)];
+    windowed_conv_agrees_at(&[1, 2, 4], &batches, g, seed)
 }
 
 /// The windowed forward and weight-gradient kernels against
 /// [`conv_by_columns`] at the given pool sizes on every tier, from
-/// NaN-poisoned outputs. Leaves the thread and tier knobs wherever the last
-/// iteration put them.
+/// NaN-poisoned outputs: one [`ConvWindow`](kernels::ConvWindow), kept as a
+/// layer keeps it, through every `(images, filters)` of `batches` in turn.
+/// Leaves the thread and tier knobs wherever the last iteration put them.
 fn windowed_conv_agrees_at(
     pools: &[usize],
-    n: usize,
-    oc: usize,
+    batches: &[(usize, usize)],
     g: &Conv2dGeom,
     seed: u64,
 ) -> Result<(), String> {
-    let x = Tensor::from_vec(
-        rand_vec(n * g.in_channels * g.in_h * g.in_w, seed),
-        &[n, g.in_channels, g.in_h, g.in_w],
-    );
-    let w = rand_vec(oc * g.col_rows(), seed ^ 0x9e37);
-    let grad = rand_vec(n * oc * g.out_h() * g.out_w(), seed ^ 0x51ed);
-    let (want_out, want_dw) = conv_by_columns(&x, &w, &grad, g);
-    for &threads in pools {
-        parallel::set_threads(threads);
-        for tier in tiers() {
-            simd::force_tier(Some(tier));
-            let planes = kernels::padded_planes(&x, g, None);
-            let mut out = vec![f32::NAN; want_out.len()];
-            kernels::conv_window_forward(&planes, g, &w, &mut out);
-            let mut dw = vec![f32::NAN; want_dw.len()];
-            kernels::conv_window_dw(&planes, g, &grad, &mut dw);
-            for (what, got, want) in [("forward", &out, &want_out), ("dW", &dw, &want_dw)] {
-                if bits(got) != bits(want) {
-                    return Err(format!(
-                        "{what} on {tier:?}, {threads} threads: {n} images, {oc} filters, {g:?}"
-                    ));
+    let mut window = kernels::ConvWindow::new(g);
+    for &(n, oc) in batches {
+        let x = Tensor::from_vec(
+            rand_vec(n * g.in_channels * g.in_h * g.in_w, seed),
+            &[n, g.in_channels, g.in_h, g.in_w],
+        );
+        let w = rand_vec(oc * g.col_rows(), seed ^ 0x9e37);
+        let grad = rand_vec(n * oc * g.out_h() * g.out_w(), seed ^ 0x51ed);
+        let (want_out, want_dw) = conv_by_columns(&x, &w, &grad, g);
+        for &threads in pools {
+            parallel::set_threads(threads);
+            for tier in tiers() {
+                simd::force_tier(Some(tier));
+                let planes = kernels::padded_planes(&x, g, None);
+                let mut out = vec![f32::NAN; want_out.len()];
+                window.forward(&planes, &w, &mut out);
+                let mut dw = vec![f32::NAN; want_dw.len()];
+                window.dw(&planes, &grad, &mut dw);
+                for (what, got, want) in [("forward", &out, &want_out), ("dW", &dw, &want_dw)] {
+                    if bits(got) != bits(want) {
+                        return Err(format!(
+                            "{what} on {tier:?}, {threads} threads: {n} images, {oc} filters, {g:?}"
+                        ));
+                    }
                 }
             }
         }
@@ -604,13 +610,14 @@ proptest! {
 
     /// Reading im2col rows as windows of the padded planes changes no bit of
     /// the forward product or of the weight gradient: 1–3 channels, 1×1 to
-    /// 5×5 kernels, padding 0–2, ragged widths, 1–9 filters (two passes of
-    /// the 6-row tile), shapes on both sides of the direct-loop rule.
+    /// 5×5 kernels (even ones too), padding 0–2, ragged widths, 1–10 filters
+    /// (two passes of the 6-row tile), shapes on both sides of the
+    /// direct-loop rule.
     #[test]
     fn windowed_convolution_is_bitwise_im2col_plus_gemm(
         n in 1usize..4,
         in_channels in 1usize..4,
-        ki in 0usize..3,
+        kernel in 1usize..6,
         padding in 0usize..3,
         in_h in 5usize..12,
         wi in 0usize..RAGGED_W.len(),
@@ -618,7 +625,6 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let _guard = THREADS_LOCK.lock().unwrap();
-        let kernel = [1usize, 3, 5][ki];
         let in_w = RAGGED_W[wi].max(kernel.saturating_sub(2 * padding));
         let g = Conv2dGeom { in_channels, in_h, in_w, kernel, stride: 1, padding };
         let check = windowed_conv_agrees(n, oc, &g, seed);
@@ -696,27 +702,43 @@ fn windowed_convolution_agrees_across_k_blocks_and_pool_splits() {
     }
 }
 
-/// Every way an output row can end and a filter block can be cut: output
-/// widths 1..=40 (whole vectors, rows whose last one to four columns share a
-/// vector with the row below — three rows, so one is left over — and longer
-/// remainders), 3×3 and 5×5 kernels (whose rows fill the weight gradient's
-/// lanes five and three to a tile), 1..=18 filters (up to three passes of
-/// the 6-row tile), on every tier.
+/// Every way an output row can end, a filter block can be cut and the
+/// weight gradient's lanes can be filled: output widths 1..=40 (whole
+/// vectors and every masked remainder), 1..=18 filters (up to three passes
+/// of the 6-row tile), and kernels whose rows tile the 16 lanes in every way
+/// the AVX2 lane kernel is specialised for — per 8-lane vector two windows
+/// (4×4 and 5×5 rows, a lone channel of 1×1 or 2×2), four (3×3 rows, 2×2 rows
+/// of two and five channels) and eight (a padded 1×1 of 6, 16 and 17
+/// channels: one lane a window), each on one vector and on two — on every
+/// tier.
 #[test]
 fn windowed_convolution_agrees_at_every_width_kernel_and_filter_count() {
     let _guard = THREADS_LOCK.lock().unwrap();
-    for kernel in [3usize, 5] {
+    for (kernel, padding) in [(1usize, 1usize), (2, 1), (3, 1), (4, 2), (5, 2)] {
         for ow in 1usize..=40 {
+            let Some(in_w) = (ow + kernel - 1)
+                .checked_sub(2 * padding)
+                .filter(|&w| w > 0)
+            else {
+                continue;
+            };
             for oc in 1usize..=18 {
+                let in_channels = match kernel {
+                    1 => [1, 6, 16, 17][oc % 4],
+                    2 => [1, 2, 5][oc % 3],
+                    _ => 1 + oc % 2,
+                };
                 let g = Conv2dGeom {
-                    in_channels: 1 + oc % 2,
+                    in_channels,
                     in_h: 3,
-                    in_w: ow,
+                    in_w,
                     kernel,
                     stride: 1,
-                    padding: kernel / 2,
+                    padding,
                 };
-                let check = windowed_conv_agrees_at(&[1], 2, oc, &g, (ow * 31 + oc) as u64);
+                assert_eq!(g.out_w(), ow);
+                let seed = (ow * 31 + oc) as u64;
+                let check = windowed_conv_agrees_at(&[1], &[(2, oc)], &g, seed);
                 parallel::set_threads(0);
                 simd::force_tier(None);
                 check.unwrap();

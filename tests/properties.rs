@@ -532,15 +532,16 @@ fn column_free_convolutions_agree_bit_for_bit() {
             colt,
             &mut want_dw,
         );
+        let mut window = kernels::ConvWindow::new(&g);
         for threads in [1usize, 2, 4] {
             parallel::set_threads(threads);
             for &tier in &tiers {
                 simd::force_tier(Some(tier));
                 let planes = kernels::padded_planes(&x, &g, None);
                 let mut y = vec![f32::NAN; want_y.len()];
-                kernels::conv_window_forward(&planes, &g, &w, &mut y);
+                window.forward(&planes, &w, &mut y);
                 let mut dw = vec![f32::NAN; want_dw.len()];
-                kernels::conv_window_dw(&planes, &g, &grad, &mut dw);
+                window.dw(&planes, &grad, &mut dw);
                 let case = format!("{tier:?}, {threads} threads, {g:?}");
                 assert_eq!(f32_bits(&y), f32_bits(&want_y), "forward, {case}");
                 assert_eq!(f32_bits(&dw), f32_bits(&want_dw), "dW, {case}");
