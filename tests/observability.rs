@@ -8,7 +8,10 @@
 //! `GetStats` admin frame over the job wire, and the Prometheus text
 //! endpoint over plain HTTP.
 
-use amalgam::cloud::{Stage, TraceId};
+use amalgam::cloud::{
+    BackendHealth, BackendStats, Histogram, HistogramSnapshot, ServiceStats, SessionStats, Stage,
+    TraceId,
+};
 use amalgam::prelude::*;
 use amalgam::proxy::{AmalgamProxy, ProxyConfig};
 use std::io::{Read, Write};
@@ -254,4 +257,310 @@ fn prometheus_exporter_serves_stage_quantiles() {
 
     drop(client);
     server.shutdown();
+}
+
+fn hist_of(values: &[u64]) -> HistogramSnapshot {
+    let h = Histogram::new();
+    for &v in values {
+        h.record(v);
+    }
+    h.snapshot()
+}
+
+/// A snapshot with a distinct value in every field, two backend rows, two
+/// session rows and two stage histograms: what the two goldens below
+/// render.
+fn golden_stats() -> ServiceStats {
+    ServiceStats {
+        queue_depth: 101,
+        in_flight: 102,
+        jobs_submitted: 103,
+        jobs_completed: 104,
+        jobs_failed: 105,
+        jobs_rejected: 106,
+        jobs_panicked: 107,
+        bytes_received: 108,
+        bytes_sent: 109,
+        mean_job_seconds: 0.0625,
+        jobs_per_second: 3.5,
+        uptime_seconds: 1234.75,
+        connections_accepted: 113,
+        connections_rejected: 114,
+        connections_active: 115,
+        frames_received: 116,
+        frames_sent: 117,
+        control_frames_received: 118,
+        control_frames_sent: 119,
+        relay_frames_received: 120,
+        relay_frames_sent: 121,
+        transport_bytes_received: 122,
+        transport_bytes_sent: 123,
+        jobs_rate_limited: 124,
+        reactor_registered_fds: 125,
+        reactor_wakeups: 126,
+        reactor_events: 127,
+        reactor_write_queue_bytes: 128,
+        cache_hits: 129,
+        coalesced: 130,
+        reconnects: 131,
+        jobs_resubmitted: 132,
+        failovers: 133,
+        progress_frames_emitted: 134,
+        progress_frames_delivered: 135,
+        progress_frames_dropped: 136,
+        jobs_cancelled: 137,
+        jobs_resumed: 138,
+        checkpoints_written: 139,
+        checkpoints_rejected: 140,
+        epochs_trained: 141,
+        backends: vec![
+            BackendStats {
+                addr: "10.0.0.1:4000".into(),
+                health: BackendHealth::Open,
+                sessions_routed: 201,
+                ejections: 202,
+                readmissions: 203,
+                probes_ok: 204,
+                probes_failed: 205,
+                failovers: 206,
+                jobs_resubmitted: 207,
+            },
+            BackendStats {
+                addr: "10.0.0.2:4000".into(),
+                health: BackendHealth::HalfOpen,
+                sessions_routed: 211,
+                ejections: 212,
+                readmissions: 213,
+                probes_ok: 214,
+                probes_failed: 215,
+                failovers: 216,
+                jobs_resubmitted: 217,
+            },
+        ],
+        sessions: vec![
+            SessionStats {
+                key: "alpha".into(),
+                weight: 2.5,
+                queue_depth: 301,
+                jobs_submitted: 302,
+                jobs_dispatched: 303,
+                jobs_completed: 304,
+                jobs_failed: 305,
+                jobs_rate_limited: 306,
+                jobs_shed: 307,
+                cache_hits: 308,
+                coalesced: 309,
+                progress_frames: 310,
+            },
+            SessionStats {
+                key: "session-7".into(),
+                weight: 1.0,
+                queue_depth: 311,
+                jobs_submitted: 312,
+                jobs_dispatched: 313,
+                jobs_completed: 314,
+                jobs_failed: 315,
+                jobs_rate_limited: 316,
+                jobs_shed: 317,
+                cache_hits: 318,
+                coalesced: 319,
+                progress_frames: 320,
+            },
+        ],
+        histograms: vec![
+            (Stage::QueueWait, hist_of(&[3, 17, 40, 40, 1_000])),
+            (Stage::Train, hist_of(&[850, 900, 123_456])),
+        ],
+    }
+}
+
+/// `golden_stats().to_bytes()`, the body of a `Stats` frame, in hex. The
+/// wire format is pinned: a change here is a protocol change.
+const GOLDEN_STATS_HEX: &str = "\
+6500000000000000660000000000000067000000000000006800000000000000\
+69000000000000006a000000000000006b000000000000006c00000000000000\
+6d00000000000000000000000000b03f0000000000000c4000000000004b9340\
+7100000000000000720000000000000073000000000000007400000000000000\
+7500000000000000760000000000000077000000000000007800000000000000\
+79000000000000007a000000000000007b000000000000007c00000000000000\
+7d000000000000007e000000000000007f000000000000008000000000000000\
+8100000000000000820000000000000083000000000000008400000000000000\
+8500000000000000860000000000000087000000000000008800000000000000\
+89000000000000008a000000000000008b000000000000008c00000000000000\
+8d00000000000000020000000d00000031302e302e302e313a3430303001c900\
+000000000000ca00000000000000cb00000000000000cc00000000000000cd00\
+000000000000ce00000000000000cf000000000000000d00000031302e302e30\
+2e323a3430303002d300000000000000d400000000000000d500000000000000\
+d600000000000000d700000000000000d800000000000000d900000000000000\
+0200000005000000616c70686100000000000004402d010000000000002e0100\
+00000000002f0100000000000030010000000000003101000000000000320100\
+0000000000330100000000000034010000000000003501000000000000360100\
+00000000000900000073657373696f6e2d37000000000000f03f370100000000\
+0000380100000000000039010000000000003a010000000000003b0100000000\
+00003c010000000000003d010000000000003e010000000000003f0100000000\
+00004001000000000000020000000005000000000000004c04000000000000e8\
+0300000000000004000000030000000100000000000000110000000100000000\
+0000002400000002000000000000006f00000001000000000000000a03000000\
+0000000016e901000000000040e2010000000000030000006a00000001000000\
+000000006c0000000100000000000000de0000000100000000000000";
+
+/// `golden_stats().to_prometheus()`, sorted by line. Series may be emitted
+/// in any order; their names, help, types and values are pinned.
+const GOLDEN_SCRAPE_SORTED: &[&str] = &[
+    "# HELP amalgam_cache_hits_total Submissions answered from the result cache.",
+    "# HELP amalgam_checkpoints_rejected_total Corrupt or stale checkpoints scrubbed before recompute.",
+    "# HELP amalgam_checkpoints_written_total Mid-training checkpoints stored.",
+    "# HELP amalgam_coalesced_total Submissions coalesced onto in-flight duplicates.",
+    "# HELP amalgam_connections_accepted_total Sessions that completed a handshake.",
+    "# HELP amalgam_connections_active Sessions open right now.",
+    "# HELP amalgam_connections_rejected_total Connections refused before a session existed.",
+    "# HELP amalgam_control_frames_received_total Protocol-overhead frames received (subset of frames_received_total).",
+    "# HELP amalgam_control_frames_sent_total Protocol-overhead frames sent (subset of frames_sent_total).",
+    "# HELP amalgam_epochs_trained_total Training epochs actually executed.",
+    "# HELP amalgam_failovers_total Sessions that abandoned a dying backend.",
+    "# HELP amalgam_frames_received_total Frames received (client face).",
+    "# HELP amalgam_frames_sent_total Frames sent (client face).",
+    "# HELP amalgam_in_flight Jobs inside the stack right now.",
+    "# HELP amalgam_job_bytes_received_total Uploaded job bytes.",
+    "# HELP amalgam_job_bytes_sent_total Result bytes returned.",
+    "# HELP amalgam_jobs_cancelled_total Jobs resolved with Cancelled at the submitter's request.",
+    "# HELP amalgam_jobs_completed_total Jobs trained to completion.",
+    "# HELP amalgam_jobs_failed_total Jobs answered with an error.",
+    "# HELP amalgam_jobs_panicked_total Jobs whose processing panicked.",
+    "# HELP amalgam_jobs_per_second Completed jobs per uptime second.",
+    "# HELP amalgam_jobs_rate_limited_total Jobs refused by the per-session rate limiter.",
+    "# HELP amalgam_jobs_rejected_total Jobs shed by admission control.",
+    "# HELP amalgam_jobs_resubmitted_total In-flight jobs replayed after failover.",
+    "# HELP amalgam_jobs_resumed_total Jobs resumed from a checkpoint instead of epoch 0.",
+    "# HELP amalgam_jobs_submitted_total Jobs ever submitted.",
+    "# HELP amalgam_latency_microseconds Per-stage latency quantiles (log-linear histogram, error <= 1/16).",
+    "# HELP amalgam_progress_frames_delivered_total Progress frames that reached their sink.",
+    "# HELP amalgam_progress_frames_dropped_total Progress frames dropped (v1 peer or dead sink).",
+    "# HELP amalgam_progress_frames_emitted_total Progress frames emitted toward any sink.",
+    "# HELP amalgam_queue_depth Jobs waiting right now.",
+    "# HELP amalgam_reactor_events_total Readiness events processed.",
+    "# HELP amalgam_reactor_registered_fds Sockets registered with the event-loop pollers.",
+    "# HELP amalgam_reactor_wakeups_total Cross-thread event-loop wake-ups.",
+    "# HELP amalgam_reactor_write_queue_bytes Bytes parked in write queues (backpressure gauge).",
+    "# HELP amalgam_reconnects_total Lost links re-established.",
+    "# HELP amalgam_relay_frames_received_total Frames received on backend-face links (routing tier).",
+    "# HELP amalgam_relay_frames_sent_total Frames sent on backend-face links (routing tier).",
+    "# HELP amalgam_transport_bytes_received_total Wire bytes received.",
+    "# HELP amalgam_transport_bytes_sent_total Wire bytes sent.",
+    "# HELP amalgam_uptime_seconds Seconds since service start.",
+    "# TYPE amalgam_cache_hits_total gauge",
+    "# TYPE amalgam_checkpoints_rejected_total gauge",
+    "# TYPE amalgam_checkpoints_written_total gauge",
+    "# TYPE amalgam_coalesced_total gauge",
+    "# TYPE amalgam_connections_accepted_total gauge",
+    "# TYPE amalgam_connections_active gauge",
+    "# TYPE amalgam_connections_rejected_total gauge",
+    "# TYPE amalgam_control_frames_received_total gauge",
+    "# TYPE amalgam_control_frames_sent_total gauge",
+    "# TYPE amalgam_epochs_trained_total gauge",
+    "# TYPE amalgam_failovers_total gauge",
+    "# TYPE amalgam_frames_received_total gauge",
+    "# TYPE amalgam_frames_sent_total gauge",
+    "# TYPE amalgam_in_flight gauge",
+    "# TYPE amalgam_job_bytes_received_total gauge",
+    "# TYPE amalgam_job_bytes_sent_total gauge",
+    "# TYPE amalgam_jobs_cancelled_total gauge",
+    "# TYPE amalgam_jobs_completed_total gauge",
+    "# TYPE amalgam_jobs_failed_total gauge",
+    "# TYPE amalgam_jobs_panicked_total gauge",
+    "# TYPE amalgam_jobs_per_second gauge",
+    "# TYPE amalgam_jobs_rate_limited_total gauge",
+    "# TYPE amalgam_jobs_rejected_total gauge",
+    "# TYPE amalgam_jobs_resubmitted_total gauge",
+    "# TYPE amalgam_jobs_resumed_total gauge",
+    "# TYPE amalgam_jobs_submitted_total gauge",
+    "# TYPE amalgam_latency_microseconds summary",
+    "# TYPE amalgam_progress_frames_delivered_total gauge",
+    "# TYPE amalgam_progress_frames_dropped_total gauge",
+    "# TYPE amalgam_progress_frames_emitted_total gauge",
+    "# TYPE amalgam_queue_depth gauge",
+    "# TYPE amalgam_reactor_events_total gauge",
+    "# TYPE amalgam_reactor_registered_fds gauge",
+    "# TYPE amalgam_reactor_wakeups_total gauge",
+    "# TYPE amalgam_reactor_write_queue_bytes gauge",
+    "# TYPE amalgam_reconnects_total gauge",
+    "# TYPE amalgam_relay_frames_received_total gauge",
+    "# TYPE amalgam_relay_frames_sent_total gauge",
+    "# TYPE amalgam_transport_bytes_received_total gauge",
+    "# TYPE amalgam_transport_bytes_sent_total gauge",
+    "# TYPE amalgam_uptime_seconds gauge",
+    "amalgam_cache_hits_total 129",
+    "amalgam_checkpoints_rejected_total 140",
+    "amalgam_checkpoints_written_total 139",
+    "amalgam_coalesced_total 130",
+    "amalgam_connections_accepted_total 113",
+    "amalgam_connections_active 115",
+    "amalgam_connections_rejected_total 114",
+    "amalgam_control_frames_received_total 118",
+    "amalgam_control_frames_sent_total 119",
+    "amalgam_epochs_trained_total 141",
+    "amalgam_failovers_total 133",
+    "amalgam_frames_received_total 116",
+    "amalgam_frames_sent_total 117",
+    "amalgam_in_flight 102",
+    "amalgam_job_bytes_received_total 108",
+    "amalgam_job_bytes_sent_total 109",
+    "amalgam_jobs_cancelled_total 137",
+    "amalgam_jobs_completed_total 104",
+    "amalgam_jobs_failed_total 105",
+    "amalgam_jobs_panicked_total 107",
+    "amalgam_jobs_per_second 3.5",
+    "amalgam_jobs_rate_limited_total 124",
+    "amalgam_jobs_rejected_total 106",
+    "amalgam_jobs_resubmitted_total 132",
+    "amalgam_jobs_resumed_total 138",
+    "amalgam_jobs_submitted_total 103",
+    "amalgam_latency_microseconds_count{stage=\"queue_wait\"} 5",
+    "amalgam_latency_microseconds_count{stage=\"train\"} 3",
+    "amalgam_latency_microseconds_max{stage=\"queue_wait\"} 1000",
+    "amalgam_latency_microseconds_max{stage=\"train\"} 123456",
+    "amalgam_latency_microseconds_sum{stage=\"queue_wait\"} 1100",
+    "amalgam_latency_microseconds_sum{stage=\"train\"} 125206",
+    "amalgam_latency_microseconds{stage=\"queue_wait\",quantile=\"0.5\"} 41",
+    "amalgam_latency_microseconds{stage=\"queue_wait\",quantile=\"0.95\"} 1000",
+    "amalgam_latency_microseconds{stage=\"queue_wait\",quantile=\"0.99\"} 1000",
+    "amalgam_latency_microseconds{stage=\"train\",quantile=\"0.5\"} 927",
+    "amalgam_latency_microseconds{stage=\"train\",quantile=\"0.95\"} 123456",
+    "amalgam_latency_microseconds{stage=\"train\",quantile=\"0.99\"} 123456",
+    "amalgam_progress_frames_delivered_total 135",
+    "amalgam_progress_frames_dropped_total 136",
+    "amalgam_progress_frames_emitted_total 134",
+    "amalgam_queue_depth 101",
+    "amalgam_reactor_events_total 127",
+    "amalgam_reactor_registered_fds 125",
+    "amalgam_reactor_wakeups_total 126",
+    "amalgam_reactor_write_queue_bytes 128",
+    "amalgam_reconnects_total 131",
+    "amalgam_relay_frames_received_total 120",
+    "amalgam_relay_frames_sent_total 121",
+    "amalgam_transport_bytes_received_total 122",
+    "amalgam_transport_bytes_sent_total 123",
+    "amalgam_uptime_seconds 1234.75",
+];
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The `Stats` frame body is byte-for-byte what it was, it decodes to the
+/// snapshot it encoded, and the scrape is the pinned set of lines.
+#[test]
+fn stats_frame_bytes_and_scrape_lines_are_pinned() {
+    let stats = golden_stats();
+    let bytes = stats.to_bytes();
+    assert_eq!(hex(&bytes), GOLDEN_STATS_HEX, "Stats frame bytes moved");
+    assert_eq!(ServiceStats::from_bytes(bytes).expect("decode"), stats);
+
+    let text = stats.to_prometheus();
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_unstable();
+    for (i, (got, want)) in lines.iter().zip(GOLDEN_SCRAPE_SORTED).enumerate() {
+        assert_eq!(got, want, "sorted scrape line {i}");
+    }
+    assert_eq!(lines.len(), GOLDEN_SCRAPE_SORTED.len(), "scrape line count");
 }
