@@ -1,6 +1,27 @@
 //! Service telemetry: lock-free counters shared by the client handles, the
 //! metrics layer and the worker pool — plus a per-session table keyed by
 //! [`SessionKey`] for the QoS counters — snapshot into [`ServiceStats`].
+//!
+//! Every number is declared once, as a row of one of three tables below
+//! (`service_table!` for the scalars, `stats_record!` for the backend and
+//! session rows): help text, name, `counter` | `gauge`, type, and the
+//! operator table's group and label. The atomic in [`ServiceMetrics`], its
+//! zero, its load in `snapshot`, the documented [`ServiceStats`] field, its
+//! place in the `Stats` frame (table order *is* wire order — append only),
+//! its `# HELP`/`# TYPE`/sample in the scrape and its cell in `Display` all
+//! derive from that row. To add a metric:
+//!
+//! 1. add its row (at the end of its table: the wire is positional);
+//! 2. bump the field of that name in an increment method of
+//!    [`ServiceMetrics`] — the methods are the policy, which event moves
+//!    which counter, and stay hand-written;
+//! 3. nothing else. `cargo run --release --example remote_training` prints
+//!    the table from a live `GetStats`, and `every_row_reaches_every_rendering`
+//!    fails for a field that went around the table.
+//!
+//! Session rows stay out of the scrape on purpose: their label values are
+//! peer-chosen and there may be [`MAX_SESSION_ROWS`] of them. Backend rows
+//! are in it — the fleet is the operator's own configuration.
 
 use crate::middleware::SessionKey;
 use crate::protocol::JobResult;
@@ -11,78 +32,9 @@ use amalgam_tensor::TensorError;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-/// Shared atomic counters. Writers are the submit path (queue gauge), the
-/// worker loop (dequeue) and [`crate::middleware::MetricsLayer`]; readers
-/// call [`snapshot`](Self::snapshot) at any time.
-#[derive(Debug)]
-pub struct ServiceMetrics {
-    started_at: Instant,
-    queued: AtomicUsize,
-    in_flight: AtomicUsize,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    rejected: AtomicU64,
-    panicked: AtomicU64,
-    bytes_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    busy_nanos: AtomicU64,
-    // Transport counters, written by the TCP server's acceptor and sessions.
-    connections_accepted: AtomicU64,
-    connections_rejected: AtomicU64,
-    connections_active: AtomicUsize,
-    frames_received: AtomicU64,
-    frames_sent: AtomicU64,
-    // Protocol-overhead sub-counts (Ping/Pong/handshake/admin frames),
-    // included in the totals above — subtract to get job-frame throughput.
-    control_frames_received: AtomicU64,
-    control_frames_sent: AtomicU64,
-    // A routing tier's *backend-face* frames. Kept out of frames_received/
-    // frames_sent, which count the client face only, so one proxied job is
-    // one frame in and one frame out — not two of each.
-    relay_frames_received: AtomicU64,
-    relay_frames_sent: AtomicU64,
-    transport_bytes_received: AtomicU64,
-    transport_bytes_sent: AtomicU64,
-    rate_limited: AtomicU64,
-    // Reactor counters, written by the event-loop threads.
-    reactor_registered_fds: AtomicUsize,
-    reactor_wakeups: AtomicU64,
-    reactor_events: AtomicU64,
-    reactor_write_queue_bytes: AtomicUsize,
-    // Dedup counters, written by the submit-path cache check.
-    cache_hits: AtomicU64,
-    coalesced: AtomicU64,
-    // Self-healing counters, written by a routing tier (`amalgam-proxy`)
-    // sitting in front of backend servers — zero without one.
-    reconnects: AtomicU64,
-    jobs_resubmitted: AtomicU64,
-    failovers: AtomicU64,
-    // Streamed-lifecycle counters: progress frames obey the conservation
-    // law emitted == delivered + dropped (asserted in the transport race
-    // tests), and the durable-lifecycle tallies below let the
-    // kill-and-resume suite prove a resumed run recomputed strictly fewer
-    // epochs than the job's total.
-    progress_emitted: AtomicU64,
-    progress_delivered: AtomicU64,
-    progress_dropped: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    jobs_resumed: AtomicU64,
-    checkpoints_written: AtomicU64,
-    checkpoints_rejected: AtomicU64,
-    epochs_trained: AtomicU64,
-    // Per-backend health rows, keyed by the backend's dial address.
-    backends: Mutex<HashMap<String, BackendCounters>>,
-    // QoS counters per session. Keyed by the SessionKey itself (cheap
-    // clones: a u64 or an Arc<str>) — display names are only rendered at
-    // snapshot time, off the per-job hot path.
-    sessions: Mutex<HashMap<SessionKey, SessionCounters>>,
-    // Per-stage latency histograms and the flight recorder.
-    telemetry: Telemetry,
-}
 
 /// Per-session rows beyond this count trigger eviction of idle rows
 /// (empty queue), bounding the table against anonymous-connection churn.
@@ -91,55 +43,418 @@ const MAX_SESSION_ROWS: usize = 4096;
 
 /// A circuit breaker's reported position for one backend, as surfaced in
 /// [`BackendStats`]. The state machine itself lives in the routing tier
-/// (`amalgam-proxy`); this is its observable shadow.
+/// (`amalgam-proxy`); this is its observable shadow. The discriminant is
+/// the wire tag and the scrape's sample value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
 pub enum BackendHealth {
     /// Traffic flows; failures are being counted.
     #[default]
-    Closed,
+    Closed = 0,
     /// Ejected: no session traffic, only cooldown-gated probes.
-    Open,
+    Open = 1,
     /// Probation: probes decide between readmission and re-ejection.
-    HalfOpen,
+    HalfOpen = 2,
 }
 
-impl std::fmt::Display for BackendHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendHealth::Closed => write!(f, "closed"),
-            BackendHealth::Open => write!(f, "open"),
-            BackendHealth::HalfOpen => write!(f, "half-open"),
+impl TryFrom<u8> for BackendHealth {
+    type Error = CloudError;
+
+    fn try_from(tag: u8) -> Result<BackendHealth, CloudError> {
+        match tag {
+            0 => Ok(BackendHealth::Closed),
+            1 => Ok(BackendHealth::Open),
+            2 => Ok(BackendHealth::HalfOpen),
+            t => Err(CloudError::Decode(format!("unknown health tag {t}"))),
         }
     }
 }
 
-/// Mutable per-backend tallies behind the backends mutex.
-#[derive(Debug, Default, Clone)]
-struct BackendCounters {
-    health: BackendHealth,
-    sessions_routed: u64,
-    ejections: u64,
-    readmissions: u64,
-    probes_ok: u64,
-    probes_failed: u64,
-    failovers: u64,
-    jobs_resubmitted: u64,
+impl fmt::Display for BackendHealth {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            BackendHealth::Closed => "closed",
+            BackendHealth::Open => "open",
+            BackendHealth::HalfOpen => "half-open",
+        })
+    }
 }
 
-/// Mutable per-session tallies behind the sessions mutex.
-#[derive(Debug, Default, Clone)]
-struct SessionCounters {
-    weight: f64,
-    queue_depth: usize,
-    submitted: u64,
-    dispatched: u64,
-    completed: u64,
-    failed: u64,
-    rate_limited: u64,
-    shed: u64,
-    cache_hits: u64,
-    coalesced: u64,
-    progress_frames: u64,
+fn stats_err(e: TensorError) -> CloudError {
+    CloudError::Decode(e.to_string())
+}
+
+/// One table row as the scrape and the operator table read it: the row's
+/// columns and one snapshot's value.
+struct Row {
+    /// The scrape's series stem: the field's name unless the row overrides it.
+    series: &'static str,
+    /// `"counter"` (monotone; its series ends in `_total`) or `"gauge"`.
+    kind: &'static str,
+    help: &'static str,
+    group: &'static str,
+    label: &'static str,
+    /// The value as the scrape samples it: `"0"` is every type's zero.
+    sample: String,
+    /// The value as the operator table prints it.
+    cell: String,
+}
+
+/// The columns of a row that follow from its kind or type: the scrape's
+/// `# TYPE`, the atomic behind a scalar, the wire encoding (integers travel
+/// as `u64`, the breaker position as its tag), the scrape's sample (the tag
+/// again) and the operator table's cell (rates to four places).
+#[rustfmt::skip]
+macro_rules! cell {
+    (kind counter) => { "counter" };
+    (kind gauge) => { "gauge" };
+    (atomic u64) => { AtomicU64 };
+    (atomic usize) => { AtomicUsize };
+    (put u64, $w:ident, $v:expr) => { $w.put_u64($v) };
+    (put usize, $w:ident, $v:expr) => { $w.put_u64($v as u64) };
+    (put f64, $w:ident, $v:expr) => { $w.put_f64($v) };
+    (put BackendHealth, $w:ident, $v:expr) => { $w.put_u8($v as u8) };
+    (get u64, $r:ident) => { $r.get_u64().map_err(stats_err)? };
+    (get usize, $r:ident) => { $r.get_u64().map_err(stats_err)? as usize };
+    (get f64, $r:ident) => { $r.get_f64().map_err(stats_err)? };
+    (get BackendHealth, $r:ident) => { BackendHealth::try_from($r.get_u8().map_err(stats_err)?)? };
+    (sample BackendHealth, $v:expr) => { ($v as u8).to_string() };
+    (sample $number:ident, $v:expr) => { $v.to_string() };
+    (cell f64, $v:expr) => { format!("{:.4}", $v) };
+    (cell $other:ident, $v:expr) => { $v.to_string() };
+}
+
+/// Declares one snapshot record from its table. A row reads
+///
+/// ```text
+/// /// More rustdoc, after the help.
+/// name [as "series"]: counter|gauge type, group "label", "help";
+/// ```
+///
+/// and yields the public field, its place in `encode_into`/`decode_from`
+/// (table order) and its [`Row`]. `key` is the record's string label; `tail`
+/// fields ride along untouched.
+macro_rules! stats_record {
+    (
+        $(#[$meta:meta])*
+        pub struct $Stats:ident {
+            $(key $key:ident, $khelp:literal;)?
+            rows {$(
+                $(#[$doc:meta])*
+                $name:ident $(as $series:literal)?: $kind:ident $ty:ident,
+                $group:ident $label:literal, $help:literal;
+            )*}
+            $(tail {$($(#[$tdoc:meta])* $tail:ident: $tty:ty,)*})?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct $Stats {
+            $(#[doc = $khelp] pub $key: String,)?
+            $(#[doc = $help] $(#[$doc])* pub $name: $ty,)*
+            $($($(#[$tdoc])* pub $tail: $tty,)*)?
+        }
+
+        impl $Stats {
+            /// Appends the key and every row in table order.
+            fn encode_into(&self, w: &mut Writer) {
+                $(w.put_str(&self.$key);)?
+                $(cell!(put $ty, w, self.$name);)*
+            }
+
+            /// Reads what `encode_into` wrote; tail fields come back empty.
+            fn decode_from(r: &mut Reader) -> Result<$Stats, CloudError> {
+                Ok($Stats {
+                    $($key: r.get_str().map_err(stats_err)?,)?
+                    $($name: cell!(get $ty, r),)*
+                    $($($tail: Default::default(),)*)?
+                })
+            }
+
+            /// Every row in table order, with this snapshot's values.
+            fn rows(&self) -> Vec<Row> {
+                vec![$(Row {
+                    series: [$($series,)? stringify!($name)][0],
+                    kind: cell!(kind $kind),
+                    help: $help,
+                    group: stringify!($group),
+                    label: $label,
+                    sample: cell!(sample $ty, self.$name),
+                    cell: cell!(cell $ty, self.$name),
+                }),*]
+            }
+
+            /// One snapshot per row, all zero but that row.
+            #[cfg(test)]
+            fn probes() -> Vec<(&'static str, $Stats)> {
+                vec![$((stringify!($name), $Stats {
+                    $name: <$ty>::try_from(1u8).expect("every row type holds a 1"),
+                    ..Default::default()
+                })),*]
+            }
+        }
+    };
+}
+
+/// Declares the service's scalars: [`ServiceStats`] from every row, and
+/// from the rows outside `derived` the atomics of [`ServiceMetrics`], their
+/// zeros and their loads. The `derived` rows are rates `snapshot` computes.
+macro_rules! service_table {
+    ({$($head:tt)*} derived {$($derived:tt)*} {$($rest:tt)*}) => {
+        stats_record! {
+            /// A point-in-time view of the service's telemetry.
+            pub struct ServiceStats {
+                rows { $($head)* $($derived)* $($rest)* }
+                tail {
+                    /// Per-backend health rows (breaker state, ejections/readmissions,
+                    /// probe tallies), sorted by address; populated by a routing tier
+                    /// (`amalgam-proxy`), empty otherwise.
+                    backends: Vec<BackendStats>,
+                    /// Per-session QoS rows (queue depth, dispatch/shed tallies), sorted by
+                    /// session name; every session that ever submitted has a row.
+                    sessions: Vec<SessionStats>,
+                    /// Per-stage latency histograms (only stages that recorded at least
+                    /// one value), in [`Stage`] order.
+                    histograms: Vec<(Stage, HistogramSnapshot)>,
+                }
+            }
+        }
+        service_table!(@atomics $($head)* $($rest)*);
+    };
+    (@atomics $(
+        $(#[$doc:meta])*
+        $name:ident $(as $series:literal)?: $kind:ident $ty:ident,
+        $group:ident $label:literal, $help:literal;
+    )*) => {
+        /// Shared atomic counters. Writers are the submit path (queue gauge), the
+        /// worker loop (dequeue) and [`crate::middleware::MetricsLayer`]; readers
+        /// call [`snapshot`](Self::snapshot) at any time.
+        #[derive(Debug)]
+        pub struct ServiceMetrics {
+            started_at: Instant,
+            // Time inside the stack, summed: the numerator of `mean_job_seconds`.
+            busy_nanos: AtomicU64,
+            $($name: cell!(atomic $ty),)*
+            // Per-backend health rows, keyed by the backend's dial address
+            // (a row's own `addr` is filled in at snapshot time).
+            backends: Mutex<HashMap<String, BackendStats>>,
+            // QoS counters per session. Keyed by the SessionKey itself (cheap
+            // clones: a u64 or an Arc<str>) — display names are only rendered at
+            // snapshot time, off the per-job hot path.
+            sessions: Mutex<HashMap<SessionKey, SessionStats>>,
+            // Per-stage latency histograms and the flight recorder.
+            telemetry: Telemetry,
+        }
+
+        impl ServiceMetrics {
+            /// Zeroed counters with an explicit telemetry configuration.
+            pub fn with_telemetry(telemetry: &TelemetryConfig) -> ServiceMetrics {
+                ServiceMetrics {
+                    started_at: Instant::now(),
+                    busy_nanos: AtomicU64::new(0),
+                    $($name: Default::default(),)*
+                    backends: Mutex::new(HashMap::new()),
+                    sessions: Mutex::new(HashMap::new()),
+                    telemetry: Telemetry::new(telemetry),
+                }
+            }
+
+            /// Loads every counter; the derived rows and the tables stay zero.
+            fn load(&self) -> ServiceStats {
+                ServiceStats {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    ..Default::default()
+                }
+            }
+        }
+    };
+}
+
+service_table! {
+    {
+        queue_depth: gauge usize, queue "depth", "Jobs waiting right now.";
+        in_flight: gauge usize, queue "in-flight", "Jobs inside the stack right now.";
+        /// Includes the ones later rejected, rate-limited, cancelled or
+        /// answered by dedup.
+        jobs_submitted: counter u64, jobs "submitted", "Jobs ever submitted.";
+        jobs_completed: counter u64, jobs "completed", "Jobs trained to completion.";
+        /// Decode, validation and panic errors.
+        jobs_failed: counter u64, jobs "failed", "Jobs answered with an error.";
+        jobs_rejected: counter u64, jobs "rejected", "Jobs shed by admission control.";
+        /// Also counted in [`jobs_failed`](Self::jobs_failed).
+        jobs_panicked: counter u64, jobs "panicked", "Jobs whose processing panicked.";
+        /// Everything the metrics layer saw arrive, refused jobs included.
+        bytes_received as "job_bytes_received": counter u64, bytes "job in", "Uploaded job bytes.";
+        /// Completed jobs only.
+        bytes_sent as "job_bytes_sent": counter u64, bytes "job out", "Result bytes returned.";
+    }
+    derived {
+        mean_job_seconds: gauge f64,
+            rates "mean job s", "Mean wall-clock seconds per completed job.";
+        jobs_per_second: gauge f64, rates "jobs/s", "Completed jobs per uptime second.";
+        uptime_seconds: gauge f64, rates "uptime s", "Seconds since service start.";
+    }
+    {
+        /// 0 without a [`crate::CloudServer`] in front.
+        connections_accepted: counter u64,
+            transport "accepted", "Sessions that completed a handshake.";
+        /// Capacity, bad handshake or version mismatch.
+        connections_rejected: counter u64,
+            transport "rejected", "Connections refused before a session existed.";
+        connections_active: gauge usize, transport "active", "Sessions open right now.";
+        /// Over all sessions, control frames included; a routing tier's
+        /// backend face counts in
+        /// [`relay_frames_received`](Self::relay_frames_received).
+        frames_received: counter u64, transport "frames in", "Frames received (client face).";
+        /// Over all sessions, control frames included.
+        frames_sent: counter u64, transport "frames out", "Frames sent (client face).";
+        /// Keep-alive Ping/Pong, handshake, admin — so
+        /// `frames_received - control_frames_received` tracks job traffic.
+        control_frames_received: counter u64, transport "ctl in",
+            "Protocol-overhead frames received (subset of frames_received_total).";
+        control_frames_sent: counter u64, transport "ctl out",
+            "Protocol-overhead frames sent (subset of frames_sent_total).";
+        /// Kept out of [`frames_received`](Self::frames_received) so one
+        /// proxied job is counted once per face, not twice on one counter.
+        relay_frames_received: counter u64, transport "relay in",
+            "Frames received on backend-face links (routing tier).";
+        relay_frames_sent: counter u64, transport "relay out",
+            "Frames sent on backend-face links (routing tier).";
+        /// Frame payloads plus length prefixes, both faces of a routing tier.
+        transport_bytes_received: counter u64, bytes "wire in", "Wire bytes received.";
+        /// Frame payloads plus length prefixes, both faces of a routing tier.
+        transport_bytes_sent: counter u64, bytes "wire out", "Wire bytes sent.";
+        /// Answered with [`crate::CloudError::RateLimited`].
+        jobs_rate_limited: counter u64,
+            jobs "rate-limited", "Jobs refused by the per-session rate limiter.";
+        /// Connections plus one waker per I/O thread; 0 without a
+        /// [`crate::CloudServer`].
+        reactor_registered_fds: gauge usize,
+            reactor "fds", "Sockets registered with the event-loop pollers.";
+        /// New connections, completed jobs, shutdown. Coalesced wakes count
+        /// once.
+        reactor_wakeups: counter u64, reactor "wakeups", "Cross-thread event-loop wake-ups.";
+        reactor_events: counter u64, reactor "events", "Readiness events processed.";
+        /// Frames the sockets weren't ready to take, right now.
+        reactor_write_queue_bytes: gauge usize,
+            reactor "write-queue B", "Bytes parked in write queues (backpressure gauge).";
+        /// ([`crate::CloudServiceBuilder::result_cache`].) Counted in
+        /// [`jobs_submitted`](Self::jobs_submitted), but they never occupied
+        /// the queue or a worker, so they are *not* in
+        /// [`jobs_completed`](Self::jobs_completed).
+        cache_hits: counter u64,
+            queue "cache hits", "Submissions answered from the result cache.";
+        /// Each attached as a waiter to an identical in-flight job and was
+        /// answered by its one execution.
+        coalesced: counter u64,
+            queue "coalesced", "Submissions coalesced onto in-flight duplicates.";
+        /// By a self-healing component (a routing tier's backend redials; 0
+        /// without one in front).
+        reconnects: counter u64, healing "reconnects", "Lost links re-established.";
+        /// Or after a reconnect. Replays are content-addressed, so they
+        /// dedup instead of training twice.
+        jobs_resubmitted: counter u64,
+            healing "resubmitted", "In-flight jobs replayed after failover.";
+        /// Live ones, mid-flight.
+        failovers: counter u64, healing "failovers", "Sessions that abandoned a dying backend.";
+        /// One per waiter per epoch. Conservation law:
+        /// `progress_frames_emitted == progress_frames_delivered +
+        /// progress_frames_dropped`.
+        progress_frames_emitted: counter u64,
+            lifecycle "progress emitted", "Progress frames emitted toward any sink.";
+        /// Queued on a live v2 connection, or received by an in-process
+        /// handle.
+        progress_frames_delivered: counter u64,
+            lifecycle "delivered", "Progress frames that reached their sink.";
+        /// Or a broken or closing connection. Progress is advisory, so drops
+        /// are legal — but always counted.
+        progress_frames_dropped: counter u64,
+            lifecycle "dropped", "Progress frames dropped (v1 peer or dead sink).";
+        /// [`crate::CloudError::Cancelled`]; kept out of
+        /// [`jobs_failed`](Self::jobs_failed): the submitter asked for this.
+        jobs_cancelled: counter u64, lifecycle "cancelled",
+            "Jobs resolved with Cancelled at the submitter's request.";
+        jobs_resumed: counter u64,
+            lifecycle "resumed", "Jobs resumed from a checkpoint instead of epoch 0.";
+        checkpoints_written: counter u64,
+            lifecycle "ckpt written", "Mid-training checkpoints stored.";
+        /// Failed validation: checksum, truncation or an impossible epoch.
+        checkpoints_rejected: counter u64, lifecycle "ckpt rejected",
+            "Corrupt or stale checkpoints scrubbed before recompute.";
+        /// After a kill-and-resume, the restarted server's count stays
+        /// strictly below the job's total — the observable proof that resume
+        /// skipped work.
+        epochs_trained: counter u64, lifecycle "epochs", "Training epochs actually executed.";
+    }
+}
+
+/// Groups the operator table prints only once one of their rows is non-zero.
+const QUIET_GROUPS: [&str; 2] = ["healing", "lifecycle"];
+
+stats_record! {
+    /// One backend's slice of a routing tier's telemetry: where its circuit
+    /// breaker stands and how often it has been ejected, probed, readmitted,
+    /// and failed away from.
+    pub struct BackendStats {
+        key addr, "The backend's dial address.";
+        rows {
+            health: gauge BackendHealth, backend "health", "Current circuit-breaker position.";
+            sessions_routed: counter u64,
+                backend "routed", "Sessions ever routed (or failed over) to this backend.";
+            ejections: counter u64,
+                backend "ejected", "Times the breaker opened (closed/half-open → open).";
+            readmissions: counter u64,
+                backend "readmitted", "Times the breaker closed again after probation.";
+            probes_ok: counter u64, backend "probes ok", "Health probes that succeeded.";
+            probes_failed: counter u64, backend "failed", "Health probes that failed.";
+            failovers: counter u64,
+                backend "failovers", "Live sessions that abandoned this backend mid-flight.";
+            jobs_resubmitted: counter u64, backend "resubmitted",
+                "In-flight jobs replayed onto this backend after failovers.";
+        }
+    }
+}
+
+stats_record! {
+    /// One session's slice of the service telemetry.
+    ///
+    /// A *session* is a [`SessionKey`]: an API key (shared by every connection
+    /// and client presenting it) or one anonymous client/connection. Rows are
+    /// how the fairness and rate-limit tests observe who actually got the
+    /// workers. They persist while a session has work queued; once the table
+    /// holds thousands of rows, idle sessions' rows may be evicted (aggregate
+    /// counters like [`ServiceStats::jobs_completed`] are unaffected).
+    pub struct SessionStats {
+        key key, "[`SessionKey::display_name`] of the session.";
+        rows {
+            weight: gauge f64, session "w",
+                "The DRR weight the scheduler grants the session (default 1.0).";
+            queue_depth: gauge usize,
+                session "depth", "Jobs waiting in this session's queue right now.";
+            jobs_submitted: counter u64, session "submitted",
+                "Jobs this session ever submitted (including later-refused ones).";
+            /// The fairness counter: under contention, dispatch shares track
+            /// session weights.
+            jobs_dispatched: counter u64,
+                session "dispatched", "Jobs the DRR scheduler handed to workers.";
+            jobs_completed: counter u64, session "completed", "Jobs trained to completion.";
+            jobs_failed: counter u64, session "failed",
+                "Jobs answered with a non-QoS error (decode/validation/panic/auth).";
+            /// Also counted in [`jobs_shed`](Self::jobs_shed).
+            jobs_rate_limited: counter u64,
+                session "rate-limited", "Jobs refused by the session's token bucket.";
+            /// Rate limiter, admission control, or the transport's
+            /// per-connection in-flight cap.
+            jobs_shed: counter u64, session "shed", "Jobs shed by any QoS gate.";
+            cache_hits: counter u64, session "cache hits",
+                "This session's submissions answered straight from the result cache.";
+            coalesced: counter u64, session "coalesced",
+                "This session's submissions coalesced onto an identical in-flight job.";
+            /// Each coalesced waiter counts its own copy.
+            progress_frames: counter u64,
+                session "progress", "Progress frames emitted for this session's jobs.";
+        }
+    }
 }
 
 impl ServiceMetrics {
@@ -147,55 +462,6 @@ impl ServiceMetrics {
     /// [`TelemetryConfig`] (histograms and flight recorder on).
     pub fn new() -> ServiceMetrics {
         ServiceMetrics::with_telemetry(&TelemetryConfig::default())
-    }
-
-    /// Zeroed counters with an explicit telemetry configuration.
-    pub fn with_telemetry(telemetry: &TelemetryConfig) -> ServiceMetrics {
-        ServiceMetrics {
-            started_at: Instant::now(),
-            queued: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            panicked: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            busy_nanos: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
-            connections_rejected: AtomicU64::new(0),
-            connections_active: AtomicUsize::new(0),
-            frames_received: AtomicU64::new(0),
-            frames_sent: AtomicU64::new(0),
-            control_frames_received: AtomicU64::new(0),
-            control_frames_sent: AtomicU64::new(0),
-            relay_frames_received: AtomicU64::new(0),
-            relay_frames_sent: AtomicU64::new(0),
-            transport_bytes_received: AtomicU64::new(0),
-            transport_bytes_sent: AtomicU64::new(0),
-            rate_limited: AtomicU64::new(0),
-            reactor_registered_fds: AtomicUsize::new(0),
-            reactor_wakeups: AtomicU64::new(0),
-            reactor_events: AtomicU64::new(0),
-            reactor_write_queue_bytes: AtomicUsize::new(0),
-            cache_hits: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            jobs_resubmitted: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            progress_emitted: AtomicU64::new(0),
-            progress_delivered: AtomicU64::new(0),
-            progress_dropped: AtomicU64::new(0),
-            jobs_cancelled: AtomicU64::new(0),
-            jobs_resumed: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            checkpoints_rejected: AtomicU64::new(0),
-            epochs_trained: AtomicU64::new(0),
-            backends: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
-            telemetry: Telemetry::new(telemetry),
-        }
     }
 
     /// The latency histograms and flight recorder riding these counters.
@@ -206,7 +472,7 @@ impl ServiceMetrics {
     /// Runs `f` on the session's counters, creating the row on first use.
     /// When the table is about to outgrow [`MAX_SESSION_ROWS`], rows of
     /// idle sessions (nothing queued) are evicted first.
-    fn with_session(&self, session: &SessionKey, f: impl FnOnce(&mut SessionCounters)) {
+    fn with_session(&self, session: &SessionKey, f: impl FnOnce(&mut SessionStats)) {
         let mut sessions = self.sessions.lock();
         if sessions.len() >= MAX_SESSION_ROWS && !sessions.contains_key(session) {
             sessions.retain(|_, c| c.queue_depth > 0);
@@ -219,7 +485,7 @@ impl ServiceMetrics {
     pub(crate) fn session_submitted(&self, session: &SessionKey, weight: f64) {
         self.with_session(session, |s| {
             s.weight = weight;
-            s.submitted += 1;
+            s.jobs_submitted += 1;
             s.queue_depth += 1;
         });
     }
@@ -230,7 +496,7 @@ impl ServiceMetrics {
     /// must not poison every later snapshot.
     pub(crate) fn session_unqueued(&self, session: &SessionKey) {
         self.with_session(session, |s| {
-            s.submitted = s.submitted.saturating_sub(1);
+            s.jobs_submitted = s.jobs_submitted.saturating_sub(1);
             s.queue_depth = s.queue_depth.saturating_sub(1);
         });
     }
@@ -239,7 +505,7 @@ impl ServiceMetrics {
     /// worker (the fairness counter).
     pub(crate) fn session_dispatched(&self, session: &SessionKey) {
         self.with_session(session, |s| {
-            s.dispatched += 1;
+            s.jobs_dispatched += 1;
             s.queue_depth = s.queue_depth.saturating_sub(1);
         });
     }
@@ -251,29 +517,29 @@ impl ServiceMetrics {
         result: &Result<JobResult, CloudError>,
     ) {
         self.with_session(session, |s| match result {
-            Ok(_) => s.completed += 1,
+            Ok(_) => s.jobs_completed += 1,
             Err(CloudError::RateLimited { .. }) => {
-                s.rate_limited += 1;
-                s.shed += 1;
+                s.jobs_rate_limited += 1;
+                s.jobs_shed += 1;
             }
-            Err(CloudError::Overloaded { .. }) => s.shed += 1,
-            Err(_) => s.failed += 1,
+            Err(CloudError::Overloaded { .. }) => s.jobs_shed += 1,
+            Err(_) => s.jobs_failed += 1,
         });
     }
 
     /// Transport path: the per-connection in-flight cap refused one of
     /// `session`'s submits before it reached the queue.
     pub(crate) fn session_shed(&self, session: &SessionKey) {
-        self.with_session(session, |s| s.shed += 1);
+        self.with_session(session, |s| s.jobs_shed += 1);
     }
 
     /// Dedup path: a submission was answered straight from the result
     /// cache — it counts as submitted, but never touched the queue.
     pub(crate) fn job_cache_hit(&self, session: &SessionKey) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
         self.with_session(session, |s| {
-            s.submitted += 1;
+            s.jobs_submitted += 1;
             s.cache_hits += 1;
         });
     }
@@ -281,10 +547,10 @@ impl ServiceMetrics {
     /// Dedup path: a submission attached as a waiter to an in-flight
     /// duplicate instead of enqueueing its own execution.
     pub(crate) fn job_coalesced(&self, session: &SessionKey) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         self.coalesced.fetch_add(1, Ordering::Relaxed);
         self.with_session(session, |s| {
-            s.submitted += 1;
+            s.jobs_submitted += 1;
             s.coalesced += 1;
         });
     }
@@ -293,12 +559,12 @@ impl ServiceMetrics {
     /// coalesced attach at submit time (bumping the same counters an
     /// in-stack [`crate::RateLimitLayer`] rejection would).
     pub(crate) fn job_rate_limited_at_submit(&self, session: &SessionKey) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.rate_limited.fetch_add(1, Ordering::Relaxed);
+        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+        self.jobs_rate_limited.fetch_add(1, Ordering::Relaxed);
         self.with_session(session, |s| {
-            s.submitted += 1;
-            s.rate_limited += 1;
-            s.shed += 1;
+            s.jobs_submitted += 1;
+            s.jobs_rate_limited += 1;
+            s.jobs_shed += 1;
         });
     }
 
@@ -418,19 +684,19 @@ impl ServiceMetrics {
     /// Submit path: counts the job and bumps the queue gauge, returning the
     /// depth the job found (jobs already waiting).
     pub(crate) fn job_queued(&self) -> usize {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queued.fetch_add(1, Ordering::Relaxed)
+        self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+        self.queue_depth.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Submit path rollback when the channel rejected the envelope.
     pub(crate) fn job_unqueued(&self) {
-        self.submitted.fetch_sub(1, Ordering::Relaxed);
-        self.queued.fetch_sub(1, Ordering::Relaxed);
+        self.jobs_submitted.fetch_sub(1, Ordering::Relaxed);
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Worker path: a job left the queue for a worker.
     pub(crate) fn job_dequeued(&self) {
-        self.queued.fetch_sub(1, Ordering::Relaxed);
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Metrics layer: a job entered the stack. The returned guard restores
@@ -454,25 +720,25 @@ impl ServiceMetrics {
             .fetch_add(bytes_in as u64, Ordering::Relaxed);
         match result {
             Ok(r) => {
-                self.completed.fetch_add(1, Ordering::Relaxed);
+                self.jobs_completed.fetch_add(1, Ordering::Relaxed);
                 self.bytes_sent
                     .fetch_add(r.bytes_sent as u64, Ordering::Relaxed);
             }
             Err(CloudError::Overloaded { .. }) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
+                self.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             }
             Err(CloudError::RateLimited { .. }) => {
-                self.rate_limited.fetch_add(1, Ordering::Relaxed);
+                self.jobs_rate_limited.fetch_add(1, Ordering::Relaxed);
             }
             Err(CloudError::Panicked(_)) => {
-                self.panicked.fetch_add(1, Ordering::Relaxed);
-                self.failed.fetch_add(1, Ordering::Relaxed);
+                self.jobs_panicked.fetch_add(1, Ordering::Relaxed);
+                self.jobs_failed.fetch_add(1, Ordering::Relaxed);
             }
             Err(CloudError::Cancelled) => {
                 self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
+                self.jobs_failed.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -480,7 +746,7 @@ impl ServiceMetrics {
     /// Runs `f` on a backend's counters, creating the row on first use.
     /// Rows are bounded by the fleet size a router is configured with, so
     /// no eviction is needed.
-    fn with_backend(&self, addr: &str, f: impl FnOnce(&mut BackendCounters)) {
+    fn with_backend(&self, addr: &str, f: impl FnOnce(&mut BackendStats)) {
         let mut backends = self.backends.lock();
         f(backends.entry(addr.to_string()).or_default())
     }
@@ -556,14 +822,15 @@ impl ServiceMetrics {
     /// later resolves to exactly one `progress_frame_delivered` or
     /// `progress_frame_dropped`.
     pub fn progress_frame_emitted(&self, session: &SessionKey) {
-        self.progress_emitted.fetch_add(1, Ordering::Relaxed);
+        self.progress_frames_emitted.fetch_add(1, Ordering::Relaxed);
         self.with_session(session, |s| s.progress_frames += 1);
     }
 
     /// Streaming path: an emitted progress frame reached its sink (queued
     /// on a live v2 connection, or received by an in-process handle).
     pub fn progress_frame_delivered(&self) {
-        self.progress_delivered.fetch_add(1, Ordering::Relaxed);
+        self.progress_frames_delivered
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Streaming path: an emitted progress frame was dropped — v1 peer,
@@ -571,7 +838,7 @@ impl ServiceMetrics {
     /// closed. Dropping is legal (progress is advisory); losing *count* of
     /// a drop is not, so emitted == delivered + dropped always holds.
     pub fn progress_frame_dropped(&self) {
-        self.progress_dropped.fetch_add(1, Ordering::Relaxed);
+        self.progress_frames_dropped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Durable lifecycle: a job resumed from a checkpoint instead of
@@ -597,107 +864,32 @@ impl ServiceMetrics {
     pub fn epoch_trained(&self) {
         self.epochs_trained.fetch_add(1, Ordering::Relaxed);
     }
-
     /// A point-in-time copy of every counter plus derived rates.
     pub fn snapshot(&self) -> ServiceStats {
-        let completed = self.completed.load(Ordering::Relaxed);
-        let busy = Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed));
-        let uptime = self.started_at.elapsed();
-        ServiceStats {
-            queue_depth: self.queued.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            jobs_submitted: self.submitted.load(Ordering::Relaxed),
-            jobs_completed: completed,
-            jobs_failed: self.failed.load(Ordering::Relaxed),
-            jobs_rejected: self.rejected.load(Ordering::Relaxed),
-            jobs_panicked: self.panicked.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            mean_job_seconds: if completed > 0 {
-                busy.as_secs_f64() / completed as f64
-            } else {
-                0.0
-            },
-            jobs_per_second: if uptime.as_secs_f64() > 0.0 {
-                completed as f64 / uptime.as_secs_f64()
-            } else {
-                0.0
-            },
-            uptime_seconds: uptime.as_secs_f64(),
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
-            connections_active: self.connections_active.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            control_frames_received: self.control_frames_received.load(Ordering::Relaxed),
-            control_frames_sent: self.control_frames_sent.load(Ordering::Relaxed),
-            relay_frames_received: self.relay_frames_received.load(Ordering::Relaxed),
-            relay_frames_sent: self.relay_frames_sent.load(Ordering::Relaxed),
-            transport_bytes_received: self.transport_bytes_received.load(Ordering::Relaxed),
-            transport_bytes_sent: self.transport_bytes_sent.load(Ordering::Relaxed),
-            jobs_rate_limited: self.rate_limited.load(Ordering::Relaxed),
-            reactor_registered_fds: self.reactor_registered_fds.load(Ordering::Relaxed),
-            reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
-            reactor_events: self.reactor_events.load(Ordering::Relaxed),
-            reactor_write_queue_bytes: self.reactor_write_queue_bytes.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            jobs_resubmitted: self.jobs_resubmitted.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            progress_frames_emitted: self.progress_emitted.load(Ordering::Relaxed),
-            progress_frames_delivered: self.progress_delivered.load(Ordering::Relaxed),
-            progress_frames_dropped: self.progress_dropped.load(Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
-            jobs_resumed: self.jobs_resumed.load(Ordering::Relaxed),
-            checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
-            checkpoints_rejected: self.checkpoints_rejected.load(Ordering::Relaxed),
-            epochs_trained: self.epochs_trained.load(Ordering::Relaxed),
-            backends: {
-                let mut rows: Vec<BackendStats> = self
-                    .backends
-                    .lock()
-                    .iter()
-                    .map(|(addr, b)| BackendStats {
-                        addr: addr.clone(),
-                        health: b.health,
-                        sessions_routed: b.sessions_routed,
-                        ejections: b.ejections,
-                        readmissions: b.readmissions,
-                        probes_ok: b.probes_ok,
-                        probes_failed: b.probes_failed,
-                        failovers: b.failovers,
-                        jobs_resubmitted: b.jobs_resubmitted,
-                    })
-                    .collect();
-                rows.sort_by(|a, b| a.addr.cmp(&b.addr));
-                rows
-            },
-            sessions: {
-                let mut rows: Vec<SessionStats> = self
-                    .sessions
-                    .lock()
-                    .iter()
-                    .map(|(key, c)| SessionStats {
-                        key: key.display_name(),
-                        weight: c.weight,
-                        queue_depth: c.queue_depth,
-                        jobs_submitted: c.submitted,
-                        jobs_dispatched: c.dispatched,
-                        jobs_completed: c.completed,
-                        jobs_failed: c.failed,
-                        jobs_rate_limited: c.rate_limited,
-                        jobs_shed: c.shed,
-                        cache_hits: c.cache_hits,
-                        coalesced: c.coalesced,
-                        progress_frames: c.progress_frames,
-                    })
-                    .collect();
-                rows.sort_by(|a, b| a.key.cmp(&b.key));
-                rows
-            },
-            histograms: self.telemetry.snapshot(),
-        }
+        let mut stats = self.load();
+        let completed = stats.jobs_completed as f64;
+        let busy = Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)).as_secs_f64();
+        let uptime = self.started_at.elapsed().as_secs_f64();
+        let per = |total: f64, of: f64| if of > 0.0 { total / of } else { 0.0 };
+        stats.mean_job_seconds = per(busy, completed);
+        stats.jobs_per_second = per(completed, uptime);
+        stats.uptime_seconds = uptime;
+        stats.backends = (self.backends.lock().iter())
+            .map(|(addr, row)| BackendStats {
+                addr: addr.clone(),
+                ..row.clone()
+            })
+            .collect();
+        stats.backends.sort_by(|a, b| a.addr.cmp(&b.addr));
+        stats.sessions = (self.sessions.lock().iter())
+            .map(|(key, row)| SessionStats {
+                key: key.display_name(),
+                ..row.clone()
+            })
+            .collect();
+        stats.sessions.sort_by(|a, b| a.key.cmp(&b.key));
+        stats.histograms = self.telemetry.snapshot();
+        stats
     }
 }
 
@@ -716,138 +908,6 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// A point-in-time view of the service's telemetry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceStats {
-    /// Jobs waiting in the channel right now.
-    pub queue_depth: usize,
-    /// Jobs inside the middleware stack right now.
-    pub in_flight: usize,
-    /// Jobs ever submitted (including rejected ones).
-    pub jobs_submitted: u64,
-    /// Jobs trained to completion.
-    pub jobs_completed: u64,
-    /// Jobs answered with an error (decode/validation/panic).
-    pub jobs_failed: u64,
-    /// Jobs shed by admission control.
-    pub jobs_rejected: u64,
-    /// Jobs whose processing panicked (also counted in `jobs_failed`).
-    pub jobs_panicked: u64,
-    /// Total uploaded bytes seen by the metrics layer.
-    pub bytes_received: u64,
-    /// Total bytes returned for completed jobs.
-    pub bytes_sent: u64,
-    /// Mean wall-clock seconds per completed job.
-    pub mean_job_seconds: f64,
-    /// Completed jobs per second of service uptime.
-    pub jobs_per_second: f64,
-    /// Seconds since the service started.
-    pub uptime_seconds: f64,
-    /// TCP sessions that completed a handshake (0 without a
-    /// [`crate::CloudServer`] in front).
-    pub connections_accepted: u64,
-    /// Connections refused before a session existed (capacity, bad
-    /// handshake, version mismatch).
-    pub connections_rejected: u64,
-    /// Sessions open right now.
-    pub connections_active: usize,
-    /// Framed messages received over all sessions (client face for a
-    /// routing tier; includes control frames).
-    pub frames_received: u64,
-    /// Framed messages sent over all sessions (client face; includes
-    /// control frames).
-    pub frames_sent: u64,
-    /// Protocol-overhead frames received (keep-alive Ping/Pong, handshake,
-    /// admin) — a sub-count of [`frames_received`](Self::frames_received),
-    /// so `frames_received - control_frames_received` tracks job traffic.
-    pub control_frames_received: u64,
-    /// Protocol-overhead frames sent — a sub-count of
-    /// [`frames_sent`](Self::frames_sent).
-    pub control_frames_sent: u64,
-    /// Frames a routing tier received on its backend-face links. Kept out
-    /// of [`frames_received`](Self::frames_received) so one proxied job is
-    /// counted once per face, not twice on one counter.
-    pub relay_frames_received: u64,
-    /// Frames a routing tier sent on its backend-face links.
-    pub relay_frames_sent: u64,
-    /// Wire bytes received (frame payloads plus length prefixes).
-    pub transport_bytes_received: u64,
-    /// Wire bytes sent (frame payloads plus length prefixes).
-    pub transport_bytes_sent: u64,
-    /// Jobs refused by the per-session rate limiter
-    /// ([`crate::CloudError::RateLimited`]).
-    pub jobs_rate_limited: u64,
-    /// Sockets currently registered with the transport's event-loop pollers
-    /// (connections plus one waker per I/O thread; 0 without a
-    /// [`crate::CloudServer`]).
-    pub reactor_registered_fds: usize,
-    /// Cross-thread wake-ups delivered to the event loops (new connections,
-    /// completed jobs, shutdown). Coalesced wakes count once.
-    pub reactor_wakeups: u64,
-    /// Readiness events the event loops have processed.
-    pub reactor_events: u64,
-    /// Bytes sitting in per-connection write queues right now (frames the
-    /// sockets weren't ready to take — the backpressure gauge).
-    pub reactor_write_queue_bytes: usize,
-    /// Submissions answered straight from the result cache
-    /// ([`crate::CloudServiceBuilder::result_cache`]) — counted in
-    /// [`jobs_submitted`](Self::jobs_submitted), but they never occupied
-    /// the queue or a worker, so they are *not* in
-    /// [`jobs_completed`](Self::jobs_completed).
-    pub cache_hits: u64,
-    /// Submissions that attached as waiters to an identical in-flight job
-    /// and were answered by its one execution.
-    pub coalesced: u64,
-    /// Lost links re-established by a self-healing component (a routing
-    /// tier's backend redials; 0 without one in front).
-    pub reconnects: u64,
-    /// In-flight jobs replayed after a reconnect or failover. Replays are
-    /// content-addressed, so they dedup instead of training twice.
-    pub jobs_resubmitted: u64,
-    /// Live sessions that abandoned a dying backend mid-flight.
-    pub failovers: u64,
-    /// Progress frames emitted toward any sink (one per waiter per epoch).
-    /// Conservation law: `progress_frames_emitted ==
-    /// progress_frames_delivered + progress_frames_dropped`.
-    pub progress_frames_emitted: u64,
-    /// Progress frames that reached their sink (queued on a live v2
-    /// connection, or received by an in-process handle).
-    pub progress_frames_delivered: u64,
-    /// Progress frames dropped (v1 peer, dead handle, broken or closing
-    /// connection). Progress is advisory, so drops are legal — but always
-    /// counted.
-    pub progress_frames_dropped: u64,
-    /// Jobs resolved with [`crate::CloudError::Cancelled`] (kept out of
-    /// [`jobs_failed`](Self::jobs_failed): the submitter asked for this).
-    pub jobs_cancelled: u64,
-    /// Jobs that resumed from a checkpoint instead of recomputing from
-    /// epoch 0.
-    pub jobs_resumed: u64,
-    /// Mid-training checkpoints encoded and stored.
-    pub checkpoints_written: u64,
-    /// Stored checkpoints that failed validation (checksum, truncation,
-    /// impossible epoch) and were scrubbed before an epoch-0 recompute.
-    pub checkpoints_rejected: u64,
-    /// Training epochs actually executed. After a kill-and-resume, the
-    /// restarted server's count stays strictly below the job's total —
-    /// the observable proof that resume skipped work.
-    pub epochs_trained: u64,
-    /// Per-backend health rows (breaker state, ejections/readmissions,
-    /// probe tallies), sorted by address; populated by a routing tier
-    /// (`amalgam-proxy`), empty otherwise.
-    pub backends: Vec<BackendStats>,
-    /// Per-session QoS rows (queue depth, dispatch/shed tallies), sorted by
-    /// session name; every session that ever submitted has a row.
-    pub sessions: Vec<SessionStats>,
-    /// Per-stage latency histograms (only stages that recorded at least
-    /// one value), in [`Stage`] order.
-    pub histograms: Vec<(Stage, HistogramSnapshot)>,
-}
-
-fn stats_err(e: TensorError) -> CloudError {
-    CloudError::Decode(e.to_string())
-}
-
 impl ServiceStats {
     /// The snapshot's histogram for `stage`, if that stage recorded
     /// anything.
@@ -863,77 +923,14 @@ impl ServiceStats {
     /// [`crate::transport::Frame::Stats`] carries.
     pub fn to_bytes(&self) -> Bytes {
         let mut w = Writer::new();
-        w.put_u64(self.queue_depth as u64);
-        w.put_u64(self.in_flight as u64);
-        w.put_u64(self.jobs_submitted);
-        w.put_u64(self.jobs_completed);
-        w.put_u64(self.jobs_failed);
-        w.put_u64(self.jobs_rejected);
-        w.put_u64(self.jobs_panicked);
-        w.put_u64(self.bytes_received);
-        w.put_u64(self.bytes_sent);
-        w.put_f64(self.mean_job_seconds);
-        w.put_f64(self.jobs_per_second);
-        w.put_f64(self.uptime_seconds);
-        w.put_u64(self.connections_accepted);
-        w.put_u64(self.connections_rejected);
-        w.put_u64(self.connections_active as u64);
-        w.put_u64(self.frames_received);
-        w.put_u64(self.frames_sent);
-        w.put_u64(self.control_frames_received);
-        w.put_u64(self.control_frames_sent);
-        w.put_u64(self.relay_frames_received);
-        w.put_u64(self.relay_frames_sent);
-        w.put_u64(self.transport_bytes_received);
-        w.put_u64(self.transport_bytes_sent);
-        w.put_u64(self.jobs_rate_limited);
-        w.put_u64(self.reactor_registered_fds as u64);
-        w.put_u64(self.reactor_wakeups);
-        w.put_u64(self.reactor_events);
-        w.put_u64(self.reactor_write_queue_bytes as u64);
-        w.put_u64(self.cache_hits);
-        w.put_u64(self.coalesced);
-        w.put_u64(self.reconnects);
-        w.put_u64(self.jobs_resubmitted);
-        w.put_u64(self.failovers);
-        w.put_u64(self.progress_frames_emitted);
-        w.put_u64(self.progress_frames_delivered);
-        w.put_u64(self.progress_frames_dropped);
-        w.put_u64(self.jobs_cancelled);
-        w.put_u64(self.jobs_resumed);
-        w.put_u64(self.checkpoints_written);
-        w.put_u64(self.checkpoints_rejected);
-        w.put_u64(self.epochs_trained);
+        self.encode_into(&mut w);
         w.put_u32(self.backends.len() as u32);
-        for b in &self.backends {
-            w.put_str(&b.addr);
-            w.put_u8(match b.health {
-                BackendHealth::Closed => 0,
-                BackendHealth::Open => 1,
-                BackendHealth::HalfOpen => 2,
-            });
-            w.put_u64(b.sessions_routed);
-            w.put_u64(b.ejections);
-            w.put_u64(b.readmissions);
-            w.put_u64(b.probes_ok);
-            w.put_u64(b.probes_failed);
-            w.put_u64(b.failovers);
-            w.put_u64(b.jobs_resubmitted);
+        for backend in &self.backends {
+            backend.encode_into(&mut w);
         }
         w.put_u32(self.sessions.len() as u32);
-        for s in &self.sessions {
-            w.put_str(&s.key);
-            w.put_f64(s.weight);
-            w.put_u64(s.queue_depth as u64);
-            w.put_u64(s.jobs_submitted);
-            w.put_u64(s.jobs_dispatched);
-            w.put_u64(s.jobs_completed);
-            w.put_u64(s.jobs_failed);
-            w.put_u64(s.jobs_rate_limited);
-            w.put_u64(s.jobs_shed);
-            w.put_u64(s.cache_hits);
-            w.put_u64(s.coalesced);
-            w.put_u64(s.progress_frames);
+        for session in &self.sessions {
+            session.encode_into(&mut w);
         }
         w.put_u32(self.histograms.len() as u32);
         for (stage, hist) in &self.histograms {
@@ -951,85 +948,12 @@ impl ServiceStats {
     /// unknown health/stage tag.
     pub fn from_bytes(bytes: Bytes) -> Result<ServiceStats, CloudError> {
         let mut r = Reader::new(bytes);
-        let mut stats = ServiceStats {
-            queue_depth: r.get_u64().map_err(stats_err)? as usize,
-            in_flight: r.get_u64().map_err(stats_err)? as usize,
-            jobs_submitted: r.get_u64().map_err(stats_err)?,
-            jobs_completed: r.get_u64().map_err(stats_err)?,
-            jobs_failed: r.get_u64().map_err(stats_err)?,
-            jobs_rejected: r.get_u64().map_err(stats_err)?,
-            jobs_panicked: r.get_u64().map_err(stats_err)?,
-            bytes_received: r.get_u64().map_err(stats_err)?,
-            bytes_sent: r.get_u64().map_err(stats_err)?,
-            mean_job_seconds: r.get_f64().map_err(stats_err)?,
-            jobs_per_second: r.get_f64().map_err(stats_err)?,
-            uptime_seconds: r.get_f64().map_err(stats_err)?,
-            connections_accepted: r.get_u64().map_err(stats_err)?,
-            connections_rejected: r.get_u64().map_err(stats_err)?,
-            connections_active: r.get_u64().map_err(stats_err)? as usize,
-            frames_received: r.get_u64().map_err(stats_err)?,
-            frames_sent: r.get_u64().map_err(stats_err)?,
-            control_frames_received: r.get_u64().map_err(stats_err)?,
-            control_frames_sent: r.get_u64().map_err(stats_err)?,
-            relay_frames_received: r.get_u64().map_err(stats_err)?,
-            relay_frames_sent: r.get_u64().map_err(stats_err)?,
-            transport_bytes_received: r.get_u64().map_err(stats_err)?,
-            transport_bytes_sent: r.get_u64().map_err(stats_err)?,
-            jobs_rate_limited: r.get_u64().map_err(stats_err)?,
-            reactor_registered_fds: r.get_u64().map_err(stats_err)? as usize,
-            reactor_wakeups: r.get_u64().map_err(stats_err)?,
-            reactor_events: r.get_u64().map_err(stats_err)?,
-            reactor_write_queue_bytes: r.get_u64().map_err(stats_err)? as usize,
-            cache_hits: r.get_u64().map_err(stats_err)?,
-            coalesced: r.get_u64().map_err(stats_err)?,
-            reconnects: r.get_u64().map_err(stats_err)?,
-            jobs_resubmitted: r.get_u64().map_err(stats_err)?,
-            failovers: r.get_u64().map_err(stats_err)?,
-            progress_frames_emitted: r.get_u64().map_err(stats_err)?,
-            progress_frames_delivered: r.get_u64().map_err(stats_err)?,
-            progress_frames_dropped: r.get_u64().map_err(stats_err)?,
-            jobs_cancelled: r.get_u64().map_err(stats_err)?,
-            jobs_resumed: r.get_u64().map_err(stats_err)?,
-            checkpoints_written: r.get_u64().map_err(stats_err)?,
-            checkpoints_rejected: r.get_u64().map_err(stats_err)?,
-            epochs_trained: r.get_u64().map_err(stats_err)?,
-            backends: Vec::new(),
-            sessions: Vec::new(),
-            histograms: Vec::new(),
-        };
+        let mut stats = ServiceStats::decode_from(&mut r)?;
         for _ in 0..r.get_u32().map_err(stats_err)? {
-            stats.backends.push(BackendStats {
-                addr: r.get_str().map_err(stats_err)?,
-                health: match r.get_u8().map_err(stats_err)? {
-                    0 => BackendHealth::Closed,
-                    1 => BackendHealth::Open,
-                    2 => BackendHealth::HalfOpen,
-                    t => return Err(CloudError::Decode(format!("unknown health tag {t}"))),
-                },
-                sessions_routed: r.get_u64().map_err(stats_err)?,
-                ejections: r.get_u64().map_err(stats_err)?,
-                readmissions: r.get_u64().map_err(stats_err)?,
-                probes_ok: r.get_u64().map_err(stats_err)?,
-                probes_failed: r.get_u64().map_err(stats_err)?,
-                failovers: r.get_u64().map_err(stats_err)?,
-                jobs_resubmitted: r.get_u64().map_err(stats_err)?,
-            });
+            stats.backends.push(BackendStats::decode_from(&mut r)?);
         }
         for _ in 0..r.get_u32().map_err(stats_err)? {
-            stats.sessions.push(SessionStats {
-                key: r.get_str().map_err(stats_err)?,
-                weight: r.get_f64().map_err(stats_err)?,
-                queue_depth: r.get_u64().map_err(stats_err)? as usize,
-                jobs_submitted: r.get_u64().map_err(stats_err)?,
-                jobs_dispatched: r.get_u64().map_err(stats_err)?,
-                jobs_completed: r.get_u64().map_err(stats_err)?,
-                jobs_failed: r.get_u64().map_err(stats_err)?,
-                jobs_rate_limited: r.get_u64().map_err(stats_err)?,
-                jobs_shed: r.get_u64().map_err(stats_err)?,
-                cache_hits: r.get_u64().map_err(stats_err)?,
-                coalesced: r.get_u64().map_err(stats_err)?,
-                progress_frames: r.get_u64().map_err(stats_err)?,
-            });
+            stats.sessions.push(SessionStats::decode_from(&mut r)?);
         }
         for _ in 0..r.get_u32().map_err(stats_err)? {
             let stage = Stage::from_u8(r.get_u8().map_err(stats_err)?)?;
@@ -1046,459 +970,148 @@ impl ServiceStats {
     }
 
     /// Renders the snapshot in Prometheus text exposition format
-    /// (version 0.0.4): one `amalgam_*` gauge/counter per field, plus
-    /// summary-style quantile series per stage histogram. This is the body
-    /// the HTTP exporter ([`crate::CloudServiceBuilder::metrics_exporter`])
-    /// serves on `/metrics`.
+    /// (version 0.0.4): one `amalgam_<row>` series per scalar row (`_total`
+    /// appended to a counter's), one `amalgam_backend_<row>{backend="…"}`
+    /// series per backend row, and summary-style quantile series per stage
+    /// histogram. This is the body the HTTP exporter
+    /// ([`crate::CloudServiceBuilder::metrics_exporter`]) serves on
+    /// `/metrics`.
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::with_capacity(4096);
-        let mut gauge = |name: &str, help: &str, v: f64| {
-            let _ = writeln!(out, "# HELP amalgam_{name} {help}");
-            let _ = writeln!(out, "# TYPE amalgam_{name} gauge");
-            if v == v.trunc() && v.abs() < 1e15 {
-                let _ = writeln!(out, "amalgam_{name} {}", v as i64);
-            } else {
-                let _ = writeln!(out, "amalgam_{name} {v}");
+        // Writes a row's HELP and TYPE and returns its series name.
+        fn declare(out: &mut String, prefix: &str, row: &Row) -> String {
+            let total = if row.kind == "counter" { "_total" } else { "" };
+            let name = format!("amalgam_{prefix}{}{total}", row.series);
+            let _ = writeln!(out, "# HELP {name} {}", row.help);
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            name
+        }
+        let mut out = String::with_capacity(8192);
+        for row in self.rows() {
+            if row.series == "mean_job_seconds" {
+                continue;
             }
-        };
-        gauge(
-            "queue_depth",
-            "Jobs waiting right now.",
-            self.queue_depth as f64,
-        );
-        gauge(
-            "in_flight",
-            "Jobs inside the stack right now.",
-            self.in_flight as f64,
-        );
-        gauge(
-            "jobs_submitted_total",
-            "Jobs ever submitted.",
-            self.jobs_submitted as f64,
-        );
-        gauge(
-            "jobs_completed_total",
-            "Jobs trained to completion.",
-            self.jobs_completed as f64,
-        );
-        gauge(
-            "jobs_failed_total",
-            "Jobs answered with an error.",
-            self.jobs_failed as f64,
-        );
-        gauge(
-            "jobs_rejected_total",
-            "Jobs shed by admission control.",
-            self.jobs_rejected as f64,
-        );
-        gauge(
-            "jobs_panicked_total",
-            "Jobs whose processing panicked.",
-            self.jobs_panicked as f64,
-        );
-        gauge(
-            "jobs_rate_limited_total",
-            "Jobs refused by the per-session rate limiter.",
-            self.jobs_rate_limited as f64,
-        );
-        gauge(
-            "job_bytes_received_total",
-            "Uploaded job bytes.",
-            self.bytes_received as f64,
-        );
-        gauge(
-            "job_bytes_sent_total",
-            "Result bytes returned.",
-            self.bytes_sent as f64,
-        );
-        gauge(
-            "jobs_per_second",
-            "Completed jobs per uptime second.",
-            self.jobs_per_second,
-        );
-        gauge(
-            "uptime_seconds",
-            "Seconds since service start.",
-            self.uptime_seconds,
-        );
-        gauge(
-            "connections_accepted_total",
-            "Sessions that completed a handshake.",
-            self.connections_accepted as f64,
-        );
-        gauge(
-            "connections_rejected_total",
-            "Connections refused before a session existed.",
-            self.connections_rejected as f64,
-        );
-        gauge(
-            "connections_active",
-            "Sessions open right now.",
-            self.connections_active as f64,
-        );
-        gauge(
-            "frames_received_total",
-            "Frames received (client face).",
-            self.frames_received as f64,
-        );
-        gauge(
-            "frames_sent_total",
-            "Frames sent (client face).",
-            self.frames_sent as f64,
-        );
-        gauge(
-            "control_frames_received_total",
-            "Protocol-overhead frames received (subset of frames_received_total).",
-            self.control_frames_received as f64,
-        );
-        gauge(
-            "control_frames_sent_total",
-            "Protocol-overhead frames sent (subset of frames_sent_total).",
-            self.control_frames_sent as f64,
-        );
-        gauge(
-            "relay_frames_received_total",
-            "Frames received on backend-face links (routing tier).",
-            self.relay_frames_received as f64,
-        );
-        gauge(
-            "relay_frames_sent_total",
-            "Frames sent on backend-face links (routing tier).",
-            self.relay_frames_sent as f64,
-        );
-        gauge(
-            "transport_bytes_received_total",
-            "Wire bytes received.",
-            self.transport_bytes_received as f64,
-        );
-        gauge(
-            "transport_bytes_sent_total",
-            "Wire bytes sent.",
-            self.transport_bytes_sent as f64,
-        );
-        gauge(
-            "reactor_registered_fds",
-            "Sockets registered with the event-loop pollers.",
-            self.reactor_registered_fds as f64,
-        );
-        gauge(
-            "reactor_wakeups_total",
-            "Cross-thread event-loop wake-ups.",
-            self.reactor_wakeups as f64,
-        );
-        gauge(
-            "reactor_events_total",
-            "Readiness events processed.",
-            self.reactor_events as f64,
-        );
-        gauge(
-            "reactor_write_queue_bytes",
-            "Bytes parked in write queues (backpressure gauge).",
-            self.reactor_write_queue_bytes as f64,
-        );
-        gauge(
-            "cache_hits_total",
-            "Submissions answered from the result cache.",
-            self.cache_hits as f64,
-        );
-        gauge(
-            "coalesced_total",
-            "Submissions coalesced onto in-flight duplicates.",
-            self.coalesced as f64,
-        );
-        gauge(
-            "reconnects_total",
-            "Lost links re-established.",
-            self.reconnects as f64,
-        );
-        gauge(
-            "jobs_resubmitted_total",
-            "In-flight jobs replayed after failover.",
-            self.jobs_resubmitted as f64,
-        );
-        gauge(
-            "failovers_total",
-            "Sessions that abandoned a dying backend.",
-            self.failovers as f64,
-        );
-        gauge(
-            "progress_frames_emitted_total",
-            "Progress frames emitted toward any sink.",
-            self.progress_frames_emitted as f64,
-        );
-        gauge(
-            "progress_frames_delivered_total",
-            "Progress frames that reached their sink.",
-            self.progress_frames_delivered as f64,
-        );
-        gauge(
-            "progress_frames_dropped_total",
-            "Progress frames dropped (v1 peer or dead sink).",
-            self.progress_frames_dropped as f64,
-        );
-        gauge(
-            "jobs_cancelled_total",
-            "Jobs resolved with Cancelled at the submitter's request.",
-            self.jobs_cancelled as f64,
-        );
-        gauge(
-            "jobs_resumed_total",
-            "Jobs resumed from a checkpoint instead of epoch 0.",
-            self.jobs_resumed as f64,
-        );
-        gauge(
-            "checkpoints_written_total",
-            "Mid-training checkpoints stored.",
-            self.checkpoints_written as f64,
-        );
-        gauge(
-            "checkpoints_rejected_total",
-            "Corrupt or stale checkpoints scrubbed before recompute.",
-            self.checkpoints_rejected as f64,
-        );
-        gauge(
-            "epochs_trained_total",
-            "Training epochs actually executed.",
-            self.epochs_trained as f64,
-        );
+            let name = declare(&mut out, "", &row);
+            let _ = writeln!(out, "{name} {}", row.sample);
+        }
+        let series = "amalgam_latency_microseconds";
         let _ = writeln!(
             out,
-            "# HELP amalgam_latency_microseconds Per-stage latency quantiles (log-linear histogram, error <= 1/16)."
+            "# HELP {series} Per-stage latency quantiles (log-linear histogram, error <= 1/16)."
         );
-        let _ = writeln!(out, "# TYPE amalgam_latency_microseconds summary");
+        let _ = writeln!(out, "# TYPE {series} summary");
         for (stage, hist) in &self.histograms {
             for (label, q) in [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)] {
+                let micros = hist.quantile(q);
                 let _ = writeln!(
                     out,
-                    "amalgam_latency_microseconds{{stage=\"{stage}\",quantile=\"{label}\"}} {}",
-                    hist.quantile(q)
+                    "{series}{{stage=\"{stage}\",quantile=\"{label}\"}} {micros}"
                 );
             }
-            let _ = writeln!(
-                out,
-                "amalgam_latency_microseconds_sum{{stage=\"{stage}\"}} {}",
-                hist.sum
-            );
-            let _ = writeln!(
-                out,
-                "amalgam_latency_microseconds_count{{stage=\"{stage}\"}} {}",
-                hist.count
-            );
-            let _ = writeln!(
-                out,
-                "amalgam_latency_microseconds_max{{stage=\"{stage}\"}} {}",
-                hist.max
-            );
+            for (part, v) in [("sum", hist.sum), ("count", hist.count), ("max", hist.max)] {
+                let _ = writeln!(out, "{series}_{part}{{stage=\"{stage}\"}} {v}");
+            }
         }
         out
     }
-}
 
-impl std::fmt::Display for ServiceStats {
-    /// An aligned operator-facing table: one section per concern, with the
-    /// histogram quantiles at the bottom.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "uptime {:.1}s · {:.2} jobs/s · mean job {:.1}ms",
-            self.uptime_seconds,
-            self.jobs_per_second,
-            self.mean_job_seconds * 1e3
-        )?;
-        writeln!(
-            f,
-            "{:<10} submitted {:<8} completed {:<8} failed {:<6} rejected {:<6} panicked {:<4} rate-limited {}",
-            "jobs",
-            self.jobs_submitted,
-            self.jobs_completed,
-            self.jobs_failed,
-            self.jobs_rejected,
-            self.jobs_panicked,
-            self.jobs_rate_limited
-        )?;
-        writeln!(
-            f,
-            "{:<10} depth {:<6} in-flight {:<6} cache hits {:<6} coalesced {}",
-            "queue", self.queue_depth, self.in_flight, self.cache_hits, self.coalesced
-        )?;
-        writeln!(
-            f,
-            "{:<10} job in {:<10} job out {:<10} wire in {:<10} wire out {}",
-            "bytes",
-            self.bytes_received,
-            self.bytes_sent,
-            self.transport_bytes_received,
-            self.transport_bytes_sent
-        )?;
-        writeln!(
-            f,
-            "{:<10} active {:<4} accepted {:<6} rejected {:<4} frames in {} ({} ctl) / out {} ({} ctl) relay in {} / out {}",
-            "transport",
-            self.connections_active,
-            self.connections_accepted,
-            self.connections_rejected,
-            self.frames_received,
-            self.control_frames_received,
-            self.frames_sent,
-            self.control_frames_sent,
-            self.relay_frames_received,
-            self.relay_frames_sent
-        )?;
-        writeln!(
-            f,
-            "{:<10} fds {:<5} wakeups {:<8} events {:<8} write-queue {} B",
-            "reactor",
-            self.reactor_registered_fds,
-            self.reactor_wakeups,
-            self.reactor_events,
-            self.reactor_write_queue_bytes
-        )?;
-        if self.reconnects + self.jobs_resubmitted + self.failovers > 0 {
-            writeln!(
-                f,
-                "{:<10} reconnects {:<5} resubmitted {:<5} failovers {}",
-                "healing", self.reconnects, self.jobs_resubmitted, self.failovers
-            )?;
+    /// Checks the conservation laws a *quiescent* snapshot obeys (nothing
+    /// mid-submit, mid-reply or mid-emit — a test's teardown, not a live
+    /// scrape: the counters are loaded one by one, not atomically).
+    ///
+    /// # Errors
+    ///
+    /// Names every broken law, above the snapshot's own table.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let answered = self.jobs_completed
+            + self.jobs_failed
+            + self.jobs_rejected
+            + self.jobs_rate_limited
+            + self.jobs_cancelled
+            + self.cache_hits
+            + self.coalesced;
+        let waiting = (self.queue_depth + self.in_flight) as u64;
+        let resolved = self.progress_frames_delivered + self.progress_frames_dropped;
+        let laws = [
+            // Every submission was answered one way, or still waits.
+            (
+                self.jobs_submitted == answered + waiting,
+                "jobs_submitted == completed + failed + rejected + rate_limited + cancelled \
+                 + cache_hits + coalesced + queue_depth + in_flight",
+            ),
+            // Every emitted progress frame met exactly one fate.
+            (
+                self.progress_frames_emitted == resolved,
+                "progress_frames_emitted == delivered + dropped",
+            ),
+            // Control frames are a sub-count of the client face's totals.
+            (
+                self.control_frames_received <= self.frames_received,
+                "control_frames_received <= frames_received",
+            ),
+            (
+                self.control_frames_sent <= self.frames_sent,
+                "control_frames_sent <= frames_sent",
+            ),
+        ];
+        let broken: Vec<&str> = (laws.iter().filter(|(holds, _)| !holds))
+            .map(|(_, law)| *law)
+            .collect();
+        if broken.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("broken: {}\n{self}", broken.join("; ")))
         }
-        if self.jobs_cancelled
-            + self.jobs_resumed
-            + self.checkpoints_written
-            + self.checkpoints_rejected
-            + self.progress_frames_emitted
-            > 0
-        {
-            writeln!(
-                f,
-                "{:<10} cancelled {:<5} resumed {:<5} ckpt written {:<5} rejected {:<4} epochs {:<6} progress {}/{}/{}",
-                "lifecycle",
-                self.jobs_cancelled,
-                self.jobs_resumed,
-                self.checkpoints_written,
-                self.checkpoints_rejected,
-                self.epochs_trained,
-                self.progress_frames_emitted,
-                self.progress_frames_delivered,
-                self.progress_frames_dropped
-            )?;
-        }
-        if !self.histograms.is_empty() {
-            writeln!(
-                f,
-                "{:<15} {:>10} {:>10} {:>10} {:>10} {:>8}",
-                "latency µs", "p50", "p95", "p99", "max", "count"
-            )?;
-            for (stage, hist) in &self.histograms {
-                writeln!(
-                    f,
-                    "  {:<13} {:>10} {:>10} {:>10} {:>10} {:>8}",
-                    stage.as_str(),
-                    hist.quantile(0.5),
-                    hist.quantile(0.95),
-                    hist.quantile(0.99),
-                    hist.max,
-                    hist.count
-                )?;
-            }
-        }
-        for b in &self.backends {
-            writeln!(
-                f,
-                "backend {} [{}] routed {} ejected {} readmitted {} probes {}/{} failovers {} resubmitted {}",
-                b.addr,
-                b.health,
-                b.sessions_routed,
-                b.ejections,
-                b.readmissions,
-                b.probes_ok,
-                b.probes_ok + b.probes_failed,
-                b.failovers,
-                b.jobs_resubmitted
-            )?;
-        }
-        for s in &self.sessions {
-            writeln!(
-                f,
-                "session {} (w={}) depth {} submitted {} dispatched {} completed {} failed {} shed {} progress {}",
-                s.key,
-                s.weight,
-                s.queue_depth,
-                s.jobs_submitted,
-                s.jobs_dispatched,
-                s.jobs_completed,
-                s.jobs_failed,
-                s.jobs_shed,
-                s.progress_frames
-            )?;
-        }
-        Ok(())
     }
 }
 
-/// One backend's slice of a routing tier's telemetry: where its circuit
-/// breaker stands and how often it has been ejected, probed, readmitted,
-/// and failed away from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendStats {
-    /// The backend's dial address.
-    pub addr: String,
-    /// Current circuit-breaker position.
-    pub health: BackendHealth,
-    /// Sessions ever routed (or failed over) to this backend.
-    pub sessions_routed: u64,
-    /// Times the breaker opened (closed/half-open → open).
-    pub ejections: u64,
-    /// Times the breaker closed again after probation.
-    pub readmissions: u64,
-    /// Health probes that succeeded.
-    pub probes_ok: u64,
-    /// Health probes that failed.
-    pub probes_failed: u64,
-    /// Live sessions that abandoned this backend mid-flight.
-    pub failovers: u64,
-    /// In-flight jobs replayed onto this backend after failovers.
-    pub jobs_resubmitted: u64,
+/// Writes one operator-table line: `head`, then each row's label and value.
+fn write_rows<'r>(
+    f: &mut fmt::Formatter<'_>,
+    head: &str,
+    rows: impl IntoIterator<Item = &'r Row>,
+) -> fmt::Result {
+    let mut line = format!("{head:<10}");
+    for row in rows {
+        line.push_str(&format!(" {} {:<7}", row.label, row.cell));
+    }
+    writeln!(f, "{}", line.trim_end())
 }
 
-/// One session's slice of the service telemetry.
-///
-/// A *session* is a [`SessionKey`]: an API key (shared by every connection
-/// and client presenting it) or one anonymous client/connection. Rows are
-/// how the fairness and rate-limit tests observe who actually got the
-/// workers. They persist while a session has work queued; once the table
-/// holds thousands of rows, idle sessions' rows may be evicted (aggregate
-/// counters like [`ServiceStats::jobs_completed`] are unaffected).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionStats {
-    /// [`SessionKey::display_name`] of the session.
-    pub key: String,
-    /// The DRR weight the scheduler grants the session (default 1.0).
-    pub weight: f64,
-    /// Jobs waiting in this session's queue right now.
-    pub queue_depth: usize,
-    /// Jobs this session ever submitted (including later-refused ones).
-    pub jobs_submitted: u64,
-    /// Jobs the DRR scheduler handed to workers — the fairness counter:
-    /// under contention, dispatch shares track session weights.
-    pub jobs_dispatched: u64,
-    /// Jobs trained to completion.
-    pub jobs_completed: u64,
-    /// Jobs answered with a non-QoS error (decode/validation/panic/auth).
-    pub jobs_failed: u64,
-    /// Jobs refused by the session's token bucket (also counted in
-    /// [`jobs_shed`](Self::jobs_shed)).
-    pub jobs_rate_limited: u64,
-    /// Jobs shed by any QoS gate: rate limiter, admission control, or the
-    /// transport's per-connection in-flight cap.
-    pub jobs_shed: u64,
-    /// This session's submissions answered straight from the result cache.
-    pub cache_hits: u64,
-    /// This session's submissions coalesced onto an identical in-flight
-    /// job.
-    pub coalesced: u64,
-    /// Progress frames emitted for this session's jobs (each coalesced
-    /// waiter counts its own copy).
-    pub progress_frames: u64,
+impl fmt::Display for ServiceStats {
+    /// The operator's table: one line per group of the scalar table (in the
+    /// order the groups first appear in it), one per stage histogram, one
+    /// per backend and session row.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows = self.rows();
+        let mut groups: Vec<&str> = Vec::new();
+        for row in &rows {
+            if !groups.contains(&row.group) {
+                groups.push(row.group);
+            }
+        }
+        for group in groups {
+            let of_group = || rows.iter().filter(|row| row.group == group);
+            if !QUIET_GROUPS.contains(&group) || of_group().any(|row| row.sample != "0") {
+                write_rows(f, group, of_group())?;
+            }
+        }
+        for (stage, hist) in &self.histograms {
+            let [p50, p95, p99] = [0.5, 0.95, 0.99].map(|q| hist.quantile(q));
+            let (stage, max, count) = (stage.as_str(), hist.max, hist.count);
+            writeln!(
+                f,
+                "latency µs {stage:<18} p50 {p50:<7} p95 {p95:<7} p99 {p99:<7} max {max:<7} count {count}"
+            )?;
+        }
+        for backend in &self.backends {
+            write_rows(f, &format!("backend {}", backend.addr), &backend.rows())?;
+        }
+        for session in &self.sessions {
+            write_rows(f, &format!("session {}", session.key), &session.rows())?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1584,11 +1197,53 @@ mod tests {
         assert_eq!(s.transport_bytes_sent, 9 + 50 + 100);
     }
 
+    fn one_sample(stage: Stage) -> ServiceStats {
+        let telemetry = Telemetry::default();
+        telemetry.record(stage, Duration::from_micros(850));
+        ServiceStats {
+            histograms: telemetry.snapshot(),
+            ..Default::default()
+        }
+    }
+
+    fn with_backend(row: BackendStats) -> ServiceStats {
+        ServiceStats {
+            backends: vec![row],
+            ..Default::default()
+        }
+    }
+
+    fn with_session(row: SessionStats) -> ServiceStats {
+        ServiceStats {
+            sessions: vec![row],
+            ..Default::default()
+        }
+    }
+
+    /// One snapshot per row of every table — scalar, backend, session and
+    /// stage — with that row alone off its zero, beside the snapshot it is
+    /// to be told apart from and whether the row belongs in the scrape.
+    fn row_probes() -> Vec<(String, ServiceStats, ServiceStats, bool)> {
+        let scalars = ServiceStats::probes().into_iter();
+        let backends = BackendStats::probes().into_iter();
+        let sessions = SessionStats::probes().into_iter();
+        let stages = Stage::ALL.into_iter();
+        let zero = ServiceStats::default;
+        (scalars.map(|(name, probe)| (name.to_string(), probe, zero(), true)))
+            .chain(backends.map(|(name, row)| {
+                let base = with_backend(BackendStats::default());
+                (format!("backend {name}"), with_backend(row), base, true)
+            }))
+            .chain(sessions.map(|(name, row)| {
+                let base = with_session(SessionStats::default());
+                (format!("session {name}"), with_session(row), base, false)
+            }))
+            .chain(stages.map(|stage| (format!("stage {stage}"), one_sample(stage), zero(), true)))
+            .collect()
+    }
+
     #[test]
     fn stats_snapshot_wire_roundtrip_is_identity() {
-        use crate::middleware::SessionKey;
-        use crate::telemetry::Stage;
-        use std::time::Duration;
         let m = ServiceMetrics::new();
         m.job_queued();
         m.job_started();
@@ -1601,20 +1256,43 @@ mod tests {
             .record(Stage::Train, Duration::from_micros(850));
         m.telemetry()
             .record(Stage::QueueWait, Duration::from_micros(17));
-        let s = m.snapshot();
-        let back = ServiceStats::from_bytes(s.to_bytes()).unwrap();
-        assert_eq!(back, s);
-        // And the quantiles survive the trip.
-        assert_eq!(
-            back.hist(Stage::Train).unwrap().quantile(0.5),
-            s.hist(Stage::Train).unwrap().quantile(0.5)
-        );
+        let live = m.snapshot();
+        let probes = row_probes().into_iter().map(|(_, probe, _, _)| probe);
+        for s in probes.chain([live]) {
+            let back = ServiceStats::from_bytes(s.to_bytes()).unwrap();
+            assert_eq!(back, s);
+            // And the quantiles survive the trip.
+            for (stage, hist) in &s.histograms {
+                assert_eq!(back.hist(*stage).unwrap().quantile(0.5), hist.quantile(0.5));
+            }
+        }
+        assert!(ServiceStats::from_bytes(Bytes::from_static(&[0; 7])).is_err());
+    }
+
+    #[test]
+    fn check_invariants_names_the_broken_law() {
+        let m = ServiceMetrics::new();
+        let anon = SessionKey::Anonymous(1);
+        m.job_queued();
+        m.job_dequeued();
+        drop(m.job_started());
+        m.job_finished(64, &ok_result(16), Duration::from_millis(3));
+        m.job_cache_hit(&anon);
+        m.progress_frame_emitted(&anon);
+        m.progress_frame_dropped();
+        m.control_frame_received(9);
+        let mut s = m.snapshot();
+        assert_eq!(s.check_invariants(), Ok(()));
+        s.progress_frames_emitted += 1;
+        s.jobs_cancelled += 1;
+        let broken = s.check_invariants().unwrap_err();
+        assert!(broken.contains("progress_frames_emitted == "), "{broken}");
+        assert!(broken.contains("jobs_submitted == "), "{broken}");
+        assert!(!broken.contains("control_frames"), "{broken}");
     }
 
     #[test]
     fn prometheus_text_has_counters_and_stage_quantiles() {
-        use crate::telemetry::Stage;
-        use std::time::Duration;
         let m = ServiceMetrics::new();
         m.job_queued();
         for _ in 0..10 {
@@ -1643,8 +1321,6 @@ mod tests {
 
     #[test]
     fn display_renders_quantile_table() {
-        use crate::telemetry::Stage;
-        use std::time::Duration;
         let m = ServiceMetrics::new();
         m.telemetry()
             .record(Stage::Train, Duration::from_micros(900));

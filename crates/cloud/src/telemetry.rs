@@ -313,105 +313,82 @@ impl std::fmt::Display for TraceId {
     }
 }
 
-/// Every instrumented stage across the three tiers. The discriminant is
-/// the wire encoding and the per-stage histogram index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Stage {
+/// Declares [`Stage`] from its table. A row reads `Variant = tag, layer|span
+/// "name";` — `layer` where the name is a [`crate::CloudLayer::name`] that
+/// [`Stage::from_layer_name`] maps back, `span` for a stage timed elsewhere.
+macro_rules! stages {
+    ($($(#[$doc:meta])* $stage:ident = $tag:literal, $kind:ident $name:literal;)*) => {
+        /// Every instrumented stage across the three tiers. The discriminant is
+        /// the wire encoding and the per-stage histogram index.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum Stage {
+            $($(#[$doc])* $stage = $tag,)*
+        }
+
+        impl Stage {
+            /// Every stage, in discriminant order.
+            pub const ALL: [Stage; [$($tag),*].len()] = [$(Stage::$stage),*];
+
+            /// Stable snake-case name (Prometheus label / table row).
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(Stage::$stage => $name,)*
+                }
+            }
+
+            /// Maps a [`crate::CloudLayer::name`] to its stage; unrecognized
+            /// layers (builder-installed ones) time under [`Stage::Custom`].
+            pub fn from_layer_name(name: &str) -> Stage {
+                $(stages!(@$kind name, $name, $stage);)*
+                Stage::Custom
+            }
+        }
+    };
+    (@layer $given:ident, $name:literal, $stage:ident) => {
+        if $given == $name {
+            return Stage::$stage;
+        }
+    };
+    (@span $given:ident, $name:literal, $stage:ident) => {};
+}
+
+stages! {
     /// Submit-to-dequeue wait in the fair dispatcher.
-    QueueWait = 0,
+    QueueWait = 0, span "queue_wait";
     /// The panic-catching layer (self time ≈ 0 unless a panic unwound).
-    Panic = 1,
+    Panic = 1, layer "panic";
     /// Queue-depth admission control.
-    Admission = 2,
+    Admission = 2, layer "admission";
     /// Content-addressed dedup / result cache write side.
-    Dedup = 3,
+    Dedup = 3, layer "dedup";
     /// Per-session token-bucket rate limiting.
-    RateLimit = 4,
+    RateLimit = 4, layer "ratelimit";
     /// Session API-key check.
-    Auth = 5,
+    Auth = 5, layer "auth";
     /// A builder-installed custom layer.
-    Custom = 6,
+    Custom = 6, span "custom";
     /// Wire-bytes → `CloudJob` + model decode.
-    Decode = 7,
+    Decode = 7, layer "decode";
     /// The `BadJob` validation checks.
-    Validate = 8,
+    Validate = 8, layer "validate";
     /// The adversary-model observer tap.
-    Observer = 9,
+    Observer = 9, layer "observer";
     /// Algorithm 1 itself.
-    Train = 10,
+    Train = 10, layer "train";
     /// One reactor write-queue flush (socket write burst).
-    ReactorFlush = 11,
+    ReactorFlush = 11, span "reactor_flush";
     /// Proxy-measured backend round-trip: Submit forwarded → Reply seen.
-    BackendRtt = 12,
+    BackendRtt = 12, span "backend_rtt";
     /// Client-measured submit-to-reply round-trip.
-    Rpc = 13,
+    Rpc = 13, span "rpc";
     /// Encoding and storing one mid-training checkpoint.
-    CheckpointWrite = 14,
+    CheckpointWrite = 14, span "checkpoint_write";
     /// Loading, validating and applying a checkpoint at resume.
-    CheckpointRestore = 15,
+    CheckpointRestore = 15, span "checkpoint_restore";
 }
 
 impl Stage {
-    /// Every stage, in discriminant order.
-    pub const ALL: [Stage; 16] = [
-        Stage::QueueWait,
-        Stage::Panic,
-        Stage::Admission,
-        Stage::Dedup,
-        Stage::RateLimit,
-        Stage::Auth,
-        Stage::Custom,
-        Stage::Decode,
-        Stage::Validate,
-        Stage::Observer,
-        Stage::Train,
-        Stage::ReactorFlush,
-        Stage::BackendRtt,
-        Stage::Rpc,
-        Stage::CheckpointWrite,
-        Stage::CheckpointRestore,
-    ];
-
-    /// Stable snake-case name (Prometheus label / table row).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Stage::QueueWait => "queue_wait",
-            Stage::Panic => "panic",
-            Stage::Admission => "admission",
-            Stage::Dedup => "dedup",
-            Stage::RateLimit => "ratelimit",
-            Stage::Auth => "auth",
-            Stage::Custom => "custom",
-            Stage::Decode => "decode",
-            Stage::Validate => "validate",
-            Stage::Observer => "observer",
-            Stage::Train => "train",
-            Stage::ReactorFlush => "reactor_flush",
-            Stage::BackendRtt => "backend_rtt",
-            Stage::Rpc => "rpc",
-            Stage::CheckpointWrite => "checkpoint_write",
-            Stage::CheckpointRestore => "checkpoint_restore",
-        }
-    }
-
-    /// Maps a [`crate::CloudLayer::name`] to its stage; unrecognized
-    /// layers (builder-installed ones) time under [`Stage::Custom`].
-    pub fn from_layer_name(name: &str) -> Stage {
-        match name {
-            "panic" => Stage::Panic,
-            "admission" => Stage::Admission,
-            "dedup" => Stage::Dedup,
-            "ratelimit" => Stage::RateLimit,
-            "auth" => Stage::Auth,
-            "decode" => Stage::Decode,
-            "validate" => Stage::Validate,
-            "observer" => Stage::Observer,
-            "train" => Stage::Train,
-            _ => Stage::Custom,
-        }
-    }
-
     /// Decodes a wire discriminant.
     ///
     /// # Errors
@@ -728,7 +705,16 @@ mod tests {
 
     #[test]
     fn stage_tags_roundtrip() {
-        for s in Stage::ALL {
+        for (i, s) in Stage::ALL.into_iter().enumerate() {
+            // The table is in tag order, gap-free, and no two rows share a name.
+            assert_eq!(s as usize, i);
+            assert_eq!(
+                Stage::ALL
+                    .iter()
+                    .filter(|t| t.as_str() == s.as_str())
+                    .count(),
+                1
+            );
             assert_eq!(Stage::from_u8(s as u8).unwrap(), s);
             assert_eq!(Stage::from_layer_name(s.as_str()), {
                 // Names that are real layers map back; the rest are Custom.
