@@ -983,16 +983,22 @@ impl ServiceStats {
             let total = if row.kind == "counter" { "_total" } else { "" };
             let name = format!("amalgam_{prefix}{}{total}", row.series);
             let _ = writeln!(out, "# HELP {name} {}", row.help);
-            let _ = writeln!(out, "# TYPE {name} gauge");
+            let _ = writeln!(out, "# TYPE {name} {}", row.kind);
             name
         }
         let mut out = String::with_capacity(8192);
         for row in self.rows() {
-            if row.series == "mean_job_seconds" {
-                continue;
-            }
             let name = declare(&mut out, "", &row);
             let _ = writeln!(out, "{name} {}", row.sample);
+        }
+        // A series' samples stay together: row by row, one sample a backend.
+        let backends: Vec<Vec<Row>> = self.backends.iter().map(BackendStats::rows).collect();
+        for (i, row) in backends.first().into_iter().flatten().enumerate() {
+            let name = declare(&mut out, "backend_", row);
+            for (backend, rows) in self.backends.iter().zip(&backends) {
+                let (addr, sample) = (&backend.addr, &rows[i].sample);
+                let _ = writeln!(out, "{name}{{backend={addr:?}}} {sample}");
+            }
         }
         let series = "amalgam_latency_microseconds";
         let _ = writeln!(
@@ -1242,6 +1248,61 @@ mod tests {
             .collect()
     }
 
+    /// The names rustdoc would list for `T`: what `derive(Debug)` prints at
+    /// the first level of nesting.
+    fn debug_fields<T: std::fmt::Debug + Default>() -> Vec<String> {
+        format!("{:#?}", T::default())
+            .lines()
+            .filter(|line| line.starts_with("    ") && !line.starts_with("     "))
+            .filter_map(|line| {
+                line.trim()
+                    .split_once(": ")
+                    .map(|(name, _)| name.to_string())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_row_reaches_every_rendering() {
+        for (name, probe, base, scraped) in row_probes() {
+            assert_ne!(probe.to_bytes(), base.to_bytes(), "{name}: wire");
+            assert_ne!(
+                probe.to_string(),
+                base.to_string(),
+                "{name}: operator table"
+            );
+            assert_eq!(
+                probe.to_prometheus() != base.to_prometheus(),
+                scraped,
+                "{name}: scrape"
+            );
+        }
+        // And no field goes around a table: every public field is its key, a
+        // row or one of the three tail tables.
+        fn names<S>(key: &[&str], probes: Vec<(&'static str, S)>, tail: &[&str]) -> Vec<String> {
+            let rows = probes.iter().map(|(name, _)| *name);
+            (key.iter().copied().chain(rows).chain(tail.iter().copied()))
+                .map(str::to_string)
+                .collect()
+        }
+        assert_eq!(
+            debug_fields::<ServiceStats>(),
+            names(
+                &[],
+                ServiceStats::probes(),
+                &["backends", "sessions", "histograms"]
+            )
+        );
+        assert_eq!(
+            debug_fields::<BackendStats>(),
+            names(&["addr"], BackendStats::probes(), &[])
+        );
+        assert_eq!(
+            debug_fields::<SessionStats>(),
+            names(&["key"], SessionStats::probes(), &[])
+        );
+    }
+
     #[test]
     fn stats_snapshot_wire_roundtrip_is_identity() {
         let m = ServiceMetrics::new();
@@ -1302,7 +1363,7 @@ mod tests {
                 .record(Stage::QueueWait, Duration::from_micros(40));
         }
         let text = m.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE amalgam_jobs_submitted_total gauge"));
+        assert!(text.contains("# TYPE amalgam_jobs_submitted_total counter"));
         assert!(text.contains("amalgam_jobs_submitted_total 1"));
         for stage in ["train", "queue_wait"] {
             for q in ["0.5", "0.95", "0.99"] {

@@ -564,3 +564,48 @@ fn stats_frame_bytes_and_scrape_lines_are_pinned() {
     }
     assert_eq!(lines.len(), GOLDEN_SCRAPE_SORTED.len(), "scrape line count");
 }
+
+/// The scrape obeys the text exposition format where a scraper would trip:
+/// every sample has exactly one `HELP` and one `TYPE` ahead of it, no
+/// series is declared twice, and a series is a `counter` exactly when its
+/// name ends in `_total` (so `rate()` is typed right).
+#[test]
+fn scrape_obeys_the_exposition_format() {
+    let text = golden_stats().to_prometheus();
+    let mut declared: Vec<(String, Option<String>)> = Vec::new(); // (series, TYPE) by HELP
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, help) = rest.split_once(' ').expect("HELP has text");
+            assert!(!help.is_empty(), "{name} has no help");
+            assert!(
+                declared.iter().all(|(seen, _)| seen != name),
+                "{name} declared twice"
+            );
+            declared.push((name.to_string(), None));
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("TYPE has a kind");
+            let (last, slot) = declared.last_mut().expect("TYPE follows its HELP");
+            assert_eq!(last, name, "TYPE follows its own HELP");
+            assert!(slot.is_none(), "{name} typed twice");
+            assert!(["counter", "gauge", "summary"].contains(&kind), "{line}");
+            assert_eq!(kind == "counter", name.ends_with("_total"), "{line}");
+            *slot = Some(kind.to_string());
+        } else {
+            let series = line
+                .split(['{', ' '])
+                .next()
+                .expect("a sample names its series");
+            let (family, kind) = declared.last().expect("a sample follows its HELP");
+            let kind = kind.as_deref().expect("a sample follows its TYPE");
+            // A summary's samples are the family itself or its _sum/_count/_max.
+            let owns = match kind {
+                "summary" => series.starts_with(family.as_str()),
+                _ => series == family,
+            };
+            assert!(owns, "{series} sampled under {family}'s declaration");
+            let value = line.rsplit(' ').next().expect("a sample has a value");
+            assert!(value.parse::<f64>().is_ok(), "{line}");
+        }
+    }
+    assert!(declared.len() > 40, "{} series", declared.len());
+}
