@@ -407,6 +407,14 @@ d600000000000000d700000000000000d800000000000000d900000000000000\
 /// `golden_stats().to_prometheus()`, sorted by line. Series may be emitted
 /// in any order; their names, help, types and values are pinned.
 const GOLDEN_SCRAPE_SORTED: &[&str] = &[
+    "# HELP amalgam_backend_ejections_total Times the breaker opened (closed/half-open → open).",
+    "# HELP amalgam_backend_failovers_total Live sessions that abandoned this backend mid-flight.",
+    "# HELP amalgam_backend_health Current circuit-breaker position.",
+    "# HELP amalgam_backend_jobs_resubmitted_total In-flight jobs replayed onto this backend after failovers.",
+    "# HELP amalgam_backend_probes_failed_total Health probes that failed.",
+    "# HELP amalgam_backend_probes_ok_total Health probes that succeeded.",
+    "# HELP amalgam_backend_readmissions_total Times the breaker closed again after probation.",
+    "# HELP amalgam_backend_sessions_routed_total Sessions ever routed (or failed over) to this backend.",
     "# HELP amalgam_cache_hits_total Submissions answered from the result cache.",
     "# HELP amalgam_checkpoints_rejected_total Corrupt or stale checkpoints scrubbed before recompute.",
     "# HELP amalgam_checkpoints_written_total Mid-training checkpoints stored.",
@@ -434,6 +442,7 @@ const GOLDEN_SCRAPE_SORTED: &[&str] = &[
     "# HELP amalgam_jobs_resumed_total Jobs resumed from a checkpoint instead of epoch 0.",
     "# HELP amalgam_jobs_submitted_total Jobs ever submitted.",
     "# HELP amalgam_latency_microseconds Per-stage latency quantiles (log-linear histogram, error <= 1/16).",
+    "# HELP amalgam_mean_job_seconds Mean wall-clock seconds per completed job.",
     "# HELP amalgam_progress_frames_delivered_total Progress frames that reached their sink.",
     "# HELP amalgam_progress_frames_dropped_total Progress frames dropped (v1 peer or dead sink).",
     "# HELP amalgam_progress_frames_emitted_total Progress frames emitted toward any sink.",
@@ -448,47 +457,72 @@ const GOLDEN_SCRAPE_SORTED: &[&str] = &[
     "# HELP amalgam_transport_bytes_received_total Wire bytes received.",
     "# HELP amalgam_transport_bytes_sent_total Wire bytes sent.",
     "# HELP amalgam_uptime_seconds Seconds since service start.",
-    "# TYPE amalgam_cache_hits_total gauge",
-    "# TYPE amalgam_checkpoints_rejected_total gauge",
-    "# TYPE amalgam_checkpoints_written_total gauge",
-    "# TYPE amalgam_coalesced_total gauge",
-    "# TYPE amalgam_connections_accepted_total gauge",
+    "# TYPE amalgam_backend_ejections_total counter",
+    "# TYPE amalgam_backend_failovers_total counter",
+    "# TYPE amalgam_backend_health gauge",
+    "# TYPE amalgam_backend_jobs_resubmitted_total counter",
+    "# TYPE amalgam_backend_probes_failed_total counter",
+    "# TYPE amalgam_backend_probes_ok_total counter",
+    "# TYPE amalgam_backend_readmissions_total counter",
+    "# TYPE amalgam_backend_sessions_routed_total counter",
+    "# TYPE amalgam_cache_hits_total counter",
+    "# TYPE amalgam_checkpoints_rejected_total counter",
+    "# TYPE amalgam_checkpoints_written_total counter",
+    "# TYPE amalgam_coalesced_total counter",
+    "# TYPE amalgam_connections_accepted_total counter",
     "# TYPE amalgam_connections_active gauge",
-    "# TYPE amalgam_connections_rejected_total gauge",
-    "# TYPE amalgam_control_frames_received_total gauge",
-    "# TYPE amalgam_control_frames_sent_total gauge",
-    "# TYPE amalgam_epochs_trained_total gauge",
-    "# TYPE amalgam_failovers_total gauge",
-    "# TYPE amalgam_frames_received_total gauge",
-    "# TYPE amalgam_frames_sent_total gauge",
+    "# TYPE amalgam_connections_rejected_total counter",
+    "# TYPE amalgam_control_frames_received_total counter",
+    "# TYPE amalgam_control_frames_sent_total counter",
+    "# TYPE amalgam_epochs_trained_total counter",
+    "# TYPE amalgam_failovers_total counter",
+    "# TYPE amalgam_frames_received_total counter",
+    "# TYPE amalgam_frames_sent_total counter",
     "# TYPE amalgam_in_flight gauge",
-    "# TYPE amalgam_job_bytes_received_total gauge",
-    "# TYPE amalgam_job_bytes_sent_total gauge",
-    "# TYPE amalgam_jobs_cancelled_total gauge",
-    "# TYPE amalgam_jobs_completed_total gauge",
-    "# TYPE amalgam_jobs_failed_total gauge",
-    "# TYPE amalgam_jobs_panicked_total gauge",
+    "# TYPE amalgam_job_bytes_received_total counter",
+    "# TYPE amalgam_job_bytes_sent_total counter",
+    "# TYPE amalgam_jobs_cancelled_total counter",
+    "# TYPE amalgam_jobs_completed_total counter",
+    "# TYPE amalgam_jobs_failed_total counter",
+    "# TYPE amalgam_jobs_panicked_total counter",
     "# TYPE amalgam_jobs_per_second gauge",
-    "# TYPE amalgam_jobs_rate_limited_total gauge",
-    "# TYPE amalgam_jobs_rejected_total gauge",
-    "# TYPE amalgam_jobs_resubmitted_total gauge",
-    "# TYPE amalgam_jobs_resumed_total gauge",
-    "# TYPE amalgam_jobs_submitted_total gauge",
+    "# TYPE amalgam_jobs_rate_limited_total counter",
+    "# TYPE amalgam_jobs_rejected_total counter",
+    "# TYPE amalgam_jobs_resubmitted_total counter",
+    "# TYPE amalgam_jobs_resumed_total counter",
+    "# TYPE amalgam_jobs_submitted_total counter",
     "# TYPE amalgam_latency_microseconds summary",
-    "# TYPE amalgam_progress_frames_delivered_total gauge",
-    "# TYPE amalgam_progress_frames_dropped_total gauge",
-    "# TYPE amalgam_progress_frames_emitted_total gauge",
+    "# TYPE amalgam_mean_job_seconds gauge",
+    "# TYPE amalgam_progress_frames_delivered_total counter",
+    "# TYPE amalgam_progress_frames_dropped_total counter",
+    "# TYPE amalgam_progress_frames_emitted_total counter",
     "# TYPE amalgam_queue_depth gauge",
-    "# TYPE amalgam_reactor_events_total gauge",
+    "# TYPE amalgam_reactor_events_total counter",
     "# TYPE amalgam_reactor_registered_fds gauge",
-    "# TYPE amalgam_reactor_wakeups_total gauge",
+    "# TYPE amalgam_reactor_wakeups_total counter",
     "# TYPE amalgam_reactor_write_queue_bytes gauge",
-    "# TYPE amalgam_reconnects_total gauge",
-    "# TYPE amalgam_relay_frames_received_total gauge",
-    "# TYPE amalgam_relay_frames_sent_total gauge",
-    "# TYPE amalgam_transport_bytes_received_total gauge",
-    "# TYPE amalgam_transport_bytes_sent_total gauge",
+    "# TYPE amalgam_reconnects_total counter",
+    "# TYPE amalgam_relay_frames_received_total counter",
+    "# TYPE amalgam_relay_frames_sent_total counter",
+    "# TYPE amalgam_transport_bytes_received_total counter",
+    "# TYPE amalgam_transport_bytes_sent_total counter",
     "# TYPE amalgam_uptime_seconds gauge",
+    "amalgam_backend_ejections_total{backend=\"10.0.0.1:4000\"} 202",
+    "amalgam_backend_ejections_total{backend=\"10.0.0.2:4000\"} 212",
+    "amalgam_backend_failovers_total{backend=\"10.0.0.1:4000\"} 206",
+    "amalgam_backend_failovers_total{backend=\"10.0.0.2:4000\"} 216",
+    "amalgam_backend_health{backend=\"10.0.0.1:4000\"} 1",
+    "amalgam_backend_health{backend=\"10.0.0.2:4000\"} 2",
+    "amalgam_backend_jobs_resubmitted_total{backend=\"10.0.0.1:4000\"} 207",
+    "amalgam_backend_jobs_resubmitted_total{backend=\"10.0.0.2:4000\"} 217",
+    "amalgam_backend_probes_failed_total{backend=\"10.0.0.1:4000\"} 205",
+    "amalgam_backend_probes_failed_total{backend=\"10.0.0.2:4000\"} 215",
+    "amalgam_backend_probes_ok_total{backend=\"10.0.0.1:4000\"} 204",
+    "amalgam_backend_probes_ok_total{backend=\"10.0.0.2:4000\"} 214",
+    "amalgam_backend_readmissions_total{backend=\"10.0.0.1:4000\"} 203",
+    "amalgam_backend_readmissions_total{backend=\"10.0.0.2:4000\"} 213",
+    "amalgam_backend_sessions_routed_total{backend=\"10.0.0.1:4000\"} 201",
+    "amalgam_backend_sessions_routed_total{backend=\"10.0.0.2:4000\"} 211",
     "amalgam_cache_hits_total 129",
     "amalgam_checkpoints_rejected_total 140",
     "amalgam_checkpoints_written_total 139",
@@ -527,6 +561,7 @@ const GOLDEN_SCRAPE_SORTED: &[&str] = &[
     "amalgam_latency_microseconds{stage=\"train\",quantile=\"0.5\"} 927",
     "amalgam_latency_microseconds{stage=\"train\",quantile=\"0.95\"} 123456",
     "amalgam_latency_microseconds{stage=\"train\",quantile=\"0.99\"} 123456",
+    "amalgam_mean_job_seconds 0.0625",
     "amalgam_progress_frames_delivered_total 135",
     "amalgam_progress_frames_dropped_total 136",
     "amalgam_progress_frames_emitted_total 134",
