@@ -369,51 +369,67 @@ fn dial(
     let mut last_err = CloudError::Transport("no address to connect to".into());
     for addr in addrs {
         match TcpStream::connect_timeout(addr, config.connect_timeout) {
-            Ok(stream) => return handshake(stream, config),
+            Ok(stream) => {
+                let ((version, max_in_flight, max_frame_len), _) = handshake(&stream, config)?;
+                let _ = stream.set_read_timeout(None);
+                return Ok((stream, version, max_in_flight, max_frame_len));
+            }
             Err(e) => last_err = CloudError::Transport(format!("connect to {addr} failed: {e}")),
         }
     }
     Err(last_err)
 }
 
-/// Client half of the handshake: `Hello` out, `Welcome` (or `Reject`) in.
-fn handshake(
-    mut stream: TcpStream,
+/// The client role's half of the handshake, on a socket that has just
+/// connected: `Hello` (with `config.api_key`) out, `Welcome` in. Used by
+/// [`RemoteCloudClient`], and by a routing tier for its backend links and
+/// its health probes.
+///
+/// Sets `TCP_NODELAY`, and leaves `config.handshake_timeout` as the socket's
+/// read timeout and `config.write_timeout` as its write timeout — a peer
+/// that stops reading must not wedge a writer forever; a timed-out write
+/// marks the connection broken (symmetric with the server's session policy).
+///
+/// Returns what the `Welcome` negotiated — `(version, max_in_flight,
+/// max_frame_len)` — and the wire lengths of the two frames, `(hello,
+/// welcome)`, which a routing tier counts on its backend face.
+///
+/// # Errors
+///
+/// Returns [`CloudError::Handshake`] with the server's reason if it answers
+/// `Reject` (or anything but `Welcome`, or hangs up), and
+/// [`CloudError::Transport`] on I/O failure.
+pub fn handshake(
+    mut stream: &TcpStream,
     config: &TransportConfig,
-) -> Result<(TcpStream, u32, u32, u64), CloudError> {
+) -> Result<((u32, u32, u64), (usize, usize)), CloudError> {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(config.handshake_timeout));
-    // A peer that stops reading must not wedge submit/keepalive/close
-    // behind the writer lock forever; a timed-out write marks the
-    // connection broken (symmetric with the server's session policy).
     let _ = stream.set_write_timeout(Some(config.write_timeout));
-    write_frame(
-        &mut stream,
-        &Frame::Hello {
-            min_version: MIN_PROTOCOL_VERSION,
-            max_version: PROTOCOL_VERSION,
-            api_key: config.api_key.clone(),
-        },
-    )
-    .map_err(|e| CloudError::Transport(format!("handshake write failed: {e}")))?;
-    let (frame, _) =
+    let hello = Frame::Hello {
+        min_version: MIN_PROTOCOL_VERSION,
+        max_version: PROTOCOL_VERSION,
+        api_key: config.api_key.clone(),
+    };
+    let hello_wire = write_frame(&mut stream, &hello)
+        .map_err(|e| CloudError::Transport(format!("handshake write failed: {e}")))?;
+    let (frame, welcome_wire) =
         read_frame_blocking(&mut stream, config.max_frame_len, FrameOrigin::Server)?
             .ok_or_else(|| CloudError::Handshake("server closed during handshake".into()))?;
-    let (version, max_in_flight, server_max_frame_len) = match frame {
+    match frame {
         Frame::Welcome {
             version,
             max_in_flight,
             max_frame_len,
-        } => (version, max_in_flight, max_frame_len),
-        Frame::Reject { reason } => return Err(CloudError::Handshake(reason)),
-        other => {
-            return Err(CloudError::Handshake(format!(
-                "expected Welcome, got {other:?}"
-            )))
-        }
-    };
-    let _ = stream.set_read_timeout(None);
-    Ok((stream, version, max_in_flight, server_max_frame_len))
+        } => Ok((
+            (version, max_in_flight, max_frame_len),
+            (hello_wire, welcome_wire),
+        )),
+        Frame::Reject { reason } => Err(CloudError::Handshake(reason)),
+        other => Err(CloudError::Handshake(format!(
+            "expected Welcome, got {other:?}"
+        ))),
+    }
 }
 
 impl RemoteCloudClient {

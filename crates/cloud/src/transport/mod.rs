@@ -108,7 +108,7 @@ mod reconnect;
 mod server;
 mod timer;
 
-pub use client::{RemoteCloudClient, RemoteJobHandle};
+pub use client::{handshake, RemoteCloudClient, RemoteJobHandle};
 pub use frame::{
     read_frame_blocking, write_encoded, write_frame, Frame, FrameDecoder, FrameOrigin,
 };

@@ -22,7 +22,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use amalgam_cloud::transport::{
-    read_frame_blocking, write_frame, Frame, FrameOrigin, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    handshake, read_frame_blocking, write_frame, Frame, FrameOrigin, TransportConfig,
 };
 use amalgam_cloud::BackendHealth;
 
@@ -80,34 +80,27 @@ fn prober_loop(shared: &Arc<ProxyShared>) {
 /// deadline at every step.
 fn probe_once(shared: &Arc<ProxyShared>, addr: &str) -> bool {
     let deadline = shared.config.probe_timeout;
+    let config = TransportConfig {
+        api_key: None,
+        handshake_timeout: deadline,
+        write_timeout: deadline,
+        ..shared.config.transport.clone()
+    };
     let Some(sock_addr) = addr.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
         return false;
     };
     let Ok(stream) = TcpStream::connect_timeout(&sock_addr, deadline) else {
         return false;
     };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(deadline));
-    let _ = stream.set_write_timeout(Some(deadline));
-    let max_frame_len = shared.config.transport.max_frame_len;
-    let mut s = &stream;
-    let hello = Frame::Hello {
-        min_version: MIN_PROTOCOL_VERSION,
-        max_version: PROTOCOL_VERSION,
-        api_key: None,
-    };
-    if write_frame(&mut s, &hello).is_err() {
+    if handshake(&stream, &config).is_err() {
         return false;
     }
-    match read_frame_blocking(&mut s, max_frame_len, FrameOrigin::Server) {
-        Ok(Some((Frame::Welcome { .. }, _))) => {}
-        _ => return false,
-    }
+    let mut s = &stream;
     if write_frame(&mut s, &Frame::Ping { nonce: PROBE_NONCE }).is_err() {
         return false;
     }
     let pong_ok = matches!(
-        read_frame_blocking(&mut s, max_frame_len, FrameOrigin::Server),
+        read_frame_blocking(&mut s, config.max_frame_len, FrameOrigin::Server),
         Ok(Some((Frame::Pong { nonce: PROBE_NONCE }, _)))
     );
     // Polite hang-up either way; the verdict is already in.

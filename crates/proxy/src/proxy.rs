@@ -34,7 +34,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use amalgam_cloud::transport::{
-    read_frame_blocking, wake_acceptor, write_frame, Frame, FrameDecoder, FrameOrigin,
+    handshake, read_frame_blocking, wake_acceptor, write_frame, Frame, FrameDecoder, FrameOrigin,
     TransportConfig, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use amalgam_cloud::{
@@ -692,45 +692,25 @@ fn dial_backend(
     addr: &str,
     api_key: Option<&str>,
 ) -> Option<BackendLink> {
-    let t = &shared.config.transport;
+    let config = TransportConfig {
+        api_key: api_key.map(str::to_string),
+        ..shared.config.transport.clone()
+    };
     let sock_addr = addr.to_socket_addrs().ok()?.next()?;
-    let stream = TcpStream::connect_timeout(&sock_addr, t.connect_timeout).ok()?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(t.write_timeout));
-    let _ = stream.set_read_timeout(Some(t.handshake_timeout));
-    let mut s = &stream;
-    let hello_wire = write_frame(
-        &mut s,
-        &Frame::Hello {
-            min_version: MIN_PROTOCOL_VERSION,
-            max_version: PROTOCOL_VERSION,
-            api_key: api_key.map(str::to_string),
-        },
-    )
-    .ok()?;
+    let stream = TcpStream::connect_timeout(&sock_addr, config.connect_timeout).ok()?;
+    let ((version, max_in_flight, max_frame_len), (hello_wire, welcome_wire)) =
+        handshake(&stream, &config).ok()?;
     shared.metrics.relay_frame_sent(hello_wire);
-    match read_frame_blocking(&mut s, t.max_frame_len, FrameOrigin::Server) {
-        Ok(Some((
-            Frame::Welcome {
-                version,
-                max_in_flight,
-                max_frame_len,
-            },
-            wire,
-        ))) => {
-            shared.metrics.relay_frame_received(wire);
-            Some(BackendLink {
-                addr: addr.to_string(),
-                generation: 0, // stamped by the caller before install
-                writer: Mutex::new(stream),
-                last_write: Mutex::new(Instant::now()),
-                version,
-                max_in_flight,
-                max_frame_len,
-            })
-        }
-        _ => None,
-    }
+    shared.metrics.relay_frame_received(welcome_wire);
+    Some(BackendLink {
+        addr: addr.to_string(),
+        generation: 0, // stamped by the caller before install
+        writer: Mutex::new(stream),
+        last_write: Mutex::new(Instant::now()),
+        version,
+        max_in_flight,
+        max_frame_len,
+    })
 }
 
 /// Pumps one backend link's frames back to the client until the link dies
