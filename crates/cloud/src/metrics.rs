@@ -621,11 +621,17 @@ impl ServiceMetrics {
     }
 
     /// Transport path: a protocol-overhead frame was committed for send.
-    /// The control sub-count is not unwound if the connection dies before
-    /// the bytes leave (the totals are, via `frame_send_aborted`).
     pub fn control_frame_sent(&self, wire_len: usize) {
         self.frame_sent(wire_len);
         self.control_frames_sent.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Transport path: a committed protocol-overhead frame was discarded
+    /// unsent — out of the totals and the control sub-count alike, so the
+    /// sub-count never exceeds the total it is part of.
+    pub(crate) fn control_frame_send_aborted(&self, wire_len: usize) {
+        self.frame_send_aborted(wire_len);
+        self.control_frames_sent.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Routing tier: one frame arrived on a *backend-face* link. Wire
@@ -1038,12 +1044,22 @@ impl ServiceStats {
             + self.coalesced;
         let waiting = (self.queue_depth + self.in_flight) as u64;
         let resolved = self.progress_frames_delivered + self.progress_frames_dropped;
+        let by_session: u64 = self.sessions.iter().map(|s| s.jobs_submitted).sum();
+        let may_have_evicted = self.jobs_submitted >= MAX_SESSION_ROWS as u64;
         let laws = [
             // Every submission was answered one way, or still waits.
             (
                 self.jobs_submitted == answered + waiting,
                 "jobs_submitted == completed + failed + rejected + rate_limited + cancelled \
                  + cache_hits + coalesced + queue_depth + in_flight",
+            ),
+            // Every submission is on its session's row too. A row takes a
+            // submission to create, so under `MAX_SESSION_ROWS` submissions
+            // none was evicted; past that the rows may sum to less.
+            (
+                by_session == self.jobs_submitted
+                    || (may_have_evicted && by_session < self.jobs_submitted),
+                "sum of sessions' jobs_submitted == jobs_submitted",
             ),
             // Every emitted progress frame met exactly one fate.
             (
@@ -1335,7 +1351,9 @@ mod tests {
         let m = ServiceMetrics::new();
         let anon = SessionKey::Anonymous(1);
         m.job_queued();
+        m.session_submitted(&anon, 1.0);
         m.job_dequeued();
+        m.session_dispatched(&anon);
         drop(m.job_started());
         m.job_finished(64, &ok_result(16), Duration::from_millis(3));
         m.job_cache_hit(&anon);

@@ -392,11 +392,13 @@ impl WriteQueue {
     fn discard(&mut self, metrics: &ServiceMetrics) -> usize {
         let mut replies = 0;
         for p in self.q.drain(..) {
-            if let Some((wire, is_reply)) = p.end_of_frame {
-                metrics.frame_send_aborted(wire);
-                if is_reply {
+            match p.end_of_frame {
+                Some((wire, true)) => {
+                    metrics.frame_send_aborted(wire);
                     replies += 1;
                 }
+                Some((wire, false)) => metrics.control_frame_send_aborted(wire),
+                None => {}
             }
         }
         metrics.write_queue_shrank(self.bytes);
@@ -1487,6 +1489,8 @@ mod tests {
         assert_eq!(replies, 2);
         assert_eq!(metrics.snapshot().reactor_write_queue_bytes, 0);
         assert_eq!(metrics.snapshot().frames_sent, 0);
+        assert_eq!(metrics.snapshot().control_frames_sent, 0);
+        assert_eq!(metrics.snapshot().check_invariants(), Ok(()));
         assert!(q.is_empty());
     }
 }

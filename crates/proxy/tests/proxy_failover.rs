@@ -58,6 +58,14 @@ fn fleet(n: usize) -> (Vec<Backend>, Vec<String>) {
     (backends, addrs)
 }
 
+/// The conservation laws of a quiescent snapshot
+/// ([`ServiceStats::check_invariants`]).
+fn assert_invariants(stats: &ServiceStats) {
+    if let Err(broken) = stats.check_invariants() {
+        panic!("{broken}");
+    }
+}
+
 fn backend_row<'s>(stats: &'s ServiceStats, addr: &str) -> &'s BackendStats {
     stats
         .backends
@@ -222,6 +230,7 @@ fn killed_backend_mid_flight_loses_nothing() {
         stats.reconnects >= 1,
         "failover re-links count as reconnects"
     );
+    assert_invariants(&stats);
 
     proxy.shutdown();
     for b in backends {
@@ -281,9 +290,11 @@ fn sessions_with_one_key_stick_to_one_backend() {
         routed.contains(&3),
         "all three of alice's sessions must share one backend, got {routed:?}"
     );
+    assert_invariants(&stats);
 
     proxy.shutdown();
     for b in backends {
+        assert_invariants(&b.server.stats());
         b.injector.shutdown();
         b.server.shutdown();
     }
@@ -353,10 +364,12 @@ fn silent_faults_trigger_stall_failover() {
                 "{fault:?}: job {seed} diverged from in-process training"
             );
         }
+        let stats = proxy.stats();
         assert!(
-            proxy.stats().failovers >= 1,
+            stats.failovers >= 1,
             "{fault:?} must be caught by the stall detector"
         );
+        assert_invariants(&stats);
 
         proxy.shutdown();
         for b in backends {

@@ -64,6 +64,9 @@ fn parallel_clients_on_a_two_worker_pool() {
     assert_eq!(stats.jobs_failed, 0);
     assert_eq!(stats.queue_depth, 0);
     assert!(stats.jobs_per_second > 0.0);
+    if let Err(broken) = stats.check_invariants() {
+        panic!("{broken}");
+    }
     service.shutdown();
 }
 

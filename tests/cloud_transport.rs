@@ -108,6 +108,7 @@ fn loopback_training_is_bitwise_identical_to_in_process() {
     assert!(stats.frames_received >= 9, "3 hellos + 6 submits at least");
     assert!(stats.frames_sent >= 9, "3 welcomes + 6 replies at least");
     assert!(stats.transport_bytes_received > 0 && stats.transport_bytes_sent > 0);
+    assert_invariants(&stats);
     server.shutdown();
 }
 
@@ -230,7 +231,9 @@ fn malformed_frames_are_rejected_and_contained() {
     let client = RemoteCloudClient::connect(addr).expect("connect after attacks");
     let result = client.train(&tiny_job(3)).expect("train after attacks");
     assert!(!result.trained_model.is_empty());
-    assert!(server.stats().connections_rejected >= 2);
+    let stats = server.stats();
+    assert!(stats.connections_rejected >= 2);
+    assert_invariants(&stats);
     server.shutdown();
 }
 
@@ -299,6 +302,7 @@ fn bulk_frame_cut_by_eof_drains_the_connection() {
     // And a well-behaved client is still served.
     let client = RemoteCloudClient::connect(server.local_addr()).expect("connect after");
     client.train(&tiny_job(6)).expect("train after");
+    assert_invariants(&server.stats());
     server.shutdown();
 }
 
@@ -477,6 +481,7 @@ fn fair_scheduling_protects_polite_session_from_flood() {
     let flood_row = session_row(&stats, "flood");
     assert_eq!(flood_row.jobs_dispatched, FLOOD_JOBS);
     assert_eq!(flood_row.jobs_shed, 0);
+    assert_invariants(&stats);
     server.shutdown();
 }
 
@@ -547,6 +552,7 @@ fn concurrent_identical_remote_jobs_execute_once_and_reexecute_after_ttl() {
         .map(|s| s.cache_hits + s.coalesced)
         .sum();
     assert_eq!(session_served, CLIENTS - 1);
+    assert_invariants(&stats);
 
     // Second wave strictly after expiry: the entry was inserted no later
     // than the moment the first wave's last result arrived, so a full TTL
@@ -564,6 +570,7 @@ fn concurrent_identical_remote_jobs_execute_once_and_reexecute_after_ttl() {
         "an expired address must re-execute, once"
     );
     assert_eq!(stats.cache_hits + stats.coalesced, 2 * (CLIENTS - 1));
+    assert_invariants(&stats);
     server.shutdown();
 }
 
@@ -657,6 +664,7 @@ fn rate_limited_submits_surface_retry_after_on_remote_and_local_clients() {
         .sessions
         .iter()
         .any(|s| s.jobs_rate_limited == 3 && s.jobs_shed == 3));
+    assert_invariants(&stats);
     server.shutdown();
 }
 
@@ -688,6 +696,7 @@ fn per_connection_in_flight_cap_sheds_excess_submits() {
     }
     assert!(trained >= 2, "the in-flight window must still train");
     assert!(shed >= 1, "a burst of 8 over a cap of 2 must shed");
+    assert_invariants(&server.stats());
     server.shutdown();
 }
 
@@ -759,17 +768,14 @@ fn wait_until(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
     false
 }
 
-/// The progress conservation law: every frame emitted toward a sink is
-/// accounted as either delivered or dropped — nothing leaks.
-fn assert_progress_conserved(stats: &ServiceStats) {
-    assert_eq!(
-        stats.progress_frames_emitted,
-        stats.progress_frames_delivered + stats.progress_frames_dropped,
-        "progress conservation violated: {} emitted != {} delivered + {} dropped",
-        stats.progress_frames_emitted,
-        stats.progress_frames_delivered,
-        stats.progress_frames_dropped,
-    );
+/// The conservation laws of a quiescent snapshot
+/// ([`ServiceStats::check_invariants`]): every submission answered or still
+/// waiting, every progress frame delivered or dropped, control frames a
+/// sub-count of the frame totals.
+fn assert_invariants(stats: &ServiceStats) {
+    if let Err(broken) = stats.check_invariants() {
+        panic!("{broken}");
+    }
 }
 
 /// A self-healing client that gives up dialing only after a generous
@@ -819,7 +825,7 @@ fn progress_frames_stream_in_epoch_order_then_reply() {
 
     let stats = server.stats();
     assert!(stats.progress_frames_delivered >= 5);
-    assert_progress_conserved(&stats);
+    assert_invariants(&stats);
     server.shutdown();
 }
 
@@ -879,7 +885,7 @@ fn kill_and_resume_is_bitwise_identical_with_partial_recompute() {
         killed.epochs_trained
     );
     assert_eq!(store.len(), 1, "the abandoned job keeps its checkpoint");
-    assert_progress_conserved(&killed);
+    assert_invariants(&killed);
     server1.shutdown();
 
     // Backend #2: same store, fresh process (no sleepy observer — the
@@ -926,7 +932,7 @@ fn kill_and_resume_is_bitwise_identical_with_partial_recompute() {
         "no epoch may be trained twice or skipped across the restart"
     );
     assert!(store.is_empty(), "success retires the checkpoint");
-    assert_progress_conserved(&resumed);
+    assert_invariants(&resumed);
 
     let cs = client.stats();
     assert!(cs.reconnects >= 1, "client must have healed the link");
@@ -961,7 +967,7 @@ fn cancel_racing_completion_never_hangs_a_handle() {
             Err(other) => panic!("round {round}: unexpected outcome {other:?}"),
         }
     }
-    assert_progress_conserved(&server.stats());
+    assert_invariants(&server.stats());
     server.shutdown();
 }
 
@@ -1040,7 +1046,7 @@ fn cancelling_a_coalesced_job_resolves_every_waiter_and_leaves_a_resumable_check
         "cancelled prefix + resumed tail must cover each epoch exactly once"
     );
     assert!(store.is_empty(), "success retires the checkpoint");
-    assert_progress_conserved(&finished);
+    assert_invariants(&finished);
     server.shutdown();
 }
 
@@ -1098,7 +1104,7 @@ fn cancel_while_disconnected_resolves_and_is_never_revived() {
         "a cancelled job must never be resubmitted"
     );
     assert!(client.stats().reconnects >= 1);
-    assert_progress_conserved(&stats);
+    assert_invariants(&stats);
     server.shutdown();
     injector.shutdown();
 }

@@ -35,6 +35,14 @@ fn tiny_job(seed: u64) -> CloudJob {
     }
 }
 
+/// The conservation laws of a quiescent snapshot
+/// ([`ServiceStats::check_invariants`]).
+fn assert_invariants(stats: &ServiceStats) {
+    if let Err(broken) = stats.check_invariants() {
+        panic!("{broken}");
+    }
+}
+
 /// One job through client → proxy → backend: the same trace id must be
 /// findable in all three flight recorders, with per-stage spans at each
 /// tier and the intervals nested client ⊇ proxy ⊇ backend.
@@ -132,6 +140,8 @@ fn one_trace_id_spans_client_proxy_and_backend() {
     assert_ne!(traces[0], traces[1], "each submit mints a fresh trace id");
 
     drop(client);
+    assert_invariants(&proxy.stats());
+    assert_invariants(&server.stats());
     proxy.shutdown();
     server.shutdown();
 }
@@ -193,6 +203,8 @@ fn get_stats_frame_returns_quantiles_at_both_tiers() {
 
     drop(via_proxy);
     drop(direct);
+    assert_invariants(&proxy.stats());
+    assert_invariants(&server.stats());
     proxy.shutdown();
     server.shutdown();
 }
@@ -256,6 +268,7 @@ fn prometheus_exporter_serves_stage_quantiles() {
     assert!(again.starts_with("HTTP/1.0 200 OK"));
 
     drop(client);
+    assert_invariants(&server.stats());
     server.shutdown();
 }
 
