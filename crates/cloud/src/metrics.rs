@@ -2,26 +2,26 @@
 //! metrics layer and the worker pool — plus a per-session table keyed by
 //! [`SessionKey`] for the QoS counters — snapshot into [`ServiceStats`].
 //!
-//! Every number is declared once, as a row of one of three tables below
+//! Every number is declared once, as a row of one of the three tables below
 //! (`service_table!` for the scalars, `stats_record!` for the backend and
-//! session rows): help text, name, `counter` | `gauge`, type, and the
-//! operator table's group and label. The atomic in [`ServiceMetrics`], its
-//! zero, its load in `snapshot`, the documented [`ServiceStats`] field, its
-//! place in the `Stats` frame (table order *is* wire order — append only),
-//! its `# HELP`/`# TYPE`/sample in the scrape and its cell in `Display` all
-//! derive from that row. To add a metric:
+//! session rows): name, `counter` | `gauge`, type, the operator table's group
+//! and label, help text. The atomic in [`ServiceMetrics`], its zero, its load
+//! in `snapshot`, the documented [`ServiceStats`] field, its place in the
+//! `Stats` frame (table order *is* wire order), its `# HELP`/`# TYPE`/sample
+//! in the scrape and its cell in `Display` derive from that row. To add a
+//! metric:
 //!
-//! 1. add its row (at the end of its table: the wire is positional);
+//! 1. add its row, at the end of its table (the wire is positional);
 //! 2. bump the field of that name in an increment method of
-//!    [`ServiceMetrics`] — the methods are the policy, which event moves
-//!    which counter, and stay hand-written;
-//! 3. nothing else. `cargo run --release --example remote_training` prints
+//!    [`ServiceMetrics`] — which event moves which counter is policy, and
+//!    stays hand-written;
+//! 3. nothing else: `cargo run --release --example remote_training` prints
 //!    the table from a live `GetStats`, and `every_row_reaches_every_rendering`
-//!    fails for a field that went around the table.
+//!    fails for a field that went around its table.
 //!
-//! Session rows stay out of the scrape on purpose: their label values are
-//! peer-chosen and there may be [`MAX_SESSION_ROWS`] of them. Backend rows
-//! are in it — the fleet is the operator's own configuration.
+//! Session rows stay out of the scrape on purpose — their label values are
+//! peer-chosen and there may be [`MAX_SESSION_ROWS`] of them; backend rows
+//! are in it, the fleet being the operator's own configuration.
 
 use crate::middleware::SessionKey;
 use crate::protocol::JobResult;

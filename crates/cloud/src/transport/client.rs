@@ -370,7 +370,7 @@ fn dial(
     for addr in addrs {
         match TcpStream::connect_timeout(addr, config.connect_timeout) {
             Ok(stream) => {
-                let ((version, max_in_flight, max_frame_len), _) = handshake(&stream, config)?;
+                let (version, max_in_flight, max_frame_len, ..) = handshake(&stream, config)?;
                 let _ = stream.set_read_timeout(None);
                 return Ok((stream, version, max_in_flight, max_frame_len));
             }
@@ -390,9 +390,9 @@ fn dial(
 /// that stops reading must not wedge a writer forever; a timed-out write
 /// marks the connection broken (symmetric with the server's session policy).
 ///
-/// Returns what the `Welcome` negotiated — `(version, max_in_flight,
-/// max_frame_len)` — and the wire lengths of the two frames, `(hello,
-/// welcome)`, which a routing tier counts on its backend face.
+/// Returns what the `Welcome` negotiated and the wire lengths of the two
+/// frames, which a routing tier counts on its backend face: `(version,
+/// max_in_flight, max_frame_len, hello_wire_len, welcome_wire_len)`.
 ///
 /// # Errors
 ///
@@ -402,7 +402,7 @@ fn dial(
 pub fn handshake(
     mut stream: &TcpStream,
     config: &TransportConfig,
-) -> Result<((u32, u32, u64), (usize, usize)), CloudError> {
+) -> Result<(u32, u32, u64, usize, usize), CloudError> {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(config.handshake_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
@@ -422,8 +422,11 @@ pub fn handshake(
             max_in_flight,
             max_frame_len,
         } => Ok((
-            (version, max_in_flight, max_frame_len),
-            (hello_wire, welcome_wire),
+            version,
+            max_in_flight,
+            max_frame_len,
+            hello_wire,
+            welcome_wire,
         )),
         Frame::Reject { reason } => Err(CloudError::Handshake(reason)),
         other => Err(CloudError::Handshake(format!(

@@ -698,7 +698,7 @@ fn dial_backend(
     };
     let sock_addr = addr.to_socket_addrs().ok()?.next()?;
     let stream = TcpStream::connect_timeout(&sock_addr, config.connect_timeout).ok()?;
-    let ((version, max_in_flight, max_frame_len), (hello_wire, welcome_wire)) =
+    let (version, max_in_flight, max_frame_len, hello_wire, welcome_wire) =
         handshake(&stream, &config).ok()?;
     shared.metrics.relay_frame_sent(hello_wire);
     shared.metrics.relay_frame_received(welcome_wire);
