@@ -32,7 +32,7 @@
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Sub-buckets per power of two: quantile error is bounded by 1/16.
 const SUB_BUCKETS: usize = 16;
@@ -580,6 +580,37 @@ impl Telemetry {
     /// The tier's flight recorder.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
+    }
+
+    /// Scores a round trip that began at `sent_at` and just ended: its
+    /// duration lands in `stage`'s histogram, and the flight recorder gains
+    /// this tier's one-span view of `trace`.
+    pub(crate) fn record_round_trip(
+        &self,
+        stage: Stage,
+        trace: TraceId,
+        job_id: u64,
+        sent_at: Instant,
+        ok: bool,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        let rtt = sent_at.elapsed();
+        self.record(stage, rtt);
+        let dur_us = crate::middleware::duration_us(rtt);
+        self.recorder.push(JobTrace {
+            trace,
+            job_id,
+            total_us: dur_us,
+            ok,
+            spans: vec![SpanRecord {
+                stage,
+                start_us: 0,
+                dur_us,
+                ok,
+            }],
+        });
     }
 
     /// Snapshots every stage histogram that recorded at least one value.

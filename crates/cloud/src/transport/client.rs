@@ -29,9 +29,8 @@ use super::{
     ClientStats, ReconnectPolicy, TransportConfig, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::metrics::ServiceStats;
-use crate::middleware::duration_us;
 use crate::protocol::{CloudJob, JobResult, ProgressUpdate};
-use crate::telemetry::{JobTrace, SpanRecord, Stage, Telemetry, TelemetryConfig, TraceId};
+use crate::telemetry::{Stage, Telemetry, TelemetryConfig, TraceId};
 use crate::CloudError;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -214,7 +213,15 @@ impl ClientShared {
         }
         let job = self.pending.lock().remove(&id);
         if let Some(job) = job {
-            self.record_rpc(id, &job, result.is_ok());
+            // The submit-to-reply round trip: the first of the three tiers a
+            // trace id is visible at.
+            self.telemetry.record_round_trip(
+                Stage::Rpc,
+                job.trace,
+                id,
+                job.sent_at,
+                result.is_ok(),
+            );
             let _ = job.tx.send(result);
         }
     }
@@ -254,30 +261,6 @@ impl ClientShared {
             Ok(_) => *conn.last_write.lock() = Instant::now(),
             Err(_) => self.link_down(conn.generation),
         }
-    }
-
-    /// Scores one answered job into the client telemetry plane: the
-    /// submit-to-reply round trip lands in the [`Stage::Rpc`] histogram and
-    /// the flight recorder gains this tier's view of the trace.
-    fn record_rpc(&self, id: u64, job: &PendingJob, ok: bool) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        let rtt = job.sent_at.elapsed();
-        self.telemetry.record(Stage::Rpc, rtt);
-        let dur_us = duration_us(rtt);
-        self.telemetry.recorder().push(JobTrace {
-            trace: job.trace,
-            job_id: id,
-            total_us: dur_us,
-            ok,
-            spans: vec![SpanRecord {
-                stage: Stage::Rpc,
-                start_us: 0,
-                dur_us,
-                ok,
-            }],
-        });
     }
 
     /// Writes job `id`'s Submit frame to `conn`, the payload straight from
@@ -370,7 +353,7 @@ fn dial(
     for addr in addrs {
         match TcpStream::connect_timeout(addr, config.connect_timeout) {
             Ok(stream) => {
-                let (version, max_in_flight, max_frame_len, ..) = handshake(&stream, config)?;
+                let (version, max_in_flight, max_frame_len) = handshake(&stream, config)?;
                 let _ = stream.set_read_timeout(None);
                 return Ok((stream, version, max_in_flight, max_frame_len));
             }
@@ -382,17 +365,17 @@ fn dial(
 
 /// The client role's half of the handshake, on a socket that has just
 /// connected: `Hello` (with `config.api_key`) out, `Welcome` in. Used by
-/// [`RemoteCloudClient`], and by a routing tier for its backend links and
-/// its health probes.
+/// [`RemoteCloudClient`] and by a routing tier's health probes; a relay's
+/// backend links speak the same two frames from their reactor (`hello`
+/// and `welcomed` below).
 ///
 /// Sets `TCP_NODELAY`, and leaves `config.handshake_timeout` as the socket's
 /// read timeout and `config.write_timeout` as its write timeout — a peer
 /// that stops reading must not wedge a writer forever; a timed-out write
 /// marks the connection broken (symmetric with the server's session policy).
 ///
-/// Returns what the `Welcome` negotiated and the wire lengths of the two
-/// frames, which a routing tier counts on its backend face: `(version,
-/// max_in_flight, max_frame_len, hello_wire_len, welcome_wire_len)`.
+/// Returns what the `Welcome` negotiated: `(version, max_in_flight,
+/// max_frame_len)`.
 ///
 /// # Errors
 ///
@@ -402,32 +385,36 @@ fn dial(
 pub fn handshake(
     mut stream: &TcpStream,
     config: &TransportConfig,
-) -> Result<(u32, u32, u64, usize, usize), CloudError> {
+) -> Result<(u32, u32, u64), CloudError> {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(config.handshake_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let hello = Frame::Hello {
-        min_version: MIN_PROTOCOL_VERSION,
-        max_version: PROTOCOL_VERSION,
-        api_key: config.api_key.clone(),
-    };
-    let hello_wire = write_frame(&mut stream, &hello)
+    write_frame(&mut stream, &hello(config.api_key.clone()))
         .map_err(|e| CloudError::Transport(format!("handshake write failed: {e}")))?;
-    let (frame, welcome_wire) =
+    let (frame, _) =
         read_frame_blocking(&mut stream, config.max_frame_len, FrameOrigin::Server)?
             .ok_or_else(|| CloudError::Handshake("server closed during handshake".into()))?;
+    welcomed(frame)
+}
+
+/// The client role's opener: this build's protocol range and `api_key`.
+pub(super) fn hello(api_key: Option<String>) -> Frame {
+    Frame::Hello {
+        min_version: MIN_PROTOCOL_VERSION,
+        max_version: PROTOCOL_VERSION,
+        api_key,
+    }
+}
+
+/// The client role's reading of the answer to its `Hello`: what a `Welcome`
+/// negotiated, `(version, max_in_flight, max_frame_len)`, or why not.
+pub(super) fn welcomed(frame: Frame) -> Result<(u32, u32, u64), CloudError> {
     match frame {
         Frame::Welcome {
             version,
             max_in_flight,
             max_frame_len,
-        } => Ok((
-            version,
-            max_in_flight,
-            max_frame_len,
-            hello_wire,
-            welcome_wire,
-        )),
+        } => Ok((version, max_in_flight, max_frame_len)),
         Frame::Reject { reason } => Err(CloudError::Handshake(reason)),
         other => Err(CloudError::Handshake(format!(
             "expected Welcome, got {other:?}"

@@ -30,8 +30,13 @@
 //!
 //! A connection is owned by exactly one reactor thread, so its state needs
 //! no locks. Cross-thread signals — new connections from the acceptor,
-//! completed jobs from the workers, shutdown — go through each reactor's
-//! [`ReactorShared`] inbox/ready-list plus a [`reactor::Waker`].
+//! backend links from a relay's dialer, completed jobs from the workers,
+//! shutdown — go through each reactor's [`ReactorShared`] inbox/ready-list
+//! plus a [`reactor::Waker`].
+//!
+//! A connection plays the server role toward its peer. On a relay it also
+//! owns a client-role connection, its backend link, registered on the same
+//! poller (see the `relay` submodule); the two are one session's state.
 //!
 //! # Backpressure
 //!
@@ -44,8 +49,10 @@
 //! the socket is torn down and remaining replies are drained without
 //! writing, so in-flight accounting still reaches zero and drain completes.
 
+mod relay;
+
 use super::frame::{Frame, FrameDecoder};
-use super::server::ServerShared;
+use super::server::{ServerShared, Upstream};
 use super::timer::{Fired, TimerKind, TimerWheel};
 use super::{MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 use crate::metrics::ServiceMetrics;
@@ -84,20 +91,31 @@ const WHEEL_TICK: Duration = Duration::from_millis(5);
 /// deadlines lap).
 const WHEEL_SLOTS: usize = 512;
 
+/// What another thread hands a reactor.
+#[derive(Debug)]
+pub(super) enum Inbound {
+    /// A connection the acceptor accepted.
+    Accepted(TcpStream),
+    /// The dialer's answer to the relay session with this token: a
+    /// connection to a backend (and its address), or `None` when no backend
+    /// would take it.
+    Linked(u64, Option<(TcpStream, String)>),
+}
+
 /// The cross-thread face of one reactor: everything other threads may touch.
 #[derive(Debug)]
 pub(super) struct ReactorShared {
     waker: Waker,
-    /// Connections accepted but not yet adopted by the reactor thread.
-    inbox: Mutex<Vec<TcpStream>>,
+    /// Handed over but not yet taken up by the reactor thread.
+    inbox: Mutex<Vec<Inbound>>,
     /// Tokens whose reply channel has pending completions.
     ready_replies: Mutex<Vec<u64>>,
 }
 
 impl ReactorShared {
-    /// Hands an accepted connection to this reactor and wakes it.
-    pub(super) fn enqueue_conn(&self, stream: TcpStream, metrics: &ServiceMetrics) {
-        self.inbox.lock().push(stream);
+    /// Hands a connection or a backend link to this reactor and wakes it.
+    pub(super) fn enqueue(&self, item: Inbound, metrics: &ServiceMetrics) {
+        self.inbox.lock().push(item);
         if self.waker.wake() {
             metrics.reactor_wakeup();
         }
@@ -124,11 +142,11 @@ impl ReactorShared {
     }
 }
 
-/// Spawns one reactor thread, returning its shared handle and join handle.
+/// Spawns reactor `index` of `shared`'s pool as the thread `name`.
 pub(super) fn spawn_reactor(
+    name: String,
     index: usize,
     shared: Arc<ServerShared>,
-    handle: Arc<ReactorShared>,
     wake_rx: WakeReceiver,
     mut poller: Poller,
     exporter: Option<TcpListener>,
@@ -144,11 +162,12 @@ pub(super) fn spawn_reactor(
         shared.metrics.reactor_fd_registered();
     }
     std::thread::Builder::new()
-        .name(format!("cloud-reactor-{index}"))
+        .name(name)
         .spawn(move || {
             Reactor {
+                handle: Arc::clone(&shared.reactors[index]),
+                index,
                 shared,
-                handle,
                 poller,
                 wake_rx,
                 conns: HashMap::new(),
@@ -208,6 +227,8 @@ struct Conn {
     interest: Interest,
     replies_rx: Receiver<(u64, RoutedMsg)>,
     routed: RoutedSender,
+    /// The upstream side of a relay session; `None` on a service's.
+    relay: Option<Box<relay::Relay>>,
     /// Shared with every [`RoutedSender`] clone handed to workers; cleared
     /// when the peer is gone for good (abrupt EOF or read error while
     /// established, or the connection closed). Trainers probe it through
@@ -274,6 +295,9 @@ struct WriteQueue {
     /// Unflushed bytes across all chunks (mirrored into the service-wide
     /// backpressure gauge).
     bytes: usize,
+    /// A relay's backend link: its frames are counted as relayed once
+    /// written, never in the client face's totals.
+    relay: bool,
 }
 
 impl WriteQueue {
@@ -299,10 +323,10 @@ impl WriteQueue {
         // gets to increment.) Frames discarded unsent are uncounted again.
         // Non-reply frames are protocol overhead (Welcome, Pong, Reject,
         // Stats): counted in the totals *and* the control sub-counter.
-        if is_reply {
-            metrics.frame_sent(wire);
-        } else {
-            metrics.control_frame_sent(wire);
+        match (self.relay, is_reply) {
+            (true, _) => {} // counted once written (`flush`)
+            (false, true) => metrics.frame_sent(wire),
+            (false, false) => metrics.control_frame_sent(wire),
         }
         for buf in chunks.into_iter().filter(|c| !c.is_empty()) {
             self.q.push_back(Pending {
@@ -331,12 +355,12 @@ impl WriteQueue {
                 if front.pos < front.buf.len() {
                     break;
                 }
-                if let Some((_, is_reply)) = front.end_of_frame {
+                match front.end_of_frame {
+                    Some((wire, _)) if self.relay => metrics.relay_frame_sent(wire),
                     // Counted at push time; here only the in-flight slot is
                     // released, which genuinely requires the bytes flushed.
-                    if is_reply {
-                        replies += 1;
-                    }
+                    Some((_, true)) => replies += 1,
+                    _ => {}
                 }
                 self.q.pop_front();
             }
@@ -362,19 +386,15 @@ impl WriteQueue {
                 Ok(mut n) => {
                     self.bytes -= n;
                     metrics.write_queue_shrank(n);
-                    while n > 0 {
-                        let front = self.q.front_mut().expect("wrote beyond queued bytes");
-                        let take = n.min(front.buf.len() - front.pos);
-                        front.pos += take;
-                        n -= take;
-                        if front.pos == front.buf.len() {
-                            if let Some((_, is_reply)) = front.end_of_frame {
-                                if is_reply {
-                                    replies += 1;
-                                }
-                            }
-                            self.q.pop_front();
+                    // Chunks written whole are popped (and their frames
+                    // settled) at the top of the next round.
+                    for p in self.q.iter_mut() {
+                        if n == 0 {
+                            break;
                         }
+                        let take = n.min(p.buf.len() - p.pos);
+                        p.pos += take;
+                        n -= take;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -397,8 +417,8 @@ impl WriteQueue {
                     metrics.frame_send_aborted(wire);
                     replies += 1;
                 }
-                Some((wire, false)) => metrics.control_frame_send_aborted(wire),
-                None => {}
+                Some((wire, false)) if !self.relay => metrics.control_frame_send_aborted(wire),
+                _ => {}
             }
         }
         metrics.write_queue_shrank(self.bytes);
@@ -411,6 +431,8 @@ impl WriteQueue {
 struct Reactor {
     shared: Arc<ServerShared>,
     handle: Arc<ReactorShared>,
+    /// This reactor's place in the pool.
+    index: usize,
     poller: Poller,
     wake_rx: WakeReceiver,
     conns: HashMap<u64, Conn>,
@@ -502,12 +524,30 @@ impl Reactor {
         }
     }
 
-    /// Registers connections the acceptor handed over. Under stop, new
-    /// arrivals are closed immediately instead (the acceptor has already
-    /// quit; these raced the flag).
+    /// Registers connections the acceptor handed over, and gives relay
+    /// sessions the links the dialer made them. Under stop, new arrivals
+    /// are closed immediately instead (the acceptor has already quit; these
+    /// raced the flag).
     fn adopt_new_conns(&mut self, stopped: bool) {
         let incoming = std::mem::take(&mut *self.handle.inbox.lock());
-        for stream in incoming {
+        for item in incoming {
+            let stream = match item {
+                Inbound::Accepted(stream) => stream,
+                Inbound::Linked(token, dialed) => {
+                    let Reactor {
+                        conns,
+                        poller,
+                        wheel,
+                        shared,
+                        ..
+                    } = self;
+                    // A link that outlived its session closes as it drops.
+                    if let Some(conn) = conns.get_mut(&token) {
+                        relay::linked(conn, dialed, shared, poller, wheel);
+                    }
+                    continue;
+                }
+            };
             if stopped {
                 self.shared.submitters_dec();
                 self.shared.release_conn(false);
@@ -549,6 +589,10 @@ impl Reactor {
                 interest: Interest::READABLE,
                 replies_rx: rx,
                 routed: RoutedSender::new(tx, notify, Arc::clone(&peer_alive)),
+                relay: match self.shared.upstream {
+                    Upstream::Service(_) => None,
+                    Upstream::Relay { .. } => Some(relay::Relay::new(self.index)),
+                },
                 peer_alive,
                 session_client: None,
                 version: 0,
@@ -593,7 +637,7 @@ impl Reactor {
         }
     }
 
-    /// Readiness for one connection's socket.
+    /// Readiness for one connection's socket, or for its backend link.
     fn handle_io(&mut self, token: u64, readable: bool, writable: bool) {
         let Reactor {
             conns,
@@ -602,9 +646,12 @@ impl Reactor {
             shared,
             ..
         } = self;
-        let Some(conn) = conns.get_mut(&token) else {
+        let Some(conn) = conns.get_mut(&(token & !relay::LINK)) else {
             return; // stale event for an already-closed token
         };
+        if token & relay::LINK != 0 {
+            return relay::link_io(conn, readable, writable, shared, poller, wheel);
+        }
         if writable && conn.state != ConnState::Closed {
             flush_writes(conn, shared, poller, wheel);
         }
@@ -773,11 +820,13 @@ impl Reactor {
         } = self;
         for conn in conns.values_mut() {
             match conn.state {
-                ConnState::Handshaking => close_conn(conn, shared, poller),
-                ConnState::Established => {
+                ConnState::Established if conn.relay.is_none() => {
                     enter_draining(conn, shared, poller, wheel);
                 }
-                ConnState::Draining | ConnState::Closed => {}
+                ConnState::Draining if conn.relay.is_none() => {}
+                // Handshakes die; a relay has no service to drain, so its
+                // sessions are severed.
+                _ => close_conn(conn, shared, poller),
             }
         }
     }
@@ -846,6 +895,7 @@ impl Reactor {
                     );
                 }
             }
+            TimerKind::Link => relay::link_timer(conn, f.generation, shared, poller, wheel),
         }
     }
 }
@@ -881,7 +931,7 @@ fn on_readable(
             }
             Ok(_) => {
                 conn.last_activity = Instant::now();
-                if !drain_frames(conn, shared, poller, wheel) {
+                if !drain_frames(conn, shared, poller, wheel) || !conn.interest.readable {
                     return;
                 }
             }
@@ -952,6 +1002,7 @@ fn handle_frame(
     wheel: &mut TimerWheel,
 ) {
     match (conn.state, frame) {
+        // One Hello: a relay session still being routed has had its own.
         (
             ConnState::Handshaking,
             Frame::Hello {
@@ -959,64 +1010,33 @@ fn handle_frame(
                 max_version,
                 api_key,
             },
-        ) => {
+        ) if conn.version == 0 => {
             let version = PROTOCOL_VERSION.min(max_version);
             if version < MIN_PROTOCOL_VERSION.max(min_version) {
-                shared.metrics.conn_rejected();
-                conn.writes.push_frame(
-                    &Frame::Reject {
-                        reason: format!(
-                            "no common protocol version (server speaks \
-                             {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, \
-                             client {min_version}..={max_version})"
-                        ),
-                    },
-                    false,
-                    &shared.metrics,
+                let reason = format!(
+                    "no common protocol version (server speaks \
+                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, \
+                     client {min_version}..={max_version})"
                 );
-                enter_draining(conn, shared, poller, wheel);
-                return;
+                return refuse(conn, reason, shared, poller, wheel);
             }
-            let auth: Option<Arc<str>> = api_key.map(|k| Arc::from(k.into_boxed_str()));
-            conn.writes.push_frame(
-                &Frame::Welcome {
-                    version,
-                    max_in_flight: shared.config.max_in_flight as u32,
-                    max_frame_len: shared.config.max_frame_len as u64,
-                },
-                false,
-                &shared.metrics,
-            );
-            shared.metrics.conn_opened();
-            conn.counts_session_open = true;
-            // One scheduling/rate-limiting identity for everything this
-            // connection submits: the handshake's key, or a fresh
-            // anonymous session.
-            conn.session_client = Some(shared.client.for_transport_session(auth));
             conn.version = version;
-            conn.state = ConnState::Established;
-            // Swap the handshake deadline for the (usually longer, possibly
-            // shorter) idle deadline.
-            conn.idle_gen += 1;
-            wheel.insert(
-                conn.last_activity + shared.config.idle_timeout,
-                conn.token,
-                TimerKind::Idle,
-                conn.idle_gen,
-            );
-            flush_writes(conn, shared, poller, wheel);
+            match &shared.upstream {
+                Upstream::Service(client) => {
+                    // One scheduling/rate-limiting identity for everything
+                    // this connection submits: the handshake's key, or a
+                    // fresh anonymous session.
+                    let auth = api_key.map(|k| Arc::from(k.into_boxed_str()));
+                    conn.session_client = Some(client.for_transport_session(auth));
+                    let max_in_flight = shared.config.max_in_flight as u32;
+                    let max_frame_len = shared.config.max_frame_len as u64;
+                    establish(conn, max_in_flight, max_frame_len, shared, poller, wheel);
+                }
+                // The Welcome waits for the session's backend link.
+                Upstream::Relay { .. } => relay::route(conn, api_key, shared),
+            }
         }
-        (ConnState::Handshaking, _) => {
-            shared.metrics.conn_rejected();
-            conn.writes.push_frame(
-                &Frame::Reject {
-                    reason: "expected Hello".into(),
-                },
-                false,
-                &shared.metrics,
-            );
-            enter_draining(conn, shared, poller, wheel);
-        }
+        (ConnState::Handshaking, _) => refuse(conn, "expected Hello".into(), shared, poller, wheel),
         (
             ConnState::Established,
             Frame::Submit {
@@ -1025,17 +1045,15 @@ fn handle_frame(
                 trace,
             },
         ) => {
-            let session = conn
-                .session_client
-                .as_ref()
-                .expect("established connections have a session");
             let trace = trace.unwrap_or(TraceId::NONE);
             // The cap judges accepted-but-unflushed replies too: submits
             // are shed while earlier replies sit in the write queue.
             let in_flight_before = conn.in_flight;
             conn.in_flight += 1;
             if in_flight_before >= shared.config.max_in_flight {
-                shared.metrics.session_shed(session.session_key());
+                if let Some(session) = &conn.session_client {
+                    shared.metrics.session_shed(session.session_key());
+                }
                 queue_reply(
                     conn,
                     request_id,
@@ -1051,11 +1069,17 @@ fn handle_frame(
                 if !trace.is_none() {
                     conn.traces.insert(request_id, trace);
                 }
-                match session.submit_routed(payload, request_id, conn.routed.clone(), trace) {
-                    Ok(cancel) => {
-                        conn.cancels.insert(request_id, cancel);
+                match &conn.session_client {
+                    Some(session) => {
+                        match session.submit_routed(payload, request_id, conn.routed.clone(), trace)
+                        {
+                            Ok(cancel) => {
+                                conn.cancels.insert(request_id, cancel);
+                            }
+                            Err(e) => queue_reply(conn, request_id, Err(e), shared),
+                        }
                     }
-                    Err(e) => queue_reply(conn, request_id, Err(e), shared),
+                    None => relay::submit(conn, request_id, payload, shared, poller, wheel),
                 }
             }
             flush_writes(conn, shared, poller, wheel);
@@ -1069,17 +1093,15 @@ fn handle_frame(
             // Authorization: with API keys configured only a session keyed
             // by one of them may scrape; otherwise any established session
             // is as trusted as the service gets. The refusal is in-band so
-            // callers see *why* instead of a dead connection.
-            let session = conn
-                .session_client
-                .as_ref()
-                .expect("established connections have a session");
-            let authorized = match &shared.api_keys {
-                None => true,
-                Some(keys) => match session.session_key() {
+            // callers see *why* instead of a dead connection. A relay takes
+            // no keys of its own: it answers with its routing tier's view.
+            let authorized = match (&shared.api_keys, &conn.session_client) {
+                (None, _) => true,
+                (Some(keys), Some(session)) => match session.session_key() {
                     SessionKey::ApiKey(k) => keys.iter().any(|key| key.as_str() == &**k),
                     SessionKey::Anonymous(_) => false,
                 },
+                (Some(_), None) => false,
             };
             let body = if authorized {
                 Ok(shared.metrics.snapshot().to_bytes())
@@ -1100,6 +1122,9 @@ fn handle_frame(
             if let Some(flag) = conn.cancels.get(&request_id) {
                 flag.store(true, Ordering::Relaxed);
             }
+            if conn.relay.is_some() {
+                relay::cancel(conn, request_id, shared, poller);
+            }
         }
         (ConnState::Established, Frame::Goodbye) => {
             enter_draining(conn, shared, poller, wheel);
@@ -1112,6 +1137,51 @@ fn handle_frame(
         // Draining/Closed never reach here (drain_frames gates on state).
         (ConnState::Draining | ConnState::Closed, _) => {}
     }
+}
+
+/// Refuses a connection before its session exists: a `Reject` naming
+/// `reason`, flushed by the drain that closes the connection.
+fn refuse(
+    conn: &mut Conn,
+    reason: String,
+    shared: &Arc<ServerShared>,
+    poller: &mut Poller,
+    wheel: &mut TimerWheel,
+) {
+    shared.metrics.conn_rejected();
+    conn.writes
+        .push_frame(&Frame::Reject { reason }, false, &shared.metrics);
+    enter_draining(conn, shared, poller, wheel);
+}
+
+/// The handshake succeeded: `Welcome` the peer with these session limits,
+/// count the session open, and swap the handshake deadline for the
+/// (usually longer, possibly shorter) idle deadline.
+fn establish(
+    conn: &mut Conn,
+    max_in_flight: u32,
+    max_frame_len: u64,
+    shared: &Arc<ServerShared>,
+    poller: &mut Poller,
+    wheel: &mut TimerWheel,
+) {
+    let welcome = Frame::Welcome {
+        version: conn.version,
+        max_in_flight,
+        max_frame_len,
+    };
+    conn.writes.push_frame(&welcome, false, &shared.metrics);
+    shared.metrics.conn_opened();
+    conn.counts_session_open = true;
+    conn.state = ConnState::Established;
+    conn.idle_gen += 1;
+    wheel.insert(
+        conn.last_activity + shared.config.idle_timeout,
+        conn.token,
+        TimerKind::Idle,
+        conn.idle_gen,
+    );
+    flush_writes(conn, shared, poller, wheel);
 }
 
 /// Serializes one reply onto the write queue (in-flight slot already held).
@@ -1275,6 +1345,7 @@ fn enter_draining(
         conn.counts_submitter = false;
         shared.submitters_dec();
     }
+    relay::sever(conn, shared, poller);
     let _ = conn.stream.shutdown(Shutdown::Read);
     // Catch completions that were posted before this transition.
     pump_replies(conn, shared, poller, wheel);
@@ -1298,6 +1369,7 @@ fn close_conn(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) 
     }
     conn.state = ConnState::Closed;
     conn.peer_alive.store(false, Ordering::SeqCst);
+    relay::sever(conn, shared, poller);
     if poller.deregister(conn.stream.as_raw_fd()).is_ok() {
         shared.metrics.reactor_fd_deregistered();
     }
@@ -1325,13 +1397,16 @@ fn close_conn(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) 
 }
 
 /// Re-registers the socket when the wanted interest changed: reads while
-/// the state machine accepts frames, writes while bytes are queued.
+/// the state machine accepts frames, writes while bytes are queued. A relay
+/// session reads only while its backend takes what it forwards, and reads
+/// its backend only while this queue is empty (`relay::pace`).
 fn update_interest(conn: &mut Conn, poller: &mut Poller) {
     if conn.state == ConnState::Closed {
         return;
     }
     let want = Interest {
-        readable: matches!(conn.state, ConnState::Handshaking | ConnState::Established),
+        readable: matches!(conn.state, ConnState::Handshaking | ConnState::Established)
+            && relay::keeps_up(conn),
         writable: !conn.writes.is_empty() && !conn.sink_broken,
     };
     if want != conn.interest
@@ -1341,6 +1416,7 @@ fn update_interest(conn: &mut Conn, poller: &mut Poller) {
     {
         conn.interest = want;
     }
+    relay::pace(conn, poller);
 }
 
 #[cfg(test)]

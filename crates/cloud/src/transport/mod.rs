@@ -100,6 +100,18 @@
 //! reading, the service drains its queue (already-accepted jobs train to
 //! completion), and every stranded request id is answered — a
 //! [`RemoteJobHandle`] never hangs.
+//!
+//! # Relays
+//!
+//! The same acceptor, reactors and server-role handshake serve a routing
+//! tier: [`CloudServer::bind_relay`] sends each session's jobs to a backend
+//! a [`Routing`] policy picks, over a client-role *link* its own reactor
+//! owns and handshakes, instead of to a service. The relay retains each job
+//! until its reply, answers `Ping` and `GetStats` itself, reads each side
+//! only while the other keeps up, and resubmits the retained jobs on a link
+//! to another backend when one dies or stays silent while it owes an
+//! answer. Its one extra thread dials backends, so no reactor blocks on a
+//! connect, and runs the policy's health sweep between dials.
 
 mod client;
 mod event_loop;
@@ -113,7 +125,7 @@ pub use frame::{
     read_frame_blocking, write_encoded, write_frame, Frame, FrameDecoder, FrameOrigin,
 };
 pub use reconnect::{ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue};
-pub use server::{wake_acceptor, CloudServer};
+pub use server::{CloudServer, Routing};
 
 use std::time::Duration;
 

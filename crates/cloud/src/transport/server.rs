@@ -20,15 +20,17 @@
 //! counted per session too, and queued-but-unflushed replies hold their
 //! in-flight slots so a peer that stops reading stops being allowed to
 //! submit. The connection state machine, write-queue backpressure and
-//! timer handling live in the sibling `event_loop` module.
+//! timer handling live in the sibling `event_loop` module. The same pool
+//! serves a relay ([`CloudServer::bind_relay`]), plus its dialer thread.
 
-use super::event_loop::{make_reactor_parts, spawn_reactor, ReactorShared};
+use super::event_loop::{make_reactor_parts, spawn_reactor, Inbound, ReactorShared};
 use super::frame::{write_frame, Frame};
 use super::TransportConfig;
 use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::service::{CloudClient, CloudService};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -67,10 +69,56 @@ const WAKE_GRACE: Duration = Duration::from_millis(20);
 pub struct CloudServer {
     shared: Arc<ServerShared>,
     acceptor: Option<JoinHandle<()>>,
-    reactors: Vec<JoinHandle<()>>,
+    /// The reactors, and a relay's dialer.
+    threads: Vec<JoinHandle<()>>,
     service: Option<CloudService>,
     local_addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
+}
+
+/// The routing policy a relay consults ([`CloudServer::bind_relay`]). The
+/// mechanism — handshakes, the frame pump, retaining jobs, failing a link
+/// over — is the transport's; which backend a session uses, and what a
+/// failure says about a backend, is the policy's.
+pub trait Routing: Send + Sync + std::fmt::Debug {
+    /// The backends a session keyed `key` (its API key, or a tag unique to
+    /// the connection) may be routed to, best first.
+    fn candidates(&self, key: &str) -> Vec<String>;
+
+    /// A dial to `addr` failed (refused, or its handshake did), or a
+    /// session's link to it died or owed replies and stayed silent.
+    fn failed(&self, addr: &str);
+
+    /// The health sweep, run on the dialer thread whenever one is due;
+    /// returns how long until the next.
+    fn sweep(&self) -> Duration;
+}
+
+/// Where a server's sessions send their jobs.
+#[derive(Debug)]
+pub(super) enum Upstream {
+    /// To the service's queue.
+    Service(CloudClient),
+    /// To backends, over links the dialer hands to the reactors.
+    Relay {
+        routing: Arc<dyn Routing>,
+        /// Dial requests; `None` stops the dialer.
+        dialer: Sender<Option<Dial>>,
+        /// How long a link that owes replies may stay silent.
+        reply_timeout: Duration,
+    },
+}
+
+/// A relay session's request for a backend link.
+#[derive(Debug)]
+pub(super) struct Dial {
+    /// The owning reactor, and the session's token on it.
+    pub(super) home: usize,
+    pub(super) token: u64,
+    /// The routing key.
+    pub(super) key: String,
+    /// Backends that just failed the session, passed over this time.
+    pub(super) exclude: Vec<String>,
 }
 
 /// State shared by the acceptor, the reactors and the shutdown path.
@@ -78,7 +126,7 @@ pub struct CloudServer {
 pub(super) struct ServerShared {
     pub(super) stop: AtomicBool,
     pub(super) config: TransportConfig,
-    pub(super) client: CloudClient,
+    pub(super) upstream: Upstream,
     pub(super) metrics: Arc<ServiceMetrics>,
     /// Accepted API keys, for the `GetStats` authorization check (`None`
     /// when the service takes anonymous sessions — then any established
@@ -135,7 +183,6 @@ impl CloudServer {
         // The acceptor blocks in `accept`; shutdown wakes it (see
         // [`wake_acceptor`]).
         let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         // The Prometheus exporter is served by reactor 0's poller — a second
         // nonblocking listener, not a second thread.
         let exporter = match service.metrics_exporter_addr() {
@@ -146,18 +193,79 @@ impl CloudServer {
             }
             None => None,
         };
+        let mut server = CloudServer::start(
+            listener,
+            exporter,
+            config,
+            service.metrics_arc(),
+            service.api_keys(),
+            Upstream::Service(service.client()),
+        )?;
+        server.service = Some(service);
+        Ok(server)
+    }
+
+    /// Binds a relay (see the [module docs](super#relays)) over the
+    /// backends `routing` picks, counting into `metrics`, whose `GetStats`
+    /// it answers. A session's `Welcome` waits until it is routed and
+    /// advertises the tighter of `config`'s limits and its backend's; a link
+    /// that owes replies fails over after `reply_timeout` of silence. The
+    /// threads are `proxy-acceptor`, `proxy-reactor-<i>` and `proxy-dialer`,
+    /// whatever the session count.
+    ///
+    /// # Errors
+    ///
+    /// Returns the listener's (or reactor setup's) I/O error.
+    pub fn bind_relay(
+        addr: impl ToSocketAddrs,
+        config: TransportConfig,
+        reply_timeout: Duration,
+        metrics: Arc<ServiceMetrics>,
+        routing: Arc<dyn Routing>,
+    ) -> std::io::Result<CloudServer> {
+        let listener = TcpListener::bind(addr)?;
+        let (dialer, requests) = channel();
+        let upstream = Upstream::Relay {
+            routing: Arc::clone(&routing),
+            dialer,
+            reply_timeout,
+        };
+        let mut server = CloudServer::start(listener, None, config, metrics, None, upstream)?;
+        let shared = Arc::clone(&server.shared);
+        let dialer = std::thread::Builder::new()
+            .name("proxy-dialer".into())
+            .spawn(move || dial_loop(&shared, &*routing, &requests))
+            .expect("spawn dialer");
+        server.threads.push(dialer);
+        Ok(server)
+    }
+
+    /// Starts the reactor pool and the acceptor on `listener`.
+    fn start(
+        listener: TcpListener,
+        exporter: Option<TcpListener>,
+        config: TransportConfig,
+        metrics: Arc<ServiceMetrics>,
+        api_keys: Option<Arc<[String]>>,
+        upstream: Upstream,
+    ) -> std::io::Result<CloudServer> {
+        let local_addr = listener.local_addr()?;
         let metrics_addr = match &exporter {
             Some(l) => Some(l.local_addr()?),
             None => None,
+        };
+        let tier = match upstream {
+            Upstream::Service(_) => "cloud",
+            Upstream::Relay { .. } => "proxy",
         };
         let io_threads = config.effective_io_threads();
         let (handles, parts) = make_reactor_parts(io_threads)?;
         let shared = Arc::new(ServerShared {
             stop: AtomicBool::new(false),
             config,
-            client: service.client(),
-            metrics: service.metrics_arc(),
-            api_keys: service.api_keys(),
+            upstream,
+            metrics,
+            api_keys,
             reactors: handles,
             submitters: AtomicUsize::new(0),
             sessions: AtomicUsize::new(0),
@@ -166,9 +274,9 @@ impl CloudServer {
         let mut exporter = exporter;
         for (i, (wake_rx, poller)) in parts.into_iter().enumerate() {
             reactors.push(spawn_reactor(
+                format!("{tier}-reactor-{i}"),
                 i,
                 Arc::clone(&shared),
-                Arc::clone(&shared.reactors[i]),
                 wake_rx,
                 poller,
                 exporter.take(),
@@ -177,15 +285,15 @@ impl CloudServer {
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
-                .name("cloud-acceptor".into())
+                .name(format!("{tier}-acceptor"))
                 .spawn(move || accept_loop(&listener, &shared))
                 .expect("spawn acceptor")
         };
         Ok(CloudServer {
             shared,
             acceptor: Some(acceptor),
-            reactors,
-            service: Some(service),
+            threads: reactors,
+            service: None,
             local_addr,
             metrics_addr,
         })
@@ -215,6 +323,10 @@ impl CloudServer {
 
     /// An in-process client of the same service the listener fronts —
     /// useful for comparing remote and local submissions of one pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a relay, which fronts no service.
     pub fn local_client(&self) -> CloudClient {
         self.service
             .as_ref()
@@ -229,20 +341,19 @@ impl CloudServer {
 
     /// Graceful shutdown: stop accepting, stop reading, drain every job
     /// already accepted (they train to completion), answer all stranded
-    /// request ids, flush the replies, then close the sockets.
+    /// request ids, flush the replies, then close the sockets. A relay
+    /// severs its sessions instead: it has no service to drain.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
 
     fn shutdown_impl(&mut self) {
-        let Some(service) = self.service.take() else {
+        let Some(acceptor) = self.acceptor.take() else {
             return;
         };
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            if wake_acceptor(self.local_addr, &acceptor) {
-                let _ = acceptor.join();
-            }
+        if wake_acceptor(self.local_addr, &acceptor) {
+            let _ = acceptor.join();
         }
         // No new connections; wake every reactor so it observes the stop
         // flag, kills handshakes and moves established sessions to
@@ -258,9 +369,14 @@ impl CloudServer {
         // never reached with ServiceUnavailable. Each answer wakes its
         // owning reactor, which flushes it and closes the connection once
         // nothing is owed; reactors exit when their last connection closes.
-        service.shutdown();
-        for reactor in self.reactors.drain(..) {
-            let _ = reactor.join();
+        if let Some(service) = self.service.take() {
+            service.shutdown();
+        }
+        if let Upstream::Relay { dialer, .. } = &self.shared.upstream {
+            let _ = dialer.send(None);
+        }
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -283,7 +399,7 @@ impl Drop for CloudServer {
 /// it: it holds the listener and nothing else, and returns at the first
 /// connection that does arrive.
 #[must_use = "joining an acceptor that was not woken blocks"]
-pub fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) -> bool {
+fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) -> bool {
     let loopback: IpAddr = match addr {
         SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
         SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
@@ -325,7 +441,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                 shared.sessions.fetch_add(1, Ordering::SeqCst);
                 shared.submitters.fetch_add(1, Ordering::SeqCst);
                 shared.reactors[next_reactor % shared.reactors.len()]
-                    .enqueue_conn(stream, &shared.metrics);
+                    .enqueue(Inbound::Accepted(stream), &shared.metrics);
                 next_reactor = next_reactor.wrapping_add(1);
             }
             // Out of descriptors, or a connection reset while it queued:
@@ -346,6 +462,57 @@ fn reject(mut stream: TcpStream, reason: &str) {
             reason: reason.into(),
         },
     );
+}
+
+/// The relay's dialer: connects sessions to backends as their reactors ask,
+/// handing each connection (or `None`, nothing would take the session) to
+/// the reactor that asked — which handshakes it — and sweeps the fleet's
+/// health whenever a sweep is due. Only the connect blocks here: the
+/// handshakes of many sessions routed at once overlap on the reactors.
+fn dial_loop(shared: &ServerShared, routing: &dyn Routing, requests: &Receiver<Option<Dial>>) {
+    let mut next_sweep = Instant::now();
+    loop {
+        if Instant::now() >= next_sweep {
+            next_sweep = Instant::now() + routing.sweep();
+        }
+        match requests.recv_timeout(next_sweep.saturating_duration_since(Instant::now())) {
+            Ok(Some(dial)) => {
+                let linked = if shared.stop.load(Ordering::SeqCst) {
+                    None
+                } else {
+                    dial_backend(shared, routing, &dial)
+                };
+                shared.reactors[dial.home]
+                    .enqueue(Inbound::Linked(dial.token, linked), &shared.metrics);
+            }
+            Ok(None) | Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Timeout) => {}
+        }
+    }
+}
+
+/// Connects to the first backend `routing` offers the session, reporting
+/// each one that refuses on the way.
+fn dial_backend(
+    shared: &ServerShared,
+    routing: &dyn Routing,
+    dial: &Dial,
+) -> Option<(TcpStream, String)> {
+    for addr in routing.candidates(&dial.key) {
+        if dial.exclude.contains(&addr) {
+            continue;
+        }
+        let connected = addr
+            .to_socket_addrs()
+            .ok()
+            .and_then(|mut resolved| resolved.next())
+            .and_then(|sock| TcpStream::connect_timeout(&sock, shared.config.connect_timeout).ok());
+        match connected {
+            Some(stream) => return Some((stream, addr)),
+            None => routing.failed(&addr),
+        }
+    }
+    None
 }
 
 #[cfg(test)]

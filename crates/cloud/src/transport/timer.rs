@@ -1,9 +1,10 @@
 //! Hashed timer wheel for connection deadlines.
 //!
-//! The reactor arms two kinds of per-connection deadline — [`TimerKind::Idle`]
+//! The reactor arms three kinds of per-connection deadline — [`TimerKind::Idle`]
 //! (handshake timeout before the session is established, keep-alive idle
-//! timeout after) and [`TimerKind::WriteStall`] (no forward progress flushing
-//! the write queue). Instead of one thread-per-connection `read_timeout`
+//! timeout after), [`TimerKind::WriteStall`] (no forward progress flushing
+//! the write queue) and, on a relay, [`TimerKind::Link`] (a silent backend
+//! that owes replies, a backend link due a ping). Instead of one thread-per-connection `read_timeout`
 //! tick, all deadlines live in one wheel per reactor thread; the wheel's
 //! [`TimerWheel::next_deadline`] bounds the `epoll_wait` timeout, so an idle
 //! reactor sleeps until the earliest deadline and a busy one never pays more
@@ -25,6 +26,9 @@ pub(super) enum TimerKind {
     /// The write queue is non-empty and no bytes could be flushed for the
     /// configured `write_timeout` — the peer has stopped reading.
     WriteStall,
+    /// A relay session's backend link: it owes replies and has been silent
+    /// for the reply timeout, or it is due a keep-alive ping.
+    Link,
 }
 
 /// A deadline that fell due, returned by [`TimerWheel::advance`].

@@ -93,8 +93,9 @@ impl FaultInjector {
     ///
     /// Returns the listener's I/O error.
     pub fn spawn(target: SocketAddr) -> std::io::Result<FaultInjector> {
+        // The acceptor blocks in `accept`; `stop` wakes it with a connection
+        // of its own.
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(InjectorShared {
             fault: Mutex::new(Fault::None),
@@ -144,7 +145,9 @@ impl FaultInjector {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.kill_links();
         if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
+            if TcpStream::connect(self.addr).is_ok() {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -157,10 +160,11 @@ impl Drop for FaultInjector {
 
 fn accept_loop(listener: TcpListener, shared: Arc<InjectorShared>) {
     loop {
+        let accepted = listener.accept();
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((client, _)) => {
                 // A killed backend refuses new connections outright.
                 if *shared.fault.lock() == Fault::Kill {
@@ -189,7 +193,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<InjectorShared>) {
                 spawn_relay(&client, &upstream, &shared, "fault-relay-up");
                 spawn_relay(&upstream, &client, &shared, "fault-relay-down");
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(TICK / 5),
+            // Out of descriptors, or a connection reset while it queued.
             Err(_) => std::thread::sleep(TICK / 5),
         }
     }

@@ -1,5 +1,7 @@
-//! Active health checking: the prober that walks the fleet, exercises
-//! each backend end-to-end, and drives the circuit breakers.
+//! Active health checking: the sweep that walks the fleet, exercises each
+//! backend end-to-end, and drives the circuit breakers. It runs on the
+//! relay's dialer thread, between dials, once per
+//! [`ProxyConfig::probe_interval`](crate::ProxyConfig::probe_interval).
 //!
 //! A probe is not a TCP connect — a wedged server accepts connects
 //! happily. Each probe is a full protocol transaction: dial, Hello →
@@ -16,75 +18,48 @@
 //! to an ejection.
 
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use amalgam_cloud::transport::{
-    handshake, read_frame_blocking, write_frame, Frame, FrameOrigin, TransportConfig,
+    handshake, write_frame, Frame, FrameDecoder, FrameOrigin, TransportConfig,
 };
 use amalgam_cloud::BackendHealth;
 
 use crate::breaker::Transition;
-use crate::proxy::ProxyShared;
-
-/// How often the prober wakes to check for shutdown between sweeps.
-const TICK: Duration = Duration::from_millis(25);
+use crate::proxy::Fleet;
 
 /// The nonce probes ride on; echoed back by an honest backend.
 const PROBE_NONCE: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Starts the prober thread sweeping the fleet every
-/// `probe_interval`.
-pub(crate) fn spawn_prober(shared: Arc<ProxyShared>) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("proxy-prober".into())
-        .spawn(move || prober_loop(&shared))
-        .expect("spawn proxy prober")
-}
-
-fn prober_loop(shared: &Arc<ProxyShared>) {
-    loop {
-        for addr in shared.ring.backends() {
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let (probe, transition) = shared.breakers.with(addr, |b| b.probe_gate(Instant::now()));
-            if transition == Transition::Probation {
-                shared.metrics.backend_health(addr, BackendHealth::HalfOpen);
-            }
-            if !probe {
-                continue;
-            }
-            let ok = probe_once(shared, addr);
-            shared.metrics.backend_probe(addr, ok);
-            if ok {
-                shared.record_backend_success(addr);
-            } else {
-                shared.record_backend_failure(addr);
-            }
+/// Probes every backend whose breaker admits a probe now.
+pub(crate) fn sweep(fleet: &Fleet) {
+    for addr in fleet.ring.backends() {
+        let (probe, transition) = fleet.breakers.with(addr, |b| b.probe_gate(Instant::now()));
+        if transition == Transition::Probation {
+            fleet.metrics.backend_health(addr, BackendHealth::HalfOpen);
         }
-        // Sleep one sweep interval in small ticks so shutdown is prompt.
-        let until = Instant::now() + shared.config.probe_interval;
-        while Instant::now() < until {
-            if shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(TICK);
+        if !probe {
+            continue;
+        }
+        let ok = probe_once(fleet, addr);
+        fleet.metrics.backend_probe(addr, ok);
+        if ok {
+            fleet.record_backend_success(addr);
+        } else {
+            fleet.record_backend_failure(addr);
         }
     }
 }
 
 /// One end-to-end probe transaction against `addr`, bounded by the probe
 /// deadline at every step.
-fn probe_once(shared: &Arc<ProxyShared>, addr: &str) -> bool {
-    let deadline = shared.config.probe_timeout;
+fn probe_once(fleet: &Fleet, addr: &str) -> bool {
+    let deadline = fleet.config.probe_timeout;
     let config = TransportConfig {
         api_key: None,
         handshake_timeout: deadline,
         write_timeout: deadline,
-        ..shared.config.transport.clone()
+        ..fleet.config.transport.clone()
     };
     let Some(sock_addr) = addr.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
         return false;
@@ -92,17 +67,20 @@ fn probe_once(shared: &Arc<ProxyShared>, addr: &str) -> bool {
     let Ok(stream) = TcpStream::connect_timeout(&sock_addr, deadline) else {
         return false;
     };
+    // The handshake leaves the deadline on the socket's reads and writes.
     if handshake(&stream, &config).is_err() {
         return false;
     }
     let mut s = &stream;
-    if write_frame(&mut s, &Frame::Ping { nonce: PROBE_NONCE }).is_err() {
-        return false;
-    }
-    let pong_ok = matches!(
-        read_frame_blocking(&mut s, config.max_frame_len, FrameOrigin::Server),
-        Ok(Some((Frame::Pong { nonce: PROBE_NONCE }, _)))
-    );
+    let mut pong = FrameDecoder::for_peer(FrameOrigin::Server);
+    let pong_ok = write_frame(&mut s, &Frame::Ping { nonce: PROBE_NONCE }).is_ok()
+        && loop {
+            match pong.next_frame(config.max_frame_len) {
+                Ok(Some((Frame::Pong { nonce }, _))) => break nonce == PROBE_NONCE,
+                Ok(None) if matches!(pong.read_from(&mut s), Ok(n) if n > 0) => {}
+                _ => break false,
+            }
+        };
     // Polite hang-up either way; the verdict is already in.
     let _ = write_frame(&mut s, &Frame::Goodbye);
     let _ = stream.shutdown(Shutdown::Both);

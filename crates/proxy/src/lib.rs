@@ -23,13 +23,15 @@
 //!   half-open → closed machine per backend. Consecutive failures eject; a
 //!   cooldown admits probes again; consecutive probe successes readmit. No
 //!   operator action anywhere in the loop.
-//! * the health prober — a full Hello/Welcome/Ping/Pong transaction per
+//! * the health sweep — a full Hello/Welcome/Ping/Pong transaction per
 //!   backend per sweep, because a wedged server still accepts TCP
 //!   connections.
-//! * the session relay ([`AmalgamProxy`]) — terminates client handshakes,
-//!   retains every in-flight `Submit` payload, and on a backend death
-//!   re-handshakes with a survivor and resubmits the retained jobs under
-//!   their original request ids. Jobs are seeded-deterministic and
+//! * [`AmalgamProxy`] — hands the first three, as its routing policy
+//!   ([`Routing`](amalgam_cloud::transport::Routing)), to the transport's
+//!   relay (`CloudServer::bind_relay`): a reactor pool that terminates
+//!   client handshakes, retains every in-flight `Submit` payload, and on a
+//!   backend death resubmits the retained jobs to a survivor under their
+//!   original request ids. Jobs are seeded-deterministic and
 //!   content-addressed, so replays dedup server-side and results stay
 //!   bitwise identical.
 //!
