@@ -561,9 +561,12 @@ const SPLIT_THRESHOLD: usize = READ_CHUNK;
 /// in: the whole frame when it is no more than four read chunks, or four
 /// times what has arrived — a length prefix alone reserves a constant, and
 /// a frame up to the cap (256 MiB by default) is only ever backed in
-/// proportion to the bytes its sender has actually parted with.
+/// proportion to the bytes its sender has actually parted with. Rounded up
+/// to whole pages, so the buffers of a job and of its reply — a few hundred
+/// bytes apart, and allocated by one thread on a relay — are the same size
+/// to the allocator, and a freed one is reused instead of fragmenting it.
 fn body_capacity(len: usize, received: usize) -> usize {
-    len.min(4 * received.max(READ_CHUNK))
+    len.min(4 * received.max(READ_CHUNK)).next_multiple_of(4096)
 }
 
 /// Reads from `r` straight into `body`'s spare capacity — no zero-fill, no
