@@ -931,6 +931,7 @@ fn on_readable(
             }
             Ok(_) => {
                 conn.last_activity = Instant::now();
+                // A relay session stops reading while its backend is behind.
                 if !drain_frames(conn, shared, poller, wheel) || !conn.interest.readable {
                     return;
                 }
@@ -1095,13 +1096,13 @@ fn handle_frame(
             // is as trusted as the service gets. The refusal is in-band so
             // callers see *why* instead of a dead connection. A relay takes
             // no keys of its own: it answers with its routing tier's view.
-            let authorized = match (&shared.api_keys, &conn.session_client) {
+            let session = conn.session_client.as_ref().map(CloudClient::session_key);
+            let authorized = match (&shared.api_keys, session) {
                 (None, _) => true,
-                (Some(keys), Some(session)) => match session.session_key() {
-                    SessionKey::ApiKey(k) => keys.iter().any(|key| key.as_str() == &**k),
-                    SessionKey::Anonymous(_) => false,
-                },
-                (Some(_), None) => false,
+                (Some(keys), Some(SessionKey::ApiKey(k))) => {
+                    keys.iter().any(|key| key.as_str() == &**k)
+                }
+                _ => false,
             };
             let body = if authorized {
                 Ok(shared.metrics.snapshot().to_bytes())

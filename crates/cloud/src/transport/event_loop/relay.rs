@@ -421,8 +421,9 @@ fn stall_deadline(relay: &Relay, shared: &ServerShared) -> Option<Instant> {
     if link.version == 0 {
         return Some(link.quiet_since + shared.config.handshake_timeout);
     }
+    let (_, reply_timeout) = policy(shared);
     let owes = link.interest.readable && !relay.jobs.is_empty();
-    owes.then(|| link.quiet_since + policy(shared).1)
+    owes.then(|| link.quiet_since + reply_timeout)
 }
 
 /// Queues a retained job on the link, its trace id for v2 backends only.
@@ -504,7 +505,8 @@ fn reregister(link: &mut Link, token: u64, readable: bool, writable: bool, polle
 /// for a connection to another; the retained jobs ride that one.
 fn fail_link(relay: &mut Relay, token: u64, shared: &ServerShared, poller: &mut Poller) {
     if let Some(link) = close_link(relay, shared, poller) {
-        policy(shared).0.failed(&link.addr);
+        let (routing, _) = policy(shared);
+        routing.failed(&link.addr);
         if link.version != 0 {
             shared.metrics.backend_failover(&link.addr);
         }
