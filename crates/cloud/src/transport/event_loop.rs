@@ -931,8 +931,7 @@ fn on_readable(
             }
             Ok(_) => {
                 conn.last_activity = Instant::now();
-                // A relay session stops reading while its backend is behind.
-                if !drain_frames(conn, shared, poller, wheel) || !conn.interest.readable {
+                if !drain_frames(conn, shared, poller, wheel) {
                     return;
                 }
             }
@@ -1398,16 +1397,13 @@ fn close_conn(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) 
 }
 
 /// Re-registers the socket when the wanted interest changed: reads while
-/// the state machine accepts frames, writes while bytes are queued. A relay
-/// session reads only while its backend takes what it forwards, and reads
-/// its backend only while this queue is empty (`relay::pace`).
+/// the state machine accepts frames, writes while bytes are queued.
 fn update_interest(conn: &mut Conn, poller: &mut Poller) {
     if conn.state == ConnState::Closed {
         return;
     }
     let want = Interest {
-        readable: matches!(conn.state, ConnState::Handshaking | ConnState::Established)
-            && relay::keeps_up(conn),
+        readable: matches!(conn.state, ConnState::Handshaking | ConnState::Established),
         writable: !conn.writes.is_empty() && !conn.sink_broken,
     };
     if want != conn.interest
@@ -1417,7 +1413,6 @@ fn update_interest(conn: &mut Conn, poller: &mut Poller) {
     {
         conn.interest = want;
     }
-    relay::pace(conn, poller);
 }
 
 #[cfg(test)]

@@ -17,8 +17,7 @@ use super::super::frame::{Frame, FrameDecoder, FrameOrigin};
 use super::super::server::{Dial, Routing, ServerShared, Upstream};
 use super::super::timer::{TimerKind, TimerWheel};
 use super::{
-    establish, flush_writes, queue_reply, refuse, update_interest, Conn, ConnState, FlushOutcome,
-    WriteQueue,
+    establish, flush_writes, queue_reply, refuse, Conn, ConnState, FlushOutcome, WriteQueue,
 };
 use crate::metrics::ServiceMetrics;
 use crate::telemetry::{Stage, TraceId};
@@ -267,12 +266,12 @@ pub(super) fn cancel(conn: &mut Conn, request_id: u64, shared: &ServerShared, po
         send(link, &Frame::Cancel { request_id }, &shared.metrics);
         flush_link(relay, token, shared, poller);
     }
-    update_interest(conn, poller);
 }
 
 /// Readiness on the session's backend link: flush it, and relay what the
-/// backend sent until its socket runs dry, the client falls behind (see
-/// [`pace`]), or the link fails.
+/// backend sent until its socket runs dry or the link fails. What waits
+/// for the client is bounded by the in-flight cap, as on a service session:
+/// every reply holds a slot until its bytes are flushed.
 pub(super) fn link_io(
     conn: &mut Conn,
     readable: bool,
@@ -287,7 +286,6 @@ pub(super) fn link_io(
     }
     let failed = readable
         && loop {
-            let backlog = !conn.writes.is_empty();
             let Some(link) = relay(conn).link.as_mut() else {
                 break false;
             };
@@ -298,7 +296,6 @@ pub(super) fn link_io(
                         break true;
                     }
                 }
-                Ok(None) if backlog => break false,
                 Ok(None) => match link.decoder.read_from(&mut link.stream) {
                     Ok(0) => break true,
                     Ok(_) => link.quiet_since = Instant::now(),
@@ -393,7 +390,6 @@ pub(super) fn link_timer(
         flush_link(relay, token, shared, poller);
     }
     schedule(relay, token, shared, wheel);
-    update_interest(conn, poller);
 }
 
 /// Arms the link's next deadline — its keep-alive once welcomed, or what
@@ -414,16 +410,14 @@ fn schedule(relay: &mut Relay, token: u64, shared: &ServerShared, wheel: &mut Ti
 }
 
 /// When the link's silence becomes the backend's failure: its `Welcome` is
-/// owed from the `Hello` on, replies while jobs are retained and the link
-/// is read (a link paused for a slow client owes nothing).
+/// owed from the `Hello` on, replies while jobs are retained.
 fn stall_deadline(relay: &Relay, shared: &ServerShared) -> Option<Instant> {
     let link = relay.link.as_ref()?;
     if link.version == 0 {
         return Some(link.quiet_since + shared.config.handshake_timeout);
     }
     let (_, reply_timeout) = policy(shared);
-    let owes = link.interest.readable && !relay.jobs.is_empty();
-    owes.then(|| link.quiet_since + reply_timeout)
+    (!relay.jobs.is_empty()).then(|| link.quiet_since + reply_timeout)
 }
 
 /// Queues a retained job on the link, its trace id for v2 backends only.
@@ -456,42 +450,10 @@ fn flush_link(relay: &mut Relay, token: u64, shared: &ServerShared, poller: &mut
     if outcome == FlushOutcome::Broken {
         return fail_link(relay, token, shared, poller);
     }
-    let readable = link.interest.readable;
-    reregister(
-        link,
-        token,
-        readable,
-        outcome == FlushOutcome::Blocked,
-        poller,
-    );
-}
-
-/// Whether the session may read its client: not while its link holds
-/// submits the backend has not taken yet.
-pub(super) fn keeps_up(conn: &Conn) -> bool {
-    let link = conn.relay.as_ref().and_then(|relay| relay.link.as_ref());
-    link.is_none_or(|link| link.writes.is_empty())
-}
-
-/// Reads a welcomed link only while the session has nothing queued for its
-/// client. With [`keeps_up`] this is a blocking relay's flow control: what
-/// one side has not taken waits in the kernel, not here. A paused link's
-/// silence is not the backend's: its stall clock restarts with reading.
-pub(super) fn pace(conn: &mut Conn, poller: &mut Poller) {
-    let (token, client_idle) = (conn.token, conn.writes.is_empty());
-    let link = conn
-        .relay
-        .as_deref_mut()
-        .and_then(|relay| relay.link.as_mut());
-    if let Some(link) = link.filter(|l| l.interest.readable != (client_idle || l.version == 0)) {
-        let (readable, writable) = (!link.interest.readable, link.interest.writable);
-        reregister(link, token, readable, writable, poller);
-        link.quiet_since = Instant::now();
-    }
-}
-
-fn reregister(link: &mut Link, token: u64, readable: bool, writable: bool, poller: &mut Poller) {
-    let want = Interest { readable, writable };
+    let want = Interest {
+        readable: true,
+        writable: outcome == FlushOutcome::Blocked,
+    };
     if want != link.interest
         && poller
             .reregister(link.stream.as_raw_fd(), token | LINK, want)

@@ -107,11 +107,11 @@
 //! tier: [`CloudServer::bind_relay`] sends each session's jobs to a backend
 //! a [`Routing`] policy picks, over a client-role *link* its own reactor
 //! owns and handshakes, instead of to a service. The relay retains each job
-//! until its reply, answers `Ping` and `GetStats` itself, reads each side
-//! only while the other keeps up, and resubmits the retained jobs on a link
-//! to another backend when one dies or stays silent while it owes an
-//! answer. Its one extra thread dials backends, so no reactor blocks on a
-//! connect, and runs the policy's health sweep between dials.
+//! until its reply, answers `Ping` and `GetStats` itself, and resubmits the
+//! retained jobs on a link to another backend when one dies or stays silent
+//! while it owes an answer. Its one extra thread dials backends, so no
+//! reactor blocks on a connect, and runs the policy's health sweep between
+//! dials.
 
 mod client;
 mod event_loop;
