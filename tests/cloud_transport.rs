@@ -1108,3 +1108,128 @@ fn cancel_while_disconnected_resolves_and_is_never_revived() {
     server.shutdown();
     injector.shutdown();
 }
+
+/// Dropping the last clone of a client, without `close()`, ends its server
+/// session promptly, and a handle that outlives the client is answered
+/// `ServiceUnavailable` instead of hanging.
+#[test]
+fn dropping_the_last_client_ends_its_session_and_answers_its_handles() {
+    let service = CloudService::builder()
+        .workers(1)
+        .observer(Arc::new(Mutex::new(SleepyObserver(Duration::from_millis(
+            15,
+        )))))
+        .build();
+    let server = CloudServer::bind(service, "127.0.0.1:0").expect("bind loopback");
+    let client = RemoteCloudClient::connect(server.local_addr()).expect("connect");
+    let twin = client.clone();
+    let mut handle = client.submit(&slow_job(9, 40)).expect("submit");
+    assert!(
+        wait_until(Duration::from_secs(20), || {
+            server.stats().epochs_trained >= 1
+        }),
+        "job never started training"
+    );
+
+    drop(client);
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(server.session_count(), 1, "a live clone keeps the session");
+    drop(twin);
+    assert!(
+        wait_until(Duration::from_secs(1), || server.session_count() == 0),
+        "a dropped client's session outlived it by a second"
+    );
+    match handle
+        .wait_timeout(Duration::from_secs(5))
+        .expect("a dropped client's handle hung")
+    {
+        Err(CloudError::ServiceUnavailable) => {}
+        other => panic!("expected ServiceUnavailable, got {other:?}"),
+    }
+    assert!(
+        wait_until(Duration::from_secs(20), || {
+            server.stats().jobs_cancelled >= 1
+        }),
+        "the orphaned execution never self-cancelled"
+    );
+    assert_invariants(&server.stats());
+    server.shutdown();
+}
+
+/// A self-healing client turns `RateLimited` into a retry at the server's
+/// `retry_after`, never earlier: the retried submit finds the bucket
+/// refilled and trains, so the server refuses it exactly once.
+#[test]
+fn a_rate_limited_submit_is_retried_at_its_retry_after() {
+    // One token per 500 ms, burst 1.
+    let service = CloudService::builder()
+        .workers(1)
+        .rate_limit(2.0, 1.0)
+        .build();
+    let server = CloudServer::bind(service, "127.0.0.1:0").expect("bind loopback");
+    let config = TransportConfig::default().reconnect(ReconnectPolicy::default().max_resubmits(4));
+    let client = RemoteCloudClient::connect_with(server.local_addr(), config).expect("connect");
+
+    let t0 = Instant::now();
+    let first = client.submit(&tiny_job(21)).expect("submit");
+    let second = client.submit(&tiny_job(22)).expect("submit");
+    first.wait().expect("the first submit spends the burst");
+    second
+        .wait()
+        .expect("the retry trains once the bucket refills");
+    assert!(
+        t0.elapsed() >= Duration::from_millis(500),
+        "the retry beat the bucket's refill: {:?}",
+        t0.elapsed()
+    );
+
+    let cs = client.stats();
+    assert_eq!(cs.retries_scheduled, 1);
+    assert_eq!(cs.jobs_resubmitted, 1);
+    let stats = server.stats();
+    assert_eq!(
+        stats.jobs_rate_limited, 1,
+        "a retry sent before retry_after is refused again"
+    );
+    assert_eq!(stats.jobs_completed, 2);
+    assert_invariants(&stats);
+    client.close();
+    server.shutdown();
+}
+
+/// A `fetch_stats` pending when the link dies answers `ServiceUnavailable`
+/// (a snapshot is not resubmitted), and the healed link serves the next.
+#[test]
+fn fetch_stats_across_a_link_loss() {
+    let service = CloudService::builder().workers(1).build();
+    let server = CloudServer::bind(service, "127.0.0.1:0").expect("bind loopback");
+    let injector = FaultInjector::spawn(server.local_addr()).expect("spawn injector");
+    let client =
+        RemoteCloudClient::connect_with(injector.addr(), patient_reconnect()).expect("connect");
+    client.fetch_stats().expect("stats over a live link");
+
+    // The request reaches a link that no longer relays; then the link dies.
+    injector.set_fault(Fault::Hang);
+    std::thread::sleep(Duration::from_millis(100));
+    let pending = {
+        let client = client.clone();
+        std::thread::spawn(move || client.fetch_stats())
+    };
+    std::thread::sleep(Duration::from_millis(200));
+    injector.set_fault(Fault::Kill);
+    match pending.join().expect("stats thread") {
+        Err(CloudError::ServiceUnavailable) => {}
+        other => panic!("expected ServiceUnavailable, got {other:?}"),
+    }
+
+    injector.set_fault(Fault::None);
+    assert!(
+        wait_until(Duration::from_secs(20), || client.stats().reconnects >= 1),
+        "the client never healed its link"
+    );
+    let stats = client.fetch_stats().expect("stats after the reconnect");
+    assert!(stats.connections_accepted >= 2);
+    client.close();
+    server.shutdown();
+    injector.shutdown();
+}
