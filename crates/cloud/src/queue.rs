@@ -41,6 +41,9 @@ struct QueueState<T> {
     /// Total queued jobs across all sessions.
     len: usize,
     closed: bool,
+    /// Workers blocked in [`FairDispatcher::pop`] right now: a push signals
+    /// only when one is.
+    parked: usize,
 }
 
 /// A multi-producer, multi-consumer job queue with per-session DRR
@@ -63,6 +66,7 @@ impl<T> FairDispatcher<T> {
                 rotation: VecDeque::new(),
                 len: 0,
                 closed: false,
+                parked: 0,
             }),
             available: Condvar::new(),
             weights,
@@ -100,8 +104,11 @@ impl<T> FairDispatcher<T> {
             }
         }
         state.len += 1;
+        let wake = state.parked > 0;
         drop(state);
-        self.available.notify_one();
+        if wake {
+            self.available.notify_one();
+        }
         Ok(())
     }
 
@@ -117,10 +124,12 @@ impl<T> FairDispatcher<T> {
             if state.closed {
                 return None;
             }
+            state.parked += 1;
             state = self
                 .available
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
+            state.parked -= 1;
         }
     }
 
