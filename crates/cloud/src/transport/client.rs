@@ -3,42 +3,56 @@
 //!
 //! One connection carries any number of concurrent jobs: submissions are
 //! tagged with a client-chosen request id, replies are matched back by that
-//! id (they arrive in *completion* order, not submission order), and a
-//! background reader thread routes each one to its waiting
-//! [`RemoteJobHandle`]. A keep-alive thread pings whenever the connection
-//! has been quiet, so the server's idle timeout only ends sessions whose
-//! client is actually gone.
+//! id (they arrive in *completion* order, not submission order), and each
+//! is routed to its waiting [`RemoteJobHandle`].
+//!
+//! # The client event loop
+//!
+//! A client's connection is a link — the transport's client-role
+//! connection, the one a relay's backend links are — in the client's role:
+//! its replies go to the handles, and its next link comes from its address
+//! list. Every client link of the process lives on one reactor, the
+//! `client-reactor` thread, beside a `client-dialer` thread for the connects
+//! a reactor must not block on; the first connect starts the two and the
+//! last client to close or drop joins them. Submits, cancels and `GetStats`
+//! reach the loop through its inbox. A link pings once it has been
+//! write-idle for its keep-alive interval, so the server's idle timeout only
+//! ends sessions whose client is gone.
 //!
 //! # Self-healing mode
 //!
 //! With [`TransportConfig::reconnect`] set, a lost connection no longer
-//! fails the session. The connection lives in a *slot* guarded by a
-//! generation counter; when a reader, writer or keep-alive observes the
-//! link die, a supervisor thread empties the slot, re-dials with
-//! [`super::DecorrelatedJitter`] backoff, re-handshakes, and resubmits
-//! every pending job verbatim — same request id, same payload bytes.
+//! fails the session: a deadline on the loop re-dials after a
+//! [`super::DecorrelatedJitter`] backoff, and the next welcomed link carries
+//! every pending job again verbatim — same request id, same payload bytes.
 //! Resubmission is safe because jobs are content-addressed: a replay of an
 //! already-executing job coalesces server-side instead of training twice,
 //! and seeded training makes any re-execution bitwise identical. Replies
 //! carrying [`CloudError::RateLimited`] are not surfaced either: the job
-//! is rescheduled through a [`super::RetryQueue`] at the server's
+//! waits on the loop's [`super::RetryQueue`] until the server's
 //! `retry_after` — never earlier — until its resubmission budget runs out.
 
-use super::frame::{self, read_frame_blocking, write_frame, Frame, FrameOrigin};
+use super::event_loop::link::{self, Job, Link, Role, Uplink, LINK};
+use super::event_loop::{reactor_parts, spawn_reactor, Reactor, ReactorShared, Tier};
+use super::frame::{read_frame_blocking, write_frame, Frame, FrameOrigin};
+use super::timer::{Fired, TimerWheel};
 use super::{
-    ClientStats, ReconnectPolicy, TransportConfig, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue, TransportConfig,
+    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
-use crate::metrics::ServiceStats;
+use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::protocol::{CloudJob, JobResult, ProgressUpdate};
 use crate::telemetry::{Stage, Telemetry, TelemetryConfig, TraceId};
 use crate::CloudError;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
+use reactor::Poller;
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{mpsc, Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A client of a [`crate::CloudServer`] over one multiplexed TCP
@@ -48,331 +62,518 @@ pub struct RemoteCloudClient {
     shared: Arc<ClientShared>,
 }
 
-/// One live, handshaken connection. Replaceable in reconnect mode: the
-/// generation stamps every thread reading from it, so a stale reader's
-/// death notice cannot tear down its successor.
-#[derive(Debug)]
-struct Conn {
-    /// Write half; every frame is written whole under this lock.
-    writer: Mutex<TcpStream>,
-    last_write: Mutex<Instant>,
-    generation: u64,
-    /// The server's advertised frame cap: oversized submits are refused
-    /// locally instead of poisoning the shared connection.
-    max_frame_len: usize,
-}
-
-/// One unanswered job: where its reply goes, plus everything needed to
-/// submit it again after a reconnect or a scheduled retry.
-#[derive(Debug)]
-struct PendingJob {
-    tx: Sender<Result<JobResult, CloudError>>,
-    /// Where mid-job Progress frames land; dropping the entry (reply
-    /// delivered, session failed) disconnects the handle's progress
-    /// iterator.
-    progress_tx: Sender<ProgressUpdate>,
-    /// The handle asked for cancellation. Blocks retry rescheduling and
-    /// reconnect resubmission: a cancelled job must never be revived.
-    cancelled: bool,
-    payload: Bytes,
-    /// End-to-end trace id minted at submit; rides the Submit frame's
-    /// trace extension when the server speaks protocol v2.
-    trace: TraceId,
-    /// When this job's Submit frame last hit the socket (reset on
-    /// resubmission), so the reply can be scored as a round-trip.
-    sent_at: Instant,
-    /// Automatic resubmissions left before errors surface to the handle.
-    resubmits_left: u32,
-    /// While `Some`, a scheduled retry owns this job: it must not be
-    /// rewritten before this instant (the `retry_after` contract), and the
-    /// reconnect path leaves it to the retry schedule.
-    not_before: Option<Instant>,
-}
-
-/// What link maintenance tells the supervisor thread.
-#[derive(Debug)]
-enum SupervisorMsg {
-    /// The connection of this generation died; redial and resubmit.
-    LinkDown { generation: u64 },
-    /// Resubmit job `id` at `at` (a `retry_after` or error backoff).
-    RetryAt { id: u64, at: Instant },
-}
-
+/// A client as its callers see it; its session on the client loop holds
+/// the rest.
 #[derive(Debug)]
 struct ClientShared {
-    config: TransportConfig,
-    /// Resolved dial targets, kept for re-dials.
-    addrs: Vec<SocketAddr>,
-    /// The live connection, if any; `None` while down or reconnecting.
-    conn: Mutex<Option<Arc<Conn>>>,
-    /// Generation of the newest connection ever installed in the slot.
-    generation: AtomicU64,
-    /// In-flight request ids → reply routing and resubmission state.
-    pending: Mutex<HashMap<u64, PendingJob>>,
-    /// In-flight `GetStats` request ids → where the decoded snapshot goes.
-    stats_waiters: Mutex<HashMap<u64, Sender<Result<ServiceStats, CloudError>>>>,
-    /// Client-side telemetry: the submit-to-reply RTT histogram
-    /// ([`Stage::Rpc`]) and a flight recorder holding the client's view of
-    /// each trace — the first of the three tiers a trace id is visible at.
-    telemetry: Telemetry,
+    runtime: Arc<Runtime>,
+    /// The session's token on the loop.
+    token: u64,
+    state: Arc<State>,
     next_request: AtomicU64,
-    closed: AtomicBool,
     /// Negotiated protocol version (first handshake).
     version: u32,
     /// In-flight cap the server advertised for this session (first
     /// handshake).
     server_max_in_flight: usize,
-    /// Present iff a reconnect policy is set; link failures route here
-    /// instead of failing the session.
-    supervisor: Option<Sender<SupervisorMsg>>,
+    /// The server's advertised frame cap: oversized submits are refused
+    /// here instead of poisoning the shared connection.
+    max_frame_len: usize,
+    /// Automatic resubmissions each job may have (0 without a policy).
+    max_resubmits: u32,
+}
+
+/// What a client's callers and its session on the loop both read.
+#[derive(Debug)]
+struct State {
+    /// Client-side telemetry: the submit-to-reply RTT histogram
+    /// ([`Stage::Rpc`]) and a flight recorder holding the client's view of
+    /// each trace — the first of the three tiers a trace id is visible at.
+    telemetry: Telemetry,
+    /// The session ended: closed, or its link lost for good.
+    closed: AtomicBool,
     reconnects: AtomicU64,
     jobs_resubmitted: AtomicU64,
     retries_scheduled: AtomicU64,
 }
 
-impl ClientShared {
-    fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
+/// What a client's link keeps beside each retained job: where its answer
+/// goes. Dropping it answers the handle `ServiceUnavailable`.
+struct Waiter {
+    tx: Sender<Result<JobResult, CloudError>>,
+    /// Where mid-job Progress frames land; dropping the waiter ends the
+    /// handle's progress iterator.
+    progress_tx: Sender<ProgressUpdate>,
+    /// The handle asked for cancellation: the job is never sent again.
+    cancelled: bool,
+    /// Automatic resubmissions left before errors surface to the handle.
+    resubmits_left: u32,
+}
+
+/// What a `Welcome` negotiated: `(version, max_in_flight, max_frame_len)`.
+pub(super) type Welcome = (u32, u32, u64);
+
+/// What callers and the dialer hand the client loop: a session to start
+/// with the socket `connect` dialed, or work for the session with a token.
+/// Work for a session that has ended is dropped unrun, and so are the
+/// senders its callers wait on: they see `ServiceUnavailable`.
+enum Command {
+    Open(u64, Box<Session>, (TcpStream, String)),
+    Run(u64, Work),
+}
+
+/// Work for one session, run on the loop.
+type Work = Box<dyn FnOnce(&mut Session, &mut Reactor) + Send>;
+
+/// A session's request to the dialer: its token, where to dial, and the
+/// connect deadline.
+type Redial = (u64, Arc<[SocketAddr]>, Duration);
+
+/// The client loop: `client-reactor` serving every client's link, and
+/// `client-dialer`. Every client holds it; the first starts it, and the
+/// last, dropping it, joins it.
+#[derive(Debug)]
+struct Runtime {
+    handle: Arc<ReactorShared<Command>>,
+    /// What the loop counts into — its wake-ups and descriptors, its links'
+    /// frames. Nobody reads it.
+    metrics: Arc<ServiceMetrics>,
+    dialer: mpsc::Sender<Redial>,
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
+    next_token: AtomicU64,
+}
+
+static RUNTIME: Mutex<Weak<Runtime>> = Mutex::new(Weak::new());
+
+impl Drop for Runtime {
+    /// The last client is gone: the loop stops, and its threads are joined
+    /// — the reactor, then the dialer, whose senders went with the
+    /// reactor's sessions and this runtime.
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.handle.kick(&self.metrics);
+        self.dialer = mpsc::channel().0;
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Runtime {
+    /// The running client loop, or a new one.
+    fn get() -> Result<Arc<Runtime>, CloudError> {
+        let mut running = RUNTIME.lock();
+        if let Some(runtime) = running.upgrade() {
+            return Ok(runtime);
+        }
+        let runtime = Runtime::start().map_err(|e| {
+            CloudError::Transport(format!("client event loop failed to start: {e}"))
+        })?;
+        let runtime = Arc::new(runtime);
+        *running = Arc::downgrade(&runtime);
+        Ok(runtime)
     }
 
-    /// Marks the connection dead, tears the socket down (so the reader
-    /// thread unblocks and exits instead of parking on a timeout-less read
-    /// forever) and answers every outstanding handle.
-    fn fail_pending(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        if let Some(conn) = self.conn.lock().take() {
-            let _ = conn.writer.lock().shutdown(Shutdown::Both);
-        }
-        let pending: Vec<_> = {
-            let mut map = self.pending.lock();
-            map.drain().collect()
+    /// Hands `work` to the session `token` on the loop.
+    fn run(&self, token: u64, work: impl FnOnce(&mut Session, &mut Reactor) + Send + 'static) {
+        self.handle
+            .enqueue(Command::Run(token, Box::new(work)), &self.metrics);
+    }
+
+    fn start() -> std::io::Result<Runtime> {
+        let (handle, part) = reactor_parts()?;
+        let metrics = Arc::new(ServiceMetrics::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let clients = Clients {
+            sessions: HashMap::new(),
         };
-        for (_, job) in pending {
-            let _ = job.tx.send(Err(CloudError::ServiceUnavailable));
-        }
-        self.fail_stats_waiters();
-    }
-
-    /// Answers every outstanding `GetStats` request with
-    /// [`CloudError::ServiceUnavailable`]. Stats requests are not
-    /// resubmitted across reconnects (a snapshot of a connection that died
-    /// is not worth healing), so this runs on every link loss.
-    fn fail_stats_waiters(&self) {
-        let waiters: Vec<_> = {
-            let mut map = self.stats_waiters.lock();
-            map.drain().collect()
+        let reactor = spawn_reactor(
+            "client-reactor".into(),
+            (Arc::clone(&handle), part),
+            clients,
+            Arc::clone(&metrics),
+            Arc::clone(&stop),
+        );
+        let (dialer, redials) = mpsc::channel::<Redial>();
+        let dial_thread = {
+            let (handle, metrics) = (Arc::clone(&handle), Arc::clone(&metrics));
+            std::thread::Builder::new()
+                .name("client-dialer".into())
+                .spawn(move || {
+                    for (token, addrs, timeout) in redials {
+                        let linked = dial(&addrs, timeout).ok();
+                        let work = Box::new(move |s: &mut Session, r: &mut Reactor| {
+                            s.linked(linked, r);
+                        });
+                        handle.enqueue(Command::Run(token, work), &metrics);
+                    }
+                })
+                .expect("spawn client dialer")
         };
-        for (_, tx) in waiters {
-            let _ = tx.send(Err(CloudError::ServiceUnavailable));
+        Ok(Runtime {
+            handle,
+            metrics,
+            dialer,
+            stop,
+            threads: vec![reactor, dial_thread],
+            next_token: AtomicU64::new(0),
+        })
+    }
+}
+
+/// The client loop's tier: every client session of the process, by token.
+struct Clients {
+    sessions: HashMap<u64, Session>,
+}
+
+impl Tier for Clients {
+    type Item = Command;
+
+    fn io(&mut self, r: &mut Reactor, token: u64, readable: bool, writable: bool) {
+        if let Some(session) = self.sessions.get_mut(&(token & !LINK)) {
+            link::io(session, readable, writable, &mut r.poller, &mut r.wheel);
         }
     }
 
-    /// A link of `generation` stopped working. In reconnect mode this
-    /// hands the incident to the supervisor; otherwise it ends the session.
-    fn link_down(&self, generation: u64) {
-        if self.is_closed() {
-            return;
-        }
-        match &self.supervisor {
-            Some(tx) => {
-                let _ = tx.send(SupervisorMsg::LinkDown { generation });
+    fn adopt(&mut self, r: &mut Reactor, command: Command, _stopped: bool) {
+        match command {
+            Command::Open(token, mut session, stream) => {
+                session.linked(Some(stream), r);
+                self.sessions.insert(token, *session);
             }
-            None => self.fail_pending(),
-        }
-    }
-
-    /// Routes one reply. In reconnect mode, retryable outcomes
-    /// (`RateLimited` with its honest `retry_after`, and the
-    /// `ServiceUnavailable` a failing-over proxy answers with) are turned
-    /// into scheduled resubmissions while the job still has budget.
-    fn handle_reply(&self, id: u64, result: Result<JobResult, CloudError>) {
-        let retry_delay = match (&self.supervisor, &result) {
-            (Some(_), Err(e @ CloudError::RateLimited { .. })) => e.retry_after(),
-            (Some(_), Err(CloudError::ServiceUnavailable)) => Some(
-                self.config
-                    .reconnect
-                    .as_ref()
-                    .map(|p| p.base)
-                    .unwrap_or(Duration::from_millis(50)),
-            ),
-            _ => None,
-        };
-        if let (Some(delay), Some(tx)) = (retry_delay, &self.supervisor) {
-            let mut pending = self.pending.lock();
-            if let Some(job) = pending.get_mut(&id) {
-                if job.resubmits_left > 0 && !job.cancelled && !self.is_closed() {
-                    job.resubmits_left -= 1;
-                    let at = Instant::now() + delay;
-                    job.not_before = Some(at);
-                    drop(pending);
-                    self.retries_scheduled.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(SupervisorMsg::RetryAt { id, at });
-                    return;
+            Command::Run(token, work) => {
+                if let Some(session) = self.sessions.get_mut(&token).filter(|s| !s.ended) {
+                    work(session, r);
                 }
             }
         }
-        let job = self.pending.lock().remove(&id);
-        if let Some(job) = job {
-            // The submit-to-reply round trip: the first of the three tiers a
-            // trace id is visible at.
-            self.telemetry.record_round_trip(
-                Stage::Rpc,
-                job.trace,
-                id,
-                job.sent_at,
-                result.is_ok(),
-            );
-            let _ = job.tx.send(result);
+    }
+
+    /// On stop, every session still open ends.
+    fn round(&mut self, r: &mut Reactor, stopped: bool) {
+        if stopped {
+            for session in self.sessions.values_mut() {
+                session.end(CloudError::ServiceUnavailable, &mut r.poller);
+            }
         }
     }
 
-    /// Routes one mid-job progress frame to its pending handle. A miss is
-    /// benign: the frame raced the reply that retired the entry.
-    fn handle_progress(&self, id: u64, update: ProgressUpdate) {
-        let pending = self.pending.lock();
-        if let Some(job) = pending.get(&id) {
-            let _ = job.progress_tx.send(update);
+    fn timer(&mut self, r: &mut Reactor, fired: Fired) {
+        if let Some(session) = self.sessions.get_mut(&(fired.token & !LINK)) {
+            session.due(fired.generation, r);
         }
+    }
+
+    fn reap(&mut self) -> bool {
+        self.sessions.retain(|_, session| !session.ended);
+        self.sessions.is_empty()
+    }
+}
+
+/// One client's session on the loop: its link, in the client's role.
+struct Session {
+    token: u64,
+    up: Uplink<Waiter>,
+    state: Arc<State>,
+    addrs: Arc<[SocketAddr]>,
+    dialer: mpsc::Sender<Redial>,
+    /// Until the first `Welcome`: where `connect` waits for it.
+    welcome: Option<Sender<Result<Welcome, CloudError>>>,
+    /// `GetStats` requests in flight on the link.
+    stats: HashMap<u64, Sender<Result<ServiceStats, CloudError>>>,
+    /// Jobs waiting out a `retry_after` (or a retry backoff) on `retries`.
+    delayed: HashMap<u64, Job<Waiter>>,
+    retries: RetryQueue,
+    /// The redial backoff, given a reconnect policy.
+    jitter: Option<DecorrelatedJitter>,
+    /// Failed dials since the last welcomed link.
+    attempts: usize,
+    /// When the next redial is due.
+    redial_at: Option<Instant>,
+    ended: bool,
+}
+
+impl Role for Session {
+    type Job = Waiter;
+
+    fn up(&mut self) -> &mut Uplink<Waiter> {
+        &mut self.up
+    }
+
+    /// `connect` returns, or — the link was a reconnect — its tallies move.
+    fn welcomed(
+        &mut self,
+        welcome: Welcome,
+        resubmitted: usize,
+        _: &mut Poller,
+        w: &mut TimerWheel,
+    ) {
+        match self.welcome.take() {
+            Some(connect) => {
+                let _ = connect.send(Ok(welcome));
+            }
+            None => {
+                self.state.reconnects.fetch_add(1, Ordering::Relaxed);
+                let resubmitted = resubmitted as u64;
+                self.state
+                    .jobs_resubmitted
+                    .fetch_add(resubmitted, Ordering::Relaxed);
+            }
+        }
+        self.attempts = 0;
+        if let Some(jitter) = &mut self.jitter {
+            jitter.reset();
+        }
+        self.arm(w);
+    }
+
+    fn heard(&mut self, frame: Frame, _: &mut Poller, w: &mut TimerWheel) -> bool {
+        match frame {
+            // The echoed trace id (when present) is the one minted at
+            // submit; the job already holds it.
+            Frame::Reply {
+                request_id, result, ..
+            } => {
+                if let Some(job) = self.up.jobs.remove(&request_id) {
+                    self.answer(request_id, job, result, w);
+                }
+            }
+            // A miss is benign: the frame raced the reply that retired the
+            // job.
+            Frame::Progress { request_id, update } => {
+                if let Some(job) = self.up.jobs.get(&request_id) {
+                    let _ = job.role.progress_tx.send(update);
+                }
+            }
+            Frame::Stats { request_id, body } => {
+                if let Some(tx) = self.stats.remove(&request_id) {
+                    let _ = tx.send(body.and_then(ServiceStats::from_bytes));
+                }
+            }
+            Frame::Pong { .. } => {}
+            _ => return false,
+        }
+        true
+    }
+
+    fn lost(&mut self, link: Link, cause: CloudError, p: &mut Poller, w: &mut TimerWheel) {
+        self.relink(link.version != 0, cause, p, w);
+    }
+}
+
+impl Session {
+    /// A connection to greet, or `None`: the dial failed.
+    fn linked(&mut self, dialed: Option<(TcpStream, String)>, r: &mut Reactor) {
+        let (poller, wheel) = (&mut r.poller, &mut r.wheel);
+        if dialed.is_some_and(|dialed| self.up.connect(dialed, poller, wheel)) {
+            link::flush(self, poller, wheel);
+        } else {
+            let cause = CloudError::Transport("connect failed".into());
+            self.relink(false, cause, poller, wheel);
+        }
+    }
+
+    /// Routes one reply to its handle. In reconnect mode a retryable one
+    /// (`RateLimited` with its honest `retry_after`, and the
+    /// `ServiceUnavailable` a failing-over proxy answers with) makes the job
+    /// wait and go again instead, while it has budget.
+    fn answer(
+        &mut self,
+        id: u64,
+        mut job: Job<Waiter>,
+        result: Result<JobResult, CloudError>,
+        wheel: &mut TimerWheel,
+    ) {
+        let delay = match (&self.up.config.reconnect, &result) {
+            (Some(_), Err(e @ CloudError::RateLimited { .. })) => e.retry_after(),
+            (Some(policy), Err(CloudError::ServiceUnavailable)) => Some(policy.base),
+            _ => None,
+        };
+        match delay {
+            Some(delay) if job.role.resubmits_left > 0 && !job.role.cancelled => {
+                job.role.resubmits_left -= 1;
+                self.state.retries_scheduled.fetch_add(1, Ordering::Relaxed);
+                self.retries.schedule(id, Instant::now() + delay);
+                self.delayed.insert(id, job);
+                self.arm(wheel);
+            }
+            _ => {
+                // The submit-to-reply round trip: the first of the three
+                // tiers a trace id is visible at.
+                self.state.telemetry.record_round_trip(
+                    Stage::Rpc,
+                    job.trace,
+                    id,
+                    job.sent_at,
+                    result.is_ok(),
+                );
+                let _ = job.role.tx.send(result);
+            }
+        }
+    }
+
+    /// Arms the link's deadline together with the session's own: its next
+    /// redial and its next retry.
+    fn arm(&mut self, wheel: &mut TimerWheel) {
+        self.up.wake_at = self
+            .redial_at
+            .into_iter()
+            .chain(self.retries.next_due())
+            .min();
+        self.up.schedule(wheel);
+    }
+
+    /// The session's deadline fired: the link's first, then a redial and
+    /// the retries that fell due — each queued now if the link is welcomed,
+    /// or riding the next link's resubmission.
+    fn due(&mut self, generation: u64, r: &mut Reactor) {
+        if !link::fired(self, generation, &mut r.poller, &mut r.wheel) {
+            return;
+        }
+        let now = Instant::now();
+        if self.redial_at.is_some_and(|at| at <= now) {
+            self.redial();
+        }
+        for id in self.retries.pop_due(now) {
+            if let Some(job) = self.delayed.remove(&id) {
+                if self.up.version() != 0 {
+                    self.state.jobs_resubmitted.fetch_add(1, Ordering::Relaxed);
+                }
+                self.up.retain(id, job, &mut r.wheel);
+            }
+        }
+        self.arm(&mut r.wheel);
+        link::flush(self, &mut r.poller, &mut r.wheel);
+    }
+
+    fn redial(&mut self) {
+        self.redial_at = None;
+        let timeout = self.up.config.connect_timeout;
+        let _ = self
+            .dialer
+            .send((self.token, Arc::clone(&self.addrs), timeout));
+    }
+
+    /// After a lost link or a failed dial: stats requests are answered
+    /// `ServiceUnavailable` and cancelled jobs `Cancelled` — never sent
+    /// again. Without a reconnect policy the session then ends; with one it
+    /// re-dials, at once after a welcomed link and after a backoff after a
+    /// failed dial, until the dial budget runs out.
+    fn relink(&mut self, welcomed: bool, cause: CloudError, p: &mut Poller, w: &mut TimerWheel) {
+        self.stats.clear();
+        self.up.jobs.retain(|_, job| {
+            if job.role.cancelled {
+                let _ = job.role.tx.send(Err(CloudError::Cancelled));
+            }
+            !job.role.cancelled
+        });
+        let (Some(policy), Some(jitter), None) =
+            (&self.up.config.reconnect, &mut self.jitter, &self.welcome)
+        else {
+            return self.end(cause, p);
+        };
+        if welcomed {
+            self.redial();
+        } else {
+            self.attempts += 1;
+            if policy.max_dial_attempts > 0 && self.attempts >= policy.max_dial_attempts {
+                return self.end(cause, p);
+            }
+            self.redial_at = Some(Instant::now() + jitter.next_delay());
+        }
+        self.arm(w);
+    }
+
+    /// The session is over: its link closes, and everything still waiting
+    /// is answered — a `connect` with `cause`, the rest, dropped,
+    /// `ServiceUnavailable`.
+    fn end(&mut self, cause: CloudError, poller: &mut Poller) {
+        self.ended = true;
+        self.state.closed.store(true, Ordering::SeqCst);
+        self.up.close(poller);
+        if let Some(connect) = self.welcome.take() {
+            let _ = connect.send(Err(cause));
+        }
+        self.up.jobs.clear();
+        self.delayed.clear();
+        self.stats.clear();
+    }
+
+    fn submit(&mut self, id: u64, job: Job<Waiter>, r: &mut Reactor) {
+        self.up.retain(id, job, &mut r.wheel);
+        link::flush(self, &mut r.poller, &mut r.wheel);
     }
 
     /// Marks job `id` cancelled and (best effort) tells the server. The
-    /// Cancel frame is a protocol-v2 extension; against a v1 server the
-    /// local mark still blocks client-side revival, but the server runs
-    /// the job to completion and the handle sees its ordinary outcome.
-    fn cancel_job(&self, id: u64) {
-        {
-            let mut pending = self.pending.lock();
-            match pending.get_mut(&id) {
-                Some(job) => job.cancelled = true,
-                None => return, // already answered
-            }
-        }
-        if self.version < 2 {
-            return;
-        }
-        let Some(conn) = self.conn.lock().clone() else {
-            return; // link down: the reconnect path settles the job
-        };
-        let written = {
-            let mut w = conn.writer.lock();
-            write_frame(&mut *w, &Frame::Cancel { request_id: id })
-        };
-        match written {
-            Ok(_) => *conn.last_write.lock() = Instant::now(),
-            Err(_) => self.link_down(conn.generation),
-        }
-    }
-
-    /// Writes job `id`'s Submit frame to `conn`, the payload straight from
-    /// the caller's buffer. The wire cap is the smaller of the server's
-    /// advertised limit and what a `u32` length prefix can carry at all:
-    /// an oversized job is refused here, nothing written, rather than left
-    /// to kill the shared connection.
-    fn write_submit(&self, conn: &Conn, id: u64, payload: &Bytes, trace: TraceId) -> SubmitWrite {
-        let frame = Frame::Submit {
-            request_id: id,
-            payload: payload.clone(),
-            // The trace rides the frame only toward a v2 server.
-            trace: (self.version >= 2 && !trace.is_none()).then_some(trace),
-        };
-        let chunks = match frame.wire_chunks() {
-            Ok(chunks) => chunks,
-            Err(e) => return SubmitWrite::Refused(CloudError::Transport(e.to_string())),
-        };
-        let body_len = chunks.iter().map(Bytes::len).sum::<usize>() - 4;
-        if body_len > conn.max_frame_len {
-            return SubmitWrite::Refused(CloudError::Transport(format!(
-                "job frame of {body_len} bytes exceeds the connection's cap of {} bytes",
-                conn.max_frame_len
-            )));
-        }
-        match frame::write_chunks(&mut *conn.writer.lock(), &chunks) {
-            Ok(_) => {
-                *conn.last_write.lock() = Instant::now();
-                SubmitWrite::Sent
-            }
-            Err(e) => SubmitWrite::LinkBroke(e),
-        }
-    }
-
-    /// Rewrites one pending job's Submit frame to `conn`. Returns `false`
-    /// when the link broke (and reports it), `true` otherwise — including
-    /// the job-local failure of an oversized payload, which is answered on
-    /// its own handle without condemning the link.
-    fn write_pending(&self, conn: &Conn, id: u64, payload: &Bytes, trace: TraceId) -> bool {
-        match self.write_submit(conn, id, payload, trace) {
-            SubmitWrite::Sent => {
-                if let Some(job) = self.pending.lock().get_mut(&id) {
-                    job.sent_at = Instant::now();
+    /// `Cancel` frame is a protocol-v2 extension: against a v1 server the
+    /// job runs to completion and its handle sees its ordinary outcome. A
+    /// job no link carries right now is settled at once.
+    fn cancel(&mut self, id: u64, r: &mut Reactor) {
+        let version = self.up.version();
+        let settled = match self.delayed.remove(&id) {
+            None if version == 0 => self.up.jobs.remove(&id),
+            None => {
+                if let Some(job) = self.up.jobs.get_mut(&id) {
+                    job.role.cancelled = true;
+                    if version >= 2 && self.up.send(&Frame::Cancel { request_id: id }) {
+                        link::flush(self, &mut r.poller, &mut r.wheel);
+                    }
                 }
-                true
+                None
             }
-            SubmitWrite::Refused(e) => {
-                if let Some(job) = self.pending.lock().remove(&id) {
-                    let _ = job.tx.send(Err(e));
-                }
-                true
-            }
-            SubmitWrite::LinkBroke(_) => {
-                self.link_down(conn.generation);
-                false
-            }
+            delayed => delayed,
+        };
+        if let Some(job) = settled {
+            let _ = job.role.tx.send(Err(CloudError::Cancelled));
         }
+    }
+
+    /// Asks the server for its stats on the welcomed link; with none, the
+    /// answer is `ServiceUnavailable` at once.
+    fn fetch_stats(
+        &mut self,
+        id: u64,
+        tx: Sender<Result<ServiceStats, CloudError>>,
+        r: &mut Reactor,
+    ) {
+        if self.up.send(&Frame::GetStats { request_id: id }) {
+            self.stats.insert(id, tx);
+            link::flush(self, &mut r.poller, &mut r.wheel);
+        }
+    }
+
+    /// `close()` says `Goodbye` (best effort) before the end; a dropped
+    /// client just ends, and the server sees its peer gone.
+    fn close(&mut self, goodbye: bool, r: &mut Reactor) {
+        if goodbye && self.up.send(&Frame::Goodbye) {
+            link::flush(self, &mut r.poller, &mut r.wheel);
+        }
+        self.end(CloudError::ServiceUnavailable, &mut r.poller);
     }
 }
 
-/// How writing one Submit frame ended.
-enum SubmitWrite {
-    Sent,
-    /// This connection cannot carry the job (over its frame cap); nothing
-    /// was written and the link is fine.
-    Refused(CloudError),
-    LinkBroke(std::io::Error),
-}
-
-impl Drop for ClientShared {
-    fn drop(&mut self) {
-        // Unblocks the reader (it holds only a `Weak` to this state) and
-        // lets the keep-alive and supervisor threads retire on their next
-        // tick.
-        self.closed.store(true, Ordering::SeqCst);
-        if let Some(conn) = self.conn.lock().take() {
-            let _ = conn.writer.lock().shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Dials `addrs` in order — each attempt bounded by
-/// [`TransportConfig::connect_timeout`] — and performs the handshake on
-/// the first address that accepts the TCP connection.
-fn dial(
-    addrs: &[SocketAddr],
-    config: &TransportConfig,
-) -> Result<(TcpStream, u32, u32, u64), CloudError> {
+/// Dials `addrs` in order, each attempt bounded by `timeout`: the first
+/// connection made, and the address it went to.
+fn dial(addrs: &[SocketAddr], timeout: Duration) -> Result<(TcpStream, String), CloudError> {
     let mut last_err = CloudError::Transport("no address to connect to".into());
     for addr in addrs {
-        match TcpStream::connect_timeout(addr, config.connect_timeout) {
-            Ok(stream) => {
-                let (version, max_in_flight, max_frame_len) = handshake(&stream, config)?;
-                let _ = stream.set_read_timeout(None);
-                return Ok((stream, version, max_in_flight, max_frame_len));
-            }
+        match TcpStream::connect_timeout(addr, timeout) {
+            Ok(stream) => return Ok((stream, addr.to_string())),
             Err(e) => last_err = CloudError::Transport(format!("connect to {addr} failed: {e}")),
         }
     }
     Err(last_err)
 }
 
-/// The client role's half of the handshake, on a socket that has just
-/// connected: `Hello` (with `config.api_key`) out, `Welcome` in. Used by
-/// [`RemoteCloudClient`] and by a routing tier's health probes; a relay's
-/// backend links speak the same two frames from their reactor (`hello`
-/// and `welcomed` below).
+/// The client role's half of the handshake on a blocking socket that has
+/// just connected: `Hello` (with `config.api_key`) out, `Welcome` in. A
+/// routing tier's health probes use it; links speak the same two frames
+/// from their reactor (`hello` and `welcomed` below).
 ///
 /// Sets `TCP_NODELAY`, and leaves `config.handshake_timeout` as the socket's
 /// read timeout and `config.write_timeout` as its write timeout — a peer
-/// that stops reading must not wedge a writer forever; a timed-out write
-/// marks the connection broken (symmetric with the server's session policy).
+/// that stops reading must not wedge a writer forever.
 ///
 /// Returns what the `Welcome` negotiated: `(version, max_in_flight,
 /// max_frame_len)`.
@@ -407,8 +608,8 @@ pub(super) fn hello(api_key: Option<String>) -> Frame {
 }
 
 /// The client role's reading of the answer to its `Hello`: what a `Welcome`
-/// negotiated, `(version, max_in_flight, max_frame_len)`, or why not.
-pub(super) fn welcomed(frame: Frame) -> Result<(u32, u32, u64), CloudError> {
+/// negotiated, or why not.
+pub(super) fn welcomed(frame: Frame) -> Result<Welcome, CloudError> {
     match frame {
         Frame::Welcome {
             version,
@@ -435,6 +636,9 @@ impl RemoteCloudClient {
 
     /// [`connect`](Self::connect) with explicit tunables (API key,
     /// keep-alive cadence, frame cap, connect deadline, reconnect policy).
+    /// The TCP connect blocks the caller (bounded by
+    /// [`TransportConfig::connect_timeout`]); the handshake runs on the
+    /// client loop, and the caller waits for its outcome.
     ///
     /// # Errors
     ///
@@ -444,59 +648,67 @@ impl RemoteCloudClient {
         addr: impl ToSocketAddrs,
         config: TransportConfig,
     ) -> Result<RemoteCloudClient, CloudError> {
-        let addrs: Vec<SocketAddr> = addr
+        let addrs: Arc<[SocketAddr]> = addr
             .to_socket_addrs()
             .map_err(|e| CloudError::Transport(format!("address resolution failed: {e}")))?
             .collect();
         if addrs.is_empty() {
             return Err(CloudError::Transport("address resolved to nothing".into()));
         }
-        let (stream, version, max_in_flight, server_max_frame_len) = dial(&addrs, &config)?;
-        let read_half = stream
-            .try_clone()
-            .map_err(|e| CloudError::Transport(format!("socket clone failed: {e}")))?;
+        let (stream, peer) = dial(&addrs, config.connect_timeout)?;
         let keepalive_seed = stream
             .local_addr()
             .map(|a| u64::from(a.port()))
             .unwrap_or(0);
-        let conn = Arc::new(Conn {
-            writer: Mutex::new(stream),
-            last_write: Mutex::new(Instant::now()),
-            generation: 0,
-            max_frame_len: usize::try_from(server_max_frame_len).unwrap_or(usize::MAX),
-        });
-        let (supervisor, supervisor_rx) = match config.reconnect {
-            Some(_) => {
-                let (tx, rx) = unbounded();
-                (Some(tx), Some(rx))
-            }
-            None => (None, None),
-        };
-        let max_frame_len = config.max_frame_len;
         let keepalive_interval = jittered_interval(config.keepalive_interval, keepalive_seed);
-        let shared = Arc::new(ClientShared {
-            config,
-            addrs,
-            conn: Mutex::new(Some(conn)),
-            generation: AtomicU64::new(0),
-            pending: Mutex::new(HashMap::new()),
-            stats_waiters: Mutex::new(HashMap::new()),
+        let max_resubmits = config.reconnect.as_ref().map_or(0, |p| p.max_resubmits);
+        let state = Arc::new(State {
             telemetry: Telemetry::new(&TelemetryConfig::default()),
-            next_request: AtomicU64::new(0),
             closed: AtomicBool::new(false),
-            version,
-            server_max_in_flight: max_in_flight as usize,
-            supervisor,
             reconnects: AtomicU64::new(0),
             jobs_resubmitted: AtomicU64::new(0),
             retries_scheduled: AtomicU64::new(0),
         });
-        spawn_reader(Arc::downgrade(&shared), read_half, max_frame_len, 0);
-        spawn_keepalive(Arc::downgrade(&shared), keepalive_interval);
-        if let Some(rx) = supervisor_rx {
-            spawn_supervisor(Arc::downgrade(&shared), rx);
-        }
-        Ok(RemoteCloudClient { shared })
+        let runtime = Runtime::get()?;
+        let token = runtime.next_token.fetch_add(1, Ordering::Relaxed);
+        let (welcome, welcomed) = unbounded();
+        let config = TransportConfig {
+            keepalive_interval,
+            ..config
+        };
+        let metrics = Arc::clone(&runtime.metrics);
+        let session = Session {
+            token,
+            jitter: config.reconnect.as_ref().map(ReconnectPolicy::jitter),
+            up: Uplink::new(token, config, None, metrics),
+            state: Arc::clone(&state),
+            addrs,
+            dialer: runtime.dialer.clone(),
+            welcome: Some(welcome),
+            stats: HashMap::new(),
+            delayed: HashMap::new(),
+            retries: RetryQueue::new(),
+            attempts: 0,
+            redial_at: None,
+            ended: false,
+        };
+        let open = Command::Open(token, Box::new(session), (stream, peer));
+        runtime.handle.enqueue(open, &runtime.metrics);
+        let (version, max_in_flight, max_frame_len) = welcomed
+            .recv()
+            .map_err(|_| CloudError::ServiceUnavailable)??;
+        Ok(RemoteCloudClient {
+            shared: Arc::new(ClientShared {
+                runtime,
+                token,
+                state,
+                next_request: AtomicU64::new(0),
+                version,
+                server_max_in_flight: max_in_flight as usize,
+                max_frame_len: usize::try_from(max_frame_len).unwrap_or(usize::MAX),
+                max_resubmits,
+            }),
+        })
     }
 
     /// The protocol version negotiated at the handshake.
@@ -512,11 +724,12 @@ impl RemoteCloudClient {
     /// This client's self-healing tallies (all zero without a
     /// [`ReconnectPolicy`]) plus its submit-to-reply round-trip histogram.
     pub fn stats(&self) -> ClientStats {
+        let state = &self.shared.state;
         ClientStats {
-            reconnects: self.shared.reconnects.load(Ordering::Relaxed),
-            jobs_resubmitted: self.shared.jobs_resubmitted.load(Ordering::Relaxed),
-            retries_scheduled: self.shared.retries_scheduled.load(Ordering::Relaxed),
-            rtt: self.shared.telemetry.hist(Stage::Rpc).snapshot(),
+            reconnects: state.reconnects.load(Ordering::Relaxed),
+            jobs_resubmitted: state.jobs_resubmitted.load(Ordering::Relaxed),
+            retries_scheduled: state.retries_scheduled.load(Ordering::Relaxed),
+            rtt: state.telemetry.hist(Stage::Rpc).snapshot(),
         }
     }
 
@@ -524,7 +737,7 @@ impl RemoteCloudClient {
     /// histogram and a flight recorder holding this tier's view of every
     /// answered trace (look a job up by the trace id the server echoed).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.shared.telemetry
+        &self.shared.state.telemetry
     }
 
     /// Fetches the **server's** full [`ServiceStats`] snapshot over this
@@ -539,7 +752,7 @@ impl RemoteCloudClient {
     /// surface ([`CloudError::ServiceUnavailable`] on a dead session).
     pub fn fetch_stats(&self) -> Result<ServiceStats, CloudError> {
         let shared = &*self.shared;
-        if shared.is_closed() {
+        if shared.state.closed.load(Ordering::SeqCst) {
             return Err(CloudError::ServiceUnavailable);
         }
         if shared.version < 2 {
@@ -549,25 +762,9 @@ impl RemoteCloudClient {
         }
         let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
-        shared.stats_waiters.lock().insert(id, tx);
-        let Some(conn) = shared.conn.lock().clone() else {
-            shared.stats_waiters.lock().remove(&id);
-            return Err(CloudError::ServiceUnavailable);
-        };
-        let written = {
-            let mut w = conn.writer.lock();
-            write_frame(&mut *w, &Frame::GetStats { request_id: id })
-        };
-        match written {
-            Ok(_) => *conn.last_write.lock() = Instant::now(),
-            Err(e) => {
-                shared.stats_waiters.lock().remove(&id);
-                shared.link_down(conn.generation);
-                return Err(CloudError::Transport(format!(
-                    "stats request write failed: {e}"
-                )));
-            }
-        }
+        shared
+            .runtime
+            .run(shared.token, move |s, r| s.fetch_stats(id, tx, r));
         rx.recv().map_err(|_| CloudError::ServiceUnavailable)?
     }
 
@@ -576,8 +773,9 @@ impl RemoteCloudClient {
     ///
     /// # Errors
     ///
-    /// Returns [`CloudError::Transport`] if the connection is broken and
-    /// [`CloudError::ServiceUnavailable`] if it was already closed.
+    /// Returns [`CloudError::Transport`] if the job is too big for the
+    /// connection and [`CloudError::ServiceUnavailable`] if the session has
+    /// ended.
     pub fn submit(&self, job: &CloudJob) -> Result<RemoteJobHandle, CloudError> {
         self.submit_payload(job.to_bytes())
     }
@@ -585,85 +783,64 @@ impl RemoteCloudClient {
     /// Uploads an already-serialized payload.
     ///
     /// In reconnect mode a submit while the link is down still succeeds:
-    /// the job parks as pending and rides the next reconnect's
-    /// resubmission.
+    /// the job waits as pending and rides the next link's resubmission.
     ///
     /// # Errors
     ///
     /// Same surface as [`submit`](Self::submit).
     pub fn submit_payload(&self, payload: Bytes) -> Result<RemoteJobHandle, CloudError> {
         let shared = &*self.shared;
-        if shared.is_closed() {
+        if shared.state.closed.load(Ordering::SeqCst) {
             return Err(CloudError::ServiceUnavailable);
         }
         let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
-        let reconnecting = shared.supervisor.is_some();
         // Mint the end-to-end trace id here — the submit instant is the
         // root of the trace. It rides the frame's trace extension when the
         // server speaks v2; against a v1 server it still names this
         // client's own span of the job.
-        let trace = if shared.telemetry.enabled() {
+        let trace = if shared.state.telemetry.enabled() {
             TraceId::mint()
         } else {
             TraceId::NONE
         };
+        // The wire cap is the smaller of the server's advertised limit and
+        // what a `u32` length prefix can carry at all: an oversized job is
+        // refused here, nothing sent, rather than left to kill the shared
+        // connection.
+        let frame = Frame::Submit {
+            request_id: id,
+            payload: payload.clone(),
+            trace: (shared.version >= 2 && !trace.is_none()).then_some(trace),
+        };
+        let chunks = frame
+            .wire_chunks()
+            .map_err(|e| CloudError::Transport(e.to_string()))?;
+        let body_len = chunks.iter().map(Bytes::len).sum::<usize>() - 4;
+        if body_len > shared.max_frame_len {
+            return Err(CloudError::Transport(format!(
+                "job frame of {body_len} bytes exceeds the connection's cap of {} bytes",
+                shared.max_frame_len
+            )));
+        }
         let (tx, rx) = unbounded();
         let (progress_tx, progress_rx) = unbounded();
-        // The payload is retained (a cheap refcount clone) so the
-        // supervisor can resubmit it verbatim; without a policy it is
-        // dropped with the entry when the reply lands.
-        shared.pending.lock().insert(
-            id,
-            PendingJob {
-                tx,
-                progress_tx,
-                cancelled: false,
-                payload: payload.clone(),
-                trace,
-                sent_at: Instant::now(),
-                resubmits_left: shared
-                    .config
-                    .reconnect
-                    .as_ref()
-                    .map(|p| p.max_resubmits)
-                    .unwrap_or(0),
-                not_before: None,
-            },
-        );
-        let conn = shared.conn.lock().clone();
-        match conn {
-            Some(conn) => match shared.write_submit(&conn, id, &payload, trace) {
-                SubmitWrite::Sent => {}
-                SubmitWrite::Refused(e) => {
-                    shared.pending.lock().remove(&id);
-                    return Err(e);
-                }
-                // The job stays pending; the supervisor resubmits it once
-                // the link is back.
-                SubmitWrite::LinkBroke(_) if reconnecting => shared.link_down(conn.generation),
-                SubmitWrite::LinkBroke(e) => {
-                    shared.pending.lock().remove(&id);
-                    shared.fail_pending();
-                    return Err(CloudError::Transport(format!("submit write failed: {e}")));
-                }
-            },
-            // Link down right now. Self-healing clients park the job for
-            // the reconnect's resubmission sweep; fail-fast clients can
-            // only get here racing `close()`, which answers the entry.
-            None => {
-                if !reconnecting {
-                    shared.pending.lock().remove(&id);
-                    return Err(CloudError::ServiceUnavailable);
-                }
-            }
-        }
-        if shared.is_closed() {
-            // The session closed between our first check and the write.
-            // Either `fail_pending` already answered this entry (rx holds
-            // an error), or we remove it here — both ways no handle hangs.
-            shared.pending.lock().remove(&id);
-            return Err(CloudError::ServiceUnavailable);
-        }
+        // The payload is retained (a refcount) until the reply, to be sent
+        // again after a reconnect or a scheduled retry.
+        let waiter = Waiter {
+            tx,
+            progress_tx,
+            cancelled: false,
+            resubmits_left: shared.max_resubmits,
+        };
+        let job = Job {
+            payload,
+            trace,
+            sent_at: Instant::now(),
+            role: waiter,
+        };
+        shared
+            .runtime
+            .run(shared.token, move |s, r| s.submit(id, job, r));
         Ok(RemoteJobHandle {
             id,
             rx,
@@ -684,70 +861,26 @@ impl RemoteCloudClient {
     }
 
     /// Polite hang-up: sends `Goodbye`, closes the socket, and answers any
-    /// still-pending handles with [`CloudError::ServiceUnavailable`].
+    /// still-pending handles with [`CloudError::ServiceUnavailable`] before
+    /// it returns.
     pub fn close(self) {
-        let shared = &*self.shared;
-        if !shared.closed.swap(true, Ordering::SeqCst) {
-            if let Some(conn) = &*shared.conn.lock() {
-                let mut w = conn.writer.lock();
-                let _ = write_frame(&mut *w, &Frame::Goodbye);
-                let _ = w.shutdown(Shutdown::Both);
-            }
-        }
-        shared.fail_pending();
+        let (done, closed) = unbounded::<()>();
+        self.shared.state.closed.store(true, Ordering::SeqCst);
+        self.shared.runtime.run(self.shared.token, move |s, r| {
+            s.close(true, r);
+            drop(done);
+        });
+        let _ = closed.recv();
     }
 }
 
-/// Routes replies to their pending handles until this connection ends.
-fn spawn_reader(
-    weak: Weak<ClientShared>,
-    mut stream: TcpStream,
-    max_frame_len: usize,
-    generation: u64,
-) {
-    std::thread::Builder::new()
-        .name("cloud-remote-reader".into())
-        .spawn(move || loop {
-            match read_frame_blocking(&mut stream, max_frame_len, FrameOrigin::Server) {
-                // The echoed trace id (when present) matches the one this
-                // client minted at submit; the pending entry already holds
-                // it, so the tail needs no routing of its own.
-                Ok(Some((
-                    Frame::Reply {
-                        request_id,
-                        result,
-                        trace: _,
-                    },
-                    _,
-                ))) => {
-                    let Some(shared) = weak.upgrade() else { return };
-                    shared.handle_reply(request_id, result);
-                }
-                Ok(Some((Frame::Stats { request_id, body }, _))) => {
-                    let Some(shared) = weak.upgrade() else { return };
-                    let waiter = shared.stats_waiters.lock().remove(&request_id);
-                    if let Some(tx) = waiter {
-                        let _ = tx.send(body.and_then(ServiceStats::from_bytes));
-                    }
-                }
-                Ok(Some((Frame::Progress { request_id, update }, _))) => {
-                    let Some(shared) = weak.upgrade() else { return };
-                    shared.handle_progress(request_id, update);
-                }
-                Ok(Some((Frame::Pong { .. }, _))) => {}
-                // Anything else from the server — or EOF, or a transport/
-                // decode error — ends this connection (not necessarily the
-                // session: with a reconnect policy the supervisor takes
-                // over).
-                Ok(Some(_)) | Ok(None) | Err(_) => {
-                    if let Some(shared) = weak.upgrade() {
-                        shared.link_down(generation);
-                    }
-                    return;
-                }
-            }
-        })
-        .expect("spawn remote reader");
+impl Drop for ClientShared {
+    /// The last clone is gone: the session ends without a `Goodbye` (the
+    /// server sees its peer gone and abandons what it was running), and
+    /// the lease, dropped next, joins the client loop if it was the last.
+    fn drop(&mut self) {
+        self.runtime.run(self.token, |s, r| s.close(false, r));
+    }
 }
 
 /// De-synchronizes keep-alives across a fleet of clients. A batch of
@@ -766,225 +899,6 @@ fn jittered_interval(interval: Duration, seed: u64) -> Duration {
     z ^= z >> 31;
     let frac = (z >> 11) as f64 / (1u64 << 53) as f64;
     interval.mul_f64(0.75 + 0.25 * frac)
-}
-
-/// Pings whenever the connection has been write-idle for a full interval.
-/// Outlives individual connections: in reconnect mode it simply skips
-/// ticks while the link is down.
-fn spawn_keepalive(weak: Weak<ClientShared>, interval: Duration) {
-    std::thread::Builder::new()
-        .name("cloud-remote-keepalive".into())
-        .spawn(move || {
-            let tick = (interval / 4).max(Duration::from_millis(10));
-            let mut nonce = 0u64;
-            loop {
-                std::thread::sleep(tick);
-                let Some(shared) = weak.upgrade() else { return };
-                if shared.is_closed() {
-                    return;
-                }
-                let Some(conn) = shared.conn.lock().clone() else {
-                    continue;
-                };
-                if conn.last_write.lock().elapsed() >= interval {
-                    nonce += 1;
-                    let sent = {
-                        let mut w = conn.writer.lock();
-                        write_frame(&mut *w, &Frame::Ping { nonce })
-                    };
-                    match sent {
-                        Ok(_) => *conn.last_write.lock() = Instant::now(),
-                        Err(_) => {
-                            shared.link_down(conn.generation);
-                            if shared.supervisor.is_none() {
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-        })
-        .expect("spawn remote keepalive");
-}
-
-/// The self-healing loop: reacts to link-down notices by re-dialing with
-/// decorrelated-jitter backoff, and fires scheduled retries when (never
-/// before) they come due.
-fn spawn_supervisor(weak: Weak<ClientShared>, rx: Receiver<SupervisorMsg>) {
-    std::thread::Builder::new()
-        .name("cloud-remote-supervisor".into())
-        .spawn(move || {
-            let policy = {
-                let Some(shared) = weak.upgrade() else { return };
-                shared
-                    .config
-                    .reconnect
-                    .clone()
-                    .expect("supervisor implies a reconnect policy")
-            };
-            let mut jitter = policy.jitter();
-            let mut retries = super::RetryQueue::new();
-            loop {
-                let timeout = retries
-                    .next_due()
-                    .map(|at| at.saturating_duration_since(Instant::now()))
-                    .unwrap_or(Duration::from_millis(500));
-                match rx.recv_timeout(timeout) {
-                    Ok(SupervisorMsg::LinkDown { generation }) => {
-                        let Some(shared) = weak.upgrade() else { return };
-                        if shared.is_closed() {
-                            return;
-                        }
-                        handle_link_down(&shared, &weak, generation, &policy, &mut jitter);
-                    }
-                    Ok(SupervisorMsg::RetryAt { id, at }) => retries.schedule(id, at),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-                let Some(shared) = weak.upgrade() else { return };
-                if shared.is_closed() {
-                    return;
-                }
-                for id in retries.pop_due(Instant::now()) {
-                    fire_retry(&shared, id);
-                }
-            }
-        })
-        .expect("spawn remote supervisor");
-}
-
-/// Empties the connection slot (if the notice isn't stale) and runs the
-/// redial loop until a new connection is installed, the dial budget runs
-/// out, or the client closes.
-fn handle_link_down(
-    shared: &Arc<ClientShared>,
-    weak: &Weak<ClientShared>,
-    generation: u64,
-    policy: &ReconnectPolicy,
-    jitter: &mut super::DecorrelatedJitter,
-) {
-    {
-        let mut slot = shared.conn.lock();
-        // Only the notice about the *current* generation empties the slot;
-        // a stale reader's death notice after a completed failover is a
-        // no-op.
-        if generation != shared.generation.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Some(conn) = slot.take() {
-            let _ = conn.writer.lock().shutdown(Shutdown::Both);
-        }
-    }
-    // Jobs heal across the redial; stats requests do not (a snapshot of a
-    // dead connection is not worth waiting a backoff for).
-    shared.fail_stats_waiters();
-    jitter.reset();
-    let mut attempts = 0usize;
-    loop {
-        if shared.is_closed() {
-            return;
-        }
-        attempts += 1;
-        let dialed = dial(&shared.addrs, &shared.config).and_then(|(stream, _, _, mfl)| {
-            let read_half = stream
-                .try_clone()
-                .map_err(|e| CloudError::Transport(format!("socket clone failed: {e}")))?;
-            Ok((stream, read_half, mfl))
-        });
-        match dialed {
-            Ok((stream, read_half, server_max_frame_len)) => {
-                let new_gen = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
-                let conn = Arc::new(Conn {
-                    writer: Mutex::new(stream),
-                    last_write: Mutex::new(Instant::now()),
-                    generation: new_gen,
-                    max_frame_len: usize::try_from(server_max_frame_len).unwrap_or(usize::MAX),
-                });
-                *shared.conn.lock() = Some(conn.clone());
-                shared.reconnects.fetch_add(1, Ordering::Relaxed);
-                spawn_reader(
-                    weak.clone(),
-                    read_half,
-                    shared.config.max_frame_len,
-                    new_gen,
-                );
-                resubmit_pending(shared, &conn);
-                return;
-            }
-            Err(_) => {
-                if policy.max_dial_attempts > 0 && attempts >= policy.max_dial_attempts {
-                    shared.fail_pending();
-                    return;
-                }
-                std::thread::sleep(jitter.next_delay());
-            }
-        }
-    }
-}
-
-/// Rewrites every pending job to a fresh connection — except jobs owned by
-/// a scheduled retry (`not_before` set), which the retry schedule will
-/// fire itself once due; rewriting those here could beat their
-/// `retry_after`.
-fn resubmit_pending(shared: &Arc<ClientShared>, conn: &Conn) {
-    // Cancelled jobs are settled, never revived: the dead link took the
-    // server's copy with it, and replaying a job the caller gave up on
-    // would only burn backend work. Their handles resolve right here.
-    let (mut ids, cancelled) = {
-        let mut pending = shared.pending.lock();
-        let dead: Vec<u64> = pending
-            .iter()
-            .filter(|(_, job)| job.cancelled)
-            .map(|(id, _)| *id)
-            .collect();
-        let cancelled: Vec<PendingJob> = dead
-            .into_iter()
-            .filter_map(|id| pending.remove(&id))
-            .collect();
-        let ids: Vec<(u64, Bytes, TraceId)> = pending
-            .iter()
-            .filter(|(_, job)| job.not_before.is_none())
-            .map(|(id, job)| (*id, job.payload.clone(), job.trace))
-            .collect();
-        (ids, cancelled)
-    };
-    for job in cancelled {
-        let _ = job.tx.send(Err(CloudError::Cancelled));
-    }
-    // Request-id order preserves the caller's submission order.
-    ids.sort_by_key(|(id, _, _)| *id);
-    for (id, payload, trace) in ids {
-        if !shared.write_pending(conn, id, &payload, trace) {
-            return;
-        }
-        shared.jobs_resubmitted.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Fires one due retry: the job gives up its `not_before` reservation and
-/// is rewritten if the link is up. If the link is down the job simply
-/// rejoins the ordinary pending set — the next reconnect resubmits it.
-fn fire_retry(shared: &Arc<ClientShared>, id: u64) {
-    let (payload, trace) = {
-        let mut pending = shared.pending.lock();
-        if pending.get(&id).is_some_and(|job| job.cancelled) {
-            let job = pending.remove(&id).expect("checked just above");
-            drop(pending);
-            let _ = job.tx.send(Err(CloudError::Cancelled));
-            return;
-        }
-        let Some(job) = pending.get_mut(&id) else {
-            return;
-        };
-        job.not_before = None;
-        (job.payload.clone(), job.trace)
-    };
-    let Some(conn) = shared.conn.lock().clone() else {
-        return;
-    };
-    if shared.write_pending(&conn, id, &payload, trace) {
-        shared.jobs_resubmitted.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// An in-flight remote job — API parity with [`crate::JobHandle`],
@@ -1041,7 +955,10 @@ impl RemoteJobHandle {
     /// completion but is never revived by reconnect or retry machinery.
     pub fn cancel(&self) {
         if let Some(shared) = self.shared.upgrade() {
-            shared.cancel_job(self.id);
+            let id = self.id;
+            shared
+                .runtime
+                .run(shared.token, move |s, r| s.cancel(id, r));
         }
     }
 

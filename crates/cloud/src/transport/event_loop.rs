@@ -30,13 +30,18 @@
 //!
 //! A connection is owned by exactly one reactor thread, so its state needs
 //! no locks. Cross-thread signals — new connections from the acceptor,
-//! backend links from a relay's dialer, completed jobs from the workers,
-//! shutdown — go through each reactor's [`ReactorShared`] inbox/ready-list
-//! plus a [`reactor::Waker`].
+//! links from a dialer, completed jobs from the workers, submissions from a
+//! remote client's callers, shutdown — go through each reactor's
+//! [`ReactorShared`] inbox/ready-list plus a [`reactor::Waker`].
 //!
-//! A connection plays the server role toward its peer. On a relay it also
-//! owns a client-role connection, its backend link, registered on the same
-//! poller (see the `relay` submodule); the two are one session's state.
+//! One loop ([`Reactor::run`]) drives two [`Tier`]s: a server's pool, whose
+//! connections play the server role (the diagram above), and the process's
+//! client loop (`transport::client`), whose connections are remote clients'
+//! links. A link is the client role: a socket this process dialed, with its
+//! `Hello`/`Welcome` exchange, its deadlines and the jobs it retains (the
+//! `link` submodule). On a relay each session owns one, its backend link,
+//! registered on the session's own reactor (the `relay` submodule), so a
+//! session and its link are one thread's state.
 //!
 //! # Backpressure
 //!
@@ -49,12 +54,13 @@
 //! the socket is torn down and remaining replies are drained without
 //! writing, so in-flight accounting still reaches zero and drain completes.
 
+pub(super) mod link;
 mod relay;
 
 use super::frame::{Frame, FrameDecoder};
 use super::server::{ServerShared, Upstream};
-use super::timer::{Fired, TimerKind, TimerWheel};
-use super::{MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use super::timer::{Fired, TimerWheel};
+use super::{TransportConfig, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 use crate::metrics::ServiceMetrics;
 use crate::middleware::SessionKey;
 use crate::protocol::JobResult;
@@ -69,7 +75,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,7 +97,7 @@ const WHEEL_TICK: Duration = Duration::from_millis(5);
 /// deadlines lap).
 const WHEEL_SLOTS: usize = 512;
 
-/// What another thread hands a reactor.
+/// What another thread hands a server reactor.
 #[derive(Debug)]
 pub(super) enum Inbound {
     /// A connection the acceptor accepted.
@@ -102,19 +108,30 @@ pub(super) enum Inbound {
     Linked(u64, Option<(TcpStream, String)>),
 }
 
-/// The cross-thread face of one reactor: everything other threads may touch.
-#[derive(Debug)]
-pub(super) struct ReactorShared {
+/// The cross-thread face of one reactor: everything other threads may
+/// touch. `T` is what its tier takes through the inbox.
+pub(super) struct ReactorShared<T> {
     waker: Waker,
     /// Handed over but not yet taken up by the reactor thread.
-    inbox: Mutex<Vec<Inbound>>,
+    inbox: Mutex<Vec<T>>,
     /// Tokens whose reply channel has pending completions.
     ready_replies: Mutex<Vec<u64>>,
+    /// Connections the acceptor dealt here and the reactor has not yet
+    /// reaped: it deals each new one to the reactor with the fewest.
+    pub(super) live: AtomicUsize,
 }
 
-impl ReactorShared {
-    /// Hands a connection or a backend link to this reactor and wakes it.
-    pub(super) fn enqueue(&self, item: Inbound, metrics: &ServiceMetrics) {
+impl<T> std::fmt::Debug for ReactorShared<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReactorShared")
+            .field("live", &self.live)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<T> ReactorShared<T> {
+    /// Hands `item` to this reactor and wakes it.
+    pub(super) fn enqueue(&self, item: T, metrics: &ServiceMetrics) {
         self.inbox.lock().push(item);
         if self.waker.wake() {
             metrics.reactor_wakeup();
@@ -142,69 +159,96 @@ impl ReactorShared {
     }
 }
 
-/// Spawns reactor `index` of `shared`'s pool as the thread `name`.
-pub(super) fn spawn_reactor(
+/// What a reactor thread serves. The loop ([`Reactor::run`]) is one; these
+/// are the points where a server's pool and the client loop differ.
+pub(super) trait Tier: Send + 'static {
+    /// What other threads hand this tier through the inbox.
+    type Item: Send + 'static;
+    /// Readiness on a token this tier registered.
+    fn io(&mut self, r: &mut Reactor, token: u64, readable: bool, writable: bool);
+    /// One item from the inbox.
+    fn adopt(&mut self, r: &mut Reactor, item: Self::Item, stopped: bool);
+    /// Runs once per round, after the inbox.
+    fn round(&mut self, r: &mut Reactor, stopped: bool);
+    /// A deadline this tier armed fell due.
+    fn timer(&mut self, r: &mut Reactor, fired: Fired);
+    /// Drops closed connections; `true` once none is left.
+    fn reap(&mut self) -> bool;
+}
+
+/// Spawns the thread `name` running `tier` on one reactor's parts; it
+/// counts into `metrics` and runs until `stop` is set and its tier is idle.
+pub(super) fn spawn_reactor<T: Tier>(
     name: String,
-    index: usize,
-    shared: Arc<ServerShared>,
-    wake_rx: WakeReceiver,
-    mut poller: Poller,
-    exporter: Option<TcpListener>,
+    (handle, (wake_rx, mut poller)): (Arc<ReactorShared<T::Item>>, ReactorPrivate),
+    tier: T,
+    metrics: Arc<ServiceMetrics>,
+    stop: Arc<AtomicBool>,
 ) -> std::thread::JoinHandle<()> {
     poller
         .register(wake_rx.fd(), WAKER_TOKEN, Interest::READABLE)
         .expect("register reactor waker");
-    shared.metrics.reactor_fd_registered();
+    metrics.reactor_fd_registered();
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            Reactor {
+                poller,
+                wake_rx,
+                metrics,
+                stop,
+                wheel: TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS),
+                next_token: 0,
+                events: Vec::new(),
+                fired: Vec::new(),
+            }
+            .run(tier, &handle)
+        })
+        .expect("spawn reactor")
+}
+
+/// Spawns reactor `index` of `shared`'s pool as the thread `name`.
+pub(super) fn spawn_server_reactor(
+    name: String,
+    index: usize,
+    shared: Arc<ServerShared>,
+    (wake_rx, mut poller): ReactorPrivate,
+    exporter: Option<TcpListener>,
+) -> std::thread::JoinHandle<()> {
     if let Some(listener) = &exporter {
         poller
             .register(listener.as_raw_fd(), EXPORTER_TOKEN, Interest::READABLE)
             .expect("register metrics exporter listener");
         shared.metrics.reactor_fd_registered();
     }
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            Reactor {
-                handle: Arc::clone(&shared.reactors[index]),
-                index,
-                shared,
-                poller,
-                wake_rx,
-                conns: HashMap::new(),
-                wheel: TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS),
-                next_token: 0,
-                events: Vec::new(),
-                fired: Vec::new(),
-                exporter,
-                http_conns: HashMap::new(),
-            }
-            .run()
-        })
-        .expect("spawn reactor")
+    let handle = Arc::clone(&shared.reactors[index]);
+    let (metrics, stop) = (Arc::clone(&shared.metrics), Arc::clone(&shared.stop));
+    let tier = Sessions {
+        handle: Arc::clone(&handle),
+        index,
+        shared,
+        conns: HashMap::new(),
+        exporter,
+        http_conns: HashMap::new(),
+    };
+    spawn_reactor(name, (handle, (wake_rx, poller)), tier, metrics, stop)
 }
 
 /// The reactor-private half of one reactor's plumbing: the read end of
 /// its wake pipe and its poller.
 pub(super) type ReactorPrivate = (WakeReceiver, Poller);
 
-/// Builds the per-reactor shared handles plus the private halves the
-/// threads take with them.
-pub(super) fn make_reactor_parts(
-    n: usize,
-) -> std::io::Result<(Vec<Arc<ReactorShared>>, Vec<ReactorPrivate>)> {
-    let mut handles = Vec::with_capacity(n);
-    let mut parts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (waker, wake_rx) = Waker::new()?;
-        let poller = Poller::new()?;
-        handles.push(Arc::new(ReactorShared {
-            waker,
-            inbox: Mutex::new(Vec::new()),
-            ready_replies: Mutex::new(Vec::new()),
-        }));
-        parts.push((wake_rx, poller));
-    }
-    Ok((handles, parts))
+/// One reactor's shared handle, and the private half its thread takes with
+/// it.
+pub(super) fn reactor_parts<T>() -> std::io::Result<(Arc<ReactorShared<T>>, ReactorPrivate)> {
+    let (waker, wake_rx) = Waker::new()?;
+    let handle = Arc::new(ReactorShared {
+        waker,
+        inbox: Mutex::new(Vec::new()),
+        ready_replies: Mutex::new(Vec::new()),
+        live: AtomicUsize::new(0),
+    });
+    Ok((handle, (wake_rx, Poller::new()?)))
 }
 
 /// Lifecycle of one connection; see the module diagram.
@@ -259,11 +303,10 @@ struct Conn {
     sink_broken: bool,
     last_activity: Instant,
     last_write_progress: Instant,
-    /// Generation of the currently-armed Idle timer (stale fires ignored).
-    idle_gen: u64,
-    /// Generation of the currently-armed WriteStall timer.
-    write_gen: u64,
-    write_timer_armed: bool,
+    /// The deadline armed on the wheel, and its generation (a stale fire
+    /// is ignored).
+    armed: Option<Instant>,
+    timer_gen: u64,
 }
 
 /// How one flush attempt ended.
@@ -295,8 +338,8 @@ struct WriteQueue {
     /// Unflushed bytes across all chunks (mirrored into the service-wide
     /// backpressure gauge).
     bytes: usize,
-    /// A relay's backend link: its frames are counted as relayed once
-    /// written, never in the client face's totals.
+    /// A link's queue: its frames are counted as relayed once written, never
+    /// in a session's totals.
     relay: bool,
 }
 
@@ -427,20 +470,27 @@ impl WriteQueue {
     }
 }
 
-/// One event-loop thread: poller + timer wheel + owned connections.
-struct Reactor {
-    shared: Arc<ServerShared>,
-    handle: Arc<ReactorShared>,
-    /// This reactor's place in the pool.
-    index: usize,
-    poller: Poller,
+/// One event-loop thread's own machinery: its poller, its timer wheel and
+/// its token counter. What it serves is its [`Tier`].
+pub(super) struct Reactor {
+    pub(super) poller: Poller,
+    pub(super) wheel: TimerWheel,
     wake_rx: WakeReceiver,
-    conns: HashMap<u64, Conn>,
-    wheel: TimerWheel,
+    metrics: Arc<ServiceMetrics>,
+    stop: Arc<AtomicBool>,
     next_token: u64,
     /// Reused buffers for poll results and fired timers.
     events: Vec<Event>,
     fired: Vec<Fired>,
+}
+
+/// A server reactor's tier: the connections of its share of the pool.
+struct Sessions {
+    shared: Arc<ServerShared>,
+    handle: Arc<ReactorShared<Inbound>>,
+    /// This reactor's place in the pool.
+    index: usize,
+    conns: HashMap<u64, Conn>,
     /// The Prometheus exporter's listener (reactor 0 only).
     exporter: Option<TcpListener>,
     /// In-progress exporter scrapes, keyed by poller token.
@@ -463,7 +513,15 @@ struct HttpConn {
 }
 
 impl Reactor {
-    fn run(mut self) {
+    /// A token no connection of this reactor has had.
+    pub(super) fn token(&mut self) -> u64 {
+        self.next_token += 1;
+        self.next_token - 1
+    }
+
+    fn run<T: Tier>(mut self, mut tier: T, handle: &ReactorShared<T::Item>) {
+        // Swapped with the inbox each round, so neither side reallocates.
+        let mut inbox = Vec::new();
         loop {
             let timeout = self
                 .wheel
@@ -475,7 +533,7 @@ impl Reactor {
                 // wake-ups and timers.
                 std::thread::sleep(Duration::from_millis(1));
             }
-            self.shared.metrics.reactor_events(events.len());
+            self.metrics.reactor_events(events.len());
             // Drain the waker before reading anything it guards: a wake that
             // lands while this wake-up is being served is coalesced into it
             // (no new byte), so what it published — the stop flag here, the
@@ -485,171 +543,53 @@ impl Reactor {
             if events.iter().any(|ev| ev.token == WAKER_TOKEN) {
                 self.wake_rx.drain();
             }
-            let stopped = self.shared.stop.load(Ordering::SeqCst);
-            for ev in &events {
-                if ev.token == WAKER_TOKEN {
-                    continue;
-                }
-                if ev.token == EXPORTER_TOKEN {
-                    self.accept_http(stopped);
-                } else if self.http_conns.contains_key(&ev.token) {
-                    self.handle_http_io(ev.token, ev.readable, ev.writable);
-                } else {
-                    self.handle_io(ev.token, ev.readable, ev.writable);
-                }
+            let stopped = self.stop.load(Ordering::SeqCst);
+            for ev in events.iter().filter(|ev| ev.token != WAKER_TOKEN) {
+                tier.io(&mut self, ev.token, ev.readable, ev.writable);
             }
             self.events = events;
 
-            self.adopt_new_conns(stopped);
-            self.flush_ready_replies();
-            if stopped {
-                self.apply_stop();
+            std::mem::swap(&mut *handle.inbox.lock(), &mut inbox);
+            for item in inbox.drain(..) {
+                tier.adopt(&mut self, item, stopped);
             }
+            tier.round(&mut self, stopped);
 
             let mut fired = std::mem::take(&mut self.fired);
             self.wheel.advance(Instant::now(), &mut fired);
             for f in fired.drain(..) {
-                self.handle_timer(f);
+                tier.timer(&mut self, f);
             }
             self.fired = fired;
 
-            self.conns.retain(|_, c| c.state != ConnState::Closed);
-            if stopped && self.conns.is_empty() && self.handle.inbox.lock().is_empty() {
+            if tier.reap() && stopped && handle.inbox.lock().is_empty() {
                 self.poller
                     .deregister(self.wake_rx.fd())
                     .expect("deregister reactor waker");
-                self.shared.metrics.reactor_fd_deregistered();
+                self.metrics.reactor_fd_deregistered();
                 return;
             }
         }
     }
+}
 
-    /// Registers connections the acceptor handed over, and gives relay
-    /// sessions the links the dialer made them. Under stop, new arrivals
-    /// are closed immediately instead (the acceptor has already quit; these
-    /// raced the flag).
-    fn adopt_new_conns(&mut self, stopped: bool) {
-        let incoming = std::mem::take(&mut *self.handle.inbox.lock());
-        for item in incoming {
-            let stream = match item {
-                Inbound::Accepted(stream) => stream,
-                Inbound::Linked(token, dialed) => {
-                    let Reactor {
-                        conns,
-                        poller,
-                        wheel,
-                        shared,
-                        ..
-                    } = self;
-                    // A link that outlived its session closes as it drops.
-                    if let Some(conn) = conns.get_mut(&token) {
-                        relay::linked(conn, dialed, shared, poller, wheel);
-                    }
-                    continue;
-                }
-            };
-            if stopped {
-                self.shared.submitters_dec();
-                self.shared.release_conn(false);
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            if stream.set_nonblocking(true).is_err() {
-                self.shared.submitters_dec();
-                self.shared.release_conn(false);
-                continue;
-            }
-            let token = self.next_token;
-            self.next_token += 1;
-            if self
-                .poller
-                .register(stream.as_raw_fd(), token, Interest::READABLE)
-                .is_err()
-            {
-                self.shared.submitters_dec();
-                self.shared.release_conn(false);
-                continue;
-            }
-            self.shared.metrics.reactor_fd_registered();
-            let (tx, rx) = unbounded();
-            let notify = {
-                let handle = Arc::clone(&self.handle);
-                let metrics = Arc::clone(&self.shared.metrics);
-                Arc::new(move || handle.notify_replies(token, &metrics))
-                    as Arc<dyn Fn() + Send + Sync>
-            };
-            let now = Instant::now();
-            let peer_alive = Arc::new(AtomicBool::new(true));
-            let mut conn = Conn {
-                stream,
-                token,
-                state: ConnState::Handshaking,
-                decoder: FrameDecoder::new(),
-                writes: WriteQueue::default(),
-                interest: Interest::READABLE,
-                replies_rx: rx,
-                routed: RoutedSender::new(tx, notify, Arc::clone(&peer_alive)),
-                relay: match self.shared.upstream {
-                    Upstream::Service(_) => None,
-                    Upstream::Relay { .. } => Some(relay::Relay::new(self.index)),
-                },
-                peer_alive,
-                session_client: None,
-                version: 0,
-                traces: HashMap::new(),
-                cancels: HashMap::new(),
-                in_flight: 0,
-                counts_submitter: true,
-                counts_session_open: false,
-                sink_broken: false,
-                last_activity: now,
-                last_write_progress: now,
-                idle_gen: 0,
-                write_gen: 0,
-                write_timer_armed: false,
-            };
-            conn.idle_gen += 1;
-            self.wheel.insert(
-                now + self.shared.config.handshake_timeout,
-                token,
-                TimerKind::Idle,
-                conn.idle_gen,
-            );
-            self.conns.insert(token, conn);
+impl Tier for Sessions {
+    type Item = Inbound;
+
+    /// Readiness for the exporter, a scrape, a connection's socket or its
+    /// backend link.
+    fn io(&mut self, r: &mut Reactor, token: u64, readable: bool, writable: bool) {
+        if token == EXPORTER_TOKEN {
+            return self.accept_http(r);
         }
-    }
-
-    /// Drains completion channels for every connection the workers flagged.
-    fn flush_ready_replies(&mut self) {
-        let tokens = std::mem::take(&mut *self.handle.ready_replies.lock());
-        for token in tokens {
-            let Reactor {
-                conns,
-                poller,
-                wheel,
-                shared,
-                ..
-            } = self;
-            let Some(conn) = conns.get_mut(&token) else {
-                continue;
-            };
-            pump_replies(conn, shared, poller, wheel);
+        if self.http_conns.contains_key(&token) {
+            return self.handle_http_io(r, token, readable);
         }
-    }
-
-    /// Readiness for one connection's socket, or for its backend link.
-    fn handle_io(&mut self, token: u64, readable: bool, writable: bool) {
-        let Reactor {
-            conns,
-            poller,
-            wheel,
-            shared,
-            ..
-        } = self;
-        let Some(conn) = conns.get_mut(&(token & !relay::LINK)) else {
+        let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
+        let Some(conn) = self.conns.get_mut(&(token & !link::LINK)) else {
             return; // stale event for an already-closed token
         };
-        if token & relay::LINK != 0 {
+        if token & link::LINK != 0 {
             return relay::link_io(conn, readable, writable, shared, poller, wheel);
         }
         if writable && conn.state != ConnState::Closed {
@@ -660,11 +600,130 @@ impl Reactor {
         }
     }
 
+    /// Registers a connection the acceptor handed over, or gives a relay
+    /// session the link the dialer made it. Under stop, a new arrival is
+    /// closed immediately instead (the acceptor has already quit; it raced
+    /// the flag).
+    fn adopt(&mut self, r: &mut Reactor, item: Inbound, stopped: bool) {
+        let stream = match item {
+            Inbound::Accepted(stream) => stream,
+            Inbound::Linked(token, dialed) => {
+                // A link that outlived its session closes as it drops.
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    relay::linked(conn, dialed, &self.shared, &mut r.poller, &mut r.wheel);
+                }
+                return;
+            }
+        };
+        let _ = stream.set_nodelay(true);
+        let token = r.token();
+        if stopped
+            || stream.set_nonblocking(true).is_err()
+            || r.poller
+                .register(stream.as_raw_fd(), token, Interest::READABLE)
+                .is_err()
+        {
+            self.shared.submitters_dec();
+            self.shared.release_conn(false);
+            self.handle.live.fetch_sub(1, Ordering::SeqCst);
+            return;
+        }
+        self.shared.metrics.reactor_fd_registered();
+        let (tx, rx) = unbounded();
+        let notify = {
+            let handle = Arc::clone(&self.handle);
+            let metrics = Arc::clone(&self.shared.metrics);
+            Arc::new(move || handle.notify_replies(token, &metrics)) as Arc<dyn Fn() + Send + Sync>
+        };
+        let now = Instant::now();
+        let peer_alive = Arc::new(AtomicBool::new(true));
+        let mut conn = Conn {
+            stream,
+            token,
+            state: ConnState::Handshaking,
+            decoder: FrameDecoder::new(),
+            writes: WriteQueue::default(),
+            interest: Interest::READABLE,
+            replies_rx: rx,
+            routed: RoutedSender::new(tx, notify, Arc::clone(&peer_alive)),
+            relay: match self.shared.upstream {
+                Upstream::Service(_) => None,
+                Upstream::Relay { .. } => Some(relay::Relay::new(self.index, token, &self.shared)),
+            },
+            peer_alive,
+            session_client: None,
+            version: 0,
+            traces: HashMap::new(),
+            cancels: HashMap::new(),
+            in_flight: 0,
+            counts_submitter: true,
+            counts_session_open: false,
+            sink_broken: false,
+            last_activity: now,
+            last_write_progress: now,
+            armed: None,
+            timer_gen: 0,
+        };
+        arm(&mut conn, &self.shared.config, &mut r.wheel);
+        self.conns.insert(token, conn);
+    }
+
+    /// Drains the completion channels of every connection the workers
+    /// flagged, then applies a stop.
+    fn round(&mut self, r: &mut Reactor, stopped: bool) {
+        let tokens = std::mem::take(&mut *self.handle.ready_replies.lock());
+        for token in tokens {
+            if let Some(conn) = self.conns.get_mut(&token) {
+                pump_replies(conn, &self.shared, &mut r.poller, &mut r.wheel);
+            }
+        }
+        if stopped {
+            self.apply_stop(r);
+        }
+    }
+
+    /// A connection's deadline fired, or its link's.
+    fn timer(&mut self, r: &mut Reactor, f: Fired) {
+        let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
+        let Some(conn) = self.conns.get_mut(&(f.token & !link::LINK)) else {
+            return;
+        };
+        if f.token & link::LINK != 0 {
+            return relay::link_timer(conn, f.generation, shared, poller, wheel);
+        }
+        if f.generation != conn.timer_gen {
+            return;
+        }
+        conn.armed = None;
+        let now = Instant::now();
+        match deadlines(conn, &shared.config).map(|at| at.is_some_and(|at| at <= now)) {
+            [_, true] => mark_sink_broken(conn, shared, poller, wheel),
+            // A silent opener is not a protocol offense — just close
+            // (parity with the old transport).
+            [true, _] if conn.state == ConnState::Handshaking => close_conn(conn, shared, poller),
+            [true, _] => enter_draining(conn, shared, poller, wheel),
+            [false, false] => {}
+        }
+        arm(conn, &shared.config, wheel);
+    }
+
+    fn reap(&mut self) -> bool {
+        let before = self.conns.len();
+        self.conns.retain(|_, c| c.state != ConnState::Closed);
+        self.handle
+            .live
+            .fetch_sub(before - self.conns.len(), Ordering::SeqCst);
+        self.conns.is_empty()
+    }
+}
+
+impl Sessions {
     /// Accepts pending exporter connections onto this reactor's poller.
-    fn accept_http(&mut self, stopped: bool) {
+    fn accept_http(&mut self, r: &mut Reactor) {
         let Some(listener) = &self.exporter else {
             return;
         };
+        let stopped = self.shared.stop.load(Ordering::SeqCst);
         loop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
@@ -672,10 +731,8 @@ impl Reactor {
                         let _ = stream.shutdown(Shutdown::Both);
                         continue;
                     }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
+                    let token = r.token();
+                    if r.poller
                         .register(stream.as_raw_fd(), token, Interest::READABLE)
                         .is_err()
                     {
@@ -702,7 +759,7 @@ impl Reactor {
 
     /// Drives one exporter scrape: read until the request head is complete,
     /// render the metrics page once, write it out, close.
-    fn handle_http_io(&mut self, token: u64, readable: bool, _writable: bool) {
+    fn handle_http_io(&mut self, r: &mut Reactor, token: u64, readable: bool) {
         let Some(http) = self.http_conns.get_mut(&token) else {
             return;
         };
@@ -770,8 +827,7 @@ impl Reactor {
                         writable: true,
                     };
                     if http.interest != want
-                        && self
-                            .poller
+                        && r.poller
                             .reregister(http.stream.as_raw_fd(), token, want)
                             .is_ok()
                     {
@@ -783,7 +839,7 @@ impl Reactor {
             }
         }
         if dead {
-            if self.poller.deregister(http.stream.as_raw_fd()).is_ok() {
+            if r.poller.deregister(http.stream.as_raw_fd()).is_ok() {
                 self.shared.metrics.reactor_fd_deregistered();
             }
             let _ = http.stream.shutdown(Shutdown::Both);
@@ -796,29 +852,23 @@ impl Reactor {
     /// does the submitter gauge hit zero — which is what lets
     /// `CloudServer::shutdown` drain the service knowing the reply set is
     /// complete.
-    fn apply_stop(&mut self) {
+    fn apply_stop(&mut self, r: &mut Reactor) {
+        let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
         // The exporter dies first: no new scrapes, and in-flight ones are
         // dropped (a scraper retries; a half-written metrics page is junk
         // either way once the server is gone).
         if let Some(listener) = self.exporter.take() {
-            if self.poller.deregister(listener.as_raw_fd()).is_ok() {
-                self.shared.metrics.reactor_fd_deregistered();
+            if poller.deregister(listener.as_raw_fd()).is_ok() {
+                shared.metrics.reactor_fd_deregistered();
             }
         }
         for (_, http) in self.http_conns.drain() {
-            if self.poller.deregister(http.stream.as_raw_fd()).is_ok() {
-                self.shared.metrics.reactor_fd_deregistered();
+            if poller.deregister(http.stream.as_raw_fd()).is_ok() {
+                shared.metrics.reactor_fd_deregistered();
             }
             let _ = http.stream.shutdown(Shutdown::Both);
         }
-        let Reactor {
-            conns,
-            poller,
-            wheel,
-            shared,
-            ..
-        } = self;
-        for conn in conns.values_mut() {
+        for conn in self.conns.values_mut() {
             match conn.state {
                 ConnState::Established if conn.relay.is_none() => {
                     enter_draining(conn, shared, poller, wheel);
@@ -830,73 +880,35 @@ impl Reactor {
             }
         }
     }
+}
 
-    /// A deadline fired; stale generations and states that outgrew the
-    /// timer are ignored (lazy cancellation).
-    fn handle_timer(&mut self, f: Fired) {
-        let Reactor {
-            conns,
-            poller,
-            wheel,
-            shared,
-            ..
-        } = self;
-        let Some(conn) = conns.get_mut(&f.token) else {
-            return;
-        };
-        match f.kind {
-            TimerKind::Idle => {
-                if f.generation != conn.idle_gen {
-                    return;
-                }
-                let budget = match conn.state {
-                    ConnState::Handshaking => shared.config.handshake_timeout,
-                    ConnState::Established => shared.config.idle_timeout,
-                    // Draining ignores idleness: it lives until its replies
-                    // are settled (the write-stall timer bounds that).
-                    ConnState::Draining | ConnState::Closed => return,
-                };
-                let idle_for = conn.last_activity.elapsed();
-                if idle_for >= budget {
-                    match conn.state {
-                        // A silent opener is not a protocol offense — just
-                        // close (parity with the old transport).
-                        ConnState::Handshaking => close_conn(conn, shared, poller),
-                        _ => enter_draining(conn, shared, poller, wheel),
-                    }
-                } else {
-                    // Activity moved the deadline; re-arm lazily.
-                    wheel.insert(
-                        conn.last_activity + budget,
-                        conn.token,
-                        TimerKind::Idle,
-                        conn.idle_gen,
-                    );
-                }
-            }
-            TimerKind::WriteStall => {
-                if f.generation != conn.write_gen {
-                    return;
-                }
-                conn.write_timer_armed = false;
-                if conn.writes.is_empty() || conn.sink_broken || conn.state == ConnState::Closed {
-                    return;
-                }
-                if conn.last_write_progress.elapsed() >= shared.config.write_timeout {
-                    mark_sink_broken(conn, shared, poller, wheel);
-                } else {
-                    conn.write_timer_armed = true;
-                    conn.write_gen += 1;
-                    wheel.insert(
-                        conn.last_write_progress + shared.config.write_timeout,
-                        conn.token,
-                        TimerKind::WriteStall,
-                        conn.write_gen,
-                    );
-                }
-            }
-            TimerKind::Link => relay::link_timer(conn, f.generation, shared, poller, wheel),
-        }
+/// A connection's two deadlines: silence past its handshake or idle budget
+/// (a draining connection has none: it lives until its replies are
+/// settled), and a write queue that made no progress for the write timeout.
+fn deadlines(conn: &Conn, config: &TransportConfig) -> [Option<Instant>; 2] {
+    let budget = match conn.state {
+        ConnState::Handshaking => Some(config.handshake_timeout),
+        ConnState::Established => Some(config.idle_timeout),
+        ConnState::Draining | ConnState::Closed => None,
+    };
+    let stalled = !conn.writes.is_empty() && !conn.sink_broken;
+    [
+        budget.map(|budget| conn.last_activity + budget),
+        stalled.then(|| conn.last_write_progress + config.write_timeout),
+    ]
+}
+
+/// Arms the earlier of the connection's deadlines, unless one no later is
+/// armed already: activity only moves a deadline later, and the fire
+/// checks again.
+fn arm(conn: &mut Conn, config: &TransportConfig, wheel: &mut TimerWheel) {
+    let Some(at) = deadlines(conn, config).into_iter().flatten().min() else {
+        return;
+    };
+    if conn.armed.is_none_or(|armed| at < armed) {
+        conn.armed = Some(at);
+        conn.timer_gen += 1;
+        wheel.insert(at, conn.token, conn.timer_gen);
     }
 }
 
@@ -1079,7 +1091,7 @@ fn handle_frame(
                             Err(e) => queue_reply(conn, request_id, Err(e), shared),
                         }
                     }
-                    None => relay::submit(conn, request_id, payload, shared, poller, wheel),
+                    None => relay::submit(conn, request_id, payload, trace, shared, poller, wheel),
                 }
             }
             flush_writes(conn, shared, poller, wheel);
@@ -1123,7 +1135,7 @@ fn handle_frame(
                 flag.store(true, Ordering::Relaxed);
             }
             if conn.relay.is_some() {
-                relay::cancel(conn, request_id, shared, poller);
+                relay::cancel(conn, request_id, shared, poller, wheel);
             }
         }
         (ConnState::Established, Frame::Goodbye) => {
@@ -1174,13 +1186,7 @@ fn establish(
     shared.metrics.conn_opened();
     conn.counts_session_open = true;
     conn.state = ConnState::Established;
-    conn.idle_gen += 1;
-    wheel.insert(
-        conn.last_activity + shared.config.idle_timeout,
-        conn.token,
-        TimerKind::Idle,
-        conn.idle_gen,
-    );
+    arm(conn, &shared.config, wheel);
     flush_writes(conn, shared, poller, wheel);
 }
 
@@ -1282,22 +1288,8 @@ fn flush_writes(
         }
         match outcome {
             FlushOutcome::Drained => {}
-            FlushOutcome::Blocked => {
-                if !conn.write_timer_armed {
-                    conn.write_timer_armed = true;
-                    conn.write_gen += 1;
-                    wheel.insert(
-                        conn.last_write_progress + shared.config.write_timeout,
-                        conn.token,
-                        TimerKind::WriteStall,
-                        conn.write_gen,
-                    );
-                }
-            }
-            FlushOutcome::Broken => {
-                mark_sink_broken(conn, shared, poller, wheel);
-                return;
-            }
+            FlushOutcome::Blocked => arm(conn, &shared.config, wheel),
+            FlushOutcome::Broken => return mark_sink_broken(conn, shared, poller, wheel),
         }
     }
     update_interest(conn, poller);
@@ -1345,7 +1337,7 @@ fn enter_draining(
         conn.counts_submitter = false;
         shared.submitters_dec();
     }
-    relay::sever(conn, shared, poller);
+    relay::sever(conn, poller);
     let _ = conn.stream.shutdown(Shutdown::Read);
     // Catch completions that were posted before this transition.
     pump_replies(conn, shared, poller, wheel);
@@ -1369,7 +1361,7 @@ fn close_conn(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) 
     }
     conn.state = ConnState::Closed;
     conn.peer_alive.store(false, Ordering::SeqCst);
-    relay::sever(conn, shared, poller);
+    relay::sever(conn, poller);
     if poller.deregister(conn.stream.as_raw_fd()).is_ok() {
         shared.metrics.reactor_fd_deregistered();
     }

@@ -490,7 +490,8 @@ fn len32(len: usize) -> std::io::Result<u32> {
 ///
 /// Propagates the sink's I/O errors.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<usize> {
-    write_chunks(w, &frame.wire_chunks()?)
+    let [head, bulk, tail] = frame.wire_chunks()?;
+    write_all_vectored(w, &[&head, &bulk, &tail])
 }
 
 /// Writes an already-encoded frame body with its length prefix, returning
@@ -502,11 +503,6 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<usize> 
 pub fn write_encoded(w: &mut impl Write, body: &Bytes) -> std::io::Result<usize> {
     let prefix = len32(body.len())?.to_le_bytes();
     write_all_vectored(w, &[&prefix, body])
-}
-
-/// Writes a frame's [`wire_chunks`](Frame::wire_chunks).
-pub(crate) fn write_chunks(w: &mut impl Write, chunks: &[Bytes; 3]) -> std::io::Result<usize> {
-    write_all_vectored(w, &[&chunks[0], &chunks[1], &chunks[2]])
 }
 
 /// Writes `parts` (at most three) back to back and flushes. One vectored

@@ -23,7 +23,7 @@
 //! timer handling live in the sibling `event_loop` module. The same pool
 //! serves a relay ([`CloudServer::bind_relay`]), plus its dialer thread.
 
-use super::event_loop::{make_reactor_parts, spawn_reactor, Inbound, ReactorShared};
+use super::event_loop::{reactor_parts, spawn_server_reactor, Inbound, ReactorShared};
 use super::frame::{write_frame, Frame};
 use super::TransportConfig;
 use crate::metrics::{ServiceMetrics, ServiceStats};
@@ -124,7 +124,7 @@ pub(super) struct Dial {
 /// State shared by the acceptor, the reactors and the shutdown path.
 #[derive(Debug)]
 pub(super) struct ServerShared {
-    pub(super) stop: AtomicBool,
+    pub(super) stop: Arc<AtomicBool>,
     pub(super) config: TransportConfig,
     pub(super) upstream: Upstream,
     pub(super) metrics: Arc<ServiceMetrics>,
@@ -132,8 +132,9 @@ pub(super) struct ServerShared {
     /// when the service takes anonymous sessions — then any established
     /// session may ask).
     pub(super) api_keys: Option<Arc<[String]>>,
-    /// One handle per reactor thread; connections are dealt round-robin.
-    pub(super) reactors: Vec<Arc<ReactorShared>>,
+    /// One handle per reactor thread; each connection is dealt to the one
+    /// with the fewest live connections, ties round-robin.
+    pub(super) reactors: Vec<Arc<ReactorShared<Inbound>>>,
     /// Connections that may still submit jobs (handshaking or established).
     /// Shutdown waits for this to hit zero before draining the service, so
     /// no submission can race past the drain and strand a request id.
@@ -259,9 +260,13 @@ impl CloudServer {
             Upstream::Relay { .. } => "proxy",
         };
         let io_threads = config.effective_io_threads();
-        let (handles, parts) = make_reactor_parts(io_threads)?;
+        let (handles, parts): (Vec<_>, Vec<_>) = (0..io_threads)
+            .map(|_| reactor_parts())
+            .collect::<std::io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         let shared = Arc::new(ServerShared {
-            stop: AtomicBool::new(false),
+            stop: Arc::new(AtomicBool::new(false)),
             config,
             upstream,
             metrics,
@@ -272,13 +277,12 @@ impl CloudServer {
         });
         let mut reactors = Vec::with_capacity(io_threads);
         let mut exporter = exporter;
-        for (i, (wake_rx, poller)) in parts.into_iter().enumerate() {
-            reactors.push(spawn_reactor(
+        for (i, part) in parts.into_iter().enumerate() {
+            reactors.push(spawn_server_reactor(
                 format!("{tier}-reactor-{i}"),
                 i,
                 Arc::clone(&shared),
-                wake_rx,
-                poller,
+                part,
                 exporter.take(),
             ));
         }
@@ -440,9 +444,15 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                 }
                 shared.sessions.fetch_add(1, Ordering::SeqCst);
                 shared.submitters.fetch_add(1, Ordering::SeqCst);
-                shared.reactors[next_reactor % shared.reactors.len()]
-                    .enqueue(Inbound::Accepted(stream), &shared.metrics);
-                next_reactor = next_reactor.wrapping_add(1);
+                let n = shared.reactors.len();
+                let pick = (next_reactor..next_reactor + n)
+                    .map(|i| i % n)
+                    .min_by_key(|&i| shared.reactors[i].live.load(Ordering::SeqCst))
+                    .expect("a server has a reactor");
+                let reactor = &shared.reactors[pick];
+                reactor.live.fetch_add(1, Ordering::SeqCst);
+                reactor.enqueue(Inbound::Accepted(stream), &shared.metrics);
+                next_reactor = pick + 1;
             }
             // Out of descriptors, or a connection reset while it queued:
             // nothing to hand on, and nothing to wait for but the next one.
@@ -547,6 +557,49 @@ mod tests {
                 "peer still served: {closed:?}"
             );
         }
+    }
+
+    /// Live connections per reactor, once they read `want` (10 s at most).
+    fn settle(server: &CloudServer, want: [usize; 2]) {
+        let live = || {
+            let reactors = &server.shared.reactors;
+            [0, 1].map(|i| reactors[i].live.load(Ordering::SeqCst))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while live() != want {
+            assert!(
+                Instant::now() < deadline,
+                "live {:?}, want {want:?}",
+                live()
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Each accepted socket goes to the reactor with the fewest live
+    /// connections, ties round-robin: once reactor 1's only session is
+    /// reaped, the next two land there (blind round-robin would put the
+    /// second of them on reactor 0).
+    #[test]
+    fn an_accepted_socket_goes_to_the_reactor_with_the_fewest_live_connections() {
+        let service = CloudService::builder().workers(1).build();
+        let config = TransportConfig::default().io_threads(2);
+        let server = CloudServer::bind_with(service, "127.0.0.1:0", config).unwrap();
+        let connect = || TcpStream::connect(server.local_addr()).unwrap();
+        let first = connect();
+        settle(&server, [1, 0]);
+        let second = connect();
+        settle(&server, [1, 1]);
+        let third = connect();
+        settle(&server, [2, 1]);
+        drop(second);
+        settle(&server, [2, 0]);
+        let fourth = connect();
+        settle(&server, [2, 1]);
+        let fifth = connect();
+        settle(&server, [2, 2]);
+        drop((first, third, fourth, fifth));
+        server.shutdown();
     }
 
     /// A listener the wake-up cannot reach (here: the dial goes to a port

@@ -1,43 +1,27 @@
 //! Hashed timer wheel for connection deadlines.
 //!
-//! The reactor arms three kinds of per-connection deadline — [`TimerKind::Idle`]
-//! (handshake timeout before the session is established, keep-alive idle
-//! timeout after), [`TimerKind::WriteStall`] (no forward progress flushing
-//! the write queue) and, on a relay, [`TimerKind::Link`] (a silent backend
-//! that owes replies, a backend link due a ping). Instead of one thread-per-connection `read_timeout`
-//! tick, all deadlines live in one wheel per reactor thread; the wheel's
+//! Each connection keeps one deadline, the earliest of what it waits for —
+//! a server-role connection its handshake or idle timeout and a stalled
+//! write queue, a link (its owner's token with the link bit set) a
+//! `Welcome`, replies, a keep-alive ping and its role's own deadlines.
+//! Instead of one thread-per-connection `read_timeout` tick, all deadlines
+//! live in one wheel per reactor thread; the wheel's
 //! [`TimerWheel::next_deadline`] bounds the `epoll_wait` timeout, so an idle
 //! reactor sleeps until the earliest deadline and a busy one never pays more
 //! than an O(slots) scan per wake.
 //!
 //! Cancellation is lazy: timers carry a generation counter, and the owner
-//! bumps its generation whenever the deadline moves (activity on the
-//! connection, queue progress). A fired entry whose generation is stale is
-//! simply dropped — no lookup or removal on the hot path.
+//! bumps its generation whenever it arms a new deadline. A fired entry whose
+//! generation is stale is simply dropped — no lookup or removal on the hot
+//! path.
 
 use std::time::{Duration, Instant};
-
-/// What a deadline means to the connection that armed it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum TimerKind {
-    /// Handshake deadline (pre-session) or keep-alive idle timeout
-    /// (post-handshake): no bytes arrived from the peer for too long.
-    Idle,
-    /// The write queue is non-empty and no bytes could be flushed for the
-    /// configured `write_timeout` — the peer has stopped reading.
-    WriteStall,
-    /// A relay session's backend link: it owes replies and has been silent
-    /// for the reply timeout, or it is due a keep-alive ping.
-    Link,
-}
 
 /// A deadline that fell due, returned by [`TimerWheel::advance`].
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Fired {
     /// Connection token the timer was armed for.
     pub token: u64,
-    /// Which deadline fired.
-    pub kind: TimerKind,
     /// Generation the timer was armed with; stale generations are ignored by
     /// the owner.
     pub generation: u64,
@@ -47,7 +31,6 @@ pub(super) struct Fired {
 struct Entry {
     fire_tick: u64,
     token: u64,
-    kind: TimerKind,
     generation: u64,
 }
 
@@ -88,12 +71,11 @@ impl TimerWheel {
 
     /// Arms a deadline. A deadline in the past (or inside the current tick)
     /// fires on the next [`TimerWheel::advance`].
-    pub(super) fn insert(&mut self, at: Instant, token: u64, kind: TimerKind, generation: u64) {
+    pub(super) fn insert(&mut self, at: Instant, token: u64, generation: u64) {
         let fire_tick = self.tick_of(at);
         let entry = Entry {
             fire_tick,
             token,
-            kind,
             generation,
         };
         if fire_tick < self.cursor {
@@ -113,7 +95,6 @@ impl TimerWheel {
             self.len -= 1;
             fired.push(Fired {
                 token: e.token,
-                kind: e.kind,
                 generation: e.generation,
             });
         }
@@ -135,7 +116,6 @@ impl TimerWheel {
                     self.len -= 1;
                     fired.push(Fired {
                         token: e.token,
-                        kind: e.kind,
                         generation: e.generation,
                     });
                 } else {
@@ -188,13 +168,12 @@ mod tests {
     fn fires_at_deadline_not_before() {
         let mut wheel = TimerWheel::new(TICK, 64);
         let base = wheel.base;
-        wheel.insert(base + Duration::from_millis(50), 1, TimerKind::Idle, 0);
+        wheel.insert(base + Duration::from_millis(50), 1, 0);
 
         assert!(drain(&mut wheel, base + Duration::from_millis(40)).is_empty());
         let fired = drain(&mut wheel, base + Duration::from_millis(55));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].token, 1);
-        assert_eq!(fired[0].kind, TimerKind::Idle);
         assert_eq!(wheel.len(), 0);
     }
 
@@ -205,12 +184,7 @@ mod tests {
         // Move the cursor forward first.
         drain(&mut wheel, base + Duration::from_millis(100));
         // Then arm something "in the past".
-        wheel.insert(
-            base + Duration::from_millis(20),
-            2,
-            TimerKind::WriteStall,
-            7,
-        );
+        wheel.insert(base + Duration::from_millis(20), 2, 7);
         let fired = drain(&mut wheel, base + Duration::from_millis(101));
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].generation, 7);
@@ -220,7 +194,7 @@ mod tests {
     fn deadline_beyond_one_revolution_waits_extra_laps() {
         let mut wheel = TimerWheel::new(TICK, 8); // revolution = 40ms
         let base = wheel.base;
-        wheel.insert(base + Duration::from_millis(100), 3, TimerKind::Idle, 0);
+        wheel.insert(base + Duration::from_millis(100), 3, 0);
         // Sweep a full revolution early: must not fire.
         assert!(drain(&mut wheel, base + Duration::from_millis(45)).is_empty());
         assert!(drain(&mut wheel, base + Duration::from_millis(90)).is_empty());
@@ -235,7 +209,7 @@ mod tests {
         let mut wheel = TimerWheel::new(TICK, 8);
         let base = wheel.base;
         for t in 0..20u64 {
-            wheel.insert(base + Duration::from_millis(t * 7), t, TimerKind::Idle, t);
+            wheel.insert(base + Duration::from_millis(t * 7), t, t);
         }
         let fired = drain(&mut wheel, base + Duration::from_secs(1));
         assert_eq!(fired.len(), 20);
@@ -249,8 +223,8 @@ mod tests {
         let mut wheel = TimerWheel::new(TICK, 64);
         let base = wheel.base;
         assert!(wheel.next_deadline().is_none());
-        wheel.insert(base + Duration::from_millis(30), 1, TimerKind::Idle, 0);
-        wheel.insert(base + Duration::from_millis(10), 2, TimerKind::Idle, 0);
+        wheel.insert(base + Duration::from_millis(30), 1, 0);
+        wheel.insert(base + Duration::from_millis(10), 2, 0);
         let next = wheel.next_deadline().unwrap();
         // Earliest deadline, rounded up to a tick boundary.
         assert!(next >= base + Duration::from_millis(10));

@@ -1,8 +1,11 @@
-//! The reactor's headline claim, asserted: server-side thread count is
-//! O(io_threads), not O(connections). 128 concurrent loopback sessions must
-//! not add a single server transport thread beyond the fixed reactor pool —
-//! the thread-per-connection transport this replaced would have spawned
-//! 256 (a reader and a writer per session).
+//! The reactor's headline claim, asserted on both sides of the wire: thread
+//! count is O(io_threads), not O(connections). 128 concurrent loopback
+//! sessions must not add a single server transport thread beyond the fixed
+//! reactor pool — the thread-per-connection transport this replaced would
+//! have spawned 256 (a reader and a writer per session) — and their 128
+//! clients run on the process's one client loop: a `client-reactor` and a
+//! `client-dialer`, where the thread-per-client client ran 256 (a reader
+//! and a keep-alive per client), gone once the last client closes.
 
 use amalgam::cloud::transport::TransportConfig;
 use amalgam::cloud::CloudService;
@@ -74,6 +77,14 @@ fn a_hundred_and_twenty_eight_connections_run_on_a_fixed_thread_pool() {
         server_threads <= IO_THREADS + WORKERS + 1,
         "server thread count scales with connections: {server_threads} threads ({names:?})"
     );
+    // The client side is the client loop's two threads, whatever the count.
+    assert_eq!(
+        count_prefix(&names, "cloud-remote"),
+        0,
+        "per-client threads resurrected: {names:?}"
+    );
+    assert_eq!(count_prefix(&names, "client-reactor"), 1);
+    assert_eq!(count_prefix(&names, "client-dialer"), 1);
 
     // The sessions are real, not just sockets in a backlog: a sample of
     // them trains end-to-end with per-submission results routed back.
@@ -113,6 +124,16 @@ fn a_hundred_and_twenty_eight_connections_run_on_a_fixed_thread_pool() {
 
     for client in clients {
         client.close();
+    }
+    // The last client out joins the client loop.
+    let closed = std::time::Instant::now();
+    while count_prefix(&thread_names(), "client-") > 0 {
+        assert!(
+            closed.elapsed() < Duration::from_secs(1),
+            "the client loop outlived its last client: {:?}",
+            thread_names()
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
     server.shutdown();
 }
