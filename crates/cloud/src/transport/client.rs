@@ -250,10 +250,14 @@ impl Tier for Clients {
         }
     }
 
-    /// On stop, every session still open ends.
+    /// Flushes each link that submits were queued on this round, once; on
+    /// stop, every session still open ends.
     fn round(&mut self, r: &mut Reactor, stopped: bool) {
-        if stopped {
-            for session in self.sessions.values_mut() {
+        for session in self.sessions.values_mut() {
+            if std::mem::take(&mut session.unflushed) {
+                link::flush(session, &mut r.poller, &mut r.wheel);
+            }
+            if stopped {
                 session.end(CloudError::ServiceUnavailable, &mut r.poller);
             }
         }
@@ -291,6 +295,8 @@ struct Session {
     attempts: usize,
     /// When the next redial is due.
     redial_at: Option<Instant>,
+    /// Submits were queued on the link this round (the round flushes them).
+    unflushed: bool,
     ended: bool,
 }
 
@@ -502,7 +508,7 @@ impl Session {
 
     fn submit(&mut self, id: u64, job: Job<Waiter>, r: &mut Reactor) {
         self.up.retain(id, job, &mut r.wheel);
-        link::flush(self, &mut r.poller, &mut r.wheel);
+        self.unflushed = true;
     }
 
     /// Marks job `id` cancelled and (best effort) tells the server. The
@@ -690,6 +696,7 @@ impl RemoteCloudClient {
             retries: RetryQueue::new(),
             attempts: 0,
             redial_at: None,
+            unflushed: false,
             ended: false,
         };
         let open = Command::Open(token, Box::new(session), (stream, peer));

@@ -354,11 +354,21 @@ impl<X> Uplink<X> {
     /// armed before.
     pub(crate) fn schedule(&mut self, wheel: &mut TimerWheel) {
         self.timer_gen += 1;
+        // A link with writes still queued is not idle: its ping is looked at
+        // again a full interval on, not at an instant already past.
         let keepalive = self
             .link
             .as_ref()
             .filter(|link| link.version != 0)
-            .map(|link| link.last_write + self.config.keepalive_interval);
+            .map(|link| {
+                let busy = !link.writes.is_empty();
+                let from = if busy {
+                    Instant::now()
+                } else {
+                    link.last_write
+                };
+                from + self.config.keepalive_interval
+            });
         if let Some(at) = keepalive
             .into_iter()
             .chain(self.stall_deadline())
