@@ -470,8 +470,9 @@ impl WriteQueue {
     }
 }
 
-/// One event-loop thread's own machinery: its poller, its timer wheel and
-/// its token counter. What it serves is its [`Tier`].
+/// One event-loop thread's own machinery: its poller, timer wheel and token
+/// counter, what it counts into, and its stop flag. What it serves is its
+/// [`Tier`].
 pub(super) struct Reactor {
     pub(super) poller: Poller,
     pub(super) wheel: TimerWheel,

@@ -112,6 +112,16 @@
 //! while it owes an answer. Its one extra thread dials backends, so no
 //! reactor blocks on a connect, and runs the policy's health sweep between
 //! dials.
+//!
+//! # Clients
+//!
+//! A [`RemoteCloudClient`]'s connection is the same link in the client's
+//! role, on the process's one client event loop: a reactor with no
+//! acceptor (`client-reactor`) and a dialer (`client-dialer`), started by
+//! the first connect and joined when the last client goes. Healing is
+//! deadlines on that loop's wheel — a stalled or silent link, the
+//! [`ReconnectPolicy`] backoff before a re-dial, a `retry_after` — never a
+//! sleeping thread.
 
 mod client;
 mod event_loop;

@@ -2,8 +2,8 @@
 //! retry schedule, and the counters that make recovery observable.
 //!
 //! A [`crate::RemoteCloudClient`] given a [`ReconnectPolicy`] stops
-//! treating a dead connection as the end of the session: a supervisor
-//! thread re-dials and re-handshakes with [`DecorrelatedJitter`] delays,
+//! treating a dead connection as the end of the session: the client loop
+//! re-dials and re-handshakes after [`DecorrelatedJitter`] delays,
 //! resubmits every in-flight job (jobs are content-addressed, so a replay
 //! dedups server-side instead of training twice), and turns
 //! [`crate::CloudError::RateLimited`] replies into retries scheduled
