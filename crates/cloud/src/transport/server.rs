@@ -583,7 +583,10 @@ mod tests {
     #[test]
     fn an_accepted_socket_goes_to_the_reactor_with_the_fewest_live_connections() {
         let service = CloudService::builder().workers(1).build();
-        let config = TransportConfig::default().io_threads(2);
+        // The silent sockets must outlive the test's own waits.
+        let config = TransportConfig::default()
+            .io_threads(2)
+            .handshake_timeout(Duration::from_secs(60));
         let server = CloudServer::bind_with(service, "127.0.0.1:0", config).unwrap();
         let connect = || TcpStream::connect(server.local_addr()).unwrap();
         let first = connect();
