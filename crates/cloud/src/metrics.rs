@@ -362,14 +362,14 @@ service_table! {
         /// progress_frames_dropped`.
         progress_frames_emitted: counter u64,
             lifecycle "progress emitted", "Progress frames emitted toward any sink.";
-        /// Queued on a live v2 connection, or received by an in-process
+        /// Queued on a live connection, or received by an in-process
         /// handle.
         progress_frames_delivered: counter u64,
             lifecycle "delivered", "Progress frames that reached their sink.";
         /// Or a broken or closing connection. Progress is advisory, so drops
         /// are legal — but always counted.
         progress_frames_dropped: counter u64,
-            lifecycle "dropped", "Progress frames dropped (v1 peer or dead sink).";
+            lifecycle "dropped", "Progress frames dropped (dead sink).";
         /// [`crate::CloudError::Cancelled`]; kept out of
         /// [`jobs_failed`](Self::jobs_failed): the submitter asked for this.
         jobs_cancelled: counter u64, lifecycle "cancelled",
@@ -839,9 +839,9 @@ impl ServiceMetrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Streaming path: an emitted progress frame was dropped — v1 peer,
-    /// dead handle, broken sink, or residue drained when a connection
-    /// closed. Dropping is legal (progress is advisory); losing *count* of
+    /// Streaming path: an emitted progress frame was dropped — dead
+    /// handle, broken sink, draining connection, or residue drained when a
+    /// connection closed. Dropping is legal (progress is advisory); losing *count* of
     /// a drop is not, so emitted == delivered + dropped always holds.
     pub fn progress_frame_dropped(&self) {
         self.progress_frames_dropped.fetch_add(1, Ordering::Relaxed);

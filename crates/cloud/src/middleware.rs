@@ -83,8 +83,8 @@ pub struct JobContext {
     /// `None` when dedup is off.
     pub content_address: Option<crate::hash::ContentAddress>,
     /// The job's end-to-end trace id: carried over the wire for remote
-    /// jobs (protocol ≥ 2), minted at enqueue for in-process ones;
-    /// [`TraceId::NONE`] from v1 peers.
+    /// jobs submitted with one, minted at enqueue otherwise (while
+    /// telemetry is on; [`TraceId::NONE`] when it is off).
     pub trace: TraceId,
     /// Whether the per-stage timing wrappers should record spans for this
     /// job (copied from the service's telemetry switch at dequeue, so the
@@ -150,8 +150,8 @@ impl JobContext {
     }
 
     /// Emits one per-epoch progress update toward whoever is listening —
-    /// the submitting handle, the transport session (protocol ≥ 2 peers
-    /// only), and every dedup-coalesced waiter. Advisory and lossless in
+    /// the submitting handle, the transport session, and every
+    /// dedup-coalesced waiter. Advisory and lossless in
     /// accounting: every emission is counted, and ends up either delivered
     /// or dropped (see [`crate::ServiceStats::progress_frames_emitted`]).
     ///

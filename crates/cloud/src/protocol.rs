@@ -276,9 +276,9 @@ impl CloudError {
 
 /// One per-epoch progress report, streamed while a job trains.
 ///
-/// Progress updates are advisory: they ride the transport's v2 `Progress`
-/// extension frame, so v1 peers simply never see them, and a dropped update
-/// never affects the job's final [`JobResult`]. The epoch index counts
+/// Progress updates are advisory: they ride the transport's `Progress`
+/// frame, and a dropped update never affects the job's final
+/// [`JobResult`]. The epoch index counts
 /// *completed* epochs, so `epoch == total_epochs` on the last update.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgressUpdate {

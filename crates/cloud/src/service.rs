@@ -90,8 +90,9 @@ impl ReplySink {
             ReplySink::Routed { tag, tx } => {
                 metrics.progress_frame_emitted(session);
                 if tx.send_progress(*tag, update) {
-                    // Channel alive: the conn's pump delivers (protocol ≥ 2)
-                    // or drops (v1) — either way the reply is deliverable.
+                    // Channel alive: the conn's pump delivers it, or drops
+                    // it on a draining connection — either way the reply
+                    // is deliverable.
                     true
                 } else {
                     // The connection's channel is gone; the pump will never
@@ -115,8 +116,8 @@ pub(crate) type CancelFlag = Arc<AtomicBool>;
 pub(crate) enum RoutedMsg {
     /// The request's one final outcome; frees its in-flight slot.
     Reply(Result<JobResult, CloudError>),
-    /// An advisory per-epoch progress frame (sent to protocol ≥ 2 peers
-    /// only); never touches in-flight accounting.
+    /// An advisory per-epoch progress frame; never touches in-flight
+    /// accounting.
     Progress(ProgressUpdate),
 }
 
@@ -225,7 +226,7 @@ pub(crate) struct Envelope {
     payload: Bytes,
     auth: Option<Arc<str>>,
     /// End-to-end trace id: minted at the submit boundary for in-process
-    /// jobs, carried in from the wire for protocol-v2 transport submits.
+    /// jobs, carried in from the wire for traced transport submits.
     trace: TraceId,
     /// The payload's content address when dedup or checkpointing is
     /// enabled — what the in-stack [`crate::DedupLayer`] caches a
@@ -575,8 +576,8 @@ impl CloudClient {
         trace: TraceId,
     ) -> Result<(u64, CancelFlag), CloudError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // Jobs that arrive without a trace (in-process submits, protocol-v1
-        // transport sessions) are the trace root: mint the id here so every
+        // Jobs that arrive without a trace (in-process submits, untraced
+        // transport submits) are the trace root: mint the id here so every
         // job is observable, not just remotely-traced ones.
         let trace = if trace.is_none() && self.metrics.telemetry().enabled() {
             TraceId::mint()

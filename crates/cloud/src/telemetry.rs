@@ -254,8 +254,7 @@ impl HistogramSnapshot {
 /// A 128-bit end-to-end trace id, minted once per job at submit time.
 ///
 /// Displayed as 32 lowercase hex digits; carried on the wire as two `u64`
-/// words in a backward-compatible Submit/Reply extension (peers that
-/// negotiated protocol v1 never see it).
+/// words in the optional trace tail of a Submit or Reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceId(u128);
 
@@ -268,7 +267,7 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 impl TraceId {
-    /// The absent trace (all zero) — what a v1 peer is treated as sending.
+    /// The absent trace (all zero) — what an untraced submit carries.
     pub const NONE: TraceId = TraceId(0);
 
     /// Mints a fresh id: wall-clock nanos, a process-wide counter and an

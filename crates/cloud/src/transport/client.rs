@@ -34,11 +34,10 @@
 
 use super::event_loop::link::{self, Job, Link, Role, Uplink, LINK};
 use super::event_loop::{reactor_parts, spawn_reactor, Reactor, ReactorShared, Tier};
-use super::frame::{read_frame_blocking, write_frame, Frame, FrameOrigin};
+use super::frame::{write_frame, Frame, FrameDecoder};
 use super::timer::{Fired, TimerWheel};
 use super::{
-    ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue, TransportConfig,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue, TransportConfig, PROTOCOL_VERSION,
 };
 use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::protocol::{CloudJob, JobResult, ProgressUpdate};
@@ -364,7 +363,7 @@ impl Role for Session {
     }
 
     fn lost(&mut self, link: Link, cause: CloudError, p: &mut Poller, w: &mut TimerWheel) {
-        self.relink(link.version != 0, cause, p, w);
+        self.relink(link.welcomed, cause, p, w);
     }
 }
 
@@ -443,7 +442,7 @@ impl Session {
         }
         for id in self.retries.pop_due(now) {
             if let Some(job) = self.delayed.remove(&id) {
-                if self.up.version() != 0 {
+                if self.up.welcomed() {
                     self.state.jobs_resubmitted.fetch_add(1, Ordering::Relaxed);
                 }
                 self.up.retain(id, job, &mut r.wheel);
@@ -511,18 +510,16 @@ impl Session {
         self.unflushed = true;
     }
 
-    /// Marks job `id` cancelled and (best effort) tells the server. The
-    /// `Cancel` frame is a protocol-v2 extension: against a v1 server the
-    /// job runs to completion and its handle sees its ordinary outcome. A
-    /// job no link carries right now is settled at once.
+    /// Marks job `id` cancelled and (best effort) tells the server; the
+    /// reply still settles it. A job no link carries right now is settled
+    /// at once.
     fn cancel(&mut self, id: u64, r: &mut Reactor) {
-        let version = self.up.version();
         let settled = match self.delayed.remove(&id) {
-            None if version == 0 => self.up.jobs.remove(&id),
+            None if !self.up.welcomed() => self.up.jobs.remove(&id),
             None => {
                 if let Some(job) = self.up.jobs.get_mut(&id) {
                     job.role.cancelled = true;
-                    if version >= 2 && self.up.send(&Frame::Cancel { request_id: id }) {
+                    if self.up.send(&Frame::Cancel { request_id: id }) {
                         link::flush(self, &mut r.poller, &mut r.wheel);
                     }
                 }
@@ -598,16 +595,27 @@ pub fn handshake(
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     write_frame(&mut stream, &hello(config.api_key.clone()))
         .map_err(|e| CloudError::Transport(format!("handshake write failed: {e}")))?;
-    let (frame, _) =
-        read_frame_blocking(&mut stream, config.max_frame_len, FrameOrigin::Server)?
-            .ok_or_else(|| CloudError::Handshake("server closed during handshake".into()))?;
-    welcomed(frame)
+    let mut decoder = FrameDecoder::new();
+    loop {
+        if let Some((frame, _)) = decoder.next_frame(config.max_frame_len)? {
+            return welcomed(frame);
+        }
+        match decoder.read_from(&mut stream) {
+            Ok(0) => {
+                return Err(CloudError::Handshake(
+                    "server closed during handshake".into(),
+                ))
+            }
+            Ok(_) => {}
+            Err(e) => return Err(CloudError::Transport(format!("read failed: {e}"))),
+        }
+    }
 }
 
-/// The client role's opener: this build's protocol range and `api_key`.
+/// The client role's opener: this build's protocol version and `api_key`.
 pub(super) fn hello(api_key: Option<String>) -> Frame {
     Frame::Hello {
-        min_version: MIN_PROTOCOL_VERSION,
+        min_version: PROTOCOL_VERSION,
         max_version: PROTOCOL_VERSION,
         api_key,
     }
@@ -753,7 +761,6 @@ impl RemoteCloudClient {
     ///
     /// # Errors
     ///
-    /// [`CloudError::Handshake`] if the server predates protocol v2,
     /// [`CloudError::Unauthorized`] if the service requires API keys and
     /// this session's key is not among them, plus the usual transport
     /// surface ([`CloudError::ServiceUnavailable`] on a dead session).
@@ -761,11 +768,6 @@ impl RemoteCloudClient {
         let shared = &*self.shared;
         if shared.state.closed.load(Ordering::SeqCst) {
             return Err(CloudError::ServiceUnavailable);
-        }
-        if shared.version < 2 {
-            return Err(CloudError::Handshake(
-                "server protocol predates GetStats (needs v2)".into(),
-            ));
         }
         let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
@@ -802,9 +804,7 @@ impl RemoteCloudClient {
         }
         let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
         // Mint the end-to-end trace id here — the submit instant is the
-        // root of the trace. It rides the frame's trace extension when the
-        // server speaks v2; against a v1 server it still names this
-        // client's own span of the job.
+        // root of the trace, and the frame's trace tail carries it.
         let trace = if shared.state.telemetry.enabled() {
             TraceId::mint()
         } else {
@@ -817,7 +817,7 @@ impl RemoteCloudClient {
         let frame = Frame::Submit {
             request_id: id,
             payload: payload.clone(),
-            trace: (shared.version >= 2 && !trace.is_none()).then_some(trace),
+            trace: (!trace.is_none()).then_some(trace),
         };
         let chunks = frame
             .wire_chunks()
@@ -957,9 +957,8 @@ impl RemoteJobHandle {
     /// Asks the server to stop this job at its next epoch boundary
     /// (best effort). The handle still resolves — normally with
     /// [`CloudError::Cancelled`], or with the job's ordinary outcome if
-    /// cancellation raced completion. Requires a protocol-v2 server for
-    /// the request to cross the wire; against a v1 server the job runs to
-    /// completion but is never revived by reconnect or retry machinery.
+    /// cancellation raced completion. A cancelled job is never revived by
+    /// reconnect or retry machinery.
     pub fn cancel(&self) {
         if let Some(shared) = self.shared.upgrade() {
             let id = self.id;

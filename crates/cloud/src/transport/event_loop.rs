@@ -60,7 +60,7 @@ mod relay;
 use super::frame::{Frame, FrameDecoder};
 use super::server::{ServerShared, Upstream};
 use super::timer::{Fired, TimerWheel};
-use super::{TransportConfig, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use super::{TransportConfig, PROTOCOL_VERSION};
 use crate::metrics::ServiceMetrics;
 use crate::middleware::SessionKey;
 use crate::protocol::JobResult;
@@ -282,9 +282,9 @@ struct Conn {
     peer_alive: Arc<AtomicBool>,
     /// Session identity, present once the handshake succeeded.
     session_client: Option<CloudClient>,
-    /// Protocol version negotiated at the handshake (0 until then). Trace
-    /// extensions and Stats frames are only written when this is ≥ 2.
-    version: u32,
+    /// The peer's `Hello` was accepted (a relay session is still
+    /// handshaking while its backend link is routed).
+    greeted: bool,
     /// Trace id of each accepted submit, echoed onto its Reply frame.
     traces: HashMap<u64, TraceId>,
     /// Cancellation flag of each accepted submit still executing; a Cancel
@@ -653,7 +653,7 @@ impl Tier for Sessions {
             },
             peer_alive,
             session_client: None,
-            version: 0,
+            greeted: false,
             traces: HashMap::new(),
             cancels: HashMap::new(),
             in_flight: 0,
@@ -1023,17 +1023,16 @@ fn handle_frame(
                 max_version,
                 api_key,
             },
-        ) if conn.version == 0 => {
-            let version = PROTOCOL_VERSION.min(max_version);
-            if version < MIN_PROTOCOL_VERSION.max(min_version) {
+        ) if !conn.greeted => {
+            if !(min_version..=max_version).contains(&PROTOCOL_VERSION) {
                 let reason = format!(
                     "no common protocol version (server speaks \
-                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, \
+                     {PROTOCOL_VERSION}..={PROTOCOL_VERSION}, \
                      client {min_version}..={max_version})"
                 );
                 return refuse(conn, reason, shared, poller, wheel);
             }
-            conn.version = version;
+            conn.greeted = true;
             match &shared.upstream {
                 Upstream::Service(client) => {
                     // One scheduling/rate-limiting identity for everything
@@ -1179,7 +1178,7 @@ fn establish(
     wheel: &mut TimerWheel,
 ) {
     let welcome = Frame::Welcome {
-        version: conn.version,
+        version: PROTOCOL_VERSION,
         max_in_flight,
         max_frame_len,
     };
@@ -1198,15 +1197,13 @@ fn queue_reply(
     mut result: Result<JobResult, CloudError>,
     shared: &Arc<ServerShared>,
 ) {
-    let stored = conn.traces.remove(&request_id).unwrap_or(TraceId::NONE);
+    // The submit's trace id, echoed (only traced submits have one).
+    let trace = conn.traces.remove(&request_id);
     conn.cancels.remove(&request_id);
     if conn.sink_broken {
         conn.in_flight = conn.in_flight.saturating_sub(1);
         return;
     }
-    // Echo the submit's trace id, but only to peers that negotiated the
-    // extension (v1 decoders reject trailing bytes).
-    let trace = (conn.version >= 2 && !stored.is_none()).then_some(stored);
     if let Ok(r) = &mut result {
         // Parity with in-process handles: the result's id is the id the
         // caller's handle carries (its wire request id), not the server
@@ -1243,14 +1240,14 @@ fn pump_replies(
 
 /// Serializes one progress frame onto the write queue, or drops it.
 /// Progress is advisory: it holds no in-flight slot and is never owed, so a
-/// v1 peer, a broken sink or a draining connection just drops it (counted).
+/// broken sink or a draining connection just drops it (counted).
 fn queue_progress(
     conn: &mut Conn,
     request_id: u64,
     update: crate::ProgressUpdate,
     shared: &Arc<ServerShared>,
 ) {
-    if conn.version >= 2 && !conn.sink_broken && conn.state == ConnState::Established {
+    if !conn.sink_broken && conn.state == ConnState::Established {
         conn.writes.push_frame(
             &Frame::Progress { request_id, update },
             false,

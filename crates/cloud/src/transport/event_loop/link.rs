@@ -20,7 +20,7 @@
 //! bit the same.
 
 use super::super::client::{hello, welcomed, Welcome};
-use super::super::frame::{Frame, FrameDecoder, FrameOrigin};
+use super::super::frame::{Frame, FrameDecoder};
 use super::super::timer::TimerWheel;
 use super::super::TransportConfig;
 use super::{FlushOutcome, WriteQueue};
@@ -124,14 +124,15 @@ pub(crate) fn fired<R: Role>(
         return false;
     }
     if up.stall_deadline().is_some_and(|at| Instant::now() >= at) {
-        let cause = match up.version() {
-            0 => "no Welcome within the handshake timeout",
-            _ => "the link stalled",
+        let cause = if up.welcomed() {
+            "the link stalled"
+        } else {
+            "no Welcome within the handshake timeout"
         };
         fail(role, CloudError::Transport(cause.into()), poller, wheel);
     } else if let Some(link) = up.link.as_mut().filter(|link| {
         let keepalive = up.config.keepalive_interval;
-        link.version != 0 && link.writes.is_empty() && link.last_write.elapsed() >= keepalive
+        link.welcomed && link.writes.is_empty() && link.last_write.elapsed() >= keepalive
     }) {
         link.send(&Frame::Ping { nonce: 0 }, &up.metrics);
     }
@@ -172,9 +173,8 @@ pub(crate) struct Uplink<X> {
 pub(crate) struct Link {
     stream: TcpStream,
     pub(crate) addr: String,
-    /// What the `Welcome` negotiated, 0 until it arrives. Trace ids,
-    /// `Cancel` and `GetStats` go to v2 peers only.
-    pub(crate) version: u32,
+    /// The `Welcome` arrived.
+    pub(crate) welcomed: bool,
     decoder: FrameDecoder,
     writes: WriteQueue,
     interest: Interest,
@@ -213,9 +213,9 @@ impl<X> Uplink<X> {
         }
     }
 
-    /// The link's protocol version, 0 until it is welcomed.
-    pub(crate) fn version(&self) -> u32 {
-        self.link.as_ref().map_or(0, |link| link.version)
+    /// There is a link, and it is welcomed.
+    pub(crate) fn welcomed(&self) -> bool {
+        self.link.as_ref().is_some_and(|link| link.welcomed)
     }
 
     /// Takes `stream`, dialed to `addr`, as the link and queues its `Hello`
@@ -240,8 +240,8 @@ impl<X> Uplink<X> {
         let mut link = Link {
             stream,
             addr,
-            version: 0,
-            decoder: FrameDecoder::for_peer(FrameOrigin::Server),
+            welcomed: false,
+            decoder: FrameDecoder::new(),
             writes: WriteQueue {
                 relay: true,
                 ..WriteQueue::default()
@@ -259,7 +259,7 @@ impl<X> Uplink<X> {
 
     /// Queues `frame` on the welcomed link; `false` when there is none.
     pub(crate) fn send(&mut self, frame: &Frame) -> bool {
-        match self.link.as_mut().filter(|link| link.version != 0) {
+        match self.link.as_mut().filter(|link| link.welcomed) {
             Some(link) => link.send(frame, &self.metrics),
             None => return false,
         }
@@ -270,7 +270,7 @@ impl<X> Uplink<X> {
     /// rides the next one's resubmission.
     pub(crate) fn retain(&mut self, id: u64, mut job: Job<X>, wheel: &mut TimerWheel) {
         let owed_before = !self.jobs.is_empty();
-        if let Some(link) = self.link.as_mut().filter(|link| link.version != 0) {
+        if let Some(link) = self.link.as_mut().filter(|link| link.welcomed) {
             link.send_job(id, &mut job, &self.metrics);
             if !owed_before {
                 link.quiet_since = Instant::now(); // replies fall owed now
@@ -304,15 +304,15 @@ impl<X> Uplink<X> {
         loop {
             if let Some((frame, wire)) = link.decoder.next_frame(self.config.max_frame_len)? {
                 self.metrics.relay_frame_received(wire);
-                if link.version != 0 {
+                if link.welcomed {
                     return Ok(Some(Heard::Frame(frame)));
                 }
                 let welcome = welcomed(frame)?;
-                link.version = welcome.0;
+                link.welcomed = true;
                 return Ok(Some(Heard::Welcome(welcome)));
             }
             match link.decoder.read_from(&mut link.stream) {
-                Ok(0) if link.version == 0 => {
+                Ok(0) if !link.welcomed => {
                     return Err(CloudError::Handshake(
                         "server closed during handshake".into(),
                     ))
@@ -356,19 +356,15 @@ impl<X> Uplink<X> {
         self.timer_gen += 1;
         // A link with writes still queued is not idle: its ping is looked at
         // again a full interval on, not at an instant already past.
-        let keepalive = self
-            .link
-            .as_ref()
-            .filter(|link| link.version != 0)
-            .map(|link| {
-                let busy = !link.writes.is_empty();
-                let from = if busy {
-                    Instant::now()
-                } else {
-                    link.last_write
-                };
-                from + self.config.keepalive_interval
-            });
+        let keepalive = self.link.as_ref().filter(|link| link.welcomed).map(|link| {
+            let busy = !link.writes.is_empty();
+            let from = if busy {
+                Instant::now()
+            } else {
+                link.last_write
+            };
+            from + self.config.keepalive_interval
+        });
         if let Some(at) = keepalive
             .into_iter()
             .chain(self.stall_deadline())
@@ -384,9 +380,10 @@ impl<X> Uplink<X> {
     /// reply timeout), and progress while writes are queued.
     fn stall_deadline(&self) -> Option<Instant> {
         let link = self.link.as_ref()?;
-        let answer = match link.version {
-            0 => Some(self.config.handshake_timeout),
-            _ => self.reply_timeout.filter(|_| !self.jobs.is_empty()),
+        let answer = if link.welcomed {
+            self.reply_timeout.filter(|_| !self.jobs.is_empty())
+        } else {
+            Some(self.config.handshake_timeout)
         };
         let writes =
             (!link.writes.is_empty()).then(|| link.write_progress + self.config.write_timeout);
@@ -420,12 +417,12 @@ impl Link {
         self.last_write = now;
     }
 
-    /// Queues a retained job, its trace id for v2 peers only.
+    /// Queues a retained job, with its trace id if it has one.
     fn send_job<X>(&mut self, id: u64, job: &mut Job<X>, metrics: &ServiceMetrics) {
         let submit = Frame::Submit {
             request_id: id,
             payload: job.payload.clone(),
-            trace: (self.version >= 2 && !job.trace.is_none()).then_some(job.trace),
+            trace: (!job.trace.is_none()).then_some(job.trace),
         };
         self.send(&submit, metrics);
         job.sent_at = self.last_write;

@@ -109,7 +109,7 @@ impl Role for Face<'_> {
         let (conn, shared) = (&mut *self.conn, self.shared);
         match frame {
             // Only a retained job is owed a reply, and its trace is the one
-            // echoed (a v1 backend echoes none).
+            // the relay retained, whatever the backend echoed.
             Frame::Reply {
                 request_id, result, ..
             } => {
@@ -124,13 +124,9 @@ impl Role for Face<'_> {
                     queue_reply(conn, request_id, result, shared);
                 }
             }
-            // Mid-job progress is a v2 extension, streamed for jobs still
-            // owed.
+            // Mid-job progress, streamed for jobs still owed.
             Frame::Progress { request_id, update } => {
-                if conn.version >= 2
-                    && !conn.sink_broken
-                    && relay(conn).up.jobs.contains_key(&request_id)
-                {
+                if !conn.sink_broken && relay(conn).up.jobs.contains_key(&request_id) {
                     let progress = Frame::Progress { request_id, update };
                     conn.writes.push_frame(&progress, false, &shared.metrics);
                 }
@@ -147,7 +143,7 @@ impl Role for Face<'_> {
         if let Upstream::Relay { routing, .. } = &self.shared.upstream {
             routing.failed(&link.addr);
         }
-        if link.version != 0 {
+        if link.welcomed {
             self.shared.metrics.backend_failover(&link.addr);
         }
         let token = self.conn.token;
@@ -240,8 +236,8 @@ pub(super) fn submit(
     link::flush(&mut Face { conn, shared }, poller, wheel);
 }
 
-/// Passes a `Cancel` to a v2 backend — best effort, as everywhere in the
-/// cancel path. The job stays retained: its reply (normally `Cancelled`)
+/// Passes a `Cancel` to the welcomed backend — best effort, as everywhere
+/// in the cancel path. The job stays retained: its reply (normally `Cancelled`)
 /// settles it, and if the link dies first the resubmitted job's outcome.
 pub(super) fn cancel(
     conn: &mut Conn,
@@ -250,8 +246,7 @@ pub(super) fn cancel(
     poller: &mut Poller,
     wheel: &mut TimerWheel,
 ) {
-    let up = &mut relay(conn).up;
-    if up.version() >= 2 && up.send(&Frame::Cancel { request_id }) {
+    if relay(conn).up.send(&Frame::Cancel { request_id }) {
         link::flush(&mut Face { conn, shared }, poller, wheel);
     }
 }

@@ -16,9 +16,9 @@
 //!   (`SPLIT_THRESHOLD`) gives the body a buffer of its own, sized for that
 //!   frame; the socket is read straight into its spare capacity (never past
 //!   the frame's end) and the finished buffer *becomes* the [`Bytes`] that
-//!   [`Frame::decode`] slices the payload out of. [`FrameDecoder`] and
-//!   [`read_frame_blocking`] share that reader (`fill_body`); the decoder's
-//!   scratch only ever holds small frames and one read chunk.
+//!   [`Frame::decode`] slices the payload out of. [`FrameDecoder`] is the
+//!   one reader; its scratch only ever holds small frames and one read
+//!   chunk.
 //! * **Writing.** [`Frame::wire_chunks`] is the frame's wire image as
 //!   head, shared bulk [`Bytes`], tail. [`write_frame`] and the reactor's
 //!   write queue hand those chunks to one vectored write, so a payload
@@ -46,62 +46,8 @@ const TAG_PONG: u8 = 132;
 const TAG_STATS: u8 = 133;
 const TAG_PROGRESS: u8 = 134;
 
-/// Tags this codec's frame grammar defines.
-fn is_known_tag(tag: u8) -> bool {
-    matches!(
-        tag,
-        TAG_HELLO
-            | TAG_SUBMIT
-            | TAG_PING
-            | TAG_GOODBYE
-            | TAG_GETSTATS
-            | TAG_CANCEL
-            | TAG_WELCOME
-            | TAG_REJECT
-            | TAG_REPLY
-            | TAG_PONG
-            | TAG_STATS
-            | TAG_PROGRESS
-    )
-}
-
-/// Which peer a reader is decoding frames *from*. The reserved extension
-/// ranges are directional (`6..=127` client→server, `134..=255`
-/// server→client), so the skip rule is too: a reader only forgives unknown
-/// tags its peer is entitled to invent. An unknown tag from the *wrong*
-/// range cannot be a newer peer's extension — it can only be corruption —
-/// and stays a hard decode error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrameOrigin {
-    /// The peer is a client (a server or proxy front door reading
-    /// submissions): unknown tags in `6..=127` are skippable.
-    #[default]
-    Client,
-    /// The peer is a server (a client or proxy backend link reading
-    /// replies): unknown tags in `134..=255` are skippable.
-    Server,
-}
-
-/// True when an *unknown* tag sits in `origin`'s reserved extension range
-/// and the whole frame should be skipped rather than fail the connection.
-/// This is the rule that lets newer peers grow extension frames (`Cancel`,
-/// `Progress`, and whatever comes after) without desyncing older ones: the
-/// length prefix bounds the unknown body, so a decoder that has never heard
-/// of the tag drops exactly one frame and picks up cleanly at the next
-/// boundary.
-pub(crate) fn skippable_tag(tag: u8, origin: FrameOrigin) -> bool {
-    if is_known_tag(tag) {
-        return false;
-    }
-    match origin {
-        FrameOrigin::Client => matches!(tag, 6..=127),
-        FrameOrigin::Server => matches!(tag, 134..=255),
-    }
-}
-
-/// Wire size of the optional trailing trace-id extension on `Submit` and
-/// `Reply` bodies: two raw `u64` words, no length prefix. Peers that
-/// negotiated protocol v1 never send or expect it.
+/// Wire size of the optional trace tail on `Submit` and `Reply` bodies: two
+/// raw `u64` words, no length prefix.
 const TRACE_EXT_LEN: usize = 16;
 
 /// One framed transport message (either direction).
@@ -136,8 +82,7 @@ pub enum Frame {
         request_id: u64,
         /// The serialized job.
         payload: Bytes,
-        /// End-to-end trace id (protocol ≥ 2 extension; `None` from v1
-        /// peers).
+        /// End-to-end trace id, if the submitter minted one.
         trace: Option<TraceId>,
     },
     /// The outcome of one submit; replies may arrive out of order.
@@ -146,11 +91,10 @@ pub enum Frame {
         request_id: u64,
         /// What the service produced.
         result: Result<JobResult, CloudError>,
-        /// The submit's trace id echoed back (protocol ≥ 2 extension).
+        /// The submit's trace id echoed back, if it carried one.
         trace: Option<TraceId>,
     },
-    /// Authenticated request for the peer's full telemetry snapshot
-    /// (protocol ≥ 2).
+    /// Authenticated request for the peer's full telemetry snapshot.
     GetStats {
         /// Client-chosen id echoed back in the matching [`Frame::Stats`].
         request_id: u64,
@@ -164,8 +108,8 @@ pub enum Frame {
         /// Encoded snapshot bytes, or why the peer refused.
         body: Result<Bytes, CloudError>,
     },
-    /// Client asks the server to abandon an unanswered submit (protocol ≥ 2
-    /// extension). Best-effort: the job resolves with
+    /// Client asks the server to abandon an unanswered submit. Best-effort:
+    /// the job resolves with
     /// [`CloudError::Cancelled`] if the flag lands before it finishes, and
     /// with its normal outcome otherwise — either way exactly one
     /// [`Frame::Reply`] still answers the submit.
@@ -173,9 +117,9 @@ pub enum Frame {
         /// The id of the [`Frame::Submit`] to abandon.
         request_id: u64,
     },
-    /// Streamed per-epoch progress for an unanswered submit (protocol ≥ 2
-    /// extension; v1 peers never receive it). Advisory and unacknowledged:
-    /// progress frames may be dropped without affecting the final reply.
+    /// Streamed per-epoch progress for an unanswered submit. Advisory and
+    /// unacknowledged: progress frames may be dropped without affecting the
+    /// final reply.
     Progress {
         /// The id of the [`Frame::Submit`] this reports on.
         request_id: u64,
@@ -200,10 +144,9 @@ fn wire_err(e: TensorError) -> CloudError {
     CloudError::Decode(e.to_string())
 }
 
-/// Appends the optional trace-id extension: two raw `u64` words at the end
-/// of the body, no marker byte — v1 peers simply never emit them, and the
-/// decoder distinguishes "absent" by the body ending exactly where v1
-/// bodies end.
+/// Appends the optional trace tail: two raw `u64` words at the end of the
+/// body, no marker byte — the decoder tells "absent" by the body ending
+/// where the tail would begin.
 fn encode_trace_tail(w: &mut Writer, trace: Option<TraceId>) {
     if let Some(t) = trace {
         let (hi, lo) = t.to_words();
@@ -587,69 +530,6 @@ fn fill_body(r: &mut impl Read, body: &mut Vec<u8>, len: usize) -> std::io::Resu
     }
 }
 
-/// Reads one length prefix from a blocking stream; `Ok(None)` is a clean
-/// EOF before its first byte, EOF anywhere else a truncated frame.
-fn read_prefix(r: &mut impl Read) -> Result<Option<usize>, CloudError> {
-    let mut prefix = [0u8; 4];
-    let mut got = 0;
-    while got < prefix.len() {
-        match r.read(&mut prefix[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(CloudError::Transport("connection closed mid-frame".into())),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(CloudError::Transport(format!("read failed: {e}"))),
-        }
-    }
-    Ok(Some(u32::from_le_bytes(prefix) as usize))
-}
-
-fn over_cap(len: usize, max_frame_len: usize) -> CloudError {
-    CloudError::Transport(format!("frame length {len} exceeds cap {max_frame_len}"))
-}
-
-/// Reads one frame from a blocking stream.
-///
-/// Returns `Ok(None)` on a clean EOF at a frame boundary, and the decoded
-/// frame plus its wire length otherwise. Frames carrying an unknown tag in
-/// `origin`'s reserved extension range (see the wire tables in
-/// [`crate::transport`]) are skipped whole — the reader keeps going and
-/// returns the next frame it understands, so older peers survive newer
-/// ones' extension frames. Public for the same transport intermediaries as
-/// [`write_frame`].
-///
-/// # Errors
-///
-/// Returns [`CloudError::Transport`] on I/O failure, truncation or a length
-/// prefix over `max_frame_len` (checked before allocating), and
-/// [`CloudError::Decode`] on a malformed body.
-pub fn read_frame_blocking(
-    r: &mut impl Read,
-    max_frame_len: usize,
-    origin: FrameOrigin,
-) -> Result<Option<(Frame, usize)>, CloudError> {
-    loop {
-        let Some(len) = read_prefix(r)? else {
-            return Ok(None);
-        };
-        if len > max_frame_len {
-            return Err(over_cap(len, max_frame_len));
-        }
-        let mut body = Vec::new();
-        while body.len() < len {
-            match fill_body(r, &mut body, len) {
-                Ok(0) => return Err(CloudError::Transport("connection closed mid-frame".into())),
-                Ok(_) => {}
-                Err(e) => return Err(CloudError::Transport(format!("read failed: {e}"))),
-            }
-        }
-        if body.first().is_some_and(|&t| skippable_tag(t, origin)) {
-            continue;
-        }
-        return Ok(Some((Frame::decode(Bytes::from(body))?, 4 + len)));
-    }
-}
-
 /// Incremental frame decoder for nonblocking (or timeout-polled) sockets.
 ///
 /// Every readiness event hands the decoder one read
@@ -659,7 +539,7 @@ pub fn read_frame_blocking(
 /// copy of their body. A bulk frame (body of at least one read chunk) is
 /// received into a buffer of its own, which then *is* the decoded frame's
 /// storage: its payload is a slice of the bytes the socket wrote, whatever
-/// the frame's kind or origin. Partial frames are fine at any byte offset;
+/// the frame's kind. Partial frames are fine at any byte offset;
 /// the decoder just waits for more input.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
@@ -668,28 +548,15 @@ pub struct FrameDecoder {
     /// Bytes before `start` are consumed; `start..end` is undecoded input.
     start: usize,
     end: usize,
-    /// Which peer's frames this decoder reads — fixes the skippable
-    /// extension range (see [`FrameOrigin`]).
-    origin: FrameOrigin,
     /// The bulk frame being received: its body length and what has arrived.
     /// Wire order puts it before everything in the scratch.
     bulk: Option<(usize, Vec<u8>)>,
 }
 
 impl FrameDecoder {
-    /// Creates an empty decoder reading frames from a client — the
-    /// server-side default (no scratch allocated until first input).
+    /// Creates an empty decoder (no scratch allocated until first input).
     pub fn new() -> FrameDecoder {
         FrameDecoder::default()
-    }
-
-    /// Creates an empty decoder reading frames from `origin`'s side of the
-    /// connection.
-    pub fn for_peer(origin: FrameOrigin) -> FrameDecoder {
-        FrameDecoder {
-            origin,
-            ..FrameDecoder::default()
-        }
     }
 
     /// Undecoded wire bytes currently held.
@@ -757,15 +624,13 @@ impl FrameDecoder {
 
     /// Pops the next complete frame, or `Ok(None)` if more bytes are needed.
     ///
-    /// Returns the frame plus its wire length (prefix + body). Frames with
-    /// an unknown tag in the reserved extension ranges are skipped whole,
-    /// exactly like [`read_frame_blocking`] — no desync, no error.
+    /// Returns the frame plus its wire length (prefix + body).
     ///
     /// # Errors
     ///
     /// [`CloudError::Transport`] for a length prefix over `max_frame_len`
     /// (checked before buffering the body), [`CloudError::Decode`] for a
-    /// malformed body — both identical to the blocking reader's behavior.
+    /// malformed body — an unknown tag included.
     pub fn next_frame(
         &mut self,
         max_frame_len: usize,
@@ -776,9 +641,6 @@ impl FrameDecoder {
                     return Ok(None);
                 }
                 let (len, body) = self.bulk.take().expect("checked just above");
-                if skippable_tag(body[0], self.origin) {
-                    continue;
-                }
                 return Ok(Some((Frame::decode(Bytes::from(body))?, 4 + len)));
             }
             let avail = self.end - self.start;
@@ -791,7 +653,9 @@ impl FrameDecoder {
                     .expect("4-byte slice"),
             ) as usize;
             if len > max_frame_len {
-                return Err(over_cap(len, max_frame_len));
+                return Err(CloudError::Transport(format!(
+                    "frame length {len} exceeds cap {max_frame_len}"
+                )));
             }
             if len >= SPLIT_THRESHOLD {
                 // Bulk: what the scratch holds of the body moves over once,
@@ -807,17 +671,13 @@ impl FrameDecoder {
                 return Ok(None);
             }
             let body = &self.buf[self.start + 4..self.start + 4 + len];
-            if body.first().is_some_and(|&t| skippable_tag(t, self.origin)) {
-                self.consume(4 + len);
-                continue;
-            }
             let frame = Frame::decode(Bytes::from(body));
             self.consume(4 + len);
             return Ok(Some((frame?, 4 + len)));
         }
     }
 
-    /// Advances past `n` decoded (or skipped) bytes, rewinding the scratch
+    /// Advances past `n` decoded bytes, rewinding the scratch
     /// when it fully drains.
     fn consume(&mut self, n: usize) {
         self.start += n;
@@ -834,35 +694,31 @@ mod tests {
     use amalgam_nn::metrics::History;
 
     fn roundtrip(frame: Frame) {
-        // Known tags decode under either reader direction; the origin only
-        // governs which *unknown* tags are forgiven.
-        for origin in [FrameOrigin::Client, FrameOrigin::Server] {
-            let mut wire = Vec::new();
-            let wrote = write_frame(&mut wire, &frame).unwrap();
-            assert_eq!(wrote, wire.len());
-            let mut cursor = std::io::Cursor::new(wire);
-            let (back, len) = read_frame_blocking(&mut cursor, 1 << 30, origin)
-                .unwrap()
-                .unwrap();
-            assert_eq!(len, wrote);
-            assert_eq!(back, frame);
-        }
+        let mut wire = Vec::new();
+        let wrote = write_frame(&mut wire, &frame).unwrap();
+        assert_eq!(wrote, wire.len());
+        let mut dec = FrameDecoder::new();
+        dec.extend(&wire);
+        let (back, len) = dec.next_frame(1 << 30).unwrap().unwrap();
+        assert_eq!(len, wrote);
+        assert_eq!(back, frame);
+        assert_eq!(dec.buffered(), 0);
     }
 
     #[test]
     fn every_frame_kind_roundtrips() {
         roundtrip(Frame::Hello {
-            min_version: 1,
+            min_version: 2,
             max_version: 3,
             api_key: Some("key".into()),
         });
         roundtrip(Frame::Hello {
-            min_version: 1,
-            max_version: 1,
+            min_version: 2,
+            max_version: 2,
             api_key: None,
         });
         roundtrip(Frame::Welcome {
-            version: 1,
+            version: 2,
             max_in_flight: 32,
             max_frame_len: 256 << 20,
         });
@@ -932,92 +788,6 @@ mod tests {
             },
         });
         roundtrip(Frame::Goodbye);
-    }
-
-    #[test]
-    fn unknown_extension_tags_are_skipped_without_desync() {
-        // A frame with an unknown tag from the peer's own extension range,
-        // sandwiched between known frames: both readers must drop it whole
-        // and keep decoding.
-        for (unknown_tag, origin) in [
-            (7u8, FrameOrigin::Client),
-            (127, FrameOrigin::Client),
-            (135, FrameOrigin::Server),
-            (255, FrameOrigin::Server),
-        ] {
-            let mut wire = Vec::new();
-            write_frame(&mut wire, &Frame::Ping { nonce: 1 }).unwrap();
-            let mut body = vec![unknown_tag];
-            body.extend_from_slice(&[0xAB; 21]); // arbitrary extension fields
-            write_encoded(&mut wire, &Bytes::from(body)).unwrap();
-            write_frame(&mut wire, &Frame::Pong { nonce: 2 }).unwrap();
-
-            let mut cursor = std::io::Cursor::new(wire.clone());
-            let (a, _) = read_frame_blocking(&mut cursor, 1 << 20, origin)
-                .unwrap()
-                .unwrap();
-            let (b, _) = read_frame_blocking(&mut cursor, 1 << 20, origin)
-                .unwrap()
-                .unwrap();
-            assert_eq!(a, Frame::Ping { nonce: 1 });
-            assert_eq!(b, Frame::Pong { nonce: 2 });
-            assert!(read_frame_blocking(&mut cursor, 1 << 20, origin)
-                .unwrap()
-                .is_none());
-
-            let mut dec = FrameDecoder::for_peer(origin);
-            dec.extend(&wire);
-            let mut out = Vec::new();
-            while let Some((f, _)) = dec.next_frame(1 << 20).unwrap() {
-                out.push(f);
-            }
-            assert_eq!(
-                out,
-                vec![Frame::Ping { nonce: 1 }, Frame::Pong { nonce: 2 }]
-            );
-            assert_eq!(dec.buffered(), 0);
-        }
-    }
-
-    #[test]
-    fn unknown_tags_from_the_wrong_range_stay_errors() {
-        // An unknown tag from the *other* side's extension range cannot be
-        // a newer peer's frame — a client never legitimately invents
-        // server-range tags — so it stays a hard decode error (this is what
-        // keeps garbage-flinging peers rejected rather than ignored).
-        for (unknown_tag, origin) in [(135u8, FrameOrigin::Client), (7, FrameOrigin::Server)] {
-            let mut wire = Vec::new();
-            write_encoded(&mut wire, &Bytes::from(vec![unknown_tag, 1, 2])).unwrap();
-            let mut cursor = std::io::Cursor::new(wire.clone());
-            assert!(matches!(
-                read_frame_blocking(&mut cursor, 1 << 20, origin),
-                Err(CloudError::Decode(_))
-            ));
-            let mut dec = FrameDecoder::for_peer(origin);
-            dec.extend(&wire);
-            assert!(matches!(
-                dec.next_frame(1 << 20),
-                Err(CloudError::Decode(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn non_extension_unknown_tags_still_error() {
-        // Tag 0 and the 128 gap stay hard errors for both directions: they
-        // sit outside the reserved extension ranges, so they can only mean
-        // a corrupt stream, not a newer peer.
-        for bad_tag in [0u8, 128] {
-            for origin in [FrameOrigin::Client, FrameOrigin::Server] {
-                let mut wire = Vec::new();
-                write_encoded(&mut wire, &Bytes::from(vec![bad_tag, 1, 2])).unwrap();
-                let mut cursor = std::io::Cursor::new(wire);
-                assert!(matches!(
-                    read_frame_blocking(&mut cursor, 1 << 20, origin),
-                    Err(CloudError::Decode(_))
-                ));
-            }
-        }
     }
 
     #[test]
@@ -1116,47 +886,23 @@ mod tests {
     }
 
     #[test]
-    fn oversized_length_prefix_is_rejected_before_allocating() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&u32::MAX.to_le_bytes());
-        wire.extend_from_slice(b"whatever");
-        let mut cursor = std::io::Cursor::new(wire);
-        match read_frame_blocking(&mut cursor, 1 << 20, FrameOrigin::Client) {
-            Err(CloudError::Transport(msg)) => assert!(msg.contains("exceeds cap"), "{msg}"),
-            other => panic!("expected Transport error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_frame_is_a_transport_error() {
+    fn a_truncated_frame_is_never_decoded() {
         let mut wire = Vec::new();
         write_frame(&mut wire, &Frame::Ping { nonce: 1 }).unwrap();
         wire.truncate(wire.len() - 2);
-        let mut cursor = std::io::Cursor::new(wire);
-        assert!(matches!(
-            read_frame_blocking(&mut cursor, 1 << 20, FrameOrigin::Client),
-            Err(CloudError::Transport(_))
-        ));
-    }
-
-    #[test]
-    fn clean_eof_at_boundary_is_none() {
-        let mut cursor = std::io::Cursor::new(Vec::new());
-        assert!(
-            read_frame_blocking(&mut cursor, 1 << 20, FrameOrigin::Client)
-                .unwrap()
-                .is_none()
-        );
+        let mut dec = FrameDecoder::new();
+        dec.extend(&wire);
+        assert!(dec.next_frame(1 << 20).unwrap().is_none());
+        assert_eq!(dec.buffered(), wire.len());
     }
 
     #[test]
     fn garbage_body_is_a_decode_error() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&3u32.to_le_bytes());
-        wire.extend_from_slice(&[0xEE, 0xFF, 0x00]);
-        let mut cursor = std::io::Cursor::new(wire);
+        let mut dec = FrameDecoder::new();
+        dec.extend(&3u32.to_le_bytes());
+        dec.extend(&[0xEE, 0xFF, 0x00]);
         assert!(matches!(
-            read_frame_blocking(&mut cursor, 1 << 20, FrameOrigin::Client),
+            dec.next_frame(1 << 20),
             Err(CloudError::Decode(_))
         ));
     }
@@ -1172,11 +918,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_decoder_matches_blocking_reader_byte_at_a_time() {
+    fn incremental_decoder_decodes_byte_at_a_time() {
         let frames = vec![
             Frame::Hello {
-                min_version: 1,
-                max_version: 1,
+                min_version: 2,
+                max_version: 2,
                 api_key: Some("k".into()),
             },
             Frame::Submit {
@@ -1241,7 +987,7 @@ mod tests {
 
     #[test]
     fn bulk_frames_decode_in_the_buffer_they_were_read_into() {
-        // Bulk bodies of either kind and origin, trace tail included, each
+        // Bulk bodies of either kind, trace tail included, each
         // followed by a small frame that must survive the hand-over.
         let id = TraceId::from_words(0xaaaa, 0xbbbb);
         let submit = Frame::Submit {
@@ -1261,14 +1007,11 @@ mod tests {
             }),
             trace: Some(id),
         };
-        for (frame, origin) in [
-            (&submit, FrameOrigin::Client),
-            (&reply, FrameOrigin::Server),
-        ] {
+        for frame in [&submit, &reply] {
             let mut wire = Vec::new();
             write_frame(&mut wire, frame).unwrap();
             write_frame(&mut wire, &Frame::Ping { nonce: 9 }).unwrap();
-            let mut dec = FrameDecoder::for_peer(origin);
+            let mut dec = FrameDecoder::new();
             let mut src = &wire[..];
             // The first read lands in the scratch; the prefix it reveals
             // moves the body to a buffer of its own...
@@ -1323,7 +1066,7 @@ mod tests {
     }
 
     #[test]
-    fn progress_before_a_dry_source_is_progress_and_eof_mid_body_is_an_error() {
+    fn progress_before_a_dry_source_is_progress_and_a_cut_body_never_decodes() {
         /// Yields its data in `step`-byte reads with a `WouldBlock` (or a
         /// read timeout) between any two, then EOF.
         struct Dribble<'a>(&'a [u8], usize, bool);
@@ -1366,37 +1109,13 @@ mod tests {
         }
         assert_eq!(got, Some(frame));
 
-        // The same frame cut short: the blocking reader reports truncation.
+        // The same frame cut short: EOF finds it still held, undecoded.
+        let mut dec = FrameDecoder::new();
         let mut cut = &wire[..wire.len() - 1];
-        assert!(matches!(
-            read_frame_blocking(&mut cut, 1 << 30, FrameOrigin::Client),
-            Err(CloudError::Transport(_))
-        ));
-    }
-
-    #[test]
-    fn bulk_sized_extension_frames_are_skipped_without_desync() {
-        for (tag, origin) in [(7u8, FrameOrigin::Client), (200, FrameOrigin::Server)] {
-            let mut body = vec![0xAB; SPLIT_THRESHOLD + 1];
-            body[0] = tag;
-            let mut wire = Vec::new();
-            write_frame(&mut wire, &Frame::Ping { nonce: 1 }).unwrap();
-            write_encoded(&mut wire, &Bytes::from(body)).unwrap();
-            write_frame(&mut wire, &Frame::Pong { nonce: 2 }).unwrap();
-            let mut dec = FrameDecoder::for_peer(origin);
-            let mut out = Vec::new();
-            for piece in wire.chunks(1000) {
-                dec.extend(piece);
-                while let Some((f, _)) = dec.next_frame(1 << 20).unwrap() {
-                    out.push(f);
-                }
-            }
-            assert_eq!(
-                out,
-                vec![Frame::Ping { nonce: 1 }, Frame::Pong { nonce: 2 }]
-            );
-            assert_eq!(dec.buffered(), 0);
+        while dec.read_from(&mut cut).unwrap() > 0 {
+            assert!(dec.next_frame(1 << 30).unwrap().is_none());
         }
+        assert_eq!(dec.buffered(), wire.len() - 1);
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! | 2 | `Submit`  | `request_id: u64`, `payload: bytes` (a serialized [`crate::CloudJob`]), `[trace]` |
 //! | 3 | `Ping`    | `nonce: u64` |
 //! | 4 | `Goodbye` | — |
-//! | 5 | `GetStats`| `request_id: u64` (protocol ≥ 2) |
-//! | 6 | `Cancel`  | `request_id: u64` (protocol ≥ 2) |
+//! | 5 | `GetStats`| `request_id: u64` |
+//! | 6 | `Cancel`  | `request_id: u64` |
 //!
 //! and server → client:
 //!
@@ -49,31 +49,23 @@
 //! | 130 | `Reject`  | `reason: str` |
 //! | 131 | `Reply`   | `request_id: u64`, `ok: u8`, then a [`crate::JobResult`] or an encoded [`crate::CloudError`], `[trace]` |
 //! | 132 | `Pong`    | `nonce: u64` |
-//! | 133 | `Stats`   | `request_id: u64`, `ok: u8`, then snapshot `bytes` ([`crate::ServiceStats`] encoding) or an encoded [`crate::CloudError`] (protocol ≥ 2) |
-//! | 134 | `Progress`| `request_id: u64`, `epoch: u64`, `total_epochs: u64`, `train_loss: f32`, `train_acc: f32` (protocol ≥ 2) |
+//! | 133 | `Stats`   | `request_id: u64`, `ok: u8`, then snapshot `bytes` ([`crate::ServiceStats`] encoding) or an encoded [`crate::CloudError`] |
+//! | 134 | `Progress`| `request_id: u64`, `epoch: u64`, `total_epochs: u64`, `train_loss: f32`, `train_acc: f32` |
 //!
-//! Unused tags `6..=127` (client → server) and `134..=255` (server →
-//! client) are *reserved extension ranges*: a decoder that meets an
-//! unknown tag there skips the whole frame (its length prefix bounds it)
-//! instead of failing the connection. `Cancel` and `Progress` were added
-//! through exactly this rule, and peers that negotiated protocol 1 are
-//! additionally never sent either frame.
+//! Any other tag is a malformed frame, like any other undecodable body.
 //!
-//! `[trace]` is the protocol-v2 trace-id extension: 16 optional trailing
-//! bytes (`trace_hi: u64 LE`, `trace_lo: u64 LE`) after the v1 body. A
-//! body ending exactly where a v1 body ends carries no trace; a body with
-//! exactly 16 extra bytes carries one. The extension is only sent to
-//! peers that negotiated protocol ≥ 2, so v1 decoders — which reject
-//! trailing bytes — never see it. The same [`crate::TraceId`] minted at
-//! submit time rides the Submit through the proxy to the backend and back
-//! on the Reply, indexing flight-recorder spans at every tier.
+//! `[trace]` is an optional 16-byte tail (`trace_hi: u64 LE`, `trace_lo:
+//! u64 LE`): a body that ends before it carries no trace. The same
+//! [`crate::TraceId`] minted at submit time rides the Submit through the
+//! proxy to the backend and back on the Reply, indexing flight-recorder
+//! spans at every tier.
 //!
 //! # Handshake and sessions
 //!
 //! A session starts with exactly one `Hello`, carrying the client's
 //! supported protocol-version range and (optionally) its API key. The
-//! server negotiates `version = min(server_max, client_max)` and answers
-//! `Welcome` if that version is inside both ranges, `Reject` otherwise.
+//! server answers `Welcome` with [`PROTOCOL_VERSION`] if the range holds
+//! it, and a `Reject` naming both ranges otherwise.
 //! The `Welcome` also tells the client the session limits it must respect:
 //! the per-connection in-flight cap and the server's frame-length cap.
 //!
@@ -131,24 +123,14 @@ mod server;
 mod timer;
 
 pub use client::{handshake, RemoteCloudClient, RemoteJobHandle};
-pub use frame::{
-    read_frame_blocking, write_encoded, write_frame, Frame, FrameDecoder, FrameOrigin,
-};
+pub use frame::{write_encoded, write_frame, Frame, FrameDecoder};
 pub use reconnect::{ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue};
 pub use server::{CloudServer, Routing};
 
 use std::time::Duration;
 
-/// Newest protocol version this build speaks. Version 2 adds the trace-id
-/// extension on `Submit`/`Reply`, the `GetStats`/`Stats` admin frames, and
-/// the streamed-lifecycle extension frames `Progress` (server → client,
-/// per-epoch training progress) and `Cancel` (client → server, abandon an
-/// unanswered submit); v1 peers are still accepted and simply never see
-/// any of them.
+/// The protocol version this build speaks, and the only one it accepts.
 pub const PROTOCOL_VERSION: u32 = 2;
-
-/// Oldest protocol version this build still accepts.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
 
 /// Tunables shared by [`CloudServer`] and [`RemoteCloudClient`].
 #[derive(Debug, Clone)]

@@ -12,7 +12,7 @@
 //! * the jitter is deterministic per seed (reproducible incidents) and
 //!   seeds actually decorrelate (different seeds, different schedules);
 //! * a retry scheduled for `retry_after` never fires early, no matter how
-//!   aggressively the supervisor polls the queue.
+//!   aggressively the client loop polls the queue.
 
 use amalgam_cloud::transport::{DecorrelatedJitter, RetryQueue};
 use proptest::collection;
@@ -141,7 +141,7 @@ proptest! {
     }
 
     /// `next_due` is exactly the earliest outstanding deadline — what the
-    /// supervisor sleeps on between link events.
+    /// client loop arms its session's deadline with.
     #[test]
     fn next_due_tracks_the_earliest_deadline(
         delays_ms in collection::vec(1u64..500, 1..32),

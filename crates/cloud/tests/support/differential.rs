@@ -1,23 +1,20 @@
-//! One differential check of the transport's readers and its writer, driven
+//! One differential check of the transport's reader and its writer, driven
 //! by a seed: `transport_properties.rs` runs it over many seeds, the root
 //! package's `tests/properties.rs` over a fixed few (tier-1 runs only the
 //! root package). Not a test crate of its own — both include it by path.
 //!
 //! For a random frame sequence — every frame kind, bodies one byte either
-//! side of the bulk threshold and several read chunks long, unknown
-//! extension frames of small and bulk size, read as either peer — it
-//! checks that
+//! side of the bulk threshold and several read chunks long — it checks that
 //!
 //! * the chunked writer, drained one byte per write, puts exactly
-//!   `len ++ encode()` on the wire, and
-//! * [`FrameDecoder`] under random segmentation (one-byte reads, reads
+//!   `len ++ encode()` on the wire,
+//! * [`FrameDecoder`] handed the whole image at once yields exactly the
+//!   frames written and their wire lengths, and
+//! * a [`FrameDecoder`] under random segmentation (one-byte reads, reads
 //!   ending mid-prefix, `WouldBlock` or a read timeout between any two
-//!   reads) yields exactly the frames and wire lengths
-//!   [`read_frame_blocking`] yields from the whole image.
+//!   reads) yields the same.
 
-use amalgam_cloud::transport::{
-    read_frame_blocking, write_encoded, write_frame, Frame, FrameDecoder, FrameOrigin,
-};
+use amalgam_cloud::transport::{write_frame, Frame, FrameDecoder};
 use amalgam_cloud::{CloudError, JobResult, ProgressUpdate, TraceId};
 use amalgam_nn::metrics::History;
 use amalgam_tensor::Rng;
@@ -189,22 +186,9 @@ impl Read for Segmented<'_> {
 /// Runs the check for `seed`; panics with the seed on any disagreement.
 pub fn check(seed: u64) {
     let mut rng = Rng::seed_from(seed);
-    let origin = [FrameOrigin::Client, FrameOrigin::Server][rng.below(2)];
     let mut wire = Vec::new();
     let mut sent = Vec::new();
     for _ in 0..1 + rng.below(6) {
-        if rng.chance(0.2) {
-            // An extension frame this build has never heard of, from the
-            // peer's reserved range: skipped whole, whatever its size.
-            let tag = match origin {
-                FrameOrigin::Client => 7 + rng.below(121) as u8,
-                FrameOrigin::Server => 135 + rng.below(121) as u8,
-            };
-            let mut body = blob(&mut rng, 0).to_vec();
-            body[0] = tag;
-            write_encoded(&mut wire, &Bytes::from(body)).unwrap();
-            continue;
-        }
         let kind = rng.below(13);
         let f = frame(&mut rng, kind);
         let body = f.encode();
@@ -218,14 +202,16 @@ pub fn check(seed: u64) {
         sent.push((f, wrote));
     }
 
-    let mut whole = &wire[..];
+    let mut whole = FrameDecoder::new();
+    whole.extend(&wire);
     let mut reference = Vec::new();
-    while let Some(got) = read_frame_blocking(&mut whole, CAP, origin)
-        .unwrap_or_else(|e| panic!("seed {seed}: blocking reader: {e}"))
+    while let Some(got) = whole
+        .next_frame(CAP)
+        .unwrap_or_else(|e| panic!("seed {seed}: whole image: {e}"))
     {
         reference.push(got);
     }
-    assert!(reference == sent, "seed {seed}: blocking reader");
+    assert!(reference == sent, "seed {seed}: whole-image decode");
 
     let mut src = Segmented {
         data: &wire,
@@ -233,7 +219,7 @@ pub fn check(seed: u64) {
         bytewise: wire.len() < 4 * CHUNK && rng.chance(0.3),
         dry: false,
     };
-    let mut dec = FrameDecoder::for_peer(origin);
+    let mut dec = FrameDecoder::new();
     let mut got = Vec::new();
     loop {
         match dec.read_from(&mut src) {

@@ -2,7 +2,7 @@
 //! bit-exactly through encode/decode, and adversarial byte soup never
 //! panics the decoder.
 
-use amalgam_cloud::transport::{Frame, FrameDecoder, FrameOrigin};
+use amalgam_cloud::transport::{write_encoded, write_frame, Frame, FrameDecoder};
 use amalgam_cloud::{CloudError, JobResult, ProgressUpdate, TraceId};
 use amalgam_nn::metrics::History;
 use bytes::Bytes;
@@ -111,8 +111,8 @@ fn build_frame(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// The incremental decoder under hostile segmentation, the blocking
-    /// reader and the chunked writer agree on random frame sequences (see
+    /// The decoder under hostile segmentation, the decoder over the whole
+    /// image and the chunked writer agree on random frame sequences (see
     /// `support/differential.rs`).
     #[test]
     fn readers_and_writer_agree_under_random_segmentation(seed in any::<u64>()) {
@@ -168,60 +168,54 @@ proptest! {
         let _ = Frame::decode(Bytes::from(body));
     }
 
-    /// Unknown extension bodies in the peer's reserved tag range are
-    /// skipped whole by a decoder that has never heard of them — with
-    /// arbitrary junk bodies, at arbitrary stream positions — and every
-    /// surrounding known frame still arrives in order. This is the
-    /// property that lets v2 grow Cancel/Progress without desyncing v1.
+    /// A frame whose tag the protocol does not define — a small or a bulk
+    /// body, at any stream position — is a decode error: the frames before
+    /// it arrive, and the decoder yields nothing after it.
     #[test]
-    fn unknown_extension_bodies_skip_cleanly_for_either_origin(
-        from_server in any::<bool>(),
+    fn unknown_tags_are_decode_errors_at_any_position(
         nonces in proptest::collection::vec(any::<u64>(), 1..5),
-        ext_bodies in proptest::collection::vec(
-            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..64)), 1..4),
-        positions in proptest::collection::vec(any::<usize>(), 1..4),
+        tag in any::<u8>(),
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
+        bulk in any::<bool>(),
+        position in any::<usize>(),
     ) {
-        let origin = if from_server { FrameOrigin::Server } else { FrameOrigin::Client };
+        prop_assume!(!matches!(tag, 1..=6 | 129..=134));
         let known: Vec<Frame> = nonces.iter().map(|&n| Frame::Ping { nonce: n }).collect();
-
-        // Interleave unknown-tag extension frames at sampled positions.
+        let at = position % (known.len() + 1);
+        let mut body = vec![tag];
+        body.extend_from_slice(&junk);
+        if bulk {
+            body.resize(64 * 1024 + junk.len(), 0xAB);
+        }
         let mut wire = Vec::new();
-        let mut push = |body: &[u8]| {
-            wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            wire.extend_from_slice(body);
-        };
-        let mut ext_iter = ext_bodies.iter().zip(&positions);
         for (i, frame) in known.iter().enumerate() {
-            if let Some(((raw_tag, junk), pos)) = ext_iter.next() {
-                // Map the sampled byte into the *unknown* part of this
-                // origin's skip range (known tags 6/134 excluded).
-                let tag = match origin {
-                    FrameOrigin::Client => 7 + (raw_tag % 121),     // 7..=127
-                    FrameOrigin::Server => 135 + (raw_tag % 121),   // 135..=255
-                };
-                let mut body = vec![tag];
-                body.extend_from_slice(junk);
-                if pos % known.len() <= i {
-                    push(&body);
-                }
+            if i == at {
+                write_encoded(&mut wire, &Bytes::from(body.clone())).unwrap();
             }
-            push(&frame.encode());
+            write_frame(&mut wire, frame).unwrap();
+        }
+        if at == known.len() {
+            write_encoded(&mut wire, &Bytes::from(body)).unwrap();
         }
 
-        let mut dec = FrameDecoder::for_peer(origin);
+        let mut dec = FrameDecoder::new();
         dec.extend(&wire);
         let mut got = Vec::new();
-        while let Some((frame, _)) = dec.next_frame(1 << 20).expect("skip must not error") {
-            got.push(frame);
-        }
-        prop_assert_eq!(got, known);
-        prop_assert_eq!(dec.buffered(), 0);
+        let failed = loop {
+            match dec.next_frame(1 << 20) {
+                Ok(Some((frame, _))) => got.push(frame),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        prop_assert!(matches!(failed, Some(CloudError::Decode(_))), "{:?}", failed);
+        prop_assert_eq!(&got[..], &known[..at]);
     }
 
     /// Damage to an advisory Progress frame is *contained*: however one
     /// bit flips, the surrounding frames decode exactly as before — the
-    /// flipped frame either decodes (canonically), skips as an unknown
-    /// extension, or errors, but it never desyncs its neighbours.
+    /// flipped frame either decodes (canonically) or errors, but it never
+    /// desyncs its neighbours.
     #[test]
     fn bit_flipped_progress_frames_are_contained(
         request_id in any::<u64>(),
@@ -256,7 +250,7 @@ proptest! {
             wire.extend_from_slice(&body);
         }
 
-        let mut dec = FrameDecoder::for_peer(FrameOrigin::Server);
+        let mut dec = FrameDecoder::new();
         dec.extend(&wire);
         let mut got = Vec::new();
         let mut failed = false;
@@ -274,10 +268,10 @@ proptest! {
             // mis-decoded after it.
             prop_assert!(got.len() <= 2);
         } else {
-            // Contained damage: the ping still arrives as the last frame,
-            // whether the flipped frame decoded to something or skipped.
+            // Contained damage: the flipped frame decoded to something, and
+            // the ping still arrives as the last frame.
             prop_assert_eq!(got.last(), Some(&ping));
-            prop_assert!(got.len() == 2 || got.len() == 3);
+            prop_assert_eq!(got.len(), 3);
             prop_assert_eq!(dec.buffered(), 0);
         }
     }

@@ -23,7 +23,7 @@ use crate::layer::{Layer, Mode, Param};
 use crate::spec::LayerSpec;
 use crate::NnError;
 use amalgam_tensor::wire::{Reader, Writer};
-use amalgam_tensor::{scratch, Tensor};
+use amalgam_tensor::{scratch, Tensor, TensorError};
 use segment::{Plan, Role};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -618,13 +618,18 @@ impl GraphModel {
     ///
     /// # Errors
     ///
-    /// Returns a wire or layer-tag error on malformed input, or
+    /// Returns a wire or layer-tag error on malformed input (a repeated node
+    /// name, or a layer spec its constructor would refuse, included), or
     /// [`NnError::UnknownNode`] if edges reference out-of-range nodes.
     pub fn decode(r: &mut Reader) -> Result<GraphModel, NnError> {
         let count = r.get_u32()? as usize;
         let mut g = GraphModel::new();
         for _ in 0..count {
             let name = r.get_str()?;
+            if g.nodes.iter().any(|n| n.name == name) {
+                let context = "duplicate node name";
+                return Err(NnError::Wire(TensorError::MalformedWire { context }));
+            }
             let input_idx = r.get_usize_list()?;
             let spec = LayerSpec::decode(r)?;
             for &i in &input_idx {

@@ -15,7 +15,7 @@ use crate::layers::{
 };
 use crate::NnError;
 use amalgam_tensor::wire::{Reader, Writer};
-use amalgam_tensor::Tensor;
+use amalgam_tensor::{Tensor, TensorError};
 
 /// Serializable description of any layer in the workspace.
 #[derive(Debug, Clone)]
@@ -341,12 +341,15 @@ impl LayerSpec {
         }
     }
 
-    /// Decodes a spec written by [`encode`](Self::encode).
+    /// Decodes a spec written by [`encode`](Self::encode). A decoded spec
+    /// [`build`](Self::build)s without panicking: what the layer
+    /// constructors assert is checked here.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::UnknownLayerTag`] on an unrecognised tag, or a wire
-    /// error if the buffer is truncated or malformed.
+    /// error if the buffer is truncated or malformed — a spec its layer's
+    /// constructor would refuse included.
     pub fn decode(r: &mut Reader) -> Result<LayerSpec, NnError> {
         fn get_opt(r: &mut Reader) -> Result<Option<Tensor>, NnError> {
             Ok(if r.get_u8()? == 1 {
@@ -356,7 +359,7 @@ impl LayerSpec {
             })
         }
         let tag = r.get_u8()?;
-        Ok(match tag {
+        let spec = match tag {
             0 => LayerSpec::Input,
             1 => LayerSpec::Identity,
             2 => LayerSpec::Detach,
@@ -440,7 +443,80 @@ impl LayerSpec {
             },
             29 => LayerSpec::BroadcastMulSpatial,
             tag => return Err(NnError::UnknownLayerTag { tag }),
-        })
+        };
+        match spec.refusal() {
+            Some(context) => Err(NnError::Wire(TensorError::MalformedWire { context })),
+            None => Ok(spec),
+        }
+    }
+
+    /// Which precondition of `build`'s constructors this spec breaks, if
+    /// any: what they assert, checked before they run.
+    fn refusal(&self) -> Option<&'static str> {
+        let square = |w: &Tensor, rank: usize| {
+            w.shape().rank() == rank && w.dims()[rank - 2] == w.dims()[rank - 1]
+        };
+        let (ok, broken) = match self {
+            LayerSpec::Dropout { p, .. } => ((0.0..1.0).contains(p), "dropout p outside [0, 1)"),
+            LayerSpec::Linear { weight, bias } => (
+                weight.shape().rank() == 2
+                    && bias.as_ref().is_none_or(|b| b.numel() == weight.dims()[0]),
+                "Linear weight not [out, in] or bias not [out]",
+            ),
+            LayerSpec::Conv2d { weight, .. } => {
+                (square(weight, 4), "Conv2d weight not [oc, ic, k, k]")
+            }
+            LayerSpec::MaskedConv2d {
+                keep,
+                out_h,
+                out_w,
+                weight,
+                ..
+            } => (
+                square(weight, 4) && out_h.checked_mul(*out_w) == Some(keep.len()),
+                "MaskedConv2d weight not [oc, ic, k, k] or keep not out_h × out_w",
+            ),
+            LayerSpec::DepthwiseConv2d { weight, .. } => {
+                (square(weight, 3), "DepthwiseConv2d weight not [C, k, k]")
+            }
+            LayerSpec::BatchNorm2d {
+                gamma,
+                beta,
+                running_mean,
+                running_var,
+            } => (
+                [beta, running_mean, running_var]
+                    .iter()
+                    .all(|t| t.numel() == gamma.numel()),
+                "BatchNorm2d tensors not all [C]",
+            ),
+            LayerSpec::LayerNorm { gamma, beta } => (
+                gamma.numel() == beta.numel(),
+                "LayerNorm gamma and beta differ",
+            ),
+            LayerSpec::Embedding { weight } | LayerSpec::MaskedEmbedding { weight, .. } => (
+                weight.shape().rank() == 2,
+                "Embedding weight not [vocab, dim]",
+            ),
+            LayerSpec::MultiHeadSelfAttention {
+                wq,
+                wk,
+                wv,
+                wo,
+                heads,
+                ..
+            } => {
+                let d = wq.dims().first().copied().unwrap_or(0);
+                (
+                    [wq, wk, wv, wo].iter().all(|m| m.dims() == [d, d])
+                        && *heads > 0
+                        && d % heads == 0,
+                    "attention projections not [D, D] with heads dividing D",
+                )
+            }
+            _ => return None,
+        };
+        (!ok).then_some(broken)
     }
 }
 

@@ -20,9 +20,7 @@
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Instant;
 
-use amalgam_cloud::transport::{
-    handshake, write_frame, Frame, FrameDecoder, FrameOrigin, TransportConfig,
-};
+use amalgam_cloud::transport::{handshake, write_frame, Frame, FrameDecoder, TransportConfig};
 use amalgam_cloud::BackendHealth;
 
 use crate::breaker::Transition;
@@ -72,7 +70,7 @@ fn probe_once(fleet: &Fleet, addr: &str) -> bool {
         return false;
     }
     let mut s = &stream;
-    let mut pong = FrameDecoder::for_peer(FrameOrigin::Server);
+    let mut pong = FrameDecoder::new();
     let pong_ok = write_frame(&mut s, &Frame::Ping { nonce: PROBE_NONCE }).is_ok()
         && loop {
             match pong.next_frame(config.max_frame_len) {

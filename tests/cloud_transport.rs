@@ -306,26 +306,29 @@ fn bulk_frame_cut_by_eof_drains_the_connection() {
     server.shutdown();
 }
 
-/// Version negotiation: a client advertising a range the server cannot
-/// meet is refused with a Reject frame, not silently dropped.
+/// Version negotiation: a client advertising a range without protocol 2 —
+/// an older one or a newer one — is refused with a Reject frame, not
+/// silently dropped.
 #[test]
 fn incompatible_protocol_version_is_rejected() {
     let service = CloudService::builder().workers(1).build();
     let server = CloudServer::bind(service, "127.0.0.1:0").expect("bind loopback");
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    write_raw_frame(
-        &mut stream,
-        &Frame::Hello {
-            min_version: 999,
-            max_version: 1000,
-            api_key: None,
-        },
-    );
-    match read_raw_frame(&mut stream) {
-        Some(Frame::Reject { reason }) => {
-            assert!(reason.contains("protocol version"), "{reason}");
+    for (min_version, max_version) in [(999, 1000), (1, 1)] {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        write_raw_frame(
+            &mut stream,
+            &Frame::Hello {
+                min_version,
+                max_version,
+                api_key: None,
+            },
+        );
+        match read_raw_frame(&mut stream) {
+            Some(Frame::Reject { reason }) => {
+                assert!(reason.contains("protocol version"), "{reason}");
+            }
+            other => panic!("expected Reject, got {other:?}"),
         }
-        other => panic!("expected Reject, got {other:?}"),
     }
     server.shutdown();
 }
@@ -391,8 +394,8 @@ fn keepalive_outlives_idle_timeout() {
     write_raw_frame(
         &mut silent,
         &Frame::Hello {
-            min_version: 1,
-            max_version: 1,
+            min_version: 2,
+            max_version: 2,
             api_key: None,
         },
     );

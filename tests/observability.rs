@@ -457,7 +457,7 @@ const GOLDEN_SCRAPE_SORTED: &[&str] = &[
     "# HELP amalgam_latency_microseconds Per-stage latency quantiles (log-linear histogram, error <= 1/16).",
     "# HELP amalgam_mean_job_seconds Mean wall-clock seconds per completed job.",
     "# HELP amalgam_progress_frames_delivered_total Progress frames that reached their sink.",
-    "# HELP amalgam_progress_frames_dropped_total Progress frames dropped (v1 peer or dead sink).",
+    "# HELP amalgam_progress_frames_dropped_total Progress frames dropped (dead sink).",
     "# HELP amalgam_progress_frames_emitted_total Progress frames emitted toward any sink.",
     "# HELP amalgam_queue_depth Jobs waiting right now.",
     "# HELP amalgam_reactor_events_total Readiness events processed.",

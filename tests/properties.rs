@@ -10,8 +10,8 @@ mod transport_differential;
 
 /// Tier-1's fixed-seed slice of the transport's differential property (the
 /// full sweep is `amalgam-cloud`'s `transport_properties.rs`): random frame
-/// sequences through the chunked writer, the blocking reader and the
-/// incremental decoder under hostile segmentation all agree.
+/// sequences through the chunked writer, the decoder over the whole image
+/// and the decoder under hostile segmentation all agree.
 #[test]
 fn transport_readers_and_writer_agree_on_fixed_seeds() {
     for seed in 0..48 {

@@ -2,7 +2,7 @@
 //! refused before a session exists, with which reason, counted once each —
 //! and which frames the proxy answers itself instead of relaying.
 
-use amalgam::cloud::transport::{write_frame, Frame, FrameDecoder, FrameOrigin};
+use amalgam::cloud::transport::{write_frame, Frame, FrameDecoder};
 use amalgam::cloud::CloudService;
 use amalgam::prelude::*;
 use amalgam::proxy::{AmalgamProxy, ProxyConfig};
@@ -41,7 +41,7 @@ fn frames_until_closed(stream: &mut TcpStream) -> Vec<Frame> {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
-    let mut decoder = FrameDecoder::for_peer(FrameOrigin::Server);
+    let mut decoder = FrameDecoder::new();
     loop {
         match decoder.read_from(stream) {
             Ok(0) => break,
@@ -96,9 +96,10 @@ fn an_unroutable_session_is_rejected_at_the_handshake() {
     proxy.shutdown();
 }
 
-/// A version range the proxy does not speak gets a `Reject` naming the
-/// protocol version, and an opener that is not a `Hello` gets the
-/// connection closed; each counts once as a rejected connection.
+/// A version range the proxy does not speak — newer or older — gets a
+/// `Reject` naming the protocol version, and an opener that is not a
+/// `Hello` gets the connection closed; each counts once as a rejected
+/// connection.
 #[test]
 fn bad_openers_are_refused_and_counted_once() {
     let backend = live_backend();
@@ -109,16 +110,18 @@ fn bad_openers_are_refused_and_counted_once() {
     )
     .expect("bind proxy");
 
-    let mut future = TcpStream::connect(proxy.addr()).expect("connect");
-    let hello = Frame::Hello {
-        min_version: 999,
-        max_version: 1000,
-        api_key: None,
-    };
-    write_frame(&mut future, &hello).expect("write Hello");
-    match frames_until_closed(&mut future).as_slice() {
-        [Frame::Reject { reason }] => assert!(reason.contains("protocol version"), "{reason}"),
-        other => panic!("expected one Reject, got {other:?}"),
+    for (min_version, max_version) in [(999, 1000), (1, 1)] {
+        let mut unspoken = TcpStream::connect(proxy.addr()).expect("connect");
+        let hello = Frame::Hello {
+            min_version,
+            max_version,
+            api_key: None,
+        };
+        write_frame(&mut unspoken, &hello).expect("write Hello");
+        match frames_until_closed(&mut unspoken).as_slice() {
+            [Frame::Reject { reason }] => assert!(reason.contains("protocol version"), "{reason}"),
+            other => panic!("expected one Reject, got {other:?}"),
+        }
     }
 
     let mut rude = TcpStream::connect(proxy.addr()).expect("connect");
@@ -130,7 +133,7 @@ fn bad_openers_are_refused_and_counted_once() {
     );
 
     let stats = proxy.stats();
-    assert_eq!(stats.connections_rejected, 2, "{stats}");
+    assert_eq!(stats.connections_rejected, 3, "{stats}");
     assert_eq!(stats.connections_accepted, 0, "{stats}");
     assert_invariants(&stats);
     proxy.shutdown();
@@ -181,7 +184,7 @@ fn ping_and_get_stats_are_answered_by_the_proxy() {
     );
 
     let mut session = TcpStream::connect(proxy.addr()).expect("connect");
-    let mut decoder = FrameDecoder::for_peer(FrameOrigin::Server);
+    let mut decoder = FrameDecoder::new();
     let hello = Frame::Hello {
         min_version: 1,
         max_version: 2,

@@ -20,7 +20,7 @@
 //! The tests share process-wide counters, so they run one at a time behind
 //! [`SERIAL`].
 
-use amalgam::cloud::transport::{read_frame_blocking, FrameDecoder, FrameOrigin};
+use amalgam::cloud::transport::FrameDecoder;
 use amalgam::cloud::CloudService;
 use amalgam::prelude::*;
 use amalgam::proxy::{AmalgamProxy, ProxyConfig};
@@ -218,19 +218,13 @@ fn a_length_prefix_reserves_in_proportion_to_the_bytes_behind_it() {
     }
     drop(dec);
 
-    // The blocking reader: the same prefix, then EOF.
-    let mut cut = &prefix[..];
+    // Over the cap, the prefix is refused before anything to speak of is
+    // allocated for the body.
+    let mut dec = FrameDecoder::new();
+    dec.extend(&((cap + 1) as u32).to_le_bytes());
     let peak = peak_live_during(|| {
-        let got = read_frame_blocking(&mut cut, cap, FrameOrigin::Client);
+        let got = dec.next_frame(cap);
         assert!(matches!(got, Err(CloudError::Transport(_))), "{got:?}");
-    });
-    assert!(peak <= constant, "the blocking reader reserved {peak} B");
-
-    // Over the cap, neither reader allocates anything to speak of.
-    let over = ((cap + 1) as u32).to_le_bytes();
-    let peak = peak_live_during(|| {
-        let mut src = &over[..];
-        assert!(read_frame_blocking(&mut src, cap, FrameOrigin::Client).is_err());
     });
     assert!(peak <= 4096, "an over-cap prefix allocated {peak} B");
 }
