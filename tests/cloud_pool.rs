@@ -94,6 +94,54 @@ fn shared_observer_counts_all_pool_traffic() {
     assert_eq!(rec.results, 6);
 }
 
+/// An observer that panics inside its hook poisons its mutex: that job
+/// answers `Panicked`, and the next job on the same service is still
+/// observed and trains bit-equal to an unobserved run — every lock of the
+/// observer under the panic layer recovers from poison.
+#[test]
+fn an_observer_panic_fails_its_own_job_only() {
+    use amalgam::cloud::CloudObserver;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    struct PanicsOnce {
+        armed: bool,
+        steps: Arc<AtomicUsize>,
+    }
+    impl CloudObserver for PanicsOnce {
+        fn on_model(&mut self, _: &GraphModel) {
+            if std::mem::take(&mut self.armed) {
+                panic!("observer panics once");
+            }
+        }
+        fn on_step(&mut self, _: &mut GraphModel) {
+            self.steps.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    let steps = Arc::new(AtomicUsize::new(0));
+    let observed = CloudService::builder()
+        .observer(Arc::new(Mutex::new(PanicsOnce {
+            armed: true,
+            steps: Arc::clone(&steps),
+        })))
+        .build();
+    let client = observed.client();
+    match client.train(&tiny_job(1)) {
+        Err(CloudError::Panicked(msg)) => assert!(msg.contains("observer panics once"), "{msg}"),
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    let after = client.train(&tiny_job(2)).expect("the job after the panic");
+    // 8 samples / batch 4 = 2 steps, all of them observed.
+    assert_eq!(steps.load(Ordering::Relaxed), 2);
+    observed.shutdown();
+
+    let plain = CloudService::builder().build();
+    let reference = plain.client().train(&tiny_job(2)).unwrap();
+    plain.shutdown();
+    assert_eq!(after.trained_model, reference.trained_model);
+    assert_eq!(after.history.train_loss, reference.history.train_loss);
+}
+
 /// Shutdown with jobs still queued drains them: every handle gets a real
 /// answer, not a dropped channel.
 #[test]
