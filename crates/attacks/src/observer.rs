@@ -87,8 +87,7 @@ mod tests {
     use amalgam_cloud::{CloudJob, CloudService, TaskPayload};
     use amalgam_core::TrainConfig;
     use amalgam_tensor::Rng;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn tap_matches_offline_observed_gradient() {
@@ -112,7 +111,7 @@ mod tests {
         service.client().train(&job).unwrap();
         service.shutdown();
 
-        let guard = tap.lock();
+        let guard = tap.lock().unwrap();
         assert_eq!(guard.steps_seen, 4);
         let (x, y) = guard.first_batch.as_ref().expect("no batch captured");
         let captured = guard.first_gradient.as_ref().expect("no gradient captured");

@@ -1077,7 +1077,7 @@ fn main() {
             .gflops(qk_flop, qk_batch_1t, peak),
     );
 
-    // The multi-thread comparison the acceptance criterion names: 4 worker
+    // The multi-thread comparison the gate is named for: 4 worker
     // threads. On machines with < 4 hardware threads the pool oversubscribes
     // the cores and the speedup collapses towards 1x, so the ≥ 1.5x gate can
     // only be judged where ≥ 4 hardware threads exist; elsewhere it is

@@ -25,9 +25,8 @@ pub enum Scale {
 }
 
 /// The seed repository's single-threaded `ikj` matmul, kept verbatim as the
-/// speedup baseline for the blocked GEMM (used by `benches/kernels.rs` and
-/// the `kernels-quick` CI smoke binary — one copy so the two gates cannot
-/// drift apart).
+/// speedup baseline for the blocked GEMM in the `kernels-quick` CI smoke
+/// binary.
 pub fn matmul_ikj_reference(
     a: &amalgam_tensor::Tensor,
     b: &amalgam_tensor::Tensor,
@@ -56,8 +55,7 @@ pub fn matmul_ikj_reference(
 /// The serial per-head attention Q·Kᵀ loop: one kernel dispatch per head
 /// into disjoint `[T, T]` output slices, with the `1/√dh` scale applied as a
 /// separate pass — exactly the loop shape the attention layer ran before
-/// the batched GEMM. One copy shared by `benches/kernels.rs` and the
-/// `kernels-quick` CI gate so the two baselines cannot drift apart.
+/// the batched GEMM: the `kernels-quick` CI gate's baseline.
 ///
 /// `qh`/`kh` are head-major `[heads, T, dh]`; `out` is `[heads, T, T]`.
 pub fn attention_qk_serial_per_head(

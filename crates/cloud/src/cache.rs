@@ -41,10 +41,9 @@ use crate::ratelimit::RateLimitHandle;
 use crate::service::{CancelFlag, ReplySink};
 use crate::CloudError;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Fixed accounting overhead charged per cache entry, on top of the
@@ -325,7 +324,7 @@ impl DedupShared {
     ) -> SubmitDecision {
         let addr = ContentAddress::of(payload);
         let now = Instant::now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(mut result) = inner.cache.get_at(&addr, now) {
             drop(inner);
             if let Err(retry_after) = self.charge(session, now) {
@@ -384,13 +383,18 @@ impl DedupShared {
 
     /// Write side, called by [`DedupLayer`] when an execution succeeded.
     fn insert(&self, addr: ContentAddress, result: &JobResult, now: Instant) {
-        self.inner.lock().cache.insert_at(addr, result.clone(), now);
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .cache
+            .insert_at(addr, result.clone(), now);
     }
 
     /// Takes `addr`'s parked waiters (the slot is cleared either way).
     fn take_waiters(&self, addr: &ContentAddress) -> Vec<Waiter> {
         self.inner
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .pending
             .remove(addr)
             .map(|slot| slot.waiters)
@@ -400,7 +404,7 @@ impl DedupShared {
 
 impl std::fmt::Debug for DedupShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         f.debug_struct("DedupShared")
             .field("cache", &inner.cache)
             .field("pending", &inner.pending.len())
@@ -460,7 +464,11 @@ impl DedupReply {
         }
         let mut listening = false;
         {
-            let inner = self.shared.inner.lock();
+            let inner = self
+                .shared
+                .inner
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             if let Some(slot) = inner.pending.get(&self.addr) {
                 for waiter in &slot.waiters {
                     listening |= waiter.reply.send_progress(update, &waiter.session, metrics);

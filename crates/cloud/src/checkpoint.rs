@@ -47,10 +47,9 @@ use amalgam_nn::metrics::History;
 use amalgam_tensor::wire::{Reader, Writer};
 use amalgam_tensor::Tensor;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Format version byte leading every encoded checkpoint. Version 2 moved
 /// the checksum from one `siphash128` chain to [`digest128`]; a version-1
@@ -197,7 +196,10 @@ impl MemoryCheckpointStore {
 
     /// Number of checkpoints currently held.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// True when no checkpoints are held.
@@ -208,15 +210,25 @@ impl MemoryCheckpointStore {
 
 impl CheckpointStore for MemoryCheckpointStore {
     fn load(&self, addr: ContentAddress) -> Option<Bytes> {
-        self.entries.lock().get(&addr).cloned()
+        self.entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&addr)
+            .cloned()
     }
 
     fn store(&self, addr: ContentAddress, bytes: Bytes) {
-        self.entries.lock().insert(addr, bytes);
+        self.entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(addr, bytes);
     }
 
     fn remove(&self, addr: ContentAddress) {
-        self.entries.lock().remove(&addr);
+        self.entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&addr);
     }
 }
 

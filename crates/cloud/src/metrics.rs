@@ -30,10 +30,10 @@ use crate::CloudError;
 use amalgam_tensor::wire::{Reader, Writer};
 use amalgam_tensor::TensorError;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-session rows beyond this count trigger eviction of idle rows
@@ -473,7 +473,7 @@ impl ServiceMetrics {
     /// When the table is about to outgrow [`MAX_SESSION_ROWS`], rows of
     /// idle sessions (nothing queued) are evicted first.
     fn with_session(&self, session: &SessionKey, f: impl FnOnce(&mut SessionStats)) {
-        let mut sessions = self.sessions.lock();
+        let mut sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
         if sessions.len() >= MAX_SESSION_ROWS && !sessions.contains_key(session) {
             sessions.retain(|_, c| c.queue_depth > 0);
         }
@@ -753,7 +753,7 @@ impl ServiceMetrics {
     /// Rows are bounded by the fleet size a router is configured with, so
     /// no eviction is needed.
     fn with_backend(&self, addr: &str, f: impl FnOnce(&mut BackendStats)) {
-        let mut backends = self.backends.lock();
+        let mut backends = self.backends.lock().unwrap_or_else(PoisonError::into_inner);
         f(backends.entry(addr.to_string()).or_default())
     }
 
@@ -880,19 +880,27 @@ impl ServiceMetrics {
         stats.mean_job_seconds = per(busy, completed);
         stats.jobs_per_second = per(completed, uptime);
         stats.uptime_seconds = uptime;
-        stats.backends = (self.backends.lock().iter())
-            .map(|(addr, row)| BackendStats {
-                addr: addr.clone(),
-                ..row.clone()
-            })
-            .collect();
+        stats.backends = (self
+            .backends
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter())
+        .map(|(addr, row)| BackendStats {
+            addr: addr.clone(),
+            ..row.clone()
+        })
+        .collect();
         stats.backends.sort_by(|a, b| a.addr.cmp(&b.addr));
-        stats.sessions = (self.sessions.lock().iter())
-            .map(|(key, row)| SessionStats {
-                key: key.display_name(),
-                ..row.clone()
-            })
-            .collect();
+        stats.sessions = (self
+            .sessions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter())
+        .map(|(key, row)| SessionStats {
+            key: key.display_name(),
+            ..row.clone()
+        })
+        .collect();
         stats.sessions.sort_by(|a, b| a.key.cmp(&b.key));
         stats.histograms = self.telemetry.snapshot();
         stats

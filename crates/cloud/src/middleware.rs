@@ -14,9 +14,8 @@ use crate::CloudError;
 use amalgam_nn::graph::{GraphModel, NodeId};
 use amalgam_nn::LayerSpec;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The identity rate limiting and fair scheduling key on.
@@ -436,12 +435,18 @@ impl CloudLayer for ObserverLayer {
 impl JobService for ObserverSvc {
     fn call(&self, ctx: &mut JobContext, payload: Bytes) -> Result<JobResult, CloudError> {
         if let Some(model) = ctx.model.as_ref() {
-            self.observer.lock().on_model(model);
+            self.observer
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .on_model(model);
         }
         ctx.observer = Some(Arc::clone(&self.observer));
         let result = self.inner.call(ctx, payload);
         if let Ok(r) = &result {
-            self.observer.lock().on_result(r);
+            self.observer
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .on_result(r);
         }
         result
     }
@@ -806,7 +811,7 @@ mod tests {
 
     impl JobService for TagSvc {
         fn call(&self, ctx: &mut JobContext, payload: Bytes) -> Result<JobResult, CloudError> {
-            self.1.lock().push(self.0);
+            self.1.lock().unwrap().push(self.0);
             self.2.call(ctx, payload)
         }
     }
@@ -821,7 +826,7 @@ mod tests {
             .service(Box::new(Probe));
         let mut ctx = JobContext::new(1, 0);
         svc.call(&mut ctx, Bytes::new()).unwrap();
-        assert_eq!(*order.lock(), vec!["outer", "middle", "inner"]);
+        assert_eq!(*order.lock().unwrap(), vec!["outer", "middle", "inner"]);
     }
 
     #[test]

@@ -36,6 +36,14 @@ pub trait CloudObserver: Send {
     }
 }
 
+/// Opaque: what an observer holds is its own business (this is what lets
+/// [`crate::middleware::JobContext`], which carries one, be `Debug`).
+impl std::fmt::Debug for dyn CloudObserver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CloudObserver")
+    }
+}
+
 /// An observer that records summary statistics of what it saw.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingObserver {

@@ -21,7 +21,7 @@
 
 use crate::middleware::SessionKey;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// One queued unit of work, generic so the queue stays decoupled from the
 /// service's envelope type (and unit-testable without one).
@@ -83,7 +83,7 @@ impl<T> FairDispatcher<T> {
     /// Enqueues one job onto its session's FIFO, returning the job back if
     /// the queue is closed (so the caller can answer it).
     pub(crate) fn push(&self, session: &SessionKey, job: T) -> Result<(), T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if state.closed {
             return Err(job);
         }
@@ -116,7 +116,7 @@ impl<T> FairDispatcher<T> {
     /// queue is closed **and** empty, so already-accepted jobs always drain
     /// before workers exit.
     pub(crate) fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if state.len > 0 {
                 return Some(Self::pop_drr(&mut state));
@@ -128,7 +128,7 @@ impl<T> FairDispatcher<T> {
             state = self
                 .available
                 .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
             state.parked -= 1;
         }
     }
@@ -200,14 +200,17 @@ impl<T> FairDispatcher<T> {
     /// Closes the queue: further [`push`](Self::push)es are refused, and
     /// blocked [`pop`](Self::pop)s return `None` once the backlog drains.
     pub(crate) fn close(&self) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.available.notify_all();
     }
 
     /// Removes and returns every still-queued job (used after the workers
     /// are joined, to answer jobs stranded behind a dead worker).
     pub(crate) fn drain(&self) -> Vec<T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut stranded = Vec::with_capacity(state.len);
         // Drain in rotation order so stranded jobs are still answered in a
         // fair, deterministic order.
@@ -220,7 +223,7 @@ impl<T> FairDispatcher<T> {
     /// Jobs queued right now for `session`.
     #[cfg(test)]
     pub(crate) fn session_depth(&self, session: &SessionKey) -> usize {
-        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.sessions.get(session).map_or(0, |q| q.jobs.len())
     }
 
@@ -232,7 +235,7 @@ impl<T> FairDispatcher<T> {
 
 impl<T> std::fmt::Debug for FairDispatcher<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         f.debug_struct("FairDispatcher")
             .field("sessions", &state.sessions.len())
             .field("len", &state.len)
@@ -343,6 +346,66 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert_eq!(waiter.join().unwrap(), None);
+    }
+
+    /// The wake-only-a-parked-worker rule of `push`, raced: every round
+    /// pushes two jobs, the second racing the worker's wake-up for the
+    /// first, and the pusher spins (no sleeps) until both are taken. A lost
+    /// wake-up leaves the worker parked with a job queued; the watchdog then
+    /// closes the queue, which releases the worker and fails the test.
+    #[test]
+    fn no_wake_up_is_lost_while_a_worker_parks() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+        const ROUNDS: u64 = 100_000;
+        const STALL: Duration = Duration::from_secs(2);
+
+        let q: Arc<FairDispatcher<u64>> = Arc::new(FairDispatcher::new(HashMap::new()));
+        let taken = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        let worker = {
+            let (q, taken) = (Arc::clone(&q), Arc::clone(&taken));
+            std::thread::spawn(move || {
+                while let Some(job) = q.pop() {
+                    taken.store(job, Ordering::SeqCst);
+                }
+            })
+        };
+        let watchdog = {
+            let (q, taken, done) = (Arc::clone(&q), Arc::clone(&taken), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let (mut seen, mut since) = (0, Instant::now());
+                while !done.load(Ordering::SeqCst) {
+                    let now = taken.load(Ordering::SeqCst);
+                    if now != seen {
+                        (seen, since) = (now, Instant::now());
+                    } else if since.elapsed() >= STALL {
+                        q.close();
+                        return Some(now);
+                    }
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                None
+            })
+        };
+        for round in 1..=ROUNDS {
+            if q.push(&anon(0), 2 * round - 1).is_err() || q.push(&anon(0), 2 * round).is_err() {
+                break;
+            }
+            while taken.load(Ordering::SeqCst) < 2 * round {
+                std::thread::yield_now();
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        q.close();
+        worker.join().unwrap();
+        if let Some(stalled) = watchdog.join().unwrap() {
+            panic!(
+                "a wake-up was lost: the worker parked with job {} queued",
+                stalled + 1
+            );
+        }
     }
 
     #[test]

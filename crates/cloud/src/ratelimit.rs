@@ -26,8 +26,8 @@ use crate::middleware::{CloudLayer, JobContext, JobService, SessionKey};
 use crate::protocol::JobResult;
 use crate::CloudError;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Buckets beyond this count trigger a sweep of buckets refilled to full
@@ -156,7 +156,7 @@ struct BucketMap {
 
 impl BucketTable {
     fn acquire(&self, session: &SessionKey, at: Instant) -> Result<(), Duration> {
-        let mut buckets = self.buckets.lock();
+        let mut buckets = self.buckets.lock().unwrap_or_else(PoisonError::into_inner);
         if buckets.map.len() >= buckets.prune_at {
             // Approximate, deliberately: a dropped bucket is recreated
             // full, so a session whose queued jobs predate the sweep can

@@ -17,12 +17,11 @@ use amalgam_nn::metrics::History;
 use amalgam_nn::optim::Sgd;
 use amalgam_tensor::Tensor;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Where a finished job's outcome goes.
@@ -516,8 +515,8 @@ impl CloudClient {
         if self.closed.load(Ordering::SeqCst) {
             return Err(CloudError::ServiceUnavailable);
         }
-        let (reply_tx, reply_rx) = unbounded();
-        let (progress_tx, progress_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
+        let (progress_tx, progress_rx) = channel();
         let (id, cancel) = self.enqueue(
             payload,
             ReplySink::Handle {
@@ -865,13 +864,19 @@ impl TrainHooks for JobHooks<'_> {
 
     fn on_batch(&mut self, inputs: &Tensor, labels: &[usize]) {
         if let Some(observer) = &self.ctx.observer {
-            observer.lock().on_batch(inputs, labels);
+            observer
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .on_batch(inputs, labels);
         }
     }
 
     fn on_step(&mut self, model: &mut GraphModel) {
         if let Some(observer) = &self.ctx.observer {
-            observer.lock().on_step(model);
+            observer
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .on_step(model);
         }
     }
 
@@ -992,7 +997,7 @@ mod tests {
         let service = CloudService::start_with_observer(obs.clone());
         service.client().train(&job).unwrap();
         service.shutdown();
-        let rec = &obs.lock().0;
+        let rec = &obs.lock().unwrap().0;
         assert!(rec.model_params > 0);
         assert_eq!(rec.batches, 4); // 16 samples / bs 8 × 2 epochs
         assert_eq!(rec.steps, 4);
@@ -1368,7 +1373,7 @@ mod tests {
 
     impl JobService for GateSvc {
         fn call(&self, ctx: &mut JobContext, payload: Bytes) -> Result<JobResult, CloudError> {
-            let _hold = self.0.lock();
+            let _hold = self.0.lock().unwrap();
             self.1.call(ctx, payload)
         }
     }
@@ -1429,7 +1434,7 @@ mod tests {
             .layer(GateLayer(Arc::clone(&gate)))
             .build();
         let client = service.client();
-        let blocker = gate.lock(); // worker will block inside the gate
+        let blocker = gate.lock().unwrap(); // worker will block inside the gate
         let first = client.submit(&tiny_job_with_seed(&mut rng, 0)).unwrap();
         // Wait until the worker has picked up the first job, so submissions
         // below observe a stable queue depth.
@@ -1509,7 +1514,7 @@ mod tests {
             .layer(GateLayer(Arc::clone(&gate)))
             .build();
         let client = service.client();
-        let blocker = gate.lock(); // hold the executor inside the stack
+        let blocker = gate.lock().unwrap(); // hold the executor inside the stack
         let handles: Vec<JobHandle> = (0..5).map(|_| client.submit(&job).unwrap()).collect();
         drop(blocker);
         let mut results = Vec::new();
@@ -1540,7 +1545,7 @@ mod tests {
             .layer(BombLayer)
             .build();
         let client = service.client();
-        let blocker = gate.lock();
+        let blocker = gate.lock().unwrap();
         let handles: Vec<JobHandle> = (0..4).map(|_| client.submit(&job).unwrap()).collect();
         drop(blocker);
         for handle in handles {

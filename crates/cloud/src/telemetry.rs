@@ -29,9 +29,9 @@
 //! inclusive duration minus the next-inner span's — computed once at
 //! finalization, not on the hot path.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Sub-buckets per power of two: quantile error is bounded by 1/16.
@@ -465,13 +465,13 @@ impl FlightRecorder {
             return;
         }
         if trace.total_us >= self.slow_threshold_us {
-            let mut slow = self.slow.lock();
+            let mut slow = self.slow.lock().unwrap_or_else(PoisonError::into_inner);
             if slow.len() == self.capacity {
                 slow.pop_front();
             }
             slow.push_back(trace.clone());
         }
-        let mut recent = self.recent.lock();
+        let mut recent = self.recent.lock().unwrap_or_else(PoisonError::into_inner);
         if recent.len() == self.capacity {
             recent.pop_front();
         }
@@ -481,11 +481,19 @@ impl FlightRecorder {
     /// Looks a trace up by id — slow ring first (it retains longer), then
     /// the recent ring.
     pub fn find(&self, trace: TraceId) -> Option<JobTrace> {
-        if let Some(t) = self.slow.lock().iter().rev().find(|t| t.trace == trace) {
+        if let Some(t) = self
+            .slow
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .rev()
+            .find(|t| t.trace == trace)
+        {
             return Some(t.clone());
         }
         self.recent
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .rev()
             .find(|t| t.trace == trace)
@@ -494,12 +502,22 @@ impl FlightRecorder {
 
     /// The recent ring, oldest first.
     pub fn recent(&self) -> Vec<JobTrace> {
-        self.recent.lock().iter().cloned().collect()
+        self.recent
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// The slow ring, oldest first.
     pub fn slow(&self) -> Vec<JobTrace> {
-        self.slow.lock().iter().cloned().collect()
+        self.slow
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .cloned()
+            .collect()
     }
 }
 

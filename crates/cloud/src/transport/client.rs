@@ -44,13 +44,12 @@ use crate::protocol::{CloudJob, JobResult, ProgressUpdate};
 use crate::telemetry::{Stage, Telemetry, TelemetryConfig, TraceId};
 use crate::CloudError;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
 use reactor::Poller;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Weak};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -137,7 +136,7 @@ struct Runtime {
     /// What the loop counts into — its wake-ups and descriptors, its links'
     /// frames. Nobody reads it.
     metrics: Arc<ServiceMetrics>,
-    dialer: mpsc::Sender<Redial>,
+    dialer: Sender<Redial>,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     next_token: AtomicU64,
@@ -152,7 +151,7 @@ impl Drop for Runtime {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.handle.kick(&self.metrics);
-        self.dialer = mpsc::channel().0;
+        self.dialer = channel().0;
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -162,7 +161,7 @@ impl Drop for Runtime {
 impl Runtime {
     /// The running client loop, or a new one.
     fn get() -> Result<Arc<Runtime>, CloudError> {
-        let mut running = RUNTIME.lock();
+        let mut running = RUNTIME.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(runtime) = running.upgrade() {
             return Ok(runtime);
         }
@@ -194,7 +193,7 @@ impl Runtime {
             Arc::clone(&metrics),
             Arc::clone(&stop),
         );
-        let (dialer, redials) = mpsc::channel::<Redial>();
+        let (dialer, redials) = channel::<Redial>();
         let dial_thread = {
             let (handle, metrics) = (Arc::clone(&handle), Arc::clone(&metrics));
             std::thread::Builder::new()
@@ -280,7 +279,7 @@ struct Session {
     up: Uplink<Waiter>,
     state: Arc<State>,
     addrs: Arc<[SocketAddr]>,
-    dialer: mpsc::Sender<Redial>,
+    dialer: Sender<Redial>,
     /// Until the first `Welcome`: where `connect` waits for it.
     welcome: Option<Sender<Result<Welcome, CloudError>>>,
     /// `GetStats` requests in flight on the link.
@@ -685,7 +684,7 @@ impl RemoteCloudClient {
         });
         let runtime = Runtime::get()?;
         let token = runtime.next_token.fetch_add(1, Ordering::Relaxed);
-        let (welcome, welcomed) = unbounded();
+        let (welcome, welcomed) = channel();
         let config = TransportConfig {
             keepalive_interval,
             ..config
@@ -770,7 +769,7 @@ impl RemoteCloudClient {
             return Err(CloudError::ServiceUnavailable);
         }
         let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         shared
             .runtime
             .run(shared.token, move |s, r| s.fetch_stats(id, tx, r));
@@ -829,8 +828,8 @@ impl RemoteCloudClient {
                 shared.max_frame_len
             )));
         }
-        let (tx, rx) = unbounded();
-        let (progress_tx, progress_rx) = unbounded();
+        let (tx, rx) = channel();
+        let (progress_tx, progress_rx) = channel();
         // The payload is retained (a refcount) until the reply, to be sent
         // again after a reconnect or a scheduled retry.
         let waiter = Waiter {
@@ -871,7 +870,7 @@ impl RemoteCloudClient {
     /// still-pending handles with [`CloudError::ServiceUnavailable`] before
     /// it returns.
     pub fn close(self) {
-        let (done, closed) = unbounded::<()>();
+        let (done, closed) = channel::<()>();
         self.shared.state.closed.store(true, Ordering::SeqCst);
         self.shared.runtime.run(self.shared.token, move |s, r| {
             s.close(true, r);

@@ -68,15 +68,14 @@ use crate::service::{CancelFlag, CloudClient, RoutedMsg, RoutedSender};
 use crate::telemetry::{Stage, TraceId};
 use crate::CloudError;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
 use reactor::{Event, Interest, Poller, WakeReceiver, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Token reserved for the reactor's own wake pipe.
@@ -132,7 +131,10 @@ impl<T> std::fmt::Debug for ReactorShared<T> {
 impl<T> ReactorShared<T> {
     /// Hands `item` to this reactor and wakes it.
     pub(super) fn enqueue(&self, item: T, metrics: &ServiceMetrics) {
-        self.inbox.lock().push(item);
+        self.inbox
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(item);
         if self.waker.wake() {
             metrics.reactor_wakeup();
         }
@@ -148,7 +150,10 @@ impl<T> ReactorShared<T> {
     /// Flags `token` as having completions to flush and wakes the reactor.
     /// Called from worker threads via each connection's [`RoutedSender`].
     fn notify_replies(&self, token: u64, metrics: &ServiceMetrics) {
-        let mut ready = self.ready_replies.lock();
+        let mut ready = self
+            .ready_replies
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if !ready.contains(&token) {
             ready.push(token);
         }
@@ -550,7 +555,10 @@ impl Reactor {
             }
             self.events = events;
 
-            std::mem::swap(&mut *handle.inbox.lock(), &mut inbox);
+            std::mem::swap(
+                &mut *handle.inbox.lock().unwrap_or_else(PoisonError::into_inner),
+                &mut inbox,
+            );
             for item in inbox.drain(..) {
                 tier.adopt(&mut self, item, stopped);
             }
@@ -563,7 +571,14 @@ impl Reactor {
             }
             self.fired = fired;
 
-            if tier.reap() && stopped && handle.inbox.lock().is_empty() {
+            if tier.reap()
+                && stopped
+                && handle
+                    .inbox
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .is_empty()
+            {
                 self.poller
                     .deregister(self.wake_rx.fd())
                     .expect("deregister reactor waker");
@@ -630,7 +645,7 @@ impl Tier for Sessions {
             return;
         }
         self.shared.metrics.reactor_fd_registered();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let notify = {
             let handle = Arc::clone(&self.handle);
             let metrics = Arc::clone(&self.shared.metrics);
@@ -672,7 +687,13 @@ impl Tier for Sessions {
     /// Drains the completion channels of every connection the workers
     /// flagged, then applies a stop.
     fn round(&mut self, r: &mut Reactor, stopped: bool) {
-        let tokens = std::mem::take(&mut *self.handle.ready_replies.lock());
+        let tokens = std::mem::take(
+            &mut *self
+                .handle
+                .ready_replies
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         for token in tokens {
             if let Some(conn) = self.conns.get_mut(&token) {
                 pump_replies(conn, &self.shared, &mut r.poller, &mut r.wheel);

@@ -26,8 +26,8 @@
 use std::time::{Duration, Instant};
 
 use amalgam_cloud::BackendHealth;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Where a breaker stands. Mirrors [`BackendHealth`] one-to-one; the
 /// separate type keeps the state *machine* (here) distinct from the
@@ -258,7 +258,7 @@ impl BreakerRegistry {
 
     /// Runs `f` on `addr`'s breaker (created closed if unknown).
     pub fn with<R>(&self, addr: &str, f: impl FnOnce(&mut CircuitBreaker) -> R) -> R {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let breaker = inner
             .entry(addr.to_string())
             .or_insert_with(|| CircuitBreaker::new(self.config));

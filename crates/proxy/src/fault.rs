@@ -30,11 +30,10 @@
 //! [`FaultInjector::set_fault`]`(Fault::None)` restores normal relaying
 //! for everything still alive.
 
-use parking_lot::Mutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -71,7 +70,12 @@ struct InjectorShared {
 
 impl InjectorShared {
     fn kill_links(&self) {
-        for s in self.links.lock().drain(..) {
+        for s in self
+            .links
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+        {
             let _ = s.shutdown(Shutdown::Both);
         }
     }
@@ -123,7 +127,11 @@ impl FaultInjector {
     /// Switches the active fault. [`Fault::Kill`] takes effect on live
     /// links immediately; the others apply from each relay's next chunk.
     pub fn set_fault(&self, fault: Fault) {
-        *self.shared.fault.lock() = fault;
+        *self
+            .shared
+            .fault
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = fault;
         if fault == Fault::Kill {
             self.shared.kill_links();
         }
@@ -133,7 +141,11 @@ impl FaultInjector {
     /// on a fresh port. Live links keep relaying to the old one (sever
     /// them first with [`Fault::Kill`] for a clean restart).
     pub fn retarget(&self, target: SocketAddr) {
-        *self.shared.target.lock() = target;
+        *self
+            .shared
+            .target
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = target;
     }
 
     /// Stops the acceptor and severs every link.
@@ -167,11 +179,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<InjectorShared>) {
         match accepted {
             Ok((client, _)) => {
                 // A killed backend refuses new connections outright.
-                if *shared.fault.lock() == Fault::Kill {
+                if *shared.fault.lock().unwrap_or_else(PoisonError::into_inner) == Fault::Kill {
                     let _ = client.shutdown(Shutdown::Both);
                     continue;
                 }
-                let target = *shared.target.lock();
+                let target = *shared.target.lock().unwrap_or_else(PoisonError::into_inner);
                 let Ok(upstream) = TcpStream::connect_timeout(&target, Duration::from_secs(2))
                 else {
                     let _ = client.shutdown(Shutdown::Both);
@@ -182,7 +194,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<InjectorShared>) {
                 {
                     // Track both halves (pruning links already dead) so
                     // Kill can sever them.
-                    let mut links = shared.links.lock();
+                    let mut links = shared.links.lock().unwrap_or_else(PoisonError::into_inner);
                     links.retain(|s| s.peer_addr().is_ok());
                     for s in [&client, &upstream] {
                         if let Ok(clone) = s.try_clone() {
@@ -221,7 +233,7 @@ fn relay(mut src: TcpStream, mut dst: TcpStream, shared: Arc<InjectorShared>) {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        let fault = *shared.fault.lock();
+        let fault = *shared.fault.lock().unwrap_or_else(PoisonError::into_inner);
         match fault {
             // A hung peer neither reads nor forwards: leave the bytes in
             // the kernel and let backpressure do its work.

@@ -9,7 +9,7 @@
 //! torn writes, with the breaker lifecycle (closed → open → half-open →
 //! closed) observable in the proxy's stats the whole way.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use amalgam_cloud::{
@@ -401,9 +401,7 @@ fn reconnecting_client_survives_link_kill() {
 
     let service = CloudService::builder()
         .workers(1)
-        .observer(Arc::new(parking_lot::Mutex::new(SlowBatches(
-            Duration::from_millis(20),
-        ))))
+        .observer(Arc::new(Mutex::new(SlowBatches(Duration::from_millis(20)))))
         .build();
     let server = CloudServer::bind(service, "127.0.0.1:0").expect("bind backend");
     let injector = FaultInjector::spawn(server.local_addr()).expect("spawn injector");

@@ -5,8 +5,9 @@
 //! kernels. Earlier revisions forked fresh OS threads with
 //! `std::thread::scope` on *every* kernel call, which put thread creation on
 //! the per-matmul critical path. The pool here is created once, on the first
-//! dispatch that actually wants parallelism, and its workers then park on a
-//! shared MPMC channel between kernels:
+//! dispatch that actually wants parallelism, and its workers then park on
+//! the pool's job queue (a mutex-guarded deque and a condition variable)
+//! between kernels:
 //!
 //! * dispatchers enqueue one `Job` per chunk and run the first chunk
 //!   themselves, so an `n`-way dispatch needs only `n - 1` workers;
@@ -23,8 +24,8 @@
 //! never the order of floating-point accumulation inside it, so results are
 //! bitwise identical for any thread count.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
@@ -134,22 +135,16 @@ impl Latch {
     /// Worker-only jobs (the arena drain) are not executed here unless the
     /// current thread *is* a pool worker (nested dispatch): a client
     /// dispatcher stealing one would clear its own arena instead of a
-    /// worker's. Such jobs are re-queued and the helper backs off so a
-    /// parked worker can take them.
+    /// worker's. Such jobs stay queued for a parked worker, and the helper
+    /// takes the next job it may run or backs off.
     fn wait_helping(&self, pool: &Pool) {
         loop {
             if *self.remaining.lock().unwrap() == 0 {
                 return;
             }
-            match pool.rx.try_recv() {
-                Ok(job) if job.worker_only && !IS_POOL_WORKER.with(Cell::get) => {
-                    if pool.tx.send(job).is_err() {
-                        unreachable!("worker pool channel closed");
-                    }
-                    self.backoff();
-                }
-                Ok(job) => job.run(),
-                Err(_) => self.backoff(),
+            match pool.try_pop() {
+                Some(job) => job.run(),
+                None => self.backoff(),
             }
         }
     }
@@ -207,29 +202,38 @@ impl Job {
     }
 }
 
+/// The persistent pool: one job queue shared by every worker. It lives in a
+/// static and is never torn down, so the queue has no closed state.
 struct Pool {
-    tx: Sender<Job>,
-    rx: Receiver<Job>,
+    queue: Mutex<Queue>,
+    /// Signalled when jobs arrive while a worker is parked.
+    ready: Condvar,
     workers: Mutex<usize>,
+}
+
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Workers blocked on `ready` right now: a push signals only when one is.
+    parked: usize,
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
 
 fn pool() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let (tx, rx) = unbounded();
-        Pool {
-            tx,
-            rx,
-            workers: Mutex::new(0),
-        }
+    POOL.get_or_init(|| Pool {
+        queue: Mutex::new(Queue {
+            jobs: VecDeque::new(),
+            parked: 0,
+        }),
+        ready: Condvar::new(),
+        workers: Mutex::new(0),
     })
 }
 
 /// Barrier that releases its jobs only once *all* of them have started.
 ///
 /// Each drain job clears the running thread's scratch arena and then parks
-/// here. Drain jobs only execute on pool workers (client helpers re-queue
+/// here. Drain jobs only execute on pool workers (client helpers pass over
 /// them — see [`Latch::wait_helping`]), and a thread cannot pick up a
 /// second job while parked in the first, so `count` jobs are necessarily
 /// held by `count` distinct *workers* before any of them returns — which is
@@ -284,36 +288,67 @@ fn drain_worker_arenas() {
     // keeps this frame (and the borrows in `task`) alive until every job ran.
     let task_ptr: *const (dyn Fn(usize) + Sync) =
         unsafe { std::mem::transmute(taskref as *const (dyn Fn(usize) + Sync)) };
-    for index in 0..workers {
-        let job = Job {
-            task: task_ptr,
-            index,
-            latch: Arc::clone(&latch),
-            worker_only: true,
-        };
-        if pool.tx.send(job).is_err() {
-            unreachable!("worker pool channel closed");
-        }
-    }
+    pool.push((0..workers).map(|index| Job {
+        task: task_ptr,
+        index,
+        latch: Arc::clone(&latch),
+        worker_only: true,
+    }));
     // Plain (non-helping) wait: helping would run a drain job on *this*
     // thread, clearing the caller's arena and leaving one worker undrained.
     latch.wait();
 }
 
 impl Pool {
+    /// Queues `jobs`, waking as many parked workers as there are new jobs.
+    fn push(&self, jobs: impl Iterator<Item = Job>) {
+        let mut queue = self.queue.lock().unwrap();
+        let before = queue.jobs.len();
+        queue.jobs.extend(jobs);
+        let wake = (queue.jobs.len() - before).min(queue.parked);
+        drop(queue);
+        for _ in 0..wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Blocks for the next job (pool workers only).
+    fn pop(&self) -> Job {
+        let mut queue = self.queue.lock().unwrap();
+        loop {
+            if let Some(job) = queue.jobs.pop_front() {
+                return job;
+            }
+            queue.parked += 1;
+            queue = self.ready.wait(queue).unwrap();
+            queue.parked -= 1;
+        }
+    }
+
+    /// The first queued job the calling thread may run (worker-only jobs
+    /// only on a pool worker), without blocking.
+    fn try_pop(&self) -> Option<Job> {
+        let on_worker = IS_POOL_WORKER.with(Cell::get);
+        let mut queue = self.queue.lock().unwrap();
+        let at = queue
+            .jobs
+            .iter()
+            .position(|job| on_worker || !job.worker_only)?;
+        queue.jobs.remove(at)
+    }
+
     /// Grows the pool to at least `needed` parked workers (capped), spawning
     /// each thread exactly once for the process lifetime.
-    fn ensure_workers(&self, needed: usize) {
+    fn ensure_workers(&'static self, needed: usize) {
         let needed = needed.min(MAX_POOL_WORKERS);
         let mut count = self.workers.lock().unwrap();
         while *count < needed {
-            let rx = self.rx.clone();
             std::thread::Builder::new()
                 .name(format!("amalgam-pool-{count}"))
                 .spawn(move || {
                     IS_POOL_WORKER.with(|flag| flag.set(true));
-                    while let Ok(job) = rx.recv() {
-                        job.run();
+                    loop {
+                        self.pop().run();
                     }
                 })
                 .expect("failed to spawn pool worker");
@@ -336,22 +371,17 @@ fn run_tasks(ntasks: usize, task: &(dyn Fn(usize) + Sync)) {
     let pool = pool();
     pool.ensure_workers(ntasks - 1);
     let latch = Arc::new(Latch::new(ntasks - 1));
-    // SAFETY: erase the borrow's lifetime so jobs can cross the channel.
+    // SAFETY: erase the borrow's lifetime so jobs can cross to the workers.
     // The latch wait below keeps this call frame (and thus the pointee)
     // alive until the last job ran.
     let task_ptr: *const (dyn Fn(usize) + Sync) =
         unsafe { std::mem::transmute(task as *const (dyn Fn(usize) + Sync)) };
-    for index in 1..ntasks {
-        let job = Job {
-            task: task_ptr,
-            index,
-            latch: Arc::clone(&latch),
-            worker_only: false,
-        };
-        if pool.tx.send(job).is_err() {
-            unreachable!("worker pool channel closed");
-        }
-    }
+    pool.push((1..ntasks).map(|index| Job {
+        task: task_ptr,
+        index,
+        latch: Arc::clone(&latch),
+        worker_only: false,
+    }));
     // Run chunk 0 locally, but never unwind past the latch wait: queued jobs
     // still hold pointers into this frame until the latch reaches zero.
     let local = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(0)));

@@ -15,8 +15,7 @@ use amalgam::attacks::observer::GradientTap;
 use amalgam::attacks::psnr;
 use amalgam::cloud::CloudService;
 use amalgam::prelude::*;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Rng::seed_from(13);
@@ -55,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     service.client().train(&job)?;
     service.shutdown();
     let (target, dlg_dims, dlg_label) = {
-        let guard = tap.lock();
+        let guard = tap.lock().unwrap();
         let (x, y) = guard
             .first_batch
             .as_ref()

@@ -12,8 +12,7 @@ use amalgam::cloud::{CloudObserver, CloudService};
 use amalgam::core::trainer::evaluate_image_classifier;
 use amalgam::nn::graph::{GraphModel, Provenance};
 use amalgam::prelude::*;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The provider's view: counts what it can and cannot learn.
 #[derive(Default)]
@@ -102,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     service.shutdown();
     {
-        let view = observer.lock();
+        let view = observer.lock().unwrap();
         println!(
             "the provider saw {} nodes / {} params / {} batches / {} results — and {} provenance leaks",
             view.nodes_seen, view.params_seen, view.batches, view.results_seen, view.provenance_leaks

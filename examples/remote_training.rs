@@ -23,8 +23,7 @@
 use amalgam::cloud::{CheckpointStore, CloudObserver, FileCheckpointStore};
 use amalgam::prelude::*;
 use amalgam::proxy::{Fault, FaultInjector};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Paces training to a daemon-like cadence so the mid-job kill below lands

@@ -4,8 +4,7 @@
 
 use amalgam::cloud::{CloudService, RecordingObserver};
 use amalgam::prelude::*;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn tiny_job(seed: u64) -> CloudJob {
     let mut rng = Rng::seed_from(40 + seed);
@@ -87,7 +86,7 @@ fn shared_observer_counts_all_pool_traffic() {
         handle.wait().unwrap();
     }
     service.shutdown();
-    let rec = observer.lock();
+    let rec = observer.lock().unwrap();
     // 6 jobs × (8 samples / batch 4) = 12 batches and steps, 6 results.
     assert_eq!(rec.batches, 12);
     assert_eq!(rec.steps, 12);

@@ -14,10 +14,9 @@ use amalgam::cloud::{
 };
 use amalgam::prelude::*;
 use amalgam::proxy::{Fault, FaultInjector};
-use parking_lot::Mutex;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn tiny_job(seed: u64) -> CloudJob {

@@ -6,8 +6,7 @@ use amalgam::cloud::{CloudObserver, CloudService};
 use amalgam::nn::graph::GraphModel;
 use amalgam::prelude::*;
 use amalgam::proxy::{AmalgamProxy, ProxyConfig};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Holds every training batch for a fixed time, so a job lasts long enough
