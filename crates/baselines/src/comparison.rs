@@ -11,7 +11,6 @@
 use crate::disco::{disco_obfuscate, DiscoConfig};
 use crate::he::{Bfv, BfvParams};
 use crate::mpc::MpcSession;
-use crate::tee::train_single_threaded;
 use crate::Framework;
 use amalgam_core::trainer::{train_image_classifier, TrainConfig};
 use amalgam_core::{Amalgam, ObfuscationConfig};
@@ -157,9 +156,13 @@ fn run_disco(data: &ImagePair, cfg: &ComparisonConfig, tc: &TrainConfig) -> Comp
     }
 }
 
+/// CPU-only training, the paper's best-case TEE stand-in: TensorScone-style
+/// SGX solutions cannot use the GPU, so the paper models them as plain CPU
+/// training with zero enclave overhead — here the vanilla trainer, whose
+/// kernels run on the calling thread.
 fn run_tee(data: &ImagePair, cfg: &ComparisonConfig, tc: &TrainConfig) -> ComparisonRow {
     let mut model = lenet5(1, cfg.hw, 10, &mut Rng::seed_from(cfg.seed));
-    let h = train_single_threaded(&mut model, &data.train, Some(&data.test), tc);
+    let h = train_image_classifier(&mut model, &data.train, Some(&data.test), 0, tc);
     ComparisonRow {
         framework: Framework::Tee,
         seconds: f64::from(h.total_secs()),

@@ -15,15 +15,13 @@
 //!   full training epoch (the PyCrCNN mechanism; the paper itself reports
 //!   "over 3 days" — also an extrapolation-scale number);
 //! * [`disco`] — dynamic channel obfuscation inserted into the model;
-//! * [`tee`] — the vanilla trainer pinned to a single thread (the paper's
-//!   own best-case TEE stand-in);
-//! * [`comparison`] — the Figure 14 harness.
+//! * [`comparison`] — the Figure 14 harness, whose CPU-only row (the
+//!   paper's own best-case TEE stand-in) is the vanilla trainer.
 
 pub mod comparison;
 pub mod disco;
 pub mod he;
 pub mod mpc;
-pub mod tee;
 
 /// The frameworks compared in Figure 14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -2,19 +2,15 @@
 //!
 //! All per-(batch, head) products — Q·Kᵀ and P·V in the forward pass, and
 //! the four products of the backward pass — run through the batched GEMM
-//! (`matmul_batch_*`), so a layer with `B·H` heads pays **one** worker-pool
-//! dispatch per product instead of `B·H` serial kernel calls, and the
-//! `1/√dh` score scale is folded into the batched Q·Kᵀ epilogue. Heads are
+//! (`matmul_batch_*`), so a layer with `B·H` heads makes **one** kernel call
+//! per product instead of `B·H`, and the `1/√dh` score scale is folded into the batched Q·Kᵀ epilogue. Heads are
 //! staged head-major (`[B·H, T, dh]`) in scratch-arena tensors so the
 //! batched kernels see contiguous row-major items; a head too small for the
 //! blocked GEMM (every head of the benchmark's LM) runs on the no-pack
 //! register tile there, not on the direct loop a single product of its
 //! shape would take — same bits either way.
 //!
-//! The softmax over score rows (and its backward) is row-parallel on the
-//! same worker pool: chunk boundaries fall on whole `[T]` rows and the
-//! per-row arithmetic is untouched, so results stay bitwise identical for
-//! any thread count. It is the workspace's one softmax
+//! The softmax over score rows is the workspace's one softmax
 //! (`tensor::softmax_rows_in_place`, on the in-tree lane-exact `exp`); with
 //! `causal = true` row `i` is normalised over its first `i + 1` scores only
 //! and the masked tail is written as exact zeros — the bits a `−∞` mask
@@ -23,11 +19,7 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::spec::LayerSpec;
 use amalgam_tensor::tensor::{softmax_causal_rows_in_place, softmax_rows_in_place};
-use amalgam_tensor::{kernels, parallel, scratch, Rng, Tensor};
-
-/// Minimum score rows per softmax chunk: below this the pool dispatch costs
-/// more than the row sweep it parallelizes.
-const SOFTMAX_MIN_ROWS: usize = 16;
+use amalgam_tensor::{kernels, scratch, Rng, Tensor};
 
 /// Multi-head scaled-dot-product self-attention over `[B, T, D]`.
 ///
@@ -217,23 +209,13 @@ impl Layer for MultiHeadSelfAttention {
         // All B·H score products in one batched dispatch, scale folded in.
         let mut probs = scratch::take_tensor_raw(&[b * h, t, t]);
         kernels::matmul_batch_nt_scaled_into(&qh, &kh, alpha, &mut probs);
-        // Row-parallel softmax: each worker normalises whole disjoint rows
-        // with the shared serial kernel, so the math per row is unchanged.
         // Under the causal mask a row is its first `i + 1` scores; the rest
         // become exact zeros without being exponentiated.
-        parallel::parallel_rows_mut(
-            probs.data_mut(),
-            b * h * t,
-            t,
-            SOFTMAX_MIN_ROWS,
-            |r0, _, rows| {
-                if self.causal {
-                    softmax_causal_rows_in_place(rows, t, r0);
-                } else {
-                    softmax_rows_in_place(rows, t);
-                }
-            },
-        );
+        if self.causal {
+            softmax_causal_rows_in_place(probs.data_mut(), t);
+        } else {
+            softmax_rows_in_place(probs.data_mut(), t);
+        }
 
         let mut oh = scratch::take_tensor_raw(&[b * h, t, dh]);
         kernels::matmul_batch_into(&probs, &vh, &mut oh);
@@ -294,31 +276,18 @@ impl Layer for MultiHeadSelfAttention {
         // Softmax backward per row, in place: dS = α · P ∘ (dP - rowsum(dP ∘ P)).
         // The α factor multiplies each element once after the product — the
         // same two roundings as a separate scale pass, without re-sweeping
-        // the largest backward temporary. Row-parallel like the forward
-        // softmax: each worker owns whole rows of dS and reads the matching
-        // rows of P, so the per-row arithmetic (and the result) is
-        // identical for any thread count.
+        // the largest backward temporary.
         let mut ds = dp;
-        let pdata = probs.data();
-        parallel::parallel_rows_mut(
-            ds.data_mut(),
-            b * h * t,
-            t,
-            SOFTMAX_MIN_ROWS,
-            |r0, _, chunk| {
-                let prows = &pdata[r0 * t..r0 * t + chunk.len()];
-                for (srow, prow) in chunk.chunks_mut(t).zip(prows.chunks(t)) {
-                    let dot: f32 = prow
-                        .iter()
-                        .zip(srow.iter())
-                        .map(|(&pv, &dpv)| pv * dpv)
-                        .sum();
-                    for (sv, &pv) in srow.iter_mut().zip(prow) {
-                        *sv = (pv * (*sv - dot)) * alpha;
-                    }
-                }
-            },
-        );
+        for (srow, prow) in ds.data_mut().chunks_mut(t).zip(probs.data().chunks(t)) {
+            let dot: f32 = prow
+                .iter()
+                .zip(srow.iter())
+                .map(|(&pv, &dpv)| pv * dpv)
+                .sum();
+            for (sv, &pv) in srow.iter_mut().zip(prow) {
+                *sv = (pv * (*sv - dot)) * alpha;
+            }
+        }
         scratch::give_tensor(probs);
 
         // dQ = dS · K and dK = dSᵀ · Q, batched.
@@ -452,37 +421,6 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let a = MultiHeadSelfAttention::new(4, 1, true, &mut rng);
         check_layer_gradients(Box::new(a), &[&[1, 3, 4]], 3e-2, &mut rng);
-    }
-
-    #[test]
-    fn parallel_softmax_is_bitwise_identical_to_single_thread() {
-        // The row-parallel softmax (forward) and softmax-backward must not
-        // change a single bit versus the inline single-thread path.
-        let mut rng = Rng::seed_from(6);
-        let (b, t, d, h) = (2usize, 33usize, 8usize, 2usize);
-        let x = Tensor::randn(&[b, t, d], &mut rng);
-        let gy = Tensor::randn(&[b, t, d], &mut rng);
-        let run = |threads: usize| {
-            parallel::set_threads(threads);
-            let mut a = MultiHeadSelfAttention::from_params(
-                Tensor::from_fn(&[d, d], |i| ((i % 13) as f32 - 6.0) * 0.05),
-                Tensor::from_fn(&[d, d], |i| ((i % 11) as f32 - 5.0) * 0.04),
-                Tensor::from_fn(&[d, d], |i| ((i % 7) as f32 - 3.0) * 0.06),
-                Tensor::from_fn(&[d, d], |i| ((i % 5) as f32 - 2.0) * 0.07),
-                h,
-                true,
-            );
-            let y = a.forward(&[&x], Mode::Train);
-            let dx = a.backward(&gy, &[true]).remove(0).unwrap();
-            let grads: Vec<Vec<f32>> = a.params().iter().map(|p| p.grad.data().to_vec()).collect();
-            parallel::set_threads(0);
-            (y.data().to_vec(), dx.data().to_vec(), grads)
-        };
-        let single = run(1);
-        let pooled = run(8);
-        assert_eq!(single.0, pooled.0, "forward diverged across thread counts");
-        assert_eq!(single.1, pooled.1, "dx diverged across thread counts");
-        assert_eq!(single.2, pooled.2, "grads diverged across thread counts");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, Mode, Param};
 use crate::spec::LayerSpec;
-use amalgam_tensor::{parallel, scratch, Rng, Tensor};
+use amalgam_tensor::{scratch, Rng, Tensor};
 
 /// Depthwise convolution: each input channel is convolved with its own
 /// `k×k` filter (`groups == channels` in PyTorch terms).
@@ -104,37 +104,34 @@ impl Layer for DepthwiseConv2d {
         let wd = self.weight.value.data();
         let bias = self.bias.as_ref().map(|b| b.value.data());
         let (stride, padding) = (self.stride, self.padding);
-        // Each (batch, channel) map is an independent convolution writing a
-        // disjoint output slice — chunk them over the worker pool.
-        parallel::parallel_rows_mut(out.data_mut(), n * c, oh * ow, 2, |p0, p1, dst| {
-            for pair in p0..p1 {
-                let (ni, ci) = (pair / c, pair % c);
-                let base = ni * c * h * w + ci * h * w;
-                let wbase = ci * k * k;
-                let bv = bias.map_or(0.0, |bd| bd[ci]);
-                let dmap = &mut dst[(pair - p0) * oh * ow..(pair - p0 + 1) * oh * ow];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for ky in 0..k {
-                            let iy = (oy * stride + ky) as isize - padding as isize;
-                            if iy < 0 || iy >= h as isize {
+        let dst = out.data_mut();
+        for pair in 0..n * c {
+            let (ni, ci) = (pair / c, pair % c);
+            let base = ni * c * h * w + ci * h * w;
+            let wbase = ci * k * k;
+            let bv = bias.map_or(0.0, |bd| bd[ci]);
+            let dmap = &mut dst[pair * oh * ow..(pair + 1) * oh * ow];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0f32;
+                    for ky in 0..k {
+                        let iy = (oy * stride + ky) as isize - padding as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..k {
+                            let ix = (ox * stride + kx) as isize - padding as isize;
+                            if ix < 0 || ix >= w as isize {
                                 continue;
                             }
-                            for kx in 0..k {
-                                let ix = (ox * stride + kx) as isize - padding as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                acc += src[base + iy as usize * w + ix as usize]
-                                    * wd[wbase + ky * k + kx];
-                            }
+                            acc +=
+                                src[base + iy as usize * w + ix as usize] * wd[wbase + ky * k + kx];
                         }
-                        dmap[oy * ow + ox] = acc + bv;
                     }
+                    dmap[oy * ow + ox] = acc + bv;
                 }
             }
-        });
+        }
         self.cache = Some(x.clone());
         out
     }

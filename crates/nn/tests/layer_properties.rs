@@ -914,7 +914,7 @@ fn clear_caches_recycles_what_an_eval_batch_cached() {
         // columns, fc's flattened input.
         assert!(recycled >= held + 5, "{held} -> {recycled} buffers");
         let columns = 6 * 25 * 8 * 8 * 8;
-        assert!(amalgam_tensor::scratch::total_retained_elems() >= columns);
+        assert!(amalgam_tensor::scratch::retained_elems() >= columns);
         // The next batch takes those buffers and gives them back.
         drop(g.forward(&[&batch], Mode::Eval));
         g.clear_caches();

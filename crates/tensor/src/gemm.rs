@@ -17,20 +17,18 @@
 //! through [`MatRef`] stride views, so the `Aᵀ`/`Bᵀ`
 //! variants are packing-order choices, not separate kernels.
 //!
-//! Row blocks are farmed out to the persistent worker pool
-//! ([`parallel`]); each worker packs its own A panel into a
-//! thread-local [`scratch`] buffer that persists across
-//! kernel calls. Per-element accumulation order is `p = 0..k` ascending
-//! regardless of the thread count or block partition, so results are bitwise
-//! reproducible for any `set_threads` value.
+//! Every kernel runs on its caller's thread; a process that wants more
+//! cores trains more jobs at once. Packed panels live in the thread-local
+//! [`scratch`] arena, which persists across kernel calls. Per-element
+//! accumulation order is `p = 0..k` ascending regardless of the block
+//! partition, so results are bitwise reproducible.
 //!
 //! Packing pays only where a packed panel is reused, so two kinds of shape
 //! do not take the walk above ([`route`] decides, from the shape and B's
 //! strides alone):
 //!
-//! * `m·n·k` at or below [`SMALL_FLOPS`] skips packing *and* the pool and
-//!   runs a direct loop on the calling thread, so tiny matmuls (≤ 32³) pay
-//!   no blocking or dispatch overhead;
+//! * `m·n·k` at or below [`SMALL_FLOPS`] skips packing and runs a direct
+//!   loop, so tiny matmuls (≤ 32³) pay no blocking overhead;
 //! * a *skinny* A — at most [`SKINNY_MAX_M`] rows — against a B with
 //!   contiguous rows reuses each packed B element only `m` times, fewer than
 //!   the copy costs: a register-tiled kernel reads B in place and broadcasts
@@ -39,20 +37,16 @@
 //! Every route accumulates each output element the same way — a zeroed
 //! accumulator per [`KC`] block, ascending `k` inside it, then `C += acc` —
 //! so which one ran never shows in the bits (the direct loop agrees with the
-//! other two whenever `k ≤ KC`, and its shapes never reach them). Packed
-//! shapes still run inline unless every pool task would carry at least
-//! `MIN_TASK_FLOPS` — below that the hand-off costs more than it moves.
+//! other two whenever `k ≤ KC`, and its shapes never reach them).
 //!
 //! [`gemm_batch`] extends the same machinery to N independent products that
 //! share one `(m, n, k)` shape — the pattern attention lowers to, with one
-//! small product per (batch, head). The whole batch is dispatched to the
-//! pool as a *single* parallel-for over the concatenated output rows, so a
-//! transformer layer pays one pool handoff instead of `B·H` of them, and a
-//! shared B operand (batch stride 0) is packed once for every item.
+//! small product per (batch, head). The route is chosen once for the batch,
+//! and a shared B operand (batch stride 0) is packed once for every item.
 
 use crate::pack::{pack_a, pack_b, pack_image_lines, MatRef};
+use crate::scratch;
 use crate::simd::{self, MicroKernelFn, SkinnyKernelFn, SKINNY_MR};
-use crate::{parallel, scratch};
 use std::cell::Cell;
 
 /// Micro-tile rows: C tile height held in registers.
@@ -68,7 +62,7 @@ pub const MC: usize = 128;
 /// N-dimension block: packed B panel width (`KC × NC × 4` bytes = 512 KiB).
 pub const NC: usize = 512;
 
-/// Largest `m·n·k` routed to the direct (non-packing, non-pool) path.
+/// Largest `m·n·k` routed to the direct (non-packing) path.
 pub const SMALL_FLOPS: usize = 32 * 32 * 32;
 
 /// Most A rows routed to the no-pack kernel (B's rows must be contiguous):
@@ -78,7 +72,7 @@ pub const SMALL_FLOPS: usize = 32 * 32 * 32;
 /// reuse it; the no-pack kernel copies nothing, runs a wider register tile
 /// (6×16 against the micro-kernel's 8×8) and re-reads each B block once per
 /// `SKINNY_MR` rows instead. Measured on the 2-vCPU reference box (AVX2
-/// tier, 2 MiB L2 per core, pool 1), packed time over no-pack time across B
+/// tier, 2 MiB L2 per core), packed time over no-pack time across B
 /// from `[25×6400]` to `[1024×4096]`: 2.3–2.5x at `m = 6`, 1.2–1.8x at 8,
 /// 1.4–2.0x at 12, 1.09–1.53x at 16, 1.6–2.0x at 18 (a third, nearly empty
 /// A panel), 1.08–1.47x at 24, 1.03–1.56x at 32, 0.99–1.41x at 64 and 0.86x
@@ -91,7 +85,7 @@ pub const SKINNY_MAX_M: usize = 3 * SKINNY_MR;
 /// How one product is computed; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// Direct loops, no packing, no pool.
+    /// Direct loops, no packing.
     Small,
     /// B read in place by the no-pack kernel, A broadcast.
     Skinny,
@@ -114,8 +108,8 @@ pub fn force_route(forced: Option<Route>) {
 }
 
 /// The route of an `m × n × k` product whose B has column stride `b_cs` — a
-/// pure function of the shape and that stride: no setting, tier or thread
-/// count enters, and [`gemm_batch`] asks once for the whole batch.
+/// pure function of the shape and that stride: no setting or tier enters,
+/// and [`gemm_batch`] asks once for the whole batch.
 pub fn route(m: usize, n: usize, k: usize, b_cs: usize) -> Route {
     let skinny_ok = b_cs == 1;
     match FORCED_ROUTE.get() {
@@ -127,31 +121,11 @@ pub fn route(m: usize, n: usize, k: usize, b_cs: usize) -> Route {
     }
 }
 
-/// Minimum C rows per parallel task (one MR tile).
-const ROWS_MIN_CHUNK: usize = MR;
-
-/// Least work a parallel task must carry, in FLOPs (2·m·n·k of its share of
-/// the region). Handing rows to a pool worker costs a futex wake and, on a
-/// shared host, the wait for a descheduled vCPU — tens of microseconds — so
-/// a region is split only into tasks at least this large and anything
-/// smaller runs inline on the caller. Measured on the 2-vCPU reference box
-/// (AVX2 tier, ≈ 30 GFLOP/s per core): a LeNet conv block, `[16×150]·[150×512]`
-/// (2.5 MFLOP, 64 µs inline) ran at 0.6x when split in two, and two tasks
-/// broke even at 8 MFLOP each.
-const MIN_TASK_FLOPS: usize = 1 << 23;
-
-/// Rows a task needs to reach [`MIN_TASK_FLOPS`] at `row_flops` per C row,
-/// never below `tile_rows`. Only decides *whether and where* a region is
-/// split, which never affects results.
-pub(crate) fn min_task_rows(row_flops: usize, tile_rows: usize) -> usize {
-    MIN_TASK_FLOPS.div_ceil(row_flops.max(1)).max(tile_rows)
-}
-
 /// `C += A·B` for `A: m×k`, `B: k×n` given as stride views, `C` row-major.
 ///
 /// Callers pass a zeroed `c` for a plain product. Accumulation over `k` is
-/// performed in ascending order per output element independent of blocking
-/// and threading, so the result is bitwise deterministic.
+/// performed in ascending order per output element independent of blocking,
+/// so the result is bitwise deterministic.
 ///
 /// # Panics
 ///
@@ -175,14 +149,14 @@ pub fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut 
     }
 }
 
-/// The blocked walk over packed panels, row blocks farmed out to the pool.
+/// The blocked walk over packed panels.
 /// `pack_a(i0, p0, mc, kc, buf)` and `pack_b(p0, j0, kc, nc, buf)` fill the
 /// panels of one block; where the operands live is their business.
 fn packed_walk(
     m: usize,
     n: usize,
     k: usize,
-    pack_a: impl Fn(usize, usize, usize, usize, &mut [f32]) + Sync,
+    pack_a: impl Fn(usize, usize, usize, usize, &mut [f32]),
     pack_b: impl Fn(usize, usize, usize, usize, &mut [f32]),
     c: &mut [f32],
 ) {
@@ -193,17 +167,13 @@ fn packed_walk(
             let kc = (k - pc).min(KC);
             let mut pb_buf = scratch::take_raw(nc.div_ceil(NR) * NR * kc);
             pack_b(pc, jc, kc, nc, &mut pb_buf);
-            let pb = &pb_buf;
-            let task_rows = min_task_rows(2 * nc * kc, ROWS_MIN_CHUNK);
-            parallel::parallel_rows_mut(c, m, n, task_rows, |r0, r1, rows| {
-                let mut pa = scratch::take_raw((r1 - r0).min(MC).div_ceil(MR) * MR * kc);
-                for ic in (r0..r1).step_by(MC) {
-                    let mc = (r1 - ic).min(MC);
-                    pack_a(ic, pc, mc, kc, &mut pa);
-                    macro_kernel(&pa, pb, mc, nc, kc, &mut rows[(ic - r0) * n + jc..], n, ukr);
-                }
-                scratch::give(pa);
-            });
+            let mut pa = scratch::take_raw(m.min(MC).div_ceil(MR) * MR * kc);
+            for ic in (0..m).step_by(MC) {
+                let mc = (m - ic).min(MC);
+                pack_a(ic, pc, mc, kc, &mut pa);
+                macro_kernel(&pa, &pb_buf, mc, nc, kc, &mut c[ic * n + jc..], n, ukr);
+            }
+            scratch::give(pa);
             scratch::give(pb_buf);
         }
     }
@@ -327,11 +297,8 @@ impl<'a> BatchMat<'a> {
 /// products sharing one `(m, n, k)` shape.
 ///
 /// `c` holds the outputs back-to-back (`c[i*m*n..]` is item `i`, row-major)
-/// and is fully overwritten. The whole batch is one parallel-for over the
-/// concatenated `batch * m` output rows — one pool dispatch regardless of
-/// the batch size, which is what lets attention's per-(batch, head) products
-/// scale with cores instead of running serially per head. A shared B
-/// (`stride == 0`) that fits a single cache block is packed once up front.
+/// and is fully overwritten. A shared B (`stride == 0`) that fits a single
+/// cache block is packed once up front.
 ///
 /// [`route`] is asked once for the batch, and one answer is read differently
 /// here: an item it calls `Small` that has at least [`NR`] columns runs on the
@@ -340,7 +307,7 @@ impl<'a> BatchMat<'a> {
 /// 16 heads of `16×16×16` go from 5–8 GFLOP/s to 25–40. Per item the result
 /// is still bitwise identical to `gemm` on that item followed by a
 /// multiplication of each output element by `alpha`: every path accumulates
-/// each element from zero in ascending `k`, for any thread count.
+/// each element from zero in ascending `k`.
 ///
 /// # Panics
 ///
@@ -368,8 +335,8 @@ pub fn gemm_batch(
     let tiled = route == Route::Small && n >= NR;
     let (ukr, skinny) = (simd::microkernel(), simd::skinny_kernel());
     // A shared B that an item would pack whole — one (KC, NC) block of the
-    // packed walk, or the tile's transposed operand — is packed once, outside
-    // the parallel region; larger or per-item Bs are packed by each worker.
+    // packed walk, or the tile's transposed operand — is packed once, before
+    // the first item; larger or per-item Bs are packed item by item.
     let packs_whole_b = match route {
         Route::Packed => k <= KC && n <= NC,
         Route::Small => tiled && b.cs != 1,
@@ -384,32 +351,21 @@ pub fn gemm_batch(
         None
     };
 
-    let task_rows = min_task_rows(2 * n * k, ROWS_MIN_CHUNK.min(m));
-    parallel::parallel_rows_mut(c, batch * m, n, task_rows, |r0, r1, rows| {
-        let mut row = r0;
-        while row < r1 {
-            let bi = row / m;
-            let item_end = ((bi + 1) * m).min(r1);
-            let local0 = row - bi * m;
-            let nrows = item_end - row;
-            let cslice = &mut rows[(row - r0) * n..(item_end - r0) * n];
-            cslice.fill(0.0);
-            let av = a.item(bi).sub(local0, 0);
-            let bv = b.item(bi);
-            match route {
-                Route::Small if tiled => tile_rows(nrows, n, k, av, bv, cslice, shared_pb, skinny),
-                Route::Small => small_gemm(nrows, n, k, av, bv, cslice),
-                Route::Skinny => skinny_rows(nrows, n, k, av, bv, cslice, skinny),
-                Route::Packed => blocked_rows(nrows, n, k, av, bv, cslice, shared_pb, ukr),
-            }
-            if alpha != 1.0 {
-                for v in cslice.iter_mut() {
-                    *v *= alpha;
-                }
-            }
-            row = item_end;
+    for (bi, ci) in c.chunks_exact_mut(m * n).enumerate() {
+        ci.fill(0.0);
+        let (av, bv) = (a.item(bi), b.item(bi));
+        match route {
+            Route::Small if tiled => tile_rows(m, n, k, av, bv, ci, shared_pb, skinny),
+            Route::Small => small_gemm(m, n, k, av, bv, ci),
+            Route::Skinny => skinny_rows(m, n, k, av, bv, ci, skinny),
+            Route::Packed => blocked_rows(m, n, k, av, bv, ci, shared_pb, ukr),
         }
-    });
+        if alpha != 1.0 {
+            for v in ci.iter_mut() {
+                *v *= alpha;
+            }
+        }
+    }
     scratch::give(shared_pb_buf);
 }
 
@@ -456,11 +412,11 @@ fn tile_rows(
     scratch::give(pb_buf);
 }
 
-/// Blocked GEMM over a row range of one batch item, on the calling thread.
+/// Blocked GEMM over one batch item.
 ///
 /// Same `NC → KC` block walk (and therefore the same per-element `k`
-/// association) as [`gemm`]; only the row partitioning differs, which never
-/// affects results.
+/// association) as [`gemm`]; only where the packed B comes from differs,
+/// which never affects results.
 #[allow(clippy::too_many_arguments)]
 fn blocked_rows(
     m: usize,
@@ -565,7 +521,7 @@ fn macro_kernel(
     }
 }
 
-/// Direct loops for shapes too small to amortize packing or pool handoff.
+/// Direct loops for shapes too small to amortize packing.
 fn small_gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
     if b.cs == 1 {
         // B rows contiguous: ikj axpy order streams B and C.
@@ -787,20 +743,6 @@ mod tests {
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
-    }
-
-    #[test]
-    fn work_gate_keeps_small_regions_inline_and_splits_large_ones() {
-        // `parallel_rows_mut` uses `rows / task_rows` tasks at most.
-        // LeNet conv2 as an im2col product: 16 rows per (NC, k) block.
-        assert_eq!(16 / min_task_rows(2 * NC * 150, ROWS_MIN_CHUNK), 0);
-        // Attention scores of a small LM: 16 items of 24 rows.
-        assert_eq!(16 * 24 / min_task_rows(2 * 24 * 16, ROWS_MIN_CHUNK), 0);
-        // 256³ still feeds four threads.
-        assert!(256 / min_task_rows(2 * 256 * 256, ROWS_MIN_CHUNK) >= 4);
-        // Degenerate rows never divide by zero or go below one tile.
-        assert_eq!(min_task_rows(0, 8), MIN_TASK_FLOPS);
-        assert_eq!(min_task_rows(usize::MAX, 8), 8);
     }
 
     #[test]

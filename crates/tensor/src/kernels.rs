@@ -9,8 +9,8 @@
 //!
 //! The `matmul_batch_*` family runs N independent same-shape products (a
 //! `[N, ·, ·]` rank-3 tensor per operand, or a rank-2 B shared by every
-//! item) as a *single* pool dispatch via [`gemm::gemm_batch`] — the shape
-//! attention's per-(batch, head) products lower to.
+//! item) as one call of [`gemm::gemm_batch`] — the shape attention's
+//! per-(batch, head) products lower to.
 //!
 //! A stride-1 convolution does not need its im2col matrix to exist: row
 //! `(ci, ky, kx)` of that matrix is the zero-padded input plane read from
@@ -23,9 +23,9 @@
 
 use crate::gemm::{self, BatchMat, Route, KC};
 use crate::pack::MatRef;
+use crate::scratch;
 use crate::simd::{self, KOffsets, LaneSegment, LaneTile, SKINNY_MR};
 use crate::tensor::Tensor;
-use crate::{parallel, scratch};
 
 /// `C = A @ B` for `A: [M,K]`, `B: [K,N]`.
 ///
@@ -191,7 +191,7 @@ fn batch_b<'a>(b: &'a Tensor, batch: usize, what: &str) -> (BatchMat<'a>, usize,
 }
 
 /// Batched `C_i = A_i @ B_i` for `A: [N,M,K]`, `B: [N,K,P]` (or a shared
-/// `[K,P]`), writing `out: [N,M,P]` in one pool dispatch.
+/// `[K,P]`), writing `out: [N,M,P]` in one [`gemm::gemm_batch`] call.
 ///
 /// # Panics
 ///
@@ -386,49 +386,47 @@ pub fn im2col_into(input: &Tensor, g: &Conv2dGeom, out: &mut Tensor) {
     let k = g.kernel;
     let (stride, pad) = (g.stride, g.padding);
 
-    // Parallelise over the row dimension (channel × kernel offset).
-    parallel::parallel_rows_mut(out.data_mut(), rows, cols, 4, |r0, r1, slice| {
-        for r in r0..r1 {
-            let (ci, ky, kx) = (r / (k * k), (r / k) % k, r % k);
-            let (oy0, oy1) = valid_span(oh, h, ky, stride, pad);
-            let (ox0, ox1) = valid_span(ow, w, kx, stride, pad);
-            let dst = &mut slice[(r - r0) * cols..(r - r0 + 1) * cols];
-            if oy0 == oy1 || ox0 == ox1 {
-                dst.fill(0.0);
-                continue;
-            }
-            let ix0 = ox0 * stride + kx - pad;
-            let iy0 = oy0 * stride + ky - pad;
-            for (ni, dst_img) in dst.chunks_exact_mut(oh * ow).enumerate() {
-                let plane = &src[(ni * c + ci) * h * w..][..h * w];
-                dst_img[..oy0 * ow].fill(0.0);
-                dst_img[oy1 * ow..].fill(0.0);
-                let valid = &mut dst_img[oy0 * ow..oy1 * ow];
-                if stride == 1 && ow == w {
-                    // Rows of equal width at unit stride: the whole valid
-                    // block is one run of the plane, shifted by the kernel
-                    // offset. What wrapped around a row end is padding and is
-                    // overwritten just below.
-                    let end = valid.len() - (ow - ox1);
-                    let block = &mut valid[ox0..end];
-                    block.copy_from_slice(&plane[iy0 * w + ix0..][..block.len()]);
-                } else {
-                    for (row, dst_row) in valid.chunks_exact_mut(ow).enumerate() {
-                        let taps = plane[(iy0 + row * stride) * w + ix0..].iter();
-                        for (d, &v) in dst_row[ox0..ox1].iter_mut().zip(taps.step_by(stride)) {
-                            *d = v;
-                        }
+    let out = out.data_mut();
+    for r in 0..rows {
+        let (ci, ky, kx) = (r / (k * k), (r / k) % k, r % k);
+        let (oy0, oy1) = valid_span(oh, h, ky, stride, pad);
+        let (ox0, ox1) = valid_span(ow, w, kx, stride, pad);
+        let dst = &mut out[r * cols..(r + 1) * cols];
+        if oy0 == oy1 || ox0 == ox1 {
+            dst.fill(0.0);
+            continue;
+        }
+        let ix0 = ox0 * stride + kx - pad;
+        let iy0 = oy0 * stride + ky - pad;
+        for (ni, dst_img) in dst.chunks_exact_mut(oh * ow).enumerate() {
+            let plane = &src[(ni * c + ci) * h * w..][..h * w];
+            dst_img[..oy0 * ow].fill(0.0);
+            dst_img[oy1 * ow..].fill(0.0);
+            let valid = &mut dst_img[oy0 * ow..oy1 * ow];
+            if stride == 1 && ow == w {
+                // Rows of equal width at unit stride: the whole valid
+                // block is one run of the plane, shifted by the kernel
+                // offset. What wrapped around a row end is padding and is
+                // overwritten just below.
+                let end = valid.len() - (ow - ox1);
+                let block = &mut valid[ox0..end];
+                block.copy_from_slice(&plane[iy0 * w + ix0..][..block.len()]);
+            } else {
+                for (row, dst_row) in valid.chunks_exact_mut(ow).enumerate() {
+                    let taps = plane[(iy0 + row * stride) * w + ix0..].iter();
+                    for (d, &v) in dst_row[ox0..ox1].iter_mut().zip(taps.step_by(stride)) {
+                        *d = v;
                     }
                 }
-                if ox0 > 0 || ox1 < ow {
-                    for dst_row in valid.chunks_exact_mut(ow) {
-                        dst_row[..ox0].fill(0.0);
-                        dst_row[ox1..].fill(0.0);
-                    }
+            }
+            if ox0 > 0 || ox1 < ow {
+                for dst_row in valid.chunks_exact_mut(ow) {
+                    dst_row[..ox0].fill(0.0);
+                    dst_row[ox1..].fill(0.0);
                 }
             }
         }
-    });
+    }
 }
 
 /// Folds an im2col-shaped gradient `[C*k*k, N*out_h*out_w]` back into the
@@ -439,10 +437,6 @@ pub fn im2col_into(input: &Tensor, g: &Conv2dGeom, out: &mut Tensor) {
 /// slice. Matrix rows are visited in ascending order and a row touches an
 /// input cell at most once, so every cell sums its contributions in
 /// ascending row order whatever the geometry.
-///
-/// Parallelised over the batch dimension: each worker owns the disjoint
-/// `[ni, :, :, :]` output slice for its batch range, so no synchronisation
-/// is needed and the scatter-add order per element is fixed.
 ///
 /// # Panics
 ///
@@ -462,35 +456,34 @@ pub fn col2im(cols_mat: &Tensor, g: &Conv2dGeom, n: usize) -> Tensor {
     let ncols = n * oh * ow;
     let chw = c * h * w;
 
-    parallel::parallel_rows_mut(out.data_mut(), n, chw, 1, |n0, n1, dst| {
-        for r in 0..g.col_rows() {
-            let (ci, ky, kx) = (r / (k * k), (r / k) % k, r % k);
-            let (oy0, oy1) = valid_span(oh, h, ky, stride, pad);
-            let (ox0, ox1) = valid_span(ow, w, kx, stride, pad);
-            if oy0 == oy1 || ox0 == ox1 {
-                continue;
-            }
-            let ix0 = ox0 * stride + kx - pad;
-            let row = &src[r * ncols..(r + 1) * ncols];
-            for ni in n0..n1 {
-                let plane = &mut dst[(ni - n0) * chw + ci * h * w..][..h * w];
-                for oy in oy0..oy1 {
-                    let run = &row[(ni * oh + oy) * ow..][ox0..ox1];
-                    let dst_row = &mut plane[(oy * stride + ky - pad) * w..][..w];
-                    if stride == 1 {
-                        for (d, &v) in dst_row[ix0..ix0 + run.len()].iter_mut().zip(run) {
-                            *d += v;
-                        }
-                    } else {
-                        let cells = dst_row[ix0..].iter_mut().step_by(stride);
-                        for (d, &v) in cells.zip(run) {
-                            *d += v;
-                        }
+    let dst = out.data_mut();
+    for r in 0..g.col_rows() {
+        let (ci, ky, kx) = (r / (k * k), (r / k) % k, r % k);
+        let (oy0, oy1) = valid_span(oh, h, ky, stride, pad);
+        let (ox0, ox1) = valid_span(ow, w, kx, stride, pad);
+        if oy0 == oy1 || ox0 == ox1 {
+            continue;
+        }
+        let ix0 = ox0 * stride + kx - pad;
+        let row = &src[r * ncols..(r + 1) * ncols];
+        for ni in 0..n {
+            let plane = &mut dst[ni * chw + ci * h * w..][..h * w];
+            for oy in oy0..oy1 {
+                let run = &row[(ni * oh + oy) * ow..][ox0..ox1];
+                let dst_row = &mut plane[(oy * stride + ky - pad) * w..][..w];
+                if stride == 1 {
+                    for (d, &v) in dst_row[ix0..ix0 + run.len()].iter_mut().zip(run) {
+                        *d += v;
+                    }
+                } else {
+                    let cells = dst_row[ix0..].iter_mut().step_by(stride);
+                    for (d, &v) in cells.zip(run) {
+                        *d += v;
                     }
                 }
             }
         }
-    });
+    }
     out
 }
 
@@ -670,28 +663,25 @@ impl ConvWindow {
             (oh, ow)
         };
         let kernel = simd::window_kernel();
-        let task_images = gemm::min_task_rows(2 * oc * taps * oh * ow, 1);
         let planes = planes.data();
-        parallel::parallel_rows_mut(out, n, oc * oh * ow, task_images, |n0, n1, out| {
-            for (ni, out_image) in (n0..n1).zip(out.chunks_exact_mut(oc * oh * ow)) {
-                let plane = &planes[ni * image..(ni + 1) * image];
-                out_image.fill(0.0);
-                for pc in (0..taps).step_by(block) {
-                    let kc = (taps - pc).min(block);
-                    let a_k = KOffsets::new(&self.weight_steps[..kc]);
-                    let b_k = KOffsets::new(&self.tap_offsets[pc..pc + kc]);
-                    for i0 in (0..oc).step_by(SKINNY_MR) {
-                        let rows = (oc - i0).min(SKINNY_MR);
-                        let a = &weight[i0 * taps + pc..];
-                        for call in 0..calls {
-                            let c = &mut out_image[i0 * oh * ow + call * ow..];
-                            let b = &plane[call * wp..];
-                            kernel(rows, width, a, taps, a_k, b, b_k, c, oh * ow);
-                        }
+        for (ni, out_image) in out.chunks_exact_mut(oc * oh * ow).enumerate() {
+            let plane = &planes[ni * image..(ni + 1) * image];
+            out_image.fill(0.0);
+            for pc in (0..taps).step_by(block) {
+                let kc = (taps - pc).min(block);
+                let a_k = KOffsets::new(&self.weight_steps[..kc]);
+                let b_k = KOffsets::new(&self.tap_offsets[pc..pc + kc]);
+                for i0 in (0..oc).step_by(SKINNY_MR) {
+                    let rows = (oc - i0).min(SKINNY_MR);
+                    let a = &weight[i0 * taps + pc..];
+                    for call in 0..calls {
+                        let c = &mut out_image[i0 * oh * ow + call * ow..];
+                        let b = &plane[call * wp..];
+                        kernel(rows, width, a, taps, a_k, b, b_k, c, oh * ow);
                     }
                 }
             }
-        });
+        }
     }
 
     /// `dw = g · im2colᵀ` without the im2col matrix: the weight gradient

@@ -6,7 +6,7 @@
 //! * [`Tensor`] — a contiguous, row-major, n-dimensional `f32` array with the
 //!   element-wise, reduction, indexing and linear-algebra operations needed to
 //!   train convolutional and transformer networks;
-//! * [`kernels`] — cache-blocked, data-parallel matmul and im2col convolution
+//! * [`kernels`] — cache-blocked matmul and im2col convolution
 //!   helpers, lowered onto the packed GEMM in [`gemm`];
 //! * [`rng`] — seeded random sources with uniform, Gaussian and Laplace
 //!   distributions (the paper's three built-in noise kinds);
@@ -54,17 +54,15 @@
 //!   L3 across the macro-kernel sweep.
 //! * **Shape routing** — *direct → no-pack → blocked → batched*
 //!   ([`gemm::route`], a function of the shape and B's strides only):
-//!   products with `m·n·k ≤ 32³` take a direct loop that skips packing and
-//!   threading; an A of at most [`gemm::SKINNY_MAX_M`] rows against a B
+//!   products with `m·n·k ≤ 32³` take a direct loop that skips packing; an A of at most [`gemm::SKINNY_MAX_M`] rows against a B
 //!   with contiguous rows is computed by a 6×16 register-tiled kernel that
 //!   reads B in place — too few rows would reuse a packed B; larger single
 //!   products run the blocked path above; every route accumulates each
 //!   element in the same order, so they are bitwise interchangeable; N same-shape
 //!   independent products go through [`gemm::gemm_batch`] /
-//!   `kernels::matmul_batch_*`, which fans the *whole batch* out to the
-//!   pool as one parallel-for over (item, row block), packs a shared B
-//!   operand once, and applies an optional epilogue scale — this is how
-//!   attention's per-(batch, head) products amortize one dispatch. Its
+//!   `kernels::matmul_batch_*`, which chooses the route once for the whole
+//!   batch, packs a shared B operand once, and applies an optional epilogue
+//!   scale — this is how attention's per-(batch, head) products run. Its
 //!   items below the direct-loop threshold with at least 8 columns run on
 //!   the no-pack register tile instead, same bits.
 //! * **Transcendentals** ([`simd::exp`]): the exponential under every
@@ -72,17 +70,14 @@
 //!   and integer operations, so a scalar call, the portable 8-lane loop and
 //!   the AVX2 lanes agree bit for bit and nothing depends on the host's
 //!   libm; [`tensor::exp_row_in_place`] is the one row pass they all share.
-//! * **Worker pool** ([`parallel`]): row blocks are dispatched to a
-//!   lazily-created persistent thread pool (parked workers, channel + latch
-//!   handoff) instead of spawning threads per call; `set_threads(1)` runs
-//!   inline for the TEE baseline and releases the pool workers' scratch
-//!   arenas so long-lived single-thread runs don't pin peak-sized pack
-//!   buffers. Per-element accumulation order is fixed, so results are
-//!   bitwise identical for any thread count.
 //! * **Scratch arena** ([`scratch`]): pack panels, im2col column matrices,
 //!   attention staging tensors, norm/activation caches and optimizer
 //!   temporaries come from a per-thread free list and are returned after
 //!   use, so steady-state training performs no hot-path allocations.
+//!
+//! Every kernel runs on its caller's thread. Training uses more than one
+//! core by running more jobs at once (the cloud service's workers), not by
+//! splitting one product.
 
 #![deny(missing_docs)]
 

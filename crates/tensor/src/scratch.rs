@@ -6,47 +6,26 @@
 //! step to step, and confined to one thread — the perfect shape for a
 //! free-list arena. [`take`] hands out a zero-filled `Vec<f32>` recycled from
 //! earlier [`give`]s when one fits ([`take_raw`] skips the zero fill for
-//! consumers that overwrite every element); the pool workers in
-//! [`parallel`](crate::parallel) are persistent threads, so their arenas
-//! keep pack buffers warm across *all* kernels of a training run.
+//! consumers that overwrite every element). Kernels run on their caller's
+//! thread, so a training worker's arena keeps pack buffers warm across *all*
+//! kernels of its jobs.
 //!
 //! Buffers are plain `Vec<f32>`s: anything can be `give`n back, including
 //! allocations that did not originate here (e.g. a `Tensor` temporary via
-//! [`give_tensor`], which recycles only storage no other tensor shares). The arena retains at most `MAX_RETAINED` buffers per
-//! thread, evicting the smallest first, so memory use stays bounded by the
-//! largest working set actually seen.
-//!
-//! Retention is observable: [`total_retained_elems`] sums the capacity held
-//! by *every* thread's arena, and [`clear`] releases the calling thread's
-//! buffers. `parallel::set_threads(1)` uses these to drain the pool
-//! workers' arenas, so long-lived single-thread runs (the TEE baseline) do
-//! not pin peak-sized pack buffers they will never use again.
+//! [`give_tensor`], which recycles only storage no other tensor shares). The
+//! arena retains at most `MAX_RETAINED` buffers per thread, evicting the
+//! smallest first, so memory use stays bounded by the largest working set
+//! actually seen.
 
 use crate::Tensor;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maximum buffers retained per thread; beyond this the smallest is dropped.
 const MAX_RETAINED: usize = 16;
 
-/// Total `f32` capacity currently parked in arenas across all threads.
-static TOTAL_RETAINED: AtomicUsize = AtomicUsize::new(0);
-
-/// A thread's free list; the wrapper keeps [`TOTAL_RETAINED`] honest when a
-/// thread exits with buffers still parked.
-struct Arena {
-    free: Vec<Vec<f32>>,
-}
-
-impl Drop for Arena {
-    fn drop(&mut self) {
-        let held: usize = self.free.iter().map(Vec::capacity).sum();
-        TOTAL_RETAINED.fetch_sub(held, Ordering::Relaxed);
-    }
-}
-
 thread_local! {
-    static FREE: RefCell<Arena> = const { RefCell::new(Arena { free: Vec::new() }) };
+    /// The calling thread's free list.
+    static FREE: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A buffer of exactly `len` elements with *unspecified* (but initialized)
@@ -59,8 +38,7 @@ thread_local! {
 /// (best fit); otherwise grows an arbitrary retained buffer or allocates.
 pub fn take_raw(len: usize) -> Vec<f32> {
     let mut buf = FREE.with(|cell| {
-        let mut arena = cell.borrow_mut();
-        let free = &mut arena.free;
+        let mut free = cell.borrow_mut();
         let mut best: Option<(usize, usize)> = None; // (index, capacity)
         for (index, b) in free.iter().enumerate() {
             let cap = b.capacity();
@@ -68,15 +46,9 @@ pub fn take_raw(len: usize) -> Vec<f32> {
                 best = Some((index, cap));
             }
         }
-        let taken = match best {
-            Some((index, _)) => Some(free.swap_remove(index)),
-            None => free.pop(),
-        };
-        if let Some(taken) = taken {
-            TOTAL_RETAINED.fetch_sub(taken.capacity(), Ordering::Relaxed);
-            taken
-        } else {
-            Vec::new()
+        match best {
+            Some((index, _)) => free.swap_remove(index),
+            None => free.pop().unwrap_or_default(),
         }
     });
     // Shrink without touching memory; grow by writing only the new tail
@@ -102,8 +74,7 @@ pub fn give(buf: Vec<f32>) {
         return;
     }
     FREE.with(|cell| {
-        let mut arena = cell.borrow_mut();
-        let free = &mut arena.free;
+        let mut free = cell.borrow_mut();
         if free.len() >= MAX_RETAINED {
             if let Some(smallest) = free
                 .iter()
@@ -111,26 +82,16 @@ pub fn give(buf: Vec<f32>) {
                 .min_by_key(|(_, b)| b.capacity())
                 .map(|(i, _)| i)
             {
-                let evicted = free.swap_remove(smallest);
-                TOTAL_RETAINED.fetch_sub(evicted.capacity(), Ordering::Relaxed);
+                free.swap_remove(smallest);
             }
         }
-        TOTAL_RETAINED.fetch_add(buf.capacity(), Ordering::Relaxed);
         free.push(buf);
     });
 }
 
 /// Drops every buffer retained by the *calling* thread's arena.
-///
-/// The pool drains each worker's arena through this when
-/// `parallel::set_threads(1)` retires the workers from the hot path.
 pub fn clear() {
-    FREE.with(|cell| {
-        let mut arena = cell.borrow_mut();
-        let held: usize = arena.free.iter().map(Vec::capacity).sum();
-        TOTAL_RETAINED.fetch_sub(held, Ordering::Relaxed);
-        arena.free.clear();
-    });
+    FREE.with(|cell| cell.borrow_mut().clear());
 }
 
 /// A zero-filled tensor whose storage comes from the arena.
@@ -186,13 +147,12 @@ pub fn give_tensor(tensor: Tensor) {
 
 /// Number of buffers currently retained by this thread's arena (for tests).
 pub fn retained() -> usize {
-    FREE.with(|cell| cell.borrow().free.len())
+    FREE.with(|cell| cell.borrow().len())
 }
 
-/// Total `f32` capacity parked in *all* threads' arenas (live threads only;
-/// a thread's share is removed when it exits or calls [`clear`]).
-pub fn total_retained_elems() -> usize {
-    TOTAL_RETAINED.load(Ordering::Relaxed)
+/// Total `f32` capacity retained by this thread's arena (for tests).
+pub fn retained_elems() -> usize {
+    FREE.with(|cell| cell.borrow().iter().map(Vec::capacity).sum())
 }
 
 #[cfg(test)]
@@ -233,16 +193,13 @@ mod tests {
 
     #[test]
     fn clear_releases_this_threads_buffers() {
-        // The global counter is shared with concurrently-running tests, so
-        // only this thread's arena length is asserted exactly; the precise
-        // global accounting is covered by the single-test integration run in
-        // `tests/scratch_drain.rs`.
         std::thread::spawn(|| {
             give(vec![0.0; 64]);
             give(vec![0.0; 128]);
             assert!(retained() >= 2);
+            assert!(retained_elems() >= 192);
             clear();
-            assert_eq!(retained(), 0);
+            assert_eq!((retained(), retained_elems()), (0, 0));
         })
         .join()
         .unwrap();

@@ -791,18 +791,17 @@ pub fn softmax_rows_in_place(data: &mut [f32], width: usize) {
 }
 
 /// [`softmax_rows_in_place`] under a causal mask: `data` holds rows of a
-/// stack of `width × width` score matrices, the first of them row
-/// `first_row` of its matrix, and row `i` of a matrix may see columns `0..=i`
-/// only. Each row is normalised over that live prefix and its tail is set to
+/// stack of `width × width` score matrices, and row `i` of a matrix may see
+/// columns `0..=i` only. Each row is normalised over that live prefix and its tail is set to
 /// exactly `0.0` — bit for bit what the full-row softmax gives when the tail
 /// holds `−∞` (a masked score exponentiates to `0.0`, and zeros do not move
 /// the lane sums), without exponentiating the masked half.
-pub fn softmax_causal_rows_in_place(data: &mut [f32], width: usize, first_row: usize) {
+pub fn softmax_causal_rows_in_place(data: &mut [f32], width: usize) {
     if width == 0 {
         return;
     }
     for (r, row) in data.chunks_mut(width).enumerate() {
-        let (live, masked) = row.split_at_mut((first_row + r) % width + 1);
+        let (live, masked) = row.split_at_mut(r % width + 1);
         softmax_rows_in_place(live, live.len());
         masked.fill(0.0);
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for tensor algebra invariants.
 
 use amalgam_tensor::kernels::{col2im, im2col, im2col_into, reference, Conv2dGeom};
-use amalgam_tensor::{parallel, Rng, Tensor};
+use amalgam_tensor::{Rng, Tensor};
 use proptest::prelude::*;
 
 fn rand_tensor(dims: &[usize], seed: u64) -> Tensor {
@@ -74,11 +74,11 @@ proptest! {
     /// The slice kernels equal the naive definitions bit for bit on any
     /// geometry — strides 1-3, padding up to the kernel size (rows and
     /// columns that are all padding), 'same' padding, kernels larger than the
-    /// plane, 1×1, non-square planes, batch 1 — for any pool size.
+    /// plane, 1×1, non-square planes, batch 1.
     #[test]
     fn conv_glue_matches_naive_definition(n in 1usize..4, c in 1usize..3, h in 1usize..9, w in 1usize..9,
                                           k in 1usize..7, stride in 1usize..4, pad_pick in 0usize..7,
-                                          same in any::<bool>(), threads in 1usize..5, seed in 0u64..1000) {
+                                          same in any::<bool>(), seed in 0u64..1000) {
         // Half the cases are 'same' convolutions (odd kernel, unit stride,
         // output as wide as the input), which im2col moves a block at a time.
         let (k, stride, padding) = if same { (k | 1, 1, k / 2) } else { (k, stride, pad_pick % (k + 1)) };
@@ -87,12 +87,10 @@ proptest! {
         let cols = n * g.out_h() * g.out_w();
         let x = rand_tensor(&[n, c, h, w], seed);
         let y = rand_tensor(&[g.col_rows(), cols], seed ^ 8);
-        parallel::set_threads(threads);
         // A poisoned target: every element has to be written, padding included.
         let mut unfolded = Tensor::full(&[g.col_rows(), cols], f32::NAN);
         im2col_into(&x, &g, &mut unfolded);
         let folded = col2im(&y, &g, n);
-        parallel::set_threads(0);
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&unfolded), bits(&reference::im2col(&x, &g)), "im2col {:?}", g);
         prop_assert_eq!(bits(&folded), bits(&reference::col2im(&y, &g, n)), "col2im {:?}", g);

@@ -1,7 +1,7 @@
 //! Trained bytes are pinned: one augmented LeNet-5 job and one augmented
 //! transformer-LM job, fixed seeds, must train to exactly the bytes they
 //! trained to before backward became demand-driven and the conv/pool glue
-//! moved to slice kernels — for every tensor-pool size and kernel tier.
+//! moved to slice kernels — on every kernel tier.
 //!
 //! The digests were first computed at the parent of that change (commit
 //! 2b026ca). A kernel or executor change that reorders a single
@@ -19,7 +19,6 @@ use amalgam::core::trainer::{train_image_classifier, train_lm};
 use amalgam::data::LmCorpusSpec;
 use amalgam::models::{transformer_lm, TransformerLmConfig};
 use amalgam::prelude::*;
-use amalgam::tensor::parallel;
 use amalgam::tensor::simd::{self, Tier};
 
 const LENET_DIGEST: u128 = 0x9fa13b13936a5d7a4f19ed5b6203d8e6;
@@ -82,28 +81,24 @@ fn lm_job() -> u128 {
     siphash128(0, 0, &augmented.to_bytes())
 }
 
-/// One test, so the process-global pool size and kernel tier are flipped by
-/// one thread only.
+/// One test, so the process-global kernel tier is flipped by one thread
+/// only.
 #[test]
-fn trained_bytes_match_the_parent_commit_for_every_pool_size_and_tier() {
+fn trained_bytes_match_the_parent_commit_on_every_tier() {
     for tier in [Tier::Portable, Tier::Simd] {
         simd::force_tier(Some(tier));
-        for threads in [1, 2, 4] {
-            parallel::set_threads(threads);
-            assert_eq!(
-                lenet_job(),
-                LENET_DIGEST,
-                "LeNet job diverged at {threads} pool threads, tier {tier:?}: {:#034x}",
-                lenet_job()
-            );
-            assert_eq!(
-                lm_job(),
-                LM_DIGEST,
-                "LM job diverged at {threads} pool threads, tier {tier:?}: {:#034x}",
-                lm_job()
-            );
-        }
+        assert_eq!(
+            lenet_job(),
+            LENET_DIGEST,
+            "LeNet job diverged on tier {tier:?}: {:#034x}",
+            lenet_job()
+        );
+        assert_eq!(
+            lm_job(),
+            LM_DIGEST,
+            "LM job diverged on tier {tier:?}: {:#034x}",
+            lm_job()
+        );
     }
-    parallel::set_threads(0);
     simd::force_tier(None);
 }

@@ -7,15 +7,13 @@
 use amalgam::prelude::*;
 use amalgam::tensor::gemm::{self, gemm_batch, BatchMat};
 use amalgam::tensor::pack::MatRef;
-use amalgam::tensor::parallel;
 use amalgam::tensor::simd::{self, Tier};
 use amalgam::tensor::tensor::{
     exp_row_in_place, softmax_causal_rows_in_place, softmax_rows_in_place,
 };
 use std::sync::{Mutex, MutexGuard};
 
-/// The kernel tier and the pool size are process-wide; tests that set them
-/// take turns.
+/// The kernel tier is process-wide; tests that set it take turns.
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn globals() -> MutexGuard<'static, ()> {
@@ -162,17 +160,8 @@ fn causal_prefix_softmax_is_the_full_row_under_a_minus_infinity_mask() {
                 }
                 softmax_rows_in_place(&mut want, t);
                 let mut got = scores.clone();
-                softmax_causal_rows_in_place(&mut got, t, 0);
+                softmax_causal_rows_in_place(&mut got, t);
                 assert_eq!(bits(&got), bits(&want), "T = {t}, {tier:?}, mask {mask}");
-                // A worker that starts in the middle of a matrix.
-                let first = t + t / 2;
-                let mut tail = scores[first * t..].to_vec();
-                softmax_causal_rows_in_place(&mut tail, t, first);
-                assert_eq!(
-                    bits(&tail),
-                    bits(&want[first * t..]),
-                    "T = {t} from row {first}"
-                );
             }
         }
     }
@@ -241,20 +230,16 @@ fn gemm_batch_items_keep_the_reference_bits() {
                 }
                 for tier in tiers() {
                     simd::force_tier(Some(tier));
-                    for threads in [1usize, 4] {
-                        parallel::set_threads(threads);
-                        let mut got = vec![f32::NAN; batch * m * n];
-                        gemm_batch(batch, m, n, k, a, b, alpha, &mut got);
-                        assert_eq!(
-                            bits(&got),
-                            bits(&want),
-                            "({m},{n},{k}) {layout}, {sharing}, {tier:?}, {threads} threads"
-                        );
-                    }
+                    let mut got = vec![f32::NAN; batch * m * n];
+                    gemm_batch(batch, m, n, k, a, b, alpha, &mut got);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "({m},{n},{k}) {layout}, {sharing}, {tier:?}"
+                    );
                 }
             }
         }
     }
     simd::force_tier(None);
-    parallel::set_threads(0);
 }

@@ -340,13 +340,12 @@ fn f32_bits(values: &[f32]) -> Vec<u32> {
 /// Every GEMM route gives the same bits — a fixed-seed slice of
 /// `crates/tensor/tests/gemm_properties.rs`, so tier-1 guards it: LeNet's
 /// entry-convolution product, a ragged shape that crosses KC and a batch with
-/// a shared B, down the no-pack route and the packed walk, at pool sizes
-/// 1/2/4 on every kernel tier, all equal to the element-wise reference walk.
+/// a shared B, down the no-pack route and the packed walk on every kernel
+/// tier, all equal to the element-wise reference walk.
 #[test]
 fn gemm_routes_agree_bit_for_bit() {
     use amalgam::tensor::gemm::{self, force_route, gemm_batch, BatchMat, Route};
     use amalgam::tensor::pack::MatRef;
-    use amalgam::tensor::parallel;
     use amalgam::tensor::simd::{self, Tier};
 
     let mut rng = Rng::seed_from(43);
@@ -367,27 +366,22 @@ fn gemm_routes_agree_bit_for_bit() {
         for (bi, item) in want.chunks_mut(m * n).enumerate() {
             gemm::reference::gemm(m, n, k, a.item(bi), b.item(bi), item);
         }
-        for threads in [1usize, 2, 4] {
-            parallel::set_threads(threads);
-            for &tier in &tiers {
-                simd::force_tier(Some(tier));
-                for route in [Route::Skinny, Route::Packed] {
-                    force_route(Some(route));
-                    let mut batched = vec![f32::NAN; batch * m * n];
-                    gemm_batch(batch, m, n, k, a, b, 1.0, &mut batched);
-                    let mut single = vec![0.0f32; m * n];
-                    gemm::gemm(m, n, k, a.item(0), b.item(0), &mut single);
-                    force_route(None);
-                    let case =
-                        format!("{route:?} on {tier:?}, {threads} threads, ({batch},{m},{n},{k})");
-                    assert_eq!(f32_bits(&batched), f32_bits(&want), "gemm_batch, {case}");
-                    assert_eq!(f32_bits(&single), f32_bits(&want[..m * n]), "gemm, {case}");
-                }
+        for &tier in &tiers {
+            simd::force_tier(Some(tier));
+            for route in [Route::Skinny, Route::Packed] {
+                force_route(Some(route));
+                let mut batched = vec![f32::NAN; batch * m * n];
+                gemm_batch(batch, m, n, k, a, b, 1.0, &mut batched);
+                let mut single = vec![0.0f32; m * n];
+                gemm::gemm(m, n, k, a.item(0), b.item(0), &mut single);
+                force_route(None);
+                let case = format!("{route:?} on {tier:?}, ({batch},{m},{n},{k})");
+                assert_eq!(f32_bits(&batched), f32_bits(&want), "gemm_batch, {case}");
+                assert_eq!(f32_bits(&single), f32_bits(&want[..m * n]), "gemm, {case}");
             }
         }
     }
     simd::force_tier(None);
-    parallel::set_threads(0);
 }
 
 /// Interleaved per-channel reductions keep every channel's own order — a
@@ -464,7 +458,7 @@ fn per_channel_reductions_match_one_channel_at_a_time() {
 /// `crates/nn/tests/layer_properties.rs`, so tier-1 guards it. The windowed
 /// kernels (LeNet's 5×5 entry geometry at batch 4, and a 275-tap one that
 /// crosses a K block) and the image-split product against im2col + `gemm`,
-/// at pool sizes 1/2/4 on every kernel tier from NaN-poisoned outputs; then
+/// on every kernel tier from NaN-poisoned outputs; then
 /// the layers on those paths — a masked entry convolution and a 1×1 tap —
 /// against the layers on the column matrix (the same layers, one image at a
 /// time: a one-image product is small enough to keep the old lowering).
@@ -475,7 +469,6 @@ fn column_free_convolutions_agree_bit_for_bit() {
     use amalgam::tensor::gemm;
     use amalgam::tensor::kernels::{self, Conv2dGeom};
     use amalgam::tensor::pack::MatRef;
-    use amalgam::tensor::parallel;
     use amalgam::tensor::simd::{self, Tier};
 
     let mut rng = Rng::seed_from(45);
@@ -533,34 +526,30 @@ fn column_free_convolutions_agree_bit_for_bit() {
             &mut want_dw,
         );
         let mut window = kernels::ConvWindow::new(&g);
-        for threads in [1usize, 2, 4] {
-            parallel::set_threads(threads);
-            for &tier in &tiers {
-                simd::force_tier(Some(tier));
-                let planes = kernels::padded_planes(&x, &g, None);
-                let mut y = vec![f32::NAN; want_y.len()];
-                window.forward(&planes, &w, &mut y);
-                let mut dw = vec![f32::NAN; want_dw.len()];
-                window.dw(&planes, &grad, &mut dw);
-                let case = format!("{tier:?}, {threads} threads, {g:?}");
-                assert_eq!(f32_bits(&y), f32_bits(&want_y), "forward, {case}");
-                assert_eq!(f32_bits(&dw), f32_bits(&want_dw), "dW, {case}");
-                // The same weight gradient with the columns as a second
-                // image-split operand (what a 1×1 convolution's input is).
-                let mut split_cols = vec![0.0f32; n * taps * ohw];
-                for (ni, image) in split_cols.chunks_exact_mut(taps * ohw).enumerate() {
-                    for (r, row) in image.chunks_exact_mut(ohw).enumerate() {
-                        row.copy_from_slice(&cols.data()[r * n * ohw + ni * ohw..][..ohw]);
-                    }
+        for &tier in &tiers {
+            simd::force_tier(Some(tier));
+            let planes = kernels::padded_planes(&x, &g, None);
+            let mut y = vec![f32::NAN; want_y.len()];
+            window.forward(&planes, &w, &mut y);
+            let mut dw = vec![f32::NAN; want_dw.len()];
+            window.dw(&planes, &grad, &mut dw);
+            let case = format!("{tier:?}, {g:?}");
+            assert_eq!(f32_bits(&y), f32_bits(&want_y), "forward, {case}");
+            assert_eq!(f32_bits(&dw), f32_bits(&want_dw), "dW, {case}");
+            // The same weight gradient with the columns as a second
+            // image-split operand (what a 1×1 convolution's input is).
+            let mut split_cols = vec![0.0f32; n * taps * ohw];
+            for (ni, image) in split_cols.chunks_exact_mut(taps * ohw).enumerate() {
+                for (r, row) in image.chunks_exact_mut(ohw).enumerate() {
+                    row.copy_from_slice(&cols.data()[r * n * ohw + ni * ohw..][..ohw]);
                 }
-                let mut split = vec![0.0f32; want_dw.len()];
-                gemm::gemm_nt_images(oc, taps, n, ohw, &grad, &split_cols, &mut split);
-                assert_eq!(f32_bits(&split), f32_bits(&want_dw), "split dW, {case}");
             }
+            let mut split = vec![0.0f32; want_dw.len()];
+            gemm::gemm_nt_images(oc, taps, n, ohw, &grad, &split_cols, &mut split);
+            assert_eq!(f32_bits(&split), f32_bits(&want_dw), "split dW, {case}");
         }
     }
     simd::force_tier(None);
-    parallel::set_threads(0);
 
     // Layers: batch of 4 on the new paths, the same images one at a time on
     // the column matrix. Forward rows are per-image; with one image the
