@@ -4,16 +4,17 @@
 //! over the data range (the default), Gaussian/Laplace with a user-chosen σ,
 //! and user-provided values. This module supplies the first two; the third is
 //! sampling from a pool, handled by the augmenter itself.
-
-use rand::rngs::StdRng;
-use rand::{Rng as _, RngCore, SeedableRng};
+//!
+//! The generator is xoshiro256++ seeded through SplitMix64 (Blackman and
+//! Vigna). Its stream is pinned: every golden digest of trained bytes rests
+//! on it.
 
 /// A seeded pseudo-random source.
 ///
-/// Wraps [`rand::rngs::StdRng`] so that every stochastic component of the
-/// workspace (weight init, noise generation, insertion layouts, shuffling)
-/// takes an explicit `&mut Rng` and is reproducible from a `u64` seed —
-/// determinism underpins Amalgam's training-equivalence invariant.
+/// Every stochastic component of the workspace (weight init, noise
+/// generation, insertion layouts, shuffling) takes an explicit `&mut Rng` and
+/// is reproducible from a `u64` seed — determinism underpins Amalgam's
+/// training-equivalence invariant.
 ///
 /// # Example
 ///
@@ -26,21 +27,49 @@ use rand::{Rng as _, RngCore, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Rng {
-    inner: StdRng,
+    /// xoshiro256++ state.
+    s: [u64; 4],
+}
+
+/// One SplitMix64 step: advances `state` and returns the next output.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl Rng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed_from(seed: u64) -> Self {
+        let mut sm = seed;
         Rng {
-            inner: StdRng::seed_from_u64(seed),
+            s: [
+                splitmix64(&mut sm),
+                splitmix64(&mut sm),
+                splitmix64(&mut sm),
+                splitmix64(&mut sm),
+            ],
         }
     }
 
     /// Derives an independent child generator (useful for giving each
     /// sub-network or dataset its own stream).
     pub fn fork(&mut self) -> Rng {
-        Rng::seed_from(self.inner.next_u64())
+        Rng::seed_from(self.next_u64())
+    }
+
+    /// Uniform `f32` in `[lo, hi)` from the draw's 24 high bits, a unit value
+    /// exactly representable in `f32`.
+    fn f32_in(&mut self, lo: f32, hi: f32) -> f32 {
+        let unit = (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32);
+        lo + (hi - lo) * unit
+    }
+
+    /// A unit `f64` in `[0, 1)` from the draw's 53 high bits.
+    fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform `f32` in `[lo, hi)`.
@@ -53,7 +82,7 @@ impl Rng {
         if lo == hi {
             return lo;
         }
-        self.inner.gen_range(lo..hi)
+        self.f32_in(lo, hi)
     }
 
     /// Uniform `usize` in `[0, n)`.
@@ -63,32 +92,42 @@ impl Rng {
     /// Panics if `n == 0`.
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below(0) is undefined");
-        self.inner.gen_range(0..n)
+        // Lemire's multiply-shift: uniform enough without rejection.
+        ((u128::from(self.next_u64()) * n as u128) >> 64) as usize
     }
 
-    /// A raw 64-bit draw.
+    /// A raw 64-bit draw: one xoshiro256++ step.
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
     /// `true` with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.inner.gen_bool(p.clamp(0.0, 1.0))
+        self.unit_f64() < p.clamp(0.0, 1.0)
     }
 
     /// Gaussian sample via Box–Muller.
     pub fn normal(&mut self, mean: f32, sigma: f32) -> f32 {
         // Box–Muller: two uniforms → one normal (the second is discarded to
         // keep the stream stateless and simple).
-        let u1: f32 = self.inner.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.inner.gen_range(0.0..1.0);
+        let u1 = self.f32_in(f32::EPSILON, 1.0);
+        let u2 = self.f32_in(0.0, 1.0);
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
         mean + sigma * z
     }
 
     /// Laplace sample via inverse-CDF.
     pub fn laplace(&mut self, mean: f32, scale: f32) -> f32 {
-        let u: f32 = self.inner.gen_range(-0.5f32..0.5f32);
+        let u = self.f32_in(-0.5, 0.5);
         mean - scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
     }
 
@@ -148,6 +187,17 @@ mod tests {
                 0xb7b3_11b3_b0d4_5872
             ]
         );
+    }
+
+    #[test]
+    fn draws_stay_in_range_and_chance_tracks_p() {
+        let mut rng = Rng::seed_from(1);
+        for _ in 0..10_000 {
+            assert!(rng.below(17) < 17);
+            assert!((-2.0..2.0).contains(&rng.uniform(-2.0, 2.0)));
+        }
+        let hits = (0..100_000).filter(|_| rng.chance(0.25)).count();
+        assert!((20_000..30_000).contains(&hits), "hits {hits}");
     }
 
     #[test]
