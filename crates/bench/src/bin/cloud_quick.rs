@@ -25,11 +25,8 @@
 //! judged in a build for AVX-512, where the compiler vectorises the
 //! digest's eight lanes, reported as skipped in any other).
 //!
-//! Like PR 3's kernel gates, everything is pinned to one worker and one
-//! tensor-pool thread: the criteria are per-core ratios, and CI runners
-//! have unpredictable core counts. (The hit path barely touches the pool —
-//! it is a hash plus a cache lookup — so the ratio is thread-insensitive
-//! anyway; the pin just keeps cold timings comparable across runs.)
+//! Like the kernel gates, every service runs one worker: the criteria are
+//! per-core ratios, and CI runners have unpredictable core counts.
 
 use amalgam_cloud::hash::{digest128, siphash128};
 use amalgam_cloud::transport::TransportConfig;
@@ -39,7 +36,7 @@ use amalgam_cloud::{
 };
 use amalgam_core::TrainConfig;
 use amalgam_models::lenet5;
-use amalgam_tensor::{parallel, Rng, Tensor};
+use amalgam_tensor::{Rng, Tensor};
 use bytes::Bytes;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -148,7 +145,6 @@ fn main() {
         }
     }
 
-    parallel::set_threads(1);
     let job = tiny_job(0);
     let mut entries = Vec::new();
     let mut failures = Vec::new();
@@ -592,7 +588,6 @@ fn main() {
         client.close();
         server.shutdown();
     }
-    parallel::set_threads(0);
 
     let mut json = String::from("{\n");
     for (i, e) in entries.iter().enumerate() {

@@ -13,8 +13,8 @@
 //! and every cell sees the same seeds — then trains the augmented model on
 //! the augmented data and the original on the original data for one epoch of
 //! batch 16 with the trainer the benchmark uses, alternating which of the two
-//! runs first. In process, on a worker thread (where the service trains),
-//! tensor pool 1. The ratio of the two wall times is the pair's sample.
+//! runs first. In process, on a worker thread (where the service trains).
+//! The ratio of the two wall times is the pair's sample.
 //!
 //! `--check` gates the *shape* of the curve, not its level: within a
 //! sub-network count the ratio may not fall as α grows by more than the
@@ -31,7 +31,7 @@ use amalgam_core::{Amalgam, ObfuscationConfig, TrainConfig};
 use amalgam_data::{ImagePair, SyntheticImageSpec};
 use amalgam_models::lenet5;
 use amalgam_nn::graph::GraphModel;
-use amalgam_tensor::{parallel, simd, Rng};
+use amalgam_tensor::{simd, Rng};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -120,7 +120,6 @@ fn measure_cell(original: &GraphModel, data: &ImagePair, amount: f32, subnets: u
 }
 
 fn measure() -> Vec<Cell> {
-    parallel::set_threads(1);
     let mut rng = Rng::seed_from(20);
     let data = SyntheticImageSpec::mnist_like()
         .with_counts(224, 2)

@@ -52,10 +52,11 @@ pub fn matmul_ikj_reference(
     out
 }
 
-/// The serial per-head attention Q·Kᵀ loop: one kernel dispatch per head
+/// The serial per-head attention Q·Kᵀ loop: one kernel call per head
 /// into disjoint `[T, T]` output slices, with the `1/√dh` scale applied as a
 /// separate pass — exactly the loop shape the attention layer ran before
-/// the batched GEMM: the `kernels-quick` CI gate's baseline.
+/// the batched GEMM: the baseline of `kernels-quick`'s batched-attention
+/// entry.
 ///
 /// `qh`/`kh` are head-major `[heads, T, dh]`; `out` is `[heads, T, T]`.
 pub fn attention_qk_serial_per_head(
