@@ -9,14 +9,15 @@
 //! torn writes, with the breaker lifecycle (closed → open → half-open →
 //! closed) observable in the proxy's stats the whole way.
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use amalgam_cloud::{
-    BackendHealth, BackendStats, CloudJob, CloudServer, CloudService, RemoteCloudClient,
-    ServiceStats, TaskPayload, TransportConfig,
+    BackendHealth, BackendStats, CloudJob, CloudObserver, CloudServer, CloudService,
+    RemoteCloudClient, ServiceStats, TaskPayload, TransportConfig,
 };
 use amalgam_core::TrainConfig;
+use amalgam_nn::graph::GraphModel;
 use amalgam_proxy::{AmalgamProxy, BreakerConfig, Fault, FaultInjector, HashRing, ProxyConfig};
 use amalgam_tensor::{Rng, Tensor};
 
@@ -37,23 +38,60 @@ fn tiny_job(seed: u64) -> CloudJob {
     }
 }
 
+/// While closed, holds a backend's worker at the start of every job, so a
+/// test can kill the backend with its jobs provably still in flight rather
+/// than hoping its worker is too slow to have finished them.
+#[derive(Default)]
+struct Gate {
+    closed: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn set_closed(&self, closed: bool) {
+        *self.closed.lock().expect("gate lock") = closed;
+        self.opened.notify_all();
+    }
+}
+
+struct GateObserver(Arc<Gate>);
+
+impl CloudObserver for GateObserver {
+    fn on_model(&mut self, _model: &GraphModel) {
+        let mut closed = self.0.closed.lock().expect("gate lock");
+        while *closed {
+            closed = self.0.opened.wait(closed).expect("gate lock");
+        }
+    }
+}
+
 /// One backend `CloudServer` behind its own `FaultInjector`.
 struct Backend {
     server: CloudServer,
     injector: FaultInjector,
+    gate: Arc<Gate>,
 }
 
 /// Boots `n` single-worker backends, each behind an injector, and returns
 /// them with the injector (dial) addresses the proxy should route over.
+/// Every gate starts open.
 fn fleet(n: usize) -> (Vec<Backend>, Vec<String>) {
     let mut backends = Vec::with_capacity(n);
     let mut addrs = Vec::with_capacity(n);
     for _ in 0..n {
-        let service = CloudService::builder().workers(1).build();
+        let gate = Arc::new(Gate::default());
+        let service = CloudService::builder()
+            .workers(1)
+            .observer(Arc::new(Mutex::new(GateObserver(Arc::clone(&gate)))))
+            .build();
         let server = CloudServer::bind(service, "127.0.0.1:0").expect("bind backend");
         let injector = FaultInjector::spawn(server.local_addr()).expect("spawn injector");
         addrs.push(injector.addr().to_string());
-        backends.push(Backend { server, injector });
+        backends.push(Backend {
+            server,
+            injector,
+            gate,
+        });
     }
     (backends, addrs)
 }
@@ -145,6 +183,7 @@ fn killed_backend_mid_flight_loses_nothing() {
     }
     let victim = (0..addrs.len()).max_by_key(|&i| per_backend[i]).unwrap();
     assert!(per_backend[victim] > 0, "victim must own sessions");
+    backends[victim].gate.set_closed(true);
 
     // 8 sessions, each its own tenant key, each pipelining 3 jobs. The
     // barrier releases the main thread to kill only after every job has
@@ -179,9 +218,9 @@ fn killed_backend_mid_flight_loses_nothing() {
         .collect();
     submitted.wait();
 
-    // Kill the victim the moment every submit is accepted — the victim's
-    // single worker can't have drained its share of 24 jobs yet — then
-    // wait for its ejection, revive it, and wait for readmission.
+    // Kill the victim the moment every submit is accepted — its gate holds
+    // its worker, so none of its share of 24 jobs has finished — then wait
+    // for its ejection, open the gate, revive it, and wait for readmission.
     backends[victim].injector.set_fault(Fault::Kill);
     let trail_down = await_backend(&proxy, &addrs[victim], Duration::from_secs(20), |row| {
         row.health == BackendHealth::Open
@@ -191,6 +230,7 @@ fn killed_backend_mid_flight_loses_nothing() {
         BackendHealth::Open,
         "kill must eject the victim; trail {trail_down:?}"
     );
+    backends[victim].gate.set_closed(false);
     backends[victim].injector.set_fault(Fault::None);
     let trail_up = await_backend(&proxy, &addrs[victim], Duration::from_secs(20), |row| {
         row.health == BackendHealth::Closed && row.readmissions >= 1
