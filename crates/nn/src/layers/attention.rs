@@ -1,14 +1,14 @@
 //! Multi-head self-attention (transformer building block).
 //!
-//! All per-(batch, head) products — Q·Kᵀ and P·V in the forward pass, and
-//! the four products of the backward pass — run through the batched GEMM
+//! All per-(batch, head) products — Q·Kᵀ and P·V in the forward pass, and the
+//! four products of the backward pass — run through the batched GEMM
 //! (`matmul_batch_*`), so a layer with `B·H` heads makes **one** kernel call
-//! per product instead of `B·H`, and the `1/√dh` score scale is folded into the batched Q·Kᵀ epilogue. Heads are
-//! staged head-major (`[B·H, T, dh]`) in scratch-arena tensors so the
-//! batched kernels see contiguous row-major items; a head too small for the
-//! blocked GEMM (every head of the benchmark's LM) runs on the no-pack
-//! register tile there, not on the direct loop a single product of its
-//! shape would take — same bits either way.
+//! per product instead of `B·H`, and the `1/√dh` score scale is folded into the
+//! batched Q·Kᵀ epilogue. Heads are staged head-major (`[B·H, T, dh]`) in
+//! scratch-arena tensors so the batched kernels see contiguous row-major items;
+//! a head too small for the blocked GEMM (every head of the benchmark's LM)
+//! runs on the no-pack register tile there, not on the direct loop a single
+//! product of its shape would take — same bits either way.
 //!
 //! The softmax over score rows is the workspace's one softmax
 //! (`tensor::softmax_rows_in_place`, on the in-tree lane-exact `exp`); with

@@ -53,18 +53,18 @@
 //!   micro-panel in L1, the packed A panel in L2 and the packed B panel in
 //!   L3 across the macro-kernel sweep.
 //! * **Shape routing** — *direct → no-pack → blocked → batched*
-//!   ([`gemm::route`], a function of the shape and B's strides only):
-//!   products with `m·n·k ≤ 32³` take a direct loop that skips packing; an A of at most [`gemm::SKINNY_MAX_M`] rows against a B
-//!   with contiguous rows is computed by a 6×16 register-tiled kernel that
-//!   reads B in place — too few rows would reuse a packed B; larger single
-//!   products run the blocked path above; every route accumulates each
-//!   element in the same order, so they are bitwise interchangeable; N same-shape
-//!   independent products go through [`gemm::gemm_batch`] /
-//!   `kernels::matmul_batch_*`, which chooses the route once for the whole
-//!   batch, packs a shared B operand once, and applies an optional epilogue
-//!   scale — this is how attention's per-(batch, head) products run. Its
-//!   items below the direct-loop threshold with at least 8 columns run on
-//!   the no-pack register tile instead, same bits.
+//!   ([`gemm::route`], a function of the shape and B's strides only): products
+//!   with `m·n·k ≤ 32³` take a direct loop that skips packing; an A of at most
+//!   [`gemm::SKINNY_MAX_M`] rows against a B with contiguous rows is computed
+//!   by a 6×16 register-tiled kernel that reads B in place — too few rows would
+//!   reuse a packed B; larger single products run the blocked path above; every
+//!   route accumulates each element in the same order, so they are bitwise
+//!   interchangeable; N same-shape independent products go through
+//!   [`gemm::gemm_batch`] / `kernels::matmul_batch_*`, which chooses the route
+//!   once for the whole batch, packs a shared B operand once, and applies an
+//!   optional epilogue scale — this is how attention's per-(batch, head)
+//!   products run. Its items below the direct-loop threshold with at least 8
+//!   columns run on the no-pack register tile instead, same bits.
 //! * **Transcendentals** ([`simd::exp`]): the exponential under every
 //!   softmax and cross-entropy is in-tree, built from IEEE multiplies, adds
 //!   and integer operations, so a scalar call, the portable 8-lane loop and

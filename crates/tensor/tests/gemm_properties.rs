@@ -472,8 +472,9 @@ fn conv_by_columns(x: &Tensor, w: &[f32], grad: &[f32], g: &Conv2dGeom) -> (Vec<
     (out, dw)
 }
 
-/// [`windowed_conv_agrees_at`] on one more image and one more filter too, so the window the layer would keep sees its batch
-/// and its filter count change and come back.
+/// [`windowed_conv_agrees_at`] on one more image and one more filter too, so
+/// the window the layer would keep sees its batch and its filter count change
+/// and come back.
 fn windowed_conv_agrees(n: usize, oc: usize, g: &Conv2dGeom, seed: u64) -> Result<(), String> {
     let batches = [(n, oc), (n + 1, oc), (n, oc + 1), (n, oc)];
     windowed_conv_agrees_at(&batches, g, seed)
