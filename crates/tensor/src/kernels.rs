@@ -560,6 +560,10 @@ pub struct ConvWindow {
     /// `0..taps`: where each K step of the forward product sits in a weight
     /// row.
     weight_steps: Vec<usize>,
+    /// The forward product's lanes when output rows do not abut in the
+    /// planes (`k > 1`): sixteen consecutive output positions of an image at
+    /// a time, whatever rows they lie in, as (first position, their windows).
+    position_tiles: Vec<(usize, LaneTile)>,
     /// The weight gradient's lanes: as many whole kernel rows as fit 16
     /// lanes at a time, as (first tap, their windows).
     tap_tiles: Vec<(usize, LaneTile)>,
@@ -610,10 +614,25 @@ impl ConvWindow {
                 tap_tiles.push((first, LaneTile::new(segments.collect())));
             }
         }
+        // Output position `y·ow + x` reads its windows from `y·wp + x`: a
+        // tile's lanes are stretches of the output rows it meets.
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let mut position_tiles = Vec::new();
+        if k > 1 {
+            for first in (0..oh * ow).step_by(16) {
+                let end = (first + 16).min(oh * ow);
+                let segments = (first / ow..end.div_ceil(ow)).map(|y| LaneSegment {
+                    shift: first + y * (wp - ow),
+                    lanes: (y * ow).max(first) - first..((y + 1) * ow).min(end) - first,
+                });
+                position_tiles.push((first, LaneTile::new(segments.collect())));
+            }
+        }
         ConvWindow {
             geom: *g,
             tap_offsets,
             weight_steps: (0..taps).collect(),
+            position_tiles,
             tap_tiles,
             positions: None,
         }
@@ -630,11 +649,13 @@ impl ConvWindow {
     ///
     /// Bit for bit the `[oc, C·k·k] · im2col` product permuted to
     /// `[N, oc, ·]`: every output element is the same chain over the taps in
-    /// the same blocks. Each output row is one call of the no-pack kernel
-    /// whose B "rows" are the `C·k·k` windows of that row's stretch of the
-    /// planes; under a 1×1 kernel consecutive rows abut, and a whole image is
-    /// one call. An unpadded 1×1 convolution's planes are its input as it
-    /// lies.
+    /// the same blocks. Under a 1×1 kernel consecutive output rows abut in
+    /// the planes, and a whole image is one call of the no-pack kernel whose
+    /// B "rows" are the `C·k·k` windows. Under a wider kernel they do not
+    /// (a padded row is `k − 1` longer), so the lane-gathering kernel takes
+    /// sixteen consecutive output positions at a time, each lane from the
+    /// window of the row it lies in: no lane is left empty at a row end. An
+    /// unpadded 1×1 convolution's planes are its input as it lies.
     ///
     /// # Panics
     ///
@@ -656,15 +677,10 @@ impl ConvWindow {
             Route::Small => taps,
             _ => KC,
         };
-        // Windows of one call: an output row, or every row where they abut.
-        let (calls, width) = if g.kernel == 1 {
-            (1, oh * ow)
-        } else {
-            (oh, ow)
-        };
-        let kernel = simd::window_kernel();
+        let ohw = oh * ow;
+        let (window, lanes) = (simd::window_kernel(), simd::lane_kernel());
         let planes = planes.data();
-        for (ni, out_image) in out.chunks_exact_mut(oc * oh * ow).enumerate() {
+        for (ni, out_image) in out.chunks_exact_mut(oc * ohw).enumerate() {
             let plane = &planes[ni * image..(ni + 1) * image];
             out_image.fill(0.0);
             for pc in (0..taps).step_by(block) {
@@ -674,10 +690,12 @@ impl ConvWindow {
                 for i0 in (0..oc).step_by(SKINNY_MR) {
                     let rows = (oc - i0).min(SKINNY_MR);
                     let a = &weight[i0 * taps + pc..];
-                    for call in 0..calls {
-                        let c = &mut out_image[i0 * oh * ow + call * ow..];
-                        let b = &plane[call * wp..];
-                        kernel(rows, width, a, taps, a_k, b, b_k, c, oh * ow);
+                    let c = &mut out_image[i0 * ohw..];
+                    if self.position_tiles.is_empty() {
+                        // 1×1: consecutive output rows abut in the planes.
+                        window(rows, ohw, a, taps, a_k, plane, b_k, c, ohw);
+                    } else {
+                        lanes(rows, a, taps, a_k, plane, b_k, &self.position_tiles, c, ohw);
                     }
                 }
             }
@@ -725,29 +743,14 @@ impl ConvWindow {
         let steps = self.positions.as_ref().expect("just updated");
         let kernel = simd::lane_kernel();
         let planes = planes.data();
-        let mut acc = [[0.0f32; 16]; SKINNY_MR];
         for pc in (0..positions).step_by(block) {
             let span = pc..positions.min(pc + block);
             let a_k = KOffsets::new(&steps.grad_steps[span.clone()]);
             let b_k = KOffsets::new(&steps.plane_steps[span]);
-            for (first, lanes) in &self.tap_tiles {
-                for i0 in (0..oc).step_by(SKINNY_MR) {
-                    let rows = (oc - i0).min(SKINNY_MR);
-                    kernel(
-                        rows,
-                        &grad_out[i0 * ohw..],
-                        ohw,
-                        a_k,
-                        planes,
-                        b_k,
-                        lanes,
-                        &mut acc,
-                    );
-                    for (r, sums) in acc.iter().enumerate().take(rows) {
-                        let c = &mut dw[(i0 + r) * taps + first..][..lanes.width()];
-                        c.iter_mut().zip(sums).for_each(|(c, &x)| *c += x);
-                    }
-                }
+            for i0 in (0..oc).step_by(SKINNY_MR) {
+                let rows = (oc - i0).min(SKINNY_MR);
+                let (a, c) = (&grad_out[i0 * ohw..], &mut dw[i0 * taps..]);
+                kernel(rows, a, ohw, a_k, planes, b_k, &self.tap_tiles, c, taps);
             }
         }
     }

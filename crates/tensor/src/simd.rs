@@ -14,8 +14,9 @@
 //! read padded image planes in place of an im2col matrix. `lane_kernel` goes
 //! one step further: the 16 lanes of a B "row" are themselves stretches of
 //! several windows ([`LaneSegment`]), so that the lanes a single window would
-//! leave empty — all but the 5 taps of a kernel row in the weight gradient —
-//! are filled from the next one.
+//! leave empty — all but the 5 taps of a kernel row in the weight gradient,
+//! the lanes past an output row's end in a 5×5 forward — are filled from the
+//! next one.
 //! The tiers, described for the micro-kernel:
 //!
 //! * **portable** ([`portable_microkernel`]) — the scalar 8×8 tile loop.
@@ -161,6 +162,9 @@ pub struct LaneTile {
     windows: [[(usize, [i32; 8]); 8]; 2],
     /// The most windows either vector has.
     most_windows: usize,
+    /// Per vector: whether its first window fills all 8 lanes, so that one
+    /// unmasked load reads it.
+    whole: [bool; 2],
 }
 
 impl LaneTile {
@@ -204,6 +208,7 @@ impl LaneTile {
             width: width.expect("a tile has at least one segment"),
             reach: reach.expect("a tile has at least one segment"),
             segments,
+            whole: windows.map(|w| w[0].1 == [-1; 8]),
             windows,
             most_windows,
         }
@@ -220,15 +225,13 @@ impl LaneTile {
     }
 }
 
-/// The accumulators a [`LaneKernelFn`] returns: row `r`, lane `l`.
-pub type LaneAcc = [[f32; SKINNY_NR]; SKINNY_MR];
-
-/// Signature of the lane-gathering no-pack kernels: for `rows ≤ SKINNY_MR`,
+/// Signature of the lane-gathering no-pack kernels: for `rows ≤ SKINNY_MR`
+/// and every `(first, tile)` of `tiles`,
 /// `acc[r][l] = Σ_p a[r·a_rs + a_k[p]] · b[b_k[p] + shift(l) + l]` from zero
 /// in ascending `p` over the tables' common length, for every lane `l` a
-/// segment of `tile` fills (`shift(l)` being that segment's); other lanes
-/// and rows of `acc` come back zero. The caller adds `acc` onto C, which
-/// completes the association of every other GEMM kernel.
+/// segment of `tile` fills (`shift(l)` being that segment's; other lanes
+/// hold zero), then `c[r·ldc + first + l] += acc[r][l]` for
+/// `l < tile.width()` — the association of every other GEMM kernel.
 pub type LaneKernelFn = fn(
     rows: usize,
     a: &[f32],
@@ -236,8 +239,9 @@ pub type LaneKernelFn = fn(
     a_k: KOffsets<'_>,
     b: &[f32],
     b_k: KOffsets<'_>,
-    tile: &LaneTile,
-    acc: &mut LaneAcc,
+    tiles: &[(usize, LaneTile)],
+    c: &mut [f32],
+    ldc: usize,
 );
 
 /// Signature of the panel transposes: `panel[q·8 + r] = src[r·stride + q]`
@@ -629,8 +633,10 @@ pub fn portable_window_kernel(
 
 /// What the lane-gathering kernels rely on (the portable one for a clear
 /// message, the `unsafe` one for soundness): the tables agree on the K
-/// extent, every `a[r·a_rs + a_k[p]]` lies inside `a`, and every lane any
-/// segment fills reads inside `b`.
+/// extent, every `a[r·a_rs + a_k[p]]` lies inside `a`, every lane any
+/// segment of a tile fills reads inside `b`, and every tile's C rows lie
+/// inside `c`.
+#[allow(clippy::too_many_arguments)]
 fn assert_lane_bounds(
     rows: usize,
     a: &[f32],
@@ -638,7 +644,9 @@ fn assert_lane_bounds(
     a_k: KOffsets,
     b: &[f32],
     b_k: KOffsets,
-    tile: &LaneTile,
+    tiles: &[(usize, LaneTile)],
+    c: &[f32],
+    ldc: usize,
 ) {
     assert!(
         (1..=SKINNY_MR).contains(&rows),
@@ -646,7 +654,13 @@ fn assert_lane_bounds(
     );
     assert_eq!(a_k.len(), b_k.len(), "operands disagree on the K extent");
     assert!((rows - 1) * a_rs + a_k.max < a.len(), "A view too short");
-    assert!(b_k.max + tile.reach <= b.len(), "B view too short");
+    for (first, tile) in tiles {
+        assert!(b_k.max + tile.reach <= b.len(), "B view too short");
+        assert!(
+            (rows - 1) * ldc + first + tile.width <= c.len(),
+            "C rows too short"
+        );
+    }
 }
 
 /// Portable lane-gathering kernel: each K step's 16 lanes are copied
@@ -660,22 +674,29 @@ pub fn portable_lane_kernel(
     a_k: KOffsets<'_>,
     b: &[f32],
     b_k: KOffsets<'_>,
-    tile: &LaneTile,
-    acc: &mut LaneAcc,
+    tiles: &[(usize, LaneTile)],
+    c: &mut [f32],
+    ldc: usize,
 ) {
-    assert_lane_bounds(rows, a, a_rs, a_k, b, b_k, tile);
-    *acc = [[0.0; SKINNY_NR]; SKINNY_MR];
-    for (&a_at, &b_at) in a_k.offsets.iter().zip(b_k.offsets) {
-        let mut brow = [0.0f32; SKINNY_NR];
-        for segment in &tile.segments {
-            let window = &b[b_at + segment.shift..];
-            brow[segment.lanes.clone()].copy_from_slice(&window[segment.lanes.clone()]);
-        }
-        for (r, row) in acc.iter_mut().enumerate().take(rows) {
-            let av = a[r * a_rs + a_at];
-            for l in 0..SKINNY_NR {
-                row[l] += av * brow[l];
+    assert_lane_bounds(rows, a, a_rs, a_k, b, b_k, tiles, c, ldc);
+    for (first, tile) in tiles {
+        let mut acc = [[0.0f32; SKINNY_NR]; SKINNY_MR];
+        for (&a_at, &b_at) in a_k.offsets.iter().zip(b_k.offsets) {
+            let mut brow = [0.0f32; SKINNY_NR];
+            for segment in &tile.segments {
+                let window = &b[b_at + segment.shift..];
+                brow[segment.lanes.clone()].copy_from_slice(&window[segment.lanes.clone()]);
             }
+            for (r, row) in acc.iter_mut().enumerate().take(rows) {
+                let av = a[r * a_rs + a_at];
+                for l in 0..SKINNY_NR {
+                    row[l] += av * brow[l];
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate().take(rows) {
+            let c = &mut c[r * ldc + first..][..tile.width];
+            c.iter_mut().zip(row).for_each(|(c, &x)| *c += x);
         }
     }
 }
@@ -837,18 +858,18 @@ fn avx2_lane_kernel(
     a_k: KOffsets<'_>,
     b: &[f32],
     b_k: KOffsets<'_>,
-    tile: &LaneTile,
-    acc: &mut LaneAcc,
+    tiles: &[(usize, LaneTile)],
+    c: &mut [f32],
+    ldc: usize,
 ) {
-    assert_lane_bounds(rows, a, a_rs, a_k, b, b_k, tile);
-    *acc = [[0.0; SKINNY_NR]; SKINNY_MR];
+    assert_lane_bounds(rows, a, a_rs, a_k, b, b_k, tiles, c, ldc);
     let (a_k, b_k) = (a_k.offsets, b_k.offsets);
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    // SAFETY: bounds asserted above — every A element, and every B lane a
-    // segment's mask leaves on, lies inside its slice (masked-off lanes are
-    // not accessed). AVX2 presence was verified by `simd_available` before
-    // this kernel was selected.
-    unsafe { with_const_rows!(rows, avx2::lanes, (ap, a_rs, a_k, bp, b_k, tile, acc)) }
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    // SAFETY: bounds asserted above — every A element, every B lane a
+    // segment's mask leaves on (masked-off lanes are not accessed) and every
+    // tile's C rows lie inside their slices. AVX2 presence was verified by
+    // `simd_available` before this kernel was selected.
+    unsafe { with_const_rows!(rows, avx2::lanes, (ap, a_rs, a_k, bp, b_k, tiles, cp, ldc)) }
 }
 
 /// AVX2 panel transpose wrapper (plain `fn` so it fits the dispatch table).
@@ -1073,17 +1094,20 @@ mod avx2 {
         }
     }
 
-    /// `R` rows of one [`LaneTile`](super::LaneTile): per `p`, each of the
-    /// tile's two B vectors is the OR of its segments' masked loads, then
-    /// every row broadcasts `a(r, p)`, multiplies and adds — unfused, like
-    /// [`skinny`]. A tile at most 8 lanes wide runs on one accumulator per
-    /// row.
+    /// `R` rows of every [`LaneTile`](super::LaneTile) of `tiles`: per `p`,
+    /// each of a tile's two B vectors is one load (a window that fills it)
+    /// or the OR of its segments' masked loads, then every row broadcasts
+    /// `a(r, p)`, multiplies and adds — unfused, like [`skinny`] — and the
+    /// sums are added onto the tile's C stretch. A tile at most 8 lanes wide
+    /// runs on one accumulator per row.
     ///
     /// # Safety
     ///
     /// Caller must ensure AVX2 is available, `a + r·ars + ak[p]` is readable
-    /// for `r < R` and every `p`, and `b + bk[p] + shift + l` is readable for
-    /// every lane `l` of every segment (`shift` being that segment's).
+    /// for `r < R` and every `p`, `b + bk[p] + shift + l` is readable for
+    /// every lane `l` of every segment (`shift` being that segment's), and
+    /// `c + r·ldc + first + l` is valid for reads and writes for `r < R` and
+    /// `l` below every tile's width.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn lanes<const R: usize>(
@@ -1092,29 +1116,50 @@ mod avx2 {
         ak: &[usize],
         b: *const f32,
         bk: &[usize],
-        tile: &super::LaneTile,
-        acc: &mut super::LaneAcc,
+        tiles: &[(usize, super::LaneTile)],
+        c: *mut f32,
+        ldc: usize,
     ) {
-        let [low, high] = &tile.windows;
-        let most = tile.most_windows;
-        match (most, tile.width <= 8) {
-            (..=2, true) => lanes_of::<R, 2, false>(a, ars, ak, b, bk, low, high, acc),
-            (..=2, false) => lanes_of::<R, 2, true>(a, ars, ak, b, bk, low, high, acc),
-            (..=4, true) => lanes_of::<R, 4, false>(a, ars, ak, b, bk, low, high, acc),
-            (..=4, false) => lanes_of::<R, 4, true>(a, ars, ak, b, bk, low, high, acc),
-            (_, true) => lanes_of::<R, 8, false>(a, ars, ak, b, bk, low, high, acc),
-            (_, false) => lanes_of::<R, 8, true>(a, ars, ak, b, bk, low, high, acc),
+        for (first, tile) in tiles {
+            let sums = match (tile.most_windows, tile.width <= 8) {
+                (..=2, true) => lanes_of::<R, 2, false>(a, ars, ak, b, bk, tile),
+                (..=2, false) => lanes_of::<R, 2, true>(a, ars, ak, b, bk, tile),
+                (..=4, true) => lanes_of::<R, 4, false>(a, ars, ak, b, bk, tile),
+                (..=4, false) => lanes_of::<R, 4, true>(a, ars, ak, b, bk, tile),
+                (_, true) => lanes_of::<R, 8, false>(a, ars, ak, b, bk, tile),
+                (_, false) => lanes_of::<R, 8, true>(a, ars, ak, b, bk, tile),
+            };
+            let c = c.add(*first);
+            if tile.width == 16 {
+                for (r, [lo, hi]) in sums.iter().enumerate() {
+                    let cr = c.add(r * ldc);
+                    _mm256_storeu_ps(cr, _mm256_add_ps(_mm256_loadu_ps(cr), *lo));
+                    _mm256_storeu_ps(cr.add(8), _mm256_add_ps(_mm256_loadu_ps(cr.add(8)), *hi));
+                }
+            } else {
+                let mut row = [0.0f32; 16];
+                for (r, [lo, hi]) in sums.iter().enumerate() {
+                    _mm256_storeu_ps(row.as_mut_ptr(), *lo);
+                    _mm256_storeu_ps(row.as_mut_ptr().add(8), *hi);
+                    for (l, &x) in row[..tile.width].iter().enumerate() {
+                        *c.add(r * ldc + l) += x;
+                    }
+                }
+            }
         }
     }
 
-    /// [`lanes`] with the first `W` windows of each vector (the rest are
-    /// empty), and with the high vector only if the tile is `WIDE`: constant
-    /// trip counts, so the masks stay in registers and the loops unroll.
+    /// One tile of [`lanes`] with the first `W` windows of each vector (the
+    /// rest are empty), and with the high vector only if the tile is `WIDE`:
+    /// constant trip counts, so the masks stay in registers and the loops
+    /// unroll. Returns the sums, row by row (the high vector zero unless
+    /// `WIDE`).
     ///
     /// # Safety
     ///
     /// As for [`lanes`]: every lane a window's mask leaves on is readable.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn lanes_of<const R: usize, const W: usize, const WIDE: bool>(
         a: *const f32,
@@ -1122,19 +1167,22 @@ mod avx2 {
         ak: &[usize],
         b: *const f32,
         bk: &[usize],
-        low: &[(usize, [i32; 8]); 8],
-        high: &[(usize, [i32; 8]); 8],
-        acc: &mut super::LaneAcc,
-    ) {
+        tile: &super::LaneTile,
+    ) -> [[__m256; 2]; R] {
         // A window's lane 0 may lie before or after `b`'s elements as long as
         // the lanes its mask leaves on do not: the address is not
-        // dereferenced there, hence `wrapping_add`.
+        // dereferenced there, hence `wrapping_add`. A window that fills the
+        // vector is every lane of it, read by one unmasked load.
         #[inline(always)]
         unsafe fn gather<const W: usize>(
             b: *const f32,
             at: usize,
             windows: &[(usize, __m256i); W],
+            whole: bool,
         ) -> __m256 {
+            if whole {
+                return _mm256_loadu_ps(b.add(at + windows[0].0));
+            }
             let mut v = _mm256_setzero_ps();
             for &(offset, mask) in windows {
                 v = _mm256_or_ps(v, _mm256_maskload_ps(b.wrapping_add(at + offset), mask));
@@ -1147,12 +1195,13 @@ mod avx2 {
                 (*offset, _mm256_loadu_si256(mask.as_ptr().cast()))
             })
         };
-        let (low, high) = (masks(low), masks(high));
+        let (low, high) = (masks(&tile.windows[0]), masks(&tile.windows[1]));
+        let whole = tile.whole;
         let mut sums = [[_mm256_setzero_ps(); 2]; R];
         for (&a_at, &b_at) in ak.iter().zip(bk) {
-            let b0 = gather::<W>(b, b_at, &low);
+            let b0 = gather::<W>(b, b_at, &low, whole[0]);
             let b1 = if WIDE {
-                gather::<W>(b, b_at, &high)
+                gather::<W>(b, b_at, &high, whole[1])
             } else {
                 _mm256_setzero_ps()
             };
@@ -1165,10 +1214,7 @@ mod avx2 {
                 }
             }
         }
-        for (row, [lo, hi]) in acc.iter_mut().zip(&sums) {
-            _mm256_storeu_ps(row.as_mut_ptr(), *lo);
-            _mm256_storeu_ps(row.as_mut_ptr().add(8), *hi);
-        }
+        sums
     }
 
     /// Transposes one 8×8 block held as 8 row registers and stores it as 64
