@@ -31,8 +31,7 @@
 //! packers differ from the element-wise packed walk by one bit or are not
 //! ≥ 1.5x faster than it at LeNet's entry-convolution shapes, if a
 //! column-free convolution (5×5 entry layer, 1×1 tap) differs from its
-//! column-matrix lowering by one bit or is not ≥ 1.3x faster than it (the
-//! 5×5 forward: not under 0.8x), if the
+//! column-matrix lowering by one bit or is not ≥ 1.3x faster than it, if the
 //! entry layer's windowed weight gradient (`conv_entry_dw_*`) differs from
 //! that lowering's GEMM by one bit or is not ≥ 1.25x faster than it, if the
 //! executor's fused entry chain (`segment_bn_relu_add_pool_*`) differs from
@@ -145,6 +144,22 @@ fn time_staged_ms(reps: usize, dims: &[usize], mut f: impl FnMut(&mut Tensor)) -
         scratch::give_tensor(out);
         sink
     })
+}
+
+/// [`time_staged_ms`] of two kernels, `(a_ms, b_ms)`: the two take turns in
+/// bursts of ten calls, so a busy stretch of the box lands on both sides.
+fn time_staged_pair_ms(
+    reps: usize,
+    dims: &[usize],
+    mut a: impl FnMut(&mut Tensor),
+    mut b: impl FnMut(&mut Tensor),
+) -> (f64, f64) {
+    let (mut a_ms, mut b_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.div_ceil(10) {
+        a_ms = a_ms.min(time_staged_ms(10, dims, &mut a));
+        b_ms = b_ms.min(time_staged_ms(10, dims, &mut b));
+    }
+    (a_ms, b_ms)
 }
 
 /// Independent accumulator chains of the peak loop: with the two operands,
@@ -600,14 +615,11 @@ fn main() {
     // of: the 5×5 one-channel entry layer and the 1×1 six-channel tap, batch
     // 16 at 20 px, forward. Baseline: the column matrix, one GEMM, the
     // permute to `[N, oc, oh·ow]` — how both ran before. Same bits required,
-    // and the gate's speedup: 1.3x for the 1×1 tap; for the 5×5 entry layer
-    // only "not slower beyond the noise" — against the column path it reads
-    // 0.88–1.37x on the 2-vCPU reference box, and it still writes 1/k² of
-    // the bytes.
+    // and ≥ 1.3x.
     let n = 16;
-    for (name, channels, kernel, padding, gate) in [
-        ("conv_entry_fwd_16x1x20x20_k5", 1usize, 5usize, 2usize, 0.8),
-        ("conv_1x1_fwd_16x6x20x20", 6, 1, 0, 1.3),
+    for (name, channels, kernel, padding) in [
+        ("conv_entry_fwd_16x1x20x20_k5", 1usize, 5usize, 2usize),
+        ("conv_1x1_fwd_16x6x20x20", 6, 1, 0),
     ] {
         let geom = Conv2dGeom {
             in_channels: channels,
@@ -656,8 +668,7 @@ fn main() {
         by_columns(&mut want);
         column_free(&mut got);
         let bitwise = same_bits(got.data(), want.data());
-        let columns_ms = time_staged_ms(200, &dims, by_columns);
-        let column_free_ms = time_staged_ms(200, &dims, column_free);
+        let (columns_ms, column_free_ms) = time_staged_pair_ms(200, &dims, by_columns, column_free);
         let speedup = columns_ms / column_free_ms;
         entries.push(
             Entry::new(name)
@@ -670,9 +681,9 @@ fn main() {
         if !bitwise {
             failures.push(format!("{name}: differs from im2col + GEMM + permute"));
         }
-        if speedup < gate {
+        if speedup < 1.3 {
             failures.push(format!(
-                "{name}: only {speedup:.2}x over im2col + GEMM + permute (want ≥ {gate}x)"
+                "{name}: only {speedup:.2}x over im2col + GEMM + permute (want ≥ 1.3x)"
             ));
         }
     }
