@@ -9,7 +9,7 @@
 //! torn writes, with the breaker lifecycle (closed → open → half-open →
 //! closed) observable in the proxy's stats the whole way.
 
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use amalgam_cloud::{
@@ -48,9 +48,24 @@ struct Gate {
 }
 
 impl Gate {
+    /// Closes the gate until the returned guard drops — on a failing
+    /// assertion too, so a server's shutdown never joins a worker held here.
+    fn close(&self) -> ClosedGate<'_> {
+        self.set_closed(true);
+        ClosedGate(self)
+    }
+
     fn set_closed(&self, closed: bool) {
-        *self.closed.lock().expect("gate lock") = closed;
+        *self.closed.lock().unwrap_or_else(PoisonError::into_inner) = closed;
         self.opened.notify_all();
+    }
+}
+
+struct ClosedGate<'a>(&'a Gate);
+
+impl Drop for ClosedGate<'_> {
+    fn drop(&mut self) {
+        self.0.set_closed(false);
     }
 }
 
@@ -183,7 +198,7 @@ fn killed_backend_mid_flight_loses_nothing() {
     }
     let victim = (0..addrs.len()).max_by_key(|&i| per_backend[i]).unwrap();
     assert!(per_backend[victim] > 0, "victim must own sessions");
-    backends[victim].gate.set_closed(true);
+    let closed = backends[victim].gate.close();
 
     // 8 sessions, each its own tenant key, each pipelining 3 jobs. The
     // barrier releases the main thread to kill only after every job has
@@ -230,7 +245,7 @@ fn killed_backend_mid_flight_loses_nothing() {
         BackendHealth::Open,
         "kill must eject the victim; trail {trail_down:?}"
     );
-    backends[victim].gate.set_closed(false);
+    drop(closed);
     backends[victim].injector.set_fault(Fault::None);
     let trail_up = await_backend(&proxy, &addrs[victim], Duration::from_secs(20), |row| {
         row.health == BackendHealth::Closed && row.readmissions >= 1
