@@ -1,6 +1,6 @@
 //! Attack observers: [`CloudObserver`] implementations that harvest the
 //! raw material of the §6.3 attacks from inside a running
-//! [`amalgam_cloud::CloudService`] (via its observer middleware layer),
+//! [`amalgam_cloud::CloudService`] (via its pipeline's observer stage),
 //! instead of re-deriving it offline.
 
 use amalgam_cloud::CloudObserver;

@@ -17,8 +17,8 @@
 //! a single accepted job (the `cloud_proxy_failover` entry), if a run
 //! resumed from a mid-job checkpoint diverges bitwise from the
 //! uninterrupted run or recomputes all of its epochs instead of just the
-//! tail (the `cloud_resume` entry), if a job served with telemetry on
-//! diverges bitwise or the Prometheus endpoint fails to serve the
+//! tail (the `cloud_resume` entry), if a traced served job diverges
+//! bitwise or the Prometheus endpoint fails to serve the
 //! per-stage quantile series (the `cloud_scrape` entry), or if the bulk
 //! digest behind every content address is not ≥ 2x the single `siphash128`
 //! chain it replaced on a 128 KB job encoding (the `cloud_address` entry;
@@ -461,7 +461,6 @@ fn main() {
         let full_service = CloudService::builder()
             .workers(1)
             .checkpoint_store(Arc::clone(&recorder) as Arc<dyn CheckpointStore>)
-            .checkpoint_every(1)
             .build();
         let full_start = Instant::now();
         let uninterrupted = full_service.client().train(&long_job).expect("full run");
@@ -474,7 +473,6 @@ fn main() {
         let resumed_service = CloudService::builder()
             .workers(1)
             .checkpoint_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
-            .checkpoint_every(1)
             .build();
         let resume_start = Instant::now();
         let resumed = resumed_service
@@ -523,11 +521,11 @@ fn main() {
         }
     }
 
-    // Telemetry plane, on a served remote job: the telemetry-on (default)
-    // server trains bit-equal to uncached training, its Prometheus exporter
-    // answers a raw-HTTP scrape, and `GetStats` renders over the wire. What
-    // telemetry costs is inside every end-to-end benchmark metric, since
-    // all of those run with it on.
+    // Telemetry plane, on a served remote job: the server (which always
+    // traces) trains bit-equal to uncached training, its Prometheus
+    // exporter answers a raw-HTTP scrape, and `GetStats` renders over the
+    // wire. What telemetry costs is inside every end-to-end benchmark
+    // metric.
     {
         use std::io::{Read as _, Write as _};
         use std::net::TcpStream;
@@ -541,7 +539,7 @@ fn main() {
         let served = client.submit(&job).expect("submit").wait().expect("job");
         let diverged = served.trained_model != expected;
         if diverged {
-            failures.push("telemetry-on training diverged from uncached training".to_string());
+            failures.push("traced training diverged from uncached training".to_string());
         }
 
         // Prometheus endpoint smoke: one scrape must answer 200 with the

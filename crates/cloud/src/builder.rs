@@ -1,18 +1,14 @@
 //! Configures and launches a [`CloudService`]: worker count, observer,
-//! admission control, per-session QoS (rate limits and DRR weights), panic
-//! policy and custom middleware.
+//! admission control, per-session QoS (rate limits and DRR weights), result
+//! cache, checkpoints and panic policy.
 
-use crate::cache::{DedupLayer, DedupShared};
+use crate::cache::DedupShared;
 use crate::checkpoint::CheckpointStore;
 use crate::metrics::ServiceMetrics;
-use crate::middleware::{
-    AdmissionLayer, ApiKeyLayer, CloudLayer, DecodeLayer, MetricsLayer, ObserverLayer, PanicLayer,
-    ServiceBuilder, TimedLayer, ValidateLayer,
-};
 use crate::observer::CloudObserver;
-use crate::ratelimit::RateLimitLayer;
+use crate::pipeline::{Pipeline, Step};
+use crate::ratelimit::{RateLimiter, TokenBucket};
 use crate::service::CloudService;
-use crate::telemetry::TelemetryConfig;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
@@ -20,32 +16,27 @@ use std::time::Duration;
 
 /// Builder for [`CloudService`] (obtained via [`CloudService::builder`]).
 ///
-/// The default stack it assembles, outermost first:
+/// It configures the stages of the one job pipeline (see the crate docs),
+/// which run in this order:
 ///
-/// `metrics → panic → admission → dedup → ratelimit → auth →
-/// [custom layers] → decode → validate → observer → train`
+/// `panic → admission → dedup → ratelimit → auth → decode → validate →
+/// observer → train`
 ///
-/// (`dedup` only when [`result_cache`](Self::result_cache) is configured;
-/// its read side — cache hits and coalescing — runs in the submit path,
-/// before the queue.)
-///
-/// Custom layers therefore see the raw serialized payload (decode has not
-/// run yet) plus whatever the admission, rate-limit and auth gates let
-/// through.
+/// `decode`, `validate` and `train` always run, `panic` unless
+/// [`catch_panics`](Self::catch_panics) is off, the rest only when
+/// configured. `dedup`'s read side — cache hits and coalescing — runs in
+/// the submit path, before the queue.
 pub struct CloudServiceBuilder {
     pub(crate) workers: usize,
     pub(crate) observer: Option<Arc<Mutex<dyn CloudObserver>>>,
     pub(crate) max_queue_depth: Option<usize>,
     pub(crate) catch_panics: bool,
-    pub(crate) api_keys: Option<Vec<String>>,
+    pub(crate) api_keys: Option<Arc<[String]>>,
     pub(crate) rate_limit: Option<(f64, f64)>,
     pub(crate) result_cache: Option<(usize, Duration)>,
     pub(crate) session_weights: HashMap<String, f64>,
-    pub(crate) custom_layers: Vec<Box<dyn CloudLayer>>,
-    pub(crate) telemetry: TelemetryConfig,
     pub(crate) metrics_exporter: Option<SocketAddr>,
     pub(crate) checkpoint_store: Option<Arc<dyn CheckpointStore>>,
-    pub(crate) checkpoint_every: u64,
 }
 
 impl CloudServiceBuilder {
@@ -59,11 +50,8 @@ impl CloudServiceBuilder {
             rate_limit: None,
             result_cache: None,
             session_weights: HashMap::new(),
-            custom_layers: Vec::new(),
-            telemetry: TelemetryConfig::default(),
             metrics_exporter: None,
             checkpoint_store: None,
-            checkpoint_every: 1,
         }
     }
 
@@ -79,8 +67,8 @@ impl CloudServiceBuilder {
         self
     }
 
-    /// Attaches the honest-but-curious observer. Without one, no observer
-    /// layer is installed at all — workers skip the tap's mutex entirely.
+    /// Attaches the honest-but-curious observer. Without one, the pipeline
+    /// has no observer stage at all — workers skip the tap's mutex entirely.
     #[must_use]
     pub fn observer(mut self, observer: Arc<Mutex<dyn CloudObserver>>) -> CloudServiceBuilder {
         self.observer = Some(observer);
@@ -95,7 +83,7 @@ impl CloudServiceBuilder {
         self
     }
 
-    /// Whether panics in the stack become [`crate::CloudError::Panicked`]
+    /// Whether panics in the pipeline become [`crate::CloudError::Panicked`]
     /// instead of killing the worker (default `true`).
     #[must_use]
     pub fn catch_panics(mut self, on: bool) -> CloudServiceBuilder {
@@ -103,8 +91,8 @@ impl CloudServiceBuilder {
         self
     }
 
-    /// Requires every job's session to present one of `keys`: installs an
-    /// [`ApiKeyLayer`] between the rate limiter and the custom layers.
+    /// Requires every job's session to present one of `keys`: the `auth`
+    /// stage, between the rate limiter and decode.
     /// Remote sessions carry their key from the connection handshake;
     /// in-process clients opt in via [`crate::CloudClient::with_api_key`].
     #[must_use]
@@ -119,7 +107,7 @@ impl CloudServiceBuilder {
 
     /// Grants every session a token bucket admitting `rate_per_sec`
     /// sustained jobs per second with bursts of up to `burst` jobs:
-    /// installs a [`RateLimitLayer`] between admission control and auth.
+    /// the `ratelimit` stage, between admission control and auth.
     /// Jobs over budget fail with [`crate::CloudError::RateLimited`] and an
     /// honest retry-after, on remote sessions and in-process clients alike.
     ///
@@ -128,8 +116,8 @@ impl CloudServiceBuilder {
     /// Panics unless `rate_per_sec > 0` and `burst >= 1`.
     #[must_use]
     pub fn rate_limit(mut self, rate_per_sec: f64, burst: f64) -> CloudServiceBuilder {
-        // Reuse the layer's own validation so a bad config fails here.
-        let _ = RateLimitLayer::new(rate_per_sec, burst);
+        // Reuse the bucket's own validation so a bad config fails here.
+        let _ = TokenBucket::new(rate_per_sec, burst);
         self.rate_limit = Some((rate_per_sec, burst));
         self
     }
@@ -140,15 +128,15 @@ impl CloudServiceBuilder {
     /// onto the in-flight execution; later duplicates are answered from a
     /// TTL + LRU cache bounded by `capacity_bytes` (measured by
     /// [`crate::cache::entry_cost`], since results carry model weights).
-    /// Installs a [`crate::DedupLayer`] between admission control and the
-    /// rate limiter.
+    /// The `dedup` stage, between admission control and the rate limiter,
+    /// caches a result once it has passed every stage.
     ///
     /// Served submissions still spend rate-limit tokens
     /// ([`rate_limit`](Self::rate_limit)), are counted in
     /// [`crate::ServiceStats::cache_hits`] /
     /// [`crate::ServiceStats::coalesced`], and carry their own job ids;
     /// the result bytes are bitwise identical to an uncached execution —
-    /// which is exactly what the stack's determinism guarantee promises.
+    /// which is exactly what the pipeline's determinism guarantee promises.
     ///
     /// A `capacity_bytes` of `0` (or a zero `ttl`) caches nothing but
     /// still coalesces in-flight duplicates.
@@ -176,28 +164,8 @@ impl CloudServiceBuilder {
         self
     }
 
-    /// Inserts a custom layer between admission control and decode; layers
-    /// added first sit outermost among the custom ones.
-    #[must_use]
-    pub fn layer(mut self, layer: impl CloudLayer + 'static) -> CloudServiceBuilder {
-        self.custom_layers.push(Box::new(layer));
-        self
-    }
-
-    /// Configures the telemetry plane: per-stage latency histograms, span
-    /// recording and the flight recorder (all **on** by default with a
-    /// 256-trace ring and a 1 s slow threshold). Disabling telemetry skips
-    /// every per-stage clock read; every end-to-end benchmark workload runs
-    /// with it on, so its cost sits inside those metrics.
-    #[must_use]
-    pub fn telemetry(mut self, config: TelemetryConfig) -> CloudServiceBuilder {
-        self.telemetry = config;
-        self
-    }
-
     /// Makes jobs durable: the trainer snapshots model + optimizer +
-    /// history into `store` at epoch boundaries (cadence set by
-    /// [`checkpoint_every`](Self::checkpoint_every), default every epoch),
+    /// history into `store` after every epoch but the last,
     /// keyed by the job payload's content address — the same canonical
     /// digest ([`crate::hash::digest128`]) the result cache uses, computed
     /// even when dedup is off.
@@ -222,16 +190,6 @@ impl CloudServiceBuilder {
         self
     }
 
-    /// Snapshot cadence for [`checkpoint_store`](Self::checkpoint_store):
-    /// a checkpoint is written after every `every` completed epochs
-    /// (default 1; `0` disables writes while still resuming from — and
-    /// cleaning up — existing snapshots).
-    #[must_use]
-    pub fn checkpoint_every(mut self, every: u64) -> CloudServiceBuilder {
-        self.checkpoint_every = every;
-        self
-    }
-
     /// Serves Prometheus text-format metrics over HTTP on `addr`.
     ///
     /// The exporter is a dependency-free HTTP/1.0 responder registered on
@@ -245,61 +203,51 @@ impl CloudServiceBuilder {
         self
     }
 
-    /// Assembles the default middleware stack around the trainer, plus
-    /// the shared dedup state when [`result_cache`](Self::result_cache)
-    /// was configured (the submit path consults it before the queue).
+    /// The pipeline's configured stages in their one order, plus the shared
+    /// dedup state when [`result_cache`](Self::result_cache) was
+    /// configured (the submit path consults it before the queue).
     pub(crate) fn assemble(
-        &mut self,
-        metrics: Arc<ServiceMetrics>,
-    ) -> (crate::middleware::ServiceBuilder, Option<Arc<DedupShared>>) {
-        let rate_layer = self
+        &self,
+        metrics: &Arc<ServiceMetrics>,
+    ) -> (Pipeline, Option<Arc<DedupShared>>) {
+        let limiter = self
             .rate_limit
-            .map(|(rate, burst)| RateLimitLayer::new(rate, burst));
+            .map(|(rate, burst)| Arc::new(RateLimiter::new(rate, burst)));
         let dedup = self.result_cache.map(|(capacity_bytes, ttl)| {
             Arc::new(DedupShared::new(
                 capacity_bytes,
                 ttl,
-                rate_layer.as_ref().map(RateLimitLayer::handle),
-                Arc::clone(&metrics),
+                limiter.clone(),
+                Arc::clone(metrics),
             ))
         });
-        // With telemetry on, every layer below the metrics finalizer is
-        // wrapped in a TimedLayer so each stage contributes one span; with
-        // it off, the stack is byte-for-byte the untimed one.
-        let timed = self.telemetry.enabled;
-        let wrap = |layer: Box<dyn CloudLayer>| -> Box<dyn CloudLayer> {
-            if timed {
-                Box::new(TimedLayer::new(layer))
-            } else {
-                layer
-            }
-        };
-        let mut stack = ServiceBuilder::new().layer(MetricsLayer::new(metrics));
+        let mut steps = Vec::new();
         if self.catch_panics {
-            stack = stack.layer_boxed(wrap(Box::new(PanicLayer)));
+            steps.push(Step::CatchPanics);
         }
         if let Some(depth) = self.max_queue_depth {
-            stack = stack.layer_boxed(wrap(Box::new(AdmissionLayer::new(depth))));
+            steps.push(Step::Admission(depth));
         }
         if let Some(shared) = &dedup {
-            stack = stack.layer_boxed(wrap(Box::new(DedupLayer::new(Arc::clone(shared)))));
+            steps.push(Step::Dedup(Arc::clone(shared)));
         }
-        if let Some(layer) = rate_layer {
-            stack = stack.layer_boxed(wrap(Box::new(layer)));
+        if let Some(limiter) = limiter {
+            steps.push(Step::RateLimit(limiter));
         }
-        if let Some(keys) = self.api_keys.take() {
-            stack = stack.layer_boxed(wrap(Box::new(ApiKeyLayer::new(keys))));
+        if let Some(keys) = &self.api_keys {
+            steps.push(Step::Auth(Arc::clone(keys)));
         }
-        for layer in self.custom_layers.drain(..) {
-            stack = stack.layer_boxed(wrap(layer));
-        }
-        stack = stack
-            .layer_boxed(wrap(Box::new(DecodeLayer)))
-            .layer_boxed(wrap(Box::new(ValidateLayer)));
+        steps.extend([Step::Decode, Step::Validate]);
         if let Some(observer) = &self.observer {
-            stack = stack.layer_boxed(wrap(Box::new(ObserverLayer::new(Arc::clone(observer)))));
+            steps.push(Step::Observer(Arc::clone(observer)));
         }
-        (stack, dedup)
+        steps.push(Step::Train);
+        let pipeline = Pipeline {
+            metrics: Arc::clone(metrics),
+            steps,
+            checkpoints: self.checkpoint_store.clone(),
+        };
+        (pipeline, dedup)
     }
 
     /// Launches the worker pool and returns the running service.
@@ -314,15 +262,12 @@ impl std::fmt::Debug for CloudServiceBuilder {
             .field("workers", &self.workers)
             .field("max_queue_depth", &self.max_queue_depth)
             .field("catch_panics", &self.catch_panics)
-            .field("api_keys", &self.api_keys.as_ref().map(Vec::len))
+            .field("api_keys", &self.api_keys.as_ref().map(|keys| keys.len()))
             .field("rate_limit", &self.rate_limit)
             .field("result_cache", &self.result_cache)
             .field("session_weights", &self.session_weights.len())
-            .field("custom_layers", &self.custom_layers.len())
-            .field("telemetry", &self.telemetry)
             .field("metrics_exporter", &self.metrics_exporter)
             .field("checkpoint_store", &self.checkpoint_store)
-            .field("checkpoint_every", &self.checkpoint_every)
             .finish()
     }
 }

@@ -19,25 +19,26 @@
 //!
 //! The read side lives in the submit path ([`crate::CloudClient`] — both
 //! in-process and transport submissions funnel through it); the write side
-//! is [`DedupLayer`], mounted between admission control and the rate
-//! limiter, which inserts results that traversed the full policy stack.
+//! is the pipeline's `dedup` stage, between admission control and the rate
+//! limiter, which caches a result only once it has passed every stage
+//! after it — a refused or failed job never populates the cache.
 //! Fan-out and slot clearing live on the executor's reply sink, so *every*
 //! way an execution can end — success, error, panic, shutdown drain, even
 //! a worker dying with `catch_panics(false)` — resolves the waiters.
 //!
 //! Rate limiting still judges served submissions: a cache hit or coalesced
-//! attach spends a token from the same per-session bucket the
-//! [`crate::RateLimitLayer`] uses. Cheap is not free — otherwise replaying
-//! one hot job would be an unmetered bypass of the QoS policy.
+//! attach spends a token from the same per-session bucket the pipeline's
+//! `ratelimit` stage charges. Cheap is not free — otherwise replaying one
+//! hot job would be an unmetered bypass of the QoS policy.
 //!
 //! Everything is disabled by default; opt in with
 //! [`crate::CloudServiceBuilder::result_cache`].
 
 use crate::hash::ContentAddress;
 use crate::metrics::ServiceMetrics;
-use crate::middleware::{CloudLayer, JobContext, JobService, SessionKey};
+use crate::pipeline::SessionKey;
 use crate::protocol::{JobResult, ProgressUpdate};
-use crate::ratelimit::RateLimitHandle;
+use crate::ratelimit::RateLimiter;
 use crate::service::{CancelFlag, ReplySink};
 use crate::CloudError;
 use bytes::Bytes;
@@ -260,10 +261,11 @@ struct DedupInner {
 }
 
 /// Shared dedup state: consulted by the submit path (read side), populated
-/// by [`DedupLayer`] (write side), resolved by [`DedupReply`] (fan-out).
+/// by the pipeline's `dedup` stage (write side), resolved by [`DedupReply`]
+/// (fan-out).
 pub(crate) struct DedupShared {
     inner: Mutex<DedupInner>,
-    limiter: Option<RateLimitHandle>,
+    limiter: Option<Arc<RateLimiter>>,
     metrics: Arc<ServiceMetrics>,
 }
 
@@ -284,7 +286,7 @@ impl DedupShared {
     pub(crate) fn new(
         capacity_bytes: usize,
         ttl: Duration,
-        limiter: Option<RateLimitHandle>,
+        limiter: Option<Arc<RateLimiter>>,
         metrics: Arc<ServiceMetrics>,
     ) -> DedupShared {
         DedupShared {
@@ -300,9 +302,9 @@ impl DedupShared {
     /// Charges one token from `session`'s bucket (when a limiter is
     /// configured): a served submission spends exactly what an executed
     /// one would.
-    fn charge(&self, session: &SessionKey, now: Instant) -> Result<(), Duration> {
+    fn charge(&self, session: &SessionKey, now: Instant) -> Result<(), CloudError> {
         match &self.limiter {
-            Some(limiter) => limiter.try_acquire(session, now),
+            Some(limiter) => limiter.acquire(session, now),
             None => Ok(()),
         }
     }
@@ -327,11 +329,9 @@ impl DedupShared {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(mut result) = inner.cache.get_at(&addr, now) {
             drop(inner);
-            if let Err(retry_after) = self.charge(session, now) {
+            if let Err(refused) = self.charge(session, now) {
                 self.metrics.job_rate_limited_at_submit(session);
-                reply.send(Err(CloudError::RateLimited {
-                    retry_after_ms: retry_after.as_millis() as u64 + 1,
-                }));
+                reply.send(Err(refused));
                 return SubmitDecision::Served(None);
             }
             self.metrics.job_cache_hit(session);
@@ -340,12 +340,10 @@ impl DedupShared {
             return SubmitDecision::Served(None);
         }
         if let Some(slot) = inner.pending.get_mut(&addr) {
-            if let Err(retry_after) = self.charge(session, now) {
+            if let Err(refused) = self.charge(session, now) {
                 drop(inner);
                 self.metrics.job_rate_limited_at_submit(session);
-                reply.send(Err(CloudError::RateLimited {
-                    retry_after_ms: retry_after.as_millis() as u64 + 1,
-                }));
+                reply.send(Err(refused));
                 return SubmitDecision::Served(None);
             }
             slot.waiters.push(Waiter {
@@ -360,8 +358,8 @@ impl DedupShared {
         }
         // First sighting: claim the slot while still holding the lock, so
         // a racing duplicate attaches instead of executing twice. The
-        // executor itself is *not* charged here — the RateLimitLayer in
-        // the stack judges it, once, like any other executed job.
+        // executor itself is *not* charged here — the pipeline's ratelimit
+        // stage judges it, once, like any other executed job.
         inner.pending.insert(
             addr,
             PendingSlot {
@@ -381,8 +379,9 @@ impl DedupShared {
         )
     }
 
-    /// Write side, called by [`DedupLayer`] when an execution succeeded.
-    fn insert(&self, addr: ContentAddress, result: &JobResult, now: Instant) {
+    /// Write side, called by the pipeline's `dedup` stage when an
+    /// execution succeeded.
+    pub(crate) fn insert(&self, addr: ContentAddress, result: &JobResult, now: Instant) {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -500,59 +499,6 @@ impl std::fmt::Debug for DedupReply {
         f.debug_struct("DedupReply")
             .field("addr", &self.addr)
             .finish()
-    }
-}
-
-/// Middleware writing successful results into the shared result cache.
-///
-/// Mounted by [`crate::CloudServiceBuilder::result_cache`] between
-/// admission control and the rate limiter: a result is cached only after
-/// it has traversed the *entire* policy stack beneath (rate limit, auth,
-/// decode, validation, training) — a rejected or failed job never
-/// populates the cache. The read side does not live here: hits are served
-/// at submit time so they never consume a queue slot or a worker (see the
-/// [module docs](crate::cache)).
-pub struct DedupLayer {
-    shared: Arc<DedupShared>,
-}
-
-impl DedupLayer {
-    pub(crate) fn new(shared: Arc<DedupShared>) -> DedupLayer {
-        DedupLayer { shared }
-    }
-}
-
-impl std::fmt::Debug for DedupLayer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DedupLayer")
-    }
-}
-
-struct DedupSvc {
-    shared: Arc<DedupShared>,
-    inner: Box<dyn JobService>,
-}
-
-impl CloudLayer for DedupLayer {
-    fn wrap(&self, inner: Box<dyn JobService>) -> Box<dyn JobService> {
-        Box::new(DedupSvc {
-            shared: Arc::clone(&self.shared),
-            inner,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "dedup"
-    }
-}
-
-impl JobService for DedupSvc {
-    fn call(&self, ctx: &mut JobContext, payload: Bytes) -> Result<JobResult, CloudError> {
-        let result = self.inner.call(ctx, payload);
-        if let (Some(addr), Ok(r)) = (ctx.content_address, &result) {
-            self.shared.insert(addr, r, Instant::now());
-        }
-        result
     }
 }
 

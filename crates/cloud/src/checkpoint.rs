@@ -27,11 +27,12 @@
 //! own checkpoint no matter which client, connection or (with a shared
 //! store) which *backend* retries it: proxy failover resumes work instead
 //! of recomputing it. A [`CheckpointStore`] is deliberately tiny and
-//! policy-free (*store / load / remove*); the service decides cadence via
-//! [`crate::CloudServiceBuilder::checkpoint_every`]. Two stores ship:
-//! [`MemoryCheckpointStore`] (survives server restart when the store
-//! outlives the server object) and [`FileCheckpointStore`] (survives
-//! process death; atomic rename, no partial files).
+//! policy-free (*store / load / remove*); the service snapshots after every
+//! epoch but the last ([`crate::CloudServiceBuilder::checkpoint_store`]).
+//! Two stores ship: [`MemoryCheckpointStore`] (survives server restart when
+//! the store outlives the server object) and [`FileCheckpointStore`]
+//! (survives process death and power loss; synced, atomic rename, no
+//! partial files).
 //!
 //! # Corruption policy
 //!
@@ -48,8 +49,9 @@ use amalgam_tensor::wire::{Reader, Writer};
 use amalgam_tensor::Tensor;
 use bytes::Bytes;
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Format version byte leading every encoded checkpoint. Version 2 moved
 /// the checksum from one `siphash128` chain to [`digest128`]; a version-1
@@ -165,9 +167,9 @@ impl Checkpoint {
 /// Where checkpoints live, keyed by the job's [`ContentAddress`].
 ///
 /// Deliberately policy-free: the store neither decides *when* to
-/// checkpoint (the builder's `checkpoint_every` does) nor *whether* a
-/// loaded snapshot is trustworthy ([`Checkpoint::from_bytes`]'s checksum
-/// does). Durability is best-effort by design — a store may drop writes
+/// checkpoint (the service does, after every epoch but the last) nor
+/// *whether* a loaded snapshot is trustworthy ([`Checkpoint::from_bytes`]'s
+/// checksum does). Durability is best-effort by design — a store may drop writes
 /// (out of disk, torn down) and the only consequence is recomputation.
 pub trait CheckpointStore: Send + Sync + std::fmt::Debug {
     /// Returns the stored bytes for `addr`, if any.
@@ -233,24 +235,32 @@ impl CheckpointStore for MemoryCheckpointStore {
 }
 
 /// File-backed [`CheckpointStore`]: one file per content address
-/// (`<dir>/<32-hex-digits>.ckpt`), written to a temporary name then
-/// atomically renamed into place, so a crash mid-write leaves either the
-/// previous snapshot or none — never a torn file. Dependency-free: plain
-/// `std::fs`.
+/// (`<dir>/<32-hex-digits>.ckpt`), written to a temporary name, synced to
+/// disk, then atomically renamed into place and the rename synced too, so a
+/// crash or power loss mid-write leaves either the previous snapshot or
+/// none — never a torn file. Temporary files such a crash leaves behind are
+/// deleted when the store is next opened. Dependency-free: plain `std::fs`.
 #[derive(Debug)]
 pub struct FileCheckpointStore {
     dir: PathBuf,
 }
 
 impl FileCheckpointStore {
-    /// Opens (creating if needed) a store rooted at `dir`.
+    /// Opens (creating if needed) a store rooted at `dir`, deleting the
+    /// `*.tmp` files of writes a crash interrupted.
     ///
     /// # Errors
     ///
-    /// Propagates the failure to create the directory.
+    /// Propagates the failure to create or list the directory.
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<FileCheckpointStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        for entry in std::fs::read_dir(&dir)? {
+            let path = entry?.path();
+            if path.extension().is_some_and(|ext| ext == "tmp") {
+                let _ = std::fs::remove_file(path);
+            }
+        }
         Ok(FileCheckpointStore { dir })
     }
 
@@ -267,13 +277,20 @@ impl CheckpointStore for FileCheckpointStore {
     fn store(&self, addr: ContentAddress, bytes: Bytes) {
         // Unique temp name per writer so concurrent snapshots of the same
         // address never interleave into one file; the rename is the commit.
+        // The data is on disk before the rename can be, and the directory
+        // entry after it.
         let tmp = self.dir.join(format!(
             "{addr}.{:x}.tmp",
             std::process::id() as u64 ^ (&bytes as *const _ as u64)
         ));
-        if std::fs::write(&tmp, &bytes).is_ok()
-            && std::fs::rename(&tmp, self.path_of(addr)).is_err()
-        {
+        let write = || -> std::io::Result<()> {
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(&bytes)?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, self.path_of(addr))?;
+            std::fs::File::open(&self.dir)?.sync_all()
+        };
+        if write().is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
     }
@@ -281,17 +298,6 @@ impl CheckpointStore for FileCheckpointStore {
     fn remove(&self, addr: ContentAddress) {
         let _ = std::fs::remove_file(self.path_of(addr));
     }
-}
-
-/// The service's resolved checkpoint policy, threaded into each job's
-/// [`crate::JobContext`] by the worker loop.
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Where snapshots are written and resumed from.
-    pub store: Arc<dyn CheckpointStore>,
-    /// Snapshot after every `every` completed epochs (the last epoch never
-    /// snapshots — the job is about to finish and delete its entry).
-    pub every: u64,
 }
 
 /// Loads and validates the checkpoint for `addr`, if one exists and can be
@@ -323,6 +329,7 @@ pub(crate) fn load_for_resume(
 mod tests {
     use super::*;
     use amalgam_tensor::Rng;
+    use std::sync::Arc;
 
     fn sample() -> Checkpoint {
         let mut rng = Rng::seed_from(7);
@@ -423,7 +430,6 @@ mod tests {
         let service = CloudService::builder()
             .workers(1)
             .checkpoint_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
-            .checkpoint_every(1)
             .build();
         let result = service.client().train(&job).expect("fallback run");
         let stats = service.stats();
@@ -469,6 +475,27 @@ mod tests {
         assert_eq!(store.load(addr).unwrap(), Bytes::from_static(b"newer"));
         store.remove(addr);
         assert!(store.load(addr).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn opening_a_file_store_deletes_stale_temp_files_and_keeps_snapshots() {
+        let dir = std::env::temp_dir().join(format!("amalgam-ckpt-stale-{}", std::process::id()));
+        let addr = ContentAddress::of(b"job");
+        FileCheckpointStore::new(&dir)
+            .unwrap()
+            .store(addr, sample().to_bytes());
+        // What a crash between write and rename leaves behind.
+        let stale = dir.join(format!("{addr}.dead.tmp"));
+        std::fs::write(&stale, b"half a snapshot").unwrap();
+        let store = FileCheckpointStore::new(&dir).unwrap();
+        assert!(
+            !stale.exists(),
+            "opening the store must delete the stale file"
+        );
+        let (cp, rejected) = load_for_resume(&store, addr, 10);
+        assert_eq!(cp.expect("the snapshot still resumes").epoch, 3);
+        assert!(!rejected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

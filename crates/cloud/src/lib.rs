@@ -4,118 +4,89 @@
 //! a Python-based cloud service (Colab, SageMaker, …). This crate stands in
 //! for that trust boundary as a small production-shaped service: a
 //! [`CloudService`] owns a pool of worker threads pulling **fully
-//! serialized** jobs (model spec bytes + dataset tensors) off one shared
-//! queue, and every job runs through a composable Tower-style middleware
-//! stack before and after the paper's Algorithm 1 trains it.
+//! serialized** jobs (model spec bytes + dataset tensors) off per-session
+//! queues, and every job runs through one fixed pipeline of stages around
+//! the paper's Algorithm 1.
 //!
-//! # The layer stack
+//! # The job pipeline
 //!
-//! Requests flow outside-in, responses inside-out. With the
-//! [`transport`] subsystem in front, the "wire" is a real TCP socket: a
-//! [`RemoteCloudClient`] frames jobs onto a multiplexed connection, a
-//! fixed pool of [`CloudServer`] reactor threads decodes every
+//! With the [`transport`] subsystem in front, the "wire" is a real TCP
+//! socket: a [`RemoteCloudClient`] frames jobs onto a multiplexed
+//! connection, a fixed pool of [`CloudServer`] reactor threads decodes every
 //! connection's frames (no thread per connection), and the jobs land in
-//! the same queue an in-process [`CloudClient`] uses — the middleware
-//! stack cannot tell the two apart.
+//! the same queues an in-process [`CloudClient`] uses — the pipeline cannot
+//! tell the two apart.
 //!
 //! ```text
-//!   RemoteCloudClient::submit ──► TCP ──► CloudServer reactor pool  CloudClient::submit
-//!   │ length-prefixed frames        │ handshake: version + API key       │ (in-process)
-//!   │ jittered keep-alive pings     │ epoll/poll, io_threads loops       │
-//!   │ request-id multiplexing       │ in-flight cap counts queued replies│
-//!   └─────────────► [per-session queues · DRR drain] ◄──────────────────┘
-//!                                               │ worker thread
-//!                                               │ payload: Bytes
-//!   ┌───────────────────────────────────────────▼─────────────────┐
-//!   │ metrics     per-job latency, bytes in/out, jobs/sec         │
-//!   │ ┌───────────────────────────────────────────────────────┐   │
-//!   │ │ panic       catch_unwind → CloudError::Panicked       │   │
-//!   │ │ ┌───────────────────────────────────────────────────┐ │   │
-//!   │ │ │ admission   queue too deep → Overloaded           │ │   │
-//!   │ │ │ ┌───────────────────────────────────────────────┐ │ │   │
-//!   │ │ │ │ [dedup]     caches Ok results by address      │ │ │   │
-//!   │ │ │ │ ratelimit   over session budget → RateLimited │ │ │   │
-//!   │ │ │ │ ┌───────────────────────────────────────────┐ │ │ │   │
-//!   │ │ │ │ │ auth        session API key → Unauthorized│ │ │ │   │
-//!   │ │ │ │ │ ┌───────────────────────────────────────┐ │ │ │ │   │
-//!   │ │ │ │ │ │ [custom layers from builder().layer()]│ │ │ │ │   │
-//!   │ │ │ │ │ │ ┌───────────────────────────────────┐ │ │ │ │ │   │
-//!   │ │ │ │ │ │ │ decode     wire → CloudJob + model│ │ │ │ │ │   │
-//!   │ │ │ │ │ │ │ ┌───────────────────────────────┐ │ │ │ │ │ │   │
-//!   │ │ │ │ │ │ │ │ validate   the BadJob checks  │ │ │ │ │ │ │   │
-//!   │ │ │ │ │ │ │ │ ┌───────────────────────────┐ │ │ │ │ │ │ │   │
-//!   │ │ │ │ │ │ │ │ │ observer  adversary's tap │ │ │ │ │ │ │ │   │
-//!   │ │ │ │ │ │ │ │ │ ┌───────────────────────┐ │ │ │ │ │ │ │ │   │
-//!   │ │ │ │ │ │ │ │ │ │ train   Algorithm 1   │ │ │ │ │ │ │ │ │   │
-//!   │ │ │ │ │ │ │ │ │ └───────────────────────┘ │ │ │ │ │ │ │ │   │
-//!   │ │ │ │ │ │ │ │ └───────────────────────────┘ │ │ │ │ │ │ │   │
-//!   │ │ │ │ │ │ │ └───────────────────────────────┘ │ │ │ │ │ │   │
-//!   │ │ │ │ │ │ └───────────────────────────────────┘ │ │ │ │ │   │
-//!   │ │ │ │ │ └───────────────────────────────────────┘ │ │ │ │   │
-//!   │ │ │ │ └───────────────────────────────────────────┘ │ │ │   │
-//!   │ │ │ └───────────────────────────────────────────────┘ │ │   │
-//!   │ │ └───────────────────────────────────────────────────┘ │   │
-//!   │ └───────────────────────────────────────────────────────┘   │
-//!   └─────────────────────────────────────────────────────────────┘
-//!                                               │ Result<JobResult, CloudError>
-//!                                               ▼ reply channel → JobHandle /
-//!                                                 Reply frame → RemoteJobHandle
+//!   RemoteCloudClient ──► TCP ──► CloudServer reactors      CloudClient
+//!   (frames, pings,               (handshake: version +     (in-process)
+//!    request-id multiplexing)      API key, in-flight cap)
+//!          └──────────► [per-session queues · DRR drain] ◄──────┘
+//!                                   │ worker thread, payload: Bytes
+//!                                   ▼
+//!   panic → admission → dedup → ratelimit → auth → decode → validate
+//!         → observer → train
+//!                                   │ Result<JobResult, CloudError>
+//!                                   ▼ reply channel → JobHandle /
+//!                                     Reply frame → RemoteJobHandle
 //! ```
 //!
-//! * **metrics** is outermost so it observes every outcome, including
-//!   panics already converted to errors by **panic**.
-//! * **admission** judges the queue depth each job found at submit time;
-//!   jobs past the configured watermark are answered with
-//!   [`CloudError::Overloaded`] instead of being trained.
-//! * **ratelimit** ([`CloudServiceBuilder::rate_limit`]) is the per-client
-//!   half of overload policy: each session's token bucket admits a
-//!   configured sustained rate plus burst, and jobs over budget are
-//!   answered with [`CloudError::RateLimited`] carrying an honest
-//!   `retry_after_ms` — judged against the job's *submit* instant, and
-//!   round-tripping the wire codec so remote handles see the same error.
-//! * **dedup** ([`CloudServiceBuilder::result_cache`], off by default)
-//!   shares a box with ratelimit above because they are two halves of one
-//!   policy: the layer caches successful results by the payload's
-//!   [`ContentAddress`], while its read side runs at *submit* time —
-//!   cache hits and in-flight duplicates are answered before the queue,
-//!   never occupying a worker, yet still spend rate-limit tokens from the
-//!   same per-session buckets. See the [`cache`] module docs.
-//! * Custom layers sit between admission and **decode**, so they see the
-//!   raw serialized payload — the exact bytes that crossed the wire.
-//! * **validate** holds the `BadJob` checks, out of the trainer's path —
-//!   including the training loop's own preconditions (a positive batch
-//!   size, keep lists that fit their head and every window), so bytes from
-//!   the wire that would trip one of its asserts are the submitter's
-//!   error, not a worker's panic.
-//! * **observer** feeds everything the cloud legitimately sees to a
-//!   registered [`CloudObserver`] — the vantage point from which
-//!   `amalgam-attacks` mounts its attacks. The layer is installed only
-//!   when an observer is attached, so unobserved pools pay nothing for
-//!   it. Notably absent from anything that crosses the wire: provenance
-//!   tags, sub-network identities, and the client's insertion plan.
-//! * **train** *is* the local trainer: [`TrainService`] calls
-//!   `amalgam_core::trainer::train_with`, the one Algorithm 1 in the
-//!   workspace, and plugs cancellation, progress, checkpoints and the
-//!   observer's tap into it as that loop's hooks. Cloud and local training
-//!   agree bit for bit, weights and history, because there is no second
-//!   loop; middleware wraps it without touching tensors.
+//! A worker runs the stages in that order, each around the ones after it;
+//! a stage that is not configured is skipped. Outside all of them the
+//! pipeline counts every outcome — panics already converted to errors
+//! included — and records the job's trace (each stage is one span, so
+//! [`CloudService::telemetry`] shows where a job's time went).
 //!
-//! * **auth** is installed by [`CloudServiceBuilder::api_keys`]: it checks
-//!   the session-scoped API key (negotiated at the transport handshake, or
-//!   stamped by [`CloudClient::with_api_key`] in-process) while the payload
-//!   is still the raw framed bytes — unauthenticated uploads are refused
-//!   before a single wire byte is decoded.
+//! 1. **panic** (on unless [`CloudServiceBuilder::catch_panics`]`(false)`):
+//!    a panic anywhere after it becomes [`CloudError::Panicked`] and the
+//!    worker survives.
+//! 2. **admission** ([`CloudServiceBuilder::max_queue_depth`]): a job that
+//!    found the queue past the watermark at submit time is answered with
+//!    [`CloudError::Overloaded`]. It comes first among the gates because it
+//!    judges the whole service, not one session.
+//! 3. **dedup** ([`CloudServiceBuilder::result_cache`]) caches a result by
+//!    its payload's [`ContentAddress`] once it has passed every stage after
+//!    this one, so a refused or failed job is never cached. Its read side
+//!    runs at *submit* time: cache hits and in-flight duplicates are
+//!    answered before the queue, never occupying a worker, yet still spend
+//!    rate-limit tokens from the same per-session buckets. See the
+//!    [`cache`] module docs.
+//! 4. **ratelimit** ([`CloudServiceBuilder::rate_limit`]): each session's
+//!    token bucket admits a sustained rate plus burst, judged at the job's
+//!    *submit* instant; over-budget jobs get [`CloudError::RateLimited`]
+//!    with an honest `retry_after_ms`, remote and local alike.
+//! 5. **auth** ([`CloudServiceBuilder::api_keys`]) checks the session's API
+//!    key (from the transport handshake, or
+//!    [`CloudClient::with_api_key`] in-process) while the payload is still
+//!    raw bytes. The three gates before decode are cheap and touch no
+//!    tensor, so a flood or an unauthenticated upload is shed before a
+//!    single wire byte is decoded.
+//! 6. **decode** turns the wire bytes into a [`CloudJob`] and its model.
+//! 7. **validate** holds the `BadJob` checks — the training loop's own
+//!    preconditions among them (a positive batch size, keep lists that fit
+//!    their head and every window) — so bytes from the wire that would trip
+//!    one of its asserts are the submitter's error, not a worker's panic.
+//! 8. **observer** ([`CloudServiceBuilder::observer`]) feeds everything the
+//!    cloud legitimately sees to a [`CloudObserver`] — the vantage point
+//!    from which `amalgam-attacks` mounts its attacks. It runs only on a
+//!    valid decoded job, and nothing of it crosses the wire: provenance
+//!    tags, sub-network identities and the client's insertion plan stay
+//!    with the client.
+//! 9. **train** *is* the local trainer: it calls
+//!    `amalgam_core::trainer::train_with`, the one Algorithm 1 in the
+//!    workspace, with cancellation, progress, checkpoints and the
+//!    observer's tap as that loop's hooks. Cloud and local training agree
+//!    bit for bit, weights and history, because there is no second loop.
 //!
 //! Scale the pool with [`CloudServiceBuilder::workers`]. Jobs are queued
-//! **per session** ([`middleware::SessionKey`]: API key, or anonymous
-//! client/connection identity) and workers drain the sessions by deficit
-//! round robin — optionally weighted via
-//! [`CloudServiceBuilder::session_weight`] — so a flooding session buys
-//! itself queue depth, never a larger share of the pool, and every
-//! session's own jobs stay strictly FIFO.
+//! **per session** ([`SessionKey`]: API key, or anonymous client/connection
+//! identity) and workers drain the sessions by deficit round robin —
+//! optionally weighted via [`CloudServiceBuilder::session_weight`] — so a
+//! flooding session buys itself queue depth, never a larger share of the
+//! pool, and every session's own jobs stay strictly FIFO.
 //! [`CloudService::shutdown`] drains queued jobs before the workers exit.
-//! Put the whole stack on a real wire with [`CloudServer::bind`] — the
-//! framing and handshake formats are documented in [`transport`].
+//! Put the service on a real wire with [`CloudServer::bind`] — the framing
+//! and handshake formats are documented in [`transport`].
 
 #![deny(missing_docs)]
 
@@ -124,8 +95,8 @@ pub mod cache;
 pub mod checkpoint;
 pub mod hash;
 mod metrics;
-pub mod middleware;
 mod observer;
+mod pipeline;
 mod protocol;
 mod queue;
 pub mod ratelimit;
@@ -134,21 +105,17 @@ pub mod telemetry;
 pub mod transport;
 
 pub use builder::CloudServiceBuilder;
-pub use cache::{DedupLayer, ResultCache};
+pub use cache::ResultCache;
 pub use checkpoint::{Checkpoint, CheckpointStore, FileCheckpointStore, MemoryCheckpointStore};
 pub use hash::ContentAddress;
 pub use metrics::{BackendHealth, BackendStats, ServiceMetrics, ServiceStats, SessionStats};
-pub use middleware::{
-    AdmissionLayer, ApiKeyLayer, CloudLayer, DecodeLayer, JobContext, JobService, MetricsLayer,
-    ObserverLayer, PanicLayer, ServiceBuilder, SessionKey, TimedLayer, ValidateLayer,
-};
 pub use observer::{CloudObserver, RecordingObserver};
+pub use pipeline::SessionKey;
 pub use protocol::{CloudJob, JobResult, ProgressUpdate, TaskPayload};
-pub use ratelimit::{RateLimitLayer, TokenBucket};
-pub use service::{CloudClient, CloudService, JobHandle, TrainService};
+pub use ratelimit::TokenBucket;
+pub use service::{CloudClient, CloudService, JobHandle};
 pub use telemetry::{
-    FlightRecorder, Histogram, HistogramSnapshot, JobTrace, SpanRecord, Stage, Telemetry,
-    TelemetryConfig, TraceId,
+    FlightRecorder, Histogram, HistogramSnapshot, JobTrace, SpanRecord, Stage, Telemetry, TraceId,
 };
 pub use transport::{
     ClientStats, CloudServer, ReconnectPolicy, RemoteCloudClient, RemoteJobHandle, TransportConfig,

@@ -1,5 +1,5 @@
 //! Service telemetry: lock-free counters shared by the client handles, the
-//! metrics layer and the worker pool — plus a per-session table keyed by
+//! job pipeline and the worker pool — plus a per-session table keyed by
 //! [`SessionKey`] for the QoS counters — snapshot into [`ServiceStats`].
 //!
 //! Every number is declared once, as a row of one of the three tables below
@@ -23,9 +23,9 @@
 //! peer-chosen and there may be [`MAX_SESSION_ROWS`] of them; backend rows
 //! are in it, the fleet being the operator's own configuration.
 
-use crate::middleware::SessionKey;
+use crate::pipeline::SessionKey;
 use crate::protocol::JobResult;
-use crate::telemetry::{HistogramSnapshot, Stage, Telemetry, TelemetryConfig};
+use crate::telemetry::{HistogramSnapshot, Stage, Telemetry};
 use crate::CloudError;
 use amalgam_tensor::wire::{Reader, Writer};
 use amalgam_tensor::TensorError;
@@ -227,12 +227,12 @@ macro_rules! service_table {
         $group:ident $label:literal, $help:literal;
     )*) => {
         /// Shared atomic counters. Writers are the submit path (queue gauge), the
-        /// worker loop (dequeue) and [`crate::middleware::MetricsLayer`]; readers
-        /// call [`snapshot`](Self::snapshot) at any time.
+        /// worker loop (dequeue) and the job pipeline around its stages (outcomes);
+        /// readers call [`snapshot`](Self::snapshot) at any time.
         #[derive(Debug)]
         pub struct ServiceMetrics {
             started_at: Instant,
-            // Time inside the stack, summed: the numerator of `mean_job_seconds`.
+            // Time inside the pipeline, summed: the numerator of `mean_job_seconds`.
             busy_nanos: AtomicU64,
             $($name: cell!(atomic $ty),)*
             // Per-backend health rows, keyed by the backend's dial address
@@ -247,15 +247,16 @@ macro_rules! service_table {
         }
 
         impl ServiceMetrics {
-            /// Zeroed counters with an explicit telemetry configuration.
-            pub fn with_telemetry(telemetry: &TelemetryConfig) -> ServiceMetrics {
+            /// Zeroed counters with the uptime clock started, empty histograms
+            /// and flight recorder.
+            pub fn new() -> ServiceMetrics {
                 ServiceMetrics {
                     started_at: Instant::now(),
                     busy_nanos: AtomicU64::new(0),
                     $($name: Default::default(),)*
                     backends: Mutex::new(HashMap::new()),
                     sessions: Mutex::new(HashMap::new()),
-                    telemetry: Telemetry::new(telemetry),
+                    telemetry: Telemetry::new(),
                 }
             }
 
@@ -283,7 +284,7 @@ service_table! {
         jobs_rejected: counter u64, jobs "rejected", "Jobs shed by admission control.";
         /// Also counted in [`jobs_failed`](Self::jobs_failed).
         jobs_panicked: counter u64, jobs "panicked", "Jobs whose processing panicked.";
-        /// Everything the metrics layer saw arrive, refused jobs included.
+        /// Everything the pipeline saw arrive, refused jobs included.
         bytes_received as "job_bytes_received": counter u64, bytes "job in", "Uploaded job bytes.";
         /// Completed jobs only.
         bytes_sent as "job_bytes_sent": counter u64, bytes "job out", "Result bytes returned.";
@@ -458,12 +459,6 @@ stats_record! {
 }
 
 impl ServiceMetrics {
-    /// Zeroed counters with the uptime clock started and default
-    /// [`TelemetryConfig`] (histograms and flight recorder on).
-    pub fn new() -> ServiceMetrics {
-        ServiceMetrics::with_telemetry(&TelemetryConfig::default())
-    }
-
     /// The latency histograms and flight recorder riding these counters.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -510,7 +505,7 @@ impl ServiceMetrics {
         });
     }
 
-    /// Metrics layer: one of `session`'s jobs left the stack with `result`.
+    /// Pipeline: one of `session`'s jobs left it with `result`.
     pub(crate) fn session_finished(
         &self,
         session: &SessionKey,
@@ -556,8 +551,8 @@ impl ServiceMetrics {
     }
 
     /// Dedup path: the rate limiter refused a would-be cache hit or
-    /// coalesced attach at submit time (bumping the same counters an
-    /// in-stack [`crate::RateLimitLayer`] rejection would).
+    /// coalesced attach at submit time (bumping the same counters the
+    /// pipeline's `ratelimit` stage refusing it would).
     pub(crate) fn job_rate_limited_at_submit(&self, session: &SessionKey) {
         self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         self.jobs_rate_limited.fetch_add(1, Ordering::Relaxed);
@@ -705,15 +700,15 @@ impl ServiceMetrics {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Metrics layer: a job entered the stack. The returned guard restores
-    /// the in-flight gauge even if the job panics out of the stack (with
+    /// Pipeline: a job entered it. The returned guard restores the
+    /// in-flight gauge even if the job panics out of it (with
     /// `catch_panics(false)` the unwind would otherwise leak it forever).
     pub(crate) fn job_started(&self) -> InFlightGuard<'_> {
         self.in_flight.fetch_add(1, Ordering::Relaxed);
         InFlightGuard(self)
     }
 
-    /// Metrics layer: a job left the stack with `result` after `elapsed`.
+    /// Pipeline: a job left it with `result` after `elapsed`.
     pub(crate) fn job_finished(
         &self,
         bytes_in: usize,

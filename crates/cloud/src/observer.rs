@@ -7,8 +7,8 @@ use amalgam_tensor::Tensor;
 /// Hooks invoked with everything the cloud legitimately sees — the threat
 /// model's "cloud provider as attacker" position (paper §3).
 ///
-/// Wired into the service as a middleware stage
-/// ([`crate::middleware::ObserverLayer`]); with a multi-worker pool the
+/// Wired into the service's job pipeline as its `observer` stage
+/// ([`crate::CloudServiceBuilder::observer`]); with a multi-worker pool the
 /// hooks of concurrent jobs interleave, each serialized by the observer's
 /// mutex. Implementations live in `amalgam-attacks`; [`RecordingObserver`]
 /// is a simple capture-everything implementation for tests.
@@ -37,7 +37,7 @@ pub trait CloudObserver: Send {
 }
 
 /// Opaque: what an observer holds is its own business (this is what lets
-/// [`crate::middleware::JobContext`], which carries one, be `Debug`).
+/// the per-job context, which carries one, be `Debug`).
 impl std::fmt::Debug for dyn CloudObserver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("CloudObserver")

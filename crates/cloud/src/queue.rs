@@ -19,7 +19,7 @@
 //! state, and a freshly active session starts at deficit zero just like
 //! everyone else in the round.
 
-use crate::middleware::SessionKey;
+use crate::pipeline::SessionKey;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, PoisonError};
 

@@ -1,31 +1,29 @@
-//! Per-session admission-rate policy: a token bucket per session, mounted
-//! as the `ratelimit` middleware layer.
+//! Per-session admission-rate policy: a token bucket per session, charged
+//! by the pipeline's `ratelimit` stage.
 //!
-//! PR 4 put the stack on a real wire, which means any connected session can
-//! submit as fast as its socket allows. The global admission layer only
-//! bounds *total* queue depth — one greedy client can fill that budget and
-//! starve everyone else. This module adds the per-client half of the
-//! policy: every session (API key, or anonymous connection) gets its own
-//! [`TokenBucket`], refilled at a configured sustained rate up to a burst
-//! capacity, and jobs submitted above that rate are answered with
-//! [`CloudError::RateLimited`] carrying an honest `retry_after_ms`.
+//! Any connected session can submit as fast as its socket allows. The
+//! admission stage only bounds *total* queue depth — one greedy client can
+//! fill that budget and starve everyone else. This module adds the
+//! per-client half of the policy: every session (API key, or anonymous
+//! connection) gets its own [`TokenBucket`], refilled at a configured
+//! sustained rate up to a burst capacity, and jobs submitted above that
+//! rate are answered with [`CloudError::RateLimited`] carrying an honest
+//! `retry_after_ms`.
 //!
-//! The bucket is judged against each job's **submit timestamp**
-//! ([`crate::JobContext::submitted_at`]), not the instant a worker got
-//! around to it — a deep queue neither hides a flood nor penalizes a
-//! polite client whose job waited. Jobs of one session are dispatched in
-//! submit order (the fair queue keeps per-session FIFO), so the timestamps
-//! each bucket sees are monotone and the refill math stays exact.
+//! The bucket is judged against each job's **submit timestamp**, not the
+//! instant a worker got around to it — a deep queue neither hides a flood
+//! nor penalizes a polite client whose job waited. Jobs of one session are
+//! dispatched in submit order (the fair queue keeps per-session FIFO), so
+//! the timestamps each bucket sees are monotone and the refill math stays
+//! exact.
 //!
-//! The layer sits between admission control and auth (see the
-//! [crate docs](crate) for the full diagram): a flood is shed before it is
+//! The stage runs after admission control and dedup and before auth (see
+//! the [crate docs](crate) for the order): a flood is shed before it is
 //! decoded, validated or trained, and the shed is cheap — no tensor bytes
 //! are ever touched.
 
-use crate::middleware::{CloudLayer, JobContext, JobService, SessionKey};
-use crate::protocol::JobResult;
+use crate::pipeline::SessionKey;
 use crate::CloudError;
-use bytes::Bytes;
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -137,9 +135,14 @@ impl TokenBucket {
     }
 }
 
-/// The shared per-session bucket table behind a [`RateLimitLayer`].
+/// The per-session bucket table — the one limiter of a service. The
+/// pipeline's `ratelimit` stage charges it for every executed job, and the
+/// dedup read side ([`crate::cache`]) for every submission it serves
+/// before the queue, so a served submission spends exactly the token an
+/// executed one would: the cache is a latency shortcut, not a rate-limit
+/// bypass.
 #[derive(Debug)]
-struct BucketTable {
+pub(crate) struct RateLimiter {
     rate_per_sec: f64,
     burst: f64,
     buckets: Mutex<BucketMap>,
@@ -154,8 +157,30 @@ struct BucketMap {
     prune_at: usize,
 }
 
-impl BucketTable {
-    fn acquire(&self, session: &SessionKey, at: Instant) -> Result<(), Duration> {
+impl RateLimiter {
+    /// Grants each session `rate_per_sec` sustained jobs per second with
+    /// bursts of up to `burst` jobs.
+    ///
+    /// # Panics
+    ///
+    /// Same bounds as [`TokenBucket::new`].
+    pub(crate) fn new(rate_per_sec: f64, burst: f64) -> RateLimiter {
+        // Validate eagerly: a bad config should fail at build time, not on
+        // the first job of some unlucky session.
+        let _ = TokenBucket::new(rate_per_sec, burst);
+        RateLimiter {
+            rate_per_sec,
+            burst,
+            buckets: Mutex::new(BucketMap {
+                map: HashMap::new(),
+                prune_at: PRUNE_THRESHOLD,
+            }),
+        }
+    }
+
+    /// Takes one token from `session`'s bucket as of `at`, or answers
+    /// [`CloudError::RateLimited`] with the honest retry-after.
+    pub(crate) fn acquire(&self, session: &SessionKey, at: Instant) -> Result<(), CloudError> {
         let mut buckets = self.buckets.lock().unwrap_or_else(PoisonError::into_inner);
         if buckets.map.len() >= buckets.prune_at {
             // Approximate, deliberately: a dropped bucket is recreated
@@ -175,125 +200,16 @@ impl BucketTable {
             // judged against the session's true submit rate.
             .or_insert_with(|| TokenBucket::new_at(self.rate_per_sec, self.burst, at))
             .try_acquire_at(at)
-    }
-}
-
-/// A cloneable handle onto a [`RateLimitLayer`]'s bucket table.
-///
-/// The dedup subsystem ([`crate::cache`]) serves cache hits and coalesced
-/// attaches in the submit path, *before* the queue — which means they
-/// never reach the in-stack [`RateLimitLayer`]. This handle lets that path
-/// charge the very same per-session buckets, so a served submission spends
-/// exactly the token an executed one would: the cache is a latency
-/// shortcut, not a rate-limit bypass.
-#[derive(Debug, Clone)]
-pub(crate) struct RateLimitHandle {
-    table: std::sync::Arc<BucketTable>,
-}
-
-impl RateLimitHandle {
-    /// Takes one token from `session`'s bucket as of `at`, or reports the
-    /// honest retry-after.
-    pub(crate) fn try_acquire(&self, session: &SessionKey, at: Instant) -> Result<(), Duration> {
-        self.table.acquire(session, at)
-    }
-}
-
-/// Middleware enforcing a per-session submit-rate budget.
-///
-/// Installed by [`crate::CloudServiceBuilder::rate_limit`]; each distinct
-/// [`SessionKey`] (API key, or anonymous client/connection identity) gets an
-/// independent [`TokenBucket`]. Jobs over budget are answered with
-/// [`CloudError::RateLimited`] — which round-trips the transport's Reply
-/// frame, so remote handles see the same error (and the same
-/// `retry_after_ms`) as in-process ones.
-#[derive(Debug)]
-pub struct RateLimitLayer {
-    table: std::sync::Arc<BucketTable>,
-}
-
-impl RateLimitLayer {
-    /// A limiter granting each session `rate_per_sec` sustained jobs per
-    /// second with bursts of up to `burst` jobs.
-    ///
-    /// # Panics
-    ///
-    /// Same bounds as [`TokenBucket::new`].
-    pub fn new(rate_per_sec: f64, burst: f64) -> RateLimitLayer {
-        // Validate eagerly: a bad config should fail at build time, not on
-        // the first job of some unlucky session.
-        let _ = TokenBucket::new(rate_per_sec, burst);
-        RateLimitLayer {
-            table: std::sync::Arc::new(BucketTable {
-                rate_per_sec,
-                burst,
-                buckets: Mutex::new(BucketMap {
-                    map: HashMap::new(),
-                    prune_at: PRUNE_THRESHOLD,
-                }),
-            }),
-        }
-    }
-
-    /// A handle sharing this layer's bucket table with the submit-path
-    /// dedup check.
-    pub(crate) fn handle(&self) -> RateLimitHandle {
-        RateLimitHandle {
-            table: std::sync::Arc::clone(&self.table),
-        }
-    }
-}
-
-struct RateLimitSvc {
-    table: std::sync::Arc<BucketTable>,
-    inner: Box<dyn JobService>,
-}
-
-impl CloudLayer for RateLimitLayer {
-    fn wrap(&self, inner: Box<dyn JobService>) -> Box<dyn JobService> {
-        Box::new(RateLimitSvc {
-            table: std::sync::Arc::clone(&self.table),
-            inner,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "ratelimit"
-    }
-}
-
-impl JobService for RateLimitSvc {
-    fn call(&self, ctx: &mut JobContext, payload: Bytes) -> Result<JobResult, CloudError> {
-        match self.table.acquire(&ctx.session, ctx.submitted_at) {
-            Ok(()) => self.inner.call(ctx, payload),
-            Err(retry_after) => Err(CloudError::RateLimited {
+            .map_err(|retry_after| CloudError::RateLimited {
                 // Round up: retrying a hair early would find no token.
                 retry_after_ms: retry_after.as_millis() as u64 + 1,
-            }),
-        }
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::middleware::ServiceBuilder;
-    use amalgam_nn::metrics::History;
-
-    struct Probe;
-
-    impl JobService for Probe {
-        fn call(&self, ctx: &mut JobContext, payload: Bytes) -> Result<JobResult, CloudError> {
-            Ok(JobResult {
-                job_id: ctx.job_id,
-                trained_model: payload,
-                history: History::new(),
-                bytes_received: 0,
-                bytes_sent: 0,
-                train_seconds: 0.0,
-            })
-        }
-    }
 
     #[test]
     fn burst_is_admitted_then_rate_applies() {
@@ -337,36 +253,25 @@ mod tests {
         // elsewhere; all five are then judged in one burst of dispatches.
         // The bucket must refill against the *submit* clock, admitting all
         // of them at rate 1.0 / burst 1.
-        let svc = ServiceBuilder::new()
-            .layer(RateLimitLayer::new(1.0, 1.0))
-            .service(Box::new(Probe));
+        let limiter = RateLimiter::new(1.0, 1.0);
         let t0 = Instant::now();
         for i in 0..5u64 {
-            let mut ctx = JobContext::new(i, 0);
-            ctx.session = SessionKey::Anonymous(9);
-            ctx.submitted_at = t0 + Duration::from_secs(i);
-            svc.call(&mut ctx, Bytes::new())
+            limiter
+                .acquire(&SessionKey::Anonymous(9), t0 + Duration::from_secs(i))
                 .unwrap_or_else(|e| panic!("within-rate backlogged job {i} was rejected: {e:?}"));
         }
     }
 
     #[test]
-    fn layer_keys_buckets_by_session() {
-        let svc = ServiceBuilder::new()
-            .layer(RateLimitLayer::new(0.001, 1.0))
-            .service(Box::new(Probe));
-        let mut a1 = JobContext::new(0, 0);
-        a1.session = SessionKey::Anonymous(1);
-        assert!(svc.call(&mut a1, Bytes::new()).is_ok());
-        let mut a2 = JobContext::new(1, 0);
-        a2.session = SessionKey::Anonymous(1);
-        match svc.call(&mut a2, Bytes::new()) {
+    fn limiter_keys_buckets_by_session() {
+        let limiter = RateLimiter::new(0.001, 1.0);
+        let t0 = Instant::now();
+        assert!(limiter.acquire(&SessionKey::Anonymous(1), t0).is_ok());
+        match limiter.acquire(&SessionKey::Anonymous(1), t0) {
             Err(CloudError::RateLimited { retry_after_ms }) => assert!(retry_after_ms > 0),
             other => panic!("expected RateLimited, got {other:?}"),
         }
         // A different session has its own untouched bucket.
-        let mut b = JobContext::new(2, 0);
-        b.session = SessionKey::Anonymous(2);
-        assert!(svc.call(&mut b, Bytes::new()).is_ok());
+        assert!(limiter.acquire(&SessionKey::Anonymous(2), t0).is_ok());
     }
 }

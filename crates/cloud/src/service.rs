@@ -1,27 +1,20 @@
-//! The worker pool, the client handle, and the innermost training service.
+//! The worker pool and the client handle.
 
 use crate::builder::CloudServiceBuilder;
 use crate::cache::{DedupReply, DedupShared, SubmitDecision};
-use crate::checkpoint::{load_for_resume, Checkpoint, CheckpointConfig};
 use crate::hash::ContentAddress;
 use crate::metrics::{ServiceMetrics, ServiceStats};
-use crate::middleware::{duration_us, JobContext, JobService, SessionKey, TimedLayer};
 use crate::observer::CloudObserver;
-use crate::protocol::{CloudJob, JobResult, ProgressUpdate, TaskPayload};
+use crate::pipeline::{duration_us, JobContext, Pipeline, SessionKey};
+use crate::protocol::{CloudJob, JobResult, ProgressUpdate};
 use crate::queue::FairDispatcher;
-use crate::telemetry::{Stage, Telemetry, TraceId};
+use crate::telemetry::{Telemetry, TraceId};
 use crate::CloudError;
-use amalgam_core::trainer::{train_with, EvalSource, Task, TrainHooks};
-use amalgam_nn::graph::GraphModel;
-use amalgam_nn::metrics::History;
-use amalgam_nn::optim::Sgd;
-use amalgam_tensor::Tensor;
 use bytes::Bytes;
 use std::net::SocketAddr;
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Where a finished job's outcome goes.
@@ -228,8 +221,8 @@ pub(crate) struct Envelope {
     /// jobs, carried in from the wire for traced transport submits.
     trace: TraceId,
     /// The payload's content address when dedup or checkpointing is
-    /// enabled — what the in-stack [`crate::DedupLayer`] caches a
-    /// successful result under, and what checkpoints are keyed by.
+    /// enabled — what the pipeline's `dedup` stage caches a successful
+    /// result under, and what checkpoints are keyed by.
     content_address: Option<ContentAddress>,
     /// The submitter's cancellation token, polled at epoch boundaries.
     cancel: CancelFlag,
@@ -238,7 +231,7 @@ pub(crate) struct Envelope {
     reply: Arc<ReplySink>,
 }
 
-/// The simulated cloud: a middleware stack served by a pool of worker
+/// The simulated cloud: the job pipeline served by a pool of worker
 /// threads draining per-session queues by deficit round robin.
 #[derive(Debug)]
 pub struct CloudService {
@@ -252,8 +245,8 @@ pub struct CloudService {
     /// Whether a checkpoint store is configured — submits then stamp a
     /// content address even without dedup, so checkpoints have a key.
     checkpointing: bool,
-    /// The accepted API keys, kept for the transport's `GetStats`
-    /// authorization check (the in-stack copy is consumed by `assemble`).
+    /// The accepted API keys, shared with the pipeline's `auth` stage for
+    /// the transport's `GetStats` authorization check.
     api_keys: Option<Arc<[String]>>,
     /// Where the transport should serve Prometheus metrics, if anywhere.
     metrics_exporter: Option<SocketAddr>,
@@ -277,42 +270,20 @@ impl CloudService {
     }
 
     pub(crate) fn from_builder(mut builder: CloudServiceBuilder) -> CloudService {
-        let metrics = Arc::new(ServiceMetrics::with_telemetry(&builder.telemetry));
-        // `assemble` consumes the in-stack API-key list; keep a copy for the
-        // transport's GetStats authorization check.
-        let api_keys = builder
-            .api_keys
-            .clone()
-            .map(|keys| Arc::from(keys.into_boxed_slice()));
-        let metrics_exporter = builder.metrics_exporter;
-        let timed = builder.telemetry.enabled;
-        let (stack, dedup) = builder.assemble(Arc::clone(&metrics));
-        let trainer: Box<dyn JobService> = if timed {
-            TimedLayer::wrap_service(Stage::Train, Box::new(TrainService))
-        } else {
-            Box::new(TrainService)
-        };
-        let service: Arc<dyn JobService> = Arc::from(stack.service(trainer));
+        let metrics = Arc::new(ServiceMetrics::new());
+        let (pipeline, dedup) = builder.assemble(&metrics);
+        let pipeline = Arc::new(pipeline);
+        let checkpointing = pipeline.checkpoints.is_some();
         let queue = Arc::new(FairDispatcher::new(std::mem::take(
             &mut builder.session_weights,
         )));
-        let checkpoint = builder
-            .checkpoint_store
-            .take()
-            .map(|store| CheckpointConfig {
-                store,
-                every: builder.checkpoint_every,
-            });
-        let checkpointing = checkpoint.is_some();
         let workers = (0..builder.workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
-                let service = Arc::clone(&service);
-                let metrics = Arc::clone(&metrics);
-                let checkpoint = checkpoint.clone();
+                let pipeline = Arc::clone(&pipeline);
                 std::thread::Builder::new()
                     .name(format!("cloud-worker-{i}"))
-                    .spawn(move || worker_loop(&queue, &*service, &metrics, checkpoint))
+                    .spawn(move || worker_loop(&queue, &pipeline))
                     .expect("spawn cloud worker")
             })
             .collect();
@@ -325,8 +296,8 @@ impl CloudService {
             next_session: Arc::new(AtomicU64::new(0)),
             dedup,
             checkpointing,
-            api_keys,
-            metrics_exporter,
+            api_keys: builder.api_keys,
+            metrics_exporter: builder.metrics_exporter,
         }
     }
 
@@ -411,37 +382,36 @@ impl Drop for CloudService {
     }
 }
 
-fn worker_loop(
-    queue: &FairDispatcher<Envelope>,
-    service: &dyn JobService,
-    metrics: &Arc<ServiceMetrics>,
-    checkpoint: Option<CheckpointConfig>,
-) {
-    let record_spans = metrics.telemetry().enabled();
+fn worker_loop(queue: &FairDispatcher<Envelope>, pipeline: &Pipeline) {
+    let metrics = &pipeline.metrics;
     while let Some(envelope) = queue.pop() {
         metrics.job_dequeued();
         metrics.session_dispatched(&envelope.session);
-        let mut ctx = JobContext::new(envelope.id, envelope.queue_depth_at_submit);
-        ctx.api_key = envelope.auth;
-        ctx.session = envelope.session;
-        ctx.submitted_at = envelope.submitted_at;
-        ctx.content_address = envelope.content_address;
-        ctx.trace = envelope.trace;
-        ctx.record_spans = record_spans;
-        ctx.progress = Some(ProgressSink {
-            reply: Arc::clone(&envelope.reply),
-            session: ctx.session.clone(),
-            metrics: Arc::clone(metrics),
-        });
-        ctx.cancel = Some(Arc::clone(&envelope.cancel));
-        ctx.checkpoint = checkpoint.clone();
-        ctx.metrics = Some(Arc::clone(metrics));
+        let mut ctx = JobContext {
+            job_id: envelope.id,
+            queue_depth_at_submit: envelope.queue_depth_at_submit,
+            bytes_received: 0,
+            job: None,
+            model: None,
+            observer: None,
+            api_key: envelope.auth,
+            progress: ProgressSink {
+                reply: Arc::clone(&envelope.reply),
+                session: envelope.session.clone(),
+                metrics: Arc::clone(metrics),
+            },
+            session: envelope.session,
+            submitted_at: envelope.submitted_at,
+            content_address: envelope.content_address,
+            trace: envelope.trace,
+            queue_wait_us: 0,
+            spans: Vec::new(),
+            cancel: envelope.cancel,
+        };
         // Stamped last: everything between dequeue and dispatch counts as
         // queue wait, so no span can start before the total's clock does.
-        if record_spans {
-            ctx.queue_wait_us = duration_us(envelope.submitted_at.elapsed());
-        }
-        let result = service.call(&mut ctx, envelope.payload);
+        ctx.queue_wait_us = duration_us(envelope.submitted_at.elapsed());
+        let result = pipeline.run(&mut ctx, envelope.payload);
         envelope.reply.send(result);
     }
 }
@@ -466,8 +436,9 @@ pub struct CloudClient {
 }
 
 impl CloudClient {
-    /// Stamps every job submitted through this handle with `key` — what an
-    /// [`crate::ApiKeyLayer`] in the stack checks. Transport sessions get
+    /// Stamps every job submitted through this handle with `key` — what the
+    /// pipeline's `auth` stage ([`CloudServiceBuilder::api_keys`]) checks.
+    /// Transport sessions get
     /// their key from the connection handshake instead. The key also
     /// becomes the handle's [`SessionKey`] for scheduling and rate
     /// limiting.
@@ -578,7 +549,7 @@ impl CloudClient {
         // Jobs that arrive without a trace (in-process submits, untraced
         // transport submits) are the trace root: mint the id here so every
         // job is observable, not just remotely-traced ones.
-        let trace = if trace.is_none() && self.metrics.telemetry().enabled() {
+        let trace = if trace.is_none() {
             TraceId::mint()
         } else {
             trace
@@ -718,212 +689,17 @@ impl JobHandle {
     }
 }
 
-/// The innermost service: decodes what no layer above decoded, runs the local
-/// trainer's own Algorithm 1 ([`train_with`]) under this job's hooks, encodes
-/// the trained model. Middleware above it never touches tensors.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TrainService;
-
-impl JobService for TrainService {
-    fn call(&self, ctx: &mut JobContext, payload: Bytes) -> Result<JobResult, CloudError> {
-        // Stand-alone operation (no decode layer above) decodes here, so a
-        // bare `TrainService` is still a complete service.
-        if ctx.job.is_none() {
-            ctx.bytes_received = payload.len();
-            ctx.job = Some(CloudJob::from_bytes(payload)?);
-        }
-        let job = ctx.job.take().expect("job decoded above");
-        let mut model = match ctx.model.take() {
-            Some(m) => m,
-            None => GraphModel::from_bytes(job.model.clone())
-                .map_err(|e| CloudError::Decode(e.to_string()))?,
-        };
-        let ctx = &*ctx;
-        let mut hooks = JobHooks {
-            ctx,
-            total_epochs: job.train.epochs,
-            listening: true,
-        };
-
-        let t0 = std::time::Instant::now();
-        let history = match &job.task {
-            TaskPayload::Classification {
-                inputs,
-                labels,
-                val_inputs,
-                val_labels,
-            } => {
-                let val = val_inputs.as_ref().map(|v| (v, val_labels.as_slice()));
-                let task = Task::Classification {
-                    n: labels.len(),
-                    batch_fn: &|idx| {
-                        let batch_labels = idx.iter().map(|&i| labels[i]).collect();
-                        (inputs.index_select_axis0(idx), batch_labels)
-                    },
-                    val: val.as_ref().map(|v| v as &dyn EvalSource),
-                };
-                train_with(&mut model, &task, 0, &job.train, &mut hooks)
-            }
-            TaskPayload::LanguageModel {
-                windows,
-                val_windows,
-                head_keeps,
-            } => {
-                let task = Task::LanguageModel {
-                    train: windows,
-                    val: val_windows,
-                    head_keeps,
-                };
-                train_with(&mut model, &task, 0, &job.train, &mut hooks)
-            }
-        };
-        // A run its hooks stopped at an epoch boundary comes back short.
-        if history.epochs() < job.train.epochs {
-            return Err(CloudError::Cancelled);
-        }
-        // The job is done: its checkpoint has served its purpose. (Failed
-        // and cancelled jobs keep theirs, so a retry resumes.)
-        if let (Some(ck), Some(addr)) = (&ctx.checkpoint, ctx.content_address) {
-            ck.store.remove(addr);
-        }
-        let train_seconds = t0.elapsed().as_secs_f64();
-        model.clear_caches();
-        let trained_model = model.to_bytes();
-        Ok(JobResult {
-            job_id: ctx.job_id,
-            bytes_sent: trained_model.len(),
-            trained_model,
-            history,
-            bytes_received: ctx.bytes_received,
-            train_seconds,
-        })
-    }
-}
-
-/// Everything the cloud adds around Algorithm 1, as the loop's hooks: the
-/// observer's tap, cancellation, per-epoch progress and checkpoints.
-struct JobHooks<'a> {
-    ctx: &'a JobContext,
-    total_epochs: usize,
-    /// Whether anyone could still receive this job's result when the last
-    /// epoch ended (see [`JobContext::emit_progress`]).
-    listening: bool,
-}
-
-impl TrainHooks for JobHooks<'_> {
-    /// Restores this job's checkpoint, if durability is configured and a
-    /// valid resumable snapshot exists under the job's content address. Any
-    /// snapshot that fails validation — bad checksum, truncation,
-    /// undecodable model bytes, impossible epoch — is scrubbed from the
-    /// store and the job recomputes from epoch 0: corruption is loud in the
-    /// stats but never poisons the store or the result.
-    fn resume(&mut self, model: &mut GraphModel, opt: &mut Sgd, history: &mut History) -> usize {
-        let ctx = self.ctx;
-        let (Some(ck), Some(addr)) = (&ctx.checkpoint, ctx.content_address) else {
-            return 0;
-        };
-        let t0 = Instant::now();
-        let (cp, rejected) = load_for_resume(&*ck.store, addr, self.total_epochs as u64);
-        if rejected {
-            if let Some(m) = &ctx.metrics {
-                m.checkpoint_rejected();
-            }
-        }
-        let Some(cp) = cp else { return 0 };
-        match GraphModel::from_bytes(cp.model.clone()) {
-            Ok(restored) => *model = restored,
-            Err(_) => {
-                // Bytes that pass the checksum but no longer decode (a model
-                // format bump, say): same policy as corruption.
-                ck.store.remove(addr);
-                if let Some(m) = &ctx.metrics {
-                    m.checkpoint_rejected();
-                }
-                return 0;
-            }
-        }
-        opt.set_velocity(cp.velocity);
-        *history = cp.history;
-        if let Some(m) = &ctx.metrics {
-            m.job_resumed();
-            m.telemetry().record(Stage::CheckpointRestore, t0.elapsed());
-        }
-        cp.epoch as usize
-    }
-
-    /// Stops on the submitter's cancellation flag, or once every consumer
-    /// of the result is gone — at epoch boundaries only, and the service
-    /// answers [`CloudError::Cancelled`].
-    fn epoch_start(&mut self, _epoch: usize) -> ControlFlow<()> {
-        if self.ctx.cancelled() || !self.listening {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    }
-
-    fn on_batch(&mut self, inputs: &Tensor, labels: &[usize]) {
-        if let Some(observer) = &self.ctx.observer {
-            observer
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .on_batch(inputs, labels);
-        }
-    }
-
-    fn on_step(&mut self, model: &mut GraphModel) {
-        if let Some(observer) = &self.ctx.observer {
-            observer
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .on_step(model);
-        }
-    }
-
-    /// Counts the epoch, emits one progress frame, and snapshots a
-    /// checkpoint at the configured cadence. The final epoch never
-    /// snapshots — the job is about to finish and delete its entry.
-    fn epoch_end(&mut self, completed: usize, model: &GraphModel, opt: &Sgd, history: &History) {
-        let ctx = self.ctx;
-        if let Some(m) = &ctx.metrics {
-            m.epoch_trained();
-        }
-        self.listening = ctx.emit_progress(ProgressUpdate {
-            epoch: completed as u64,
-            total_epochs: self.total_epochs as u64,
-            train_loss: history.train_loss.last().copied().unwrap_or(f32::NAN),
-            train_acc: history.train_acc.last().copied().unwrap_or(0.0),
-        });
-        let (Some(ck), Some(addr)) = (&ctx.checkpoint, ctx.content_address) else {
-            return;
-        };
-        let every = ck.every as usize;
-        if every == 0 || !completed.is_multiple_of(every) || completed >= self.total_epochs {
-            return;
-        }
-        let t0 = Instant::now();
-        let cp = Checkpoint {
-            epoch: completed as u64,
-            model: model.to_bytes(),
-            velocity: opt.velocity().to_vec(),
-            history: history.clone(),
-        };
-        ck.store.store(addr, cp.to_bytes());
-        if let Some(m) = &ctx.metrics {
-            m.checkpoint_written();
-            m.telemetry().record(Stage::CheckpointWrite, t0.elapsed());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::middleware::CloudLayer;
     use crate::observer::RecordingObserver;
+    use crate::TaskPayload;
     use amalgam_core::TrainConfig;
     use amalgam_models::lenet5;
-    use amalgam_tensor::Rng;
+    use amalgam_nn::graph::GraphModel;
+    use amalgam_nn::metrics::History;
+    use amalgam_tensor::{Rng, Tensor};
+    use std::sync::PoisonError;
 
     /// A recording observer we can inspect after the service consumed it.
     #[derive(Default)]
@@ -1032,7 +808,7 @@ mod tests {
     #[test]
     fn cloud_training_matches_local_training_bitwise() {
         // The cloud runs the local trainer's own loop, so through the whole
-        // default middleware stack a job comes back with the weights *and*
+        // default pipeline a job comes back with the weights *and*
         // the history local training gives — validation included.
         let mut rng = Rng::seed_from(2);
         let (mut job, model) = tiny_job(&mut rng);
@@ -1338,43 +1114,31 @@ mod tests {
         service.shutdown();
     }
 
-    /// A layer that panics on every job — used to prove workers survive.
-    struct BombLayer;
-    struct BombSvc;
+    /// An observer whose `on_model` waits while a test holds `gate`, then
+    /// panics if `panics`: a job the test can hold inside a worker, or one
+    /// that fails after decode and validation.
+    struct Gate {
+        gate: Arc<Mutex<()>>,
+        panics: bool,
+    }
 
-    impl CloudLayer for BombLayer {
-        fn wrap(&self, _inner: Box<dyn JobService>) -> Box<dyn JobService> {
-            Box::new(BombSvc)
+    impl Gate {
+        fn new(gate: &Arc<Mutex<()>>, panics: bool) -> Arc<Mutex<Gate>> {
+            Arc::new(Mutex::new(Gate {
+                gate: Arc::clone(gate),
+                panics,
+            }))
         }
-        fn name(&self) -> &'static str {
-            "bomb"
+
+        fn bomb() -> Arc<Mutex<Gate>> {
+            Gate::new(&Arc::default(), true)
         }
     }
 
-    impl JobService for BombSvc {
-        fn call(&self, _: &mut JobContext, _: Bytes) -> Result<JobResult, CloudError> {
-            panic!("intentional test panic");
-        }
-    }
-
-    /// A layer that passes through, gated so tests can hold jobs in the
-    /// queue deterministically.
-    struct GateLayer(Arc<Mutex<()>>);
-    struct GateSvc(Arc<Mutex<()>>, Box<dyn JobService>);
-
-    impl CloudLayer for GateLayer {
-        fn wrap(&self, inner: Box<dyn JobService>) -> Box<dyn JobService> {
-            Box::new(GateSvc(Arc::clone(&self.0), inner))
-        }
-        fn name(&self) -> &'static str {
-            "gate"
-        }
-    }
-
-    impl JobService for GateSvc {
-        fn call(&self, ctx: &mut JobContext, payload: Bytes) -> Result<JobResult, CloudError> {
-            let _hold = self.0.lock().unwrap();
-            self.1.call(ctx, payload)
+    impl CloudObserver for Gate {
+        fn on_model(&mut self, _: &GraphModel) {
+            drop(self.gate.lock().unwrap_or_else(PoisonError::into_inner));
+            assert!(!self.panics, "intentional test panic");
         }
     }
 
@@ -1382,15 +1146,15 @@ mod tests {
     fn worker_survives_panicking_jobs() {
         let mut rng = Rng::seed_from(23);
         let (job, _) = tiny_job(&mut rng);
-        let service = CloudService::builder().layer(BombLayer).build();
+        let service = CloudService::builder().observer(Gate::bomb()).build();
         let client = service.client();
         match client.train(&job) {
             Err(CloudError::Panicked(msg)) => assert!(msg.contains("intentional"), "{msg}"),
             other => panic!("expected Panicked, got {other:?}"),
         }
         assert_eq!(service.stats().jobs_panicked, 1);
-        // BombLayer replaced the whole inner stack, so a second job proves
-        // the same worker thread is still alive and answering.
+        // A second job proves the same worker thread is still alive and
+        // answering.
         assert!(matches!(client.train(&job), Err(CloudError::Panicked(_))));
         service.shutdown();
     }
@@ -1404,7 +1168,7 @@ mod tests {
         let service = CloudService::builder()
             .workers(1)
             .catch_panics(false)
-            .layer(BombLayer)
+            .observer(Gate::bomb())
             .build();
         let client = service.client();
         let doomed = client.submit(&tiny_job_with_seed(&mut rng, 0)).unwrap();
@@ -1431,7 +1195,7 @@ mod tests {
         let service = CloudService::builder()
             .workers(1)
             .max_queue_depth(1)
-            .layer(GateLayer(Arc::clone(&gate)))
+            .observer(Gate::new(&gate, false))
             .build();
         let client = service.client();
         let blocker = gate.lock().unwrap(); // worker will block inside the gate
@@ -1511,10 +1275,10 @@ mod tests {
         let gate = Arc::new(Mutex::new(()));
         let service = CloudService::builder()
             .result_cache(64 << 20, Duration::from_secs(600))
-            .layer(GateLayer(Arc::clone(&gate)))
+            .observer(Gate::new(&gate, false))
             .build();
         let client = service.client();
-        let blocker = gate.lock().unwrap(); // hold the executor inside the stack
+        let blocker = gate.lock().unwrap(); // hold the executor inside a worker
         let handles: Vec<JobHandle> = (0..5).map(|_| client.submit(&job).unwrap()).collect();
         drop(blocker);
         let mut results = Vec::new();
@@ -1541,8 +1305,7 @@ mod tests {
         let gate = Arc::new(Mutex::new(()));
         let service = CloudService::builder()
             .result_cache(64 << 20, Duration::from_secs(600))
-            .layer(GateLayer(Arc::clone(&gate)))
-            .layer(BombLayer)
+            .observer(Gate::new(&gate, true))
             .build();
         let client = service.client();
         let blocker = gate.lock().unwrap();
@@ -1573,7 +1336,7 @@ mod tests {
             .result_cache(64 << 20, Duration::from_secs(600))
             .build();
         let client = service.client();
-        client.train(&job).unwrap(); // token 1, charged by the stack
+        client.train(&job).unwrap(); // token 1, charged by the pipeline
         client.train(&job).unwrap(); // token 2, charged at the hit
         let err = client.train(&job).unwrap_err(); // bucket empty: cheap ≠ free
         assert!(matches!(err, CloudError::RateLimited { .. }));
@@ -1600,7 +1363,7 @@ mod tests {
             .workers(1)
             .catch_panics(false)
             .result_cache(64 << 20, Duration::from_secs(600))
-            .layer(BombLayer)
+            .observer(Gate::bomb())
             .build();
         let client = service.client();
         let doomed = client.submit(&tiny_job_with_seed(&mut rng, 0)).unwrap();

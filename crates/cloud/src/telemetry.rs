@@ -23,11 +23,11 @@
 //!
 //! Per-job timings are captured as [`SpanRecord`]s: each instrumented
 //! stage ([`Stage`]) contributes one span with its start offset (relative
-//! to the job's submit instant), inclusive duration and outcome. The
-//! middleware stack nests spans strictly (admission contains ratelimit
-//! contains auth … contains train), so a stage's *self* time is its
-//! inclusive duration minus the next-inner span's — computed once at
-//! finalization, not on the hot path.
+//! to the job's submit instant), inclusive duration and outcome. The job
+//! pipeline nests spans strictly (admission contains ratelimit contains
+//! auth … contains train), so a stage's *self* time is its inclusive
+//! duration minus the next-inner span's — computed once at finalization,
+//! not on the hot path.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -312,11 +312,9 @@ impl std::fmt::Display for TraceId {
     }
 }
 
-/// Declares [`Stage`] from its table. A row reads `Variant = tag, layer|span
-/// "name";` — `layer` where the name is a [`crate::CloudLayer::name`] that
-/// [`Stage::from_layer_name`] maps back, `span` for a stage timed elsewhere.
+/// Declares [`Stage`] from its table. A row reads `Variant = tag, "name";`.
 macro_rules! stages {
-    ($($(#[$doc:meta])* $stage:ident = $tag:literal, $kind:ident $name:literal;)*) => {
+    ($($(#[$doc:meta])* $stage:ident = $tag:literal, $name:literal;)*) => {
         /// Every instrumented stage across the three tiers. The discriminant is
         /// the wire encoding and the per-stage histogram index.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -335,56 +333,44 @@ macro_rules! stages {
                     $(Stage::$stage => $name,)*
                 }
             }
-
-            /// Maps a [`crate::CloudLayer::name`] to its stage; unrecognized
-            /// layers (builder-installed ones) time under [`Stage::Custom`].
-            pub fn from_layer_name(name: &str) -> Stage {
-                $(stages!(@$kind name, $name, $stage);)*
-                Stage::Custom
-            }
         }
     };
-    (@layer $given:ident, $name:literal, $stage:ident) => {
-        if $given == $name {
-            return Stage::$stage;
-        }
-    };
-    (@span $given:ident, $name:literal, $stage:ident) => {};
 }
 
 stages! {
     /// Submit-to-dequeue wait in the fair dispatcher.
-    QueueWait = 0, span "queue_wait";
-    /// The panic-catching layer (self time ≈ 0 unless a panic unwound).
-    Panic = 1, layer "panic";
+    QueueWait = 0, "queue_wait";
+    /// The panic-catching stage (self time ≈ 0 unless a panic unwound).
+    Panic = 1, "panic";
     /// Queue-depth admission control.
-    Admission = 2, layer "admission";
+    Admission = 2, "admission";
     /// Content-addressed dedup / result cache write side.
-    Dedup = 3, layer "dedup";
+    Dedup = 3, "dedup";
     /// Per-session token-bucket rate limiting.
-    RateLimit = 4, layer "ratelimit";
+    RateLimit = 4, "ratelimit";
     /// Session API-key check.
-    Auth = 5, layer "auth";
-    /// A builder-installed custom layer.
-    Custom = 6, span "custom";
+    Auth = 5, "auth";
+    /// No producer: once a builder-installed custom layer, kept because
+    /// the `Stats` frame carries every tag.
+    Custom = 6, "custom";
     /// Wire-bytes → `CloudJob` + model decode.
-    Decode = 7, layer "decode";
+    Decode = 7, "decode";
     /// The `BadJob` validation checks.
-    Validate = 8, layer "validate";
+    Validate = 8, "validate";
     /// The adversary-model observer tap.
-    Observer = 9, layer "observer";
+    Observer = 9, "observer";
     /// Algorithm 1 itself.
-    Train = 10, layer "train";
+    Train = 10, "train";
     /// One reactor write-queue flush (socket write burst).
-    ReactorFlush = 11, span "reactor_flush";
+    ReactorFlush = 11, "reactor_flush";
     /// Proxy-measured backend round-trip: Submit forwarded → Reply seen.
-    BackendRtt = 12, span "backend_rtt";
+    BackendRtt = 12, "backend_rtt";
     /// Client-measured submit-to-reply round-trip.
-    Rpc = 13, span "rpc";
+    Rpc = 13, "rpc";
     /// Encoding and storing one mid-training checkpoint.
-    CheckpointWrite = 14, span "checkpoint_write";
+    CheckpointWrite = 14, "checkpoint_write";
     /// Loading, validating and applying a checkpoint at resume.
-    CheckpointRestore = 15, span "checkpoint_restore";
+    CheckpointRestore = 15, "checkpoint_restore";
 }
 
 impl Stage {
@@ -521,65 +507,34 @@ impl FlightRecorder {
     }
 }
 
-/// Telemetry tunables, set through
-/// [`crate::CloudServiceBuilder::telemetry`] and friends.
-#[derive(Debug, Clone)]
-pub struct TelemetryConfig {
-    /// Master switch: `false` skips span recording and histogram updates
-    /// (the <5% overhead gate compares the two).
-    pub enabled: bool,
-    /// Flight-recorder ring capacity (recent and slow rings each).
-    pub recorder_capacity: usize,
-    /// Jobs at least this slow also land in the slow ring.
-    pub slow_threshold: Duration,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: true,
-            recorder_capacity: 256,
-            slow_threshold: Duration::from_secs(1),
-        }
-    }
-}
+/// Flight-recorder ring capacity (recent and slow rings each).
+const RECORDER_CAPACITY: usize = 256;
+/// Jobs at least this slow also land in the slow ring.
+const SLOW_THRESHOLD: Duration = Duration::from_secs(1);
 
 /// One tier's telemetry plane: a histogram per [`Stage`] plus the
 /// [`FlightRecorder`]. Lives inside [`crate::ServiceMetrics`] so every
 /// component that already carries metrics gets tracing for free.
 #[derive(Debug)]
 pub struct Telemetry {
-    enabled: bool,
     hists: Vec<Histogram>,
     recorder: FlightRecorder,
 }
 
 impl Default for Telemetry {
     fn default() -> Telemetry {
-        Telemetry::new(&TelemetryConfig::default())
+        Telemetry::new()
     }
 }
 
 impl Telemetry {
-    /// Builds the plane from its config.
-    pub fn new(config: &TelemetryConfig) -> Telemetry {
+    /// Empty histograms and a flight recorder keeping the last 256 jobs
+    /// (and the last 256 that took a second or more).
+    pub fn new() -> Telemetry {
         Telemetry {
-            enabled: config.enabled,
             hists: (0..Stage::ALL.len()).map(|_| Histogram::new()).collect(),
-            recorder: FlightRecorder::new(
-                if config.enabled {
-                    config.recorder_capacity
-                } else {
-                    0
-                },
-                config.slow_threshold,
-            ),
+            recorder: FlightRecorder::new(RECORDER_CAPACITY, SLOW_THRESHOLD),
         }
-    }
-
-    /// Whether recording is on (checked by every hot path before timing).
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The live histogram for `stage`.
@@ -587,11 +542,9 @@ impl Telemetry {
         &self.hists[stage as usize]
     }
 
-    /// Records `d` into `stage`'s histogram, if enabled.
+    /// Records `d` into `stage`'s histogram.
     pub fn record(&self, stage: Stage, d: Duration) {
-        if self.enabled {
-            self.hist(stage).record_duration(d);
-        }
+        self.hist(stage).record_duration(d);
     }
 
     /// The tier's flight recorder.
@@ -610,12 +563,9 @@ impl Telemetry {
         sent_at: Instant,
         ok: bool,
     ) {
-        if !self.enabled {
-            return;
-        }
         let rtt = sent_at.elapsed();
         self.record(stage, rtt);
-        let dur_us = crate::middleware::duration_us(rtt);
+        let dur_us = crate::pipeline::duration_us(rtt);
         self.recorder.push(JobTrace {
             trace,
             job_id,
@@ -764,19 +714,6 @@ mod tests {
                 1
             );
             assert_eq!(Stage::from_u8(s as u8).unwrap(), s);
-            assert_eq!(Stage::from_layer_name(s.as_str()), {
-                // Names that are real layers map back; the rest are Custom.
-                match s {
-                    Stage::QueueWait
-                    | Stage::Custom
-                    | Stage::ReactorFlush
-                    | Stage::BackendRtt
-                    | Stage::Rpc
-                    | Stage::CheckpointWrite
-                    | Stage::CheckpointRestore => Stage::Custom,
-                    other => other,
-                }
-            });
         }
         assert!(Stage::from_u8(200).is_err());
     }

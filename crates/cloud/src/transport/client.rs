@@ -41,7 +41,7 @@ use super::{
 };
 use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::protocol::{CloudJob, JobResult, ProgressUpdate};
-use crate::telemetry::{Stage, Telemetry, TelemetryConfig, TraceId};
+use crate::telemetry::{Stage, Telemetry, TraceId};
 use crate::CloudError;
 use bytes::Bytes;
 use reactor::Poller;
@@ -676,7 +676,7 @@ impl RemoteCloudClient {
         let keepalive_interval = jittered_interval(config.keepalive_interval, keepalive_seed);
         let max_resubmits = config.reconnect.as_ref().map_or(0, |p| p.max_resubmits);
         let state = Arc::new(State {
-            telemetry: Telemetry::new(&TelemetryConfig::default()),
+            telemetry: Telemetry::new(),
             closed: AtomicBool::new(false),
             reconnects: AtomicU64::new(0),
             jobs_resubmitted: AtomicU64::new(0),
@@ -804,11 +804,7 @@ impl RemoteCloudClient {
         let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
         // Mint the end-to-end trace id here — the submit instant is the
         // root of the trace, and the frame's trace tail carries it.
-        let trace = if shared.state.telemetry.enabled() {
-            TraceId::mint()
-        } else {
-            TraceId::NONE
-        };
+        let trace = TraceId::mint();
         // The wire cap is the smaller of the server's advertised limit and
         // what a `u32` length prefix can carry at all: an oversized job is
         // refused here, nothing sent, rather than left to kill the shared
@@ -816,7 +812,7 @@ impl RemoteCloudClient {
         let frame = Frame::Submit {
             request_id: id,
             payload: payload.clone(),
-            trace: (!trace.is_none()).then_some(trace),
+            trace: Some(trace),
         };
         let chunks = frame
             .wire_chunks()

@@ -62,7 +62,7 @@ use super::server::{ServerShared, Upstream};
 use super::timer::{Fired, TimerWheel};
 use super::{TransportConfig, PROTOCOL_VERSION};
 use crate::metrics::ServiceMetrics;
-use crate::middleware::SessionKey;
+use crate::pipeline::SessionKey;
 use crate::protocol::JobResult;
 use crate::service::{CancelFlag, CloudClient, RoutedMsg, RoutedSender};
 use crate::telemetry::{Stage, TraceId};
@@ -1292,8 +1292,7 @@ fn flush_writes(
         return;
     }
     if !conn.sink_broken && !conn.writes.is_empty() {
-        let tel = shared.metrics.telemetry();
-        let flush_started = tel.enabled().then(Instant::now);
+        let flush_started = Instant::now();
         let bytes_before = conn.writes.bytes;
         let (replies, outcome) = conn.writes.flush(&mut conn.stream, &shared.metrics);
         conn.in_flight = conn.in_flight.saturating_sub(replies);
@@ -1301,9 +1300,10 @@ fn flush_writes(
             // Any bytes accepted count as progress for the stall timer;
             // Blocked with zero bytes written does not.
             conn.last_write_progress = Instant::now();
-            if let Some(t0) = flush_started {
-                tel.record(Stage::ReactorFlush, t0.elapsed());
-            }
+            shared
+                .metrics
+                .telemetry()
+                .record(Stage::ReactorFlush, flush_started.elapsed());
         }
         match outcome {
             FlushOutcome::Drained => {}

@@ -1,5 +1,5 @@
 //! The real wire: length-prefixed TCP framing, sessions and multiplexed
-//! remote clients in front of the in-process middleware stack.
+//! remote clients in front of the in-process job pipeline.
 //!
 //! The paper's trust boundary is a network — clients upload augmented
 //! models and tensors to an untrusted provider. This module puts the
@@ -79,7 +79,8 @@
 //! closed; [`RemoteCloudClient`] sends keep-alive `Ping`s (answered with
 //! `Pong`) so an idle but live session stays up. The session's API key is
 //! *session* state: it is stamped onto every job the connection submits and
-//! judged by the [`crate::ApiKeyLayer`] middleware, never re-sent per job.
+//! judged by the pipeline's `auth` stage
+//! ([`crate::CloudServiceBuilder::api_keys`]), never re-sent per job.
 //!
 //! Sessions are also the service's QoS unit: each connection (or the API
 //! key it presented) is one [`crate::SessionKey`], jobs are queued per

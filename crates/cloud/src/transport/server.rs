@@ -7,8 +7,8 @@
 //! service's shared job queue via the multiplexed reply path
 //! (`CloudClient::submit_routed`); completions — in whatever order the pool
 //! finishes them — wake the owning reactor, which frames them back as
-//! [`Frame::Reply`]s through the connection's write queue. The middleware
-//! stack sees remote jobs exactly as it sees in-process ones, plus the
+//! [`Frame::Reply`]s through the connection's write queue. The job
+//! pipeline sees remote jobs exactly as it sees in-process ones, plus the
 //! session's API key and [`crate::SessionKey`] in the job context, so
 //! per-session rate limits and DRR fairness apply to remote traffic with no
 //! transport-specific code: a QoS rejection (`RateLimited`, `Overloaded`)

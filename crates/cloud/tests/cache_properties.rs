@@ -5,10 +5,12 @@
 //! coalesced duplicate submissions all observe bitwise-identical results.
 
 use amalgam_cloud::cache::{entry_cost, ResultCache};
-use amalgam_cloud::middleware::{CloudLayer, JobContext, JobService};
-use amalgam_cloud::{CloudError, CloudJob, CloudService, ContentAddress, JobResult, TaskPayload};
+use amalgam_cloud::{
+    CloudJob, CloudObserver, CloudService, ContentAddress, JobResult, TaskPayload,
+};
 use amalgam_core::TrainConfig;
 use amalgam_models::lenet5;
+use amalgam_nn::graph::GraphModel;
 use amalgam_nn::metrics::History;
 use amalgam_tensor::{Rng, Tensor};
 use bytes::Bytes;
@@ -164,32 +166,14 @@ proptest! {
     }
 }
 
-/// Holds every job in-stack until the test releases the mutex — lets the
-/// proptest park duplicates behind a primary execution deterministically.
-struct GateLayer(Arc<Mutex<()>>);
+/// Holds every job inside its worker (at the observer tap, after decode)
+/// until the test releases the mutex — lets the proptest park duplicates
+/// behind a primary execution deterministically.
+struct Gate(Arc<Mutex<()>>);
 
-struct GateSvc {
-    gate: Arc<Mutex<()>>,
-    inner: Box<dyn JobService>,
-}
-
-impl CloudLayer for GateLayer {
-    fn wrap(&self, inner: Box<dyn JobService>) -> Box<dyn JobService> {
-        Box::new(GateSvc {
-            gate: Arc::clone(&self.0),
-            inner,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "gate"
-    }
-}
-
-impl JobService for GateSvc {
-    fn call(&self, ctx: &mut JobContext, payload: Bytes) -> Result<JobResult, CloudError> {
-        drop(self.gate.lock().unwrap());
-        self.inner.call(ctx, payload)
+impl CloudObserver for Gate {
+    fn on_model(&mut self, _: &GraphModel) {
+        drop(self.0.lock().unwrap());
     }
 }
 
@@ -208,7 +192,7 @@ proptest! {
         let service = CloudService::builder()
             .workers(1)
             .result_cache(1 << 20, Duration::from_secs(600))
-            .layer(GateLayer(Arc::clone(&gate)))
+            .observer(Arc::new(Mutex::new(Gate(Arc::clone(&gate)))))
             .build();
         let client = service.client();
         let job = structured_job(seed, 4, 1, 4, 50, false);

@@ -199,7 +199,6 @@ proptest! {
         let service = CloudService::builder()
             .workers(1)
             .checkpoint_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
-            .checkpoint_every(1)
             .build();
         let result = service.client().train(&job).expect("fallback run");
 
@@ -226,7 +225,6 @@ proptest! {
         let service = CloudService::builder()
             .workers(1)
             .checkpoint_store(Arc::clone(&recorder) as Arc<dyn CheckpointStore>)
-            .checkpoint_every(1)
             .build();
         let truth = service.client().train(&job).expect("uninterrupted run");
         let snapshots = recorder.log.lock().unwrap().clone();
@@ -240,7 +238,6 @@ proptest! {
             let resumed_service = CloudService::builder()
                 .workers(1)
                 .checkpoint_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
-                .checkpoint_every(1)
                 .build();
             let resumed = resumed_service.client().train(&job).expect("resumed run");
 

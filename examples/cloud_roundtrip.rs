@@ -3,8 +3,9 @@
 //!
 //! This is the paper's Figure 1 workflow end to end, with a curious observer
 //! standing in for the honest-but-curious provider — wired in as the
-//! service's observer middleware layer, beneath decode and validation and
-//! above the trainer (see the `amalgam::cloud` docs for the stack diagram).
+//! observer stage of the service's job pipeline, after decode and
+//! validation and before the trainer (see the `amalgam::cloud` docs for the
+//! stage order).
 //!
 //! Run with: `cargo run --release --example cloud_roundtrip`
 

@@ -2,7 +2,7 @@
 //! augmented job to a TCP cloud service, train remotely, extract locally.
 //!
 //! Where `cloud_roundtrip` calls the service as a same-process object, this
-//! example puts the middleware stack behind an actual socket: a
+//! example puts the job pipeline behind an actual socket: a
 //! `CloudServer` listens on loopback, a `RemoteCloudClient` handshakes
 //! (protocol version + API key), frames the job onto the connection, and
 //! matches the out-of-order reply back to its handle. The trained bytes are
@@ -144,7 +144,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .workers(1)
             .observer(Arc::new(Mutex::new(PacedEpochs(Duration::from_millis(20)))))
             .checkpoint_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
-            .checkpoint_every(1)
             .build(),
         "127.0.0.1:0",
     )?;
@@ -199,7 +198,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         CloudService::builder()
             .workers(1)
             .checkpoint_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
-            .checkpoint_every(1)
             .build(),
         "127.0.0.1:0",
     )?;

@@ -1,5 +1,5 @@
 //! Loopback integration tests of the `amalgam-rpc` transport: the framed
-//! TCP wire in front of the cloud's middleware stack.
+//! TCP wire in front of the cloud's job pipeline.
 //!
 //! The acceptance bar is bitwise equivalence — the same job submitted via
 //! a [`RemoteCloudClient`] over loopback and via the in-process
@@ -332,7 +332,7 @@ fn incompatible_protocol_version_is_rejected() {
     server.shutdown();
 }
 
-/// The ApiKeyLayer sees the session key from the transport handshake: a
+/// The auth stage sees the session key from the transport handshake: a
 /// keyless session is refused per job, a keyed one trains, and the
 /// in-process client can present the same key.
 #[test]
@@ -854,7 +854,6 @@ fn kill_and_resume_is_bitwise_identical_with_partial_recompute() {
             15,
         )))))
         .checkpoint_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
-        .checkpoint_every(1)
         .build();
     let server1 = CloudServer::bind(service1, "127.0.0.1:0").expect("bind backend 1");
     let injector = FaultInjector::spawn(server1.local_addr()).expect("spawn injector");
@@ -895,7 +894,6 @@ fn kill_and_resume_is_bitwise_identical_with_partial_recompute() {
     let service2 = CloudService::builder()
         .workers(1)
         .checkpoint_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
-        .checkpoint_every(1)
         .build();
     let server2 = CloudServer::bind(service2, "127.0.0.1:0").expect("bind backend 2");
     injector.retarget(server2.local_addr());
@@ -992,7 +990,6 @@ fn cancelling_a_coalesced_job_resolves_every_waiter_and_leaves_a_resumable_check
             10,
         )))))
         .checkpoint_store(Arc::clone(&store) as Arc<dyn CheckpointStore>)
-        .checkpoint_every(1)
         .build();
     let server = CloudServer::bind(service, "127.0.0.1:0").expect("bind loopback");
     let addr = server.local_addr();
