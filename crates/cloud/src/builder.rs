@@ -7,7 +7,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::metrics::ServiceMetrics;
 use crate::observer::CloudObserver;
 use crate::pipeline::{Pipeline, Step};
-use crate::ratelimit::{RateLimiter, TokenBucket};
+use crate::ratelimit::RateLimiter;
 use crate::service::CloudService;
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -32,7 +32,7 @@ pub struct CloudServiceBuilder {
     pub(crate) max_queue_depth: Option<usize>,
     pub(crate) catch_panics: bool,
     pub(crate) api_keys: Option<Arc<[String]>>,
-    pub(crate) rate_limit: Option<(f64, f64)>,
+    pub(crate) rate_limit: Option<Arc<RateLimiter>>,
     pub(crate) result_cache: Option<(usize, Duration)>,
     pub(crate) session_weights: HashMap<String, f64>,
     pub(crate) metrics_exporter: Option<SocketAddr>,
@@ -116,9 +116,7 @@ impl CloudServiceBuilder {
     /// Panics unless `rate_per_sec > 0` and `burst >= 1`.
     #[must_use]
     pub fn rate_limit(mut self, rate_per_sec: f64, burst: f64) -> CloudServiceBuilder {
-        // Reuse the bucket's own validation so a bad config fails here.
-        let _ = TokenBucket::new(rate_per_sec, burst);
-        self.rate_limit = Some((rate_per_sec, burst));
+        self.rate_limit = Some(Arc::new(RateLimiter::new(rate_per_sec, burst)));
         self
     }
 
@@ -210,14 +208,11 @@ impl CloudServiceBuilder {
         &self,
         metrics: &Arc<ServiceMetrics>,
     ) -> (Pipeline, Option<Arc<DedupShared>>) {
-        let limiter = self
-            .rate_limit
-            .map(|(rate, burst)| Arc::new(RateLimiter::new(rate, burst)));
         let dedup = self.result_cache.map(|(capacity_bytes, ttl)| {
             Arc::new(DedupShared::new(
                 capacity_bytes,
                 ttl,
-                limiter.clone(),
+                self.rate_limit.clone(),
                 Arc::clone(metrics),
             ))
         });
@@ -231,8 +226,8 @@ impl CloudServiceBuilder {
         if let Some(shared) = &dedup {
             steps.push(Step::Dedup(Arc::clone(shared)));
         }
-        if let Some(limiter) = limiter {
-            steps.push(Step::RateLimit(limiter));
+        if let Some(limiter) = &self.rate_limit {
+            steps.push(Step::RateLimit(Arc::clone(limiter)));
         }
         if let Some(keys) = &self.api_keys {
             steps.push(Step::Auth(Arc::clone(keys)));

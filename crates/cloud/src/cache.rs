@@ -315,7 +315,7 @@ impl DedupShared {
     /// attach never occupies a worker. Both are still judged by the rate
     /// limiter; over-budget submissions are answered with
     /// [`CloudError::RateLimited`] through their own sink, exactly like
-    /// stack-judged ones.
+    /// the ones the pipeline's `ratelimit` stage judges.
     pub(crate) fn intercept(
         self: &Arc<Self>,
         job_id: u64,

@@ -253,7 +253,7 @@ pub struct CloudService {
 }
 
 impl CloudService {
-    /// A single-worker service with the default stack and no adversary.
+    /// A single-worker service with the default pipeline and no adversary.
     pub fn start() -> CloudService {
         CloudService::builder().build()
     }
@@ -264,7 +264,8 @@ impl CloudService {
         CloudService::builder().observer(observer).build()
     }
 
-    /// Configures workers, observer, admission control and custom layers.
+    /// Configures workers, observer, admission control and the other
+    /// pipeline stages.
     pub fn builder() -> CloudServiceBuilder {
         CloudServiceBuilder::new()
     }
@@ -438,10 +439,9 @@ pub struct CloudClient {
 impl CloudClient {
     /// Stamps every job submitted through this handle with `key` — what the
     /// pipeline's `auth` stage ([`CloudServiceBuilder::api_keys`]) checks.
-    /// Transport sessions get
-    /// their key from the connection handshake instead. The key also
-    /// becomes the handle's [`SessionKey`] for scheduling and rate
-    /// limiting.
+    /// Transport sessions get their key from the connection handshake
+    /// instead. The key also becomes the handle's [`SessionKey`] for
+    /// scheduling and rate limiting.
     #[must_use]
     pub fn with_api_key(mut self, key: impl Into<String>) -> CloudClient {
         let key: Arc<str> = Arc::from(key.into().into_boxed_str());
@@ -927,8 +927,8 @@ mod tests {
         assert!(matches!(err, CloudError::BadJob(_)));
     }
 
-    /// Submits through the default stack and expects `BadJob` — from the
-    /// validate layer, not from a panic caught on the way to the trainer.
+    /// Submits through the default pipeline and expects `BadJob` — from the
+    /// validate stage, not from a panic caught on the way to the trainer.
     fn assert_rejected_unpanicked(job: &CloudJob) {
         let service = CloudService::start();
         let err = service.client().train(job).unwrap_err();

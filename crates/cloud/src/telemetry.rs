@@ -350,8 +350,7 @@ stages! {
     RateLimit = 4, "ratelimit";
     /// Session API-key check.
     Auth = 5, "auth";
-    /// No producer: once a builder-installed custom layer, kept because
-    /// the `Stats` frame carries every tag.
+    /// Has no producer; kept because the `Stats` frame carries every tag.
     Custom = 6, "custom";
     /// Wire-bytes → `CloudJob` + model decode.
     Decode = 7, "decode";

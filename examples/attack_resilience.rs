@@ -4,7 +4,7 @@
 //! The DLG attack is mounted the way the threat model actually allows:
 //! a [`GradientTap`] observer attached to a running [`CloudService`]
 //! harvests the first single-sample gradient and batch from the service's
-//! observer middleware layer, and gradient matching runs on that capture.
+//! pipeline's observer stage, and gradient matching runs on that capture.
 //!
 //! Run with: `cargo run --release --example attack_resilience`
 
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. DLG from the cloud's own vantage point: run the job on the service
-    //    with a gradient tap in the observer layer (batch_size 1, one
+    //    with a gradient tap in the observer stage (batch_size 1, one
     //    epoch), then gradient-match against what the tap captured.
     let job = CloudJob {
         model: bundle.augmented_model.to_bytes(),

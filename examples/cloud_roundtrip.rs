@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // Cloud side: a two-worker pool with an attached curious observer and
-    // admission control, all composed as middleware.
+    // admission control, each a stage of the service's job pipeline.
     let observer = Arc::new(Mutex::new(CuriousProvider::default()));
     let service = CloudService::builder()
         .workers(2)

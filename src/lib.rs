@@ -24,9 +24,9 @@
 //!   a text classifier and a transformer language model,
 //! * [`core`] — the Amalgam contribution: dataset/model augmenters, masked
 //!   layers, the extractor, Algorithm-1 trainer and privacy math,
-//! * [`cloud`] — the untrusted training service: a composable middleware
-//!   pipeline (decode/validate/observe/metrics/admission/ratelimit/auth/
-//!   panic layers) over a multi-worker scheduler with per-session
+//! * [`cloud`] — the untrusted training service: one fixed job pipeline
+//!   (panic/admission/dedup/ratelimit/auth/decode/validate/observer/train
+//!   stages) over a multi-worker scheduler with per-session
 //!   rate limiting and weighted deficit-round-robin fairness, plus a
 //!   framed TCP transport (`cloud::transport`) so jobs can cross a real
 //!   wire — `CloudServer` in front of the pool, `RemoteCloudClient` on
