@@ -52,10 +52,11 @@ use amalgam_bench::{
 };
 use amalgam_core::{Amalgam, ObfuscationConfig};
 use amalgam_data::SyntheticImageSpec;
+use amalgam_nn::layers::LayerNorm;
 use amalgam_nn::loss::cross_entropy;
 use amalgam_nn::optim::Sgd;
-use amalgam_nn::Mode;
-use amalgam_tensor::gemm::{self, KC};
+use amalgam_nn::{Layer, Mode};
+use amalgam_tensor::gemm::{self, KC, NR};
 use amalgam_tensor::kernels::{self, matmul_batch_nt_scaled_into, reference, Conv2dGeom};
 use amalgam_tensor::pack::{self, MatRef};
 use amalgam_tensor::simd::{self, Tier};
@@ -104,6 +105,65 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// The speedup `layernorm_rows_128x32` must reach; the entry reads
+/// 2.37–2.57x on the 2-vCPU reference box.
+const LAYERNORM_GATE: f64 = 2.0;
+
+/// `LayerNorm` over the rows of `x` with scale `gamma` and shift `beta`,
+/// forward then backward for the output gradient `g`, as the layer ran it
+/// before its rows went side by side: one row at a time, each row's sums a
+/// single chain, its buffers from the arena. Returns `(y, dx)` and adds
+/// `(dγ, dβ)` onto `grads`.
+fn layernorm_row_at_a_time(
+    x: &Tensor,
+    g: &Tensor,
+    gamma: &[f32],
+    beta: &[f32],
+    grads: &mut (Vec<f32>, Vec<f32>),
+) -> (Tensor, Tensor) {
+    let dim = gamma.len();
+    let rows = x.numel() / dim;
+    let mut y = scratch::take_tensor_raw(x.dims());
+    let mut xhat = scratch::take_raw(x.numel());
+    let mut inv_std = scratch::take_raw(rows);
+    let out = y.data_mut();
+    for r in 0..rows {
+        let row = &x.data()[r * dim..(r + 1) * dim];
+        let mu = row.iter().sum::<f32>() / dim as f32;
+        let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / dim as f32;
+        let istd = 1.0 / (var + 1e-5).sqrt();
+        inv_std[r] = istd;
+        for i in 0..dim {
+            let xh = (row[i] - mu) * istd;
+            xhat[r * dim + i] = xh;
+            out[r * dim + i] = gamma[i] * xh + beta[i];
+        }
+    }
+    let mut dx = scratch::take_tensor_raw(x.dims());
+    let dx_rows = dx.data_mut();
+    let (dgamma, dbeta) = (&mut grads.0, &mut grads.1);
+    for r in 0..rows {
+        let xh = &xhat[r * dim..(r + 1) * dim];
+        let dy = &g.data()[r * dim..(r + 1) * dim];
+        let (mut sum_dyg, mut sum_dyg_xh) = (0.0f32, 0.0f32);
+        for i in 0..dim {
+            let dyg = dy[i] * gamma[i];
+            sum_dyg += dyg;
+            sum_dyg_xh += dyg * xh[i];
+            dgamma[i] += dy[i] * xh[i];
+            dbeta[i] += dy[i];
+        }
+        for i in 0..dim {
+            let dyg = dy[i] * gamma[i];
+            dx_rows[r * dim + i] =
+                inv_std[r] * (dyg - sum_dyg / dim as f32 - xh[i] * sum_dyg_xh / dim as f32);
+        }
+    }
+    scratch::give(xhat);
+    scratch::give(inv_std);
+    (y, dx)
+}
 
 /// Bytes one training step of the augmented 20 px LeNet-5 (batch 16, two
 /// synthetic sub-networks, both taps) allocated at 19477e7, the commit
@@ -378,9 +438,11 @@ fn main() {
         ));
     }
 
-    // Micro-kernel tiers at 256³: forced portable vs forced SIMD. The two
+    // The register tile's tiers at 256³, on packed 16-column B panels (the
+    // shape takes the packed walk): forced portable vs forced SIMD. The two
     // must agree bit for bit; timing shows what the hand-written kernel buys
     // over the autovectorized tile loop.
+    assert_eq!(gemm::route(256, 256, 256, 1), gemm::Route::Packed);
     simd::force_tier(Some(Tier::Portable));
     let portable_out = kernels::matmul(&a, &b);
     let portable_ms = time_ms(5, || kernels::matmul(&a, &b).data()[0]);
@@ -391,7 +453,7 @@ fn main() {
         let simd_ms = time_ms(5, || kernels::matmul(&a, &b).data()[0]);
         simd::force_tier(None);
         if portable_out.data() != simd_out.data() {
-            failures.push("SIMD micro-kernel is not bitwise identical to portable".to_string());
+            failures.push("SIMD register tile is not bitwise identical to portable".to_string());
         }
         entries.push(
             Entry::new("microkernel_256")
@@ -527,12 +589,82 @@ fn main() {
         }
     }
 
+    // The LM job's head product, `[B·T, d]·[d, V]` = 128×200×32, in the
+    // three layouts its training runs: the forward `X·Wᵀ` (NT, the packed
+    // walk: W transposed into 16-column panels, X read in place), the weight
+    // gradient `dYᵀ·X` (TN) and `dY·W` (NN) — both with a B block that fits
+    // L1, so read in place. Against the reference walk (both operands packed
+    // by the element-wise packers, the same tile): same bits, and ≥ 1.1x.
+    let (hm, hn, hk) = (128usize, 200usize, 32usize);
+    let xs = Tensor::randn(&[hm, hk], &mut rng);
+    let ws = Tensor::randn(&[hn, hk], &mut rng);
+    let xst = Tensor::randn(&[hk, hm], &mut rng);
+    let wst = Tensor::randn(&[hk, hn], &mut rng);
+    let head_cases: [(&'static str, MatRef, MatRef); 3] = [
+        (
+            "gemm_lm_head_128x200x32_nt",
+            MatRef::row_major(xs.data(), hk),
+            MatRef::transposed(ws.data(), hk),
+        ),
+        (
+            "gemm_lm_head_128x200x32_tn",
+            MatRef::transposed(xst.data(), hm),
+            MatRef::row_major(wst.data(), hn),
+        ),
+        (
+            "gemm_lm_head_128x200x32_nn",
+            MatRef::row_major(xs.data(), hk),
+            MatRef::row_major(wst.data(), hn),
+        ),
+    ];
+    for (name, a, b) in head_cases {
+        let mut want = vec![0.0f32; hm * hn];
+        gemm::reference::gemm(hm, hn, hk, a, b, &mut want);
+        let mut got = vec![0.0f32; hm * hn];
+        gemm::gemm(hm, hn, hk, a, b, &mut got);
+        let bitwise = same_bits(&got, &want);
+        let (mut reference_ms, mut gemm_ms) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..10 {
+            reference_ms = reference_ms.min(time_ms(50, || {
+                want.fill(0.0);
+                gemm::reference::gemm(hm, hn, hk, a, b, &mut want);
+                want[0]
+            }));
+            gemm_ms = gemm_ms.min(time_ms(50, || {
+                got.fill(0.0);
+                gemm::gemm(hm, hn, hk, a, b, &mut got);
+                got[0]
+            }));
+        }
+        let speedup = reference_ms / gemm_ms;
+        entries.push(
+            Entry::new(name)
+                .text(
+                    "route",
+                    &format!("{:?}", gemm::route(hm, hn, hk, b.cs)).to_lowercase(),
+                )
+                .num("reference_ms", reference_ms)
+                .num("gemm_ms", gemm_ms)
+                .num("speedup", speedup)
+                .flag("bitwise", bitwise)
+                .gflops(hm * hn * hk, gemm_ms, peak),
+        );
+        if !bitwise {
+            failures.push(format!("{name}: differs from the reference walk"));
+        }
+        if speedup < 1.1 {
+            failures.push(format!(
+                "{name}: only {speedup:.2}x over the reference walk (want ≥ 1.1x)"
+            ));
+        }
+    }
+
     // The block-moving packer on a transposed source: one K block of conv2's
     // weight-gradient B operand, `colsᵀ` of `[150, 1600]` — 150 columns, each
     // contiguous along K, against one strided gather per element.
     let cols2 = Tensor::randn(&[150, 1600], &mut rng);
     let colst = MatRef::transposed(cols2.data(), 1600);
-    let mut panel = vec![f32::NAN; 150usize.div_ceil(8) * 8 * KC];
+    let mut panel = vec![f32::NAN; 150usize.div_ceil(NR) * NR * KC];
     let mut want_panel = panel.clone();
     pack::pack_b(colst, KC, 0, KC, 150, &mut panel);
     pack::reference::pack_b(colst, KC, 0, KC, 150, &mut want_panel);
@@ -1048,6 +1180,68 @@ fn main() {
         if speedup < 1.5 {
             failures.push(format!(
                 "exp rows: in-tree exp only {speedup:.2}x over libm's expf (want ≥ 1.5x)"
+            ));
+        }
+    }
+
+    // `LayerNorm` on the LM job's `[B·T, d]` = 128×32, forward then
+    // backward with `dx` demanded: the layer (8 rows' sums side by side in
+    // register lanes, element-wise passes along the row) against the
+    // row-at-a-time loop it ran before, both taking their buffers from the
+    // arena. Same bits for `y`, `dx`, `dγ` and `dβ`, and ≥ `LAYERNORM_GATE`.
+    {
+        let (rows, dim) = (128usize, 32usize);
+        let x = Tensor::randn(&[rows, dim], &mut rng).add_scalar(0.5);
+        let g = Tensor::randn(&[rows, dim], &mut rng);
+        let gamma = Tensor::rand_uniform(&[dim], 0.5, 1.5, &mut rng);
+        let beta = Tensor::randn(&[dim], &mut rng);
+        let mut row_grads = (vec![0.0f32; dim], vec![0.0f32; dim]);
+        let (row_y, row_dx) =
+            layernorm_row_at_a_time(&x, &g, gamma.data(), beta.data(), &mut row_grads);
+        let mut layer = LayerNorm::from_params(gamma.clone(), beta.clone());
+        let y = layer.forward(&[&x], Mode::Train);
+        let dx = layer.backward(&g, &[true]).remove(0).expect("demanded");
+        let bitwise = same_bits(y.data(), row_y.data())
+            && same_bits(dx.data(), row_dx.data())
+            && same_bits(layer.params()[0].grad.data(), &row_grads.0)
+            && same_bits(layer.params()[1].grad.data(), &row_grads.1);
+        for t in [y, dx, row_y, row_dx] {
+            scratch::give_tensor(t);
+        }
+        let (mut row_ms, mut lanes_ms) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..20 {
+            row_ms = row_ms.min(time_ms(50, || {
+                let (y, dx) =
+                    layernorm_row_at_a_time(&x, &g, gamma.data(), beta.data(), &mut row_grads);
+                let sink = y.data()[0] + dx.data()[0];
+                scratch::give_tensor(y);
+                scratch::give_tensor(dx);
+                sink
+            }));
+            lanes_ms = lanes_ms.min(time_ms(50, || {
+                let y = layer.forward(&[&x], Mode::Train);
+                let dx = layer.backward(&g, &[true]).remove(0).expect("demanded");
+                let sink = y.data()[0] + dx.data()[0];
+                scratch::give_tensor(y);
+                scratch::give_tensor(dx);
+                sink
+            }));
+        }
+        let speedup = row_ms / lanes_ms;
+        entries.push(
+            Entry::new("layernorm_rows_128x32")
+                .num("row_at_a_time_ms", row_ms)
+                .num("rows_in_lanes_ms", lanes_ms)
+                .num("speedup", speedup)
+                .flag("bitwise", bitwise),
+        );
+        if !bitwise {
+            failures.push("layernorm rows: differs from the row-at-a-time loop".to_string());
+        }
+        if speedup < LAYERNORM_GATE {
+            failures.push(format!(
+                "layernorm rows: only {speedup:.2}x over the row-at-a-time loop \
+                 (want ≥ {LAYERNORM_GATE}x)"
             ));
         }
     }

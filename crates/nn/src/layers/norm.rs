@@ -3,7 +3,7 @@
 use crate::layer::{Layer, Mode, Param, SegmentKind};
 use crate::layers::reduce::fold_rows;
 use crate::spec::LayerSpec;
-use amalgam_tensor::{scratch, Tensor};
+use amalgam_tensor::{scratch, simd, Tensor};
 
 /// Batch normalization over the channel axis of `[N, C, H, W]`.
 ///
@@ -385,7 +385,11 @@ impl Layer for LayerNorm {
         "LayerNorm"
     }
 
-    #[allow(clippy::needless_range_loop)]
+    /// Per row, `μ` and `σ⁻¹` from two chains over the row — `Σx` and
+    /// `Σ(x − μ)²`, each first to last from `-0.0` (what `Iterator::sum`
+    /// starts from) — eight rows advanced side by side in the lanes of one
+    /// register ([`simd::row_chains`]); then `x̂ = (x − μ)·σ⁻¹` and `γ·x̂ + β`
+    /// along each row.
     fn forward(&mut self, inputs: &[&Tensor], _mode: Mode) -> Tensor {
         assert_eq!(inputs.len(), 1, "LayerNorm takes one input");
         let x = inputs[0];
@@ -400,29 +404,45 @@ impl Layer for LayerNorm {
             scratch::give_tensor(stale_xhat);
             scratch::give(stale_inv);
         }
-        // Fully overwritten below, so the raw arena variants are safe.
-        let mut out = scratch::take_tensor_raw(x.dims());
+        let len = dim as f32;
+        let mut mean = scratch::take_raw(rows);
+        mean.fill(-0.0);
+        simd::row_chains(&mut mean, x.data(), None, dim);
+        mean.iter_mut().for_each(|sum| *sum /= len);
+        // `x − μ`, staged where `x̂` goes, is both factors of every square.
         let mut xhat = scratch::take_tensor_raw(x.dims());
-        let mut inv_std = scratch::take_raw(rows);
+        let centred = xhat.data_mut().chunks_exact_mut(dim);
+        for ((c, src), &mu) in centred.zip(x.data().chunks_exact(dim)).zip(&mean) {
+            c.iter_mut().zip(src).for_each(|(c, &v)| *c = v - mu);
+        }
+        let mut inv_std = mean;
+        inv_std.fill(-0.0);
+        simd::row_chains(&mut inv_std, xhat.data(), Some(xhat.data()), dim);
+        for v in inv_std.iter_mut() {
+            *v = 1.0 / (*v / len + self.eps).sqrt();
+        }
+        // Fully overwritten below, so the raw arena variant is safe.
+        let mut out = scratch::take_tensor_raw(x.dims());
         let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
-        let (xhat_rows, out_rows) = (xhat.data_mut(), out.data_mut());
-        for r in 0..rows {
-            let row = &x.data()[r * dim..(r + 1) * dim];
-            let mu = row.iter().sum::<f32>() / dim as f32;
-            let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / dim as f32;
-            let istd = 1.0 / (var + self.eps).sqrt();
-            inv_std[r] = istd;
-            for i in 0..dim {
-                let xh = (row[i] - mu) * istd;
-                xhat_rows[r * dim + i] = xh;
-                out_rows[r * dim + i] = gamma[i] * xh + beta[i];
+        let targets = xhat
+            .data_mut()
+            .chunks_exact_mut(dim)
+            .zip(out.data_mut().chunks_exact_mut(dim));
+        for ((xh, y), &istd) in targets.zip(&inv_std) {
+            let affine = gamma.iter().zip(beta);
+            for ((xh, y), (&g, &b)) in xh.iter_mut().zip(y).zip(affine) {
+                *xh *= istd;
+                *y = g * *xh + b;
             }
         }
         self.cache = Some((xhat, inv_std));
         out
     }
 
-    #[allow(clippy::needless_range_loop)]
+    /// `dγ += dy·x̂` and `dβ += dy` along each row, rows in order; `dx` only
+    /// when demanded, from the row sums `Σ dy·γ` and `Σ dy·γ·x̂` (each from
+    /// `0.0`, first to last, eight rows side by side in register lanes),
+    /// with `dy·γ` staged in the `dx` buffer.
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
         let (xhat, inv_std) = self
             .cache
@@ -430,35 +450,52 @@ impl Layer for LayerNorm {
             .expect("LayerNorm backward before forward");
         let dim = self.dim();
         let rows = xhat.numel() / dim;
-        let mut dx = demand[0].then(|| scratch::take_tensor_raw(xhat.dims()));
-        let mut dx_rows = dx.as_mut().map(Tensor::data_mut);
         let gamma = self.gamma.value.data();
         let (dgamma, dbeta) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
-        for r in 0..rows {
-            let xh = &xhat.data()[r * dim..(r + 1) * dim];
-            let dy = &grad_out.data()[r * dim..(r + 1) * dim];
-            let mut sum_dyg = 0.0f32;
-            let mut sum_dyg_xh = 0.0f32;
-            for i in 0..dim {
-                let dyg = dy[i] * gamma[i];
-                sum_dyg += dyg;
-                sum_dyg_xh += dyg * xh[i];
-                dgamma[i] += dy[i] * xh[i];
-                dbeta[i] += dy[i];
+        let rows_of = xhat
+            .data()
+            .chunks_exact(dim)
+            .zip(grad_out.data().chunks_exact(dim));
+        let Some(mut dx) = demand[0].then(|| scratch::take_tensor_raw(xhat.dims())) else {
+            for (xh, dy) in rows_of {
+                let grads = dgamma.iter_mut().zip(dbeta.iter_mut());
+                for ((dg, db), (&x, &d)) in grads.zip(xh.iter().zip(dy)) {
+                    *dg += d * x;
+                    *db += d;
+                }
             }
-            let Some(dx_rows) = &mut dx_rows else {
-                continue;
-            };
-            let istd = inv_std[r];
-            for i in 0..dim {
-                let dyg = dy[i] * gamma[i];
-                dx_rows[r * dim + i] =
-                    istd * (dyg - sum_dyg / dim as f32 - xh[i] * sum_dyg_xh / dim as f32);
+            scratch::give_tensor(xhat);
+            scratch::give(inv_std);
+            return vec![None];
+        };
+        // The same pass stages `dy·γ` in the `dx` buffer.
+        for ((xh, dy), dyg) in rows_of.zip(dx.data_mut().chunks_exact_mut(dim)) {
+            let grads = dgamma.iter_mut().zip(dbeta.iter_mut());
+            let staged = dyg.iter_mut().zip(gamma);
+            for (((dg, db), (o, &g)), (&x, &d)) in grads.zip(staged).zip(xh.iter().zip(dy)) {
+                *dg += d * x;
+                *db += d;
+                *o = d * g;
+            }
+        }
+        let (mut sums, mut dots) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+        simd::row_chains(&mut sums, dx.data(), None, dim);
+        simd::row_chains(&mut dots, dx.data(), Some(xhat.data()), dim);
+        let len = dim as f32;
+        let rows_of = dx
+            .data_mut()
+            .chunks_exact_mut(dim)
+            .zip(xhat.data().chunks_exact(dim));
+        let row_sums = sums.iter().zip(&dots).zip(&inv_std);
+        for ((row, xh), ((&s, &sx), &istd)) in rows_of.zip(row_sums) {
+            let mean_dyg = s / len;
+            for (o, &x) in row.iter_mut().zip(xh) {
+                *o = istd * (*o - mean_dyg - x * sx / len);
             }
         }
         scratch::give_tensor(xhat);
         scratch::give(inv_std);
-        vec![dx]
+        vec![Some(dx)]
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -18,6 +18,7 @@ use amalgam_nn::optim::Sgd;
 use amalgam_nn::{Layer, Mode};
 use amalgam_tensor::kernels::{self, Conv2dGeom};
 use amalgam_tensor::pack::MatRef;
+use amalgam_tensor::simd::{self, Tier};
 use amalgam_tensor::{gemm, Rng, Tensor};
 use proptest::prelude::*;
 
@@ -215,6 +216,119 @@ fn naive_batchnorm_backward(
         }
     }
     (dgammas, dbetas, dx)
+}
+
+/// What [`LayerNorm`] computes, one row after the other and each row's sums
+/// as single chains — `-0.0` where the straight-line code took
+/// `Iterator::sum`: `(out, x̂, 1/σ)`.
+fn naive_layernorm(x: &[f32], dim: usize, gamma: &[f32], beta: &[f32]) -> [Vec<f32>; 3] {
+    let (mut out, mut xhat, mut inv_std) = (Vec::new(), Vec::new(), Vec::new());
+    for row in x.chunks_exact(dim) {
+        let mu = row.iter().sum::<f32>() / dim as f32;
+        let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / dim as f32;
+        let istd = 1.0 / (var + 1e-5).sqrt();
+        inv_std.push(istd);
+        for i in 0..dim {
+            let xh = (row[i] - mu) * istd;
+            xhat.push(xh);
+            out.push(gamma[i] * xh + beta[i]);
+        }
+    }
+    [out, xhat, inv_std]
+}
+
+/// `(dγ, dβ, dx)` of [`naive_layernorm`], one row at a time, the row sums
+/// `Σ dy·γ` and `Σ dy·γ·x̂` each one chain from `0.0`.
+fn naive_layernorm_backward(
+    dy: &[f32],
+    xhat: &[f32],
+    inv_std: &[f32],
+    gamma: &[f32],
+) -> [Vec<f32>; 3] {
+    let dim = gamma.len();
+    let (mut dgamma, mut dbeta, mut dx) = (vec![0.0f32; dim], vec![0.0f32; dim], Vec::new());
+    for ((dy, xh), &istd) in dy
+        .chunks_exact(dim)
+        .zip(xhat.chunks_exact(dim))
+        .zip(inv_std)
+    {
+        let (mut sum_dyg, mut sum_dyg_xh) = (0.0f32, 0.0f32);
+        for i in 0..dim {
+            let dyg = dy[i] * gamma[i];
+            sum_dyg += dyg;
+            sum_dyg_xh += dyg * xh[i];
+            dgamma[i] += dy[i] * xh[i];
+            dbeta[i] += dy[i];
+        }
+        for i in 0..dim {
+            let dyg = dy[i] * gamma[i];
+            dx.push(istd * (dyg - sum_dyg / dim as f32 - xh[i] * sum_dyg_xh / dim as f32));
+        }
+    }
+    [dgamma, dbeta, dx]
+}
+
+/// `LayerNorm` equals its row-at-a-time definition bit for bit: output in
+/// both modes (train on the portable tier, eval on the detected one), `dγ`,
+/// `dβ` and `dx`, for 1..=19 rows (every remainder of an 8-row group) by
+/// widths on both sides of a vector; an undemanded `dx` leaves the same
+/// parameter gradients. The cached `x̂` and `1/σ` are held
+/// to it twice: `dx` reads both, and with `γ = 1`, `β = 0` the output is
+/// `x̂` itself.
+#[test]
+fn layernorm_matches_row_at_a_time_definition() {
+    for dim in [1usize, 7, 8, 31, 32, 33] {
+        for rows in 1usize..=19 {
+            let mut rng = Rng::seed_from((rows * 100 + dim) as u64);
+            let x = Tensor::randn(&[rows, dim], &mut rng)
+                .scale(2.0)
+                .add_scalar(0.5);
+            let g = Tensor::randn(&[rows, dim], &mut rng);
+            let unit = (Tensor::ones(&[dim]), Tensor::zeros(&[dim]));
+            let drawn = (
+                Tensor::rand_uniform(&[dim], 0.5, 1.5, &mut rng),
+                Tensor::randn(&[dim], &mut rng),
+            );
+            for (gamma, beta) in [unit, drawn] {
+                let [out, xhat, inv_std] =
+                    naive_layernorm(x.data(), dim, gamma.data(), beta.data());
+                let [dgamma, dbeta, dx] =
+                    naive_layernorm_backward(g.data(), &xhat, &inv_std, gamma.data());
+                let case = format!("{rows} rows of {dim}");
+                for (mode, tier) in [
+                    (Mode::Train, Tier::Portable),
+                    (Mode::Eval, simd::detected_tier()),
+                ] {
+                    simd::force_tier(Some(tier));
+                    let mut ln = LayerNorm::from_params(gamma.clone(), beta.clone());
+                    let y = ln.forward(&[&x], mode);
+                    assert_eq!(f32_bits(y.data()), f32_bits(&out), "forward, {case}");
+                    if gamma.data().iter().all(|&v| v == 1.0) {
+                        let xhat_out: Vec<f32> = xhat.iter().map(|&v| v + 0.0).collect();
+                        assert_eq!(f32_bits(y.data()), f32_bits(&xhat_out), "x̂, {case}");
+                    }
+                    let mut undemanded = ln.clone();
+                    let got_dx = ln.backward(&g, &[true]).remove(0).expect("demanded");
+                    assert_eq!(f32_bits(got_dx.data()), f32_bits(&dx), "dx, {case}");
+                    assert_eq!(
+                        f32_bits(ln.params()[0].grad.data()),
+                        f32_bits(&dgamma),
+                        "dγ, {case}"
+                    );
+                    assert_eq!(
+                        f32_bits(ln.params()[1].grad.data()),
+                        f32_bits(&dbeta),
+                        "dβ, {case}"
+                    );
+                    assert!(undemanded.backward(&g, &[false]) == vec![None]);
+                    for (p, q) in undemanded.params().iter().zip(ln.params()) {
+                        assert_eq!(bits(&p.grad), bits(&q.grad), "undemanded, {case}");
+                    }
+                    simd::force_tier(None);
+                }
+            }
+        }
+    }
 }
 
 fn f32_bits(values: &[f32]) -> Vec<u32> {

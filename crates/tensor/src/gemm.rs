@@ -1,93 +1,120 @@
-//! Blocked, packed, register-tiled GEMM — the compute core of the crate.
+//! Blocked, register-tiled GEMM — the compute core of the crate.
 //!
-//! Structure follows the BLIS decomposition. The three nested cache blocks
-//! ([`NC`] → [`KC`] → [`MC`]) walk the operands so that:
+//! There is one register tile: [`MR`] × [`NR`] = 6 × 16 elements of `C`, two
+//! 8-lane accumulators per row, carried across a K block and then added onto
+//! `C` in place (`simd`'s `tile_kernel`, runtime-dispatched: AVX2 where the
+//! CPU has it, the portable scalar loop elsewhere, bitwise identical). It
+//! broadcasts `a(r, p)` through any stride pair and reads B by rows, so A is
+//! never packed and the `Aᵀ`/`Bᵀ` variants are [`MatRef`] stride choices,
+//! not separate kernels.
 //!
-//! * one `KC × NR` B micro-panel stays resident in L1 across a whole row
-//!   sweep of the macro-kernel,
-//! * the packed `MC × KC` A panel stays resident in L2,
-//! * the packed `KC × NC` B panel stays resident in L3 (or main memory on
-//!   small parts) and is reused by every row block.
+//! The packed walk blocks ([`NC`] → [`KC`] → [`MC`]) so that one `KC × NR`
+//! B micro-panel stays in L1 while the rows of a row block pass it, those
+//! `MC × KC` elements of A stay in L2, and the packed `KC × NC` B panel is
+//! reused by every row block. Every kernel runs on its caller's thread;
+//! packed panels live in the thread-local [`scratch`] arena.
 //!
-//! Inside a block, a micro-kernel computes an `MR × NR` tile of `C` with the
-//! full tile held in an explicitly-unrolled register accumulator. The kernel
-//! itself is runtime-dispatched through [`simd`]: a hand-written
-//! AVX2 implementation where the CPU has one, the portable scalar tile
-//! loop everywhere else — all tiers bitwise identical. Operands are read
-//! through [`MatRef`] stride views, so the `Aᵀ`/`Bᵀ`
-//! variants are packing-order choices, not separate kernels.
+//! # Which route a shape takes
 //!
-//! Every kernel runs on its caller's thread; a process that wants more
-//! cores trains more jobs at once. Packed panels live in the thread-local
-//! [`scratch`] arena, which persists across kernel calls. Per-element
-//! accumulation order is `p = 0..k` ascending regardless of the block
-//! partition, so results are bitwise reproducible.
+//! [`route`] picks one of three ways to compute `C += A·B` from the shape
+//! and B's column stride alone — no flag, environment variable or tier
+//! enters:
 //!
-//! Packing pays only where a packed panel is reused, so two kinds of shape
-//! do not take the walk above ([`route`] decides, from the shape and B's
-//! strides alone):
+//! ```text
+//!  m·n·k ≤ 32³ ─────────────────────────────────► Small    direct loops, no packing
+//!  B's rows contiguous (cs == 1) and either
+//!  m ≤ 18 or a KC × NC block of B ≤ 32 KiB ─────► Skinny   B read in place
+//!  everything else ──────────────────────────────► Packed   B packed, panel sweep
+//! ```
 //!
-//! * `m·n·k` at or below [`SMALL_FLOPS`] skips packing and runs a direct
-//!   loop, so tiny matmuls (≤ 32³) pay no blocking overhead;
-//! * a *skinny* A — at most [`SKINNY_MAX_M`] rows — against a B with
-//!   contiguous rows reuses each packed B element only `m` times, fewer than
-//!   the copy costs: a register-tiled kernel reads B in place and broadcasts
-//!   A instead (the 6-filter entry convolutions of LeNet lower to this).
-//!
-//! Every route accumulates each output element the same way — a zeroed
-//! accumulator per [`KC`] block, ascending `k` inside it, then `C += acc` —
-//! so which one ran never shows in the bits (the direct loop agrees with the
-//! other two whenever `k ≤ KC`, and its shapes never reach them).
+//! * **Skinny and Packed differ only in copying B.** A packed B element is
+//!   reused once per row of A; the no-pack route re-reads each `KC × NC`
+//!   block of B once per six rows instead — nearly free when the block stays
+//!   in L1, cheaper than the copy with a handful of rows whatever B's size.
+//!   [`SKINNY_MAX_B_BLOCK`] and [`SKINNY_MAX_M`] hold the two measured
+//!   crossovers.
+//! * **`Bᵀ` products are packed.** With B's columns strided no row loads as
+//!   a vector, so `A·Bᵀ` (every `Linear` forward, every convolution weight
+//!   gradient) takes the walk; [`pack`](crate::pack) moves its columns as
+//!   8×8 block transposes, two per 16-column micro-panel.
+//! * **A is never packed.** Its six broadcasts per K step read six rows that
+//!   stay in L1 across a B micro-panel either way. Packed into 6-row panels
+//!   (a 6-lane store per transposed column, a second copy of A per K block)
+//!   it made the LM job's `Linear`s slower than the 8×8 packed walk this
+//!   tile replaced; read in place, faster. [`gemm_nt_images`]' A, which no
+//!   stride pair describes, is gathered row-major per K block.
+//! * **Every route gives the same bits.** Each output element is a zeroed
+//!   accumulator per [`KC`] block, `acc += a·b` for ascending `p` with the
+//!   multiply and the add unfused, then `C += acc`, wherever it is computed.
+//!   (`Small` adds into `C` directly, the same sum while `k ≤ KC`; its
+//!   shapes never reach the other two.) Held to it by `gemm_properties.rs`
+//!   — both routes, forced through the doc-hidden hook [`force_route`],
+//!   against [`reference::gemm`] on both tiers — by a fixed-seed slice in
+//!   the workspace's `tests/properties.rs`, its golden digests and
+//!   `kernels-quick --check`.
 //!
 //! [`gemm_batch`] extends the same machinery to N independent products that
-//! share one `(m, n, k)` shape — the pattern attention lowers to, with one
-//! small product per (batch, head). The route is chosen once for the batch,
-//! and a shared B operand (batch stride 0) is packed once for every item.
+//! share one `(m, n, k)` shape — attention's one small product per (batch,
+//! head): the route is chosen once for the batch, a shared B is packed once,
+//! and items the direct loop would take run on the tile instead.
 
-use crate::pack::{pack_a, pack_b, pack_image_lines, MatRef};
+use crate::pack::{gather_image_rows, pack_b, pack_image_lines, MatRef};
 use crate::scratch;
-use crate::simd::{self, MicroKernelFn, SkinnyKernelFn, SKINNY_MR};
+use crate::simd::{self, TileKernelFn};
 use std::cell::Cell;
 
-/// Micro-tile rows: C tile height held in registers.
-pub const MR: usize = 8;
-/// Micro-tile columns: C tile width held in registers.
-pub const NR: usize = 8;
+/// Register-tile rows: with two 8-lane accumulators per row, 6 rows fill 12
+/// of AVX2's 16 vector registers and leave room for the two B vectors and
+/// the broadcast A value.
+pub const MR: usize = 6;
+/// Register-tile columns (two 8-lane vectors); also the width of a packed B
+/// micro-panel.
+pub const NR: usize = 16;
 /// K-dimension block: panel depth sized for L1 residency of a B micro-panel
-/// (`KC × NR × 4` bytes = 8 KiB).
+/// (`KC × NR × 4` bytes = 16 KiB).
 pub const KC: usize = 256;
-/// M-dimension block: packed A panel height (`MC × KC × 4` bytes = 128 KiB,
-/// sized for L2).
-pub const MC: usize = 128;
+/// M-dimension block of the packed walk: the rows of A that pass every B
+/// micro-panel of a block before the next rows do — a whole number of
+/// [`MR`]-row passes (20), so no pass straddles two blocks, and `MC × KC × 4`
+/// bytes = 120 KiB of A, sized for L2.
+pub const MC: usize = 120;
 /// N-dimension block: packed B panel width (`KC × NC × 4` bytes = 512 KiB).
 pub const NC: usize = 512;
 
 /// Largest `m·n·k` routed to the direct (non-packing) path.
 pub const SMALL_FLOPS: usize = 32 * 32 * 32;
 
-/// Most A rows routed to the no-pack kernel (B's rows must be contiguous):
-/// three passes of its [`SKINNY_MR`]-row register tile.
+/// Most A rows routed to the no-pack route whatever the size of B (B's rows
+/// must be contiguous): three passes of the [`MR`]-row register tile.
 ///
-/// Packing B costs one copy per element and is repaid by the `m` rows that
-/// reuse it; the no-pack kernel copies nothing, runs a wider register tile
-/// (6×16 against the micro-kernel's 8×8) and re-reads each B block once per
-/// `SKINNY_MR` rows instead. Measured on the 2-vCPU reference box (AVX2
-/// tier, 2 MiB L2 per core), packed time over no-pack time across B
-/// from `[25×6400]` to `[1024×4096]`: 2.3–2.5x at `m = 6`, 1.2–1.8x at 8,
-/// 1.4–2.0x at 12, 1.09–1.53x at 16, 1.6–2.0x at 18 (a third, nearly empty
-/// A panel), 1.08–1.47x at 24, 1.03–1.56x at 32, 0.99–1.41x at 64 and 0.86x
-/// at 128 on the largest B: the curves cross between 64 and 128 rows. The
-/// limit is held far below that because every pass re-reads a B block of up
-/// to `KC × NC` floats (512 KiB) that this box keeps in L2 and a smaller
-/// cache would not; at three passes the copy saved still outweighs them.
-pub const SKINNY_MAX_M: usize = 3 * SKINNY_MR;
+/// Both routes run the same tile and read A in place, so the only
+/// difference is B: the packed walk copies each element once into 16-column
+/// panels that stay in L1, the no-pack route re-reads each `KC × NC` block of
+/// B once per [`MR`] rows from wherever it lies. Measured on the 2-vCPU
+/// reference box (AVX2 tier, 48 KiB L1d, 2 MiB L2 per core), packed time
+/// over no-pack time, best of five alternated bursts: for B = `[25×6400]`
+/// (a 50 KiB block) 2.3x at `m = 6`, 1.7x at 12, 1.46x at 18, 1.35x at 24,
+/// 1.44x at 64; for `[150×1600]` (300 KiB) 1.47x, 1.26x, 1.15x, 1.01x, then
+/// 0.91x at 64; for `[1024×4096]` (512 KiB) 1.10x at 6, 0.88x at 12 and
+/// 0.76x at 18. The limit stays at 18: the entry and `conv2` products of the
+/// LeNet jobs (`m` = 6 and 16 filters, B blocks up to 300 KiB) win there,
+/// while a B as large as the last one would be better packed from 12 rows.
+pub const SKINNY_MAX_M: usize = 3 * MR;
+
+/// Largest `KC × NC` block of B, in floats, that the no-pack route takes at
+/// any row count: 32 KiB, which the row passes re-read from L1, so packing
+/// it never pays. Measured as above at `m` = 64, 128 and 256, packed time
+/// over no-pack time: B blocks of 1–8 Ki floats 1.0–1.4x (`[128×64]`
+/// through `[32×256]`; the LM job's `[200×32]`, `[128×32]`, `[128×64]` all
+/// sit here), 16 Ki floats 0.97–1.23x, 32 Ki floats 0.95–1.05x.
+pub const SKINNY_MAX_B_BLOCK: usize = 8192;
 
 /// How one product is computed; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// Direct loops, no packing.
     Small,
-    /// B read in place by the no-pack kernel, A broadcast.
+    /// B read in place by the register tile, A broadcast.
     Skinny,
     /// The blocked walk over packed panels.
     Packed,
@@ -116,7 +143,9 @@ pub fn route(m: usize, n: usize, k: usize, b_cs: usize) -> Route {
         Some(Route::Skinny) if !skinny_ok => Route::Packed,
         Some(forced) => forced,
         None if m * n * k <= SMALL_FLOPS => Route::Small,
-        None if m <= SKINNY_MAX_M && skinny_ok => Route::Skinny,
+        None if skinny_ok && (m <= SKINNY_MAX_M || k.min(KC) * n.min(NC) <= SKINNY_MAX_B_BLOCK) => {
+            Route::Skinny
+        }
         None => Route::Packed,
     }
 }
@@ -137,44 +166,100 @@ pub fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut 
     }
     match route(m, n, k, b.cs) {
         Route::Small => small_gemm(m, n, k, a, b, c),
-        Route::Skinny => skinny_rows(m, n, k, a, b, c, simd::skinny_kernel()),
+        Route::Skinny => skinny_rows(m, n, k, a, b, c, simd::tile_kernel()),
         Route::Packed => packed_walk(
             m,
             n,
             k,
-            |i0, p0, mc, kc, buf: &mut [f32]| pack_a(a, i0, p0, mc, kc, buf),
-            |p0, j0, kc, nc, buf: &mut [f32]| pack_b(b, p0, j0, kc, nc, buf),
+            Lhs::View(a),
+            |p0, j0, kc, nc, buf| pack_b(b, p0, j0, kc, nc, buf),
             c,
         ),
     }
 }
 
-/// The blocked walk over packed panels.
-/// `pack_a(i0, p0, mc, kc, buf)` and `pack_b(p0, j0, kc, nc, buf)` fill the
-/// panels of one block; where the operands live is their business.
+/// Where the packed walk reads A.
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    /// A stride view, which the tile reads where it lies.
+    View(MatRef<'a>),
+    /// `[images, m, len]` read as the `m × images·len` matrix (see
+    /// [`gemm_nt_images`]); no stride pair describes it, so each K block of
+    /// it is first gathered row-major.
+    Images { data: &'a [f32], len: usize },
+}
+
+/// The blocked walk: for every `(NC, KC)` block, `pack_b(p0, j0, kc, nc,
+/// buf)` fills the block's B panel and [`sweep`] runs the register tile over
+/// it against A.
 fn packed_walk(
     m: usize,
     n: usize,
     k: usize,
-    pack_a: impl Fn(usize, usize, usize, usize, &mut [f32]),
+    a: Lhs<'_>,
     pack_b: impl Fn(usize, usize, usize, usize, &mut [f32]),
     c: &mut [f32],
 ) {
-    let ukr = simd::microkernel();
+    let kernel = simd::tile_kernel();
+    let mut gathered = match a {
+        Lhs::View(_) => Vec::new(),
+        Lhs::Images { .. } => scratch::take_raw(m * k.min(KC)),
+    };
     for jc in (0..n).step_by(NC) {
         let nc = (n - jc).min(NC);
         for pc in (0..k).step_by(KC) {
             let kc = (k - pc).min(KC);
-            let mut pb_buf = scratch::take_raw(nc.div_ceil(NR) * NR * kc);
-            pack_b(pc, jc, kc, nc, &mut pb_buf);
-            let mut pa = scratch::take_raw(m.min(MC).div_ceil(MR) * MR * kc);
-            for ic in (0..m).step_by(MC) {
-                let mc = (m - ic).min(MC);
-                pack_a(ic, pc, mc, kc, &mut pa);
-                macro_kernel(&pa, &pb_buf, mc, nc, kc, &mut c[ic * n + jc..], n, ukr);
+            let mut pb = scratch::take_raw(nc.div_ceil(NR) * NR * kc);
+            pack_b(pc, jc, kc, nc, &mut pb);
+            let av = match a {
+                Lhs::View(a) => a.sub(0, pc),
+                Lhs::Images { data, len } => {
+                    gather_image_rows(data, m, len, pc, kc, &mut gathered);
+                    MatRef::row_major(&gathered, kc)
+                }
+            };
+            sweep(m, nc, kc, av, &pb, &mut c[jc..], n, kernel);
+            scratch::give(pb);
+        }
+    }
+    scratch::give(gathered);
+}
+
+/// One `(KC, NC)` block of the walk on the register tile: every [`MR`]-row
+/// group of `a` (the block's `m × kc` A, read in place) against every
+/// [`NR`]-column micro-panel of `pb`, each pair one kernel call that adds its
+/// sums straight onto C. A micro-panel stays in L1 while the [`MC`] rows of
+/// a row block pass it, and those rows stay in L2 while every micro-panel
+/// passes them. `c` starts at the block's first column; rows are `ldc`
+/// elements apart.
+#[allow(clippy::too_many_arguments)]
+fn sweep(
+    m: usize,
+    nc: usize,
+    kc: usize,
+    a: MatRef<'_>,
+    pb: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    kernel: TileKernelFn,
+) {
+    for ic in (0..m).step_by(MC) {
+        let rows_end = (ic + MC).min(m);
+        for (jp, panel) in pb.chunks_exact(kc * NR).take(nc.div_ceil(NR)).enumerate() {
+            let (j0, cols) = (jp * NR, (nc - jp * NR).min(NR));
+            let b = MatRef::row_major(panel, NR);
+            for i0 in (ic..rows_end).step_by(MR) {
+                let rows = (rows_end - i0).min(MR);
+                kernel(
+                    rows,
+                    cols,
+                    kc,
+                    a.sub(i0, 0),
+                    b,
+                    &mut c[i0 * ldc + j0..],
+                    ldc,
+                );
             }
-            scratch::give(pa);
-            scratch::give(pb_buf);
         }
     }
 }
@@ -183,8 +268,9 @@ fn packed_walk(
 /// `[images, m, len]`, `b` is `[images, n, len]`, `C` is row-major `m × n` —
 /// which is `gemm` on the `m × images·len` and `n × images·len` matrices whose
 /// rows string the images together, bit for bit, without building either
-/// one: the weight gradient of a 1×1 convolution straight from its
-/// `[N, C, H·W]` output gradient and input.
+/// whole (B is packed and A gathered one K block at a time): the weight
+/// gradient of a 1×1 convolution straight from its `[N, C, H·W]` output
+/// gradient and input.
 ///
 /// # Panics
 ///
@@ -223,12 +309,13 @@ pub fn gemm_nt_images(
         }
         return;
     }
+    let a = Lhs::Images { data: a, len };
     packed_walk(
         m,
         n,
         k,
-        |i0, p0, mc, kc, buf: &mut [f32]| pack_image_lines(a, m, len, i0, p0, mc, kc, buf),
-        |p0, j0, kc, nc, buf: &mut [f32]| pack_image_lines(b, n, len, j0, p0, nc, kc, buf),
+        a,
+        |p0, j0, kc, nc, buf| pack_image_lines(b, n, len, j0, p0, nc, kc, buf),
         c,
     );
 }
@@ -301,13 +388,13 @@ impl<'a> BatchMat<'a> {
 /// cache block is packed once up front.
 ///
 /// [`route`] is asked once for the batch, and one answer is read differently
-/// here: an item it calls `Small` that has at least [`NR`] columns runs on the
-/// no-pack register tile (`tile_rows`) instead of the direct loop, because a
-/// batch repeats the shape often enough for the tile to pay — attention's
-/// 16 heads of `16×16×16` go from 5–8 GFLOP/s to 25–40. Per item the result
-/// is still bitwise identical to `gemm` on that item followed by a
-/// multiplication of each output element by `alpha`: every path accumulates
-/// each element from zero in ascending `k`.
+/// here: an item it calls `Small` that has at least 8 columns (one vector)
+/// runs on the register tile (`tile_rows`) instead of the direct loop,
+/// because a batch repeats the shape often enough for the tile to pay —
+/// attention's 16 heads of `16×16×16` go from 5–8 GFLOP/s to 25–40. Per
+/// item the result is still bitwise identical to `gemm` on that item
+/// followed by a multiplication of each output element by `alpha`: every
+/// path accumulates each element from zero in ascending `k`.
 ///
 /// # Panics
 ///
@@ -332,8 +419,8 @@ pub fn gemm_batch(
         return;
     }
     let route = route(m, n, k, b.cs);
-    let tiled = route == Route::Small && n >= NR;
-    let (ukr, skinny) = (simd::microkernel(), simd::skinny_kernel());
+    let tiled = route == Route::Small && n >= NR / 2;
+    let kernel = simd::tile_kernel();
     // A shared B that an item would pack whole — one (KC, NC) block of the
     // packed walk, or the tile's transposed operand — is packed once, before
     // the first item; larger or per-item Bs are packed item by item.
@@ -355,10 +442,21 @@ pub fn gemm_batch(
         ci.fill(0.0);
         let (av, bv) = (a.item(bi), b.item(bi));
         match route {
-            Route::Small if tiled => tile_rows(m, n, k, av, bv, ci, shared_pb, skinny),
+            Route::Small if tiled => tile_rows(m, n, k, av, bv, ci, shared_pb, kernel),
             Route::Small => small_gemm(m, n, k, av, bv, ci),
-            Route::Skinny => skinny_rows(m, n, k, av, bv, ci, skinny),
-            Route::Packed => blocked_rows(m, n, k, av, bv, ci, shared_pb, ukr),
+            Route::Skinny => skinny_rows(m, n, k, av, bv, ci, kernel),
+            // The pre-packed shared panel is the item's only block.
+            Route::Packed => match shared_pb {
+                Some(pb) => sweep(m, n, k, av, pb, ci, n, kernel),
+                None => packed_walk(
+                    m,
+                    n,
+                    k,
+                    Lhs::View(av),
+                    |p0, j0, kc, nc, buf| pack_b(bv, p0, j0, kc, nc, buf),
+                    ci,
+                ),
+            },
         }
         if alpha != 1.0 {
             for v in ci.iter_mut() {
@@ -369,11 +467,11 @@ pub fn gemm_batch(
     scratch::give(shared_pb_buf);
 }
 
-/// A row range of one batch item too small for any blocking, on the no-pack
-/// register tile: [`SKINNY_MR`] rows of C at a time over the whole of K, so
-/// each element is one chain from zero in ascending `k` — what the direct
-/// loop computes, bit for bit, at several times its rate. The kernel wants
-/// B's rows contiguous; a B that is not (`A·Bᵀ`) is first transposed into
+/// A row range of one batch item too small for any blocking, on the
+/// register tile: [`MR`] rows of C at a time over the whole of K, so each
+/// element is one chain from zero in ascending `k` — what the direct loop
+/// computes, bit for bit, at several times its rate. The kernel wants B's
+/// rows contiguous; a B that is not (`A·Bᵀ`) is first transposed into
 /// [`NR`]-column panels, `pack_b`'s layout, each of which is a matrix with
 /// contiguous rows (`shared_pb` when the caller did that once for the batch).
 #[allow(clippy::too_many_arguments)]
@@ -385,11 +483,11 @@ fn tile_rows(
     b: MatRef<'_>,
     c: &mut [f32],
     shared_pb: Option<&[f32]>,
-    kernel: SkinnyKernelFn,
+    kernel: TileKernelFn,
 ) {
     let mut sweep = |b: MatRef<'_>, j0: usize, cols: usize| {
-        for i0 in (0..m).step_by(SKINNY_MR) {
-            let rows = (m - i0).min(SKINNY_MR);
+        for i0 in (0..m).step_by(MR) {
+            let rows = (m - i0).min(MR);
             kernel(rows, cols, k, a.sub(i0, 0), b, &mut c[i0 * n + j0..], n);
         }
     };
@@ -406,59 +504,17 @@ fn tile_rows(
             &pb_buf
         }
     };
-    for (jp, panel) in pb.chunks_exact(k * NR).enumerate() {
+    for (jp, panel) in pb.chunks_exact(k * NR).take(n.div_ceil(NR)).enumerate() {
         sweep(MatRef::row_major(panel, NR), jp * NR, (n - jp * NR).min(NR));
     }
     scratch::give(pb_buf);
 }
 
-/// Blocked GEMM over one batch item.
-///
-/// Same `NC → KC` block walk (and therefore the same per-element `k`
-/// association) as [`gemm`]; only where the packed B comes from differs,
-/// which never affects results.
-#[allow(clippy::too_many_arguments)]
-fn blocked_rows(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    c: &mut [f32],
-    shared_pb: Option<&[f32]>,
-    ukr: MicroKernelFn,
-) {
-    for jc in (0..n).step_by(NC) {
-        let nc = (n - jc).min(NC);
-        for pc in (0..k).step_by(KC) {
-            let kc = (k - pc).min(KC);
-            let mut pb_buf = Vec::new();
-            let pb: &[f32] = match shared_pb {
-                // The pre-packed shared panel covers the whole (k, n) extent.
-                Some(panel) => panel,
-                None => {
-                    pb_buf = scratch::take_raw(nc.div_ceil(NR) * NR * kc);
-                    pack_b(b, pc, jc, kc, nc, &mut pb_buf);
-                    &pb_buf
-                }
-            };
-            let mut pa = scratch::take_raw(m.min(MC).div_ceil(MR) * MR * kc);
-            for ic in (0..m).step_by(MC) {
-                let mc = (m - ic).min(MC);
-                pack_a(a, ic, pc, mc, kc, &mut pa);
-                macro_kernel(&pa, pb, mc, nc, kc, &mut c[ic * n + jc..], n, ukr);
-            }
-            scratch::give(pa);
-            scratch::give(pb_buf);
-        }
-    }
-}
-
 /// The no-pack route over `m` rows of one product, on the calling thread:
-/// [`SKINNY_MR`] rows of C at a time against B's rows as they lie. The
-/// [`KC`] blocks keep the packed walk's association; the [`NC`] blocks keep
-/// the part of B that every row group re-reads within L2. Nothing is
-/// copied, so there is no scratch to take either.
+/// [`MR`] rows of C at a time against B's rows as they lie. The [`KC`]
+/// blocks keep the packed walk's association; the [`NC`] blocks keep the
+/// part of B that every row group re-reads within L2. Nothing is copied, so
+/// there is no scratch to take either.
 fn skinny_rows(
     m: usize,
     n: usize,
@@ -466,56 +522,16 @@ fn skinny_rows(
     a: MatRef<'_>,
     b: MatRef<'_>,
     c: &mut [f32],
-    kernel: SkinnyKernelFn,
+    kernel: TileKernelFn,
 ) {
     for jc in (0..n).step_by(NC) {
         let nc = (n - jc).min(NC);
         for pc in (0..k).step_by(KC) {
             let kc = (k - pc).min(KC);
-            for i0 in (0..m).step_by(SKINNY_MR) {
-                let rows = (m - i0).min(SKINNY_MR);
+            for i0 in (0..m).step_by(MR) {
+                let rows = (m - i0).min(MR);
                 let (av, bv) = (a.sub(i0, pc), b.sub(pc, jc));
                 kernel(rows, nc, kc, av, bv, &mut c[i0 * n + jc..], n);
-            }
-        }
-    }
-}
-
-/// Sweeps the packed panels over one `mc × nc` block of C.
-///
-/// `c` starts at the block's top-left element; rows are `ldc` elements
-/// apart (the full C row stride), so the block occupies
-/// `c[i*ldc .. i*ldc + nc]` for `i < mc`.
-#[allow(clippy::too_many_arguments)]
-fn macro_kernel(
-    pa: &[f32],
-    pb: &[f32],
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    c: &mut [f32],
-    ldc: usize,
-    ukr: MicroKernelFn,
-) {
-    let a_panels = mc.div_ceil(MR);
-    let b_panels = nc.div_ceil(NR);
-    let mut acc = [0.0f32; MR * NR];
-    for jp in 0..b_panels {
-        let j_base = jp * NR;
-        let ncols = (nc - j_base).min(NR);
-        let bpanel = &pb[jp * kc * NR..(jp + 1) * kc * NR];
-        for ip in 0..a_panels {
-            let i_base = ip * MR;
-            let nrows = (mc - i_base).min(MR);
-            let apanel = &pa[ip * kc * MR..(ip + 1) * kc * MR];
-            ukr(kc, apanel, bpanel, &mut acc);
-            for i in 0..nrows {
-                let row0 = (i_base + i) * ldc + j_base;
-                let crow = &mut c[row0..row0 + ncols];
-                let arow = &acc[i * NR..i * NR + ncols];
-                for (cv, &av) in crow.iter_mut().zip(arow) {
-                    *cv += av;
-                }
             }
         }
     }
@@ -562,13 +578,13 @@ fn small_gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mu
     }
 }
 
-/// The packed walk as it ran before the no-pack route and the block packs:
-/// every shape blocked and packed, every panel slot filled by the
-/// element-wise packers, on the calling thread. Kept as the oracle the
-/// routes are tested against and the baseline `kernels-quick` times them
-/// against.
+/// The packed walk as it ran before the no-pack route, the block packs and
+/// A read in place: every shape blocked, A and B both packed into K-major
+/// micro-panels by the element-wise packers, each micro-panel pair one call
+/// of the register tile, on the calling thread. Kept as the oracle the routes
+/// are tested against and the baseline `kernels-quick` times them against.
 pub mod reference {
-    use super::{macro_kernel, KC, MC, MR, NC, NR};
+    use super::{KC, MC, MR, NC, NR};
     use crate::pack::{reference as packers, MatRef};
     use crate::simd;
 
@@ -580,7 +596,7 @@ pub mod reference {
     /// Panics if `c.len() != m * n`.
     pub fn gemm(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
         assert_eq!(c.len(), m * n, "gemm output buffer mismatch");
-        let ukr = simd::microkernel();
+        let kernel = simd::tile_kernel();
         let mut pb = vec![0.0f32; n.min(NC).div_ceil(NR) * NR * k.min(KC)];
         let mut pa = vec![0.0f32; m.min(MC).div_ceil(MR) * MR * k.min(KC)];
         for jc in (0..n).step_by(NC) {
@@ -591,7 +607,16 @@ pub mod reference {
                 for ic in (0..m).step_by(MC) {
                     let mc = (m - ic).min(MC);
                     packers::pack_a(a, ic, pc, mc, kc, &mut pa);
-                    macro_kernel(&pa, &pb, mc, nc, kc, &mut c[ic * n + jc..], n, ukr);
+                    let b_panels = pb.chunks_exact(kc * NR).take(nc.div_ceil(NR));
+                    for (jp, bp) in b_panels.enumerate() {
+                        let (j0, cols) = (jc + jp * NR, (nc - jp * NR).min(NR));
+                        let a_panels = pa.chunks_exact(kc * MR).take(mc.div_ceil(MR));
+                        for (ip, ap) in a_panels.enumerate() {
+                            let (i0, rows) = (ic + ip * MR, (mc - ip * MR).min(MR));
+                            let (av, bv) = (MatRef::transposed(ap, MR), MatRef::row_major(bp, NR));
+                            kernel(rows, cols, kc, av, bv, &mut c[i0 * n + j0..], n);
+                        }
+                    }
                 }
             }
         }
@@ -752,6 +777,15 @@ mod tests {
         assert_eq!(route(6, 25, 6400, 6400), Route::Packed);
         assert_eq!(route(SKINNY_MAX_M, 1600, 150, 1), Route::Skinny);
         assert_eq!(route(SKINNY_MAX_M + 1, 1600, 150, 1), Route::Packed);
+        // A B block that fits L1 is read in place at any row count: the LM
+        // job's `dx = dY·W` of its head; one past the limit is packed.
+        assert_eq!(route(128, 32, 200, 1), Route::Skinny);
+        assert_eq!(route(128, SKINNY_MAX_B_BLOCK / 32, 32, 1), Route::Skinny);
+        assert_eq!(
+            route(128, SKINNY_MAX_B_BLOCK / 32 + 1, 32, 1),
+            Route::Packed
+        );
+        assert_eq!(route(128, 32, 200, 200), Route::Packed);
         // Tiny products stay on the direct loop whatever their shape.
         assert_eq!(route(1, 32, 32, 1), Route::Small);
         assert_eq!(route(32, 32, 32, 32), Route::Small);
@@ -767,12 +801,12 @@ mod tests {
         assert_eq!(route(64, 64, 64, 1), Route::Skinny);
         assert_eq!(route(64, 64, 64, 64), Route::Packed);
         force_route(None);
-        assert_eq!(route(64, 64, 64, 1), Route::Packed);
+        assert_eq!(route(64, 64, 256, 1), Route::Packed);
     }
 
     #[test]
     fn every_route_gives_the_reference_bits() {
-        // m straddles SKINNY_MR groups, n the 16-wide and masked column tiles, k
+        // m straddles MR groups, n the 16-wide and masked column tiles, k
         // the KC block; A both row-major and transposed.
         for &(m, n, k) in &[
             (1usize, 1usize, 300usize),

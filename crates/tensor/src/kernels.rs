@@ -21,10 +21,10 @@
 //! builds once per geometry — the same products as im2col + GEMM, element
 //! for element and bit for bit, with 1/k² of the bytes written.
 
-use crate::gemm::{self, BatchMat, Route, KC};
+use crate::gemm::{self, BatchMat, Route, KC, MR};
 use crate::pack::MatRef;
 use crate::scratch;
-use crate::simd::{self, KOffsets, LaneSegment, LaneTile, SKINNY_MR};
+use crate::simd::{self, KOffsets, LaneSegment, LaneTile};
 use crate::tensor::Tensor;
 
 /// `C = A @ B` for `A: [M,K]`, `B: [K,N]`.
@@ -687,8 +687,8 @@ impl ConvWindow {
                 let kc = (taps - pc).min(block);
                 let a_k = KOffsets::new(&self.weight_steps[..kc]);
                 let b_k = KOffsets::new(&self.tap_offsets[pc..pc + kc]);
-                for i0 in (0..oc).step_by(SKINNY_MR) {
-                    let rows = (oc - i0).min(SKINNY_MR);
+                for i0 in (0..oc).step_by(MR) {
+                    let rows = (oc - i0).min(MR);
                     let a = &weight[i0 * taps + pc..];
                     let c = &mut out_image[i0 * ohw..];
                     if self.position_tiles.is_empty() {
@@ -747,8 +747,8 @@ impl ConvWindow {
             let span = pc..positions.min(pc + block);
             let a_k = KOffsets::new(&steps.grad_steps[span.clone()]);
             let b_k = KOffsets::new(&steps.plane_steps[span]);
-            for i0 in (0..oc).step_by(SKINNY_MR) {
-                let rows = (oc - i0).min(SKINNY_MR);
+            for i0 in (0..oc).step_by(MR) {
+                let rows = (oc - i0).min(MR);
                 let (a, c) = (&grad_out[i0 * ohw..], &mut dw[i0 * taps..]);
                 kernel(rows, a, ohw, a_k, planes, b_k, &self.tap_tiles, c, taps);
             }

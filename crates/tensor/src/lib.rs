@@ -29,42 +29,51 @@
 //! # Kernel architecture
 //!
 //! Every matrix product in the workspace — linear layers, im2col
-//! convolutions, attention scores — funnels into one BLIS-style blocked GEMM
-//! ([`gemm`]). The moving parts:
+//! convolutions, attention scores — funnels into one blocked GEMM
+//! ([`gemm`]):
 //!
-//! * **Packing** ([`pack`]): operand blocks are copied once into contiguous
-//!   micro-panels — A as `MR`-row panels (`buf[p*MR + i]`), B as `NR`-column
-//!   panels (`buf[p*NR + j]`), both K-major and zero-padded at ragged edges.
-//!   Operands are read through stride views ([`pack::MatRef`]), so the
-//!   `Aᵀ`/`Bᵀ` product variants are packing-order choices, not separate
-//!   kernels; a source that is contiguous along K moves as 8×8 block
-//!   transposes, one that is contiguous across the panel as bulk copies.
-//! * **Register tiling**: an `MR × NR = 8 × 8` C tile is accumulated
-//!   entirely in registers across the K block by the selected micro-kernel.
-//! * **Micro-kernel dispatch** ([`simd`]): the micro-kernel is chosen once
-//!   at startup through a function-pointer table — **portable** (scalar tile
-//!   loop, always available, the test oracle) or **simd** (hand-written
-//!   AVX2 on `x86_64`, selected via `is_x86_feature_detected!`; every other
-//!   architecture runs portable). Every tier multiplies then adds without
-//!   fusing, in the same `k` order, so all tiers are bitwise identical;
-//!   `simd::force_tier` or `AMALGAM_KERNEL_TIER=portable|simd` pins a tier
-//!   for debugging and A/B timing.
-//! * **Cache blocking**: `KC = 256`, `MC = 128`, `NC = 512` keep one B
-//!   micro-panel in L1, the packed A panel in L2 and the packed B panel in
-//!   L3 across the macro-kernel sweep.
-//! * **Shape routing** — *direct → no-pack → blocked → batched*
-//!   ([`gemm::route`], a function of the shape and B's strides only): products
-//!   with `m·n·k ≤ 32³` take a direct loop that skips packing; an A of at most
-//!   [`gemm::SKINNY_MAX_M`] rows against a B with contiguous rows is computed
-//!   by a 6×16 register-tiled kernel that reads B in place — too few rows would
-//!   reuse a packed B; larger single products run the blocked path above; every
-//!   route accumulates each element in the same order, so they are bitwise
-//!   interchangeable; N same-shape independent products go through
-//!   [`gemm::gemm_batch`] / `kernels::matmul_batch_*`, which chooses the route
-//!   once for the whole batch, packs a shared B operand once, and applies an
-//!   optional epilogue scale — this is how attention's per-(batch, head)
-//!   products run. Its items below the direct-loop threshold with at least 8
-//!   columns run on the no-pack register tile instead, same bits.
+//! ```text
+//!           matmul / matmul_tn / matmul_nt / conv-im2col / attention
+//!                                │ gemm::route (shape and B's strides only)
+//!       m·n·k ≤ 32³ ┌────────────┼──────────────────┐ N same-shape products
+//!                   ▼            ▼                   ▼
+//!              direct loop   register tile        gemm_batch (one route
+//!            (no packing)    on A in place:       for the whole batch,
+//!                            B read in place      shared-B packing,
+//!                            (m ≤ 18, or a B      the same routes per item,
+//!                            block ≤ 32 KiB) or   small items ≥ 8 columns
+//!                            packed into 16-col   on the tile)
+//!                            panels (the walk)
+//!                                │
+//!                kernel dispatch table (6×16 tile, windowed and lane tiles,
+//!                                │        8×8 block transpose, exp rows)
+//!                   ┌────────────┴────────────┐
+//!                   ▼                         ▼
+//!              portable                   simd (AVX2 on x86_64,
+//!            (scalar tile loop,           unfused mul+add, same k
+//!             the test oracle;            order)
+//!             every other arch)
+//! ```
+//!
+//! * **Register tiling and packing**: one `6 × 16` C tile ([`gemm::MR`] ×
+//!   [`gemm::NR`]) is carried in registers across a K block and added onto
+//!   C in place. It reads A through any stride view ([`pack::MatRef`]), so
+//!   only B is ever packed: into 16-column K-major micro-panels, a column
+//!   contiguous along K as 8×8 block transposes, a row-major B as bulk
+//!   copies ([`pack`]). `KC = 256`, `MC = 120`, `NC = 512` keep a B
+//!   micro-panel in L1 and a row block's A in L2.
+//! * **Routing** ([`gemm::route`], shape and B's strides only; crossovers in
+//!   [`gemm`]'s docs): every route accumulates each element in the same
+//!   order, so they are bitwise interchangeable. [`gemm::gemm_batch`] /
+//!   `kernels::matmul_batch_*` choose the route once for N same-shape
+//!   products, pack a shared B once and fold an epilogue scale — attention's
+//!   per-(batch, head) products, forward and backward, one call each.
+//! * **Dispatch tiers** ([`simd`]): kernels are chosen at startup through a
+//!   function-pointer table — **portable** (scalar loops, the test oracle,
+//!   every architecture) or **simd** (hand-written AVX2 on `x86_64`, via
+//!   `is_x86_feature_detected!`). Every tier multiplies then adds without
+//!   fusing, in the same `k` order, so all are bitwise identical;
+//!   `simd::force_tier` or `AMALGAM_KERNEL_TIER=portable|simd` pins one.
 //! * **Transcendentals** ([`simd::exp`]): the exponential under every
 //!   softmax and cross-entropy is in-tree, built from IEEE multiplies, adds
 //!   and integer operations, so a scalar call, the portable 8-lane loop and

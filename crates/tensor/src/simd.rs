@@ -1,12 +1,13 @@
 //! Runtime-dispatched SIMD kernels for the GEMM and the softmax exponential.
 //!
-//! [`gemm`](crate::gemm) reaches its three inner kernels through function
-//! pointers selected per call from the active tier: the packed walk's
-//! `MR × NR` micro-kernel (`microkernel`), the no-pack kernel of the skinny
-//! route (`skinny_kernel`, up to [`SKINNY_MR`] C rows against B read in
-//! place) and the 8×8 block transpose the packers use for sources whose
-//! contiguous axis is the one a panel strides over (`transpose_kernel`).
-//! `window_kernel` is the no-pack kernel once more, with the start of each K
+//! [`gemm`](crate::gemm) reaches its inner kernels through function pointers
+//! selected per call from the active tier. There is one register tile, [`MR`]
+//! rows by [`NR`] columns of C (`tile_kernel`): it reads A through any stride
+//! pair and B by rows, so the no-pack route hands it B in place and the
+//! packed walk a 16-column K-major B panel, A always read where it lies. The
+//! B packer fills a panel with 8×8 block transposes (`transpose_kernel`)
+//! where a source is contiguous along K.
+//! `window_kernel` is the tile once more, with the start of each K
 //! step's operands looked up in an offset table ([`KOffsets`]) instead of
 //! multiplied out from a stride: a B "row" can then be any window of a
 //! buffer, which is how the column-free convolutions
@@ -16,25 +17,26 @@
 //! several windows ([`LaneSegment`]), so that the lanes a single window would
 //! leave empty — all but the 5 taps of a kernel row in the weight gradient,
 //! the lanes past an output row's end in a 5×5 forward — are filled from the
-//! next one.
-//! The tiers, described for the micro-kernel:
+//! next one. [`row_chains`] is the one kernel here outside the GEMM: eight
+//! rows' sequential sums in the lanes of one register, for `LayerNorm`.
+//! The tiers:
 //!
-//! * **portable** ([`portable_microkernel`]) — the scalar 8×8 tile loop.
-//!   Always available, autovectorizes under `target-cpu=native`, and serves
-//!   as the oracle the SIMD kernels are tested against.
-//! * **simd** — a hand-written `std::arch` kernel: AVX2 on `x86_64` (one
-//!   8-lane register per C row, 8 accumulators), chosen at startup via
+//! * **portable** ([`portable_tile_kernel`]) — the scalar `R × 16` tile loop
+//!   in a fixed-size array. Always available, autovectorizes under
+//!   `target-cpu=native`, and serves as the oracle the SIMD kernels are
+//!   tested against.
+//! * **simd** — a hand-written `std::arch` kernel: AVX2 on `x86_64` (two
+//!   8-lane registers per C row, 12 accumulators), chosen at startup via
 //!   `is_x86_feature_detected!`. Every other architecture runs the portable
 //!   tier, which is the one the bitwise tests can check there.
 //!
 //! All kernels perform an *unfused* multiply then add per lane, in the same
-//! ascending-`k` order, so every tier produces bitwise-identical results —
-//! switching tiers (or running on a machine without AVX2) never changes
-//! training numerics, which is what keeps the cloud-vs-local and TEE
-//! equivalence checks sound. The skinny kernels keep the micro-kernel's
-//! association too (a zeroed accumulator per K block, `acc += a·b` for
-//! ascending `p`, then `C += acc`), so the route a shape takes never shows
-//! in the result either; the transposes only move values.
+//! ascending-`k` order from a zeroed accumulator per K block, then add the
+//! accumulator onto C — so every tier produces bitwise-identical results,
+//! and so does every route: switching tiers (or running on a machine without
+//! AVX2) never changes training numerics, which is what keeps the
+//! cloud-vs-local and TEE equivalence checks sound. The transposes only move
+//! values.
 //!
 //! # Transcendentals
 //!
@@ -62,25 +64,16 @@ use crate::pack::MatRef;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-// The transpose kernels and the panels they fill are written for 8-wide tiles.
-const _: () = assert!(MR == 8 && NR == 8);
+// A B micro-panel row is two 8-lane halves, each one transpose's output.
+const _: () = assert!(NR == 16);
 
-/// Signature shared by every micro-kernel: rank-`kc` update of one
-/// `MR × NR` C tile held in `acc`, from K-major packed panels.
-pub type MicroKernelFn = fn(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]);
-
-/// C rows the no-pack kernel holds in registers at once: with two 8-lane
-/// accumulators per row, 6 rows fill 12 of AVX2's 16 vector registers and
-/// leave room for the two B vectors and the broadcast A value.
-pub const SKINNY_MR: usize = 6;
-/// C columns per register tile of the no-pack kernel (two 8-lane vectors).
-const SKINNY_NR: usize = 16;
-
-/// Signature of the no-pack kernels: for `rows ≤ SKINNY_MR` rows and `n`
+/// Signature of the register-tile kernels: for `rows ≤ MR` rows and `n`
 /// columns, `acc = Σ_{p < kc} a(r, p) · b(p, j)` from a zeroed accumulator in
 /// ascending `p`, then `c[r·ldc + j] += acc`. `b` must have contiguous rows
-/// (`cs == 1`); all three views start at the block's first element.
-pub type SkinnyKernelFn =
+/// (`cs == 1`); all three views start at the block's first element. A packed
+/// B micro-panel is such a B (`MatRef::row_major` of width `NR`), and a
+/// K-major A micro-panel such an A (`MatRef::transposed` of width `MR`).
+pub type TileKernelFn =
     fn(rows: usize, n: usize, kc: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], ldc: usize);
 
 /// Validated offset table of a [`WindowKernelFn`] operand: K step `p` of the
@@ -117,8 +110,8 @@ impl<'a> KOffsets<'a> {
     }
 }
 
-/// Signature of the windowed no-pack kernels: [`SkinnyKernelFn`] with both
-/// operands' K steps located by table. For `rows ≤ SKINNY_MR` and `n` columns,
+/// Signature of the windowed no-pack kernels: [`TileKernelFn`] with both
+/// operands' K steps located by table. For `rows ≤ MR` and `n` columns,
 /// `acc = Σ_p a[r·a_rs + a_k[p]] · b[b_k[p] + j]` from a zeroed accumulator in
 /// ascending `p` over the tables' common length, then `c[r·ldc + j] += acc` —
 /// the association of every other GEMM kernel.
@@ -174,11 +167,11 @@ impl LaneTile {
     ///
     /// Panics if there is none, or if two overlap or one leaves `0..16`.
     pub fn new(segments: Vec<LaneSegment>) -> Self {
-        let mut taken = [false; SKINNY_NR];
+        let mut taken = [false; NR];
         for segment in &segments {
             assert!(
-                segment.lanes.start < segment.lanes.end && segment.lanes.end <= SKINNY_NR,
-                "a lane segment lies inside 0..{SKINNY_NR}"
+                segment.lanes.start < segment.lanes.end && segment.lanes.end <= NR,
+                "a lane segment lies inside 0..{NR}"
             );
             for lane in segment.lanes.clone() {
                 assert!(
@@ -225,7 +218,7 @@ impl LaneTile {
     }
 }
 
-/// Signature of the lane-gathering no-pack kernels: for `rows ≤ SKINNY_MR`
+/// Signature of the lane-gathering no-pack kernels: for `rows ≤ MR`
 /// and every `(first, tile)` of `tiles`,
 /// `acc[r][l] = Σ_p a[r·a_rs + a_k[p]] · b[b_k[p] + shift(l) + l]` from zero
 /// in ascending `p` over the tables' common length, for every lane `l` a
@@ -244,12 +237,14 @@ pub type LaneKernelFn = fn(
     ldc: usize,
 );
 
-/// Signature of the panel transposes: `panel[q·8 + r] = src[r·stride + q]`
+/// Signature of the panel transposes: `panel[q·ld + r] = src[r·stride + q]`
 /// for `r < lines ≤ 8` and `q < len`; lanes `lines..8` of every `q` are
-/// zeroed. This is `pack_a` for a row-major source and `pack_b` for a
-/// column-major one: 8 source lines, contiguous along K, become one K-major
-/// micro-panel.
-pub type TransposeFn = fn(src: &[f32], stride: usize, lines: usize, len: usize, panel: &mut [f32]);
+/// zeroed, and only those 8 lanes of a panel row are written. This is
+/// `pack_b` for a column-major source: 8 source lines, contiguous along K,
+/// become one 8-lane half of `len` K-major micro-panel rows (`ld = NR`).
+/// `lines` may be 0 (the lanes are zeroed and `src` is not read).
+pub type TransposeFn =
+    fn(src: &[f32], stride: usize, lines: usize, len: usize, panel: &mut [f32], ld: usize);
 
 /// Signature of the row exponentials: `row[i] = exp(row[i] − shift)` in
 /// place ([`exp`] on every lane), returning `Σ row[i]` summed in the lane
@@ -348,10 +343,10 @@ pub fn portable_exp_row(row: &mut [f32], shift: f32) -> f32 {
     lane_sum(lanes)
 }
 
-/// Micro-kernel implementation tiers.
+/// Kernel implementation tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Scalar 8×8 tile loop (always available; the test oracle).
+    /// Scalar `R × 16` tile loop (always available; the test oracle).
     Portable,
     /// Hand-written `std::arch` kernel (AVX2 on x86_64).
     Simd,
@@ -420,38 +415,16 @@ pub fn active_tier() -> Tier {
     }
 }
 
-/// The micro-kernel function for [`active_tier`]; fetched once per GEMM
-/// call and passed down, so the per-tile cost is one indirect call.
-pub(crate) fn microkernel() -> MicroKernelFn {
-    match active_tier() {
-        Tier::Portable => portable_microkernel,
-        Tier::Simd => simd_microkernel(),
-    }
-}
-
-/// Resolves the hand-written kernel for this architecture.
-///
-/// Only called when [`active_tier`] returned `Simd`, which implies the
-/// feature check already passed.
+/// The register-tile kernel for [`active_tier`].
 #[allow(unreachable_code)]
-fn simd_microkernel() -> MicroKernelFn {
-    #[cfg(target_arch = "x86_64")]
-    {
-        return avx2_microkernel;
-    }
-    portable_microkernel
-}
-
-/// The no-pack kernel for [`active_tier`].
-#[allow(unreachable_code)]
-pub(crate) fn skinny_kernel() -> SkinnyKernelFn {
+pub(crate) fn tile_kernel() -> TileKernelFn {
     if active_tier() == Tier::Simd {
         #[cfg(target_arch = "x86_64")]
         {
-            return avx2_skinny_kernel;
+            return avx2_tile_kernel;
         }
     }
-    portable_skinny_kernel
+    portable_tile_kernel
 }
 
 /// The windowed no-pack kernel for [`active_tier`].
@@ -499,6 +472,56 @@ pub fn exp_row_kernel() -> ExpRowFn {
     portable_exp_row
 }
 
+/// Row chains: `acc[r] += x[r][p] · y[r][p]` (or `+= x[r][p]` without `y`)
+/// for `p = 0..len` ascending, each row one chain from what `acc[r]` held,
+/// over the `acc.len()` rows of the flat `[rows, len]` matrices. The simd
+/// tier advances eight rows in the lanes of one register, an 8×8 block
+/// transposed per eight steps; portable runs one row after the other. Each
+/// row's additions are the same sequence either way: the straight-line
+/// loop's bits on every tier.
+///
+/// # Panics
+///
+/// Panics if `x` (or `y`) holds fewer than `acc.len() · len` elements.
+pub fn row_chains(acc: &mut [f32], x: &[f32], y: Option<&[f32]>, len: usize) {
+    row_chains_on(active_tier(), acc, x, y, len);
+}
+
+/// [`row_chains`] on `tier` (a `Simd` tier the CPU lacks runs portable).
+fn row_chains_on(tier: Tier, acc: &mut [f32], x: &[f32], y: Option<&[f32]>, len: usize) {
+    let rows = acc.len();
+    assert!(x.len() >= rows * len, "row chains: x too short");
+    assert!(
+        y.is_none_or(|y| y.len() >= rows * len),
+        "row chains: y too short"
+    );
+    let simd = tier == Tier::Simd && simd_available();
+    let done = if simd { rows / 8 * 8 } else { 0 };
+    #[cfg(target_arch = "x86_64")]
+    for (g, lanes) in acc[..done].chunks_exact_mut(8).enumerate() {
+        let (lanes, at) = (lanes.try_into().expect("eight rows"), g * 8 * len);
+        let (xs, ys) = (x[at..].as_ptr(), y.unwrap_or(x)[at..].as_ptr());
+        // SAFETY: the eight rows at `at` lie inside `x` (and `y`), as asserted
+        // above; AVX2 presence was checked where `done` was set.
+        unsafe {
+            match y {
+                Some(_) => avx2::row_chains8::<true>(lanes, xs, ys, len),
+                None => avx2::row_chains8::<false>(lanes, xs, ys, len),
+            }
+        }
+    }
+    for (r, a) in acc.iter_mut().enumerate().skip(done) {
+        let xr = &x[r * len..][..len];
+        match y {
+            Some(y) => xr
+                .iter()
+                .zip(&y[r * len..])
+                .for_each(|(&v, &w)| *a += v * w),
+            None => xr.iter().for_each(|&v| *a += v),
+        }
+    }
+}
+
 /// Calls `$kernel::<ROWS>($args)` with the const row count matching `$rows`.
 macro_rules! with_const_rows {
     ($rows:expr, $($kernel:ident)::+, ($($arg:expr),*)) => {
@@ -509,15 +532,15 @@ macro_rules! with_const_rows {
             4 => $($kernel)::+::<4>($($arg),*),
             5 => $($kernel)::+::<5>($($arg),*),
             6 => $($kernel)::+::<6>($($arg),*),
-            rows => panic!("no-pack kernel takes 1..={SKINNY_MR} rows, got {rows}"),
+            rows => panic!("no-pack kernel takes 1..={MR} rows, got {rows}"),
         }
     };
 }
 
 #[cfg(target_arch = "x86_64")]
-/// What the `unsafe` no-pack kernels rely on: every `a(r, p)`, every B row
+/// What the `unsafe` register-tile kernels rely on: every `a(r, p)`, every B row
 /// segment `b(p, 0..n)` and every C row lies inside its slice.
-fn assert_skinny_bounds(
+fn assert_tile_bounds(
     rows: usize,
     n: usize,
     kc: usize,
@@ -527,7 +550,7 @@ fn assert_skinny_bounds(
     ldc: usize,
 ) {
     assert!(rows >= 1 && n >= 1 && kc >= 1, "empty no-pack product");
-    assert_eq!(b.cs, 1, "no-pack kernel needs contiguous B rows");
+    assert_eq!(b.cs, 1, "register tile needs contiguous B rows");
     assert!(
         (rows - 1) * a.rs + (kc - 1) * a.cs < a.data.len(),
         "A view too short"
@@ -559,41 +582,32 @@ fn assert_window_bounds(
     assert!((rows - 1) * ldc + n <= c.len(), "C rows too short");
 }
 
-#[cfg(target_arch = "x86_64")]
-/// What the `unsafe` transposes rely on: all `lines` source lines hold `len`
-/// elements and the panel holds `len` rows of 8.
-fn assert_transpose_bounds(src: &[f32], stride: usize, lines: usize, len: usize, panel: &[f32]) {
-    assert!((1..=8).contains(&lines), "a panel has 1..=8 lines");
+/// What the transposes rely on (the portable one for a clear message, the
+/// `unsafe` one for soundness): at most 8 source lines, each holding `len`
+/// elements, and `len` panel rows of 8 lanes, `ld ≥ 8` apart.
+fn assert_transpose_bounds(
+    src: &[f32],
+    stride: usize,
+    lines: usize,
+    len: usize,
+    panel: &[f32],
+    ld: usize,
+) {
+    assert!(lines <= 8 && ld >= 8, "a panel row half takes 8 lines");
     assert!(
-        len >= 1 && (lines - 1) * stride + len <= src.len(),
+        lines == 0 || (lines - 1) * stride + len <= src.len(),
         "source too short"
     );
-    assert!(len * 8 <= panel.len(), "panel too short");
+    assert!(
+        len == 0 || (len - 1) * ld + 8 <= panel.len(),
+        "panel too short"
+    );
 }
 
-/// Scalar rank-`kc` update of one `MR × NR` tile, fully held in `acc`.
-///
-/// Both panels are K-major and zero-padded to the tile size, so there are no
-/// edge branches here; the fixed-trip inner loops unroll and vectorize.
-#[inline(always)]
-pub fn portable_microkernel(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
-    acc.fill(0.0);
-    for p in 0..kc {
-        let a: &[f32; MR] = pa[p * MR..].first_chunk().expect("packed A panel");
-        let b: &[f32; NR] = pb[p * NR..].first_chunk().expect("packed B panel");
-        for i in 0..MR {
-            let ai = a[i];
-            for j in 0..NR {
-                acc[i * NR + j] += ai * b[j];
-            }
-        }
-    }
-}
-
-/// Portable no-pack kernel: the same tile walk and association as the SIMD
+/// Portable register tile: the same tile walk and association as the SIMD
 /// ones, with the `R × 16` accumulator tile in a fixed-size array the
 /// compiler keeps in registers.
-pub fn portable_skinny_kernel(
+pub fn portable_tile_kernel(
     rows: usize,
     n: usize,
     kc: usize,
@@ -602,16 +616,16 @@ pub fn portable_skinny_kernel(
     c: &mut [f32],
     ldc: usize,
 ) {
-    assert_eq!(b.cs, 1, "no-pack kernel needs contiguous B rows");
+    assert_eq!(b.cs, 1, "register tile needs contiguous B rows");
     let (a_k, b_k) = (|p: usize| p * a.cs, |p: usize| p * b.rs);
     with_const_rows!(
         rows,
-        portable_skinny,
+        portable_tile,
         (n, kc, a.data, a.rs, a_k, b.data, b_k, c, ldc)
     );
 }
 
-/// Portable windowed kernel: [`portable_skinny_kernel`] reading its K steps
+/// Portable windowed kernel: [`portable_tile_kernel`] reading its K steps
 /// through the offset tables.
 #[allow(clippy::too_many_arguments)]
 pub fn portable_window_kernel(
@@ -628,7 +642,7 @@ pub fn portable_window_kernel(
     assert_window_bounds(rows, n, a, a_rs, a_k, b, b_k, c, ldc);
     let kc = a_k.len();
     let (a_k, b_k) = (|p: usize| a_k.offsets[p], |p: usize| b_k.offsets[p]);
-    with_const_rows!(rows, portable_skinny, (n, kc, a, a_rs, a_k, b, b_k, c, ldc));
+    with_const_rows!(rows, portable_tile, (n, kc, a, a_rs, a_k, b, b_k, c, ldc));
 }
 
 /// What the lane-gathering kernels rely on (the portable one for a clear
@@ -649,8 +663,8 @@ fn assert_lane_bounds(
     ldc: usize,
 ) {
     assert!(
-        (1..=SKINNY_MR).contains(&rows),
-        "no-pack kernel takes 1..={SKINNY_MR} rows"
+        (1..=MR).contains(&rows),
+        "no-pack kernel takes 1..={MR} rows"
     );
     assert_eq!(a_k.len(), b_k.len(), "operands disagree on the K extent");
     assert!((rows - 1) * a_rs + a_k.max < a.len(), "A view too short");
@@ -665,7 +679,7 @@ fn assert_lane_bounds(
 
 /// Portable lane-gathering kernel: each K step's 16 lanes are copied
 /// together from their segments, then the tile advances like
-/// `portable_skinny_tile`'s.
+/// `portable_tile_pass`'s.
 #[allow(clippy::too_many_arguments)]
 pub fn portable_lane_kernel(
     rows: usize,
@@ -680,16 +694,16 @@ pub fn portable_lane_kernel(
 ) {
     assert_lane_bounds(rows, a, a_rs, a_k, b, b_k, tiles, c, ldc);
     for (first, tile) in tiles {
-        let mut acc = [[0.0f32; SKINNY_NR]; SKINNY_MR];
+        let mut acc = [[0.0f32; NR]; MR];
         for (&a_at, &b_at) in a_k.offsets.iter().zip(b_k.offsets) {
-            let mut brow = [0.0f32; SKINNY_NR];
+            let mut brow = [0.0f32; NR];
             for segment in &tile.segments {
                 let window = &b[b_at + segment.shift..];
                 brow[segment.lanes.clone()].copy_from_slice(&window[segment.lanes.clone()]);
             }
             for (r, row) in acc.iter_mut().enumerate().take(rows) {
                 let av = a[r * a_rs + a_at];
-                for l in 0..SKINNY_NR {
+                for l in 0..NR {
                     row[l] += av * brow[l];
                 }
             }
@@ -702,7 +716,7 @@ pub fn portable_lane_kernel(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn portable_skinny<const R: usize>(
+fn portable_tile<const R: usize>(
     n: usize,
     kc: usize,
     a: &[f32],
@@ -713,9 +727,9 @@ fn portable_skinny<const R: usize>(
     c: &mut [f32],
     ldc: usize,
 ) {
-    for j in (0..n).step_by(SKINNY_NR) {
-        let width = (n - j).min(SKINNY_NR);
-        let acc = portable_skinny_tile::<R>(kc, a, a_rs, a_k, &b[j..], b_k, width);
+    for j in (0..n).step_by(NR) {
+        let width = (n - j).min(NR);
+        let acc = portable_tile_pass::<R>(kc, a, a_rs, a_k, &b[j..], b_k, width);
         for (r, row) in acc.iter().enumerate() {
             for (cv, &x) in c[r * ldc + j..r * ldc + j + width].iter_mut().zip(row) {
                 *cv += x;
@@ -724,12 +738,12 @@ fn portable_skinny<const R: usize>(
     }
 }
 
-/// One `R × 16` tile of the portable no-pack kernel over a K block; `a_k`
+/// One `R × 16` tile of the portable register tile over a K block; `a_k`
 /// and `b_k` give the offset of each K step in their operand. A ragged tile
 /// (`width < 16`) reads its B rows through a zero-padded copy; its extra
 /// lanes are computed and dropped.
 #[inline(never)]
-fn portable_skinny_tile<const R: usize>(
+fn portable_tile_pass<const R: usize>(
     kc: usize,
     a: &[f32],
     a_rs: usize,
@@ -737,30 +751,25 @@ fn portable_skinny_tile<const R: usize>(
     b: &[f32],
     b_k: impl Fn(usize) -> usize,
     width: usize,
-) -> [[f32; SKINNY_NR]; R] {
+) -> [[f32; NR]; R] {
     #[inline(always)]
-    fn step<const R: usize>(
-        acc: &mut [[f32; SKINNY_NR]; R],
-        a: &[f32],
-        a_rs: usize,
-        brow: &[f32; SKINNY_NR],
-    ) {
+    fn step<const R: usize>(acc: &mut [[f32; NR]; R], a: &[f32], a_rs: usize, brow: &[f32; NR]) {
         for (r, row) in acc.iter_mut().enumerate() {
             let av = a[r * a_rs];
-            for l in 0..SKINNY_NR {
+            for l in 0..NR {
                 row[l] += av * brow[l];
             }
         }
     }
-    let mut acc = [[0.0f32; SKINNY_NR]; R];
-    if width == SKINNY_NR {
+    let mut acc = [[0.0f32; NR]; R];
+    if width == NR {
         for p in 0..kc {
             let brow = b[b_k(p)..].first_chunk().expect("full B tile");
             step(&mut acc, &a[a_k(p)..], a_rs, brow);
         }
     } else {
         for p in 0..kc {
-            let mut brow = [0.0f32; SKINNY_NR];
+            let mut brow = [0.0f32; NR];
             brow[..width].copy_from_slice(&b[b_k(p)..][..width]);
             step(&mut acc, &a[a_k(p)..], a_rs, &brow);
         }
@@ -769,39 +778,42 @@ fn portable_skinny_tile<const R: usize>(
 }
 
 /// Portable panel transpose: an 8×8 block is read as (up to) 8 contiguous
-/// runs into a local tile and written back as 64 contiguous floats, so both
-/// sides of the move stay within a few cache lines; the last `len % 8`
-/// depths are moved one element at a time.
-pub fn portable_transpose(src: &[f32], stride: usize, lines: usize, len: usize, panel: &mut [f32]) {
-    assert!(lines <= 8, "a panel has at most 8 lines");
-    let (blocks, tail) = panel[..len * 8].split_at_mut(len / 8 * 64);
-    for (blk, block) in blocks.chunks_exact_mut(64).enumerate() {
+/// runs into a local tile and written back as 8 panel rows, so both sides of
+/// the move stay within a few cache lines; the last `len % 8` depths are
+/// moved one element at a time.
+pub fn portable_transpose(
+    src: &[f32],
+    stride: usize,
+    lines: usize,
+    len: usize,
+    panel: &mut [f32],
+    ld: usize,
+) {
+    assert_transpose_bounds(src, stride, lines, len, panel, ld);
+    let full = len / 8 * 8;
+    for q0 in (0..full).step_by(8) {
         let mut tile = [[0.0f32; 8]; 8];
         for (r, row) in tile.iter_mut().enumerate().take(lines) {
-            *row = *src[r * stride + blk * 8..]
-                .first_chunk()
-                .expect("full block");
+            *row = *src[r * stride + q0..].first_chunk().expect("full block");
         }
-        for (q, out) in block.chunks_exact_mut(8).enumerate() {
-            for (r, o) in out.iter_mut().enumerate() {
-                *o = tile[r][q];
+        for q in 0..8 {
+            let out = &mut panel[(q0 + q) * ld..][..8];
+            for (o, row) in out.iter_mut().zip(&tile) {
+                *o = row[q];
             }
         }
     }
-    for (q, out) in tail.chunks_exact_mut(8).enumerate() {
+    for q in full..len {
+        let out = &mut panel[q * ld..][..8];
         for (r, o) in out.iter_mut().enumerate() {
-            *o = if r < lines {
-                src[r * stride + len / 8 * 8 + q]
-            } else {
-                0.0
-            };
+            *o = if r < lines { src[r * stride + q] } else { 0.0 };
         }
     }
 }
 
-/// AVX2 no-pack kernel wrapper (plain `fn` so it fits the dispatch table).
+/// AVX2 register-tile wrapper (plain `fn` so it fits the dispatch table).
 #[cfg(target_arch = "x86_64")]
-fn avx2_skinny_kernel(
+fn avx2_tile_kernel(
     rows: usize,
     n: usize,
     kc: usize,
@@ -810,14 +822,14 @@ fn avx2_skinny_kernel(
     c: &mut [f32],
     ldc: usize,
 ) {
-    assert_skinny_bounds(rows, n, kc, a, b, c, ldc);
+    assert_tile_bounds(rows, n, kc, a, b, c, ldc);
     let (ap, bp, cp) = (a.data.as_ptr(), b.data.as_ptr(), c.as_mut_ptr());
     // SAFETY: bounds asserted above; AVX2 presence was verified by
     // `simd_available` before this kernel was selected.
     unsafe {
         with_const_rows!(
             rows,
-            avx2::skinny,
+            avx2::tile,
             (n, kc, ap, a.rs, |p| p * a.cs, bp, |p| p * b.rs, cp, ldc)
         )
     }
@@ -844,7 +856,7 @@ fn avx2_window_kernel(
     // SAFETY: bounds asserted above (both tables hold `kc` offsets no larger
     // than their recorded maxima); AVX2 presence was verified by
     // `simd_available` before this kernel was selected.
-    unsafe { with_const_rows!(rows, avx2::skinny, (n, kc, ap, a_rs, a_k, bp, b_k, cp, ldc)) }
+    unsafe { with_const_rows!(rows, avx2::tile, (n, kc, ap, a_rs, a_k, bp, b_k, cp, ldc)) }
 }
 
 /// AVX2 lane-gathering kernel wrapper (plain `fn` so it fits the dispatch
@@ -874,21 +886,19 @@ fn avx2_lane_kernel(
 
 /// AVX2 panel transpose wrapper (plain `fn` so it fits the dispatch table).
 #[cfg(target_arch = "x86_64")]
-fn avx2_transpose(src: &[f32], stride: usize, lines: usize, len: usize, panel: &mut [f32]) {
-    assert_transpose_bounds(src, stride, lines, len, panel);
-    // SAFETY: bounds asserted above; AVX2 presence was verified by
-    // `simd_available` before this kernel was selected.
-    unsafe { avx2::transpose(src.as_ptr(), stride, lines, len, panel.as_mut_ptr()) }
-}
-
-/// AVX2 micro-kernel wrapper (plain `fn` so it fits the dispatch table).
-#[cfg(target_arch = "x86_64")]
-fn avx2_microkernel(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
-    assert!(pa.len() >= kc * MR, "packed A panel too short");
-    assert!(pb.len() >= kc * NR, "packed B panel too short");
-    // SAFETY: bounds asserted above; AVX2 presence was verified by
-    // `simd_available` before this kernel was selected.
-    unsafe { avx2::microkernel(kc, pa.as_ptr(), pb.as_ptr(), acc) }
+fn avx2_transpose(
+    src: &[f32],
+    stride: usize,
+    lines: usize,
+    len: usize,
+    panel: &mut [f32],
+    ld: usize,
+) {
+    assert_transpose_bounds(src, stride, lines, len, panel, ld);
+    // SAFETY: bounds asserted above (no source line is read past `lines`);
+    // AVX2 presence was verified by `simd_available` before this kernel was
+    // selected.
+    unsafe { avx2::transpose(src.as_ptr(), stride, lines, len, panel.as_mut_ptr(), ld) }
 }
 
 /// AVX2 row exponential wrapper (plain `fn` so it fits the dispatch table).
@@ -902,8 +912,7 @@ fn avx2_exp_row(row: &mut [f32], shift: f32) -> f32 {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        EXP_CLAMP, EXP_CUT, EXP_LANES, EXP_LN2_HI, EXP_LN2_LO, EXP_LOG2E, EXP_POLY, EXP_ROUND, MR,
-        NR,
+        EXP_CLAMP, EXP_CUT, EXP_LANES, EXP_LN2_HI, EXP_LN2_LO, EXP_LOG2E, EXP_POLY, EXP_ROUND,
     };
     use std::arch::x86_64::*;
 
@@ -979,58 +988,10 @@ mod avx2 {
         out
     }
 
-    /// One `__m256` accumulator per C row; per k step: broadcast `a[i]`,
-    /// multiply by the B row vector, add. Mul and add stay separate
-    /// intrinsics (no FMA), so each lane performs exactly the two roundings
-    /// of the portable kernel — bitwise identical output.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available and that `pa`/`pb` point at
-    /// `kc * MR` / `kc * NR` readable `f32`s.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn microkernel(
-        kc: usize,
-        mut pa: *const f32,
-        mut pb: *const f32,
-        acc: &mut [f32; MR * NR],
-    ) {
-        let mut c0 = _mm256_setzero_ps();
-        let mut c1 = _mm256_setzero_ps();
-        let mut c2 = _mm256_setzero_ps();
-        let mut c3 = _mm256_setzero_ps();
-        let mut c4 = _mm256_setzero_ps();
-        let mut c5 = _mm256_setzero_ps();
-        let mut c6 = _mm256_setzero_ps();
-        let mut c7 = _mm256_setzero_ps();
-        for _ in 0..kc {
-            let b = _mm256_loadu_ps(pb);
-            c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(*pa), b));
-            c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(*pa.add(1)), b));
-            c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(*pa.add(2)), b));
-            c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(*pa.add(3)), b));
-            c4 = _mm256_add_ps(c4, _mm256_mul_ps(_mm256_set1_ps(*pa.add(4)), b));
-            c5 = _mm256_add_ps(c5, _mm256_mul_ps(_mm256_set1_ps(*pa.add(5)), b));
-            c6 = _mm256_add_ps(c6, _mm256_mul_ps(_mm256_set1_ps(*pa.add(6)), b));
-            c7 = _mm256_add_ps(c7, _mm256_mul_ps(_mm256_set1_ps(*pa.add(7)), b));
-            pa = pa.add(MR);
-            pb = pb.add(NR);
-        }
-        let out = acc.as_mut_ptr();
-        _mm256_storeu_ps(out, c0);
-        _mm256_storeu_ps(out.add(NR), c1);
-        _mm256_storeu_ps(out.add(2 * NR), c2);
-        _mm256_storeu_ps(out.add(3 * NR), c3);
-        _mm256_storeu_ps(out.add(4 * NR), c4);
-        _mm256_storeu_ps(out.add(5 * NR), c5);
-        _mm256_storeu_ps(out.add(6 * NR), c6);
-        _mm256_storeu_ps(out.add(7 * NR), c7);
-    }
-
     /// `R` rows of C against B read in place: per 16-column tile, two
     /// accumulators per row; per `p`, two B loads shared by all rows and one
     /// broadcast of `a(r, p)` per row. Unfused mul then add per lane, like
-    /// the micro-kernel. One-vector tiles under a lane mask finish the row.
+    /// the portable tile. One-vector tiles under a lane mask finish the row.
     /// `ak`/`bk` say where K step `p` starts in A's row and in B.
     ///
     /// # Safety
@@ -1040,7 +1001,7 @@ mod avx2 {
     /// writes too).
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn skinny<const R: usize>(
+    pub(super) unsafe fn tile<const R: usize>(
         n: usize,
         kc: usize,
         a: *const f32,
@@ -1097,7 +1058,7 @@ mod avx2 {
     /// `R` rows of every [`LaneTile`](super::LaneTile) of `tiles`: per `p`,
     /// each of a tile's two B vectors is one load (a window that fills it)
     /// or the OR of its segments' masked loads, then every row broadcasts
-    /// `a(r, p)`, multiplies and adds — unfused, like [`skinny`] — and the
+    /// `a(r, p)`, multiplies and adds — unfused, like [`tile`] — and the
     /// sums are added onto the tile's C stretch. A tile at most 8 lanes wide
     /// runs on one accumulator per row.
     ///
@@ -1217,15 +1178,60 @@ mod avx2 {
         sums
     }
 
-    /// Transposes one 8×8 block held as 8 row registers and stores it as 64
-    /// contiguous floats (`dst[q·8 + r] = rows[r][q]`).
+    /// Eight rows of [`super::row_chains`], `x`/`y` at their first
+    /// elements and `len` apart: per 8×8 block, both operands transposed in
+    /// registers, then column `q` of the block (element `q` of every row)
+    /// joins each lane's chain in ascending `q`; the last `len % 8` steps
+    /// continue each row's chain one element at a time.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 is available and `dst` is valid for 64 writes.
+    /// Caller must ensure AVX2 is available and `x`, and `y` when `PRODUCT`,
+    /// are readable for `8 · len` elements.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn row_chains8<const PRODUCT: bool>(
+        acc: &mut [f32; 8],
+        x: *const f32,
+        y: *const f32,
+        len: usize,
+    ) {
+        let block = |src: *const f32, q: usize| -> [__m256; 8] {
+            transposed(std::array::from_fn(|r| {
+                _mm256_loadu_ps(src.add(r * len + q))
+            }))
+        };
+        let mut lanes = _mm256_loadu_ps(acc.as_ptr());
+        let full = len / 8 * 8;
+        for q in (0..full).step_by(8) {
+            let xs = block(x, q);
+            let ys = if PRODUCT { block(y, q) } else { xs };
+            for (xc, yc) in xs.into_iter().zip(ys) {
+                let term = if PRODUCT { _mm256_mul_ps(xc, yc) } else { xc };
+                lanes = _mm256_add_ps(lanes, term);
+            }
+        }
+        _mm256_storeu_ps(acc.as_mut_ptr(), lanes);
+        for (r, a) in acc.iter_mut().enumerate() {
+            for p in full..len {
+                let xv = *x.add(r * len + p);
+                *a += if PRODUCT {
+                    xv * *y.add(r * len + p)
+                } else {
+                    xv
+                };
+            }
+        }
+    }
+
+    /// One 8×8 block held as 8 row registers, returned as its 8 columns
+    /// (`columns[q][r] = rows[r][q]`).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn store_transposed(rows: [__m256; 8], dst: *mut f32) {
+    unsafe fn transposed(rows: [__m256; 8]) -> [__m256; 8] {
         // Interleave row pairs: t0 = r0[0] r1[0] r0[1] r1[1] | r0[4] r1[4] r0[5] r1[5].
         let t0 = _mm256_unpacklo_ps(rows[0], rows[1]);
         let t1 = _mm256_unpackhi_ps(rows[0], rows[1]);
@@ -1245,14 +1251,16 @@ mod avx2 {
         let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
         let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
         // Swap 128-bit halves so each register is one full column.
-        _mm256_storeu_ps(dst, _mm256_permute2f128_ps::<0x20>(u0, u4));
-        _mm256_storeu_ps(dst.add(8), _mm256_permute2f128_ps::<0x20>(u1, u5));
-        _mm256_storeu_ps(dst.add(16), _mm256_permute2f128_ps::<0x20>(u2, u6));
-        _mm256_storeu_ps(dst.add(24), _mm256_permute2f128_ps::<0x20>(u3, u7));
-        _mm256_storeu_ps(dst.add(32), _mm256_permute2f128_ps::<0x31>(u0, u4));
-        _mm256_storeu_ps(dst.add(40), _mm256_permute2f128_ps::<0x31>(u1, u5));
-        _mm256_storeu_ps(dst.add(48), _mm256_permute2f128_ps::<0x31>(u2, u6));
-        _mm256_storeu_ps(dst.add(56), _mm256_permute2f128_ps::<0x31>(u3, u7));
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
     }
 
     /// Panel transpose, 8×8 blocks in registers; missing lines are zero
@@ -1260,9 +1268,9 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX2 is available, `1 ≤ lines ≤ 8`, `src + r·stride
-    /// + q` is readable for `r < lines`, `q < len`, and `panel` is valid for
-    /// `len · 8` writes.
+    /// Caller must ensure AVX2 is available, `lines ≤ 8`, `src + r·stride +
+    /// q` is readable for `r < lines`, `q < len`, and `panel + q·ld` is valid
+    /// for 8 writes for `q < len`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn transpose(
         src: *const f32,
@@ -1270,6 +1278,7 @@ mod avx2 {
         lines: usize,
         len: usize,
         panel: *mut f32,
+        ld: usize,
     ) {
         let full = len / 8 * 8;
         for q in (0..full).step_by(8) {
@@ -1277,11 +1286,13 @@ mod avx2 {
             for (r, row) in rows.iter_mut().enumerate().take(lines) {
                 *row = _mm256_loadu_ps(src.add(r * stride + q));
             }
-            store_transposed(rows, panel.add(q * 8));
+            for (c, column) in transposed(rows).into_iter().enumerate() {
+                _mm256_storeu_ps(panel.add((q + c) * ld), column);
+            }
         }
         for q in full..len {
             for r in 0..8 {
-                *panel.add(q * 8 + r) = if r < lines {
+                *panel.add(q * ld + r) = if r < lines {
                     *src.add(r * stride + q)
                 } else {
                     0.0
@@ -1295,47 +1306,60 @@ mod avx2 {
 mod tests {
     use super::*;
 
-    fn panels(kc: usize) -> (Vec<f32>, Vec<f32>) {
-        let pa: Vec<f32> = (0..kc * MR)
-            .map(|v| ((v * 31 + 7) % 17) as f32 * 0.5 - 4.0)
-            .collect();
-        let pb: Vec<f32> = (0..kc * NR)
-            .map(|v| ((v * 13 + 3) % 19) as f32 * 0.25 - 2.0)
-            .collect();
-        (pa, pb)
-    }
-
     #[test]
-    fn simd_kernel_matches_portable_bitwise() {
+    fn simd_tile_matches_portable_bitwise_on_packed_panels() {
         if !simd_available() {
             eprintln!("no SIMD tier on this CPU; skipping");
             return;
         }
-        let simd = simd_microkernel();
         for kc in [1usize, 2, 7, 63, 256] {
-            let (pa, pb) = panels(kc);
-            let mut want = [f32::NAN; MR * NR];
-            portable_microkernel(kc, &pa, &pb, &mut want);
-            let mut got = [f32::NAN; MR * NR];
-            simd(kc, &pa, &pb, &mut got);
-            assert_eq!(
-                want.map(f32::to_bits),
-                got.map(f32::to_bits),
-                "SIMD kernel diverged at kc={kc}"
-            );
+            let pa: Vec<f32> = (0..kc * MR)
+                .map(|v| ((v * 31 + 7) % 17) as f32 * 0.5 - 4.0)
+                .collect();
+            let pb: Vec<f32> = (0..kc * NR)
+                .map(|v| ((v * 13 + 3) % 19) as f32 * 0.25 - 2.0)
+                .collect();
+            let (a, b) = (MatRef::transposed(&pa, MR), MatRef::row_major(&pb, NR));
+            for (rows, cols) in [(MR, NR), (1, NR), (MR, 1), (5, 9), (2, 15)] {
+                let mut want = [0.5f32; MR * NR];
+                portable_tile_kernel(rows, cols, kc, a, b, &mut want, NR);
+                let mut got = [0.5f32; MR * NR];
+                #[cfg(target_arch = "x86_64")]
+                avx2_tile_kernel(rows, cols, kc, a, b, &mut got, NR);
+                assert_eq!(
+                    want.map(f32::to_bits),
+                    got.map(f32::to_bits),
+                    "SIMD tile diverged at kc={kc}, {rows}x{cols}"
+                );
+            }
         }
     }
 
     #[test]
-    fn zero_kc_clears_the_accumulator() {
-        let (pa, pb) = panels(1);
-        let mut acc = [f32::NAN; MR * NR];
-        portable_microkernel(0, &pa, &pb, &mut acc);
-        assert!(acc.iter().all(|&v| v == 0.0));
-        if simd_available() {
-            let mut acc = [f32::NAN; MR * NR];
-            simd_microkernel()(0, &pa, &pb, &mut acc);
-            assert!(acc.iter().all(|&v| v == 0.0));
+    fn row_chains_are_each_rows_own_sequence_on_every_tier() {
+        for rows in 1usize..=19 {
+            for len in [1usize, 7, 8, 9, 31, 32, 33] {
+                let x: Vec<f32> = (0..rows * len)
+                    .map(|v| ((v * 37 + 11) % 23) as f32 * 0.37 - 4.0)
+                    .collect();
+                let y: Vec<f32> = x.iter().map(|v| v * 0.5 + 1.25).collect();
+                let init: Vec<f32> = (0..rows).map(|r| [-0.0, 0.0, 1.5][r % 3]).collect();
+                let mut want = (init.clone(), init.clone());
+                for (r, (s, d)) in want.0.iter_mut().zip(&mut want.1).enumerate() {
+                    for p in 0..len {
+                        *s += x[r * len + p];
+                        *d += x[r * len + p] * y[r * len + p];
+                    }
+                }
+                for tier in [Tier::Portable, Tier::Simd] {
+                    let (mut sums, mut dots) = (init.clone(), init.clone());
+                    row_chains_on(tier, &mut sums, &x, None, len);
+                    row_chains_on(tier, &mut dots, &x, Some(&y), len);
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&sums), bits(&want.0), "sums, {rows}x{len} on {tier:?}");
+                    assert_eq!(bits(&dots), bits(&want.1), "dots, {rows}x{len} on {tier:?}");
+                }
+            }
         }
     }
 

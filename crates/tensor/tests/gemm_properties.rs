@@ -1,8 +1,9 @@
 //! Property-based and behavioural tests for the blocked GEMM.
 //!
 //! The shape strategy deliberately samples adversarial sizes: 1, primes,
-//! and values one off the MR/NR/MC/KC tile boundaries, so edge-tile packing
-//! and write-back are exercised for every transpose variant.
+//! and values one off the tile and block boundaries (MR = 6 rows, NR = 16
+//! columns, MC = 120, KC = 256), so ragged tiles, B-panel packing and the
+//! in-register write-back are exercised for every transpose variant.
 
 use amalgam_tensor::gemm::{self, force_route, gemm_batch, BatchMat, Route};
 use amalgam_tensor::kernels::{
@@ -20,9 +21,9 @@ use std::sync::Mutex;
 /// this file checks.)
 static TIER_LOCK: Mutex<()> = Mutex::new(());
 
-/// Adversarial M/N sizes: 1, primes, tile-boundary ± 1 around MR/NR = 8
-/// and MC = 128.
-const EDGE_MN: &[usize] = &[1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 31, 33, 64, 65, 127, 129];
+/// Adversarial M/N sizes: 1, primes, tile-boundary ± 1 around MR = 6,
+/// NR = 16 and MC = 120.
+const EDGE_MN: &[usize] = &[1, 2, 5, 6, 7, 13, 15, 16, 17, 31, 33, 64, 65, 119, 121, 129];
 
 /// Adversarial K sizes, additionally straddling KC = 256.
 const EDGE_K: &[usize] = &[1, 2, 3, 7, 8, 9, 17, 64, 65, 255, 256, 257];
@@ -334,13 +335,14 @@ proptest! {
         prop_assert!(check.is_ok(), "{}", check.unwrap_err());
     }
 
-    /// The block-moving packers fill exactly the panels the element-wise
-    /// definitions do: ragged last panels, K blocks that are not multiples
-    /// of 8, offsets into the source, every stride combination (row-major,
-    /// transposed, neither stride 1), a NaN-poisoned target, every tier.
+    /// The block-moving B packer fills exactly the panels the element-wise
+    /// definition does: ragged last panels (one or two 8-line halves), K
+    /// blocks that are not multiples of 8, offsets into the source, every
+    /// stride combination (row-major, transposed, neither stride 1), a
+    /// NaN-poisoned target, every tier.
     #[test]
-    fn packers_match_their_elementwise_definition(
-        lines in 1usize..21,
+    fn packer_matches_its_elementwise_definition(
+        lines in 1usize..41,
         kc in 1usize..41,
         l0 in 0usize..4,
         q0 in 0usize..4,
@@ -348,32 +350,22 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let _guard = TIER_LOCK.lock().unwrap();
-        let (rows, depth) = (l0 + lines, q0 + kc);
-        // The same storage read as A's `[rows, depth]` and B's `[depth, rows]`.
-        let data = rand_vec(rows * depth * 6, seed);
-        let (a, b) = match layout {
-            0 => (MatRef::row_major(&data, depth), MatRef::transposed(&data, depth)),
-            1 => (MatRef::transposed(&data, rows), MatRef::row_major(&data, rows)),
-            _ => (
-                MatRef { data: &data, rs: 2 * depth, cs: 2 },
-                MatRef { data: &data, rs: 3, cs: 3 * depth },
-            ),
+        let (cols, depth) = (l0 + lines, q0 + kc);
+        let data = rand_vec(cols * depth * 6, seed);
+        // B's `[depth, cols]` stored row-major, transposed, or neither.
+        let b = match layout {
+            0 => MatRef::transposed(&data, depth),
+            1 => MatRef::row_major(&data, cols),
+            _ => MatRef { data: &data, rs: 3, cs: 3 * depth },
         };
-        let len = lines.div_ceil(8) * 8 * kc;
+        let len = lines.div_ceil(gemm::NR) * gemm::NR * kc;
         for tier in tiers() {
             simd::force_tier(Some(tier));
             let (mut got, mut want) = (vec![f32::NAN; len], vec![f32::NAN; len]);
-            pack::pack_a(a, l0, q0, lines, kc, &mut got);
-            pack::reference::pack_a(a, l0, q0, lines, kc, &mut want);
-            let a_ok = bits(&got) == bits(&want);
-            got.fill(f32::NAN);
-            want.fill(f32::NAN);
             pack::pack_b(b, q0, l0, kc, lines, &mut got);
             pack::reference::pack_b(b, q0, l0, kc, lines, &mut want);
-            let b_ok = bits(&got) == bits(&want);
             simd::force_tier(None);
-            prop_assert!(a_ok, "pack_a on {:?}: {} lines, kc {}, layout {}", tier, lines, kc, layout);
-            prop_assert!(b_ok, "pack_b on {:?}: {} lines, kc {}, layout {}", tier, lines, kc, layout);
+            prop_assert_eq!(bits(&got), bits(&want), "{:?}: {} lines, kc {}, layout {}", tier, lines, kc, layout);
         }
     }
 }
@@ -427,6 +419,194 @@ fn batched_routes_agree_on_a_large_batch() {
         let check = batched_routes_agree(batch, m, n, k, &ad, &bd, shared_b);
         simd::force_tier(None);
         check.unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The register tile's edges: bit for bit against the reference walk
+// ---------------------------------------------------------------------------
+
+/// The definition every route meets: per element, a zeroed accumulator per
+/// KC block, `acc += a·b` in ascending `p`, then `c += acc`.
+fn defined(m: usize, n: usize, k: usize, a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
+    for i in 0..m {
+        for j in 0..n {
+            for p0 in (0..k).step_by(gemm::KC) {
+                let mut acc = 0.0f32;
+                for p in p0..(p0 + gemm::KC).min(k) {
+                    acc += a.at(i, p) * b.at(p, j);
+                }
+                c[i * n + j] += acc;
+            }
+        }
+    }
+}
+
+/// `gemm` down both routes on every tier, for A stored either way and B's
+/// rows dense or strided (the `Bᵀ` operand only the packed walk takes), on
+/// top of what C held, against [`gemm::reference`] — itself checked against
+/// [`defined`].
+fn tile_edges_agree(m: usize, n: usize, k: usize, seed: u64) -> Result<(), String> {
+    let (ad, bd, c0) = (
+        rand_vec(m * k, seed),
+        rand_vec(k * n, seed ^ 1),
+        rand_vec(m * n, seed ^ 2),
+    );
+    for (a_t, b_t) in [(false, false), (true, false), (false, true)] {
+        let a = a_view(&ad, m, k, a_t);
+        let b = if b_t {
+            MatRef::transposed(&bd, k)
+        } else {
+            MatRef::row_major(&bd, n)
+        };
+        let mut want = c0.clone();
+        gemm::reference::gemm(m, n, k, a, b, &mut want);
+        let mut def = c0.clone();
+        defined(m, n, k, a, b, &mut def);
+        if bits(&def) != bits(&want) {
+            return Err(format!(
+                "reference walk off its definition at ({m},{n},{k})"
+            ));
+        }
+        for tier in tiers() {
+            simd::force_tier(Some(tier));
+            for route in [Route::Skinny, Route::Packed] {
+                let mut got = c0.clone();
+                on_route(route, || gemm::gemm(m, n, k, a, b, &mut got));
+                if bits(&got) != bits(&want) {
+                    return Err(format!(
+                        "{route:?} on {tier:?} at ({m},{n},{k}), A transposed {a_t}, B transposed {b_t}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Rows across 6-row groups and the MC = 120 row block.
+#[test]
+fn tile_edges_in_m() {
+    let _guard = TIER_LOCK.lock().unwrap();
+    for m in [1usize, 5, 6, 7, 11, 12, 13, 119, 120, 121, 126, 127, 241] {
+        let check = tile_edges_agree(m, 37, 40, m as u64);
+        simd::force_tier(None);
+        check.unwrap();
+    }
+}
+
+/// Columns across 16-column panels: every tail width 1..=15, one and two
+/// panels, and one past the NC = 512 block.
+#[test]
+fn tile_edges_in_n() {
+    let _guard = TIER_LOCK.lock().unwrap();
+    for n in (1usize..=33).chain([47, 48, 49, 513]) {
+        let check = tile_edges_agree(13, n, 29, n as u64);
+        simd::force_tier(None);
+        check.unwrap();
+    }
+}
+
+/// Depths across KC = 256: one, two and three blocks.
+#[test]
+fn tile_edges_in_k() {
+    let _guard = TIER_LOCK.lock().unwrap();
+    for k in [1usize, 2, 255, 256, 257, 512, 513] {
+        let check = tile_edges_agree(7, 21, k, k as u64);
+        simd::force_tier(None);
+        check.unwrap();
+    }
+}
+
+/// `gemm_batch` over the same edges, from a NaN-poisoned output (every
+/// element must be written): per-item and shared B, `A·B` and `A·Bᵀ` items —
+/// the latter transposed into 16-column panels, on the tile below the
+/// blocking threshold and on the packed walk above it — against the
+/// reference walk item by item, on every tier.
+#[test]
+fn batched_tile_edges_match_the_reference() {
+    let _guard = TIER_LOCK.lock().unwrap();
+    let batch = 3usize;
+    let mut shapes: Vec<(usize, usize, usize)> = (1usize..=17).map(|n| (16, n, 16)).collect();
+    shapes.extend([(7, 33, 300), (121, 19, 40), (6, 16, 257), (13, 31, 9)]);
+    for (m, n, k) in shapes {
+        let seed = (m * 1000 + n * 10 + k) as u64;
+        let ad = rand_vec(batch * m * k, seed);
+        let bd = rand_vec(batch * k * n, seed ^ 3);
+        let layouts = [
+            ("nn", BatchMat::row_major(&bd, k, n)),
+            ("nt", BatchMat::transposed(&bd, n, k)),
+            ("nn shared", BatchMat::shared(MatRef::row_major(&bd, n))),
+            ("nt shared", BatchMat::shared(MatRef::transposed(&bd, k))),
+        ];
+        let a = BatchMat::row_major(&ad, m, k);
+        for (layout, b) in layouts {
+            let mut want = vec![0.0f32; batch * m * n];
+            for (bi, item) in want.chunks_mut(m * n).enumerate() {
+                gemm::reference::gemm(m, n, k, a.item(bi), b.item(bi), item);
+                item.iter_mut().for_each(|v| *v *= 0.5);
+            }
+            for tier in tiers() {
+                simd::force_tier(Some(tier));
+                let mut got = vec![f32::NAN; batch * m * n];
+                gemm_batch(batch, m, n, k, a, b, 0.5, &mut got);
+                simd::force_tier(None);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{layout} on {tier:?} at ({m},{n},{k})"
+                );
+            }
+        }
+    }
+}
+
+/// `gemm_nt_images` across 6-row groups and the MC block in `m`, the tail
+/// widths of 16-column panels in `n`, and images whose runs straddle a K
+/// block, against the reference walk on the joined matrices (every shape
+/// above the direct loop's, whose single chain agrees only within one K
+/// block).
+#[test]
+fn image_split_tile_edges_match_the_reference() {
+    let _guard = TIER_LOCK.lock().unwrap();
+    for (m, n, images, len) in [
+        (6usize, 16usize, 4usize, 130usize),
+        (7, 9, 2, 300),
+        (13, 15, 5, 64),
+        (121, 17, 2, 130),
+        (2, 33, 9, 60),
+    ] {
+        let k = images * len;
+        let a = rand_vec(images * m * len, (m * n) as u64);
+        let b = rand_vec(images * n * len, (m + n) as u64);
+        let c0 = rand_vec(m * n, len as u64);
+        let join = |data: &[f32], rows: usize| -> Vec<f32> {
+            (0..rows)
+                .flat_map(|r| (0..images).flat_map(move |i| (0..len).map(move |q| (i, r, q))))
+                .map(|(i, r, q)| data[(i * rows + r) * len + q])
+                .collect()
+        };
+        let (aj, bj) = (join(&a, m), join(&b, n));
+        let mut want = c0.clone();
+        gemm::reference::gemm(
+            m,
+            n,
+            k,
+            MatRef::row_major(&aj, k),
+            MatRef::transposed(&bj, k),
+            &mut want,
+        );
+        for tier in tiers() {
+            simd::force_tier(Some(tier));
+            let mut got = c0.clone();
+            gemm::gemm_nt_images(m, n, images, len, &a, &b, &mut got);
+            simd::force_tier(None);
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{tier:?} at ({m},{n},{images}x{len})"
+            );
+        }
     }
 }
 

@@ -339,9 +339,12 @@ fn f32_bits(values: &[f32]) -> Vec<u32> {
 
 /// Every GEMM route gives the same bits — a fixed-seed slice of
 /// `crates/tensor/tests/gemm_properties.rs`, so tier-1 guards it: LeNet's
-/// entry-convolution product, a ragged shape that crosses KC and a batch with
-/// a shared B, down the no-pack route and the packed walk on every kernel
-/// tier, all equal to the element-wise reference walk.
+/// entry-convolution product, a ragged shape that crosses KC, a batch with a
+/// shared B, rows across the MC = 120 block and a 15-column tail of the
+/// 16-column panel, down the no-pack route and the packed walk on every
+/// kernel tier, all equal to the element-wise reference walk; `A·Bᵀ` items
+/// on the 16-wide panels from a NaN-poisoned output; and the image-split
+/// product of a 1×1 convolution's weight gradient.
 #[test]
 fn gemm_routes_agree_bit_for_bit() {
     use amalgam::tensor::gemm::{self, force_route, gemm_batch, BatchMat, Route};
@@ -358,28 +361,75 @@ fn gemm_routes_agree_bit_for_bit() {
         (1usize, 6usize, 1600usize, 25usize),
         (1, 17, 41, 300),
         (5, 7, 90, 260),
+        (2, 121, 31, 40),
     ] {
         let (ad, bd) = (rand(batch * m * k), rand(k * n));
         let a = BatchMat::row_major(&ad, m, k);
-        let b = BatchMat::shared(MatRef::row_major(&bd, n));
-        let mut want = vec![0.0f32; batch * m * n];
-        for (bi, item) in want.chunks_mut(m * n).enumerate() {
-            gemm::reference::gemm(m, n, k, a.item(bi), b.item(bi), item);
-        }
-        for &tier in &tiers {
-            simd::force_tier(Some(tier));
-            for route in [Route::Skinny, Route::Packed] {
-                force_route(Some(route));
-                let mut batched = vec![f32::NAN; batch * m * n];
-                gemm_batch(batch, m, n, k, a, b, 1.0, &mut batched);
-                let mut single = vec![0.0f32; m * n];
-                gemm::gemm(m, n, k, a.item(0), b.item(0), &mut single);
-                force_route(None);
-                let case = format!("{route:?} on {tier:?}, ({batch},{m},{n},{k})");
-                assert_eq!(f32_bits(&batched), f32_bits(&want), "gemm_batch, {case}");
-                assert_eq!(f32_bits(&single), f32_bits(&want[..m * n]), "gemm, {case}");
+        for b in [
+            BatchMat::shared(MatRef::row_major(&bd, n)),
+            BatchMat::shared(MatRef::transposed(&bd, k)),
+        ] {
+            let mut want = vec![0.0f32; batch * m * n];
+            for (bi, item) in want.chunks_mut(m * n).enumerate() {
+                gemm::reference::gemm(m, n, k, a.item(bi), b.item(bi), item);
+            }
+            for &tier in &tiers {
+                simd::force_tier(Some(tier));
+                for route in [Route::Skinny, Route::Packed] {
+                    force_route(Some(route));
+                    let mut batched = vec![f32::NAN; batch * m * n];
+                    gemm_batch(batch, m, n, k, a, b, 1.0, &mut batched);
+                    let mut single = vec![0.0f32; m * n];
+                    gemm::gemm(m, n, k, a.item(0), b.item(0), &mut single);
+                    force_route(None);
+                    let case = format!(
+                        "{route:?} on {tier:?}, ({batch},{m},{n},{k}), B cs {}",
+                        b.cs
+                    );
+                    assert_eq!(f32_bits(&batched), f32_bits(&want), "gemm_batch, {case}");
+                    assert_eq!(f32_bits(&single), f32_bits(&want[..m * n]), "gemm, {case}");
+                }
             }
         }
+    }
+    // Attention's `Q·Kᵀ` items: below the blocking threshold, on the tile
+    // after a transpose into 16-column panels.
+    let (batch, t, dh) = (4usize, 20usize, 16usize);
+    let (qd, kd) = (rand(batch * t * dh), rand(batch * t * dh));
+    let (q, kt) = (
+        BatchMat::row_major(&qd, t, dh),
+        BatchMat::transposed(&kd, t, dh),
+    );
+    let mut want = vec![0.0f32; batch * t * t];
+    for (bi, item) in want.chunks_mut(t * t).enumerate() {
+        gemm::reference::gemm(t, t, dh, q.item(bi), kt.item(bi), item);
+    }
+    // The image-split product: 5 images of 64 positions, a K block crossed.
+    let (m, n, images, len) = (7usize, 17usize, 5usize, 64usize);
+    let (ia, ib) = (rand(images * m * len), rand(images * n * len));
+    let join = |data: &[f32], rows: usize| -> Vec<f32> {
+        (0..rows)
+            .flat_map(|r| (0..images).flat_map(move |i| (0..len).map(move |q| (i, r, q))))
+            .map(|(i, r, q)| data[(i * rows + r) * len + q])
+            .collect()
+    };
+    let k = images * len;
+    let mut want_images = vec![0.0f32; m * n];
+    let (aj, bj) = (join(&ia, m), join(&ib, n));
+    let (av, bv) = (MatRef::row_major(&aj, k), MatRef::transposed(&bj, k));
+    gemm::reference::gemm(m, n, k, av, bv, &mut want_images);
+    for &tier in &tiers {
+        simd::force_tier(Some(tier));
+        let mut got = vec![f32::NAN; batch * t * t];
+        gemm_batch(batch, t, t, dh, q, kt, 1.0, &mut got);
+        assert_eq!(f32_bits(&got), f32_bits(&want), "A·Bᵀ items on {tier:?}");
+        let mut got = vec![0.0f32; m * n];
+        gemm::gemm_nt_images(m, n, images, len, &ia, &ib, &mut got);
+        assert_eq!(
+            f32_bits(&got),
+            f32_bits(&want_images),
+            "image split on {tier:?}"
+        );
     }
     simd::force_tier(None);
 }
