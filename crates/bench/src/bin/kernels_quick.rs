@@ -1,5 +1,5 @@
 //! Quick kernel-regression smoke: times the blocked GEMM against the seed's
-//! naive `ikj` kernel, compares the micro-kernel dispatch tiers, times the
+//! naive `ikj` kernel, compares the register tile's dispatch tiers, times the
 //! no-pack route and the block-moving packers against the packed walk with
 //! element-wise packs, the batched attention-shaped products against the
 //! serial per-head loop, the im2col/col2im slice kernels against their
@@ -23,7 +23,7 @@
 //! `--check` turns the run into a pass/fail gate (used by CI): it fails if
 //! the blocked GEMM is not clearly faster than the `ikj` reference on the
 //! 256³ shape, if the small-shape fast path regresses, if any variant
-//! diverges from the reference numerically, if the SIMD micro-kernel is not
+//! diverges from the reference numerically, if the SIMD register tile is not
 //! *bitwise* identical to the portable one, if the batched GEMM is not
 //! bitwise identical to the serial per-head loop, if the conv glue
 //! kernels differ from the naive definitions by one bit or are not ≥ 2x
@@ -42,9 +42,13 @@
 //! batch of the LM job's
 //! per-head products (`attn_heads_batch_*`: 16 items of T×T×16 in attention's
 //! NN, NT and TN layouts) differs from the direct loop item by item by one
-//! bit or is not ≥ 2.5x faster than it, or if the in-tree `exp` over the LM
+//! bit or is not ≥ 2.5x faster than it, if the in-tree `exp` over the LM
 //! head's rows (`exp_rows_120x200`) differs between tiers, strays more than
-//! 2 ulp from the true value or is not ≥ 1.5x faster than libm's `expf`.
+//! 2 ulp from the true value or is not ≥ 1.5x faster than libm's `expf`, if
+//! the LM head's product (`gemm_lm_head_*`, NT, TN, NN) differs from the
+//! reference walk by one bit or is not ≥ 1.1x faster than it, or if
+//! `LayerNorm` on the LM's rows (`layernorm_rows_128x32`) differs from the
+//! row-at-a-time loop by one bit or is not [`LAYERNORM_GATE`] times faster.
 
 use amalgam_bench::{
     attention_pv_serial_per_head, attention_qk_serial_per_head, matmul_ikj_reference as matmul_ikj,

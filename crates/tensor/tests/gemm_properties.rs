@@ -257,7 +257,7 @@ fn on_route<T>(route: Route, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The micro-kernel tiers this CPU can run.
+/// The kernel tiers this CPU can run.
 fn tiers() -> Vec<Tier> {
     let mut tiers = vec![Tier::Portable];
     if simd::simd_available() {

@@ -1,11 +1,11 @@
-//! Bitwise-equivalence tests for the runtime-dispatched micro-kernel tiers.
+//! Bitwise-equivalence tests for the runtime-dispatched kernel tiers.
 //!
 //! The SIMD kernels (AVX2) perform unfused lane-wise mul+add in the
 //! same `k` order as the portable kernel, so *every* GEMM result must be
 //! bit-for-bit identical across tiers — the property that makes runtime
 //! dispatch invisible to the TEE baseline and the cloud-vs-local
 //! equivalence checks. Shapes cover all three transpose variants and the
-//! ragged edge tiles around MR/NR/MC/KC.
+//! ragged edge tiles around MR/NR/MC/KC (6, 16, 120, 256).
 //!
 //! The forced-tier knob is process-global, so the tests in this file
 //! serialise on one mutex (each integration-test file is its own process,
@@ -49,11 +49,13 @@ fn assert_tiers_agree(label: &str, f: impl Fn() -> Tensor) {
     );
 }
 
-/// Edge shapes straddling MR/NR = 8, MC = 128 and KC = 256, plus the square
-/// blocked shape the benches time.
+/// Edge shapes straddling MR = 6, NR = 16, MC = 120 and KC = 256, plus the
+/// square blocked shape the benches time.
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 300),
     (7, 9, 17),
+    (6, 16, 256),
+    (121, 17, 255),
     (8, 8, 256),
     (9, 7, 257),
     (129, 65, 255),
