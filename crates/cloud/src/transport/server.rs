@@ -556,6 +556,10 @@ mod tests {
                 matches!(closed, Ok(0) | Err(_)),
                 "peer still served: {closed:?}"
             );
+            assert!(
+                TcpStream::connect(("127.0.0.1", port)).is_err(),
+                "the port still accepts after shutdown"
+            );
         }
     }
 

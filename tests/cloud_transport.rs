@@ -1232,3 +1232,37 @@ fn fetch_stats_across_a_link_loss() {
     server.shutdown();
     injector.shutdown();
 }
+
+/// At `max_connections` a new socket is refused before its handshake: one
+/// `Reject` naming capacity, counted once, while the session already there
+/// keeps training. Once `shutdown` returns the port refuses connections.
+#[test]
+fn a_connection_over_capacity_is_rejected_and_the_port_closes_at_shutdown() {
+    let service = CloudService::builder().workers(1).build();
+    let config = TransportConfig::default().max_connections(1);
+    let server = CloudServer::bind_with(service, "127.0.0.1:0", config).expect("bind loopback");
+    let addr = server.local_addr();
+    let first = RemoteCloudClient::connect(addr).expect("first session");
+
+    let mut second = TcpStream::connect(addr).unwrap();
+    second
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match read_raw_frame(&mut second) {
+        Some(Frame::Reject { reason }) => assert!(reason.contains("capacity"), "{reason}"),
+        other => panic!("expected Reject, got {other:?}"),
+    }
+    let mut buf = [0u8; 16];
+    assert_eq!(second.read(&mut buf).unwrap_or(0), 0, "refused peer kept");
+    assert_eq!(server.stats().connections_rejected, 1);
+
+    let result = first.train(&tiny_job(7)).expect("first session trains");
+    assert!(!result.trained_model.is_empty());
+    first.close();
+    assert_invariants(&server.stats());
+    server.shutdown();
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "the port still accepts after shutdown"
+    );
+}
