@@ -27,8 +27,8 @@
 //!   panic → admission → dedup → ratelimit → auth → decode → validate
 //!         → observer → train
 //!                                   │ Result<JobResult, CloudError>
-//!                                   ▼ reply channel → JobHandle /
-//!                                     Reply frame → RemoteJobHandle
+//!                                   ▼ reply channel / Reply frame
+//!                                     → JobHandle
 //! ```
 //!
 //! A worker runs the stages in that order, each around the ones after it;
@@ -166,8 +166,8 @@ pub enum CloudError {
 impl CloudError {
     /// The advisory back-off carried by [`CloudError::RateLimited`], as a
     /// [`std::time::Duration`]; `None` for every other variant. Works the
-    /// same on a local [`JobHandle`] outcome and on a [`RemoteJobHandle`]
-    /// one, because the variant round-trips the transport's Reply frame.
+    /// same on a local [`JobHandle`] outcome and on a remote one, because
+    /// the variant round-trips the transport's Reply frame.
     pub fn retry_after(&self) -> Option<std::time::Duration> {
         match self {
             CloudError::RateLimited { retry_after_ms } => {

@@ -9,12 +9,13 @@ use crate::pipeline::{duration_us, JobContext, Pipeline, SessionKey};
 use crate::protocol::{CloudJob, JobResult, ProgressUpdate};
 use crate::queue::FairDispatcher;
 use crate::telemetry::{Telemetry, TraceId};
+use crate::transport::ClientShared;
 use crate::CloudError;
 use bytes::Bytes;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Where a finished job's outcome goes.
@@ -496,13 +497,12 @@ impl CloudClient {
             },
             TraceId::NONE,
         )?;
-        Ok(JobHandle {
+        Ok(JobHandle::new(
             id,
-            rx: reply_rx,
+            reply_rx,
             progress_rx,
-            cancel,
-            done: None,
-        })
+            Canceller::Flag(cancel),
+        ))
     }
 
     /// Submits a payload whose outcome is multiplexed onto a shared reply
@@ -605,18 +605,69 @@ impl CloudClient {
     }
 }
 
-/// An in-flight job.
+/// An in-flight job, submitted in process ([`CloudClient::submit`]) or over
+/// a connection ([`crate::RemoteCloudClient::submit`]): one API, one
+/// result-id match (`wait().unwrap().job_id == handle.id()`), and one error
+/// surface, since every [`CloudError`] variant round-trips the Reply frame.
+/// A job the per-session rate limiter refuses resolves to
+/// [`CloudError::RateLimited`], whose [`retry_after`](CloudError::retry_after)
+/// says how long to back off before resubmitting:
+///
+/// ```no_run
+/// # use amalgam_cloud::{CloudJob, RemoteCloudClient};
+/// # fn demo(client: &RemoteCloudClient, job: &CloudJob) {
+/// match client.submit(job).unwrap().wait() {
+///     Ok(result) => println!("trained: {} bytes", result.bytes_sent),
+///     Err(e) => {
+///         if let Some(backoff) = e.retry_after() {
+///             std::thread::sleep(backoff); // then resubmit
+///         }
+///     }
+/// }
+/// # }
+/// ```
+///
+/// (A remote client running a [`crate::ReconnectPolicy`] performs that
+/// dance itself: the handle only sees `RateLimited` once the job's
+/// resubmission budget is spent.)
 #[derive(Debug)]
 pub struct JobHandle {
     id: u64,
     rx: Receiver<Result<JobResult, CloudError>>,
     progress_rx: Receiver<ProgressUpdate>,
-    cancel: CancelFlag,
+    cancel: Canceller,
     done: Option<Result<JobResult, CloudError>>,
 }
 
+/// How a [`JobHandle`] asks its job to stop.
+#[derive(Debug)]
+pub(crate) enum Canceller {
+    /// An in-process job: the flag its trainer polls.
+    Flag(CancelFlag),
+    /// A remote job: a `Cancel` posted on its client's loop. Weak, so a
+    /// forgotten handle never keeps the session alive.
+    Remote(Weak<ClientShared>),
+}
+
 impl JobHandle {
-    /// The service-assigned job id (matches [`JobResult::job_id`]).
+    pub(crate) fn new(
+        id: u64,
+        rx: Receiver<Result<JobResult, CloudError>>,
+        progress_rx: Receiver<ProgressUpdate>,
+        cancel: Canceller,
+    ) -> JobHandle {
+        JobHandle {
+            id,
+            rx,
+            progress_rx,
+            cancel,
+            done: None,
+        }
+    }
+
+    /// The job's id — the service's for an in-process submit, the
+    /// connection's request id for a remote one; it matches
+    /// [`JobResult::job_id`].
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -626,9 +677,17 @@ impl JobHandle {
     /// [`CloudError::Cancelled`] (for this handle *and* every
     /// dedup-coalesced waiter of the same content address) or — if it was
     /// already past its last epoch — completes normally. Either way the
-    /// handle's `wait` is always answered.
+    /// handle's `wait` is always answered. A remote job is cancelled by a
+    /// `Cancel` frame and is never revived by reconnect or retry machinery.
     pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
+        match &self.cancel {
+            Canceller::Flag(flag) => flag.store(true, Ordering::Relaxed),
+            Canceller::Remote(client) => {
+                if let Some(client) = client.upgrade() {
+                    client.cancel(self.id);
+                }
+            }
+        }
     }
 
     /// The next per-epoch progress update received so far, non-blocking;
@@ -650,7 +709,7 @@ impl JobHandle {
     /// # Errors
     ///
     /// Returns [`CloudError::ServiceUnavailable`] if the service died with
-    /// the job still queued.
+    /// the job still queued, or the connection with it still unanswered.
     pub fn wait(self) -> Result<JobResult, CloudError> {
         if let Some(done) = self.done {
             return done;

@@ -4,7 +4,7 @@
 //! One connection carries any number of concurrent jobs: submissions are
 //! tagged with a client-chosen request id, replies are matched back by that
 //! id (they arrive in *completion* order, not submission order), and each
-//! is routed to its waiting [`RemoteJobHandle`].
+//! is routed to its waiting [`JobHandle`].
 //!
 //! # The client event loop
 //!
@@ -41,6 +41,7 @@ use super::{
 };
 use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::protocol::{CloudJob, JobResult, ProgressUpdate};
+use crate::service::{Canceller, JobHandle};
 use crate::telemetry::{Stage, Telemetry, TraceId};
 use crate::CloudError;
 use bytes::Bytes;
@@ -48,7 +49,7 @@ use reactor::Poller;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,7 +64,7 @@ pub struct RemoteCloudClient {
 /// A client as its callers see it; its session on the client loop holds
 /// the rest.
 #[derive(Debug)]
-struct ClientShared {
+pub(crate) struct ClientShared {
     runtime: Arc<Runtime>,
     /// The session's token on the loop.
     token: u64,
@@ -784,7 +785,7 @@ impl RemoteCloudClient {
     /// Returns [`CloudError::Transport`] if the job is too big for the
     /// connection and [`CloudError::ServiceUnavailable`] if the session has
     /// ended.
-    pub fn submit(&self, job: &CloudJob) -> Result<RemoteJobHandle, CloudError> {
+    pub fn submit(&self, job: &CloudJob) -> Result<JobHandle, CloudError> {
         self.submit_payload(job.to_bytes())
     }
 
@@ -796,7 +797,7 @@ impl RemoteCloudClient {
     /// # Errors
     ///
     /// Same surface as [`submit`](Self::submit).
-    pub fn submit_payload(&self, payload: Bytes) -> Result<RemoteJobHandle, CloudError> {
+    pub fn submit_payload(&self, payload: Bytes) -> Result<JobHandle, CloudError> {
         let shared = &*self.shared;
         if shared.state.closed.load(Ordering::SeqCst) {
             return Err(CloudError::ServiceUnavailable);
@@ -843,13 +844,8 @@ impl RemoteCloudClient {
         shared
             .runtime
             .run(shared.token, move |s, r| s.submit(id, job, r));
-        Ok(RemoteJobHandle {
-            id,
-            rx,
-            progress_rx,
-            shared: Arc::downgrade(&self.shared),
-            done: None,
-        })
+        let cancel = Canceller::Remote(Arc::downgrade(&self.shared));
+        Ok(JobHandle::new(id, rx, progress_rx, cancel))
     }
 
     /// Convenience: submit and wait.
@@ -873,6 +869,13 @@ impl RemoteCloudClient {
             drop(done);
         });
         let _ = closed.recv();
+    }
+}
+
+impl ClientShared {
+    /// Posts a `Cancel` for request `id` on the client loop.
+    pub(crate) fn cancel(&self, id: u64) {
+        self.runtime.run(self.token, move |s, r| s.cancel(id, r));
     }
 }
 
@@ -903,124 +906,9 @@ fn jittered_interval(interval: Duration, seed: u64) -> Duration {
     interval.mul_f64(0.75 + 0.25 * frac)
 }
 
-/// An in-flight remote job — API parity with [`crate::JobHandle`],
-/// including the result-id match: `wait().unwrap().job_id == handle.id()`.
-///
-/// Error parity holds too, because every [`crate::CloudError`] variant
-/// round-trips the Reply frame. In particular a job refused by the
-/// server's per-session rate limiter resolves to
-/// [`crate::CloudError::RateLimited`], whose
-/// [`retry_after`](crate::CloudError::retry_after) tells this client how
-/// long to back off before resubmitting — same as an in-process handle
-/// would see:
-///
-/// ```no_run
-/// # use amalgam_cloud::{CloudJob, RemoteCloudClient};
-/// # fn demo(client: &RemoteCloudClient, job: &CloudJob) {
-/// match client.submit(job).unwrap().wait() {
-///     Ok(result) => println!("trained: {} bytes", result.bytes_sent),
-///     Err(e) => {
-///         if let Some(backoff) = e.retry_after() {
-///             std::thread::sleep(backoff); // then resubmit
-///         }
-///     }
-/// }
-/// # }
-/// ```
-///
-/// (A client running a [`ReconnectPolicy`] performs that dance itself: the
-/// handle only sees `RateLimited` once the job's resubmission budget is
-/// spent.)
-#[derive(Debug)]
-pub struct RemoteJobHandle {
-    id: u64,
-    rx: Receiver<Result<JobResult, CloudError>>,
-    progress_rx: Receiver<ProgressUpdate>,
-    /// Back-reference for [`cancel`](Self::cancel); weak so a forgotten
-    /// handle never keeps the session alive.
-    shared: Weak<ClientShared>,
-    done: Option<Result<JobResult, CloudError>>,
-}
-
-impl RemoteJobHandle {
-    /// The request id this connection assigned (matches
-    /// [`JobResult::job_id`] in the reply).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Asks the server to stop this job at its next epoch boundary
-    /// (best effort). The handle still resolves — normally with
-    /// [`CloudError::Cancelled`], or with the job's ordinary outcome if
-    /// cancellation raced completion. A cancelled job is never revived by
-    /// reconnect or retry machinery.
-    pub fn cancel(&self) {
-        if let Some(shared) = self.shared.upgrade() {
-            let id = self.id;
-            shared
-                .runtime
-                .run(shared.token, move |s, r| s.cancel(id, r));
-        }
-    }
-
-    /// Non-blocking: the next queued progress update, if any. Updates
-    /// arrive in epoch order; draining in a loop observes every frame the
-    /// server delivered.
-    pub fn try_progress(&self) -> Option<ProgressUpdate> {
-        self.progress_rx.try_recv().ok()
-    }
-
-    /// Blocking stream of progress updates. The iterator yields each
-    /// update as it arrives and ends when the job settles (its reply —
-    /// success or error — retires the server-side entry feeding this
-    /// channel), after which [`wait`](Self::wait) returns immediately.
-    pub fn progress(&self) -> impl Iterator<Item = ProgressUpdate> + '_ {
-        std::iter::from_fn(move || self.progress_rx.recv().ok())
-    }
-
-    /// Blocks until the job finishes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CloudError::ServiceUnavailable`] if the connection died
-    /// with the job still unanswered.
-    pub fn wait(self) -> Result<JobResult, CloudError> {
-        if let Some(done) = self.done {
-            return done;
-        }
-        self.rx.recv().map_err(|_| CloudError::ServiceUnavailable)?
-    }
-
-    /// Non-blocking poll: `None` while the job is still running. Once the
-    /// outcome is known it is cached, so polling again keeps returning it.
-    pub fn try_wait(&mut self) -> Option<Result<JobResult, CloudError>> {
-        if self.done.is_none() {
-            match self.rx.try_recv() {
-                Ok(result) => self.done = Some(result),
-                Err(TryRecvError::Empty) => return None,
-                Err(TryRecvError::Disconnected) => {
-                    self.done = Some(Err(CloudError::ServiceUnavailable));
-                }
-            }
-        }
-        self.done.clone()
-    }
-
-    /// Blocks at most `timeout`; `None` on timeout, the (cached) outcome
-    /// otherwise.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<JobResult, CloudError>> {
-        if self.done.is_none() {
-            match self.rx.recv_timeout(timeout) {
-                Ok(result) => self.done = Some(result),
-                Err(RecvTimeoutError::Timeout) => return None,
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.done = Some(Err(CloudError::ServiceUnavailable));
-                }
-            }
-        }
-        self.done.clone()
-    }
-}
+/// The name a remote job's handle had before it became [`JobHandle`];
+/// kept for the benchmark harness, which imports it.
+pub type RemoteJobHandle = JobHandle;
 
 #[cfg(test)]
 mod tests {

@@ -2,10 +2,53 @@
 //! wheel and a set of connections, and drives every connection as an
 //! explicit state machine over nonblocking sockets.
 //!
+//! A connection is owned by exactly one reactor thread for its whole life,
+//! so its state machine, decode scratch and write queue need no locks.
+//! Cross-thread signals — sockets reactor 0 deals, links from a dialer,
+//! completed jobs from the workers, a remote client's submits, cancels and
+//! `GetStats`, shutdown — go through each reactor's [`ReactorShared`]
+//! inbox/ready-list plus a [`reactor::Waker`]; wakes coalesce, and a timer
+//! wheel (5 ms ticks) drives every deadline, one entry per connection.
+//!
+//! # Tiers, roles and threads
+//!
+//! One loop ([`Reactor::run`], over the vendored `reactor` crate: epoll on
+//! Linux, `poll(2)` elsewhere) drives two [`Tier`]s:
+//!
+//! * **A server's pool**, [`TransportConfig::io_threads`] reactors. Reactor
+//!   0 also polls the job listener and the Prometheus exporter's, and
+//!   accepts until `WouldBlock`: a connection past `max_connections` gets
+//!   one `Reject` and is closed, every other is dealt to the reactor with
+//!   the fewest live connections (ties round-robin, itself included). A
+//!   failed accept rests its listener on the wheel for 5 ms. Shutdown sets
+//!   the stop flag and kicks the reactors; reactor 0 drops the listeners
+//!   first, so the port refuses connections once shutdown returns.
+//! * **The client loop** (`transport::client`): every remote client of the
+//!   process on one reactor, started by the first connect and joined when
+//!   the last client closes or drops.
+//!
+//! A connection plays one of three roles: a *server session* (an accepted
+//! connection: the diagram below, on a server reactor), a *relay link* (a
+//! relay session's connection to its backend, registered on the session's
+//! own reactor under its token with the link bit set — the `relay`
+//! submodule) or a *client session* (a remote client's connection, on the
+//! client loop). The two client roles are one mechanism, the *link* (the
+//! `link` submodule): the `Hello`/`Welcome` exchange, keep-alive and stall
+//! deadlines as one wheel entry, and the jobs it retains until answered,
+//! resubmitted in request-id order on the next welcomed link. A connection
+//! that dials blocks only a dialer thread, never a reactor. Threads per
+//! tier, whatever the number of connections:
+//!
+//! | tier | threads | gate |
+//! |------|---------|------|
+//! | server | `cloud-reactor-<i>` × `io_threads`, `cloud-worker-<i>` × workers | `tests/transport_scale.rs`, 128 sessions |
+//! | relay (proxy) | `proxy-reactor-<i>` × `io_threads`, `proxy-dialer` | `tests/proxy_scale.rs`, 128 sessions: 3 (a thread per session ran 258) |
+//! | clients | `client-reactor`, `client-dialer` | `tests/transport_scale.rs`, 128 clients: 2 (a thread per client ran 256) |
+//!
 //! # Connection state machine
 //!
 //! ```text
-//!            accept (round-robin to a reactor)
+//!            accept (dealt to a reactor)
 //!                      │
 //!                      ▼
 //!               ┌─────────────┐   bad opener / version / timeout
@@ -28,21 +71,6 @@
 //!                  └──────────────────────────────────────────┘
 //! ```
 //!
-//! A connection is owned by exactly one reactor thread, so its state needs
-//! no locks. Cross-thread signals — new connections from the acceptor,
-//! links from a dialer, completed jobs from the workers, submissions from a
-//! remote client's callers, shutdown — go through each reactor's
-//! [`ReactorShared`] inbox/ready-list plus a [`reactor::Waker`].
-//!
-//! One loop ([`Reactor::run`]) drives two [`Tier`]s: a server's pool, whose
-//! connections play the server role (the diagram above), and the process's
-//! client loop (`transport::client`), whose connections are remote clients'
-//! links. A link is the client role: a socket this process dialed, with its
-//! `Hello`/`Welcome` exchange, its deadlines and the jobs it retains (the
-//! `link` submodule). On a relay each session owns one, its backend link,
-//! registered on the session's own reactor (the `relay` submodule), so a
-//! session and its link are one thread's state.
-//!
 //! # Backpressure
 //!
 //! Writes never block: frames the socket won't take queue on the
@@ -57,7 +85,7 @@
 pub(super) mod link;
 mod relay;
 
-use super::frame::{Frame, FrameDecoder};
+use super::frame::{write_frame, Frame, FrameDecoder};
 use super::server::{ServerShared, Upstream};
 use super::timer::{Fired, TimerWheel};
 use super::{TransportConfig, PROTOCOL_VERSION};
@@ -84,6 +112,13 @@ const WAKER_TOKEN: u64 = u64::MAX;
 /// Token reserved for the Prometheus exporter's listener (reactor 0 only).
 const EXPORTER_TOKEN: u64 = u64::MAX - 1;
 
+/// Token reserved for the job listener (reactor 0 only).
+const LISTENER_TOKEN: u64 = u64::MAX - 2;
+
+/// How long a listener rests after a failed `accept`: descriptor exhaustion
+/// does not clear at once, and a level-triggered listener would spin.
+const ACCEPT_REST: Duration = Duration::from_millis(5);
+
 /// Cap on one exporter request's header bytes; enough for any scraper's
 /// `GET /metrics` preamble, small enough that a hostile peer buys nothing.
 const HTTP_REQUEST_CAP: usize = 4096;
@@ -99,7 +134,7 @@ const WHEEL_SLOTS: usize = 512;
 /// What another thread hands a server reactor.
 #[derive(Debug)]
 pub(super) enum Inbound {
-    /// A connection the acceptor accepted.
+    /// A connection reactor 0 accepted and dealt to this reactor.
     Accepted(TcpStream),
     /// The dialer's answer to the relay session with this token: a
     /// connection to a backend (and its address), or `None` when no backend
@@ -115,8 +150,9 @@ pub(super) struct ReactorShared<T> {
     inbox: Mutex<Vec<T>>,
     /// Tokens whose reply channel has pending completions.
     ready_replies: Mutex<Vec<u64>>,
-    /// Connections the acceptor dealt here and the reactor has not yet
-    /// reaped: it deals each new one to the reactor with the fewest.
+    /// Connections reactor 0 dealt here and this reactor has not yet
+    /// reaped, the one in transit included: reactor 0 deals each new one to
+    /// the reactor with the fewest, and a stopped reactor exits at zero.
     pub(super) live: AtomicUsize,
 }
 
@@ -212,18 +248,25 @@ pub(super) fn spawn_reactor<T: Tier>(
         .expect("spawn reactor")
 }
 
-/// Spawns reactor `index` of `shared`'s pool as the thread `name`.
+/// Spawns reactor `index` of `shared`'s pool as the thread `name`, polling
+/// the job listener and the exporter's if it is handed them (reactor 0).
+/// Both listeners must be nonblocking.
 pub(super) fn spawn_server_reactor(
     name: String,
     index: usize,
     shared: Arc<ServerShared>,
     (wake_rx, mut poller): ReactorPrivate,
+    listener: Option<TcpListener>,
     exporter: Option<TcpListener>,
 ) -> std::thread::JoinHandle<()> {
-    if let Some(listener) = &exporter {
+    let listeners: Vec<_> = [(LISTENER_TOKEN, listener), (EXPORTER_TOKEN, exporter)]
+        .into_iter()
+        .filter_map(|(token, listener)| Some((token, listener?)))
+        .collect();
+    for (token, listener) in &listeners {
         poller
-            .register(listener.as_raw_fd(), EXPORTER_TOKEN, Interest::READABLE)
-            .expect("register metrics exporter listener");
+            .register(listener.as_raw_fd(), *token, Interest::READABLE)
+            .expect("register listener");
         shared.metrics.reactor_fd_registered();
     }
     let handle = Arc::clone(&shared.reactors[index]);
@@ -233,7 +276,8 @@ pub(super) fn spawn_server_reactor(
         index,
         shared,
         conns: HashMap::new(),
-        exporter,
+        listeners,
+        next_deal: 0,
         http_conns: HashMap::new(),
     };
     spawn_reactor(name, (handle, (wake_rx, poller)), tier, metrics, stop)
@@ -497,8 +541,11 @@ struct Sessions {
     /// This reactor's place in the pool.
     index: usize,
     conns: HashMap<u64, Conn>,
-    /// The Prometheus exporter's listener (reactor 0 only).
-    exporter: Option<TcpListener>,
+    /// The job listener and the Prometheus exporter's, by poller token
+    /// (reactor 0 only).
+    listeners: Vec<(u64, TcpListener)>,
+    /// Where the next tie of the deal goes (reactor 0 only).
+    next_deal: usize,
     /// In-progress exporter scrapes, keyed by poller token.
     http_conns: HashMap<u64, HttpConn>,
 }
@@ -592,11 +639,11 @@ impl Reactor {
 impl Tier for Sessions {
     type Item = Inbound;
 
-    /// Readiness for the exporter, a scrape, a connection's socket or its
+    /// Readiness for a listener, a scrape, a connection's socket or its
     /// backend link.
     fn io(&mut self, r: &mut Reactor, token: u64, readable: bool, writable: bool) {
-        if token == EXPORTER_TOKEN {
-            return self.accept_http(r);
+        if matches!(token, LISTENER_TOKEN | EXPORTER_TOKEN) {
+            return self.accept(r, token);
         }
         if self.http_conns.contains_key(&token) {
             return self.handle_http_io(r, token, readable);
@@ -616,10 +663,9 @@ impl Tier for Sessions {
         }
     }
 
-    /// Registers a connection the acceptor handed over, or gives a relay
-    /// session the link the dialer made it. Under stop, a new arrival is
-    /// closed immediately instead (the acceptor has already quit; it raced
-    /// the flag).
+    /// Registers a connection reactor 0 dealt here, or gives a relay session
+    /// the link the dialer made it. Under stop, a new arrival is closed
+    /// immediately instead (reactor 0 dealt it before it saw the flag).
     fn adopt(&mut self, r: &mut Reactor, item: Inbound, stopped: bool) {
         let stream = match item {
             Inbound::Accepted(stream) => stream,
@@ -704,8 +750,12 @@ impl Tier for Sessions {
         }
     }
 
-    /// A connection's deadline fired, or its link's.
+    /// A connection's deadline fired, or its link's, or a resting
+    /// listener's.
     fn timer(&mut self, r: &mut Reactor, f: Fired) {
+        if matches!(f.token, LISTENER_TOKEN | EXPORTER_TOKEN) {
+            return self.listen(r, f.token, false);
+        }
         let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
         let Some(conn) = self.conns.get_mut(&(f.token & !link::LINK)) else {
             return;
@@ -729,125 +779,152 @@ impl Tier for Sessions {
         arm(conn, &shared.config, wheel);
     }
 
+    /// `true` once no connection is here or on its way here.
     fn reap(&mut self) -> bool {
         let before = self.conns.len();
         self.conns.retain(|_, c| c.state != ConnState::Closed);
-        self.handle
-            .live
-            .fetch_sub(before - self.conns.len(), Ordering::SeqCst);
-        self.conns.is_empty()
+        let reaped = before - self.conns.len();
+        self.handle.live.fetch_sub(reaped, Ordering::SeqCst) == reaped
     }
 }
 
 impl Sessions {
-    /// Accepts pending exporter connections onto this reactor's poller.
-    fn accept_http(&mut self, r: &mut Reactor) {
-        let Some(listener) = &self.exporter else {
-            return;
-        };
-        let stopped = self.shared.stop.load(Ordering::SeqCst);
+    /// Accepts from the listener at `token` until it would block: job
+    /// connections are dealt to the reactors, scrapes stay here.
+    fn accept(&mut self, r: &mut Reactor, token: u64) {
         loop {
+            let Some((_, listener)) = self.listeners.iter().find(|(t, _)| *t == token) else {
+                return;
+            };
             match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stopped || stream.set_nonblocking(true).is_err() {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue;
-                    }
-                    let token = r.token();
-                    if r.poller
-                        .register(stream.as_raw_fd(), token, Interest::READABLE)
-                        .is_err()
-                    {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue;
-                    }
-                    self.shared.metrics.reactor_fd_registered();
-                    self.http_conns.insert(
-                        token,
-                        HttpConn {
-                            stream,
-                            request: Vec::new(),
-                            response: None,
-                            written: 0,
-                            interest: Interest::READABLE,
-                        },
-                    );
-                }
+                Ok((stream, _peer)) if token == LISTENER_TOKEN => self.deal(stream),
+                Ok((stream, _peer)) => self.scrape(r, stream),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(_) => return,
+                // Out of descriptors, or a connection reset while it queued.
+                Err(_) => return self.listen(r, token, true),
             }
         }
     }
 
-    /// Drives one exporter scrape: read until the request head is complete,
+    /// Hands an accepted job connection to the reactor with the fewest live
+    /// connections, ties round-robin — this one included, so every session
+    /// is adopted one way — or refuses it at capacity.
+    fn deal(&mut self, mut stream: TcpStream) {
+        let shared = &self.shared;
+        if shared.sessions.load(Ordering::SeqCst) >= shared.config.max_connections {
+            shared.metrics.conn_rejected();
+            // One small write on an empty send buffer: it does not block,
+            // and a failed one just closes.
+            let reason = "server at connection capacity".into();
+            if stream.set_nonblocking(true).is_ok() {
+                let _ = write_frame(&mut stream, &Frame::Reject { reason });
+            }
+            return;
+        }
+        let n = shared.reactors.len();
+        let pick = (self.next_deal..self.next_deal + n)
+            .map(|i| i % n)
+            .min_by_key(|&i| shared.reactors[i].live.load(Ordering::SeqCst))
+            .expect("a server has a reactor");
+        let reactor = &shared.reactors[pick];
+        // Stop ordering: shutdown stores the stop flag, then waits for the
+        // submitter gauge to read 0; a stopped reactor exits once its `live`
+        // reads 0. Counted before the flag is read here, this socket is seen
+        // by both or sees the flag.
+        shared.sessions.fetch_add(1, Ordering::SeqCst);
+        shared.submitters.fetch_add(1, Ordering::SeqCst);
+        reactor.live.fetch_add(1, Ordering::SeqCst);
+        if shared.stop.load(Ordering::SeqCst) {
+            shared.submitters_dec();
+            shared.release_conn(false);
+            reactor.live.fetch_sub(1, Ordering::SeqCst);
+            // It may have read the socket counted and gone back to sleep.
+            reactor.kick(&shared.metrics);
+            return;
+        }
+        reactor.enqueue(Inbound::Accepted(stream), &shared.metrics);
+        self.next_deal = pick + 1;
+    }
+
+    /// Takes one exporter connection onto this reactor's poller.
+    fn scrape(&mut self, r: &mut Reactor, stream: TcpStream) {
+        let token = r.token();
+        if stream.set_nonblocking(true).is_err()
+            || r.poller
+                .register(stream.as_raw_fd(), token, Interest::READABLE)
+                .is_err()
+        {
+            return;
+        }
+        self.shared.metrics.reactor_fd_registered();
+        let http = HttpConn {
+            stream,
+            request: Vec::new(),
+            response: None,
+            written: 0,
+            interest: Interest::READABLE,
+        };
+        self.http_conns.insert(token, http);
+    }
+
+    /// Puts the listener at `token` back on the poller or, `rest`, takes it
+    /// off until a wheel deadline [`ACCEPT_REST`] from now (a failed
+    /// registration rests it too). One a stop dropped stays dropped.
+    fn listen(&mut self, r: &mut Reactor, token: u64, rest: bool) {
+        let Some((_, listener)) = self.listeners.iter().find(|(t, _)| *t == token) else {
+            return;
+        };
+        let (fd, metrics) = (listener.as_raw_fd(), &self.shared.metrics);
+        if !rest && r.poller.register(fd, token, Interest::READABLE).is_ok() {
+            return metrics.reactor_fd_registered();
+        }
+        if rest && r.poller.deregister(fd).is_ok() {
+            metrics.reactor_fd_deregistered();
+        }
+        r.wheel.insert(Instant::now() + ACCEPT_REST, token, 0);
+    }
+
+    /// Drives one exporter scrape: read until the request head is complete
+    /// (or the peer's EOF: minimal peers get an answer to what they sent),
     /// render the metrics page once, write it out, close.
     fn handle_http_io(&mut self, r: &mut Reactor, token: u64, readable: bool) {
         let Some(http) = self.http_conns.get_mut(&token) else {
             return;
         };
-        let mut dead = false;
-        if readable && http.response.is_none() {
-            let mut buf = [0u8; 1024];
-            loop {
-                match http.stream.read(&mut buf) {
-                    Ok(0) => {
-                        // EOF before the terminator: answer what we have
-                        // anyway (curl-with---http0.9-style minimal peers).
-                        break;
-                    }
-                    Ok(n) => {
-                        http.request.extend_from_slice(&buf[..n]);
-                        if http.request.len() >= HTTP_REQUEST_CAP
-                            || http.request.windows(4).any(|w| w == b"\r\n\r\n")
-                        {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        if http.request.is_empty()
-                            || !http.request.windows(4).any(|w| w == b"\r\n\r\n")
-                        {
-                            return; // head still incomplete; wait for more
-                        }
-                        break;
-                    }
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
+        let mut buf = [0u8; 1024];
+        while readable && http.response.is_none() {
+            let head_done = match http.stream.read(&mut buf) {
+                Ok(0) => true,
+                Ok(n) => {
+                    http.request.extend_from_slice(&buf[..n]);
+                    http.request.len() >= HTTP_REQUEST_CAP
+                        || http.request.windows(4).any(|w| w == b"\r\n\r\n")
                 }
-            }
-            if !dead {
+                Err(e) if e.kind() == ErrorKind::Interrupted => false,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(_) => return self.close_http(r, token),
+            };
+            if head_done {
                 let body = self.shared.metrics.snapshot().to_prometheus();
-                let mut resp = Vec::with_capacity(body.len() + 128);
-                resp.extend_from_slice(b"HTTP/1.0 200 OK\r\n");
-                resp.extend_from_slice(b"Content-Type: text/plain; version=0.0.4\r\n");
-                resp.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
-                resp.extend_from_slice(b"Connection: close\r\n\r\n");
-                resp.extend_from_slice(body.as_bytes());
-                http.response = Some(Bytes::from(resp));
+                let response = format!(
+                    "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+                     Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                    body.len()
+                );
+                http.response = Some(Bytes::from(response.into_bytes()));
             }
         }
-        if !dead {
-            if let Some(resp) = &http.response {
-                let done = loop {
-                    if http.written >= resp.len() {
-                        break true;
-                    }
-                    match http.stream.write(&resp[http.written..]) {
-                        Ok(0) => break true,
-                        Ok(n) => http.written += n,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break false,
-                        Err(_) => break true,
-                    }
-                };
-                if !done {
-                    let want = Interest {
-                        readable: false,
-                        writable: true,
-                    };
+        let Some(response) = &http.response else {
+            return;
+        };
+        while http.written < response.len() {
+            match http.stream.write(&response[http.written..]) {
+                Ok(0) => break,
+                Ok(n) => http.written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // The write resumes on the next event.
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let want = Interest::WRITABLE;
                     if http.interest != want
                         && r.poller
                             .reregister(http.stream.as_raw_fd(), token, want)
@@ -855,17 +932,22 @@ impl Sessions {
                     {
                         http.interest = want;
                     }
-                    return; // the write resumes on the next event
+                    return;
                 }
-                dead = true; // response fully written (or broken): close
+                Err(_) => break,
             }
         }
-        if dead {
+        // Written, or the peer is gone.
+        self.close_http(r, token);
+    }
+
+    /// Ends one exporter scrape.
+    fn close_http(&mut self, r: &mut Reactor, token: u64) {
+        if let Some(http) = self.http_conns.remove(&token) {
             if r.poller.deregister(http.stream.as_raw_fd()).is_ok() {
                 self.shared.metrics.reactor_fd_deregistered();
             }
             let _ = http.stream.shutdown(Shutdown::Both);
-            self.http_conns.remove(&token);
         }
     }
 
@@ -876,10 +958,11 @@ impl Sessions {
     /// complete.
     fn apply_stop(&mut self, r: &mut Reactor) {
         let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
-        // The exporter dies first: no new scrapes, and in-flight ones are
-        // dropped (a scraper retries; a half-written metrics page is junk
-        // either way once the server is gone).
-        if let Some(listener) = self.exporter.take() {
+        // The listeners die first, so the port refuses connections once
+        // shutdown returns; in-flight scrapes are dropped (a scraper retries;
+        // a half-written metrics page is junk either way once the server is
+        // gone).
+        for (_, listener) in self.listeners.drain(..) {
             if poller.deregister(listener.as_raw_fd()).is_ok() {
                 shared.metrics.reactor_fd_deregistered();
             }
@@ -1575,5 +1658,69 @@ mod tests {
         assert_eq!(metrics.snapshot().control_frames_sent, 0);
         assert_eq!(metrics.snapshot().check_invariants(), Ok(()));
         assert!(q.is_empty());
+    }
+
+    /// A failed accept takes its listener off the poller for
+    /// [`ACCEPT_REST`] instead of letting level-triggered readiness spin
+    /// the reactor; the wheel deadline puts it back. (Driven directly: no
+    /// test exhausts the process's descriptors to make `accept` fail.)
+    #[test]
+    fn a_rested_listener_leaves_the_poller_until_its_deadline() {
+        let service = crate::CloudService::builder().workers(1).build();
+        let (handle, (wake_rx, mut poller)) = reactor_parts::<Inbound>().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let _pending = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        poller
+            .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)
+            .unwrap();
+        let shared = Arc::new(ServerShared {
+            stop: Arc::new(AtomicBool::new(false)),
+            config: TransportConfig::default(),
+            upstream: Upstream::Service(service.client()),
+            metrics: service.metrics_arc(),
+            api_keys: None,
+            reactors: vec![Arc::clone(&handle)],
+            submitters: AtomicUsize::new(0),
+            sessions: AtomicUsize::new(0),
+        });
+        let mut r = Reactor {
+            poller,
+            wheel: TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS),
+            wake_rx,
+            metrics: Arc::clone(&shared.metrics),
+            stop: Arc::clone(&shared.stop),
+            next_token: 0,
+            events: Vec::new(),
+            fired: Vec::new(),
+        };
+        let mut tier = Sessions {
+            shared,
+            handle,
+            index: 0,
+            conns: HashMap::new(),
+            listeners: vec![(LISTENER_TOKEN, listener)],
+            next_deal: 0,
+            http_conns: HashMap::new(),
+        };
+        let listener_ready = |r: &mut Reactor| {
+            r.poller.wait(&mut r.events, Some(Duration::ZERO)).unwrap();
+            r.events.iter().any(|ev| ev.token == LISTENER_TOKEN)
+        };
+        assert!(listener_ready(&mut r));
+
+        let rested = Instant::now();
+        tier.listen(&mut r, LISTENER_TOKEN, true);
+        assert!(!listener_ready(&mut r), "a resting listener was polled");
+        let due = r.wheel.next_deadline().expect("a wake-up deadline");
+        assert!(due >= rested + ACCEPT_REST);
+
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        r.wheel.advance(Instant::now(), &mut r.fired);
+        for f in std::mem::take(&mut r.fired) {
+            tier.timer(&mut r, f);
+        }
+        assert!(listener_ready(&mut r), "the listener never came back");
+        service.shutdown();
     }
 }

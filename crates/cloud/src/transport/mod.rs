@@ -6,7 +6,7 @@
 //! [`crate::CloudService`] behind an actual socket: a [`CloudServer`] binds
 //! a listener and feeds framed jobs into the same queue in-process clients
 //! use, and a [`RemoteCloudClient`] offers the familiar
-//! submit/[`RemoteJobHandle`] API over one multiplexed connection. The same
+//! submit/[`crate::JobHandle`] API over one multiplexed connection. The same
 //! job submitted over loopback and in-process produces bitwise-identical
 //! trained-model bytes.
 //!
@@ -89,14 +89,14 @@
 //! answers over-budget submits with [`crate::CloudError::RateLimited`] —
 //! the `retry_after_ms` rides the Reply frame back to the remote handle.
 //!
-//! [`CloudServer::shutdown`] is graceful: the acceptor stops, sessions stop
+//! [`CloudServer::shutdown`] is graceful: the listener closes, sessions stop
 //! reading, the service drains its queue (already-accepted jobs train to
-//! completion), and every stranded request id is answered — a
-//! [`RemoteJobHandle`] never hangs.
+//! completion), and every stranded request id is answered — a remote
+//! [`crate::JobHandle`] never hangs.
 //!
 //! # Relays
 //!
-//! The same acceptor, reactors and server-role handshake serve a routing
+//! The same listener, reactors and server-role handshake serve a routing
 //! tier: [`CloudServer::bind_relay`] sends each session's jobs to a backend
 //! a [`Routing`] policy picks, over a client-role *link* its own reactor
 //! owns and handshakes, instead of to a service. The relay retains each job
@@ -110,7 +110,7 @@
 //!
 //! A [`RemoteCloudClient`]'s connection is the same link in the client's
 //! role, on the process's one client event loop: a reactor with no
-//! acceptor (`client-reactor`) and a dialer (`client-dialer`), started by
+//! listener (`client-reactor`) and a dialer (`client-dialer`), started by
 //! the first connect and joined when the last client goes. Healing is
 //! deadlines on that loop's wheel — a stalled or silent link, the
 //! [`ReconnectPolicy`] backoff before a re-dial, a `retry_after` — never a
@@ -123,6 +123,7 @@ mod reconnect;
 mod server;
 mod timer;
 
+pub(crate) use client::ClientShared;
 pub use client::{handshake, RemoteCloudClient, RemoteJobHandle};
 pub use frame::{write_encoded, write_frame, Frame, FrameDecoder};
 pub use reconnect::{ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue};
@@ -142,7 +143,8 @@ pub struct TransportConfig {
     /// Unanswered submits allowed per connection before the server refuses
     /// further ones with [`crate::CloudError::Overloaded`] (default 32).
     pub max_in_flight: usize,
-    /// Concurrent sessions the acceptor admits (default 64).
+    /// Concurrent sessions the server admits; one more is refused with a
+    /// `Reject` (default 64).
     pub max_connections: usize,
     /// A server-side session silent for this long is closed (default 30 s).
     pub idle_timeout: Duration,

@@ -1,19 +1,20 @@
-//! The TCP front of a [`CloudService`]: bounded acceptor, a small pool of
-//! reactor (event-loop) threads, and graceful drain on shutdown.
+//! The TCP front of a [`CloudService`]: a small pool of reactor (event-loop)
+//! threads, whose reactor 0 also polls the listener, and graceful drain on
+//! shutdown.
 //!
 //! Each accepted connection is one *session*, owned by exactly one reactor
 //! thread — there are no per-connection threads. The reactor decodes
-//! [`Frame::Submit`]s as their bytes arrive and feeds them into the
-//! service's shared job queue via the multiplexed reply path
+//! [`Submit`](super::Frame::Submit) frames as their bytes arrive and feeds
+//! them into the service's shared job queue via the multiplexed reply path
 //! (`CloudClient::submit_routed`); completions — in whatever order the pool
 //! finishes them — wake the owning reactor, which frames them back as
-//! [`Frame::Reply`]s through the connection's write queue. The job
-//! pipeline sees remote jobs exactly as it sees in-process ones, plus the
-//! session's API key and [`crate::SessionKey`] in the job context, so
-//! per-session rate limits and DRR fairness apply to remote traffic with no
-//! transport-specific code: a QoS rejection (`RateLimited`, `Overloaded`)
-//! is just an error outcome riding the same Reply frame, tallied against
-//! the session in [`ServiceStats::sessions`].
+//! [`Reply`](super::Frame::Reply) frames through the connection's write
+//! queue. The job pipeline sees remote jobs exactly as it sees in-process
+//! ones, plus the session's API key and [`crate::SessionKey`] in the job
+//! context, so per-session rate limits and DRR fairness apply to remote
+//! traffic with no transport-specific code: a QoS rejection
+//! (`RateLimited`, `Overloaded`) is just an error outcome riding the same
+//! Reply frame, tallied against the session in [`ServiceStats::sessions`].
 //!
 //! The transport's own per-connection in-flight cap is judged in the
 //! reactor (it is connection state, not payload state); its sheds are
@@ -24,35 +25,15 @@
 //! serves a relay ([`CloudServer::bind_relay`]), plus its dialer thread.
 
 use super::event_loop::{reactor_parts, spawn_server_reactor, Inbound, ReactorShared};
-use super::frame::{write_frame, Frame};
 use super::TransportConfig;
 use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::service::{CloudClient, CloudService};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Write bound for pre-handshake refusals issued by the acceptor itself,
-/// where no session config has been negotiated yet (established sessions
-/// use [`TransportConfig::write_timeout`] via the reactor's stall timer).
-const REJECT_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// How long the acceptor rests after a failed `accept` (descriptor
-/// exhaustion does not clear by asking again at once).
-const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
-
-/// Bound on one wake-up connection of [`wake_acceptor`].
-const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
-
-/// How many wake-up connections [`wake_acceptor`] makes before it gives up.
-const WAKE_ATTEMPTS: usize = 5;
-
-/// How long a woken acceptor is given to return, per wake-up (it needs
-/// microseconds; a thread that is still parked after this was not reached).
-const WAKE_GRACE: Duration = Duration::from_millis(20);
 
 /// A [`CloudService`] behind a real TCP listener.
 ///
@@ -68,7 +49,6 @@ const WAKE_GRACE: Duration = Duration::from_millis(20);
 #[derive(Debug)]
 pub struct CloudServer {
     shared: Arc<ServerShared>,
-    acceptor: Option<JoinHandle<()>>,
     /// The reactors, and a relay's dialer.
     threads: Vec<JoinHandle<()>>,
     service: Option<CloudService>,
@@ -121,7 +101,7 @@ pub(super) struct Dial {
     pub(super) exclude: Vec<String>,
 }
 
-/// State shared by the acceptor, the reactors and the shutdown path.
+/// State shared by the reactors, a relay's dialer and the shutdown path.
 #[derive(Debug)]
 pub(super) struct ServerShared {
     pub(super) stop: Arc<AtomicBool>,
@@ -138,9 +118,9 @@ pub(super) struct ServerShared {
     /// Connections that may still submit jobs (handshaking or established).
     /// Shutdown waits for this to hit zero before draining the service, so
     /// no submission can race past the drain and strand a request id.
-    submitters: AtomicUsize,
+    pub(super) submitters: AtomicUsize,
     /// Connections counted against [`TransportConfig::max_connections`].
-    sessions: AtomicUsize,
+    pub(super) sessions: AtomicUsize,
 }
 
 impl ServerShared {
@@ -181,19 +161,11 @@ impl CloudServer {
         addr: impl ToSocketAddrs,
         config: TransportConfig,
     ) -> std::io::Result<CloudServer> {
-        // The acceptor blocks in `accept`; shutdown wakes it (see
-        // [`wake_acceptor`]).
         let listener = TcpListener::bind(addr)?;
-        // The Prometheus exporter is served by reactor 0's poller — a second
-        // nonblocking listener, not a second thread.
-        let exporter = match service.metrics_exporter_addr() {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
-        };
+        // The Prometheus exporter is served by reactor 0's poller too — a
+        // second listener, not a second thread.
+        let exporter = service.metrics_exporter_addr().map(TcpListener::bind);
+        let exporter = exporter.transpose()?;
         let mut server = CloudServer::start(
             listener,
             exporter,
@@ -211,8 +183,8 @@ impl CloudServer {
     /// it answers. A session's `Welcome` waits until it is routed and
     /// advertises the tighter of `config`'s limits and its backend's; a link
     /// that owes replies fails over after `reply_timeout` of silence. The
-    /// threads are `proxy-acceptor`, `proxy-reactor-<i>` and `proxy-dialer`,
-    /// whatever the session count.
+    /// threads are `proxy-reactor-<i>` and `proxy-dialer`, whatever the
+    /// session count.
     ///
     /// # Errors
     ///
@@ -241,7 +213,7 @@ impl CloudServer {
         Ok(server)
     }
 
-    /// Starts the reactor pool and the acceptor on `listener`.
+    /// Starts the reactor pool; reactor 0 polls `listener` and `exporter`.
     fn start(
         listener: TcpListener,
         exporter: Option<TcpListener>,
@@ -251,10 +223,11 @@ impl CloudServer {
         upstream: Upstream,
     ) -> std::io::Result<CloudServer> {
         let local_addr = listener.local_addr()?;
-        let metrics_addr = match &exporter {
-            Some(l) => Some(l.local_addr()?),
-            None => None,
-        };
+        let metrics_addr = exporter.as_ref().map(TcpListener::local_addr);
+        let metrics_addr = metrics_addr.transpose()?;
+        for l in std::iter::once(&listener).chain(&exporter) {
+            l.set_nonblocking(true)?;
+        }
         let tier = match upstream {
             Upstream::Service(_) => "cloud",
             Upstream::Relay { .. } => "proxy",
@@ -276,26 +249,19 @@ impl CloudServer {
             sessions: AtomicUsize::new(0),
         });
         let mut reactors = Vec::with_capacity(io_threads);
-        let mut exporter = exporter;
+        let (mut listener, mut exporter) = (Some(listener), exporter);
         for (i, part) in parts.into_iter().enumerate() {
             reactors.push(spawn_server_reactor(
                 format!("{tier}-reactor-{i}"),
                 i,
                 Arc::clone(&shared),
                 part,
+                listener.take(),
                 exporter.take(),
             ));
         }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("{tier}-acceptor"))
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn acceptor")
-        };
         Ok(CloudServer {
             shared,
-            acceptor: Some(acceptor),
             threads: reactors,
             service: None,
             local_addr,
@@ -352,16 +318,13 @@ impl CloudServer {
     }
 
     fn shutdown_impl(&mut self) {
-        let Some(acceptor) = self.acceptor.take() else {
+        if self.shared.stop.swap(true, Ordering::SeqCst) {
             return;
-        };
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if wake_acceptor(self.local_addr, &acceptor) {
-            let _ = acceptor.join();
         }
-        // No new connections; wake every reactor so it observes the stop
-        // flag, kills handshakes and moves established sessions to
-        // Draining — after which the submitter gauge can only fall.
+        // Wake every reactor so it observes the stop flag: reactor 0 drops
+        // the listeners, handshakes die and established sessions move to
+        // Draining — after which the submitter gauge can only fall (a socket
+        // reactor 0 is dealing meanwhile is ordered by the pair in its deal).
         for reactor in &self.shared.reactors {
             reactor.kick(&self.shared.metrics);
         }
@@ -389,89 +352,6 @@ impl Drop for CloudServer {
     fn drop(&mut self) {
         self.shutdown_impl();
     }
-}
-
-/// Unblocks `acceptor`, a thread parked in `accept` on the listener bound at
-/// `addr` whose stop flag the caller has set: a loopback connection is what
-/// `accept` returns next, and the loop then sees the flag. Returns whether
-/// the thread has exited, i.e. whether joining it returns.
-///
-/// The wake-up is dialled five times at most, the thread given 20 ms after
-/// each to leave (`WAKE_ATTEMPTS`, `WAKE_GRACE`). When the listener cannot be reached
-/// from here (its address gone from the interface, loopback filtered) the
-/// answer is `false` and the caller lets the thread go instead of joining
-/// it: it holds the listener and nothing else, and returns at the first
-/// connection that does arrive.
-#[must_use = "joining an acceptor that was not woken blocks"]
-fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) -> bool {
-    let loopback: IpAddr = match addr {
-        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-    };
-    let ip = if addr.ip().is_unspecified() {
-        loopback
-    } else {
-        addr.ip()
-    };
-    for _ in 0..WAKE_ATTEMPTS {
-        if acceptor.is_finished() {
-            break;
-        }
-        let _ = TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), WAKE_TIMEOUT);
-        let dialled = Instant::now();
-        while !acceptor.is_finished() && dialled.elapsed() < WAKE_GRACE {
-            std::thread::sleep(WAKE_GRACE / 100);
-        }
-    }
-    acceptor.is_finished()
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    let mut next_reactor = 0usize;
-    loop {
-        let accepted = listener.accept();
-        if shared.stop.load(Ordering::SeqCst) {
-            // Whoever this was — most likely the wake-up — finds the door
-            // closed.
-            return;
-        }
-        match accepted {
-            Ok((stream, _peer)) => {
-                if shared.sessions.load(Ordering::SeqCst) >= shared.config.max_connections {
-                    shared.metrics.conn_rejected();
-                    reject(stream, "server at connection capacity");
-                    continue;
-                }
-                shared.sessions.fetch_add(1, Ordering::SeqCst);
-                shared.submitters.fetch_add(1, Ordering::SeqCst);
-                let n = shared.reactors.len();
-                let pick = (next_reactor..next_reactor + n)
-                    .map(|i| i % n)
-                    .min_by_key(|&i| shared.reactors[i].live.load(Ordering::SeqCst))
-                    .expect("a server has a reactor");
-                let reactor = &shared.reactors[pick];
-                reactor.live.fetch_add(1, Ordering::SeqCst);
-                reactor.enqueue(Inbound::Accepted(stream), &shared.metrics);
-                next_reactor = pick + 1;
-            }
-            // Out of descriptors, or a connection reset while it queued:
-            // nothing to hand on, and nothing to wait for but the next one.
-            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
-        }
-    }
-}
-
-/// Best-effort capacity refusal, written synchronously from the acceptor
-/// (the connection never reaches a reactor).
-fn reject(mut stream: TcpStream, reason: &str) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(REJECT_WRITE_TIMEOUT));
-    let _ = write_frame(
-        &mut stream,
-        &Frame::Reject {
-            reason: reason.into(),
-        },
-    );
 }
 
 /// The relay's dialer: connects sessions to backends as their reactors ask,
@@ -538,9 +418,9 @@ mod tests {
         server.shutdown();
     }
 
-    /// The acceptor is parked in `accept`, a peer has connected and said
-    /// nothing yet: shutdown wakes the one, drops the other and returns —
-    /// also through the wildcard address, which cannot be dialled as it is.
+    /// A peer has connected and said nothing yet: shutdown drops it and
+    /// returns, and the port refuses connections — for a loopback and a
+    /// wildcard bind alike.
     #[test]
     fn shutdown_returns_with_a_client_mid_handshake() {
         for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
@@ -607,27 +487,5 @@ mod tests {
         settle(&server, [2, 2]);
         drop((first, third, fourth, fifth));
         server.shutdown();
-    }
-
-    /// A listener the wake-up cannot reach (here: the dial goes to a port
-    /// nobody listens on, so every attempt is refused at once): the wake-up
-    /// gives up after its bounded attempts and says so, instead of dialling
-    /// for ever; the acceptor is still parked, and leaves at the first
-    /// connection that does reach it.
-    #[test]
-    fn an_acceptor_the_wake_up_cannot_reach_is_reported_not_awaited() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let reachable = listener.local_addr().unwrap();
-        let dead = {
-            let closed = TcpListener::bind("127.0.0.1:0").unwrap();
-            closed.local_addr().unwrap()
-        };
-        let acceptor = std::thread::spawn(move || {
-            let _ = listener.accept();
-        });
-        assert!(!wake_acceptor(dead, &acceptor));
-        assert!(!acceptor.is_finished());
-        assert!(wake_acceptor(reachable, &acceptor));
-        acceptor.join().unwrap();
     }
 }

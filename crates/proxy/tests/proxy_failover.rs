@@ -294,8 +294,8 @@ fn killed_backend_mid_flight_loses_nothing() {
     }
 }
 
-/// The acceptor is parked in `accept`: shutdown wakes it and returns, with
-/// nobody connected and with a peer that connected and has said nothing yet.
+/// Shutdown returns with nobody connected and with a peer that connected
+/// and has said nothing yet.
 #[test]
 fn shutdown_returns_with_no_client_and_with_one_mid_handshake() {
     let (backends, addrs) = fleet(1);

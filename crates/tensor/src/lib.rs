@@ -73,7 +73,7 @@
 //!   every architecture) or **simd** (hand-written AVX2 on `x86_64`, via
 //!   `is_x86_feature_detected!`). Every tier multiplies then adds without
 //!   fusing, in the same `k` order, so all are bitwise identical;
-//!   `simd::force_tier` or `AMALGAM_KERNEL_TIER=portable|simd` pins one.
+//!   `simd::force_tier` pins one.
 //! * **Transcendentals** ([`simd::exp`]): the exponential under every
 //!   softmax and cross-entropy is in-tree, built from IEEE multiplies, adds
 //!   and integer operations, so a scalar call, the portable 8-lane loop and

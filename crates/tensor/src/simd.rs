@@ -49,20 +49,15 @@
 //!
 //! # Forcing a tier
 //!
-//! For debugging and A/B timing, the choice can be overridden:
-//!
-//! * programmatically: [`force_tier`]`(Some(Tier::Portable))` (tests use this
-//!   to compare tiers bitwise); `None` restores auto-detection;
-//! * from the environment: `AMALGAM_KERNEL_TIER=portable` (or `simd`) pins
-//!   the auto-detected default before the first kernel runs.
-//!
-//! A forced/requested `Simd` tier silently falls back to portable when the
-//! CPU lacks the feature, so the override is always safe to set.
+//! Detection is feature detection alone. For tests and A/B timing,
+//! [`force_tier`]`(Some(Tier::Portable))` overrides it (tests use this to
+//! compare tiers bitwise); `None` restores auto-detection. A forced `Simd`
+//! tier silently falls back to portable when the CPU lacks the feature, so
+//! the override is always safe to set.
 
 use crate::gemm::{MR, NR};
 use crate::pack::MatRef;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 // A B micro-panel row is two 8-lane halves, each one transpose's output.
 const _: () = assert!(NR == 16);
@@ -367,24 +362,13 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// The tier auto-detection would pick (feature detection plus the
-/// `AMALGAM_KERNEL_TIER` environment override), cached after first use.
+/// The tier auto-detection picks: `Simd` where the CPU has the feature.
 pub fn detected_tier() -> Tier {
-    static DETECTED: OnceLock<Tier> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        match std::env::var("AMALGAM_KERNEL_TIER").as_deref() {
-            Ok("portable") | Ok("scalar") => return Tier::Portable,
-            Ok("simd") | Err(_) => {}
-            Ok(other) => {
-                eprintln!("AMALGAM_KERNEL_TIER={other} not recognised; auto-detecting");
-            }
-        }
-        if simd_available() {
-            Tier::Simd
-        } else {
-            Tier::Portable
-        }
-    })
+    if simd_available() {
+        Tier::Simd
+    } else {
+        Tier::Portable
+    }
 }
 
 /// Overrides the dispatch tier for subsequent GEMM calls (`None` restores

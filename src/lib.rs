@@ -67,9 +67,8 @@ pub use amalgam_tensor as tensor;
 /// The most common imports, for examples and downstream users.
 pub mod prelude {
     pub use amalgam_cloud::{
-        ClientStats, CloudClient, CloudError, CloudJob, CloudServer, CloudService, JobResult,
-        ReconnectPolicy, RemoteCloudClient, RemoteJobHandle, ServiceStats, TaskPayload,
-        TransportConfig,
+        ClientStats, CloudClient, CloudError, CloudJob, CloudServer, CloudService, JobHandle,
+        JobResult, ReconnectPolicy, RemoteCloudClient, ServiceStats, TaskPayload, TransportConfig,
     };
     pub use amalgam_core::{
         Amalgam, AugmentationAmount, NoiseKind, ObfuscationConfig, TrainConfig,

@@ -998,7 +998,7 @@ fn cancelling_a_coalesced_job_resolves_every_waiter_and_leaves_a_resumable_check
     let clients: Vec<RemoteCloudClient> = (0..4)
         .map(|_| RemoteCloudClient::connect(addr).expect("connect"))
         .collect();
-    let mut handles: Vec<RemoteJobHandle> = clients
+    let mut handles: Vec<JobHandle> = clients
         .iter()
         .map(|c| c.submit(&job).expect("submit"))
         .collect();
