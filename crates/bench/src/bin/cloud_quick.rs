@@ -318,16 +318,17 @@ fn main() {
         ],
     });
     // With per-connection threads the transport side alone would be 2×64;
-    // the reactor pool must stay at acceptor + io_threads regardless.
+    // the reactor pool, whose reactor 0 accepts, must stay at io_threads
+    // regardless.
     if per_conn_threads != 0 {
         failures.push(format!(
             "{per_conn_threads} per-connection transport threads exist (want a fixed reactor pool)"
         ));
     }
-    if transport_threads > IO_THREADS + 1 {
+    if transport_threads > IO_THREADS {
         failures.push(format!(
             "transport runs {transport_threads} threads for {SESSIONS} connections \
-             (want ≤ acceptor + {IO_THREADS} reactors)"
+             (want ≤ {IO_THREADS} reactors)"
         ));
     }
     for client in clients {

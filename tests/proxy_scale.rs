@@ -1,6 +1,6 @@
 //! The relay's thread gate: the routing tier runs on a fixed pool, not a
 //! thread per session. At 128 live sessions through an `AmalgamProxy`, its
-//! threads are exactly the acceptor, the reactors and the dialer — the
+//! threads are exactly the reactors and the dialer, no acceptor — the
 //! thread-per-session relay this replaced ran 2N + 2 (a session thread and
 //! a backend reader per session). Its own test binary, since a binary is
 //! one process and `transport_scale.rs` counts every `cloud-*` thread in
@@ -56,13 +56,13 @@ fn a_hundred_and_twenty_eight_proxied_sessions_run_on_a_fixed_thread_pool() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // (acceptor, reactors, dialer, every proxy thread)
+    // (no acceptor, the reactors, the dialer, every proxy thread)
     let names = thread_names();
     let counted = ["proxy-acceptor", "proxy-reactor-", "proxy-dialer", "proxy-"]
         .map(|prefix| count_prefix(&names, prefix));
     assert_eq!(
         counted,
-        [1, IO_THREADS, 1, IO_THREADS + 2],
+        [0, IO_THREADS, 1, IO_THREADS + 1],
         "proxy threads at {SESSIONS} sessions"
     );
 

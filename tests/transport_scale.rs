@@ -66,15 +66,20 @@ fn a_hundred_and_twenty_eight_connections_run_on_a_fixed_thread_pool() {
         0,
         "per-connection session threads resurrected: {names:?}"
     );
-    // The server side is exactly: the acceptor, the reactor pool, and the
-    // service's worker pool — independent of the 128 open connections.
-    assert_eq!(count_prefix(&names, "cloud-acceptor"), 1);
+    // The server side is exactly the reactor pool, whose reactor 0 polls
+    // the listener, and the service's worker pool — independent of the 128
+    // open connections.
+    assert_eq!(
+        count_prefix(&names, "cloud-acceptor"),
+        0,
+        "an acceptor thread: {names:?}"
+    );
     assert_eq!(count_prefix(&names, "cloud-reactor"), IO_THREADS);
-    let server_threads = count_prefix(&names, "cloud-acceptor")
-        + count_prefix(&names, "cloud-reactor")
-        + count_prefix(&names, "cloud-worker");
-    assert!(
-        server_threads <= IO_THREADS + WORKERS + 1,
+    let server_threads =
+        count_prefix(&names, "cloud-reactor") + count_prefix(&names, "cloud-worker");
+    assert_eq!(
+        server_threads,
+        IO_THREADS + WORKERS,
         "server thread count scales with connections: {server_threads} threads ({names:?})"
     );
     // The client side is the client loop's two threads, whatever the count.
