@@ -131,7 +131,7 @@ const WHEEL_TICK: Duration = Duration::from_millis(5);
 /// deadlines lap).
 const WHEEL_SLOTS: usize = 512;
 
-/// What another thread hands a server reactor.
+/// What a server reactor is handed through its inbox.
 #[derive(Debug)]
 pub(super) enum Inbound {
     /// A connection reactor 0 accepted and dealt to this reactor.
