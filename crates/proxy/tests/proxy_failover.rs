@@ -434,6 +434,64 @@ fn silent_faults_trigger_stall_failover() {
     }
 }
 
+/// Probes alone judge a backend no session uses: one that accepts and then
+/// says nothing (`Fault::Hang`) is ejected, and readmitted once it answers
+/// again. Meanwhile the healthy backend holds no probe session between
+/// sweeps — each probe says `Goodbye`.
+#[test]
+fn probes_alone_eject_a_hung_backend_and_readmit_it() {
+    let (backends, addrs) = fleet(2);
+    let (healthy, hung) = (&backends[0], &backends[1]);
+    hung.injector.set_fault(Fault::Hang);
+    let config = ProxyConfig::default()
+        .breaker(
+            BreakerConfig::default()
+                .failure_threshold(2)
+                .cooldown(Duration::from_millis(300))
+                .success_threshold(2),
+        )
+        .probe_interval(Duration::from_millis(100))
+        .probe_timeout(Duration::from_millis(300));
+    let proxy = AmalgamProxy::bind("127.0.0.1:0", &addrs, config).expect("bind proxy");
+
+    let down = await_backend(&proxy, &addrs[1], Duration::from_secs(20), |row| {
+        row.health == BackendHealth::Open
+    });
+    assert_eq!(*down.last().unwrap(), BackendHealth::Open, "trail {down:?}");
+    let probed_ok = |n: u64| {
+        await_backend(&proxy, &addrs[0], Duration::from_secs(20), |row| {
+            row.probes_ok >= n
+        });
+    };
+    probed_ok(3);
+    let t0 = Instant::now();
+    while healthy.server.session_count() != 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "a probe session outlived its sweep"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    hung.injector.set_fault(Fault::None);
+    let up = await_backend(&proxy, &addrs[1], Duration::from_secs(20), |row| {
+        row.health == BackendHealth::Closed && row.readmissions >= 1
+    });
+    assert!(up.contains(&BackendHealth::HalfOpen), "trail {up:?}");
+    let stats = proxy.stats();
+    let row = backend_row(&stats, &addrs[1]);
+    assert_eq!(row.sessions_routed, 0, "{row:?}");
+    assert!(row.probes_failed >= 2, "{row:?}");
+    assert_eq!(backend_row(&stats, &addrs[0]).health, BackendHealth::Closed);
+    assert_invariants(&stats);
+
+    proxy.shutdown();
+    for b in backends {
+        b.injector.shutdown();
+        b.server.shutdown();
+    }
+}
+
 /// Pins each training batch to a fixed floor so a job submitted just
 /// before a fault is still in flight when the fault lands — release-mode
 /// training would otherwise outrun the injector's timeline.

@@ -721,6 +721,48 @@ fn connect_timeout_bounds_blackholed_dial() {
     );
 }
 
+/// A client dials its addresses in order: a refused first address is
+/// passed over, and the session runs on the next — bit for bit the
+/// in-process result.
+#[test]
+fn a_refused_address_is_passed_over_for_the_next() {
+    let service = CloudService::builder().workers(1).build();
+    let server = CloudServer::bind(service, "127.0.0.1:0").expect("bind loopback");
+    let refusing = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|gone| gone.local_addr())
+        .expect("a free port");
+    let expected = server
+        .local_client()
+        .train(&tiny_job(3))
+        .expect("local train")
+        .trained_model;
+
+    let addrs = [refusing, server.local_addr()];
+    let client = RemoteCloudClient::connect_with(&addrs[..], TransportConfig::default())
+        .expect("the live address connects");
+    let result = client.train(&tiny_job(3)).expect("remote train");
+    assert_eq!(result.trained_model, expected);
+    client.close();
+    server.shutdown();
+}
+
+/// A port nobody listens on is a prompt `Transport` error, not a hang.
+#[test]
+fn a_refused_connect_is_a_prompt_transport_error() {
+    let refusing = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|gone| gone.local_addr())
+        .expect("a free port");
+    let t0 = Instant::now();
+    let result = RemoteCloudClient::connect_with(refusing, TransportConfig::default());
+    let elapsed = t0.elapsed();
+    assert!(
+        matches!(result, Err(CloudError::Transport(_))),
+        "expected a transport error, got {:?}",
+        result.err()
+    );
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Durable lifecycle: progress streaming, cancellation races, kill-and-resume.
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@
 use amalgam::cloud::transport::{write_frame, Frame, FrameDecoder};
 use amalgam::cloud::CloudService;
 use amalgam::prelude::*;
-use amalgam::proxy::{AmalgamProxy, ProxyConfig};
+use amalgam::proxy::{AmalgamProxy, BreakerConfig, HashRing, ProxyConfig};
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -28,6 +28,21 @@ fn wait_until(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(2));
     }
     false
+}
+
+fn tiny_job(seed: u64) -> CloudJob {
+    let mut rng = Rng::seed_from(70 + seed);
+    let model = amalgam::models::lenet5(1, 8, 2, &mut rng);
+    CloudJob {
+        model: model.to_bytes(),
+        task: TaskPayload::Classification {
+            inputs: Tensor::randn(&[8, 1, 8, 8], &mut rng),
+            labels: (0..8).map(|i| i % 2).collect(),
+            val_inputs: None,
+            val_labels: vec![],
+        },
+        train: TrainConfig::new(1, 4, 0.05).with_seed(seed),
+    }
 }
 
 fn live_backend() -> CloudServer {
@@ -94,6 +109,66 @@ fn an_unroutable_session_is_rejected_at_the_handshake() {
     assert_eq!(stats.connections_accepted, 0, "{stats}");
     assert_invariants(&stats);
     proxy.shutdown();
+}
+
+/// A session whose first ring choice refuses the dial is routed to the
+/// next: it trains bit for bit as in process, the refusing backend is
+/// never routed to, and its breaker counts the refusal — with one probe
+/// failure (the start-up sweep's) it takes both to eject it at a threshold
+/// of two.
+#[test]
+fn a_refused_first_choice_is_passed_over_for_the_next() {
+    let backend = live_backend();
+    let dead = TcpListener::bind("127.0.0.1:0")
+        .and_then(|gone| gone.local_addr())
+        .expect("a free port")
+        .to_string();
+    let live = backend.local_addr().to_string();
+    let fleet = [dead.clone(), live.clone()];
+    let ring = HashRing::new(&fleet, ProxyConfig::default().vnodes);
+    let key = (0..)
+        .map(|i| format!("tenant-{i}"))
+        .find(|key| ring.ordered(key)[0] == dead)
+        .expect("some key starts at the dead backend");
+    let config = ProxyConfig::default()
+        .breaker(BreakerConfig::default().failure_threshold(2))
+        .probe_interval(Duration::from_secs(3600));
+    let proxy = AmalgamProxy::bind("127.0.0.1:0", &fleet, config).expect("bind proxy");
+    let expected = backend
+        .local_client()
+        .train(&tiny_job(5))
+        .expect("local train")
+        .trained_model;
+
+    let client =
+        RemoteCloudClient::connect_with(proxy.addr(), TransportConfig::default().api_key(key))
+            .expect("routed past the dead backend");
+    let result = client.train(&tiny_job(5)).expect("train via the proxy");
+    assert_eq!(result.trained_model, expected);
+    client.close();
+
+    let row = |stats: &ServiceStats, addr: &str| {
+        let row = stats.backends.iter().find(|b| b.addr == addr);
+        row.expect("a backend row").clone()
+    };
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            let dead = row(&proxy.stats(), &dead);
+            dead.ejections == 1 && dead.probes_failed == 1
+        }),
+        "the refused dial was not counted: {:?}",
+        row(&proxy.stats(), &dead)
+    );
+    let stats = proxy.stats();
+    assert_eq!(row(&stats, &dead).sessions_routed, 0, "{stats}");
+    assert_eq!(row(&stats, &live).sessions_routed, 1, "{stats}");
+    assert!(wait_until(Duration::from_secs(10), || proxy
+        .stats()
+        .connections_active
+        == 0));
+    assert_invariants(&proxy.stats());
+    proxy.shutdown();
+    backend.shutdown();
 }
 
 /// A version range the proxy does not speak — newer or older — gets a
