@@ -293,9 +293,7 @@ fn main() {
         std::thread::sleep(Duration::from_millis(2));
     }
     let per_conn_threads = threads_with_prefix("cloud-session");
-    let transport_threads = threads_with_prefix("cloud-acceptor")
-        + threads_with_prefix("cloud-reactor")
-        + per_conn_threads;
+    let transport_threads = threads_with_prefix("cloud-reactor") + per_conn_threads;
     let wave_ms = time_ms(3, || {
         let handles: Vec<_> = clients
             .iter()

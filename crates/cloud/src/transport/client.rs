@@ -12,12 +12,15 @@
 //! connection, the one a relay's backend links are — in the client's role:
 //! its replies go to the handles, and its next link comes from its address
 //! list. Every client link of the process lives on one reactor, the
-//! `client-reactor` thread, beside a `client-dialer` thread for the connects
-//! a reactor must not block on; the first connect starts the two and the
-//! last client to close or drop joins them. Submits, cancels and `GetStats`
-//! reach the loop through its inbox. A link pings once it has been
-//! write-idle for its keep-alive interval, so the server's idle timeout only
-//! ends sessions whose client is gone.
+//! `client-reactor` thread, which dials them too — the connect does not
+//! block — so it is the loop's only thread: the first connect starts it and
+//! the last client to close or drop joins it. `connect` resolves its
+//! addresses on the caller's thread, hands the session to the loop and
+//! waits for the `Welcome`; the first dial and every redial are one path,
+//! which tries the addresses in order, each under the handshake timeout.
+//! Submits, cancels and `GetStats` reach the loop through its inbox. A link
+//! pings once it has been write-idle for its keep-alive interval, so the
+//! server's idle timeout only ends sessions whose client is gone.
 //!
 //! # Self-healing mode
 //!
@@ -34,7 +37,7 @@
 
 use super::event_loop::link::{self, Job, Link, Role, Uplink, LINK};
 use super::event_loop::{reactor_parts, spawn_reactor, Reactor, ReactorShared, Tier};
-use super::frame::{write_frame, Frame, FrameDecoder};
+use super::frame::Frame;
 use super::timer::{Fired, TimerWheel};
 use super::{
     ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue, TransportConfig, PROTOCOL_VERSION,
@@ -47,7 +50,7 @@ use crate::CloudError;
 use bytes::Bytes;
 use reactor::Poller;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
@@ -112,48 +115,40 @@ struct Waiter {
 /// What a `Welcome` negotiated: `(version, max_in_flight, max_frame_len)`.
 pub(super) type Welcome = (u32, u32, u64);
 
-/// What callers and the dialer hand the client loop: a session to start
-/// with the socket `connect` dialed, or work for the session with a token.
-/// Work for a session that has ended is dropped unrun, and so are the
-/// senders its callers wait on: they see `ServiceUnavailable`.
+/// What callers hand the client loop: a session to start, or work for the
+/// session with a token. Work for a session that has ended is dropped
+/// unrun, and so are the senders its callers wait on: they see
+/// `ServiceUnavailable`.
 enum Command {
-    Open(u64, Box<Session>, (TcpStream, String)),
+    Open(u64, Box<Session>),
     Run(u64, Work),
 }
 
 /// Work for one session, run on the loop.
 type Work = Box<dyn FnOnce(&mut Session, &mut Reactor) + Send>;
 
-/// A session's request to the dialer: its token, where to dial, and the
-/// connect deadline.
-type Redial = (u64, Arc<[SocketAddr]>, Duration);
-
-/// The client loop: `client-reactor` serving every client's link, and
-/// `client-dialer`. Every client holds it; the first starts it, and the
-/// last, dropping it, joins it.
+/// The client loop: `client-reactor`, serving every client's link. Every
+/// client holds it; the first starts it, and the last, dropping it, joins
+/// it.
 #[derive(Debug)]
 struct Runtime {
     handle: Arc<ReactorShared<Command>>,
     /// What the loop counts into — its wake-ups and descriptors, its links'
     /// frames. Nobody reads it.
     metrics: Arc<ServiceMetrics>,
-    dialer: Sender<Redial>,
     stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
     next_token: AtomicU64,
 }
 
 static RUNTIME: Mutex<Weak<Runtime>> = Mutex::new(Weak::new());
 
 impl Drop for Runtime {
-    /// The last client is gone: the loop stops, and its threads are joined
-    /// — the reactor, then the dialer, whose senders went with the
-    /// reactor's sessions and this runtime.
+    /// The last client is gone: the loop stops, and its thread is joined.
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.handle.kick(&self.metrics);
-        self.dialer = channel().0;
-        for thread in self.threads.drain(..) {
+        if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
     }
@@ -194,28 +189,11 @@ impl Runtime {
             Arc::clone(&metrics),
             Arc::clone(&stop),
         );
-        let (dialer, redials) = channel::<Redial>();
-        let dial_thread = {
-            let (handle, metrics) = (Arc::clone(&handle), Arc::clone(&metrics));
-            std::thread::Builder::new()
-                .name("client-dialer".into())
-                .spawn(move || {
-                    for (token, addrs, timeout) in redials {
-                        let linked = dial(&addrs, timeout).ok();
-                        let work = Box::new(move |s: &mut Session, r: &mut Reactor| {
-                            s.linked(linked, r);
-                        });
-                        handle.enqueue(Command::Run(token, work), &metrics);
-                    }
-                })
-                .expect("spawn client dialer")
-        };
         Ok(Runtime {
             handle,
             metrics,
-            dialer,
             stop,
-            threads: vec![reactor, dial_thread],
+            thread: Some(reactor),
             next_token: AtomicU64::new(0),
         })
     }
@@ -237,8 +215,8 @@ impl Tier for Clients {
 
     fn adopt(&mut self, r: &mut Reactor, command: Command, _stopped: bool) {
         match command {
-            Command::Open(token, mut session, stream) => {
-                session.linked(Some(stream), r);
+            Command::Open(token, mut session) => {
+                session.dial(&mut r.poller, &mut r.wheel);
                 self.sessions.insert(token, *session);
             }
             Command::Run(token, work) => {
@@ -276,11 +254,11 @@ impl Tier for Clients {
 
 /// One client's session on the loop: its link, in the client's role.
 struct Session {
-    token: u64,
     up: Uplink<Waiter>,
     state: Arc<State>,
-    addrs: Arc<[SocketAddr]>,
-    dialer: Sender<Redial>,
+    addrs: Vec<SocketAddr>,
+    /// The address the next dial of this attempt tries.
+    next_addr: usize,
     /// Until the first `Welcome`: where `connect` waits for it.
     welcome: Option<Sender<Result<Welcome, CloudError>>>,
     /// `GetStats` requests in flight on the link.
@@ -290,7 +268,8 @@ struct Session {
     retries: RetryQueue,
     /// The redial backoff, given a reconnect policy.
     jitter: Option<DecorrelatedJitter>,
-    /// Failed dials since the last welcomed link.
+    /// Failed attempts — each a walk of the address list — since the last
+    /// welcomed link.
     attempts: usize,
     /// When the next redial is due.
     redial_at: Option<Instant>,
@@ -362,21 +341,29 @@ impl Role for Session {
         true
     }
 
+    /// A connect that failed moves on to the next address; a link that
+    /// connected and then failed ends this attempt.
     fn lost(&mut self, link: Link, cause: CloudError, p: &mut Poller, w: &mut TimerWheel) {
-        self.relink(link.welcomed, cause, p, w);
+        match (link.connected, self.next_addr < self.addrs.len()) {
+            (false, true) => self.dial(p, w),
+            _ => self.relink(link.welcomed, cause, p, w),
+        }
     }
 }
 
 impl Session {
-    /// A connection to greet, or `None`: the dial failed.
-    fn linked(&mut self, dialed: Option<(TcpStream, String)>, r: &mut Reactor) {
-        let (poller, wheel) = (&mut r.poller, &mut r.wheel);
-        if dialed.is_some_and(|dialed| self.up.connect(dialed, poller, wheel)) {
-            link::flush(self, poller, wheel);
-        } else {
-            let cause = CloudError::Transport("connect failed".into());
-            self.relink(false, cause, poller, wheel);
+    /// Dials the attempt's next address that takes a connect; the link
+    /// handshakes once it connects. With none left, the attempt failed.
+    fn dial(&mut self, poller: &mut Poller, wheel: &mut TimerWheel) {
+        let mut cause = CloudError::Transport("no address to connect to".into());
+        while let Some(&addr) = self.addrs.get(self.next_addr) {
+            self.next_addr += 1;
+            match self.up.connect((addr, addr.to_string()), poller, wheel) {
+                Ok(()) => return,
+                Err(e) => cause = e,
+            }
         }
+        self.relink(false, cause, poller, wheel);
     }
 
     /// Routes one reply to its handle. In reconnect mode a retryable one
@@ -438,7 +425,7 @@ impl Session {
         }
         let now = Instant::now();
         if self.redial_at.is_some_and(|at| at <= now) {
-            self.redial();
+            self.redial(&mut r.poller, &mut r.wheel);
         }
         for id in self.retries.pop_due(now) {
             if let Some(job) = self.delayed.remove(&id) {
@@ -452,19 +439,18 @@ impl Session {
         link::flush(self, &mut r.poller, &mut r.wheel);
     }
 
-    fn redial(&mut self) {
+    /// A new attempt, from the first address.
+    fn redial(&mut self, poller: &mut Poller, wheel: &mut TimerWheel) {
         self.redial_at = None;
-        let timeout = self.up.config.connect_timeout;
-        let _ = self
-            .dialer
-            .send((self.token, Arc::clone(&self.addrs), timeout));
+        self.next_addr = 0;
+        self.dial(poller, wheel);
     }
 
-    /// After a lost link or a failed dial: stats requests are answered
+    /// After a lost link or a failed attempt: stats requests are answered
     /// `ServiceUnavailable` and cancelled jobs `Cancelled` — never sent
     /// again. Without a reconnect policy the session then ends; with one it
     /// re-dials, at once after a welcomed link and after a backoff after a
-    /// failed dial, until the dial budget runs out.
+    /// failed attempt, until the attempt budget runs out.
     fn relink(&mut self, welcomed: bool, cause: CloudError, p: &mut Poller, w: &mut TimerWheel) {
         self.stats.clear();
         self.up.jobs.retain(|_, job| {
@@ -479,14 +465,13 @@ impl Session {
             return self.end(cause, p);
         };
         if welcomed {
-            self.redial();
-        } else {
-            self.attempts += 1;
-            if policy.max_dial_attempts > 0 && self.attempts >= policy.max_dial_attempts {
-                return self.end(cause, p);
-            }
-            self.redial_at = Some(Instant::now() + jitter.next_delay());
+            return self.redial(p, w);
         }
+        self.attempts += 1;
+        if policy.max_dial_attempts > 0 && self.attempts >= policy.max_dial_attempts {
+            return self.end(cause, p);
+        }
+        self.redial_at = Some(Instant::now() + jitter.next_delay());
         self.arm(w);
     }
 
@@ -556,62 +541,6 @@ impl Session {
     }
 }
 
-/// Dials `addrs` in order, each attempt bounded by `timeout`: the first
-/// connection made, and the address it went to.
-fn dial(addrs: &[SocketAddr], timeout: Duration) -> Result<(TcpStream, String), CloudError> {
-    let mut last_err = CloudError::Transport("no address to connect to".into());
-    for addr in addrs {
-        match TcpStream::connect_timeout(addr, timeout) {
-            Ok(stream) => return Ok((stream, addr.to_string())),
-            Err(e) => last_err = CloudError::Transport(format!("connect to {addr} failed: {e}")),
-        }
-    }
-    Err(last_err)
-}
-
-/// The client role's half of the handshake on a blocking socket that has
-/// just connected: `Hello` (with `config.api_key`) out, `Welcome` in. A
-/// routing tier's health probes use it; links speak the same two frames
-/// from their reactor (`hello` and `welcomed` below).
-///
-/// Sets `TCP_NODELAY`, and leaves `config.handshake_timeout` as the socket's
-/// read timeout and `config.write_timeout` as its write timeout — a peer
-/// that stops reading must not wedge a writer forever.
-///
-/// Returns what the `Welcome` negotiated: `(version, max_in_flight,
-/// max_frame_len)`.
-///
-/// # Errors
-///
-/// Returns [`CloudError::Handshake`] with the server's reason if it answers
-/// `Reject` (or anything but `Welcome`, or hangs up), and
-/// [`CloudError::Transport`] on I/O failure.
-pub fn handshake(
-    mut stream: &TcpStream,
-    config: &TransportConfig,
-) -> Result<(u32, u32, u64), CloudError> {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.handshake_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    write_frame(&mut stream, &hello(config.api_key.clone()))
-        .map_err(|e| CloudError::Transport(format!("handshake write failed: {e}")))?;
-    let mut decoder = FrameDecoder::new();
-    loop {
-        if let Some((frame, _)) = decoder.next_frame(config.max_frame_len)? {
-            return welcomed(frame);
-        }
-        match decoder.read_from(&mut stream) {
-            Ok(0) => {
-                return Err(CloudError::Handshake(
-                    "server closed during handshake".into(),
-                ))
-            }
-            Ok(_) => {}
-            Err(e) => return Err(CloudError::Transport(format!("read failed: {e}"))),
-        }
-    }
-}
-
 /// The client role's opener: this build's protocol version and `api_key`.
 pub(super) fn hello(api_key: Option<String>) -> Frame {
     Frame::Hello {
@@ -649,10 +578,11 @@ impl RemoteCloudClient {
     }
 
     /// [`connect`](Self::connect) with explicit tunables (API key,
-    /// keep-alive cadence, frame cap, connect deadline, reconnect policy).
-    /// The TCP connect blocks the caller (bounded by
-    /// [`TransportConfig::connect_timeout`]); the handshake runs on the
-    /// client loop, and the caller waits for its outcome.
+    /// keep-alive cadence, frame cap, handshake deadline, reconnect
+    /// policy). `addr` is resolved on the caller's thread; the connect and
+    /// the handshake run on the client loop — each address in turn, each
+    /// under [`TransportConfig::handshake_timeout`] — and the caller waits
+    /// for their outcome.
     ///
     /// # Errors
     ///
@@ -662,19 +592,13 @@ impl RemoteCloudClient {
         addr: impl ToSocketAddrs,
         config: TransportConfig,
     ) -> Result<RemoteCloudClient, CloudError> {
-        let addrs: Arc<[SocketAddr]> = addr
+        let addrs: Vec<SocketAddr> = addr
             .to_socket_addrs()
             .map_err(|e| CloudError::Transport(format!("address resolution failed: {e}")))?
             .collect();
         if addrs.is_empty() {
             return Err(CloudError::Transport("address resolved to nothing".into()));
         }
-        let (stream, peer) = dial(&addrs, config.connect_timeout)?;
-        let keepalive_seed = stream
-            .local_addr()
-            .map(|a| u64::from(a.port()))
-            .unwrap_or(0);
-        let keepalive_interval = jittered_interval(config.keepalive_interval, keepalive_seed);
         let max_resubmits = config.reconnect.as_ref().map_or(0, |p| p.max_resubmits);
         let state = Arc::new(State {
             telemetry: Telemetry::new(),
@@ -687,17 +611,16 @@ impl RemoteCloudClient {
         let token = runtime.next_token.fetch_add(1, Ordering::Relaxed);
         let (welcome, welcomed) = channel();
         let config = TransportConfig {
-            keepalive_interval,
+            keepalive_interval: jittered_interval(config.keepalive_interval, token),
             ..config
         };
         let metrics = Arc::clone(&runtime.metrics);
         let session = Session {
-            token,
             jitter: config.reconnect.as_ref().map(ReconnectPolicy::jitter),
             up: Uplink::new(token, config, None, metrics),
             state: Arc::clone(&state),
             addrs,
-            dialer: runtime.dialer.clone(),
+            next_addr: 0,
             welcome: Some(welcome),
             stats: HashMap::new(),
             delayed: HashMap::new(),
@@ -707,7 +630,7 @@ impl RemoteCloudClient {
             unflushed: false,
             ended: false,
         };
-        let open = Command::Open(token, Box::new(session), (stream, peer));
+        let open = Command::Open(token, Box::new(session));
         runtime.handle.enqueue(open, &runtime.metrics);
         let (version, max_in_flight, max_frame_len) = welcomed
             .recv()
@@ -893,7 +816,7 @@ impl Drop for ClientShared {
 /// otherwise all go write-idle at the same moment and ping in the same
 /// tick — a periodic thundering herd on the server's reactors. Each
 /// connection instead pings at a deterministic point in
-/// `[0.75, 1.0] × interval`, keyed by its local port; the result is never
+/// `[0.75, 1.0] × interval`, keyed by its session token; the result is never
 /// *longer* than the configured interval, so a jittered client still
 /// outruns any server idle timeout the plain interval would.
 fn jittered_interval(interval: Duration, seed: u64) -> Duration {

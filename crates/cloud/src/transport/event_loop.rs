@@ -4,11 +4,11 @@
 //!
 //! A connection is owned by exactly one reactor thread for its whole life,
 //! so its state machine, decode scratch and write queue need no locks.
-//! Cross-thread signals — sockets reactor 0 deals, links from a dialer,
-//! completed jobs from the workers, a remote client's submits, cancels and
-//! `GetStats`, shutdown — go through each reactor's [`ReactorShared`]
-//! inbox/ready-list plus a [`reactor::Waker`]; wakes coalesce, and a timer
-//! wheel (5 ms ticks) drives every deadline, one entry per connection.
+//! Cross-thread signals — sockets reactor 0 deals, completed jobs from the
+//! workers, a remote client's sessions, submits, cancels and `GetStats`,
+//! shutdown — go through each reactor's [`ReactorShared`] inbox/ready-list
+//! plus a [`reactor::Waker`]; wakes coalesce, and a timer wheel (5 ms ticks)
+//! drives every deadline, one entry per connection.
 //!
 //! # Tiers, roles and threads
 //!
@@ -27,23 +27,24 @@
 //!   process on one reactor, started by the first connect and joined when
 //!   the last client closes or drops.
 //!
-//! A connection plays one of three roles: a *server session* (an accepted
+//! A connection plays one of four roles: a *server session* (an accepted
 //! connection: the diagram below, on a server reactor), a *relay link* (a
-//! relay session's connection to its backend, registered on the session's
-//! own reactor under its token with the link bit set — the `relay`
-//! submodule) or a *client session* (a remote client's connection, on the
-//! client loop). The two client roles are one mechanism, the *link* (the
-//! `link` submodule): the `Hello`/`Welcome` exchange, keep-alive and stall
-//! deadlines as one wheel entry, and the jobs it retains until answered,
-//! resubmitted in request-id order on the next welcomed link. A connection
-//! that dials blocks only a dialer thread, never a reactor. Threads per
-//! tier, whatever the number of connections:
+//! relay session's connection to its backend, dialed by the session's own
+//! reactor and registered under its token with the link bit set — the
+//! `relay` submodule), a *probe* (a relay's health check of one backend, on
+//! its reactor 0, also in `relay`) or a *client session* (a remote client's
+//! connection, on the client loop). The three dialing roles are one
+//! mechanism, the *link* (the `link` submodule): a connect that does not
+//! block, the `Hello`/`Welcome` exchange, the deadlines as one wheel entry,
+//! and the jobs it retains until answered, resubmitted in request-id order
+//! on the next welcomed link. No thread runs beside the reactors. Threads
+//! per tier, whatever the number of connections:
 //!
 //! | tier | threads | gate |
 //! |------|---------|------|
 //! | server | `cloud-reactor-<i>` × `io_threads`, `cloud-worker-<i>` × workers | `tests/transport_scale.rs`, 128 sessions |
-//! | relay (proxy) | `proxy-reactor-<i>` × `io_threads`, `proxy-dialer` | `tests/proxy_scale.rs`, 128 sessions: 3 (a thread per session ran 258) |
-//! | clients | `client-reactor`, `client-dialer` | `tests/transport_scale.rs`, 128 clients: 2 (a thread per client ran 256) |
+//! | relay (proxy) | `proxy-reactor-<i>` × `io_threads` | `tests/proxy_scale.rs`, 128 sessions: 2 (a thread per session ran 258) |
+//! | clients | `client-reactor` | `tests/transport_scale.rs`, 128 clients: 1 (a thread per client ran 256) |
 //!
 //! # Connection state machine
 //!
@@ -115,6 +116,9 @@ const EXPORTER_TOKEN: u64 = u64::MAX - 1;
 /// Token reserved for the job listener (reactor 0 only).
 const LISTENER_TOKEN: u64 = u64::MAX - 2;
 
+/// Token reserved for a relay's health sweep deadline (reactor 0 only).
+const SWEEP_TOKEN: u64 = u64::MAX - 3;
+
 /// How long a listener rests after a failed `accept`: descriptor exhaustion
 /// does not clear at once, and a level-triggered listener would spin.
 const ACCEPT_REST: Duration = Duration::from_millis(5);
@@ -130,17 +134,6 @@ const WHEEL_TICK: Duration = Duration::from_millis(5);
 /// Timer wheel slots (one revolution = `WHEEL_TICK * WHEEL_SLOTS`; longer
 /// deadlines lap).
 const WHEEL_SLOTS: usize = 512;
-
-/// What a server reactor is handed through its inbox.
-#[derive(Debug)]
-pub(super) enum Inbound {
-    /// A connection reactor 0 accepted and dealt to this reactor.
-    Accepted(TcpStream),
-    /// The dialer's answer to the relay session with this token: a
-    /// connection to a backend (and its address), or `None` when no backend
-    /// would take it.
-    Linked(u64, Option<(TcpStream, String)>),
-}
 
 /// The cross-thread face of one reactor: everything other threads may
 /// touch. `T` is what its tier takes through the inbox.
@@ -205,6 +198,8 @@ impl<T> ReactorShared<T> {
 pub(super) trait Tier: Send + 'static {
     /// What other threads hand this tier through the inbox.
     type Item: Send + 'static;
+    /// Runs once, before the first round.
+    fn start(&mut self, _r: &mut Reactor) {}
     /// Readiness on a token this tier registered.
     fn io(&mut self, r: &mut Reactor, token: u64, readable: bool, writable: bool);
     /// One item from the inbox.
@@ -271,6 +266,7 @@ pub(super) fn spawn_server_reactor(
     }
     let handle = Arc::clone(&shared.reactors[index]);
     let (metrics, stop) = (Arc::clone(&shared.metrics), Arc::clone(&shared.stop));
+    let relay = matches!(shared.upstream, Upstream::Relay { .. });
     let tier = Sessions {
         handle: Arc::clone(&handle),
         index,
@@ -279,6 +275,7 @@ pub(super) fn spawn_server_reactor(
         listeners,
         next_deal: 0,
         http_conns: HashMap::new(),
+        prober: (relay && index == 0).then(relay::Prober::default),
     };
     spawn_reactor(name, (handle, (wake_rx, poller)), tier, metrics, stop)
 }
@@ -537,7 +534,7 @@ pub(super) struct Reactor {
 /// A server reactor's tier: the connections of its share of the pool.
 struct Sessions {
     shared: Arc<ServerShared>,
-    handle: Arc<ReactorShared<Inbound>>,
+    handle: Arc<ReactorShared<TcpStream>>,
     /// This reactor's place in the pool.
     index: usize,
     conns: HashMap<u64, Conn>,
@@ -548,6 +545,8 @@ struct Sessions {
     next_deal: usize,
     /// In-progress exporter scrapes, keyed by poller token.
     http_conns: HashMap<u64, HttpConn>,
+    /// A relay's health probes (reactor 0 only).
+    prober: Option<relay::Prober>,
 }
 
 /// One Prometheus scrape in flight: read the request head, write one
@@ -573,6 +572,7 @@ impl Reactor {
     }
 
     fn run<T: Tier>(mut self, mut tier: T, handle: &ReactorShared<T::Item>) {
+        tier.start(&mut self);
         // Swapped with the inbox each round, so neither side reallocates.
         let mut inbox = Vec::new();
         loop {
@@ -637,10 +637,17 @@ impl Reactor {
 }
 
 impl Tier for Sessions {
-    type Item = Inbound;
+    type Item = TcpStream;
 
-    /// Readiness for a listener, a scrape, a connection's socket or its
-    /// backend link.
+    /// A relay's first health sweep is due at once.
+    fn start(&mut self, r: &mut Reactor) {
+        if self.prober.is_some() {
+            r.wheel.insert(Instant::now(), SWEEP_TOKEN, 0);
+        }
+    }
+
+    /// Readiness for a listener, a scrape, a connection's socket, its
+    /// backend link or a health probe.
     fn io(&mut self, r: &mut Reactor, token: u64, readable: bool, writable: bool) {
         if matches!(token, LISTENER_TOKEN | EXPORTER_TOKEN) {
             return self.accept(r, token);
@@ -648,10 +655,13 @@ impl Tier for Sessions {
         if self.http_conns.contains_key(&token) {
             return self.handle_http_io(r, token, readable);
         }
-        let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
         let Some(conn) = self.conns.get_mut(&(token & !link::LINK)) else {
-            return; // stale event for an already-closed token
+            if let Some(prober) = &mut self.prober {
+                prober.io(token, (readable, writable), &self.shared, r);
+            }
+            return; // or a stale event for an already-closed token
         };
+        let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
         if token & link::LINK != 0 {
             return relay::link_io(conn, readable, writable, shared, poller, wheel);
         }
@@ -663,20 +673,10 @@ impl Tier for Sessions {
         }
     }
 
-    /// Registers a connection reactor 0 dealt here, or gives a relay session
-    /// the link the dialer made it. Under stop, a new arrival is closed
-    /// immediately instead (reactor 0 dealt it before it saw the flag).
-    fn adopt(&mut self, r: &mut Reactor, item: Inbound, stopped: bool) {
-        let stream = match item {
-            Inbound::Accepted(stream) => stream,
-            Inbound::Linked(token, dialed) => {
-                // A link that outlived its session closes as it drops.
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    relay::linked(conn, dialed, &self.shared, &mut r.poller, &mut r.wheel);
-                }
-                return;
-            }
-        };
+    /// Registers a connection reactor 0 dealt here. Under stop, it is
+    /// closed immediately instead (reactor 0 dealt it before it saw the
+    /// flag).
+    fn adopt(&mut self, r: &mut Reactor, stream: TcpStream, stopped: bool) {
         let _ = stream.set_nodelay(true);
         let token = r.token();
         if stopped
@@ -750,16 +750,22 @@ impl Tier for Sessions {
         }
     }
 
-    /// A connection's deadline fired, or its link's, or a resting
-    /// listener's.
+    /// A connection's deadline fired, or its link's, a resting listener's,
+    /// the health sweep's or a probe's.
     fn timer(&mut self, r: &mut Reactor, f: Fired) {
         if matches!(f.token, LISTENER_TOKEN | EXPORTER_TOKEN) {
             return self.listen(r, f.token, false);
         }
-        let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
         let Some(conn) = self.conns.get_mut(&(f.token & !link::LINK)) else {
+            if let Some(prober) = &mut self.prober {
+                match f.token {
+                    SWEEP_TOKEN => prober.sweep(&self.shared, r),
+                    token => prober.timer(token, f.generation, &self.shared, r),
+                }
+            }
             return;
         };
+        let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
         if f.token & link::LINK != 0 {
             return relay::link_timer(conn, f.generation, shared, poller, wheel);
         }
@@ -842,7 +848,7 @@ impl Sessions {
             reactor.kick(&shared.metrics);
             return;
         }
-        reactor.enqueue(Inbound::Accepted(stream), &shared.metrics);
+        reactor.enqueue(stream, &shared.metrics);
         self.next_deal = pick + 1;
     }
 
@@ -958,6 +964,9 @@ impl Sessions {
     /// complete.
     fn apply_stop(&mut self, r: &mut Reactor) {
         let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
+        if let Some(mut prober) = self.prober.take() {
+            prober.stop(poller);
+        }
         // The listeners die first, so the port refuses connections once
         // shutdown returns; in-flight scrapes are dropped (a scraper retries;
         // a half-written metrics page is junk either way once the server is
@@ -1149,7 +1158,7 @@ fn handle_frame(
                     establish(conn, max_in_flight, max_frame_len, shared, poller, wheel);
                 }
                 // The Welcome waits for the session's backend link.
-                Upstream::Relay { .. } => relay::route(conn, api_key, shared),
+                Upstream::Relay { .. } => relay::route(conn, api_key, shared, poller, wheel),
             }
         }
         (ConnState::Handshaking, _) => refuse(conn, "expected Hello".into(), shared, poller, wheel),
@@ -1667,7 +1676,7 @@ mod tests {
     #[test]
     fn a_rested_listener_leaves_the_poller_until_its_deadline() {
         let service = crate::CloudService::builder().workers(1).build();
-        let (handle, (wake_rx, mut poller)) = reactor_parts::<Inbound>().unwrap();
+        let (handle, (wake_rx, mut poller)) = reactor_parts::<TcpStream>().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let _pending = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
@@ -1702,6 +1711,7 @@ mod tests {
             listeners: vec![(LISTENER_TOKEN, listener)],
             next_deal: 0,
             http_conns: HashMap::new(),
+            prober: None,
         };
         let listener_ready = |r: &mut Reactor| {
             r.poller.wait(&mut r.events, Some(Duration::ZERO)).unwrap();

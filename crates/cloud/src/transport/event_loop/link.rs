@@ -2,22 +2,26 @@
 //! `Hello`/`Welcome` exchange, its deadlines, and the jobs it retains until
 //! they are answered.
 //!
-//! Two roles own one — a relay session's backend link (the `relay`
-//! submodule) and a remote client's link (`transport::client`). The
-//! mechanism is here, once; a [`Role`] is the policy: what a welcome means,
-//! where replies go, and where the next link comes from when one fails.
+//! Three roles own one — a relay session's backend link and the relay's
+//! health probe (the `relay` submodule), and a remote client's link
+//! (`transport::client`). The mechanism is here, once; a [`Role`] is the
+//! policy: what a welcome means, where replies go, and where the next link
+//! comes from when one fails.
 //!
-//! A link is registered under its owner's token with [`LINK`] set, and
-//! handshakes on its reactor (`client::hello` out at once, its first frame
-//! read by `client::welcomed`). Its deadlines are one timer-wheel entry: a
-//! `Welcome` owed since the `Hello` (`handshake_timeout`), replies owed with
-//! the link silent (a relay's reply timeout), a write queue that stopped
-//! draining (`write_timeout`, noticed at the link's next deadline), a `Ping`
-//! once the welcomed link has been write-idle for its keep-alive interval,
-//! and the role's own ([`Uplink::wake_at`]). A welcomed link carries every
-//! retained job again, in request-id order, under its original id: training
-//! is seeded and servers deduplicate by content, so a replay answers bit for
-//! bit the same.
+//! A link is dialed on its reactor and registered there under its owner's
+//! token with [`LINK`] set. Its connect does not block (`reactor::connect`;
+//! its first writability ends it), and it handshakes there too
+//! (`client::hello` queued at the dial, its first frame read by
+//! `client::welcomed`). Its deadlines are one timer-wheel entry: a
+//! `Welcome` owed since the dial (connect, `Hello` and `Welcome` under the
+//! one `handshake_timeout`), replies owed with the link silent (a relay's
+//! reply timeout), a write queue that stopped draining (`write_timeout`,
+//! noticed at the link's next deadline), a `Ping` once the welcomed link
+//! has been write-idle for its keep-alive interval, and the role's own
+//! ([`Uplink::wake_at`]). A welcomed link carries every retained job again,
+//! in request-id order, under its original id: training is seeded and
+//! servers deduplicate by content, so a replay answers bit for bit the
+//! same.
 
 use super::super::client::{hello, welcomed, Welcome};
 use super::super::frame::{Frame, FrameDecoder};
@@ -31,7 +35,7 @@ use bytes::Bytes;
 use reactor::{Interest, Poller};
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,7 +60,7 @@ pub(crate) trait Role {
     );
     /// A frame the link carried; `false` for one no server may send.
     fn heard(&mut self, frame: Frame, p: &mut Poller, w: &mut TimerWheel) -> bool;
-    /// The link failed with `cause`; it is closed already.
+    /// The link failed with `cause` — its connect too; it is closed already.
     fn lost(&mut self, link: Link, cause: CloudError, p: &mut Poller, w: &mut TimerWheel);
 }
 
@@ -69,7 +73,15 @@ pub(crate) fn io<R: Role>(
     poller: &mut Poller,
     wheel: &mut TimerWheel,
 ) {
-    if (writable && !flush(role, poller, wheel)) || !readable {
+    if writable {
+        if let Err(cause) = role.up().connected() {
+            return fail(role, cause, poller, wheel);
+        }
+        if !flush(role, poller, wheel) {
+            return;
+        }
+    }
+    if !readable {
         return;
     }
     loop {
@@ -124,10 +136,10 @@ pub(crate) fn fired<R: Role>(
         return false;
     }
     if up.stall_deadline().is_some_and(|at| Instant::now() >= at) {
-        let cause = if up.welcomed() {
-            "the link stalled"
-        } else {
-            "no Welcome within the handshake timeout"
+        let cause = match &up.link {
+            Some(link) if link.welcomed => "the link stalled",
+            Some(link) if link.connected => "no Welcome within the handshake timeout",
+            _ => "no connection within the handshake timeout",
         };
         fail(role, CloudError::Transport(cause.into()), poller, wheel);
     } else if let Some(link) = up.link.as_mut().filter(|link| {
@@ -172,7 +184,10 @@ pub(crate) struct Uplink<X> {
 /// A client-role connection.
 pub(crate) struct Link {
     stream: TcpStream,
+    /// What its owner calls the address it dialed.
     pub(crate) addr: String,
+    /// The connect finished; until then nothing is written.
+    pub(crate) connected: bool,
     /// The `Welcome` arrived.
     pub(crate) welcomed: bool,
     decoder: FrameDecoder,
@@ -218,35 +233,34 @@ impl<X> Uplink<X> {
         self.link.as_ref().is_some_and(|link| link.welcomed)
     }
 
-    /// Takes `stream`, dialed to `addr`, as the link and queues its `Hello`
-    /// (with the configured API key); the caller flushes it. `false` — the
-    /// stream closed as it drops — when it cannot be registered.
+    /// Dials `sock`, called `addr`, as the link, and queues its `Hello`
+    /// (with the configured API key) for once it connects; the handshake
+    /// deadline starts now. An error when the connect cannot even start.
     pub(crate) fn connect(
         &mut self,
-        (stream, addr): (TcpStream, String),
+        (sock, addr): (SocketAddr, String),
         poller: &mut Poller,
         wheel: &mut TimerWheel,
-    ) -> bool {
+    ) -> Result<(), CloudError> {
+        let failed = |e| CloudError::Transport(format!("connect to {addr} failed: {e}"));
+        let stream = reactor::connect(sock).map_err(failed)?;
         let _ = stream.set_nodelay(true);
-        if stream.set_nonblocking(true).is_err()
-            || poller
-                .register(stream.as_raw_fd(), self.token | LINK, Interest::READABLE)
-                .is_err()
-        {
-            return false;
-        }
+        poller
+            .register(stream.as_raw_fd(), self.token | LINK, Interest::BOTH)
+            .map_err(failed)?;
         self.metrics.reactor_fd_registered();
         let now = Instant::now();
         let mut link = Link {
             stream,
             addr,
+            connected: false,
             welcomed: false,
             decoder: FrameDecoder::new(),
             writes: WriteQueue {
                 relay: true,
                 ..WriteQueue::default()
             },
-            interest: Interest::READABLE,
+            interest: Interest::BOTH,
             last_write: now,
             quiet_since: now,
             write_progress: now,
@@ -254,7 +268,22 @@ impl<X> Uplink<X> {
         link.send(&hello(self.config.api_key.clone()), &self.metrics);
         self.link = Some(link);
         self.schedule(wheel);
-        true
+        Ok(())
+    }
+
+    /// The link's connect, on its first writability: an error if it failed.
+    fn connected(&mut self) -> Result<(), CloudError> {
+        let Some(link) = self.link.as_mut().filter(|link| !link.connected) else {
+            return Ok(());
+        };
+        match link.stream.take_error() {
+            Ok(None) => link.connected = true,
+            Ok(Some(e)) | Err(e) => {
+                let cause = format!("connect to {} failed: {e}", link.addr);
+                return Err(CloudError::Transport(cause));
+            }
+        }
+        Ok(())
     }
 
     /// Queues `frame` on the welcomed link; `false` when there is none.
@@ -325,9 +354,10 @@ impl<X> Uplink<X> {
         }
     }
 
-    /// Writes what the link has queued; `false` when it broke.
+    /// Writes what the link has queued, once it is connected; `false` when
+    /// it broke.
     fn flush(&mut self, poller: &mut Poller) -> bool {
-        let Some(link) = &mut self.link else {
+        let Some(link) = self.link.as_mut().filter(|link| link.connected) else {
             return true;
         };
         let queued = link.writes.bytes;

@@ -1,40 +1,54 @@
 //! A relay session's upstream (the transport docs' "Relays"): a backend
-//! link (the `link` submodule), in the relay's role — its next link comes
-//! from the [`Routing`](crate::transport::Routing) policy through the dialer, and its replies go to the
-//! session's client face.
+//! link (the `link` submodule) in the relay's role — its next link comes
+//! from the [`Routing`] policy, its replies go to the session's client face
+//! — and the relay's health probes, a link role of their own.
 //!
-//! The dialer only connects; the link handshakes on the session's reactor,
-//! so sessions routed at once do not queue for it. A link fails on EOF or
-//! an error, on a refused `Hello` or a frame no backend may send, and on
-//! silence while it owes its `Welcome` or replies — a hung, black-holed or
-//! torn backend keeps TCP alive. Its retained jobs then ride a link to
-//! another backend; with no backend left they are answered
-//! `ServiceUnavailable`.
+//! The session's own reactor dials: it walks the policy's candidates,
+//! passing over the backends that failed the session since its last
+//! welcomed link, and connects to the first without blocking, at the
+//! address the policy resolved when it was built. A dial that hangs holds
+//! up nobody else, and `handshake_timeout` bounds connect, `Hello` and
+//! `Welcome` together. A link fails on a refused or timed-out connect, on
+//! EOF or an error, on a refused `Hello` or a frame no backend may send,
+//! and on silence while it owes its `Welcome` or replies — a hung,
+//! black-holed or torn backend keeps TCP alive. Its backend is reported to
+//! the policy and passed over, and the retained jobs ride the next link,
+//! in request-id order under their original ids (nothing retained was sent
+//! on a link just made). With no backend left the session is refused, or
+//! its jobs are answered `ServiceUnavailable`, a retryable error. A session
+//! that ends closes its link without telling the policy.
+//!
+//! Reactor 0 keeps the policy's sweep as a wheel deadline. Each backend the
+//! sweep names gets a probe, unless one is still out: a link that says
+//! `Hello`, `Ping` once welcomed and `Goodbye` once its `Pong` is back, all
+//! within the probe timeout from its dial. The verdict goes to the policy.
 
 use super::super::client::Welcome;
 use super::super::frame::Frame;
-use super::super::server::{Dial, ServerShared, Upstream};
+use super::super::server::{ServerShared, Upstream};
 use super::super::timer::TimerWheel;
-use super::link::{self, Job, Link, Role, Uplink};
-use super::{establish, flush_writes, queue_reply, refuse, Conn, ConnState};
+use super::super::{Routing, TransportConfig};
+use super::link::{self, Job, Link, Role, Uplink, LINK};
+use super::{establish, flush_writes, queue_reply, refuse, Conn, ConnState, Reactor, SWEEP_TOKEN};
 use crate::telemetry::{Stage, TraceId};
 use crate::CloudError;
 use bytes::Bytes;
 use reactor::Poller;
-use std::net::TcpStream;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The nonce a probe's `Ping` carries; an honest backend echoes it.
+const PROBE_NONCE: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// A relay session's upstream state.
 pub(super) struct Relay {
-    /// The reactor that owns the session, where its links are delivered.
+    /// The reactor that owns the session.
     home: usize,
     /// The routing key: the session's API key, or a tag unique to the
     /// connection.
     key: String,
     up: Uplink<()>,
-    /// A connection has been asked for and not yet delivered.
-    dialing: bool,
     /// Backends that failed the session since its last link was welcomed:
     /// the next dial passes over them.
     failed: Vec<String>,
@@ -50,7 +64,6 @@ impl Relay {
             home,
             key: String::new(),
             up: Uplink::new(token, config, Some(reply_timeout), metrics),
-            dialing: false,
             failed: Vec::new(),
         })
     }
@@ -58,6 +71,13 @@ impl Relay {
 
 fn relay(conn: &mut Conn) -> &mut Relay {
     conn.relay.as_deref_mut().expect("a relay session")
+}
+
+fn routing(shared: &ServerShared) -> &dyn Routing {
+    match &shared.upstream {
+        Upstream::Relay { routing, .. } => &**routing,
+        Upstream::Service(_) => unreachable!("relay sessions live on a relay"),
+    }
 }
 
 /// A relay session in its link's role.
@@ -137,69 +157,59 @@ impl Role for Face<'_> {
         true
     }
 
-    /// The link failed: tell the policy about its backend, and ask for a
-    /// connection to another; the retained jobs ride that one.
-    fn lost(&mut self, link: Link, _: CloudError, _: &mut Poller, _: &mut TimerWheel) {
-        if let Upstream::Relay { routing, .. } = &self.shared.upstream {
-            routing.failed(&link.addr);
-        }
+    /// The link failed, or its connect did: tell the policy about its
+    /// backend, and dial another; the retained jobs ride that one.
+    fn lost(&mut self, link: Link, _: CloudError, p: &mut Poller, w: &mut TimerWheel) {
+        routing(self.shared).failed(&link.addr);
         if link.welcomed {
             self.shared.metrics.backend_failover(&link.addr);
         }
-        let token = self.conn.token;
-        let relay = relay(self.conn);
-        relay.failed.push(link.addr);
-        dial(relay, token, self.shared);
+        relay(self.conn).failed.push(link.addr);
+        dial(self.conn, self.shared, p, w);
     }
 }
 
-/// The client's `Hello` is accepted: ask for the session's link. The
+/// The client's `Hello` is accepted: dial the session's link. The
 /// `Welcome` waits for the backend's.
-pub(super) fn route(conn: &mut Conn, api_key: Option<String>, shared: &ServerShared) {
+pub(super) fn route(
+    conn: &mut Conn,
+    api_key: Option<String>,
+    shared: &Arc<ServerShared>,
+    poller: &mut Poller,
+    wheel: &mut TimerWheel,
+) {
     let token = conn.token;
     let relay = relay(conn);
     relay.key = api_key
         .clone()
         .unwrap_or_else(|| format!("anon#{}.{token}", relay.home));
     relay.up.config.api_key = api_key;
-    dial(relay, token, shared);
+    dial(conn, shared, poller, wheel);
 }
 
-/// Asks the dialer for a connection, passing over the backends that failed.
-fn dial(relay: &mut Relay, token: u64, shared: &ServerShared) {
-    relay.dialing = true;
-    if let Upstream::Relay { dialer, .. } = &shared.upstream {
-        let _ = dialer.send(Some(Dial {
-            home: relay.home,
-            token,
-            key: relay.key.clone(),
-            exclude: relay.failed.clone(),
-        }));
-    }
-}
-
-/// The dialer's answer: a connection to greet, or none — the session is
-/// then refused, or its retained jobs are answered.
-pub(super) fn linked(
-    conn: &mut Conn,
-    connected: Option<(TcpStream, String)>,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
+/// Starts a connect to the first candidate the session has not failed,
+/// reporting each that cannot even be dialed. With none left the session
+/// is refused, or its retained jobs are answered.
+fn dial(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller, wheel: &mut TimerWheel) {
     if !matches!(conn.state, ConnState::Handshaking | ConnState::Established) {
-        return; // the session ended meanwhile; the connection closes as it drops
+        return; // the session is ending: nobody is left to answer
     }
-    let routing = conn.state == ConnState::Handshaking;
+    let policy = routing(shared);
     let relay = relay(conn);
-    relay.dialing = false;
-    if connected.is_some_and(|connected| relay.up.connect(connected, poller, wheel)) {
-        link::flush(&mut Face { conn, shared }, poller, wheel);
-        return;
+    for (name, addr) in policy.candidates(&relay.key) {
+        if relay.failed.contains(&name) {
+            continue;
+        }
+        let connecting = relay.up.connect((addr, name.clone()), poller, wheel);
+        if connecting.is_ok() {
+            return;
+        }
+        policy.failed(&name);
+        relay.failed.push(name);
     }
     relay.failed.clear();
     let jobs = std::mem::take(&mut relay.up.jobs);
-    if routing {
+    if conn.state == ConnState::Handshaking {
         refuse(conn, "no healthy backend".into(), shared, poller, wheel);
     } else {
         // Nowhere left to send them: a retryable answer, never a hang.
@@ -211,7 +221,7 @@ pub(super) fn linked(
 }
 
 /// Retains an accepted submit and sends it on the link — or, with none
-/// welcomed yet, leaves it for the next, asking for one if none is coming.
+/// welcomed yet, leaves it for the next, dialing one if none is coming.
 pub(super) fn submit(
     conn: &mut Conn,
     id: u64,
@@ -221,18 +231,17 @@ pub(super) fn submit(
     poller: &mut Poller,
     wheel: &mut TimerWheel,
 ) {
-    let token = conn.token;
-    let relay = relay(conn);
-    if relay.up.link.is_none() && !relay.dialing {
-        dial(relay, token, shared);
-    }
     let job = Job {
         payload,
         trace,
         sent_at: Instant::now(),
         role: (),
     };
-    relay.up.retain(id, job, wheel);
+    let up = &mut relay(conn).up;
+    up.retain(id, job, wheel);
+    if up.link.is_none() {
+        dial(conn, shared, poller, wheel);
+    }
     link::flush(&mut Face { conn, shared }, poller, wheel);
 }
 
@@ -299,5 +308,122 @@ pub(super) fn sever(conn: &mut Conn, poller: &mut Poller) {
         relay.up.close(poller);
         relay.up.jobs.clear();
         conn.in_flight = 0;
+    }
+}
+
+/// The relay's health probes, on reactor 0, by token.
+#[derive(Default)]
+pub(super) struct Prober(HashMap<u64, Probe>);
+
+/// One probe transaction against the backend `name`.
+struct Probe {
+    name: String,
+    up: Uplink<()>,
+    /// The transaction is over: `true` once the `Pong` came back.
+    verdict: Option<bool>,
+}
+
+impl Role for Probe {
+    type Job = ();
+
+    fn up(&mut self) -> &mut Uplink<()> {
+        &mut self.up
+    }
+
+    fn welcomed(&mut self, _: Welcome, _: usize, _: &mut Poller, _: &mut TimerWheel) {
+        self.up.send(&Frame::Ping { nonce: PROBE_NONCE });
+    }
+
+    /// A keep-alive's `Pong` is no answer; anything but a `Pong` no
+    /// backend may send.
+    fn heard(&mut self, frame: Frame, _: &mut Poller, _: &mut TimerWheel) -> bool {
+        let Frame::Pong { nonce } = frame else {
+            return false;
+        };
+        if nonce == PROBE_NONCE && self.verdict.replace(true).is_none() {
+            self.up.send(&Frame::Goodbye);
+        }
+        true
+    }
+
+    fn lost(&mut self, _: Link, _: CloudError, _: &mut Poller, _: &mut TimerWheel) {
+        self.verdict.get_or_insert(false);
+    }
+}
+
+impl Prober {
+    /// The sweep fell due: arm the next, and probe each backend the policy
+    /// names that has no probe out already.
+    pub(super) fn sweep(&mut self, shared: &ServerShared, r: &mut Reactor) {
+        let Upstream::Relay {
+            routing,
+            probe_timeout: timeout,
+            ..
+        } = &shared.upstream
+        else {
+            return;
+        };
+        let (due, next) = routing.sweep();
+        let now = Instant::now();
+        r.wheel.insert(now + next, SWEEP_TOKEN, 0);
+        // The probe's own deadline is the one; the handshake's is no sooner.
+        let config = TransportConfig {
+            api_key: None,
+            handshake_timeout: *timeout,
+            ..shared.config.clone()
+        };
+        for (name, addr) in due {
+            if self.0.values().any(|probe| probe.name == name) {
+                continue;
+            }
+            let token = r.token();
+            let mut up = Uplink::new(token, config.clone(), None, Arc::clone(&shared.metrics));
+            up.wake_at = Some(now + *timeout);
+            let verdict = up.connect((addr, name.clone()), &mut r.poller, &mut r.wheel);
+            let verdict = verdict.err().map(|_| false);
+            self.0.insert(token, Probe { name, up, verdict });
+            self.settle(token, shared, r);
+        }
+    }
+
+    /// Readiness on the probe link `token`.
+    pub(super) fn io(&mut self, token: u64, rw: (bool, bool), s: &ServerShared, r: &mut Reactor) {
+        if let Some(probe) = self.0.get_mut(&(token & !LINK)) {
+            link::io(probe, rw.0, rw.1, &mut r.poller, &mut r.wheel);
+            self.settle(token & !LINK, s, r);
+        }
+    }
+
+    /// The probe `token`'s deadline: past the probe timeout, it failed.
+    pub(super) fn timer(&mut self, token: u64, gen: u64, shared: &ServerShared, r: &mut Reactor) {
+        let Some(probe) = self.0.get_mut(&(token & !LINK)) else {
+            return;
+        };
+        if link::fired(probe, gen, &mut r.poller, &mut r.wheel) {
+            if probe.up.wake_at.is_some_and(|at| Instant::now() >= at) {
+                probe.verdict.get_or_insert(false);
+            }
+            probe.up.schedule(&mut r.wheel);
+            self.settle(token & !LINK, shared, r);
+        }
+    }
+
+    /// Flushes the probe `token`; once it has a verdict — its `Goodbye`
+    /// flushed — it ends, and the policy hears the verdict.
+    fn settle(&mut self, token: u64, shared: &ServerShared, r: &mut Reactor) {
+        let probe = self.0.get_mut(&token).expect("a live probe");
+        link::flush(probe, &mut r.poller, &mut r.wheel);
+        if let Some(ok) = probe.verdict {
+            probe.up.close(&mut r.poller);
+            let name = self.0.remove(&token).expect("a live probe").name;
+            routing(shared).probed(&name, ok);
+        }
+    }
+
+    /// The relay is stopping: probes end unjudged.
+    pub(super) fn stop(&mut self, poller: &mut Poller) {
+        for probe in self.0.values_mut() {
+            probe.up.close(poller);
+        }
     }
 }

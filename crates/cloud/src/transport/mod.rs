@@ -99,22 +99,21 @@
 //! The same listener, reactors and server-role handshake serve a routing
 //! tier: [`CloudServer::bind_relay`] sends each session's jobs to a backend
 //! a [`Routing`] policy picks, over a client-role *link* its own reactor
-//! owns and handshakes, instead of to a service. The relay retains each job
-//! until its reply, answers `Ping` and `GetStats` itself, and resubmits the
-//! retained jobs on a link to another backend when one dies or stays silent
-//! while it owes an answer. Its one extra thread dials backends, so no
-//! reactor blocks on a connect, and runs the policy's health sweep between
-//! dials.
+//! dials, without blocking, and handshakes, instead of to a service. The
+//! relay retains each job until its reply, answers `Ping` and `GetStats`
+//! itself, and resubmits the retained jobs on a link to another backend
+//! when one dies or stays silent while it owes an answer. Reactor 0 runs the
+//! policy's health sweep as a deadline on its wheel, each probe a link of
+//! its own. A relay runs its reactors and no other thread.
 //!
 //! # Clients
 //!
 //! A [`RemoteCloudClient`]'s connection is the same link in the client's
-//! role, on the process's one client event loop: a reactor with no
-//! listener (`client-reactor`) and a dialer (`client-dialer`), started by
-//! the first connect and joined when the last client goes. Healing is
-//! deadlines on that loop's wheel — a stalled or silent link, the
-//! [`ReconnectPolicy`] backoff before a re-dial, a `retry_after` — never a
-//! sleeping thread.
+//! role, on the process's one client event loop: one reactor with no
+//! listener (`client-reactor`), which dials its links too, started by the
+//! first connect and joined when the last client goes. Healing is deadlines
+//! on that loop's wheel — a stalled or silent link, the [`ReconnectPolicy`]
+//! backoff before a re-dial, a `retry_after` — never a sleeping thread.
 
 mod client;
 mod event_loop;
@@ -124,7 +123,7 @@ mod server;
 mod timer;
 
 pub(crate) use client::ClientShared;
-pub use client::{handshake, RemoteCloudClient, RemoteJobHandle};
+pub use client::{RemoteCloudClient, RemoteJobHandle};
 pub use frame::{write_encoded, write_frame, Frame, FrameDecoder};
 pub use reconnect::{ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue};
 pub use server::{CloudServer, Routing};
@@ -152,12 +151,10 @@ pub struct TransportConfig {
     /// 10 s; keep it under the server's `idle_timeout`).
     pub keepalive_interval: Duration,
     /// How long each side waits for the other's half of the handshake
-    /// (default 5 s).
+    /// (default 5 s). A dialing side counts from the dial: its connect and
+    /// the handshake share the deadline, so a black-holed address — a dead
+    /// host, a dropped route — fails within it too.
     pub handshake_timeout: Duration,
-    /// Deadline on the client's TCP connect itself (default 5 s). Without
-    /// it a black-holed address — a dead host, a dropped route — blocks in
-    /// the OS connect for minutes before failing.
-    pub connect_timeout: Duration,
     /// Self-healing policy for a [`RemoteCloudClient`]: with a policy set,
     /// a lost connection is re-dialed with decorrelated-jitter backoff and
     /// in-flight jobs are resubmitted instead of failed (default `None`,
@@ -184,7 +181,6 @@ impl Default for TransportConfig {
             idle_timeout: Duration::from_secs(30),
             keepalive_interval: Duration::from_secs(10),
             handshake_timeout: Duration::from_secs(5),
-            connect_timeout: Duration::from_secs(5),
             reconnect: None,
             write_timeout: Duration::from_secs(10),
             api_key: None,
@@ -245,13 +241,6 @@ impl TransportConfig {
     #[must_use]
     pub fn write_timeout(mut self, timeout: Duration) -> TransportConfig {
         self.write_timeout = timeout;
-        self
-    }
-
-    /// Sets the client's TCP connect deadline.
-    #[must_use]
-    pub fn connect_timeout(mut self, timeout: Duration) -> TransportConfig {
-        self.connect_timeout = timeout;
         self
     }
 

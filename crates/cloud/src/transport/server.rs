@@ -21,19 +21,19 @@
 //! counted per session too, and queued-but-unflushed replies hold their
 //! in-flight slots so a peer that stops reading stops being allowed to
 //! submit. The connection state machine, write-queue backpressure and
-//! timer handling live in the sibling `event_loop` module. The same pool
-//! serves a relay ([`CloudServer::bind_relay`]), plus its dialer thread.
+//! timer handling live in the sibling `event_loop` module. The same pool,
+//! and nothing else, serves a relay ([`CloudServer::bind_relay`]): its
+//! reactors dial its backends and reactor 0 runs its health probes.
 
-use super::event_loop::{reactor_parts, spawn_server_reactor, Inbound, ReactorShared};
+use super::event_loop::{reactor_parts, spawn_server_reactor, ReactorShared};
 use super::TransportConfig;
 use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::service::{CloudClient, CloudService};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A [`CloudService`] behind a real TCP listener.
 ///
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub struct CloudServer {
     shared: Arc<ServerShared>,
-    /// The reactors, and a relay's dialer.
+    /// The reactors.
     threads: Vec<JoinHandle<()>>,
     service: Option<CloudService>,
     local_addr: SocketAddr,
@@ -57,21 +57,29 @@ pub struct CloudServer {
 }
 
 /// The routing policy a relay consults ([`CloudServer::bind_relay`]). The
-/// mechanism — handshakes, the frame pump, retaining jobs, failing a link
-/// over — is the transport's; which backend a session uses, and what a
-/// failure says about a backend, is the policy's.
+/// mechanism — dials, handshakes, the frame pump, retaining jobs, failing a
+/// link over, the probes' transactions — is the transport's; which backend
+/// a session uses, which to probe when, and what a failure says about a
+/// backend, is the policy's. A backend is named as the policy likes and
+/// dialed at the address it resolved to beforehand: no name is resolved on
+/// a reactor. The relay's reactors call every method.
 pub trait Routing: Send + Sync + std::fmt::Debug {
     /// The backends a session keyed `key` (its API key, or a tag unique to
-    /// the connection) may be routed to, best first.
-    fn candidates(&self, key: &str) -> Vec<String>;
+    /// the connection) may be routed to, best first, by name and address.
+    fn candidates(&self, key: &str) -> Vec<(String, SocketAddr)>;
 
-    /// A dial to `addr` failed (refused, or its handshake did), or a
-    /// session's link to it died or owed replies and stayed silent.
-    fn failed(&self, addr: &str);
+    /// A dial to `name` failed (refused, timed out, or its handshake did),
+    /// or a session's link to it died or owed replies and stayed silent.
+    fn failed(&self, name: &str);
 
-    /// The health sweep, run on the dialer thread whenever one is due;
-    /// returns how long until the next.
-    fn sweep(&self) -> Duration;
+    /// The health sweep fell due: the backends to probe now (one whose
+    /// last probe is still out is passed over), and how long until the
+    /// next sweep.
+    fn sweep(&self) -> (Vec<(String, SocketAddr)>, Duration);
+
+    /// A probe of `name` ended: `ok` when `Welcome` and `Pong` came back
+    /// within the probe deadline.
+    fn probed(&self, name: &str, ok: bool);
 }
 
 /// Where a server's sessions send their jobs.
@@ -79,29 +87,17 @@ pub trait Routing: Send + Sync + std::fmt::Debug {
 pub(super) enum Upstream {
     /// To the service's queue.
     Service(CloudClient),
-    /// To backends, over links the dialer hands to the reactors.
+    /// To backends, over links each session's reactor dials.
     Relay {
         routing: Arc<dyn Routing>,
-        /// Dial requests; `None` stops the dialer.
-        dialer: Sender<Option<Dial>>,
         /// How long a link that owes replies may stay silent.
         reply_timeout: Duration,
+        /// How long one health probe may take, dial to `Pong`.
+        probe_timeout: Duration,
     },
 }
 
-/// A relay session's request for a backend link.
-#[derive(Debug)]
-pub(super) struct Dial {
-    /// The owning reactor, and the session's token on it.
-    pub(super) home: usize,
-    pub(super) token: u64,
-    /// The routing key.
-    pub(super) key: String,
-    /// Backends that just failed the session, passed over this time.
-    pub(super) exclude: Vec<String>,
-}
-
-/// State shared by the reactors, a relay's dialer and the shutdown path.
+/// State shared by the reactors and the shutdown path.
 #[derive(Debug)]
 pub(super) struct ServerShared {
     pub(super) stop: Arc<AtomicBool>,
@@ -114,7 +110,7 @@ pub(super) struct ServerShared {
     pub(super) api_keys: Option<Arc<[String]>>,
     /// One handle per reactor thread; each connection is dealt to the one
     /// with the fewest live connections, ties round-robin.
-    pub(super) reactors: Vec<Arc<ReactorShared<Inbound>>>,
+    pub(super) reactors: Vec<Arc<ReactorShared<TcpStream>>>,
     /// Connections that may still submit jobs (handshaking or established).
     /// Shutdown waits for this to hit zero before draining the service, so
     /// no submission can race past the drain and strand a request id.
@@ -181,10 +177,11 @@ impl CloudServer {
     /// Binds a relay (see the [module docs](super#relays)) over the
     /// backends `routing` picks, counting into `metrics`, whose `GetStats`
     /// it answers. A session's `Welcome` waits until it is routed and
-    /// advertises the tighter of `config`'s limits and its backend's; a link
-    /// that owes replies fails over after `reply_timeout` of silence. The
-    /// threads are `proxy-reactor-<i>` and `proxy-dialer`, whatever the
-    /// session count.
+    /// advertises the tighter of `config`'s limits and its backend's; a
+    /// link's connect and handshake share `config`'s handshake timeout; a
+    /// link that owes replies fails over after `reply_timeout` of silence;
+    /// a health probe gets `probe_timeout` from dial to `Pong`. The threads
+    /// are `proxy-reactor-<i>`, whatever the session count.
     ///
     /// # Errors
     ///
@@ -193,24 +190,17 @@ impl CloudServer {
         addr: impl ToSocketAddrs,
         config: TransportConfig,
         reply_timeout: Duration,
+        probe_timeout: Duration,
         metrics: Arc<ServiceMetrics>,
         routing: Arc<dyn Routing>,
     ) -> std::io::Result<CloudServer> {
         let listener = TcpListener::bind(addr)?;
-        let (dialer, requests) = channel();
         let upstream = Upstream::Relay {
-            routing: Arc::clone(&routing),
-            dialer,
+            routing,
             reply_timeout,
+            probe_timeout,
         };
-        let mut server = CloudServer::start(listener, None, config, metrics, None, upstream)?;
-        let shared = Arc::clone(&server.shared);
-        let dialer = std::thread::Builder::new()
-            .name("proxy-dialer".into())
-            .spawn(move || dial_loop(&shared, &*routing, &requests))
-            .expect("spawn dialer");
-        server.threads.push(dialer);
-        Ok(server)
+        CloudServer::start(listener, None, config, metrics, None, upstream)
     }
 
     /// Starts the reactor pool; reactor 0 polls `listener` and `exporter`.
@@ -339,9 +329,6 @@ impl CloudServer {
         if let Some(service) = self.service.take() {
             service.shutdown();
         }
-        if let Upstream::Relay { dialer, .. } = &self.shared.upstream {
-            let _ = dialer.send(None);
-        }
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -354,60 +341,10 @@ impl Drop for CloudServer {
     }
 }
 
-/// The relay's dialer: connects sessions to backends as their reactors ask,
-/// handing each connection (or `None`, nothing would take the session) to
-/// the reactor that asked — which handshakes it — and sweeps the fleet's
-/// health whenever a sweep is due. Only the connect blocks here: the
-/// handshakes of many sessions routed at once overlap on the reactors.
-fn dial_loop(shared: &ServerShared, routing: &dyn Routing, requests: &Receiver<Option<Dial>>) {
-    let mut next_sweep = Instant::now();
-    loop {
-        if Instant::now() >= next_sweep {
-            next_sweep = Instant::now() + routing.sweep();
-        }
-        match requests.recv_timeout(next_sweep.saturating_duration_since(Instant::now())) {
-            Ok(Some(dial)) => {
-                let linked = if shared.stop.load(Ordering::SeqCst) {
-                    None
-                } else {
-                    dial_backend(shared, routing, &dial)
-                };
-                shared.reactors[dial.home]
-                    .enqueue(Inbound::Linked(dial.token, linked), &shared.metrics);
-            }
-            Ok(None) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-    }
-}
-
-/// Connects to the first backend `routing` offers the session, reporting
-/// each one that refuses on the way.
-fn dial_backend(
-    shared: &ServerShared,
-    routing: &dyn Routing,
-    dial: &Dial,
-) -> Option<(TcpStream, String)> {
-    for addr in routing.candidates(&dial.key) {
-        if dial.exclude.contains(&addr) {
-            continue;
-        }
-        let connected = addr
-            .to_socket_addrs()
-            .ok()
-            .and_then(|mut resolved| resolved.next())
-            .and_then(|sock| TcpStream::connect_timeout(&sock, shared.config.connect_timeout).ok());
-        match connected {
-            Some(stream) => return Some((stream, addr)),
-            None => routing.failed(&addr),
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn server_binds_ephemeral_port_and_shuts_down() {

@@ -14,6 +14,8 @@
 //! on one backend), its survivors the ring's order past ejected backends,
 //! and every failure feeds the failing backend's breaker.
 
+use std::collections::HashMap;
+use std::io::{Error, ErrorKind};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,8 +40,9 @@ pub struct ProxyConfig {
     pub breaker: BreakerConfig,
     /// How often the health prober sweeps the fleet (default 500 ms).
     pub probe_interval: Duration,
-    /// Per-probe I/O deadline: dial, handshake and ping round-trip
-    /// (default 1 s).
+    /// How long one health probe may take, from its dial through
+    /// `Hello`/`Welcome` to its `Ping`'s `Pong`: one deadline for the whole
+    /// transaction (default 1 s).
     pub probe_timeout: Duration,
     /// How long a session waits on a silent backend that owes it replies
     /// before declaring the link dead (default 60 s — must exceed the
@@ -89,7 +92,7 @@ impl ProxyConfig {
         self
     }
 
-    /// Sets the per-probe I/O deadline.
+    /// Sets the deadline on one whole health probe.
     #[must_use]
     pub fn probe_timeout(mut self, timeout: Duration) -> ProxyConfig {
         self.probe_timeout = timeout;
@@ -110,6 +113,8 @@ impl ProxyConfig {
 pub(crate) struct Fleet {
     pub(crate) config: ProxyConfig,
     pub(crate) ring: HashRing,
+    /// Each backend's address, resolved once at bind.
+    pub(crate) resolved: HashMap<String, SocketAddr>,
     pub(crate) breakers: BreakerRegistry,
     pub(crate) metrics: Arc<ServiceMetrics>,
 }
@@ -137,22 +142,25 @@ impl Fleet {
 }
 
 impl Routing for Fleet {
-    fn candidates(&self, key: &str) -> Vec<String> {
+    fn candidates(&self, key: &str) -> Vec<(String, SocketAddr)> {
         self.ring
             .ordered(key)
             .into_iter()
-            .filter(|addr| self.breakers.admits_traffic(addr))
-            .map(String::from)
+            .filter(|name| self.breakers.admits_traffic(name))
+            .map(|name| (name.to_string(), self.resolved[name]))
             .collect()
     }
 
-    fn failed(&self, addr: &str) {
-        self.record_backend_failure(addr);
+    fn failed(&self, name: &str) {
+        self.record_backend_failure(name);
     }
 
-    fn sweep(&self) -> Duration {
-        health::sweep(self);
-        self.config.probe_interval
+    fn sweep(&self) -> (Vec<(String, SocketAddr)>, Duration) {
+        (health::due(self), self.config.probe_interval)
+    }
+
+    fn probed(&self, name: &str, ok: bool) {
+        health::probed(self, name, ok);
     }
 }
 
@@ -164,11 +172,15 @@ pub struct AmalgamProxy {
 
 impl AmalgamProxy {
     /// Binds the front door on `addr` over `backends` (dial addresses of
-    /// running `CloudServer`s) and starts accepting sessions.
+    /// running `CloudServer`s) and starts accepting sessions. Each backend's
+    /// name is resolved here, once; it is dialed at its first address from
+    /// then on.
     ///
     /// # Errors
     ///
-    /// Returns the listener's bind error.
+    /// Returns the listener's bind error, or an
+    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error naming a
+    /// backend that resolves to no address.
     ///
     /// # Panics
     ///
@@ -179,17 +191,23 @@ impl AmalgamProxy {
         config: ProxyConfig,
     ) -> std::io::Result<AmalgamProxy> {
         let metrics = Arc::new(ServiceMetrics::new());
-        for b in backends {
-            metrics.backend_registered(b);
+        let mut resolved = HashMap::new();
+        for name in backends {
+            let first = name.to_socket_addrs().into_iter().flatten().next();
+            let reason = format!("backend {name} resolves to no address");
+            let addr = first.ok_or(Error::new(ErrorKind::InvalidInput, reason))?;
+            resolved.insert(name.clone(), addr);
+            metrics.backend_registered(name);
         }
         let fleet = Arc::new(Fleet {
             ring: HashRing::new(backends, config.vnodes),
+            resolved,
             breakers: BreakerRegistry::new(config.breaker, backends),
             config: config.clone(),
             metrics: Arc::clone(&metrics),
         });
-        let relay =
-            CloudServer::bind_relay(addr, config.transport, config.reply_timeout, metrics, fleet)?;
+        let (reply, probe) = (config.reply_timeout, config.probe_timeout);
+        let relay = CloudServer::bind_relay(addr, config.transport, reply, probe, metrics, fleet)?;
         Ok(AmalgamProxy { relay })
     }
 

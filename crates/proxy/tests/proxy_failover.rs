@@ -492,6 +492,82 @@ fn probes_alone_eject_a_hung_backend_and_readmit_it() {
     }
 }
 
+/// A hung backend's probes hold up no other session. Three backends, one
+/// behind `Fault::Hang`, the default config (a probe waits up to 1 s on
+/// it, every 500 ms sweep): sessions arriving open-loop every 20 ms for
+/// 4 s, each on a key whose first ring choice is healthy, are all welcomed
+/// — with a p99 time to `Welcome` of 50 ms at most.
+#[test]
+fn a_hung_backend_stalls_no_other_session() {
+    const ARRIVAL: Duration = Duration::from_millis(20);
+    const ARRIVALS: usize = 200;
+
+    let (backends, addrs) = fleet(3);
+    backends[2].injector.set_fault(Fault::Hang);
+    let proxy = AmalgamProxy::bind("127.0.0.1:0", &addrs, ProxyConfig::default()).expect("bind");
+    let proxy_addr = proxy.addr();
+    let ring = HashRing::new(&addrs, ProxyConfig::default().vnodes);
+    let keys: Vec<String> = (0..)
+        .map(|i| format!("bystander-{i}"))
+        .filter(|key| ring.ordered(key)[0] != addrs[2])
+        .take(ARRIVALS)
+        .collect();
+
+    let t0 = Instant::now();
+    let arrivals: Vec<_> = keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| {
+            if let Some(wait) = (t0 + ARRIVAL * i as u32).checked_duration_since(Instant::now()) {
+                std::thread::sleep(wait);
+            }
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let config = TransportConfig::default().api_key(key);
+                let client = RemoteCloudClient::connect_with(proxy_addr, config);
+                let welcomed = started.elapsed();
+                client.map(|client| {
+                    client.close();
+                    welcomed
+                })
+            })
+        })
+        .collect();
+    let (mut welcomed, mut refused) = (Vec::new(), Vec::new());
+    for arrival in arrivals {
+        match arrival.join().expect("arrival thread") {
+            Ok(took) => welcomed.push(took),
+            Err(e) => refused.push(e),
+        }
+    }
+    welcomed.sort();
+    let at = |q: f64| welcomed[((welcomed.len() - 1) as f64 * q).round() as usize];
+    let slow = welcomed
+        .iter()
+        .filter(|d| **d > Duration::from_millis(500))
+        .count();
+    let reading = format!(
+        "time to Welcome p50 {:?}, p99 {:?}, max {:?}; {slow}/{} over 500 ms; \
+         {} refused: {:?}",
+        at(0.5),
+        at(0.99),
+        at(1.0),
+        welcomed.len(),
+        refused.len(),
+        refused.first()
+    );
+    eprintln!("{reading}");
+    assert!(refused.is_empty(), "{reading}");
+    assert!(at(0.99) <= Duration::from_millis(50), "{reading}");
+    assert_eq!(backend_row(&proxy.stats(), &addrs[2]).sessions_routed, 0);
+
+    proxy.shutdown();
+    for b in backends {
+        b.injector.shutdown();
+        b.server.shutdown();
+    }
+}
+
 /// Pins each training batch to a fixed floor so a job submitted just
 /// before a fault is still in flight when the fault lands — release-mode
 /// training would otherwise outrun the injector's timeline.

@@ -702,14 +702,14 @@ fn per_connection_in_flight_cap_sheds_excess_submits() {
     server.shutdown();
 }
 
-/// The dial path must respect `connect_timeout`: a black-holed address
-/// (SYNs vanish, no RST) fails promptly instead of hanging in the OS
-/// default connect (minutes on most systems). On locked-down hosts the
-/// dial may instead fail instantly with a routing/permission error — both
-/// outcomes satisfy the contract: an error, fast.
+/// The dial shares the handshake's deadline: a black-holed address (SYNs
+/// vanish, no RST) fails promptly instead of hanging in the OS default
+/// connect (minutes on most systems). On locked-down hosts the dial may
+/// instead fail instantly with a routing/permission error — both outcomes
+/// satisfy the contract: an error, fast.
 #[test]
-fn connect_timeout_bounds_blackholed_dial() {
-    let config = TransportConfig::default().connect_timeout(Duration::from_millis(250));
+fn the_handshake_timeout_bounds_a_blackholed_dial() {
+    let config = TransportConfig::default().handshake_timeout(Duration::from_millis(250));
     let t0 = std::time::Instant::now();
     // TEST-NET-1 (RFC 5737) is reserved and never routed.
     let result = RemoteCloudClient::connect_with("192.0.2.1:9", config);

@@ -3,8 +3,8 @@
 //! sessions must not add a single server transport thread beyond the fixed
 //! reactor pool — the thread-per-connection transport this replaced would
 //! have spawned 256 (a reader and a writer per session) — and their 128
-//! clients run on the process's one client loop: a `client-reactor` and a
-//! `client-dialer`, where the thread-per-client client ran 256 (a reader
+//! clients run on the process's one client loop: a `client-reactor`, which
+//! dials them too, where the thread-per-client client ran 256 (a reader
 //! and a keep-alive per client), gone once the last client closes.
 
 use amalgam::cloud::transport::TransportConfig;
@@ -82,14 +82,14 @@ fn a_hundred_and_twenty_eight_connections_run_on_a_fixed_thread_pool() {
         IO_THREADS + WORKERS,
         "server thread count scales with connections: {server_threads} threads ({names:?})"
     );
-    // The client side is the client loop's two threads, whatever the count.
+    // The client side is the client loop's one thread, whatever the count.
     assert_eq!(
         count_prefix(&names, "cloud-remote"),
         0,
         "per-client threads resurrected: {names:?}"
     );
     assert_eq!(count_prefix(&names, "client-reactor"), 1);
-    assert_eq!(count_prefix(&names, "client-dialer"), 1);
+    assert_eq!(count_prefix(&names, "client-dialer"), 0);
 
     // The sessions are real, not just sockets in a backlog: a sample of
     // them trains end-to-end with per-submission results routed back.
