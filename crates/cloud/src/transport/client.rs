@@ -35,13 +35,11 @@
 //! waits on the loop's [`super::RetryQueue`] until the server's
 //! `retry_after` — never earlier — until its resubmission budget runs out.
 
-use super::event_loop::link::{self, Job, Link, Role, Uplink, LINK};
+use super::event_loop::link::{self, Job, Link, Role, Uplink, Welcome, LINK};
 use super::event_loop::{reactor_parts, spawn_reactor, Reactor, ReactorShared, Tier};
 use super::frame::Frame;
 use super::timer::{Fired, TimerWheel};
-use super::{
-    ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue, TransportConfig, PROTOCOL_VERSION,
-};
+use super::{ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue, TransportConfig};
 use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::protocol::{CloudJob, JobResult, ProgressUpdate};
 use crate::service::{Canceller, JobHandle};
@@ -111,9 +109,6 @@ struct Waiter {
     /// Automatic resubmissions left before errors surface to the handle.
     resubmits_left: u32,
 }
-
-/// What a `Welcome` negotiated: `(version, max_in_flight, max_frame_len)`.
-pub(super) type Welcome = (u32, u32, u64);
 
 /// What callers hand the client loop: a session to start, or work for the
 /// session with a token. Work for a session that has ended is dropped
@@ -538,31 +533,6 @@ impl Session {
             link::flush(self, &mut r.poller, &mut r.wheel);
         }
         self.end(CloudError::ServiceUnavailable, &mut r.poller);
-    }
-}
-
-/// The client role's opener: this build's protocol version and `api_key`.
-pub(super) fn hello(api_key: Option<String>) -> Frame {
-    Frame::Hello {
-        min_version: PROTOCOL_VERSION,
-        max_version: PROTOCOL_VERSION,
-        api_key,
-    }
-}
-
-/// The client role's reading of the answer to its `Hello`: what a `Welcome`
-/// negotiated, or why not.
-pub(super) fn welcomed(frame: Frame) -> Result<Welcome, CloudError> {
-    match frame {
-        Frame::Welcome {
-            version,
-            max_in_flight,
-            max_frame_len,
-        } => Ok((version, max_in_flight, max_frame_len)),
-        Frame::Reject { reason } => Err(CloudError::Handshake(reason)),
-        other => Err(CloudError::Handshake(format!(
-            "expected Welcome, got {other:?}"
-        ))),
     }
 }
 

@@ -657,7 +657,7 @@ impl Tier for Sessions {
         }
         let Some(conn) = self.conns.get_mut(&(token & !link::LINK)) else {
             if let Some(prober) = &mut self.prober {
-                prober.io(token, (readable, writable), &self.shared, r);
+                prober.io(token & !link::LINK, (readable, writable), &self.shared, r);
             }
             return; // or a stale event for an already-closed token
         };
@@ -760,7 +760,7 @@ impl Tier for Sessions {
             if let Some(prober) = &mut self.prober {
                 match f.token {
                     SWEEP_TOKEN => prober.sweep(&self.shared, r),
-                    token => prober.timer(token, f.generation, &self.shared, r),
+                    token => prober.timer(token & !link::LINK, f.generation, &self.shared, r),
                 }
             }
             return;

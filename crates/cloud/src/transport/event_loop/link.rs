@@ -10,23 +10,21 @@
 //!
 //! A link is dialed on its reactor and registered there under its owner's
 //! token with [`LINK`] set. Its connect does not block (`reactor::connect`;
-//! its first writability ends it), and it handshakes there too
-//! (`client::hello` queued at the dial, its first frame read by
-//! `client::welcomed`). Its deadlines are one timer-wheel entry: a
-//! `Welcome` owed since the dial (connect, `Hello` and `Welcome` under the
-//! one `handshake_timeout`), replies owed with the link silent (a relay's
-//! reply timeout), a write queue that stopped draining (`write_timeout`,
-//! noticed at the link's next deadline), a `Ping` once the welcomed link
-//! has been write-idle for its keep-alive interval, and the role's own
-//! ([`Uplink::wake_at`]). A welcomed link carries every retained job again,
-//! in request-id order, under its original id: training is seeded and
-//! servers deduplicate by content, so a replay answers bit for bit the
-//! same.
+//! its first writability ends it), and it handshakes there too: a `Hello`
+//! queued at the dial, its first frame read as the answer. Its deadlines
+//! are one timer-wheel entry: a `Welcome` owed since the dial (connect,
+//! `Hello` and `Welcome` under the one `handshake_timeout`), replies owed
+//! with the link silent (a relay's reply timeout), a write queue that
+//! stopped draining (`write_timeout`, noticed at the link's next deadline),
+//! a `Ping` once the welcomed link has been write-idle for its keep-alive
+//! interval, and the role's own ([`Uplink::wake_at`]). A welcomed link
+//! carries every retained job again, in request-id order, under its
+//! original id: training is seeded and servers deduplicate by content, so a
+//! replay answers bit for bit the same.
 
-use super::super::client::{hello, welcomed, Welcome};
 use super::super::frame::{Frame, FrameDecoder};
 use super::super::timer::TimerWheel;
-use super::super::TransportConfig;
+use super::super::{TransportConfig, PROTOCOL_VERSION};
 use super::{FlushOutcome, WriteQueue};
 use crate::metrics::ServiceMetrics;
 use crate::telemetry::TraceId;
@@ -43,6 +41,9 @@ use std::time::{Duration, Instant};
 /// Set on a poller token to name the link of the owner whose token is the
 /// rest.
 pub(crate) const LINK: u64 = 1 << 62;
+
+/// What a `Welcome` negotiated: `(version, max_in_flight, max_frame_len)`.
+pub(crate) type Welcome = (u32, u32, u64);
 
 /// What differs between the roles that own a link.
 pub(crate) trait Role {
@@ -265,7 +266,12 @@ impl<X> Uplink<X> {
             quiet_since: now,
             write_progress: now,
         };
-        link.send(&hello(self.config.api_key.clone()), &self.metrics);
+        let hello = Frame::Hello {
+            min_version: PROTOCOL_VERSION,
+            max_version: PROTOCOL_VERSION,
+            api_key: self.config.api_key.clone(),
+        };
+        link.send(&hello, &self.metrics);
         self.link = Some(link);
         self.schedule(wheel);
         Ok(())
@@ -336,7 +342,18 @@ impl<X> Uplink<X> {
                 if link.welcomed {
                     return Ok(Some(Heard::Frame(frame)));
                 }
-                let welcome = welcomed(frame)?;
+                let welcome = match frame {
+                    Frame::Welcome {
+                        version,
+                        max_in_flight,
+                        max_frame_len,
+                    } => (version, max_in_flight, max_frame_len),
+                    Frame::Reject { reason } => return Err(CloudError::Handshake(reason)),
+                    other => {
+                        let reason = format!("expected Welcome, got {other:?}");
+                        return Err(CloudError::Handshake(reason));
+                    }
+                };
                 link.welcomed = true;
                 return Ok(Some(Heard::Welcome(welcome)));
             }

@@ -23,12 +23,11 @@
 //! `Hello`, `Ping` once welcomed and `Goodbye` once its `Pong` is back, all
 //! within the probe timeout from its dial. The verdict goes to the policy.
 
-use super::super::client::Welcome;
 use super::super::frame::Frame;
 use super::super::server::{ServerShared, Upstream};
 use super::super::timer::TimerWheel;
 use super::super::{Routing, TransportConfig};
-use super::link::{self, Job, Link, Role, Uplink, LINK};
+use super::link::{self, Job, Link, Role, Uplink, Welcome};
 use super::{establish, flush_writes, queue_reply, refuse, Conn, ConnState, Reactor, SWEEP_TOKEN};
 use crate::telemetry::{Stage, TraceId};
 use crate::CloudError;
@@ -386,17 +385,23 @@ impl Prober {
         }
     }
 
-    /// Readiness on the probe link `token`.
-    pub(super) fn io(&mut self, token: u64, rw: (bool, bool), s: &ServerShared, r: &mut Reactor) {
-        if let Some(probe) = self.0.get_mut(&(token & !LINK)) {
-            link::io(probe, rw.0, rw.1, &mut r.poller, &mut r.wheel);
-            self.settle(token & !LINK, s, r);
+    /// Readiness on the link of the probe `token`.
+    pub(super) fn io(
+        &mut self,
+        token: u64,
+        (readable, writable): (bool, bool),
+        shared: &ServerShared,
+        r: &mut Reactor,
+    ) {
+        if let Some(probe) = self.0.get_mut(&token) {
+            link::io(probe, readable, writable, &mut r.poller, &mut r.wheel);
+            self.settle(token, shared, r);
         }
     }
 
     /// The probe `token`'s deadline: past the probe timeout, it failed.
     pub(super) fn timer(&mut self, token: u64, gen: u64, shared: &ServerShared, r: &mut Reactor) {
-        let Some(probe) = self.0.get_mut(&(token & !LINK)) else {
+        let Some(probe) = self.0.get_mut(&token) else {
             return;
         };
         if link::fired(probe, gen, &mut r.poller, &mut r.wheel) {
@@ -404,7 +409,7 @@ impl Prober {
                 probe.verdict.get_or_insert(false);
             }
             probe.up.schedule(&mut r.wheel);
-            self.settle(token & !LINK, shared, r);
+            self.settle(token, shared, r);
         }
     }
 
