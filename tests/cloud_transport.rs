@@ -721,6 +721,40 @@ fn the_handshake_timeout_bounds_a_blackholed_dial() {
     );
 }
 
+/// A loopback address whose SYNs go unanswered: a listener whose accept
+/// queue is full (Linux drops a SYN it has no room for), with the sockets
+/// that fill it. Keep both alive while the address is dialed.
+fn unanswered_address() -> (std::net::TcpListener, Vec<TcpStream>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let mut queued = Vec::new();
+    while let Ok(stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+        queued.push(stream);
+    }
+    (listener, queued)
+}
+
+/// The handshake deadline runs from the dial: a connect that never
+/// completes fails when it runs out, not at an OS or connect timeout of
+/// its own.
+#[test]
+fn the_handshake_timeout_bounds_a_connect_that_never_completes() {
+    let (listener, _queued) = unanswered_address();
+    let config = TransportConfig::default().handshake_timeout(Duration::from_millis(250));
+    let t0 = Instant::now();
+    let result = RemoteCloudClient::connect_with(listener.local_addr().unwrap(), config);
+    let elapsed = t0.elapsed();
+    assert!(
+        matches!(result, Err(CloudError::Transport(_))),
+        "expected a transport error, got {:?}",
+        result.err()
+    );
+    assert!(
+        (Duration::from_millis(250)..Duration::from_secs(2)).contains(&elapsed),
+        "took {elapsed:?}"
+    );
+}
+
 /// A client dials its addresses in order: a refused first address is
 /// passed over, and the session runs on the next — bit for bit the
 /// in-process result.
