@@ -111,6 +111,16 @@ fn an_unroutable_session_is_rejected_at_the_handshake() {
     proxy.shutdown();
 }
 
+/// Backends are resolved once, at bind: a name that resolves to no address
+/// is refused there, not on a reactor later.
+#[test]
+fn an_unresolvable_backend_is_a_bind_error() {
+    let backends = ["no port here".to_string()];
+    let err = AmalgamProxy::bind("127.0.0.1:0", &backends, ProxyConfig::default())
+        .expect_err("a backend with no address was accepted");
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+}
+
 /// A session whose first ring choice refuses the dial is routed to the
 /// next: it trains bit for bit as in process, the refusing backend is
 /// never routed to, and its breaker counts the refusal — with one probe
