@@ -18,7 +18,9 @@
 //! `--profile` prints the per-node table of one training step instead (see
 //! [`amalgam_bench::profile`]): forward + backward µs per layer kind and
 //! shape, the plain model beside the augmented one, a fused segment as one
-//! row; with `--check` it fails unless the rows account for 95 % of the step.
+//! row, the helper thread's rows marked; with `--check` it fails unless the
+//! rows account for 95 % of the step, and, for `lm16`, if the augmented
+//! step's losses cost over [`profile::LM_LOSS_PER_HEAD`] plain ones per head.
 //!
 //! `--check` turns the run into a pass/fail gate (used by CI): it fails if
 //! the blocked GEMM is not clearly faster than the `ikj` reference on the
@@ -352,9 +354,10 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
 }
 
 /// `--profile`: the per-node table of `job`'s training step, on a worker
-/// thread's stack like the service's trainer. Returns whether the rows
-/// reconcile with the step on both sides.
-fn print_profile(job: &str) -> bool {
+/// thread's stack like the service's trainer. Returns what `--check` fails
+/// on: rows that do not reconcile with the step on a side, an `lm16` loss
+/// row over its gate.
+fn print_profile(job: &str) -> Vec<String> {
     let (mut plain, mut augmented) = match job {
         "lenet20" => profile::lenet20(),
         "lm16" => profile::lm16(),
@@ -362,16 +365,31 @@ fn print_profile(job: &str) -> bool {
     };
     let [plain, augmented] = profile::measure([&mut plain, &mut augmented]);
     print!("{}", profile::table(&plain, &augmented));
-    let mut reconciled = true;
+    let mut failures = Vec::new();
     for (name, side) in [("plain", &plain), ("augmented", &augmented)] {
         let share = 1.0 - side.executor_us() / side.step_us;
         println!(
             "{name}: layers + loss + optimizer are {:.1} % of the step",
             share * 100.0
         );
-        reconciled &= share >= profile::RECONCILE;
+        if share < profile::RECONCILE {
+            failures.push(format!(
+                "{name}: the rows account for less than 95 % of a step"
+            ));
+        }
     }
-    reconciled
+    if job == "lm16" {
+        let per_head = |side: &profile::StepProfile| side.loss_us / side.heads as f64;
+        let ratio = per_head(&augmented) / per_head(&plain);
+        let gate = profile::LM_LOSS_PER_HEAD;
+        println!("augmented loss per head: {ratio:.2}x the plain one (gate {gate})");
+        if ratio > gate {
+            failures.push(format!(
+                "the augmented loss row is {ratio:.2}x plain per head"
+            ));
+        }
+    }
+    failures
 }
 
 fn main() {
@@ -392,9 +410,11 @@ fn main() {
         }
     }
     if let Some(job) = profiled {
-        let reconciled = print_profile(&job);
-        if check && !reconciled {
-            eprintln!("FAIL: the rows account for less than 95 % of a step");
+        let failures = print_profile(&job);
+        if check && !failures.is_empty() {
+            for failure in failures {
+                eprintln!("FAIL: {failure}");
+            }
             std::process::exit(1);
         }
         return;

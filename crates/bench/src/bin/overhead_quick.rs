@@ -16,6 +16,13 @@
 //! runs first. In process, on a worker thread (where the service trains).
 //! The ratio of the two wall times is the pair's sample.
 //!
+//! Beside each cell's wall ratio is its CPU ratio: the thread time the two
+//! epochs spent in their layers, summed over the threads that ran them — the
+//! graph's own per-node clocks (`GraphModel::profile`), helper rows
+//! included. A step that runs its islands side by side lowers the wall, not
+//! the work: the CPU ratio is what the kernel-level ideas of ROADMAP item 6
+//! move. (The loss and the optimiser, under 4 % of a step, are left out.)
+//!
 //! `--check` gates the *shape* of the curve, not its level: within a
 //! sub-network count the ratio may not fall as α grows by more than the
 //! noise between pairs, and the α = 0.5 / 2-sub-network cell — the
@@ -33,7 +40,7 @@ use amalgam_models::lenet5;
 use amalgam_nn::graph::GraphModel;
 use amalgam_tensor::{simd, Rng};
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const AMOUNTS: [f32; 5] = [0.0, 0.25, 0.5, 1.0, 2.0];
 const SUBNETS: [usize; 3] = [2, 3, 4];
@@ -63,6 +70,7 @@ struct Cell {
     ratio: f64,
     q1: f64,
     q3: f64,
+    cpu_ratio: f64,
     augmented_ms: f64,
     plain_ms: f64,
 }
@@ -78,17 +86,23 @@ fn median(values: &mut [f64]) -> f64 {
     quantile(values, 0.5)
 }
 
-/// One epoch with the benchmark's hyper-parameters, in milliseconds.
-fn train_ms(model: &GraphModel, data: &amalgam_data::ImageDataset, tc: &TrainConfig) -> f64 {
+/// One epoch with the benchmark's hyper-parameters: `(wall, CPU)` in
+/// milliseconds, the CPU the time in the layers on every thread.
+fn train_ms(model: &GraphModel, data: &amalgam_data::ImageDataset, tc: &TrainConfig) -> (f64, f64) {
     let mut model = model.clone();
+    model.set_profiling(true);
     let start = Instant::now();
     train_image_classifier(&mut model, data, None, 0, tc);
-    start.elapsed().as_secs_f64() * 1e3
+    let wall = start.elapsed();
+    let rows = model.profile().into_iter();
+    let cpu: Duration = rows.map(|row| row.forward + row.backward).sum();
+    (wall.as_secs_f64() * 1e3, cpu.as_secs_f64() * 1e3)
 }
 
 fn measure_cell(original: &GraphModel, data: &ImagePair, amount: f32, subnets: usize) -> Cell {
     let tc = TrainConfig::new(1, 16, 0.05).with_momentum(0.9);
     let (mut ratios, mut augmented, mut plain) = (Vec::new(), Vec::new(), Vec::new());
+    let mut cpu_ratios = Vec::new();
     for pair in 0..PAIRS {
         let cfg = ObfuscationConfig::new(amount)
             .with_seed(pair as u64)
@@ -96,7 +110,7 @@ fn measure_cell(original: &GraphModel, data: &ImagePair, amount: f32, subnets: u
         let bundle = Amalgam::obfuscate(original, data, &cfg).expect("obfuscation");
         let aug = || train_ms(&bundle.augmented_model, &bundle.augmented_train, &tc);
         let base = || train_ms(original, &data.train, &tc);
-        let (aug_ms, plain_ms) = if pair % 2 == 0 {
+        let ((aug_ms, aug_cpu), (plain_ms, plain_cpu)) = if pair % 2 == 0 {
             let first = aug();
             (first, base())
         } else {
@@ -104,6 +118,7 @@ fn measure_cell(original: &GraphModel, data: &ImagePair, amount: f32, subnets: u
             (aug(), first)
         };
         ratios.push(aug_ms / plain_ms);
+        cpu_ratios.push(aug_cpu / plain_cpu);
         augmented.push(aug_ms);
         plain.push(plain_ms);
     }
@@ -114,6 +129,7 @@ fn measure_cell(original: &GraphModel, data: &ImagePair, amount: f32, subnets: u
         ratio,
         q1: quantile(&ratios, 0.25),
         q3: quantile(&ratios, 0.75),
+        cpu_ratio: median(&mut cpu_ratios),
         augmented_ms: median(&mut augmented),
         plain_ms: median(&mut plain),
     }
@@ -172,8 +188,8 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"alpha\": {:.2}, \"subnets\": {}, \"ratio\": {:.4}, \"q1\": {:.4}, \"q3\": {:.4}, \
-             \"augmented_ms\": {:.3}, \"plain_ms\": {:.3}}}",
-            c.amount, c.subnets, c.ratio, c.q1, c.q3, c.augmented_ms, c.plain_ms
+             \"cpu_ratio\": {:.4}, \"augmented_ms\": {:.3}, \"plain_ms\": {:.3}}}",
+            c.amount, c.subnets, c.ratio, c.q1, c.q3, c.cpu_ratio, c.augmented_ms, c.plain_ms
         );
         json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }

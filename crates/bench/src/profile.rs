@@ -4,10 +4,14 @@
 //!
 //! The numbers come from [`GraphModel`]'s own per-node clocks, so they are
 //! the executor's view: a segment that ran fused is one row naming its
-//! members. What the step spends outside the layers — the loss, the
-//! optimiser — is timed here, and what is left of the step's wall time is
-//! printed as `executor`; the rows must account for at least
-//! [`RECONCILE`] of the step.
+//! members, and a node a step's helper thread ran is a row of its own,
+//! marked `(helper)` — it ran beside the caller's rows, so rows can overlap
+//! in time and their sum can exceed the step. What the step spends outside
+//! the layers — the loss, the optimiser — is timed here, and what is left of
+//! the step's wall time is printed as `executor` (negative when rows
+//! overlap); the rows must account for at least [`RECONCILE`] of the step.
+//! The step's critical path is the longer of the two threads' layers and
+//! losses, plus the optimiser.
 
 use amalgam_core::trainer::lm_head_loss;
 use amalgam_core::{Amalgam, ObfuscationConfig};
@@ -16,19 +20,25 @@ use amalgam_models::{lenet5, transformer_lm, TransformerLmConfig};
 use amalgam_nn::graph::GraphModel;
 use amalgam_nn::loss::cross_entropy;
 use amalgam_nn::optim::Sgd;
-use amalgam_nn::Mode;
 use amalgam_tensor::{Rng, Tensor};
 use std::fmt::Write as _;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Share of a step's wall time the layers, the loss and the optimiser must
 /// account for.
 pub const RECONCILE: f64 = 0.95;
+/// Most the augmented language-model step's `loss` row may cost, in plain
+/// `loss` rows per head: every head's `[B, T, V]` gradient is a buffer of its
+/// island thread's scratch arena, handed back after the head's backward, so
+/// three heads cost about three plain losses (they read 95–103 µs against
+/// 3 × 20–23 when each allocated its gradient and glibc trimmed it back).
+pub const LM_LOSS_PER_HEAD: f64 = 1.3;
 const WARM_EPOCHS: usize = 2;
 const TIMED_EPOCHS: usize = 20;
 
 /// The seed gradient of head `h` on batch `b`, given the head's output.
-type SeedFn = Box<dyn Fn(usize, usize, &Tensor) -> Tensor>;
+type SeedFn = Box<dyn Fn(usize, usize, &Tensor) -> Tensor + Sync>;
 
 /// One side of a profile: a model, the batches an epoch feeds it (visited in
 /// turn, so that a step finds its activations' buffers as cold as the running
@@ -52,6 +62,8 @@ pub struct Row {
     pub forward_us: f64,
     /// Backward µs per step.
     pub backward_us: f64,
+    /// Whether a step's helper thread ran these nodes.
+    pub helper: bool,
 }
 
 /// What a step of one side costs, µs per step.
@@ -61,18 +73,42 @@ pub struct StepProfile {
     pub rows: Vec<Row>,
     /// Losses and seed gradients of every head.
     pub loss_us: f64,
-    /// `zero_grad` and the optimiser step.
+    /// The part of `loss_us` the helper thread spent.
+    pub helper_loss_us: f64,
+    /// The optimiser step.
     pub optimizer_us: f64,
     /// The whole step.
     pub step_us: f64,
+    /// Output heads (one loss each).
+    pub heads: usize,
 }
 
 impl StepProfile {
     /// The step's wall time nothing above accounts for: the executor's own
-    /// bookkeeping between layer calls.
+    /// bookkeeping between layer calls, zeroing the gradients, and the
+    /// helper's spawn and hand-offs — less the time rows overlapped.
     pub fn executor_us(&self) -> f64 {
         let layers: f64 = self.rows.iter().map(|r| r.forward_us + r.backward_us).sum();
         self.step_us - layers - self.loss_us - self.optimizer_us
+    }
+
+    /// The layers and losses of one thread: `[caller, helper]`.
+    pub fn threads_us(&self) -> [f64; 2] {
+        [false, true].map(|helper| {
+            let rows = self.rows.iter().filter(|r| r.helper == helper);
+            let layers: f64 = rows.map(|r| r.forward_us + r.backward_us).sum();
+            let loss = match helper {
+                false => self.loss_us - self.helper_loss_us,
+                true => self.helper_loss_us,
+            };
+            layers + loss
+        })
+    }
+
+    /// The step's critical path: the longer thread, then the optimiser.
+    pub fn critical_path_us(&self) -> f64 {
+        let [caller, helper] = self.threads_us();
+        caller.max(helper) + self.optimizer_us
     }
 }
 
@@ -145,7 +181,8 @@ pub fn lm16() -> (Side, Side) {
 /// What a side has spent outside its layers since its clocks were reset.
 #[derive(Default)]
 struct Spent {
-    loss: Duration,
+    /// In the seed functions: `[on the caller, on the helper]`.
+    loss: [Duration; 2],
     optimizer: Duration,
     total: Duration,
     steps: usize,
@@ -155,18 +192,19 @@ impl Side {
     /// One training step on batch `b`, timed into `spent`.
     fn step(&mut self, b: usize, spent: &mut Spent) {
         let start = Instant::now();
-        let outs = self.model.forward(&[&self.batches[b]], Mode::Train);
-        let scored = Instant::now();
-        let seeds: Vec<Tensor> = outs
-            .iter()
-            .enumerate()
-            .map(|(h, out)| (self.seed)(h, b, out))
-            .collect();
-        spent.loss += scored.elapsed();
-        let cleared = Instant::now();
-        self.model.zero_grad();
-        spent.optimizer += cleared.elapsed();
-        self.model.backward(&seeds);
+        let caller = std::thread::current().id();
+        let loss = Mutex::new([Duration::ZERO; 2]);
+        let seed = &self.seed;
+        self.model.train_step(&[&self.batches[b]], &|h, out| {
+            let scored = Instant::now();
+            let grad = seed(h, b, out);
+            let on = usize::from(std::thread::current().id() != caller);
+            loss.lock().unwrap_or_else(PoisonError::into_inner)[on] += scored.elapsed();
+            (grad, ())
+        });
+        let loss = loss.into_inner().unwrap_or_else(PoisonError::into_inner);
+        spent.loss[0] += loss[0];
+        spent.loss[1] += loss[1];
         let stepped = Instant::now();
         self.optimizer.step(&mut self.model.params_mut());
         spent.optimizer += stepped.elapsed();
@@ -181,7 +219,8 @@ impl Side {
         for timing in self.model.profile() {
             let kinds = timing.nodes.iter().map(|&id| self.model.node(id).kind());
             let kinds: Vec<&str> = kinds.collect();
-            let label = format!("{} {:?}", kinds.join("+"), timing.out_dims);
+            let helper = if timing.helper { " (helper)" } else { "" };
+            let label = format!("{} {:?}{helper}", kinds.join("+"), timing.out_dims);
             let (forward_us, backward_us) = (per_step(timing.forward), per_step(timing.backward));
             match rows.iter_mut().find(|row| row.label == label) {
                 Some(row) => {
@@ -194,14 +233,17 @@ impl Side {
                     count: 1,
                     forward_us,
                     backward_us,
+                    helper: timing.helper,
                 }),
             }
         }
         StepProfile {
             rows,
-            loss_us: per_step(spent.loss),
+            loss_us: per_step(spent.loss[0] + spent.loss[1]),
+            helper_loss_us: per_step(spent.loss[1]),
             optimizer_us: per_step(spent.optimizer),
             step_us: per_step(spent.total),
+            heads: self.model.outputs().len(),
         }
     }
 }
@@ -264,8 +306,11 @@ pub fn table(plain: &StepProfile, augmented: &StepProfile) -> String {
     }
     for (name, of) in [
         ("loss", (|p| p.loss_us) as fn(&StepProfile) -> f64),
-        ("zero_grad + optimizer", |p| p.optimizer_us),
+        ("optimizer", |p| p.optimizer_us),
         ("executor", StepProfile::executor_us),
+        ("caller: layers + loss", |p| p.threads_us()[0]),
+        ("helper: layers + loss", |p| p.threads_us()[1]),
+        ("critical path", StepProfile::critical_path_us),
         ("step", |p| p.step_us),
     ] {
         let _ = writeln!(

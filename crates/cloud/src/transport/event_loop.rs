@@ -45,6 +45,7 @@
 //! | server | `cloud-reactor-<i>` × `io_threads`, `cloud-worker-<i>` × workers | `tests/transport_scale.rs`, 128 sessions |
 //! | relay (proxy) | `proxy-reactor-<i>` × `io_threads` | `tests/proxy_scale.rs`, 128 sessions: 2 (a thread per session ran 258) |
 //! | clients | `client-reactor` | `tests/transport_scale.rs`, 128 clients: 1 (a thread per client ran 256) |
+//! | a worker's training step | at most one scoped `nn-island` helper, joined before the step returns (`nn::graph`, "Islands") | `tests/island_threads.rs` |
 //!
 //! # Connection state machine
 //!

@@ -12,8 +12,9 @@
 //! The algorithm is written once, in [`train_with`]. Per epoch: ask the hooks
 //! whether to go on → visit the batches → push the primary head's training
 //! metrics and `epoch_secs` → validate → tell the hooks the epoch is over. Per
-//! batch: forward → one loss and one gradient seed per head → `zero_grad` →
-//! `backward` → update. [`train_image_classifier`], [`train_text_classifier`]
+//! batch: one [`GraphModel::train_step`] — forward, one loss and one gradient
+//! seed per head, zeroed gradients and backward, island by island, on one or
+//! two threads (`nn::graph`, "Islands") — → update. [`train_image_classifier`], [`train_text_classifier`]
 //! and [`train_lm`] call it with no hooks (`()`), the cloud service with hooks
 //! of its own, so "cloud training is local training, bit for bit" — weights
 //! and history — holds by construction.
@@ -37,7 +38,7 @@ use amalgam_nn::loss::{cross_entropy, cross_entropy_row, cross_entropy_row_loss}
 use amalgam_nn::metrics::{accuracy, History, RunningMean};
 use amalgam_nn::optim::Sgd;
 use amalgam_nn::Mode;
-use amalgam_tensor::{Rng, Tensor};
+use amalgam_tensor::{scratch, Rng, Tensor};
 use std::ops::ControlFlow;
 
 /// Hyper-parameters of one training run.
@@ -158,8 +159,9 @@ pub enum Task<'a> {
 }
 
 /// Algorithm 1 (see the module docs) under the caller's hooks: the one place
-/// in the workspace that calls `backward` and updates parameters. Metrics
-/// come from head `primary`.
+/// in the workspace that runs training steps
+/// ([`GraphModel::train_step`]) and updates parameters. Metrics come from
+/// head `primary`.
 ///
 /// # Panics
 ///
@@ -192,26 +194,26 @@ pub fn train_with(
         let t0 = std::time::Instant::now();
         let mut loss_mean = RunningMean::new();
         let mut acc_mean = RunningMean::new();
+        let head_keeps = match task {
+            Task::LanguageModel { head_keeps, .. } => Some(*head_keeps),
+            Task::Classification { .. } => None,
+        };
         let mut step = |x: &Tensor, labels: &[usize]| {
             hooks.on_batch(x, labels);
             let rows = x.dims()[0];
-            let outs = model.forward(&[x], Mode::Train);
-            let mut seeds = Vec::with_capacity(outs.len());
-            for (h, out) in outs.iter().enumerate() {
-                let (loss, grad) = match task {
-                    Task::Classification { .. } => cross_entropy(out, labels),
-                    Task::LanguageModel { head_keeps, .. } => lm_head_loss(out, x, &head_keeps[h]),
+            let heads = model.train_step(&[x], &|h, out| {
+                let (loss, grad) = match head_keeps {
+                    None => cross_entropy(out, labels),
+                    Some(keeps) => lm_head_loss(out, x, &keeps[h]),
                 };
-                if h == primary {
-                    loss_mean.add(loss, rows);
-                    if classifying {
-                        acc_mean.add(accuracy(out, labels), rows);
-                    }
-                }
-                seeds.push(grad);
+                let acc = (classifying && h == primary).then(|| accuracy(out, labels));
+                (grad, (loss, acc))
+            });
+            let (loss, acc) = heads[primary];
+            loss_mean.add(loss, rows);
+            if let Some(acc) = acc {
+                acc_mean.add(acc, rows);
             }
-            model.zero_grad();
-            model.backward(&seeds);
             hooks.on_step(model);
             opt.step(&mut model.params_mut());
         };
@@ -357,7 +359,9 @@ pub fn evaluate_image_classifier(
 /// last position has no in-window target and is excluded — for plain models
 /// (`keep = 0..T`) this reduces to ordinary next-token prediction.
 ///
-/// Returns `(mean loss, gradient shaped like logits)`.
+/// Returns `(mean loss, gradient shaped like logits)`; the gradient's
+/// storage comes from the calling thread's scratch arena, like
+/// [`cross_entropy`]'s.
 ///
 /// # Panics
 ///
@@ -369,8 +373,9 @@ pub fn lm_head_loss(logits: &Tensor, window: &Tensor, keep: &[usize]) -> (f32, T
     // Row by row, in place in a copy of the logits, in the order the gathered
     // `[B·(T-1), V]` matrix would hold the rows: the loss sum and every
     // gradient element are what `cross_entropy_seq` on that matrix gives.
-    let mut grad = logits.clone();
+    let mut grad = scratch::take_tensor_raw(logits.dims());
     let data = grad.data_mut();
+    data.copy_from_slice(logits.data());
     let mut loss = 0.0f32;
     for (at, target) in rows {
         loss += cross_entropy_row(&mut data[at..at + v], target, inv_rows);

@@ -16,15 +16,60 @@
 //! nodes (`BatchNorm2d → Relu → Add → AvgPool2d` and its sub-chains) are found
 //! once per graph and executed as one pass each — see `graph/segment.rs` for
 //! the rule, what falls back to the layers and why no bit can move.
+//!
+//! # Islands
+//!
+//! A training step ([`GraphModel::train_step`]) does not run the graph as one
+//! pass either. An *island* is a set of nodes joined by edges that carry
+//! gradient: cut every edge into a node that
+//! [cuts gradients](Layer::cuts_gradient) — a `Detach` — and every edge from
+//! an external input, and each connected component left is an island. The
+//! augmenter joins sub-networks only through `Detach` taps, so an augmented
+//! model has one island per sub-network; a plain model, or the
+//! `without_detach` ablation, is one. The plan ([`Islands`]) is found once
+//! per graph, a pure function of it, like the segments. A step runs each
+//! island's forward, its heads' seeds and its backward as one unit, an island
+//! after those it reads (the largest ready one first); a node that reads
+//! another island's value — a tap's `Detach` — waits for that one node.
+//!
+//! **Why the bits cannot move.** Every node runs the same code on the same
+//! inputs in the same order within its island, and no gradient crosses an
+//! island boundary: what a node sums from its consumers comes from its own
+//! island, in the order it always did. So a step on two threads trains what a
+//! step on one does, bit for bit, and both train what `forward` → seeds →
+//! `zero_grad` → `backward` does.
+//!
+//! **When a step forks.** When the islands after the first — those a helper
+//! would take — are estimated at [`FORK_MIN_WORK`] multiply-adds or more
+//! ([`Islands::forks`]: a stated constant applied to the graph and the
+//! input's dimensions, not a setting). The caller and one helper thread then
+//! claim whole islands from one cursor; an island the helper has not claimed
+//! when the caller runs out of work is the caller's, so a helper that starts
+//! late, on a busy machine, costs its spawn and nothing more. Otherwise — a
+//! plain model, a one-image job — the caller runs every island: the same
+//! executor with no helper.
+//!
+//! **The helper's lifetime.** The helper is a scoped thread named
+//! [`HELPER_THREAD`], spawned by the step and joined before it returns; no
+//! thread outlives a step, and a panic on the helper surfaces from the step.
+//! Kernels still run on the thread that calls them, the helper's own, which
+//! works from a scratch free list its caller keeps between steps; thread-local
+//! test hooks (`tensor::gemm::force_route`) do not follow an island onto it.
+//! [`forward`](GraphModel::forward) and [`backward`](GraphModel::backward) —
+//! evaluation, gradient checks — run on the caller alone.
 
+mod island;
 mod segment;
+
+pub use island::{Forking, Islands, FORK_MIN_WORK, HELPER_THREAD};
 
 use crate::layer::{Layer, Mode, Param};
 use crate::spec::LayerSpec;
 use crate::NnError;
 use amalgam_tensor::wire::{Reader, Writer};
 use amalgam_tensor::{scratch, Tensor, TensorError};
-use segment::{Plan, Role};
+use island::{Abandoned, Board};
+use segment::{Plan, Role, Segment};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -110,6 +155,9 @@ pub struct NodeTiming {
     pub forward: Duration,
     /// Time inside `backward` calls.
     pub backward: Duration,
+    /// Whether it last ran on a training step's helper thread (see
+    /// [`GraphModel::train_step`]): rows so marked ran beside the others.
+    pub helper: bool,
 }
 
 /// Per-node clocks; index = the node the time was spent at (a fused
@@ -127,24 +175,13 @@ pub struct GraphModel {
     outputs: Vec<NodeId>,
     /// The fused segments; found at the first pass after the graph changed.
     plan: Option<Plan>,
+    /// The islands; found at the first step after the graph changed.
+    islands: Option<Islands>,
     /// Test hook: run every node on its own.
     unfused: bool,
+    /// Test hook: which steps fork.
+    forking: Forking,
     profile: Option<Profile>,
-}
-
-impl Profile {
-    /// The row of what ran at node `at`: the fused `members`, or the node.
-    fn row(&mut self, at: usize, members: Option<&[usize]>) -> &mut NodeTiming {
-        if self.rows.len() <= at {
-            self.rows.resize(at + 1, NodeTiming::default());
-        }
-        let row = &mut self.rows[at];
-        let members = members.unwrap_or(std::slice::from_ref(&at));
-        if row.nodes.len() != members.len() {
-            row.nodes = members.iter().map(|&i| NodeId(i)).collect();
-        }
-        row
-    }
 }
 
 impl GraphModel {
@@ -192,6 +229,7 @@ impl GraphModel {
             );
         }
         self.plan = None;
+        self.islands = None;
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             name: name.to_owned(),
@@ -211,6 +249,7 @@ impl GraphModel {
     /// Declares multiple model outputs (one per sub-network head).
     pub fn set_outputs(&mut self, ids: &[NodeId]) {
         self.plan = None;
+        self.islands = None;
         self.outputs = ids.to_vec();
     }
 
@@ -271,6 +310,27 @@ impl GraphModel {
     // Execution
     // ------------------------------------------------------------------
 
+    /// The segment plan, found if the graph changed since the last pass.
+    fn segment_plan(&mut self) -> &mut Plan {
+        self.plan.get_or_insert_with(|| match self.unfused {
+            true => Plan::unfused(self.nodes.len()),
+            false => segment::find(&self.nodes, &self.inputs, &self.outputs),
+        })
+    }
+
+    /// The island plan, found if the graph changed since the last pass.
+    fn island_plan(&mut self) -> &Islands {
+        self.islands
+            .get_or_insert_with(|| island::find(&self.nodes, &self.inputs))
+    }
+
+    /// The island plan of the graph — a pure function of it (see the module
+    /// docs, "Islands").
+    #[doc(hidden)]
+    pub fn islands(&self) -> Islands {
+        island::find(&self.nodes, &self.inputs)
+    }
+
     /// Runs the graph on the given external inputs, returning one tensor per
     /// declared output.
     ///
@@ -279,83 +339,24 @@ impl GraphModel {
     /// Panics if the number of externals differs from the number of input
     /// nodes, or no outputs were declared.
     pub fn forward(&mut self, externals: &[&Tensor], mode: Mode) -> Vec<Tensor> {
-        assert_eq!(
-            externals.len(),
-            self.inputs.len(),
-            "external input arity mismatch"
-        );
-        assert!(!self.outputs.is_empty(), "no outputs declared");
-        let mut values: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let plan = self.plan.get_or_insert_with(|| match self.unfused {
-            true => Plan::unfused(self.nodes.len()),
-            false => segment::find(&self.nodes, &self.outputs),
-        });
-        // The segments that run fused in this pass, decided at their first
-        // member (the input's dimensions are known by then).
-        let mut fused = vec![false; plan.segments.len()];
-        for i in 0..self.nodes.len() {
-            let start = self.profile.as_ref().map(|_| Instant::now());
-            let role = plan.roles[i];
-            if let Role::First(s) = role {
-                let segment = &mut plan.segments[s];
-                segment.clear_cache();
-                let input = values[segment.input()].as_ref();
-                let dims = input.expect("topo order violated").dims();
-                fused[s] = mode == Mode::Train && segment.fuses(dims);
-            }
-            // A fused segment runs where its last member stands; its other
-            // members leave no value, and nobody but the next member reads
-            // them.
-            let (value, members) = match role {
-                Role::Last(s) if fused[s] => {
-                    let segment = &mut plan.segments[s];
-                    let out = segment.forward(&mut self.nodes, &values);
-                    (Some(out), Some(segment.nodes()))
-                }
-                Role::First(s) | Role::Inner(s) if fused[s] => (None, None),
-                _ => {
-                    let node = &mut self.nodes[i];
-                    let out = match self.inputs.iter().position(|id| id.0 == i) {
-                        Some(k) => node.layer.forward(&[externals[k]], mode),
-                        None => {
-                            // Earlier activations are borrowed in place:
-                            // `values` is only written once the layer has
-                            // returned.
-                            let refs: Vec<&Tensor> = node
-                                .inputs
-                                .iter()
-                                .map(|id| values[id.0].as_ref().expect("topo order violated"))
-                                .collect();
-                            node.layer.forward(&refs, mode)
-                        }
-                    };
-                    (Some(out), None)
-                }
-            };
-            if let (Some(profile), Some(start), Some(out)) = (&mut self.profile, start, &value) {
-                let row = profile.row(i, members);
-                row.forward += start.elapsed();
-                row.out_dims = out.dims().to_vec();
-            }
-            values[i] = value;
-        }
+        self.check_arity(externals);
+        let (mut part, roles, inputs, outputs) = self.whole();
+        let board = Board::new(&[]);
+        let pass = Pass {
+            roles,
+            inputs,
+            externals,
+            mode,
+            board: &board,
+        };
+        part.forward(&pass, false)
+            .expect("a pass of the whole graph waits for nothing");
         // Every consumer has run, so outputs are moved out (a node declared
         // as an output more than once is shared between its slots). The
         // activations left behind are dropped here: a layer that needs one
         // for backward holds a handle of its own on the same storage.
-        let outputs = &self.outputs;
-        outputs
-            .iter()
-            .enumerate()
-            .map(|(k, id)| {
-                let value = &mut values[id.0];
-                let out = if outputs[k + 1..].contains(id) {
-                    value.clone()
-                } else {
-                    value.take()
-                };
-                out.expect("output not computed")
-            })
+        (0..outputs.len())
+            .map(|h| part.output(outputs, h))
             .collect()
     }
 
@@ -378,34 +379,31 @@ impl GraphModel {
         self.forward(&[x], mode).remove(0)
     }
 
-    /// Which nodes back-propagation must reach: `wants[i]` is true when node
-    /// `i` owns a parameter, or passes gradients on (it does not
-    /// [cut](Layer::cuts_gradient) them) to an input that wants one. One pass
-    /// in topological order; an external input owns nothing and has no
-    /// inputs, so it never wants a gradient.
-    fn gradient_demand(&self) -> Vec<bool> {
-        let mut wants = vec![false; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            wants[i] = !node.layer.params().is_empty()
-                || (!node.layer.cuts_gradient() && node.inputs.iter().any(|id| wants[id.0]));
-        }
-        wants
+    fn check_arity(&self, externals: &[&Tensor]) {
+        assert_eq!(
+            externals.len(),
+            self.inputs.len(),
+            "external input arity mismatch"
+        );
+        assert!(!self.outputs.is_empty(), "no outputs declared");
     }
 
     /// Back-propagates one seed gradient per declared output, accumulating
     /// parameter gradients. Must follow a matching [`forward`](Self::forward).
     ///
     /// Backward is demand-driven: a gradient is computed only where it can
-    /// still reach a parameter. Each layer is told which of its inputs want
-    /// one (see [`Layer::backward`]), and a node that no parameter lies
-    /// behind — an external input, a [`Detach`](crate::layers::Detach) tap and
-    /// whatever feeds only those — is not run at all.
+    /// still reach a parameter. A node wants one when it owns a parameter,
+    /// or passes gradients on (it does not [cut](Layer::cuts_gradient) them)
+    /// to an input that wants one. Each layer is told which of its inputs
+    /// want one (see [`Layer::backward`]), and a node that no parameter lies
+    /// behind — an external input, a [`Detach`](crate::layers::Detach) tap
+    /// and whatever feeds only those — is not run at all.
     ///
     /// # Panics
     ///
     /// Panics if the seed count differs from the output count.
     pub fn backward(&mut self, seeds: &[Tensor]) {
-        let wants = self.gradient_demand();
+        let wants = self.island_plan().wants().to_vec();
         self.backward_where(seeds, &wants);
     }
 
@@ -420,73 +418,115 @@ impl GraphModel {
     /// Back-propagation reaching the nodes `wants` marks.
     fn backward_where(&mut self, seeds: &[Tensor], wants: &[bool]) {
         assert_eq!(seeds.len(), self.outputs.len(), "seed arity mismatch");
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        let accumulate = |slot: &mut Option<Tensor>, g: Tensor| match slot {
-            Some(acc) => acc.add_assign(&g),
-            None => *slot = Some(g),
+        let (mut part, roles, _, outputs) = self.whole();
+        let seeds = outputs.iter().map(|id| id.0).zip(seeds.iter().cloned());
+        part.backward(roles, wants, seeds.collect(), false);
+    }
+
+    /// The whole graph lent out as one part, beside the segment roles and the
+    /// external-input and output nodes a pass of it reads.
+    fn whole(&mut self) -> (Part<'_>, &[Role], &[NodeId], &[NodeId]) {
+        self.segment_plan();
+        let GraphModel {
+            nodes,
+            inputs,
+            outputs,
+            plan,
+            profile,
+            ..
+        } = self;
+        let plan = plan.as_mut().expect("found above");
+        let all = vec![(0..nodes.len()).collect()];
+        let mut parts = Part::split(nodes, &mut plan.segments, profile, all, |_| 0);
+        (parts.pop().expect("one part"), &plan.roles, inputs, outputs)
+    }
+
+    /// One training step: forward, one gradient seed per head, zeroed
+    /// parameter gradients, and backward — island by island (see the module
+    /// docs, "Islands"), on the caller and, when the step is big enough, one
+    /// helper thread for the step's length.
+    ///
+    /// `seed(h, output)` scores head `h`'s output: it returns the seed
+    /// gradient backward starts from and what the caller keeps of the head
+    /// (the loss, say). It is called on whichever thread runs the head's
+    /// island, in head order within an island. Returns one `R` per head. The
+    /// parameters' gradients are then those of
+    /// [`forward`](Self::forward) → seeds → [`zero_grad`](Self::zero_grad) →
+    /// [`backward`](Self::backward), bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// As [`forward`](Self::forward), or if `seed` panics (on either
+    /// thread: the panic surfaces here).
+    pub fn train_step<R: Send>(
+        &mut self,
+        externals: &[&Tensor],
+        seed: &(dyn Fn(usize, &Tensor) -> (Tensor, R) + Sync),
+    ) -> Vec<R> {
+        self.check_arity(externals);
+        self.segment_plan();
+        self.island_plan();
+        let GraphModel {
+            nodes,
+            inputs,
+            outputs,
+            plan,
+            islands,
+            profile,
+            forking,
+            ..
+        } = self;
+        let (plan, islands) = (
+            plan.as_mut().expect("found"),
+            islands.as_ref().expect("found"),
+        );
+        let board = Board::new(islands.published());
+        let pass = Pass {
+            roles: &plan.roles,
+            inputs,
+            externals,
+            mode: Mode::Train,
+            board: &board,
         };
-        for (seed, id) in seeds.iter().zip(&self.outputs) {
-            if wants[id.0] {
-                accumulate(&mut grads[id.0], seed.clone());
-            }
-        }
-        // A fused segment computes its members' input gradients where its
-        // last member stands, and each is added where the member that owes it
-        // stands: a node fed by several consumers sums them in the order it
-        // always did.
-        let mut owed: Vec<Option<(usize, Tensor)>> = vec![None; self.nodes.len()];
-        let mut demand = Vec::new();
-        for i in (0..self.nodes.len()).rev() {
-            let start = self.profile.as_ref().map(|_| Instant::now());
-            let pending = self.plan.as_mut().and_then(|plan| match plan.roles[i] {
-                Role::Last(s) => Some(&mut plan.segments[s]).filter(|s| s.is_pending()),
-                _ => None,
-            });
-            if let Some(segment) = pending {
-                match grads[i].take() {
-                    Some(g) => {
-                        for (member, node, gi) in segment.backward(&mut self.nodes, &g, wants) {
-                            owed[member] = Some((node, gi));
-                        }
-                        scratch::give_tensor(g);
-                    }
-                    None => segment.clear_cache(),
-                }
-                if let (Some(profile), Some(start)) = (&mut self.profile, start) {
-                    profile.row(i, Some(segment.nodes())).backward += start.elapsed();
+        let mut parts = Part::split(nodes, &mut plan.segments, profile, islands.parts(), |i| {
+            islands.part_of(i)
+        });
+        let wants = islands.wants();
+        let step = |mut part: Part<'_>, helper: bool| {
+            part.forward(&pass, helper)?;
+            let mut seeds = Vec::new();
+            let mut kept = Vec::new();
+            for (h, id) in outputs.iter().enumerate() {
+                if part.nodes[id.0].is_some() {
+                    let (grad, r) = seed(h, &part.output(outputs, h));
+                    seeds.push((id.0, grad));
+                    kept.push((h, r));
                 }
             }
-            if let Some((node, gi)) = owed[i].take() {
-                accumulate(&mut grads[node], gi);
+            // The activations are dropped before backward, as after a
+            // `forward`.
+            part.values.clear();
+            for node in part.nodes.iter_mut().flatten() {
+                node.layer
+                    .params_mut()
+                    .into_iter()
+                    .for_each(Param::zero_grad);
             }
-            let node = &mut self.nodes[i];
-            // (An external input has nothing upstream, whoever demanded it.)
-            let Some(g) = grads[i].take().filter(|_| !node.inputs.is_empty()) else {
-                node.layer.clear_cache();
-                continue;
-            };
-            demand.clear();
-            demand.extend(node.inputs.iter().map(|id| wants[id.0]));
-            let input_grads = node.layer.backward(&g, &demand);
-            // A consumed gradient is the size of an activation: recycled, it
-            // serves the next step's scratch takes (unless it is shared — a
-            // seed the caller still holds, one arm of an `Add`'s fan-out).
-            scratch::give_tensor(g);
-            assert_eq!(
-                input_grads.len(),
-                demand.len(),
-                "backward arity mismatch at node {i}"
-            );
-            for ((gi, id), &demanded) in input_grads.into_iter().zip(&node.inputs).zip(&demand) {
-                if let Some(gi) = gi {
-                    debug_assert!(demanded, "node {i} returned a gradient nobody asked for");
-                    accumulate(&mut grads[id.0], gi);
-                }
+            part.backward(pass.roles, wants, seeds, helper);
+            Ok(kept)
+        };
+        // The external inputs, on the caller, before any island reads them.
+        let mut kept = step(parts.remove(0), false).expect("the inputs wait for nothing");
+        let forks = match *forking {
+            Forking::Rule if islands.forks(externals.first().map_or(&[], |x| x.dims())) => {
+                Forking::Rule
             }
-            if let (Some(profile), Some(start)) = (&mut self.profile, start) {
-                profile.row(i, None).backward += start.elapsed();
-            }
-        }
+            Forking::Rule => Forking::Never,
+            other => other,
+        };
+        kept.extend(island::run(parts, forks, &board, &step));
+        kept.sort_by_key(|&(h, _)| h);
+        kept.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Test hook, not an option: with `false`, every node runs on its own —
@@ -496,6 +536,15 @@ impl GraphModel {
         self.clear_caches();
         self.unfused = !on;
         self.plan = None;
+    }
+
+    /// Test hook, not an option: which training steps fork —
+    /// [`Forking::Never`] runs every step on the caller, the execution a
+    /// forked step is held to bit for bit; [`Forking::Always`] forks every
+    /// step and leaves all islands but the first to the helper.
+    #[doc(hidden)]
+    pub fn set_forking_for_tests(&mut self, forking: Forking) {
+        self.forking = forking;
     }
 
     /// Switches the per-node clocks on (discarding earlier readings) or off.
@@ -669,6 +718,264 @@ impl GraphModel {
     /// As for [`decode`](Self::decode).
     pub fn from_bytes(buf: bytes::Bytes) -> Result<GraphModel, NnError> {
         GraphModel::decode(&mut Reader::new(buf))
+    }
+}
+
+/// What every part of one pass shares.
+struct Pass<'a> {
+    roles: &'a [Role],
+    /// The external-input nodes, in `externals`' order.
+    inputs: &'a [NodeId],
+    externals: &'a [&'a Tensor],
+    mode: Mode,
+    /// The values that cross between parts.
+    board: &'a Board<'a>,
+}
+
+/// The nodes one thread executes in a pass, borrowed out of the graph: all
+/// of them in [`GraphModel::forward`] and [`GraphModel::backward`]; the
+/// external inputs, or one island, in [`GraphModel::train_step`].
+struct Part<'g> {
+    /// The members, in topological order.
+    members: Vec<usize>,
+    /// `nodes[i]`: node `i`, if it is a member.
+    nodes: Vec<Option<&'g mut Node>>,
+    /// `segments[s]`: segment `s`, if its members are.
+    segments: Vec<Option<&'g mut Segment>>,
+    /// `rows[i]`: the profile row at node `i`, if it is a member and the
+    /// clocks are on.
+    rows: Vec<Option<&'g mut NodeTiming>>,
+    /// The outputs computed so far, and those read from other parts.
+    values: Vec<Option<Tensor>>,
+}
+
+impl<'g> Part<'g> {
+    /// Lends the graph out as one part per `members` list; node `i` (and
+    /// its profile row, and a segment it begins) goes to part `owner(i)`.
+    fn split(
+        nodes: &'g mut [Node],
+        segments: &'g mut [Segment],
+        profile: &'g mut Option<Profile>,
+        members: Vec<Vec<usize>>,
+        owner: impl Fn(usize) -> usize,
+    ) -> Vec<Part<'g>> {
+        let n = nodes.len();
+        fn none<T>(len: usize) -> Vec<Option<T>> {
+            std::iter::repeat_with(|| None).take(len).collect()
+        }
+        let mut parts: Vec<Part<'g>> = members
+            .into_iter()
+            .map(|members| Part {
+                members,
+                nodes: none(n),
+                segments: none(segments.len()),
+                rows: Vec::new(),
+                values: vec![None; n],
+            })
+            .collect();
+        for (i, node) in nodes.iter_mut().enumerate() {
+            parts[owner(i)].nodes[i] = Some(node);
+        }
+        for (s, segment) in segments.iter_mut().enumerate() {
+            let first = segment.nodes()[0];
+            parts[owner(first)].segments[s] = Some(segment);
+        }
+        if let Some(profile) = profile {
+            profile.rows.resize(n, NodeTiming::default());
+            for part in &mut parts {
+                part.rows = none(n);
+            }
+            for (i, row) in profile.rows.iter_mut().enumerate() {
+                parts[owner(i)].rows[i] = Some(row);
+            }
+        }
+        parts
+    }
+
+    /// Head `h`'s output, moved out unless a later head shares its node.
+    fn output(&mut self, outputs: &[NodeId], h: usize) -> Tensor {
+        let id = outputs[h];
+        let value = &mut self.values[id.0];
+        let out = if outputs[h + 1..].contains(&id) {
+            value.clone()
+        } else {
+            value.take()
+        };
+        out.expect("output not computed")
+    }
+
+    /// The profile row at node `at`, for what ran there — the fused
+    /// `members`, or the node — and the thread it ran on; `None` while the
+    /// clocks are off.
+    fn row<'r>(
+        rows: &'r mut [Option<&'g mut NodeTiming>],
+        at: usize,
+        members: Option<&[usize]>,
+        helper: bool,
+    ) -> Option<&'r mut NodeTiming> {
+        let row = rows.get_mut(at)?.as_deref_mut()?;
+        let members = members.unwrap_or(std::slice::from_ref(&at));
+        if row.nodes.len() != members.len() {
+            row.nodes = members.iter().map(|&i| NodeId(i)).collect();
+        }
+        row.helper = helper;
+        Some(row)
+    }
+
+    /// The forward pass over the members; a value another part reads is
+    /// published as soon as it exists.
+    fn forward(&mut self, pass: &Pass<'_>, helper: bool) -> Result<(), Abandoned> {
+        // The segments that run fused in this pass, decided at their first
+        // member (the input's dimensions are known by then).
+        let mut fused = vec![false; self.segments.len()];
+        for &i in &self.members {
+            // What the node reads from other parts is waited for first, off
+            // its clock; a fused segment reads what its members do.
+            let external = pass.inputs.iter().position(|id| id.0 == i);
+            if external.is_none() {
+                let node = self.nodes[i].as_deref().expect("a member");
+                for id in &node.inputs {
+                    if self.nodes[id.0].is_none() && self.values[id.0].is_none() {
+                        self.values[id.0] = Some(pass.board.wait(id.0)?);
+                    }
+                }
+            }
+            let start = (!self.rows.is_empty()).then(Instant::now);
+            let role = pass.roles[i];
+            if let Role::First(s) = role {
+                let segment = self.segments[s].as_deref_mut().expect("a member's segment");
+                segment.clear_cache();
+                let input = self.values[segment.input()].as_ref();
+                let dims = input.expect("topo order violated").dims();
+                fused[s] = pass.mode == Mode::Train && segment.fuses(dims);
+            }
+            // A fused segment runs where its last member stands; its other
+            // members leave no value, and nobody but the next member reads
+            // them.
+            let (value, members) = match role {
+                Role::Last(s) if fused[s] => {
+                    let segment = self.segments[s].as_deref_mut().expect("a member's segment");
+                    let first = self.nodes[segment.nodes()[0]].as_deref_mut();
+                    let out = segment.forward(first.expect("a member"), &self.values);
+                    (Some(out), Some(segment.nodes()))
+                }
+                Role::First(s) | Role::Inner(s) if fused[s] => (None, None),
+                _ => {
+                    let node = self.nodes[i].as_deref_mut().expect("a member");
+                    let out = match external {
+                        Some(k) => node.layer.forward(&[pass.externals[k]], pass.mode),
+                        None => {
+                            // Earlier activations are borrowed in place:
+                            // `values` is only written once the layer has
+                            // returned.
+                            let refs: Vec<&Tensor> = node
+                                .inputs
+                                .iter()
+                                .map(|id| self.values[id.0].as_ref().expect("topo order violated"))
+                                .collect();
+                            node.layer.forward(&refs, pass.mode)
+                        }
+                    };
+                    (Some(out), None)
+                }
+            };
+            if let Some(out) = &value {
+                if pass.board.publishes(i) {
+                    pass.board.publish(i, out);
+                }
+                let row = Self::row(&mut self.rows, i, members, helper);
+                if let (Some(start), Some(row)) = (start, row) {
+                    row.forward += start.elapsed();
+                    row.out_dims = out.dims().to_vec();
+                }
+            }
+            self.values[i] = value;
+        }
+        Ok(())
+    }
+
+    /// Back-propagation over the members from `(node, seed)` pairs, reaching
+    /// the nodes `wants` marks (see [`GraphModel::backward`]). No gradient
+    /// leaves the part: an edge that would carry one joins the two nodes'
+    /// islands.
+    fn backward(
+        &mut self,
+        roles: &[Role],
+        wants: &[bool],
+        seeds: Vec<(usize, Tensor)>,
+        helper: bool,
+    ) {
+        let n = self.nodes.len();
+        let mut grads: Vec<Option<Tensor>> = vec![None; n];
+        let accumulate = |slot: &mut Option<Tensor>, g: Tensor| match slot {
+            Some(acc) => acc.add_assign(&g),
+            None => *slot = Some(g),
+        };
+        for (id, seed) in seeds {
+            if wants[id] {
+                accumulate(&mut grads[id], seed);
+            }
+        }
+        // A fused segment computes its members' input gradients where its
+        // last member stands, and each is added where the member that owes it
+        // stands: a node fed by several consumers sums them in the order it
+        // always did.
+        let mut owed: Vec<Option<(usize, Tensor)>> = vec![None; n];
+        let mut demand = Vec::new();
+        for &i in self.members.iter().rev() {
+            let start = (!self.rows.is_empty()).then(Instant::now);
+            let pending = match roles[i] {
+                Role::Last(s) => self.segments[s].as_deref_mut().filter(|s| s.is_pending()),
+                _ => None,
+            };
+            if let Some(segment) = pending {
+                match grads[i].take() {
+                    Some(g) => {
+                        let first = self.nodes[segment.nodes()[0]].as_deref_mut();
+                        let first = first.expect("a member");
+                        for (member, node, gi) in segment.backward(first, &g, wants) {
+                            owed[member] = Some((node, gi));
+                        }
+                        scratch::give_tensor(g);
+                    }
+                    None => segment.clear_cache(),
+                }
+                let row = Self::row(&mut self.rows, i, Some(segment.nodes()), helper);
+                if let (Some(start), Some(row)) = (start, row) {
+                    row.backward += start.elapsed();
+                }
+            }
+            if let Some((node, gi)) = owed[i].take() {
+                accumulate(&mut grads[node], gi);
+            }
+            let node = self.nodes[i].as_deref_mut().expect("a member");
+            // (An external input has nothing upstream, whoever demanded it.)
+            let Some(g) = grads[i].take().filter(|_| !node.inputs.is_empty()) else {
+                node.layer.clear_cache();
+                continue;
+            };
+            demand.clear();
+            demand.extend(node.inputs.iter().map(|id| wants[id.0]));
+            let input_grads = node.layer.backward(&g, &demand);
+            // A consumed gradient is the size of an activation: recycled, it
+            // serves the next step's scratch takes (unless it is shared — a
+            // seed the caller still holds, one arm of an `Add`'s fan-out).
+            scratch::give_tensor(g);
+            assert_eq!(
+                input_grads.len(),
+                demand.len(),
+                "backward arity mismatch at node {i}"
+            );
+            for ((gi, id), &demanded) in input_grads.into_iter().zip(&node.inputs).zip(&demand) {
+                if let Some(gi) = gi {
+                    debug_assert!(demanded, "node {i} returned a gradient nobody asked for");
+                    accumulate(&mut grads[id.0], gi);
+                }
+            }
+            if let (Some(start), Some(row)) = (start, Self::row(&mut self.rows, i, None, helper)) {
+                row.backward += start.elapsed();
+            }
+        }
     }
 }
 

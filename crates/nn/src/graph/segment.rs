@@ -13,7 +13,8 @@
 //! # The rule
 //!
 //! [`find`] is a pure function of the graph. A node is *eligible* when it has
-//! exactly one consumer, is not a declared output, and is a `BatchNorm2d`, a
+//! exactly one consumer, is not a declared output or an external input (the
+//! executor feeds one its external tensor), and is a `BatchNorm2d`, a
 //! `Relu`, a two-input `Add` or a 2×2 / stride-2 `AvgPool2d`. A segment is a
 //! maximal chain of eligible nodes, each the one consumer of the one before,
 //! of the form
@@ -144,8 +145,9 @@ impl Plan {
     }
 }
 
-/// The segment plan of `nodes` with declared `outputs`.
-pub(super) fn find(nodes: &[Node], outputs: &[NodeId]) -> Plan {
+/// The segment plan of `nodes` with external `inputs` and declared
+/// `outputs`.
+pub(super) fn find(nodes: &[Node], inputs: &[NodeId], outputs: &[NodeId]) -> Plan {
     let n = nodes.len();
     // The consumer of each node, for the nodes that have exactly one.
     let mut consumers = vec![0usize; n];
@@ -160,7 +162,8 @@ pub(super) fn find(nodes: &[Node], outputs: &[NodeId]) -> Plan {
         .iter()
         .enumerate()
         .map(|(i, node)| {
-            if consumers[i] != 1 || outputs.iter().any(|id| id.0 == i) {
+            let declared = inputs.iter().chain(outputs).any(|id| id.0 == i);
+            if consumers[i] != 1 || declared {
                 return None;
             }
             match (node.layer.segment_kind()?, node.inputs.len()) {
@@ -292,9 +295,10 @@ impl Segment {
         }
     }
 
-    /// The `BatchNorm2d` the segment begins with, if it does.
-    fn batch_norm<'a>(&self, nodes: &'a mut [Node]) -> Option<&'a mut BatchNorm2d> {
-        let first: &mut dyn Any = &mut *nodes[self.nodes[0]].layer;
+    /// The `BatchNorm2d` the segment begins with, if it does, out of its
+    /// `first` member.
+    fn batch_norm<'a>(&self, first: &'a mut Node) -> Option<&'a mut BatchNorm2d> {
+        let first: &mut dyn Any = &mut *first.layer;
         first.downcast_mut().filter(|_| self.batch_norm)
     }
 
@@ -334,8 +338,9 @@ impl Segment {
 
     /// The training-mode forward pass of the whole segment: the statistics
     /// passes of its `BatchNorm2d` (if it has one), then one pass writing the
-    /// last member's output. `values` holds every earlier node's output.
-    pub(super) fn forward(&mut self, nodes: &mut [Node], values: &[Option<Tensor>]) -> Tensor {
+    /// last member's output. `first` is the first member's node, `values`
+    /// holds the outputs of the segment's input and taps.
+    pub(super) fn forward(&mut self, first: &mut Node, values: &[Option<Tensor>]) -> Tensor {
         self.clear_cache();
         let value = |i: usize| values[i].clone().expect("topo order violated");
         let x = value(self.input);
@@ -350,7 +355,7 @@ impl Segment {
         }
         let d = x.dims();
         let (planes, len, w, channels) = planes_of(d);
-        let mut bn = self.batch_norm(nodes);
+        let mut bn = self.batch_norm(first);
         let stats = bn.as_mut().map(|bn| bn.statistics(&x, true));
         let head = bn.as_deref().zip(stats.as_ref());
         let head = head.map(|(bn, stats)| Channels::new(bn, stats));
@@ -391,10 +396,10 @@ impl Segment {
     /// its operands its output gradient) is `grad` itself, or its pool
     /// adjoint written once on the way. Returns `(member, node, gradient)`
     /// triples: `gradient` is what `member` would have returned for its
-    /// input `node` had it run on its own.
+    /// input `node` had it run on its own. `first` is the first member's node.
     pub(super) fn backward(
         &mut self,
-        nodes: &mut [Node],
+        first: &mut Node,
         grad: &Tensor,
         wants: &[bool],
     ) -> Vec<(usize, usize, Tensor)> {
@@ -439,7 +444,7 @@ impl Segment {
         }
         let width = pool.then_some(w);
 
-        let bn = self.batch_norm(nodes);
+        let bn = self.batch_norm(first);
         let head = bn.as_deref().zip(stats.as_ref());
         let head = head.map(|(bn, stats)| Channels::new(bn, stats));
         let sums = head.as_ref().map(|ch| {

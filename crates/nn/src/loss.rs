@@ -6,7 +6,7 @@
 //! stable than composing layers.
 
 use amalgam_tensor::tensor::exp_row_in_place;
-use amalgam_tensor::Tensor;
+use amalgam_tensor::{scratch, Tensor};
 
 /// Softmax cross-entropy of one row, in place: `row` holds the logits on
 /// entry and `(softmax(row) − onehot(target)) · scale` on return; the value
@@ -22,13 +22,16 @@ use amalgam_tensor::Tensor;
 /// Panics if `target` is out of range.
 pub fn cross_entropy_row(row: &mut [f32], target: usize, scale: f32) -> f32 {
     let (loss, sum) = exp_row_loss(row, target);
-    for e in row.iter_mut() {
-        *e /= sum;
+    // One pass: every element divided, the target's less one, then scaled —
+    // the operations, and the order, of a pass for each.
+    let (before, rest) = row.split_at_mut(target);
+    let (at, after) = rest.split_first_mut().expect("target checked in range");
+    for side in [before, after] {
+        for e in side {
+            *e = *e / sum * scale;
+        }
     }
-    row[target] -= 1.0;
-    for p in row.iter_mut() {
-        *p *= scale;
-    }
+    *at = (*at / sum - 1.0) * scale;
     loss
 }
 
@@ -59,7 +62,9 @@ fn exp_row_loss(row: &mut [f32], target: usize) -> (f32, f32) {
 /// Mean cross-entropy between `logits: [B, C]` and integer `targets`.
 ///
 /// Returns `(loss, dloss/dlogits)`, the gradient already divided by the
-/// batch size.
+/// batch size. The gradient's storage comes from the calling thread's
+/// scratch arena: the training step gives it back there once its head's
+/// backward has consumed it.
 ///
 /// # Panics
 ///
@@ -73,7 +78,8 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
     let (b, c) = (logits.dims()[0], logits.dims()[1]);
     assert_eq!(targets.len(), b, "target count must equal batch size");
     let inv_b = 1.0 / b as f32;
-    let mut grad = logits.clone();
+    let mut grad = scratch::take_tensor_raw(logits.dims());
+    grad.data_mut().copy_from_slice(logits.data());
     let mut loss = 0.0f32;
     for (row, &t) in grad.data_mut().chunks_mut(c.max(1)).zip(targets) {
         loss += cross_entropy_row(row, t, inv_b);

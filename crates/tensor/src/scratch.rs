@@ -8,7 +8,10 @@
 //! earlier [`give`]s when one fits ([`take_raw`] skips the zero fill for
 //! consumers that overwrite every element). Kernels run on their caller's
 //! thread, so a training worker's arena keeps pack buffers warm across *all*
-//! kernels of its jobs.
+//! kernels of its jobs. That stays true when a training step runs some of its
+//! islands on a helper thread (`nn::graph`, "Islands"): the kernels there run
+//! on the helper and take from its arena — a free list the worker lends it
+//! for the step with [`swap_free_list`] and keeps between steps.
 //!
 //! Buffers are plain `Vec<f32>`s: anything can be `give`n back, including
 //! allocations that did not originate here (e.g. a `Tensor` temporary via
@@ -87,6 +90,15 @@ pub fn give(buf: Vec<f32>) {
         }
         free.push(buf);
     });
+}
+
+/// Replaces the calling thread's free list with `list` and returns the one
+/// it had. How a thread that lives for one training step works from buffers
+/// that outlive it: it takes over a list its spawner kept, and hands it back
+/// before it ends (`nn::graph`, "Islands"). The kernels it runs still take
+/// from, and give to, the thread they run on.
+pub fn swap_free_list(list: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
+    FREE.with(|cell| std::mem::replace(&mut *cell.borrow_mut(), list))
 }
 
 /// Drops every buffer retained by the *calling* thread's arena.
