@@ -20,13 +20,14 @@ pub const HELPER_THREAD: &str = "nn-island";
 
 /// The smallest share of a step worth a helper thread, in estimated
 /// multiply-adds of the islands the helper would take (see
-/// [`Islands::forks`]). A scoped spawn and join cost 10–17 µs and a value
-/// handed across 8–15 µs, which is what about 2·10⁵ multiply-adds take in
-/// these kernels; the gate sits well above that. The one-image LeNet-8 job
-/// of the dispatch benchmark estimates under a tenth of it per step, a
-/// LeNet-5 batch of 16 on 16–24 px images or a language-model batch of 8
-/// windows of 12–20 tokens several times over it.
-pub const FORK_MIN_WORK: usize = 1 << 18;
+/// [`Islands::forks`]). The estimate runs at 10–25 thousand per µs of those
+/// islands' forward and backward on the models here, so the gate is 20–50 µs
+/// of work: two to three times what a scoped spawn and join cost
+/// (10–17 µs). The dispatch benchmark's one-image LeNet-5 job (8 px, two
+/// sub-networks) estimates a ninth of it per step and stays serial; a
+/// LeNet-5 batch of 16 at 16–24 px estimates 8–16 times it, a
+/// language-model batch of 8 windows of 12–20 tokens 4–7 times.
+pub const FORK_MIN_WORK: usize = 1 << 19;
 
 /// Which steps fork. A test hook, not an option: see
 /// [`GraphModel::set_forking_for_tests`](super::GraphModel::set_forking_for_tests).
@@ -123,14 +124,23 @@ pub(super) fn find(nodes: &[Node], inputs: &[NodeId]) -> Islands {
             }
         }
     }
+    // Each node's trainable scalars, `[in convolution kernels, in the
+    // rest]`, and whether back-propagation must reach it.
+    let mut scalars = vec![[0, 0]; n];
+    let mut wants = vec![false; n];
+    for (i, node) in nodes.iter().enumerate() {
+        let params = node.layer.params();
+        for p in &params {
+            scalars[i][usize::from(p.value.dims().len() != 4)] += p.numel();
+        }
+        wants[i] = !params.is_empty()
+            || (!node.layer.cuts_gradient() && node.inputs.iter().any(|id| wants[id.0]));
+    }
     let params: Vec<[usize; 2]> = members
         .iter()
         .map(|m| {
-            let params = m.iter().flat_map(|&i| nodes[i].layer.params());
-            params.fold([0, 0], |[kernels, rest], p| match p.value.dims().len() {
-                4 => [kernels + p.numel(), rest],
-                _ => [kernels, rest + p.numel()],
-            })
+            m.iter()
+                .fold([0, 0], |[a, b], &i| [a + scalars[i][0], b + scalars[i][1]])
         })
         .collect();
     let size = |c: usize| params[c][0] + params[c][1];
@@ -183,11 +193,6 @@ pub(super) fn find(nodes: &[Node], inputs: &[NodeId]) -> Islands {
         (vec![all], of, Vec::new(), vec![sum])
     };
 
-    let mut wants = vec![false; n];
-    for (i, node) in nodes.iter().enumerate() {
-        wants[i] = !node.layer.params().is_empty()
-            || (!node.layer.cuts_gradient() && node.inputs.iter().any(|id| wants[id.0]));
-    }
     Islands {
         of,
         members,
@@ -293,6 +298,9 @@ struct Posted {
     values: Vec<Option<Tensor>>,
     /// A part of the step panicked: nothing more will be published.
     failed: bool,
+    /// Readers asleep on the board: a post wakes them only if there are
+    /// any (a wake-up is a system call).
+    waiting: usize,
 }
 
 impl<'a> Board<'a> {
@@ -302,6 +310,7 @@ impl<'a> Board<'a> {
             state: Mutex::new(Posted {
                 values: vec![None; published.len()],
                 failed: false,
+                waiting: 0,
             }),
             ready: Condvar::new(),
         }
@@ -318,8 +327,11 @@ impl<'a> Board<'a> {
 
     /// Posts node `i`'s value for the parts that read it.
     pub(super) fn publish(&self, i: usize, value: &Tensor) {
-        self.posted().values[i] = Some(value.clone());
-        self.ready.notify_all();
+        let mut posted = self.posted();
+        posted.values[i] = Some(value.clone());
+        if posted.waiting > 0 {
+            self.ready.notify_all();
+        }
     }
 
     /// Node `j`'s value, once its part has computed it.
@@ -338,16 +350,21 @@ impl<'a> Board<'a> {
             if let Some(value) = &posted.values[j] {
                 return Ok(value.clone());
             }
+            posted.waiting += 1;
             posted = self
                 .ready
                 .wait(posted)
                 .unwrap_or_else(PoisonError::into_inner);
+            posted.waiting -= 1;
         }
     }
 
     fn fail(&self) {
-        self.posted().failed = true;
-        self.ready.notify_all();
+        let mut posted = self.posted();
+        posted.failed = true;
+        if posted.waiting > 0 {
+            self.ready.notify_all();
+        }
     }
 
     fn failed(&self) -> bool {
@@ -373,9 +390,11 @@ thread_local! {
     static LENT: Cell<Vec<Vec<f32>>> = const { Cell::new(Vec::new()) };
 }
 
-/// Runs `parts` — islands in claim order — through `work`, on the caller
-/// and, when `fork`, one scoped helper thread; returns everything `work`
-/// returned. `work` is told whether it runs on the helper.
+/// Runs `parts` — islands in claim order — through `work` and returns
+/// everything `work` returned; `work` is told whether it runs on the helper.
+/// Under [`Forking::Never`] the caller runs every part; otherwise a scoped
+/// helper thread joins in, both claiming parts until none is left — or,
+/// under [`Forking::Always`], the caller claims only the first.
 ///
 /// The two threads claim whole parts from one cursor. A part the helper has
 /// not claimed by the time the caller runs out is the caller's, so a helper
@@ -388,6 +407,8 @@ pub(super) fn run<P: Send, T: Send>(
     work: &(dyn Fn(P, bool) -> Result<Vec<T>, Abandoned> + Sync),
 ) -> Vec<T> {
     let queue: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    // Relaxed: the cursor only hands out indices; a part itself crosses
+    // threads through its mutex.
     let cursor = AtomicUsize::new(0);
     let claim = |claims: usize, helper: bool| -> Result<Vec<T>, Abandoned> {
         let _fail = FailOnPanic(board);
