@@ -47,9 +47,12 @@ const SUBNETS: [usize; 3] = [2, 3, 4];
 /// Augmented/plain pairs per cell (alternating order).
 const PAIRS: usize = 9;
 /// The step ratio of the α = 0.5 / 2-sub-network job reported with the
-/// change that last moved it on purpose (fused segments, PR 23; 2-vCPU
-/// reference box, tier `simd`).
-const REPORTED_STEP_RATIO: f64 = 1.55;
+/// change that last moved it on purpose: the sub-networks' islands train
+/// beside the original's on a second thread (PR 38; 2-vCPU reference box,
+/// tier `simd`; the median of sixteen runs, 1.04–1.20 but for three at
+/// 1.44–1.48 while the box's second vCPU was slow to get). It was 1.55
+/// with one thread per step.
+const REPORTED_STEP_RATIO: f64 = 1.08;
 /// Most the α = 0 / 2-sub-network cell may cost: what two synthetic
 /// sub-networks cost when they carry no parameters to speak of. 1.54 before
 /// their entry chains ran as one pass, 1.41–1.53 since (fifteen runs of one
