@@ -295,6 +295,40 @@ fn a_panic_on_the_helper_surfaces_from_the_step() {
     assert_eq!(grads(&mut model), grads(&mut fresh));
 }
 
+/// A panic on the caller before it posts a value the helper's island reads
+/// must not leave the helper waiting: the step ends with the caller's panic.
+#[test]
+fn a_panic_on_the_caller_does_not_strand_the_helper() {
+    let mut rng = Rng::seed_from(18);
+    let mut g = GraphModel::new();
+    let x = g.input("x");
+    // The caller's (larger) island breaks at its first layer: the input is
+    // 3 wide, the layer wants 5.
+    let fc1 = g.add_layer("big.fc1", Linear::new(5, 4, true, &mut rng), &[x]);
+    let relu = g.add_layer("big.relu", Relu::new(), &[fc1]);
+    let fc2 = g.add_layer("big.fc2", Linear::new(4, 2, true, &mut rng), &[relu]);
+    let tap = g.add_layer("small.tap", amalgam::nn::layers::Detach::new(), &[relu]);
+    let head = g.add_layer("small.fc", Linear::new(4, 2, true, &mut rng), &[tap]);
+    g.set_outputs(&[fc2, head]);
+    assert_eq!(g.islands().crossings().len(), 1);
+    g.set_forking_for_tests(Forking::Always);
+    let x = Tensor::randn(&[4, 3], &mut rng);
+    // On a thread of its own, so that a stranded helper fails the test
+    // instead of hanging it.
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let step = catch_unwind(AssertUnwindSafe(|| {
+            g.train_step(&[&x], &|_, out| (out.clone(), ()));
+        }));
+        let _ = done.send(step.map_err(message));
+    });
+    let step = outcome.recv_timeout(std::time::Duration::from_secs(30));
+    let message = step
+        .expect("the step ended")
+        .expect_err("the caller's panic surfaces");
+    assert!(message.contains("Linear expected last dim 5"), "{message}");
+}
+
 /// Two islands of 16 × 20 × 20 px convolutions — enough to fork — the
 /// smaller one's head fed `head_in` features (2400 is right).
 fn two_island_model(head_in: usize, rng: &mut Rng) -> GraphModel {
