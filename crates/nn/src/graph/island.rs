@@ -57,7 +57,8 @@ pub struct Islands {
     inputs: Vec<usize>,
     /// `(reader, node)`: `reader` takes `node`'s value from another island.
     crossings: Vec<(usize, usize)>,
-    /// Whether an island other than the node's own reads its value.
+    /// Whether a part other than the node's own reads its value: an
+    /// external input any island reads, a node a tap reads across.
     published: Vec<bool>,
     /// Whether back-propagation must reach the node (see
     /// `GraphModel::backward`).
