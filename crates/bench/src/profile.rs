@@ -31,8 +31,10 @@ pub const RECONCILE: f64 = 0.95;
 /// Most the augmented language-model step's `loss` row may cost, in plain
 /// `loss` rows per head: every head's `[B, T, V]` gradient is a buffer of its
 /// island thread's scratch arena, handed back after the head's backward, so
-/// three heads cost about three plain losses (they read 95–103 µs against
-/// 3 × 20–23 when each allocated its gradient and glibc trimmed it back).
+/// three heads cost about three plain losses (0.97–1.24x per head on the
+/// 2-vCPU reference box). When each head allocated its gradient, some builds
+/// read 95–103 µs against 3 × 20–23: glibc trimmed the freed heap top and
+/// faulted it back every step.
 pub const LM_LOSS_PER_HEAD: f64 = 1.3;
 const WARM_EPOCHS: usize = 2;
 const TIMED_EPOCHS: usize = 20;

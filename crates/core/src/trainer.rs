@@ -12,12 +12,12 @@
 //! The algorithm is written once, in [`train_with`]. Per epoch: ask the hooks
 //! whether to go on → visit the batches → push the primary head's training
 //! metrics and `epoch_secs` → validate → tell the hooks the epoch is over. Per
-//! batch: one [`GraphModel::train_step`] — forward, one loss and one gradient
+//! batch: one [`GraphModel::train_step`] (forward, one loss and one gradient
 //! seed per head, zeroed gradients and backward, island by island, on one or
-//! two threads (`nn::graph`, "Islands") — → update. [`train_image_classifier`], [`train_text_classifier`]
-//! and [`train_lm`] call it with no hooks (`()`), the cloud service with hooks
-//! of its own, so "cloud training is local training, bit for bit" — weights
-//! and history — holds by construction.
+//! two threads: `nn::graph`, "Islands") → update. [`train_image_classifier`],
+//! [`train_text_classifier`] and [`train_lm`] call it with no hooks (`()`),
+//! the cloud service with hooks of its own, so "cloud training is local
+//! training, bit for bit" — weights and history — holds by construction.
 //!
 //! [`TrainHooks`] is the policy a caller plugs into that mechanism:
 //! cancellation, progress reports, checkpoints and an observer's tap are
@@ -186,6 +186,10 @@ pub fn train_with(
     // An epoch's batches are a pure function of (task, seed, epoch), so
     // entering the loop at a restored epoch boundary replays exactly the
     // remaining epochs of an uninterrupted run.
+    let head_keeps = match task {
+        Task::LanguageModel { head_keeps, .. } => Some(*head_keeps),
+        Task::Classification { .. } => None,
+    };
     let first = hooks.resume(model, &mut opt, &mut history);
     for epoch in first..cfg.epochs {
         if hooks.epoch_start(epoch).is_break() {
@@ -194,10 +198,6 @@ pub fn train_with(
         let t0 = std::time::Instant::now();
         let mut loss_mean = RunningMean::new();
         let mut acc_mean = RunningMean::new();
-        let head_keeps = match task {
-            Task::LanguageModel { head_keeps, .. } => Some(*head_keeps),
-            Task::Classification { .. } => None,
-        };
         let mut step = |x: &Tensor, labels: &[usize]| {
             hooks.on_batch(x, labels);
             let rows = x.dims()[0];
@@ -329,7 +329,9 @@ fn evaluate_impl(
     for idx in BatchIter::sequential(n, batch_size) {
         let (x, labels) = batch_fn(&idx);
         let outs = model.forward(&[&x], Mode::Eval);
-        let (loss, _) = cross_entropy(&outs[primary], &labels);
+        let (loss, grad) = cross_entropy(&outs[primary], &labels);
+        // Its buffer came from this thread's arena: back it goes.
+        scratch::give_tensor(grad);
         loss_mean.add(loss, labels.len());
         acc_mean.add(accuracy(&outs[primary], &labels), labels.len());
         model.clear_caches();
