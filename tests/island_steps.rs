@@ -1,7 +1,7 @@
 //! A training step runs the augmented graph island by island: the nodes
 //! back-propagation joins, one per sub-network (`nn::graph`, "Islands").
 //! Here: the island plan as a pure function of the graph, forked steps
-//! against serial ones bit for bit, and a panic on the helper thread.
+//! against serial ones bit for bit, and a panic on either thread.
 
 use amalgam::cloud::{CloudError, CloudService};
 use amalgam::core::trainer::{train_image_classifier, train_lm};
@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// An obfuscated LeNet-5 job: `images` synthetic `hw` px images of 10
-/// classes, α = 0.5, `subnets` synthetic sub-networks.
+/// classes (2 at 8 px), α = 0.5, `subnets` synthetic sub-networks.
 fn lenet_bundle(hw: usize, images: usize, subnets: usize, seed: u64) -> ObfuscationBundle {
     let mut rng = Rng::seed_from(seed);
     let classes = if hw == 8 { 2 } else { 10 };
