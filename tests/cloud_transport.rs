@@ -12,6 +12,7 @@ use amalgam::cloud::transport::Frame;
 use amalgam::cloud::{
     CheckpointStore, CloudObserver, CloudService, MemoryCheckpointStore, ServiceStats,
 };
+use amalgam::nn::layers::Linear;
 use amalgam::prelude::*;
 use amalgam::proxy::{Fault, FaultInjector};
 use std::io::{Read, Write};
@@ -1341,4 +1342,137 @@ fn a_connection_over_capacity_is_rejected_and_the_port_closes_at_shutdown() {
         TcpStream::connect(addr).is_err(),
         "the port still accepts after shutdown"
     );
+}
+
+/// A job whose trained model is a ~1 MB `Linear` (512 × 512 weights), so
+/// its reply is about a megabyte on the wire.
+fn megabyte_job(seed: u64) -> CloudJob {
+    let mut rng = Rng::seed_from(90 + seed);
+    let mut model = GraphModel::new();
+    let x = model.input("x");
+    let fc = Linear::new(512, 512, true, &mut rng);
+    let fc = model.add_layer("fc", fc, &[x]);
+    model.set_outputs(&[fc]);
+    CloudJob {
+        model: model.to_bytes(),
+        task: TaskPayload::Classification {
+            inputs: Tensor::randn(&[4, 512], &mut rng),
+            labels: (0..4).collect(),
+            val_inputs: None,
+            val_labels: vec![],
+        },
+        train: TrainConfig::new(1, 4, 0.05).with_seed(seed),
+    }
+}
+
+/// A session whose peer stops reading is torn down by the server's write
+/// timeout, not its idle timeout: replies that far exceed the loopback
+/// socket buffers stop draining, the stalled sink is broken, the replies
+/// still owed are settled without writing, and every gauge returns to zero
+/// — while another session on the same server trains.
+#[test]
+fn a_session_that_stops_reading_is_torn_down_by_the_write_timeout() {
+    let service = CloudService::builder().workers(1).build();
+    let config = TransportConfig::default().write_timeout(Duration::from_millis(200));
+    let server = CloudServer::bind_with(service, "127.0.0.1:0", config).expect("bind loopback");
+    let mut stalled = TcpStream::connect(server.local_addr()).unwrap();
+    write_raw_frame(
+        &mut stalled,
+        &Frame::Hello {
+            min_version: 2,
+            max_version: 2,
+            api_key: None,
+        },
+    );
+    assert!(matches!(
+        read_raw_frame(&mut stalled),
+        Some(Frame::Welcome { .. })
+    ));
+    // 24 replies of a megabyte each; the socket is never read again. A
+    // write refused once the server has given up on the session ends the
+    // flood early, which is the outcome under test anyway.
+    for request_id in 0..24 {
+        let submit = Frame::Submit {
+            request_id,
+            payload: megabyte_job(request_id).to_bytes(),
+            trace: None,
+        };
+        let body = submit.encode();
+        let frame = [&(body.len() as u32).to_le_bytes()[..], &body].concat();
+        if stalled.write_all(&frame).is_err() {
+            break;
+        }
+    }
+
+    let polite = RemoteCloudClient::connect(server.local_addr()).expect("connect beside it");
+    polite
+        .train(&tiny_job(31))
+        .expect("a session beside a stalled one trains");
+    polite.close();
+
+    // Far inside the 30 s idle timeout: only the write timeout ends it.
+    assert!(
+        wait_until(Duration::from_secs(15), || {
+            let s = server.stats();
+            s.connections_active == 0 && s.in_flight == 0 && s.reactor_write_queue_bytes == 0
+        }),
+        "the stalled session was not torn down: {} active, {} in flight, {} B queued",
+        server.stats().connections_active,
+        server.stats().in_flight,
+        server.stats().reactor_write_queue_bytes
+    );
+    assert_invariants(&server.stats());
+    drop(stalled);
+    server.shutdown();
+}
+
+/// A client whose server welcomes it and then never reads again ends its
+/// session by its write timeout: multi-megabyte submits stop draining, the
+/// link fails, and every handle is answered `ServiceUnavailable` — none
+/// hangs. (The stall is noticed at the link's next deadline, so the
+/// keep-alive interval is short here.)
+#[test]
+fn a_client_whose_server_stops_reading_ends_its_session_by_the_write_timeout() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        assert!(matches!(
+            read_raw_frame(&mut stream),
+            Some(Frame::Hello { .. })
+        ));
+        let welcome = Frame::Welcome {
+            version: 2,
+            max_in_flight: 32,
+            max_frame_len: 256 << 20,
+        };
+        write_raw_frame(&mut stream, &welcome);
+        stream // held open, never read again
+    });
+    let config = TransportConfig::default()
+        .write_timeout(Duration::from_millis(200))
+        .keepalive_interval(Duration::from_secs(1));
+    let client = RemoteCloudClient::connect_with(addr, config).expect("connect");
+    let _deaf = peer.join().expect("peer thread");
+
+    let handles: Vec<_> = (0..4u8)
+        .map(|i| {
+            client
+                .submit_payload(vec![i; 4 << 20].into())
+                .expect("submit")
+        })
+        .collect();
+    for mut handle in handles {
+        match handle
+            .wait_timeout(Duration::from_secs(15))
+            .expect("a handle on a stalled link hung")
+        {
+            Err(CloudError::ServiceUnavailable) => {}
+            other => panic!("expected ServiceUnavailable, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        client.submit_payload(vec![0; 16].into()),
+        Err(CloudError::ServiceUnavailable)
+    ));
 }
