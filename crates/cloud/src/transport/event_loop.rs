@@ -20,25 +20,25 @@
 //!   accepts until `WouldBlock`: a connection past `max_connections` gets
 //!   one `Reject` and is closed, every other is dealt to the reactor with
 //!   the fewest live connections (ties round-robin, itself included). A
-//!   failed accept rests its listener on the wheel for 5 ms. Shutdown sets
-//!   the stop flag and kicks the reactors; reactor 0 drops the listeners
-//!   first, so the port refuses connections once shutdown returns.
+//!   failed accept rests its listener on the wheel for 5 ms.
 //! * **The client loop** (`transport::client`): every remote client of the
 //!   process on one reactor, started by the first connect and joined when
 //!   the last client closes or drops.
 //!
 //! A connection plays one of four roles: a *server session* (an accepted
-//! connection: the diagram below, on a server reactor), a *relay link* (a
-//! relay session's connection to its backend, dialed by the session's own
-//! reactor and registered under its token with the link bit set — the
-//! `relay` submodule), a *probe* (a relay's health check of one backend, on
-//! its reactor 0, also in `relay`) or a *client session* (a remote client's
-//! connection, on the client loop). The three dialing roles are one
-//! mechanism, the *link* (the `link` submodule): a connect that does not
-//! block, the `Hello`/`Welcome` exchange, the deadlines as one wheel entry,
-//! and the jobs it retains until answered, resubmitted in request-id order
-//! on the next welcomed link. No thread runs beside the reactors. Threads
-//! per tier, whatever the number of connections:
+//! connection), a *relay link* (a relay session's connection to its
+//! backend, dialed by the session's own reactor and registered under its
+//! token with the link bit set — the `relay` submodule), a *probe* (a
+//! relay's health check of one backend, on its reactor 0, also in `relay`)
+//! or a *client session* (a remote client's connection, on the client
+//! loop). All four share one socket (the `socket` submodule): registration,
+//! the read path (decoder, frame cap, received frames counted), the write
+//! path (queue, vectored writes, sent frames counted), the interest it
+//! holds, the stall clock and the close. Above it sit two state machines: a
+//! server session's (below) and the three dialing roles' *link* (the `link`
+//! submodule: its dial, handshake, deadlines and retained jobs). No thread
+//! runs beside the reactors. Threads per tier, whatever the number of
+//! connections:
 //!
 //! | tier | threads | gate |
 //! |------|---------|------|
@@ -47,47 +47,76 @@
 //! | clients | `client-reactor` | `tests/transport_scale.rs`, 128 clients: 1 (a thread per client ran 256) |
 //! | a worker's training step | at most one scoped `nn-island` helper, joined before the step returns (`nn::graph`, "Islands") | `tests/island_threads.rs` |
 //!
-//! # Connection state machine
+//! # A session on the wire
 //!
 //! ```text
-//!            accept (dealt to a reactor)
-//!                      │
-//!                      ▼
-//!               ┌─────────────┐   bad opener / version / timeout
-//!               │ Handshaking │ ───────────────────────────┐
-//!               └──────┬──────┘  (Reject is flushed first  │
-//!                Hello ok │        where one is owed)      │
-//!                      ▼                                   │
-//!               ┌─────────────┐  Goodbye / EOF / idle /    │
-//!               │ Established │  violation / server stop   │
-//!               └──────┬──────┘ ───────────┐               │
-//!                      │                   ▼               │
-//!                      │            ┌──────────┐           │
-//!                      │            │ Draining │           │
-//!                      │            └────┬─────┘           │
-//!                      │   in-flight = 0 │ and queue       │
-//!                      │     flushed (or sink broken)      │
-//!                      ▼                 ▼                 ▼
-//!                  ┌──────────────────────────────────────────┐
-//!                  │                 Closed                   │
-//!                  └──────────────────────────────────────────┘
+//!  Hello{min, max, api_key?} ───────────►  protocol 2 in min..=max?
+//!  ◄──── Welcome{2, max_in_flight, max_frame_len}  yes
+//!  ◄──── Reject{reason}, close                     no, or not a Hello
+//!  Submit{request_id, payload, trace?} ─►  in-flight cap → session queue
+//!  ◄──── Progress{request_id, update}      per epoch, advisory
+//!  ◄──── Reply{request_id, result, trace?} in completion order
+//!  Ping / Cancel / GetStats ────────────►  ◄── Pong / nothing / Stats
+//!  Goodbye ─────────────────────────────►  the session drains
 //! ```
+//!
+//! Replies are matched to jobs by request id; a client session that ends
+//! answers every handle still pending. The API key travels once, in the
+//! `Hello`: the session's key is stamped onto every job, so auth, rate
+//! limits and fair scheduling judge remote jobs with no transport code, and
+//! a job trains to the same bytes over the wire as in process.
+//!
+//! # A server session
+//!
+//! ```text
+//!   dealt to a reactor: registered READABLE, handshake deadline armed
+//!                ▼
+//!          Handshaking ── Hello, version ok ─────► Established
+//!                │  (a relay's: its backend welcomed)   │ Goodbye, EOF,
+//!                │ not a Hello, bad version, no         │ read error,
+//!                │   backend: a Reject flushed first;   │ violation, idle
+//!                │ EOF, read error, malformed opener,   │ timeout, stalled
+//!                │   handshake timeout, server stop     │ sink, server stop
+//!                ▼                                      ▼
+//!              Closed ◄─── in-flight = 0 and queue ─── Draining
+//!                          flushed (or the sink broken)
+//! ```
+//!
+//! Nothing is decoded beyond a stranger's opener; each refusal counts as a
+//! rejected connection, silence excepted (EOF before a byte, the handshake
+//! timeout, a stop). Draining reads and submits nothing, but in-flight jobs
+//! run on and replies flush; once the peer is gone (EOF, a read error, a
+//! broken sink) its jobs cancel at their next epoch. A stop closes a relay
+//! session: it has no service to drain.
 //!
 //! # Backpressure
 //!
-//! Writes never block: frames the socket won't take queue on the
-//! connection's [`WriteQueue`], write interest is registered, and the
-//! reactor flushes on writability. The per-connection in-flight cap counts
-//! replies from acceptance until their bytes are fully flushed, so a peer
-//! that stops reading stops being allowed to submit. A queue that makes no
-//! progress for [`TransportConfig::write_timeout`] marks the sink broken:
-//! the socket is torn down and remaining replies are drained without
-//! writing, so in-flight accounting still reaches zero and drain completes.
+//! Writes never block: what the socket won't take stays queued under write
+//! interest. The in-flight cap counts replies until their bytes are
+//! flushed, so a peer that stops reading has its submits shed `Overloaded`.
+//! One stall rule holds for every role: the clock starts when a frame lands
+//! on an empty queue and restarts whenever bytes leave; a queue that stays
+//! put for [`TransportConfig::write_timeout`] breaks the sink. A session
+//! then settles its replies without writing, so drain completes; a link
+//! fails at its next deadline. A client's keep-alive interval is jittered
+//! to 75–100 % of the configured one, keyed by its session token
+//! (`jittered_interval`), so clients opened together do not ping in step.
+//!
+//! # Graceful shutdown
+//!
+//! `CloudServer::shutdown` sets the stop flag and kicks the reactors:
+//! reactor 0 drops the listeners (the port refuses connections once
+//! shutdown returns) and its scrapes, handshakes close, established
+//! sessions drain. Once the submitter gauge reads zero the service drains
+//! its queue, answering every job (`ServiceUnavailable` if never reached);
+//! each answer is flushed, a session closes once nothing is owed, and a
+//! reactor exits with its last connection. No handle hangs.
 
 pub(super) mod link;
 mod relay;
+mod socket;
 
-use super::frame::{write_frame, Frame, FrameDecoder};
+use super::frame::{write_frame, Frame};
 use super::server::{ServerShared, Upstream};
 use super::timer::{Fired, TimerWheel};
 use super::{TransportConfig, PROTOCOL_VERSION};
@@ -95,11 +124,12 @@ use crate::metrics::ServiceMetrics;
 use crate::pipeline::SessionKey;
 use crate::protocol::JobResult;
 use crate::service::{CancelFlag, CloudClient, RoutedMsg, RoutedSender};
-use crate::telemetry::{Stage, TraceId};
+use crate::telemetry::TraceId;
 use crate::CloudError;
 use bytes::Bytes;
 use reactor::{Event, Interest, Poller, WakeReceiver, Waker};
-use std::collections::{HashMap, VecDeque};
+use socket::{FlushOutcome, Inbound, Socket};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -309,13 +339,10 @@ enum ConnState {
 
 /// One connection's entire state, owned by its reactor thread.
 struct Conn {
-    stream: TcpStream,
-    token: u64,
+    /// Closed once the connection is, or once its sink broke: a write
+    /// failed or stalled out, and what is owed is settled without writing.
+    sock: Socket,
     state: ConnState,
-    decoder: FrameDecoder,
-    writes: WriteQueue,
-    /// Interest currently registered with the poller.
-    interest: Interest,
     replies_rx: Receiver<(u64, RoutedMsg)>,
     routed: RoutedSender,
     /// The upstream side of a relay session; `None` on a service's.
@@ -345,176 +372,10 @@ struct Conn {
     counts_submitter: bool,
     /// `conn_opened` was recorded (so `conn_closed` is owed).
     counts_session_open: bool,
-    /// A write failed or stalled out: never write again (the byte stream
-    /// may sit mid-frame), just drain accounting.
-    sink_broken: bool,
-    last_activity: Instant,
-    last_write_progress: Instant,
     /// The deadline armed on the wheel, and its generation (a stale fire
     /// is ignored).
     armed: Option<Instant>,
     timer_gen: u64,
-}
-
-/// How one flush attempt ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushOutcome {
-    /// Queue fully flushed.
-    Drained,
-    /// Socket stopped taking bytes; write interest is needed.
-    Blocked,
-    /// Write error: the sink is gone.
-    Broken,
-}
-
-/// One queued chunk of outbound bytes. A frame is up to three chunks (see
-/// [`Frame::wire_chunks`]: a reply's trained model is queued as the
-/// worker's own buffer, never copied); the last carries the frame
-/// accounting.
-struct Pending {
-    buf: Bytes,
-    pos: usize,
-    /// `(wire_len, is_reply)` on a frame's final chunk.
-    end_of_frame: Option<(usize, bool)>,
-}
-
-/// Per-connection outbound queue; only touched by the owning reactor.
-#[derive(Default)]
-struct WriteQueue {
-    q: VecDeque<Pending>,
-    /// Unflushed bytes across all chunks (mirrored into the service-wide
-    /// backpressure gauge).
-    bytes: usize,
-    /// A link's queue: its frames are counted as relayed once written, never
-    /// in a session's totals.
-    relay: bool,
-}
-
-impl WriteQueue {
-    fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    /// Queues one frame. Returns `false` — nothing queued — only for a
-    /// frame too big for the `u32` length prefix, which no control frame is.
-    fn push_frame(&mut self, frame: &Frame, is_reply: bool, metrics: &ServiceMetrics) -> bool {
-        let Ok(chunks) = frame.wire_chunks() else {
-            return false;
-        };
-        let wire: usize = chunks.iter().map(Bytes::len).sum();
-        self.bytes += wire;
-        metrics.write_queue_grew(wire);
-        // The frame counters move at *commit* time, not flush time: once a
-        // frame is queued its delivery is ordered before any observer can
-        // see the peer react to it, so a client that received a reply is
-        // guaranteed to find it already counted in the server's stats.
-        // (Counting at flush races: on a busy box the completing write can
-        // wake the peer, which reads the stats before the writing thread
-        // gets to increment.) Frames discarded unsent are uncounted again.
-        // Non-reply frames are protocol overhead (Welcome, Pong, Reject,
-        // Stats): counted in the totals *and* the control sub-counter.
-        match (self.relay, is_reply) {
-            (true, _) => {} // counted once written (`flush`)
-            (false, true) => metrics.frame_sent(wire),
-            (false, false) => metrics.control_frame_sent(wire),
-        }
-        for buf in chunks.into_iter().filter(|c| !c.is_empty()) {
-            self.q.push_back(Pending {
-                buf,
-                pos: 0,
-                end_of_frame: None,
-            });
-        }
-        let last = self.q.back_mut().expect("a frame's head is never empty");
-        last.end_of_frame = Some((wire, is_reply));
-        true
-    }
-
-    /// Writes as much as the socket will take. Returns completed reply
-    /// frames (their in-flight slots free up) and how the attempt ended.
-    fn flush(
-        &mut self,
-        stream: &mut impl Write,
-        metrics: &ServiceMetrics,
-    ) -> (usize, FlushOutcome) {
-        let mut replies = 0;
-        loop {
-            // Pop chunks that are already fully written (including any
-            // zero-length ones) before gathering.
-            while let Some(front) = self.q.front() {
-                if front.pos < front.buf.len() {
-                    break;
-                }
-                match front.end_of_frame {
-                    Some((wire, _)) if self.relay => metrics.relay_frame_sent(wire),
-                    // Counted at push time; here only the in-flight slot is
-                    // released, which genuinely requires the bytes flushed.
-                    Some((_, true)) => replies += 1,
-                    _ => {}
-                }
-                self.q.pop_front();
-            }
-            if self.q.is_empty() {
-                return (replies, FlushOutcome::Drained);
-            }
-            // Gather the front chunks into one vectored write: a reply
-            // split into prefix/head, payload and trace-tail chunks leaves
-            // in a single syscall, not one small TCP segment per chunk.
-            let mut iov = [std::io::IoSlice::new(&[]); 8];
-            let mut n_iov = 0;
-            for p in self.q.iter() {
-                if n_iov == iov.len() {
-                    break;
-                }
-                if p.pos < p.buf.len() {
-                    iov[n_iov] = std::io::IoSlice::new(&p.buf[p.pos..]);
-                    n_iov += 1;
-                }
-            }
-            match stream.write_vectored(&iov[..n_iov]) {
-                Ok(0) => return (replies, FlushOutcome::Broken),
-                Ok(mut n) => {
-                    self.bytes -= n;
-                    metrics.write_queue_shrank(n);
-                    // Chunks written whole are popped (and their frames
-                    // settled) at the top of the next round.
-                    for p in self.q.iter_mut() {
-                        if n == 0 {
-                            break;
-                        }
-                        let take = n.min(p.buf.len() - p.pos);
-                        p.pos += take;
-                        n -= take;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    return (replies, FlushOutcome::Blocked)
-                }
-                Err(_) => return (replies, FlushOutcome::Broken),
-            }
-        }
-    }
-
-    /// Drops everything (broken sink), returning how many queued reply
-    /// frames were discarded so their in-flight slots free up. Frames that
-    /// never fully flushed are uncounted from the sent totals.
-    fn discard(&mut self, metrics: &ServiceMetrics) -> usize {
-        let mut replies = 0;
-        for p in self.q.drain(..) {
-            match p.end_of_frame {
-                Some((wire, true)) => {
-                    metrics.frame_send_aborted(wire);
-                    replies += 1;
-                }
-                Some((wire, false)) if !self.relay => metrics.control_frame_send_aborted(wire),
-                _ => {}
-            }
-        }
-        metrics.write_queue_shrank(self.bytes);
-        self.bytes = 0;
-        replies
-    }
 }
 
 /// One event-loop thread's own machinery: its poller, timer wheel and token
@@ -666,10 +527,10 @@ impl Tier for Sessions {
         if token & link::LINK != 0 {
             return relay::link_io(conn, readable, writable, shared, poller, wheel);
         }
-        if writable && conn.state != ConnState::Closed {
+        if writable {
             flush_writes(conn, shared, poller, wheel);
         }
-        if readable && matches!(conn.state, ConnState::Handshaking | ConnState::Established) {
+        if readable {
             on_readable(conn, shared, poller, wheel);
         }
     }
@@ -678,35 +539,26 @@ impl Tier for Sessions {
     /// closed immediately instead (reactor 0 dealt it before it saw the
     /// flag).
     fn adopt(&mut self, r: &mut Reactor, stream: TcpStream, stopped: bool) {
-        let _ = stream.set_nodelay(true);
         let token = r.token();
-        if stopped
-            || stream.set_nonblocking(true).is_err()
-            || r.poller
-                .register(stream.as_raw_fd(), token, Interest::READABLE)
-                .is_err()
-        {
+        let metrics = &self.shared.metrics;
+        let sock = (!stopped)
+            .then(|| Socket::register(stream, token, Interest::READABLE, &mut r.poller, metrics));
+        let Some(Ok(sock)) = sock else {
             self.shared.submitters_dec();
             self.shared.release_conn(false);
             self.handle.live.fetch_sub(1, Ordering::SeqCst);
             return;
-        }
-        self.shared.metrics.reactor_fd_registered();
+        };
         let (tx, rx) = channel();
         let notify = {
             let handle = Arc::clone(&self.handle);
             let metrics = Arc::clone(&self.shared.metrics);
             Arc::new(move || handle.notify_replies(token, &metrics)) as Arc<dyn Fn() + Send + Sync>
         };
-        let now = Instant::now();
         let peer_alive = Arc::new(AtomicBool::new(true));
         let mut conn = Conn {
-            stream,
-            token,
+            sock,
             state: ConnState::Handshaking,
-            decoder: FrameDecoder::new(),
-            writes: WriteQueue::default(),
-            interest: Interest::READABLE,
             replies_rx: rx,
             routed: RoutedSender::new(tx, notify, Arc::clone(&peer_alive)),
             relay: match self.shared.upstream {
@@ -721,9 +573,6 @@ impl Tier for Sessions {
             in_flight: 0,
             counts_submitter: true,
             counts_session_open: false,
-            sink_broken: false,
-            last_activity: now,
-            last_write_progress: now,
             armed: None,
             timer_gen: 0,
         };
@@ -1006,10 +855,9 @@ fn deadlines(conn: &Conn, config: &TransportConfig) -> [Option<Instant>; 2] {
         ConnState::Established => Some(config.idle_timeout),
         ConnState::Draining | ConnState::Closed => None,
     };
-    let stalled = !conn.writes.is_empty() && !conn.sink_broken;
     [
-        budget.map(|budget| conn.last_activity + budget),
-        stalled.then(|| conn.last_write_progress + config.write_timeout),
+        budget.map(|budget| conn.sock.heard_at + budget),
+        conn.sock.stall_deadline(config.write_timeout),
     ]
 }
 
@@ -1023,99 +871,43 @@ fn arm(conn: &mut Conn, config: &TransportConfig, wheel: &mut TimerWheel) {
     if conn.armed.is_none_or(|armed| at < armed) {
         conn.armed = Some(at);
         conn.timer_gen += 1;
-        wheel.insert(at, conn.token, conn.timer_gen);
+        wheel.insert(at, conn.sock.token, conn.timer_gen);
     }
 }
 
-/// Reads everything the socket has, decoding and dispatching frames as they
-/// complete. Exits early if a frame (or error) moves the connection out of
-/// a reading state.
+/// Takes in what the socket has, a frame at a time, while the connection
+/// reads.
 fn on_readable(
     conn: &mut Conn,
     shared: &Arc<ServerShared>,
     poller: &mut Poller,
     wheel: &mut TimerWheel,
 ) {
-    loop {
-        match conn.decoder.read_from(&mut conn.stream) {
-            Ok(0) => {
-                // EOF. Mid-frame bytes mean a truncated frame — under the
-                // handshake that counts as a rejected connection.
-                if conn.state == ConnState::Handshaking {
-                    if conn.decoder.buffered() > 0 {
-                        shared.metrics.conn_rejected();
-                    }
-                    close_conn(conn, shared, poller);
-                } else {
-                    // An abrupt disconnect: this protocol's clients never
-                    // half-close — a graceful leave sends Goodbye first —
-                    // so EOF here means the peer is gone and its in-flight
-                    // jobs are orphaned.
-                    conn.peer_alive.store(false, Ordering::SeqCst);
-                    enter_draining(conn, shared, poller, wheel);
-                }
-                return;
+    while matches!(conn.state, ConnState::Handshaking | ConnState::Established) {
+        let handshaking = conn.state == ConnState::Handshaking;
+        let cap = shared.config.max_frame_len;
+        match conn.sock.next_frame(cap, &shared.metrics) {
+            Inbound::Frame(frame) => handle_frame(conn, frame, shared, poller, wheel),
+            Inbound::Dry => return,
+            // Before the handshake, anything but a clean EOF — a truncated
+            // frame, a read error, oversized or malformed input — is a
+            // rejected connection, closed with no reply.
+            Inbound::Eof { cut: false } if handshaking => return close_conn(conn, shared, poller),
+            _ if handshaking => {
+                shared.metrics.conn_rejected();
+                return close_conn(conn, shared, poller);
             }
-            Ok(_) => {
-                conn.last_activity = Instant::now();
-                if !drain_frames(conn, shared, poller, wheel) {
-                    return;
-                }
+            // An abrupt disconnect: this protocol's clients never half-close
+            // — a graceful leave sends Goodbye first — so EOF or a read
+            // error means the peer is gone and its in-flight jobs are
+            // orphaned.
+            Inbound::Eof { .. } | Inbound::Failed(_) => {
+                conn.peer_alive.store(false, Ordering::SeqCst);
+                return enter_draining(conn, shared, poller, wheel);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-            Err(_) => {
-                if conn.state == ConnState::Handshaking {
-                    shared.metrics.conn_rejected();
-                    close_conn(conn, shared, poller);
-                } else {
-                    // A read error (reset, broken pipe): same as EOF — the
-                    // peer is unreachable, its jobs are orphaned.
-                    conn.peer_alive.store(false, Ordering::SeqCst);
-                    enter_draining(conn, shared, poller, wheel);
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// Decodes buffered frames; returns `false` once the connection left a
-/// reading state (or errored out).
-fn drain_frames(
-    conn: &mut Conn,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) -> bool {
-    loop {
-        if !matches!(conn.state, ConnState::Handshaking | ConnState::Established) {
-            return false;
-        }
-        match conn.decoder.next_frame(shared.config.max_frame_len) {
-            Ok(Some((frame, wire_len))) => {
-                // Job traffic (Submit) moves only the totals; everything
-                // else is protocol overhead and also bumps the control
-                // sub-counter.
-                match &frame {
-                    Frame::Submit { .. } => shared.metrics.frame_received(wire_len),
-                    _ => shared.metrics.control_frame_received(wire_len),
-                }
-                handle_frame(conn, frame, shared, poller, wheel);
-            }
-            Ok(None) => return true,
-            // Oversized or malformed input. Before the handshake that is a
-            // rejected connection (close with no reply, like the old
-            // transport); afterwards it is a protocol violation that ends
-            // the session but still flushes owed replies.
-            Err(_) => {
-                if conn.state == ConnState::Handshaking {
-                    shared.metrics.conn_rejected();
-                    close_conn(conn, shared, poller);
-                } else {
-                    enter_draining(conn, shared, poller, wheel);
-                }
-                return false;
-            }
+            // A protocol violation ends the session but still flushes owed
+            // replies.
+            Inbound::Malformed(_) => return enter_draining(conn, shared, poller, wheel),
         }
     }
 }
@@ -1180,15 +972,11 @@ fn handle_frame(
                 if let Some(session) = &conn.session_client {
                     shared.metrics.session_shed(session.session_key());
                 }
-                queue_reply(
-                    conn,
-                    request_id,
-                    Err(CloudError::Overloaded {
-                        queue_depth: in_flight_before,
-                        max_queue_depth: shared.config.max_in_flight,
-                    }),
-                    shared,
-                );
+                let overloaded = CloudError::Overloaded {
+                    queue_depth: in_flight_before,
+                    max_queue_depth: shared.config.max_in_flight,
+                };
+                queue_reply(conn, request_id, Err(overloaded), shared);
             } else {
                 // Remember the trace for the Reply (including dedup-served
                 // replies, which also arrive through the routed channel).
@@ -1211,8 +999,8 @@ fn handle_frame(
             flush_writes(conn, shared, poller, wheel);
         }
         (ConnState::Established, Frame::Ping { nonce }) => {
-            conn.writes
-                .push_frame(&Frame::Pong { nonce }, false, &shared.metrics);
+            conn.sock
+                .queue(&Frame::Pong { nonce }, false, &shared.metrics);
             flush_writes(conn, shared, poller, wheel);
         }
         (ConnState::Established, Frame::GetStats { request_id }) => {
@@ -1236,8 +1024,8 @@ fn handle_frame(
                     "stats require a recognized API key".into(),
                 ))
             };
-            conn.writes
-                .push_frame(&Frame::Stats { request_id, body }, false, &shared.metrics);
+            conn.sock
+                .queue(&Frame::Stats { request_id, body }, false, &shared.metrics);
             flush_writes(conn, shared, poller, wheel);
         }
         (ConnState::Established, Frame::Cancel { request_id }) => {
@@ -1260,7 +1048,7 @@ fn handle_frame(
         (ConnState::Established, _) => {
             enter_draining(conn, shared, poller, wheel);
         }
-        // Draining/Closed never reach here (drain_frames gates on state).
+        // Draining/Closed never reach here (on_readable gates on state).
         (ConnState::Draining | ConnState::Closed, _) => {}
     }
 }
@@ -1275,8 +1063,8 @@ fn refuse(
     wheel: &mut TimerWheel,
 ) {
     shared.metrics.conn_rejected();
-    conn.writes
-        .push_frame(&Frame::Reject { reason }, false, &shared.metrics);
+    conn.sock
+        .queue(&Frame::Reject { reason }, false, &shared.metrics);
     enter_draining(conn, shared, poller, wheel);
 }
 
@@ -1296,7 +1084,7 @@ fn establish(
         max_in_flight,
         max_frame_len,
     };
-    conn.writes.push_frame(&welcome, false, &shared.metrics);
+    conn.sock.queue(&welcome, false, &shared.metrics);
     shared.metrics.conn_opened();
     conn.counts_session_open = true;
     conn.state = ConnState::Established;
@@ -1314,24 +1102,23 @@ fn queue_reply(
     // The submit's trace id, echoed (only traced submits have one).
     let trace = conn.traces.remove(&request_id);
     conn.cancels.remove(&request_id);
-    if conn.sink_broken {
-        conn.in_flight = conn.in_flight.saturating_sub(1);
-        return;
-    }
     if let Ok(r) = &mut result {
         // Parity with in-process handles: the result's id is the id the
         // caller's handle carries (its wire request id), not the server
         // pool's internal one.
         r.job_id = request_id;
     }
-    let reply = Frame::Reply {
+    let reply = |result| Frame::Reply {
         request_id,
         result,
         trace,
     };
-    if !conn.writes.push_frame(&reply, true, &shared.metrics) {
-        // Un-encodable (>4 GiB) reply: the framing cannot carry it.
-        conn.sink_broken = true;
+    let too_big = || Err(CloudError::Transport("reply too big to frame".into()));
+    // A reply the framing cannot carry (over 4 GiB) is answered as an
+    // error; a broken sink settles it unsent.
+    if !conn.sock.queue(&reply(result), true, &shared.metrics)
+        && !conn.sock.queue(&reply(too_big()), true, &shared.metrics)
+    {
         conn.in_flight = conn.in_flight.saturating_sub(1);
     }
 }
@@ -1346,35 +1133,24 @@ fn pump_replies(
     while let Ok((request_id, msg)) = conn.replies_rx.try_recv() {
         match msg {
             RoutedMsg::Reply(result) => queue_reply(conn, request_id, result, shared),
-            RoutedMsg::Progress(update) => queue_progress(conn, request_id, update, shared),
+            // Progress is advisory: it holds no in-flight slot and is never
+            // owed, so a broken sink or a draining connection drops it.
+            RoutedMsg::Progress(update) => {
+                let progress = Frame::Progress { request_id, update };
+                let established = conn.state == ConnState::Established;
+                if established && conn.sock.queue(&progress, false, &shared.metrics) {
+                    shared.metrics.progress_frame_delivered();
+                } else {
+                    shared.metrics.progress_frame_dropped();
+                }
+            }
         }
     }
     flush_writes(conn, shared, poller, wheel);
 }
 
-/// Serializes one progress frame onto the write queue, or drops it.
-/// Progress is advisory: it holds no in-flight slot and is never owed, so a
-/// broken sink or a draining connection just drops it (counted).
-fn queue_progress(
-    conn: &mut Conn,
-    request_id: u64,
-    update: crate::ProgressUpdate,
-    shared: &Arc<ServerShared>,
-) {
-    if !conn.sink_broken && conn.state == ConnState::Established {
-        conn.writes.push_frame(
-            &Frame::Progress { request_id, update },
-            false,
-            &shared.metrics,
-        );
-        shared.metrics.progress_frame_delivered();
-    } else {
-        shared.metrics.progress_frame_dropped();
-    }
-}
-
-/// Flushes the write queue, updates interest/timers, and completes a drain
-/// when everything owed has been settled.
+/// Flushes the write queue, and completes a drain when everything owed has
+/// been settled.
 fn flush_writes(
     conn: &mut Conn,
     shared: &Arc<ServerShared>,
@@ -1384,31 +1160,17 @@ fn flush_writes(
     if conn.state == ConnState::Closed {
         return;
     }
-    if !conn.sink_broken && !conn.writes.is_empty() {
-        let flush_started = Instant::now();
-        let bytes_before = conn.writes.bytes;
-        let (replies, outcome) = conn.writes.flush(&mut conn.stream, &shared.metrics);
-        conn.in_flight = conn.in_flight.saturating_sub(replies);
-        if conn.writes.bytes < bytes_before {
-            // Any bytes accepted count as progress for the stall timer;
-            // Blocked with zero bytes written does not.
-            conn.last_write_progress = Instant::now();
-            shared
-                .metrics
-                .telemetry()
-                .record(Stage::ReactorFlush, flush_started.elapsed());
-        }
-        match outcome {
-            FlushOutcome::Drained => {}
-            FlushOutcome::Blocked => arm(conn, &shared.config, wheel),
-            FlushOutcome::Broken => return mark_sink_broken(conn, shared, poller, wheel),
-        }
+    let reading = matches!(conn.state, ConnState::Handshaking | ConnState::Established);
+    let (replies, outcome) = conn.sock.flush(reading, poller, &shared.metrics);
+    conn.in_flight = conn.in_flight.saturating_sub(replies);
+    match outcome {
+        FlushOutcome::Drained => maybe_finish_drain(conn, shared, poller),
+        FlushOutcome::Blocked => arm(conn, &shared.config, wheel),
+        FlushOutcome::Broken => mark_sink_broken(conn, shared, poller, wheel),
     }
-    update_interest(conn, poller);
-    maybe_finish_drain(conn, shared, poller);
 }
 
-/// The socket can no longer be written: tear it down, discard queued bytes,
+/// The socket can no longer be written: close it, discarding queued bytes,
 /// and keep draining reply accounting without writing.
 fn mark_sink_broken(
     conn: &mut Conn,
@@ -1416,21 +1178,13 @@ fn mark_sink_broken(
     poller: &mut Poller,
     wheel: &mut TimerWheel,
 ) {
-    if conn.sink_broken {
-        return;
-    }
-    conn.sink_broken = true;
     // Nothing can ever reach the peer again — orphaned jobs may as well
     // find out now instead of at close time.
     conn.peer_alive.store(false, Ordering::SeqCst);
-    let discarded = conn.writes.discard(&shared.metrics);
+    let discarded = conn.sock.close(poller, &shared.metrics);
     conn.in_flight = conn.in_flight.saturating_sub(discarded);
-    let _ = conn.stream.shutdown(Shutdown::Both);
-    if conn.state != ConnState::Draining {
-        enter_draining(conn, shared, poller, wheel);
-    } else {
-        maybe_finish_drain(conn, shared, poller);
-    }
+    enter_draining(conn, shared, poller, wheel);
+    maybe_finish_drain(conn, shared, poller);
 }
 
 /// Stops reading and submitting; the connection now exists only to settle
@@ -1450,18 +1204,14 @@ fn enter_draining(
         shared.submitters_dec();
     }
     relay::sever(conn, poller);
-    let _ = conn.stream.shutdown(Shutdown::Read);
     // Catch completions that were posted before this transition.
     pump_replies(conn, shared, poller, wheel);
 }
 
 /// Draining completes when nothing is owed: no in-flight jobs and either a
-/// flushed queue or a broken sink.
+/// flushed queue or a broken sink (whose queue is discarded).
 fn maybe_finish_drain(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) {
-    if conn.state == ConnState::Draining
-        && conn.in_flight == 0
-        && (conn.writes.is_empty() || conn.sink_broken)
-    {
+    if conn.state == ConnState::Draining && conn.in_flight == 0 && conn.sock.queued() == 0 {
         close_conn(conn, shared, poller);
     }
 }
@@ -1474,11 +1224,7 @@ fn close_conn(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) 
     conn.state = ConnState::Closed;
     conn.peer_alive.store(false, Ordering::SeqCst);
     relay::sever(conn, poller);
-    if poller.deregister(conn.stream.as_raw_fd()).is_ok() {
-        shared.metrics.reactor_fd_deregistered();
-    }
-    let _ = conn.stream.shutdown(Shutdown::Both);
-    let discarded = conn.writes.discard(&shared.metrics);
+    let discarded = conn.sock.close(poller, &shared.metrics);
     conn.in_flight = conn.in_flight.saturating_sub(discarded);
     // Settle whatever the workers posted that will never reach the wire:
     // replies free their slots, progress frames count as dropped. (Sends
@@ -1500,175 +1246,10 @@ fn close_conn(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) 
     conn.counts_session_open = false;
 }
 
-/// Re-registers the socket when the wanted interest changed: reads while
-/// the state machine accepts frames, writes while bytes are queued.
-fn update_interest(conn: &mut Conn, poller: &mut Poller) {
-    if conn.state == ConnState::Closed {
-        return;
-    }
-    let want = Interest {
-        readable: matches!(conn.state, ConnState::Handshaking | ConnState::Established),
-        writable: !conn.writes.is_empty() && !conn.sink_broken,
-    };
-    if want != conn.interest
-        && poller
-            .reregister(conn.stream.as_raw_fd(), conn.token, want)
-            .is_ok()
-    {
-        conn.interest = want;
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::frame;
     use super::*;
-    use crate::metrics::ServiceMetrics;
-    use std::io::Read;
     use std::net::TcpListener;
-
-    fn loopback_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let a = TcpStream::connect(addr).unwrap();
-        let (b, _) = listener.accept().unwrap();
-        a.set_nonblocking(true).unwrap();
-        (a, b)
-    }
-
-    fn ok_reply(request_id: u64, model: Bytes) -> Frame {
-        Frame::Reply {
-            request_id,
-            result: Ok(JobResult {
-                job_id: request_id,
-                trained_model: model,
-                history: amalgam_nn::metrics::History::new(),
-                bytes_received: 1,
-                bytes_sent: 2,
-                train_seconds: 0.1,
-            }),
-            trace: Some(TraceId::from_words(1, 2)),
-        }
-    }
-
-    #[test]
-    fn write_queue_flushes_split_replies_bitwise_like_whole_frames() {
-        let metrics = ServiceMetrics::new();
-        let (mut server_side, mut client_side) = loopback_pair();
-        let model = Bytes::from(vec![9u8; 1000]);
-        let reply = ok_reply(3, model.clone());
-        let mut q = WriteQueue::default();
-        assert!(q.push_frame(&reply, true, &metrics));
-        // The model is queued as the worker's buffer, not a copy of it.
-        assert!(q.q.iter().any(|p| p.buf.as_ptr() == model.as_ptr()));
-        loop {
-            let (_, outcome) = q.flush(&mut server_side, &metrics);
-            match outcome {
-                FlushOutcome::Drained => break,
-                FlushOutcome::Blocked => std::thread::sleep(Duration::from_millis(1)),
-                FlushOutcome::Broken => panic!("loopback write broke"),
-            }
-        }
-        assert_eq!(q.bytes, 0);
-
-        let mut expect = Vec::new();
-        frame::write_frame(&mut expect, &reply).unwrap();
-        let mut got = vec![0u8; expect.len()];
-        client_side.read_exact(&mut got).unwrap();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn write_queue_survives_one_byte_at_a_time_sinks() {
-        // Stuttering sink: accepts one byte, then WouldBlocks, alternating —
-        // the slow-loris of the write side. Every boundary must be safe,
-        // the chunk boundaries inside a split reply included.
-        struct Stutter {
-            out: Vec<u8>,
-            ready: bool,
-        }
-        impl Write for Stutter {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                if self.ready {
-                    self.ready = false;
-                    self.out.push(buf[0]);
-                    Ok(1)
-                } else {
-                    self.ready = true;
-                    Err(std::io::Error::from(ErrorKind::WouldBlock))
-                }
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let frames = [
-            (Frame::Pong { nonce: 7 }, false),
-            (ok_reply(1, Bytes::from(vec![4u8; 300])), true),
-            (
-                Frame::Reply {
-                    request_id: 2,
-                    result: Err(CloudError::ServiceUnavailable),
-                    trace: None,
-                },
-                true,
-            ),
-        ];
-        let metrics = ServiceMetrics::new();
-        let mut q = WriteQueue::default();
-        let mut expect = Vec::new();
-        for (f, is_reply) in &frames {
-            assert!(q.push_frame(f, *is_reply, &metrics));
-            frame::write_frame(&mut expect, f).unwrap();
-        }
-
-        let mut sink = Stutter {
-            out: Vec::new(),
-            ready: false,
-        };
-        let mut reply_frames = 0;
-        loop {
-            let (replies, outcome) = q.flush(&mut sink, &metrics);
-            reply_frames += replies;
-            match outcome {
-                FlushOutcome::Drained => break,
-                FlushOutcome::Blocked => {}
-                FlushOutcome::Broken => panic!("stutter is not an error"),
-            }
-        }
-        assert_eq!(reply_frames, 2);
-        assert_eq!(q.bytes, 0);
-        assert_eq!(sink.out, expect);
-        let stats = metrics.snapshot();
-        assert_eq!(stats.reactor_write_queue_bytes, 0);
-        assert_eq!(stats.frames_sent, 3);
-    }
-
-    #[test]
-    fn discarding_a_queue_frees_reply_slots_and_the_gauge() {
-        let metrics = ServiceMetrics::new();
-        let mut q = WriteQueue::default();
-        q.push_frame(&Frame::Pong { nonce: 1 }, false, &metrics);
-        q.push_frame(&ok_reply(2, Bytes::from_static(b"weights")), true, &metrics);
-        q.push_frame(
-            &Frame::Reply {
-                request_id: 3,
-                result: Err(CloudError::ServiceUnavailable),
-                trace: None,
-            },
-            true,
-            &metrics,
-        );
-        assert!(metrics.snapshot().reactor_write_queue_bytes > 0);
-        let replies = q.discard(&metrics);
-        assert_eq!(replies, 2);
-        assert_eq!(metrics.snapshot().reactor_write_queue_bytes, 0);
-        assert_eq!(metrics.snapshot().frames_sent, 0);
-        assert_eq!(metrics.snapshot().control_frames_sent, 0);
-        assert_eq!(metrics.snapshot().check_invariants(), Ok(()));
-        assert!(q.is_empty());
-    }
 
     /// A failed accept takes its listener off the poller for
     /// [`ACCEPT_REST`] instead of letting level-triggered readiness spin

@@ -22,19 +22,17 @@
 //! original id: training is seeded and servers deduplicate by content, so a
 //! replay answers bit for bit the same.
 
-use super::super::frame::{Frame, FrameDecoder};
+use super::super::frame::Frame;
 use super::super::timer::TimerWheel;
 use super::super::{TransportConfig, PROTOCOL_VERSION};
-use super::{FlushOutcome, WriteQueue};
+use super::socket::{FlushOutcome, Inbound, Socket};
 use crate::metrics::ServiceMetrics;
 use crate::telemetry::TraceId;
 use crate::CloudError;
 use bytes::Bytes;
 use reactor::{Interest, Poller};
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,46 +72,75 @@ pub(crate) fn io<R: Role>(
     poller: &mut Poller,
     wheel: &mut TimerWheel,
 ) {
-    if writable {
-        if let Err(cause) = role.up().connected() {
+    // The connect ends at the link's first writability.
+    let up = role.up();
+    if let Some(link) = up.link.as_mut().filter(|link| writable && !link.connected) {
+        if let Some(e) = link.sock.connect_error() {
+            let cause = CloudError::Transport(format!("connect to {} failed: {e}", link.addr));
             return fail(role, cause, poller, wheel);
         }
-        if !flush(role, poller, wheel) {
-            return;
-        }
+        link.connected = true;
     }
-    if !readable {
+    if (writable && !flush(role, poller, wheel)) || !readable {
         return;
     }
     loop {
-        match role.up().hear() {
-            Ok(Some(Heard::Welcome(welcome))) => {
-                let resubmitted = role.up().resubmit();
+        let up = role.up();
+        let Some(link) = up.link.as_mut() else {
+            return;
+        };
+        // What ends the link: EOF, a read or decode error, a frame no
+        // server may send, or an answer to the `Hello` that is no `Welcome`.
+        let cause = match link.sock.next_frame(up.config.max_frame_len, &up.metrics) {
+            Inbound::Frame(frame) if link.welcomed => {
+                if role.heard(frame, poller, wheel) {
+                    continue;
+                }
+                CloudError::Transport("a frame no server may send".into())
+            }
+            Inbound::Frame(Frame::Welcome {
+                version,
+                max_in_flight,
+                max_frame_len,
+            }) => {
+                link.welcomed = true;
+                let resubmitted = up.resubmit();
+                let welcome = (version, max_in_flight, max_frame_len);
                 role.welcomed(welcome, resubmitted, poller, wheel);
                 if !flush(role, poller, wheel) {
                     return;
                 }
+                continue;
             }
-            Ok(Some(Heard::Frame(frame))) => {
-                if !role.heard(frame, poller, wheel) {
-                    let cause = CloudError::Transport("a frame no server may send".into());
-                    return fail(role, cause, poller, wheel);
-                }
+            Inbound::Frame(Frame::Reject { reason }) => CloudError::Handshake(reason),
+            Inbound::Frame(other) => {
+                CloudError::Handshake(format!("expected Welcome, got {other:?}"))
             }
-            Ok(None) => return,
-            Err(cause) => return fail(role, cause, poller, wheel),
-        }
+            Inbound::Dry => return,
+            Inbound::Eof { .. } if !link.welcomed => {
+                CloudError::Handshake("server closed during handshake".into())
+            }
+            Inbound::Eof { .. } => CloudError::Transport("server closed the connection".into()),
+            Inbound::Failed(e) => CloudError::Transport(format!("read failed: {e}")),
+            Inbound::Malformed(e) => e,
+        };
+        return fail(role, cause, poller, wheel);
     }
 }
 
-/// Writes what `role`'s link has queued; `false` when it broke and failed.
+/// Writes what `role`'s link has queued once it is connected; `false` when
+/// it broke and failed.
 pub(crate) fn flush<R: Role>(role: &mut R, poller: &mut Poller, wheel: &mut TimerWheel) -> bool {
-    let flushed = role.up().flush(poller);
-    if !flushed {
-        let cause = CloudError::Transport("write failed".into());
-        fail(role, cause, poller, wheel);
+    let up = role.up();
+    let Some(link) = up.link.as_mut().filter(|link| link.connected) else {
+        return true;
+    };
+    if link.sock.flush(true, poller, &up.metrics).1 != FlushOutcome::Broken {
+        return true;
     }
-    flushed
+    let cause = CloudError::Transport("write failed".into());
+    fail(role, cause, poller, wheel);
+    false
 }
 
 /// Closes `role`'s link for `cause` and lets the role decide what next.
@@ -145,7 +172,7 @@ pub(crate) fn fired<R: Role>(
         fail(role, CloudError::Transport(cause.into()), poller, wheel);
     } else if let Some(link) = up.link.as_mut().filter(|link| {
         let keepalive = up.config.keepalive_interval;
-        link.welcomed && link.writes.is_empty() && link.last_write.elapsed() >= keepalive
+        link.welcomed && link.sock.queued() == 0 && link.last_write.elapsed() >= keepalive
     }) {
         link.send(&Frame::Ping { nonce: 0 }, &up.metrics);
     }
@@ -184,29 +211,17 @@ pub(crate) struct Uplink<X> {
 
 /// A client-role connection.
 pub(crate) struct Link {
-    stream: TcpStream,
+    sock: Socket,
     /// What its owner calls the address it dialed.
     pub(crate) addr: String,
     /// The connect finished; until then nothing is written.
     pub(crate) connected: bool,
     /// The `Welcome` arrived.
     pub(crate) welcomed: bool,
-    decoder: FrameDecoder,
-    writes: WriteQueue,
-    interest: Interest,
     last_write: Instant,
-    /// The stall clock: when the link last said something, or fell owing
-    /// an answer, whichever is later.
-    quiet_since: Instant,
-    /// When the write queue last moved, or was last empty.
-    write_progress: Instant,
-}
-
-/// What a link heard.
-#[allow(clippy::large_enum_variant)] // matched as it is returned, never kept
-enum Heard {
-    Welcome(Welcome),
-    Frame(Frame),
+    /// When the link last fell owing an answer: its silence counts from
+    /// this or from when it last said something, whichever is later.
+    owed_since: Instant,
 }
 
 impl<X> Uplink<X> {
@@ -234,37 +249,28 @@ impl<X> Uplink<X> {
         self.link.as_ref().is_some_and(|link| link.welcomed)
     }
 
-    /// Dials `sock`, called `addr`, as the link, and queues its `Hello`
+    /// Dials `peer`, called `addr`, as the link, and queues its `Hello`
     /// (with the configured API key) for once it connects; the handshake
     /// deadline starts now. An error when the connect cannot even start.
     pub(crate) fn connect(
         &mut self,
-        (sock, addr): (SocketAddr, String),
+        (peer, addr): (SocketAddr, String),
         poller: &mut Poller,
         wheel: &mut TimerWheel,
     ) -> Result<(), CloudError> {
         let failed = |e| CloudError::Transport(format!("connect to {addr} failed: {e}"));
-        let stream = reactor::connect(sock).map_err(failed)?;
-        let _ = stream.set_nodelay(true);
-        poller
-            .register(stream.as_raw_fd(), self.token | LINK, Interest::BOTH)
-            .map_err(failed)?;
-        self.metrics.reactor_fd_registered();
+        let stream = reactor::connect(peer).map_err(failed)?;
+        let (token, metrics) = (self.token | LINK, &self.metrics);
+        let sock =
+            Socket::register(stream, token, Interest::BOTH, poller, metrics).map_err(failed)?;
         let now = Instant::now();
         let mut link = Link {
-            stream,
+            sock,
             addr,
             connected: false,
             welcomed: false,
-            decoder: FrameDecoder::new(),
-            writes: WriteQueue {
-                relay: true,
-                ..WriteQueue::default()
-            },
-            interest: Interest::BOTH,
             last_write: now,
-            quiet_since: now,
-            write_progress: now,
+            owed_since: now,
         };
         let hello = Frame::Hello {
             min_version: PROTOCOL_VERSION,
@@ -274,21 +280,6 @@ impl<X> Uplink<X> {
         link.send(&hello, &self.metrics);
         self.link = Some(link);
         self.schedule(wheel);
-        Ok(())
-    }
-
-    /// The link's connect, on its first writability: an error if it failed.
-    fn connected(&mut self) -> Result<(), CloudError> {
-        let Some(link) = self.link.as_mut().filter(|link| !link.connected) else {
-            return Ok(());
-        };
-        match link.stream.take_error() {
-            Ok(None) => link.connected = true,
-            Ok(Some(e)) | Err(e) => {
-                let cause = format!("connect to {} failed: {e}", link.addr);
-                return Err(CloudError::Transport(cause));
-            }
-        }
         Ok(())
     }
 
@@ -308,7 +299,7 @@ impl<X> Uplink<X> {
         if let Some(link) = self.link.as_mut().filter(|link| link.welcomed) {
             link.send_job(id, &mut job, &self.metrics);
             if !owed_before {
-                link.quiet_since = Instant::now(); // replies fall owed now
+                link.owed_since = Instant::now(); // replies fall owed now
             }
         }
         self.jobs.insert(id, job);
@@ -324,76 +315,9 @@ impl<X> Uplink<X> {
             for (&id, job) in &mut self.jobs {
                 link.send_job(id, job, &self.metrics);
             }
-            link.quiet_since = Instant::now();
+            link.owed_since = Instant::now();
         }
         self.jobs.len()
-    }
-
-    /// The next thing the link says: `Ok(None)` once its socket runs dry (or
-    /// there is no link), an error once it failed — EOF, a read or decode
-    /// error, or an answer to the `Hello` that is not a `Welcome`.
-    fn hear(&mut self) -> Result<Option<Heard>, CloudError> {
-        let Some(link) = self.link.as_mut() else {
-            return Ok(None);
-        };
-        loop {
-            if let Some((frame, wire)) = link.decoder.next_frame(self.config.max_frame_len)? {
-                self.metrics.relay_frame_received(wire);
-                if link.welcomed {
-                    return Ok(Some(Heard::Frame(frame)));
-                }
-                let welcome = match frame {
-                    Frame::Welcome {
-                        version,
-                        max_in_flight,
-                        max_frame_len,
-                    } => (version, max_in_flight, max_frame_len),
-                    Frame::Reject { reason } => return Err(CloudError::Handshake(reason)),
-                    other => {
-                        let reason = format!("expected Welcome, got {other:?}");
-                        return Err(CloudError::Handshake(reason));
-                    }
-                };
-                link.welcomed = true;
-                return Ok(Some(Heard::Welcome(welcome)));
-            }
-            match link.decoder.read_from(&mut link.stream) {
-                Ok(0) if !link.welcomed => {
-                    return Err(CloudError::Handshake(
-                        "server closed during handshake".into(),
-                    ))
-                }
-                Ok(0) => return Err(CloudError::Transport("server closed the connection".into())),
-                Ok(_) => link.quiet_since = Instant::now(),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                Err(e) => return Err(CloudError::Transport(format!("read failed: {e}"))),
-            }
-        }
-    }
-
-    /// Writes what the link has queued, once it is connected; `false` when
-    /// it broke.
-    fn flush(&mut self, poller: &mut Poller) -> bool {
-        let Some(link) = self.link.as_mut().filter(|link| link.connected) else {
-            return true;
-        };
-        let queued = link.writes.bytes;
-        let (_, outcome) = link.writes.flush(&mut link.stream, &self.metrics);
-        if link.writes.bytes < queued {
-            link.write_progress = Instant::now();
-        }
-        let want = Interest {
-            readable: true,
-            writable: outcome == FlushOutcome::Blocked,
-        };
-        if want != link.interest
-            && poller
-                .reregister(link.stream.as_raw_fd(), self.token | LINK, want)
-                .is_ok()
-        {
-            link.interest = want;
-        }
-        outcome != FlushOutcome::Broken
     }
 
     /// Arms the next deadline — the link's stall, its keep-alive once
@@ -404,7 +328,7 @@ impl<X> Uplink<X> {
         // A link with writes still queued is not idle: its ping is looked at
         // again a full interval on, not at an instant already past.
         let keepalive = self.link.as_ref().filter(|link| link.welcomed).map(|link| {
-            let busy = !link.writes.is_empty();
+            let busy = link.sock.queued() > 0;
             let from = if busy {
                 Instant::now()
             } else {
@@ -432,12 +356,11 @@ impl<X> Uplink<X> {
         } else {
             Some(self.config.handshake_timeout)
         };
-        let writes =
-            (!link.writes.is_empty()).then(|| link.write_progress + self.config.write_timeout);
+        let quiet_since = link.owed_since.max(link.sock.heard_at);
         answer
-            .map(|timeout| link.quiet_since + timeout)
+            .map(|timeout| quiet_since + timeout)
             .into_iter()
-            .chain(writes)
+            .chain(link.sock.stall_deadline(self.config.write_timeout))
             .min()
     }
 
@@ -445,23 +368,15 @@ impl<X> Uplink<X> {
     pub(crate) fn close(&mut self, poller: &mut Poller) -> Option<Link> {
         let mut link = self.link.take()?;
         self.timer_gen += 1;
-        if poller.deregister(link.stream.as_raw_fd()).is_ok() {
-            self.metrics.reactor_fd_deregistered();
-        }
-        let _ = link.stream.shutdown(Shutdown::Both);
-        link.writes.discard(&self.metrics);
+        link.sock.close(poller, &self.metrics);
         Some(link)
     }
 }
 
 impl Link {
     fn send(&mut self, frame: &Frame, metrics: &ServiceMetrics) {
-        let now = Instant::now();
-        if self.writes.is_empty() {
-            self.write_progress = now;
-        }
-        self.writes.push_frame(frame, false, metrics);
-        self.last_write = now;
+        self.sock.queue(frame, false, metrics);
+        self.last_write = Instant::now();
     }
 
     /// Queues a retained job, with its trace id if it has one.

@@ -145,9 +145,9 @@ impl Role for Face<'_> {
             }
             // Mid-job progress, streamed for jobs still owed.
             Frame::Progress { request_id, update } => {
-                if !conn.sink_broken && relay(conn).up.jobs.contains_key(&request_id) {
+                if relay(conn).up.jobs.contains_key(&request_id) {
                     let progress = Frame::Progress { request_id, update };
-                    conn.writes.push_frame(&progress, false, &shared.metrics);
+                    conn.sock.queue(&progress, false, &shared.metrics);
                 }
             }
             Frame::Pong { .. } => {}
@@ -177,7 +177,7 @@ pub(super) fn route(
     poller: &mut Poller,
     wheel: &mut TimerWheel,
 ) {
-    let token = conn.token;
+    let token = conn.sock.token;
     let relay = relay(conn);
     relay.key = api_key
         .clone()
