@@ -1232,6 +1232,49 @@ fn dropping_the_last_client_ends_its_session_and_answers_its_handles() {
     server.shutdown();
 }
 
+/// The twin of the test above: `close()` says `Goodbye` before the socket
+/// closes, so the session drains instead of losing its peer. The handle is
+/// answered `ServiceUnavailable`, the session ends once the reply is
+/// settled, and the job trains every epoch — a polite leave cancels
+/// nothing, where a dropped client's job is cancelled.
+#[test]
+fn closing_a_client_lets_its_session_drain_and_its_job_train_out() {
+    const EPOCHS: usize = 40;
+    let service = CloudService::builder()
+        .workers(1)
+        .observer(Arc::new(Mutex::new(SleepyObserver(Duration::from_millis(
+            15,
+        )))))
+        .build();
+    let server = CloudServer::bind(service, "127.0.0.1:0").expect("bind loopback");
+    let client = RemoteCloudClient::connect(server.local_addr()).expect("connect");
+    let mut handle = client.submit(&slow_job(9, EPOCHS)).expect("submit");
+    assert!(
+        wait_until(Duration::from_secs(20), || {
+            server.stats().epochs_trained >= 1
+        }),
+        "job never started training"
+    );
+
+    client.close();
+    match handle
+        .wait_timeout(Duration::from_secs(5))
+        .expect("a closed client's handle hung")
+    {
+        Err(CloudError::ServiceUnavailable) => {}
+        other => panic!("expected ServiceUnavailable, got {other:?}"),
+    }
+    assert!(
+        wait_until(Duration::from_secs(20), || server.session_count() == 0),
+        "the drained session never ended"
+    );
+    let stats = server.stats();
+    assert_eq!(stats.epochs_trained, EPOCHS as u64, "{stats}");
+    assert_eq!(stats.jobs_cancelled, 0, "{stats}");
+    assert_invariants(&stats);
+    server.shutdown();
+}
+
 /// A self-healing client turns `RateLimited` into a retry at the server's
 /// `retry_after`, never earlier: the retried submit finds the bucket
 /// refilled and trains, so the server refuses it exactly once.

@@ -3,11 +3,12 @@
 //! and which frames the proxy answers itself instead of relaying.
 
 use amalgam::cloud::transport::{write_frame, Frame, FrameDecoder};
-use amalgam::cloud::CloudService;
+use amalgam::cloud::{CloudObserver, CloudService};
 use amalgam::prelude::*;
-use amalgam::proxy::{AmalgamProxy, BreakerConfig, HashRing, ProxyConfig};
+use amalgam::proxy::{AmalgamProxy, BreakerConfig, Fault, FaultInjector, HashRing, ProxyConfig};
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The conservation laws of a quiescent snapshot
@@ -311,5 +312,67 @@ fn ping_and_get_stats_are_answered_by_the_proxy() {
         == 0));
     assert_invariants(&proxy.stats());
     proxy.shutdown();
+    backend.shutdown();
+}
+
+/// Stretches each batch to a controllable wall-clock time, so a fault can
+/// land mid-job; the training math is untouched.
+struct SleepyObserver(Duration);
+
+impl CloudObserver for SleepyObserver {
+    fn on_model(&mut self, _model: &GraphModel) {}
+
+    fn on_batch(&mut self, _inputs: &Tensor, _labels: &[usize]) {
+        std::thread::sleep(self.0);
+    }
+}
+
+/// The only backend dies mid-job: the relay's link to it fails, the one
+/// candidate left is the one that just failed the session, so the retained
+/// job is answered `ServiceUnavailable` (a client without a reconnect
+/// policy sees it) instead of hanging, and the proxy's counters conserve.
+#[test]
+fn the_only_backend_dying_mid_job_answers_the_job_service_unavailable() {
+    let service = CloudService::builder()
+        .workers(1)
+        .observer(Arc::new(Mutex::new(SleepyObserver(Duration::from_millis(
+            15,
+        )))))
+        .build();
+    let backend = CloudServer::bind(service, "127.0.0.1:0").expect("bind backend");
+    let injector = FaultInjector::spawn(backend.local_addr()).expect("spawn injector");
+    let config = ProxyConfig::default().probe_interval(Duration::from_secs(3600));
+    let proxy = AmalgamProxy::bind("127.0.0.1:0", &[injector.addr().to_string()], config)
+        .expect("bind proxy");
+    let client = RemoteCloudClient::connect(proxy.addr()).expect("connect");
+    let mut job = tiny_job(11);
+    job.train = TrainConfig::new(40, 4, 0.05).with_seed(11);
+    let mut handle = client.submit(&job).expect("submit");
+    assert!(
+        wait_until(Duration::from_secs(20), || {
+            backend.stats().epochs_trained >= 1
+        }),
+        "the job never started training"
+    );
+
+    injector.set_fault(Fault::Kill);
+    let t0 = Instant::now();
+    match handle
+        .wait_timeout(Duration::from_secs(5))
+        .expect("the handle hung after its backend died")
+    {
+        Err(CloudError::ServiceUnavailable) => {}
+        other => panic!("expected ServiceUnavailable, got {other:?}"),
+    }
+    assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+
+    client.close();
+    assert!(wait_until(Duration::from_secs(10), || proxy
+        .stats()
+        .connections_active
+        == 0));
+    assert_invariants(&proxy.stats());
+    proxy.shutdown();
+    injector.shutdown();
     backend.shutdown();
 }
