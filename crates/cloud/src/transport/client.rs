@@ -36,9 +36,10 @@
 //! `retry_after` — never earlier — until its resubmission budget runs out.
 
 use super::event_loop::link::{self, Job, Link, Role, Uplink, Welcome, LINK};
-use super::event_loop::{reactor_parts, spawn_reactor, Reactor, ReactorShared, Tier};
+use super::event_loop::{
+    reactor_parts, spawn_reactor, Inbound, Machine, Reactor, ReactorShared, Socket, Tier,
+};
 use super::frame::Frame;
-use super::timer::{Fired, TimerWheel};
 use super::{ClientStats, DecorrelatedJitter, ReconnectPolicy, RetryQueue, TransportConfig};
 use crate::metrics::{ServiceMetrics, ServiceStats};
 use crate::protocol::{CloudJob, JobResult, ProgressUpdate};
@@ -46,7 +47,6 @@ use crate::service::{Canceller, JobHandle};
 use crate::telemetry::{Stage, Telemetry, TraceId};
 use crate::CloudError;
 use bytes::Bytes;
-use reactor::Poller;
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -119,8 +119,8 @@ enum Command {
     Run(u64, Work),
 }
 
-/// Work for one session, run on the loop.
-type Work = Box<dyn FnOnce(&mut Session, &mut Reactor) + Send>;
+/// Work for one session, run on the loop at the turn's instant.
+type Work = Box<dyn FnOnce(&mut Session, Instant) + Send>;
 
 /// The client loop: `client-reactor`, serving every client's link. Every
 /// client holds it; the first starts it, and the last, dropping it, joins
@@ -165,7 +165,7 @@ impl Runtime {
     }
 
     /// Hands `work` to the session `token` on the loop.
-    fn run(&self, token: u64, work: impl FnOnce(&mut Session, &mut Reactor) + Send + 'static) {
+    fn run(&self, token: u64, work: impl FnOnce(&mut Session, Instant) + Send + 'static) {
         self.handle
             .enqueue(Command::Run(token, Box::new(work)), &self.metrics);
     }
@@ -202,42 +202,46 @@ struct Clients {
 impl Tier for Clients {
     type Item = Command;
 
-    fn io(&mut self, r: &mut Reactor, token: u64, readable: bool, writable: bool) {
-        if let Some(session) = self.sessions.get_mut(&(token & !LINK)) {
-            link::io(session, readable, writable, &mut r.poller, &mut r.wheel);
+    fn io(&mut self, r: &mut Reactor, token: u64, readable: bool) {
+        let owner = token & !LINK;
+        if let Some(session) = self.sessions.get_mut(&owner) {
+            r.ready(owner, session, true, readable);
         }
     }
 
     fn adopt(&mut self, r: &mut Reactor, command: Command, _stopped: bool) {
         match command {
             Command::Open(token, mut session) => {
-                session.dial(&mut r.poller, &mut r.wheel);
+                session.dial(r.now);
+                r.settle(token, &mut *session);
                 self.sessions.insert(token, *session);
             }
             Command::Run(token, work) => {
                 if let Some(session) = self.sessions.get_mut(&token).filter(|s| !s.ended) {
-                    work(session, r);
+                    work(session, r.now);
+                    session.unsettled = true;
                 }
             }
         }
     }
 
-    /// Flushes each link that submits were queued on this round, once; on
-    /// stop, every session still open ends.
+    /// Settles each session that inbox work touched this round, once — so
+    /// a burst of submits leaves in one write; on stop, every session still
+    /// open ends.
     fn round(&mut self, r: &mut Reactor, stopped: bool) {
-        for session in self.sessions.values_mut() {
-            if std::mem::take(&mut session.unflushed) {
-                link::flush(session, &mut r.poller, &mut r.wheel);
-            }
+        for (&token, session) in &mut self.sessions {
             if stopped {
-                session.end(CloudError::ServiceUnavailable, &mut r.poller);
+                session.end(CloudError::ServiceUnavailable);
+            }
+            if std::mem::take(&mut session.unsettled) || stopped {
+                r.settle(token, session);
             }
         }
     }
 
-    fn timer(&mut self, r: &mut Reactor, fired: Fired) {
-        if let Some(session) = self.sessions.get_mut(&(fired.token & !LINK)) {
-            session.due(fired.generation, r);
+    fn timer(&mut self, r: &mut Reactor, token: u64) {
+        if let Some(session) = self.sessions.get_mut(&token) {
+            r.fire(token, session);
         }
     }
 
@@ -268,8 +272,8 @@ struct Session {
     attempts: usize,
     /// When the next redial is due.
     redial_at: Option<Instant>,
-    /// Submits were queued on the link this round (the round flushes them).
-    unflushed: bool,
+    /// Inbox work ran on it this round (the round settles it).
+    unsettled: bool,
     ended: bool,
 }
 
@@ -281,13 +285,7 @@ impl Role for Session {
     }
 
     /// `connect` returns, or — the link was a reconnect — its tallies move.
-    fn welcomed(
-        &mut self,
-        welcome: Welcome,
-        resubmitted: usize,
-        _: &mut Poller,
-        w: &mut TimerWheel,
-    ) {
+    fn welcomed(&mut self, welcome: Welcome, resubmitted: usize, _: Instant) {
         match self.welcome.take() {
             Some(connect) => {
                 let _ = connect.send(Ok(welcome));
@@ -304,10 +302,9 @@ impl Role for Session {
         if let Some(jitter) = &mut self.jitter {
             jitter.reset();
         }
-        self.arm(w);
     }
 
-    fn heard(&mut self, frame: Frame, _: &mut Poller, w: &mut TimerWheel) -> bool {
+    fn heard(&mut self, frame: Frame, now: Instant) -> bool {
         match frame {
             // The echoed trace id (when present) is the one minted at
             // submit; the job already holds it.
@@ -315,7 +312,7 @@ impl Role for Session {
                 request_id, result, ..
             } => {
                 if let Some(job) = self.up.jobs.remove(&request_id) {
-                    self.answer(request_id, job, result, w);
+                    self.answer(request_id, job, result, now);
                 }
             }
             // A miss is benign: the frame raced the reply that retired the
@@ -338,27 +335,62 @@ impl Role for Session {
 
     /// A connect that failed moves on to the next address; a link that
     /// connected and then failed ends this attempt.
-    fn lost(&mut self, link: Link, cause: CloudError, p: &mut Poller, w: &mut TimerWheel) {
+    fn lost(&mut self, link: Link, cause: CloudError, now: Instant) {
         match (link.connected, self.next_addr < self.addrs.len()) {
-            (false, true) => self.dial(p, w),
-            _ => self.relink(link.welcomed, cause, p, w),
+            (false, true) => self.dial(now),
+            _ => self.relink(link.welcomed, cause, now),
         }
     }
 }
 
-impl Session {
-    /// Dials the attempt's next address that takes a connect; the link
-    /// handshakes once it connects. With none left, the attempt failed.
-    fn dial(&mut self, poller: &mut Poller, wheel: &mut TimerWheel) {
-        let mut cause = CloudError::Transport("no address to connect to".into());
-        while let Some(&addr) = self.addrs.get(self.next_addr) {
-            self.next_addr += 1;
-            match self.up.connect((addr, addr.to_string()), poller, wheel) {
-                Ok(()) => return,
-                Err(e) => cause = e,
+impl Machine for Session {
+    fn socket(&mut self, link: bool) -> Option<&mut Socket> {
+        link.then_some(&mut self.up.sock)
+    }
+
+    fn inbound(&mut self, _: bool, what: Inbound, now: Instant) {
+        link::inbound(self, what, now);
+    }
+
+    /// The link's deadline first, then a redial and the retries that fell
+    /// due — each queued now if the link is welcomed, or riding the next
+    /// link's resubmission.
+    fn timer(&mut self, now: Instant) {
+        link::fired(self, now);
+        if self.redial_at.is_some_and(|at| at <= now) {
+            self.redial(now);
+        }
+        for id in self.retries.pop_due(now) {
+            if let Some(job) = self.delayed.remove(&id) {
+                if self.up.welcomed() {
+                    self.state.jobs_resubmitted.fetch_add(1, Ordering::Relaxed);
+                }
+                self.up.retain(id, job, now);
             }
         }
-        self.relink(false, cause, poller, wheel);
+    }
+
+    /// The link's, the next redial's or the next retry's.
+    fn deadline(&self, now: Instant) -> Option<Instant> {
+        let own = self.redial_at.into_iter().chain(self.retries.next_due());
+        self.up.deadline(now).into_iter().chain(own).min()
+    }
+}
+
+impl Session {
+    /// Dials the attempt's next address; a connect that fails comes back as
+    /// the link's loss. With none left, the attempt failed.
+    fn dial(&mut self, now: Instant) {
+        match self.addrs.get(self.next_addr) {
+            Some(&addr) => {
+                self.next_addr += 1;
+                self.up.connect((addr, addr.to_string()), now);
+            }
+            None => {
+                let cause = CloudError::Transport("no address to connect to".into());
+                self.relink(false, cause, now);
+            }
+        }
     }
 
     /// Routes one reply to its handle. In reconnect mode a retryable one
@@ -370,7 +402,7 @@ impl Session {
         id: u64,
         mut job: Job<Waiter>,
         result: Result<JobResult, CloudError>,
-        wheel: &mut TimerWheel,
+        now: Instant,
     ) {
         let delay = match (&self.up.config.reconnect, &result) {
             (Some(_), Err(e @ CloudError::RateLimited { .. })) => e.retry_after(),
@@ -381,9 +413,8 @@ impl Session {
             Some(delay) if job.role.resubmits_left > 0 && !job.role.cancelled => {
                 job.role.resubmits_left -= 1;
                 self.state.retries_scheduled.fetch_add(1, Ordering::Relaxed);
-                self.retries.schedule(id, Instant::now() + delay);
+                self.retries.schedule(id, now + delay);
                 self.delayed.insert(id, job);
-                self.arm(wheel);
             }
             _ => {
                 // The submit-to-reply round trip: the first of the three
@@ -400,45 +431,11 @@ impl Session {
         }
     }
 
-    /// Arms the link's deadline together with the session's own: its next
-    /// redial and its next retry.
-    fn arm(&mut self, wheel: &mut TimerWheel) {
-        self.up.wake_at = self
-            .redial_at
-            .into_iter()
-            .chain(self.retries.next_due())
-            .min();
-        self.up.schedule(wheel);
-    }
-
-    /// The session's deadline fired: the link's first, then a redial and
-    /// the retries that fell due — each queued now if the link is welcomed,
-    /// or riding the next link's resubmission.
-    fn due(&mut self, generation: u64, r: &mut Reactor) {
-        if !link::fired(self, generation, &mut r.poller, &mut r.wheel) {
-            return;
-        }
-        let now = Instant::now();
-        if self.redial_at.is_some_and(|at| at <= now) {
-            self.redial(&mut r.poller, &mut r.wheel);
-        }
-        for id in self.retries.pop_due(now) {
-            if let Some(job) = self.delayed.remove(&id) {
-                if self.up.welcomed() {
-                    self.state.jobs_resubmitted.fetch_add(1, Ordering::Relaxed);
-                }
-                self.up.retain(id, job, &mut r.wheel);
-            }
-        }
-        self.arm(&mut r.wheel);
-        link::flush(self, &mut r.poller, &mut r.wheel);
-    }
-
     /// A new attempt, from the first address.
-    fn redial(&mut self, poller: &mut Poller, wheel: &mut TimerWheel) {
+    fn redial(&mut self, now: Instant) {
         self.redial_at = None;
         self.next_addr = 0;
-        self.dial(poller, wheel);
+        self.dial(now);
     }
 
     /// After a lost link or a failed attempt: stats requests are answered
@@ -446,7 +443,7 @@ impl Session {
     /// again. Without a reconnect policy the session then ends; with one it
     /// re-dials, at once after a welcomed link and after a backoff after a
     /// failed attempt, until the attempt budget runs out.
-    fn relink(&mut self, welcomed: bool, cause: CloudError, p: &mut Poller, w: &mut TimerWheel) {
+    fn relink(&mut self, welcomed: bool, cause: CloudError, now: Instant) {
         self.stats.clear();
         self.up.jobs.retain(|_, job| {
             if job.role.cancelled {
@@ -457,26 +454,25 @@ impl Session {
         let (Some(policy), Some(jitter), None) =
             (&self.up.config.reconnect, &mut self.jitter, &self.welcome)
         else {
-            return self.end(cause, p);
+            return self.end(cause);
         };
         if welcomed {
-            return self.redial(p, w);
+            return self.redial(now);
         }
         self.attempts += 1;
         if policy.max_dial_attempts > 0 && self.attempts >= policy.max_dial_attempts {
-            return self.end(cause, p);
+            return self.end(cause);
         }
-        self.redial_at = Some(Instant::now() + jitter.next_delay());
-        self.arm(w);
+        self.redial_at = Some(now + jitter.next_delay());
     }
 
     /// The session is over: its link closes, and everything still waiting
     /// is answered — a `connect` with `cause`, the rest, dropped,
     /// `ServiceUnavailable`.
-    fn end(&mut self, cause: CloudError, poller: &mut Poller) {
+    fn end(&mut self, cause: CloudError) {
         self.ended = true;
         self.state.closed.store(true, Ordering::SeqCst);
-        self.up.close(poller);
+        self.up.close();
         if let Some(connect) = self.welcome.take() {
             let _ = connect.send(Err(cause));
         }
@@ -485,23 +481,16 @@ impl Session {
         self.stats.clear();
     }
 
-    fn submit(&mut self, id: u64, job: Job<Waiter>, r: &mut Reactor) {
-        self.up.retain(id, job, &mut r.wheel);
-        self.unflushed = true;
-    }
-
     /// Marks job `id` cancelled and (best effort) tells the server; the
     /// reply still settles it. A job no link carries right now is settled
     /// at once.
-    fn cancel(&mut self, id: u64, r: &mut Reactor) {
+    fn cancel(&mut self, id: u64, now: Instant) {
         let settled = match self.delayed.remove(&id) {
             None if !self.up.welcomed() => self.up.jobs.remove(&id),
             None => {
                 if let Some(job) = self.up.jobs.get_mut(&id) {
                     job.role.cancelled = true;
-                    if self.up.send(&Frame::Cancel { request_id: id }) {
-                        link::flush(self, &mut r.poller, &mut r.wheel);
-                    }
+                    self.up.send(&Frame::Cancel { request_id: id }, now);
                 }
                 None
             }
@@ -514,25 +503,20 @@ impl Session {
 
     /// Asks the server for its stats on the welcomed link; with none, the
     /// answer is `ServiceUnavailable` at once.
-    fn fetch_stats(
-        &mut self,
-        id: u64,
-        tx: Sender<Result<ServiceStats, CloudError>>,
-        r: &mut Reactor,
-    ) {
-        if self.up.send(&Frame::GetStats { request_id: id }) {
+    fn fetch_stats(&mut self, id: u64, tx: Sender<Result<ServiceStats, CloudError>>, now: Instant) {
+        if self.up.send(&Frame::GetStats { request_id: id }, now) {
             self.stats.insert(id, tx);
-            link::flush(self, &mut r.poller, &mut r.wheel);
         }
     }
 
-    /// `close()` says `Goodbye` (best effort) before the end; a dropped
-    /// client just ends, and the server sees its peer gone.
-    fn close(&mut self, goodbye: bool, r: &mut Reactor) {
-        if goodbye && self.up.send(&Frame::Goodbye) {
-            link::flush(self, &mut r.poller, &mut r.wheel);
+    /// `close()` says `Goodbye` (best effort) before the end — the driver
+    /// writes it before the socket closes; a dropped client just ends, and
+    /// the server sees its peer gone.
+    fn close(&mut self, goodbye: bool, now: Instant) {
+        if goodbye {
+            self.up.send(&Frame::Goodbye, now);
         }
-        self.end(CloudError::ServiceUnavailable, &mut r.poller);
+        self.end(CloudError::ServiceUnavailable);
     }
 }
 
@@ -597,7 +581,7 @@ impl RemoteCloudClient {
             retries: RetryQueue::new(),
             attempts: 0,
             redial_at: None,
-            unflushed: false,
+            unsettled: false,
             ended: false,
         };
         let open = Command::Open(token, Box::new(session));
@@ -666,7 +650,7 @@ impl RemoteCloudClient {
         let (tx, rx) = channel();
         shared
             .runtime
-            .run(shared.token, move |s, r| s.fetch_stats(id, tx, r));
+            .run(shared.token, move |s, now| s.fetch_stats(id, tx, now));
         rx.recv().map_err(|_| CloudError::ServiceUnavailable)?
     }
 
@@ -736,7 +720,7 @@ impl RemoteCloudClient {
         };
         shared
             .runtime
-            .run(shared.token, move |s, r| s.submit(id, job, r));
+            .run(shared.token, move |s, now| s.up.retain(id, job, now));
         let cancel = Canceller::Remote(Arc::downgrade(&self.shared));
         Ok(JobHandle::new(id, rx, progress_rx, cancel))
     }
@@ -757,8 +741,8 @@ impl RemoteCloudClient {
     pub fn close(self) {
         let (done, closed) = channel::<()>();
         self.shared.state.closed.store(true, Ordering::SeqCst);
-        self.shared.runtime.run(self.shared.token, move |s, r| {
-            s.close(true, r);
+        self.shared.runtime.run(self.shared.token, move |s, now| {
+            s.close(true, now);
             drop(done);
         });
         let _ = closed.recv();
@@ -768,7 +752,8 @@ impl RemoteCloudClient {
 impl ClientShared {
     /// Posts a `Cancel` for request `id` on the client loop.
     pub(crate) fn cancel(&self, id: u64) {
-        self.runtime.run(self.token, move |s, r| s.cancel(id, r));
+        self.runtime
+            .run(self.token, move |s, now| s.cancel(id, now));
     }
 }
 
@@ -777,7 +762,7 @@ impl Drop for ClientShared {
     /// server sees its peer gone and abandons what it was running), and
     /// the lease, dropped next, joins the client loop if it was the last.
     fn drop(&mut self) {
-        self.runtime.run(self.token, |s, r| s.close(false, r));
+        self.runtime.run(self.token, |s, now| s.close(false, now));
     }
 }
 

@@ -31,14 +31,9 @@
 //! token with the link bit set — the `relay` submodule), a *probe* (a
 //! relay's health check of one backend, on its reactor 0, also in `relay`)
 //! or a *client session* (a remote client's connection, on the client
-//! loop). All four share one socket (the `socket` submodule): registration,
-//! the read path (decoder, frame cap, received frames counted), the write
-//! path (queue, vectored writes, sent frames counted), the interest it
-//! holds, the stall clock and the close. Above it sit two state machines: a
-//! server session's (below) and the three dialing roles' *link* (the `link`
-//! submodule: its dial, handshake, deadlines and retained jobs). No thread
-//! runs beside the reactors. Threads per tier, whatever the number of
-//! connections:
+//! loop). All four sit on one socket type (the `socket` submodule) under
+//! one driver (below). No thread runs beside the reactors. Threads per
+//! tier, whatever the number of connections:
 //!
 //! | tier | threads | gate |
 //! |------|---------|------|
@@ -46,6 +41,34 @@
 //! | relay (proxy) | `proxy-reactor-<i>` × `io_threads` | `tests/proxy_scale.rs`, 128 sessions: 2 (a thread per session ran 258) |
 //! | clients | `client-reactor` | `tests/transport_scale.rs`, 128 clients: 1 (a thread per client ran 256) |
 //! | a worker's training step | at most one scoped `nn-island` helper, joined before the step returns (`nn::graph`, "Islands") | `tests/island_threads.rs` |
+//!
+//! # Driver and machines
+//!
+//! The reactor is the one driver. The machines — a server session
+//! (`handle_frame` and its transitions, below), the link (the `link`
+//! submodule) in its three roles (a relay session's `Face`, a `Probe`, a
+//! client `Session`) and a relay session's upstream (`Relay`) — take
+//! `(event, now)`: `now` is the instant the reactor read, once, at the top
+//! of the turn. A handler may change its machine's state, queue frames on
+//! its sockets, stop a socket's reading, and ask a socket to dial or to
+//! close; it touches no poller, timer wheel or stream, and arms nothing —
+//! it reports its next deadline ([`Machine::deadline`]).
+//!
+//! After any event on an owner — readiness, adoption, a reply pump, inbox
+//! work, its deadline — one settle step ([`Reactor::settle`]) does all of
+//! the owner's I/O, on its own socket and its link's: a close (what is
+//! queued is written as far as the socket takes it, then it is
+//! deregistered and shut down — so a `Goodbye` or `Reject` queued before
+//! a close goes out first), a dial and its registration, then a flush and
+//! the interest it leaves. A failed connect or write, or a queue stalled
+//! past `write_timeout`, closes the socket and goes back to the machine as
+//! that socket's failure; the machine may ask for more (a failed link
+//! dials the next candidate), and once it asks for nothing more it sees
+//! where the I/O left it ([`Machine::settled`]: a drained session closes, a
+//! probe with a verdict ends). Last, the owner's one deadline — its
+//! machine's or its sockets' write stalls, whichever is first — is armed
+//! under one rule (`timer::Timers`). On readability the driver first takes
+//! frames until the socket runs dry or the machine stops reading.
 //!
 //! # A session on the wire
 //!
@@ -87,7 +110,9 @@
 //! timeout, a stop). Draining reads and submits nothing, but in-flight jobs
 //! run on and replies flush; once the peer is gone (EOF, a read error, a
 //! broken sink) its jobs cancel at their next epoch. A stop closes a relay
-//! session: it has no service to drain.
+//! session: it has no service to drain. A relay session whose route is
+//! being found has no deadline of its own: each dial is bounded by its
+//! link's handshake timeout, and the candidates are finite.
 //!
 //! # Backpressure
 //!
@@ -96,11 +121,12 @@
 //! flushed, so a peer that stops reading has its submits shed `Overloaded`.
 //! One stall rule holds for every role: the clock starts when a frame lands
 //! on an empty queue and restarts whenever bytes leave; a queue that stays
-//! put for [`TransportConfig::write_timeout`] breaks the sink. A session
-//! then settles its replies without writing, so drain completes; a link
-//! fails at its next deadline. A client's keep-alive interval is jittered
-//! to 75–100 % of the configured one, keyed by its session token
-//! (`jittered_interval`), so clients opened together do not ping in step.
+//! put for [`TransportConfig::write_timeout`] breaks the sink, and its
+//! owner hears its socket failed: a session settles its replies without
+//! writing, so drain completes; a link fails. A client's keep-alive
+//! interval is jittered to 75–100 % of the configured one, keyed by its
+//! session token (`jittered_interval`), so clients opened together do not
+//! ping in step.
 //!
 //! # Graceful shutdown
 //!
@@ -118,8 +144,10 @@ mod socket;
 
 use super::frame::{write_frame, Frame};
 use super::server::{ServerShared, Upstream};
-use super::timer::{Fired, TimerWheel};
-use super::{TransportConfig, PROTOCOL_VERSION};
+use super::timer::{TimerWheel, Timers};
+#[cfg(doc)]
+use super::TransportConfig;
+use super::PROTOCOL_VERSION;
 use crate::metrics::ServiceMetrics;
 use crate::pipeline::SessionKey;
 use crate::protocol::JobResult;
@@ -128,7 +156,7 @@ use crate::telemetry::TraceId;
 use crate::CloudError;
 use bytes::Bytes;
 use reactor::{Event, Interest, Poller, WakeReceiver, Waker};
-use socket::{FlushOutcome, Inbound, Socket};
+pub(super) use socket::{Inbound, Socket};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -195,12 +223,10 @@ impl<T> ReactorShared<T> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(item);
-        if self.waker.wake() {
-            metrics.reactor_wakeup();
-        }
+        self.kick(metrics);
     }
 
-    /// Wakes the reactor with nothing attached (shutdown kick).
+    /// Wakes the reactor (with nothing attached: a shutdown kick).
     pub(super) fn kick(&self, metrics: &ServiceMetrics) {
         if self.waker.wake() {
             metrics.reactor_wakeup();
@@ -218,29 +244,43 @@ impl<T> ReactorShared<T> {
             ready.push(token);
         }
         drop(ready);
-        if self.waker.wake() {
-            metrics.reactor_wakeup();
-        }
+        self.kick(metrics);
     }
 }
 
 /// What a reactor thread serves. The loop ([`Reactor::run`]) is one; these
-/// are the points where a server's pool and the client loop differ.
+/// are the points where a server's pool and the client loop differ. Each
+/// hands the machine an event touches to the driver to settle.
 pub(super) trait Tier: Send + 'static {
     /// What other threads hand this tier through the inbox.
     type Item: Send + 'static;
     /// Runs once, before the first round.
     fn start(&mut self, _r: &mut Reactor) {}
     /// Readiness on a token this tier registered.
-    fn io(&mut self, r: &mut Reactor, token: u64, readable: bool, writable: bool);
+    fn io(&mut self, r: &mut Reactor, token: u64, readable: bool);
     /// One item from the inbox.
     fn adopt(&mut self, r: &mut Reactor, item: Self::Item, stopped: bool);
     /// Runs once per round, after the inbox.
     fn round(&mut self, r: &mut Reactor, stopped: bool);
-    /// A deadline this tier armed fell due.
-    fn timer(&mut self, r: &mut Reactor, fired: Fired);
+    /// The deadline armed for `token` fell due.
+    fn timer(&mut self, r: &mut Reactor, token: u64);
     /// Drops closed connections; `true` once none is left.
     fn reap(&mut self) -> bool;
+}
+
+/// A connection state machine, as its driver sees it: it takes events with
+/// the turn's instant, and its sockets' I/O is the driver's.
+pub(super) trait Machine {
+    /// Its own socket (`link` false), or its link's when it has one.
+    fn socket(&mut self, link: bool) -> Option<&mut Socket>;
+    /// What that socket said: a frame, its end, or its failure.
+    fn inbound(&mut self, link: bool, what: Inbound, now: Instant);
+    /// Its deadline fell due; it may find nothing due yet.
+    fn timer(&mut self, now: Instant);
+    /// The driver did the I/O it asked for: react to where that left it.
+    fn settled(&mut self, _now: Instant) {}
+    /// Its next deadline; its sockets' write stalls are the driver's.
+    fn deadline(&self, now: Instant) -> Option<Instant>;
 }
 
 /// Spawns the thread `name` running `tier` on one reactor's parts; it
@@ -258,19 +298,7 @@ pub(super) fn spawn_reactor<T: Tier>(
     metrics.reactor_fd_registered();
     std::thread::Builder::new()
         .name(name)
-        .spawn(move || {
-            Reactor {
-                poller,
-                wake_rx,
-                metrics,
-                stop,
-                wheel: TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS),
-                next_token: 0,
-                events: Vec::new(),
-                fired: Vec::new(),
-            }
-            .run(tier, &handle)
-        })
+        .spawn(move || Reactor::run((wake_rx, poller), metrics, stop, tier, &handle))
         .expect("spawn reactor")
 }
 
@@ -337,8 +365,10 @@ enum ConnState {
     Closed,
 }
 
-/// One connection's entire state, owned by its reactor thread.
+/// One server-role connection's entire state, owned by its reactor thread:
+/// the server session's machine.
 struct Conn {
+    shared: Arc<ServerShared>,
     /// Closed once the connection is, or once its sink broke: a write
     /// failed or stalled out, and what is owed is settled without writing.
     sock: Socket,
@@ -364,33 +394,29 @@ struct Conn {
     /// Cancellation flag of each accepted submit still executing; a Cancel
     /// frame for the request id flips it, the reply retires it.
     cancels: HashMap<u64, CancelFlag>,
-    /// Submits accepted but whose reply bytes are not yet fully flushed
-    /// (or discarded). Queued replies count: a peer that stops reading
-    /// keeps its slots occupied.
-    in_flight: usize,
+    /// Submits the service accepted and has not answered yet.
+    running: usize,
     /// Still counted in [`ServerShared`]'s submitter gauge.
     counts_submitter: bool,
     /// `conn_opened` was recorded (so `conn_closed` is owed).
     counts_session_open: bool,
-    /// The deadline armed on the wheel, and its generation (a stale fire
-    /// is ignored).
-    armed: Option<Instant>,
-    timer_gen: u64,
 }
 
-/// One event-loop thread's own machinery: its poller, timer wheel and token
-/// counter, what it counts into, and its stop flag. What it serves is its
-/// [`Tier`].
+/// One event-loop thread's own machinery — its poller, its deadlines and
+/// token counter, the turn's instant, what it counts into and its stop
+/// flag: the driver. What it serves is its [`Tier`].
 pub(super) struct Reactor {
-    pub(super) poller: Poller,
-    pub(super) wheel: TimerWheel,
+    poller: Poller,
+    pub(super) timers: Timers,
+    /// The clock, read once per turn.
+    pub(super) now: Instant,
     wake_rx: WakeReceiver,
     metrics: Arc<ServiceMetrics>,
     stop: Arc<AtomicBool>,
     next_token: u64,
-    /// Reused buffers for poll results and fired timers.
+    /// Reused buffers for poll results and owners whose deadline fired.
     events: Vec<Event>,
-    fired: Vec<Fired>,
+    due: Vec<u64>,
 }
 
 /// A server reactor's tier: the connections of its share of the pool.
@@ -433,22 +459,43 @@ impl Reactor {
         self.next_token - 1
     }
 
-    fn run<T: Tier>(mut self, mut tier: T, handle: &ReactorShared<T::Item>) {
-        tier.start(&mut self);
+    fn run<T: Tier>(
+        (wake_rx, poller): ReactorPrivate,
+        metrics: Arc<ServiceMetrics>,
+        stop: Arc<AtomicBool>,
+        mut tier: T,
+        handle: &ReactorShared<T::Item>,
+    ) {
+        let mut r = Reactor {
+            poller,
+            timers: Timers::new(TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS)),
+            now: Instant::now(),
+            wake_rx,
+            metrics,
+            stop,
+            next_token: 0,
+            events: Vec::new(),
+            due: Vec::new(),
+        };
+        tier.start(&mut r);
         // Swapped with the inbox each round, so neither side reallocates.
         let mut inbox = Vec::new();
         loop {
-            let timeout = self
+            let timeout = r
+                .timers
                 .wheel
                 .next_deadline()
-                .map(|dl| dl.saturating_duration_since(Instant::now()));
-            let mut events = std::mem::take(&mut self.events);
-            if self.poller.wait(&mut events, timeout).is_err() {
+                .map(|dl| dl.saturating_duration_since(r.now));
+            let mut events = std::mem::take(&mut r.events);
+            if r.poller.wait(&mut events, timeout).is_err() {
                 // A broken poller would spin; back off and keep draining via
                 // wake-ups and timers.
                 std::thread::sleep(Duration::from_millis(1));
             }
-            self.metrics.reactor_events(events.len());
+            // The one clock read of the turn: every event below is handled
+            // at this instant.
+            r.now = Instant::now();
+            r.metrics.reactor_events(events.len());
             // Drain the waker before reading anything it guards: a wake that
             // lands while this wake-up is being served is coalesced into it
             // (no new byte), so what it published — the stop flag here, the
@@ -456,29 +503,29 @@ impl Reactor {
             // The same iteration that drains the shutdown kick therefore
             // also observes the flag and applies it.
             if events.iter().any(|ev| ev.token == WAKER_TOKEN) {
-                self.wake_rx.drain();
+                r.wake_rx.drain();
             }
-            let stopped = self.stop.load(Ordering::SeqCst);
+            let stopped = r.stop.load(Ordering::SeqCst);
             for ev in events.iter().filter(|ev| ev.token != WAKER_TOKEN) {
-                tier.io(&mut self, ev.token, ev.readable, ev.writable);
+                tier.io(&mut r, ev.token, ev.readable);
             }
-            self.events = events;
+            r.events = events;
 
             std::mem::swap(
                 &mut *handle.inbox.lock().unwrap_or_else(PoisonError::into_inner),
                 &mut inbox,
             );
             for item in inbox.drain(..) {
-                tier.adopt(&mut self, item, stopped);
+                tier.adopt(&mut r, item, stopped);
             }
-            tier.round(&mut self, stopped);
+            tier.round(&mut r, stopped);
 
-            let mut fired = std::mem::take(&mut self.fired);
-            self.wheel.advance(Instant::now(), &mut fired);
-            for f in fired.drain(..) {
-                tier.timer(&mut self, f);
+            let mut due = std::mem::take(&mut r.due);
+            r.timers.advance(r.now, &mut due);
+            for token in due.drain(..) {
+                tier.timer(&mut r, token);
             }
-            self.fired = fired;
+            r.due = due;
 
             if tier.reap()
                 && stopped
@@ -488,13 +535,68 @@ impl Reactor {
                     .unwrap_or_else(PoisonError::into_inner)
                     .is_empty()
             {
-                self.poller
-                    .deregister(self.wake_rx.fd())
+                r.poller
+                    .deregister(r.wake_rx.fd())
                     .expect("deregister reactor waker");
-                self.metrics.reactor_fd_deregistered();
+                r.metrics.reactor_fd_deregistered();
                 return;
             }
         }
+    }
+
+    /// Readiness on `m`'s socket (`link` names which), `m` owning `token`:
+    /// a readable socket's frames go to `m` until it runs dry, ends, or `m`
+    /// stops reading. Then `m` is settled (a writable one is flushed, a
+    /// connect ended).
+    pub(super) fn ready<M: Machine>(&mut self, token: u64, m: &mut M, link: bool, readable: bool) {
+        let (now, metrics) = (self.now, &*self.metrics);
+        let reads = |sock: &&mut Socket| readable && sock.reads();
+        while let Some(what) = m
+            .socket(link)
+            .filter(reads)
+            .and_then(|s| s.next_frame(metrics))
+        {
+            let end = !matches!(what, Inbound::Frame(_));
+            m.inbound(link, what, now);
+            if end {
+                break;
+            }
+        }
+        self.settle(token, m);
+    }
+
+    /// The deadline of `m`, owning `token`, fell due.
+    pub(super) fn fire<M: Machine>(&mut self, token: u64, m: &mut M) {
+        m.timer(self.now);
+        self.settle(token, m);
+    }
+
+    /// The settle step, after any event on `m`, owning `token`: all of its
+    /// sockets' I/O, each failure handed back to it, until it asks for
+    /// nothing more; then its one deadline is armed.
+    pub(super) fn settle<M: Machine>(&mut self, token: u64, m: &mut M) {
+        let (now, poller, metrics) = (self.now, &mut self.poller, &*self.metrics);
+        loop {
+            for link in [false, true] {
+                while let Some(failed) = m.socket(link).and_then(|s| s.io(poller, metrics, now)) {
+                    m.inbound(link, failed, now);
+                }
+            }
+            m.settled(now);
+            if ![false, true]
+                .into_iter()
+                .any(|link| m.socket(link).is_some_and(|s| s.pending()))
+            {
+                break;
+            }
+        }
+        let stalls = [false, true].map(|link| m.socket(link).and_then(|s| s.stall_deadline()));
+        let at = m
+            .deadline(now)
+            .into_iter()
+            .chain(stalls.into_iter().flatten())
+            .min();
+        self.timers.arm(token, at);
     }
 }
 
@@ -504,79 +606,69 @@ impl Tier for Sessions {
     /// A relay's first health sweep is due at once.
     fn start(&mut self, r: &mut Reactor) {
         if self.prober.is_some() {
-            r.wheel.insert(Instant::now(), SWEEP_TOKEN, 0);
+            r.timers.arm(SWEEP_TOKEN, Some(r.now));
         }
     }
 
     /// Readiness for a listener, a scrape, a connection's socket, its
     /// backend link or a health probe.
-    fn io(&mut self, r: &mut Reactor, token: u64, readable: bool, writable: bool) {
+    fn io(&mut self, r: &mut Reactor, token: u64, readable: bool) {
         if matches!(token, LISTENER_TOKEN | EXPORTER_TOKEN) {
             return self.accept(r, token);
         }
         if self.http_conns.contains_key(&token) {
             return self.handle_http_io(r, token, readable);
         }
-        let Some(conn) = self.conns.get_mut(&(token & !link::LINK)) else {
-            if let Some(prober) = &mut self.prober {
-                prober.io(token & !link::LINK, (readable, writable), &self.shared, r);
+        let owner = token & !link::LINK;
+        match (self.conns.get_mut(&owner), &mut self.prober) {
+            (Some(conn), _) => r.ready(owner, conn, token != owner, readable),
+            (None, Some(prober)) => {
+                prober.on(owner, &self.shared, r, |r, probe| {
+                    r.ready(owner, probe, true, readable)
+                });
             }
-            return; // or a stale event for an already-closed token
-        };
-        let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
-        if token & link::LINK != 0 {
-            return relay::link_io(conn, readable, writable, shared, poller, wheel);
-        }
-        if writable {
-            flush_writes(conn, shared, poller, wheel);
-        }
-        if readable {
-            on_readable(conn, shared, poller, wheel);
+            (None, None) => {} // a stale event for an already-closed token
         }
     }
 
-    /// Registers a connection reactor 0 dealt here. Under stop, it is
+    /// Takes up a connection reactor 0 dealt here. Under stop, it is
     /// closed immediately instead (reactor 0 dealt it before it saw the
     /// flag).
     fn adopt(&mut self, r: &mut Reactor, stream: TcpStream, stopped: bool) {
-        let token = r.token();
-        let metrics = &self.shared.metrics;
-        let sock = (!stopped)
-            .then(|| Socket::register(stream, token, Interest::READABLE, &mut r.poller, metrics));
-        let Some(Ok(sock)) = sock else {
+        if stopped {
             self.shared.submitters_dec();
             self.shared.release_conn(false);
             self.handle.live.fetch_sub(1, Ordering::SeqCst);
             return;
-        };
+        }
+        let (token, shared) = (r.token(), &self.shared);
         let (tx, rx) = channel();
         let notify = {
             let handle = Arc::clone(&self.handle);
-            let metrics = Arc::clone(&self.shared.metrics);
+            let metrics = Arc::clone(&shared.metrics);
             Arc::new(move || handle.notify_replies(token, &metrics)) as Arc<dyn Fn() + Send + Sync>
         };
         let peer_alive = Arc::new(AtomicBool::new(true));
         let mut conn = Conn {
-            sock,
+            shared: Arc::clone(shared),
+            sock: Socket::accepted(stream, token, &shared.config),
             state: ConnState::Handshaking,
             replies_rx: rx,
             routed: RoutedSender::new(tx, notify, Arc::clone(&peer_alive)),
-            relay: match self.shared.upstream {
+            relay: match shared.upstream {
                 Upstream::Service(_) => None,
-                Upstream::Relay { .. } => Some(relay::Relay::new(self.index, token, &self.shared)),
+                Upstream::Relay { .. } => Some(relay::Relay::new(self.index, token, shared)),
             },
             peer_alive,
             session_client: None,
             greeted: false,
             traces: HashMap::new(),
             cancels: HashMap::new(),
-            in_flight: 0,
+            running: 0,
             counts_submitter: true,
             counts_session_open: false,
-            armed: None,
-            timer_gen: 0,
         };
-        arm(&mut conn, &self.shared.config, &mut r.wheel);
+        r.settle(token, &mut conn);
         self.conns.insert(token, conn);
     }
 
@@ -592,7 +684,8 @@ impl Tier for Sessions {
         );
         for token in tokens {
             if let Some(conn) = self.conns.get_mut(&token) {
-                pump_replies(conn, &self.shared, &mut r.poller, &mut r.wheel);
+                pump_replies(conn);
+                r.settle(token, conn);
             }
         }
         if stopped {
@@ -600,39 +693,18 @@ impl Tier for Sessions {
         }
     }
 
-    /// A connection's deadline fired, or its link's, a resting listener's,
-    /// the health sweep's or a probe's.
-    fn timer(&mut self, r: &mut Reactor, f: Fired) {
-        if matches!(f.token, LISTENER_TOKEN | EXPORTER_TOKEN) {
-            return self.listen(r, f.token, false);
-        }
-        let Some(conn) = self.conns.get_mut(&(f.token & !link::LINK)) else {
-            if let Some(prober) = &mut self.prober {
-                match f.token {
-                    SWEEP_TOKEN => prober.sweep(&self.shared, r),
-                    token => prober.timer(token & !link::LINK, f.generation, &self.shared, r),
-                }
+    /// A connection's deadline fired, a resting listener's, the health
+    /// sweep's or a probe's.
+    fn timer(&mut self, r: &mut Reactor, token: u64) {
+        match (token, self.conns.get_mut(&token), &mut self.prober) {
+            (LISTENER_TOKEN | EXPORTER_TOKEN, ..) => self.listen(r, token, false),
+            (SWEEP_TOKEN, _, Some(prober)) => prober.sweep(&self.shared, r),
+            (_, Some(conn), _) => r.fire(token, conn),
+            (_, None, Some(prober)) => {
+                prober.on(token, &self.shared, r, |r, probe| r.fire(token, probe));
             }
-            return;
-        };
-        let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
-        if f.token & link::LINK != 0 {
-            return relay::link_timer(conn, f.generation, shared, poller, wheel);
+            (_, None, None) => {}
         }
-        if f.generation != conn.timer_gen {
-            return;
-        }
-        conn.armed = None;
-        let now = Instant::now();
-        match deadlines(conn, &shared.config).map(|at| at.is_some_and(|at| at <= now)) {
-            [_, true] => mark_sink_broken(conn, shared, poller, wheel),
-            // A silent opener is not a protocol offense — just close
-            // (parity with the old transport).
-            [true, _] if conn.state == ConnState::Handshaking => close_conn(conn, shared, poller),
-            [true, _] => enter_draining(conn, shared, poller, wheel),
-            [false, false] => {}
-        }
-        arm(conn, &shared.config, wheel);
     }
 
     /// `true` once no connection is here or on its way here.
@@ -737,7 +809,7 @@ impl Sessions {
         if rest && r.poller.deregister(fd).is_ok() {
             metrics.reactor_fd_deregistered();
         }
-        r.wheel.insert(Instant::now() + ACCEPT_REST, token, 0);
+        r.timers.arm(token, Some(r.now + ACCEPT_REST));
     }
 
     /// Drives one exporter scrape: read until the request head is complete
@@ -813,113 +885,134 @@ impl Sessions {
     /// `CloudServer::shutdown` drain the service knowing the reply set is
     /// complete.
     fn apply_stop(&mut self, r: &mut Reactor) {
-        let (shared, Reactor { poller, wheel, .. }) = (&self.shared, r);
         if let Some(mut prober) = self.prober.take() {
-            prober.stop(poller);
+            prober.stop(r);
         }
         // The listeners die first, so the port refuses connections once
         // shutdown returns; in-flight scrapes are dropped (a scraper retries;
         // a half-written metrics page is junk either way once the server is
         // gone).
+        let metrics = &self.shared.metrics;
         for (_, listener) in self.listeners.drain(..) {
-            if poller.deregister(listener.as_raw_fd()).is_ok() {
-                shared.metrics.reactor_fd_deregistered();
+            if r.poller.deregister(listener.as_raw_fd()).is_ok() {
+                metrics.reactor_fd_deregistered();
             }
         }
         for (_, http) in self.http_conns.drain() {
-            if poller.deregister(http.stream.as_raw_fd()).is_ok() {
-                shared.metrics.reactor_fd_deregistered();
+            if r.poller.deregister(http.stream.as_raw_fd()).is_ok() {
+                metrics.reactor_fd_deregistered();
             }
             let _ = http.stream.shutdown(Shutdown::Both);
         }
-        for conn in self.conns.values_mut() {
+        for (&token, conn) in &mut self.conns {
             match conn.state {
-                ConnState::Established if conn.relay.is_none() => {
-                    enter_draining(conn, shared, poller, wheel);
-                }
+                ConnState::Established if conn.relay.is_none() => enter_draining(conn),
                 ConnState::Draining if conn.relay.is_none() => {}
                 // Handshakes die; a relay has no service to drain, so its
                 // sessions are severed.
-                _ => close_conn(conn, shared, poller),
+                _ => close_conn(conn),
             }
+            r.settle(token, conn);
         }
     }
 }
 
-/// A connection's two deadlines: silence past its handshake or idle budget
-/// (a draining connection has none: it lives until its replies are
-/// settled), and a write queue that made no progress for the write timeout.
-fn deadlines(conn: &Conn, config: &TransportConfig) -> [Option<Instant>; 2] {
-    let budget = match conn.state {
-        ConnState::Handshaking => Some(config.handshake_timeout),
-        ConnState::Established => Some(config.idle_timeout),
-        ConnState::Draining | ConnState::Closed => None,
-    };
-    [
-        budget.map(|budget| conn.sock.heard_at + budget),
-        conn.sock.stall_deadline(config.write_timeout),
-    ]
-}
-
-/// Arms the earlier of the connection's deadlines, unless one no later is
-/// armed already: activity only moves a deadline later, and the fire
-/// checks again.
-fn arm(conn: &mut Conn, config: &TransportConfig, wheel: &mut TimerWheel) {
-    let Some(at) = deadlines(conn, config).into_iter().flatten().min() else {
-        return;
-    };
-    if conn.armed.is_none_or(|armed| at < armed) {
-        conn.armed = Some(at);
-        conn.timer_gen += 1;
-        wheel.insert(at, conn.sock.token, conn.timer_gen);
+impl Machine for Conn {
+    fn socket(&mut self, link: bool) -> Option<&mut Socket> {
+        match link {
+            false => Some(&mut self.sock),
+            true => self.relay.as_deref_mut().map(|relay| &mut relay.up.sock),
+        }
     }
-}
 
-/// Takes in what the socket has, a frame at a time, while the connection
-/// reads.
-fn on_readable(
-    conn: &mut Conn,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
-    while matches!(conn.state, ConnState::Handshaking | ConnState::Established) {
-        let handshaking = conn.state == ConnState::Handshaking;
-        let cap = shared.config.max_frame_len;
-        match conn.sock.next_frame(cap, &shared.metrics) {
-            Inbound::Frame(frame) => handle_frame(conn, frame, shared, poller, wheel),
-            Inbound::Dry => return,
+    fn inbound(&mut self, link: bool, what: Inbound, now: Instant) {
+        if link {
+            return link::inbound(&mut relay::Face(self), what, now);
+        }
+        let handshaking = self.state == ConnState::Handshaking;
+        match what {
+            Inbound::Frame(frame) => handle_frame(self, frame, now),
             // Before the handshake, anything but a clean EOF — a truncated
             // frame, a read error, oversized or malformed input — is a
             // rejected connection, closed with no reply.
-            Inbound::Eof { cut: false } if handshaking => return close_conn(conn, shared, poller),
+            Inbound::Eof { cut: false } if handshaking => close_conn(self),
             _ if handshaking => {
-                shared.metrics.conn_rejected();
-                return close_conn(conn, shared, poller);
+                self.shared.metrics.conn_rejected();
+                close_conn(self);
             }
             // An abrupt disconnect: this protocol's clients never half-close
-            // — a graceful leave sends Goodbye first — so EOF or a read
-            // error means the peer is gone and its in-flight jobs are
-            // orphaned.
+            // — a graceful leave sends Goodbye first — so EOF, a read error
+            // or a broken sink means the peer is gone and its in-flight jobs
+            // are orphaned.
             Inbound::Eof { .. } | Inbound::Failed(_) => {
-                conn.peer_alive.store(false, Ordering::SeqCst);
-                return enter_draining(conn, shared, poller, wheel);
+                self.peer_alive.store(false, Ordering::SeqCst);
+                enter_draining(self);
             }
             // A protocol violation ends the session but still flushes owed
             // replies.
-            Inbound::Malformed(_) => return enter_draining(conn, shared, poller, wheel),
+            Inbound::Malformed(_) => enter_draining(self),
         }
+    }
+
+    fn timer(&mut self, now: Instant) {
+        if self.silence_deadline().is_some_and(|at| at <= now) {
+            // A silent opener is not a protocol offense — just close
+            // (parity with the old transport).
+            match self.state {
+                ConnState::Handshaking => close_conn(self),
+                _ => enter_draining(self),
+            }
+        }
+        if self.relay.is_some() {
+            link::fired(&mut relay::Face(self), now);
+        }
+    }
+
+    /// Draining completes when nothing is owed: no job upstream and no reply
+    /// unwritten (a broken sink's are discarded).
+    fn settled(&mut self, _: Instant) {
+        if self.state == ConnState::Draining && self.in_flight() == 0 && self.sock.queued() == 0 {
+            close_conn(self);
+        }
+    }
+
+    fn deadline(&self, now: Instant) -> Option<Instant> {
+        let link = self.relay.as_ref().and_then(|relay| relay.up.deadline(now));
+        self.silence_deadline().into_iter().chain(link).min()
+    }
+}
+
+impl Conn {
+    /// When silence past the handshake or idle budget ends the connection.
+    /// A draining one has none (it lives until its replies are settled),
+    /// and neither has one whose route is being found: each dial is
+    /// bounded by its link's handshake timeout, and the candidates are
+    /// finite.
+    fn silence_deadline(&self) -> Option<Instant> {
+        let config = &self.shared.config;
+        let budget = match self.state {
+            ConnState::Handshaking if !self.greeted => config.handshake_timeout,
+            ConnState::Established => config.idle_timeout,
+            _ => return None,
+        };
+        Some(self.sock.heard_at + budget)
+    }
+
+    /// Submits accepted and not yet answered, or answered with the reply
+    /// still unwritten: a peer that stops reading keeps its slots occupied.
+    fn in_flight(&self) -> usize {
+        let upstream = match &self.relay {
+            Some(relay) => relay.up.jobs.len(),
+            None => self.running,
+        };
+        upstream + self.sock.replies()
     }
 }
 
 /// One decoded frame against the state machine.
-fn handle_frame(
-    conn: &mut Conn,
-    frame: Frame,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
+fn handle_frame(conn: &mut Conn, frame: Frame, now: Instant) {
+    let shared = Arc::clone(&conn.shared);
+    let metrics = &shared.metrics;
     match (conn.state, frame) {
         // One Hello: a relay session still being routed has had its own.
         (
@@ -936,7 +1029,7 @@ fn handle_frame(
                      {PROTOCOL_VERSION}..={PROTOCOL_VERSION}, \
                      client {min_version}..={max_version})"
                 );
-                return refuse(conn, reason, shared, poller, wheel);
+                return refuse(conn, reason);
             }
             conn.greeted = true;
             match &shared.upstream {
@@ -948,13 +1041,13 @@ fn handle_frame(
                     conn.session_client = Some(client.for_transport_session(auth));
                     let max_in_flight = shared.config.max_in_flight as u32;
                     let max_frame_len = shared.config.max_frame_len as u64;
-                    establish(conn, max_in_flight, max_frame_len, shared, poller, wheel);
+                    establish(conn, max_in_flight, max_frame_len);
                 }
                 // The Welcome waits for the session's backend link.
-                Upstream::Relay { .. } => relay::route(conn, api_key, shared, poller, wheel),
+                Upstream::Relay { .. } => relay::route(conn, api_key, now),
             }
         }
-        (ConnState::Handshaking, _) => refuse(conn, "expected Hello".into(), shared, poller, wheel),
+        (ConnState::Handshaking, _) => refuse(conn, "expected Hello".into()),
         (
             ConnState::Established,
             Frame::Submit {
@@ -966,42 +1059,35 @@ fn handle_frame(
             let trace = trace.unwrap_or(TraceId::NONE);
             // The cap judges accepted-but-unflushed replies too: submits
             // are shed while earlier replies sit in the write queue.
-            let in_flight_before = conn.in_flight;
-            conn.in_flight += 1;
-            if in_flight_before >= shared.config.max_in_flight {
+            let in_flight = conn.in_flight();
+            if in_flight >= shared.config.max_in_flight {
                 if let Some(session) = &conn.session_client {
-                    shared.metrics.session_shed(session.session_key());
+                    metrics.session_shed(session.session_key());
                 }
                 let overloaded = CloudError::Overloaded {
-                    queue_depth: in_flight_before,
+                    queue_depth: in_flight,
                     max_queue_depth: shared.config.max_in_flight,
                 };
-                queue_reply(conn, request_id, Err(overloaded), shared);
-            } else {
-                // Remember the trace for the Reply (including dedup-served
-                // replies, which also arrive through the routed channel).
-                if !trace.is_none() {
-                    conn.traces.insert(request_id, trace);
-                }
-                match &conn.session_client {
-                    Some(session) => {
-                        match session.submit_routed(payload, request_id, conn.routed.clone(), trace)
-                        {
-                            Ok(cancel) => {
-                                conn.cancels.insert(request_id, cancel);
-                            }
-                            Err(e) => queue_reply(conn, request_id, Err(e), shared),
-                        }
-                    }
-                    None => relay::submit(conn, request_id, payload, trace, shared, poller, wheel),
-                }
+                return queue_reply(conn, request_id, Err(overloaded));
             }
-            flush_writes(conn, shared, poller, wheel);
+            // Remember the trace for the Reply (including dedup-served
+            // replies, which also arrive through the routed channel).
+            if !trace.is_none() {
+                conn.traces.insert(request_id, trace);
+            }
+            let Some(session) = &conn.session_client else {
+                return relay::submit(conn, request_id, payload, trace, now);
+            };
+            match session.submit_routed(payload, request_id, conn.routed.clone(), trace) {
+                Ok(cancel) => {
+                    conn.running += 1;
+                    conn.cancels.insert(request_id, cancel);
+                }
+                Err(e) => queue_reply(conn, request_id, Err(e)),
+            }
         }
         (ConnState::Established, Frame::Ping { nonce }) => {
-            conn.sock
-                .queue(&Frame::Pong { nonce }, false, &shared.metrics);
-            flush_writes(conn, shared, poller, wheel);
+            conn.sock.queue(&Frame::Pong { nonce }, false, metrics);
         }
         (ConnState::Established, Frame::GetStats { request_id }) => {
             // Authorization: with API keys configured only a session keyed
@@ -1018,15 +1104,14 @@ fn handle_frame(
                 _ => false,
             };
             let body = if authorized {
-                Ok(shared.metrics.snapshot().to_bytes())
+                Ok(metrics.snapshot().to_bytes())
             } else {
                 Err(CloudError::Unauthorized(
                     "stats require a recognized API key".into(),
                 ))
             };
             conn.sock
-                .queue(&Frame::Stats { request_id, body }, false, &shared.metrics);
-            flush_writes(conn, shared, poller, wheel);
+                .queue(&Frame::Stats { request_id, body }, false, metrics);
         }
         (ConnState::Established, Frame::Cancel { request_id }) => {
             // Best-effort: flip the job's flag if it is still in flight. An
@@ -1037,68 +1122,45 @@ fn handle_frame(
                 flag.store(true, Ordering::Relaxed);
             }
             if conn.relay.is_some() {
-                relay::cancel(conn, request_id, shared, poller, wheel);
+                relay::cancel(conn, request_id, now);
             }
         }
-        (ConnState::Established, Frame::Goodbye) => {
-            enter_draining(conn, shared, poller, wheel);
-        }
-        // A second Hello or a server-side frame is a protocol violation:
-        // stop reading, settle what is owed, close.
-        (ConnState::Established, _) => {
-            enter_draining(conn, shared, poller, wheel);
-        }
-        // Draining/Closed never reach here (on_readable gates on state).
+        // Goodbye, or a second Hello or a server-side frame — a protocol
+        // violation: stop reading, settle what is owed, close.
+        (ConnState::Established, _) => enter_draining(conn),
+        // Draining/Closed never reach here (the driver reads only while the
+        // connection does).
         (ConnState::Draining | ConnState::Closed, _) => {}
     }
 }
 
 /// Refuses a connection before its session exists: a `Reject` naming
-/// `reason`, flushed by the drain that closes the connection.
-fn refuse(
-    conn: &mut Conn,
-    reason: String,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
-    shared.metrics.conn_rejected();
+/// `reason`, written by the drain that closes the connection.
+fn refuse(conn: &mut Conn, reason: String) {
+    conn.shared.metrics.conn_rejected();
     conn.sock
-        .queue(&Frame::Reject { reason }, false, &shared.metrics);
-    enter_draining(conn, shared, poller, wheel);
+        .queue(&Frame::Reject { reason }, false, &conn.shared.metrics);
+    enter_draining(conn);
 }
 
 /// The handshake succeeded: `Welcome` the peer with these session limits,
 /// count the session open, and swap the handshake deadline for the
 /// (usually longer, possibly shorter) idle deadline.
-fn establish(
-    conn: &mut Conn,
-    max_in_flight: u32,
-    max_frame_len: u64,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
+fn establish(conn: &mut Conn, max_in_flight: u32, max_frame_len: u64) {
     let welcome = Frame::Welcome {
         version: PROTOCOL_VERSION,
         max_in_flight,
         max_frame_len,
     };
-    conn.sock.queue(&welcome, false, &shared.metrics);
-    shared.metrics.conn_opened();
+    conn.sock.queue(&welcome, false, &conn.shared.metrics);
+    conn.shared.metrics.conn_opened();
     conn.counts_session_open = true;
     conn.state = ConnState::Established;
-    arm(conn, &shared.config, wheel);
-    flush_writes(conn, shared, poller, wheel);
 }
 
-/// Serializes one reply onto the write queue (in-flight slot already held).
-fn queue_reply(
-    conn: &mut Conn,
-    request_id: u64,
-    mut result: Result<JobResult, CloudError>,
-    shared: &Arc<ServerShared>,
-) {
+/// Serializes one reply onto the write queue, where it holds its in-flight
+/// slot until written.
+fn queue_reply(conn: &mut Conn, request_id: u64, mut result: Result<JobResult, CloudError>) {
     // The submit's trace id, echoed (only traced submits have one).
     let trace = conn.traces.remove(&request_id);
     conn.cancels.remove(&request_id);
@@ -1116,139 +1178,84 @@ fn queue_reply(
     let too_big = || Err(CloudError::Transport("reply too big to frame".into()));
     // A reply the framing cannot carry (over 4 GiB) is answered as an
     // error; a broken sink settles it unsent.
-    if !conn.sock.queue(&reply(result), true, &shared.metrics)
-        && !conn.sock.queue(&reply(too_big()), true, &shared.metrics)
-    {
-        conn.in_flight = conn.in_flight.saturating_sub(1);
+    let metrics = &conn.shared.metrics;
+    if !conn.sock.queue(&reply(result), true, metrics) {
+        conn.sock.queue(&reply(too_big()), true, metrics);
     }
 }
 
-/// Moves completions from the reply channel onto the wire.
-fn pump_replies(
-    conn: &mut Conn,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
+/// Moves completions from the reply channel onto the write queue.
+fn pump_replies(conn: &mut Conn) {
     while let Ok((request_id, msg)) = conn.replies_rx.try_recv() {
         match msg {
-            RoutedMsg::Reply(result) => queue_reply(conn, request_id, result, shared),
+            RoutedMsg::Reply(result) => {
+                conn.running = conn.running.saturating_sub(1);
+                queue_reply(conn, request_id, result);
+            }
             // Progress is advisory: it holds no in-flight slot and is never
             // owed, so a broken sink or a draining connection drops it.
             RoutedMsg::Progress(update) => {
                 let progress = Frame::Progress { request_id, update };
-                let established = conn.state == ConnState::Established;
-                if established && conn.sock.queue(&progress, false, &shared.metrics) {
-                    shared.metrics.progress_frame_delivered();
+                let (metrics, established) =
+                    (&conn.shared.metrics, conn.state == ConnState::Established);
+                if established && conn.sock.queue(&progress, false, metrics) {
+                    metrics.progress_frame_delivered();
                 } else {
-                    shared.metrics.progress_frame_dropped();
+                    metrics.progress_frame_dropped();
                 }
             }
         }
     }
-    flush_writes(conn, shared, poller, wheel);
-}
-
-/// Flushes the write queue, and completes a drain when everything owed has
-/// been settled.
-fn flush_writes(
-    conn: &mut Conn,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
-    if conn.state == ConnState::Closed {
-        return;
-    }
-    let reading = matches!(conn.state, ConnState::Handshaking | ConnState::Established);
-    let (replies, outcome) = conn.sock.flush(reading, poller, &shared.metrics);
-    conn.in_flight = conn.in_flight.saturating_sub(replies);
-    match outcome {
-        FlushOutcome::Drained => maybe_finish_drain(conn, shared, poller),
-        FlushOutcome::Blocked => arm(conn, &shared.config, wheel),
-        FlushOutcome::Broken => mark_sink_broken(conn, shared, poller, wheel),
-    }
-}
-
-/// The socket can no longer be written: close it, discarding queued bytes,
-/// and keep draining reply accounting without writing.
-fn mark_sink_broken(
-    conn: &mut Conn,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
-    // Nothing can ever reach the peer again — orphaned jobs may as well
-    // find out now instead of at close time.
-    conn.peer_alive.store(false, Ordering::SeqCst);
-    let discarded = conn.sock.close(poller, &shared.metrics);
-    conn.in_flight = conn.in_flight.saturating_sub(discarded);
-    enter_draining(conn, shared, poller, wheel);
-    maybe_finish_drain(conn, shared, poller);
 }
 
 /// Stops reading and submitting; the connection now exists only to settle
 /// its owed replies.
-fn enter_draining(
-    conn: &mut Conn,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
+fn enter_draining(conn: &mut Conn) {
     if !matches!(conn.state, ConnState::Handshaking | ConnState::Established) {
         return;
     }
     conn.state = ConnState::Draining;
-    if conn.counts_submitter {
-        conn.counts_submitter = false;
-        shared.submitters_dec();
+    conn.sock.reading = false;
+    if std::mem::take(&mut conn.counts_submitter) {
+        conn.shared.submitters_dec();
     }
-    relay::sever(conn, poller);
+    relay::sever(conn);
     // Catch completions that were posted before this transition.
-    pump_replies(conn, shared, poller, wheel);
+    pump_replies(conn);
 }
 
-/// Draining completes when nothing is owed: no in-flight jobs and either a
-/// flushed queue or a broken sink (whose queue is discarded).
-fn maybe_finish_drain(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) {
-    if conn.state == ConnState::Draining && conn.in_flight == 0 && conn.sock.queued() == 0 {
-        close_conn(conn, shared, poller);
-    }
-}
-
-/// Terminal: releases the fd, the session slot and the gauges.
-fn close_conn(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller) {
+/// Terminal: the socket closes (once the driver has written what it can),
+/// and the session slot and the gauges are released.
+fn close_conn(conn: &mut Conn) {
     if conn.state == ConnState::Closed {
         return;
     }
     conn.state = ConnState::Closed;
     conn.peer_alive.store(false, Ordering::SeqCst);
-    relay::sever(conn, poller);
-    let discarded = conn.sock.close(poller, &shared.metrics);
-    conn.in_flight = conn.in_flight.saturating_sub(discarded);
+    relay::sever(conn);
+    conn.sock.close();
     // Settle whatever the workers posted that will never reach the wire:
-    // replies free their slots, progress frames count as dropped. (Sends
-    // that race past this drain fail once the channel's receiver is gone
-    // and are counted dropped at the send site.)
+    // progress frames count as dropped. (Sends that race past this drain
+    // fail once the channel's receiver is gone and are counted dropped at
+    // the send site.)
     while let Ok((_, msg)) = conn.replies_rx.try_recv() {
-        match msg {
-            RoutedMsg::Reply(_) => conn.in_flight = conn.in_flight.saturating_sub(1),
-            RoutedMsg::Progress(_) => shared.metrics.progress_frame_dropped(),
+        if let RoutedMsg::Progress(_) = msg {
+            conn.shared.metrics.progress_frame_dropped();
         }
     }
     conn.traces.clear();
     conn.cancels.clear();
-    if conn.counts_submitter {
-        conn.counts_submitter = false;
-        shared.submitters_dec();
+    if std::mem::take(&mut conn.counts_submitter) {
+        conn.shared.submitters_dec();
     }
-    shared.release_conn(conn.counts_session_open);
-    conn.counts_session_open = false;
+    conn.shared
+        .release_conn(std::mem::take(&mut conn.counts_session_open));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::TransportConfig;
     use std::net::TcpListener;
 
     /// A failed accept takes its listener off the poller for
@@ -1277,13 +1284,14 @@ mod tests {
         });
         let mut r = Reactor {
             poller,
-            wheel: TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS),
+            timers: Timers::new(TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS)),
+            now: Instant::now(),
             wake_rx,
             metrics: Arc::clone(&shared.metrics),
             stop: Arc::clone(&shared.stop),
             next_token: 0,
             events: Vec::new(),
-            fired: Vec::new(),
+            due: Vec::new(),
         };
         let mut tier = Sessions {
             shared,
@@ -1301,16 +1309,19 @@ mod tests {
         };
         assert!(listener_ready(&mut r));
 
-        let rested = Instant::now();
+        let rested = r.now;
         tier.listen(&mut r, LISTENER_TOKEN, true);
         assert!(!listener_ready(&mut r), "a resting listener was polled");
-        let due = r.wheel.next_deadline().expect("a wake-up deadline");
+        let due = r.timers.wheel.next_deadline().expect("a wake-up deadline");
         assert!(due >= rested + ACCEPT_REST);
 
         std::thread::sleep(due.saturating_duration_since(Instant::now()));
-        r.wheel.advance(Instant::now(), &mut r.fired);
-        for f in std::mem::take(&mut r.fired) {
-            tier.timer(&mut r, f);
+        r.now = Instant::now();
+        let mut fired = Vec::new();
+        r.timers.advance(r.now, &mut fired);
+        assert_eq!(fired, [LISTENER_TOKEN]);
+        for token in fired {
+            tier.timer(&mut r, token);
         }
         assert!(listener_ready(&mut r), "the listener never came back");
         service.shutdown();

@@ -1,36 +1,32 @@
-//! The client role's connection: a socket this process dialed, its
+//! The client role's connection: a socket this process dials, its
 //! `Hello`/`Welcome` exchange, its deadlines, and the jobs it retains until
 //! they are answered.
 //!
 //! Three roles own one — a relay session's backend link and the relay's
 //! health probe (the `relay` submodule), and a remote client's link
-//! (`transport::client`). The mechanism is here, once; a [`Role`] is the
+//! (`transport::client`). The machine is here, once; a [`Role`] is the
 //! policy: what a welcome means, where replies go, and where the next link
-//! comes from when one fails.
+//! comes from when one fails. Like every machine it takes `(event, now)`:
+//! what the link's socket said ([`inbound`]) or its deadline ([`fired`]).
 //!
-//! A link is dialed on its reactor and registered there under its owner's
-//! token with [`LINK`] set. Its connect does not block (`reactor::connect`;
-//! its first writability ends it), and it handshakes there too: a `Hello`
-//! queued at the dial, its first frame read as the answer. Its deadlines
-//! are one timer-wheel entry: a `Welcome` owed since the dial (connect,
-//! `Hello` and `Welcome` under the one `handshake_timeout`), replies owed
-//! with the link silent (a relay's reply timeout), a write queue that
-//! stopped draining (`write_timeout`, noticed at the link's next deadline),
-//! a `Ping` once the welcomed link has been write-idle for its keep-alive
-//! interval, and the role's own ([`Uplink::wake_at`]). A welcomed link
-//! carries every retained job again, in request-id order, under its
-//! original id: training is seeded and servers deduplicate by content, so a
-//! replay answers bit for bit the same.
+//! A dial queues the `Hello` and leaves the connect to the driver, which
+//! registers the link under its owner's token with [`LINK`] set; the first
+//! frame the link reads is the answer. Its deadlines are the owner's one:
+//! a `Welcome` owed since the dial (connect, `Hello` and `Welcome` under the
+//! one `handshake_timeout`), replies owed with the link silent (a relay's
+//! reply timeout), and a `Ping` once the welcomed link has been write-idle
+//! for its keep-alive interval; a write queue that stopped draining is the
+//! driver's. A welcomed link carries every retained job again, in
+//! request-id order, under its original id: training is seeded and servers
+//! deduplicate by content, so a replay answers bit for bit the same.
 
 use super::super::frame::Frame;
-use super::super::timer::TimerWheel;
 use super::super::{TransportConfig, PROTOCOL_VERSION};
-use super::socket::{FlushOutcome, Inbound, Socket};
+use super::socket::{Inbound, Socket};
 use crate::metrics::ServiceMetrics;
 use crate::telemetry::TraceId;
 use crate::CloudError;
 use bytes::Bytes;
-use reactor::{Interest, Poller};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -50,133 +46,78 @@ pub(crate) trait Role {
     fn up(&mut self) -> &mut Uplink<Self::Job>;
     /// The link was welcomed, and every retained job rode it again
     /// (`resubmitted` of them).
-    fn welcomed(
-        &mut self,
-        welcome: Welcome,
-        resubmitted: usize,
-        p: &mut Poller,
-        w: &mut TimerWheel,
-    );
+    fn welcomed(&mut self, welcome: Welcome, resubmitted: usize, now: Instant);
     /// A frame the link carried; `false` for one no server may send.
-    fn heard(&mut self, frame: Frame, p: &mut Poller, w: &mut TimerWheel) -> bool;
+    fn heard(&mut self, frame: Frame, now: Instant) -> bool;
     /// The link failed with `cause` — its connect too; it is closed already.
-    fn lost(&mut self, link: Link, cause: CloudError, p: &mut Poller, w: &mut TimerWheel);
+    fn lost(&mut self, link: Link, cause: CloudError, now: Instant);
 }
 
-/// Readiness on `role`'s link: flush it, then take in what it says until
-/// its socket runs dry or it fails.
-pub(crate) fn io<R: Role>(
-    role: &mut R,
-    readable: bool,
-    writable: bool,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
-    // The connect ends at the link's first writability.
+/// What `role`'s link said: a frame is taken in, and anything that ends the
+/// link — EOF, a read, write or connect failure, a frame no server may
+/// send, or an answer to the `Hello` that is no `Welcome` — fails it.
+pub(crate) fn inbound<R: Role>(role: &mut R, what: Inbound, now: Instant) {
     let up = role.up();
-    if let Some(link) = up.link.as_mut().filter(|link| writable && !link.connected) {
-        if let Some(e) = link.sock.connect_error() {
-            let cause = CloudError::Transport(format!("connect to {} failed: {e}", link.addr));
-            return fail(role, cause, poller, wheel);
-        }
-        link.connected = true;
-    }
-    if (writable && !flush(role, poller, wheel)) || !readable {
+    let Some(link) = up.link.as_mut() else {
         return;
-    }
-    loop {
-        let up = role.up();
-        let Some(link) = up.link.as_mut() else {
-            return;
-        };
-        // What ends the link: EOF, a read or decode error, a frame no
-        // server may send, or an answer to the `Hello` that is no `Welcome`.
-        let cause = match link.sock.next_frame(up.config.max_frame_len, &up.metrics) {
-            Inbound::Frame(frame) if link.welcomed => {
-                if role.heard(frame, poller, wheel) {
-                    continue;
-                }
-                CloudError::Transport("a frame no server may send".into())
-            }
-            Inbound::Frame(Frame::Welcome {
-                version,
-                max_in_flight,
-                max_frame_len,
-            }) => {
-                link.welcomed = true;
-                let resubmitted = up.resubmit();
-                let welcome = (version, max_in_flight, max_frame_len);
-                role.welcomed(welcome, resubmitted, poller, wheel);
-                if !flush(role, poller, wheel) {
-                    return;
-                }
-                continue;
-            }
-            Inbound::Frame(Frame::Reject { reason }) => CloudError::Handshake(reason),
-            Inbound::Frame(other) => {
-                CloudError::Handshake(format!("expected Welcome, got {other:?}"))
-            }
-            Inbound::Dry => return,
-            Inbound::Eof { .. } if !link.welcomed => {
-                CloudError::Handshake("server closed during handshake".into())
-            }
-            Inbound::Eof { .. } => CloudError::Transport("server closed the connection".into()),
-            Inbound::Failed(e) => CloudError::Transport(format!("read failed: {e}")),
-            Inbound::Malformed(e) => e,
-        };
-        return fail(role, cause, poller, wheel);
-    }
-}
-
-/// Writes what `role`'s link has queued once it is connected; `false` when
-/// it broke and failed.
-pub(crate) fn flush<R: Role>(role: &mut R, poller: &mut Poller, wheel: &mut TimerWheel) -> bool {
-    let up = role.up();
-    let Some(link) = up.link.as_mut().filter(|link| link.connected) else {
-        return true;
     };
-    if link.sock.flush(true, poller, &up.metrics).1 != FlushOutcome::Broken {
-        return true;
-    }
-    let cause = CloudError::Transport("write failed".into());
-    fail(role, cause, poller, wheel);
-    false
+    let cause = match what {
+        Inbound::Frame(frame) if link.welcomed => {
+            if role.heard(frame, now) {
+                return;
+            }
+            CloudError::Transport("a frame no server may send".into())
+        }
+        Inbound::Frame(Frame::Welcome {
+            version,
+            max_in_flight,
+            max_frame_len,
+        }) => {
+            link.welcomed = true;
+            let resubmitted = up.resubmit(now);
+            let welcome = (version, max_in_flight, max_frame_len);
+            return role.welcomed(welcome, resubmitted, now);
+        }
+        Inbound::Frame(Frame::Reject { reason }) => CloudError::Handshake(reason),
+        Inbound::Frame(other) => CloudError::Handshake(format!("expected Welcome, got {other:?}")),
+        Inbound::Eof { .. } if !link.welcomed => {
+            CloudError::Handshake("server closed during handshake".into())
+        }
+        Inbound::Eof { .. } => CloudError::Transport("server closed the connection".into()),
+        Inbound::Failed(e) if !up.sock.connected() => {
+            CloudError::Transport(format!("connect to {} failed: {e}", link.addr))
+        }
+        Inbound::Failed(e) => CloudError::Transport(format!("the link failed: {e}")),
+        Inbound::Malformed(e) => e,
+    };
+    fail(role, cause, now);
 }
 
 /// Closes `role`'s link for `cause` and lets the role decide what next.
-fn fail<R: Role>(role: &mut R, cause: CloudError, poller: &mut Poller, wheel: &mut TimerWheel) {
-    if let Some(link) = role.up().close(poller) {
-        role.lost(link, cause, poller, wheel);
+fn fail<R: Role>(role: &mut R, cause: CloudError, now: Instant) {
+    if let Some(link) = role.up().close() {
+        role.lost(link, cause, now);
     }
 }
 
-/// `role`'s deadline fired: `false` for a stale one. A stalled link fails,
-/// and a welcomed, write-idle one is queued a `Ping`; the role's own
-/// deadline, the flush and re-arming the next are the caller's.
-pub(crate) fn fired<R: Role>(
-    role: &mut R,
-    generation: u64,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) -> bool {
+/// `role`'s deadline fell due: a link that owes an answer and stayed
+/// silent fails, and a welcomed, write-idle one is queued a `Ping`. The
+/// role's own deadlines are its caller's.
+pub(crate) fn fired<R: Role>(role: &mut R, now: Instant) {
     let up = role.up();
-    if generation != up.timer_gen {
-        return false;
-    }
-    if up.stall_deadline().is_some_and(|at| Instant::now() >= at) {
+    if up.answer_deadline().is_some_and(|at| at <= now) {
         let cause = match &up.link {
             Some(link) if link.welcomed => "the link stalled",
-            Some(link) if link.connected => "no Welcome within the handshake timeout",
+            _ if up.sock.connected() => "no Welcome within the handshake timeout",
             _ => "no connection within the handshake timeout",
         };
-        fail(role, CloudError::Transport(cause.into()), poller, wheel);
-    } else if let Some(link) = up.link.as_mut().filter(|link| {
-        let keepalive = up.config.keepalive_interval;
-        link.welcomed && link.sock.queued() == 0 && link.last_write.elapsed() >= keepalive
-    }) {
-        link.send(&Frame::Ping { nonce: 0 }, &up.metrics);
+        return fail(role, CloudError::Transport(cause.into()), now);
     }
-    true
+    let keepalive = up.config.keepalive_interval;
+    let idle = |link: &Link| link.welcomed && now >= link.last_write + keepalive;
+    if up.sock.queued() == 0 && up.link.as_ref().is_some_and(idle) {
+        up.push(&Frame::Ping { nonce: 0 }, now);
+    }
 }
 
 /// A retained job: what resubmitting it takes, and what its role keeps
@@ -189,16 +130,14 @@ pub(crate) struct Job<X> {
     pub(crate) role: X,
 }
 
-/// A role's upstream: its link, if it has one, and the jobs it retains.
+/// A role's upstream: its link's socket and state, if it has one, and the
+/// jobs it retains.
 pub(crate) struct Uplink<X> {
+    /// The link's socket; each dial starts a new connection in it.
+    pub(crate) sock: Socket,
     pub(crate) link: Option<Link>,
     /// Submits not yet answered, by request id.
     pub(crate) jobs: BTreeMap<u64, Job<X>>,
-    /// A deadline of the role's own, armed with the link's.
-    pub(crate) wake_at: Option<Instant>,
-    token: u64,
-    /// Generation of the armed deadline; a stale one is ignored.
-    timer_gen: u64,
     /// What the link counts into (its frames count as relayed).
     metrics: Arc<ServiceMetrics>,
     /// Its frame cap, its handshake, write and keep-alive timing, the API
@@ -209,12 +148,12 @@ pub(crate) struct Uplink<X> {
     reply_timeout: Option<Duration>,
 }
 
-/// A client-role connection.
+/// A client-role connection's state.
 pub(crate) struct Link {
-    sock: Socket,
     /// What its owner calls the address it dialed.
     pub(crate) addr: String,
-    /// The connect finished; until then nothing is written.
+    /// The connect finished; known once the link is closed (while it is
+    /// open, its socket says).
     pub(crate) connected: bool,
     /// The `Welcome` arrived.
     pub(crate) welcomed: bool,
@@ -233,11 +172,9 @@ impl<X> Uplink<X> {
         metrics: Arc<ServiceMetrics>,
     ) -> Uplink<X> {
         Uplink {
+            sock: Socket::new(token | LINK, &config),
             link: None,
             jobs: BTreeMap::new(),
-            wake_at: None,
-            token,
-            timer_gen: 0,
             metrics,
             config,
             reply_timeout,
@@ -251,142 +188,112 @@ impl<X> Uplink<X> {
 
     /// Dials `peer`, called `addr`, as the link, and queues its `Hello`
     /// (with the configured API key) for once it connects; the handshake
-    /// deadline starts now. An error when the connect cannot even start.
-    pub(crate) fn connect(
-        &mut self,
-        (peer, addr): (SocketAddr, String),
-        poller: &mut Poller,
-        wheel: &mut TimerWheel,
-    ) -> Result<(), CloudError> {
-        let failed = |e| CloudError::Transport(format!("connect to {addr} failed: {e}"));
-        let stream = reactor::connect(peer).map_err(failed)?;
-        let (token, metrics) = (self.token | LINK, &self.metrics);
-        let sock =
-            Socket::register(stream, token, Interest::BOTH, poller, metrics).map_err(failed)?;
-        let now = Instant::now();
-        let mut link = Link {
-            sock,
+    /// deadline starts now.
+    pub(crate) fn connect(&mut self, (peer, addr): (SocketAddr, String), now: Instant) {
+        self.sock.dial(peer, &self.metrics);
+        self.link = Some(Link {
             addr,
             connected: false,
             welcomed: false,
             last_write: now,
             owed_since: now,
-        };
+        });
         let hello = Frame::Hello {
             min_version: PROTOCOL_VERSION,
             max_version: PROTOCOL_VERSION,
             api_key: self.config.api_key.clone(),
         };
-        link.send(&hello, &self.metrics);
-        self.link = Some(link);
-        self.schedule(wheel);
-        Ok(())
+        self.push(&hello, now);
+    }
+
+    /// Queues `frame` on the link.
+    fn push(&mut self, frame: &Frame, now: Instant) {
+        if let Some(link) = &mut self.link {
+            self.sock.queue(frame, false, &self.metrics);
+            link.last_write = now;
+        }
     }
 
     /// Queues `frame` on the welcomed link; `false` when there is none.
-    pub(crate) fn send(&mut self, frame: &Frame) -> bool {
-        match self.link.as_mut().filter(|link| link.welcomed) {
-            Some(link) => link.send(frame, &self.metrics),
-            None => return false,
+    pub(crate) fn send(&mut self, frame: &Frame, now: Instant) -> bool {
+        let welcomed = self.welcomed();
+        if welcomed {
+            self.push(frame, now);
         }
-        true
+        welcomed
     }
 
     /// Retains job `id` and queues it on the welcomed link; with none, it
     /// rides the next one's resubmission.
-    pub(crate) fn retain(&mut self, id: u64, mut job: Job<X>, wheel: &mut TimerWheel) {
-        let owed_before = !self.jobs.is_empty();
-        if let Some(link) = self.link.as_mut().filter(|link| link.welcomed) {
-            link.send_job(id, &mut job, &self.metrics);
-            if !owed_before {
-                link.owed_since = Instant::now(); // replies fall owed now
+    pub(crate) fn retain(&mut self, id: u64, mut job: Job<X>, now: Instant) {
+        if self.welcomed() {
+            if self.jobs.is_empty() {
+                self.link.as_mut().expect("welcomed").owed_since = now; // replies fall owed now
             }
+            self.push(&submit(id, &job), now);
+            job.sent_at = now;
         }
         self.jobs.insert(id, job);
-        if !owed_before && self.reply_timeout.is_some() {
-            self.schedule(wheel); // a reply deadline starts
-        }
     }
 
     /// Queues every retained job on the just-welcomed link, in request-id
     /// order — nothing retained was sent on it yet — and returns how many.
-    fn resubmit(&mut self) -> usize {
-        if let Some(link) = self.link.as_mut() {
+    fn resubmit(&mut self, now: Instant) -> usize {
+        if let Some(link) = &mut self.link {
             for (&id, job) in &mut self.jobs {
-                link.send_job(id, job, &self.metrics);
+                self.sock.queue(&submit(id, job), false, &self.metrics);
+                job.sent_at = now;
             }
-            link.owed_since = Instant::now();
+            link.last_write = now;
+            link.owed_since = now;
         }
         self.jobs.len()
     }
 
-    /// Arms the next deadline — the link's stall, its keep-alive once
-    /// welcomed, or the role's own, whichever comes first — retiring the one
-    /// armed before.
-    pub(crate) fn schedule(&mut self, wheel: &mut TimerWheel) {
-        self.timer_gen += 1;
+    /// The link's next deadline: its answer's, or its keep-alive once
+    /// welcomed, whichever comes first.
+    pub(crate) fn deadline(&self, now: Instant) -> Option<Instant> {
         // A link with writes still queued is not idle: its ping is looked at
         // again a full interval on, not at an instant already past.
         let keepalive = self.link.as_ref().filter(|link| link.welcomed).map(|link| {
-            let busy = link.sock.queued() > 0;
-            let from = if busy {
-                Instant::now()
+            let from = if self.sock.queued() > 0 {
+                now
             } else {
                 link.last_write
             };
             from + self.config.keepalive_interval
         });
-        if let Some(at) = keepalive
-            .into_iter()
-            .chain(self.stall_deadline())
-            .chain(self.wake_at)
-            .min()
-        {
-            wheel.insert(at, self.token | LINK, self.timer_gen);
-        }
+        keepalive.into_iter().chain(self.answer_deadline()).min()
     }
 
     /// When the link's silence becomes its peer's failure: its `Welcome` is
-    /// owed from the `Hello` on, replies while jobs are retained (given a
-    /// reply timeout), and progress while writes are queued.
-    fn stall_deadline(&self) -> Option<Instant> {
+    /// owed from the `Hello` on, and replies while jobs are retained (given
+    /// a reply timeout).
+    fn answer_deadline(&self) -> Option<Instant> {
         let link = self.link.as_ref()?;
         let answer = if link.welcomed {
             self.reply_timeout.filter(|_| !self.jobs.is_empty())
         } else {
             Some(self.config.handshake_timeout)
         };
-        let quiet_since = link.owed_since.max(link.sock.heard_at);
-        answer
-            .map(|timeout| quiet_since + timeout)
-            .into_iter()
-            .chain(link.sock.stall_deadline(self.config.write_timeout))
-            .min()
+        answer.map(|timeout| link.owed_since.max(self.sock.heard_at) + timeout)
     }
 
-    /// Deregisters and closes the link, discarding what it had queued.
-    pub(crate) fn close(&mut self, poller: &mut Poller) -> Option<Link> {
+    /// Closes the link; the driver flushes what it can and closes its
+    /// socket.
+    pub(crate) fn close(&mut self) -> Option<Link> {
         let mut link = self.link.take()?;
-        self.timer_gen += 1;
-        link.sock.close(poller, &self.metrics);
+        link.connected = self.sock.connected();
+        self.sock.close();
         Some(link)
     }
 }
 
-impl Link {
-    fn send(&mut self, frame: &Frame, metrics: &ServiceMetrics) {
-        self.sock.queue(frame, false, metrics);
-        self.last_write = Instant::now();
-    }
-
-    /// Queues a retained job, with its trace id if it has one.
-    fn send_job<X>(&mut self, id: u64, job: &mut Job<X>, metrics: &ServiceMetrics) {
-        let submit = Frame::Submit {
-            request_id: id,
-            payload: job.payload.clone(),
-            trace: (!job.trace.is_none()).then_some(job.trace),
-        };
-        self.send(&submit, metrics);
-        job.sent_at = self.last_write;
+/// A retained job's `Submit`, with its trace id if it has one.
+fn submit<X>(id: u64, job: &Job<X>) -> Frame {
+    Frame::Submit {
+        request_id: id,
+        payload: job.payload.clone(),
+        trace: (!job.trace.is_none()).then_some(job.trace),
     }
 }

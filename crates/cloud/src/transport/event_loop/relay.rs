@@ -3,36 +3,51 @@
 //! from the [`Routing`] policy, its replies go to the session's client face
 //! — and the relay's health probes, a link role of their own.
 //!
-//! The session's own reactor dials: it walks the policy's candidates,
-//! passing over the backends that failed the session since its last
-//! welcomed link, and connects to the first without blocking, at the
-//! address the policy resolved when it was built. A dial that hangs holds
-//! up nobody else, and `handshake_timeout` bounds connect, `Hello` and
-//! `Welcome` together. A link fails on a refused or timed-out connect, on
-//! EOF or an error, on a refused `Hello` or a frame no backend may send,
-//! and on silence while it owes its `Welcome` or replies — a hung,
-//! black-holed or torn backend keeps TCP alive. Its backend is reported to
-//! the policy and passed over, and the retained jobs ride the next link,
-//! in request-id order under their original ids (nothing retained was sent
-//! on a link just made). With no backend left the session is refused, or
-//! its jobs are answered `ServiceUnavailable`, a retryable error. A session
-//! that ends closes its link without telling the policy.
+//! # Routing
 //!
-//! Reactor 0 keeps the policy's sweep as a wheel deadline. Each backend the
-//! sweep names gets a probe, unless one is still out: a link that says
-//! `Hello`, `Ping` once welcomed and `Goodbye` once its `Pong` is back, all
-//! within the probe timeout from its dial. The verdict goes to the policy.
+//! Sessions, not jobs, are routed, and before the `Welcome`: a session no
+//! backend takes is refused at its handshake, not accepted and starved. Its
+//! own reactor dials: it walks the policy's candidates for the session's
+//! key (its API key, or a tag unique to the connection), passing over the
+//! backends that failed the session since its last welcomed link, and
+//! connects to the first without blocking, at the address the policy
+//! resolved when it was built. A dial that hangs holds up nobody else:
+//! `handshake_timeout` bounds connect, `Hello` and `Welcome` together, and
+//! a session being routed has no deadline of its own. Its `Welcome` carries
+//! the tighter of this end's and the backend's limits.
+//!
+//! # Failover
+//!
+//! A link fails on a refused or timed-out connect, on EOF or an error, on a
+//! refused `Hello` or a frame no backend may send, and on silence while it
+//! owes its `Welcome` or replies — a hung, black-holed or torn backend keeps
+//! TCP alive. Its backend is reported to the policy and passed over, and the
+//! retained jobs, with any that arrive meanwhile, ride the next link in
+//! request-id order under their original ids (nothing retained was sent on
+//! a link just made). Training jobs are seeded and pure, so a replay of one
+//! whose reply was lost answers bit for bit the same; non-idempotent
+//! traffic does not exist in this protocol, and if it ever does it must not
+//! be replayed. With no backend left the session is refused, or its jobs
+//! are answered `ServiceUnavailable`, a retryable error. A session that
+//! ends closes its link without telling the policy, so it never poisons a
+//! breaker. A relay session holds no more for a slow client than the
+//! in-flight cap, and its link, write-idle for its keep-alive interval, is
+//! pinged, so a backend's idle timeout never ends a quiet session.
+//!
+//! Reactor 0 keeps the policy's sweep as a deadline. Each backend the sweep
+//! names gets a probe, unless one is still out: a link that says `Hello`,
+//! `Ping` once welcomed and `Goodbye` once its `Pong` is back, all within
+//! the probe timeout from its dial. The verdict goes to the policy.
 
 use super::super::frame::Frame;
 use super::super::server::{ServerShared, Upstream};
-use super::super::timer::TimerWheel;
 use super::super::{Routing, TransportConfig};
 use super::link::{self, Job, Link, Role, Uplink, Welcome};
-use super::{establish, flush_writes, queue_reply, refuse, Conn, ConnState, Reactor, SWEEP_TOKEN};
+use super::socket::{Inbound, Socket};
+use super::{establish, queue_reply, refuse, Conn, ConnState, Machine, Reactor, SWEEP_TOKEN};
 use crate::telemetry::{Stage, TraceId};
 use crate::CloudError;
 use bytes::Bytes;
-use reactor::Poller;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,26 +57,23 @@ const PROBE_NONCE: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// A relay session's upstream state.
 pub(super) struct Relay {
-    /// The reactor that owns the session.
-    home: usize,
     /// The routing key: the session's API key, or a tag unique to the
     /// connection.
     key: String,
-    up: Uplink<()>,
+    pub(super) up: Uplink<()>,
     /// Backends that failed the session since its last link was welcomed:
     /// the next dial passes over them.
     failed: Vec<String>,
 }
 
 impl Relay {
-    pub(super) fn new(home: usize, token: u64, shared: &Arc<ServerShared>) -> Box<Relay> {
+    pub(super) fn new(home: usize, token: u64, shared: &ServerShared) -> Box<Relay> {
         let Upstream::Relay { reply_timeout, .. } = shared.upstream else {
             unreachable!("relay sessions live on a relay")
         };
         let (config, metrics) = (shared.config.clone(), Arc::clone(&shared.metrics));
         Box::new(Relay {
-            home,
-            key: String::new(),
+            key: format!("anon#{home}.{token}"),
             up: Uplink::new(token, config, Some(reply_timeout), metrics),
             failed: Vec::new(),
         })
@@ -80,52 +92,42 @@ fn routing(shared: &ServerShared) -> &dyn Routing {
 }
 
 /// A relay session in its link's role.
-struct Face<'a> {
-    conn: &'a mut Conn,
-    shared: &'a Arc<ServerShared>,
-}
+pub(super) struct Face<'a>(pub(super) &'a mut Conn);
 
 impl Role for Face<'_> {
     type Job = ();
 
     fn up(&mut self) -> &mut Uplink<()> {
-        &mut relay(self.conn).up
+        &mut relay(self.0).up
     }
 
     /// The backend welcomed the link: welcome a session that was being
     /// routed, or count the failover of one whose jobs it now carries.
-    fn welcomed(
-        &mut self,
-        welcome: Welcome,
-        resubmitted: usize,
-        p: &mut Poller,
-        w: &mut TimerWheel,
-    ) {
-        let (conn, shared) = (&mut *self.conn, self.shared);
+    fn welcomed(&mut self, welcome: Welcome, resubmitted: usize, _: Instant) {
+        let conn = &mut *self.0;
         let routed = conn.state == ConnState::Handshaking;
+        let metrics = Arc::clone(&conn.shared.metrics);
         let relay = relay(conn);
         let addr = &relay.up.link.as_ref().expect("a welcomed link").addr;
-        shared.metrics.backend_session_routed(addr);
+        metrics.backend_session_routed(addr);
         if !routed {
-            shared.metrics.reconnect_established();
-            shared
-                .metrics
-                .backend_jobs_resubmitted(addr, resubmitted as u64);
+            metrics.reconnect_established();
+            metrics.backend_jobs_resubmitted(addr, resubmitted as u64);
         }
         relay.failed.clear();
-        relay.up.schedule(w);
         if routed {
             // The tighter of this end's limits and the backend's, so a client
             // honouring its Welcome trips neither hop's caps.
             let (_, max_in_flight, max_frame_len) = welcome;
-            let max_in_flight = max_in_flight.min(shared.config.max_in_flight as u32);
-            let max_frame_len = max_frame_len.min(shared.config.max_frame_len as u64);
-            establish(conn, max_in_flight, max_frame_len, shared, p, w);
+            let config = &conn.shared.config;
+            let max_in_flight = max_in_flight.min(config.max_in_flight as u32);
+            let max_frame_len = max_frame_len.min(config.max_frame_len as u64);
+            establish(conn, max_in_flight, max_frame_len);
         }
     }
 
-    fn heard(&mut self, frame: Frame, _: &mut Poller, _: &mut TimerWheel) -> bool {
-        let (conn, shared) = (&mut *self.conn, self.shared);
+    fn heard(&mut self, frame: Frame, _: Instant) -> bool {
+        let conn = &mut *self.0;
         match frame {
             // Only a retained job is owed a reply, and its trace is the one
             // the relay retained, whatever the backend echoed.
@@ -133,21 +135,21 @@ impl Role for Face<'_> {
                 request_id, result, ..
             } => {
                 if let Some(job) = relay(conn).up.jobs.remove(&request_id) {
-                    shared.metrics.telemetry().record_round_trip(
+                    conn.shared.metrics.telemetry().record_round_trip(
                         Stage::BackendRtt,
                         job.trace,
                         request_id,
                         job.sent_at,
                         result.is_ok(),
                     );
-                    queue_reply(conn, request_id, result, shared);
+                    queue_reply(conn, request_id, result);
                 }
             }
             // Mid-job progress, streamed for jobs still owed.
             Frame::Progress { request_id, update } => {
                 if relay(conn).up.jobs.contains_key(&request_id) {
                     let progress = Frame::Progress { request_id, update };
-                    conn.sock.queue(&progress, false, &shared.metrics);
+                    conn.sock.queue(&progress, false, &conn.shared.metrics);
                 }
             }
             Frame::Pong { .. } => {}
@@ -158,155 +160,87 @@ impl Role for Face<'_> {
 
     /// The link failed, or its connect did: tell the policy about its
     /// backend, and dial another; the retained jobs ride that one.
-    fn lost(&mut self, link: Link, _: CloudError, p: &mut Poller, w: &mut TimerWheel) {
-        routing(self.shared).failed(&link.addr);
+    fn lost(&mut self, link: Link, _: CloudError, now: Instant) {
+        let shared = Arc::clone(&self.0.shared);
+        routing(&shared).failed(&link.addr);
         if link.welcomed {
-            self.shared.metrics.backend_failover(&link.addr);
+            shared.metrics.backend_failover(&link.addr);
         }
-        relay(self.conn).failed.push(link.addr);
-        dial(self.conn, self.shared, p, w);
+        relay(self.0).failed.push(link.addr);
+        dial(self.0, now);
     }
 }
 
 /// The client's `Hello` is accepted: dial the session's link. The
 /// `Welcome` waits for the backend's.
-pub(super) fn route(
-    conn: &mut Conn,
-    api_key: Option<String>,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
-    let token = conn.sock.token;
+pub(super) fn route(conn: &mut Conn, api_key: Option<String>, now: Instant) {
     let relay = relay(conn);
-    relay.key = api_key
-        .clone()
-        .unwrap_or_else(|| format!("anon#{}.{token}", relay.home));
+    if let Some(key) = &api_key {
+        relay.key.clone_from(key);
+    }
     relay.up.config.api_key = api_key;
-    dial(conn, shared, poller, wheel);
+    dial(conn, now);
 }
 
-/// Starts a connect to the first candidate the session has not failed,
-/// reporting each that cannot even be dialed. With none left the session
-/// is refused, or its retained jobs are answered.
-fn dial(conn: &mut Conn, shared: &Arc<ServerShared>, poller: &mut Poller, wheel: &mut TimerWheel) {
+/// Dials the first candidate the session has not failed; a connect that
+/// fails comes back as the link's loss, and the next is dialed then. With
+/// none left the session is refused, or its retained jobs are answered.
+fn dial(conn: &mut Conn, now: Instant) {
     if !matches!(conn.state, ConnState::Handshaking | ConnState::Established) {
         return; // the session is ending: nobody is left to answer
     }
-    let policy = routing(shared);
+    let shared = Arc::clone(&conn.shared);
     let relay = relay(conn);
-    for (name, addr) in policy.candidates(&relay.key) {
-        if relay.failed.contains(&name) {
-            continue;
-        }
-        let connecting = relay.up.connect((addr, name.clone()), poller, wheel);
-        if connecting.is_ok() {
-            return;
-        }
-        policy.failed(&name);
-        relay.failed.push(name);
+    let candidate = routing(&shared)
+        .candidates(&relay.key)
+        .into_iter()
+        .find(|(name, _)| !relay.failed.contains(name));
+    if let Some((name, addr)) = candidate {
+        return relay.up.connect((addr, name), now);
     }
     relay.failed.clear();
     let jobs = std::mem::take(&mut relay.up.jobs);
     if conn.state == ConnState::Handshaking {
-        refuse(conn, "no healthy backend".into(), shared, poller, wheel);
+        refuse(conn, "no healthy backend".into());
     } else {
         // Nowhere left to send them: a retryable answer, never a hang.
         for id in jobs.into_keys() {
-            queue_reply(conn, id, Err(CloudError::ServiceUnavailable), shared);
+            queue_reply(conn, id, Err(CloudError::ServiceUnavailable));
         }
-        flush_writes(conn, shared, poller, wheel);
     }
 }
 
 /// Retains an accepted submit and sends it on the link — or, with none
 /// welcomed yet, leaves it for the next, dialing one if none is coming.
-pub(super) fn submit(
-    conn: &mut Conn,
-    id: u64,
-    payload: Bytes,
-    trace: TraceId,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
+pub(super) fn submit(conn: &mut Conn, id: u64, payload: Bytes, trace: TraceId, now: Instant) {
     let job = Job {
         payload,
         trace,
-        sent_at: Instant::now(),
+        sent_at: now,
         role: (),
     };
     let up = &mut relay(conn).up;
-    up.retain(id, job, wheel);
+    up.retain(id, job, now);
     if up.link.is_none() {
-        dial(conn, shared, poller, wheel);
+        dial(conn, now);
     }
-    link::flush(&mut Face { conn, shared }, poller, wheel);
 }
 
 /// Passes a `Cancel` to the welcomed backend — best effort, as everywhere
 /// in the cancel path. The job stays retained: its reply (normally `Cancelled`)
 /// settles it, and if the link dies first the resubmitted job's outcome.
-pub(super) fn cancel(
-    conn: &mut Conn,
-    request_id: u64,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
-    if relay(conn).up.send(&Frame::Cancel { request_id }) {
-        link::flush(&mut Face { conn, shared }, poller, wheel);
-    }
-}
-
-/// Readiness on the session's backend link: what the backend sent is
-/// relayed until its socket runs dry or the link fails. What waits for the
-/// client is bounded by the in-flight cap, as on a service session: every
-/// reply holds a slot until its bytes are flushed.
-pub(super) fn link_io(
-    conn: &mut Conn,
-    readable: bool,
-    writable: bool,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
-    link::io(
-        &mut Face { conn, shared },
-        readable,
-        writable,
-        poller,
-        wheel,
-    );
-    flush_writes(conn, shared, poller, wheel);
-}
-
-/// The link's deadline: a link that stalled fails over; a welcomed one
-/// write-idle for the keep-alive interval is pinged, so the backend's idle
-/// timeout never ends a quiet session.
-pub(super) fn link_timer(
-    conn: &mut Conn,
-    generation: u64,
-    shared: &Arc<ServerShared>,
-    poller: &mut Poller,
-    wheel: &mut TimerWheel,
-) {
-    let face = &mut Face { conn, shared };
-    if link::fired(face, generation, poller, wheel) {
-        link::flush(face, poller, wheel);
-        face.up().schedule(wheel);
-    }
+pub(super) fn cancel(conn: &mut Conn, request_id: u64, now: Instant) {
+    relay(conn).up.send(&Frame::Cancel { request_id }, now);
 }
 
 /// The session is ending: nobody is left to answer, so its link closes —
 /// the backend sees the peer gone and abandons what is still running — and
 /// its jobs are dropped, leaving only what is already queued to flush. A
 /// session's end is not its backend's failure: the policy hears nothing.
-pub(super) fn sever(conn: &mut Conn, poller: &mut Poller) {
+pub(super) fn sever(conn: &mut Conn) {
     if let Some(relay) = conn.relay.as_deref_mut() {
-        relay.up.close(poller);
+        relay.up.close();
         relay.up.jobs.clear();
-        conn.in_flight = 0;
     }
 }
 
@@ -315,9 +249,11 @@ pub(super) fn sever(conn: &mut Conn, poller: &mut Poller) {
 pub(super) struct Prober(HashMap<u64, Probe>);
 
 /// One probe transaction against the backend `name`.
-struct Probe {
+pub(super) struct Probe {
     name: String,
     up: Uplink<()>,
+    /// When the probe timeout runs out.
+    due: Instant,
     /// The transaction is over: `true` once the `Pong` came back.
     verdict: Option<bool>,
 }
@@ -329,24 +265,52 @@ impl Role for Probe {
         &mut self.up
     }
 
-    fn welcomed(&mut self, _: Welcome, _: usize, _: &mut Poller, _: &mut TimerWheel) {
-        self.up.send(&Frame::Ping { nonce: PROBE_NONCE });
+    fn welcomed(&mut self, _: Welcome, _: usize, now: Instant) {
+        self.up.send(&Frame::Ping { nonce: PROBE_NONCE }, now);
     }
 
     /// A keep-alive's `Pong` is no answer; anything but a `Pong` no
     /// backend may send.
-    fn heard(&mut self, frame: Frame, _: &mut Poller, _: &mut TimerWheel) -> bool {
+    fn heard(&mut self, frame: Frame, now: Instant) -> bool {
         let Frame::Pong { nonce } = frame else {
             return false;
         };
         if nonce == PROBE_NONCE && self.verdict.replace(true).is_none() {
-            self.up.send(&Frame::Goodbye);
+            self.up.send(&Frame::Goodbye, now);
         }
         true
     }
 
-    fn lost(&mut self, _: Link, _: CloudError, _: &mut Poller, _: &mut TimerWheel) {
+    fn lost(&mut self, _: Link, _: CloudError, _: Instant) {
         self.verdict.get_or_insert(false);
+    }
+}
+
+impl Machine for Probe {
+    fn socket(&mut self, link: bool) -> Option<&mut Socket> {
+        link.then_some(&mut self.up.sock)
+    }
+
+    fn inbound(&mut self, _: bool, what: Inbound, now: Instant) {
+        link::inbound(self, what, now);
+    }
+
+    fn timer(&mut self, now: Instant) {
+        link::fired(self, now);
+        if self.due <= now {
+            self.verdict.get_or_insert(false);
+        }
+    }
+
+    /// A probe with a verdict — its `Goodbye` queued — ends.
+    fn settled(&mut self, _: Instant) {
+        if self.verdict.is_some() {
+            self.up.close();
+        }
+    }
+
+    fn deadline(&self, now: Instant) -> Option<Instant> {
+        self.up.deadline(now).into_iter().chain([self.due]).min()
     }
 }
 
@@ -363,8 +327,7 @@ impl Prober {
             return;
         };
         let (due, next) = routing.sweep();
-        let now = Instant::now();
-        r.wheel.insert(now + next, SWEEP_TOKEN, 0);
+        r.timers.arm(SWEEP_TOKEN, Some(r.now + next));
         // The probe's own deadline is the one; the handshake's is no sooner.
         let config = TransportConfig {
             api_key: None,
@@ -377,58 +340,42 @@ impl Prober {
             }
             let token = r.token();
             let mut up = Uplink::new(token, config.clone(), None, Arc::clone(&shared.metrics));
-            up.wake_at = Some(now + *timeout);
-            let verdict = up.connect((addr, name.clone()), &mut r.poller, &mut r.wheel);
-            let verdict = verdict.err().map(|_| false);
-            self.0.insert(token, Probe { name, up, verdict });
-            self.settle(token, shared, r);
+            up.connect((addr, name.clone()), r.now);
+            let probe = Probe {
+                name,
+                up,
+                due: r.now + *timeout,
+                verdict: None,
+            };
+            self.0.insert(token, probe);
+            self.on(token, shared, r, |r, probe| r.settle(token, probe));
         }
     }
 
-    /// Readiness on the link of the probe `token`.
-    pub(super) fn io(
+    /// Runs `event` on the probe `token`, if it is out; once it has a
+    /// verdict it has ended, and the policy hears the verdict.
+    pub(super) fn on(
         &mut self,
         token: u64,
-        (readable, writable): (bool, bool),
         shared: &ServerShared,
         r: &mut Reactor,
+        event: impl FnOnce(&mut Reactor, &mut Probe),
     ) {
-        if let Some(probe) = self.0.get_mut(&token) {
-            link::io(probe, readable, writable, &mut r.poller, &mut r.wheel);
-            self.settle(token, shared, r);
-        }
-    }
-
-    /// The probe `token`'s deadline: past the probe timeout, it failed.
-    pub(super) fn timer(&mut self, token: u64, gen: u64, shared: &ServerShared, r: &mut Reactor) {
         let Some(probe) = self.0.get_mut(&token) else {
             return;
         };
-        if link::fired(probe, gen, &mut r.poller, &mut r.wheel) {
-            if probe.up.wake_at.is_some_and(|at| Instant::now() >= at) {
-                probe.verdict.get_or_insert(false);
-            }
-            probe.up.schedule(&mut r.wheel);
-            self.settle(token, shared, r);
-        }
-    }
-
-    /// Flushes the probe `token`; once it has a verdict — its `Goodbye`
-    /// flushed — it ends, and the policy hears the verdict.
-    fn settle(&mut self, token: u64, shared: &ServerShared, r: &mut Reactor) {
-        let probe = self.0.get_mut(&token).expect("a live probe");
-        link::flush(probe, &mut r.poller, &mut r.wheel);
+        event(r, probe);
         if let Some(ok) = probe.verdict {
-            probe.up.close(&mut r.poller);
             let name = self.0.remove(&token).expect("a live probe").name;
             routing(shared).probed(&name, ok);
         }
     }
 
     /// The relay is stopping: probes end unjudged.
-    pub(super) fn stop(&mut self, poller: &mut Poller) {
-        for probe in self.0.values_mut() {
-            probe.up.close(poller);
+    pub(super) fn stop(&mut self, r: &mut Reactor) {
+        for (&token, probe) in &mut self.0 {
+            probe.up.close();
+            r.settle(token, probe);
         }
     }
 }

@@ -1,9 +1,11 @@
 //! The socket under every framed connection, whatever its role (the
-//! transport docs' "Tiers, roles and threads"): every role reads, writes
-//! and closes through here, and what a frame means, and what to do when the
-//! socket fails, stays with the role.
+//! transport docs' "Driver and machines"). A machine queues frames on it,
+//! says whether it still reads, and asks it to dial or to close; the driver
+//! does the I/O — reads, dials, registrations, flushes with their interest,
+//! closes — and the stall clock lives here, one rule for every role.
 
 use super::super::frame::{Frame, FrameDecoder};
+use super::super::TransportConfig;
 use super::link::LINK;
 use crate::metrics::ServiceMetrics;
 use crate::telemetry::Stage;
@@ -11,39 +13,54 @@ use crate::CloudError;
 use bytes::Bytes;
 use reactor::{Interest, Poller};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Write};
-use std::net::{Shutdown, TcpStream};
+use std::io::{Error, ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 
-/// One registered, nonblocking connection's I/O; owned by its reactor.
-pub(super) struct Socket {
-    stream: TcpStream,
+/// One connection slot's I/O state; owned by its reactor. A link's slot
+/// outlives its connections: each dial starts a new one in it.
+pub(crate) struct Socket {
+    /// The connection; `None` before the first dial and once closed.
+    stream: Option<TcpStream>,
+    /// A connect for the driver to start, once the connection `stream`
+    /// holds, if any, is closed.
+    dial: Option<SocketAddr>,
     /// Its poller token: with [`LINK`] set it is a link's, whose frames
     /// count as relayed and whose flushes go untimed.
-    pub(super) token: u64,
+    token: u64,
     decoder: FrameDecoder,
     writes: WriteQueue,
-    /// Interest currently registered with the poller.
-    interest: Interest,
+    /// Interest registered with the poller; `None` while unregistered.
+    interest: Option<Interest>,
+    /// The connect finished (an accepted connection's has): until then
+    /// nothing is read or written.
+    connected: bool,
+    /// The owner takes frames from it; cleared when it stops reading for
+    /// good.
+    pub(super) reading: bool,
+    /// The owner is done with the connection: the driver writes what it
+    /// can of the queue, then closes it.
+    closing: bool,
+    /// Frames were queued since the last flush.
+    fresh: bool,
     /// When bytes last arrived (registration counts).
     pub(super) heard_at: Instant,
     /// When the write queue last moved, or last fell non-empty.
     progress: Instant,
-    /// Deregistered and shut down: nothing is read or written again.
-    closed: bool,
+    max_frame_len: usize,
+    write_timeout: Duration,
 }
 
-/// What the next read of a socket found.
-pub(super) enum Inbound {
+/// What the next read of a socket found, or how it failed.
+pub(crate) enum Inbound {
     /// A whole frame, counted received.
     Frame(Frame),
-    /// Nothing more until the socket is readable again.
-    Dry,
     /// The peer closed its end; `cut` when that left a frame unfinished.
     Eof { cut: bool },
-    /// The read failed.
-    Failed(std::io::Error),
+    /// A read, a connect or the sink failed: a write broke or stalled past
+    /// the write timeout, and what was queued is gone.
+    Failed(Error),
     /// The peer sent what no frame is: an unknown tag, a malformed body or
     /// a length over the cap.
     Malformed(CloudError),
@@ -61,39 +78,115 @@ pub(super) enum FlushOutcome {
 }
 
 impl Socket {
-    /// Makes `stream` nonblocking and registers it under `token` with
-    /// `interest`.
-    pub(super) fn register(
-        stream: TcpStream,
-        token: u64,
-        interest: Interest,
-        poller: &mut Poller,
-        metrics: &ServiceMetrics,
-    ) -> std::io::Result<Socket> {
-        let _ = stream.set_nodelay(true);
-        stream.set_nonblocking(true)?;
-        poller.register(stream.as_raw_fd(), token, interest)?;
-        metrics.reactor_fd_registered();
+    /// A slot with no connection, for `token`, framed and timed by `config`.
+    pub(super) fn new(token: u64, config: &TransportConfig) -> Socket {
         let now = Instant::now();
-        Ok(Socket {
-            stream,
+        Socket {
+            stream: None,
+            dial: None,
             token,
             decoder: FrameDecoder::new(),
             writes: WriteQueue {
                 relay: token & LINK != 0,
                 ..WriteQueue::default()
             },
-            interest,
+            interest: None,
+            connected: false,
+            reading: true,
+            closing: false,
+            fresh: false,
             heard_at: now,
             progress: now,
-            closed: false,
-        })
+            max_frame_len: config.max_frame_len,
+            write_timeout: config.write_timeout,
+        }
     }
 
-    /// The next frame: one already buffered, else what a read brings in.
-    pub(super) fn next_frame(&mut self, max_frame_len: usize, metrics: &ServiceMetrics) -> Inbound {
+    /// An accepted connection, for the driver to register.
+    pub(super) fn accepted(stream: TcpStream, token: u64, config: &TransportConfig) -> Socket {
+        Socket {
+            stream: Some(stream),
+            connected: true,
+            ..Socket::new(token, config)
+        }
+    }
+
+    /// Starts a new connection to `peer`: the one the slot holds, if any,
+    /// ends, its queue discarded.
+    pub(super) fn dial(&mut self, peer: SocketAddr, metrics: &ServiceMetrics) {
+        self.writes.discard(metrics);
+        self.closing = self.stream.is_some();
+        self.dial = Some(peer);
+        self.connected = false;
+        self.reading = true;
+        self.decoder = FrameDecoder::new();
+    }
+
+    /// The owner is done with the connection: what is queued goes out as
+    /// far as the socket takes it, then it closes. A dial not yet started
+    /// is dropped.
+    pub(super) fn close(&mut self) {
+        self.closing = true;
+        self.dial = None;
+    }
+
+    /// The connect finished.
+    pub(super) fn connected(&self) -> bool {
+        self.connected
+    }
+
+    /// Queues `frame`, a `reply` holding its in-flight slot until flushed or
+    /// discarded. `false`, nothing queued, on a closed socket or for a frame
+    /// too big for the `u32` length prefix, which no control frame is.
+    pub(super) fn queue(&mut self, frame: &Frame, reply: bool, metrics: &ServiceMetrics) -> bool {
+        // A connection, or a dial, the owner has not closed.
+        if self.dial.is_none() && (self.stream.is_none() || self.closing) {
+            return false;
+        }
+        if self.writes.bytes == 0 {
+            self.progress = Instant::now();
+        }
+        self.fresh = true;
+        self.writes.push_frame(frame, reply, metrics)
+    }
+
+    /// Unflushed bytes; `0` exactly when nothing is queued.
+    pub(super) fn queued(&self) -> usize {
+        self.writes.bytes
+    }
+
+    /// Reply frames queued and not yet written whole: each holds its
+    /// in-flight slot.
+    pub(super) fn replies(&self) -> usize {
+        self.writes.replies
+    }
+
+    /// When a queue that stopped draining breaks the sink: the write
+    /// timeout after it last moved or fell non-empty; `None` with nothing
+    /// queued or no connection yet.
+    pub(super) fn stall_deadline(&self) -> Option<Instant> {
+        (self.connected && self.writes.bytes > 0).then(|| self.progress + self.write_timeout)
+    }
+
+    /// A close, a dial, a registration or a flush of frames queued since
+    /// the last waits for the driver.
+    pub(super) fn pending(&self) -> bool {
+        let registering = self.stream.is_some() && self.interest.is_none();
+        self.closing || self.dial.is_some() || registering || (self.fresh && self.connected)
+    }
+
+    /// The driver may take a frame: a registered, connected connection
+    /// whose owner reads.
+    pub(super) fn reads(&self) -> bool {
+        self.reading && self.connected && !self.closing && self.interest.is_some()
+    }
+
+    /// The next frame: one already buffered, else what a read brings in;
+    /// `None` until the socket is readable again.
+    pub(super) fn next_frame(&mut self, metrics: &ServiceMetrics) -> Option<Inbound> {
+        let stream = self.stream.as_mut()?;
         loop {
-            match self.decoder.next_frame(max_frame_len) {
+            match self.decoder.next_frame(self.max_frame_len) {
                 Ok(Some((frame, wire))) => {
                     // Counted like sent frames: a link's as relayed, a
                     // session's in the totals, and all but job traffic
@@ -103,63 +196,99 @@ impl Socket {
                         (false, Frame::Submit { .. }) => metrics.frame_received(wire),
                         (false, _) => metrics.control_frame_received(wire),
                     }
-                    return Inbound::Frame(frame);
+                    return Some(Inbound::Frame(frame));
                 }
                 Ok(None) => {}
-                Err(e) => return Inbound::Malformed(e),
+                Err(e) => return Some(Inbound::Malformed(e)),
             }
-            match self.decoder.read_from(&mut self.stream) {
+            match self.decoder.read_from(stream) {
                 Ok(0) => {
                     let cut = self.decoder.buffered() > 0;
-                    return Inbound::Eof { cut };
+                    return Some(Inbound::Eof { cut });
                 }
                 Ok(_) => self.heard_at = Instant::now(),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Inbound::Dry,
-                Err(e) => return Inbound::Failed(e),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
+                Err(e) => return Some(Inbound::Failed(e)),
             }
         }
     }
 
-    /// Why the connect in progress failed, if it did.
-    pub(super) fn connect_error(&self) -> Option<std::io::Error> {
-        self.stream.take_error().unwrap_or_else(Some)
-    }
-
-    /// Queues `frame`, a `reply` holding its in-flight slot until flushed or
-    /// discarded. `false`, nothing queued, on a closed socket or for a frame
-    /// too big for the `u32` length prefix, which no control frame is.
-    pub(super) fn queue(&mut self, frame: &Frame, reply: bool, metrics: &ServiceMetrics) -> bool {
-        if self.closed {
-            return false;
+    /// Everything the owner asked of the socket since the last time, in
+    /// order: a close (after one last flush, unless a dial replaces the
+    /// connection), a dial, the registration, whether a connect ended, then
+    /// a flush with the interest it leaves. A failure closes the socket and
+    /// is returned.
+    pub(super) fn io(
+        &mut self,
+        poller: &mut Poller,
+        metrics: &ServiceMetrics,
+        now: Instant,
+    ) -> Option<Inbound> {
+        if std::mem::take(&mut self.closing) {
+            let replaced = self.dial.is_some();
+            if !replaced {
+                self.flush(poller, metrics);
+            }
+            self.shut(poller, metrics);
+            if !replaced {
+                self.writes.discard(metrics);
+            }
         }
-        if self.writes.bytes == 0 {
-            self.progress = Instant::now();
+        if let Some(peer) = self.dial.take() {
+            match reactor::connect(peer) {
+                Ok(stream) => self.stream = Some(stream),
+                Err(e) => return Some(self.fail(e, poller, metrics)),
+            }
         }
-        self.writes.push_frame(frame, reply, metrics)
-    }
-
-    /// Unflushed bytes; `0` exactly when nothing is queued.
-    pub(super) fn queued(&self) -> usize {
-        self.writes.bytes
+        if let (None, Some(stream)) = (self.interest, &self.stream) {
+            let _ = stream.set_nodelay(true);
+            let want = Interest {
+                readable: self.reading,
+                writable: !self.connected,
+            };
+            let fd = stream.as_raw_fd();
+            let registered = stream
+                .set_nonblocking(true)
+                .and_then(|()| poller.register(fd, self.token, want));
+            if let Err(e) = registered {
+                return Some(self.fail(e, poller, metrics));
+            }
+            metrics.reactor_fd_registered();
+            self.interest = Some(want);
+            self.heard_at = Instant::now();
+        }
+        if let (false, Some(stream)) = (self.connected, &self.stream) {
+            // A connect ends by its first writability, registered for.
+            match stream.take_error().unwrap_or_else(Some) {
+                Some(e) => return Some(self.fail(e, poller, metrics)),
+                None => self.connected = stream.peer_addr().is_ok(),
+            }
+        }
+        if !self.connected {
+            return None;
+        }
+        let cause = match self.flush(poller, metrics) {
+            FlushOutcome::Broken => Error::new(ErrorKind::BrokenPipe, "write failed"),
+            _ if self.stall_deadline().is_some_and(|at| at <= now) => {
+                Error::new(ErrorKind::TimedOut, "writes stalled past the write timeout")
+            }
+            _ => return None,
+        };
+        Some(self.fail(cause, poller, metrics))
     }
 
     /// Writes what is queued — on a session, its `ReactorFlush` span when
-    /// bytes leave — then registers interest in reads while the owner is
-    /// `reading` and in writes while anything is left. Returns the reply
-    /// frames written whole (their slots free up) and how the attempt
-    /// ended. The socket stops reading for good when its owner does.
-    pub(super) fn flush(
-        &mut self,
-        reading: bool,
-        poller: &mut Poller,
-        metrics: &ServiceMetrics,
-    ) -> (usize, FlushOutcome) {
-        if self.closed {
-            return (0, FlushOutcome::Drained);
-        }
+    /// bytes leave — then registers interest in reads while the owner
+    /// reads and in writes while anything is left. The socket stops
+    /// reading for good when its owner does.
+    fn flush(&mut self, poller: &mut Poller, metrics: &ServiceMetrics) -> FlushOutcome {
+        self.fresh = false;
+        let (Some(stream), Some(interest)) = (&mut self.stream, self.interest) else {
+            return FlushOutcome::Drained;
+        };
         let queued = self.writes.bytes;
         let started = (queued > 0 && !self.writes.relay).then(Instant::now);
-        let (replies, outcome) = self.writes.flush(&mut self.stream, metrics);
+        let outcome = self.writes.flush(stream, metrics);
         if self.writes.bytes < queued {
             self.progress = Instant::now();
             if let Some(started) = started {
@@ -167,41 +296,39 @@ impl Socket {
                 metrics.telemetry().record(Stage::ReactorFlush, span);
             }
         }
-        if !reading && self.interest.readable {
-            let _ = self.stream.shutdown(Shutdown::Read);
+        if !self.reading && interest.readable {
+            let _ = stream.shutdown(Shutdown::Read);
         }
         let want = Interest {
-            readable: reading,
+            readable: self.reading,
             writable: outcome == FlushOutcome::Blocked,
         };
-        if want != self.interest
+        if want != interest
             && poller
-                .reregister(self.stream.as_raw_fd(), self.token, want)
+                .reregister(stream.as_raw_fd(), self.token, want)
                 .is_ok()
         {
-            self.interest = want;
+            self.interest = Some(want);
         }
-        (replies, outcome)
+        outcome
     }
 
-    /// When a queue that stopped draining breaks the sink: `timeout` after
-    /// it last moved or fell non-empty; `None` with nothing queued.
-    pub(super) fn stall_deadline(&self, timeout: Duration) -> Option<Instant> {
-        (self.writes.bytes > 0).then(|| self.progress + timeout)
+    /// Closes the socket for `cause`, discarding what is queued.
+    fn fail(&mut self, cause: Error, poller: &mut Poller, metrics: &ServiceMetrics) -> Inbound {
+        self.shut(poller, metrics);
+        self.writes.discard(metrics);
+        Inbound::Failed(cause)
     }
 
-    /// Deregisters the socket, shuts it down and discards what is queued,
-    /// returning how many reply frames were discarded (their slots free
-    /// up). A closed socket stays closed.
-    pub(super) fn close(&mut self, poller: &mut Poller, metrics: &ServiceMetrics) -> usize {
-        if std::mem::replace(&mut self.closed, true) {
-            return 0;
-        }
-        if poller.deregister(self.stream.as_raw_fd()).is_ok() {
+    /// Deregisters the connection and shuts it down.
+    fn shut(&mut self, poller: &mut Poller, metrics: &ServiceMetrics) {
+        let Some(stream) = self.stream.take() else {
+            return;
+        };
+        if self.interest.take().is_some() && poller.deregister(stream.as_raw_fd()).is_ok() {
             metrics.reactor_fd_deregistered();
         }
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.writes.discard(metrics)
+        let _ = stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -223,6 +350,8 @@ struct WriteQueue {
     /// Unflushed bytes across all chunks (mirrored into the service-wide
     /// backpressure gauge).
     bytes: usize,
+    /// Reply frames queued and not yet written whole.
+    replies: usize,
     /// A link's queue: its frames are counted as relayed once written, never
     /// in a session's totals.
     relay: bool,
@@ -237,6 +366,7 @@ impl WriteQueue {
         };
         let wire: usize = chunks.iter().map(Bytes::len).sum();
         self.bytes += wire;
+        self.replies += usize::from(is_reply);
         metrics.write_queue_grew(wire);
         // The frame counters move at *commit* time, not flush time: once a
         // frame is queued its delivery is ordered before any observer can
@@ -264,14 +394,9 @@ impl WriteQueue {
         true
     }
 
-    /// Writes as much as the socket will take. Returns completed reply
-    /// frames (their in-flight slots free up) and how the attempt ended.
-    fn flush(
-        &mut self,
-        stream: &mut impl Write,
-        metrics: &ServiceMetrics,
-    ) -> (usize, FlushOutcome) {
-        let mut replies = 0;
+    /// Writes as much as the socket will take, and says how the attempt
+    /// ended; reply frames written whole give up their slots.
+    fn flush(&mut self, stream: &mut impl Write, metrics: &ServiceMetrics) -> FlushOutcome {
         loop {
             // Pop chunks that are already fully written (including any
             // zero-length ones) before gathering.
@@ -283,13 +408,13 @@ impl WriteQueue {
                     Some((wire, _)) if self.relay => metrics.relay_frame_sent(wire),
                     // Counted at push time; here only the in-flight slot is
                     // released, which genuinely requires the bytes flushed.
-                    Some((_, true)) => replies += 1,
+                    Some((_, true)) => self.replies -= 1,
                     _ => {}
                 }
                 self.q.pop_front();
             }
             if self.q.is_empty() {
-                return (replies, FlushOutcome::Drained);
+                return FlushOutcome::Drained;
             }
             // Gather the front chunks into one vectored write: a reply
             // split into prefix/head, payload and trace-tail chunks leaves
@@ -306,7 +431,7 @@ impl WriteQueue {
                 }
             }
             match stream.write_vectored(&iov[..n_iov]) {
-                Ok(0) => return (replies, FlushOutcome::Broken),
+                Ok(0) => return FlushOutcome::Broken,
                 Ok(mut n) => {
                     self.bytes -= n;
                     metrics.write_queue_shrank(n);
@@ -322,32 +447,26 @@ impl WriteQueue {
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    return (replies, FlushOutcome::Blocked)
-                }
-                Err(_) => return (replies, FlushOutcome::Broken),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return FlushOutcome::Blocked,
+                Err(_) => return FlushOutcome::Broken,
             }
         }
     }
 
-    /// Drops everything (broken sink), returning how many queued reply
-    /// frames were discarded so their in-flight slots free up. Frames that
-    /// never fully flushed are uncounted from the sent totals.
-    fn discard(&mut self, metrics: &ServiceMetrics) -> usize {
-        let mut replies = 0;
+    /// Drops everything (broken sink or a closed connection), freeing the
+    /// queued replies' slots. Frames that never fully flushed are uncounted
+    /// from the sent totals.
+    fn discard(&mut self, metrics: &ServiceMetrics) {
         for p in self.q.drain(..) {
             match p.end_of_frame {
-                Some((wire, true)) => {
-                    metrics.frame_send_aborted(wire);
-                    replies += 1;
-                }
+                Some((wire, true)) => metrics.frame_send_aborted(wire),
                 Some((wire, false)) if !self.relay => metrics.control_frame_send_aborted(wire),
                 _ => {}
             }
         }
         metrics.write_queue_shrank(self.bytes);
         self.bytes = 0;
-        replies
+        self.replies = 0;
     }
 }
 
@@ -395,8 +514,7 @@ mod tests {
         // The model is queued as the worker's buffer, not a copy of it.
         assert!(q.q.iter().any(|p| p.buf.as_ptr() == model.as_ptr()));
         loop {
-            let (_, outcome) = q.flush(&mut server_side, &metrics);
-            match outcome {
+            match q.flush(&mut server_side, &metrics) {
                 FlushOutcome::Drained => break,
                 FlushOutcome::Blocked => std::thread::sleep(Duration::from_millis(1)),
                 FlushOutcome::Broken => panic!("loopback write broke"),
@@ -460,17 +578,15 @@ mod tests {
             out: Vec::new(),
             ready: false,
         };
-        let mut reply_frames = 0;
+        assert_eq!(q.replies, 2);
         loop {
-            let (replies, outcome) = q.flush(&mut sink, &metrics);
-            reply_frames += replies;
-            match outcome {
+            match q.flush(&mut sink, &metrics) {
                 FlushOutcome::Drained => break,
                 FlushOutcome::Blocked => {}
                 FlushOutcome::Broken => panic!("stutter is not an error"),
             }
         }
-        assert_eq!(reply_frames, 2);
+        assert_eq!(q.replies, 0, "both replies written whole");
         assert_eq!(q.bytes, 0);
         assert_eq!(sink.out, expect);
         let stats = metrics.snapshot();
@@ -494,8 +610,9 @@ mod tests {
             &metrics,
         );
         assert!(metrics.snapshot().reactor_write_queue_bytes > 0);
-        let replies = q.discard(&metrics);
-        assert_eq!(replies, 2);
+        assert_eq!(q.replies, 2);
+        q.discard(&metrics);
+        assert_eq!(q.replies, 0);
         assert_eq!(metrics.snapshot().reactor_write_queue_bytes, 0);
         assert_eq!(metrics.snapshot().frames_sent, 0);
         assert_eq!(metrics.snapshot().control_frames_sent, 0);
@@ -511,18 +628,22 @@ mod tests {
         let metrics = ServiceMetrics::new();
         let mut poller = Poller::new().unwrap();
         let (a, _b) = loopback_pair();
-        let mut sock = Socket::register(a, 1, Interest::READABLE, &mut poller, &metrics).unwrap();
         let timeout = Duration::from_secs(3600);
-        assert_eq!(sock.stall_deadline(timeout), None);
+        let config = TransportConfig::default().write_timeout(timeout);
+        let mut sock = Socket::accepted(a, 1, &config);
+        assert!(sock.io(&mut poller, &metrics, Instant::now()).is_none());
+        assert_eq!(sock.stall_deadline(), None);
         let queued_at = Instant::now();
         assert!(sock.queue(&Frame::Pong { nonce: 1 }, false, &metrics));
-        assert!(sock.stall_deadline(timeout).unwrap() >= queued_at + timeout);
+        assert!(sock.stall_deadline().unwrap() >= queued_at + timeout);
         // A second frame on a queue still waiting does not restart it.
-        let first = sock.stall_deadline(timeout);
+        let first = sock.stall_deadline();
         assert!(sock.queue(&Frame::Pong { nonce: 2 }, false, &metrics));
-        assert_eq!(sock.stall_deadline(timeout), first);
-        assert_eq!(sock.close(&mut poller, &metrics), 0);
-        assert_eq!(sock.stall_deadline(timeout), None);
+        assert_eq!(sock.stall_deadline(), first);
+        sock.close();
         assert!(!sock.queue(&Frame::Pong { nonce: 3 }, false, &metrics));
+        assert!(sock.io(&mut poller, &metrics, Instant::now()).is_none());
+        assert_eq!(sock.stall_deadline(), None);
+        assert_eq!(metrics.snapshot().reactor_write_queue_bytes, 0);
     }
 }

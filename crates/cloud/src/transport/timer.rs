@@ -1,31 +1,25 @@
 //! Hashed timer wheel for connection deadlines.
 //!
 //! Each connection keeps one deadline, the earliest of what it waits for —
-//! a server-role connection its handshake or idle timeout and a stalled
-//! write queue, a link (its owner's token with the link bit set) a
-//! `Welcome`, replies, a keep-alive ping and its role's own deadlines.
-//! Instead of one thread-per-connection `read_timeout` tick, all deadlines
-//! live in one wheel per reactor thread; the wheel's
-//! [`TimerWheel::next_deadline`] bounds the `epoll_wait` timeout, so an idle
-//! reactor sleeps until the earliest deadline and a busy one never pays more
-//! than an O(slots) scan per wake.
+//! a server-role connection its handshake or idle timeout, a link its
+//! `Welcome`, replies, a keep-alive ping and its role's own deadlines, and
+//! every socket a stalled write queue. Instead of one thread-per-connection
+//! `read_timeout` tick, all deadlines live in one wheel per reactor thread;
+//! the wheel's [`TimerWheel::next_deadline`] bounds the `epoll_wait`
+//! timeout, so an idle reactor sleeps until the earliest deadline and a busy
+//! one never pays more than an O(slots) scan per wake.
 //!
-//! Cancellation is lazy: timers carry a generation counter, and the owner
-//! bumps its generation whenever it arms a new deadline. A fired entry whose
-//! generation is stale is simply dropped — no lookup or removal on the hot
-//! path.
+//! Cancellation is lazy, and the driver ([`Timers`], the reactor's) is the
+//! one holder of generations: each entry carries the generation it was
+//! armed with, the driver remembers the live one per owner, and a fired
+//! entry whose generation is stale is simply dropped — no lookup or removal
+//! on the hot path. One arming rule holds for every owner: an earlier
+//! deadline supersedes the armed one, a later one waits for it to fire and
+//! is then armed, so activity that only pushes a deadline later adds no
+//! entries.
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
-
-/// A deadline that fell due, returned by [`TimerWheel::advance`].
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Fired {
-    /// Connection token the timer was armed for.
-    pub token: u64,
-    /// Generation the timer was armed with; stale generations are ignored by
-    /// the owner.
-    pub generation: u64,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -89,14 +83,12 @@ impl TimerWheel {
         self.len += 1;
     }
 
-    /// Sweeps every tick up to `now`, appending due entries to `fired`.
-    pub(super) fn advance(&mut self, now: Instant, fired: &mut Vec<Fired>) {
+    /// Sweeps every tick up to `now`, appending the token and generation
+    /// of each due entry to `fired`.
+    pub(super) fn advance(&mut self, now: Instant, fired: &mut Vec<(u64, u64)>) {
         for e in self.overdue.drain(..) {
             self.len -= 1;
-            fired.push(Fired {
-                token: e.token,
-                generation: e.generation,
-            });
+            fired.push((e.token, e.generation));
         }
         let target = self.tick_of(now);
         if target < self.cursor {
@@ -114,10 +106,7 @@ impl TimerWheel {
                 if bucket[j].fire_tick <= target {
                     let e = bucket.swap_remove(j);
                     self.len -= 1;
-                    fired.push(Fired {
-                        token: e.token,
-                        generation: e.generation,
-                    });
+                    fired.push((e.token, e.generation));
                 } else {
                     j += 1;
                 }
@@ -152,13 +141,68 @@ impl TimerWheel {
     }
 }
 
+/// The driver's deadlines: one wheel, and per owner the deadline it armed
+/// and that entry's generation.
+#[derive(Debug)]
+pub(super) struct Timers {
+    pub(super) wheel: TimerWheel,
+    armed: HashMap<u64, (Instant, u64)>,
+    generation: u64,
+    fired: Vec<(u64, u64)>,
+}
+
+impl Timers {
+    pub(super) fn new(wheel: TimerWheel) -> Timers {
+        Timers {
+            wheel,
+            armed: HashMap::new(),
+            generation: 0,
+            fired: Vec::new(),
+        }
+    }
+
+    /// Arms `token`'s next deadline `at`, unless one no later is armed
+    /// already: that one fires first, and the owner is armed again then.
+    pub(super) fn arm(&mut self, token: u64, at: Option<Instant>) {
+        let Some(at) = at else {
+            return;
+        };
+        if self
+            .armed
+            .get(&token)
+            .is_some_and(|&(armed, _)| armed <= at)
+        {
+            return;
+        }
+        self.generation += 1;
+        self.armed.insert(token, (at, self.generation));
+        self.wheel.insert(at, token, self.generation);
+    }
+
+    /// Appends to `due` each owner whose armed deadline fell due by `now`;
+    /// it is disarmed. Stale entries are dropped.
+    pub(super) fn advance(&mut self, now: Instant, due: &mut Vec<u64>) {
+        self.wheel.advance(now, &mut self.fired);
+        for (token, generation) in self.fired.drain(..) {
+            if self
+                .armed
+                .get(&token)
+                .is_some_and(|&(_, g)| g == generation)
+            {
+                self.armed.remove(&token);
+                due.push(token);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const TICK: Duration = Duration::from_millis(5);
 
-    fn drain(wheel: &mut TimerWheel, now: Instant) -> Vec<Fired> {
+    fn drain(wheel: &mut TimerWheel, now: Instant) -> Vec<(u64, u64)> {
         let mut fired = Vec::new();
         wheel.advance(now, &mut fired);
         fired
@@ -173,7 +217,7 @@ mod tests {
         assert!(drain(&mut wheel, base + Duration::from_millis(40)).is_empty());
         let fired = drain(&mut wheel, base + Duration::from_millis(55));
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].token, 1);
+        assert_eq!(fired[0].0, 1);
         assert_eq!(wheel.len(), 0);
     }
 
@@ -187,7 +231,7 @@ mod tests {
         wheel.insert(base + Duration::from_millis(20), 2, 7);
         let fired = drain(&mut wheel, base + Duration::from_millis(101));
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].generation, 7);
+        assert_eq!(fired[0].1, 7);
     }
 
     #[test]
@@ -213,7 +257,7 @@ mod tests {
         }
         let fired = drain(&mut wheel, base + Duration::from_secs(1));
         assert_eq!(fired.len(), 20);
-        let mut tokens: Vec<u64> = fired.iter().map(|f| f.token).collect();
+        let mut tokens: Vec<u64> = fired.iter().map(|f| f.0).collect();
         tokens.sort_unstable();
         assert_eq!(tokens, (0..20).collect::<Vec<_>>());
     }
@@ -232,5 +276,42 @@ mod tests {
         drain(&mut wheel, next);
         // Only the 30ms entry remains.
         assert!(wheel.next_deadline().unwrap() >= base + Duration::from_millis(30));
+    }
+
+    /// The one arming rule: a stale fire is ignored, an earlier deadline
+    /// supersedes a later one, a later one waits for the armed one to fire,
+    /// and an owner whose deadline fires keeps no duplicate entries.
+    #[test]
+    fn one_deadline_per_owner_and_stale_fires_ignored() {
+        let mut timers = Timers::new(TimerWheel::new(TICK, 64));
+        let base = timers.wheel.base;
+        let at = |ms| base + Duration::from_millis(ms);
+        let mut due = Vec::new();
+
+        timers.arm(1, Some(at(50)));
+        timers.arm(1, Some(at(20)));
+        assert_eq!(timers.wheel.len(), 2, "an earlier deadline is armed");
+        timers.advance(at(30), &mut due);
+        assert_eq!(due, [1]);
+        timers.advance(at(60), &mut due);
+        assert_eq!(due, [1], "the superseded entry fired stale");
+        assert_eq!(timers.wheel.len(), 0);
+
+        due.clear();
+        timers.arm(1, Some(at(100)));
+        for later in 101..120 {
+            timers.arm(1, Some(at(later)));
+        }
+        assert_eq!(timers.wheel.len(), 1, "later deadlines add no entries");
+        timers.advance(at(110), &mut due);
+        assert_eq!(due, [1], "the armed one fires");
+        timers.arm(1, Some(at(119)));
+        assert_eq!(timers.wheel.len(), 1, "and the later one is armed then");
+        timers.advance(at(130), &mut due);
+        assert_eq!(due, [1, 1]);
+        assert_eq!(timers.wheel.len(), 0);
+
+        timers.arm(2, None);
+        assert_eq!(timers.wheel.next_deadline(), None, "nothing to arm");
     }
 }

@@ -35,6 +35,23 @@
 //!   content-addressed, so replays dedup server-side and results stay
 //!   bitwise identical.
 //!
+//! # Routing
+//!
+//! Sessions — not individual jobs — are the routing unit. The route key is
+//! the session's API key (anonymous sessions get a unique synthetic key),
+//! hashed onto the ring (SipHash-2-4, 64 virtual nodes per backend by
+//! default). Same key → same backend, so dedup and rate-limit state on the
+//! backend see a stable population. The policy's candidates are the ring
+//! walked in order ([`HashRing::ordered`]) with the backends whose breaker
+//! admits no traffic left out; adding or removing one backend only remaps
+//! the sessions that hashed to it. A session is placed before its
+//! `Welcome`, which advertises the element-wise minimum of the proxy's and
+//! the chosen backend's `max_in_flight` and `max_frame_len`, so a client can
+//! never submit something the backend would refuse. How the relay dials,
+//! and what it retries when a backend fails, is the transport's
+//! (`transport::event_loop::relay`, "Routing" and "Failover"); the client
+//! side is the same link with a `ReconnectPolicy`.
+//!
 //! The [`FaultInjector`] is the proof harness: a dependency-free TCP
 //! man-in-the-middle that can kill, hang, delay, black-hole or
 //! partially-write any link on command, so the failover path is exercised

@@ -376,3 +376,57 @@ fn the_only_backend_dying_mid_job_answers_the_job_service_unavailable() {
     injector.shutdown();
     backend.shutdown();
 }
+
+/// A loopback address whose SYNs go unanswered: a listener whose accept
+/// queue is full (Linux drops a SYN it has no room for), with the sockets
+/// that fill it. Keep both alive while the address is dialed.
+fn unanswered_address() -> (TcpListener, Vec<TcpStream>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let mut queued = Vec::new();
+    while let Ok(stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+        queued.push(stream);
+    }
+    (listener, queued)
+}
+
+/// A session whose first ring choice never completes a connect is still
+/// welcomed: while its route is being found it has no deadline of its own
+/// (each dial is bounded by the link's handshake timeout), so it is not
+/// closed just as its link fails over to the next backend.
+#[test]
+fn a_session_outlives_a_first_choice_whose_connect_never_completes() {
+    let backend = live_backend();
+    let (unanswered, _queued) = unanswered_address();
+    let unanswered = unanswered.local_addr().expect("addr").to_string();
+    let fleet = [unanswered.clone(), backend.local_addr().to_string()];
+    let ring = HashRing::new(&fleet, ProxyConfig::default().vnodes);
+    let key = (0..)
+        .map(|i| format!("tenant-{i}"))
+        .find(|key| ring.ordered(key)[0] == unanswered)
+        .expect("some key starts at the unanswered backend");
+    let config = ProxyConfig::default()
+        .breaker(BreakerConfig::default().failure_threshold(100))
+        .probe_interval(Duration::from_secs(3600))
+        .transport(TransportConfig::default().handshake_timeout(Duration::from_millis(300)));
+    let proxy = AmalgamProxy::bind("127.0.0.1:0", &fleet, config).expect("bind proxy");
+    let expected = backend
+        .local_client()
+        .train(&tiny_job(6))
+        .expect("local train")
+        .trained_model;
+
+    let client =
+        RemoteCloudClient::connect_with(proxy.addr(), TransportConfig::default().api_key(key))
+            .expect("welcomed once the route passed over the unanswered backend");
+    let result = client.train(&tiny_job(6)).expect("train via the proxy");
+    assert_eq!(result.trained_model, expected);
+    client.close();
+    assert!(wait_until(Duration::from_secs(10), || proxy
+        .stats()
+        .connections_active
+        == 0));
+    assert_invariants(&proxy.stats());
+    proxy.shutdown();
+    backend.shutdown();
+}
