@@ -67,7 +67,7 @@
 //! where the I/O left it ([`Machine::settled`]: a drained session closes, a
 //! probe with a verdict ends). Last, the owner's one deadline — its
 //! machine's or its sockets' write stalls, whichever is first — is armed
-//! under one rule (`timer::Timers`). On readability the driver first takes
+//! under one rule (`TimerWheel::arm`). On readability the driver first takes
 //! frames until the socket runs dry or the machine stops reading.
 //!
 //! # A session on the wire
@@ -144,7 +144,7 @@ mod socket;
 
 use super::frame::{write_frame, Frame};
 use super::server::{ServerShared, Upstream};
-use super::timer::{TimerWheel, Timers};
+use super::timer::TimerWheel;
 #[cfg(doc)]
 use super::TransportConfig;
 use super::PROTOCOL_VERSION;
@@ -407,7 +407,7 @@ struct Conn {
 /// flag: the driver. What it serves is its [`Tier`].
 pub(super) struct Reactor {
     poller: Poller,
-    pub(super) timers: Timers,
+    pub(super) wheel: TimerWheel,
     /// The clock, read once per turn.
     pub(super) now: Instant,
     wake_rx: WakeReceiver,
@@ -468,7 +468,7 @@ impl Reactor {
     ) {
         let mut r = Reactor {
             poller,
-            timers: Timers::new(TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS)),
+            wheel: TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS),
             now: Instant::now(),
             wake_rx,
             metrics,
@@ -482,7 +482,6 @@ impl Reactor {
         let mut inbox = Vec::new();
         loop {
             let timeout = r
-                .timers
                 .wheel
                 .next_deadline()
                 .map(|dl| dl.saturating_duration_since(r.now));
@@ -521,7 +520,7 @@ impl Reactor {
             tier.round(&mut r, stopped);
 
             let mut due = std::mem::take(&mut r.due);
-            r.timers.advance(r.now, &mut due);
+            r.wheel.advance(r.now, &mut due);
             for token in due.drain(..) {
                 tier.timer(&mut r, token);
             }
@@ -596,7 +595,7 @@ impl Reactor {
             .into_iter()
             .chain(stalls.into_iter().flatten())
             .min();
-        self.timers.arm(token, at);
+        self.wheel.arm(token, at);
     }
 }
 
@@ -606,7 +605,7 @@ impl Tier for Sessions {
     /// A relay's first health sweep is due at once.
     fn start(&mut self, r: &mut Reactor) {
         if self.prober.is_some() {
-            r.timers.arm(SWEEP_TOKEN, Some(r.now));
+            r.wheel.arm(SWEEP_TOKEN, Some(r.now));
         }
     }
 
@@ -809,7 +808,7 @@ impl Sessions {
         if rest && r.poller.deregister(fd).is_ok() {
             metrics.reactor_fd_deregistered();
         }
-        r.timers.arm(token, Some(r.now + ACCEPT_REST));
+        r.wheel.arm(token, Some(r.now + ACCEPT_REST));
     }
 
     /// Drives one exporter scrape: read until the request head is complete
@@ -1284,7 +1283,7 @@ mod tests {
         });
         let mut r = Reactor {
             poller,
-            timers: Timers::new(TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS)),
+            wheel: TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS),
             now: Instant::now(),
             wake_rx,
             metrics: Arc::clone(&shared.metrics),
@@ -1312,13 +1311,13 @@ mod tests {
         let rested = r.now;
         tier.listen(&mut r, LISTENER_TOKEN, true);
         assert!(!listener_ready(&mut r), "a resting listener was polled");
-        let due = r.timers.wheel.next_deadline().expect("a wake-up deadline");
+        let due = r.wheel.next_deadline().expect("a wake-up deadline");
         assert!(due >= rested + ACCEPT_REST);
 
         std::thread::sleep(due.saturating_duration_since(Instant::now()));
         r.now = Instant::now();
         let mut fired = Vec::new();
-        r.timers.advance(r.now, &mut fired);
+        r.wheel.advance(r.now, &mut fired);
         assert_eq!(fired, [LISTENER_TOKEN]);
         for token in fired {
             tier.timer(&mut r, token);

@@ -327,7 +327,7 @@ impl Prober {
             return;
         };
         let (due, next) = routing.sweep();
-        r.timers.arm(SWEEP_TOKEN, Some(r.now + next));
+        r.wheel.arm(SWEEP_TOKEN, Some(r.now + next));
         // The probe's own deadline is the one; the handshake's is no sooner.
         let config = TransportConfig {
             api_key: None,

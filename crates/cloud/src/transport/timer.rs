@@ -9,14 +9,14 @@
 //! timeout, so an idle reactor sleeps until the earliest deadline and a busy
 //! one never pays more than an O(slots) scan per wake.
 //!
-//! Cancellation is lazy, and the driver ([`Timers`], the reactor's) is the
-//! one holder of generations: each entry carries the generation it was
-//! armed with, the driver remembers the live one per owner, and a fired
-//! entry whose generation is stale is simply dropped — no lookup or removal
-//! on the hot path. One arming rule holds for every owner: an earlier
-//! deadline supersedes the armed one, a later one waits for it to fire and
-//! is then armed, so activity that only pushes a deadline later adds no
-//! entries.
+//! Cancellation is lazy, and the driver — the reactor, through its wheel —
+//! is the one holder of generations: each entry carries the generation it
+//! was armed with, the wheel remembers the live one per owner, and a fired
+//! entry whose generation is stale is simply dropped — no removal when a
+//! deadline moves. One arming rule holds for every owner
+//! ([`TimerWheel::arm`]): an earlier deadline supersedes the armed one, a
+//! later one waits for it to fire and is then armed, so activity that only
+//! pushes a deadline later adds no entries.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -42,6 +42,9 @@ pub(super) struct TimerWheel {
     /// very next [`TimerWheel::advance`], whatever `now` it is given.
     overdue: Vec<Entry>,
     len: usize,
+    /// Each owner's armed deadline and the generation of its live entry.
+    armed: HashMap<u64, (Instant, u64)>,
+    generation: u64,
 }
 
 impl TimerWheel {
@@ -54,6 +57,8 @@ impl TimerWheel {
             cursor: 0,
             overdue: Vec::new(),
             len: 0,
+            armed: HashMap::new(),
+            generation: 0,
         }
     }
 
@@ -63,56 +68,71 @@ impl TimerWheel {
         (dt.as_nanos() / self.tick.as_nanos()) as u64
     }
 
-    /// Arms a deadline. A deadline in the past (or inside the current tick)
-    /// fires on the next [`TimerWheel::advance`].
-    pub(super) fn insert(&mut self, at: Instant, token: u64, generation: u64) {
-        let fire_tick = self.tick_of(at);
-        let entry = Entry {
-            fire_tick,
-            token,
-            generation,
+    /// Arms `token`'s next deadline `at`, unless one no later is armed
+    /// already: that one fires first, and the owner is armed again then. A
+    /// deadline in the past (or inside the current tick) fires on the next
+    /// [`TimerWheel::advance`].
+    pub(super) fn arm(&mut self, token: u64, at: Option<Instant>) {
+        let armed = |at| {
+            self.armed
+                .get(&token)
+                .is_some_and(|&(armed, _)| armed <= at)
         };
-        if fire_tick < self.cursor {
+        let Some(at) = at.filter(|&at| !armed(at)) else {
+            return;
+        };
+        self.generation += 1;
+        self.armed.insert(token, (at, self.generation));
+        let entry = Entry {
+            fire_tick: self.tick_of(at),
+            token,
+            generation: self.generation,
+        };
+        if entry.fire_tick < self.cursor {
             // The sweep already passed that tick; park it where the next
             // advance is guaranteed to see it.
             self.overdue.push(entry);
         } else {
-            let slot = (fire_tick % self.slots.len() as u64) as usize;
+            let slot = (entry.fire_tick % self.slots.len() as u64) as usize;
             self.slots[slot].push(entry);
         }
         self.len += 1;
     }
 
-    /// Sweeps every tick up to `now`, appending the token and generation
-    /// of each due entry to `fired`.
-    pub(super) fn advance(&mut self, now: Instant, fired: &mut Vec<(u64, u64)>) {
-        for e in self.overdue.drain(..) {
-            self.len -= 1;
-            fired.push((e.token, e.generation));
-        }
+    /// Sweeps every tick up to `now`, appending to `due` each owner whose
+    /// armed deadline fell due (it is disarmed); stale entries are dropped.
+    pub(super) fn advance(&mut self, now: Instant, due: &mut Vec<u64>) {
+        let mut fired = std::mem::take(&mut self.overdue);
         let target = self.tick_of(now);
-        if target < self.cursor {
-            return;
+        if target >= self.cursor {
+            let nslots = self.slots.len() as u64;
+            // Sweeping more ticks than slots revisits buckets; one full lap
+            // covers them all.
+            let sweeps = (target - self.cursor + 1).min(nslots);
+            for i in 0..sweeps {
+                let slot = ((self.cursor + i) % nslots) as usize;
+                self.slots[slot].retain(|e| {
+                    let due = e.fire_tick <= target;
+                    if due {
+                        fired.push(*e);
+                    }
+                    !due
+                });
+            }
+            self.cursor = target + 1;
         }
-        let nslots = self.slots.len() as u64;
-        // Sweeping more ticks than slots revisits buckets; one full lap
-        // covers them all.
-        let sweeps = (target - self.cursor + 1).min(nslots);
-        for i in 0..sweeps {
-            let slot = ((self.cursor + i) % nslots) as usize;
-            let bucket = &mut self.slots[slot];
-            let mut j = 0;
-            while j < bucket.len() {
-                if bucket[j].fire_tick <= target {
-                    let e = bucket.swap_remove(j);
-                    self.len -= 1;
-                    fired.push((e.token, e.generation));
-                } else {
-                    j += 1;
-                }
+        self.len -= fired.len();
+        for e in fired.drain(..) {
+            if self
+                .armed
+                .get(&e.token)
+                .is_some_and(|&(_, g)| g == e.generation)
+            {
+                self.armed.remove(&e.token);
+                due.push(e.token);
             }
         }
-        self.cursor = target + 1;
+        self.overdue = fired;
     }
 
     /// Earliest armed deadline, if any — the bound for the poller timeout.
@@ -141,83 +161,26 @@ impl TimerWheel {
     }
 }
 
-/// The driver's deadlines: one wheel, and per owner the deadline it armed
-/// and that entry's generation.
-#[derive(Debug)]
-pub(super) struct Timers {
-    pub(super) wheel: TimerWheel,
-    armed: HashMap<u64, (Instant, u64)>,
-    generation: u64,
-    fired: Vec<(u64, u64)>,
-}
-
-impl Timers {
-    pub(super) fn new(wheel: TimerWheel) -> Timers {
-        Timers {
-            wheel,
-            armed: HashMap::new(),
-            generation: 0,
-            fired: Vec::new(),
-        }
-    }
-
-    /// Arms `token`'s next deadline `at`, unless one no later is armed
-    /// already: that one fires first, and the owner is armed again then.
-    pub(super) fn arm(&mut self, token: u64, at: Option<Instant>) {
-        let Some(at) = at else {
-            return;
-        };
-        if self
-            .armed
-            .get(&token)
-            .is_some_and(|&(armed, _)| armed <= at)
-        {
-            return;
-        }
-        self.generation += 1;
-        self.armed.insert(token, (at, self.generation));
-        self.wheel.insert(at, token, self.generation);
-    }
-
-    /// Appends to `due` each owner whose armed deadline fell due by `now`;
-    /// it is disarmed. Stale entries are dropped.
-    pub(super) fn advance(&mut self, now: Instant, due: &mut Vec<u64>) {
-        self.wheel.advance(now, &mut self.fired);
-        for (token, generation) in self.fired.drain(..) {
-            if self
-                .armed
-                .get(&token)
-                .is_some_and(|&(_, g)| g == generation)
-            {
-                self.armed.remove(&token);
-                due.push(token);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const TICK: Duration = Duration::from_millis(5);
 
-    fn drain(wheel: &mut TimerWheel, now: Instant) -> Vec<(u64, u64)> {
-        let mut fired = Vec::new();
-        wheel.advance(now, &mut fired);
-        fired
+    fn drain(wheel: &mut TimerWheel, now: Instant) -> Vec<u64> {
+        let mut due = Vec::new();
+        wheel.advance(now, &mut due);
+        due
     }
 
     #[test]
     fn fires_at_deadline_not_before() {
         let mut wheel = TimerWheel::new(TICK, 64);
         let base = wheel.base;
-        wheel.insert(base + Duration::from_millis(50), 1, 0);
+        wheel.arm(1, Some(base + Duration::from_millis(50)));
 
         assert!(drain(&mut wheel, base + Duration::from_millis(40)).is_empty());
-        let fired = drain(&mut wheel, base + Duration::from_millis(55));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].0, 1);
+        assert_eq!(drain(&mut wheel, base + Duration::from_millis(55)), [1]);
         assert_eq!(wheel.len(), 0);
     }
 
@@ -228,24 +191,19 @@ mod tests {
         // Move the cursor forward first.
         drain(&mut wheel, base + Duration::from_millis(100));
         // Then arm something "in the past".
-        wheel.insert(base + Duration::from_millis(20), 2, 7);
-        let fired = drain(&mut wheel, base + Duration::from_millis(101));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].1, 7);
+        wheel.arm(2, Some(base + Duration::from_millis(20)));
+        assert_eq!(drain(&mut wheel, base + Duration::from_millis(101)), [2]);
     }
 
     #[test]
     fn deadline_beyond_one_revolution_waits_extra_laps() {
         let mut wheel = TimerWheel::new(TICK, 8); // revolution = 40ms
         let base = wheel.base;
-        wheel.insert(base + Duration::from_millis(100), 3, 0);
+        wheel.arm(3, Some(base + Duration::from_millis(100)));
         // Sweep a full revolution early: must not fire.
         assert!(drain(&mut wheel, base + Duration::from_millis(45)).is_empty());
         assert!(drain(&mut wheel, base + Duration::from_millis(90)).is_empty());
-        assert_eq!(
-            drain(&mut wheel, base + Duration::from_millis(110)).len(),
-            1
-        );
+        assert_eq!(drain(&mut wheel, base + Duration::from_millis(110)), [3]);
     }
 
     #[test]
@@ -253,11 +211,9 @@ mod tests {
         let mut wheel = TimerWheel::new(TICK, 8);
         let base = wheel.base;
         for t in 0..20u64 {
-            wheel.insert(base + Duration::from_millis(t * 7), t, t);
+            wheel.arm(t, Some(base + Duration::from_millis(t * 7)));
         }
-        let fired = drain(&mut wheel, base + Duration::from_secs(1));
-        assert_eq!(fired.len(), 20);
-        let mut tokens: Vec<u64> = fired.iter().map(|f| f.0).collect();
+        let mut tokens = drain(&mut wheel, base + Duration::from_secs(1));
         tokens.sort_unstable();
         assert_eq!(tokens, (0..20).collect::<Vec<_>>());
     }
@@ -267,8 +223,8 @@ mod tests {
         let mut wheel = TimerWheel::new(TICK, 64);
         let base = wheel.base;
         assert!(wheel.next_deadline().is_none());
-        wheel.insert(base + Duration::from_millis(30), 1, 0);
-        wheel.insert(base + Duration::from_millis(10), 2, 0);
+        wheel.arm(1, Some(base + Duration::from_millis(30)));
+        wheel.arm(2, Some(base + Duration::from_millis(10)));
         let next = wheel.next_deadline().unwrap();
         // Earliest deadline, rounded up to a tick boundary.
         assert!(next >= base + Duration::from_millis(10));
@@ -283,35 +239,36 @@ mod tests {
     /// and an owner whose deadline fires keeps no duplicate entries.
     #[test]
     fn one_deadline_per_owner_and_stale_fires_ignored() {
-        let mut timers = Timers::new(TimerWheel::new(TICK, 64));
-        let base = timers.wheel.base;
-        let at = |ms| base + Duration::from_millis(ms);
-        let mut due = Vec::new();
+        let mut wheel = TimerWheel::new(TICK, 64);
+        let base = wheel.base;
+        let at = |ms| Some(base + Duration::from_millis(ms));
 
-        timers.arm(1, Some(at(50)));
-        timers.arm(1, Some(at(20)));
-        assert_eq!(timers.wheel.len(), 2, "an earlier deadline is armed");
-        timers.advance(at(30), &mut due);
-        assert_eq!(due, [1]);
-        timers.advance(at(60), &mut due);
-        assert_eq!(due, [1], "the superseded entry fired stale");
-        assert_eq!(timers.wheel.len(), 0);
+        wheel.arm(1, at(50));
+        wheel.arm(1, at(20));
+        assert_eq!(wheel.len(), 2, "an earlier deadline is armed");
+        assert_eq!(drain(&mut wheel, base + Duration::from_millis(30)), [1]);
+        assert!(
+            drain(&mut wheel, base + Duration::from_millis(60)).is_empty(),
+            "the superseded entry fired stale"
+        );
+        assert_eq!(wheel.len(), 0);
 
-        due.clear();
-        timers.arm(1, Some(at(100)));
+        wheel.arm(1, at(100));
         for later in 101..120 {
-            timers.arm(1, Some(at(later)));
+            wheel.arm(1, at(later));
         }
-        assert_eq!(timers.wheel.len(), 1, "later deadlines add no entries");
-        timers.advance(at(110), &mut due);
-        assert_eq!(due, [1], "the armed one fires");
-        timers.arm(1, Some(at(119)));
-        assert_eq!(timers.wheel.len(), 1, "and the later one is armed then");
-        timers.advance(at(130), &mut due);
-        assert_eq!(due, [1, 1]);
-        assert_eq!(timers.wheel.len(), 0);
+        assert_eq!(wheel.len(), 1, "later deadlines add no entries");
+        assert_eq!(
+            drain(&mut wheel, base + Duration::from_millis(110)),
+            [1],
+            "the armed one fires"
+        );
+        wheel.arm(1, at(119));
+        assert_eq!(wheel.len(), 1, "and the later one is armed then");
+        assert_eq!(drain(&mut wheel, base + Duration::from_millis(130)), [1]);
+        assert_eq!(wheel.len(), 0);
 
-        timers.arm(2, None);
-        assert_eq!(timers.wheel.next_deadline(), None, "nothing to arm");
+        wheel.arm(2, None);
+        assert_eq!(wheel.next_deadline(), None, "nothing to arm");
     }
 }
