@@ -67,8 +67,9 @@
 //! where the I/O left it ([`Machine::settled`]: a drained session closes, a
 //! probe with a verdict ends). Last, the owner's one deadline — its
 //! machine's or its sockets' write stalls, whichever is first — is armed
-//! under one rule (`TimerWheel::arm`). On readability the driver first takes
-//! frames until the socket runs dry or the machine stops reading.
+//! under one rule (`TimerWheel::arm`). On readability the driver takes
+//! frames until the socket runs dry or the machine stops reading, and
+//! settles the owner after each.
 //!
 //! # A session on the wire
 //!
@@ -545,23 +546,26 @@ impl Reactor {
 
     /// Readiness on `m`'s socket (`link` names which), `m` owning `token`:
     /// a readable socket's frames go to `m` until it runs dry, ends, or `m`
-    /// stops reading. Then `m` is settled (a writable one is flushed, a
-    /// connect ended).
+    /// stops reading, and `m` is settled after each — so a relay forwards
+    /// a job while the next is read — or once, with no frame (a writable
+    /// socket is flushed, a connect ended).
     pub(super) fn ready<M: Machine>(&mut self, token: u64, m: &mut M, link: bool, readable: bool) {
-        let (now, metrics) = (self.now, &*self.metrics);
         let reads = |sock: &&mut Socket| readable && sock.reads();
-        while let Some(what) = m
-            .socket(link)
-            .filter(reads)
-            .and_then(|s| s.next_frame(metrics))
-        {
-            let end = !matches!(what, Inbound::Frame(_));
-            m.inbound(link, what, now);
-            if end {
-                break;
+        loop {
+            let metrics = &*self.metrics;
+            let what = m
+                .socket(link)
+                .filter(reads)
+                .and_then(|s| s.next_frame(metrics));
+            let more = matches!(what, Some(Inbound::Frame(_)));
+            if let Some(what) = what {
+                m.inbound(link, what, self.now);
+            }
+            self.settle(token, m);
+            if !more {
+                return;
             }
         }
-        self.settle(token, m);
     }
 
     /// The deadline of `m`, owning `token`, fell due.
