@@ -68,7 +68,7 @@ pub(crate) enum Inbound {
 
 /// How one flush attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum FlushOutcome {
+enum FlushOutcome {
     /// Queue fully flushed.
     Drained,
     /// Socket stopped taking bytes; write interest is needed.
