@@ -1014,8 +1014,6 @@ impl Conn {
 
 /// One decoded frame against the state machine.
 fn handle_frame(conn: &mut Conn, frame: Frame, now: Instant) {
-    let shared = Arc::clone(&conn.shared);
-    let metrics = &shared.metrics;
     match (conn.state, frame) {
         // One Hello: a relay session still being routed has had its own.
         (
@@ -1035,6 +1033,7 @@ fn handle_frame(conn: &mut Conn, frame: Frame, now: Instant) {
                 return refuse(conn, reason);
             }
             conn.greeted = true;
+            let shared = Arc::clone(&conn.shared);
             match &shared.upstream {
                 Upstream::Service(client) => {
                     // One scheduling/rate-limiting identity for everything
@@ -1062,14 +1061,14 @@ fn handle_frame(conn: &mut Conn, frame: Frame, now: Instant) {
             let trace = trace.unwrap_or(TraceId::NONE);
             // The cap judges accepted-but-unflushed replies too: submits
             // are shed while earlier replies sit in the write queue.
-            let in_flight = conn.in_flight();
-            if in_flight >= shared.config.max_in_flight {
+            let (in_flight, cap) = (conn.in_flight(), conn.shared.config.max_in_flight);
+            if in_flight >= cap {
                 if let Some(session) = &conn.session_client {
-                    metrics.session_shed(session.session_key());
+                    conn.shared.metrics.session_shed(session.session_key());
                 }
                 let overloaded = CloudError::Overloaded {
                     queue_depth: in_flight,
-                    max_queue_depth: shared.config.max_in_flight,
+                    max_queue_depth: cap,
                 };
                 return queue_reply(conn, request_id, Err(overloaded));
             }
@@ -1090,7 +1089,8 @@ fn handle_frame(conn: &mut Conn, frame: Frame, now: Instant) {
             }
         }
         (ConnState::Established, Frame::Ping { nonce }) => {
-            conn.sock.queue(&Frame::Pong { nonce }, false, metrics);
+            conn.sock
+                .queue(&Frame::Pong { nonce }, false, &conn.shared.metrics);
         }
         (ConnState::Established, Frame::GetStats { request_id }) => {
             // Authorization: with API keys configured only a session keyed
@@ -1098,6 +1098,7 @@ fn handle_frame(conn: &mut Conn, frame: Frame, now: Instant) {
             // is as trusted as the service gets. The refusal is in-band so
             // callers see *why* instead of a dead connection. A relay takes
             // no keys of its own: it answers with its routing tier's view.
+            let (shared, metrics) = (&conn.shared, &conn.shared.metrics);
             let session = conn.session_client.as_ref().map(CloudClient::session_key);
             let authorized = match (&shared.api_keys, session) {
                 (None, _) => true,
