@@ -758,6 +758,82 @@ proptest! {
         }
     }
 
+    /// Stride-1 convolutions with many taps — LeNet's second stage and its
+    /// neighbours: 4–8 channels under 3×3 and 5×5 kernels, output rows that
+    /// neither fill a 16-lane tile nor a 6-row one — give the reference
+    /// definitions' forward output, `dW`, `db` and demanded `dx` bit for bit,
+    /// on the portable tier and the detected one, plain and behind a
+    /// `MaskedConv2d`, whichever lowering the geometry takes.
+    #[test]
+    fn many_tap_convolutions_match_the_reference_definitions(
+        n in 1usize..5,
+        channels in 4usize..9,
+        ki in 0usize..2,
+        padding in 0usize..3,
+        h in 5usize..14,
+        w in 5usize..14,
+        oc in 5usize..25,
+        bias in any::<bool>(),
+        masked in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let kernel = [3usize, 5][ki];
+        let conv = Conv2d::new(channels, oc, kernel, 1, padding, bias, &mut rng);
+        let (side, keep) = if masked {
+            let side = h.max(w) + 2;
+            (side, Some((0..h * w).map(|_| rng.below(side * side)).collect::<Vec<_>>()))
+        } else {
+            (0, None)
+        };
+        let x = match &keep {
+            None => Tensor::randn(&[n, channels, h, w], &mut rng),
+            Some(_) => Tensor::randn(&[n, channels, side, side], &mut rng),
+        };
+        let image = match &keep {
+            None => deep(&x),
+            Some(keep) => {
+                let planes = x.data().chunks_exact(side * side);
+                let picked = planes.flat_map(|p| keep.iter().map(|&pos| p[pos])).collect();
+                Tensor::from_vec(picked, &[n, channels, h, w])
+            }
+        };
+        let geom = Conv2dGeom { in_channels: channels, in_h: h, in_w: w, kernel, stride: 1, padding };
+        let grad = Tensor::randn(&[n, oc, geom.out_h(), geom.out_w()], &mut rng);
+        let params = conv.params();
+        let (want_y, want_dw, want_db, want_dx) =
+            conv_from_definitions(&image, &params[0].value, params.get(1).map(|b| &b.value), &geom, &grad);
+        let want_dx = match &keep {
+            None => want_dx,
+            Some(keep) => {
+                let mut scattered = Tensor::zeros(x.dims());
+                let planes = scattered.data_mut().chunks_exact_mut(side * side);
+                for (dst, src) in planes.zip(want_dx.data().chunks_exact(h * w)) {
+                    for (&pos, &v) in keep.iter().zip(src) {
+                        dst[pos] += v;
+                    }
+                }
+                scattered
+            }
+        };
+        for tier in [Tier::Portable, simd::detected_tier()] {
+            simd::force_tier(Some(tier));
+            let mut layer: Box<dyn Layer> = match &keep {
+                None => Box::new(conv.clone()),
+                Some(keep) => Box::new(MaskedConv2d::new(keep.clone(), h, w, conv.clone())),
+            };
+            let y = layer.forward(&[&x], Mode::Train);
+            let dx = layer.backward(&grad, &[true]).remove(0).expect("demanded");
+            simd::force_tier(None);
+            prop_assert_eq!(bits(&y), bits(&want_y), "forward on {:?}", tier);
+            prop_assert_eq!(f32_bits(layer.params()[0].grad.data()), f32_bits(&want_dw), "dW on {:?}", tier);
+            if bias {
+                prop_assert_eq!(f32_bits(layer.params()[1].grad.data()), f32_bits(&want_db), "db on {:?}", tier);
+            }
+            prop_assert_eq!(bits(&dx), bits(&want_dx), "dx on {:?}", tier);
+        }
+    }
+
     /// `Add` is the left-to-right sum of its inputs and fans its gradient
     /// out unchanged; `Linear` is `x·Wᵀ + b` with `dW = gᵀ·x`, `db` the
     /// column sums and `dx = g·W`, each exactly what the plain tensor
