@@ -3,8 +3,8 @@
 //! no-pack route and the block-moving packers against the packed walk with
 //! element-wise packs, the batched attention-shaped products against the
 //! serial per-head loop, the im2col/col2im slice kernels against their
-//! naive definitions, the column-free convolutions against im2col + GEMM +
-//! permute and a fused segment against its layers, counts the bytes one augmented LeNet-5 training step allocates,
+//! naive definitions, the column-free convolutions against the column
+//! lowering and a fused segment against its layers, counts the bytes one augmented LeNet-5 training step allocates,
 //! and emits a `BENCH_kernels.json` baseline. Every GEMM
 //! entry carries its `gflops` next to `peak_gflops`, what a register-only
 //! loop of unfused multiply-adds reaches on this core — the roofline the
@@ -35,7 +35,10 @@
 //! column-free convolution (5×5 entry layer, 1×1 tap) differs from its
 //! column-matrix lowering by one bit or is not ≥ 1.3x faster than it, if the
 //! entry layer's windowed weight gradient (`conv_entry_dw_*`) differs from
-//! that lowering's GEMM by one bit or is not ≥ 1.25x faster than it, if the
+//! that lowering's GEMM by one bit or is not ≥ 1.25x faster than it, if
+//! LeNet's second convolution on the interior lowering
+//! (`conv_interior_{fwd,dw,dx}_16x6x10x10_k5`) differs from the column
+//! lowering by one bit or is not as fast as [`INTERIOR_GATES`] asks, if the
 //! executor's fused entry chain (`segment_bn_relu_add_pool_*`) differs from
 //! its four layers run one by one by one bit or is not ≥ 1.3x faster than
 //! them (alternating burst pairs, at their upper quartile), if an
@@ -177,6 +180,14 @@ fn layernorm_row_at_a_time(
 /// cache and `Add` was a copy, and three entry layers cached 640 KB of
 /// columns each.
 const STEP_BYTES_BEFORE: f64 = 4.75e6;
+/// The least speedup of LeNet's second convolution on the interior lowering
+/// over the column lowering, per product (`conv_interior_{fwd,dw,dx}_*`).
+/// Ten `--check` runs in a row on the 2-vCPU reference box read 1.46–1.72x,
+/// 1.31–1.47x and 1.10–1.27x. The input gradient still adds what `col2im`
+/// adds, in its order, so there only the column matrix and the un-permute
+/// are saved.
+const INTERIOR_GATES: [f64; 3] = [1.25, 1.1, 1.0];
+
 /// The share of [`STEP_BYTES_BEFORE`] a step may still allocate. What is
 /// left is forward outputs nobody caches (the executor drops them; only a
 /// buffer plan per graph would recycle those — ROADMAP 1a), which is a little
@@ -898,6 +909,135 @@ fn main() {
             failures.push(format!(
                 "conv_entry_dw: only {speedup:.2}x over the column lowering's GEMM (want ≥ 1.25x)"
             ));
+        }
+    }
+
+    // LeNet's second convolution (6 channels of 10 × 10, 16 filters of 5×5,
+    // padding 2) on a batch of 16, its three products on the interior
+    // lowering against the column lowering it had: the forward against
+    // im2col + GEMM + permute, the weight gradient against un-permute + GEMM
+    // on the columns, the input gradient against un-permute + GEMM + col2im.
+    // Same bits required, and the speedups of [`INTERIOR_GATES`], timed in
+    // alternating bursts.
+    {
+        let geom = Conv2dGeom {
+            in_channels: 6,
+            in_h: 10,
+            in_w: 10,
+            kernel: 5,
+            stride: 1,
+            padding: 2,
+        };
+        let (n, oc, taps, ohw) = (16usize, 16usize, geom.col_rows(), 100usize);
+        let x = Tensor::randn(&[n, 6, 10, 10], &mut rng);
+        let w = Tensor::randn(&[oc, taps], &mut rng);
+        let grad = Tensor::randn(&[n, oc, 10, 10], &mut rng);
+        let cols = kernels::im2col(&x, &geom);
+        let planes = kernels::padded_planes(&x, &geom, None);
+        let unpermuted = || {
+            let mut gmat = scratch::take_tensor_raw(&[oc, n * ohw]);
+            for (block, src) in grad.data().chunks_exact(ohw).enumerate() {
+                let (ni, o) = (block / oc, block % oc);
+                gmat.data_mut()[o * n * ohw + ni * ohw..][..ohw].copy_from_slice(src);
+            }
+            gmat
+        };
+        let fwd_columns = |out: &mut Tensor| {
+            let mut cols = scratch::take_tensor_raw(&[taps, n * ohw]);
+            kernels::im2col_into(&x, &geom, &mut cols);
+            let mut ymat = scratch::take_tensor(&[oc, n * ohw]);
+            let wmat = MatRef::row_major(w.data(), taps);
+            let colmat = MatRef::row_major(cols.data(), n * ohw);
+            gemm::gemm(oc, n * ohw, taps, wmat, colmat, ymat.data_mut());
+            for (block, dst) in out.data_mut().chunks_exact_mut(ohw).enumerate() {
+                let (ni, o) = (block / oc, block % oc);
+                dst.copy_from_slice(&ymat.data()[o * n * ohw + ni * ohw..][..ohw]);
+            }
+            scratch::give_tensor(ymat);
+            scratch::give_tensor(cols);
+        };
+        let dw_columns = |dw: &mut Tensor| {
+            let gmat = unpermuted();
+            kernels::matmul_nt_into(&gmat, &cols, dw);
+            scratch::give_tensor(gmat);
+        };
+        let dx_columns = |dx: &mut Tensor| {
+            let gmat = unpermuted();
+            let mut dcols = scratch::take_tensor(&[taps, n * ohw]);
+            let wt = MatRef::transposed(w.data(), taps);
+            let gm = MatRef::row_major(gmat.data(), n * ohw);
+            gemm::gemm(taps, n * ohw, oc, wt, gm, dcols.data_mut());
+            let folded = kernels::col2im(&dcols, &geom, n);
+            dx.data_mut().copy_from_slice(folded.data());
+            scratch::give_tensor(dcols);
+            scratch::give_tensor(gmat);
+        };
+        // As the layer runs it: the tables are built once, and the forward
+        // pass builds the planes the weight gradient reads.
+        let window = std::cell::RefCell::new(kernels::ConvWindow::new(&geom));
+        let fwd_interior = |out: &mut Tensor| {
+            let planes = kernels::padded_planes(&x, &geom, None);
+            window
+                .borrow_mut()
+                .interior_forward(&planes, w.data(), out.data_mut());
+            scratch::give_tensor(planes);
+        };
+        let dw_interior = |dw: &mut Tensor| {
+            let mut window = window.borrow_mut();
+            window.interior_dw(&planes, grad.data(), dw.data_mut());
+        };
+        let dx_interior = |dx: &mut Tensor| {
+            let folded = window.borrow_mut().dx(grad.data(), w.data());
+            dx.data_mut().copy_from_slice(folded.data());
+            scratch::give_tensor(folded);
+        };
+        type Product<'a> = Box<dyn FnMut(&mut Tensor) + 'a>;
+        let rows: [(&str, Vec<usize>, Product, Product); 3] = [
+            (
+                "conv_interior_fwd_16x6x10x10_k5",
+                vec![n, oc, 10, 10],
+                Box::new(fwd_columns),
+                Box::new(fwd_interior),
+            ),
+            (
+                "conv_interior_dw_16x6x10x10_k5",
+                vec![oc, taps],
+                Box::new(dw_columns),
+                Box::new(dw_interior),
+            ),
+            (
+                "conv_interior_dx_16x6x10x10_k5",
+                vec![n, 6, 10, 10],
+                Box::new(dx_columns),
+                Box::new(dx_interior),
+            ),
+        ];
+        for ((name, dims, mut columns, mut interior), gate) in rows.into_iter().zip(INTERIOR_GATES)
+        {
+            let (mut want, mut got) =
+                (Tensor::full(&dims, f32::NAN), Tensor::full(&dims, f32::NAN));
+            columns(&mut want);
+            interior(&mut got);
+            let bitwise = same_bits(got.data(), want.data());
+            let (columns_ms, interior_ms) =
+                time_staged_pair_ms(200, &dims, &mut columns, &mut interior);
+            let speedup = columns_ms / interior_ms;
+            entries.push(
+                Entry::new(name)
+                    .num("columns_ms", columns_ms)
+                    .num("interior_ms", interior_ms)
+                    .num("speedup", speedup)
+                    .flag("bitwise", bitwise)
+                    .gflops(oc * taps * n * ohw, interior_ms, peak),
+            );
+            if !bitwise {
+                failures.push(format!("{name}: differs from the column lowering"));
+            }
+            if speedup < gate {
+                failures.push(format!(
+                    "{name}: only {speedup:.2}x over the column lowering (want ≥ {gate}x)"
+                ));
+            }
         }
     }
 

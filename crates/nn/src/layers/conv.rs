@@ -1,5 +1,67 @@
-//! 2-D convolution: im2col + GEMM, or the same products without the column
-//! matrix where the column matrix is the cost.
+//! 2-D convolution: the products of im2col + GEMM, with the column matrix
+//! built only where it costs nothing.
+//!
+//! # Which lowering a geometry takes
+//!
+//! Every convolution computes `W · im2col(x)` forward, `g · im2col(x)ᵀ` for
+//! its weights and `col2im(Wᵀ · g)` for its input. [`conv_path`] decides
+//! what is built around those products from the geometry, the filter count
+//! and the batch size alone — no flag, tier or thread count enters:
+//!
+//! ```text
+//!  oc·taps·N·oh·ow ≤ 32³ ──────────────────────► Im2col     a direct-loop product: the column
+//!                                                             matrix is a few KB, nothing to save
+//!  stride > 1 ─────────────────────────────────► Im2col     column matrix, one GEMM, a permute
+//!  1×1, no padding, C ≤ 256, oc ≤ 256 ──────────► Pointwise  each image [C, H·W] is its B operand
+//!  oc ≤ 18, taps = C·k² ≤ 32 ───────────────────► Windowed   taps or positions as the lanes
+//!  every other stride-1 geometry (LeNet's conv2) ► Interior   the filters as the lanes
+//! ```
+//!
+//! * **Pointwise** runs on the tensors as they lie: per image `W · x` forward
+//!   and `Wᵀ · g` for `dx` (one batched product), and
+//!   [`gemm_nt_images`] for `dW`, which packs both operands from their
+//!   `[N, ·, H·W]` layout. No columns, no planes, no permutes; the cache is
+//!   the input itself, shared.
+//! * **Windowed** and **Interior** build the zero-padded input planes
+//!   ([`kernels::padded_planes`]; a [`MaskedConv2d`](super::MaskedConv2d)
+//!   gathers its `keep` pixels straight into them) and cache nothing else:
+//!   75 KB for LeNet's second stage on 16 images of 20 px, where its columns
+//!   were 960 KB. Row `(ci, ky, kx)` of the im2col matrix is then a window of
+//!   the planes, and the no-pack kernels read their operands through offset
+//!   tables a [`ConvWindow`] keeps for the geometry. They differ in what the
+//!   register tile's 16 lanes hold. Windowed: output positions forward, taps
+//!   for `dW` — right for the few filters and taps of entry layers.
+//!   Interior: the filters, against `Wᵀ` forward and the transposed output
+//!   gradient for `dW` — one whole tile for 16 filters, where the windowed
+//!   form would gather the same windows once per six filters. Both take
+//!   `dx` from [`ConvWindow::dx`]: one kernel offset at a time, in `col2im`'s
+//!   order, with no column matrix. The products are described in
+//!   [`kernels`].
+//! * **Im2col** is left to strided geometries and to products the GEMM runs
+//!   as direct loops ([`SMALL_FLOPS`]), such as the entry layer of a
+//!   one-image 8 px job. It writes the column matrix, runs one GEMM,
+//!   permutes `[oc, N·oh·ow]` to `[N, oc, oh, ow]`, and for the backward
+//!   un-permutes the gradient and folds `Wᵀ · g` back with
+//!   [`kernels::col2im`].
+//!
+//! # Why every lowering gives the same bits
+//!
+//! An element of any of the three products is the same chain whoever
+//! computes it: a zeroed accumulator per [`KC`] block of the product's K
+//! (taps forward, output positions for `dW`, filters for `dx`), ascending
+//! within the block, multiply and add unfused, then `C += acc` onto a zeroed
+//! C; and `dx` adds those columns onto each input cell in ascending kernel
+//! offset. The column-free drivers ask [`gemm::route`](amalgam_tensor::gemm::route)
+//! which blocks the product they replace would have used (one, for a
+//! direct-loop product) and use those. Held to it by
+//! `crates/tensor/tests/gemm_properties.rs` (the windowed kernels against
+//! naive im2col + GEMM on both tiers), `crates/nn/tests/layer_properties.rs`
+//! (`Conv2d` and `MaskedConv2d` forward, `dW`, `db` and demanded `dx`
+//! against the reference definitions, on every lowering, both tiers for the
+//! many-tap geometries), a fixed-seed slice in `tests/properties.rs`, the
+//! golden digests, and `kernels-quick --check` (`conv_entry_*`,
+//! `conv_1x1_fwd_*`, `conv_interior_{fwd,dw,dx}_*`: one differing bit
+//! fails, and each has a speed gate against the column lowering).
 
 use crate::layer::{Layer, Mode, Param};
 use crate::layers::reduce::fold_rows;
@@ -13,13 +75,11 @@ use amalgam_tensor::{scratch, Rng, Tensor};
 
 /// 2-D convolution over `[N, C, H, W]` inputs with a square kernel.
 ///
-/// Every geometry computes the same product — `W · im2col(x)` forward,
-/// `g · im2col(x)ᵀ` for the weight gradient — with every element accumulated
-/// in the same order, so which lowering ran (pointwise, windowed or im2col — a
-/// pure function of the geometry, filter count and batch size, see
-/// ARCHITECTURE.md "Which convolution path a geometry takes") never shows in
-/// the bits. The lowerings differ in what they materialise around that
-/// product.
+/// Every geometry computes the same products with every element accumulated
+/// in the same order, so which lowering ran (pointwise, windowed, interior or
+/// im2col — a pure function of the geometry, filter count and batch size,
+/// see the `layers::conv` module docs) never shows in the bits. The
+/// lowerings differ in what they materialise around those products.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Param, // [oc, ic, k, k]
@@ -44,17 +104,20 @@ enum ConvPath {
     /// im2col rows as shifted windows of the zero-padded input planes, which
     /// are all that is built and all that is cached.
     Windowed,
-    /// Everything else: the column matrix, one GEMM, a permute.
+    /// Unit stride otherwise: the same planes, with the filters as the
+    /// register tile's lanes.
+    Interior,
+    /// Strides, and products the GEMM runs as direct loops: the column
+    /// matrix, one GEMM, a permute.
     Im2col,
 }
 
-/// Most taps (`C·k·k`) a [`ConvPath::Windowed`] convolution may have. The
-/// column matrix costs `taps` floats written per output position against
-/// `2·oc·taps` flops, so skipping it pays at any tap count when `oc` is
-/// small; but the weight gradient runs one kernel row (`k` taps, `k` of 8
-/// lanes) at a time, which a wide product done on packed panels beats. 32
-/// admits the 1–3 channel 3×3 and 5×5 entry layers and keeps the 150-tap
-/// second stage of LeNet where it was.
+/// Most taps (`C·k·k`) a [`ConvPath::Windowed`] convolution may have. Its
+/// weight gradient puts whole kernel rows in the lanes and its forward
+/// gathers position windows once per six filters, which pays while the
+/// filters are too few to fill the interior lowering's lanes and the taps
+/// few. 32 admits the 1–3 channel 3×3 and 5×5 entry layers; the 150-tap
+/// second stage of LeNet, with 16 filters, is interior.
 const WINDOW_MAX_TAPS: usize = 32;
 
 /// The lowering of a geometry with `oc` filters on `batch` images: no
@@ -69,12 +132,14 @@ fn conv_path(g: &Conv2dGeom, oc: usize, batch: usize) -> ConvPath {
     }
     // Within one K block every GEMM route accumulates alike, so a per-image
     // product has the bits of the whole-batch product it stands for.
-    if g.kernel == 1 && g.stride == 1 && g.padding == 0 && g.in_channels <= KC && oc <= KC {
+    if g.stride != 1 {
+        ConvPath::Im2col
+    } else if g.kernel == 1 && g.padding == 0 && g.in_channels <= KC && oc <= KC {
         ConvPath::Pointwise
-    } else if g.stride == 1 && oc <= SKINNY_MAX_M && g.col_rows() <= WINDOW_MAX_TAPS {
+    } else if oc <= SKINNY_MAX_M && g.col_rows() <= WINDOW_MAX_TAPS {
         ConvPath::Windowed
     } else {
-        ConvPath::Im2col
+        ConvPath::Interior
     }
 }
 
@@ -200,14 +265,16 @@ impl Conv2d {
     }
 
     /// Test hook, not an option: the name of the lowering an `[N, C, H, W]`
-    /// input of these dimensions takes (`"Pointwise"`, `"Windowed"` or
-    /// `"Im2col"`), so a property test can tell which path it exercised.
+    /// input of these dimensions takes (`"Pointwise"`, `"Windowed"`,
+    /// `"Interior"` or `"Im2col"`), so a property test can tell which path
+    /// it exercised.
     #[doc(hidden)]
     pub fn lowering(&self, dims: &[usize]) -> &'static str {
         let geom = self.geom(dims[1], dims[2], dims[3]);
         match conv_path(&geom, self.out_channels(), dims[0]) {
             ConvPath::Pointwise => "Pointwise",
             ConvPath::Windowed => "Windowed",
+            ConvPath::Interior => "Interior",
             ConvPath::Im2col => "Im2col",
         }
     }
@@ -215,8 +282,8 @@ impl Conv2d {
     /// The forward pass on `x: [N, C, ·, ·]`, or — given `keep` and the
     /// `(h, w)` it gathers to — on the `[N, C, h, w]` image made of the
     /// `keep` positions of each plane of `x` (a masked entry layer). On the
-    /// windowed path that image is never built: the padded planes are
-    /// gathered straight from `x`.
+    /// windowed and interior paths that image is never built: the padded
+    /// planes are gathered straight from `x`.
     pub(crate) fn forward_gathered(
         &mut self,
         x: &Tensor,
@@ -239,15 +306,16 @@ impl Conv2d {
             stale.recycle();
         }
         let path = conv_path(&geom, oc, n);
-        // Only the windowed path reads through `keep`; the others convolve
-        // the gathered image.
+        // The padded planes are gathered through `keep`; the other paths
+        // convolve the gathered image.
+        let padded = matches!(path, ConvPath::Windowed | ConvPath::Interior);
         let gathered = match keep {
-            Some((keep, ..)) if path != ConvPath::Windowed => Some(gather(x, keep, in_h, in_w)),
+            Some((keep, ..)) if !padded => Some(gather(x, keep, in_h, in_w)),
             _ => None,
         };
         let x = gathered.as_ref().unwrap_or(x);
         let (mut out, operand) = match path {
-            ConvPath::Pointwise | ConvPath::Windowed => {
+            ConvPath::Pointwise | ConvPath::Windowed | ConvPath::Interior => {
                 // Unpadded under a 1×1 kernel, the input is its own planes.
                 let planes = match path {
                     ConvPath::Pointwise => x.clone(),
@@ -255,7 +323,11 @@ impl Conv2d {
                 };
                 let mut out = scratch::take_tensor_raw(&[n, oc, oh, ow]);
                 let w = self.weight.value.data();
-                Self::window(&mut self.window, &geom).forward(&planes, w, out.data_mut());
+                let window = Self::window(&mut self.window, &geom);
+                match path {
+                    ConvPath::Interior => window.interior_forward(&planes, w, out.data_mut()),
+                    _ => window.forward(&planes, w, out.data_mut()),
+                }
                 (out, planes)
             }
             ConvPath::Im2col => {
@@ -367,6 +439,10 @@ impl Layer for Conv2d {
                 let window = Self::window(&mut self.window, &geom);
                 window.dw(&operand, grad_out.data(), dw.data_mut());
             }
+            ConvPath::Interior => {
+                let window = Self::window(&mut self.window, &geom);
+                window.interior_dw(&operand, grad_out.data(), dw.data_mut());
+            }
             ConvPath::Im2col => {
                 let g = gmat.insert(unpermute(grad_out, n, oc, ohw));
                 kernels::matmul_nt_into(g, &operand, &mut dw);
@@ -408,7 +484,11 @@ impl Layer for Conv2d {
                 );
                 dx
             }
-            ConvPath::Windowed | ConvPath::Im2col => {
+            ConvPath::Windowed | ConvPath::Interior => {
+                let window = Self::window(&mut self.window, &geom);
+                window.dx(grad_out.data(), self.weight.value.data())
+            }
+            ConvPath::Im2col => {
                 // dcols = Wᵀ @ g, folded back to input space.
                 let g = gmat.get_or_insert_with(|| unpermute(grad_out, n, oc, ohw));
                 let wt = MatRef::transposed(self.weight.value.data(), taps);
@@ -503,7 +583,7 @@ mod tests {
         assert_eq!(conv_path(&geom(1, 5, 1, 2), 6, 16), ConvPath::Windowed);
         assert_eq!(conv_path(&geom(6, 1, 1, 0), 6, 16), ConvPath::Pointwise);
         // LeNet's second stage: 150 taps.
-        assert_eq!(conv_path(&geom(6, 5, 1, 2), 16, 16), ConvPath::Im2col);
+        assert_eq!(conv_path(&geom(6, 5, 1, 2), 16, 16), ConvPath::Interior);
         // One 8-pixel image is a direct-loop product: the column matrix stays.
         assert_eq!(conv_path(&geom(1, 5, 1, 2), 6, 1), ConvPath::Windowed);
         let tiny = Conv2dGeom {
@@ -513,10 +593,10 @@ mod tests {
         };
         assert_eq!(conv_path(&tiny, 6, 1), ConvPath::Im2col);
         assert_eq!(conv_path(&tiny, 6, 16), ConvPath::Windowed);
-        // Strides and many filters keep the column matrix; a padded 1×1 is
-        // just a few-tap convolution.
+        // Strides keep the column matrix; many filters take the interior
+        // products; a padded 1×1 is just a few-tap convolution.
         assert_eq!(conv_path(&geom(1, 5, 2, 2), 6, 16), ConvPath::Im2col);
-        assert_eq!(conv_path(&geom(3, 3, 1, 1), 64, 16), ConvPath::Im2col);
+        assert_eq!(conv_path(&geom(3, 3, 1, 1), 64, 16), ConvPath::Interior);
         assert_eq!(conv_path(&geom(6, 1, 2, 0), 6, 16), ConvPath::Im2col);
         assert_eq!(conv_path(&geom(6, 1, 1, 1), 6, 16), ConvPath::Windowed);
     }

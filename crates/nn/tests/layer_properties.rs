@@ -671,9 +671,10 @@ fn conv_from_definitions(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On the column-free paths — windowed for few-tap kernels, pointwise
-    /// for 1×1 — `Conv2d` and `MaskedConv2d` give the reference definitions'
-    /// forward output, `dW`, `db` and demanded `dx` bit for bit, with and
+    /// On the column-free paths — windowed for few taps and few filters,
+    /// interior for more taps, pointwise for 1×1 — `Conv2d` and
+    /// `MaskedConv2d` give the reference definitions' forward output, `dW`,
+    /// `db` and demanded `dx` bit for bit, with and
     /// without a bias, for keep lists that are random (repeats included) or
     /// the raster subset an original sub-network gets; and an undemanded
     /// `dx` changes no parameter gradient.
@@ -697,8 +698,14 @@ proptest! {
             (channels, [3usize, 5][ki], padding, hw)
         };
         let conv = Conv2d::new(channels, oc, kernel, 1, padding, bias, &mut rng);
-        prop_assume!(conv.lowering(&[n, channels, hw, hw]) != "Im2col");
-        let want_path = if pointwise { "Pointwise" } else { "Windowed" };
+        // Products the GEMM runs as direct loops keep their column matrix.
+        let (taps, out) = (channels * kernel * kernel, hw + 2 * padding + 1 - kernel);
+        prop_assume!(oc * taps * n * out * out > gemm::SMALL_FLOPS);
+        let want_path = match (pointwise, taps <= 32) {
+            (true, _) => "Pointwise",
+            (false, true) => "Windowed",
+            (false, false) => "Interior",
+        };
         prop_assert_eq!(conv.lowering(&[n, channels, hw, hw]), want_path);
 
         // The layer's input: the image itself, or an augmented plane it is
@@ -1073,8 +1080,8 @@ fn shared_activations_leave_straight_line_gradients() {
     }
 }
 
-/// `clear_caches` hands the scratch-backed caches (column matrices, padded
-/// planes, activation outputs nobody else holds any more) back to the arena
+/// `clear_caches` hands the scratch-backed caches (padded planes, column
+/// matrices, activation outputs nobody else holds any more) back to the arena
 /// instead of freeing them, so an evaluation loop — forward, drop the
 /// outputs, clear — finds them again on its next batch: the arena grows on
 /// the first batch and holds steady from then on.
@@ -1101,10 +1108,10 @@ fn clear_caches_recycles_what_an_eval_batch_cached() {
         g.clear_caches();
         let recycled = amalgam_tensor::scratch::retained();
         // conv1's planes, bn1's input, relu1's and relu2's outputs, conv2's
-        // columns, fc's flattened input.
+        // planes, fc's flattened input.
         assert!(recycled >= held + 5, "{held} -> {recycled} buffers");
-        let columns = 6 * 25 * 8 * 8 * 8;
-        assert!(amalgam_tensor::scratch::retained_elems() >= columns);
+        let planes = 8 * 6 * 12 * 12;
+        assert!(amalgam_tensor::scratch::retained_elems() >= planes);
         // The next batch takes those buffers and gives them back.
         drop(g.forward(&[&batch], Mode::Eval));
         g.clear_caches();

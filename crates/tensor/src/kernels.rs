@@ -1,5 +1,5 @@
-//! Compute kernels: blocked matrix products and the im2col/col2im
-//! transforms used by convolution layers.
+//! Compute kernels: blocked matrix products, the im2col/col2im transforms
+//! and the column-free products of stride-1 convolutions.
 //!
 //! All three matmul variants lower onto the packed, register-tiled GEMM in
 //! [`crate::gemm`]; transposition is expressed as a stride choice on the
@@ -12,14 +12,56 @@
 //! item) as one call of [`gemm::gemm_batch`] — the shape attention's
 //! per-(batch, head) products lower to.
 //!
-//! A stride-1 convolution does not need its im2col matrix to exist: row
-//! `(ci, ky, kx)` of that matrix is the zero-padded input plane read from
-//! offset `ci·Hp·Wp + ky·Wp + kx` on, one output row at a time.
-//! [`padded_planes`] builds the planes, [`ConvWindow::forward`] and
-//! [`ConvWindow::dw`] run the no-pack kernels over those windows through
-//! offset tables ([`simd::KOffsets`], [`simd::LaneTile`]) that the layer
-//! builds once per geometry — the same products as im2col + GEMM, element
-//! for element and bit for bit, with 1/k² of the bytes written.
+//! # Convolution without the column matrix
+//!
+//! A stride-1 convolution does not need its im2col matrix to exist.
+//! [`padded_planes`] writes the input once as `[N, C, Hp, Wp]`, `Hp = H +
+//! 2P`, `Wp = W + 2P`, with a zero border (a masked entry layer gathers its
+//! `keep` pixels straight into it). Row `(ci, ky, kx)` of the im2col matrix,
+//! restricted to output row `oy`, is then `ow` consecutive floats from
+//! `ci·Hp·Wp + (oy + ky)·Wp + kx` on: a window of the planes. The no-pack
+//! kernels ([`simd`]'s `window_kernel` and `lane_kernel`) read such windows
+//! through offset tables ([`simd::KOffsets`], one entry per K step) instead
+//! of a stride, and a [`ConvWindow`], kept by the layer per geometry, holds
+//! every table, so nothing is rebuilt per call. What is never written: the
+//! `taps × N·oh·ow` column matrix (25× the input under a 5×5 kernel), the
+//! gather of a masked layer and the permutes between `[oc, N·oh·ow]` and
+//! `[N, oc, oh, ow]`. What a layer caches for backward: the planes.
+//!
+//! The three products come in two forms, told apart by what the 16 lanes of
+//! the 6×16 register tile hold.
+//!
+//! * **Windowed** (few filters and taps: entry layers). Forward
+//!   ([`ConvWindow::forward`]): the filters are the rows, sixteen consecutive
+//!   output positions of an image the lanes, whatever rows they lie in — a
+//!   padded row is `k − 1` floats longer than an output row, so a row at a
+//!   time would leave lanes empty at every row end; the lane kernel fills a
+//!   vector that crosses a row end from two windows ([`simd::LaneTile`]).
+//!   Under a 1×1 kernel the rows abut and an image is one call. Weight
+//!   gradient ([`ConvWindow::dw`]): the taps are the lanes, as many whole
+//!   kernel rows as fit 16 (three of a 5×5), an output position is a K step.
+//! * **Interior** (everything else at stride 1: LeNet's second stage). The
+//!   filters are the lanes — one whole tile for 16 filters, with no gather.
+//!   Forward ([`ConvWindow::interior_forward`]): up to six consecutive output
+//!   positions of a row are the rows, each reading its taps from its own
+//!   window, against `Wᵀ`. Weight gradient ([`ConvWindow::interior_dw`]): the
+//!   taps of one kernel row are the rows, the output positions the K steps,
+//!   against the transposed output gradient. Both transpose their small
+//!   operand or result with the packer's 8×8 block kernel.
+//! * **Input gradient** ([`ConvWindow::dx`], both forms). Per image and
+//!   kernel offset, six channels' rows of `Wᵀ · g` (filters as K, output
+//!   positions as lanes) go into one image's worth of columns and are added
+//!   onto `dx` as [`col2im`] adds them.
+//!
+//! Every element of every product is the chain of the `im2col` + GEMM
+//! lowering: the same K blocks (asked of [`gemm::route`]), ascending within
+//! a block, multiply and add unfused, `C += acc` onto a zeroed C; and every
+//! input-gradient cell takes its columns in `col2im`'s order. So the bits
+//! never depend on the form, the tier or the batch's split into images. On
+//! LeNet's second stage over 16 images of 10 × 10 (`kernels-quick`'s
+//! `conv_interior_*`, 2-vCPU box) the interior forward reads 1.5–1.7x the
+//! column lowering, the weight gradient 1.3–1.5x and the input gradient
+//! 1.1–1.3x; the 5×5 entry layer's windowed forward 1.35–1.8x.
 
 use crate::gemm::{self, BatchMat, Route, KC, MR};
 use crate::pack::MatRef;
@@ -549,9 +591,10 @@ fn assert_window_geometry(planes: &Tensor, g: &Conv2dGeom) -> usize {
     d[0]
 }
 
-/// What the windowed convolution of one stride-1 geometry reads through:
-/// tables that depend on the geometry alone (and, for the weight gradient,
-/// on the batch it last saw), built once and kept by the layer that runs it.
+/// What the column-free convolution of one stride-1 geometry reads through:
+/// tables that depend on the geometry alone (and, for the products over the
+/// whole batch, on the batch and filter count it last saw), built once and
+/// kept by the layer that runs it.
 #[derive(Debug, Clone)]
 pub struct ConvWindow {
     geom: Conv2dGeom,
@@ -567,19 +610,28 @@ pub struct ConvWindow {
     /// The weight gradient's lanes: as many whole kernel rows as fit 16
     /// lanes at a time, as (first tap, their windows).
     tap_tiles: Vec<(usize, LaneTile)>,
-    /// The weight gradient's K steps for the batch last seen.
+    /// The K steps of the products over the batch last seen.
     positions: Option<Positions>,
 }
 
-/// The output positions of a batch as the weight gradient's K steps: where
-/// position `p` lies in the output gradient (of `filters` filters) and where
-/// its window starts in the planes.
+/// The K steps that depend on the batch size and filter count: the output
+/// positions of a batch as the weight gradient's (where position `p` lies in
+/// the output gradient of `filters` filters, in its transpose, and where its
+/// window starts in the planes), and the filters as the input gradient's.
 #[derive(Debug, Clone)]
 struct Positions {
     batch: usize,
     filters: usize,
     grad_steps: Vec<usize>,
     plane_steps: Vec<usize>,
+    /// `p·filters` for `p` below the larger of the tap count and the batch's
+    /// position count: row `p` of a matrix whose rows are as long as there
+    /// are filters — `Wᵀ` by tap, the transposed output gradient by position.
+    filter_rows: Vec<usize>,
+    /// `o·taps`: filter `o`'s row of the weights.
+    weight_rows: Vec<usize>,
+    /// `o·oh·ow`: filter `o`'s plane of one image's output gradient.
+    grad_planes: Vec<usize>,
 }
 
 impl ConvWindow {
@@ -755,6 +807,210 @@ impl ConvWindow {
         }
     }
 
+    /// [`forward`](Self::forward) with the filters as the lanes: the
+    /// product of a convolution with many taps, whose windowed form would
+    /// gather the same position windows once per six filters.
+    ///
+    /// Per image, up to six consecutive output positions of one row are the
+    /// tile's rows — each reads its taps from its own window of the planes,
+    /// through the tap offsets — and `Wᵀ` (`[C·k·k, oc]`, transposed once a
+    /// call) is B: one K step is one tap, whose 16 filters' weights are one
+    /// contiguous B row. The tile's sums are the image's output position by
+    /// position, transposed into `[oc, oh·ow]` at the end. Each output
+    /// element is the same chain over the taps in the same blocks as the
+    /// `[oc, C·k·k] · im2col` product's, so the bits are that product's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer does not match the geometry.
+    pub fn interior_forward(&mut self, planes: &Tensor, weight: &[f32], out: &mut [f32]) {
+        let g = self.geom;
+        let n = assert_window_geometry(planes, &g);
+        let (taps, (oh, ow)) = (g.col_rows(), (g.out_h(), g.out_w()));
+        assert!(weight.len().is_multiple_of(taps), "weight shape mismatch");
+        let oc = weight.len() / taps;
+        let ohw = oh * ow;
+        assert_eq!(out.len(), n * oc * ohw, "conv output buffer mismatch");
+        if out.is_empty() {
+            return;
+        }
+        let (hp, wp) = g.padded_hw();
+        let image = g.in_channels * hp * wp;
+        // The K blocks of the product this replaces (the direct loop has one).
+        let block = match gemm::route(oc, n * ohw, taps, 1) {
+            Route::Small => taps,
+            _ => KC,
+        };
+        self.update_positions(n, oc);
+        let steps = self.positions.as_ref().expect("just updated");
+        let mut wt = scratch::take_raw(taps * oc);
+        transpose(weight, oc, taps, &mut wt);
+        let mut by_position = scratch::take_raw(ohw * oc);
+        let kernel = simd::window_kernel();
+        let planes = planes.data();
+        for (ni, out_image) in out.chunks_exact_mut(oc * ohw).enumerate() {
+            let plane = &planes[ni * image..(ni + 1) * image];
+            by_position.fill(0.0);
+            for pc in (0..taps).step_by(block) {
+                let kc = (taps - pc).min(block);
+                let a_k = KOffsets::new(&self.tap_offsets[pc..pc + kc]);
+                let b_k = KOffsets::new(&steps.filter_rows[pc..pc + kc]);
+                for y in 0..oh {
+                    for x in (0..ow).step_by(MR) {
+                        let (rows, a) = ((ow - x).min(MR), &plane[y * wp + x..]);
+                        let c = &mut by_position[(y * ow + x) * oc..];
+                        kernel(rows, oc, a, 1, a_k, &wt, b_k, c, oc);
+                    }
+                }
+            }
+            transpose(&by_position, ohw, oc, out_image);
+        }
+        scratch::give(by_position);
+        scratch::give(wt);
+    }
+
+    /// [`dw`](Self::dw) with the filters as the lanes: the weight gradient of
+    /// a convolution with many taps.
+    ///
+    /// The taps of one kernel row (up to six, adjacent in the planes) are the
+    /// tile's rows and the output positions its K steps, in the order and the
+    /// [`KC`] blocks of the `[oc, N·oh·ow] · [C·k·k, N·oh·ow]ᵀ` product it
+    /// replaces: at step `p` each row reads its tap in position `p`'s window
+    /// and B is row `p` of the transposed output gradient (`[N·oh·ow, oc]`,
+    /// built once a call), the 16 filters' gradients at that position. The
+    /// sums are `dWᵀ`, transposed into `dw` (previous contents ignored) at
+    /// the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer does not match the geometry.
+    pub fn interior_dw(&mut self, planes: &Tensor, grad_out: &[f32], dw: &mut [f32]) {
+        let g = self.geom;
+        let n = assert_window_geometry(planes, &g);
+        let (taps, (oh, ow)) = (g.col_rows(), (g.out_h(), g.out_w()));
+        assert!(dw.len().is_multiple_of(taps), "dw shape mismatch");
+        let oc = dw.len() / taps;
+        let ohw = oh * ow;
+        assert_eq!(
+            grad_out.len(),
+            n * oc * ohw,
+            "conv gradient buffer mismatch"
+        );
+        let positions = n * ohw;
+        if positions == 0 || oc == 0 {
+            dw.fill(0.0);
+            return;
+        }
+        let block = match gemm::route(oc, taps, positions, positions) {
+            Route::Small => positions,
+            _ => KC,
+        };
+        self.update_positions(n, oc);
+        let steps = self.positions.as_ref().expect("just updated");
+        let mut gt = scratch::take_raw(positions * oc);
+        let images = grad_out.chunks_exact(oc * ohw);
+        for (image, dst) in images.zip(gt.chunks_exact_mut(ohw * oc)) {
+            transpose(image, oc, ohw, dst);
+        }
+        let mut dwt = scratch::take(taps * oc);
+        let (k, kernel, planes) = (g.kernel, simd::window_kernel(), planes.data());
+        for pc in (0..positions).step_by(block) {
+            let span = pc..positions.min(pc + block);
+            let a_k = KOffsets::new(&steps.plane_steps[span.clone()]);
+            let b_k = KOffsets::new(&steps.filter_rows[span]);
+            for t in (0..taps).step_by(k) {
+                for kx in (0..k).step_by(MR) {
+                    let (rows, a) = ((k - kx).min(MR), &planes[self.tap_offsets[t + kx]..]);
+                    kernel(rows, oc, a, 1, a_k, &gt, b_k, &mut dwt[(t + kx) * oc..], oc);
+                }
+            }
+        }
+        transpose(&dwt, taps, oc, dw);
+        scratch::give(dwt);
+        scratch::give(gt);
+    }
+
+    /// `dx = col2im(Wᵀ · g)` without the column matrix: the input gradient
+    /// `[N, C, H, W]` of the output gradient `grad_out` (`[N, oc, oh, ow]`,
+    /// read where it lies) under `weight` (`[oc, C·k·k]` row-major).
+    ///
+    /// Per image and kernel offset `(ky, kx)`, in ascending order, one call
+    /// of the windowed kernel computes that offset's rows of `Wᵀ · g` for up
+    /// to six channels — the channels are the tile's rows (a channel's
+    /// weight at the offset is `k²` elements from the next's), the filters
+    /// the K steps in the [`KC`] blocks of the product it replaces, and the
+    /// image's output positions the lanes — into a buffer of one image's
+    /// columns for those rows, which is then added onto `dx` exactly as
+    /// [`col2im`] adds the rows of the whole matrix. Every column element is
+    /// the product's, and every input cell takes them in `col2im`'s order,
+    /// so the bits are `col2im`'s. Output rows that only meet the padding
+    /// under an offset are neither computed nor added.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer does not match the geometry.
+    pub fn dx(&mut self, grad_out: &[f32], weight: &[f32]) -> Tensor {
+        let g = self.geom;
+        let (c, k, taps) = (g.in_channels, g.kernel, g.col_rows());
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let ohw = oh * ow;
+        assert!(weight.len().is_multiple_of(taps), "weight shape mismatch");
+        let oc = weight.len() / taps;
+        assert!(
+            oc > 0 && ohw > 0 && grad_out.len().is_multiple_of(oc * ohw),
+            "conv gradient buffer mismatch"
+        );
+        let n = grad_out.len() / (oc * ohw);
+        let (h, w, pad) = (g.in_h, g.in_w, g.padding);
+        let mut dx = scratch::take_tensor(&[n, c, h, w]);
+        let block = match gemm::route(taps, n * ohw, oc, 1) {
+            Route::Small => oc,
+            _ => KC,
+        };
+        self.update_positions(n, oc);
+        let steps = self.positions.as_ref().expect("just updated");
+        let mut columns = scratch::take_raw(c.min(MR) * ohw);
+        let kernel = simd::window_kernel();
+        let images = grad_out.chunks_exact(oc * ohw);
+        for (grad, dx) in images.zip(dx.data_mut().chunks_exact_mut(c * h * w)) {
+            for offset in 0..k * k {
+                let (ky, kx) = (offset / k, offset % k);
+                let (oy0, oy1) = valid_span(oh, h, ky, 1, pad);
+                let (ox0, ox1) = valid_span(ow, w, kx, 1, pad);
+                if oy0 == oy1 || ox0 == ox1 {
+                    continue;
+                }
+                let lanes = oy0 * ow..oy1 * ow;
+                for ci in (0..c).step_by(MR) {
+                    let rows = (c - ci).min(MR);
+                    let sums = &mut columns[..rows * ohw];
+                    sums.fill(0.0);
+                    let a = &weight[ci * k * k + offset..];
+                    for pc in (0..oc).step_by(block) {
+                        let span = pc..oc.min(pc + block);
+                        let a_k = KOffsets::new(&steps.weight_rows[span.clone()]);
+                        let b_k = KOffsets::new(&steps.grad_planes[span]);
+                        let (b, c) = (&grad[lanes.start..], &mut sums[lanes.start..]);
+                        kernel(rows, lanes.len(), a, k * k, a_k, b, b_k, c, ohw);
+                    }
+                    for (row, plane) in sums
+                        .chunks_exact(ohw)
+                        .zip(dx[ci * h * w..].chunks_exact_mut(h * w))
+                    {
+                        for oy in oy0..oy1 {
+                            let run = &row[oy * ow + ox0..oy * ow + ox1];
+                            let cells =
+                                &mut plane[(oy + ky - pad) * w + ox0 + kx - pad..][..run.len()];
+                            cells.iter_mut().zip(run).for_each(|(d, &v)| *d += v);
+                        }
+                    }
+                }
+            }
+        }
+        scratch::give(columns);
+        dx
+    }
+
     /// Makes `positions` the K steps of `batch` images under `filters` filters.
     fn update_positions(&mut self, batch: usize, filters: usize) {
         let current = |p: &Positions| p.batch == batch && p.filters == filters;
@@ -773,12 +1029,32 @@ impl ConvWindow {
                     plane_steps.extend(window..window + ow);
                 }
             }
+            let (taps, ohw) = (g.col_rows(), oh * ow);
             self.positions = Some(Positions {
                 batch,
                 filters,
                 grad_steps,
                 plane_steps,
+                filter_rows: (0..taps.max(batch * ohw)).map(|p| p * filters).collect(),
+                weight_rows: (0..filters).map(|o| o * taps).collect(),
+                grad_planes: (0..filters).map(|o| o * ohw).collect(),
             });
+        }
+    }
+}
+
+/// `dst = srcᵀ` for a row-major `rows × cols` matrix `src`: eight rows
+/// at a time as 8×8 block transposes (the packer's kernel), the last
+/// `rows % 8` element by element.
+fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert!(src.len() == rows * cols && dst.len() == rows * cols);
+    let (kernel, full) = (simd::transpose_kernel(), rows / 8 * 8);
+    for r in (0..full).step_by(8) {
+        kernel(&src[r * cols..], cols, 8, cols, &mut dst[r..], rows);
+    }
+    for r in full..rows {
+        for (c, &v) in src[r * cols..(r + 1) * cols].iter().enumerate() {
+            dst[c * rows + r] = v;
         }
     }
 }

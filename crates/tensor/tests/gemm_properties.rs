@@ -617,9 +617,15 @@ fn image_split_tile_edges_match_the_reference() {
 use amalgam_tensor::kernels::{self, Conv2dGeom};
 
 /// What the column-free kernels must reproduce bit for bit: the naive im2col
-/// matrix, `gemm` (its own route for the shape) and the permutes around it.
-/// Returns `(forward [N, oc, oh, ow], dW [oc, taps])`.
-fn conv_by_columns(x: &Tensor, w: &[f32], grad: &[f32], g: &Conv2dGeom) -> (Vec<f32>, Vec<f32>) {
+/// matrix, `gemm` (its own route for the shape), the permutes around it and
+/// the naive col2im. Returns `(forward [N, oc, oh, ow], dW [oc, taps],
+/// dx [N, C, H, W])`.
+fn conv_by_columns(
+    x: &Tensor,
+    w: &[f32],
+    grad: &[f32],
+    g: &Conv2dGeom,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let (n, taps, ohw) = (x.dims()[0], g.col_rows(), g.out_h() * g.out_w());
     let oc = w.len() / taps;
     let cols = kernels::reference::im2col(x, g);
@@ -649,23 +655,34 @@ fn conv_by_columns(x: &Tensor, w: &[f32], grad: &[f32], g: &Conv2dGeom) -> (Vec<
         MatRef::transposed(cols.data(), n * ohw),
         &mut dw,
     );
-    (out, dw)
+    let mut dcols = Tensor::zeros(&[taps, n * ohw]);
+    gemm::gemm(
+        taps,
+        n * ohw,
+        oc,
+        MatRef::transposed(w, taps),
+        MatRef::row_major(&gmat, n * ohw),
+        dcols.data_mut(),
+    );
+    let dx = kernels::reference::col2im(&dcols, g, n);
+    (out, dw, dx.data().to_vec())
 }
 
-/// [`windowed_conv_agrees_at`] on one more image and one more filter too, so
-/// the window the layer would keep sees its batch and its filter count change
-/// and come back.
-fn windowed_conv_agrees(n: usize, oc: usize, g: &Conv2dGeom, seed: u64) -> Result<(), String> {
+/// [`column_free_conv_agrees_at`] on one more image and one more filter too,
+/// so the window the layer would keep sees its batch and its filter count
+/// change and come back.
+fn column_free_conv_agrees(n: usize, oc: usize, g: &Conv2dGeom, seed: u64) -> Result<(), String> {
     let batches = [(n, oc), (n + 1, oc), (n, oc + 1), (n, oc)];
-    windowed_conv_agrees_at(&batches, g, seed)
+    column_free_conv_agrees_at(&batches, g, seed)
 }
 
-/// The windowed forward and weight-gradient kernels against
-/// [`conv_by_columns`] on every tier, from NaN-poisoned outputs: one
+/// The column-free kernels — the windowed and the interior forward and
+/// weight gradient, and the input gradient — against [`conv_by_columns`]
+/// on every tier, from NaN-poisoned outputs: one
 /// [`ConvWindow`](kernels::ConvWindow), kept as a layer keeps it, through
 /// every `(images, filters)` of `batches` in turn. Leaves the tier knob
 /// wherever the last iteration put it.
-fn windowed_conv_agrees_at(
+fn column_free_conv_agrees_at(
     batches: &[(usize, usize)],
     g: &Conv2dGeom,
     seed: u64,
@@ -678,7 +695,7 @@ fn windowed_conv_agrees_at(
         );
         let w = rand_vec(oc * g.col_rows(), seed ^ 0x9e37);
         let grad = rand_vec(n * oc * g.out_h() * g.out_w(), seed ^ 0x51ed);
-        let (want_out, want_dw) = conv_by_columns(&x, &w, &grad, g);
+        let (want_out, want_dw, want_dx) = conv_by_columns(&x, &w, &grad, g);
         for tier in tiers() {
             simd::force_tier(Some(tier));
             let planes = kernels::padded_planes(&x, g, None);
@@ -686,7 +703,18 @@ fn windowed_conv_agrees_at(
             window.forward(&planes, &w, &mut out);
             let mut dw = vec![f32::NAN; want_dw.len()];
             window.dw(&planes, &grad, &mut dw);
-            for (what, got, want) in [("forward", &out, &want_out), ("dW", &dw, &want_dw)] {
+            let mut interior_out = vec![f32::NAN; want_out.len()];
+            window.interior_forward(&planes, &w, &mut interior_out);
+            let mut interior_dw = vec![f32::NAN; want_dw.len()];
+            window.interior_dw(&planes, &grad, &mut interior_dw);
+            let dx = window.dx(&grad, &w).data().to_vec();
+            for (what, got, want) in [
+                ("forward", &out, &want_out),
+                ("dW", &dw, &want_dw),
+                ("interior forward", &interior_out, &want_out),
+                ("interior dW", &interior_dw, &want_dw),
+                ("dx", &dx, &want_dx),
+            ] {
                 if bits(got) != bits(want) {
                     return Err(format!(
                         "{what} on {tier:?}: {n} images, {oc} filters, {g:?}"
@@ -705,7 +733,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Reading im2col rows as windows of the padded planes changes no bit of
-    /// the forward product or of the weight gradient: 1–3 channels, 1×1 to
+    /// the forward product, the weight gradient or the input gradient, with
+    /// the positions, taps or filters as the lanes: 1–3 channels, 1×1 to
     /// 5×5 kernels (even ones too), padding 0–2, ragged widths, 1–10 filters
     /// (two passes of the 6-row tile), shapes on both sides of the
     /// direct-loop rule.
@@ -723,7 +752,7 @@ proptest! {
         let _guard = TIER_LOCK.lock().unwrap();
         let in_w = RAGGED_W[wi].max(kernel.saturating_sub(2 * padding));
         let g = Conv2dGeom { in_channels, in_h, in_w, kernel, stride: 1, padding };
-        let check = windowed_conv_agrees(n, oc, &g, seed);
+        let check = column_free_conv_agrees(n, oc, &g, seed);
         simd::force_tier(None);
         prop_assert!(check.is_ok(), "{}", check.unwrap_err());
     }
@@ -769,9 +798,9 @@ proptest! {
     }
 }
 
-/// Tap counts on both sides of a K block — through the blocked kernel and,
-/// for a product small enough, through the direct loop's single chain — and
-/// a large batch.
+/// Tap counts and filter counts on both sides of a K block — through the
+/// blocked kernel and, for a product small enough, through the direct loop's
+/// single chain — and a large batch.
 #[test]
 fn windowed_convolution_agrees_across_k_blocks_and_a_large_batch() {
     let _guard = TIER_LOCK.lock().unwrap();
@@ -788,9 +817,10 @@ fn windowed_convolution_agrees_across_k_blocks_and_a_large_batch() {
         (1, 1, geom(30, 4, 4, 3, 1)),            // 270 taps, direct loop
         (3, 6, geom(29, 6, 7, 3, 0)),            // 261 taps, no padding
         (24, 6, geom(1, 64, 64, 5, 2)),          // 24 images of 64 px
+        (2, 300, geom(3, 6, 5, 3, 1)),           // 300 filters: dx blocked
     ];
     for (n, oc, g) in cases {
-        let check = windowed_conv_agrees(n, oc, &g, 77);
+        let check = column_free_conv_agrees(n, oc, &g, 77);
         simd::force_tier(None);
         check.unwrap();
     }
@@ -832,7 +862,7 @@ fn windowed_convolution_agrees_at_every_width_kernel_and_filter_count() {
                 };
                 assert_eq!(g.out_w(), ow);
                 let seed = (ow * 31 + oc) as u64;
-                let check = windowed_conv_agrees_at(&[(2, oc)], &g, seed);
+                let check = column_free_conv_agrees_at(&[(2, oc)], &g, seed);
                 simd::force_tier(None);
                 check.unwrap();
             }
