@@ -130,11 +130,12 @@ fn conv_path(g: &Conv2dGeom, oc: usize, batch: usize) -> ConvPath {
     if oc * g.col_rows() * batch * g.out_h() * g.out_w() <= SMALL_FLOPS {
         return ConvPath::Im2col;
     }
+    if g.stride != 1 {
+        return ConvPath::Im2col;
+    }
     // Within one K block every GEMM route accumulates alike, so a per-image
     // product has the bits of the whole-batch product it stands for.
-    if g.stride != 1 {
-        ConvPath::Im2col
-    } else if g.kernel == 1 && g.padding == 0 && g.in_channels <= KC && oc <= KC {
+    if g.kernel == 1 && g.padding == 0 && g.in_channels <= KC && oc <= KC {
         ConvPath::Pointwise
     } else if oc <= SKINNY_MAX_M && g.col_rows() <= WINDOW_MAX_TAPS {
         ConvPath::Windowed
@@ -422,7 +423,7 @@ impl Layer for Conv2d {
         let taps = geom.col_rows();
         assert_eq!(grad_out.numel(), n * oc * ohw, "Conv2d gradient mismatch");
         // The im2col products read the gradient as [oc, N*oh*ow]; the other
-        // paths read it where it lies, and build this only for a demanded dx.
+        // paths read it where it lies.
         let mut gmat = None;
 
         // dW = g @ colsᵀ (flat — dw is the same row-major data as the
