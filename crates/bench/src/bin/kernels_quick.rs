@@ -364,6 +364,41 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// The column lowering's forward as `Conv2d` ran it: the column matrix of
+/// `x`, one GEMM against `w` (`[oc, taps]`), the permute to `[N, oc, oh·ow]`
+/// into `out`.
+fn forward_by_columns(x: &Tensor, geom: &Conv2dGeom, w: &[f32], out: &mut Tensor) {
+    let (n, taps) = (x.dims()[0], geom.col_rows());
+    let (oc, ohw) = (w.len() / taps, geom.out_h() * geom.out_w());
+    let mut cols = scratch::take_tensor_raw(&[taps, n * ohw]);
+    kernels::im2col_into(x, geom, &mut cols);
+    let mut ymat = scratch::take_tensor(&[oc, n * ohw]);
+    let (wmat, colmat) = (
+        MatRef::row_major(w, taps),
+        MatRef::row_major(cols.data(), n * ohw),
+    );
+    gemm::gemm(oc, n * ohw, taps, wmat, colmat, ymat.data_mut());
+    for (block, dst) in out.data_mut().chunks_exact_mut(ohw).enumerate() {
+        let (ni, o) = (block / oc, block % oc);
+        dst.copy_from_slice(&ymat.data()[o * n * ohw + ni * ohw..][..ohw]);
+    }
+    scratch::give_tensor(ymat);
+    scratch::give_tensor(cols);
+}
+
+/// An output gradient `[N, oc, oh, ow]` as the `[oc, N·oh·ow]` matrix the
+/// column lowering's backward products read.
+fn unpermuted(grad: &Tensor) -> Tensor {
+    let d = grad.dims();
+    let (n, oc, ohw) = (d[0], d[1], d[2] * d[3]);
+    let mut gmat = scratch::take_tensor_raw(&[oc, n * ohw]);
+    for (block, src) in grad.data().chunks_exact(ohw).enumerate() {
+        let (ni, o) = (block / oc, block % oc);
+        gmat.data_mut()[o * n * ohw + ni * ohw..][..ohw].copy_from_slice(src);
+    }
+    gmat
+}
+
 /// `--profile`: the per-node table of `job`'s training step, on a worker
 /// thread's stack like the service's trainer. Returns what `--check` fails
 /// on: rows that do not reconcile with the step on a side, an `lm16` loss
@@ -799,25 +834,7 @@ fn main() {
         let (oc, taps, ohw) = (6usize, geom.col_rows(), 400usize);
         let x = Tensor::randn(&[n, channels, 20, 20], &mut rng);
         let w = Tensor::randn(&[oc, taps], &mut rng);
-        let by_columns = |out: &mut Tensor| {
-            let mut cols = scratch::take_tensor_raw(&[taps, n * ohw]);
-            kernels::im2col_into(&x, &geom, &mut cols);
-            let mut ymat = scratch::take_tensor(&[oc, n * ohw]);
-            gemm::gemm(
-                oc,
-                n * ohw,
-                taps,
-                MatRef::row_major(w.data(), taps),
-                MatRef::row_major(cols.data(), n * ohw),
-                ymat.data_mut(),
-            );
-            for (block, dst) in out.data_mut().chunks_exact_mut(ohw).enumerate() {
-                let (ni, o) = (block / oc, block % oc);
-                dst.copy_from_slice(&ymat.data()[o * n * ohw + ni * ohw..][..ohw]);
-            }
-            scratch::give_tensor(ymat);
-            scratch::give_tensor(cols);
-        };
+        let by_columns = |out: &mut Tensor| forward_by_columns(&x, &geom, w.data(), out);
         // As the layer runs it: the geometry's tables are built once.
         let window = kernels::ConvWindow::new(&geom);
         let column_free = |out: &mut Tensor| {
@@ -875,11 +892,7 @@ fn main() {
         let cols = kernels::im2col(&x, &geom);
         let planes = kernels::padded_planes(&x, &geom, None);
         let by_columns = |dw: &mut Tensor| {
-            let mut gmat = scratch::take_tensor_raw(&[oc, n * ohw]);
-            for (block, src) in grad.data().chunks_exact(ohw).enumerate() {
-                let (ni, o) = (block / oc, block % oc);
-                gmat.data_mut()[o * n * ohw + ni * ohw..][..ohw].copy_from_slice(src);
-            }
+            let gmat = unpermuted(&grad);
             kernels::matmul_nt_into(&gmat, &cols, dw);
             scratch::give_tensor(gmat);
         };
@@ -934,35 +947,14 @@ fn main() {
         let grad = Tensor::randn(&[n, oc, 10, 10], &mut rng);
         let cols = kernels::im2col(&x, &geom);
         let planes = kernels::padded_planes(&x, &geom, None);
-        let unpermuted = || {
-            let mut gmat = scratch::take_tensor_raw(&[oc, n * ohw]);
-            for (block, src) in grad.data().chunks_exact(ohw).enumerate() {
-                let (ni, o) = (block / oc, block % oc);
-                gmat.data_mut()[o * n * ohw + ni * ohw..][..ohw].copy_from_slice(src);
-            }
-            gmat
-        };
-        let fwd_columns = |out: &mut Tensor| {
-            let mut cols = scratch::take_tensor_raw(&[taps, n * ohw]);
-            kernels::im2col_into(&x, &geom, &mut cols);
-            let mut ymat = scratch::take_tensor(&[oc, n * ohw]);
-            let wmat = MatRef::row_major(w.data(), taps);
-            let colmat = MatRef::row_major(cols.data(), n * ohw);
-            gemm::gemm(oc, n * ohw, taps, wmat, colmat, ymat.data_mut());
-            for (block, dst) in out.data_mut().chunks_exact_mut(ohw).enumerate() {
-                let (ni, o) = (block / oc, block % oc);
-                dst.copy_from_slice(&ymat.data()[o * n * ohw + ni * ohw..][..ohw]);
-            }
-            scratch::give_tensor(ymat);
-            scratch::give_tensor(cols);
-        };
+        let fwd_columns = |out: &mut Tensor| forward_by_columns(&x, &geom, w.data(), out);
         let dw_columns = |dw: &mut Tensor| {
-            let gmat = unpermuted();
+            let gmat = unpermuted(&grad);
             kernels::matmul_nt_into(&gmat, &cols, dw);
             scratch::give_tensor(gmat);
         };
         let dx_columns = |dx: &mut Tensor| {
-            let gmat = unpermuted();
+            let gmat = unpermuted(&grad);
             let mut dcols = scratch::take_tensor(&[taps, n * ohw]);
             let wt = MatRef::transposed(w.data(), taps);
             let gm = MatRef::row_major(gmat.data(), n * ohw);
