@@ -581,6 +581,16 @@ pub fn padded_planes(input: &Tensor, g: &Conv2dGeom, keep: Option<&[usize]>) -> 
     planes
 }
 
+/// The K block of the `m × n × k` product (B's column stride `b_cs`) a
+/// column-free kernel stands in for: [`KC`], or the whole K where the GEMM
+/// would run the product as its direct loop, one chain per element.
+fn k_block(m: usize, n: usize, k: usize, b_cs: usize) -> usize {
+    match gemm::route(m, n, k, b_cs) {
+        Route::Small => k,
+        _ => KC,
+    }
+}
+
 fn assert_window_geometry(planes: &Tensor, g: &Conv2dGeom) -> usize {
     let (hp, wp) = g.padded_hw();
     let d = planes.dims();
@@ -724,11 +734,7 @@ impl ConvWindow {
         }
         let (hp, wp) = g.padded_hw();
         let image = g.in_channels * hp * wp;
-        // The K blocks of the product this replaces (the direct loop has one).
-        let block = match gemm::route(oc, n * oh * ow, taps, 1) {
-            Route::Small => taps,
-            _ => KC,
-        };
+        let block = k_block(oc, n * oh * ow, taps, 1);
         let ohw = oh * ow;
         let (window, lanes) = (simd::window_kernel(), simd::lane_kernel());
         let planes = planes.data();
@@ -787,10 +793,7 @@ impl ConvWindow {
         if positions == 0 || oc == 0 {
             return;
         }
-        let block = match gemm::route(oc, taps, positions, positions) {
-            Route::Small => positions,
-            _ => KC,
-        };
+        let block = k_block(oc, taps, positions, positions);
         self.update_positions(n, oc);
         let steps = self.positions.as_ref().expect("just updated");
         let kernel = simd::lane_kernel();
@@ -836,11 +839,7 @@ impl ConvWindow {
         }
         let (hp, wp) = g.padded_hw();
         let image = g.in_channels * hp * wp;
-        // The K blocks of the product this replaces (the direct loop has one).
-        let block = match gemm::route(oc, n * ohw, taps, 1) {
-            Route::Small => taps,
-            _ => KC,
-        };
+        let block = k_block(oc, n * ohw, taps, 1);
         self.update_positions(n, oc);
         let steps = self.positions.as_ref().expect("just updated");
         let mut wt = scratch::take_raw(taps * oc);
@@ -901,10 +900,7 @@ impl ConvWindow {
             dw.fill(0.0);
             return;
         }
-        let block = match gemm::route(oc, taps, positions, positions) {
-            Route::Small => positions,
-            _ => KC,
-        };
+        let block = k_block(oc, taps, positions, positions);
         self.update_positions(n, oc);
         let steps = self.positions.as_ref().expect("just updated");
         let mut gt = scratch::take_raw(positions * oc);
@@ -963,10 +959,7 @@ impl ConvWindow {
         let n = grad_out.len() / (oc * ohw);
         let (h, w, pad) = (g.in_h, g.in_w, g.padding);
         let mut dx = scratch::take_tensor(&[n, c, h, w]);
-        let block = match gemm::route(taps, n * ohw, oc, 1) {
-            Route::Small => oc,
-            _ => KC,
-        };
+        let block = k_block(taps, n * ohw, oc, 1);
         self.update_positions(n, oc);
         let steps = self.positions.as_ref().expect("just updated");
         let mut columns = scratch::take_raw(c.min(MR) * ohw);
