@@ -876,7 +876,8 @@ fn main() {
     // images of 20 × 20 positions: the windowed kernel on the padded planes
     // its forward pass kept, against the column lowering's gradient matrix
     // (`[N, oc, ·] → [oc, N·]`) and one GEMM on the columns its forward pass
-    // would have kept. Same bits required, and ≥ 1.25x.
+    // would have kept. Same bits required, and ≥ 1.25x, timed in
+    // alternating bursts.
     {
         let geom = Conv2dGeom {
             in_channels: 1,
@@ -904,8 +905,7 @@ fn main() {
         by_columns(&mut want);
         windowed(&mut got);
         let bitwise = same_bits(got.data(), want.data());
-        let columns_ms = time_staged_ms(300, &dims, by_columns);
-        let windowed_ms = time_staged_ms(300, &dims, &mut windowed);
+        let (columns_ms, windowed_ms) = time_staged_pair_ms(300, &dims, by_columns, windowed);
         let speedup = columns_ms / windowed_ms;
         entries.push(
             Entry::new("conv_entry_dw_6x25_16x20x20")
