@@ -21,6 +21,13 @@ use amalgam_tensor::pack::MatRef;
 use amalgam_tensor::simd::{self, Tier};
 use amalgam_tensor::{gemm, Rng, Tensor};
 use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// Serialises the tests that flip the global `force_tier` knob, so one
+/// cannot reset the tier while another runs a case it labelled with a
+/// forced one. (Tests that do not flip it may run beside them: every tier
+/// gives the same bits.)
+static TIER_LOCK: Mutex<()> = Mutex::new(());
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
@@ -277,6 +284,7 @@ fn naive_layernorm_backward(
 /// `x̂` itself.
 #[test]
 fn layernorm_matches_row_at_a_time_definition() {
+    let _guard = TIER_LOCK.lock().unwrap();
     for dim in [1usize, 7, 8, 31, 32, 33] {
         for rows in 1usize..=19 {
             let mut rng = Rng::seed_from((rows * 100 + dim) as u64);
@@ -823,6 +831,7 @@ proptest! {
                 scattered
             }
         };
+        let _guard = TIER_LOCK.lock().unwrap();
         for tier in [Tier::Portable, simd::detected_tier()] {
             simd::force_tier(Some(tier));
             let mut layer: Box<dyn Layer> = match &keep {
