@@ -14,7 +14,8 @@
 //!  stride > 1 ─────────────────────────────────► Im2col     column matrix, one GEMM, a permute
 //!  1×1, no padding, C ≤ 256, oc ≤ 256 ──────────► Pointwise  each image [C, H·W] is its B operand
 //!  oc ≤ 18, taps = C·k² ≤ 32 ───────────────────► Windowed   taps or positions as the lanes
-//!  every other stride-1 geometry (LeNet's conv2) ► Interior   the filters as the lanes
+//!  4 ≤ oc ≤ 32, oh·ow ≥ 64 (LeNet's conv2) ─────► Interior   the filters as the lanes
+//!  every other stride-1 geometry ──────────────► Im2col     the column lowering
 //! ```
 //!
 //! * **Pointwise** runs on the tensors as they lie: per image `W · x` forward
@@ -37,9 +38,11 @@
 //!   `dx` from [`ConvWindow::dx`]: one kernel offset at a time, in `col2im`'s
 //!   order, with no column matrix. The products are described in
 //!   [`kernels`].
-//! * **Im2col** is left to strided geometries and to products the GEMM runs
+//! * **Im2col** is left to strided geometries, to products the GEMM runs
 //!   as direct loops ([`SMALL_FLOPS`]), such as the entry layer of a
-//!   one-image 8 px job. It writes the column matrix, runs one GEMM,
+//!   one-image 8 px job, and to the stride-1 geometries the interior
+//!   lowering was measured to lose on ([`INTERIOR_FILTERS`],
+//!   [`INTERIOR_MIN_POSITIONS`]). It writes the column matrix, runs one GEMM,
 //!   permutes `[oc, N·oh·ow]` to `[N, oc, oh, ow]`, and for the backward
 //!   un-permutes the gradient and folds `Wᵀ · g` back with
 //!   [`kernels::col2im`].
@@ -104,11 +107,12 @@ enum ConvPath {
     /// im2col rows as shifted windows of the zero-padded input planes, which
     /// are all that is built and all that is cached.
     Windowed,
-    /// Unit stride otherwise: the same planes, with the filters as the
-    /// register tile's lanes.
+    /// Unit stride, many taps, 4–32 filters and maps of 8 × 8 or more: the
+    /// same planes, with the filters as the register tile's lanes.
     Interior,
-    /// Strides, and products the GEMM runs as direct loops: the column
-    /// matrix, one GEMM, a permute.
+    /// Strides, products the GEMM runs as direct loops, and the stride-1
+    /// geometries neither column-free form wins on: the column matrix, one
+    /// GEMM, a permute.
     Im2col,
 }
 
@@ -119,6 +123,21 @@ enum ConvPath {
 /// few. 32 admits the 1–3 channel 3×3 and 5×5 entry layers; the 150-tap
 /// second stage of LeNet, with 16 filters, is interior.
 const WINDOW_MAX_TAPS: usize = 32;
+
+/// The filter counts a [`ConvPath::Interior`] convolution may have, where it
+/// was timed to beat the column lowering (forward, weight and input gradient
+/// together, on maps of 8 × 8 and more): 4 filters (a DenseNet growth layer
+/// at the paper figures' width) to 32. With one filter (CBAM's 7×7) 1 of
+/// the 16 lanes works and the layer is no faster; from 64 filters on the
+/// weight gradient falls behind and at 128 the layer is even.
+const INTERIOR_FILTERS: std::ops::RangeInclusive<usize> = 4..=32;
+
+/// Fewest output positions per image (`oh·ow`) a [`ConvPath::Interior`]
+/// convolution may have. On smaller maps its input gradient, one kernel
+/// offset at a time over a few lanes, loses to the column lowering (3×3
+/// kernels on 4 × 4 maps: 0.8–0.9x, on 2 × 2: 0.3–0.5x); from 8 × 8 on it
+/// gains.
+const INTERIOR_MIN_POSITIONS: usize = 64;
 
 /// The lowering of a geometry with `oc` filters on `batch` images: no
 /// setting, tier or thread count enters.
@@ -139,8 +158,10 @@ fn conv_path(g: &Conv2dGeom, oc: usize, batch: usize) -> ConvPath {
         ConvPath::Pointwise
     } else if oc <= SKINNY_MAX_M && g.col_rows() <= WINDOW_MAX_TAPS {
         ConvPath::Windowed
-    } else {
+    } else if INTERIOR_FILTERS.contains(&oc) && g.out_h() * g.out_w() >= INTERIOR_MIN_POSITIONS {
         ConvPath::Interior
+    } else {
+        ConvPath::Im2col
     }
 }
 
@@ -594,10 +615,19 @@ mod tests {
         };
         assert_eq!(conv_path(&tiny, 6, 1), ConvPath::Im2col);
         assert_eq!(conv_path(&tiny, 6, 16), ConvPath::Windowed);
-        // Strides keep the column matrix; many filters take the interior
-        // products; a padded 1×1 is just a few-tap convolution.
+        // Strides keep the column matrix; a 3×3 stage of 16 filters takes
+        // the interior products, but not with 64 filters, one filter (CBAM's
+        // 7×7) or a 4 × 4 map; a padded 1×1 is just a few-tap convolution.
         assert_eq!(conv_path(&geom(1, 5, 2, 2), 6, 16), ConvPath::Im2col);
-        assert_eq!(conv_path(&geom(3, 3, 1, 1), 64, 16), ConvPath::Interior);
+        assert_eq!(conv_path(&geom(16, 3, 1, 1), 16, 16), ConvPath::Interior);
+        assert_eq!(conv_path(&geom(3, 3, 1, 1), 64, 16), ConvPath::Im2col);
+        assert_eq!(conv_path(&geom(2, 7, 1, 3), 1, 16), ConvPath::Im2col);
+        let small = Conv2dGeom {
+            in_h: 4,
+            in_w: 4,
+            ..geom(16, 3, 1, 1)
+        };
+        assert_eq!(conv_path(&small, 16, 16), ConvPath::Im2col);
         assert_eq!(conv_path(&geom(6, 1, 2, 0), 6, 16), ConvPath::Im2col);
         assert_eq!(conv_path(&geom(6, 1, 1, 1), 6, 16), ConvPath::Windowed);
     }
