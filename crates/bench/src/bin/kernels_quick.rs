@@ -38,7 +38,8 @@
 //! that lowering's GEMM by one bit or is not ≥ 1.25x faster than it, if
 //! LeNet's second convolution on the interior lowering
 //! (`conv_interior_{fwd,dw,dx}_16x6x10x10_k5`) differs from the column
-//! lowering by one bit or is not as fast as [`INTERIOR_GATES`] asks, if the
+//! lowering by one bit or is not as fast as [`INTERIOR_GATES`] asks (a 3×3
+//! stage, `conv_interior_*_32x16x8x8_k3`, only by one bit), if the
 //! executor's fused entry chain (`segment_bn_relu_add_pool_*`) differs from
 //! its four layers run one by one by one bit or is not ≥ 1.3x faster than
 //! them (alternating burst pairs, at their upper quartile), if an
@@ -397,6 +398,118 @@ fn unpermuted(grad: &Tensor) -> Tensor {
         gmat.data_mut()[o * n * ohw + ni * ohw..][..ohw].copy_from_slice(src);
     }
     gmat
+}
+
+/// The three products of a stride-1 convolution (`n` images of `geom`,
+/// `oc` filters) on the interior lowering against the column lowering, as
+/// rows `conv_interior_{fwd,dw,dx}_{N}x{C}x{H}x{W}_k{k}`: the forward against
+/// im2col + GEMM + permute, the weight gradient against un-permute + GEMM on
+/// the columns, the input gradient against un-permute + GEMM + col2im, timed
+/// in alternating bursts. Each row comes with what `--check` fails on: one
+/// differing bit, or a speedup under its entry of `gates`.
+fn interior_rows(
+    rng: &mut Rng,
+    peak: Option<f64>,
+    geom: &Conv2dGeom,
+    n: usize,
+    oc: usize,
+    gates: Option<[f64; 3]>,
+) -> Vec<(Entry, Option<String>)> {
+    let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
+    let (taps, (oh, ow)) = (geom.col_rows(), (geom.out_h(), geom.out_w()));
+    let ohw = oh * ow;
+    let x = Tensor::randn(&[n, c, h, w], rng);
+    let weight = Tensor::randn(&[oc, taps], rng);
+    let grad = Tensor::randn(&[n, oc, oh, ow], rng);
+    let cols = kernels::im2col(&x, geom);
+    let planes = kernels::padded_planes(&x, geom, None);
+    let fwd_columns = |out: &mut Tensor| forward_by_columns(&x, geom, weight.data(), out);
+    let dw_columns = |dw: &mut Tensor| {
+        let gmat = unpermuted(&grad);
+        kernels::matmul_nt_into(&gmat, &cols, dw);
+        scratch::give_tensor(gmat);
+    };
+    let dx_columns = |dx: &mut Tensor| {
+        let gmat = unpermuted(&grad);
+        let mut dcols = scratch::take_tensor(&[taps, n * ohw]);
+        let wt = MatRef::transposed(weight.data(), taps);
+        let gm = MatRef::row_major(gmat.data(), n * ohw);
+        gemm::gemm(taps, n * ohw, oc, wt, gm, dcols.data_mut());
+        let folded = kernels::col2im(&dcols, geom, n);
+        dx.data_mut().copy_from_slice(folded.data());
+        scratch::give_tensor(dcols);
+        scratch::give_tensor(gmat);
+    };
+    // As the layer runs it: the tables are built once, and the forward pass
+    // builds the planes the weight gradient reads.
+    let window = std::cell::RefCell::new(kernels::ConvWindow::new(geom));
+    let fwd_interior = |out: &mut Tensor| {
+        let planes = kernels::padded_planes(&x, geom, None);
+        window
+            .borrow_mut()
+            .interior_forward(&planes, weight.data(), out.data_mut());
+        scratch::give_tensor(planes);
+    };
+    let dw_interior = |dw: &mut Tensor| {
+        let mut window = window.borrow_mut();
+        window.interior_dw(&planes, grad.data(), dw.data_mut());
+    };
+    let dx_interior = |dx: &mut Tensor| {
+        let folded = window.borrow_mut().dx(grad.data(), weight.data());
+        dx.data_mut().copy_from_slice(folded.data());
+        scratch::give_tensor(folded);
+    };
+    type Product<'a> = Box<dyn FnMut(&mut Tensor) + 'a>;
+    let products: [(&str, Vec<usize>, Product, Product); 3] = [
+        (
+            "fwd",
+            vec![n, oc, oh, ow],
+            Box::new(fwd_columns),
+            Box::new(fwd_interior),
+        ),
+        (
+            "dw",
+            vec![oc, taps],
+            Box::new(dw_columns),
+            Box::new(dw_interior),
+        ),
+        (
+            "dx",
+            vec![n, c, h, w],
+            Box::new(dx_columns),
+            Box::new(dx_interior),
+        ),
+    ];
+    let k = geom.kernel;
+    let mut rows = Vec::new();
+    for (i, (product, dims, mut columns, mut interior)) in products.into_iter().enumerate() {
+        let name = format!("conv_interior_{product}_{n}x{c}x{h}x{w}_k{k}");
+        let (mut want, mut got) = (Tensor::full(&dims, f32::NAN), Tensor::full(&dims, f32::NAN));
+        columns(&mut want);
+        interior(&mut got);
+        let bitwise = same_bits(got.data(), want.data());
+        let (columns_ms, interior_ms) =
+            time_staged_pair_ms(200, &dims, &mut columns, &mut interior);
+        let speedup = columns_ms / interior_ms;
+        let entry = Entry::new(&name)
+            .num("columns_ms", columns_ms)
+            .num("interior_ms", interior_ms)
+            .num("speedup", speedup)
+            .flag("bitwise", bitwise)
+            .gflops(oc * taps * n * ohw, interior_ms, peak);
+        let gate = gates.map_or(0.0, |g| g[i]);
+        let failure = if !bitwise {
+            Some(format!("{name}: differs from the column lowering"))
+        } else if speedup < gate {
+            Some(format!(
+                "{name}: only {speedup:.2}x over the column lowering (want ≥ {gate}x)"
+            ))
+        } else {
+            None
+        };
+        rows.push((entry, failure));
+    }
+    rows
 }
 
 /// `--profile`: the per-node table of `job`'s training step, on a worker
@@ -926,110 +1039,34 @@ fn main() {
     }
 
     // LeNet's second convolution (6 channels of 10 × 10, 16 filters of 5×5,
-    // padding 2) on a batch of 16, its three products on the interior
-    // lowering against the column lowering it had: the forward against
-    // im2col + GEMM + permute, the weight gradient against un-permute + GEMM
-    // on the columns, the input gradient against un-permute + GEMM + col2im.
-    // Same bits required, and the speedups of [`INTERIOR_GATES`], timed in
-    // alternating bursts.
-    {
-        let geom = Conv2dGeom {
-            in_channels: 6,
-            in_h: 10,
-            in_w: 10,
-            kernel: 5,
-            stride: 1,
-            padding: 2,
-        };
-        let (n, oc, taps, ohw) = (16usize, 16usize, geom.col_rows(), 100usize);
-        let x = Tensor::randn(&[n, 6, 10, 10], &mut rng);
-        let w = Tensor::randn(&[oc, taps], &mut rng);
-        let grad = Tensor::randn(&[n, oc, 10, 10], &mut rng);
-        let cols = kernels::im2col(&x, &geom);
-        let planes = kernels::padded_planes(&x, &geom, None);
-        let fwd_columns = |out: &mut Tensor| forward_by_columns(&x, &geom, w.data(), out);
-        let dw_columns = |dw: &mut Tensor| {
-            let gmat = unpermuted(&grad);
-            kernels::matmul_nt_into(&gmat, &cols, dw);
-            scratch::give_tensor(gmat);
-        };
-        let dx_columns = |dx: &mut Tensor| {
-            let gmat = unpermuted(&grad);
-            let mut dcols = scratch::take_tensor(&[taps, n * ohw]);
-            let wt = MatRef::transposed(w.data(), taps);
-            let gm = MatRef::row_major(gmat.data(), n * ohw);
-            gemm::gemm(taps, n * ohw, oc, wt, gm, dcols.data_mut());
-            let folded = kernels::col2im(&dcols, &geom, n);
-            dx.data_mut().copy_from_slice(folded.data());
-            scratch::give_tensor(dcols);
-            scratch::give_tensor(gmat);
-        };
-        // As the layer runs it: the tables are built once, and the forward
-        // pass builds the planes the weight gradient reads.
-        let window = std::cell::RefCell::new(kernels::ConvWindow::new(&geom));
-        let fwd_interior = |out: &mut Tensor| {
-            let planes = kernels::padded_planes(&x, &geom, None);
-            window
-                .borrow_mut()
-                .interior_forward(&planes, w.data(), out.data_mut());
-            scratch::give_tensor(planes);
-        };
-        let dw_interior = |dw: &mut Tensor| {
-            let mut window = window.borrow_mut();
-            window.interior_dw(&planes, grad.data(), dw.data_mut());
-        };
-        let dx_interior = |dx: &mut Tensor| {
-            let folded = window.borrow_mut().dx(grad.data(), w.data());
-            dx.data_mut().copy_from_slice(folded.data());
-            scratch::give_tensor(folded);
-        };
-        type Product<'a> = Box<dyn FnMut(&mut Tensor) + 'a>;
-        let rows: [(&str, Vec<usize>, Product, Product); 3] = [
-            (
-                "conv_interior_fwd_16x6x10x10_k5",
-                vec![n, oc, 10, 10],
-                Box::new(fwd_columns),
-                Box::new(fwd_interior),
-            ),
-            (
-                "conv_interior_dw_16x6x10x10_k5",
-                vec![oc, taps],
-                Box::new(dw_columns),
-                Box::new(dw_interior),
-            ),
-            (
-                "conv_interior_dx_16x6x10x10_k5",
-                vec![n, 6, 10, 10],
-                Box::new(dx_columns),
-                Box::new(dx_interior),
-            ),
-        ];
-        for ((name, dims, mut columns, mut interior), gate) in rows.into_iter().zip(INTERIOR_GATES)
-        {
-            let (mut want, mut got) =
-                (Tensor::full(&dims, f32::NAN), Tensor::full(&dims, f32::NAN));
-            columns(&mut want);
-            interior(&mut got);
-            let bitwise = same_bits(got.data(), want.data());
-            let (columns_ms, interior_ms) =
-                time_staged_pair_ms(200, &dims, &mut columns, &mut interior);
-            let speedup = columns_ms / interior_ms;
-            entries.push(
-                Entry::new(name)
-                    .num("columns_ms", columns_ms)
-                    .num("interior_ms", interior_ms)
-                    .num("speedup", speedup)
-                    .flag("bitwise", bitwise)
-                    .gflops(oc * taps * n * ohw, interior_ms, peak),
-            );
-            if !bitwise {
-                failures.push(format!("{name}: differs from the column lowering"));
-            }
-            if speedup < gate {
-                failures.push(format!(
-                    "{name}: only {speedup:.2}x over the column lowering (want ≥ {gate}x)"
-                ));
-            }
+    // padding 2) on a batch of 16: same bits required, and the speedups of
+    // [`INTERIOR_GATES`]. Then a 3×3 stage of 16 filters on 8 × 8 maps
+    // (ResNet-18's second stage at the width the paper figures train, batch
+    // 32): same bits required, speedups reported.
+    let lenet_conv2 = Conv2dGeom {
+        in_channels: 6,
+        in_h: 10,
+        in_w: 10,
+        kernel: 5,
+        stride: 1,
+        padding: 2,
+    };
+    let three_by_three = Conv2dGeom {
+        in_channels: 16,
+        in_h: 8,
+        in_w: 8,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    let interior_cases = [
+        (lenet_conv2, 16, Some(INTERIOR_GATES)),
+        (three_by_three, 32, None),
+    ];
+    for (geom, n, gates) in interior_cases {
+        for (entry, failure) in interior_rows(&mut rng, peak, &geom, n, 16, gates) {
+            entries.push(entry);
+            failures.extend(failure);
         }
     }
 
