@@ -40,8 +40,9 @@
 //!   Under a 1×1 kernel the rows abut and an image is one call. Weight
 //!   gradient ([`ConvWindow::dw`]): the taps are the lanes, as many whole
 //!   kernel rows as fit 16 (three of a 5×5), an output position is a K step.
-//! * **Interior** (everything else at stride 1: LeNet's second stage). The
-//!   filters are the lanes — one whole tile for 16 filters, with no gather.
+//! * **Interior** (many taps and 4–32 filters on maps of 8 × 8 or more:
+//!   LeNet's second stage; the rule is `nn`'s `Conv2d`). The filters are the
+//!   lanes — one whole tile for 16 filters, with no gather.
 //!   Forward ([`ConvWindow::interior_forward`]): up to six consecutive output
 //!   positions of a row are the rows, each reading its taps from its own
 //!   window, against `Wᵀ`. Weight gradient ([`ConvWindow::interior_dw`]): the
@@ -57,11 +58,10 @@
 //! lowering: the same K blocks (asked of [`gemm::route`]), ascending within
 //! a block, multiply and add unfused, `C += acc` onto a zeroed C; and every
 //! input-gradient cell takes its columns in `col2im`'s order. So the bits
-//! never depend on the form, the tier or the batch's split into images. On
-//! LeNet's second stage over 16 images of 10 × 10 (`kernels-quick`'s
-//! `conv_interior_*`, 2-vCPU box) the interior forward reads 1.5–1.7x the
-//! column lowering, the weight gradient 1.3–1.5x and the input gradient
-//! 1.1–1.3x; the 5×5 entry layer's windowed forward 1.35–1.8x.
+//! never depend on the form, the tier or the batch's split into images.
+//! What each form saves against the column lowering is timed by
+//! `kernels-quick`'s `conv_entry_*`, `conv_1x1_fwd_*` and `conv_interior_*`
+//! rows.
 
 use crate::gemm::{self, BatchMat, Route, KC, MR};
 use crate::pack::MatRef;
