@@ -183,10 +183,9 @@ fn layernorm_row_at_a_time(
 const STEP_BYTES_BEFORE: f64 = 4.75e6;
 /// The least speedup of LeNet's second convolution on the interior lowering
 /// over the column lowering, per product (`conv_interior_{fwd,dw,dx}_*`).
-/// Ten `--check` runs in a row on the 2-vCPU reference box read 1.46–1.72x,
-/// 1.31–1.47x and 1.10–1.27x. The input gradient still adds what `col2im`
-/// adds, in its order, so there only the column matrix and the un-permute
-/// are saved.
+/// Ten `--check` runs in a row on the 2-vCPU reference box read 1.46–1.87x,
+/// 1.35–1.60x and 1.27–1.63x. The input gradient makes the adds `col2im`
+/// makes, in its order, as the kernel's `C += acc`.
 const INTERIOR_GATES: [f64; 3] = [1.25, 1.1, 1.0];
 
 /// The share of [`STEP_BYTES_BEFORE`] a step may still allocate. What is

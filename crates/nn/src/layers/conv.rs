@@ -41,7 +41,7 @@
 //! * **Im2col** is left to strided geometries, to products the GEMM runs
 //!   as direct loops ([`SMALL_FLOPS`]), such as the entry layer of a
 //!   one-image 8 px job, and to the stride-1 geometries the interior
-//!   lowering was measured to lose on ([`INTERIOR_FILTERS`],
+//!   lowering was not timed to win on ([`INTERIOR_FILTERS`],
 //!   [`INTERIOR_MIN_POSITIONS`]). It writes the column matrix, runs one GEMM,
 //!   permutes `[oc, N·oh·ow]` to `[N, oc, oh, ow]`, and for the backward
 //!   un-permutes the gradient and folds `Wᵀ · g` back with
@@ -124,19 +124,20 @@ enum ConvPath {
 /// second stage of LeNet, with 16 filters, is interior.
 const WINDOW_MAX_TAPS: usize = 32;
 
-/// The filter counts a [`ConvPath::Interior`] convolution may have, where it
-/// was timed to beat the column lowering (forward, weight and input gradient
-/// together, on maps of 8 × 8 and more): 4 filters (a DenseNet growth layer
-/// at the paper figures' width) to 32. With one filter (CBAM's 7×7) 1 of
-/// the 16 lanes works and the layer is no faster; from 64 filters on the
-/// weight gradient falls behind and at 128 the layer is even.
+/// The filter counts a [`ConvPath::Interior`] convolution may have: where
+/// each of its products beats the column lowering, timed in one process,
+/// or the layer does on a figure model's training (4 filters: a DenseNet
+/// growth layer at the paper figures' width). Under 4 filters most of the
+/// 16 lanes idle and the forward and weight gradient lose (1–2 filters:
+/// 0.5–0.9x), which a layer whose input gradient is not demanded would
+/// feel; from 64 filters on the weight gradient falls behind (0.9–1.0x)
+/// and at 128 the layer is even.
 const INTERIOR_FILTERS: std::ops::RangeInclusive<usize> = 4..=32;
 
 /// Fewest output positions per image (`oh·ow`) a [`ConvPath::Interior`]
-/// convolution may have. On smaller maps its input gradient, one kernel
-/// offset at a time over a few lanes, loses to the column lowering (3×3
-/// kernels on 4 × 4 maps: 0.8–0.9x, on 2 × 2: 0.3–0.5x); from 8 × 8 on it
-/// gains.
+/// convolution may have. On 2 × 2 maps its input gradient, a few lanes per
+/// kernel offset, loses to the column lowering (0.4–0.65x) and the layer
+/// with it; 4 × 4 maps, in between, were not timed on a workload.
 const INTERIOR_MIN_POSITIONS: usize = 64;
 
 /// The lowering of a geometry with `oc` filters on `batch` images: no

@@ -49,10 +49,12 @@
 //!   taps of one kernel row are the rows, the output positions the K steps,
 //!   against the transposed output gradient. Both transpose their small
 //!   operand or result with the packer's 8×8 block kernel.
-//! * **Input gradient** ([`ConvWindow::dx`], both forms). Per image and
-//!   kernel offset, six channels' rows of `Wᵀ · g` (filters as K, output
-//!   positions as lanes) go into one image's worth of columns and are added
-//!   onto `dx` as [`col2im`] adds them.
+//! * **Input gradient** ([`ConvWindow::dx`], both forms). The output
+//!   gradient is laid out once with a zero border of `k − 1 − P`; per image
+//!   and kernel offset, six channels' rows of `Wᵀ · g` (filters as K,
+//!   sixteen consecutive input positions as the lanes, as in the windowed
+//!   forward) are added straight onto `dx` by the kernel's `C += acc`,
+//!   which is the add [`col2im`] makes.
 //!
 //! Every element of every product is the chain of the `im2col` + GEMM
 //! lowering: the same K blocks (asked of [`gemm::route`]), ascending within
@@ -617,6 +619,9 @@ pub struct ConvWindow {
     /// planes (`k > 1`): sixteen consecutive output positions of an image at
     /// a time, whatever rows they lie in, as (first position, their windows).
     position_tiles: Vec<(usize, LaneTile)>,
+    /// The input gradient's lanes, alike: sixteen consecutive input
+    /// positions at a time in the [`gradient_planes`] (`k > 1`).
+    dx_tiles: Vec<(usize, LaneTile)>,
     /// The weight gradient's lanes: as many whole kernel rows as fit 16
     /// lanes at a time, as (first tap, their windows).
     tap_tiles: Vec<(usize, LaneTile)>,
@@ -640,8 +645,10 @@ struct Positions {
     filter_rows: Vec<usize>,
     /// `o·taps`: filter `o`'s row of the weights.
     weight_rows: Vec<usize>,
-    /// `o·oh·ow`: filter `o`'s plane of one image's output gradient.
-    grad_planes: Vec<usize>,
+    /// Per kernel offset `(ky, kx)`, ascending, and filter `o`: where the
+    /// offset's windows of filter `o` start in one image's
+    /// [`gradient_planes`], `o·Gh·Gw + (k − 1 − ky)·Gw + (k − 1 − kx)`.
+    dx_steps: Vec<usize>,
 }
 
 impl ConvWindow {
@@ -676,25 +683,19 @@ impl ConvWindow {
                 tap_tiles.push((first, LaneTile::new(segments.collect())));
             }
         }
-        // Output position `y·ow + x` reads its windows from `y·wp + x`: a
-        // tile's lanes are stretches of the output rows it meets.
         let (oh, ow) = (g.out_h(), g.out_w());
-        let mut position_tiles = Vec::new();
-        if k > 1 {
-            for first in (0..oh * ow).step_by(16) {
-                let end = (first + 16).min(oh * ow);
-                let segments = (first / ow..end.div_ceil(ow)).map(|y| LaneSegment {
-                    shift: first + y * (wp - ow),
-                    lanes: (y * ow).max(first) - first..((y + 1) * ow).min(end) - first,
-                });
-                position_tiles.push((first, LaneTile::new(segments.collect())));
-            }
-        }
+        let (position_tiles, dx_tiles) = if k > 1 {
+            let (h, w) = (g.in_h, g.in_w);
+            (position_tiles(oh, ow, wp), position_tiles(h, w, w + k - 1))
+        } else {
+            (Vec::new(), Vec::new())
+        };
         ConvWindow {
             geom: *g,
             tap_offsets,
             weight_steps: (0..taps).collect(),
             position_tiles,
+            dx_tiles,
             tap_tiles,
             positions: None,
         }
@@ -927,20 +928,27 @@ impl ConvWindow {
     }
 
     /// `dx = col2im(Wᵀ · g)` without the column matrix: the input gradient
-    /// `[N, C, H, W]` of the output gradient `grad_out` (`[N, oc, oh, ow]`,
-    /// read where it lies) under `weight` (`[oc, C·k·k]` row-major).
+    /// `[N, C, H, W]` of the output gradient `grad_out` (`[N, oc, oh, ow]`)
+    /// under `weight` (`[oc, C·k·k]` row-major).
     ///
-    /// Per image and kernel offset `(ky, kx)`, in ascending order, one call
-    /// of the windowed kernel computes that offset's rows of `Wᵀ · g` for up
-    /// to six channels — the channels are the tile's rows (a channel's
-    /// weight at the offset is `k²` elements from the next's), the filters
-    /// the K steps in the [`KC`] blocks of the product it replaces, and the
-    /// image's output positions the lanes — into a buffer of one image's
-    /// columns for those rows, which is then added onto `dx` exactly as
-    /// [`col2im`] adds the rows of the whole matrix. Every column element is
-    /// the product's, and every input cell takes them in `col2im`'s order,
-    /// so the bits are `col2im`'s. Output rows that only meet the padding
-    /// under an offset are neither computed nor added.
+    /// Input cell `(y, x)` takes, per kernel offset `(ky, kx)`, the column
+    /// element `Σ_o W[o, c, ky, kx] · g[o, y + P − ky, x + P − kx]`. So the
+    /// output gradient is laid out once as planes with a zero border of
+    /// `k − 1 − P`, where that element's gradient values sit at
+    /// `(y + k − 1 − ky, x + k − 1 − kx)`, and per image and kernel offset, in
+    /// ascending order, one kernel call computes it for up to six channels:
+    /// the channels are the tile's rows (a channel's weight at the offset is
+    /// `k²` elements from the next's), the filters the K steps in the [`KC`]
+    /// blocks of the product it replaces, and sixteen consecutive input
+    /// positions at a time the lanes, each reading the window of the row it
+    /// lies in. The kernel's `C += acc` onto `dx` is then `col2im`'s add of
+    /// that column element; under more than one K block the blocks' sums go
+    /// through a buffer first, as the column element they make. Where an
+    /// offset reaches into the border `col2im` adds nothing and the kernel
+    /// adds a zero, which leaves a cell that was never `−0` as it was (a
+    /// cell is `+0` or a sum of column elements, and a zeroed `C` plus a
+    /// sum is never `−0`) — for finite weights; an infinite one meeting the
+    /// border would add NaN. So the bits are `col2im`'s.
     ///
     /// # Panics
     ///
@@ -948,8 +956,7 @@ impl ConvWindow {
     pub fn dx(&mut self, grad_out: &[f32], weight: &[f32]) -> Tensor {
         let g = self.geom;
         let (c, k, taps) = (g.in_channels, g.kernel, g.col_rows());
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let ohw = oh * ow;
+        let ohw = g.out_h() * g.out_w();
         assert!(weight.len().is_multiple_of(taps), "weight shape mismatch");
         let oc = weight.len() / taps;
         assert!(
@@ -957,50 +964,47 @@ impl ConvWindow {
             "conv gradient buffer mismatch"
         );
         let n = grad_out.len() / (oc * ohw);
-        let (h, w, pad) = (g.in_h, g.in_w, g.padding);
+        let (h, w) = (g.in_h, g.in_w);
+        let (hw, image) = (h * w, oc * (h + k - 1) * (w + k - 1));
+        let padded = gradient_planes(&g, grad_out);
         let mut dx = scratch::take_tensor(&[n, c, h, w]);
         let block = k_block(taps, n * ohw, oc, 1);
         self.update_positions(n, oc);
         let steps = self.positions.as_ref().expect("just updated");
-        let mut columns = scratch::take_raw(c.min(MR) * ohw);
-        let kernel = simd::window_kernel();
-        let images = grad_out.chunks_exact(oc * ohw);
-        for (grad, dx) in images.zip(dx.data_mut().chunks_exact_mut(c * h * w)) {
-            for offset in 0..k * k {
-                let (ky, kx) = (offset / k, offset % k);
-                let (oy0, oy1) = valid_span(oh, h, ky, 1, pad);
-                let (ox0, ox1) = valid_span(ow, w, kx, 1, pad);
-                if oy0 == oy1 || ox0 == ox1 {
-                    continue;
-                }
-                let lanes = oy0 * ow..oy1 * ow;
+        let mut sums = scratch::take_raw(if block < oc { c.min(MR) * hw } else { 0 });
+        let (window, lanes) = (simd::window_kernel(), simd::lane_kernel());
+        let images = padded.chunks_exact(image);
+        for (grad, dx) in images.zip(dx.data_mut().chunks_exact_mut(c * hw)) {
+            for (offset, b_steps) in steps.dx_steps.chunks_exact(oc).enumerate() {
                 for ci in (0..c).step_by(MR) {
                     let rows = (c - ci).min(MR);
-                    let sums = &mut columns[..rows * ohw];
-                    sums.fill(0.0);
                     let a = &weight[ci * k * k + offset..];
+                    let c = if block < oc {
+                        sums.fill(0.0);
+                        &mut sums[..]
+                    } else {
+                        &mut dx[ci * hw..]
+                    };
                     for pc in (0..oc).step_by(block) {
                         let span = pc..oc.min(pc + block);
                         let a_k = KOffsets::new(&steps.weight_rows[span.clone()]);
-                        let b_k = KOffsets::new(&steps.grad_planes[span]);
-                        let (b, c) = (&grad[lanes.start..], &mut sums[lanes.start..]);
-                        kernel(rows, lanes.len(), a, k * k, a_k, b, b_k, c, ohw);
-                    }
-                    for (row, plane) in sums
-                        .chunks_exact(ohw)
-                        .zip(dx[ci * h * w..].chunks_exact_mut(h * w))
-                    {
-                        for oy in oy0..oy1 {
-                            let run = &row[oy * ow + ox0..oy * ow + ox1];
-                            let cells =
-                                &mut plane[(oy + ky - pad) * w + ox0 + kx - pad..][..run.len()];
-                            cells.iter_mut().zip(run).for_each(|(d, &v)| *d += v);
+                        let b_k = KOffsets::new(&b_steps[span]);
+                        if self.dx_tiles.is_empty() {
+                            // 1×1: consecutive rows abut in the planes.
+                            window(rows, hw, a, k * k, a_k, grad, b_k, c, hw);
+                        } else {
+                            lanes(rows, a, k * k, a_k, grad, b_k, &self.dx_tiles, c, hw);
                         }
+                    }
+                    if block < oc {
+                        let cells = &mut dx[ci * hw..][..rows * hw];
+                        cells.iter_mut().zip(&sums).for_each(|(d, &v)| *d += v);
                     }
                 }
             }
         }
-        scratch::give(columns);
+        scratch::give(sums);
+        scratch::give(padded);
         dx
     }
 
@@ -1022,7 +1026,14 @@ impl ConvWindow {
                     plane_steps.extend(window..window + ow);
                 }
             }
-            let (taps, ohw) = (g.col_rows(), oh * ow);
+            let (taps, ohw, k) = (g.col_rows(), oh * ow, g.kernel);
+            let (gh, gw) = (g.in_h + k - 1, g.in_w + k - 1);
+            let dx_steps = (0..k * k)
+                .flat_map(|offset| {
+                    let window = (k - 1 - offset / k) * gw + (k - 1 - offset % k);
+                    (0..filters).map(move |o| o * gh * gw + window)
+                })
+                .collect();
             self.positions = Some(Positions {
                 batch,
                 filters,
@@ -1030,10 +1041,57 @@ impl ConvWindow {
                 plane_steps,
                 filter_rows: (0..taps.max(batch * ohw)).map(|p| p * filters).collect(),
                 weight_rows: (0..filters).map(|o| o * taps).collect(),
-                grad_planes: (0..filters).map(|o| o * ohw).collect(),
+                dx_steps,
             });
         }
     }
+}
+
+/// The lane tiles of a stride-1 product whose lanes are the `oh × ow`
+/// positions of an image, position `y·ow + x` reading its windows from
+/// `y·wp + x` of a plane `wp` wide: sixteen consecutive positions at a time,
+/// a tile's lanes the stretches of the rows it meets, as (first position,
+/// their windows).
+fn position_tiles(oh: usize, ow: usize, wp: usize) -> Vec<(usize, LaneTile)> {
+    (0..oh * ow)
+        .step_by(16)
+        .map(|first| {
+            let end = (first + 16).min(oh * ow);
+            let segments = (first / ow..end.div_ceil(ow)).map(|y| LaneSegment {
+                shift: first + y * (wp - ow),
+                lanes: (y * ow).max(first) - first..((y + 1) * ow).min(end) - first,
+            });
+            (first, LaneTile::new(segments.collect()))
+        })
+        .collect()
+}
+
+/// The output gradient `[N·oc, oh, ow]` of a stride-1 geometry as planes of
+/// `H + k − 1` rows of `W + k − 1`, with `g[i, j]` at `(i + q, j + q)`,
+/// `q = k − 1 − P`, and zero elsewhere: the planes whose `k × k` windows
+/// [`ConvWindow::dx`] reads, input position `(y, x)`'s under offset
+/// `(ky, kx)` starting at `(y + k − 1 − ky, x + k − 1 − kx)`. A padding
+/// wider than `k − 1` makes `q` negative: the planes then crop what no
+/// input cell reads.
+fn gradient_planes(g: &Conv2dGeom, grad_out: &[f32]) -> Vec<f32> {
+    let (k, (oh, ow)) = (g.kernel, (g.out_h(), g.out_w()));
+    let (gh, gw) = (g.in_h + k - 1, g.in_w + k - 1);
+    let q = (k - 1) as isize - g.padding as isize;
+    // The output rows (columns) that land inside the planes.
+    let inside = |out: usize, len: usize| {
+        let lo = (-q).max(0) as usize;
+        lo..((len as isize - q).max(0) as usize).clamp(lo, out.max(lo))
+    };
+    let (rows, cols) = (inside(oh, gh), inside(ow, gw));
+    let mut planes = scratch::take(grad_out.len() / (oh * ow) * gh * gw);
+    let sources = grad_out.chunks_exact(oh * ow);
+    for (src, dst) in sources.zip(planes.chunks_exact_mut(gh * gw)) {
+        for i in rows.clone() {
+            let at = (i as isize + q) as usize * gw + (cols.start as isize + q) as usize;
+            dst[at..at + cols.len()].copy_from_slice(&src[i * ow + cols.start..i * ow + cols.end]);
+        }
+    }
+    planes
 }
 
 /// `dst = srcᵀ` for a row-major `rows × cols` matrix `src`: eight rows
