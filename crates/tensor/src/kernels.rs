@@ -965,16 +965,24 @@ impl ConvWindow {
         );
         let n = grad_out.len() / (oc * ohw);
         let (h, w) = (g.in_h, g.in_w);
-        let (hw, image) = (h * w, oc * (h + k - 1) * (w + k - 1));
-        let padded = gradient_planes(&g, grad_out);
+        let hw = h * w;
+        // One image's planes at a time; every image writes the same cells,
+        // so the border stays zero.
+        let mut padded = scratch::take(oc * (h + k - 1) * (w + k - 1));
         let mut dx = scratch::take_tensor(&[n, c, h, w]);
         let block = k_block(taps, n * ohw, oc, 1);
         self.update_positions(n, oc);
         let steps = self.positions.as_ref().expect("just updated");
-        let mut sums = scratch::take_raw(if block < oc { c.min(MR) * hw } else { 0 });
+        let mut sums = if block < oc {
+            scratch::take_raw(c.min(MR) * hw)
+        } else {
+            Vec::new()
+        };
         let (window, lanes) = (simd::window_kernel(), simd::lane_kernel());
-        let images = padded.chunks_exact(image);
+        let images = grad_out.chunks_exact(oc * ohw);
         for (grad, dx) in images.zip(dx.data_mut().chunks_exact_mut(c * hw)) {
+            gradient_planes(&g, grad, &mut padded);
+            let grad = &padded[..];
             for (offset, b_steps) in steps.dx_steps.chunks_exact(oc).enumerate() {
                 for ci in (0..c).step_by(MR) {
                     let rows = (c - ci).min(MR);
@@ -1066,14 +1074,15 @@ fn position_tiles(oh: usize, ow: usize, wp: usize) -> Vec<(usize, LaneTile)> {
         .collect()
 }
 
-/// The output gradient `[N·oc, oh, ow]` of a stride-1 geometry as planes of
-/// `H + k − 1` rows of `W + k − 1`, with `g[i, j]` at `(i + q, j + q)`,
-/// `q = k − 1 − P`, and zero elsewhere: the planes whose `k × k` windows
-/// [`ConvWindow::dx`] reads, input position `(y, x)`'s under offset
+/// Writes one image's output gradient `[oc, oh, ow]` of a stride-1
+/// geometry into `planes`, `oc` planes of `H + k − 1` rows of `W + k − 1`,
+/// with `g[i, j]` at `(i + q, j + q)`, `q = k − 1 − P`; the other cells are
+/// left as they are (zero, for [`ConvWindow::dx`]). Those are the planes
+/// whose `k × k` windows `dx` reads, input position `(y, x)`'s under offset
 /// `(ky, kx)` starting at `(y + k − 1 − ky, x + k − 1 − kx)`. A padding
 /// wider than `k − 1` makes `q` negative: the planes then crop what no
 /// input cell reads.
-fn gradient_planes(g: &Conv2dGeom, grad_out: &[f32]) -> Vec<f32> {
+fn gradient_planes(g: &Conv2dGeom, grad: &[f32], planes: &mut [f32]) {
     let (k, (oh, ow)) = (g.kernel, (g.out_h(), g.out_w()));
     let (gh, gw) = (g.in_h + k - 1, g.in_w + k - 1);
     let q = (k - 1) as isize - g.padding as isize;
@@ -1083,15 +1092,15 @@ fn gradient_planes(g: &Conv2dGeom, grad_out: &[f32]) -> Vec<f32> {
         lo..((len as isize - q).max(0) as usize).clamp(lo, out.max(lo))
     };
     let (rows, cols) = (inside(oh, gh), inside(ow, gw));
-    let mut planes = scratch::take(grad_out.len() / (oh * ow) * gh * gw);
-    let sources = grad_out.chunks_exact(oh * ow);
-    for (src, dst) in sources.zip(planes.chunks_exact_mut(gh * gw)) {
+    for (src, dst) in grad
+        .chunks_exact(oh * ow)
+        .zip(planes.chunks_exact_mut(gh * gw))
+    {
         for i in rows.clone() {
             let at = (i as isize + q) as usize * gw + (cols.start as isize + q) as usize;
             dst[at..at + cols.len()].copy_from_slice(&src[i * ow + cols.start..i * ow + cols.end]);
         }
     }
-    planes
 }
 
 /// `dst = srcᵀ` for a row-major `rows × cols` matrix `src`: eight rows
