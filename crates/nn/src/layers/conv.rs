@@ -54,7 +54,7 @@
 //! (taps forward, output positions for `dW`, filters for `dx`), ascending
 //! within the block, multiply and add unfused, then `C += acc` onto a zeroed
 //! C; and `dx` adds those columns onto each input cell in ascending kernel
-//! offset. The column-free drivers ask [`gemm::route`](amalgam_tensor::gemm::route)
+//! offset. The column-free products ask [`gemm::route`](amalgam_tensor::gemm::route)
 //! which blocks the product they replace would have used (one, for a
 //! direct-loop product) and use those. Held to it by
 //! `crates/tensor/tests/gemm_properties.rs` (the windowed kernels against
