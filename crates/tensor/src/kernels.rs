@@ -49,9 +49,9 @@
 //!   taps of one kernel row are the rows, the output positions the K steps,
 //!   against the transposed output gradient. Both transpose their small
 //!   operand or result with the packer's 8×8 block kernel.
-//! * **Input gradient** ([`ConvWindow::dx`], both forms). The output
-//!   gradient is laid out once with a zero border of `k − 1 − P`; per image
-//!   and kernel offset, six channels' rows of `Wᵀ · g` (filters as K,
+//! * **Input gradient** ([`ConvWindow::dx`], both forms). Each image's
+//!   output gradient is laid out with a zero border of `k − 1 − P`; per
+//!   kernel offset, six channels' rows of `Wᵀ · g` (filters as K,
 //!   sixteen consecutive input positions as the lanes, as in the windowed
 //!   forward) are added straight onto `dx` by the kernel's `C += acc`,
 //!   which is the add [`col2im`] makes.
@@ -932,10 +932,10 @@ impl ConvWindow {
     /// under `weight` (`[oc, C·k·k]` row-major).
     ///
     /// Input cell `(y, x)` takes, per kernel offset `(ky, kx)`, the column
-    /// element `Σ_o W[o, c, ky, kx] · g[o, y + P − ky, x + P − kx]`. So the
-    /// output gradient is laid out once as planes with a zero border of
+    /// element `Σ_o W[o, c, ky, kx] · g[o, y + P − ky, x + P − kx]`. So each
+    /// image's output gradient is laid out as planes with a zero border of
     /// `k − 1 − P`, where that element's gradient values sit at
-    /// `(y + k − 1 − ky, x + k − 1 − kx)`, and per image and kernel offset, in
+    /// `(y + k − 1 − ky, x + k − 1 − kx)`, and per kernel offset, in
     /// ascending order, one kernel call computes it for up to six channels:
     /// the channels are the tile's rows (a channel's weight at the offset is
     /// `k²` elements from the next's), the filters the K steps in the [`KC`]
@@ -945,10 +945,10 @@ impl ConvWindow {
     /// that column element; under more than one K block the blocks' sums go
     /// through a buffer first, as the column element they make. Where an
     /// offset reaches into the border `col2im` adds nothing and the kernel
-    /// adds a zero, which leaves a cell that was never `−0` as it was (a
-    /// cell is `+0` or a sum of column elements, and a zeroed `C` plus a
-    /// sum is never `−0`) — for finite weights; an infinite one meeting the
-    /// border would add NaN. So the bits are `col2im`'s.
+    /// adds a zero, which leaves the cell as it was: a cell starts at `+0`,
+    /// and a sum is `−0` only when both its terms are, so no cell is ever
+    /// `−0` — for finite weights; an infinite one meeting the border would
+    /// add NaN. So the bits are `col2im`'s.
     ///
     /// # Panics
     ///
