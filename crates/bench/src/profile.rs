@@ -4,20 +4,24 @@
 //!
 //! The numbers come from [`GraphModel`]'s own per-node clocks, so they are
 //! the executor's view: a segment that ran fused is one row naming its
-//! members, and a node a step's helper thread ran is a row of its own,
-//! marked `(helper)` — it ran beside the caller's rows, so rows can overlap
-//! in time and their sum can exceed the step. What the step spends outside
-//! the layers — the loss, the optimiser — is timed here, and what is left of
-//! the step's wall time is printed as `executor` (negative when rows
-//! overlap); the rows must account for at least [`RECONCILE`] of the step.
-//! The step's critical path is the longer of the two threads' layers and
+//! members, and a node whose island a step's helper thread ran is a row of
+//! its own, marked `(helper)` — it ran beside the caller's rows, so rows can
+//! overlap in time and their sum can exceed the step. A row's `bwd` holds
+//! both halves of a layer that splits its backward, wherever each ran (the
+//! helper runs weight halves of the caller's island; graph module docs,
+//! "Weight gradients"). What the step spends outside the layers — the loss,
+//! the optimiser — is timed here, and what is left of the step's wall time
+//! is printed as `executor` (negative when rows overlap); the rows must
+//! account for at least [`RECONCILE`] of the step. Each thread's layers are
+//! summed from the time each node spent on that thread, not from the marks;
+//! the step's critical path is the longer of the two threads' layers and
 //! losses, plus the optimiser.
 
 use amalgam_core::trainer::lm_head_loss;
 use amalgam_core::{Amalgam, ObfuscationConfig};
 use amalgam_data::{LmCorpusSpec, SyntheticImageSpec};
 use amalgam_models::{lenet5, transformer_lm, TransformerLmConfig};
-use amalgam_nn::graph::GraphModel;
+use amalgam_nn::graph::{GraphModel, StepCounts};
 use amalgam_nn::loss::cross_entropy;
 use amalgam_nn::optim::Sgd;
 use amalgam_tensor::{Rng, Tensor};
@@ -64,7 +68,9 @@ pub struct Row {
     pub forward_us: f64,
     /// Backward µs per step.
     pub backward_us: f64,
-    /// Whether a step's helper thread ran these nodes.
+    /// The part of `forward_us` and `backward_us` spent on the helper thread.
+    pub on_helper_us: f64,
+    /// Whether the helper thread ran these nodes' island (in the last step).
     pub helper: bool,
 }
 
@@ -83,6 +89,8 @@ pub struct StepProfile {
     pub step_us: f64,
     /// Output heads (one loss each).
     pub heads: usize,
+    /// How the timed steps ran: forked, and helped by the helper thread.
+    pub steps: StepCounts,
 }
 
 impl StepProfile {
@@ -94,17 +102,15 @@ impl StepProfile {
         self.step_us - layers - self.loss_us - self.optimizer_us
     }
 
-    /// The layers and losses of one thread: `[caller, helper]`.
+    /// The layers and losses of one thread: `[caller, helper]`, from the
+    /// time each node spent on each.
     pub fn threads_us(&self) -> [f64; 2] {
-        [false, true].map(|helper| {
-            let rows = self.rows.iter().filter(|r| r.helper == helper);
-            let layers: f64 = rows.map(|r| r.forward_us + r.backward_us).sum();
-            let loss = match helper {
-                false => self.loss_us - self.helper_loss_us,
-                true => self.helper_loss_us,
-            };
-            layers + loss
-        })
+        let layers: f64 = self.rows.iter().map(|r| r.forward_us + r.backward_us).sum();
+        let helper: f64 = self.rows.iter().map(|r| r.on_helper_us).sum();
+        [
+            layers - helper + self.loss_us - self.helper_loss_us,
+            helper + self.helper_loss_us,
+        ]
     }
 
     /// The step's critical path: the longer thread, then the optimiser.
@@ -224,17 +230,20 @@ impl Side {
             let helper = if timing.helper { " (helper)" } else { "" };
             let label = format!("{} {:?}{helper}", kinds.join("+"), timing.out_dims);
             let (forward_us, backward_us) = (per_step(timing.forward), per_step(timing.backward));
+            let on_helper_us = per_step(timing.on_helper);
             match rows.iter_mut().find(|row| row.label == label) {
                 Some(row) => {
                     row.count += 1;
                     row.forward_us += forward_us;
                     row.backward_us += backward_us;
+                    row.on_helper_us += on_helper_us;
                 }
                 None => rows.push(Row {
                     label,
                     count: 1,
                     forward_us,
                     backward_us,
+                    on_helper_us,
                     helper: timing.helper,
                 }),
             }
@@ -246,6 +255,7 @@ impl Side {
             optimizer_us: per_step(spent.optimizer),
             step_us: per_step(spent.total),
             heads: self.model.outputs().len(),
+            steps: self.model.profile_steps(),
         }
     }
 }
@@ -274,7 +284,8 @@ pub fn measure(mut sides: [&mut Side; 2]) -> [StepProfile; 2] {
 }
 
 /// The table: one line per label, the plain model's nodes beside the
-/// augmented model's, then what the step spends outside the layers.
+/// augmented model's, then what the step spends outside the layers, each
+/// thread's share and how many timed steps forked.
 pub fn table(plain: &StepProfile, augmented: &StepProfile) -> String {
     let mut labels: Vec<&str> = augmented.rows.iter().map(|r| r.label.as_str()).collect();
     for row in &plain.rows {
@@ -286,24 +297,34 @@ pub fn table(plain: &StepProfile, augmented: &StepProfile) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:width$} | {:>2} {:>8} {:>8} | {:>2} {:>8} {:>8}   (µs per step)",
-        "layer [output]", "n", "fwd", "bwd", "n", "fwd", "bwd"
+        "{:width$} | {:>2} {:>8} {:>8} | {:>2} {:>8} {:>8} {:>8}   (µs per step)",
+        "layer [output]", "n", "fwd", "bwd", "n", "fwd", "bwd", "helper"
     );
     let _ = writeln!(out, "{:width$} | plain                 | augmented", "");
-    let cells = |side: &StepProfile, label: &str| match side.rows.iter().find(|r| r.label == label)
-    {
-        Some(r) => format!(
-            "{:>2} {:>8.1} {:>8.1}",
-            r.count, r.forward_us, r.backward_us
-        ),
-        None => format!("{:>2} {:>8} {:>8}", "", "", ""),
+    // The helper column: what of fwd + bwd ran on the helper thread.
+    let cells = |side: &StepProfile, label: &str, helper: bool| {
+        let row = side.rows.iter().find(|r| r.label == label);
+        let mut cell = match row {
+            Some(r) => format!(
+                "{:>2} {:>8.1} {:>8.1}",
+                r.count, r.forward_us, r.backward_us
+            ),
+            None => format!("{:>2} {:>8} {:>8}", "", "", ""),
+        };
+        if helper {
+            let _ = match row {
+                Some(r) => write!(cell, " {:>8.1}", r.on_helper_us),
+                None => write!(cell, " {:>8}", ""),
+            };
+        }
+        cell
     };
     for label in labels {
         let _ = writeln!(
             out,
             "{label:width$} | {} | {}",
-            cells(plain, label),
-            cells(augmented, label)
+            cells(plain, label, false),
+            cells(augmented, label, true)
         );
     }
     for (name, of) in [
@@ -320,6 +341,18 @@ pub fn table(plain: &StepProfile, augmented: &StepProfile) -> String {
             "{name:width$} | {:>19.1} | {:>19.1}",
             of(plain),
             of(augmented)
+        );
+    }
+    for (name, side) in [("plain", plain), ("augmented", augmented)] {
+        let StepCounts {
+            steps,
+            forked,
+            helped,
+        } = side.steps;
+        let _ = writeln!(
+            out,
+            "{name}: {forked} of {steps} timed steps forked; the helper ran an island or a \
+             weight half in {helped}"
         );
     }
     out

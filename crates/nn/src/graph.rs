@@ -68,7 +68,7 @@ use crate::spec::LayerSpec;
 use crate::NnError;
 use amalgam_tensor::wire::{Reader, Writer};
 use amalgam_tensor::{scratch, Tensor, TensorError};
-use island::{Abandoned, Board};
+use island::{Abandoned, Board, Deferred, WeightHalf};
 use segment::{Plan, Role, Segment};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -153,11 +153,44 @@ pub struct NodeTiming {
     pub out_dims: Vec<usize>,
     /// Time inside `forward` calls.
     pub forward: Duration,
-    /// Time inside `backward` calls.
+    /// Time inside `backward` calls: both halves of a layer that splits,
+    /// wherever each ran.
     pub backward: Duration,
-    /// Whether it last ran on a training step's helper thread (see
-    /// [`GraphModel::train_step`]): rows so marked ran beside the others.
+    /// The part of `forward` and `backward` spent on a training step's
+    /// helper thread — its island's, and weight halves it ran for the
+    /// caller's island (see [`GraphModel::train_step`]).
+    pub on_helper: Duration,
+    /// Whether its island last ran on a training step's helper thread: rows
+    /// so marked ran beside the others.
     pub helper: bool,
+}
+
+impl NodeTiming {
+    fn add_forward(&mut self, spent: Duration, helper: bool) {
+        self.forward += spent;
+        if helper {
+            self.on_helper += spent;
+        }
+    }
+
+    fn add_backward(&mut self, spent: Duration, helper: bool) {
+        self.backward += spent;
+        if helper {
+            self.on_helper += spent;
+        }
+    }
+}
+
+/// How the training steps ran since profiling was switched on (see
+/// [`GraphModel::profile_steps`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepCounts {
+    /// Training steps ([`GraphModel::train_step`] calls).
+    pub steps: usize,
+    /// Steps a helper thread joined.
+    pub forked: usize,
+    /// Forked steps in which the helper ran an island or a weight half.
+    pub helped: usize,
 }
 
 /// Per-node clocks; index = the node the time was spent at (a fused
@@ -165,6 +198,7 @@ pub struct NodeTiming {
 #[derive(Debug, Clone, Default)]
 struct Profile {
     rows: Vec<NodeTiming>,
+    steps: StepCounts,
 }
 
 /// A directed acyclic graph of layers with named nodes.
@@ -420,7 +454,7 @@ impl GraphModel {
         assert_eq!(seeds.len(), self.outputs.len(), "seed arity mismatch");
         let (mut part, roles, _, outputs) = self.whole();
         let seeds = outputs.iter().map(|id| id.0).zip(seeds.iter().cloned());
-        part.backward(roles, wants, seeds.collect(), false);
+        part.backward(roles, wants, seeds.collect(), false, None);
     }
 
     /// The whole graph lent out as one part, beside the segment roles and the
@@ -491,8 +525,12 @@ impl GraphModel {
         let mut parts = Part::split(nodes, &mut plan.segments, profile, islands.parts(), |i| {
             islands.part_of(i)
         });
+        let deferred = Deferred::new(parts.len() - 1);
         let wants = islands.wants();
-        let step = |mut part: Part<'_>, helper: bool| {
+        // One lifetime for the parts and the queue their halves go to (a
+        // closure's annotated parameter would take any).
+        let step = |part, helper: bool| {
+            let mut part: Part<'_> = part;
             part.forward(&pass, helper)?;
             let mut seeds = Vec::new();
             let mut kept = Vec::new();
@@ -512,7 +550,7 @@ impl GraphModel {
                     .into_iter()
                     .for_each(Param::zero_grad);
             }
-            part.backward(pass.roles, wants, seeds, helper);
+            part.backward(pass.roles, wants, seeds, helper, Some(&deferred));
             Ok(kept)
         };
         // The external inputs, on the caller, before any island reads them.
@@ -524,7 +562,14 @@ impl GraphModel {
             Forking::Rule => Forking::Never,
             other => other,
         };
-        kept.extend(island::run(parts, forks, &board, &step));
+        let (islands_kept, ran) = island::run(parts, forks, &board, &deferred, &step);
+        drop(deferred);
+        kept.extend(islands_kept);
+        if let Some(profile) = profile {
+            profile.steps.steps += 1;
+            profile.steps.forked += usize::from(ran.forked);
+            profile.steps.helped += usize::from(ran.helped);
+        }
         kept.sort_by_key(|&(h, _)| h);
         kept.into_iter().map(|(_, r)| r).collect()
     }
@@ -560,6 +605,14 @@ impl GraphModel {
     pub fn profile(&self) -> Vec<NodeTiming> {
         let rows = self.profile.iter().flat_map(|p| &p.rows);
         rows.filter(|row| !row.nodes.is_empty()).cloned().collect()
+    }
+
+    /// How the training steps since [`set_profiling`](Self::set_profiling)
+    /// ran: how many forked, and in how many the helper ran anything.
+    pub fn profile_steps(&self) -> StepCounts {
+        self.profile
+            .as_ref()
+            .map_or_else(StepCounts::default, |p| p.steps)
     }
 
     /// Drops all cached activations.
@@ -885,7 +938,7 @@ impl<'g> Part<'g> {
                 }
                 let row = Self::row(&mut self.rows, i, members, helper);
                 if let (Some(start), Some(row)) = (start, row) {
-                    row.forward += start.elapsed();
+                    row.add_forward(start.elapsed(), helper);
                     row.out_dims = out.dims().to_vec();
                 }
             }
@@ -897,13 +950,16 @@ impl<'g> Part<'g> {
     /// Back-propagation over the members from `(node, seed)` pairs, reaching
     /// the nodes `wants` marks (see [`GraphModel::backward`]). No gradient
     /// leaves the part: an edge that would carry one joins the two nodes'
-    /// islands.
+    /// islands. A layer's weight half goes to `deferred` once its input half
+    /// has returned, or runs right after it when there is no queue or the
+    /// queue hands it back.
     fn backward(
         &mut self,
         roles: &[Role],
         wants: &[bool],
         seeds: Vec<(usize, Tensor)>,
         helper: bool,
+        deferred: Option<&Deferred<'g>>,
     ) {
         let n = self.nodes.len();
         let mut grads: Vec<Option<Tensor>> = vec![None; n];
@@ -942,7 +998,7 @@ impl<'g> Part<'g> {
                 }
                 let row = Self::row(&mut self.rows, i, Some(segment.nodes()), helper);
                 if let (Some(start), Some(row)) = (start, row) {
-                    row.backward += start.elapsed();
+                    row.add_backward(start.elapsed(), helper);
                 }
             }
             if let Some((node, gi)) = owed[i].take() {
@@ -956,11 +1012,7 @@ impl<'g> Part<'g> {
             };
             demand.clear();
             demand.extend(node.inputs.iter().map(|id| wants[id.0]));
-            let input_grads = node.layer.backward(&g, &demand);
-            // A consumed gradient is the size of an activation: recycled, it
-            // serves the next step's scratch takes (unless it is shared — a
-            // seed the caller still holds, one arm of an `Add`'s fan-out).
-            scratch::give_tensor(g);
+            let (input_grads, split) = node.layer.backward_input(&g, &demand);
             assert_eq!(
                 input_grads.len(),
                 demand.len(),
@@ -973,7 +1025,28 @@ impl<'g> Part<'g> {
                 }
             }
             if let (Some(start), Some(row)) = (start, Self::row(&mut self.rows, i, None, helper)) {
-                row.backward += start.elapsed();
+                row.add_backward(start.elapsed(), helper);
+            }
+            if !split {
+                // A consumed gradient is the size of an activation: recycled,
+                // it serves the next step's scratch takes (unless it is
+                // shared — a seed the caller still holds, one arm of an
+                // `Add`'s fan-out).
+                scratch::give_tensor(g);
+                continue;
+            }
+            let half = WeightHalf {
+                node: self.nodes[i].take().expect("a member"),
+                grad: g,
+                row: self.rows.get_mut(i).and_then(Option::take),
+                owner: helper,
+            };
+            let inline = match deferred {
+                Some(queue) => queue.defer(half),
+                None => Some(half),
+            };
+            if let Some(half) = inline {
+                half.run(helper, &mut Vec::new());
             }
         }
     }

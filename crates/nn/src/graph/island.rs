@@ -5,14 +5,17 @@
 //! "Islands", for the rule and why no bit can move). [`run`] is the step's
 //! schedule: the caller and at most one scoped helper thread claim whole
 //! islands, in the plan's order, from one shared cursor; a value one island
-//! reads from another crosses on a [`Board`].
+//! reads from another crosses on a [`Board`]; a weight half waits on the
+//! [`Deferred`] queue for whichever thread has no island left to claim.
 
-use super::{Node, NodeId};
+use super::{Node, NodeId, NodeTiming};
 use amalgam_tensor::{scratch, Tensor};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
+use std::time::Instant;
 
 /// The name of a training step's helper thread. No thread gate counts it:
 /// it shares no prefix with the service's `cloud-*` threads.
@@ -373,16 +376,194 @@ impl<'a> Board<'a> {
     }
 }
 
-/// Marks the board failed if its thread unwinds, so that no reader waits
-/// for a value that will never come.
-struct FailOnPanic<'b, 'a>(&'b Board<'a>);
+/// A node whose input half has returned, with its weight half still to run
+/// (see [`Layer::backward_weights`](crate::Layer::backward_weights)).
+pub(super) struct WeightHalf<'g> {
+    /// The node, lent out of its part until the half has run.
+    pub(super) node: &'g mut Node,
+    /// The output gradient both halves read.
+    pub(super) grad: Tensor,
+    /// The node's profile row, while the clocks are on.
+    pub(super) row: Option<&'g mut NodeTiming>,
+    /// Whether the node's island ran on the helper: the thread whose arena
+    /// the gradient and the layer's spent buffers go back to.
+    pub(super) owner: bool,
+}
 
-impl Drop for FailOnPanic<'_, '_> {
+impl WeightHalf<'_> {
+    /// Runs the half on the helper (`helper`) or the caller. What it spent is
+    /// given back here when this is its owner's thread, and collected in
+    /// `foreign` for the owner otherwise.
+    pub(super) fn run(self, helper: bool, foreign: &mut Vec<Tensor>) {
+        let start = self.row.is_some().then(Instant::now);
+        let mut give = |t: Tensor| scratch::give_tensor(t);
+        let mut keep = |t: Tensor| foreign.push(t);
+        let spent: &mut dyn FnMut(Tensor) = match helper == self.owner {
+            true => &mut give,
+            false => &mut keep,
+        };
+        self.node.layer.backward_weights(&self.grad, spent);
+        spent(self.grad);
+        if let (Some(start), Some(row)) = (start, self.row) {
+            row.add_backward(start.elapsed(), helper);
+        }
+    }
+}
+
+/// The weight halves of one step that a thread with no island left runs
+/// (see the graph module docs, "Weight gradients"): one queue, in the order
+/// the input halves returned, which the caller and the helper drain.
+pub(super) struct Deferred<'g> {
+    state: Mutex<Queue<'g>>,
+    ready: Condvar,
+}
+
+struct Queue<'g> {
+    halves: VecDeque<WeightHalf<'g>>,
+    /// Islands not yet run to the end of their input halves.
+    islands: usize,
+    /// Halves being run.
+    running: usize,
+    /// The helper has started: from now on a half can wait for it.
+    helper: bool,
+    /// A part of the step panicked: nothing more will be queued or run.
+    failed: bool,
+    /// Threads asleep on the queue: a change wakes them only if there are
+    /// any (a wake-up is a system call).
+    waiting: usize,
+    /// What one thread's halves spent of the other's: `[caller, helper]`.
+    returns: [Vec<Tensor>; 2],
+}
+
+impl Queue<'_> {
+    /// Whether nothing is left to run or to come.
+    fn drained(&self) -> bool {
+        self.islands == 0 && self.running == 0 && self.halves.is_empty()
+    }
+}
+
+impl<'g> Deferred<'g> {
+    /// The queue of a step of `islands` islands.
+    pub(super) fn new(islands: usize) -> Self {
+        Deferred {
+            state: Mutex::new(Queue {
+                halves: VecDeque::new(),
+                islands,
+                running: 0,
+                helper: false,
+                failed: false,
+                waiting: 0,
+                returns: [Vec::new(), Vec::new()],
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn queue(&self) -> MutexGuard<'_, Queue<'g>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn helper_started(&self) {
+        self.queue().helper = true;
+    }
+
+    /// Queues `half`, or hands it back to be run at once when no helper has
+    /// started: the caller never saves halves up for a drain at the end.
+    pub(super) fn defer(&self, half: WeightHalf<'g>) -> Option<WeightHalf<'g>> {
+        let mut queue = self.queue();
+        if !queue.helper {
+            return Some(half);
+        }
+        let returns = std::mem::take(&mut queue.returns[usize::from(half.owner)]);
+        queue.halves.push_back(half);
+        if queue.waiting > 0 {
+            self.ready.notify_one();
+        }
+        drop(queue);
+        returns.into_iter().for_each(scratch::give_tensor);
+        None
+    }
+
+    /// One island has run to the end of its input halves.
+    fn island_done(&self) {
+        let mut queue = self.queue();
+        queue.islands -= 1;
+        if queue.drained() && queue.waiting > 0 {
+            self.ready.notify_all();
+        }
+    }
+
+    /// The next half for thread `helper` to run, once one is queued; `None`
+    /// once the step has none left to run or to come.
+    fn next(&self, helper: bool) -> Result<Option<WeightHalf<'g>>, Abandoned> {
+        let mut queue = self.queue();
+        loop {
+            if queue.failed {
+                return Err(Abandoned);
+            }
+            let returns = std::mem::take(&mut queue.returns[usize::from(helper)]);
+            if !returns.is_empty() {
+                drop(queue);
+                returns.into_iter().for_each(scratch::give_tensor);
+                queue = self.queue();
+                continue;
+            }
+            if let Some(half) = queue.halves.pop_front() {
+                queue.running += 1;
+                return Ok(Some(half));
+            }
+            if queue.drained() {
+                return Ok(None);
+            }
+            queue.waiting += 1;
+            queue = self
+                .ready
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+            queue.waiting -= 1;
+        }
+    }
+
+    /// A half of `owner`'s island has run; `foreign` holds what it spent if
+    /// another thread ran it.
+    fn finished(&self, owner: bool, foreign: &mut Vec<Tensor>) {
+        let mut queue = self.queue();
+        queue.running -= 1;
+        queue.returns[usize::from(owner)].append(foreign);
+        if queue.drained() && queue.waiting > 0 {
+            self.ready.notify_all();
+        }
+    }
+
+    fn fail(&self) {
+        let mut queue = self.queue();
+        queue.failed = true;
+        if queue.waiting > 0 {
+            self.ready.notify_all();
+        }
+    }
+}
+
+/// Marks the board and the queue failed if its thread unwinds, so that no
+/// thread waits for a value or a half that will never come.
+struct FailOnPanic<'b, 'a, 'g>(&'b Board<'a>, &'b Deferred<'g>);
+
+impl Drop for FailOnPanic<'_, '_, '_> {
     fn drop(&mut self) {
         if thread::panicking() {
             self.0.fail();
+            self.1.fail();
         }
     }
+}
+
+/// How a step ran, for the profile's step counts.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct Ran {
+    /// A helper thread joined the step.
+    pub(super) forked: bool,
+    /// The helper ran an island or a weight half.
+    pub(super) helped: bool,
 }
 
 thread_local! {
@@ -392,28 +573,34 @@ thread_local! {
 }
 
 /// Runs `parts` — islands in claim order — through `work` and returns
-/// everything `work` returned; `work` is told whether it runs on the helper.
-/// Under [`Forking::Never`] the caller runs every part; otherwise a scoped
-/// helper thread joins in, both claiming parts until none is left — or,
-/// under [`Forking::Always`], the caller claims only the first.
+/// everything `work` returned, and how the step ran; `work` is told whether
+/// it runs on the helper. Under [`Forking::Never`] the caller runs every part;
+/// otherwise a scoped helper thread joins in, both claiming parts until none
+/// is left — or, under [`Forking::Always`], the caller claims only the first.
+/// A thread with no part left to claim runs the weight halves `deferred`
+/// holds, until the step has none left to run or to come.
 ///
 /// The two threads claim whole parts from one cursor. A part the helper has
 /// not claimed by the time the caller runs out is the caller's, so a helper
-/// that starts late costs its spawn and nothing more. A panic in either
-/// thread surfaces from here, after the other has stopped.
+/// that starts late costs its spawn and nothing more; until it has started,
+/// `deferred` hands every half back to be run where it returned. A panic in
+/// either thread surfaces from here, after the other has stopped.
 pub(super) fn run<P: Send, T: Send>(
     parts: Vec<P>,
     fork: Forking,
     board: &Board<'_>,
+    deferred: &Deferred<'_>,
     work: &(dyn Fn(P, bool) -> Result<Vec<T>, Abandoned> + Sync),
-) -> Vec<T> {
+) -> (Vec<T>, Ran) {
     let queue: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
     // Relaxed: the cursor only hands out indices; a part itself crosses
     // threads through its mutex.
     let cursor = AtomicUsize::new(0);
-    let claim = |claims: usize, helper: bool| -> Result<Vec<T>, Abandoned> {
-        let _fail = FailOnPanic(board);
+    // Returns what `work` returned and whether the thread ran anything.
+    let claim = |claims: usize, helper: bool| -> Result<(Vec<T>, bool), Abandoned> {
+        let _fail = FailOnPanic(board, deferred);
         let mut done = Vec::new();
+        let mut ran = false;
         for _ in 0..claims {
             let k = cursor.fetch_add(1, Ordering::Relaxed);
             if k >= queue.len() || board.failed() {
@@ -424,11 +611,21 @@ pub(super) fn run<P: Send, T: Send>(
                 .unwrap_or_else(PoisonError::into_inner)
                 .take();
             done.extend(work(part.expect("each part is claimed once"), helper)?);
+            deferred.island_done();
+            ran = true;
         }
-        Ok(done)
+        let mut foreign = Vec::new();
+        while let Some(half) = deferred.next(helper)? {
+            let owner = half.owner;
+            half.run(helper, &mut foreign);
+            deferred.finished(owner, &mut foreign);
+            ran = true;
+        }
+        Ok((done, ran))
     };
     if fork == Forking::Never || queue.len() < 2 {
-        return claim(usize::MAX, false).expect("no other thread to abandon the step");
+        let (done, _) = claim(usize::MAX, false).expect("no other thread to abandon the step");
+        return (done, Ran::default());
     }
     thread::scope(|scope| {
         let lent = LENT.take();
@@ -436,29 +633,29 @@ pub(super) fn run<P: Send, T: Send>(
             .name(HELPER_THREAD.into())
             .spawn_scoped(scope, || {
                 let own = scratch::swap_free_list(lent);
+                deferred.helper_started();
                 let done = claim(usize::MAX, true);
                 (done, scratch::swap_free_list(own))
             });
-        let first = if fork == Forking::Always {
-            1
-        } else {
-            usize::MAX
+        // Without a helper the caller claims every part.
+        let first = match (fork, &helper) {
+            (Forking::Always, Ok(_)) => 1,
+            _ => usize::MAX,
         };
         let mine = claim(first, false);
+        let forked = helper.is_ok();
         let theirs = match helper.map(|h| h.join()) {
             Ok(Ok((theirs, lent))) => {
                 LENT.set(lent);
                 theirs
             }
             Ok(Err(panic)) => std::panic::resume_unwind(panic),
-            Err(_) => Ok(Vec::new()),
+            Err(_) => Ok((Vec::new(), false)),
         };
-        let (Ok(mut mine), Ok(theirs)) = (mine, theirs) else {
+        let (Ok((mut mine, _)), Ok((theirs, helped))) = (mine, theirs) else {
             unreachable!("a step is abandoned only when a thread of it panicked");
         };
         mine.extend(theirs);
-        // What neither thread claimed (a helper that could not start).
-        mine.extend(claim(usize::MAX, false).expect("the helper has finished"));
-        mine
+        (mine, Ran { forked, helped })
     })
 }

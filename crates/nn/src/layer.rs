@@ -98,11 +98,63 @@ pub trait Layer: std::fmt::Debug + Send + std::any::Any {
     ///   gradient is identically zero (a [`Detach`](crate::layers::Detach),
     ///   token ids) — the caller treats a missing slot as "adds nothing".
     ///
+    /// A layer with weight products ([`Linear`](crate::layers::Linear),
+    /// [`Conv2d`](crate::layers::Conv2d) and so
+    /// [`MaskedConv2d`](crate::layers::MaskedConv2d),
+    /// [`MultiHeadSelfAttention`](crate::layers::MultiHeadSelfAttention))
+    /// computes its backward in two halves, and `backward` is
+    /// [`backward_input`](Self::backward_input) then
+    /// [`backward_weights`](Self::backward_weights), back to back.
+    ///
     /// # Panics
     ///
     /// Panics if called before `forward` (no cache) or if `demand` does not
     /// have one flag per input.
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>>;
+
+    /// The input half of [`backward`](Self::backward): the input gradients
+    /// `demand` asks for, under `backward`'s demand rule, and whether a
+    /// weight half is left for [`backward_weights`](Self::backward_weights).
+    /// A layer that splits keeps, from its forward cache and this half, what
+    /// the weight half reads; its parameter gradients are complete only once
+    /// that half has run. The default runs the whole of `backward` and leaves
+    /// nothing (`false`).
+    ///
+    /// The executor calls the weight half after this one returns, before the
+    /// layer's next `forward` — on the same thread, or, in a training step
+    /// that forks, perhaps on the other (see the graph module docs, "Weight
+    /// gradients"). Nothing the input gradients depend on is written by the
+    /// weight half, and nothing else writes the parameter gradients, so the
+    /// bits are those of `backward` wherever each half runs.
+    ///
+    /// # Panics
+    ///
+    /// As [`backward`](Self::backward).
+    fn backward_input(
+        &mut self,
+        grad_out: &Tensor,
+        demand: &[bool],
+    ) -> (Vec<Option<Tensor>>, bool) {
+        (self.backward(grad_out, demand), false)
+    }
+
+    /// The weight half of [`backward`](Self::backward): accumulates the
+    /// parameter gradients (weight products and bias sums) of the latest
+    /// [`backward_input`](Self::backward_input) that returned `true`, from
+    /// the same `grad_out`, and releases what that half kept.
+    ///
+    /// Each buffer the layer is done with — its forward cache, what the
+    /// input half kept — goes to `spent`, not to the scratch arena: the
+    /// executor hands it back to the arena of the thread that made it, which
+    /// need not be the thread running this half. Buffers this half takes
+    /// itself it gives back itself. The default has nothing to do.
+    ///
+    /// # Panics
+    ///
+    /// A layer that splits panics if no input half precedes this one.
+    fn backward_weights(&mut self, grad_out: &Tensor, spent: &mut dyn FnMut(Tensor)) {
+        let _ = (grad_out, spent);
+    }
 
     /// Whether gradients stop here: nothing upstream of this layer is
     /// reachable by back-propagation, whatever its inputs are. The executor's

@@ -34,8 +34,11 @@ pub struct MultiHeadSelfAttention {
     heads: usize,
     causal: bool,
     cache: Option<AttnCache>,
+    /// What the weight half reads, kept by the input half.
+    kept: Option<WeightOperands>,
 }
 
+/// What `forward` leaves for the input half.
 #[derive(Debug, Clone)]
 struct AttnCache {
     x2d: Tensor, // [B*T, D]
@@ -45,6 +48,16 @@ struct AttnCache {
     o: Tensor,     // pre-Wo concat of heads, [B*T, D]
     probs: Tensor, // [B*H, T, T]
     bt: (usize, usize),
+}
+
+/// What the input half leaves for the weight half: the products' left
+/// operands (`[B*T, D]` each) and their right ones.
+#[derive(Debug, Clone)]
+struct WeightOperands {
+    x2d: Tensor,
+    o: Tensor,
+    /// The gradients of Q, K and V, merged back to `[B*T, D]`.
+    dqkv: [Tensor; 3],
 }
 
 /// Restages a `[B*T, D]` projection head-major as `[B*H, T, dh]` in a
@@ -107,6 +120,7 @@ impl MultiHeadSelfAttention {
             heads,
             causal,
             cache: None,
+            kept: None,
         }
     }
 
@@ -140,6 +154,7 @@ impl MultiHeadSelfAttention {
             heads,
             causal,
             cache: None,
+            kept: None,
         }
     }
 
@@ -153,7 +168,7 @@ impl MultiHeadSelfAttention {
         self.heads
     }
 
-    /// Recycles a cache's tensors into the scratch arena (forward replaces
+    /// Recycles the cached tensors into the scratch arena (forward replaces
     /// the cache on every call; eval loops would otherwise churn the
     /// allocator).
     fn reclaim_cache(&mut self) {
@@ -168,6 +183,11 @@ impl MultiHeadSelfAttention {
                 ..
             } = cache;
             for staging in [x2d, qh, kh, vh, o, probs] {
+                scratch::give_tensor(staging);
+            }
+        }
+        if let Some(WeightOperands { x2d, o, dqkv }) = self.kept.take() {
+            for staging in [x2d, o].into_iter().chain(dqkv) {
                 scratch::give_tensor(staging);
             }
         }
@@ -237,6 +257,16 @@ impl Layer for MultiHeadSelfAttention {
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
+        let (dx, _) = self.backward_input(grad_out, demand);
+        self.backward_weights(grad_out, &mut scratch::give_tensor);
+        dx
+    }
+
+    fn backward_input(
+        &mut self,
+        grad_out: &Tensor,
+        demand: &[bool],
+    ) -> (Vec<Option<Tensor>>, bool) {
         let AttnCache {
             x2d,
             qh,
@@ -254,14 +284,10 @@ impl Layer for MultiHeadSelfAttention {
         let dh = d / h;
         let alpha = 1.0 / (dh as f32).sqrt();
 
-        let g2d = grad_out.reshape(&[b * t, d]);
         // y = o @ Wo
-        let mut dwo = scratch::take_tensor_raw(&[d, d]);
-        kernels::matmul_tn_into(&o, &g2d, &mut dwo);
-        self.wo.grad.add_assign(&dwo);
+        let g2d = grad_out.reshape(&[b * t, d]);
         let mut d_o = scratch::take_tensor_raw(&[b * t, d]);
         kernels::matmul_nt_into(&g2d, &self.wo.value, &mut d_o); // [B*T, D]
-        scratch::give_tensor(o);
 
         let doh = split_heads(&d_o, b, t, h, dh);
         scratch::give_tensor(d_o);
@@ -306,17 +332,6 @@ impl Layer for MultiHeadSelfAttention {
             scratch::give_tensor(staging);
         }
 
-        // dW{q,k,v} += x2dᵀ · d{q,k,v}, reusing one scratch accumulator.
-        let mut dw = dwo;
-        kernels::matmul_tn_into(&x2d, &dq, &mut dw);
-        self.wq.grad.add_assign(&dw);
-        kernels::matmul_tn_into(&x2d, &dk, &mut dw);
-        self.wk.grad.add_assign(&dw);
-        kernels::matmul_tn_into(&x2d, &dv, &mut dw);
-        self.wv.grad.add_assign(&dw);
-        scratch::give_tensor(dw);
-        scratch::give_tensor(x2d);
-
         let dx = demand[0].then(|| {
             let mut dx = dq.matmul_nt(&self.wq.value);
             let mut tmp = scratch::take_tensor_raw(&[b * t, d]);
@@ -328,10 +343,37 @@ impl Layer for MultiHeadSelfAttention {
             dx.reshape_in_place(&[b, t, d]);
             dx
         });
-        for staging in [dv, dk, dq] {
-            scratch::give_tensor(staging);
+        self.kept = Some(WeightOperands {
+            x2d,
+            o,
+            dqkv: [dq, dk, dv],
+        });
+        (vec![dx], true)
+    }
+
+    fn backward_weights(&mut self, grad_out: &Tensor, spent: &mut dyn FnMut(Tensor)) {
+        let WeightOperands { x2d, o, dqkv } = self
+            .kept
+            .take()
+            .expect("attention weight half before its input half");
+        let d = self.dim();
+        let g2d = grad_out.reshape(&[x2d.dims()[0], d]);
+        // dWo += oᵀ · g, then dW{q,k,v} += x2dᵀ · d{q,k,v}, reusing one
+        // scratch accumulator.
+        let mut dw = scratch::take_tensor_raw(&[d, d]);
+        kernels::matmul_tn_into(&o, &g2d, &mut dw);
+        self.wo.grad.add_assign(&dw);
+        for (w, dp) in [&mut self.wq, &mut self.wk, &mut self.wv]
+            .into_iter()
+            .zip(&dqkv)
+        {
+            kernels::matmul_tn_into(&x2d, dp, &mut dw);
+            w.grad.add_assign(&dw);
         }
-        vec![dx]
+        scratch::give_tensor(dw);
+        for staging in [x2d, o].into_iter().chain(dqkv) {
+            spent(staging);
+        }
     }
 
     fn params(&self) -> Vec<&Param> {

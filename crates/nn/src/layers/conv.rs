@@ -176,12 +176,18 @@ struct ConvCache {
     operand: Tensor,
     geom: Conv2dGeom,
     batch: usize,
+    /// The output gradient as the `[oc, N·oh·ow]` matrix the im2col products
+    /// read, once the input half has un-permuted it for the weight half.
+    gmat: Option<Tensor>,
 }
 
 impl ConvCache {
-    /// Hands the cached operand's storage back to the arena.
-    fn recycle(self) {
-        scratch::give_tensor(self.operand);
+    /// Hands the cached buffers to `spent`.
+    fn recycle(self, spent: &mut dyn FnMut(Tensor)) {
+        spent(self.operand);
+        if let Some(gmat) = self.gmat {
+            spent(gmat);
+        }
     }
 }
 
@@ -326,7 +332,7 @@ impl Conv2d {
         let ohw = oh * ow;
         let taps = geom.col_rows();
         if let Some(stale) = self.cache.take() {
-            stale.recycle();
+            stale.recycle(&mut scratch::give_tensor);
         }
         let path = conv_path(&geom, oc, n);
         // The padded planes are gathered through `keep`; the other paths
@@ -387,6 +393,7 @@ impl Conv2d {
             operand,
             geom,
             batch: n,
+            gmat: None,
         });
         out
     }
@@ -434,60 +441,22 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
-        let ConvCache {
-            path,
-            operand,
-            geom,
-            batch: n,
-        } = self.cache.take().expect("Conv2d backward before forward");
-        let oc = self.out_channels();
+        let (dx, _) = self.backward_input(grad_out, demand);
+        self.backward_weights(grad_out, &mut scratch::give_tensor);
+        dx
+    }
+
+    fn backward_input(
+        &mut self,
+        grad_out: &Tensor,
+        demand: &[bool],
+    ) -> (Vec<Option<Tensor>>, bool) {
+        let cache = self.cache.as_mut().expect("Conv2d backward before forward");
+        let (path, geom, n) = (cache.path, cache.geom, cache.batch);
+        let oc = self.weight.value.dims()[0];
         let ohw = geom.out_h() * geom.out_w();
         let taps = geom.col_rows();
         assert_eq!(grad_out.numel(), n * oc * ohw, "Conv2d gradient mismatch");
-        // The im2col products read the gradient as [oc, N*oh*ow]; the other
-        // paths read it where it lies.
-        let mut gmat = None;
-
-        // dW = g @ colsᵀ (flat — dw is the same row-major data as the
-        // [oc, ic, k, k] gradient), summed apart and then added to the
-        // accumulated gradient.
-        let mut dw = scratch::take_tensor_raw(&[oc, taps]);
-        match path {
-            ConvPath::Pointwise => {
-                dw.data_mut().fill(0.0);
-                let (g, x) = (grad_out.data(), operand.data());
-                gemm_nt_images(oc, taps, n, ohw, g, x, dw.data_mut());
-            }
-            ConvPath::Windowed => {
-                let window = Self::window(&mut self.window, &geom);
-                window.dw(&operand, grad_out.data(), dw.data_mut());
-            }
-            ConvPath::Interior => {
-                let window = Self::window(&mut self.window, &geom);
-                window.interior_dw(&operand, grad_out.data(), dw.data_mut());
-            }
-            ConvPath::Im2col => {
-                let g = gmat.insert(unpermute(grad_out, n, oc, ohw));
-                kernels::matmul_nt_into(g, &operand, &mut dw);
-            }
-        }
-        debug_assert_eq!(self.weight.grad.numel(), dw.numel());
-        for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(dw.data()) {
-            *g += d;
-        }
-        scratch::give_tensor(dw);
-        if let Some(b) = &mut self.bias {
-            // One chain per filter over its gradients in (image, position)
-            // order, the filters advanced together; -0.0 is what
-            // `Iterator::sum` starts from.
-            let mut sums = vec![-0.0f32; oc];
-            for image in grad_out.data().chunks_exact((oc * ohw).max(1)) {
-                fold_rows(&mut sums, [image], ohw, |_, sum, [g]| sum + g);
-            }
-            for (g, &sum) in b.grad.data_mut().iter_mut().zip(&sums) {
-                *g += sum;
-            }
-        }
         // dx — only worth it when a parameter lies upstream.
         let dx = demand[0].then(|| match path {
             ConvPath::Pointwise => {
@@ -512,8 +481,9 @@ impl Layer for Conv2d {
                 window.dx(grad_out.data(), self.weight.value.data())
             }
             ConvPath::Im2col => {
-                // dcols = Wᵀ @ g, folded back to input space.
-                let g = gmat.get_or_insert_with(|| unpermute(grad_out, n, oc, ohw));
+                // dcols = Wᵀ @ g, folded back to input space; the weight
+                // half reads the same un-permuted g.
+                let g = cache.gmat.insert(unpermute(grad_out, n, oc, ohw));
                 let wt = MatRef::transposed(self.weight.value.data(), taps);
                 let mut dcols = scratch::take_tensor(&[taps, n * ohw]);
                 let gm = MatRef::row_major(g.data(), n * ohw);
@@ -523,11 +493,74 @@ impl Layer for Conv2d {
                 dx
             }
         });
-        if let Some(gmat) = gmat {
-            scratch::give_tensor(gmat);
+        (vec![dx], true)
+    }
+
+    fn backward_weights(&mut self, grad_out: &Tensor, spent: &mut dyn FnMut(Tensor)) {
+        let ConvCache {
+            path,
+            operand,
+            geom,
+            batch: n,
+            gmat,
+        } = self
+            .cache
+            .take()
+            .expect("Conv2d weight half before its input half");
+        let oc = self.out_channels();
+        let ohw = geom.out_h() * geom.out_w();
+        let taps = geom.col_rows();
+
+        // dW = g @ colsᵀ (flat — dw is the same row-major data as the
+        // [oc, ic, k, k] gradient), summed apart and then added to the
+        // accumulated gradient. The im2col product reads the gradient as
+        // [oc, N*oh*ow]; the other paths read it where it lies.
+        let mut dw = scratch::take_tensor_raw(&[oc, taps]);
+        match path {
+            ConvPath::Pointwise => {
+                dw.data_mut().fill(0.0);
+                let (g, x) = (grad_out.data(), operand.data());
+                gemm_nt_images(oc, taps, n, ohw, g, x, dw.data_mut());
+            }
+            ConvPath::Windowed => {
+                let window = Self::window(&mut self.window, &geom);
+                window.dw(&operand, grad_out.data(), dw.data_mut());
+            }
+            ConvPath::Interior => {
+                let window = Self::window(&mut self.window, &geom);
+                window.interior_dw(&operand, grad_out.data(), dw.data_mut());
+            }
+            ConvPath::Im2col => match &gmat {
+                Some(g) => kernels::matmul_nt_into(g, &operand, &mut dw),
+                // The input half demanded no dx.
+                None => {
+                    let g = unpermute(grad_out, n, oc, ohw);
+                    kernels::matmul_nt_into(&g, &operand, &mut dw);
+                    scratch::give_tensor(g);
+                }
+            },
         }
-        scratch::give_tensor(operand);
-        vec![dx]
+        debug_assert_eq!(self.weight.grad.numel(), dw.numel());
+        for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(dw.data()) {
+            *g += d;
+        }
+        scratch::give_tensor(dw);
+        if let Some(b) = &mut self.bias {
+            // One chain per filter over its gradients in (image, position)
+            // order, the filters advanced together; -0.0 is what
+            // `Iterator::sum` starts from.
+            let mut sums = vec![-0.0f32; oc];
+            for image in grad_out.data().chunks_exact((oc * ohw).max(1)) {
+                fold_rows(&mut sums, [image], ohw, |_, sum, [g]| sum + g);
+            }
+            for (g, &sum) in b.grad.data_mut().iter_mut().zip(&sums) {
+                *g += sum;
+            }
+        }
+        spent(operand);
+        if let Some(gmat) = gmat {
+            spent(gmat);
+        }
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -561,7 +594,7 @@ impl Layer for Conv2d {
 
     fn clear_cache(&mut self) {
         if let Some(cache) = self.cache.take() {
-            cache.recycle();
+            cache.recycle(&mut scratch::give_tensor);
         }
     }
 }

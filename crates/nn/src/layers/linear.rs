@@ -114,21 +114,23 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
+        let (dx, _) = self.backward_input(grad_out, demand);
+        self.backward_weights(grad_out, &mut scratch::give_tensor);
+        dx
+    }
+
+    fn backward_input(
+        &mut self,
+        grad_out: &Tensor,
+        demand: &[bool],
+    ) -> (Vec<Option<Tensor>>, bool) {
         let x2d = self
             .cache_x2d
-            .take()
+            .as_ref()
             .expect("Linear backward before forward");
         let rows = x2d.dims()[0];
-        let g2d = grad_out.reshape(&[rows, self.out_features]);
-        let mut dw = scratch::take_tensor_raw(&[self.out_features, self.in_features]);
-        kernels::matmul_tn_into(&g2d, &x2d, &mut dw);
-        self.weight.grad.add_assign(&dw);
-        scratch::give_tensor(dw);
-        scratch::give_tensor(x2d);
-        if let Some(b) = &mut self.bias {
-            b.grad.add_assign(&g2d.sum_axis0());
-        }
         let dx = demand[0].then(|| {
+            let g2d = grad_out.reshape(&[rows, self.out_features]);
             let mut dx = scratch::take_tensor_raw(&[rows, self.in_features]);
             kernels::matmul_into(&g2d, &self.weight.value, &mut dx);
             let mut dims = self.cache_lead.clone();
@@ -136,8 +138,24 @@ impl Layer for Linear {
             dx.reshape_in_place(&dims);
             dx
         });
-        scratch::give_tensor(g2d);
-        vec![dx]
+        (vec![dx], true)
+    }
+
+    fn backward_weights(&mut self, grad_out: &Tensor, spent: &mut dyn FnMut(Tensor)) {
+        let x2d = self
+            .cache_x2d
+            .take()
+            .expect("Linear weight half before its input half");
+        let rows = x2d.dims()[0];
+        let g2d = grad_out.reshape(&[rows, self.out_features]);
+        let mut dw = scratch::take_tensor_raw(&[self.out_features, self.in_features]);
+        kernels::matmul_tn_into(&g2d, &x2d, &mut dw);
+        self.weight.grad.add_assign(&dw);
+        scratch::give_tensor(dw);
+        spent(x2d);
+        if let Some(b) = &mut self.bias {
+            b.grad.add_assign(&g2d.sum_axis0());
+        }
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -88,6 +88,16 @@ impl Layer for MaskedConv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
+        let (dx, _) = self.backward_input(grad_out, demand);
+        self.backward_weights(grad_out, &mut scratch::give_tensor);
+        dx
+    }
+
+    fn backward_input(
+        &mut self,
+        grad_out: &Tensor,
+        demand: &[bool],
+    ) -> (Vec<Option<Tensor>>, bool) {
         let in_dims = self
             .cache_in_dims
             .take()
@@ -95,7 +105,8 @@ impl Layer for MaskedConv2d {
         // The inner convolution sees the same demand: as a model's first
         // layer this one feeds on the raw input, and then neither `Wᵀ·g`,
         // `col2im` nor the scatter below is run.
-        let dx = self.inner.backward(grad_out, demand).remove(0).map(|dg| {
+        let (mut dx, split) = self.inner.backward_input(grad_out, demand);
+        let dx = dx.remove(0).map(|dg| {
             let plane = in_dims[2] * in_dims[3];
             let mut dx = scratch::take_tensor(&in_dims); // positions outside `keep` stay zero
             let planes = dx.data_mut().chunks_exact_mut(plane);
@@ -107,7 +118,11 @@ impl Layer for MaskedConv2d {
             scratch::give_tensor(dg);
             dx
         });
-        vec![dx]
+        (vec![dx], split)
+    }
+
+    fn backward_weights(&mut self, grad_out: &Tensor, spent: &mut dyn FnMut(Tensor)) {
+        self.inner.backward_weights(grad_out, spent);
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -1129,3 +1129,135 @@ fn clear_caches_recycles_what_an_eval_batch_cached() {
     .join()
     .unwrap();
 }
+
+/// One of the layers whose backward comes in two halves, with an input for
+/// it: `Linear` on `[rows, F]` or `[rows, 2, F]`; `Conv2d` on each lowering
+/// (`lowering` 0–3: pointwise, windowed, interior, im2col), plain or behind a
+/// `MaskedConv2d`; causal or full attention.
+fn split_layer(kind: usize, lowering: usize, rng: &mut Rng) -> (Box<dyn Layer>, Tensor) {
+    let draw = |rng: &mut Rng, lo: usize, hi: usize| lo + rng.below(hi - lo);
+    match kind {
+        0 => {
+            let (inf, outf, rows) = (draw(rng, 1, 40), draw(rng, 1, 30), draw(rng, 1, 6));
+            let linear = Linear::new(inf, outf, rng.below(2) == 0, rng);
+            let dims = if rng.below(2) == 0 {
+                vec![rows, inf]
+            } else {
+                vec![rows, 2, inf]
+            };
+            (Box::new(linear), Tensor::randn(&dims, rng))
+        }
+        1 | 2 => {
+            // [channels, filters, kernel, stride, padding, side, images] per
+            // lowering, each above the direct-loop products' size.
+            let (c, oc, k, stride, p, hw, n) = match lowering {
+                0 => (
+                    draw(rng, 16, 24),
+                    draw(rng, 16, 24),
+                    1,
+                    1,
+                    0,
+                    draw(rng, 10, 13),
+                    draw(rng, 2, 4),
+                ),
+                1 => (
+                    draw(rng, 1, 4),
+                    draw(rng, 6, 11),
+                    3,
+                    1,
+                    1,
+                    draw(rng, 16, 20),
+                    draw(rng, 4, 6),
+                ),
+                2 => (
+                    draw(rng, 4, 8),
+                    draw(rng, 5, 17),
+                    5,
+                    1,
+                    2,
+                    draw(rng, 8, 12),
+                    draw(rng, 2, 4),
+                ),
+                _ => (
+                    draw(rng, 2, 5),
+                    draw(rng, 3, 9),
+                    3,
+                    2,
+                    1,
+                    draw(rng, 9, 15),
+                    draw(rng, 1, 3),
+                ),
+            };
+            let conv = Conv2d::new(c, oc, k, stride, p, rng.below(2) == 0, rng);
+            let want = ["Pointwise", "Windowed", "Interior", "Im2col"][lowering];
+            assert_eq!(conv.lowering(&[n, c, hw, hw]), want);
+            if kind == 1 {
+                return (Box::new(conv), Tensor::randn(&[n, c, hw, hw], rng));
+            }
+            let side = hw + 2;
+            let keep = (0..hw * hw).map(|_| rng.below(side * side)).collect();
+            let masked = MaskedConv2d::new(keep, hw, hw, conv);
+            (Box::new(masked), Tensor::randn(&[n, c, side, side], rng))
+        }
+        _ => {
+            let (heads, dh, t, b) = (
+                draw(rng, 1, 3),
+                draw(rng, 1, 5),
+                draw(rng, 2, 8),
+                draw(rng, 1, 3),
+            );
+            let attention = MultiHeadSelfAttention::new(heads * dh, heads, rng.below(2) == 0, rng);
+            (Box::new(attention), Tensor::randn(&[b, t, heads * dh], rng))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// For every layer whose backward comes in two halves, the input half
+    /// and then the weight half — run on another thread, as a forked step's
+    /// helper runs it — give `backward`'s input gradient and parameter
+    /// gradients bit for bit, on the portable tier and the detected one,
+    /// with the input gradient demanded and not; the input half leaves a
+    /// weight half, and that half hands what it is done with to `spent`.
+    #[test]
+    fn input_then_weight_halves_give_the_bits_of_backward(
+        kind in 0usize..4,
+        lowering in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let (mut layer, x) = split_layer(kind, lowering, &mut rng);
+        // Gradients accumulate: both sides start from the same non-zero ones.
+        for p in layer.params_mut() {
+            p.grad = Tensor::randn(p.value.dims(), &mut rng);
+        }
+        let grad_dims = layer.boxed_clone().forward(&[&x], Mode::Train).dims().to_vec();
+        let grad = Tensor::randn(&grad_dims, &mut rng);
+        let _guard = TIER_LOCK.lock().unwrap();
+        for tier in [Tier::Portable, simd::detected_tier()] {
+            for demanded in [true, false] {
+                simd::force_tier(Some(tier));
+                let mut whole = layer.boxed_clone();
+                whole.forward(&[&x], Mode::Train);
+                let want = whole.backward(&grad, &[demanded]);
+                let mut halves = layer.boxed_clone();
+                halves.forward(&[&x], Mode::Train);
+                let (got, split) = halves.backward_input(&grad, &[demanded]);
+                let mut spent = Vec::new();
+                std::thread::scope(|scope| {
+                    scope.spawn(|| halves.backward_weights(&grad, &mut |t| spent.push(t)));
+                });
+                simd::force_tier(None);
+                prop_assert!(split, "{} leaves no weight half", layer.kind());
+                prop_assert!(!spent.is_empty(), "{} spent nothing", layer.kind());
+                prop_assert_eq!(got.len(), 1);
+                prop_assert_eq!(got[0].as_ref().map(bits), want[0].as_ref().map(bits), "dx on {:?}", tier);
+                for (p, q) in halves.params().iter().zip(whole.params()) {
+                    prop_assert_eq!(bits(&p.grad), bits(&q.grad), "{} on {:?}", layer.kind(), tier);
+                }
+            }
+        }
+    }
+}

@@ -1,10 +1,11 @@
 //! A training step runs the augmented graph island by island: the nodes
 //! back-propagation joins, one per sub-network (`nn::graph`, "Islands").
 //! Here: the island plan as a pure function of the graph, forked steps
-//! against serial ones bit for bit, and a panic on either thread.
+//! against serial ones bit for bit, a panic on either thread or in a weight
+//! half, and the helper running weight halves of the caller's island.
 
 use amalgam::cloud::{CloudError, CloudService};
-use amalgam::core::trainer::{train_image_classifier, train_lm};
+use amalgam::core::trainer::{lm_head_loss, train_image_classifier, train_lm};
 use amalgam::core::{
     augment_cv, augment_nlp, AugmentConfig, ImagePlan, LmBundle, NlpTask, ObfuscationBundle,
     TextPlan,
@@ -15,6 +16,7 @@ use amalgam::nn::graph::{Forking, HELPER_THREAD};
 use amalgam::nn::layers::{Conv2d, Flatten, Linear, Relu};
 use amalgam::nn::loss::cross_entropy;
 use amalgam::nn::metrics::History;
+use amalgam::nn::{Layer, LayerSpec, Param};
 use amalgam::prelude::*;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -388,4 +390,134 @@ fn a_panicking_island_fails_its_own_job_only() {
     plain.shutdown();
     assert_eq!(after.trained_model, reference.trained_model);
     assert_eq!(after.history.train_loss, reference.history.train_loss);
+}
+
+/// A `Linear` whose weight half panics.
+#[derive(Debug, Clone)]
+struct PanickingWeights(Linear);
+
+impl Layer for PanickingWeights {
+    fn kind(&self) -> &'static str {
+        "PanickingWeights"
+    }
+
+    fn forward(&mut self, inputs: &[&Tensor], mode: Mode) -> Tensor {
+        self.0.forward(inputs, mode)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
+        let (dx, _) = self.backward_input(grad_out, demand);
+        self.backward_weights(grad_out, &mut drop);
+        dx
+    }
+
+    fn backward_input(
+        &mut self,
+        grad_out: &Tensor,
+        demand: &[bool],
+    ) -> (Vec<Option<Tensor>>, bool) {
+        self.0.backward_input(grad_out, demand)
+    }
+
+    fn backward_weights(&mut self, _: &Tensor, _: &mut dyn FnMut(Tensor)) {
+        panic!("the weight half panics");
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        self.0.params()
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.0.params_mut()
+    }
+
+    fn spec(&self) -> LayerSpec {
+        self.0.spec()
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+/// A panic in a weight half surfaces from the step, whichever island holds
+/// the layer and whether or not the step forks, and leaves no thread
+/// waiting: the step ends within the deadline.
+#[test]
+fn a_panic_in_a_weight_half_surfaces_and_strands_no_thread() {
+    for forking in [Forking::Always, Forking::Never] {
+        for panicking in ["big", "small"] {
+            let mut rng = Rng::seed_from(19);
+            let mut g = GraphModel::new();
+            let x = g.input("x");
+            let mut head = |g: &mut GraphModel, name: &str, width: usize| {
+                let fc1 = Linear::new(3, width, true, &mut rng);
+                let fc1: Box<dyn Layer> = match name == panicking {
+                    true => Box::new(PanickingWeights(fc1)),
+                    false => Box::new(fc1),
+                };
+                let fc1 = g.add_boxed(&format!("{name}.fc1"), fc1, &[x]);
+                let relu = g.add_layer(&format!("{name}.relu"), Relu::new(), &[fc1]);
+                let fc2 = Linear::new(width, 2, true, &mut rng);
+                g.add_layer(&format!("{name}.fc2"), fc2, &[relu])
+            };
+            let big = head(&mut g, "big", 8);
+            let small = head(&mut g, "small", 4);
+            g.set_outputs(&[big, small]);
+            assert_eq!(g.islands().len(), 2);
+            g.set_forking_for_tests(forking);
+            let x = Tensor::randn(&[4, 3], &mut rng);
+            // On a thread of its own, so that a stranded thread fails the
+            // test instead of hanging it.
+            let (done, outcome) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let step = catch_unwind(AssertUnwindSafe(|| {
+                    g.train_step(&[&x], &|_, out| (out.clone(), ()));
+                }));
+                let _ = done.send(step.map_err(message));
+            });
+            let step = outcome.recv_timeout(std::time::Duration::from_secs(30));
+            let message = step
+                .unwrap_or_else(|_| panic!("{forking:?}, {panicking}: the step never ended"))
+                .expect_err("the weight half's panic surfaces");
+            assert!(message.contains("the weight half panics"), "{message}");
+        }
+    }
+}
+
+/// Under `Forking::Always` the caller runs only the first island, and the
+/// helper, once its own islands are done, takes weight halves the caller
+/// queued: some node of the caller's island has time on the helper.
+#[test]
+fn the_helper_runs_weight_halves_of_the_callers_island() {
+    let lenet = lenet_bundle(20, 16, 2, 20);
+    let (x, labels) = lenet.augmented_train.batch_at(&(0..16).collect::<Vec<_>>());
+    let lm = lm_bundle(16, 2, 21);
+    let window = lm.augmented_train.windows[0].clone();
+    let keeps = &lm.secrets.head_keeps;
+    type Seed<'a> = &'a (dyn Fn(usize, &Tensor) -> (Tensor, ()) + Sync);
+    let cv_seed: Seed = &|_, out| (cross_entropy(out, &labels).1, ());
+    let lm_seed: Seed = &|h, out| (lm_head_loss(out, &window, &keeps[h]).1, ());
+    for (name, model, input, seed) in [
+        ("LeNet-5", &lenet.augmented_model, &x, cv_seed),
+        ("LM", &lm.augmented_model, &window, lm_seed),
+    ] {
+        let mut model = model.clone();
+        model.set_forking_for_tests(Forking::Always);
+        model.set_profiling(true);
+        for _ in 0..8 {
+            model.train_step(&[input], seed);
+        }
+        let counts = model.profile_steps();
+        assert_eq!((counts.steps, counts.forked), (8, 8), "{name}");
+        let caller_rows_on_helper = model
+            .profile()
+            .iter()
+            .filter(|row| !row.helper && !row.on_helper.is_zero())
+            .count();
+        assert!(
+            caller_rows_on_helper > 0,
+            "{name}: the helper ran no weight half of the caller's island"
+        );
+    }
 }
