@@ -62,6 +62,7 @@ use amalgam_bench::{
 };
 use amalgam_core::{Amalgam, ObfuscationConfig};
 use amalgam_data::SyntheticImageSpec;
+use amalgam_nn::graph::GraphModel;
 use amalgam_nn::layers::LayerNorm;
 use amalgam_nn::loss::cross_entropy;
 use amalgam_nn::optim::Sgd;
@@ -805,19 +806,20 @@ fn main() {
         let mut got = vec![0.0f32; hm * hn];
         gemm::gemm(hm, hn, hk, a, b, &mut got);
         let bitwise = same_bits(&got, &want);
-        let (mut reference_ms, mut gemm_ms) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..10 {
-            reference_ms = reference_ms.min(time_ms(50, || {
-                want.fill(0.0);
-                gemm::reference::gemm(hm, hn, hk, a, b, &mut want);
-                want[0]
-            }));
-            gemm_ms = gemm_ms.min(time_ms(50, || {
-                got.fill(0.0);
-                gemm::gemm(hm, hn, hk, a, b, &mut got);
-                got[0]
-            }));
-        }
+        // Alternating ten-call bursts, as the conv rows: a busy stretch of
+        // the box lands on both sides.
+        let (reference_ms, gemm_ms) = time_staged_pair_ms(
+            1000,
+            &[hm, hn],
+            |out| {
+                out.data_mut().fill(0.0);
+                gemm::reference::gemm(hm, hn, hk, a, b, out.data_mut());
+            },
+            |out| {
+                out.data_mut().fill(0.0);
+                gemm::gemm(hm, hn, hk, a, b, out.data_mut());
+            },
+        );
         let speedup = reference_ms / gemm_ms;
         entries.push(
             Entry::new(name)
@@ -1168,7 +1170,7 @@ fn main() {
     // What one training step of the augmented LeNet-5 still allocates: the
     // e2e benchmark's middle job (20 px, batch 16, α = 0.5, two synthetic
     // sub-networks — this seed draws both taps), steady state.
-    let step_bytes = {
+    let [step_bytes, forked_step_bytes] = {
         let mut job_rng = Rng::seed_from(3);
         let pair = SyntheticImageSpec::mnist_like()
             .with_counts(224, 2)
@@ -1183,24 +1185,39 @@ fn main() {
             .augmented_train
             .batch_at(&(0..16).collect::<Vec<_>>());
         let mut opt = Sgd::new(0.05).with_momentum(0.9);
-        let mut step = || {
+        // Steady state: 20 steps, then the mean of 10.
+        let mut bytes_per_step = |step: &dyn Fn(&mut GraphModel)| {
+            for _ in 0..20 {
+                step(&mut model);
+                opt.step(&mut model.params_mut());
+            }
+            const STEPS: usize = 10;
+            let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+            for _ in 0..STEPS {
+                step(&mut model);
+                opt.step(&mut model.params_mut());
+            }
+            (ALLOCATED_BYTES.load(Ordering::Relaxed) - before) as f64 / STEPS as f64
+        };
+        // On the caller alone, every layer's backward whole; then as
+        // training runs it, forked, with weight halves on either thread.
+        let serial = bytes_per_step(&|model| {
             let outs = model.forward(&[&x], Mode::Train);
             let seeds: Vec<Tensor> = outs.iter().map(|o| cross_entropy(o, &labels).1).collect();
             model.zero_grad();
             model.backward(&seeds);
-            opt.step(&mut model.params_mut());
-        };
-        (0..20).for_each(|_| step());
-        const STEPS: usize = 10;
-        let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
-        (0..STEPS).for_each(|_| step());
-        (ALLOCATED_BYTES.load(Ordering::Relaxed) - before) as f64 / STEPS as f64
+        });
+        let forked = bytes_per_step(&|model| {
+            model.train_step(&[&x], &|_, out| (cross_entropy(out, &labels).1, ()));
+        });
+        [serial, forked]
     };
     entries.push(
         Entry::new("graph_step_copies_lenet20")
             .num("bytes_per_step_before", STEP_BYTES_BEFORE)
             .num("bytes_per_step", step_bytes)
-            .num("share", step_bytes / STEP_BYTES_BEFORE),
+            .num("share", step_bytes / STEP_BYTES_BEFORE)
+            .num("bytes_per_forked_step", forked_step_bytes),
     );
     if step_bytes > STEP_BYTES_GATE * STEP_BYTES_BEFORE {
         failures.push(format!(

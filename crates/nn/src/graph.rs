@@ -950,9 +950,9 @@ impl<'g> Part<'g> {
     /// Back-propagation over the members from `(node, seed)` pairs, reaching
     /// the nodes `wants` marks (see [`GraphModel::backward`]). No gradient
     /// leaves the part: an edge that would carry one joins the two nodes'
-    /// islands. A layer's weight half goes to `deferred` once its input half
-    /// has returned, or runs right after it when there is no queue or the
-    /// queue hands it back.
+    /// islands. Where `deferred` is open, a layer that splits its backward
+    /// runs the input half here and queues the weight half there; otherwise
+    /// its backward runs whole.
     fn backward(
         &mut self,
         roles: &[Role],
@@ -1012,7 +1012,12 @@ impl<'g> Part<'g> {
             };
             demand.clear();
             demand.extend(node.inputs.iter().map(|id| wants[id.0]));
-            let (input_grads, split) = node.layer.backward_input(&g, &demand);
+            // Split only where a queue is open to take the weight half.
+            let queue = deferred.filter(|queue| queue.open());
+            let (input_grads, split) = match queue {
+                Some(_) => node.layer.backward_input(&g, &demand),
+                None => (node.layer.backward(&g, &demand), false),
+            };
             assert_eq!(
                 input_grads.len(),
                 demand.len(),
@@ -1027,26 +1032,18 @@ impl<'g> Part<'g> {
             if let (Some(start), Some(row)) = (start, Self::row(&mut self.rows, i, None, helper)) {
                 row.add_backward(start.elapsed(), helper);
             }
-            if !split {
+            match queue {
+                Some(queue) if split => queue.push(WeightHalf {
+                    node: self.nodes[i].take().expect("a member"),
+                    grad: g,
+                    row: self.rows.get_mut(i).and_then(Option::take),
+                    owner: helper,
+                }),
                 // A consumed gradient is the size of an activation: recycled,
                 // it serves the next step's scratch takes (unless it is
                 // shared — a seed the caller still holds, one arm of an
                 // `Add`'s fan-out).
-                scratch::give_tensor(g);
-                continue;
-            }
-            let half = WeightHalf {
-                node: self.nodes[i].take().expect("a member"),
-                grad: g,
-                row: self.rows.get_mut(i).and_then(Option::take),
-                owner: helper,
-            };
-            let inline = match deferred {
-                Some(queue) => queue.defer(half),
-                None => Some(half),
-            };
-            if let Some(half) = inline {
-                half.run(helper, &mut Vec::new());
+                _ => scratch::give_tensor(g),
             }
         }
     }

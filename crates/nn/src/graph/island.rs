@@ -394,7 +394,7 @@ impl WeightHalf<'_> {
     /// Runs the half on the helper (`helper`) or the caller. What it spent is
     /// given back here when this is its owner's thread, and collected in
     /// `foreign` for the owner otherwise.
-    pub(super) fn run(self, helper: bool, foreign: &mut Vec<Tensor>) {
+    fn run(self, helper: bool, foreign: &mut Vec<Tensor>) {
         let start = self.row.is_some().then(Instant::now);
         let mut give = |t: Tensor| scratch::give_tensor(t);
         let mut keep = |t: Tensor| foreign.push(t);
@@ -467,13 +467,16 @@ impl<'g> Deferred<'g> {
         self.queue().helper = true;
     }
 
-    /// Queues `half`, or hands it back to be run at once when no helper has
-    /// started: the caller never saves halves up for a drain at the end.
-    pub(super) fn defer(&self, half: WeightHalf<'g>) -> Option<WeightHalf<'g>> {
+    /// Whether the helper has started: until then a half runs where its
+    /// input half did, so that the caller never saves halves up for a drain
+    /// at the end. Once open, the queue stays open for the step.
+    pub(super) fn open(&self) -> bool {
+        self.queue().helper
+    }
+
+    /// Queues `half` for whichever thread runs out of islands first.
+    pub(super) fn push(&self, half: WeightHalf<'g>) {
         let mut queue = self.queue();
-        if !queue.helper {
-            return Some(half);
-        }
         let returns = std::mem::take(&mut queue.returns[usize::from(half.owner)]);
         queue.halves.push_back(half);
         if queue.waiting > 0 {
@@ -481,7 +484,6 @@ impl<'g> Deferred<'g> {
         }
         drop(queue);
         returns.into_iter().for_each(scratch::give_tensor);
-        None
     }
 
     /// One island has run to the end of its input halves.
@@ -583,8 +585,9 @@ thread_local! {
 /// The two threads claim whole parts from one cursor. A part the helper has
 /// not claimed by the time the caller runs out is the caller's, so a helper
 /// that starts late costs its spawn and nothing more; until it has started,
-/// `deferred` hands every half back to be run where it returned. A panic in
-/// either thread surfaces from here, after the other has stopped.
+/// `deferred` is not [open](Deferred::open) and every layer's backward runs
+/// whole. A panic in either thread surfaces from here, after the other has
+/// stopped.
 pub(super) fn run<P: Send, T: Send>(
     parts: Vec<P>,
     fork: Forking,

@@ -184,10 +184,10 @@ struct ConvCache {
 impl ConvCache {
     /// Hands the cached buffers to `spent`.
     fn recycle(self, spent: &mut dyn FnMut(Tensor)) {
-        spent(self.operand);
         if let Some(gmat) = self.gmat {
             spent(gmat);
         }
+        spent(self.operand);
     }
 }
 
@@ -399,6 +399,109 @@ impl Conv2d {
     }
 }
 
+impl Conv2d {
+    /// `dW += g · colsᵀ` and `db +=` each filter's gradient sum, from the
+    /// cached forward; an im2col product leaves the un-permuted gradient in
+    /// `cache.gmat`.
+    fn weight_gradients(&mut self, cache: &mut ConvCache, grad_out: &Tensor) {
+        let (path, geom, n) = (cache.path, cache.geom, cache.batch);
+        let oc = self.out_channels();
+        let ohw = geom.out_h() * geom.out_w();
+        let taps = geom.col_rows();
+        assert_eq!(grad_out.numel(), n * oc * ohw, "Conv2d gradient mismatch");
+        // dW = g @ colsᵀ (flat — dw is the same row-major data as the
+        // [oc, ic, k, k] gradient), summed apart and then added to the
+        // accumulated gradient. The im2col product reads the gradient as
+        // [oc, N*oh*ow]; the other paths read it where it lies.
+        let mut dw = scratch::take_tensor_raw(&[oc, taps]);
+        let operand = &cache.operand;
+        match path {
+            ConvPath::Pointwise => {
+                dw.data_mut().fill(0.0);
+                let (g, x) = (grad_out.data(), operand.data());
+                gemm_nt_images(oc, taps, n, ohw, g, x, dw.data_mut());
+            }
+            ConvPath::Windowed => {
+                let window = Self::window(&mut self.window, &geom);
+                window.dw(operand, grad_out.data(), dw.data_mut());
+            }
+            ConvPath::Interior => {
+                let window = Self::window(&mut self.window, &geom);
+                window.interior_dw(operand, grad_out.data(), dw.data_mut());
+            }
+            ConvPath::Im2col => {
+                let g = cache
+                    .gmat
+                    .get_or_insert_with(|| unpermute(grad_out, n, oc, ohw));
+                kernels::matmul_nt_into(g, operand, &mut dw);
+            }
+        }
+        debug_assert_eq!(self.weight.grad.numel(), dw.numel());
+        for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(dw.data()) {
+            *g += d;
+        }
+        scratch::give_tensor(dw);
+        if let Some(b) = &mut self.bias {
+            // One chain per filter over its gradients in (image, position)
+            // order, the filters advanced together; -0.0 is what
+            // `Iterator::sum` starts from.
+            let mut sums = vec![-0.0f32; oc];
+            for image in grad_out.data().chunks_exact((oc * ohw).max(1)) {
+                fold_rows(&mut sums, [image], ohw, |_, sum, [g]| sum + g);
+            }
+            for (g, &sum) in b.grad.data_mut().iter_mut().zip(&sums) {
+                *g += sum;
+            }
+        }
+    }
+
+    /// `dx = col2im(Wᵀ · g)` of the cached forward; an im2col product reads
+    /// (or leaves) the un-permuted gradient in `cache.gmat`.
+    fn input_gradient(&mut self, cache: &mut ConvCache, grad_out: &Tensor) -> Tensor {
+        let (geom, n) = (cache.geom, cache.batch);
+        let oc = self.out_channels();
+        let ohw = geom.out_h() * geom.out_w();
+        let taps = geom.col_rows();
+        assert_eq!(grad_out.numel(), n * oc * ohw, "Conv2d gradient mismatch");
+        match cache.path {
+            ConvPath::Pointwise => {
+                // Per image, Wᵀ·g is the input gradient as it lies.
+                let mut dx = scratch::take_tensor_raw(&[n, taps, geom.in_h, geom.in_w]);
+                let wt = MatRef::transposed(self.weight.value.data(), taps);
+                let grads = BatchMat::row_major(grad_out.data(), oc, ohw);
+                gemm_batch(
+                    n,
+                    taps,
+                    ohw,
+                    oc,
+                    BatchMat::shared(wt),
+                    grads,
+                    1.0,
+                    dx.data_mut(),
+                );
+                dx
+            }
+            ConvPath::Windowed | ConvPath::Interior => {
+                let window = Self::window(&mut self.window, &geom);
+                window.dx(grad_out.data(), self.weight.value.data())
+            }
+            ConvPath::Im2col => {
+                // dcols = Wᵀ @ g, folded back to input space.
+                let g = cache
+                    .gmat
+                    .get_or_insert_with(|| unpermute(grad_out, n, oc, ohw));
+                let wt = MatRef::transposed(self.weight.value.data(), taps);
+                let mut dcols = scratch::take_tensor(&[taps, n * ohw]);
+                let gm = MatRef::row_major(g.data(), n * ohw);
+                gemm(taps, n * ohw, oc, wt, gm, dcols.data_mut());
+                let dx = kernels::col2im(&dcols, &geom, n);
+                scratch::give_tensor(dcols);
+                dx
+            }
+        }
+    }
+}
+
 /// The `keep` positions of every plane of `x: [N, C, H', W']`, as
 /// `[N, C, h, w]`.
 fn gather(x: &Tensor, keep: &[usize], h: usize, w: usize) -> Tensor {
@@ -441,9 +544,13 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
-        let (dx, _) = self.backward_input(grad_out, demand);
-        self.backward_weights(grad_out, &mut scratch::give_tensor);
-        dx
+        // The weight half first: the im2col products then un-permute the
+        // gradient once, for both.
+        let mut cache = self.cache.take().expect("Conv2d backward before forward");
+        self.weight_gradients(&mut cache, grad_out);
+        let dx = demand[0].then(|| self.input_gradient(&mut cache, grad_out));
+        cache.recycle(&mut scratch::give_tensor);
+        vec![dx]
     }
 
     fn backward_input(
@@ -451,116 +558,24 @@ impl Layer for Conv2d {
         grad_out: &Tensor,
         demand: &[bool],
     ) -> (Vec<Option<Tensor>>, bool) {
-        let cache = self.cache.as_mut().expect("Conv2d backward before forward");
-        let (path, geom, n) = (cache.path, cache.geom, cache.batch);
-        let oc = self.weight.value.dims()[0];
-        let ohw = geom.out_h() * geom.out_w();
-        let taps = geom.col_rows();
-        assert_eq!(grad_out.numel(), n * oc * ohw, "Conv2d gradient mismatch");
-        // dx — only worth it when a parameter lies upstream.
-        let dx = demand[0].then(|| match path {
-            ConvPath::Pointwise => {
-                // Per image, Wᵀ·g is the input gradient as it lies.
-                let mut dx = scratch::take_tensor_raw(&[n, taps, geom.in_h, geom.in_w]);
-                let wt = MatRef::transposed(self.weight.value.data(), taps);
-                let grads = BatchMat::row_major(grad_out.data(), oc, ohw);
-                gemm_batch(
-                    n,
-                    taps,
-                    ohw,
-                    oc,
-                    BatchMat::shared(wt),
-                    grads,
-                    1.0,
-                    dx.data_mut(),
-                );
-                dx
-            }
-            ConvPath::Windowed | ConvPath::Interior => {
-                let window = Self::window(&mut self.window, &geom);
-                window.dx(grad_out.data(), self.weight.value.data())
-            }
-            ConvPath::Im2col => {
-                // dcols = Wᵀ @ g, folded back to input space; the weight
-                // half reads the same un-permuted g.
-                let g = cache.gmat.insert(unpermute(grad_out, n, oc, ohw));
-                let wt = MatRef::transposed(self.weight.value.data(), taps);
-                let mut dcols = scratch::take_tensor(&[taps, n * ohw]);
-                let gm = MatRef::row_major(g.data(), n * ohw);
-                gemm(taps, n * ohw, oc, wt, gm, dcols.data_mut());
-                let dx = kernels::col2im(&dcols, &geom, n);
-                scratch::give_tensor(dcols);
-                dx
-            }
-        });
+        let mut cache = self.cache.take().expect("Conv2d backward before forward");
+        let dx = demand[0].then(|| self.input_gradient(&mut cache, grad_out));
+        self.cache = Some(cache);
         (vec![dx], true)
     }
 
     fn backward_weights(&mut self, grad_out: &Tensor, spent: &mut dyn FnMut(Tensor)) {
-        let ConvCache {
-            path,
-            operand,
-            geom,
-            batch: n,
-            gmat,
-        } = self
+        let mut cache = self
             .cache
             .take()
             .expect("Conv2d weight half before its input half");
-        let oc = self.out_channels();
-        let ohw = geom.out_h() * geom.out_w();
-        let taps = geom.col_rows();
-
-        // dW = g @ colsᵀ (flat — dw is the same row-major data as the
-        // [oc, ic, k, k] gradient), summed apart and then added to the
-        // accumulated gradient. The im2col product reads the gradient as
-        // [oc, N*oh*ow]; the other paths read it where it lies.
-        let mut dw = scratch::take_tensor_raw(&[oc, taps]);
-        match path {
-            ConvPath::Pointwise => {
-                dw.data_mut().fill(0.0);
-                let (g, x) = (grad_out.data(), operand.data());
-                gemm_nt_images(oc, taps, n, ohw, g, x, dw.data_mut());
-            }
-            ConvPath::Windowed => {
-                let window = Self::window(&mut self.window, &geom);
-                window.dw(&operand, grad_out.data(), dw.data_mut());
-            }
-            ConvPath::Interior => {
-                let window = Self::window(&mut self.window, &geom);
-                window.interior_dw(&operand, grad_out.data(), dw.data_mut());
-            }
-            ConvPath::Im2col => match &gmat {
-                Some(g) => kernels::matmul_nt_into(g, &operand, &mut dw),
-                // The input half demanded no dx.
-                None => {
-                    let g = unpermute(grad_out, n, oc, ohw);
-                    kernels::matmul_nt_into(&g, &operand, &mut dw);
-                    scratch::give_tensor(g);
-                }
-            },
+        let kept = cache.gmat.is_some();
+        self.weight_gradients(&mut cache, grad_out);
+        // An un-permuted gradient this half made is this thread's to give.
+        if let Some(gmat) = cache.gmat.take_if(|_| !kept) {
+            scratch::give_tensor(gmat);
         }
-        debug_assert_eq!(self.weight.grad.numel(), dw.numel());
-        for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(dw.data()) {
-            *g += d;
-        }
-        scratch::give_tensor(dw);
-        if let Some(b) = &mut self.bias {
-            // One chain per filter over its gradients in (image, position)
-            // order, the filters advanced together; -0.0 is what
-            // `Iterator::sum` starts from.
-            let mut sums = vec![-0.0f32; oc];
-            for image in grad_out.data().chunks_exact((oc * ohw).max(1)) {
-                fold_rows(&mut sums, [image], ohw, |_, sum, [g]| sum + g);
-            }
-            for (g, &sum) in b.grad.data_mut().iter_mut().zip(&sums) {
-                *g += sum;
-            }
-        }
-        spent(operand);
-        if let Some(gmat) = gmat {
-            spent(gmat);
-        }
+        cache.recycle(spent);
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -79,6 +79,29 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+
+    /// `dx = g·W`, shaped as the input, from the output gradient as rows.
+    fn input_gradient(&self, g2d: &Tensor) -> Tensor {
+        let mut dx = scratch::take_tensor_raw(&[g2d.dims()[0], self.in_features]);
+        kernels::matmul_into(g2d, &self.weight.value, &mut dx);
+        let mut dims = self.cache_lead.clone();
+        dims.push(self.in_features);
+        dx.reshape_in_place(&dims);
+        dx
+    }
+
+    /// `dW += gᵀ·x` and `db +=` the column sums of `g`, from the output
+    /// gradient as rows; `x2d`, the cached input, goes to `spent`.
+    fn weight_gradients(&mut self, g2d: &Tensor, x2d: Tensor, spent: &mut dyn FnMut(Tensor)) {
+        let mut dw = scratch::take_tensor_raw(&[self.out_features, self.in_features]);
+        kernels::matmul_tn_into(g2d, &x2d, &mut dw);
+        self.weight.grad.add_assign(&dw);
+        scratch::give_tensor(dw);
+        spent(x2d);
+        if let Some(b) = &mut self.bias {
+            b.grad.add_assign(&g2d.sum_axis0());
+        }
+    }
 }
 
 impl Layer for Linear {
@@ -114,9 +137,14 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
-        let (dx, _) = self.backward_input(grad_out, demand);
-        self.backward_weights(grad_out, &mut scratch::give_tensor);
-        dx
+        // The weight half first: `dx` then takes the buffer `x` leaves.
+        let x2d = self
+            .cache_x2d
+            .take()
+            .expect("Linear backward before forward");
+        let g2d = grad_out.reshape(&[x2d.dims()[0], self.out_features]);
+        self.weight_gradients(&g2d, x2d, &mut scratch::give_tensor);
+        vec![demand[0].then(|| self.input_gradient(&g2d))]
     }
 
     fn backward_input(
@@ -128,17 +156,8 @@ impl Layer for Linear {
             .cache_x2d
             .as_ref()
             .expect("Linear backward before forward");
-        let rows = x2d.dims()[0];
-        let dx = demand[0].then(|| {
-            let g2d = grad_out.reshape(&[rows, self.out_features]);
-            let mut dx = scratch::take_tensor_raw(&[rows, self.in_features]);
-            kernels::matmul_into(&g2d, &self.weight.value, &mut dx);
-            let mut dims = self.cache_lead.clone();
-            dims.push(self.in_features);
-            dx.reshape_in_place(&dims);
-            dx
-        });
-        (vec![dx], true)
+        let g2d = grad_out.reshape(&[x2d.dims()[0], self.out_features]);
+        (vec![demand[0].then(|| self.input_gradient(&g2d))], true)
     }
 
     fn backward_weights(&mut self, grad_out: &Tensor, spent: &mut dyn FnMut(Tensor)) {
@@ -146,16 +165,8 @@ impl Layer for Linear {
             .cache_x2d
             .take()
             .expect("Linear weight half before its input half");
-        let rows = x2d.dims()[0];
-        let g2d = grad_out.reshape(&[rows, self.out_features]);
-        let mut dw = scratch::take_tensor_raw(&[self.out_features, self.in_features]);
-        kernels::matmul_tn_into(&g2d, &x2d, &mut dw);
-        self.weight.grad.add_assign(&dw);
-        scratch::give_tensor(dw);
-        spent(x2d);
-        if let Some(b) = &mut self.bias {
-            b.grad.add_assign(&g2d.sum_axis0());
-        }
+        let g2d = grad_out.reshape(&[x2d.dims()[0], self.out_features]);
+        self.weight_gradients(&g2d, x2d, spent);
     }
 
     fn params(&self) -> Vec<&Param> {

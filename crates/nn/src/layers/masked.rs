@@ -70,6 +70,33 @@ impl MaskedConv2d {
     pub fn inner_mut(&mut self) -> &mut Conv2d {
         &mut self.inner
     }
+
+    /// The augmented input's dimensions, cached by `forward`.
+    fn in_dims(&mut self) -> Vec<usize> {
+        self.cache_in_dims
+            .take()
+            .expect("MaskedConv2d backward before forward")
+    }
+
+    /// The gradient of the augmented input from the inner convolution's:
+    /// each kept position's gradient added back where it was gathered. The
+    /// inner convolution sees the same demand as this layer: as a model's
+    /// first layer it feeds on the raw input, and then neither `Wᵀ·g`,
+    /// `col2im` nor this scatter is run.
+    fn scatter(&self, dg: Option<Tensor>, in_dims: &[usize]) -> Option<Tensor> {
+        dg.map(|dg| {
+            let plane = in_dims[2] * in_dims[3];
+            let mut dx = scratch::take_tensor(in_dims); // positions outside `keep` stay zero
+            let planes = dx.data_mut().chunks_exact_mut(plane);
+            for (dst, src) in planes.zip(dg.data().chunks_exact(self.keep.len())) {
+                for (&pos, &g) in self.keep.iter().zip(src) {
+                    dst[pos] += g;
+                }
+            }
+            scratch::give_tensor(dg);
+            dx
+        })
+    }
 }
 
 impl Layer for MaskedConv2d {
@@ -88,9 +115,9 @@ impl Layer for MaskedConv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
-        let (dx, _) = self.backward_input(grad_out, demand);
-        self.backward_weights(grad_out, &mut scratch::give_tensor);
-        dx
+        let in_dims = self.in_dims();
+        let dg = self.inner.backward(grad_out, demand).remove(0);
+        vec![self.scatter(dg, &in_dims)]
     }
 
     fn backward_input(
@@ -98,27 +125,9 @@ impl Layer for MaskedConv2d {
         grad_out: &Tensor,
         demand: &[bool],
     ) -> (Vec<Option<Tensor>>, bool) {
-        let in_dims = self
-            .cache_in_dims
-            .take()
-            .expect("MaskedConv2d backward before forward");
-        // The inner convolution sees the same demand: as a model's first
-        // layer this one feeds on the raw input, and then neither `Wᵀ·g`,
-        // `col2im` nor the scatter below is run.
-        let (mut dx, split) = self.inner.backward_input(grad_out, demand);
-        let dx = dx.remove(0).map(|dg| {
-            let plane = in_dims[2] * in_dims[3];
-            let mut dx = scratch::take_tensor(&in_dims); // positions outside `keep` stay zero
-            let planes = dx.data_mut().chunks_exact_mut(plane);
-            for (dst, src) in planes.zip(dg.data().chunks_exact(self.keep.len())) {
-                for (&pos, &g) in self.keep.iter().zip(src) {
-                    dst[pos] += g;
-                }
-            }
-            scratch::give_tensor(dg);
-            dx
-        });
-        (vec![dx], split)
+        let in_dims = self.in_dims();
+        let (mut dg, split) = self.inner.backward_input(grad_out, demand);
+        (vec![self.scatter(dg.remove(0), &in_dims)], split)
     }
 
     fn backward_weights(&mut self, grad_out: &Tensor, spent: &mut dyn FnMut(Tensor)) {

@@ -487,12 +487,23 @@ fn a_panic_in_a_weight_half_surfaces_and_strands_no_thread() {
 
 /// Under `Forking::Always` the caller runs only the first island, and the
 /// helper, once its own islands are done, takes weight halves the caller
-/// queued: some node of the caller's island has time on the helper.
+/// queued: within a few steps some node of the caller's island has time on
+/// the helper. The jobs are the benchmark's: LeNet-5 on 16 images of 20 px
+/// and the LM on 8 windows of 16 tokens over 200 words, two synthetic
+/// sub-networks each (a smaller step can end before the helper starts).
 #[test]
 fn the_helper_runs_weight_halves_of_the_callers_island() {
     let lenet = lenet_bundle(20, 16, 2, 20);
     let (x, labels) = lenet.augmented_train.batch_at(&(0..16).collect::<Vec<_>>());
-    let lm = lm_bundle(16, 2, 21);
+    let mut rng = Rng::seed_from(21);
+    let corpus = LmCorpusSpec::wikitext2_like()
+        .with_vocab(200)
+        .with_tokens(8 * 33)
+        .generate(&mut rng);
+    let batches = corpus.batchify(8, 16);
+    let model = transformer_lm(&TransformerLmConfig::tiny(200, 32), &mut rng);
+    let cfg = ObfuscationConfig::new(0.5).with_seed(21).with_subnets(2);
+    let lm = Amalgam::obfuscate_lm(&model, &batches, &cfg).expect("obfuscation");
     let window = lm.augmented_train.windows[0].clone();
     let keeps = &lm.secrets.head_keeps;
     type Seed<'a> = &'a (dyn Fn(usize, &Tensor) -> (Tensor, ()) + Sync);
@@ -505,19 +516,18 @@ fn the_helper_runs_weight_halves_of_the_callers_island() {
         let mut model = model.clone();
         model.set_forking_for_tests(Forking::Always);
         model.set_profiling(true);
-        for _ in 0..8 {
+        let helped = (1..=50).find(|_| {
             model.train_step(&[input], seed);
-        }
+            let rows = model.profile();
+            rows.iter()
+                .any(|row| !row.helper && !row.on_helper.is_zero())
+        });
         let counts = model.profile_steps();
-        assert_eq!((counts.steps, counts.forked), (8, 8), "{name}");
-        let caller_rows_on_helper = model
-            .profile()
-            .iter()
-            .filter(|row| !row.helper && !row.on_helper.is_zero())
-            .count();
         assert!(
-            caller_rows_on_helper > 0,
-            "{name}: the helper ran no weight half of the caller's island"
+            helped.is_some(),
+            "{name}: the helper ran no weight half of the caller's island in {} steps",
+            counts.steps
         );
+        assert_eq!(counts.forked, counts.steps, "{name}: every step forks");
     }
 }
