@@ -168,6 +168,94 @@ impl MultiHeadSelfAttention {
         self.heads
     }
 
+    /// `w.grad += leftᵀ · right`, through the scratch accumulator `dw`.
+    fn accumulate(w: &mut Param, left: &Tensor, right: &Tensor, dw: &mut Tensor) {
+        kernels::matmul_tn_into(left, right, dw);
+        w.grad.add_assign(dw);
+    }
+
+    /// `dO = g · Woᵀ`, `[B*T, D]`, from the output gradient as rows.
+    fn output_gradient(&self, g2d: &Tensor) -> Tensor {
+        let mut d_o = scratch::take_tensor_raw(g2d.dims());
+        kernels::matmul_nt_into(g2d, &self.wo.value, &mut d_o);
+        d_o
+    }
+
+    /// The gradients of Q, K and V (`[B*T, D]` each) from `dO` and the
+    /// forward's head-major stagings, which are given back on the way.
+    #[allow(clippy::too_many_arguments)]
+    fn projection_gradients(
+        &self,
+        d_o: Tensor,
+        qh: Tensor,
+        kh: Tensor,
+        vh: Tensor,
+        probs: Tensor,
+        b: usize,
+        t: usize,
+    ) -> [Tensor; 3] {
+        let h = self.heads;
+        let dh = self.dim() / h;
+        let alpha = 1.0 / (dh as f32).sqrt();
+        let doh = split_heads(&d_o, b, t, h, dh);
+        scratch::give_tensor(d_o);
+
+        // dP = dO · Vᵀ and dV = Pᵀ · dO, each as one batched dispatch.
+        let mut dp = scratch::take_tensor_raw(&[b * h, t, t]);
+        kernels::matmul_batch_nt_into(&doh, &vh, &mut dp);
+        let mut dvh = scratch::take_tensor_raw(&[b * h, t, dh]);
+        kernels::matmul_batch_tn_into(&probs, &doh, &mut dvh);
+        scratch::give_tensor(doh);
+
+        // Softmax backward per row, in place: dS = α · P ∘ (dP - rowsum(dP ∘ P)).
+        // The α factor multiplies each element once after the product — the
+        // same two roundings as a separate scale pass, without re-sweeping
+        // the largest backward temporary.
+        let mut ds = dp;
+        for (srow, prow) in ds.data_mut().chunks_mut(t).zip(probs.data().chunks(t)) {
+            let dot: f32 = prow
+                .iter()
+                .zip(srow.iter())
+                .map(|(&pv, &dpv)| pv * dpv)
+                .sum();
+            for (sv, &pv) in srow.iter_mut().zip(prow) {
+                *sv = (pv * (*sv - dot)) * alpha;
+            }
+        }
+        scratch::give_tensor(probs);
+
+        // dQ = dS · K and dK = dSᵀ · Q, batched.
+        let mut dqh = scratch::take_tensor_raw(&[b * h, t, dh]);
+        kernels::matmul_batch_into(&ds, &kh, &mut dqh);
+        let mut dkh = scratch::take_tensor_raw(&[b * h, t, dh]);
+        kernels::matmul_batch_tn_into(&ds, &qh, &mut dkh);
+        for staging in [ds, qh, kh, vh] {
+            scratch::give_tensor(staging);
+        }
+
+        let dq = merge_heads(&dqh, b, t, h, dh);
+        let dk = merge_heads(&dkh, b, t, h, dh);
+        let dv = merge_heads(&dvh, b, t, h, dh);
+        for staging in [dqh, dkh, dvh] {
+            scratch::give_tensor(staging);
+        }
+        [dq, dk, dv]
+    }
+
+    /// `dx = dQ · Wqᵀ + dK · Wkᵀ + dV · Wvᵀ`, as `[B, T, D]`.
+    fn input_gradient(&self, [dq, dk, dv]: &[Tensor; 3], b: usize, t: usize) -> Tensor {
+        let d = self.dim();
+        let mut dx = dq.matmul_nt(&self.wq.value);
+        let mut tmp = scratch::take_tensor_raw(&[b * t, d]);
+        kernels::matmul_nt_into(dk, &self.wk.value, &mut tmp);
+        dx.add_assign(&tmp);
+        kernels::matmul_nt_into(dv, &self.wv.value, &mut tmp);
+        dx.add_assign(&tmp);
+        scratch::give_tensor(tmp);
+        dx.reshape_in_place(&[b, t, d]);
+        dx
+    }
+
     /// Recycles the cached tensors into the scratch arena (forward replaces
     /// the cache on every call; eval loops would otherwise churn the
     /// allocator).
@@ -257,9 +345,34 @@ impl Layer for MultiHeadSelfAttention {
     }
 
     fn backward(&mut self, grad_out: &Tensor, demand: &[bool]) -> Vec<Option<Tensor>> {
-        let (dx, _) = self.backward_input(grad_out, demand);
-        self.backward_weights(grad_out, &mut scratch::give_tensor);
-        dx
+        let cache = self
+            .cache
+            .take()
+            .expect("attention backward before forward");
+        let d = self.dim();
+        let (b, t) = cache.bt;
+        let g2d = grad_out.reshape(&[b * t, d]);
+        // The weight products where their operands are first at hand, one
+        // scratch accumulator for all four: Wo's before the chain, which
+        // then releases `o`, and Q's, K's and V's after it.
+        let mut dw = scratch::take_tensor_raw(&[d, d]);
+        Self::accumulate(&mut self.wo, &cache.o, &g2d, &mut dw);
+        let d_o = self.output_gradient(&g2d);
+        scratch::give_tensor(cache.o);
+        let dqkv = self.projection_gradients(d_o, cache.qh, cache.kh, cache.vh, cache.probs, b, t);
+        for (w, dp) in [&mut self.wq, &mut self.wk, &mut self.wv]
+            .into_iter()
+            .zip(&dqkv)
+        {
+            Self::accumulate(w, &cache.x2d, dp, &mut dw);
+        }
+        scratch::give_tensor(dw);
+        scratch::give_tensor(cache.x2d);
+        let dx = demand[0].then(|| self.input_gradient(&dqkv, b, t));
+        for staging in dqkv.into_iter().rev() {
+            scratch::give_tensor(staging);
+        }
+        vec![dx]
     }
 
     fn backward_input(
@@ -279,75 +392,11 @@ impl Layer for MultiHeadSelfAttention {
             .cache
             .take()
             .expect("attention backward before forward");
-        let d = self.dim();
-        let h = self.heads;
-        let dh = d / h;
-        let alpha = 1.0 / (dh as f32).sqrt();
-
-        // y = o @ Wo
-        let g2d = grad_out.reshape(&[b * t, d]);
-        let mut d_o = scratch::take_tensor_raw(&[b * t, d]);
-        kernels::matmul_nt_into(&g2d, &self.wo.value, &mut d_o); // [B*T, D]
-
-        let doh = split_heads(&d_o, b, t, h, dh);
-        scratch::give_tensor(d_o);
-
-        // dP = dO · Vᵀ and dV = Pᵀ · dO, each as one batched dispatch.
-        let mut dp = scratch::take_tensor_raw(&[b * h, t, t]);
-        kernels::matmul_batch_nt_into(&doh, &vh, &mut dp);
-        let mut dvh = scratch::take_tensor_raw(&[b * h, t, dh]);
-        kernels::matmul_batch_tn_into(&probs, &doh, &mut dvh);
-        scratch::give_tensor(doh);
-
-        // Softmax backward per row, in place: dS = α · P ∘ (dP - rowsum(dP ∘ P)).
-        // The α factor multiplies each element once after the product — the
-        // same two roundings as a separate scale pass, without re-sweeping
-        // the largest backward temporary.
-        let mut ds = dp;
-        for (srow, prow) in ds.data_mut().chunks_mut(t).zip(probs.data().chunks(t)) {
-            let dot: f32 = prow
-                .iter()
-                .zip(srow.iter())
-                .map(|(&pv, &dpv)| pv * dpv)
-                .sum();
-            for (sv, &pv) in srow.iter_mut().zip(prow) {
-                *sv = (pv * (*sv - dot)) * alpha;
-            }
-        }
-        scratch::give_tensor(probs);
-
-        // dQ = dS · K and dK = dSᵀ · Q, batched.
-        let mut dqh = scratch::take_tensor_raw(&[b * h, t, dh]);
-        kernels::matmul_batch_into(&ds, &kh, &mut dqh);
-        let mut dkh = scratch::take_tensor_raw(&[b * h, t, dh]);
-        kernels::matmul_batch_tn_into(&ds, &qh, &mut dkh);
-        for staging in [ds, qh, kh, vh] {
-            scratch::give_tensor(staging);
-        }
-
-        let dq = merge_heads(&dqh, b, t, h, dh);
-        let dk = merge_heads(&dkh, b, t, h, dh);
-        let dv = merge_heads(&dvh, b, t, h, dh);
-        for staging in [dqh, dkh, dvh] {
-            scratch::give_tensor(staging);
-        }
-
-        let dx = demand[0].then(|| {
-            let mut dx = dq.matmul_nt(&self.wq.value);
-            let mut tmp = scratch::take_tensor_raw(&[b * t, d]);
-            kernels::matmul_nt_into(&dk, &self.wk.value, &mut tmp);
-            dx.add_assign(&tmp);
-            kernels::matmul_nt_into(&dv, &self.wv.value, &mut tmp);
-            dx.add_assign(&tmp);
-            scratch::give_tensor(tmp);
-            dx.reshape_in_place(&[b, t, d]);
-            dx
-        });
-        self.kept = Some(WeightOperands {
-            x2d,
-            o,
-            dqkv: [dq, dk, dv],
-        });
+        let g2d = grad_out.reshape(&[b * t, self.dim()]);
+        let d_o = self.output_gradient(&g2d);
+        let dqkv = self.projection_gradients(d_o, qh, kh, vh, probs, b, t);
+        let dx = demand[0].then(|| self.input_gradient(&dqkv, b, t));
+        self.kept = Some(WeightOperands { x2d, o, dqkv });
         (vec![dx], true)
     }
 
@@ -358,17 +407,13 @@ impl Layer for MultiHeadSelfAttention {
             .expect("attention weight half before its input half");
         let d = self.dim();
         let g2d = grad_out.reshape(&[x2d.dims()[0], d]);
-        // dWo += oᵀ · g, then dW{q,k,v} += x2dᵀ · d{q,k,v}, reusing one
-        // scratch accumulator.
         let mut dw = scratch::take_tensor_raw(&[d, d]);
-        kernels::matmul_tn_into(&o, &g2d, &mut dw);
-        self.wo.grad.add_assign(&dw);
+        Self::accumulate(&mut self.wo, &o, &g2d, &mut dw);
         for (w, dp) in [&mut self.wq, &mut self.wk, &mut self.wv]
             .into_iter()
             .zip(&dqkv)
         {
-            kernels::matmul_tn_into(&x2d, dp, &mut dw);
-            w.grad.add_assign(&dw);
+            Self::accumulate(w, &x2d, dp, &mut dw);
         }
         scratch::give_tensor(dw);
         for staging in [x2d, o].into_iter().chain(dqkv) {
