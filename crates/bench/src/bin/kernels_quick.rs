@@ -18,9 +18,11 @@
 //! `--profile` prints the per-node table of one training step instead (see
 //! [`amalgam_bench::profile`]): forward + backward µs per layer kind and
 //! shape, the plain model beside the augmented one, a fused segment as one
-//! row, the helper thread's rows marked; with `--check` it fails unless the
-//! rows account for 95 % of the step, and, for `lm16`, if the augmented
-//! step's losses cost over [`profile::LM_LOSS_PER_HEAD`] plain ones per head.
+//! row, the rows whose island the helper thread ran marked, each row's time
+//! on the helper, each thread's sum and how many timed steps forked; with
+//! `--check` it fails unless the rows account for 95 % of the step, and, for
+//! `lm16`, if the augmented step's losses cost over
+//! [`profile::LM_LOSS_PER_HEAD`] plain ones per head.
 //!
 //! `--check` turns the run into a pass/fail gate (used by CI): it fails if
 //! the blocked GEMM is not clearly faster than the `ikj` reference on the
@@ -777,7 +779,8 @@ fn main() {
     // walk: W transposed into 16-column panels, X read in place), the weight
     // gradient `dYᵀ·X` (TN) and `dY·W` (NN) — both with a B block that fits
     // L1, so read in place. Against the reference walk (both operands packed
-    // by the element-wise packers, the same tile): same bits, and ≥ 1.1x.
+    // by the element-wise packers, the same tile): same bits, and ≥ 1.1x at
+    // the best of alternating bursts.
     let (hm, hn, hk) = (128usize, 200usize, 32usize);
     let xs = Tensor::randn(&[hm, hk], &mut rng);
     let ws = Tensor::randn(&[hn, hk], &mut rng);
@@ -1169,7 +1172,10 @@ fn main() {
 
     // What one training step of the augmented LeNet-5 still allocates: the
     // e2e benchmark's middle job (20 px, batch 16, α = 0.5, two synthetic
-    // sub-networks — this seed draws both taps), steady state.
+    // sub-networks — this seed draws both taps), steady state; gated on the
+    // caller alone, reported as training runs it too (`train_step`, forked:
+    // which thread runs which weight half, and so which arena serves it,
+    // varies from step to step).
     let [step_bytes, forked_step_bytes] = {
         let mut job_rng = Rng::seed_from(3);
         let pair = SyntheticImageSpec::mnist_like()

@@ -49,6 +49,40 @@
 //! plain model, a one-image job — the caller runs every island: the same
 //! executor with no helper.
 //!
+//! **Weight gradients.** A layer with weight products (`Linear`, `Conv2d` on
+//! every lowering and so `MaskedConv2d`, `MultiHeadSelfAttention`) splits
+//! its backward into an input half — the gradient the next node down the
+//! chain waits for — and a weight half — its parameter gradients, which
+//! nothing in the step waits for ([`Layer::backward_input`],
+//! [`Layer::backward_weights`]); the B/W split of zero-bubble pipeline
+//! schedules, applied to the two threads of one step. In a step that forks,
+//! once the helper has started, each such node's weight half goes to one
+//! queue as soon as its input half has returned; a thread with no island
+//! left to claim runs queued halves (islands first), sleeping on a condvar
+//! that a new half or the step's end wakes — only when someone sleeps — and
+//! the step returns when the queue is empty and no half is running. So the
+//! caller carries input gradients down its island while the helper, its own
+//! islands done, computes the caller's weight gradients. Before the helper
+//! has started, and in a step that does not fork, every layer's backward
+//! runs whole where it always did: one code path, no extra thread. A buffer
+//! a half spends (its forward cache, what its input half kept, the output
+//! gradient) goes back to the scratch arena of the thread whose island made
+//! it; what the half takes for itself, it gives back where it ran.
+//!
+//! *Why no bit moves:* each half runs the products it ran inside `backward`,
+//! on the same operands, with the same kernels, in the same order; the
+//! input half writes nothing the weight half reads except what it hands over,
+//! and the weight half writes only its node's parameter gradients, which
+//! nothing else writes — each gradient keeps its one writer, and zeroing
+//! happens before either half. *What a starved helper costs:* nothing beyond
+//! its spawn — if it has not started when an input half returns, that
+//! node's backward runs whole on the caller, so the caller never saves
+//! halves up for a drain at the end; a helper that starts late still takes
+//! whatever is queued then. Halves the helper runs cost it more than they
+//! cost the caller (their operands were made on the other core), so the
+//! critical path falls by less than the halves' share; `kernels-quick
+//! --profile` shows each row's time on the helper.
+//!
 //! **The helper's lifetime.** The helper is a scoped thread named
 //! [`HELPER_THREAD`], spawned by the step and joined before it returns; no
 //! thread outlives a step, and a panic on the helper surfaces from the step.
@@ -478,7 +512,9 @@ impl GraphModel {
     /// One training step: forward, one gradient seed per head, zeroed
     /// parameter gradients, and backward — island by island (see the module
     /// docs, "Islands"), on the caller and, when the step is big enough, one
-    /// helper thread for the step's length.
+    /// helper thread for the step's length, which also takes weight halves
+    /// off the caller's chain (module docs, "Weight gradients"). Returns once
+    /// every weight half has run.
     ///
     /// `seed(h, output)` scores head `h`'s output: it returns the seed
     /// gradient backward starts from and what the caller keeps of the head

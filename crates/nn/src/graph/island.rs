@@ -42,8 +42,10 @@ pub enum Forking {
     Rule,
     /// Every step runs on the caller alone.
     Never,
-    /// Every step with two islands or more forks, and the caller runs only
-    /// the first: the helper runs all the others unless it cannot start.
+    /// Every step with two islands or more forks, and the caller claims
+    /// only the first: the helper runs all the others unless it cannot
+    /// start. Either thread runs queued weight halves once it has no island
+    /// to claim.
     Always,
 }
 

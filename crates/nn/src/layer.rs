@@ -102,9 +102,13 @@ pub trait Layer: std::fmt::Debug + Send + std::any::Any {
     /// [`Conv2d`](crate::layers::Conv2d) and so
     /// [`MaskedConv2d`](crate::layers::MaskedConv2d),
     /// [`MultiHeadSelfAttention`](crate::layers::MultiHeadSelfAttention))
-    /// computes its backward in two halves, and `backward` is
-    /// [`backward_input`](Self::backward_input) then
-    /// [`backward_weights`](Self::backward_weights), back to back.
+    /// also offers its backward in two halves,
+    /// [`backward_input`](Self::backward_input) and
+    /// [`backward_weights`](Self::backward_weights); `backward` runs the two
+    /// back to back, with the same products and bits, each weight product
+    /// placed where its operands are first at hand (before the input
+    /// gradient where it does not need the input half's results), so that
+    /// what it frees serves the input gradient's buffers.
     ///
     /// # Panics
     ///

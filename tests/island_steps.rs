@@ -485,10 +485,10 @@ fn a_panic_in_a_weight_half_surfaces_and_strands_no_thread() {
     }
 }
 
-/// Under `Forking::Always` the caller runs only the first island, and the
-/// helper, once its own islands are done, takes weight halves the caller
-/// queued: within a few steps some node of the caller's island has time on
-/// the helper. The jobs are the benchmark's: LeNet-5 on 16 images of 20 px
+/// Under `Forking::Always` the caller claims one island, and the helper,
+/// once its own islands are done, takes weight halves the caller queued:
+/// within a few steps, some node of the island the caller ran has time on
+/// the helper in that step. The jobs are the benchmark's: LeNet-5 on 16 images of 20 px
 /// and the LM on 8 windows of 16 tokens over 200 words, two synthetic
 /// sub-networks each (a smaller step can end before the helper starts).
 #[test]
@@ -515,19 +515,20 @@ fn the_helper_runs_weight_halves_of_the_callers_island() {
     ] {
         let mut model = model.clone();
         model.set_forking_for_tests(Forking::Always);
-        model.set_profiling(true);
-        let helped = (1..=50).find(|_| {
+        // One step's clocks at a time: which island the caller claims can
+        // change from step to step.
+        let helped = (0..50).any(|_| {
+            model.set_profiling(true);
             model.train_step(&[input], seed);
+            let counts = model.profile_steps();
+            assert_eq!((counts.steps, counts.forked), (1, 1), "{name} forks");
             let rows = model.profile();
             rows.iter()
                 .any(|row| !row.helper && !row.on_helper.is_zero())
         });
-        let counts = model.profile_steps();
         assert!(
-            helped.is_some(),
-            "{name}: the helper ran no weight half of the caller's island in {} steps",
-            counts.steps
+            helped,
+            "{name}: the helper ran no weight half of the caller's island in 50 steps"
         );
-        assert_eq!(counts.forked, counts.steps, "{name}: every step forks");
     }
 }
