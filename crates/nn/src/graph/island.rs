@@ -12,7 +12,7 @@ use super::{Node, NodeId, NodeTiming};
 use amalgam_tensor::{scratch, Tensor};
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
@@ -418,6 +418,11 @@ impl WeightHalf<'_> {
 pub(super) struct Deferred<'g> {
     state: Mutex<Queue<'g>>,
     ready: Condvar,
+    /// The helper has started: from now on a half can wait for it. Read
+    /// once per node, so kept off the mutex; relaxed, as it publishes
+    /// nothing (the halves cross through the mutex, and a node that reads it
+    /// late runs its backward whole, which is as right).
+    open: AtomicBool,
 }
 
 struct Queue<'g> {
@@ -426,8 +431,6 @@ struct Queue<'g> {
     islands: usize,
     /// Halves being run.
     running: usize,
-    /// The helper has started: from now on a half can wait for it.
-    helper: bool,
     /// A part of the step panicked: nothing more will be queued or run.
     failed: bool,
     /// Threads asleep on the queue: a change wakes them only if there are
@@ -452,12 +455,12 @@ impl<'g> Deferred<'g> {
                 halves: VecDeque::new(),
                 islands,
                 running: 0,
-                helper: false,
                 failed: false,
                 waiting: 0,
                 returns: [Vec::new(), Vec::new()],
             }),
             ready: Condvar::new(),
+            open: AtomicBool::new(false),
         }
     }
 
@@ -466,14 +469,14 @@ impl<'g> Deferred<'g> {
     }
 
     fn helper_started(&self) {
-        self.queue().helper = true;
+        self.open.store(true, Ordering::Relaxed);
     }
 
-    /// Whether the helper has started: until then a half runs where its
-    /// input half did, so that the caller never saves halves up for a drain
-    /// at the end. Once open, the queue stays open for the step.
+    /// Whether the helper has started: until then every backward runs
+    /// whole where it stands, so that the caller never saves halves up for a
+    /// drain at the end. Once open, the queue stays open for the step.
     pub(super) fn open(&self) -> bool {
-        self.queue().helper
+        self.open.load(Ordering::Relaxed)
     }
 
     /// Queues `half` for whichever thread runs out of islands first.
