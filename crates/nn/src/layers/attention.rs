@@ -183,16 +183,12 @@ impl MultiHeadSelfAttention {
 
     /// The gradients of Q, K and V (`[B*T, D]` each) from `dO` and the
     /// forward's head-major stagings, which are given back on the way.
-    #[allow(clippy::too_many_arguments)]
     fn projection_gradients(
         &self,
         d_o: Tensor,
-        qh: Tensor,
-        kh: Tensor,
-        vh: Tensor,
+        [qh, kh, vh]: [Tensor; 3],
         probs: Tensor,
-        b: usize,
-        t: usize,
+        (b, t): (usize, usize),
     ) -> [Tensor; 3] {
         let h = self.heads;
         let dh = self.dim() / h;
@@ -359,7 +355,8 @@ impl Layer for MultiHeadSelfAttention {
         Self::accumulate(&mut self.wo, &cache.o, &g2d, &mut dw);
         let d_o = self.output_gradient(&g2d);
         scratch::give_tensor(cache.o);
-        let dqkv = self.projection_gradients(d_o, cache.qh, cache.kh, cache.vh, cache.probs, b, t);
+        let heads = [cache.qh, cache.kh, cache.vh];
+        let dqkv = self.projection_gradients(d_o, heads, cache.probs, (b, t));
         for (w, dp) in [&mut self.wq, &mut self.wk, &mut self.wv]
             .into_iter()
             .zip(&dqkv)
@@ -394,7 +391,7 @@ impl Layer for MultiHeadSelfAttention {
             .expect("attention backward before forward");
         let g2d = grad_out.reshape(&[b * t, self.dim()]);
         let d_o = self.output_gradient(&g2d);
-        let dqkv = self.projection_gradients(d_o, qh, kh, vh, probs, b, t);
+        let dqkv = self.projection_gradients(d_o, [qh, kh, vh], probs, (b, t));
         let dx = demand[0].then(|| self.input_gradient(&dqkv, b, t));
         self.kept = Some(WeightOperands { x2d, o, dqkv });
         (vec![dx], true)
