@@ -657,3 +657,132 @@ fn scrape_obeys_the_exposition_format() {
     }
     assert!(declared.len() > 40, "{} series", declared.len());
 }
+
+/// A server fronting a one-worker service with the exporter bound, and the
+/// exporter's address.
+fn exporter_server(config: TransportConfig) -> (CloudServer, std::net::SocketAddr) {
+    let service = CloudService::builder()
+        .workers(1)
+        .metrics_exporter("127.0.0.1:0".parse().unwrap())
+        .build();
+    let server = CloudServer::bind_with(service, "127.0.0.1:0", config).expect("bind backend");
+    let scrape_addr = server.metrics_addr().expect("exporter bound");
+    (server, scrape_addr)
+}
+
+/// Everything the exporter sends on `sock` until it closes.
+fn read_page(sock: &mut TcpStream) -> String {
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut page = String::new();
+    sock.read_to_string(&mut page).expect("read scrape");
+    page
+}
+
+/// A whole metrics page: the status line, then the scrape's series.
+fn assert_answered(page: &str) {
+    assert!(page.starts_with("HTTP/1.0 200 OK"), "no answer:\n{page}");
+    assert!(page.contains("amalgam_jobs_completed_total"), "{page}");
+}
+
+/// Polls `server`'s registered-descriptor gauge until it reads `want`,
+/// for up to ten seconds.
+fn await_registered_fds(server: &CloudServer, want: usize) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().reactor_registered_fds != want && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.stats().reactor_registered_fds, want);
+}
+
+/// A request head that arrives in pieces is answered once its blank line
+/// does.
+#[test]
+fn a_scrape_head_split_across_writes_is_answered() {
+    let (server, scrape_addr) = exporter_server(TransportConfig::default());
+    let mut sock = TcpStream::connect(scrape_addr).expect("dial exporter");
+    sock.set_nodelay(true).unwrap();
+    for part in [
+        "GET /met",
+        "rics HTTP/1.0\r\n",
+        "Host: localhost\r\n",
+        "\r\n",
+    ] {
+        sock.write_all(part.as_bytes()).expect("send a piece");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_answered(&read_page(&mut sock));
+    server.shutdown();
+}
+
+/// A peer that half-closes before any blank line is answered what it sent.
+#[test]
+fn a_scrape_head_ended_by_a_half_close_is_answered() {
+    let (server, scrape_addr) = exporter_server(TransportConfig::default());
+    let mut sock = TcpStream::connect(scrape_addr).expect("dial exporter");
+    sock.write_all(b"GET /metrics HTTP/1.0\r\n")
+        .expect("send scrape");
+    sock.shutdown(std::net::Shutdown::Write).unwrap();
+    assert_answered(&read_page(&mut sock));
+    server.shutdown();
+}
+
+/// A head that fills the exporter's request cap (4096 bytes) with no blank
+/// line is answered, not left waiting for one.
+#[test]
+fn a_scrape_head_at_the_request_cap_is_answered() {
+    let (server, scrape_addr) = exporter_server(TransportConfig::default());
+    let mut sock = TcpStream::connect(scrape_addr).expect("dial exporter");
+    sock.write_all(&[b'a'; 4096]).expect("send a capped head");
+    assert_answered(&read_page(&mut sock));
+    server.shutdown();
+}
+
+/// A scrape still waiting for its head at shutdown neither holds shutdown
+/// up (its head deadline is a minute away) nor outlives it, and the
+/// exporter's port refuses connections once shutdown returns.
+#[test]
+fn an_open_scrape_does_not_delay_shutdown() {
+    let config = TransportConfig::default().handshake_timeout(Duration::from_secs(60));
+    let (server, scrape_addr) = exporter_server(config);
+    let baseline = server.stats().reactor_registered_fds;
+    let mut sock = TcpStream::connect(scrape_addr).expect("dial exporter");
+    sock.write_all(b"GET /metrics").expect("send half a head");
+    await_registered_fds(&server, baseline + 1);
+
+    let started = std::time::Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut rest = Vec::new();
+    match sock.read_to_end(&mut rest) {
+        Ok(_) => {}
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    assert!(
+        TcpStream::connect(scrape_addr).is_err(),
+        "the exporter's port still accepts"
+    );
+}
+
+/// Answered scrapes give their descriptors back: the registered-descriptor
+/// gauge returns to what it read before them.
+#[test]
+fn answered_scrapes_leave_the_descriptor_gauge_at_its_baseline() {
+    let (server, scrape_addr) = exporter_server(TransportConfig::default());
+    let baseline = server.stats().reactor_registered_fds;
+    for _ in 0..3 {
+        let mut sock = TcpStream::connect(scrape_addr).expect("dial exporter");
+        sock.write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
+            .expect("send scrape");
+        assert_answered(&read_page(&mut sock));
+    }
+    await_registered_fds(&server, baseline);
+    assert_invariants(&server.stats());
+    server.shutdown();
+}
