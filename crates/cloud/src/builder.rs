@@ -195,6 +195,15 @@ impl CloudServiceBuilder {
     /// It therefore only answers while a [`crate::CloudServer`] fronts this
     /// service; `GET /metrics` (any path, in fact) returns the same body
     /// [`crate::ServiceStats::to_prometheus`] renders.
+    ///
+    /// A scraper has the server's
+    /// [`handshake_timeout`](crate::TransportConfig::handshake_timeout) from
+    /// its accept to send its request head (up to its blank line, 4096
+    /// bytes, or a half-close); bytes trickled in do not extend it. The
+    /// page then leaves under the
+    /// [`write_timeout`](crate::TransportConfig::write_timeout) stall rule:
+    /// a scraper that stops reading for that long is cut off. At most 16
+    /// scrapes are served at once; one more is closed at accept.
     #[must_use]
     pub fn metrics_exporter(mut self, addr: SocketAddr) -> CloudServiceBuilder {
         self.metrics_exporter = Some(addr);

@@ -20,20 +20,21 @@
 //!   accepts until `WouldBlock`: a connection past `max_connections` gets
 //!   one `Reject` and is closed, every other is dealt to the reactor with
 //!   the fewest live connections (ties round-robin, itself included). A
-//!   failed accept rests its listener on the wheel for 5 ms.
+//!   scrape stays on reactor 0. A failed accept rests its listener on the
+//!   wheel for 5 ms.
 //! * **The client loop** (`transport::client`): every remote client of the
-//!   process on one reactor, started by the first connect and joined when
-//!   the last client closes or drops.
+//!   process on one reactor, from the first connect to the last close.
 //!
-//! A connection plays one of four roles: a *server session* (an accepted
-//! connection), a *relay link* (a relay session's connection to its
-//! backend, dialed by the session's own reactor and registered under its
-//! token with the link bit set — the `relay` submodule), a *probe* (a
-//! relay's health check of one backend, on its reactor 0, also in `relay`)
-//! or a *client session* (a remote client's connection, on the client
-//! loop). All four sit on one socket type (the `socket` submodule) under
-//! one driver (below). No thread runs beside the reactors. Threads per
-//! tier, whatever the number of connections:
+//! A connection plays one of five roles: a *server session* (an accepted
+//! connection), a *scrape* (one accepted by the exporter), a *relay link* (a
+//! relay session's connection to its backend, dialed by the session's own
+//! reactor and registered under its token with the link bit set — the
+//! `relay` submodule), a *probe* (a relay's health check of one backend, on
+//! its reactor 0, also in `relay`) or a *client session* (a remote
+//! client's connection, on the client loop). All five sit on one socket
+//! type (the `socket` submodule) under one driver (below). No thread runs
+//! beside the reactors. Threads per tier, whatever the number of
+//! connections:
 //!
 //! | tier | threads | gate |
 //! |------|---------|------|
@@ -45,9 +46,10 @@
 //! # Driver and machines
 //!
 //! The reactor is the one driver. The machines — a server session
-//! (`handle_frame` and its transitions, below), the link (the `link`
-//! submodule) in its three roles (a relay session's `Face`, a `Probe`, a
-//! client `Session`) and a relay session's upstream (`Relay`) — take
+//! (`handle_frame` and its transitions, below), a [`Scrape`], the link (the
+//! `link` submodule) in its three roles (a relay session's `Face`, a
+//! `Probe`, a client `Session`) and a relay session's upstream (`Relay`) —
+//! take
 //! `(event, now)`: `now` is the instant the reactor read, once, at the top
 //! of the turn. A handler may change its machine's state, queue frames on
 //! its sockets, stop a socket's reading, and ask a socket to dial or to
@@ -84,11 +86,7 @@
 //!  Goodbye ─────────────────────────────►  the session drains
 //! ```
 //!
-//! Replies are matched to jobs by request id; a client session that ends
-//! answers every handle still pending. The API key travels once, in the
-//! `Hello`: the session's key is stamped onto every job, so auth, rate
-//! limits and fair scheduling judge remote jobs with no transport code, and
-//! a job trains to the same bytes over the wire as in process.
+//! What a session is to the job pipeline: the transport's module docs.
 //!
 //! # A server session
 //!
@@ -106,14 +104,25 @@
 //!                          flushed (or the sink broken)
 //! ```
 //!
-//! Nothing is decoded beyond a stranger's opener; each refusal counts as a
-//! rejected connection, silence excepted (EOF before a byte, the handshake
-//! timeout, a stop). Draining reads and submits nothing, but in-flight jobs
+//! The handshake timeout runs from the accept: bytes buy a stranger no time.
+//! Nothing is decoded beyond its opener; each refusal counts as a rejected
+//! connection, silence excepted (EOF before a byte, the handshake timeout,
+//! a stop). Draining reads and submits nothing, but in-flight jobs
 //! run on and replies flush; once the peer is gone (EOF, a read error, a
 //! broken sink) its jobs cancel at their next epoch. A stop closes a relay
 //! session: it has no service to drain. A relay session whose route is
 //! being found has no deadline of its own: each dial is bounded by its
 //! link's handshake timeout, and the candidates are finite.
+//!
+//! # A scrape
+//!
+//! The exporter's connections are [`Scrape`]s on reactor 0: the socket
+//! reads a request head in place of frames — to its blank line, EOF or 4096
+//! bytes — and one `HTTP/1.0` page of the metrics answers it, whatever the
+//! path, queued whole; the connection closes once it has left. The head is
+//! due [`TransportConfig::handshake_timeout`] after the accept, however its
+//! bytes trickle; the page then has the stall rule below. At most
+//! [`MAX_SCRAPES`] are open at once: one more is closed at accept.
 //!
 //! # Backpressure
 //!
@@ -124,17 +133,14 @@
 //! on an empty queue and restarts whenever bytes leave; a queue that stays
 //! put for [`TransportConfig::write_timeout`] breaks the sink, and its
 //! owner hears its socket failed: a session settles its replies without
-//! writing, so drain completes; a link fails. A client's keep-alive
-//! interval is jittered to 75–100 % of the configured one, keyed by its
-//! session token (`jittered_interval`), so clients opened together do not
-//! ping in step.
+//! writing, so drain completes; a link fails.
 //!
 //! # Graceful shutdown
 //!
 //! `CloudServer::shutdown` sets the stop flag and kicks the reactors:
 //! reactor 0 drops the listeners (the port refuses connections once
-//! shutdown returns) and its scrapes, handshakes close, established
-//! sessions drain. Once the submitter gauge reads zero the service drains
+//! shutdown returns), scrapes and handshakes close, established sessions
+//! drain. Once the submitter gauge reads zero the service drains
 //! its queue, answering every job (`ServiceUnavailable` if never reached);
 //! each answer is flushed, a session closes once nothing is owed, and a
 //! reactor exits with its last connection. No handle hangs.
@@ -159,8 +165,8 @@ use bytes::Bytes;
 use reactor::{Event, Interest, Poller, WakeReceiver, Waker};
 pub(super) use socket::{Inbound, Socket};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
@@ -183,9 +189,8 @@ const SWEEP_TOKEN: u64 = u64::MAX - 3;
 /// does not clear at once, and a level-triggered listener would spin.
 const ACCEPT_REST: Duration = Duration::from_millis(5);
 
-/// Cap on one exporter request's header bytes; enough for any scraper's
-/// `GET /metrics` preamble, small enough that a hostile peer buys nothing.
-const HTTP_REQUEST_CAP: usize = 4096;
+/// Concurrent scrapes the exporter serves; one more is closed at accept.
+const MAX_SCRAPES: usize = 16;
 
 /// Timer wheel granularity. Deadlines fire within one tick of their due
 /// time, never early.
@@ -274,7 +279,7 @@ pub(super) trait Tier: Send + 'static {
 pub(super) trait Machine {
     /// Its own socket (`link` false), or its link's when it has one.
     fn socket(&mut self, link: bool) -> Option<&mut Socket>;
-    /// What that socket said: a frame, its end, or its failure.
+    /// What that socket said: a frame (or a head), its end, or its failure.
     fn inbound(&mut self, link: bool, what: Inbound, now: Instant);
     /// Its deadline fell due; it may find nothing due yet.
     fn timer(&mut self, now: Instant);
@@ -334,7 +339,7 @@ pub(super) fn spawn_server_reactor(
         conns: HashMap::new(),
         listeners,
         next_deal: 0,
-        http_conns: HashMap::new(),
+        scrapes: HashMap::new(),
         prober: (relay && index == 0).then(relay::Prober::default),
     };
     spawn_reactor(name, (handle, (wake_rx, poller)), tier, metrics, stop)
@@ -357,7 +362,7 @@ pub(super) fn reactor_parts<T>() -> std::io::Result<(Arc<ReactorShared<T>>, Reac
     Ok((handle, (wake_rx, Poller::new()?)))
 }
 
-/// Lifecycle of one connection; see the module diagram.
+/// Lifecycle of one connection, a session's or a scrape's; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnState {
     Handshaking,
@@ -432,25 +437,20 @@ struct Sessions {
     listeners: Vec<(u64, TcpListener)>,
     /// Where the next tie of the deal goes (reactor 0 only).
     next_deal: usize,
-    /// In-progress exporter scrapes, keyed by poller token.
-    http_conns: HashMap<u64, HttpConn>,
+    /// Exporter scrapes, by poller token (reactor 0 only).
+    scrapes: HashMap<u64, Scrape>,
     /// A relay's health probes (reactor 0 only).
     prober: Option<relay::Prober>,
 }
 
-/// One Prometheus scrape in flight: read the request head, write one
-/// `HTTP/1.0` response, close. No keep-alive, no routing — every path gets
-/// the metrics body.
-struct HttpConn {
-    stream: TcpStream,
-    /// Request bytes read so far (only until the header terminator).
-    request: Vec<u8>,
-    /// The rendered response once the request head is complete.
-    response: Option<Bytes>,
-    /// Bytes of `response` already written.
-    written: usize,
-    /// Interest currently registered with the poller.
-    interest: Interest,
+/// One Prometheus scrape, the exporter's machine (the module docs' "A
+/// scrape"). No keep-alive.
+struct Scrape {
+    shared: Arc<ServerShared>,
+    sock: Socket,
+    /// `Handshaking` until the head is in, `Draining` while the page
+    /// leaves, then `Closed`.
+    state: ConnState,
 }
 
 impl Reactor {
@@ -619,19 +619,16 @@ impl Tier for Sessions {
         if matches!(token, LISTENER_TOKEN | EXPORTER_TOKEN) {
             return self.accept(r, token);
         }
-        if self.http_conns.contains_key(&token) {
-            return self.handle_http_io(r, token, readable);
-        }
         let owner = token & !link::LINK;
-        match (self.conns.get_mut(&owner), &mut self.prober) {
-            (Some(conn), _) => r.ready(owner, conn, token != owner, readable),
-            (None, Some(prober)) => {
-                prober.on(owner, &self.shared, r, |r, probe| {
-                    r.ready(owner, probe, true, readable)
-                });
-            }
-            (None, None) => {} // a stale event for an already-closed token
-        }
+        if let Some(conn) = self.conns.get_mut(&owner) {
+            r.ready(owner, conn, token != owner, readable);
+        } else if let Some(scrape) = self.scrapes.get_mut(&token) {
+            r.ready(token, scrape, false, readable);
+        } else if let Some(prober) = &mut self.prober {
+            prober.on(owner, &self.shared, r, |r, probe| {
+                r.ready(owner, probe, true, readable)
+            });
+        } // else a stale event for an already-closed token
     }
 
     /// Takes up a connection reactor 0 dealt here. Under stop, it is
@@ -696,22 +693,26 @@ impl Tier for Sessions {
         }
     }
 
-    /// A connection's deadline fired, a resting listener's, the health
-    /// sweep's or a probe's.
+    /// A connection's deadline fired, a scrape's, a resting listener's, the
+    /// health sweep's or a probe's.
     fn timer(&mut self, r: &mut Reactor, token: u64) {
         match (token, self.conns.get_mut(&token), &mut self.prober) {
             (LISTENER_TOKEN | EXPORTER_TOKEN, ..) => self.listen(r, token, false),
             (SWEEP_TOKEN, _, Some(prober)) => prober.sweep(&self.shared, r),
             (_, Some(conn), _) => r.fire(token, conn),
-            (_, None, Some(prober)) => {
-                prober.on(token, &self.shared, r, |r, probe| r.fire(token, probe));
+            (_, None, prober) => {
+                if let Some(scrape) = self.scrapes.get_mut(&token) {
+                    r.fire(token, scrape);
+                } else if let Some(prober) = prober {
+                    prober.on(token, &self.shared, r, |r, probe| r.fire(token, probe));
+                }
             }
-            (_, None, None) => {}
         }
     }
 
     /// `true` once no connection is here or on its way here.
     fn reap(&mut self) -> bool {
+        self.scrapes.retain(|_, s| s.state != ConnState::Closed);
         let before = self.conns.len();
         self.conns.retain(|_, c| c.state != ConnState::Closed);
         let reaped = before - self.conns.len();
@@ -777,25 +778,21 @@ impl Sessions {
         self.next_deal = pick + 1;
     }
 
-    /// Takes one exporter connection onto this reactor's poller.
+    /// Takes one exporter connection up as a [`Scrape`], or closes it at
+    /// once past [`MAX_SCRAPES`].
     fn scrape(&mut self, r: &mut Reactor, stream: TcpStream) {
-        let token = r.token();
-        if stream.set_nonblocking(true).is_err()
-            || r.poller
-                .register(stream.as_raw_fd(), token, Interest::READABLE)
-                .is_err()
-        {
+        if self.scrapes.len() >= MAX_SCRAPES {
             return;
         }
-        self.shared.metrics.reactor_fd_registered();
-        let http = HttpConn {
-            stream,
-            request: Vec::new(),
-            response: None,
-            written: 0,
-            interest: Interest::READABLE,
+        let token = r.token();
+        let mut scrape = Scrape {
+            shared: Arc::clone(&self.shared),
+            sock: Socket::accepted(stream, token, &self.shared.config),
+            state: ConnState::Handshaking,
         };
-        self.http_conns.insert(token, http);
+        scrape.sock.head = true;
+        r.settle(token, &mut scrape);
+        self.scrapes.insert(token, scrape);
     }
 
     /// Puts the listener at `token` back on the poller or, `rest`, takes it
@@ -815,73 +812,6 @@ impl Sessions {
         r.wheel.arm(token, Some(r.now + ACCEPT_REST));
     }
 
-    /// Drives one exporter scrape: read until the request head is complete
-    /// (or the peer's EOF: minimal peers get an answer to what they sent),
-    /// render the metrics page once, write it out, close.
-    fn handle_http_io(&mut self, r: &mut Reactor, token: u64, readable: bool) {
-        let Some(http) = self.http_conns.get_mut(&token) else {
-            return;
-        };
-        let mut buf = [0u8; 1024];
-        while readable && http.response.is_none() {
-            let head_done = match http.stream.read(&mut buf) {
-                Ok(0) => true,
-                Ok(n) => {
-                    http.request.extend_from_slice(&buf[..n]);
-                    http.request.len() >= HTTP_REQUEST_CAP
-                        || http.request.windows(4).any(|w| w == b"\r\n\r\n")
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => false,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(_) => return self.close_http(r, token),
-            };
-            if head_done {
-                let body = self.shared.metrics.snapshot().to_prometheus();
-                let response = format!(
-                    "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-                     Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len()
-                );
-                http.response = Some(Bytes::from(response.into_bytes()));
-            }
-        }
-        let Some(response) = &http.response else {
-            return;
-        };
-        while http.written < response.len() {
-            match http.stream.write(&response[http.written..]) {
-                Ok(0) => break,
-                Ok(n) => http.written += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                // The write resumes on the next event.
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    let want = Interest::WRITABLE;
-                    if http.interest != want
-                        && r.poller
-                            .reregister(http.stream.as_raw_fd(), token, want)
-                            .is_ok()
-                    {
-                        http.interest = want;
-                    }
-                    return;
-                }
-                Err(_) => break,
-            }
-        }
-        // Written, or the peer is gone.
-        self.close_http(r, token);
-    }
-
-    /// Ends one exporter scrape.
-    fn close_http(&mut self, r: &mut Reactor, token: u64) {
-        if let Some(http) = self.http_conns.remove(&token) {
-            if r.poller.deregister(http.stream.as_raw_fd()).is_ok() {
-                self.shared.metrics.reactor_fd_deregistered();
-            }
-            let _ = http.stream.shutdown(Shutdown::Both);
-        }
-    }
-
     /// Stop ordering: every connection that could still submit stops being
     /// able to (handshakes die, established sessions drain), and only then
     /// does the submitter gauge hit zero — which is what lets
@@ -892,20 +822,17 @@ impl Sessions {
             prober.stop(r);
         }
         // The listeners die first, so the port refuses connections once
-        // shutdown returns; in-flight scrapes are dropped (a scraper retries;
-        // a half-written metrics page is junk either way once the server is
-        // gone).
+        // shutdown returns.
         let metrics = &self.shared.metrics;
         for (_, listener) in self.listeners.drain(..) {
             if r.poller.deregister(listener.as_raw_fd()).is_ok() {
                 metrics.reactor_fd_deregistered();
             }
         }
-        for (_, http) in self.http_conns.drain() {
-            if r.poller.deregister(http.stream.as_raw_fd()).is_ok() {
-                metrics.reactor_fd_deregistered();
-            }
-            let _ = http.stream.shutdown(Shutdown::Both);
+        // Scrapes close, a page half-written or not: a scraper retries.
+        for (&token, scrape) in &mut self.scrapes {
+            scrape.close();
+            r.settle(token, scrape);
         }
         for (&token, conn) in &mut self.conns {
             match conn.state {
@@ -954,6 +881,7 @@ impl Machine for Conn {
             // A protocol violation ends the session but still flushes owed
             // replies.
             Inbound::Malformed(_) => enter_draining(self),
+            Inbound::Head => unreachable!("a session reads frames"),
         }
     }
 
@@ -986,19 +914,19 @@ impl Machine for Conn {
 }
 
 impl Conn {
-    /// When silence past the handshake or idle budget ends the connection.
-    /// A draining one has none (it lives until its replies are settled),
-    /// and neither has one whose route is being found: each dial is
-    /// bounded by its link's handshake timeout, and the candidates are
+    /// When the handshake's budget, counted from the accept (bytes buy a
+    /// stranger no time), or silence past the idle budget ends the
+    /// connection. A draining one has none (it lives until its replies are
+    /// settled), and neither has one whose route is being found: each dial
+    /// is bounded by its link's handshake timeout, and the candidates are
     /// finite.
     fn silence_deadline(&self) -> Option<Instant> {
-        let config = &self.shared.config;
-        let budget = match self.state {
-            ConnState::Handshaking if !self.greeted => config.handshake_timeout,
-            ConnState::Established => config.idle_timeout,
-            _ => return None,
-        };
-        Some(self.sock.heard_at + budget)
+        let (config, sock) = (&self.shared.config, &self.sock);
+        match self.state {
+            ConnState::Handshaking if !self.greeted => Some(sock.opened + config.handshake_timeout),
+            ConnState::Established => Some(sock.heard_at + config.idle_timeout),
+            _ => None,
+        }
     }
 
     /// Submits accepted and not yet answered, or answered with the reply
@@ -1009,6 +937,62 @@ impl Conn {
             None => self.running,
         };
         upstream + self.sock.replies()
+    }
+}
+
+impl Machine for Scrape {
+    fn socket(&mut self, link: bool) -> Option<&mut Socket> {
+        (!link).then_some(&mut self.sock)
+    }
+
+    /// The head, or the peer's EOF (a minimal peer is answered what it
+    /// sent), queues the page, rendered once; a failed socket closes.
+    fn inbound(&mut self, _: bool, what: Inbound, _: Instant) {
+        match what {
+            Inbound::Head | Inbound::Eof { .. } if self.state == ConnState::Handshaking => {
+                let metrics = &self.shared.metrics;
+                let body = metrics.snapshot().to_prometheus();
+                let page = format!(
+                    "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+                     Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                    body.len()
+                );
+                self.sock.reading = false;
+                self.sock
+                    .queue_page(Bytes::from(page.into_bytes()), metrics);
+                self.state = ConnState::Draining;
+            }
+            _ => self.close(),
+        }
+    }
+
+    /// The head is late.
+    fn timer(&mut self, now: Instant) {
+        if self.deadline(now).is_some_and(|at| at <= now) {
+            self.close();
+        }
+    }
+
+    /// The page has left: a draining session's rule.
+    fn settled(&mut self, _: Instant) {
+        if self.state == ConnState::Draining && self.sock.queued() == 0 {
+            self.close();
+        }
+    }
+
+    /// The head is due the handshake timeout after the accept, as a
+    /// session's `Hello` is; the page then has the socket's stall rule.
+    fn deadline(&self, _: Instant) -> Option<Instant> {
+        let due = self.sock.opened + self.shared.config.handshake_timeout;
+        (self.state == ConnState::Handshaking).then_some(due)
+    }
+}
+
+impl Scrape {
+    /// Ends the scrape: the driver flushes what it can, then closes.
+    fn close(&mut self) {
+        self.state = ConnState::Closed;
+        self.sock.close();
     }
 }
 
@@ -1304,7 +1288,7 @@ mod tests {
             conns: HashMap::new(),
             listeners: vec![(LISTENER_TOKEN, listener)],
             next_deal: 0,
-            http_conns: HashMap::new(),
+            scrapes: HashMap::new(),
             prober: None,
         };
         let listener_ready = |r: &mut Reactor| {

@@ -89,6 +89,7 @@ pub(crate) fn inbound<R: Role>(role: &mut R, what: Inbound, now: Instant) {
         }
         Inbound::Failed(e) => CloudError::Transport(format!("the link failed: {e}")),
         Inbound::Malformed(e) => e,
+        Inbound::Head => unreachable!("a link reads frames"),
     };
     fail(role, cause, now);
 }

@@ -18,6 +18,10 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 
+/// Cap on one exporter request's header bytes; enough for any scraper's
+/// `GET /metrics` preamble, small enough that a hostile peer buys nothing.
+const HTTP_REQUEST_CAP: usize = 4096;
+
 /// One connection slot's I/O state; owned by its reactor. A link's slot
 /// outlives its connections: each dial starts a new one in it.
 pub(crate) struct Socket {
@@ -39,6 +43,8 @@ pub(crate) struct Socket {
     /// The owner takes frames from it; cleared when it stops reading for
     /// good.
     pub(super) reading: bool,
+    /// A scrape's: it reads an HTTP request head, not frames; no flush spans.
+    pub(super) head: bool,
     /// The owner is done with the connection: the driver writes what it
     /// can of the queue, then closes it.
     closing: bool,
@@ -46,6 +52,8 @@ pub(crate) struct Socket {
     fresh: bool,
     /// When bytes last arrived (registration counts).
     pub(super) heard_at: Instant,
+    /// When the slot was made: for an accepted connection, its accept.
+    pub(super) opened: Instant,
     /// When the write queue last moved, or last fell non-empty.
     progress: Instant,
     max_frame_len: usize,
@@ -56,6 +64,9 @@ pub(crate) struct Socket {
 pub(crate) enum Inbound {
     /// A whole frame, counted received.
     Frame(Frame),
+    /// A whole request head, on a socket that reads one: its blank line,
+    /// or [`HTTP_REQUEST_CAP`] bytes without one.
+    Head,
     /// The peer closed its end; `cut` when that left a frame unfinished.
     Eof { cut: bool },
     /// A read, a connect or the sink failed: a write broke or stalled past
@@ -93,9 +104,11 @@ impl Socket {
             interest: None,
             connected: false,
             reading: true,
+            head: false,
             closing: false,
             fresh: false,
             heard_at: now,
+            opened: now,
             progress: now,
             max_frame_len: config.max_frame_len,
             write_timeout: config.write_timeout,
@@ -150,6 +163,20 @@ impl Socket {
         self.writes.push_frame(frame, reply, metrics)
     }
 
+    /// Queues `page`, bytes that are no frame (a scrape's answer), on the
+    /// empty queue of an open connection: no frame counter moves.
+    pub(super) fn queue_page(&mut self, page: Bytes, metrics: &ServiceMetrics) {
+        self.progress = Instant::now();
+        self.fresh = true;
+        self.writes.bytes += page.len();
+        metrics.write_queue_grew(page.len());
+        self.writes.q.push_back(Pending {
+            buf: page,
+            pos: 0,
+            end_of_frame: None,
+        });
+    }
+
     /// Unflushed bytes; `0` exactly when nothing is queued.
     pub(super) fn queued(&self) -> usize {
         self.writes.bytes
@@ -186,7 +213,12 @@ impl Socket {
     pub(super) fn next_frame(&mut self, metrics: &ServiceMetrics) -> Option<Inbound> {
         let stream = self.stream.as_mut()?;
         loop {
-            match self.decoder.next_frame(self.max_frame_len) {
+            let decoded = match self.head {
+                true if self.decoder.holds_head(HTTP_REQUEST_CAP) => return Some(Inbound::Head),
+                true => Ok(None),
+                false => self.decoder.next_frame(self.max_frame_len),
+            };
+            match decoded {
                 Ok(Some((frame, wire))) => {
                     // Counted like sent frames: a link's as relayed, a
                     // session's in the totals, and all but job traffic
@@ -287,7 +319,7 @@ impl Socket {
             return FlushOutcome::Drained;
         };
         let queued = self.writes.bytes;
-        let started = (queued > 0 && !self.writes.relay).then(Instant::now);
+        let started = (queued > 0 && !self.writes.relay && !self.head).then(Instant::now);
         let outcome = self.writes.flush(stream, metrics);
         if self.writes.bytes < queued {
             self.progress = Instant::now();

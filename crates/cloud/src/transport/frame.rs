@@ -605,6 +605,13 @@ impl FrameDecoder {
         }
     }
 
+    /// The input holds a whole HTTP request head (a scrape's socket reads
+    /// one, not frames): its blank line, or `cap` bytes without one.
+    pub(super) fn holds_head(&self, cap: usize) -> bool {
+        let input = &self.buf[self.start..self.end];
+        input.len() >= cap || input.windows(4).any(|w| w == b"\r\n\r\n")
+    }
+
     /// Ensures at least `spare` writable bytes after `end`, compacting the
     /// consumed prefix first: drained between reads, the scratch stays at
     /// one read chunk plus the unfinished small frame before it.

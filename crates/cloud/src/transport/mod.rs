@@ -151,9 +151,9 @@ pub struct TransportConfig {
     /// 10 s; keep it under the server's `idle_timeout`).
     pub keepalive_interval: Duration,
     /// How long each side waits for the other's half of the handshake
-    /// (default 5 s). A dialing side counts from the dial: its connect and
-    /// the handshake share the deadline, so a black-holed address — a dead
-    /// host, a dropped route — fails within it too.
+    /// (default 5 s): a dialer counts from the dial (its connect included),
+    /// the server from the accept however the opener's bytes trickle (and
+    /// an exporter's scrape has as long for its request head).
     pub handshake_timeout: Duration,
     /// Self-healing policy for a [`RemoteCloudClient`]: with a policy set,
     /// a lost connection is re-dialed with decorrelated-jitter backoff and

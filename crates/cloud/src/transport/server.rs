@@ -2,28 +2,15 @@
 //! threads, whose reactor 0 also polls the listener, and graceful drain on
 //! shutdown.
 //!
-//! Each accepted connection is one *session*, owned by exactly one reactor
-//! thread — there are no per-connection threads. The reactor decodes
-//! [`Submit`](super::Frame::Submit) frames as their bytes arrive and feeds
-//! them into the service's shared job queue via the multiplexed reply path
-//! (`CloudClient::submit_routed`); completions — in whatever order the pool
-//! finishes them — wake the owning reactor, which frames them back as
-//! [`Reply`](super::Frame::Reply) frames through the connection's write
-//! queue. The job pipeline sees remote jobs exactly as it sees in-process
-//! ones, plus the session's API key and [`crate::SessionKey`] in the job
-//! context, so per-session rate limits and DRR fairness apply to remote
-//! traffic with no transport-specific code: a QoS rejection
-//! (`RateLimited`, `Overloaded`) is just an error outcome riding the same
-//! Reply frame, tallied against the session in [`ServiceStats::sessions`].
-//!
-//! The transport's own per-connection in-flight cap is judged in the
-//! reactor (it is connection state, not payload state); its sheds are
-//! counted per session too, and queued-but-unflushed replies hold their
-//! in-flight slots so a peer that stops reading stops being allowed to
-//! submit. The connection state machine, write-queue backpressure and
-//! timer handling live in the sibling `event_loop` module. The same pool,
-//! and nothing else, serves a relay ([`CloudServer::bind_relay`]): its
-//! reactors dial its backends and reactor 0 runs its health probes.
+//! Each accepted connection is one *session* on one reactor. It submits
+//! through the multiplexed reply path (`CloudClient::submit_routed`), so the
+//! job pipeline sees remote jobs as it sees in-process ones, plus the
+//! session's key, and a QoS refusal (`RateLimited`, `Overloaded`) is an
+//! error riding the same `Reply`, tallied against the session in
+//! [`ServiceStats::sessions`]. The session's state machine, backpressure
+//! and deadlines are documented once, in the sibling `event_loop` module.
+//! The same pool, and nothing else, serves a relay
+//! ([`CloudServer::bind_relay`]).
 
 use super::event_loop::{reactor_parts, spawn_server_reactor, ReactorShared};
 use super::TransportConfig;

@@ -41,7 +41,6 @@ pub(super) struct TimerWheel {
     /// Entries armed for ticks the sweep already passed; they fire on the
     /// very next [`TimerWheel::advance`], whatever `now` it is given.
     overdue: Vec<Entry>,
-    len: usize,
     /// Each owner's armed deadline and the generation of its live entry.
     armed: HashMap<u64, (Instant, u64)>,
     generation: u64,
@@ -56,7 +55,6 @@ impl TimerWheel {
             base: Instant::now(),
             cursor: 0,
             overdue: Vec::new(),
-            len: 0,
             armed: HashMap::new(),
             generation: 0,
         }
@@ -73,12 +71,8 @@ impl TimerWheel {
     /// deadline in the past (or inside the current tick) fires on the next
     /// [`TimerWheel::advance`].
     pub(super) fn arm(&mut self, token: u64, at: Option<Instant>) {
-        let armed = |at| {
-            self.armed
-                .get(&token)
-                .is_some_and(|&(armed, _)| armed <= at)
-        };
-        let Some(at) = at.filter(|&at| !armed(at)) else {
+        let armed = self.armed.get(&token).map(|&(armed, _)| armed);
+        let Some(at) = at.filter(|&at| armed.is_none_or(|armed| at < armed)) else {
             return;
         };
         self.generation += 1;
@@ -96,7 +90,6 @@ impl TimerWheel {
             let slot = (entry.fire_tick % self.slots.len() as u64) as usize;
             self.slots[slot].push(entry);
         }
-        self.len += 1;
     }
 
     /// Sweeps every tick up to `now`, appending to `due` each owner whose
@@ -121,7 +114,6 @@ impl TimerWheel {
             }
             self.cursor = target + 1;
         }
-        self.len -= fired.len();
         for e in fired.drain(..) {
             if self
                 .armed
@@ -141,23 +133,15 @@ impl TimerWheel {
             // Already due: the caller should not sleep at all.
             return Some(self.base + self.tick * self.cursor.min(u32::MAX as u64) as u32);
         }
-        let mut min_tick = None;
-        for bucket in &self.slots {
-            for e in bucket {
-                min_tick = Some(match min_tick {
-                    None => e.fire_tick,
-                    Some(m) if e.fire_tick < m => e.fire_tick,
-                    Some(m) => m,
-                });
-            }
-        }
+        let min_tick = self.slots.iter().flatten().map(|e| e.fire_tick).min();
         // Fire at the *end* of the tick so deadlines are never early.
         min_tick.map(|t| self.base + self.tick * (t as u32 + 1))
     }
 
+    /// Entries held, stale ones included.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.len
+        self.slots.iter().map(Vec::len).sum::<usize>() + self.overdue.len()
     }
 }
 

@@ -722,6 +722,46 @@ fn the_handshake_timeout_bounds_a_blackholed_dial() {
     );
 }
 
+/// A stranger that declares a 1 MiB opener and trickles it a byte every
+/// 50 ms is closed by the handshake timeout, which the server counts from
+/// the accept: bytes buy it no time, so such peers cannot hold the
+/// session slots. Its descriptor is given back and the counters conserve.
+#[test]
+fn a_trickled_opener_is_closed_by_the_handshake_timeout() {
+    use std::io::ErrorKind;
+    let config = TransportConfig::default().handshake_timeout(Duration::from_millis(200));
+    let service = CloudService::builder().workers(1).build();
+    let server = CloudServer::bind_with(service, "127.0.0.1:0", config).expect("bind loopback");
+    let baseline = server.stats().reactor_registered_fds;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+    sock.write_all(&(1u32 << 20).to_le_bytes())
+        .expect("declare");
+    sock.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    loop {
+        match sock.read(&mut [0u8; 64]) {
+            Ok(0) => break,
+            Ok(n) => panic!("a stranger was sent {n} bytes"),
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => break,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => panic!("{e}"),
+        }
+        assert!(Instant::now() < deadline, "a trickled opener held its slot");
+        // A write the closed connection refuses is its close, seen first.
+        if sock.write_all(&[0]).is_err() {
+            break;
+        }
+    }
+    let gauge_deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().reactor_registered_fds != baseline && Instant::now() < gauge_deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.stats().reactor_registered_fds, baseline);
+    assert_invariants(&server.stats());
+    server.shutdown();
+}
+
 /// A loopback address whose SYNs go unanswered: a listener whose accept
 /// queue is full (Linux drops a SYN it has no room for), with the sockets
 /// that fill it. Keep both alive while the address is dialed.

@@ -786,3 +786,79 @@ fn answered_scrapes_leave_the_descriptor_gauge_at_its_baseline() {
     assert_invariants(&server.stats());
     server.shutdown();
 }
+
+/// Reads `sock` until the server closes it, writing one byte of `trickle`
+/// after every 50 ms of silence (none if it is empty), and fails if it is
+/// still open at `deadline` or was sent anything: a closed connection
+/// reads EOF or a reset.
+fn await_closed(sock: &mut TcpStream, trickle: &[u8], deadline: std::time::Instant) {
+    use std::io::ErrorKind;
+    sock.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    for byte in trickle
+        .iter()
+        .cycle()
+        .map(Some)
+        .chain(std::iter::repeat(None))
+    {
+        match sock.read(&mut [0u8; 64]) {
+            Ok(0) => return,
+            Ok(n) => panic!("an unfinished head was answered with {n} bytes"),
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => return,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => panic!("{e}"),
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "still open at the deadline"
+        );
+        // A write the closed connection refuses is its close, seen first.
+        if byte.is_some_and(|b| sock.write_all(&[*b]).is_err()) {
+            return;
+        }
+    }
+}
+
+/// Sixty-four scrapers that connect and send nothing are all closed — past
+/// the exporter's cap at accept, the rest by the head deadline, which runs
+/// the handshake timeout (200 ms here) from the accept — while a client is
+/// welcomed and trains the bytes in-process training makes. Afterwards
+/// every descriptor is given back and the counters conserve.
+#[test]
+fn an_idle_scrape_flood_is_closed_while_a_client_trains() {
+    let config = TransportConfig::default().handshake_timeout(Duration::from_millis(200));
+    let (server, scrape_addr) = exporter_server(config);
+    let baseline = server.stats().reactor_registered_fds;
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let mut scrapers: Vec<TcpStream> = (0..64)
+        .map(|_| TcpStream::connect(scrape_addr).expect("dial exporter"))
+        .collect();
+
+    let client = RemoteCloudClient::connect(server.local_addr()).expect("welcomed in the flood");
+    let remote = client.train(&tiny_job(5)).expect("remote train");
+    let local = server.local_client().train(&tiny_job(5)).expect("local");
+    assert_eq!(remote.trained_model, local.trained_model);
+
+    for sock in &mut scrapers {
+        await_closed(sock, b"", deadline);
+    }
+    client.close();
+    await_registered_fds(&server, baseline);
+    assert_invariants(&server.stats());
+    server.shutdown();
+}
+
+/// A scraper that sends a byte every 50 ms and never a blank line is
+/// closed by the same head deadline: bytes do not move it.
+#[test]
+fn a_trickling_scraper_is_closed_by_the_head_deadline() {
+    let config = TransportConfig::default().handshake_timeout(Duration::from_millis(200));
+    let (server, scrape_addr) = exporter_server(config);
+    let baseline = server.stats().reactor_registered_fds;
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let mut sock = TcpStream::connect(scrape_addr).expect("dial exporter");
+    await_closed(&mut sock, b"GET /metrics HTTP/1.0\r\nX-Pad: ", deadline);
+    await_registered_fds(&server, baseline);
+    assert_invariants(&server.stats());
+    server.shutdown();
+}
