@@ -49,10 +49,9 @@
 //! (`handle_frame` and its transitions, below), a [`Scrape`], the link (the
 //! `link` submodule) in its three roles (a relay session's `Face`, a
 //! `Probe`, a client `Session`) and a relay session's upstream (`Relay`) —
-//! take
-//! `(event, now)`: `now` is the instant the reactor read, once, at the top
-//! of the turn. A handler may change its machine's state, queue frames on
-//! its sockets, stop a socket's reading, and ask a socket to dial or to
+//! take `(event, now)`: `now` is the instant the reactor read, once, at the
+//! top of the turn. A handler may change its machine's state, queue frames
+//! on its sockets, stop a socket's reading, and ask a socket to dial or to
 //! close; it touches no poller, timer wheel or stream, and arms nothing —
 //! it reports its next deadline ([`Machine::deadline`]).
 //!

@@ -795,12 +795,8 @@ fn await_closed(sock: &mut TcpStream, trickle: &[u8], deadline: std::time::Insta
     use std::io::ErrorKind;
     sock.set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
-    for byte in trickle
-        .iter()
-        .cycle()
-        .map(Some)
-        .chain(std::iter::repeat(None))
-    {
+    let mut trickle = trickle.iter().cycle();
+    loop {
         match sock.read(&mut [0u8; 64]) {
             Ok(0) => return,
             Ok(n) => panic!("an unfinished head was answered with {n} bytes"),
@@ -813,7 +809,10 @@ fn await_closed(sock: &mut TcpStream, trickle: &[u8], deadline: std::time::Insta
             "still open at the deadline"
         );
         // A write the closed connection refuses is its close, seen first.
-        if byte.is_some_and(|b| sock.write_all(&[*b]).is_err()) {
+        if trickle
+            .next()
+            .is_some_and(|b| sock.write_all(&[*b]).is_err())
+        {
             return;
         }
     }
