@@ -101,18 +101,6 @@ impl Poly {
         }
     }
 
-    #[allow(dead_code)] // kept for API symmetry with add/neg
-    fn sub(&self, other: &Poly, q: u64) -> Poly {
-        Poly {
-            coeffs: self
-                .coeffs
-                .iter()
-                .zip(&other.coeffs)
-                .map(|(&a, &b)| addmod(a, q - b % q, q))
-                .collect(),
-        }
-    }
-
     fn neg(&self, q: u64) -> Poly {
         Poly {
             coeffs: self

@@ -271,7 +271,10 @@ pub fn ablations(opts: &Options) -> Vec<Report> {
     }
 
     // --- detach necessity: without Detach, extraction != vanilla training --
-    let mut detach = Report::new("ablate_detach", &["variant", "max_weight_divergence"]);
+    let mut detach = Report::new(
+        "ablate_detach",
+        &["variant", "max_weight_divergence", "non_finite"],
+    );
     let mut vanilla = template.clone();
     train_image_classifier(&mut vanilla, &data.train, None, 0, &tc);
     for (label, detach_taps) in [("with_detach", true), ("without_detach", false)] {
@@ -287,15 +290,26 @@ pub fn ablations(opts: &Options) -> Vec<Report> {
             &tc,
         );
         let extracted = amalgam_core::extract(&aug, &template, &secrets).expect("extract");
-        let mut max_div = 0.0f32;
-        for ((_, a), (_, b)) in vanilla
+        let params = extracted.model.state_dict();
+        // NaN-aware: a NaN divergence (a diverged run) must not read as 0.
+        let max_div = vanilla
             .state_dict()
             .iter()
-            .zip(extracted.model.state_dict().iter())
-        {
-            max_div = max_div.max(a.max_abs_diff(b));
-        }
-        detach.push(vec![label.into(), format!("{max_div:.6}")]);
+            .zip(&params)
+            .map(|((_, a), (_, b))| a.max_abs_diff(b))
+            .fold(
+                0.0f32,
+                |max, d| if d <= max || max.is_nan() { max } else { d },
+            );
+        let non_finite: usize = params
+            .iter()
+            .map(|(_, t)| t.data().iter().filter(|v| !v.is_finite()).count())
+            .sum();
+        detach.push(vec![
+            label.into(),
+            format!("{max_div:.6}"),
+            non_finite.to_string(),
+        ]);
     }
 
     vec![subnets, noise, detach]

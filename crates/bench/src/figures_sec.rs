@@ -13,8 +13,6 @@ use amalgam_baselines::comparison::{run_comparison, ComparisonConfig};
 use amalgam_core::privacy::privacy_sweep;
 use amalgam_core::trainer::TrainConfig;
 use amalgam_core::{augment_images, AugmentConfig, ImagePlan, NoiseKind};
-#[allow(unused_imports)]
-use amalgam_data::ImageDataset;
 use amalgam_data::SyntheticImageSpec;
 use amalgam_models::lenet5;
 use amalgam_nn::Mode;

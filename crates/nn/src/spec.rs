@@ -5,6 +5,21 @@
 //! tensors; [`LayerSpec::build`] reconstructs a live layer. Specs are what
 //! cross the simulated cloud boundary: they deliberately contain nothing that
 //! identifies which sub-network is the original one.
+//!
+//! # The table
+//!
+//! Every layer kind is one row of the `layer_specs!` table below:
+//!
+//! ```text
+//! tag Kind { field: type, … } => constructor;
+//! ```
+//!
+//! The row alone yields the enum variant, its wire tag, its encoding (the
+//! tag byte, then each field in row order through the private `Field`
+//! codec), its decoding and its `build` arm. To add a kind, add its row and
+//! implement the layer's [`Layer::spec`]. A precondition its constructor
+//! asserts goes in `refusal`, which [`LayerSpec::decode`] consults before
+//! any spec leaves it, so that bytes from a peer never reach an assert.
 
 use crate::layer::Layer;
 use crate::layers::{
@@ -17,439 +32,143 @@ use crate::NnError;
 use amalgam_tensor::wire::{Reader, Writer};
 use amalgam_tensor::{Tensor, TensorError};
 
-/// Serializable description of any layer in the workspace.
-#[derive(Debug, Clone)]
-#[allow(missing_docs)] // variant fields mirror the layer constructors documented in `layers`
-pub enum LayerSpec {
-    Input,
-    Identity,
-    Detach,
-    Add,
-    Mul,
-    Concat,
-    Flatten,
-    Relu,
-    Sigmoid,
-    Tanh,
-    Gelu,
-    MaxPool2d {
-        kernel: usize,
-        stride: usize,
-    },
-    AvgPool2d {
-        kernel: usize,
-        stride: usize,
-    },
-    GlobalAvgPool2d,
-    GlobalMaxPool2d,
-    ChannelStats,
-    MeanPoolSeq,
-    BroadcastMulChannel,
-    Dropout {
-        p: f32,
-        seed: u64,
-    },
-    Linear {
-        weight: Tensor,
-        bias: Option<Tensor>,
-    },
-    Conv2d {
-        weight: Tensor,
-        bias: Option<Tensor>,
-        stride: usize,
-        padding: usize,
-    },
-    BatchNorm2d {
-        gamma: Tensor,
-        beta: Tensor,
-        running_mean: Tensor,
-        running_var: Tensor,
-    },
-    LayerNorm {
-        gamma: Tensor,
-        beta: Tensor,
-    },
-    Embedding {
-        weight: Tensor,
-    },
-    PositionalEncoding {
-        table: Tensor,
-    },
-    MultiHeadSelfAttention {
-        wq: Tensor,
-        wk: Tensor,
-        wv: Tensor,
-        wo: Tensor,
-        heads: usize,
-        causal: bool,
-    },
-    MaskedConv2d {
-        keep: Vec<usize>,
-        out_h: usize,
-        out_w: usize,
-        weight: Tensor,
-        bias: Option<Tensor>,
-        stride: usize,
-        padding: usize,
-    },
-    MaskedEmbedding {
-        keep: Vec<usize>,
-        weight: Tensor,
-    },
-    DepthwiseConv2d {
-        weight: Tensor,
-        bias: Option<Tensor>,
-        stride: usize,
-        padding: usize,
-    },
-    BroadcastMulSpatial,
+/// How one field type goes on the wire: the codec every row shares.
+trait Field: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader) -> Result<Self, TensorError>;
+}
+
+macro_rules! field {
+    ($($ty:ty: |$v:ident, $w:ident| $put:expr, |$r:ident| $get:expr;)*) => {$(
+        impl Field for $ty {
+            fn put(&self, $w: &mut Writer) {
+                let $v = self;
+                $put
+            }
+            fn get($r: &mut Reader) -> Result<Self, TensorError> {
+                Ok($get)
+            }
+        }
+    )*};
+}
+
+field! {
+    usize: |v, w| w.put_u64(*v as u64), |r| r.get_u64()? as usize;
+    u64: |v, w| w.put_u64(*v), |r| r.get_u64()?;
+    f32: |v, w| w.put_f32(*v), |r| r.get_f32()?;
+    bool: |v, w| w.put_u8(u8::from(*v)), |r| r.get_u8()? == 1;
+    Tensor: |v, w| w.put_tensor(v), |r| r.get_tensor()?;
+    Vec<usize>: |v, w| w.put_usize_list(v), |r| r.get_usize_list()?;
+    Option<Tensor>: |v, w| match v {
+        Some(t) => {
+            w.put_u8(1);
+            w.put_tensor(t);
+        }
+        None => w.put_u8(0),
+    }, |r| if r.get_u8()? == 1 { Some(r.get_tensor()?) } else { None };
+}
+
+/// Declares [`LayerSpec`] and its codec from one row per layer kind (see
+/// the module docs).
+macro_rules! layer_specs {
+    ($($tag:literal $Kind:ident $({ $($field:ident: $ty:ty),* $(,)? })? => $build:expr;)*) => {
+        /// Serializable description of any layer in the workspace.
+        #[derive(Debug, Clone)]
+        #[allow(missing_docs)] // variant fields mirror the layer constructors documented in `layers`
+        pub enum LayerSpec {
+            $($Kind $({ $($field: $ty),* })?,)*
+        }
+
+        impl LayerSpec {
+            /// Reconstructs a live layer from this description.
+            pub fn build(&self) -> Box<dyn Layer> {
+                match self.clone() {
+                    $(LayerSpec::$Kind $({ $($field),* })? => Box::new($build),)*
+                }
+            }
+
+            fn tag(&self) -> u8 {
+                match self {
+                    $(LayerSpec::$Kind $({ $($field: _),* })? => $tag,)*
+                }
+            }
+
+            /// Encodes this spec into `w`.
+            pub fn encode(&self, w: &mut Writer) {
+                w.put_u8(self.tag());
+                match self {
+                    $(LayerSpec::$Kind $({ $($field),* })? => {
+                        $($($field.put(w);)*)?
+                    })*
+                }
+            }
+
+            /// Decodes a spec written by [`encode`](Self::encode). A decoded
+            /// spec [`build`](Self::build)s without panicking: what the layer
+            /// constructors assert is checked here.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`NnError::UnknownLayerTag`] on an unrecognised tag, or
+            /// a wire error if the buffer is truncated or malformed — a spec
+            /// its layer's constructor would refuse included.
+            pub fn decode(r: &mut Reader) -> Result<LayerSpec, NnError> {
+                let spec = match r.get_u8()? {
+                    $($tag => LayerSpec::$Kind $({ $($field: Field::get(r)?),* })?,)*
+                    tag => return Err(NnError::UnknownLayerTag { tag }),
+                };
+                match spec.refusal() {
+                    Some(context) => Err(NnError::Wire(TensorError::MalformedWire { context })),
+                    None => Ok(spec),
+                }
+            }
+        }
+    };
+}
+
+layer_specs! {
+    0 Input => Input::new();
+    1 Identity => Identity::new();
+    2 Detach => Detach::new();
+    3 Add => Add::new();
+    4 Mul => Mul::new();
+    5 Concat => Concat::new();
+    6 Flatten => Flatten::new();
+    7 Relu => Relu::new();
+    8 Sigmoid => Sigmoid::new();
+    9 Tanh => Tanh::new();
+    10 Gelu => Gelu::new();
+    11 MaxPool2d { kernel: usize, stride: usize } => MaxPool2d::new(kernel, stride);
+    12 AvgPool2d { kernel: usize, stride: usize } => AvgPool2d::new(kernel, stride);
+    13 GlobalAvgPool2d => GlobalAvgPool2d::new();
+    14 GlobalMaxPool2d => GlobalMaxPool2d::new();
+    15 ChannelStats => ChannelStats::new();
+    16 MeanPoolSeq => MeanPoolSeq::new();
+    17 BroadcastMulChannel => BroadcastMulChannel::new();
+    18 Dropout { p: f32, seed: u64 } => Dropout::new(p, seed);
+    19 Linear { weight: Tensor, bias: Option<Tensor> } => Linear::from_params(weight, bias);
+    20 Conv2d { weight: Tensor, bias: Option<Tensor>, stride: usize, padding: usize }
+        => Conv2d::from_params(weight, bias, stride, padding);
+    21 BatchNorm2d { gamma: Tensor, beta: Tensor, running_mean: Tensor, running_var: Tensor }
+        => BatchNorm2d::from_params(gamma, beta, running_mean, running_var);
+    22 LayerNorm { gamma: Tensor, beta: Tensor } => LayerNorm::from_params(gamma, beta);
+    23 Embedding { weight: Tensor } => Embedding::from_params(weight);
+    24 PositionalEncoding { table: Tensor } => PositionalEncoding::from_table(table);
+    25 MultiHeadSelfAttention {
+        wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: usize, causal: bool,
+    } => MultiHeadSelfAttention::from_params(wq, wk, wv, wo, heads, causal);
+    26 MaskedConv2d {
+        keep: Vec<usize>, out_h: usize, out_w: usize,
+        weight: Tensor, bias: Option<Tensor>, stride: usize, padding: usize,
+    } => MaskedConv2d::new(keep, out_h, out_w, Conv2d::from_params(weight, bias, stride, padding));
+    27 MaskedEmbedding { keep: Vec<usize>, weight: Tensor }
+        => MaskedEmbedding::new(keep, Embedding::from_params(weight));
+    28 DepthwiseConv2d { weight: Tensor, bias: Option<Tensor>, stride: usize, padding: usize }
+        => DepthwiseConv2d::from_params(weight, bias, stride, padding);
+    29 BroadcastMulSpatial => BroadcastMulSpatial::new();
 }
 
 impl LayerSpec {
-    /// Reconstructs a live layer from this description.
-    pub fn build(&self) -> Box<dyn Layer> {
-        match self.clone() {
-            LayerSpec::Input => Box::new(Input::new()),
-            LayerSpec::Identity => Box::new(Identity::new()),
-            LayerSpec::Detach => Box::new(Detach::new()),
-            LayerSpec::Add => Box::new(Add::new()),
-            LayerSpec::Mul => Box::new(Mul::new()),
-            LayerSpec::Concat => Box::new(Concat::new()),
-            LayerSpec::Flatten => Box::new(Flatten::new()),
-            LayerSpec::Relu => Box::new(Relu::new()),
-            LayerSpec::Sigmoid => Box::new(Sigmoid::new()),
-            LayerSpec::Tanh => Box::new(Tanh::new()),
-            LayerSpec::Gelu => Box::new(Gelu::new()),
-            LayerSpec::MaxPool2d { kernel, stride } => Box::new(MaxPool2d::new(kernel, stride)),
-            LayerSpec::AvgPool2d { kernel, stride } => Box::new(AvgPool2d::new(kernel, stride)),
-            LayerSpec::GlobalAvgPool2d => Box::new(GlobalAvgPool2d::new()),
-            LayerSpec::GlobalMaxPool2d => Box::new(GlobalMaxPool2d::new()),
-            LayerSpec::ChannelStats => Box::new(ChannelStats::new()),
-            LayerSpec::MeanPoolSeq => Box::new(MeanPoolSeq::new()),
-            LayerSpec::BroadcastMulChannel => Box::new(BroadcastMulChannel::new()),
-            LayerSpec::Dropout { p, seed } => Box::new(Dropout::new(p, seed)),
-            LayerSpec::Linear { weight, bias } => Box::new(Linear::from_params(weight, bias)),
-            LayerSpec::Conv2d {
-                weight,
-                bias,
-                stride,
-                padding,
-            } => Box::new(Conv2d::from_params(weight, bias, stride, padding)),
-            LayerSpec::BatchNorm2d {
-                gamma,
-                beta,
-                running_mean,
-                running_var,
-            } => Box::new(BatchNorm2d::from_params(
-                gamma,
-                beta,
-                running_mean,
-                running_var,
-            )),
-            LayerSpec::LayerNorm { gamma, beta } => Box::new(LayerNorm::from_params(gamma, beta)),
-            LayerSpec::Embedding { weight } => Box::new(Embedding::from_params(weight)),
-            LayerSpec::PositionalEncoding { table } => {
-                Box::new(PositionalEncoding::from_table(table))
-            }
-            LayerSpec::MultiHeadSelfAttention {
-                wq,
-                wk,
-                wv,
-                wo,
-                heads,
-                causal,
-            } => Box::new(MultiHeadSelfAttention::from_params(
-                wq, wk, wv, wo, heads, causal,
-            )),
-            LayerSpec::MaskedConv2d {
-                keep,
-                out_h,
-                out_w,
-                weight,
-                bias,
-                stride,
-                padding,
-            } => {
-                let inner = Conv2d::from_params(weight, bias, stride, padding);
-                Box::new(MaskedConv2d::new(keep, out_h, out_w, inner))
-            }
-            LayerSpec::MaskedEmbedding { keep, weight } => {
-                Box::new(MaskedEmbedding::new(keep, Embedding::from_params(weight)))
-            }
-            LayerSpec::DepthwiseConv2d {
-                weight,
-                bias,
-                stride,
-                padding,
-            } => Box::new(DepthwiseConv2d::from_params(weight, bias, stride, padding)),
-            LayerSpec::BroadcastMulSpatial => Box::new(BroadcastMulSpatial::new()),
-        }
-    }
-
-    fn tag(&self) -> u8 {
-        match self {
-            LayerSpec::Input => 0,
-            LayerSpec::Identity => 1,
-            LayerSpec::Detach => 2,
-            LayerSpec::Add => 3,
-            LayerSpec::Mul => 4,
-            LayerSpec::Concat => 5,
-            LayerSpec::Flatten => 6,
-            LayerSpec::Relu => 7,
-            LayerSpec::Sigmoid => 8,
-            LayerSpec::Tanh => 9,
-            LayerSpec::Gelu => 10,
-            LayerSpec::MaxPool2d { .. } => 11,
-            LayerSpec::AvgPool2d { .. } => 12,
-            LayerSpec::GlobalAvgPool2d => 13,
-            LayerSpec::GlobalMaxPool2d => 14,
-            LayerSpec::ChannelStats => 15,
-            LayerSpec::MeanPoolSeq => 16,
-            LayerSpec::BroadcastMulChannel => 17,
-            LayerSpec::Dropout { .. } => 18,
-            LayerSpec::Linear { .. } => 19,
-            LayerSpec::Conv2d { .. } => 20,
-            LayerSpec::BatchNorm2d { .. } => 21,
-            LayerSpec::LayerNorm { .. } => 22,
-            LayerSpec::Embedding { .. } => 23,
-            LayerSpec::PositionalEncoding { .. } => 24,
-            LayerSpec::MultiHeadSelfAttention { .. } => 25,
-            LayerSpec::MaskedConv2d { .. } => 26,
-            LayerSpec::MaskedEmbedding { .. } => 27,
-            LayerSpec::DepthwiseConv2d { .. } => 28,
-            LayerSpec::BroadcastMulSpatial => 29,
-        }
-    }
-
-    /// Encodes this spec into `w`.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.tag());
-        fn put_opt(w: &mut Writer, t: &Option<Tensor>) {
-            match t {
-                Some(t) => {
-                    w.put_u8(1);
-                    w.put_tensor(t);
-                }
-                None => w.put_u8(0),
-            }
-        }
-        match self {
-            LayerSpec::Input
-            | LayerSpec::Identity
-            | LayerSpec::Detach
-            | LayerSpec::Add
-            | LayerSpec::Mul
-            | LayerSpec::Concat
-            | LayerSpec::Flatten
-            | LayerSpec::Relu
-            | LayerSpec::Sigmoid
-            | LayerSpec::Tanh
-            | LayerSpec::Gelu
-            | LayerSpec::GlobalAvgPool2d
-            | LayerSpec::GlobalMaxPool2d
-            | LayerSpec::ChannelStats
-            | LayerSpec::MeanPoolSeq
-            | LayerSpec::BroadcastMulChannel
-            | LayerSpec::BroadcastMulSpatial => {}
-            LayerSpec::MaxPool2d { kernel, stride } | LayerSpec::AvgPool2d { kernel, stride } => {
-                w.put_u64(*kernel as u64);
-                w.put_u64(*stride as u64);
-            }
-            LayerSpec::Dropout { p, seed } => {
-                w.put_f32(*p);
-                w.put_u64(*seed);
-            }
-            LayerSpec::Linear { weight, bias } => {
-                w.put_tensor(weight);
-                put_opt(w, bias);
-            }
-            LayerSpec::Conv2d {
-                weight,
-                bias,
-                stride,
-                padding,
-            } => {
-                w.put_tensor(weight);
-                put_opt(w, bias);
-                w.put_u64(*stride as u64);
-                w.put_u64(*padding as u64);
-            }
-            LayerSpec::BatchNorm2d {
-                gamma,
-                beta,
-                running_mean,
-                running_var,
-            } => {
-                w.put_tensor(gamma);
-                w.put_tensor(beta);
-                w.put_tensor(running_mean);
-                w.put_tensor(running_var);
-            }
-            LayerSpec::LayerNorm { gamma, beta } => {
-                w.put_tensor(gamma);
-                w.put_tensor(beta);
-            }
-            LayerSpec::Embedding { weight } => w.put_tensor(weight),
-            LayerSpec::PositionalEncoding { table } => w.put_tensor(table),
-            LayerSpec::MultiHeadSelfAttention {
-                wq,
-                wk,
-                wv,
-                wo,
-                heads,
-                causal,
-            } => {
-                w.put_tensor(wq);
-                w.put_tensor(wk);
-                w.put_tensor(wv);
-                w.put_tensor(wo);
-                w.put_u64(*heads as u64);
-                w.put_u8(u8::from(*causal));
-            }
-            LayerSpec::MaskedConv2d {
-                keep,
-                out_h,
-                out_w,
-                weight,
-                bias,
-                stride,
-                padding,
-            } => {
-                w.put_usize_list(keep);
-                w.put_u64(*out_h as u64);
-                w.put_u64(*out_w as u64);
-                w.put_tensor(weight);
-                put_opt(w, bias);
-                w.put_u64(*stride as u64);
-                w.put_u64(*padding as u64);
-            }
-            LayerSpec::MaskedEmbedding { keep, weight } => {
-                w.put_usize_list(keep);
-                w.put_tensor(weight);
-            }
-            LayerSpec::DepthwiseConv2d {
-                weight,
-                bias,
-                stride,
-                padding,
-            } => {
-                w.put_tensor(weight);
-                put_opt(w, bias);
-                w.put_u64(*stride as u64);
-                w.put_u64(*padding as u64);
-            }
-        }
-    }
-
-    /// Decodes a spec written by [`encode`](Self::encode). A decoded spec
-    /// [`build`](Self::build)s without panicking: what the layer
-    /// constructors assert is checked here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::UnknownLayerTag`] on an unrecognised tag, or a wire
-    /// error if the buffer is truncated or malformed — a spec its layer's
-    /// constructor would refuse included.
-    pub fn decode(r: &mut Reader) -> Result<LayerSpec, NnError> {
-        fn get_opt(r: &mut Reader) -> Result<Option<Tensor>, NnError> {
-            Ok(if r.get_u8()? == 1 {
-                Some(r.get_tensor()?)
-            } else {
-                None
-            })
-        }
-        let tag = r.get_u8()?;
-        let spec = match tag {
-            0 => LayerSpec::Input,
-            1 => LayerSpec::Identity,
-            2 => LayerSpec::Detach,
-            3 => LayerSpec::Add,
-            4 => LayerSpec::Mul,
-            5 => LayerSpec::Concat,
-            6 => LayerSpec::Flatten,
-            7 => LayerSpec::Relu,
-            8 => LayerSpec::Sigmoid,
-            9 => LayerSpec::Tanh,
-            10 => LayerSpec::Gelu,
-            11 => LayerSpec::MaxPool2d {
-                kernel: r.get_u64()? as usize,
-                stride: r.get_u64()? as usize,
-            },
-            12 => LayerSpec::AvgPool2d {
-                kernel: r.get_u64()? as usize,
-                stride: r.get_u64()? as usize,
-            },
-            13 => LayerSpec::GlobalAvgPool2d,
-            14 => LayerSpec::GlobalMaxPool2d,
-            15 => LayerSpec::ChannelStats,
-            16 => LayerSpec::MeanPoolSeq,
-            17 => LayerSpec::BroadcastMulChannel,
-            18 => LayerSpec::Dropout {
-                p: r.get_f32()?,
-                seed: r.get_u64()?,
-            },
-            19 => LayerSpec::Linear {
-                weight: r.get_tensor()?,
-                bias: get_opt(r)?,
-            },
-            20 => LayerSpec::Conv2d {
-                weight: r.get_tensor()?,
-                bias: get_opt(r)?,
-                stride: r.get_u64()? as usize,
-                padding: r.get_u64()? as usize,
-            },
-            21 => LayerSpec::BatchNorm2d {
-                gamma: r.get_tensor()?,
-                beta: r.get_tensor()?,
-                running_mean: r.get_tensor()?,
-                running_var: r.get_tensor()?,
-            },
-            22 => LayerSpec::LayerNorm {
-                gamma: r.get_tensor()?,
-                beta: r.get_tensor()?,
-            },
-            23 => LayerSpec::Embedding {
-                weight: r.get_tensor()?,
-            },
-            24 => LayerSpec::PositionalEncoding {
-                table: r.get_tensor()?,
-            },
-            25 => LayerSpec::MultiHeadSelfAttention {
-                wq: r.get_tensor()?,
-                wk: r.get_tensor()?,
-                wv: r.get_tensor()?,
-                wo: r.get_tensor()?,
-                heads: r.get_u64()? as usize,
-                causal: r.get_u8()? == 1,
-            },
-            26 => LayerSpec::MaskedConv2d {
-                keep: r.get_usize_list()?,
-                out_h: r.get_u64()? as usize,
-                out_w: r.get_u64()? as usize,
-                weight: r.get_tensor()?,
-                bias: get_opt(r)?,
-                stride: r.get_u64()? as usize,
-                padding: r.get_u64()? as usize,
-            },
-            27 => LayerSpec::MaskedEmbedding {
-                keep: r.get_usize_list()?,
-                weight: r.get_tensor()?,
-            },
-            28 => LayerSpec::DepthwiseConv2d {
-                weight: r.get_tensor()?,
-                bias: get_opt(r)?,
-                stride: r.get_u64()? as usize,
-                padding: r.get_u64()? as usize,
-            },
-            29 => LayerSpec::BroadcastMulSpatial,
-            tag => return Err(NnError::UnknownLayerTag { tag }),
-        };
-        match spec.refusal() {
-            Some(context) => Err(NnError::Wire(TensorError::MalformedWire { context })),
-            None => Ok(spec),
-        }
-    }
-
     /// Which precondition of `build`'s constructors this spec breaks, if
     /// any: what they assert, checked before they run.
     fn refusal(&self) -> Option<&'static str> {

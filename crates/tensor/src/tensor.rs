@@ -721,6 +721,9 @@ impl Tensor {
 
     /// Maximum absolute element-wise difference between two tensors.
     ///
+    /// NaN if either side holds a NaN, so that no tolerance accepts one.
+    /// Elements that compare equal differ by 0, equal infinities included.
+    ///
     /// # Panics
     ///
     /// Panics if the element counts differ.
@@ -729,11 +732,16 @@ impl Tensor {
         self.data
             .iter()
             .zip(other.data())
-            .map(|(&a, &b)| (a - b).abs())
-            .fold(0.0f32, f32::max)
+            .map(|(&a, &b)| if a == b { 0.0 } else { (a - b).abs() })
+            .fold(
+                0.0f32,
+                |max, d| if d <= max || max.is_nan() { max } else { d },
+            )
     }
 
-    /// Returns `true` if all elements differ by at most `tol`.
+    /// Returns `true` if the shapes match and all elements differ by at most
+    /// `tol` ([`max_abs_diff`](Self::max_abs_diff)): never when either side
+    /// holds a NaN, and equal infinities match.
     pub fn approx_eq(&self, other: &Tensor, tol: f32) -> bool {
         self.shape.same_as(&other.shape) && self.max_abs_diff(other) <= tol
     }
@@ -818,6 +826,30 @@ mod tests {
         assert_eq!(Tensor::ones(&[4]).sum(), 4.0);
         assert_eq!(Tensor::scalar(7.0).item(), 7.0);
         assert_eq!(Tensor::eye(3).sum(), 3.0);
+    }
+
+    #[test]
+    fn a_nan_is_never_within_tolerance() {
+        let finite = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
+        let nan = Tensor::from_vec(vec![1.0, f32::NAN, 3.0], &[3]);
+        assert!(finite.max_abs_diff(&nan).is_nan());
+        assert!(nan.max_abs_diff(&finite).is_nan());
+        assert!(nan.max_abs_diff(&nan).is_nan());
+        assert!(!finite.approx_eq(&nan, f32::INFINITY));
+        assert!(!nan.approx_eq(&nan, 0.0));
+        // A NaN ahead of a larger difference still wins the fold.
+        let late = Tensor::from_vec(vec![f32::NAN, 2.0, 30.0], &[3]);
+        assert!(finite.max_abs_diff(&late).is_nan());
+    }
+
+    #[test]
+    fn equal_elements_differ_by_zero_infinities_included() {
+        let inf = Tensor::from_vec(vec![f32::INFINITY, f32::NEG_INFINITY, 1.0], &[3]);
+        assert_eq!(inf.max_abs_diff(&inf), 0.0);
+        assert!(inf.approx_eq(&inf, 0.0));
+        let finite = Tensor::from_vec(vec![0.0, f32::NEG_INFINITY, 1.5], &[3]);
+        assert_eq!(inf.max_abs_diff(&finite), f32::INFINITY);
+        assert_eq!(finite.max_abs_diff(&Tensor::zeros(&[3])), f32::INFINITY);
     }
 
     #[test]
